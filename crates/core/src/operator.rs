@@ -158,14 +158,11 @@ pub type PartitionHashFn = Arc<dyn Fn(&[u8]) -> u64 + Send + Sync>;
 /// transmission group and transmits full buffers through a communication
 /// endpoint.
 pub struct ShuffleOperator {
-    mode: EndpointMode,
     child: Arc<dyn Operator>,
     /// `endpoint[0]` for SE; `endpoint[tid]` for ME.
     endpoints: Vec<Arc<dyn SendEndpoint>>,
     groups: TransmissionGroups,
     hash: PartitionHashFn,
-    /// Thread-partitioned output buffers: `outbuf[tid][group]`.
-    outbuf: Vec<Mutex<Vec<Option<Buffer>>>>,
     /// Threads still running per lane; the last thread of a lane propagates
     /// Depleted on it (Algorithm 1 lines 14–17; with one lane this is the
     /// paper's "last thread" rule).
@@ -173,7 +170,8 @@ pub struct ShuffleOperator {
     /// Rows to silently drop per `(tid, group)` before transmitting again:
     /// the recovery orchestrator seeds this with the receivers' delivered
     /// watermarks so a partial retry does not resend rows that already
-    /// arrived. All zeros (no skipping) on a fresh run.
+    /// arrived. All zeros (no skipping) on a fresh run. Worker `tid` takes
+    /// its row out for the duration of `next` and puts it back on return.
     resume_skip: Vec<Mutex<Vec<u64>>>,
     threads: usize,
     cost: CostModel,
@@ -227,18 +225,10 @@ impl ShuffleOperator {
             .map(|l| AtomicUsize::new((0..threads).filter(|t| t % lanes == l).count()))
             .collect();
         ShuffleOperator {
-            mode: if lanes == 1 {
-                EndpointMode::Single
-            } else {
-                EndpointMode::Multi
-            },
             child,
             endpoints,
             groups,
             hash: Arc::new(default_partition_hash),
-            outbuf: (0..threads)
-                .map(|_| Mutex::new(vec![None; n_groups]))
-                .collect(),
             lane_remaining,
             resume_skip: (0..threads)
                 .map(|_| Mutex::new(vec![0; n_groups]))
@@ -296,6 +286,7 @@ impl ShuffleOperator {
         tid: usize,
         runner: &Arc<PhaseRunner>,
         node: NodeId,
+        skip: &mut [u64],
     ) -> Result<(StreamState, RowBatch)> {
         let target = self.endpoint(tid).clone();
         let schedule = runner.schedule();
@@ -320,12 +311,9 @@ impl ShuffleOperator {
             }
             for row in batch.iter() {
                 let dest = ((self.hash)(row) % self.groups.len() as u64) as usize;
-                {
-                    let mut skip = self.resume_skip[tid].lock();
-                    if skip[dest] > 0 {
-                        skip[dest] -= 1;
-                        continue;
-                    }
+                if skip[dest] > 0 {
+                    skip[dest] -= 1;
+                    continue;
                 }
                 staged[dest].extend_from_slice(row);
                 staged_lens[dest].push(row.len());
@@ -401,22 +389,17 @@ impl ShuffleOperator {
     }
 }
 
-impl Operator for ShuffleOperator {
-    fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
-        assert!(tid < self.threads, "tid {tid} out of range");
-        if let Some((runner, node)) = &self.phases {
-            // A source the skew-aware schedule exempted streams through
-            // the ordinary unphased path below: it is not a barrier
-            // party and owes the schedule nothing.
-            if !runner.schedule().is_free(*node) {
-                let res = self.next_phased(sim, tid, runner, *node);
-                if res.is_err() {
-                    runner.abort();
-                }
-                return res;
-            }
-        }
+impl ShuffleOperator {
+    /// The classic interleaved Algorithm 1 transmission loop.
+    fn next_streamed(
+        &self,
+        sim: &SimContext,
+        tid: usize,
+        skip: &mut [u64],
+    ) -> Result<(StreamState, RowBatch)> {
         let target = self.endpoint(tid).clone();
+        // The partially filled buffer per transmission group.
+        let mut outbuf: Vec<Option<Buffer>> = vec![None; self.groups.len()];
         loop {
             let (state, batch) = self.child.next(sim, tid)?;
             if !batch.is_empty() {
@@ -426,49 +409,38 @@ impl Operator for ShuffleOperator {
             }
             for row in batch.iter() {
                 let dest = ((self.hash)(row) % self.groups.len() as u64) as usize;
-                {
-                    let mut skip = self.resume_skip[tid].lock();
-                    if skip[dest] > 0 {
-                        skip[dest] -= 1;
-                        continue;
-                    }
+                if skip[dest] > 0 {
+                    skip[dest] -= 1;
+                    continue;
                 }
-                // Take the current buffer out of the slot (so `send`/
-                // `get_free` are not called under the outbuf lock).
-                let cur = self.outbuf[tid].lock()[dest].take();
-                let mut cur = match cur {
+                let slot = &mut outbuf[dest];
+                if let Some(full) = slot.take_if(|b| b.remaining() < row.len()) {
+                    target.send(sim, full, self.groups.group(dest), StreamState::MoreData)?;
+                }
+                let cur = match slot {
                     Some(b) => b,
                     None => {
                         let mut b = target.get_free(sim)?;
                         b.set_tag(tid as u16);
-                        b
+                        slot.insert(b)
                     }
                 };
-                if cur.remaining() < row.len() {
-                    target.send(sim, cur, self.groups.group(dest), StreamState::MoreData)?;
-                    cur = target.get_free(sim)?;
-                    cur.set_tag(tid as u16);
-                }
                 cur.push(row)?;
-                self.outbuf[tid].lock()[dest] = Some(cur);
             }
             if state == StreamState::Depleted {
                 break;
             }
         }
         // Flush every partial buffer.
-        for dest in 0..self.groups.len() {
-            if let Some(buf) = self.outbuf[tid].lock()[dest].take() {
-                if !buf.is_empty() {
-                    target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
-                }
+        for (dest, buf) in outbuf.into_iter().enumerate() {
+            if let Some(buf) = buf.filter(|b| !b.is_empty()) {
+                target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
             }
         }
         // Propagate Depleted: the last thread of each lane closes that
         // lane's endpoint (Algorithm 1, lines 14–17).
         let lane = tid % self.endpoints.len();
         let last = self.lane_remaining[lane].fetch_sub(1, Ordering::SeqCst) == 1;
-        let _ = self.mode;
         if last {
             for d in self.groups.destinations() {
                 let mut buf = target.get_free(sim)?;
@@ -480,10 +452,35 @@ impl Operator for ShuffleOperator {
     }
 }
 
+impl Operator for ShuffleOperator {
+    fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+        assert!(tid < self.threads, "tid {tid} out of range");
+        // `next` consumes the whole child stream and returns only at
+        // Depleted (or on an error), so the per-row state — the skip
+        // counters here, the output buffers in the loops — is call-local
+        // and the row path takes no lock.
+        let mut skip = std::mem::take(&mut *self.resume_skip[tid].lock());
+        let res = match &self.phases {
+            // A source the skew-aware schedule exempted streams through
+            // the ordinary unphased path: it is not a barrier party and
+            // owes the schedule nothing.
+            Some((runner, node)) if !runner.schedule().is_free(*node) => {
+                let res = self.next_phased(sim, tid, runner, *node, &mut skip);
+                if res.is_err() {
+                    runner.abort();
+                }
+                res
+            }
+            _ => self.next_streamed(sim, tid, &mut skip),
+        };
+        *self.resume_skip[tid].lock() = skip;
+        res
+    }
+}
+
 /// The RECEIVE operator (Algorithm 2): copies delivered buffers into
 /// thread-partitioned output batches.
 pub struct ReceiveOperator {
-    mode: EndpointMode,
     endpoints: Vec<Arc<dyn ReceiveEndpoint>>,
     row_size: usize,
     /// Return a batch once it holds at least this many rows.
@@ -527,11 +524,6 @@ impl ReceiveOperator {
             "need between 1 and {threads} endpoint lanes, got {lanes}"
         );
         ReceiveOperator {
-            mode: if lanes == 1 {
-                EndpointMode::Single
-            } else {
-                EndpointMode::Multi
-            },
             endpoints,
             row_size,
             batch_rows,
@@ -541,7 +533,6 @@ impl ReceiveOperator {
     }
 
     fn endpoint(&self, tid: usize) -> &Arc<dyn ReceiveEndpoint> {
-        let _ = self.mode;
         &self.endpoints[tid % self.endpoints.len()]
     }
 }

@@ -1,29 +1,47 @@
 //! The cooperative virtual-time kernel.
 //!
-//! Simulated threads are real OS threads, but at most one executes at any
-//! moment: the kernel always hands control to the runnable entity (thread or
-//! scheduled event) with the minimum virtual timestamp, breaking ties
-//! deterministically (events before threads, then by sequence/thread id).
-//! Timing therefore never depends on the host scheduler and simulations are
-//! reproducible bit-for-bit.
+//! Every simulated thread is a *fiber* — a closure with a private,
+//! lazily-backed stack (the private `fiber` module) — and all of them run on the one
+//! host thread that calls [`Kernel::run`]. `run` is the scheduler loop: it
+//! always continues the runnable entity (thread or scheduled event) with
+//! the minimum virtual timestamp, breaking ties deterministically (events
+//! before threads, then by sequence/thread id), and a hand-off between two
+//! simulated threads is a register swap, not a host context switch. The
+//! schedule is a pure function of the kernel's own queues, so timing never
+//! depends on the host scheduler and simulations are reproducible
+//! bit-for-bit.
 //!
 //! Threads advance time explicitly:
 //! * [`SimContext::sleep`] models CPU work (accounted as busy time),
 //! * [`Gate`] is a virtual-time channel: receivers block without consuming
 //!   virtual time (accounted as idle time) until a value is pushed.
 //!
+//! Two invariants callers rely on, and must keep:
+//! * **Never hold a host lock across `sleep` / `recv`.** The next
+//!   simulated thread to want that lock runs on the same host thread and
+//!   would wait for itself.
+//! * **Event actions run on `run`'s stack, between threads, and must not
+//!   block** (no `sleep`, no `recv`); they may schedule events and push to
+//!   gates.
+//!
 //! The kernel detects global deadlock (every thread blocked, no pending
 //! events) and panics with a diagnostic listing the blocked threads, which
-//! turns protocol termination bugs into immediate test failures.
+//! turns protocol termination bugs into immediate test failures. After a
+//! panic or a deadlock every remaining thread is unwound through its own
+//! frames before `run` re-raises, so locals of blocked threads are dropped.
+//!
+//! Supported target: x86_64 Linux (the `fiber` module says what a port
+//! takes). Independent kernels may run concurrently on different host
+//! threads.
 
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use rshuffle_obs::{names, EventKind, Labels, Obs};
 
+use crate::fiber::{self, Fiber};
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 
@@ -85,7 +103,9 @@ pub struct ThreadStats {
 struct Slot {
     /// `Some(t)`: runnable at virtual time `t`. `None`: running or blocked.
     resume_at: Option<SimTime>,
-    cv: Arc<Condvar>,
+    /// The thread's fiber while it is suspended or not yet started; `None`
+    /// while it runs (the scheduler loop in [`Kernel::run`] holds it).
+    fiber: Option<Fiber>,
     name: String,
     node: NodeId,
     spawned_at: SimTime,
@@ -124,30 +144,87 @@ impl Ord for EventEntry {
 
 struct State {
     now: SimTime,
-    next_tid: u64,
     next_seq: u64,
     running: Option<SimThreadId>,
-    threads: HashMap<SimThreadId, Slot>,
+    /// Indexed by spawn index; `None` once the thread has retired.
+    threads: Vec<Option<Slot>>,
     runnable: BTreeSet<(SimTime, SimThreadId)>,
     events: BinaryHeap<EventEntry>,
-    finished: bool,
+    /// A host thread is inside [`Kernel::run`].
+    in_run: bool,
     poisoned: Option<String>,
     stats: Vec<ThreadStats>,
-    join_handles: Vec<JoinHandle<()>>,
     obs: Option<Arc<Obs>>,
     /// Straggler injection: CPU-work multiplier per node (absent = 1.0).
     cpu_slowdown: HashMap<NodeId, f64>,
 }
 
-struct Shared {
-    state: Mutex<State>,
-    completion: Condvar,
+impl State {
+    fn slot(&mut self, tid: SimThreadId) -> &mut Slot {
+        self.threads[tid.0 as usize]
+            .as_mut()
+            .expect("a scheduled thread has not retired")
+    }
+
+    fn push_event(&mut self, at: SimTime, action: Box<dyn FnOnce() + Send>) {
+        let at = at.max(self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.events.push(EventEntry { at, seq, action });
+    }
+
+    /// Whether an event or another thread is due before `me` would run
+    /// again at `at`: events fire first at equal times, threads in id
+    /// order. When nothing is, `me` is itself the scheduler's next pick
+    /// and may simply keep running.
+    fn due_before(&self, at: SimTime, me: SimThreadId) -> bool {
+        self.events.peek().is_some_and(|e| e.at <= at)
+            || self.runnable.first().is_some_and(|&next| next < (at, me))
+    }
+
+    /// Makes a blocked thread runnable at `at` (or earlier if it already has
+    /// an earlier wakeup). No-op for the currently running thread.
+    fn wake(&mut self, tid: SimThreadId, at: SimTime) {
+        if self.running == Some(tid) {
+            return;
+        }
+        let Some(Some(slot)) = self.threads.get_mut(tid.0 as usize) else {
+            return;
+        };
+        match slot.resume_at {
+            Some(existing) if existing <= at => {}
+            Some(existing) => {
+                slot.resume_at = Some(at);
+                self.runnable.remove(&(existing, tid));
+                self.runnable.insert((at, tid));
+            }
+            None => {
+                slot.resume_at = Some(at);
+                self.runnable.insert((at, tid));
+            }
+        }
+    }
+
+    /// Panics unless `me` is the thread the scheduler last switched to
+    /// and the simulation is healthy.
+    fn check_running(&self, me: SimThreadId) {
+        if self.poisoned.is_some() {
+            // Unwinds through the simulated thread's own frames; its
+            // wrapper retires it without re-poisoning.
+            panic!("simulation poisoned (another thread panicked or deadlock detected)");
+        }
+        assert_eq!(
+            self.running,
+            Some(me),
+            "a SimContext was used outside its own simulated thread"
+        );
+    }
 }
 
 /// Handle to a virtual-time simulation kernel. Cheap to clone.
 #[derive(Clone)]
 pub struct Kernel {
-    shared: Arc<Shared>,
+    state: Arc<Mutex<State>>,
 }
 
 impl Default for Kernel {
@@ -160,42 +237,37 @@ impl Kernel {
     /// Creates a new kernel with the clock at zero.
     pub fn new() -> Self {
         Kernel {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    now: SimTime::ZERO,
-                    next_tid: 0,
-                    next_seq: 0,
-                    running: None,
-                    threads: HashMap::new(),
-                    runnable: BTreeSet::new(),
-                    events: BinaryHeap::new(),
-                    finished: false,
-                    poisoned: None,
-                    stats: Vec::new(),
-                    join_handles: Vec::new(),
-                    obs: None,
-                    cpu_slowdown: HashMap::new(),
-                }),
-                completion: Condvar::new(),
-            }),
+            state: Arc::new(Mutex::new(State {
+                now: SimTime::ZERO,
+                next_seq: 0,
+                running: None,
+                threads: Vec::new(),
+                runnable: BTreeSet::new(),
+                events: BinaryHeap::new(),
+                in_run: false,
+                poisoned: None,
+                stats: Vec::new(),
+                obs: None,
+                cpu_slowdown: HashMap::new(),
+            })),
         }
     }
 
     /// Current virtual time. Callable from anywhere.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.state.lock().now
     }
 
     /// Attaches the shared observability context. Thread spawns and
     /// retirements are recorded into it from then on (call before the
     /// workload starts for complete coverage).
     pub fn set_obs(&self, obs: Arc<Obs>) {
-        self.shared.state.lock().obs = Some(obs);
+        self.state.lock().obs = Some(obs);
     }
 
     /// The attached observability context, if any.
     pub fn obs(&self) -> Option<Arc<Obs>> {
-        self.shared.state.lock().obs.clone()
+        self.state.lock().obs.clone()
     }
 
     /// Sets the straggler factor for `node`: every subsequent
@@ -203,7 +275,7 @@ impl Kernel {
     /// factor of 1.0 removes the slowdown. Deterministic: the scaling is
     /// pure integer-rounded arithmetic on the virtual clock.
     pub fn set_cpu_slowdown(&self, node: NodeId, factor: f64) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         if factor == 1.0 {
             st.cpu_slowdown.remove(&node);
         } else {
@@ -213,8 +285,7 @@ impl Kernel {
 
     /// The current straggler factor for `node` (1.0 when healthy).
     pub fn cpu_slowdown(&self, node: NodeId) -> f64 {
-        self.shared
-            .state
+        self.state
             .lock()
             .cpu_slowdown
             .get(&node)
@@ -226,159 +297,130 @@ impl Kernel {
     /// virtual time. Returns its id.
     ///
     /// May be called before [`Kernel::run`] or from inside another simulated
-    /// thread.
+    /// thread. The thread gets a private stack; `f` first runs when
+    /// [`Kernel::run`] reaches it, on the host thread that called `run`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack cannot be mapped.
     pub fn spawn<F>(&self, node: NodeId, name: &str, f: F) -> SimThreadId
     where
         F: FnOnce(SimContext) + Send + 'static,
     {
-        let (tid, cv) = {
-            let mut st = self.shared.state.lock();
-            let tid = SimThreadId(st.next_tid);
-            st.next_tid += 1;
-            let cv = Arc::new(Condvar::new());
-            let start_at = st.now;
-            st.threads.insert(
-                tid,
-                Slot {
-                    resume_at: Some(start_at),
-                    cv: cv.clone(),
-                    name: name.to_string(),
-                    node,
-                    spawned_at: start_at,
-                    busy: SimDuration::ZERO,
-                    idle: SimDuration::ZERO,
-                },
-            );
-            let key = (st.now, tid);
-            st.runnable.insert(key);
-            if let Some(obs) = &st.obs {
-                obs.recorder.name_track(node as u32, tid.track(), name);
-            }
-            (tid, cv)
-        };
-
-        let kernel = self.clone();
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                kernel.thread_main(tid, cv, node, f);
-            })
-            .expect("failed to spawn OS thread for simulated thread");
-        self.shared.state.lock().join_handles.push(handle);
+        let mut st = self.state.lock();
+        let tid = SimThreadId(st.threads.len() as u64);
+        // Weak: a fiber waiting in `State` must not keep `State` alive. It
+        // only ever runs inside `run`, which borrows a live handle.
+        let state = Arc::downgrade(&self.state);
+        let fiber = Fiber::new(move || {
+            let state = state.upgrade().expect("fibers run inside Kernel::run");
+            Kernel { state }.thread_main(tid, node, f);
+        });
+        let start_at = st.now;
+        st.threads.push(Some(Slot {
+            resume_at: Some(start_at),
+            fiber: Some(fiber),
+            name: name.to_string(),
+            node,
+            spawned_at: start_at,
+            busy: SimDuration::ZERO,
+            idle: SimDuration::ZERO,
+        }));
+        st.runnable.insert((start_at, tid));
+        if let Some(obs) = &st.obs {
+            obs.recorder.name_track(node as u32, tid.track(), name);
+        }
         tid
     }
 
-    fn thread_main<F>(&self, tid: SimThreadId, cv: Arc<Condvar>, node: NodeId, f: F)
+    /// Body of every fiber: runs `f`, turns a panic into poison, retires.
+    /// Everything owned here is gone when it returns — the fiber's last
+    /// frame is abandoned, not unwound.
+    fn thread_main<F>(&self, tid: SimThreadId, node: NodeId, f: F)
     where
         F: FnOnce(SimContext) + Send,
     {
-        // Wait until the dispatcher hands control to this thread.
-        {
-            let mut st = self.shared.state.lock();
-            while st.running != Some(tid) && st.poisoned.is_none() {
-                cv.wait(&mut st);
-            }
-            if st.poisoned.is_some() {
-                self.retire(tid, true);
-                return;
-            }
-        }
-
         let ctx = SimContext {
             kernel: self.clone(),
             id: tid,
             node,
         };
-        let result = panic::catch_unwind(AssertUnwindSafe(move || f(ctx)));
-        let panicked = result.is_err();
-        if let Err(payload) = result {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(move || f(ctx))) {
             // `&*payload` unsizes to the payload itself; `&payload` would
             // wrap the Box and break the downcasts.
             let msg = payload_to_string(&*payload);
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.lock();
             if st.poisoned.is_none() {
                 st.poisoned = Some(format!("simulated thread panicked: {msg}"));
             }
-            // Wake everything so blocked threads observe the poison and exit.
-            for slot in st.threads.values() {
-                slot.cv.notify_all();
-            }
-            self.shared.completion.notify_all();
         }
-        self.retire(tid, panicked);
+        let parked = self.retire(tid);
+        debug_assert!(
+            parked.is_none(),
+            "a running thread's fiber is not in its slot"
+        );
     }
 
-    /// Removes a finished thread, records its stats and hands control to the
-    /// next runnable entity.
-    fn retire(&self, tid: SimThreadId, panicked: bool) {
-        let mut st = self.shared.state.lock();
-        if let Some(slot) = st.threads.remove(&tid) {
-            if let Some(t) = slot.resume_at {
-                st.runnable.remove(&(t, tid));
-            }
-            let finished_at = st.now;
-            if let Some(obs) = &st.obs {
-                let node = slot.node as u32;
-                let labels = Labels::node(node);
-                obs.metrics
-                    .counter(names::KERNEL_BUSY_NS, labels)
-                    .add(slot.busy.as_nanos());
-                obs.metrics
-                    .counter(names::KERNEL_IDLE_NS, labels)
-                    .add(slot.idle.as_nanos());
-                obs.metrics
-                    .counter(names::KERNEL_THREADS_FINISHED, labels)
-                    .inc();
-                obs.recorder.span(
-                    node,
-                    tid.track(),
-                    &slot.name,
-                    slot.spawned_at.as_nanos(),
-                    finished_at.as_nanos(),
-                );
-                obs.recorder.event(
-                    node,
-                    tid.track(),
-                    finished_at.as_nanos(),
-                    EventKind::ThreadFinished,
-                    slot.busy.as_nanos(),
-                );
-            }
-            st.stats.push(ThreadStats {
-                name: slot.name,
-                node: slot.node,
-                busy: slot.busy,
-                idle: slot.idle,
-                finished_at,
-            });
+    /// Removes a finished thread and records its stats. Returns the
+    /// thread's fiber if it was still parked in its slot (a thread that
+    /// never started).
+    fn retire(&self, tid: SimThreadId) -> Option<Fiber> {
+        let mut st = self.state.lock();
+        let slot = st.threads[tid.0 as usize].take()?;
+        if let Some(t) = slot.resume_at {
+            st.runnable.remove(&(t, tid));
         }
         if st.running == Some(tid) {
             st.running = None;
         }
-        if st.poisoned.is_some() || panicked {
-            self.shared.completion.notify_all();
-            return;
+        let finished_at = st.now;
+        if let Some(obs) = &st.obs {
+            let node = slot.node as u32;
+            let labels = Labels::node(node);
+            obs.metrics
+                .counter(names::KERNEL_BUSY_NS, labels)
+                .add(slot.busy.as_nanos());
+            obs.metrics
+                .counter(names::KERNEL_IDLE_NS, labels)
+                .add(slot.idle.as_nanos());
+            obs.metrics
+                .counter(names::KERNEL_THREADS_FINISHED, labels)
+                .inc();
+            obs.recorder.span(
+                node,
+                tid.track(),
+                &slot.name,
+                slot.spawned_at.as_nanos(),
+                finished_at.as_nanos(),
+            );
+            obs.recorder.event(
+                node,
+                tid.track(),
+                finished_at.as_nanos(),
+                EventKind::ThreadFinished,
+                slot.busy.as_nanos(),
+            );
         }
-        self.dispatch(st, None);
+        st.stats.push(ThreadStats {
+            name: slot.name,
+            node: slot.node,
+            busy: slot.busy,
+            idle: slot.idle,
+            finished_at,
+        });
+        slot.fiber
     }
 
     /// Schedules `action` to run at virtual time `at` (clamped to `now`).
     ///
-    /// Actions run while no simulated thread executes; they may schedule
-    /// further events and push to gates, but must not block.
+    /// Actions run on the stack of [`Kernel::run`], between simulated
+    /// threads; they may schedule further events and push to gates, but
+    /// must not block.
     pub fn schedule<F>(&self, at: SimTime, action: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        let mut st = self.shared.state.lock();
-        let at = at.max(st.now);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.events.push(EventEntry {
-            at,
-            seq,
-            action: Box::new(action),
-        });
+        self.state.lock().push_event(at, Box::new(action));
     }
 
     /// Schedules `action` to run `delay` after the current virtual time.
@@ -386,227 +428,215 @@ impl Kernel {
     where
         F: FnOnce() + Send + 'static,
     {
-        let now = self.now();
-        self.schedule(now + delay, action);
+        let mut st = self.state.lock();
+        let at = st.now + delay;
+        st.push_event(at, Box::new(action));
     }
 
-    /// Runs the simulation to completion: blocks the calling (host) thread
-    /// until every simulated thread has finished and the event queue is
-    /// empty.
+    /// Runs the simulation to completion on the calling (host) thread:
+    /// returns when every simulated thread has finished and the event
+    /// queue is empty.
+    ///
+    /// This is the scheduler loop. It repeatedly picks the entity with the
+    /// minimum virtual timestamp — the `(time, seq)`-least event, or the
+    /// `(time, tid)`-least runnable thread when no event is due at or
+    /// before its time — runs event actions inline, and switches into a
+    /// thread's fiber until that thread blocks, sleeps past another
+    /// entity, or finishes.
     ///
     /// # Panics
     ///
-    /// Panics if any simulated thread panicked or a global deadlock was
-    /// detected (every thread blocked with no pending event).
+    /// Panics if any simulated thread or event action panicked or a
+    /// global deadlock was detected (every thread blocked with no pending
+    /// event), after unwinding every remaining thread; and if `run` is
+    /// already active on this kernel.
     pub fn run(&self) {
-        {
-            let st = self.shared.state.lock();
-            self.dispatch(st, None);
+        let mut st = self.state.lock();
+        assert!(!st.in_run, "Kernel::run is already active on this kernel");
+        st.in_run = true;
+        // Scratch buffer for same-instant event batches; reused across loop
+        // iterations so a long event cascade allocates once.
+        let mut batch: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+        while st.poisoned.is_none() {
+            let next_thread = st.runnable.first().copied();
+            // An event goes first when it is due at or before the thread.
+            let next_event_at = st
+                .events
+                .peek()
+                .map(|e| e.at)
+                .filter(|&ev_at| next_thread.is_none_or(|(t, _)| ev_at <= t));
+            if let Some(ev_at) = next_event_at {
+                debug_assert!(ev_at >= st.now, "event scheduled in the past");
+                st.now = ev_at;
+                // Drain every event due at this instant in one lock
+                // cycle. BinaryHeap pop yields them in (at, seq) order,
+                // so the batch preserves schedule order; actions that
+                // schedule *new* events at the same instant get a higher
+                // seq and are picked up on the next loop iteration —
+                // identical semantics to popping one event per cycle,
+                // but one lock round-trip per instant instead of per
+                // event (the hot path at 512 nodes).
+                while st.events.peek().is_some_and(|e| e.at == ev_at) {
+                    let entry = st.events.pop().expect("peeked event must exist");
+                    batch.push(entry.action);
+                }
+                drop(st);
+                // A panicking action must not unwind through this loop
+                // while fibers are suspended: poison instead, so they
+                // are unwound below.
+                let fired = panic::catch_unwind(AssertUnwindSafe(|| {
+                    for action in batch.drain(..) {
+                        action();
+                    }
+                }));
+                st = self.state.lock();
+                if let Err(payload) = fired {
+                    let msg = payload_to_string(&*payload);
+                    st.poisoned
+                        .get_or_insert(format!("event action panicked: {msg}"));
+                }
+            } else if let Some((t, tid)) = next_thread {
+                st.runnable.pop_first();
+                debug_assert!(t >= st.now, "thread scheduled in the past");
+                st.now = t;
+                st = self.switch_to(st, tid);
+            } else {
+                let blocked: Vec<String> = st
+                    .threads
+                    .iter()
+                    .flatten()
+                    .map(|s| format!("{} (node {})", s.name, s.node))
+                    .collect();
+                if blocked.is_empty() {
+                    break;
+                }
+                // Threads exist but none is runnable and no event is
+                // pending: global deadlock.
+                st.poisoned = Some(format!(
+                    "virtual-time deadlock at {:?}: {} thread(s) blocked with no pending \
+                     events: [{}]",
+                    st.now,
+                    blocked.len(),
+                    blocked.join(", ")
+                ));
+            }
         }
-        let mut st = self.shared.state.lock();
-        while !st.finished && st.poisoned.is_none() {
-            self.shared.completion.wait(&mut st);
+        if st.poisoned.is_some() {
+            st = self.unwind_all(st);
         }
+        st.in_run = false;
         let poisoned = st.poisoned.clone();
-        let handles = std::mem::take(&mut st.join_handles);
         drop(st);
-        for h in handles {
-            // Threads have either exited or are unwinding; joining is safe.
-            let _ = h.join();
-        }
         if let Some(msg) = poisoned {
             panic!("{msg}");
         }
     }
 
+    /// Marks `tid` running and switches into its fiber with the state lock
+    /// released (a guard parked across the switch would deadlock the one
+    /// host thread). Back on this stack, parks the fiber in its slot again
+    /// or, if the thread finished, frees its stack.
+    fn switch_to<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        tid: SimThreadId,
+    ) -> MutexGuard<'a, State> {
+        st.running = Some(tid);
+        let slot = st.slot(tid);
+        slot.resume_at = None;
+        let mut fiber = slot.fiber.take().expect("a parked thread holds its fiber");
+        drop(st);
+        let finished = fiber.resume();
+        let mut st = self.state.lock();
+        if !finished {
+            st.slot(tid).fiber = Some(fiber);
+        }
+        st
+    }
+
+    /// After a panic or a detected deadlock: resumes every started thread
+    /// once so that it unwinds through its own frames (a poisoned kernel
+    /// refuses to suspend it again, so it runs to its end), and retires
+    /// every thread that never started, dropping its closure unrun. Leaves
+    /// no fiber behind, then drops the pending events.
+    fn unwind_all<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        // By index: unwinding threads may still spawn.
+        let mut i = 0;
+        while i < st.threads.len() {
+            let tid = SimThreadId(i as u64);
+            i += 1;
+            let Some(slot) = &st.threads[tid.0 as usize] else {
+                continue;
+            };
+            if slot.fiber.as_ref().is_some_and(Fiber::started) {
+                if let Some(t) = slot.resume_at {
+                    st.runnable.remove(&(t, tid));
+                }
+                st = self.switch_to(st, tid);
+                debug_assert!(st.threads[tid.0 as usize].is_none());
+            } else {
+                // The closure may own handles whose drop takes the lock.
+                drop(st);
+                drop(self.retire(tid));
+                st = self.state.lock();
+            }
+        }
+        let events = std::mem::take(&mut st.events);
+        drop(st);
+        drop(events);
+        self.state.lock()
+    }
+
     /// Returns statistics for all threads that have finished so far.
     pub fn stats(&self) -> Vec<ThreadStats> {
-        self.shared.state.lock().stats.clone()
+        self.state.lock().stats.clone()
     }
 
-    /// Core scheduling loop. Processes due events inline; when the next
-    /// runnable entity is a thread, transfers control to it.
-    ///
-    /// If `me` is `Some`, the caller is a simulated thread that has already
-    /// recorded its own wakeup (or blocked state) and this call returns only
-    /// once the caller is scheduled to run again.
-    fn dispatch<'a>(&'a self, mut st: parking_lot::MutexGuard<'a, State>, me: Option<SimThreadId>) {
-        // Scratch buffer for same-instant event batches; reused across loop
-        // iterations so a long event cascade allocates once.
-        let mut batch: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-        loop {
-            if st.poisoned.is_some() {
-                drop(st);
-                self.propagate_poison(me);
-                return;
-            }
-            let next_event_at = st.events.peek().map(|e| e.at);
-            let next_thread = st.runnable.iter().next().copied();
-
-            match (next_event_at, next_thread) {
-                (None, None) => {
-                    if st.threads.is_empty() {
-                        st.finished = true;
-                        self.shared.completion.notify_all();
-                        if me.is_some() {
-                            // A thread with `me` set is blocked on a gate and
-                            // nothing can ever wake it: that is a deadlock of
-                            // one.
-                            let msg = "deadlock: last runnable thread blocked forever".to_string();
-                            st.poisoned = Some(msg.clone());
-                            drop(st);
-                            panic!("{msg}");
-                        }
-                        return;
-                    }
-                    // Threads exist but none is runnable and no event is
-                    // pending: global deadlock.
-                    let blocked: Vec<String> = st
-                        .threads
-                        .values()
-                        .map(|s| format!("{} (node {})", s.name, s.node))
-                        .collect();
-                    let msg = format!(
-                        "virtual-time deadlock at {:?}: {} thread(s) blocked with no pending \
-                         events: [{}]",
-                        st.now,
-                        blocked.len(),
-                        blocked.join(", ")
-                    );
-                    st.poisoned = Some(msg.clone());
-                    for slot in st.threads.values() {
-                        slot.cv.notify_all();
-                    }
-                    self.shared.completion.notify_all();
-                    drop(st);
-                    panic!("{msg}");
-                }
-                (Some(ev_at), thread) if thread.is_none_or(|(t, _)| ev_at <= t) => {
-                    debug_assert!(ev_at >= st.now, "event scheduled in the past");
-                    st.now = ev_at;
-                    // Drain every event due at this instant in one lock
-                    // cycle. BinaryHeap pop yields them in (at, seq) order,
-                    // so the batch preserves schedule order; actions that
-                    // schedule *new* events at the same instant get a higher
-                    // seq and are picked up on the next loop iteration —
-                    // identical semantics to popping one event per cycle,
-                    // but one lock round-trip per instant instead of per
-                    // event (the hot path at 512 nodes).
-                    while let Some(e) = st.events.peek() {
-                        if e.at != ev_at {
-                            break;
-                        }
-                        let entry = st.events.pop().expect("peeked event must exist");
-                        batch.push(entry.action);
-                    }
-                    drop(st);
-                    for action in batch.drain(..) {
-                        action();
-                    }
-                    st = self.shared.state.lock();
-                }
-                (_, Some((t, tid))) => {
-                    st.runnable.remove(&(t, tid));
-                    debug_assert!(t >= st.now, "thread scheduled in the past");
-                    st.now = t;
-                    st.running = Some(tid);
-                    let cv = {
-                        let slot = st
-                            .threads
-                            .get_mut(&tid)
-                            .expect("runnable thread must exist");
-                        slot.resume_at = None;
-                        slot.cv.clone()
-                    };
-                    if me == Some(tid) {
-                        return;
-                    }
-                    cv.notify_one();
-                    if let Some(my_id) = me {
-                        let my_cv = st
-                            .threads
-                            .get(&my_id)
-                            .expect("calling thread must exist")
-                            .cv
-                            .clone();
-                        while st.running != Some(my_id) && st.poisoned.is_none() {
-                            my_cv.wait(&mut st);
-                        }
-                        if st.poisoned.is_some() {
-                            drop(st);
-                            self.propagate_poison(me);
-                        }
-                    }
-                    return;
-                }
-                // `(Some(_), None)` with a failed guard cannot occur: the
-                // guard is always true when no thread is runnable.
-                _ => unreachable!("dispatch: inconsistent scheduler state"),
-            }
-        }
-    }
-
-    fn propagate_poison(&self, me: Option<SimThreadId>) {
-        if me.is_some() {
-            // Unwind through the simulated thread; its wrapper will retire it
-            // without re-poisoning.
-            panic!("simulation poisoned (another thread panicked or deadlock detected)");
-        }
-    }
-
-    /// Marks the calling thread runnable again at `at` and yields to the
-    /// scheduler. Returns when the thread is dispatched (virtual time == at,
-    /// unless poisoned).
-    fn yield_until(&self, me: SimThreadId, at: SimTime) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.running, Some(me), "yield_until from non-running thread");
+    /// Makes the calling thread runnable again at `at` and lets everything
+    /// due before it run first. Returns when the thread is dispatched
+    /// (virtual time == `at`). When the caller is itself the next entity
+    /// the scheduler would pick, the clock just advances and no switch
+    /// happens.
+    fn yield_until(&self, mut st: MutexGuard<'_, State>, me: SimThreadId, at: SimTime) {
         debug_assert!(at >= st.now);
-        let slot = st.threads.get_mut(&me).expect("running thread must exist");
-        slot.resume_at = Some(at);
+        if !st.due_before(at, me) {
+            st.now = at;
+            return;
+        }
+        st.slot(me).resume_at = Some(at);
         st.runnable.insert((at, me));
         st.running = None;
-        self.dispatch(st, Some(me));
+        drop(st);
+        fiber::suspend();
+        self.state.lock().check_running(me);
     }
 
     /// Blocks the calling thread with no wakeup time (a gate push must wake
-    /// it). `deadline`, if given, acts as a timed wakeup.
-    fn block_me(&self, me: SimThreadId, deadline: Option<SimTime>) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.running, Some(me), "block from non-running thread");
+    /// it). `deadline`, if given, acts as a timed wakeup. The wait is
+    /// accounted as idle time.
+    fn block_me<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        me: SimThreadId,
+        deadline: Option<SimTime>,
+    ) {
         let wait_start = st.now;
-        let slot = st.threads.get_mut(&me).expect("running thread must exist");
-        slot.resume_at = deadline;
-        if let Some(d) = deadline {
-            st.runnable.insert((d, me));
-        }
-        st.running = None;
-        self.dispatch(st, Some(me));
-        let mut st = self.shared.state.lock();
-        let now = st.now;
-        let slot = st.threads.get_mut(&me).expect("running thread must exist");
-        slot.idle += now.duration_since(wait_start);
-    }
-
-    /// Makes a blocked thread runnable at `at` (or earlier if it already has
-    /// an earlier wakeup). No-op for the currently running thread.
-    fn wake(&self, st: &mut State, tid: SimThreadId, at: SimTime) {
-        if st.running == Some(tid) {
-            return;
-        }
-        if let Some(slot) = st.threads.get_mut(&tid) {
-            match slot.resume_at {
-                Some(existing) if existing <= at => {}
-                Some(existing) => {
-                    st.runnable.remove(&(existing, tid));
-                    slot.resume_at = Some(at);
-                    st.runnable.insert((at, tid));
+        match deadline {
+            Some(d) if !st.due_before(d, me) => st.now = d,
+            _ => {
+                st.slot(me).resume_at = deadline;
+                if let Some(d) = deadline {
+                    st.runnable.insert((d, me));
                 }
-                None => {
-                    slot.resume_at = Some(at);
-                    st.runnable.insert((at, tid));
-                }
+                st.running = None;
+                drop(st);
+                fiber::suspend();
+                st = self.state.lock();
+                st.check_running(me);
             }
         }
+        let now = st.now;
+        st.slot(me).idle += now.duration_since(wait_start);
     }
 }
 
@@ -651,35 +681,27 @@ impl SimContext {
 
     /// Advances this thread's clock by `d`, modelling CPU work. Other
     /// runnable entities with earlier timestamps execute in the meantime.
+    ///
+    /// The caller must not hold a host lock that another simulated thread
+    /// may take: every simulated thread runs on the same host thread, so
+    /// the second `lock()` would wait forever.
     pub fn sleep(&self, d: SimDuration) {
-        if d == SimDuration::ZERO {
-            return self.yield_now();
-        }
-        let d = {
-            let mut st = self.kernel.shared.state.lock();
-            // Straggler injection: CPU work on a slowed node stretches by
-            // the node's factor (rounded to whole virtual nanoseconds).
-            let d = match st.cpu_slowdown.get(&self.node) {
-                Some(&factor) => {
-                    SimDuration::from_nanos((d.as_nanos() as f64 * factor).round() as u64)
-                }
-                None => d,
-            };
-            let slot = st
-                .threads
-                .get_mut(&self.id)
-                .expect("running thread must exist");
-            slot.busy += d;
-            d
+        let mut st = self.kernel.state.lock();
+        st.check_running(self.id);
+        // Straggler injection: CPU work on a slowed node stretches by
+        // the node's factor (rounded to whole virtual nanoseconds).
+        let d = match st.cpu_slowdown.get(&self.node) {
+            Some(&factor) => SimDuration::from_nanos((d.as_nanos() as f64 * factor).round() as u64),
+            None => d,
         };
-        let at = self.kernel.now() + d;
-        self.kernel.yield_until(self.id, at);
+        st.slot(self.id).busy += d;
+        let at = st.now + d;
+        self.kernel.yield_until(st, self.id, at);
     }
 
     /// Yields to any runnable entity scheduled at the current instant.
     pub fn yield_now(&self) {
-        let at = self.kernel.now();
-        self.kernel.yield_until(self.id, at);
+        self.sleep(SimDuration::ZERO);
     }
 }
 
@@ -726,12 +748,12 @@ impl<T: Send + 'static> Gate<T> {
     /// Enqueues a value and wakes the longest-waiting receiver, if any.
     /// Callable from simulated threads and from event actions.
     pub fn push(&self, value: T) {
-        let mut st = self.kernel.shared.state.lock();
+        let mut st = self.kernel.state.lock();
         self.inner.queue.lock().push_back(value);
         let waiter = self.inner.waiters.lock().pop_front();
         if let Some(w) = waiter {
             let at = st.now + self.inner.wake_latency;
-            self.kernel.wake(&mut st, w, at);
+            st.wake(w, at);
         }
     }
 
@@ -754,17 +776,18 @@ impl<T: Send + 'static> Gate<T> {
     /// Blocks in virtual time until a value is available.
     pub fn recv(&self, ctx: &SimContext) -> T {
         loop {
+            let st = self.kernel.state.lock();
+            if let Some(v) = self.inner.queue.lock().pop_front() {
+                return v;
+            }
+            st.check_running(ctx.id);
             {
-                let _st = self.kernel.shared.state.lock();
-                if let Some(v) = self.inner.queue.lock().pop_front() {
-                    return v;
-                }
                 let mut waiters = self.inner.waiters.lock();
                 if !waiters.contains(&ctx.id) {
                     waiters.push_back(ctx.id);
                 }
             }
-            self.kernel.block_me(ctx.id, None);
+            self.kernel.block_me(st, ctx.id, None);
         }
     }
 
@@ -773,22 +796,23 @@ impl<T: Send + 'static> Gate<T> {
     pub fn recv_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> RecvTimeout<T> {
         let deadline = self.kernel.now() + timeout;
         loop {
+            let st = self.kernel.state.lock();
+            if let Some(v) = self.inner.queue.lock().pop_front() {
+                self.inner.waiters.lock().retain(|w| *w != ctx.id);
+                return RecvTimeout::Value(v);
+            }
+            if st.now >= deadline {
+                self.inner.waiters.lock().retain(|w| *w != ctx.id);
+                return RecvTimeout::TimedOut;
+            }
+            st.check_running(ctx.id);
             {
-                let st = self.kernel.shared.state.lock();
-                if let Some(v) = self.inner.queue.lock().pop_front() {
-                    self.inner.waiters.lock().retain(|w| *w != ctx.id);
-                    return RecvTimeout::Value(v);
-                }
-                if st.now >= deadline {
-                    self.inner.waiters.lock().retain(|w| *w != ctx.id);
-                    return RecvTimeout::TimedOut;
-                }
                 let mut waiters = self.inner.waiters.lock();
                 if !waiters.contains(&ctx.id) {
                     waiters.push_back(ctx.id);
                 }
             }
-            self.kernel.block_me(ctx.id, Some(deadline));
+            self.kernel.block_me(st, ctx.id, Some(deadline));
         }
     }
 }
@@ -1102,29 +1126,222 @@ mod tests {
         assert_eq!(kernel.now().as_nanos(), 10);
     }
 
-    #[test]
-    fn determinism_two_identical_runs() {
-        fn run_once() -> Vec<(u64, String)> {
-            let kernel = Kernel::new();
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let gate: Gate<u64> = Gate::new(&kernel, SimDuration::from_nanos(3));
-            for i in 0..8u64 {
-                let g = gate.clone();
-                let log = log.clone();
-                kernel.spawn((i % 4) as usize, &format!("w{i}"), move |sim| {
-                    for k in 0..20u64 {
-                        sim.sleep(SimDuration::from_nanos(7 + (i * 13 + k) % 11));
-                        g.push(i * 100 + k);
-                        if let Some(v) = g.try_recv() {
-                            log.lock().push((sim.now().as_nanos(), format!("w{i}:{v}")));
+    /// Eight threads racing over one gate; the log is the observable
+    /// schedule. `meet` runs once, mid-simulation, on thread 0.
+    fn contended_run(meet: impl FnOnce() + Send + 'static) -> Vec<(u64, String)> {
+        let kernel = Kernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::from_nanos(3));
+        let mut meet = Some(meet);
+        for i in 0..8u64 {
+            let g = gate.clone();
+            let log = log.clone();
+            let mut meet = meet.take();
+            kernel.spawn((i % 4) as usize, &format!("w{i}"), move |sim| {
+                for k in 0..20u64 {
+                    sim.sleep(SimDuration::from_nanos(7 + (i * 13 + k) % 11));
+                    g.push(i * 100 + k);
+                    if let Some(v) = g.try_recv() {
+                        log.lock().push((sim.now().as_nanos(), format!("w{i}:{v}")));
+                    }
+                    if k == 10 {
+                        if let Some(meet) = meet.take() {
+                            meet();
                         }
                     }
-                });
-            }
-            kernel.run();
-            let v = log.lock().clone();
-            v
+                }
+            });
         }
-        assert_eq!(run_once(), run_once());
+        kernel.run();
+        let v = log.lock().clone();
+        v
+    }
+
+    #[test]
+    fn determinism_two_identical_runs() {
+        assert_eq!(contended_run(|| {}), contended_run(|| {}));
+    }
+
+    #[test]
+    fn two_kernels_run_concurrently_on_two_host_threads() {
+        // The host barrier is crossed from inside a simulated thread of
+        // each kernel, so both schedulers are provably mid-run at once.
+        let alone = contended_run(|| {});
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        let (a, b) = std::thread::scope(|s| {
+            let run = || {
+                let meet = meet.clone();
+                s.spawn(move || {
+                    contended_run(move || {
+                        meet.wait();
+                    })
+                })
+            };
+            let (a, b) = (run(), run());
+            (a.join().expect("kernel a"), b.join().expect("kernel b"))
+        });
+        assert_eq!(a, alone);
+        assert_eq!(b, alone);
+    }
+
+    #[test]
+    fn four_thousand_threads_in_one_kernel() {
+        // One OS thread per simulated thread could not do this; a fiber is
+        // a lazily-backed mapping.
+        const THREADS: u64 = 4096;
+        let kernel = Kernel::new();
+        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::from_nanos(1));
+        let sum = Arc::new(AtomicU64::new(0));
+        for i in 0..THREADS {
+            let g = gate.clone();
+            let sum = sum.clone();
+            kernel.spawn((i % 64) as usize, "w", move |sim| {
+                sim.sleep(SimDuration::from_nanos(1 + i % 7));
+                g.push(i);
+                sim.sleep(SimDuration::from_nanos(5));
+                sum.fetch_add(g.recv(&sim), Ordering::SeqCst);
+            });
+        }
+        kernel.run();
+        assert_eq!(sum.load(Ordering::SeqCst), THREADS * (THREADS - 1) / 2);
+        assert_eq!(kernel.stats().len(), THREADS as usize);
+    }
+
+    #[test]
+    fn run_leaves_nothing_alive() {
+        // A finished fiber never returns from its last switch, so whatever
+        // its entry frame still owned would leak.
+        let token = Arc::new(());
+        let obs = Obs::new();
+        let held = Arc::downgrade(&obs);
+        let kernel = Kernel::new();
+        kernel.set_obs(obs);
+        let gate: Gate<Arc<()>> = Gate::new(&kernel, SimDuration::ZERO);
+        for i in 0..4u64 {
+            let (t, g) = (token.clone(), gate.clone());
+            kernel.spawn(0, "w", move |sim| {
+                sim.sleep(SimDuration::from_nanos(10 + i));
+                g.push(t.clone());
+                drop(g.recv(&sim));
+                let k = sim.kernel().clone();
+                let t2 = t.clone();
+                k.schedule_in(SimDuration::from_nanos(5), move || drop(t2));
+            });
+        }
+        kernel.run();
+        drop(gate);
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "a closure or frame outlived run()"
+        );
+        drop(kernel);
+        assert!(held.upgrade().is_none(), "a kernel handle outlived run()");
+    }
+
+    #[test]
+    fn unstarted_threads_do_not_keep_the_kernel_alive() {
+        let token = Arc::new(());
+        let obs = Obs::new();
+        let held = Arc::downgrade(&obs);
+        let kernel = Kernel::new();
+        kernel.set_obs(obs);
+        let t = token.clone();
+        kernel.spawn(0, "never run", move |_sim| drop(t));
+        drop(kernel);
+        assert_eq!(Arc::strong_count(&token), 1);
+        assert!(held.upgrade().is_none());
+    }
+
+    /// Sets its flag when dropped.
+    struct DropFlag(Arc<AtomicU64>);
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.store(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn poison_unwinds_blocked_threads_and_drops_unstarted_closures() {
+        let blocked_local = Arc::new(AtomicU64::new(0));
+        let unstarted_capture = Arc::new(AtomicU64::new(0));
+        let unstarted_ran = Arc::new(AtomicU64::new(0));
+        let kernel = Kernel::new();
+        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::ZERO);
+        let flag = DropFlag(blocked_local.clone());
+        kernel.spawn(0, "blocked", move |sim| {
+            let _on_my_stack = flag;
+            gate.recv(&sim); // Never pushed.
+        });
+        let k = kernel.clone();
+        let capture = DropFlag(unstarted_capture.clone());
+        let ran = unstarted_ran.clone();
+        kernel.spawn(0, "bad", move |sim| {
+            sim.sleep(SimDuration::from_nanos(100));
+            // Spawned at the instant of the panic: never gets to start.
+            k.spawn(0, "unstarted", move |_sim| {
+                let _capture = capture;
+                ran.store(1, Ordering::SeqCst);
+            });
+            panic!("boom");
+        });
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| kernel.run()));
+        let msg = payload_to_string(&*outcome.expect_err("run re-raises the panic"));
+        assert!(msg.contains("boom"), "{msg}");
+        assert_eq!(
+            blocked_local.load(Ordering::SeqCst),
+            1,
+            "blocked frame unwound"
+        );
+        assert_eq!(
+            unstarted_capture.load(Ordering::SeqCst),
+            1,
+            "closure dropped"
+        );
+        assert_eq!(unstarted_ran.load(Ordering::SeqCst), 0, "closure never ran");
+        assert_eq!(kernel.stats().len(), 3, "every thread retired");
+    }
+
+    #[test]
+    #[should_panic(expected = "event action panicked: bang")]
+    fn event_panic_poisons_and_unwinds() {
+        let kernel = Kernel::new();
+        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::ZERO);
+        kernel.spawn(0, "blocked", move |sim| {
+            gate.recv(&sim);
+        });
+        kernel.schedule(SimTime::from_nanos(10), || panic!("bang"));
+        kernel.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "already active")]
+    fn run_is_not_reentrant() {
+        let kernel = Kernel::new();
+        let k = kernel.clone();
+        kernel.spawn(0, "t", move |_sim| k.run());
+        kernel.run();
+    }
+
+    #[test]
+    fn fiber_stack_holds_a_quarter_mebibyte_across_switches() {
+        #[inline(never)]
+        fn deep(sim: &SimContext, depth: u64) -> u64 {
+            // ~1 KiB of live frame per level, kept across a switch.
+            let mut pad = [depth; 128];
+            std::hint::black_box(&mut pad);
+            if depth == 0 {
+                sim.sleep(SimDuration::from_nanos(10));
+                return 0;
+            }
+            deep(sim, depth - 1) + pad[depth as usize % 128]
+        }
+        let kernel = Kernel::new();
+        for _ in 0..2 {
+            kernel.spawn(0, "deep", |sim| {
+                assert_eq!(deep(&sim, 300), (1..=300).sum::<u64>());
+            });
+        }
+        kernel.run();
     }
 }

@@ -241,3 +241,42 @@ fn snapshot_covers_required_series() {
         assert!(trace.contains(key), "trace missing key {key}");
     }
 }
+
+/// FNV-1a over the snapshot text: a dependency-free digest that is
+/// stable across platforms and toolchains.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(final virtual time ns, snapshot digest)` per design, in
+/// `ShuffleAlgorithm::ALL` order, recorded at commit 5c67394 — the last
+/// kernel that ran every simulated thread as an OS thread. The schedule
+/// order is a pure function of the kernel's `(time, seq)` / `(time, tid)`
+/// queues, so a kernel rewrite must reproduce these exactly; a change to
+/// a cost model or a metric moves them on purpose and re-records them.
+const PINNED: [(u64, u64); 6] = [
+    (40_137, 11_110_549_231_812_651_235),
+    (23_764, 7_685_093_911_697_998_123),
+    (33_855, 16_731_983_075_077_475_687),
+    (23_314, 3_659_862_169_057_386_745),
+    (26_856, 5_603_919_403_184_013_053),
+    (27_934, 10_601_879_380_660_164_129),
+];
+
+#[test]
+fn virtual_time_and_snapshot_match_the_pinned_schedule() {
+    let measured: Vec<(u64, u64)> = ShuffleAlgorithm::ALL
+        .into_iter()
+        .map(|algorithm| {
+            let (snap, _, end_ns) = run_observed_staged(algorithm, true, false);
+            (end_ns, fnv1a(&snap))
+        })
+        .collect();
+    assert_eq!(
+        measured, PINNED,
+        "virtual finish time or obs snapshot moved from the pinned schedule \
+         (left: measured, right: pinned, in ShuffleAlgorithm::ALL order)"
+    );
+}
