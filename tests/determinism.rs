@@ -265,18 +265,29 @@ const PINNED: [(u64, u64); 6] = [
     (27_934, 10_601_879_380_660_164_129),
 ];
 
+/// The §7 RDMA Write designs, MEMQ/WR then SEMQ/WR, which sit outside
+/// `ShuffleAlgorithm::ALL`; recorded at commit cdbd027, before the
+/// endpoint frame was extracted from `wr_rc.rs`.
+const PINNED_WR: [(u64, u64); 2] = [
+    (25_947, 9_554_339_082_997_949_555),
+    (25_337, 10_855_808_592_517_888_017),
+];
+
 #[test]
 fn virtual_time_and_snapshot_match_the_pinned_schedule() {
+    let wr = ["MEMQ/WR", "SEMQ/WR"].map(|name| ShuffleAlgorithm::parse(name).expect("WR design"));
     let measured: Vec<(u64, u64)> = ShuffleAlgorithm::ALL
         .into_iter()
+        .chain(wr)
         .map(|algorithm| {
             let (snap, _, end_ns) = run_observed_staged(algorithm, true, false);
             (end_ns, fnv1a(&snap))
         })
         .collect();
     assert_eq!(
-        measured, PINNED,
+        measured,
+        [PINNED.as_slice(), PINNED_WR.as_slice()].concat(),
         "virtual finish time or obs snapshot moved from the pinned schedule \
-         (left: measured, right: pinned, in ShuffleAlgorithm::ALL order)"
+         (left: measured, right: pinned, in ShuffleAlgorithm::ALL order, then MEMQ/WR, SEMQ/WR)"
     );
 }
