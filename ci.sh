@@ -117,5 +117,6 @@ if cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
 fi
 
 # Documentation gate: rshuffle-sched is #![warn(missing_docs)]; deny all
-# rustdoc warnings workspace-wide so the public surface stays documented.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q $CARGO_FLAGS
+# rustdoc warnings in every workspace member (a plain `cargo doc` only
+# documents the umbrella package) so the public surface stays documented.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q $CARGO_FLAGS

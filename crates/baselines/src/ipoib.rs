@@ -15,11 +15,12 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle::endpoint::sr_rc::{SrRcConfig, SrRcReceiveEndpoint, SrRcSendEndpoint};
 use rshuffle::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
-use rshuffle::{Buffer, Result, StreamState, TransmissionGroups};
+use rshuffle::{
+    Buffer, Exchange, ExchangeConfig, Result, ShuffleAlgorithm, StreamState, TransmissionGroups,
+};
 use rshuffle_simnet::{NodeId, Resource, SimContext, SimDuration};
-use rshuffle_verbs::{ConnectionManager, VerbsRuntime};
+use rshuffle_verbs::VerbsRuntime;
 
 /// Kernel-stack cost constants.
 #[derive(Clone)]
@@ -32,7 +33,7 @@ struct TcpStack {
 
 /// The sending half of the IPoIB baseline (`send(2)`).
 pub struct IpoibSendEndpoint {
-    inner: Arc<SrRcSendEndpoint>,
+    inner: Arc<dyn SendEndpoint>,
     stack: TcpStack,
 }
 
@@ -73,7 +74,7 @@ impl SendEndpoint for IpoibSendEndpoint {
 
 /// The receiving half of the IPoIB baseline (`select(2)` + `recv(2)`).
 pub struct IpoibReceiveEndpoint {
-    inner: Arc<SrRcReceiveEndpoint>,
+    inner: Arc<dyn ReceiveEndpoint>,
     stack: TcpStack,
 }
 
@@ -150,23 +151,16 @@ impl IpoibExchange {
         let nodes = runtime.cluster().nodes();
         assert_eq!(groups.len(), nodes, "one group set per node");
         let profile = runtime.profile();
-        // Socket buffers serve every thread of the process.
-        let cfg = SrRcConfig {
-            message_size,
-            buffers_per_peer: 2 * threads.max(1),
-            recv_depth_per_peer: 8 * threads.max(1),
-            credit_writeback_frequency: 1,
-            ..SrRcConfig::default()
-        };
-
-        let dests: Vec<Vec<NodeId>> = groups.iter().map(|g| g.destinations()).collect();
-        let mut srcs: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
-        for (a, ds) in dests.iter().enumerate() {
-            for &b in ds {
-                srcs[b].push(a);
-            }
-        }
-
+        // One socket pair per node pair is the SEMQ/SR design; the socket
+        // buffers serve every thread of the process, and TCP acknowledges
+        // (here: writes credit back for) every segment.
+        let mut config =
+            ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
+        config.message_size = message_size;
+        config.buffers_per_peer = 2;
+        config.recv_depth_per_peer = 8;
+        config.credit_writeback_frequency = 1;
+        let exchange = Exchange::build(runtime, &config)?;
         let stacks: Vec<TcpStack> = (0..nodes)
             .map(|_| TcpStack {
                 cpu_per_byte: profile.tcp_cpu_per_byte,
@@ -174,66 +168,28 @@ impl IpoibExchange {
                 softirq_bandwidth: profile.ipoib_bandwidth,
             })
             .collect();
-
-        let mut send_eps: Vec<Option<Arc<SrRcSendEndpoint>>> = Vec::new();
-        let mut recv_eps: Vec<Option<Arc<SrRcReceiveEndpoint>>> = Vec::new();
-        for node in 0..nodes {
-            let ctx = runtime.context(node);
-            send_eps.push((!dests[node].is_empty()).then(|| {
-                Arc::new(SrRcSendEndpoint::new(
-                    &ctx,
-                    EndpointId(node as u32 * 2),
-                    dests[node].clone(),
-                    cfg.clone(),
-                ))
-            }));
-            recv_eps.push((!srcs[node].is_empty()).then(|| {
-                Arc::new(SrRcReceiveEndpoint::new(
-                    &ctx,
-                    EndpointId(node as u32 * 2 + 1),
-                    srcs[node].clone(),
-                    cfg.clone(),
-                ))
-            }));
-        }
-        for a in 0..nodes {
-            for &b in &dests[a] {
-                let s = send_eps[a].as_ref().expect("sender exists");
-                let r = recv_eps[b].as_ref().expect("receiver exists");
-                let qp_s = s.qp_for(b);
-                let qp_r = r.qp_for(a);
-                ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
-                ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
-                let credit = r.bootstrap_src(a, s.credit_slot_for(b))?;
-                s.bootstrap_credit(b, credit)?;
-            }
-        }
         Ok(IpoibExchange {
-            send: send_eps
-                .into_iter()
-                .enumerate()
-                .map(|(node, e)| {
-                    e.map(|inner| {
+            send: (0..nodes)
+                .map(|node| {
+                    exchange.send[node].first().map(|inner| {
                         Arc::new(IpoibSendEndpoint {
-                            inner,
+                            inner: inner.clone(),
                             stack: stacks[node].clone(),
                         }) as Arc<dyn SendEndpoint>
                     })
                 })
                 .collect(),
-            recv: recv_eps
-                .into_iter()
-                .enumerate()
-                .map(|(node, e)| {
-                    e.map(|inner| {
+            recv: (0..nodes)
+                .map(|node| {
+                    exchange.recv[node].first().map(|inner| {
                         Arc::new(IpoibReceiveEndpoint {
-                            inner,
+                            inner: inner.clone(),
                             stack: stacks[node].clone(),
                         }) as Arc<dyn ReceiveEndpoint>
                     })
                 })
                 .collect(),
-            groups,
+            groups: exchange.groups,
         })
     }
 }

@@ -19,11 +19,12 @@
 
 use std::sync::Arc;
 
-use rshuffle::endpoint::sr_rc::{SrRcConfig, SrRcReceiveEndpoint, SrRcSendEndpoint};
 use rshuffle::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
-use rshuffle::{Buffer, Result, StreamState, TransmissionGroups};
+use rshuffle::{
+    Buffer, Exchange, ExchangeConfig, Result, ShuffleAlgorithm, StreamState, TransmissionGroups,
+};
 use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex};
-use rshuffle_verbs::{ConnectionManager, VerbsRuntime};
+use rshuffle_verbs::VerbsRuntime;
 
 /// MPI-library cost constants (taken from the device profile).
 #[derive(Clone, Debug)]
@@ -42,7 +43,7 @@ impl MpiCosts {
 
 /// The sending half of the MPI baseline (`MPI_Send`).
 pub struct MpiSendEndpoint {
-    inner: Arc<SrRcSendEndpoint>,
+    inner: Arc<dyn SendEndpoint>,
     progress: SimMutex<()>,
     costs: MpiCosts,
 }
@@ -92,7 +93,7 @@ impl SendEndpoint for MpiSendEndpoint {
 
 /// The receiving half of the MPI baseline (`MPI_Irecv` + wait).
 pub struct MpiReceiveEndpoint {
-    inner: Arc<SrRcReceiveEndpoint>,
+    inner: Arc<dyn ReceiveEndpoint>,
     progress: SimMutex<()>,
     costs: MpiCosts,
 }
@@ -167,91 +168,43 @@ impl MpiExchange {
             eager_threshold: profile.mpi_eager_threshold,
             memcpy_bandwidth: profile.memcpy_bandwidth,
         };
-        // The library endpoint serves every thread of the process, so its
-        // internal pools scale with the thread count.
-        let cfg = SrRcConfig {
-            message_size,
-            buffers_per_peer: 2 * threads.max(1),
-            recv_depth_per_peer: 8 * threads.max(1),
-            credit_writeback_frequency: 2,
-            ..SrRcConfig::default()
-        };
-
-        let dests: Vec<Vec<NodeId>> = groups.iter().map(|g| g.destinations()).collect();
-        let mut srcs: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
-        for (a, ds) in dests.iter().enumerate() {
-            for &b in ds {
-                srcs[b].push(a);
-            }
-        }
-
-        let mut send_eps: Vec<Option<Arc<SrRcSendEndpoint>>> = Vec::new();
-        let mut recv_eps: Vec<Option<Arc<SrRcReceiveEndpoint>>> = Vec::new();
-        let mut locks: Vec<SimMutex<()>> = Vec::new();
-        for node in 0..nodes {
-            let ctx = runtime.context(node);
-            locks.push(SimMutex::new(
-                runtime.kernel(),
-                (),
-                SimDuration::from_nanos(100),
-            ));
-            send_eps.push((!dests[node].is_empty()).then(|| {
-                Arc::new(SrRcSendEndpoint::new(
-                    &ctx,
-                    EndpointId(node as u32 * 2),
-                    dests[node].clone(),
-                    cfg.clone(),
-                ))
-            }));
-            recv_eps.push((!srcs[node].is_empty()).then(|| {
-                Arc::new(SrRcReceiveEndpoint::new(
-                    &ctx,
-                    EndpointId(node as u32 * 2 + 1),
-                    srcs[node].clone(),
-                    cfg.clone(),
-                ))
-            }));
-        }
-        for a in 0..nodes {
-            for &b in &dests[a] {
-                let s = send_eps[a].as_ref().expect("sender exists");
-                let r = recv_eps[b].as_ref().expect("receiver exists");
-                let qp_s = s.qp_for(b);
-                let qp_r = r.qp_for(a);
-                ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
-                ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
-                let credit = r.bootstrap_src(a, s.credit_slot_for(b))?;
-                s.bootstrap_credit(b, credit)?;
-            }
-        }
+        // The library endpoint is the SEMQ/SR design — one endpoint per
+        // rank serving every thread of the process, so its internal pools
+        // scale with the thread count — with the library's own depths.
+        let mut config =
+            ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
+        config.message_size = message_size;
+        config.buffers_per_peer = 2;
+        config.recv_depth_per_peer = 8;
+        config.credit_writeback_frequency = 2;
+        let exchange = Exchange::build(runtime, &config)?;
+        let locks: Vec<SimMutex<()>> = (0..nodes)
+            .map(|_| SimMutex::new(runtime.kernel(), (), SimDuration::from_nanos(100)))
+            .collect();
         Ok(MpiExchange {
-            send: send_eps
-                .into_iter()
-                .enumerate()
-                .map(|(node, e)| {
-                    e.map(|inner| {
+            send: (0..nodes)
+                .map(|node| {
+                    exchange.send[node].first().map(|inner| {
                         Arc::new(MpiSendEndpoint {
-                            inner,
+                            inner: inner.clone(),
                             progress: locks[node].clone(),
                             costs: costs.clone(),
                         }) as Arc<dyn SendEndpoint>
                     })
                 })
                 .collect(),
-            recv: recv_eps
-                .into_iter()
-                .enumerate()
-                .map(|(node, e)| {
-                    e.map(|inner| {
+            recv: (0..nodes)
+                .map(|node| {
+                    exchange.recv[node].first().map(|inner| {
                         Arc::new(MpiReceiveEndpoint {
-                            inner,
+                            inner: inner.clone(),
                             progress: locks[node].clone(),
                             costs: costs.clone(),
                         }) as Arc<dyn ReceiveEndpoint>
                     })
                 })
                 .collect(),
-            groups,
+            groups: exchange.groups,
         })
     }
 }

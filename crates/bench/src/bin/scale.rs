@@ -17,7 +17,7 @@
 //!   a full six-way sweep would be wall-clock prohibitive (the dropped
 //!   cells are logged, not silently skipped).
 //! * `--smoke`: 32 nodes, crossover pair only — the deterministic CI
-//!   configuration gated by `perfdiff` against `BENCH_SCALE_0009.json`.
+//!   configuration gated by `perfdiff` against `BENCH_SCALE_0010.json`.
 //! * `--emit` writes an `rshuffle-bench/1` report. Virtual-time metrics
 //!   (`gib_per_sec`, `response_virt_ns`) are gated; `qp_count`,
 //!   `mux_lease_waits` and the host `wall_clock_ms` are informational

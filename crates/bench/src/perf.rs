@@ -37,8 +37,6 @@ pub const SCHEMA: &str = "rshuffle-bench/1";
 /// The direction is part of the record, not inferred from the name at
 /// diff time: a metric named `throughput_ns` would be ambiguous under
 /// name inference, and silently guessing wrong would flip the gate.
-/// Name inference survives only as a parse-time fallback for baselines
-/// recorded before the `directions` field existed.
 #[derive(Clone, Debug)]
 pub struct MetricRow {
     /// Metric name, unique within its result row.
@@ -599,8 +597,7 @@ pub struct ParsedMetric {
     pub key: (String, String, String),
     /// Recorded value.
     pub value: f64,
-    /// Gating direction: the file's explicit `directions` entry, or the
-    /// name-inferred fallback for pre-`directions` baselines.
+    /// Gating direction: the file's explicit `directions` entry.
     pub direction: Direction,
 }
 
@@ -617,9 +614,9 @@ pub struct ParsedReport {
 
 impl ParsedReport {
     /// Parses `BENCH_*.json` text. Fails on malformed JSON, a missing
-    /// or unknown schema tag, non-numeric metric values, unknown
-    /// direction tags, or (for files without a `directions` field) an
-    /// ambiguous metric name.
+    /// or unknown schema tag, non-numeric metric values, a result
+    /// without a `directions` object, a metric it does not list, or an
+    /// unknown direction tag.
     pub fn parse(text: &str) -> Result<ParsedReport, String> {
         let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let Value::Object(fields) = root else {
@@ -663,14 +660,17 @@ impl ParsedReport {
                 let Some(Value::Object(ms)) = rget("metrics") else {
                     return Err(format!("bench {bench_id}/{id}: missing metrics"));
                 };
-                // Explicit per-metric directions (absent in baselines
-                // recorded before the field existed).
                 let directions = match rget("directions") {
-                    Some(Value::Object(ds)) => Some(ds),
+                    Some(Value::Object(ds)) => ds,
                     Some(_) => {
                         return Err(format!("bench {bench_id}/{id}: directions is not an object"))
                     }
-                    None => None,
+                    None => {
+                        return Err(format!(
+                            "bench {bench_id}/{id}: no directions object; the direction of \
+                             a metric is never guessed from its name — re-record the report"
+                        ))
+                    }
                 };
                 for (name, value) in ms {
                     let v = match value {
@@ -683,23 +683,20 @@ impl ParsedReport {
                             ))
                         }
                     };
-                    let direction = match directions {
-                        Some(ds) => match ds.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-                            Some(Value::Str(tag)) => Direction::from_tag(tag)
-                                .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
-                            Some(_) => {
-                                return Err(format!(
-                                    "bench {bench_id}/{id}: direction of {name} is not a string"
-                                ))
-                            }
-                            None => {
-                                return Err(format!(
-                                    "bench {bench_id}/{id}: metric {name} has no direction entry"
-                                ))
-                            }
-                        },
-                        None => infer_direction(name)
-                            .map_err(|e| format!("bench {bench_id}/{id}: {e}"))?,
+                    let tag = directions.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+                    let direction = match tag {
+                        Some(Value::Str(tag)) => Direction::from_tag(tag)
+                            .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
+                        Some(_) => {
+                            return Err(format!(
+                                "bench {bench_id}/{id}: direction of {name} is not a string"
+                            ))
+                        }
+                        None => {
+                            return Err(format!(
+                                "bench {bench_id}/{id}: metric {name} has no direction entry"
+                            ))
+                        }
                     };
                     metrics.push(ParsedMetric {
                         key: (bench_id.clone(), id.clone(), name.clone()),
@@ -773,27 +770,6 @@ impl Direction {
             "informational" => Ok(Direction::Informational),
             other => Err(format!("unknown metric direction tag {other:?}")),
         }
-    }
-}
-
-/// Infers a gating direction from a metric name — the fallback for
-/// baselines recorded before the explicit `directions` field existed.
-/// `*_ns` names are lower-is-better, throughput-ish names are
-/// higher-is-better, everything else is informational. A name matching
-/// *both* rules (e.g. `throughput_ns`) is ambiguous and fails loudly:
-/// guessing would silently flip the gate for that metric.
-pub fn infer_direction(name: &str) -> Result<Direction, String> {
-    let latency_like = name.ends_with("_ns");
-    let throughput_like =
-        name.contains("mbps") || name.contains("gib_per_sec") || name.contains("throughput");
-    match (latency_like, throughput_like) {
-        (true, true) => Err(format!(
-            "metric name {name:?} is ambiguous (latency-like and throughput-like); \
-             re-record the baseline with explicit directions"
-        )),
-        (true, false) => Ok(Direction::LowerIsBetter),
-        (false, true) => Ok(Direction::HigherIsBetter),
-        (false, false) => Ok(Direction::Informational),
     }
 }
 
@@ -1044,38 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn direction_inference() {
-        assert_eq!(infer_direction("p50_ns"), Ok(Direction::LowerIsBetter));
-        assert_eq!(infer_direction("makespan_ns"), Ok(Direction::LowerIsBetter));
-        assert_eq!(infer_direction("agg_mbps"), Ok(Direction::HigherIsBetter));
-        assert_eq!(infer_direction("gib_per_sec"), Ok(Direction::HigherIsBetter));
-        assert_eq!(infer_direction("peak_bytes"), Ok(Direction::Informational));
-    }
-
-    #[test]
-    fn ambiguous_metric_name_fails_loudly_without_directions() {
-        // An old-format baseline (no `directions` field) with a name
-        // that is simultaneously latency-like and throughput-like must
-        // be rejected at parse time, never silently gated one way.
-        assert!(infer_direction("throughput_ns").is_err());
-        let text = r#"{
-            "schema": "rshuffle-bench/1",
-            "commit": "x",
-            "benches": [{
-                "bench": "b",
-                "config": {},
-                "results": [{
-                    "id": "r",
-                    "metrics": {"throughput_ns": 1.0},
-                    "stages": {}
-                }]
-            }]
-        }"#;
-        let err = ParsedReport::parse(text).unwrap_err();
-        assert!(err.contains("ambiguous"), "got: {err}");
-    }
-
-    #[test]
     fn explicit_direction_overrides_name_inference() {
         // With an explicit direction the same ambiguous name is fine,
         // and the recorded direction — not the name — drives the gate.
@@ -1144,9 +1088,10 @@ mod tests {
     }
 
     #[test]
-    fn old_baseline_without_directions_still_parses() {
-        // BENCH_0006-era files carry no `directions` field; unambiguous
-        // names fall back to inference.
+    fn report_without_directions_is_a_parse_error_that_says_so() {
+        // A direction is never guessed from a metric's name: a result
+        // that carries no `directions` object (the pre-PR-8 format) is
+        // rejected, and the message names the missing field.
         let text = r#"{
             "schema": "rshuffle-bench/1",
             "commit": "x",
@@ -1160,16 +1105,7 @@ mod tests {
                 }]
             }]
         }"#;
-        let parsed = ParsedReport::parse(text).expect("old format parses");
-        let dir = |name: &str| {
-            parsed
-                .metrics
-                .iter()
-                .find(|m| m.key.2 == name)
-                .unwrap()
-                .direction
-        };
-        assert_eq!(dir("p99_ns"), Direction::LowerIsBetter);
-        assert_eq!(dir("agg_mbps"), Direction::HigherIsBetter);
+        let err = ParsedReport::parse(text).unwrap_err();
+        assert!(err.contains("b/r: no directions object"), "got: {err}");
     }
 }

@@ -4,20 +4,14 @@
 //! message sizes), carry explicit metric directions, and — trivially —
 //! show zero regressions when diffed against itself. If a schema change
 //! ever breaks this test, re-record the baseline with `perfdiff
-//! --record BENCH_0008.json` in the same commit. The previous baseline
-//! `BENCH_0006.json` predates the `directions` field and stays in the
-//! repo as real-data coverage of the name-inference fallback.
+//! --record BENCH_0008.json` in the same commit.
 
 use rshuffle_bench::perf::{diff_reports, Direction, ParsedReport, SCHEMA};
 
-fn read_baseline(name: &str) -> String {
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("committed baseline {name} is readable: {e}"))
-}
-
 fn baseline_text() -> String {
-    read_baseline("BENCH_0008.json")
+    let path = format!("{}/../../BENCH_0008.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("committed baseline BENCH_0008.json is readable: {e}"))
 }
 
 #[test]
@@ -93,30 +87,5 @@ fn baseline_diffed_against_itself_has_no_regressions() {
             l.bench, l.id, l.metric
         );
         assert_eq!(l.delta_pct, 0.0);
-    }
-}
-
-#[test]
-fn previous_baseline_parses_via_direction_inference() {
-    // BENCH_0006.json predates the explicit `directions` field: parsing
-    // it exercises the name-inference fallback on real recorded data,
-    // and every metric it carries must come out with the direction the
-    // old hard-coded table would have assigned.
-    let report =
-        ParsedReport::parse(&read_baseline("BENCH_0006.json")).expect("old baseline parses");
-    assert!(!report.metrics.is_empty());
-    for m in &report.metrics {
-        let want = if m.key.2.ends_with("_ns") {
-            Direction::LowerIsBetter
-        } else if m.key.2.contains("mbps") || m.key.2.contains("gib_per_sec") {
-            Direction::HigherIsBetter
-        } else {
-            Direction::Informational
-        };
-        assert_eq!(
-            m.direction, want,
-            "inference mis-assigned {} in the old baseline",
-            m.key.2
-        );
     }
 }

@@ -17,61 +17,44 @@
 //! * [`wr_rc`] — the RDMA Write endpoint the paper lists as future work
 //!   (§7), implemented here as an extension.
 //!
+//! Each of the four files holds the protocol the paper describes for it
+//! and nothing else; what all of them need in the same shape lives once
+//! in the private `frame` module:
+//!
+//! | frame piece | used by | what the transport still owns |
+//! |---|---|---|
+//! | `Layout` (windows, ring slots → pinned bytes) | all four | how many buffers and ring slots its protocol needs |
+//! | `RcHalf` (peer table, per-peer RC QPs, post lock, setup cost) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
+//! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
+//! | `SendWindow` (registered pool + in-flight map) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
+//! | `Watchdog` (deadline, backoff, typed stall, credit-stall bracket) | all four | the readiness check and what to park on |
+//! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
+//! | `Sources` (endpoint→slot map, depleted flags) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
+//! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header |
+//!
 //! All endpoint functions are thread-safe; the single-endpoint (SE)
 //! operator configuration shares one endpoint among all worker threads and
 //! pays for that sharing in lock contention that the simulator charges in
 //! virtual time.
 
+mod frame;
 pub mod rd_rc;
 pub mod sr_rc;
 pub mod sr_ud;
 pub mod wr_rc;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId};
 use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs, Stage};
 use rshuffle_simnet::{NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{Completion, Context};
+use rshuffle_verbs::{Context, QueuePair};
 
 use crate::buffer::{Buffer, StreamState};
 use crate::error::Result;
-
-/// Batch size for completion-queue drains: how many completions one
-/// `ibv_poll_cq`-style call retrieves at most.
-pub(crate) const CQ_BATCH: usize = 64;
-
-/// A pool of reusable completion-scratch vectors for batched CQ drains.
-///
-/// Endpoint drain paths take a vector, batch-drain into it, process, and
-/// put it back: the steady state allocates nothing, and no lock is held
-/// across a blocking drain (each concurrent drainer works on its own
-/// vector, so SE-mode threads can never deadlock the kernel on a
-/// parking-lot mutex).
-pub(crate) struct CqScratch {
-    pool: Mutex<Vec<Vec<Completion>>>,
-}
-
-impl CqScratch {
-    pub(crate) fn new() -> Self {
-        CqScratch {
-            pool: Mutex::new(vec![Vec::with_capacity(CQ_BATCH)]),
-        }
-    }
-
-    /// Takes a scratch vector (empty, capacity retained). Falls back to a
-    /// fresh vector when every pooled one is in use by another thread.
-    pub(crate) fn take(&self) -> Vec<Completion> {
-        self.pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch vector to the pool for reuse.
-    pub(crate) fn put(&self, v: Vec<Completion>) {
-        self.pool.lock().push(v);
-    }
-}
 
 /// An [`AuditHandle`] for `ctx`'s node, wired to the runtime's installed
 /// protocol auditor — or a no-op handle when none is installed.
@@ -89,36 +72,63 @@ pub(crate) fn buf_id(buf: &Buffer) -> BufId {
     }
 }
 
-/// Exponential backoff for endpoint polling loops: keeps the simulator's
-/// event count bounded when a wait drags on, without hurting the hot path
-/// (the first polls stay at the configured interval).
-#[derive(Debug)]
-pub(crate) struct Backoff {
-    base: SimDuration,
-    cur: SimDuration,
-    max: SimDuration,
+/// Tuning knobs of the one-sided endpoints ([`rd_rc`], [`wr_rc`]).
+#[derive(Clone, Debug)]
+pub struct OneSidedConfig {
+    /// Transmission buffer window (header + payload), e.g. 64 KiB.
+    pub message_size: usize,
+    /// Buffers per peer on the side that owns the data buffers — the
+    /// sender for RDMA Read, the receiver for RDMA Write (2 = double
+    /// buffering).
+    pub buffers_per_peer: usize,
+    /// Polling granularity for the circular queues.
+    pub poll_interval: SimDuration,
+    /// Give up with [`crate::ShuffleError::Stalled`] after this long
+    /// without progress.
+    pub stall_timeout: SimDuration,
+    /// Flow epoch stamped on every outgoing header and required of every
+    /// accepted arrival. The recovery orchestrator bumps this on partial
+    /// retries so leftovers of the failed attempt are fenced off; healthy
+    /// runs stay at 0.
+    pub epoch: u16,
 }
 
-impl Backoff {
-    pub(crate) fn new(base: SimDuration) -> Self {
-        Backoff {
-            base,
-            cur: base,
-            max: SimDuration::from_micros(64),
+impl Default for OneSidedConfig {
+    fn default() -> Self {
+        OneSidedConfig {
+            message_size: 64 * 1024,
+            buffers_per_peer: 2,
+            poll_interval: SimDuration::from_nanos(400),
+            stall_timeout: SimDuration::from_millis(500),
+            epoch: 0,
         }
     }
+}
 
-    /// The next wait slice; doubles (up to the cap) on every call.
-    pub(crate) fn next(&mut self) -> SimDuration {
-        let d = self.cur;
-        self.cur = (self.cur * 2).min(self.max);
-        d
-    }
+/// How a reliable-connection transport plugs into the one wiring routine
+/// of [`crate::Exchange::build`]: implemented by the transport's send
+/// endpoint, with its receive endpoint and config as associated types.
+/// Both halves are constructed by `new(ctx, id, peers, config)`.
+pub(crate) trait RcTransport: SendEndpoint + Sized + 'static {
+    type Config: Clone;
+    type Receiver: ReceiveEndpoint + 'static;
 
-    /// Resets after progress.
-    pub(crate) fn reset(&mut self) {
-        self.cur = self.base;
-    }
+    /// The two Queue Pairs of the connection from `self` to `recv`, which
+    /// lives on node `peer` and knows this sender's node as `src`.
+    fn qp_pair<'a>(
+        &'a self,
+        peer: NodeId,
+        recv: &'a Self::Receiver,
+        src: NodeId,
+    ) -> (&'a QueuePair, &'a QueuePair);
+
+    /// Outstanding work requests per virtual endpoint a multiplexed slot
+    /// of this transport must hold.
+    fn lease_depth(cfg: &Self::Config) -> u32;
+
+    /// The out-of-band exchange once the pair is connected: ring and
+    /// credit addresses, initial credit or grants (§4.2).
+    fn handshake(&self, peer: NodeId, recv: &Self::Receiver, src: NodeId) -> Result<()>;
 }
 
 /// Unique identifier of an endpoint within a query plan (§4.2: "used
@@ -229,6 +239,9 @@ impl SendObs {
 pub(crate) struct RecvObs {
     obs: Arc<Obs>,
     bytes: Arc<Counter>,
+    /// This endpoint's own payload total: the `bytes` series is shared by
+    /// every attempt that reuses the endpoint id.
+    bytes_received: AtomicU64,
     messages: Arc<Counter>,
     validarr_polls: Arc<Counter>,
     stale_drops: Arc<Counter>,
@@ -240,6 +253,7 @@ impl RecvObs {
         let ep = Labels::endpoint(ctx.node() as u32, id.0);
         RecvObs {
             bytes: obs.metrics.counter(names::EP_BYTES_RECEIVED, ep),
+            bytes_received: AtomicU64::new(0),
             messages: obs.metrics.counter(names::EP_MESSAGES_RECEIVED, ep),
             validarr_polls: obs.metrics.counter(names::EP_VALIDARR_POLLS, ep),
             stale_drops: obs.metrics.counter(names::EP_STALE_EPOCH_DROPS, ep),
@@ -250,7 +264,13 @@ impl RecvObs {
     /// Counts one accepted data message of `bytes` payload.
     pub(crate) fn received(&self, bytes: u64) {
         self.bytes.add(bytes);
+        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
         self.messages.inc();
+    }
+
+    /// Payload bytes accepted by this endpoint so far.
+    pub(crate) fn bytes_received(&self) -> u64 {
+        self.bytes_received.load(Ordering::Relaxed)
     }
 
     /// Counts one arrival fenced off by the epoch check: a leftover of

@@ -15,291 +15,95 @@
 //! therefore starves the sender of free buffers, which is exactly why the
 //! MQ/RD designs degrade in the broadcast pattern.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 use parking_lot::Mutex;
-use rshuffle_audit::{AuditHandle, RingKey, RingKind};
-use rshuffle_simnet::{NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{
-    Completion, CompletionQueue, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode, WcStatus,
-};
+use rshuffle_audit::RingKind;
+use rshuffle_simnet::{NodeId, SimContext};
+use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode};
 
-use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
+use crate::buffer::{Buffer, StreamState};
+use crate::endpoint::frame::{
+    data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
+    RingProducer, SendWindow, SlotRings, Sources, Watchdog,
+};
 use crate::endpoint::{
-    audit_handle, buf_id, CqScratch, Delivery, EndpointId, ReceiveEndpoint, RecvObs, SendEndpoint,
-    SendObs, CQ_BATCH,
+    buf_id, Delivery, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint, RecvObs,
+    SendEndpoint, SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
-/// Audit identity of a circular queue from the remote address the peer
-/// shared out of band (the local side derives the same key from its own
-/// memory region and ring base, so both sides feed one ring record).
-fn ring_key(addr: &RemoteAddr) -> RingKey {
-    RingKey {
-        rkey: addr.rkey,
-        base: addr.offset as u64,
-    }
-}
-
 /// Tuning knobs for the RDMA Read endpoint.
-#[derive(Clone, Debug)]
-pub struct RdRcConfig {
-    /// Transmission buffer window (header + payload).
-    pub message_size: usize,
-    /// Send-side buffers per peer (2 = double buffering).
-    pub buffers_per_peer: usize,
-    /// Polling granularity for the circular queues.
-    pub poll_interval: SimDuration,
-    /// Give up with [`ShuffleError::Stalled`] after this long without
-    /// progress.
-    pub stall_timeout: SimDuration,
-    /// Flow epoch stamped on every outgoing header and required of every
-    /// accepted arrival. The recovery orchestrator bumps this on partial
-    /// retries so leftovers of the failed attempt are fenced off; healthy
-    /// runs stay at 0.
-    pub epoch: u16,
-}
+pub type RdRcConfig = OneSidedConfig;
 
-impl Default for RdRcConfig {
-    fn default() -> Self {
-        RdRcConfig {
-            message_size: 64 * 1024,
-            buffers_per_peer: 2,
-            poll_interval: SimDuration::from_nanos(400),
-            stall_timeout: SimDuration::from_millis(500),
-            epoch: 0,
-        }
+/// What either half pins toward `peers` peers: a pool of
+/// `buffers_per_peer` windows per peer, and per peer one ring that can
+/// hold every buffer of the pool (a broadcast may put all of them in
+/// front of one peer) plus two slots of slack.
+pub(crate) fn layout(cfg: &RdRcConfig, peers: usize) -> Layout {
+    let buffers = cfg.buffers_per_peer * peers;
+    Layout {
+        window: cfg.message_size,
+        buffers,
+        rings: peers,
+        ring_cap: buffers + 2,
+        inline_writes: true,
     }
 }
 
 /// SEND endpoint: passive one-sided source (Algorithm 3, SEND/GETFREE).
 pub struct RdRcSendEndpoint {
-    id: EndpointId,
-    peers: Vec<NodeId>,
-    peer_index: HashMap<NodeId, usize>,
-    qps: Vec<QueuePair>,
-    send_cq: CompletionQueue,
-    /// Reusable scratch for batched announcement-ack drains.
-    send_scratch: CqScratch,
+    half: RcHalf,
+    /// Acks of the ValidArr announcement writes.
+    send_cq: Cq,
     /// Registered data buffers remote receivers read from.
-    pool_mr: MemoryRegion,
-    message_size: usize,
-    ring_cap: usize,
-    /// `FreeArr`: one ring per peer, written remotely with freed buffer
-    /// addresses (offset + 1; zero means empty).
-    free_arr: MemoryRegion,
-    state: Mutex<SendState>,
-    /// Scratch slots sourcing the 8-byte `ValidArr` writes (payload is
-    /// snapshotted at post time, so rotation is safe).
-    scratch: MemoryRegion,
-    wr_seq: AtomicU64,
-    post_lock: rshuffle_simnet::SimMutex<()>,
+    window: SendWindow,
+    /// `FreeArr`: one ring per peer, written remotely with the addresses
+    /// of buffers that peer is done reading.
+    free_arr: SlotRings,
+    /// The peers' `ValidArr` rings this endpoint announces buffers into.
+    valid_rings: RingProducer,
     obs: SendObs,
-    audit: AuditHandle,
     cfg: RdRcConfig,
-    setup_cost: SimDuration,
-    /// Diagnostics: virtual nanoseconds spent waiting in `get_free`.
-    pub get_free_wait_ns: AtomicU64,
-}
-
-struct SendState {
-    /// Consumer index into each peer's `FreeArr` ring.
-    free_cons: Vec<u64>,
-    /// Producer index into each peer's remote `ValidArr` ring.
-    valid_prod: Vec<u64>,
-    /// Remote `ValidArr` ring base for each peer.
-    valid_remote: Vec<Option<RemoteAddr>>,
-    /// Remaining release notifications per in-flight buffer offset.
-    outstanding: HashMap<u64, u32>,
-    /// Locally free buffers.
-    free: Vec<Buffer>,
 }
 
 impl RdRcSendEndpoint {
     /// Creates the endpoint: data pool, `FreeArr` rings and one QP per
     /// peer.
     pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: RdRcConfig) -> Self {
-        assert!(!peers.is_empty(), "send endpoint needs at least one peer");
-        let send_cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = peers
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, send_cq.clone(), send_cq.clone()))
-            .collect();
-        let buffers = cfg.buffers_per_peer * peers.len();
-        let ring_cap = buffers + 2;
-        let pool_bytes = cfg.message_size * buffers;
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let free_arr = ctx.register_untimed(8 * ring_cap * peers.len());
-        let free: Vec<Buffer> = (0..buffers)
-            .map(|i| Buffer::new(pool_mr.clone(), i * cfg.message_size, cfg.message_size))
-            .collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * peers.len() as u64
-            + profile.mr_register_time(pool_bytes + 8 * ring_cap * peers.len());
-        let n = peers.len();
-        let peer_index = peers.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let audit = audit_handle(ctx);
-        for pi in 0..n {
-            audit.ring(
-                RingKey {
-                    rkey: free_arr.rkey(),
-                    base: (8 * ring_cap * pi) as u64,
-                },
-                RingKind::FreeArr,
-                ring_cap as u64,
-            );
-        }
+        let layout = layout(&cfg, peers.len());
+        let send_cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
         RdRcSendEndpoint {
-            id,
-            peers,
-            peer_index,
-            qps,
-            send_cq,
-            send_scratch: CqScratch::new(),
-            pool_mr,
-            message_size: cfg.message_size,
-            ring_cap,
-            free_arr,
-            state: Mutex::new(SendState {
-                free_cons: vec![0; n],
-                valid_prod: vec![0; n],
-                valid_remote: vec![None; n],
-                outstanding: HashMap::new(),
-                free,
-            }),
-            scratch: ctx.register_untimed(64 * 8),
-            wr_seq: AtomicU64::new(0),
-            post_lock: rshuffle_simnet::SimMutex::new(
-                ctx.runtime().kernel(),
-                (),
-                SimDuration::from_nanos(60),
-            ),
+            window: SendWindow::register(ctx, &layout),
+            free_arr: SlotRings::register(ctx, RingKind::FreeArr, &layout),
+            valid_rings: RingProducer::register(ctx, peers.len(), layout.ring_cap),
             obs: SendObs::new(ctx, id),
-            audit,
+            half,
+            send_cq,
             cfg,
-            setup_cost,
-            get_free_wait_ns: AtomicU64::new(0),
         }
     }
 
-    /// The QP that talks to `peer` (for wiring).
-    pub fn qp_for(&self, peer: NodeId) -> &QueuePair {
-        &self.qps[self.peer_index[&peer]]
-    }
-
-    /// Remote description of this endpoint for receivers on `peer`: the
-    /// data-pool region and the peer's `FreeArr` ring base.
-    pub fn remote_descriptor(&self, peer: NodeId) -> RdSenderDescriptor {
-        let pi = self.peer_index[&peer];
-        RdSenderDescriptor {
-            endpoint: self.id,
-            node: self.pool_mr.node(),
-            pool_rkey: self.pool_mr.rkey(),
-            free_arr: RemoteAddr {
-                node: self.free_arr.node(),
-                rkey: self.free_arr.rkey(),
-                offset: 8 * self.ring_cap * pi,
-            },
-            ring_cap: self.ring_cap,
-        }
-    }
-
-    /// Wires the remote `ValidArr` ring this endpoint announces buffers
-    /// into, for `peer`.
-    pub fn set_valid_ring(&self, peer: NodeId, ring: RemoteAddr) {
-        let pi = self.peer_index[&peer];
-        self.audit
-            .ring(ring_key(&ring), RingKind::ValidArr, self.ring_cap as u64);
-        self.state.lock().valid_remote[pi] = Some(ring);
-    }
-
-    /// Scans the `FreeArr` rings for release notifications; recycles
-    /// buffers whose every reader has released them. Returns whether any
+    /// Scans the `FreeArr` rings for release notifications; a buffer is
+    /// recycled once every reader has released it. Returns whether any
     /// notification was consumed.
     fn scan_free_arr(&self, sim: &SimContext) -> Result<bool> {
-        let now = sim.now().as_nanos();
-        let mut st = self.state.lock();
         let mut progress = false;
-        for pi in 0..self.peers.len() {
-            loop {
-                let slot = 8 * (self.ring_cap * pi + (st.free_cons[pi] as usize % self.ring_cap));
-                let v = self.free_arr.read_u64(slot)?;
-                if v == 0 {
-                    break;
-                }
-                self.free_arr.write_u64(slot, 0)?;
-                st.free_cons[pi] += 1;
-                self.audit.ring_consumed(
-                    RingKey {
-                        rkey: self.free_arr.rkey(),
-                        base: (8 * self.ring_cap * pi) as u64,
-                    },
-                    now,
-                );
+        for pi in 0..self.half.peers() {
+            while let Some(offset) = self.free_arr.try_consume(sim, pi)? {
                 progress = true;
-                let offset = v - 1;
-                let Some(remaining) = st.outstanding.get_mut(&offset) else {
-                    return Err(ShuffleError::CompletionError(
-                        "FreeArr release for unknown buffer",
-                    ));
-                };
-                *remaining -= 1;
-                if *remaining == 0 {
-                    st.outstanding.remove(&offset);
-                    let buf = Buffer::try_new(self.pool_mr.clone(), offset as usize, self.message_size)?;
-                    self.audit.buffer_recycled(buf_id(&buf), now);
-                    st.free.push(buf);
-                }
+                self.window.complete(sim, offset)?;
             }
         }
+        self.obs.freearr_poll(sim, progress);
         Ok(progress)
     }
-
-    /// Drains queued ValidArr-announcement write acks through the handled
-    /// path (statuses checked) so the send CQ stays bounded.
-    fn drain_announce_acks(&self, sim: &SimContext) -> Result<()> {
-        let mut scratch = self.send_scratch.take();
-        self.send_cq.poll_into(sim, &mut scratch, CQ_BATCH);
-        let mut result = Ok(());
-        for c in scratch.iter() {
-            if c.status != WcStatus::Success {
-                result = Err(ShuffleError::CompletionError(
-                    "ValidArr announcement write failed",
-                ));
-                break;
-            }
-            if c.opcode != WcOpcode::Write {
-                result = Err(ShuffleError::CompletionError(
-                    "unexpected completion opcode on RD send CQ",
-                ));
-                break;
-            }
-        }
-        self.send_scratch.put(scratch);
-        result
-    }
-}
-
-/// Everything a receiver needs to pull data from an [`RdRcSendEndpoint`].
-#[derive(Copy, Clone, Debug)]
-pub struct RdSenderDescriptor {
-    /// The sending endpoint's id.
-    pub endpoint: EndpointId,
-    /// Node the sender lives on.
-    pub node: NodeId,
-    /// rkey of the sender's data pool.
-    pub pool_rkey: u32,
-    /// The receiver's ring inside the sender's `FreeArr`.
-    pub free_arr: RemoteAddr,
-    /// Capacity (slots) of the rings on both sides.
-    pub ring_cap: usize,
 }
 
 impl SendEndpoint for RdRcSendEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn send(
@@ -310,42 +114,11 @@ impl SendEndpoint for RdRcSendEndpoint {
         state: StreamState,
     ) -> Result<()> {
         assert!(!dest.is_empty(), "send needs at least one destination");
-        let header = MsgHeader {
-            src: self.id.0,
-            kind: MsgKind::Data,
-            state,
-            epoch: self.cfg.epoch,
-            payload_len: buf.len() as u32,
-            src_tid: buf.tag(),
-            counter: 0, // RC writes are ordered per link.
-            remote_addr: buf.offset() as u64,
-        };
-        buf.write_header(&header)?;
-        self.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
-        self.state
-            .lock()
-            .outstanding
-            .insert(buf.offset() as u64, dest.len() as u32);
+        buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
+        self.window.launch(sim, &buf, dest.len());
         for &d in dest {
-            let pi = *self
-                .peer_index
-                .get(&d)
-                .ok_or_else(|| ShuffleError::Config(format!("unknown destination node {d}")))?;
-            let (ring, slot_index) = {
-                let mut st = self.state.lock();
-                let ring = st.valid_remote[pi]
-                    .ok_or_else(|| ShuffleError::Config("ValidArr ring not wired".into()))?;
-                let idx = st.valid_prod[pi] as usize % self.ring_cap;
-                st.valid_prod[pi] += 1;
-                (ring, idx)
-            };
-            let target = RemoteAddr {
-                node: ring.node,
-                rkey: ring.rkey,
-                offset: ring.offset + 8 * slot_index,
-            };
-            self.audit
-                .ring_produced(ring_key(&ring), sim.now().as_nanos());
+            let pi = self.half.index_of(d)?;
+            let slot = self.valid_rings.claim(sim, pi)?;
             #[cfg(feature = "saboteur")]
             if crate::sabotage::take(crate::sabotage::Sabotage::DropValidArrUpdate) {
                 // The buffer stays marked outstanding but its announcement
@@ -353,420 +126,287 @@ impl SendEndpoint for RdRcSendEndpoint {
                 self.obs.sent(d, buf.len() as u64);
                 continue;
             }
-            // The scratch slot must be written inside the post lock: a
-            // thread blocked on the lock would otherwise let its slot be
-            // recycled before the payload is snapshotted.
-            let guard = self.post_lock.lock(sim);
-            let seq = self.wr_seq.fetch_add(1, Ordering::Relaxed);
-            let scratch_off = (seq % 64) as usize * 8;
-            self.scratch.write_u64(scratch_off, buf.offset() as u64 + 1)?;
-            self.qps[pi].post_write(sim, seq, (self.scratch.clone(), scratch_off), target, 8)?;
+            let guard = self.half.lock_post(sim);
+            self.valid_rings
+                .publish(sim, self.half.qp(pi), slot, buf.offset() as u64)?;
             drop(guard);
             self.obs.sent(d, buf.len() as u64);
         }
         // Keep the write-completion queue bounded, checking every ack.
         if self.send_cq.depth() > 16 {
-            self.drain_announce_acks(sim)?;
+            self.send_cq.poll(sim, |c| {
+                expect_write_ack(c, "ValidArr announcement write failed")
+            })?;
         }
         Ok(())
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let entered = sim.now();
-        loop {
-            if let Some(mut buf) = self.state.lock().free.pop() {
-                buf.clear();
-                self.audit.buffer_taken(buf_id(&buf), sim.now().as_nanos());
-                self.get_free_wait_ns
-                    .fetch_add((sim.now() - entered).as_nanos(), Ordering::Relaxed);
-                return Ok(buf);
-            }
-            let progress = self.scan_free_arr(sim)?;
-            self.obs.freearr_poll(sim, progress);
-            if progress {
-                continue;
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("waiting for FreeArr notifications"));
-            }
-            // Sleep until the next release lands in the FreeArr (early
-            // wake), re-scanning on a bounded slice as a safety net.
-            self.free_arr.drain_updates();
-            let progress = self.scan_free_arr(sim)?;
-            self.obs.freearr_poll(sim, progress);
-            if progress {
-                continue;
-            }
-            self.free_arr
-                .wait_update_timeout(sim, self.cfg.poll_interval * 32);
-        }
+        Watchdog::fixed(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 32,
+            "waiting for FreeArr notifications",
+        )
+        .wait(
+            sim,
+            None,
+            || loop {
+                if let Some(buf) = self.window.take(sim) {
+                    return Ok(Some(buf));
+                }
+                if !self.scan_free_arr(sim)? {
+                    return Ok(None);
+                }
+            },
+            |slice| {
+                // Sleep until the next release lands in the FreeArr (early
+                // wake), re-scanning on a bounded slice as a safety net.
+                self.free_arr.region().drain_updates();
+                if self.scan_free_arr(sim)? {
+                    return Ok(true);
+                }
+                self.free_arr.region().wait_update_timeout(sim, slice);
+                Ok(false)
+            },
+        )
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool_mr.len() + self.free_arr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }
 
 /// RECEIVE endpoint: active one-sided reader (Algorithm 3,
 /// GETDATA/RELEASE).
 pub struct RdRcReceiveEndpoint {
-    id: EndpointId,
-    srcs: Vec<NodeId>,
-    src_index: HashMap<NodeId, usize>,
-    /// Source endpoint id → slot index (filled from descriptors).
-    src_by_endpoint: HashMap<u32, usize>,
-    qps: Vec<QueuePair>,
-    cq: CompletionQueue,
+    half: RcHalf,
+    srcs: Sources,
+    /// Read completions and acks of the FreeArr release writes.
+    cq: Cq,
     /// Deliveries decoded from a batched CQ drain, waiting for a
     /// `get_data` caller.
     pending: Mutex<VecDeque<Delivery>>,
-    /// Reusable scratch for batched CQ drains.
-    cq_scratch: CqScratch,
     /// `ValidArr`: one ring per source, written remotely with full-buffer
     /// addresses.
-    valid_arr: MemoryRegion,
+    valid_arr: SlotRings,
     /// Local destination buffers for RDMA Reads.
     pool_mr: MemoryRegion,
-    message_size: usize,
-    ring_cap: usize,
+    /// The sources' `FreeArr` rings this endpoint returns buffers through.
+    free_rings: RingProducer,
     state: Mutex<RecvState>,
-    scratch: MemoryRegion,
-    wr_seq: AtomicU64,
-    post_lock: rshuffle_simnet::SimMutex<()>,
-    bytes_received: AtomicU64,
     obs: RecvObs,
-    audit: AuditHandle,
     cfg: RdRcConfig,
-    setup_cost: SimDuration,
 }
 
 struct RecvState {
-    /// Consumer index into each source's `ValidArr` ring.
-    valid_cons: Vec<u64>,
-    /// Producer index into each source's remote `FreeArr` ring.
-    free_prod: Vec<u64>,
-    /// Per-source descriptors (pool rkey, FreeArr ring).
-    descriptors: Vec<Option<RdSenderDescriptor>>,
+    /// Each source's data pool, once wired.
+    remote_pools: Vec<Option<RemoteAddr>>,
     /// `LocalArr`: unused local buffers per source.
     local: Vec<Vec<Buffer>>,
     /// In-flight RDMA Reads per source.
     in_flight: Vec<u32>,
-    /// Depleted flag per source.
-    depleted: Vec<bool>,
 }
 
 impl RdRcReceiveEndpoint {
     /// Creates the endpoint: `ValidArr`, local read buffers and one QP per
     /// source.
     pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: RdRcConfig) -> Self {
-        assert!(
-            !srcs.is_empty(),
-            "receive endpoint needs at least one source"
-        );
-        let cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = srcs
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, cq.clone(), cq.clone()))
-            .collect();
-        let buffers_per_src = cfg.buffers_per_peer;
-        let ring_cap = cfg.buffers_per_peer * srcs.len() + 2;
-        let pool_bytes = cfg.message_size * buffers_per_src * srcs.len();
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let valid_arr = ctx.register_untimed(8 * ring_cap * srcs.len());
-        let local: Vec<Vec<Buffer>> = (0..srcs.len())
+        let n = srcs.len();
+        let layout = layout(&cfg, n);
+        let cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &srcs, &cq, &cq, &layout);
+        let pool_mr = ctx.register_untimed(layout.pool_bytes());
+        let local = (0..n)
             .map(|si| {
-                (0..buffers_per_src)
+                (0..cfg.buffers_per_peer)
                     .map(|k| {
-                        Buffer::new(
-                            pool_mr.clone(),
-                            (si * buffers_per_src + k) * cfg.message_size,
-                            cfg.message_size,
-                        )
+                        let slot = si * cfg.buffers_per_peer + k;
+                        Buffer::new(pool_mr.clone(), slot * layout.window, layout.window)
                     })
                     .collect()
             })
             .collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * srcs.len() as u64
-            + profile.mr_register_time(pool_bytes + 8 * ring_cap * srcs.len());
-        let n = srcs.len();
-        let src_index = srcs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let audit = audit_handle(ctx);
-        for si in 0..n {
-            audit.ring(
-                RingKey {
-                    rkey: valid_arr.rkey(),
-                    base: (8 * ring_cap * si) as u64,
-                },
-                RingKind::ValidArr,
-                ring_cap as u64,
-            );
-        }
         RdRcReceiveEndpoint {
-            id,
-            srcs,
-            src_index,
-            src_by_endpoint: HashMap::new(),
-            qps,
-            cq,
+            srcs: Sources::new(n),
             pending: Mutex::new(VecDeque::new()),
-            cq_scratch: CqScratch::new(),
-            valid_arr,
+            valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
             pool_mr,
-            message_size: cfg.message_size,
-            ring_cap,
+            free_rings: RingProducer::register(ctx, n, layout.ring_cap),
             state: Mutex::new(RecvState {
-                valid_cons: vec![0; n],
-                free_prod: vec![0; n],
-                descriptors: vec![None; n],
+                remote_pools: vec![None; n],
                 local,
                 in_flight: vec![0; n],
-                depleted: vec![false; n],
             }),
-            scratch: ctx.register_untimed(64 * 8),
-            wr_seq: AtomicU64::new(0),
-            post_lock: rshuffle_simnet::SimMutex::new(
-                ctx.runtime().kernel(),
-                (),
-                SimDuration::from_nanos(60),
-            ),
-            bytes_received: AtomicU64::new(0),
             obs: RecvObs::new(ctx, id),
-            audit,
+            half,
+            cq,
             cfg,
-            setup_cost,
         }
-    }
-
-    /// The QP facing `src` (for wiring).
-    pub fn qp_for(&self, src: NodeId) -> &QueuePair {
-        &self.qps[self.src_index[&src]]
-    }
-
-    /// The `ValidArr` ring the sender on `src` should announce buffers
-    /// into.
-    pub fn valid_ring_for(&self, src: NodeId) -> RemoteAddr {
-        let si = self.src_index[&src];
-        RemoteAddr {
-            node: self.valid_arr.node(),
-            rkey: self.valid_arr.rkey(),
-            offset: 8 * self.ring_cap * si,
-        }
-    }
-
-    /// Wires the descriptor of the sender on `src`.
-    pub fn set_descriptor(&mut self, src: NodeId, desc: RdSenderDescriptor) {
-        let si = self.src_index[&src];
-        assert_eq!(
-            desc.ring_cap, self.ring_cap,
-            "FreeArr/ValidArr ring capacities must agree"
-        );
-        self.audit.ring(
-            ring_key(&desc.free_arr),
-            RingKind::FreeArr,
-            desc.ring_cap as u64,
-        );
-        self.state.lock().descriptors[si] = Some(desc);
-        self.src_by_endpoint.insert(desc.endpoint.0, si);
     }
 
     /// Issues RDMA Reads for every announced buffer that has a local buffer
     /// available (Algorithm 3, GETDATA lines 19–24).
-    fn issue_reads(&self, sim: &SimContext) -> Result<bool> {
-        let mut issued = false;
-        let mut n_issued = 0u64;
-        for si in 0..self.srcs.len() {
+    fn issue_reads(&self, sim: &SimContext) -> Result<()> {
+        let mut issued = 0u64;
+        for si in 0..self.half.peers() {
             loop {
-                let (remote_off, local_buf, desc) = {
+                let (remote, local_buf) = {
                     let mut st = self.state.lock();
-                    let Some(desc) = st.descriptors[si] else {
+                    let Some(pool) = st.remote_pools[si] else {
                         break;
                     };
-                    if st.local[si].is_empty() {
-                        break;
-                    }
-                    let slot =
-                        8 * (self.ring_cap * si + (st.valid_cons[si] as usize % self.ring_cap));
-                    let v = self.valid_arr.read_u64(slot)?;
-                    if v == 0 {
-                        break;
-                    }
-                    self.valid_arr.write_u64(slot, 0)?;
-                    st.valid_cons[si] += 1;
-                    st.in_flight[si] += 1;
                     let Some(local_buf) = st.local[si].pop() else {
-                        return Err(ShuffleError::Corrupt(
-                            "LocalArr drained while holding the state lock".into(),
-                        ));
+                        break;
                     };
-                    (v - 1, local_buf, desc)
+                    let Some(remote_off) = self.valid_arr.try_consume(sim, si)? else {
+                        st.local[si].push(local_buf);
+                        break;
+                    };
+                    st.in_flight[si] += 1;
+                    let remote = RemoteAddr {
+                        offset: remote_off as usize,
+                        ..pool
+                    };
+                    (remote, local_buf)
                 };
-                self.audit.ring_consumed(
-                    RingKey {
-                        rkey: self.valid_arr.rkey(),
-                        base: (8 * self.ring_cap * si) as u64,
-                    },
-                    sim.now().as_nanos(),
-                );
                 let wr_id = ((si as u64) << 32) | local_buf.offset() as u64;
-                let remote = RemoteAddr {
-                    node: desc.node,
-                    rkey: desc.pool_rkey,
-                    offset: remote_off as usize,
-                };
-                let guard = self.post_lock.lock(sim);
-                self.qps[si].post_read(
+                let guard = self.half.lock_post(sim);
+                self.half.qp(si).post_read(
                     sim,
                     wr_id,
                     (self.pool_mr.clone(), local_buf.offset()),
                     remote,
-                    self.message_size,
+                    self.cfg.message_size,
                 )?;
                 drop(guard);
-                issued = true;
-                n_issued += 1;
+                issued += 1;
             }
         }
-        self.obs.validarr_poll(sim, n_issued);
-        Ok(issued)
+        self.obs.validarr_poll(sim, issued);
+        Ok(())
     }
 
-    /// Whether any source has an unconsumed ValidArr announcement.
-    fn has_pending_valid_entry(&self) -> Result<bool> {
-        let st = self.state.lock();
-        for si in 0..self.srcs.len() {
-            let slot = 8 * (self.ring_cap * si + (st.valid_cons[si] as usize % self.ring_cap));
-            if self.valid_arr.read_u64(slot)? != 0 {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// RDMA-Writes `remote + 1` into source `si`'s `FreeArr` ring — the
+    /// RDMA-Writes `remote` into source `si`'s `FreeArr` ring — the
     /// shared tail of [`ReceiveEndpoint::release`] and the stale-epoch
     /// drop path (which returns the remote buffer without delivering).
     fn push_free(&self, sim: &SimContext, si: usize, remote: u64) -> Result<()> {
-        let (desc, slot_index) = {
-            let mut st = self.state.lock();
-            let desc = st.descriptors[si].ok_or_else(|| {
-                ShuffleError::Config(format!("release before descriptor wired for source {si}"))
-            })?;
-            let idx = st.free_prod[si] as usize % self.ring_cap;
-            st.free_prod[si] += 1;
-            (desc, idx)
-        };
-        let target = RemoteAddr {
-            node: desc.free_arr.node,
-            rkey: desc.free_arr.rkey,
-            offset: desc.free_arr.offset + 8 * slot_index,
-        };
-        self.audit
-            .ring_produced(ring_key(&desc.free_arr), sim.now().as_nanos());
-        // Scratch written under the post lock (see `send`).
-        let guard = self.post_lock.lock(sim);
-        let seq = self.wr_seq.fetch_add(1, Ordering::Relaxed);
-        let scratch_off = (seq % 64) as usize * 8;
-        self.scratch.write_u64(scratch_off, remote + 1)?;
-        self.qps[si].post_write(sim, seq, (self.scratch.clone(), scratch_off), target, 8)?;
+        let slot = self.free_rings.claim(sim, si)?;
+        let guard = self.half.lock_post(sim);
+        self.free_rings
+            .publish(sim, self.half.qp(si), slot, remote)?;
         drop(guard);
         Ok(())
     }
 
-    /// Decodes a batch of completions: FreeArr write acks are checked and
-    /// skipped, stale-epoch reads recycled, live reads queued as pending
-    /// deliveries.
-    fn process_read_batch(&self, sim: &SimContext, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError("RDMA read failed"));
+    /// Decodes one completion: FreeArr write acks are checked and skipped,
+    /// stale-epoch reads recycled, live reads queued as pending deliveries.
+    fn on_completion(&self, sim: &SimContext, c: &Completion) -> Result<()> {
+        expect_success(c, "RDMA read failed")?;
+        match c.opcode {
+            WcOpcode::Write => return Ok(()), // FreeArr release ack.
+            WcOpcode::Read => {}
+            _ => {
+                return Err(ShuffleError::CompletionError(
+                    "unexpected completion opcode on RD endpoint",
+                ))
             }
-            match c.opcode {
-                WcOpcode::Write => continue, // FreeArr release ack.
-                WcOpcode::Read => {}
-                _ => {
-                    return Err(ShuffleError::CompletionError(
-                        "unexpected completion opcode on RD endpoint",
-                    ))
-                }
-            }
-            let si = (c.wr_id >> 32) as usize;
-            if si >= self.srcs.len() {
-                return Err(ShuffleError::Corrupt(format!(
-                    "read completion names out-of-range source slot {si}"
-                )));
-            }
-            let local_off = (c.wr_id & 0xFFFF_FFFF) as usize;
-            let mut buf = Buffer::try_new(self.pool_mr.clone(), local_off, self.message_size)?;
-            let header = buf.read_header()?;
-            if header.epoch != self.cfg.epoch {
-                // Leftover announcement from a fenced-off attempt:
-                // hand the remote buffer straight back through the
-                // FreeArr and requeue the local one, no delivery.
-                self.obs.stale_drop();
-                {
-                    let mut st = self.state.lock();
-                    st.in_flight[si] = st.in_flight[si].checked_sub(1).ok_or(
-                        ShuffleError::CompletionError("more read completions than reads posted"),
-                    )?;
-                }
-                self.push_free(sim, si, header.remote_addr)?;
-                self.state.lock().local[si].push(buf);
-                continue;
-            }
-            buf.set_len(header.payload_len as usize)?;
-            self.bytes_received
-                .fetch_add(header.payload_len as u64, Ordering::Relaxed);
-            self.obs.received(header.payload_len as u64);
-            self.audit.delivered(buf_id(&buf), sim.now().as_nanos());
-            {
-                let mut st = self.state.lock();
-                st.in_flight[si] = st.in_flight[si].checked_sub(1).ok_or(
-                    ShuffleError::CompletionError("more read completions than reads posted"),
-                )?;
-                if header.state == StreamState::Depleted {
-                    st.depleted[si] = true;
-                }
-            }
-            self.pending.lock().push_back(Delivery {
-                state: header.state,
-                src: EndpointId(header.src),
-                src_tid: header.src_tid,
-                remote: header.remote_addr,
-                local: buf,
-            });
         }
+        let si = (c.wr_id >> 32) as usize;
+        if si >= self.half.peers() {
+            return Err(ShuffleError::Corrupt(format!(
+                "read completion names out-of-range source slot {si}"
+            )));
+        }
+        let local_off = (c.wr_id & 0xFFFF_FFFF) as usize;
+        let buf = Buffer::try_new(self.pool_mr.clone(), local_off, self.cfg.message_size)?;
+        let header = buf.read_header()?;
+        {
+            let mut st = self.state.lock();
+            st.in_flight[si] =
+                st.in_flight[si]
+                    .checked_sub(1)
+                    .ok_or(ShuffleError::CompletionError(
+                        "more read completions than reads posted",
+                    ))?;
+        }
+        if header.epoch != self.cfg.epoch {
+            // Leftover announcement from a fenced-off attempt:
+            // hand the remote buffer straight back through the
+            // FreeArr and requeue the local one, no delivery.
+            self.obs.stale_drop();
+            self.push_free(sim, si, header.remote_addr)?;
+            self.state.lock().local[si].push(buf);
+            return Ok(());
+        }
+        let remote = header.remote_addr;
+        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, remote)?;
+        if header.state == StreamState::Depleted {
+            self.srcs.mark_depleted(si);
+        }
+        self.pending.lock().push_back(delivery);
         Ok(())
     }
 
     fn fully_done(&self) -> Result<bool> {
-        let st = self.state.lock();
-        for si in 0..self.srcs.len() {
-            if !st.depleted[si] || st.in_flight[si] > 0 {
-                return Ok(false);
-            }
-            let slot = 8 * (self.ring_cap * si + (st.valid_cons[si] as usize % self.ring_cap));
-            if self.valid_arr.read_u64(slot)? != 0 {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let reads_landed = self.state.lock().in_flight.iter().all(|&n| n == 0);
+        Ok(self.srcs.all_depleted() && reads_landed && self.valid_arr.all_empty()?)
+    }
+}
+
+impl RcTransport for RdRcSendEndpoint {
+    type Config = RdRcConfig;
+    type Receiver = RdRcReceiveEndpoint;
+
+    fn qp_pair<'a>(
+        &'a self,
+        peer: NodeId,
+        recv: &'a RdRcReceiveEndpoint,
+        src: NodeId,
+    ) -> (&'a QueuePair, &'a QueuePair) {
+        (self.half.qp_for(peer), recv.half.qp_for(src))
+    }
+
+    fn lease_depth(cfg: &RdRcConfig) -> u32 {
+        cfg.buffers_per_peer as u32
+    }
+
+    /// The receiver learns the sender's data pool and its ring in the
+    /// sender's `FreeArr`; the sender learns its ring in the receiver's
+    /// `ValidArr`.
+    fn handshake(&self, peer: NodeId, recv: &RdRcReceiveEndpoint, src: NodeId) -> Result<()> {
+        let (pi, si) = (self.half.index_of(peer)?, recv.half.index_of(src)?);
+        assert_eq!(
+            self.free_arr.cap(),
+            recv.valid_arr.cap(),
+            "FreeArr/ValidArr ring capacities must agree"
+        );
+        recv.free_rings
+            .wire(si, RingKind::FreeArr, self.free_arr.base(pi), 0);
+        recv.state.lock().remote_pools[si] = Some(region_base(self.window.region()));
+        recv.srcs.learn(self.half.id.0, si);
+        self.valid_rings
+            .wire(pi, RingKind::ValidArr, recv.valid_arr.base(si), 0);
+        Ok(())
     }
 }
 
 impl ReceiveEndpoint for RdRcReceiveEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
+        let mut watchdog = Watchdog::fixed(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 32,
+            "RD receive made no progress",
+        );
         loop {
             if let Some(d) = self.pending.lock().pop_front() {
                 return Ok(Some(d));
@@ -780,54 +420,44 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
                 if self.fully_done()? {
                     return Ok(None);
                 }
-                if sim.now() >= deadline {
-                    return Err(ShuffleError::Stalled("RD receive made no progress"));
-                }
-                self.valid_arr.drain_updates();
-                if !self.has_pending_valid_entry()? {
+                watchdog.expired(sim)?;
+                self.valid_arr.region().drain_updates();
+                if self.valid_arr.all_empty()? {
                     self.valid_arr
-                        .wait_update_timeout(sim, self.cfg.poll_interval * 32);
+                        .region()
+                        .wait_update_timeout(sim, watchdog.slice());
                 }
                 continue;
             }
-            let mut scratch = self.cq_scratch.take();
-            let n = self
-                .cq
-                .drain_into(sim, &mut scratch, CQ_BATCH, self.cfg.poll_interval * 64);
-            let result = self.process_read_batch(sim, &scratch);
-            self.cq_scratch.put(scratch);
-            result?;
-            if n == 0 {
+            let slice = self.cfg.poll_interval * 64;
+            if !self.cq.drain(sim, slice, |c| self.on_completion(sim, c))? {
                 if self.fully_done()? {
                     return Ok(None);
                 }
-                if sim.now() >= deadline {
-                    return Err(ShuffleError::Stalled("RD receive made no progress"));
-                }
+                watchdog.expired(sim)?;
             }
         }
     }
 
     fn release(&self, sim: &SimContext, remote: u64, local: Buffer, src: EndpointId) -> Result<()> {
-        let si = *self
-            .src_by_endpoint
-            .get(&src.0)
-            .ok_or_else(|| ShuffleError::Config(format!("release for unknown source {src:?}")))?;
-        self.audit.released(buf_id(&local), sim.now().as_nanos());
+        let si = self.srcs.slot_of(src)?;
+        self.half
+            .audit
+            .released(buf_id(&local), sim.now().as_nanos());
         self.push_free(sim, si, remote)?;
         self.state.lock().local[si].push(local);
         Ok(())
     }
 
     fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
+        self.obs.bytes_received()
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool_mr.len() + self.valid_arr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }

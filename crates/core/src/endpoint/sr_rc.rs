@@ -14,20 +14,23 @@
 //! design) and associates all of them with a single completion queue to
 //! amortize polling.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::Mutex;
-use rshuffle_audit::{AuditHandle, BufId, CreditLane};
+use rshuffle_audit::CreditLane;
 use rshuffle_simnet::{NodeId, SimContext, SimDuration};
 use rshuffle_verbs::{
-    Completion, CompletionQueue, Context, MemoryRegion, QueuePair, RecvWr, RemoteAddr, SendWr,
-    WcOpcode, WcStatus,
+    Completion, Context, MemoryRegion, QueuePair, RecvWr, RemoteAddr, SendWr, WcOpcode,
 };
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use crate::buffer::{Buffer, BufferPool, MsgHeader, MsgKind, StreamState};
+use crate::buffer::{Buffer, MsgKind, StreamState};
+use crate::endpoint::frame::{
+    data_header, deliver, expect_success, region_base, Cq, InlineWrites, Layout, RcHalf,
+    SendWindow, Sources, Watchdog,
+};
 use crate::endpoint::{
-    audit_handle, buf_id, Backoff, CqScratch, Delivery, EndpointId, ReceiveEndpoint, RecvObs,
-    SendEndpoint, SendObs, CQ_BATCH,
+    buf_id, Delivery, EndpointId, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint, SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
@@ -76,200 +79,99 @@ impl Default for SrRcConfig {
     }
 }
 
+/// What the send half pins toward `peers` destinations: the send pool and
+/// one absolute credit counter per peer (rings of a single slot).
+pub(crate) fn send_layout(cfg: &SrRcConfig, peers: usize) -> Layout {
+    Layout {
+        window: cfg.message_size,
+        buffers: cfg.buffers_per_peer * peers,
+        rings: peers,
+        ring_cap: 1,
+        inline_writes: false,
+    }
+}
+
+/// What the receive half pins for `srcs` sources: the posted-receive pool
+/// and the scratch its credit writes are sourced from.
+pub(crate) fn recv_layout(cfg: &SrRcConfig, srcs: usize) -> Layout {
+    Layout {
+        window: cfg.message_size,
+        buffers: cfg.recv_depth_per_peer * srcs,
+        rings: 0,
+        ring_cap: 0,
+        inline_writes: true,
+    }
+}
+
 /// SEND endpoint: RDMA Send/Receive over Reliable Connection.
 pub struct SrRcSendEndpoint {
-    id: EndpointId,
-    peer_index: HashMap<NodeId, usize>,
-    /// One QP per peer, indexed like `peers`.
-    qps: Vec<QueuePair>,
-    send_cq: CompletionQueue,
-    /// Recycle pool over the registered send region: steady-state sends
-    /// reuse windows instead of allocating.
-    pool: BufferPool,
-    /// Reusable scratch for batched send-CQ drains.
-    reap_scratch: CqScratch,
-    /// Outstanding sends per in-flight buffer (keyed by buffer offset); a
-    /// multicast buffer completes once per destination.
-    outstanding: Mutex<HashMap<u64, u32>>,
+    half: RcHalf,
+    send_cq: Cq,
+    window: SendWindow,
     /// Absolute credit per peer, RDMA-written by the remote receiver.
     credit_mr: MemoryRegion,
     /// Data messages sent per peer.
     sent: Mutex<Vec<u64>>,
-    /// Serializes `ibv_post_send`; the contention cost of sharing one
-    /// endpoint among threads (SE configurations) shows up here.
-    post_lock: rshuffle_simnet::SimMutex<()>,
     obs: SendObs,
-    audit: AuditHandle,
     cfg: SrRcConfig,
-    setup_cost: SimDuration,
 }
 
 impl SrRcSendEndpoint {
     /// Creates the endpoint with its per-peer QPs (unconnected; the
     /// exchange builder wires them to the matching receive endpoints).
     pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: SrRcConfig) -> Self {
-        assert!(!peers.is_empty(), "send endpoint needs at least one peer");
-        let send_cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = peers
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, send_cq.clone(), send_cq.clone()))
-            .collect();
-        let pool_bytes = cfg.message_size * cfg.buffers_per_peer * peers.len();
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let pool = BufferPool::carve(
-            pool_mr,
-            0,
-            cfg.message_size,
-            cfg.buffers_per_peer * peers.len(),
-        );
-        let credit_mr = ctx.register_untimed(8 * peers.len());
-        let peer_index = peers.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * peers.len() as u64
-            + profile.mr_register_time(pool_bytes + 8 * peers.len());
-        let n = peers.len();
+        let layout = send_layout(&cfg, peers.len());
+        let send_cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
         SrRcSendEndpoint {
-            id,
-            peer_index,
-            qps,
-            send_cq,
-            pool,
-            reap_scratch: CqScratch::new(),
-            outstanding: Mutex::new(HashMap::new()),
-            credit_mr,
-            sent: Mutex::new(vec![0; n]),
-            post_lock: rshuffle_simnet::SimMutex::new(
-                ctx.runtime().kernel(),
-                (),
-                SimDuration::from_nanos(60),
-            ),
+            window: SendWindow::register(ctx, &layout),
+            credit_mr: ctx.register_untimed(layout.ring_bytes()),
+            sent: Mutex::new(vec![0; peers.len()]),
             obs: SendObs::new(ctx, id),
-            audit: audit_handle(ctx),
+            half,
+            send_cq,
             cfg,
-            setup_cost,
         }
     }
 
-    /// The QP that talks to `peer` (for the exchange builder's wiring).
-    pub fn qp_for(&self, peer: NodeId) -> &QueuePair {
-        &self.qps[self.peer_index[&peer]]
-    }
-
-    /// Where the receiver on `peer` should RDMA-Write its credit.
-    pub fn credit_slot_for(&self, peer: NodeId) -> RemoteAddr {
+    /// Where the receiver behind peer slot `pi` RDMA-Writes its credit.
+    fn credit_slot(&self, pi: usize) -> RemoteAddr {
         RemoteAddr {
-            node: self.pool.region().node(),
-            rkey: self.credit_mr.rkey(),
-            offset: 8 * self.peer_index[&peer],
+            offset: 8 * pi,
+            ..region_base(&self.credit_mr)
         }
-    }
-
-    /// Seeds the initial credit for `peer` (the receiver's initial posted
-    /// receives, exchanged out of band during connection setup).
-    pub fn bootstrap_credit(&self, peer: NodeId, credit: u64) -> Result<()> {
-        let pi = *self
-            .peer_index
-            .get(&peer)
-            .ok_or_else(|| ShuffleError::Config(format!("unknown peer node {peer}")))?;
-        self.credit_mr.write_u64(8 * pi, credit)?;
-        Ok(())
     }
 
     /// Blocks until peer `pi` has granted credit beyond `sent`. The wait is
     /// woken by the receiver's credit RDMA Write landing in the credit
-    /// region.
+    /// region; running out of credit is the Figure 8 stall.
     fn wait_for_credit(&self, sim: &SimContext, pi: usize) -> Result<()> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let has_credit = |pi: usize| -> Result<bool> {
+        let has_credit = || -> Result<Option<()>> {
             let credit = self.credit_mr.read_u64(8 * pi)?;
-            Ok(credit > self.sent.lock()[pi])
+            Ok((credit > self.sent.lock()[pi]).then_some(()))
         };
-        if has_credit(pi)? {
-            return Ok(());
-        }
-        // Credit exhausted: this is the Figure 8 stall the flight
-        // recorder tracks, bracketed so the error path closes it too.
-        let stall_start = self.obs.stall_begin(sim);
-        let result = loop {
-            match has_credit(pi) {
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
-                Err(e) => break Err(e),
-            }
+        Watchdog::fixed(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 32,
+            "waiting for send credit",
+        )
+        .wait(sim, Some(&self.obs), has_credit, |slice| {
             // Clear stale wake tokens, re-check, then sleep until the next
             // credit write (or a bounded slice, for SE configurations where
             // another thread may consume our wakeup).
             self.credit_mr.drain_updates();
-            match has_credit(pi) {
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
-                Err(e) => break Err(e),
+            if has_credit()?.is_none() {
+                self.credit_mr.wait_update_timeout(sim, slice);
             }
-            if sim.now() >= deadline {
-                break Err(ShuffleError::Stalled("waiting for send credit"));
-            }
-            self.credit_mr
-                .wait_update_timeout(sim, self.cfg.poll_interval * 32);
-        };
-        self.obs.stall_end(sim, stall_start);
-        result
-    }
-
-    /// Drains a batch of send completions (one poll cost for the whole
-    /// drain), recycling buffers whose every destination has acknowledged.
-    /// Returns whether any completion was processed.
-    fn reap_completions(&self, sim: &SimContext, block_slice: SimDuration) -> Result<bool> {
-        let mut scratch = self.reap_scratch.take();
-        let n = self
-            .send_cq
-            .drain_into(sim, &mut scratch, CQ_BATCH, block_slice);
-        let result = self.process_send_batch(sim, &scratch);
-        self.reap_scratch.put(scratch);
-        result?;
-        Ok(n > 0)
-    }
-
-    fn process_send_batch(&self, sim: &SimContext, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError(
-                    "reliable send failed (receiver never posted a receive?)",
-                ));
-            }
-            let fully_acked = {
-                let mut outstanding = self.outstanding.lock();
-                let Some(remaining) = outstanding.get_mut(&c.wr_id) else {
-                    return Err(ShuffleError::CompletionError(
-                        "send completion for unknown buffer",
-                    ));
-                };
-                *remaining -= 1;
-                if *remaining == 0 {
-                    outstanding.remove(&c.wr_id);
-                    true
-                } else {
-                    false
-                }
-            };
-            if fully_acked {
-                self.audit.buffer_recycled(
-                    BufId {
-                        rkey: self.pool.region().rkey(),
-                        offset: c.wr_id,
-                    },
-                    sim.now().as_nanos(),
-                );
-                self.pool.recycle_offset(c.wr_id as usize)?;
-            }
-        }
-        Ok(())
+            Ok(false)
+        })
     }
 }
 
 impl SendEndpoint for SrRcSendEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn send(
@@ -280,39 +182,23 @@ impl SendEndpoint for SrRcSendEndpoint {
         state: StreamState,
     ) -> Result<()> {
         assert!(!dest.is_empty(), "send needs at least one destination");
-        let header = MsgHeader {
-            src: self.id.0,
-            kind: MsgKind::Data,
-            state,
-            epoch: self.cfg.epoch,
-            payload_len: buf.len() as u32,
-            src_tid: buf.tag(),
-            counter: 0, // RC is ordered: Depleted arrival is authoritative.
-            remote_addr: buf.offset() as u64,
-        };
-        buf.write_header(&header)?;
-        self.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
-        self.outstanding
-            .lock()
-            .insert(buf.offset() as u64, dest.len() as u32);
+        buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
+        self.window.launch(sim, &buf, dest.len());
         for &d in dest {
-            let pi = *self
-                .peer_index
-                .get(&d)
-                .ok_or_else(|| ShuffleError::Config(format!("unknown destination node {d}")))?;
+            let pi = self.half.index_of(d)?;
             self.wait_for_credit(sim, pi)?;
             let sent_now = {
                 let mut sent = self.sent.lock();
                 sent[pi] += 1;
                 sent[pi]
             };
-            self.audit.credit_consumed(
-                credit_lane(&self.credit_slot_for(d)),
+            self.half.audit.credit_consumed(
+                credit_lane(&self.credit_slot(pi)),
                 sent_now,
                 sim.now().as_nanos(),
             );
-            let guard = self.post_lock.lock(sim);
-            self.qps[pi].post_send(
+            let guard = self.half.lock_post(sim);
+            self.half.qp(pi).post_send(
                 sim,
                 SendWr {
                     wr_id: buf.offset() as u64,
@@ -330,51 +216,46 @@ impl SendEndpoint for SrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 8);
-        loop {
-            if let Some(buf) = self.pool.try_take() {
-                self.audit.buffer_taken(buf_id(&buf), sim.now().as_nanos());
-                return Ok(buf);
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("waiting for a free send buffer"));
-            }
-            if self.reap_completions(sim, backoff.next())? {
-                backoff.reset();
-            }
-        }
+        Watchdog::backoff(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 8,
+            "waiting for a free send buffer",
+        )
+        .wait(
+            sim,
+            None,
+            || Ok(self.window.take(sim)),
+            |slice| {
+                self.send_cq.drain(sim, slice, |c| {
+                    expect_success(c, "reliable send failed (receiver never posted a receive?)")?;
+                    self.window.complete(sim, c.wr_id)
+                })
+            },
+        )
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool.region().len() + self.credit_mr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }
 
 /// RECEIVE endpoint: RDMA Send/Receive over Reliable Connection.
 pub struct SrRcReceiveEndpoint {
-    id: EndpointId,
-    /// Maps a source endpoint id to its slot index.
-    src_by_endpoint: Mutex<HashMap<u32, usize>>,
-    src_index: HashMap<NodeId, usize>,
-    qps: Vec<QueuePair>,
-    recv_cq: CompletionQueue,
+    half: RcHalf,
+    srcs: Sources,
+    recv_cq: Cq,
     /// Send-side CQ of the receive QPs (credit write-backs), drained lazily
     /// through the handled path (statuses checked, never swallowed).
-    ctrl_cq: CompletionQueue,
+    ctrl_cq: Cq,
     pool_mr: MemoryRegion,
-    message_size: usize,
     /// Deliveries decoded from a batched CQ drain, waiting for a
     /// `get_data` caller.
     pending: Mutex<VecDeque<Delivery>>,
-    /// Reusable scratch for batched receive-CQ drains.
-    recv_scratch: CqScratch,
-    /// Reusable scratch for control-CQ drains.
-    ctrl_scratch: CqScratch,
     /// Credit write-backs posted but not yet seen to complete. Must drain
     /// to zero at end of stream — a swallowed control completion turns
     /// into a typed error instead of silence.
@@ -385,138 +266,121 @@ pub struct SrRcReceiveEndpoint {
     releases: Mutex<Vec<u32>>,
     /// Where each source's send endpoint keeps my credit slot.
     credit_remote: Mutex<Vec<Option<RemoteAddr>>>,
-    depleted: Mutex<Vec<bool>>,
-    all_depleted: AtomicBool,
-    bytes_received: AtomicU64,
-    wr_seq: AtomicU64,
-    /// Rotating scratch slots sourcing the 8-byte credit writes.
-    scratch_mr: MemoryRegion,
+    credit_writes: InlineWrites,
     obs: RecvObs,
-    audit: AuditHandle,
     cfg: SrRcConfig,
-    setup_cost: SimDuration,
 }
 
 impl SrRcReceiveEndpoint {
     /// Creates the endpoint with one QP per source.
     pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: SrRcConfig) -> Self {
-        assert!(
-            !srcs.is_empty(),
-            "receive endpoint needs at least one source"
-        );
-        let recv_cq = ctx.create_cq();
-        let ctrl_cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = srcs
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, ctrl_cq.clone(), recv_cq.clone()))
-            .collect();
-        let pool_bytes = cfg.message_size * cfg.recv_depth_per_peer * srcs.len();
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let src_index = srcs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * srcs.len() as u64
-            + profile.mr_register_time(pool_bytes);
+        let layout = recv_layout(&cfg, srcs.len());
+        let recv_cq = Cq::new(ctx);
+        let ctrl_cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &recv_cq, &layout);
         let n = srcs.len();
         SrRcReceiveEndpoint {
-            id,
-            src_by_endpoint: Mutex::new(HashMap::new()),
-            src_index,
-            qps,
-            recv_cq,
-            ctrl_cq,
-            pool_mr,
-            message_size: cfg.message_size,
+            srcs: Sources::new(n),
+            pool_mr: ctx.register_untimed(layout.pool_bytes()),
             pending: Mutex::new(VecDeque::new()),
-            recv_scratch: CqScratch::new(),
-            ctrl_scratch: CqScratch::new(),
             ctrl_outstanding: AtomicU64::new(0),
             posted: Mutex::new(vec![0; n]),
             releases: Mutex::new(vec![0; n]),
             credit_remote: Mutex::new(vec![None; n]),
-            depleted: Mutex::new(vec![false; n]),
-            all_depleted: AtomicBool::new(false),
-            bytes_received: AtomicU64::new(0),
-            wr_seq: AtomicU64::new(0),
-            scratch_mr: ctx.register_untimed(64 * 8),
+            credit_writes: InlineWrites::register(ctx),
             obs: RecvObs::new(ctx, id),
-            audit: audit_handle(ctx),
+            half,
+            recv_cq,
+            ctrl_cq,
             cfg,
-            setup_cost,
         }
-    }
-
-    /// The QP that hears from `src` (for wiring).
-    pub fn qp_for(&self, src: NodeId) -> &QueuePair {
-        &self.qps[self.src_index[&src]]
     }
 
     /// Wires the remote credit slot for `src` and posts the initial receive
     /// pool on that connection. Returns the initial credit granted.
-    pub fn bootstrap_src(&self, src: NodeId, credit_slot: RemoteAddr) -> Result<u64> {
-        let si = *self
-            .src_index
-            .get(&src)
-            .ok_or_else(|| ShuffleError::Config(format!("unknown source node {src}")))?;
+    fn bootstrap_src(&self, src: NodeId, credit_slot: RemoteAddr) -> Result<u64> {
+        let si = self.half.index_of(src)?;
         self.credit_remote.lock()[si] = Some(credit_slot);
-        let base = self.message_size * self.cfg.recv_depth_per_peer * si;
-        for k in 0..self.cfg.recv_depth_per_peer {
-            let offset = base + k * self.message_size;
-            self.qps[si].post_recv_untimed(RecvWr {
+        let depth = self.cfg.recv_depth_per_peer;
+        for k in 0..depth {
+            let offset = (depth * si + k) * self.cfg.message_size;
+            self.half.qp(si).post_recv_untimed(RecvWr {
                 wr_id: offset as u64,
                 mr: self.pool_mr.clone(),
                 offset,
-                len: self.message_size,
+                len: self.cfg.message_size,
             })?;
         }
-        let credit = {
-            let mut posted = self.posted.lock();
-            posted[si] = self.cfg.recv_depth_per_peer as u64;
-            posted[si]
-        };
+        let credit = depth as u64;
+        self.posted.lock()[si] = credit;
         // Bootstrap happens outside the measured window, at virtual 0.
         let lane = credit_lane(&credit_slot);
-        self.audit
-            .credit_lane(lane, Some(self.cfg.credit_writeback_frequency as u64));
-        self.audit.receives_posted(lane, credit, 0);
-        self.audit.credit_granted(lane, credit, 0);
+        let audit = &self.half.audit;
+        audit.credit_lane(lane, Some(self.cfg.credit_writeback_frequency as u64));
+        audit.receives_posted(lane, credit, 0);
+        audit.credit_granted(lane, credit, 0);
         Ok(credit)
+    }
+}
+
+impl RcTransport for SrRcSendEndpoint {
+    type Config = SrRcConfig;
+    type Receiver = SrRcReceiveEndpoint;
+
+    fn qp_pair<'a>(
+        &'a self,
+        peer: NodeId,
+        recv: &'a SrRcReceiveEndpoint,
+        src: NodeId,
+    ) -> (&'a QueuePair, &'a QueuePair) {
+        (self.half.qp_for(peer), recv.half.qp_for(src))
+    }
+
+    fn lease_depth(cfg: &SrRcConfig) -> u32 {
+        cfg.recv_depth_per_peer as u32
+    }
+
+    /// The receiver posts its initial receives and learns where to write
+    /// credit; the sender is seeded with the credit that grants.
+    fn handshake(&self, peer: NodeId, recv: &SrRcReceiveEndpoint, src: NodeId) -> Result<()> {
+        let pi = self.half.index_of(peer)?;
+        let credit = recv.bootstrap_src(src, self.credit_slot(pi))?;
+        self.credit_mr.write_u64(8 * pi, credit)?;
+        Ok(())
     }
 }
 
 impl ReceiveEndpoint for SrRcReceiveEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 16);
-        loop {
-            if let Some(d) = self.pending.lock().pop_front() {
-                return Ok(Some(d));
-            }
-            if self.all_depleted.load(Ordering::SeqCst) && self.recv_cq.depth() == 0 {
-                // Deliveries a concurrent drainer is still decoding will be
-                // handed out by that thread's own later calls; this caller
-                // is done once the outstanding credit write-backs complete
-                // cleanly (a swallowed control completion surfaces here).
-                self.finish_ctrl(sim)?;
-                return Ok(None);
-            }
-            let mut scratch = self.recv_scratch.take();
-            let n = self
-                .recv_cq
-                .drain_into(sim, &mut scratch, CQ_BATCH, backoff.next());
-            let result = self.process_recv_batch(sim, &scratch);
-            self.recv_scratch.put(scratch);
-            result?;
-            if n > 0 {
-                backoff.reset();
-            } else if sim.now() >= deadline && !self.all_depleted.load(Ordering::SeqCst) {
-                return Err(ShuffleError::Stalled("receive endpoint made no progress"));
-            }
-        }
+        Watchdog::backoff(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 16,
+            "receive endpoint made no progress",
+        )
+        .wait(
+            sim,
+            None,
+            || {
+                if let Some(d) = self.pending.lock().pop_front() {
+                    return Ok(Some(Some(d)));
+                }
+                if self.srcs.all_depleted() && self.recv_cq.depth() == 0 {
+                    // Deliveries a concurrent drainer is still decoding will be
+                    // handed out by that thread's own later calls; this caller
+                    // is done once the outstanding credit write-backs complete
+                    // cleanly (a swallowed control completion surfaces here).
+                    self.finish_ctrl(sim)?;
+                    return Ok(Some(None));
+                }
+                Ok(None)
+            },
+            |slice| self.recv_cq.drain(sim, slice, |c| self.on_receive(sim, c)),
+        )
     }
 
     fn release(
@@ -526,26 +390,23 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
         local: Buffer,
         src: EndpointId,
     ) -> Result<()> {
-        let si = {
-            let map = self.src_by_endpoint.lock();
-            *map.get(&src.0).ok_or_else(|| {
-                ShuffleError::Config(format!("release for unknown source {src:?}"))
-            })?
-        };
-        self.audit.released(buf_id(&local), sim.now().as_nanos());
+        let si = self.srcs.slot_of(src)?;
+        self.half
+            .audit
+            .released(buf_id(&local), sim.now().as_nanos());
         self.recycle_slot(sim, si, &local)
     }
 
     fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
+        self.obs.bytes_received()
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool_mr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }
 
@@ -555,7 +416,7 @@ impl SrRcReceiveEndpoint {
     /// [`ReceiveEndpoint::release`] path and the stale-epoch drop path
     /// (which recycles without delivering).
     fn recycle_slot(&self, sim: &SimContext, si: usize, local: &Buffer) -> Result<()> {
-        if self.depleted.lock()[si] {
+        if self.srcs.is_depleted(si) {
             // The source announced end-of-stream on this connection: no
             // further Send can arrive, so reposting a receive and writing
             // back credit would be pure tail overhead whose completions
@@ -563,7 +424,7 @@ impl SrRcReceiveEndpoint {
             return Ok(());
         }
         // Repost the buffer on the connection it came from.
-        self.qps[si].post_recv(
+        self.half.qp(si).post_recv(
             sim,
             RecvWr {
                 wr_id: local.offset() as u64,
@@ -597,121 +458,98 @@ impl SrRcReceiveEndpoint {
             if let Some(slot) = &slot {
                 let lane = credit_lane(slot);
                 let now = sim.now().as_nanos();
-                self.audit.receives_posted(lane, 1, now);
+                self.half.audit.receives_posted(lane, 1, now);
                 if write_back {
-                    self.audit.credit_granted(lane, credit_now, now);
+                    self.half.audit.credit_granted(lane, credit_now, now);
                 }
             }
             (credit_now, write_back)
         };
         if write_back {
-            let slot = slot
-                .ok_or_else(|| ShuffleError::Config("credit slot not bootstrapped".into()))?;
-            self.post_credit_write(sim, si, slot, credit_now)?;
+            let slot =
+                slot.ok_or_else(|| ShuffleError::Config("credit slot not bootstrapped".into()))?;
+            // RDMA-Write the absolute credit into the sender's credit slot.
+            // The grant was already audited under the `posted` lock above;
+            // auditing it again here would reorder grants across threads.
+            self.ctrl_outstanding.fetch_add(1, Ordering::SeqCst);
+            self.credit_writes
+                .post(sim, self.half.qp(si), slot, credit_now)?;
         }
         // Lazily drain credit-write completions so the control CQ does not
         // grow without bound — through the handled path, so an errored
         // write-back surfaces instead of being swallowed.
         if self.ctrl_cq.depth() > 8 {
-            self.drain_ctrl(sim)?;
+            self.ctrl_cq.poll(sim, |c| self.on_ctrl(c))?;
         }
         Ok(())
     }
 
-    /// Decodes a batch of receive completions into [`Delivery`]s on the
-    /// pending queue. Depleted flags are flipped only *after* the matching
-    /// delivery is queued, so `all_depleted` can never race ahead of a
-    /// delivery that is still being decoded from the same batch.
-    fn process_recv_batch(&self, sim: &SimContext, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError("receive completed in error"));
-            }
-            let mut buf =
-                Buffer::try_new(self.pool_mr.clone(), c.wr_id as usize, self.message_size)?;
-            let header = buf.read_header()?;
-            if header.kind != MsgKind::Data {
-                return Err(ShuffleError::Corrupt(
-                    "RC data connection delivered a non-data message".into(),
-                ));
-            }
-            buf.set_len(header.payload_len as usize)?;
-            let si = *self.src_index.get(&c.src_node).ok_or_else(|| {
-                ShuffleError::Corrupt(format!("completion from unknown source node {}", c.src_node))
-            })?;
-            if header.epoch != self.cfg.epoch {
-                // A leftover from a fenced-off flow attempt: recycle the
-                // slot (repost + credit) without delivering or counting.
-                self.obs.stale_drop();
-                self.recycle_slot(sim, si, &buf)?;
-                continue;
-            }
-            self.bytes_received
-                .fetch_add(header.payload_len as u64, Ordering::Relaxed);
-            self.obs.received(header.payload_len as u64);
-            self.src_by_endpoint.lock().entry(header.src).or_insert(si);
-            self.audit.delivered(buf_id(&buf), sim.now().as_nanos());
-            let state = header.state;
-            self.pending.lock().push_back(Delivery {
-                state,
-                src: EndpointId(header.src),
-                src_tid: header.src_tid,
-                remote: 0,
-                local: buf,
-            });
-            if state == StreamState::Depleted {
-                let mut depleted = self.depleted.lock();
-                depleted[si] = true;
-                if depleted.iter().all(|&d| d) {
-                    self.all_depleted.store(true, Ordering::SeqCst);
-                }
-                drop(depleted);
-                // Depletion closes the lane: releases stop recycling, so
-                // this is the auditor's last chance to see a write-back
-                // boundary that was reached but never announced.
-                if let Some(slot) = &self.credit_remote.lock()[si] {
-                    self.audit
-                        .credit_lane_closed(credit_lane(slot), sim.now().as_nanos());
-                }
+    /// Decodes one receive completion into a [`Delivery`] on the pending
+    /// queue. The depleted flag is flipped only *after* the delivery is
+    /// queued, so `all_depleted` can never race ahead of a delivery that is
+    /// still being decoded from the same batch.
+    fn on_receive(&self, sim: &SimContext, c: &Completion) -> Result<()> {
+        expect_success(c, "receive completed in error")?;
+        let buf = Buffer::try_new(
+            self.pool_mr.clone(),
+            c.wr_id as usize,
+            self.cfg.message_size,
+        )?;
+        let header = buf.read_header()?;
+        if header.kind != MsgKind::Data {
+            return Err(ShuffleError::Corrupt(
+                "RC data connection delivered a non-data message".into(),
+            ));
+        }
+        let si = self.half.index_of(c.src_node).map_err(|_| {
+            ShuffleError::Corrupt(format!(
+                "completion from unknown source node {}",
+                c.src_node
+            ))
+        })?;
+        if header.epoch != self.cfg.epoch {
+            // A leftover from a fenced-off flow attempt: recycle the
+            // slot (repost + credit) without delivering or counting.
+            self.obs.stale_drop();
+            return self.recycle_slot(sim, si, &buf);
+        }
+        self.srcs.learn(header.src, si);
+        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, 0)?;
+        self.pending.lock().push_back(delivery);
+        if header.state == StreamState::Depleted {
+            self.srcs.mark_depleted(si);
+            // Depletion closes the lane: releases stop recycling, so
+            // this is the auditor's last chance to see a write-back
+            // boundary that was reached but never announced.
+            if let Some(slot) = &self.credit_remote.lock()[si] {
+                self.half
+                    .audit
+                    .credit_lane_closed(credit_lane(slot), sim.now().as_nanos());
             }
         }
         Ok(())
     }
 
-    /// Drains whatever is queued on the control CQ through the handled
-    /// path (non-blocking beyond the poll charge).
-    fn drain_ctrl(&self, sim: &SimContext) -> Result<()> {
-        let mut scratch = self.ctrl_scratch.take();
-        self.ctrl_cq.poll_into(sim, &mut scratch, CQ_BATCH);
-        let result = self.process_ctrl_batch(&scratch);
-        self.ctrl_scratch.put(scratch);
-        result
-    }
-
-    fn process_ctrl_batch(&self, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            // A saboteur may swallow control completions the way the old
-            // code did (`let _ = ctrl_cq.poll(..)`): the outstanding count
-            // then never drains and `finish_ctrl` reports a typed stall.
-            #[cfg(feature = "saboteur")]
-            if crate::sabotage::take(crate::sabotage::Sabotage::SwallowCtrlCompletion) {
-                continue;
-            }
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError(
-                    "credit write-back completed in error",
-                ));
-            }
-            if c.opcode != WcOpcode::Write {
-                return Err(ShuffleError::CompletionError(
-                    "unexpected opcode on the credit control CQ",
-                ));
-            }
-            if self.ctrl_outstanding.fetch_sub(1, Ordering::SeqCst) == 0 {
-                return Err(ShuffleError::CompletionError(
-                    "credit control CQ delivered more completions than writes posted",
-                ));
-            }
+    /// Accounts one completion of the control CQ against the credit
+    /// write-backs posted.
+    fn on_ctrl(&self, c: &Completion) -> Result<()> {
+        // A saboteur may swallow control completions the way the old
+        // code did (`let _ = ctrl_cq.poll(..)`): the outstanding count
+        // then never drains and `finish_ctrl` reports a typed stall.
+        #[cfg(feature = "saboteur")]
+        if crate::sabotage::take(crate::sabotage::Sabotage::SwallowCtrlCompletion) {
+            return Ok(());
+        }
+        expect_success(c, "credit write-back completed in error")?;
+        if c.opcode != WcOpcode::Write {
+            return Err(ShuffleError::CompletionError(
+                "unexpected opcode on the credit control CQ",
+            ));
+        }
+        if self.ctrl_outstanding.fetch_sub(1, Ordering::SeqCst) == 0 {
+            return Err(ShuffleError::CompletionError(
+                "credit control CQ delivered more completions than writes posted",
+            ));
         }
         Ok(())
     }
@@ -721,51 +559,21 @@ impl SrRcReceiveEndpoint {
     /// whose completion was lost or errored turns into a typed error here
     /// instead of silently leaking CQ entries.
     fn finish_ctrl(&self, sim: &SimContext) -> Result<()> {
-        if self.ctrl_outstanding.load(Ordering::SeqCst) == 0 && self.ctrl_cq.depth() == 0 {
-            return Ok(());
-        }
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 4);
-        loop {
-            let mut scratch = self.ctrl_scratch.take();
-            let n = self
-                .ctrl_cq
-                .drain_into(sim, &mut scratch, CQ_BATCH, backoff.next());
-            let result = self.process_ctrl_batch(&scratch);
-            self.ctrl_scratch.put(scratch);
-            result?;
-            if self.ctrl_outstanding.load(Ordering::SeqCst) == 0 {
-                return Ok(());
-            }
-            if n > 0 {
-                backoff.reset();
-            } else if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled(
-                    "credit write-back completions never arrived",
-                ));
-            }
-        }
-    }
-    /// RDMA-Writes the absolute credit value into the sender's credit slot.
-    ///
-    /// The paper inlines the credit in the work request to save a DMA fetch
-    /// (§4.4.1); the simulator models that by sourcing the 8 bytes from a
-    /// scratch slot without tracking its reuse.
-    fn post_credit_write(
-        &self,
-        sim: &SimContext,
-        si: usize,
-        slot: RemoteAddr,
-        credit: u64,
-    ) -> Result<()> {
-        let seq = self.wr_seq.fetch_add(1, Ordering::Relaxed);
-        let off = (seq % 64) as usize * 8;
-        self.scratch_mr.write_u64(off, credit)?;
-        // The grant was already audited under the `posted` lock in
-        // `release`; auditing it again here would reorder grants across
-        // threads.
-        self.ctrl_outstanding.fetch_add(1, Ordering::SeqCst);
-        self.qps[si].post_write(sim, u64::MAX - seq, (self.scratch_mr.clone(), off), slot, 8)?;
-        Ok(())
+        Watchdog::backoff(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 4,
+            "credit write-back completions never arrived",
+        )
+        .wait(
+            sim,
+            None,
+            || {
+                let idle =
+                    self.ctrl_outstanding.load(Ordering::SeqCst) == 0 && self.ctrl_cq.depth() == 0;
+                Ok(idle.then_some(()))
+            },
+            |slice| self.ctrl_cq.drain(sim, slice, |c| self.on_ctrl(c)),
+        )
     }
 }

@@ -25,21 +25,20 @@
 //! (a [`SrUdChannel`]), keeping the QP count at one per endpoint.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_audit::{AuditHandle, BufId, CreditLane};
-use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration, SimTime};
-use rshuffle_verbs::{
-    AddressHandle, Completion, CompletionQueue, Context, MemoryRegion, QueuePair, RecvWr, SendWr,
-    WcStatus,
-};
+use rshuffle_audit::{AuditHandle, CreditLane};
+use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration, SimMutex, SimTime};
+use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair, RecvWr, SendWr};
 
-use crate::buffer::{Buffer, BufferPool, MsgHeader, MsgKind, StreamState, HEADER_LEN};
+use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
+use crate::endpoint::frame::{
+    data_header, deliver, expect_success, post_lock, Cq, Layout, SendWindow, Watchdog,
+};
 use crate::endpoint::{
-    audit_handle, buf_id, Backoff, CqScratch, Delivery, EndpointId, ReceiveEndpoint, RecvObs,
-    SendEndpoint, SendObs, CQ_BATCH,
+    audit_handle, buf_id, Delivery, EndpointId, ReceiveEndpoint, RecvObs, SendEndpoint, SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
@@ -94,6 +93,32 @@ impl Default for SrUdConfig {
     }
 }
 
+/// What the send half pins: `send_buffers` MTU windows, whatever the
+/// fanout (one UD Queue Pair reaches every peer).
+pub(crate) fn send_layout(cfg: &SrUdConfig, mtu: usize) -> Layout {
+    Layout {
+        window: mtu,
+        buffers: cfg.send_buffers,
+        rings: 0,
+        ring_cap: 0,
+        inline_writes: false,
+    }
+}
+
+/// What the receive half pins once `srcs` sources are known: the data
+/// window per source plus generous head-room for in-flight credit
+/// datagrams (see module docs) — credit arrivals are paced at one per
+/// `freq` releases, so 2× the window per source bounds any burst.
+pub(crate) fn recv_layout(cfg: &SrUdConfig, mtu: usize, srcs: usize) -> Layout {
+    Layout {
+        window: mtu,
+        buffers: 3 * cfg.recv_window_per_src * srcs.max(1),
+        rings: 0,
+        ring_cap: 0,
+        inline_writes: false,
+    }
+}
+
 struct SrcCount {
     node: NodeId,
     received: u64,
@@ -104,8 +129,8 @@ struct UdShared {
     send_id: EndpointId,
     recv_id: EndpointId,
     qp: QueuePair,
-    send_cq: CompletionQueue,
-    recv_cq: CompletionQueue,
+    send_cq: Cq,
+    recv_cq: Cq,
     mtu: usize,
 
     /// Lane-matched peer channels: destination node → its channel's QP.
@@ -125,15 +150,12 @@ struct UdShared {
     consumed: Mutex<HashMap<NodeId, u64>>,
     /// Data messages sent per destination (drives termination counting).
     sent_data: Mutex<HashMap<NodeId, u64>>,
-    /// Recycle pool over the registered send region: steady-state sends
-    /// reuse MTU windows instead of allocating.
-    pool: BufferPool,
-    /// Reusable scratch for batched send-CQ drains.
-    send_scratch: CqScratch,
-    outstanding: Mutex<HashMap<u64, u32>>,
+    /// The registered MTU windows data and credit datagrams are sourced
+    /// from.
+    window: SendWindow,
     /// Serializes `ibv_post_send` on the shared QP; this is the contention
     /// the paper profiles for SESQ/SR (§5.1.3).
-    post_lock: rshuffle_simnet::SimMutex<()>,
+    post_lock: SimMutex<()>,
 
     // ---- receive half ----
     /// Receive pool; allocated and posted by
@@ -143,8 +165,6 @@ struct UdShared {
     /// Deliveries demultiplexed by some other thread (e.g. the send half's
     /// credit wait) for the receive half to pick up.
     data_gate: Gate<Delivery>,
-    /// Reusable scratch for batched receive-CQ drains.
-    recv_scratch: CqScratch,
     /// Per-source-endpoint message accounting.
     srcs: Mutex<HashMap<u32, SrcCount>>,
     /// Source endpoints that will send to this receive half.
@@ -152,7 +172,6 @@ struct UdShared {
     /// Credit granted (absolute) per source node, plus releases since the
     /// last write-back.
     grants: Mutex<HashMap<NodeId, (u64, u32)>>,
-    bytes_received: AtomicU64,
     done: AtomicBool,
     last_progress: Mutex<SimTime>,
 
@@ -187,16 +206,20 @@ impl SrUdChannel {
     /// Creates a channel on `ctx`'s node with the given endpoint ids for
     /// its two halves.
     pub fn new(ctx: &Context, send_id: EndpointId, recv_id: EndpointId, cfg: SrUdConfig) -> Self {
-        let send_cq = ctx.create_cq();
-        let recv_cq = ctx.create_cq();
-        let qp = ctx.create_qp(rshuffle_verbs::QpType::Ud, send_cq.clone(), recv_cq.clone());
+        let send_cq = Cq::new(ctx);
+        let recv_cq = Cq::new(ctx);
+        let qp = ctx.create_qp(
+            rshuffle_verbs::QpType::Ud,
+            send_cq.queue().clone(),
+            recv_cq.queue().clone(),
+        );
         let profile = ctx.profile();
         let mtu = profile.mtu;
-        let send_pool = ctx.register_untimed(mtu * cfg.send_buffers);
-        let pool = BufferPool::carve(send_pool, 0, mtu, cfg.send_buffers);
+        let layout = send_layout(&cfg, mtu);
+        let window = SendWindow::register(ctx, &layout);
         let setup_cost_send = profile.endpoint_setup
             + profile.ud_qp_setup
-            + profile.mr_register_time(mtu * cfg.send_buffers);
+            + profile.mr_register_time(layout.registered());
         let setup_cost_recv = profile.endpoint_setup;
         SrUdChannel {
             shared: Arc::new(UdShared {
@@ -212,21 +235,13 @@ impl SrUdChannel {
                 initial_credit: Mutex::new(HashMap::new()),
                 consumed: Mutex::new(HashMap::new()),
                 sent_data: Mutex::new(HashMap::new()),
-                pool,
-                send_scratch: CqScratch::new(),
-                outstanding: Mutex::new(HashMap::new()),
-                post_lock: rshuffle_simnet::SimMutex::new(
-                    ctx.runtime().kernel(),
-                    (),
-                    SimDuration::from_nanos(60),
-                ),
+                window,
+                post_lock: post_lock(ctx),
                 recv_pool_dynamic: Mutex::new(None),
                 data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
-                recv_scratch: CqScratch::new(),
                 srcs: Mutex::new(HashMap::new()),
                 expected_srcs: Mutex::new(HashMap::new()),
                 grants: Mutex::new(HashMap::new()),
-                bytes_received: AtomicU64::new(0),
                 done: AtomicBool::new(false),
                 last_progress: Mutex::new(SimTime::ZERO),
                 send_obs: SendObs::new(ctx, send_id),
@@ -289,13 +304,9 @@ impl SrUdChannel {
                 s.audit.credit_granted(lane, window as u64, 0);
             }
         }
-        // Data windows plus generous head-room for in-flight credit
-        // datagrams (see module docs): credit arrivals are paced at one per
-        // `freq` releases, so 2× the window per peer bounds any burst.
-        let n_srcs = expected.len().max(1);
-        let headroom = 2 * window * n_srcs;
-        let slots = window * n_srcs + headroom;
-        let pool = ctx.register_untimed(slots * s.mtu);
+        let layout = recv_layout(&s.cfg, s.mtu, expected.len());
+        let slots = layout.buffers;
+        let pool = ctx.register_untimed(layout.pool_bytes());
         // SAFETY of replace: bootstrap runs once before any receive is
         // posted; swap the placeholder empty pool for the real one.
         // (MemoryRegion clones share backing storage, so we must store the
@@ -340,48 +351,43 @@ impl UdShared {
     /// waiting, drains inbound completions so credit datagrams are seen even
     /// if no receive-half thread is active.
     fn consume_credit(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 4);
-        // Opened lazily on the first failed check so the common
-        // credit-available path records nothing (Figure 8 stalls only).
-        let mut stall_start = None;
-        let result = loop {
-            {
-                let credit = self.credit.lock();
-                let mut consumed = self.consumed.lock();
-                let c = credit.get(&dest).copied().unwrap_or(0);
-                let used = consumed.entry(dest).or_insert(0);
-                if c > *used {
-                    *used += 1;
-                    self.audit.credit_consumed(
-                        CreditLane::Ud {
-                            sender: self.send_id.0 as u64,
-                            dest: dest as u64,
-                        },
-                        *used,
-                        sim.now().as_nanos(),
-                    );
-                    break Ok(());
-                }
+        let try_consume = || {
+            let credit = self.credit.lock();
+            let mut consumed = self.consumed.lock();
+            let c = credit.get(&dest).copied().unwrap_or(0);
+            let used = consumed.entry(dest).or_insert(0);
+            if c <= *used {
+                return Ok(None);
             }
-            if stall_start.is_none() {
-                stall_start = Some(self.send_obs.stall_begin(sim));
-            }
-            if sim.now() >= deadline {
-                break Err(ShuffleError::Stalled("waiting for UD send credit"));
-            }
-            // Drain inbound traffic: the credit we need may be sitting in
-            // the receive CQ.
-            match self.drain_inbound(sim, backoff.next()) {
-                Ok(true) => backoff.reset(),
-                Ok(false) => {}
-                Err(e) => break Err(e),
-            }
+            *used += 1;
+            self.audit.credit_consumed(
+                CreditLane::Ud {
+                    sender: self.send_id.0 as u64,
+                    dest: dest as u64,
+                },
+                *used,
+                sim.now().as_nanos(),
+            );
+            Ok(Some(()))
         };
-        if let Some(started) = stall_start {
-            self.send_obs.stall_end(sim, started);
-        }
-        result
+        // The credit we need may be sitting in the receive CQ.
+        self.watchdog(sim, 4, "waiting for UD send credit").wait(
+            sim,
+            Some(&self.send_obs),
+            try_consume,
+            |slice| self.drain_inbound(sim, slice),
+        )
+    }
+
+    /// A watchdog over this channel's stall budget whose backoff starts
+    /// at `polls` poll intervals.
+    fn watchdog(&self, sim: &SimContext, polls: u64, what: &'static str) -> Watchdog {
+        Watchdog::backoff(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * polls,
+            what,
+        )
     }
 
     /// Waits until the data already sent toward `dest` has fully
@@ -409,75 +415,83 @@ impl UdShared {
             // Never bootstrapped toward `dest`: nothing was ever sent.
             None => return Ok(()),
         };
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 4);
-        loop {
-            let available = {
-                let credit = self.credit.lock();
-                let consumed = self.consumed.lock();
-                let c = credit.get(&dest).copied().unwrap_or(0);
-                let m = consumed.get(&dest).copied().unwrap_or(0);
-                c.saturating_sub(m)
-            };
-            if available >= target {
-                return Ok(());
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("waiting for a UD phase to drain"));
-            }
-            // The credit write-backs we are waiting for arrive on the
-            // receive CQ; completed sends free pool slots as a bonus.
-            if self.drain_inbound(sim, backoff.next())? {
-                backoff.reset();
-            }
-        }
+        let drained = || {
+            let credit = self.credit.lock();
+            let consumed = self.consumed.lock();
+            let c = credit.get(&dest).copied().unwrap_or(0);
+            let m = consumed.get(&dest).copied().unwrap_or(0);
+            Ok((c.saturating_sub(m) >= target).then_some(()))
+        };
+        // The credit write-backs we are waiting for arrive on the
+        // receive CQ.
+        self.watchdog(sim, 4, "waiting for a UD phase to drain")
+            .wait(sim, None, drained, |slice| self.drain_inbound(sim, slice))
     }
 
     /// Drains a batch of inbound completions (credit updates handled
     /// internally, data pushed to the data gate), paying one poll cost
     /// for the whole drain. Returns whether progress was made.
     fn drain_inbound(&self, sim: &SimContext, slice: SimDuration) -> Result<bool> {
-        let mut scratch = self.recv_scratch.take();
-        let n = self.recv_cq.drain_into(sim, &mut scratch, CQ_BATCH, slice);
-        let mut result = Ok(());
-        for c in scratch.iter() {
-            result = self.process_inbound(sim, c);
-            if result.is_err() {
-                break;
-            }
+        self.recv_cq
+            .drain(sim, slice, |c| self.process_inbound(sim, c))
+    }
+
+    /// Puts `buf`'s window back on the receive queue.
+    fn repost(&self, sim: &SimContext, buf: &Buffer) -> Result<()> {
+        self.qp.post_recv(
+            sim,
+            RecvWr {
+                wr_id: buf.offset() as u64,
+                mr: buf.region().clone(),
+                offset: buf.offset(),
+                len: self.mtu,
+            },
+        )?;
+        Ok(())
+    }
+
+    /// The work request that sends the first `len` bytes of `buf`.
+    fn send_wr(buf: &Buffer, len: usize, ah: Option<AddressHandle>) -> SendWr {
+        SendWr {
+            wr_id: buf.offset() as u64,
+            mr: buf.region().clone(),
+            offset: buf.offset(),
+            len,
+            imm: None,
+            ah,
         }
-        self.recv_scratch.put(scratch);
-        result?;
-        Ok(n > 0)
+    }
+
+    /// Posts `wr` on the shared QP under the post lock (`ahs` set: as one
+    /// multicast to those members).
+    fn post(&self, sim: &SimContext, wr: SendWr, ahs: Option<&[AddressHandle]>) -> Result<()> {
+        let guard = self.post_lock.lock(sim);
+        if self.cfg.post_overhead > SimDuration::ZERO {
+            sim.sleep(self.cfg.post_overhead);
+        }
+        match ahs {
+            Some(ahs) => self.qp.post_send_multicast(sim, wr, ahs)?,
+            None => self.qp.post_send(sim, wr)?,
+        }
+        drop(guard);
+        Ok(())
     }
 
     /// Demultiplexes one inbound completion: stale datagrams are recycled,
     /// credit updates folded into the credit map, data pushed to the gate.
     fn process_inbound(&self, sim: &SimContext, c: &Completion) -> Result<()> {
-        if c.status != WcStatus::Success {
-            return Err(ShuffleError::CompletionError(
-                "UD receive completed in error",
-            ));
-        }
+        expect_success(c, "UD receive completed in error")?;
         let pool = self.recv_pool_dynamic.lock().clone().ok_or(
             ShuffleError::CompletionError("UD receive before the pool was bootstrapped"),
         )?;
-        let mut buf = Buffer::try_new(pool, c.wr_id as usize, self.mtu)?;
+        let buf = Buffer::try_new(pool, c.wr_id as usize, self.mtu)?;
         let header = buf.read_header()?;
         if header.epoch != self.cfg.epoch {
             // Leftover datagram from a fenced-off attempt — stale data or
             // a stale credit grant, either would corrupt the new attempt's
             // counting. Recycle the slot without acting on the message.
             self.recv_obs.stale_drop();
-            self.qp.post_recv(
-                sim,
-                RecvWr {
-                    wr_id: buf.offset() as u64,
-                    mr: buf.region().clone(),
-                    offset: buf.offset(),
-                    len: self.mtu,
-                },
-            )?;
+            self.repost(sim, &buf)?;
             *self.last_progress.lock() = sim.now();
             return Ok(());
         }
@@ -491,23 +505,11 @@ impl UdShared {
                 drop(credit);
                 // Recycle the receive slot immediately; control traffic does
                 // not count toward data credit.
-                self.qp.post_recv(
-                    sim,
-                    RecvWr {
-                        wr_id: buf.offset() as u64,
-                        mr: buf.region().clone(),
-                        offset: buf.offset(),
-                        len: self.mtu,
-                    },
-                )?;
+                self.repost(sim, &buf)?;
                 *self.last_progress.lock() = sim.now();
                 Ok(())
             }
             MsgKind::Data => {
-                buf.set_len(header.payload_len as usize)?;
-                self.bytes_received
-                    .fetch_add(header.payload_len as u64, Ordering::Relaxed);
-                self.recv_obs.received(header.payload_len as u64);
                 {
                     let mut srcs = self.srcs.lock();
                     let entry = srcs.entry(header.src).or_insert(SrcCount {
@@ -527,14 +529,8 @@ impl UdShared {
                     );
                 }
                 *self.last_progress.lock() = sim.now();
-                self.audit.delivered(buf_id(&buf), sim.now().as_nanos());
-                self.data_gate.push(Delivery {
-                    state: header.state,
-                    src: EndpointId(header.src),
-                    src_tid: header.src_tid,
-                    remote: 0,
-                    local: buf,
-                });
+                self.data_gate
+                    .push(deliver(sim, &self.recv_obs, &self.audit, &header, buf, 0)?);
                 Ok(())
             }
         }
@@ -543,46 +539,21 @@ impl UdShared {
     /// Drains a batch of send completions, recycling buffers whose every
     /// destination has acknowledged.
     fn reap_sends(&self, sim: &SimContext, slice: SimDuration) -> Result<bool> {
-        let mut scratch = self.send_scratch.take();
-        let n = self.send_cq.drain_into(sim, &mut scratch, CQ_BATCH, slice);
-        let result = self.process_send_batch(sim, &scratch);
-        self.send_scratch.put(scratch);
-        result?;
-        Ok(n > 0)
+        self.send_cq.drain(sim, slice, |c| {
+            expect_success(c, "UD send failed")?;
+            self.window.complete(sim, c.wr_id)
+        })
     }
 
-    fn process_send_batch(&self, sim: &SimContext, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError("UD send failed"));
-            }
-            let fully_acked = {
-                let mut outstanding = self.outstanding.lock();
-                let Some(remaining) = outstanding.get_mut(&c.wr_id) else {
-                    return Err(ShuffleError::CompletionError(
-                        "UD send completion for unknown buffer",
-                    ));
-                };
-                *remaining -= 1;
-                if *remaining == 0 {
-                    outstanding.remove(&c.wr_id);
-                    true
-                } else {
-                    false
-                }
-            };
-            if fully_acked {
-                self.audit.buffer_recycled(
-                    BufId {
-                        rkey: self.pool.region().rkey(),
-                        offset: c.wr_id,
-                    },
-                    sim.now().as_nanos(),
-                );
-                self.pool.recycle_offset(c.wr_id as usize)?;
-            }
-        }
-        Ok(())
+    /// Takes a free send window, reaping send completions while none is.
+    fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
+        self.watchdog(sim, 8, "waiting for a free UD send buffer")
+            .wait(
+                sim,
+                None,
+                || Ok(self.window.take(sim)),
+                |slice| self.reap_sends(sim, slice),
+            )
     }
 
     /// Whether every expected source has delivered all counted messages.
@@ -689,10 +660,7 @@ impl SendEndpoint for SrUdSendEndpoint {
         if s.cfg.native_multicast && dest.len() > 1 && state == StreamState::MoreData {
             return self.send_native_multicast(sim, buf, dest);
         }
-        s.outstanding
-            .lock()
-            .insert(buf.offset() as u64, dest.len() as u32);
-        s.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
+        s.window.launch(sim, &buf, dest.len());
         for &d in dest {
             let ah = *s
                 .peer_ahs
@@ -722,58 +690,26 @@ impl SendEndpoint for SrUdSendEndpoint {
             }
             // Per-destination header: the Depleted counter is specific to
             // each destination, so it is written immediately before posting.
-            let header = MsgHeader {
-                src: s.send_id.0,
-                kind: MsgKind::Data,
-                state,
-                epoch: s.cfg.epoch,
-                payload_len: buf.len() as u32,
-                src_tid: buf.tag(),
+            buf.write_header(&MsgHeader {
                 counter: total,
-                remote_addr: buf.offset() as u64,
-            };
-            buf.write_header(&header)?;
-            let guard = s.post_lock.lock(sim);
-            if s.cfg.post_overhead > SimDuration::ZERO {
-                sim.sleep(s.cfg.post_overhead);
-            }
-            s.qp.post_send(
+                ..data_header(s.send_id, s.cfg.epoch, &buf, state)
+            })?;
+            s.post(
                 sim,
-                SendWr {
-                    wr_id: buf.offset() as u64,
-                    mr: buf.region().clone(),
-                    offset: buf.offset(),
-                    len: buf.message_len(),
-                    imm: None,
-                    ah: Some(ah),
-                },
+                UdShared::send_wr(&buf, buf.message_len(), Some(ah)),
+                None,
             )?;
-            drop(guard);
             s.send_obs.sent(d, buf.len() as u64);
         }
         Ok(())
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        let s = &self.shared;
-        let deadline = sim.now() + s.cfg.stall_timeout;
-        let mut backoff = Backoff::new(s.cfg.poll_interval * 8);
-        loop {
-            if let Some(buf) = s.pool.try_take() {
-                s.audit.buffer_taken(buf_id(&buf), sim.now().as_nanos());
-                return Ok(buf);
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("waiting for a free UD send buffer"));
-            }
-            if s.reap_sends(sim, backoff.next())? {
-                backoff.reset();
-            }
-        }
+        self.shared.get_free(sim)
     }
 
     fn registered_bytes(&self) -> usize {
-        self.shared.pool.region().len()
+        self.shared.window.region().len()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
@@ -808,36 +744,15 @@ impl SrUdSendEndpoint {
             s.audit
                 .data_sent(s.send_id.0 as u64, d as u64, sim.now().as_nanos());
         }
-        let header = MsgHeader {
-            src: s.send_id.0,
-            kind: MsgKind::Data,
-            state: StreamState::MoreData,
-            epoch: s.cfg.epoch,
-            payload_len: buf.len() as u32,
-            src_tid: buf.tag(),
-            counter: 0, // Only read on Depleted, which never multicasts.
-            remote_addr: buf.offset() as u64,
-        };
+        // The counter is only read on Depleted, which never multicasts.
+        let header = data_header(s.send_id, s.cfg.epoch, &buf, StreamState::MoreData);
         buf.write_header(&header)?;
-        s.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
-        s.outstanding.lock().insert(buf.offset() as u64, 1);
-        let guard = s.post_lock.lock(sim);
-        if s.cfg.post_overhead > SimDuration::ZERO {
-            sim.sleep(s.cfg.post_overhead);
-        }
-        s.qp.post_send_multicast(
+        s.window.launch(sim, &buf, 1);
+        s.post(
             sim,
-            SendWr {
-                wr_id: buf.offset() as u64,
-                mr: buf.region().clone(),
-                offset: buf.offset(),
-                len: buf.message_len(),
-                imm: None,
-                ah: None,
-            },
-            &ahs,
+            UdShared::send_wr(&buf, buf.message_len(), None),
+            Some(&ahs),
         )?;
-        drop(guard);
         for &d in dest {
             s.send_obs.sent(d, buf.len() as u64);
         }
@@ -852,8 +767,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
 
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let s = &self.shared;
-        let stall_deadline = sim.now() + s.cfg.stall_timeout;
-        let mut backoff = Backoff::new(s.cfg.poll_interval * 16);
+        let mut watchdog = s.watchdog(sim, 16, "UD receive endpoint made no progress");
         loop {
             if let Some(d) = s.data_gate.try_recv() {
                 return Ok(Some(d));
@@ -861,8 +775,8 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
             if s.done.load(Ordering::SeqCst) {
                 return Ok(None);
             }
-            if s.drain_inbound(sim, backoff.next())? {
-                backoff.reset();
+            if s.drain_inbound(sim, watchdog.slice())? {
+                watchdog.progress();
                 continue;
             }
             // No progress this slice: evaluate termination.
@@ -882,13 +796,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
                         return Err(s.straggler_error());
                     }
                 }
-                DoneState::InProgress => {
-                    if sim.now() >= stall_deadline {
-                        return Err(ShuffleError::Stalled(
-                            "UD receive endpoint made no progress",
-                        ));
-                    }
-                }
+                DoneState::InProgress => watchdog.expired(sim)?,
             }
         }
     }
@@ -902,16 +810,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
     ) -> Result<()> {
         let s = &self.shared;
         s.audit.released(buf_id(&local), sim.now().as_nanos());
-        // Repost the receive slot.
-        s.qp.post_recv(
-            sim,
-            RecvWr {
-                wr_id: local.offset() as u64,
-                mr: local.region().clone(),
-                offset: local.offset(),
-                len: s.mtu,
-            },
-        )?;
+        s.repost(sim, &local)?;
         let src_node = {
             let map = s.expected_srcs.lock();
             match map.get(&src.0) {
@@ -941,13 +840,13 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
                 credit_now,
                 sim.now().as_nanos(),
             );
-            self.send_credit(sim, src_node, credit_now)?;
+            s.send_credit(sim, src_node, credit_now)?;
         }
         Ok(())
     }
 
     fn bytes_received(&self) -> u64 {
-        self.shared.bytes_received.load(Ordering::Relaxed)
+        self.shared.recv_obs.bytes_received()
     }
 
     fn registered_bytes(&self) -> usize {
@@ -963,48 +862,29 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
     }
 }
 
-impl SrUdReceiveEndpoint {
+impl UdShared {
     /// Sends an absolute-credit datagram to `dest` on the shared QP.
     fn send_credit(&self, sim: &SimContext, dest: NodeId, credit: u64) -> Result<()> {
-        let s = &self.shared;
-        let ah = *s
+        let ah = *self
             .peer_ahs
             .lock()
             .get(&dest)
             .ok_or_else(|| ShuffleError::Config(format!("no lane to credit target {dest}")))?;
         // Credit datagrams are header-only; source them from a free send
         // buffer (waiting briefly if the pool is momentarily empty).
-        let send_half = SrUdSendEndpoint { shared: s.clone() };
-        let buf = send_half.get_free(sim)?;
+        let buf = self.get_free(sim)?;
         let header = MsgHeader {
-            src: s.recv_id.0,
+            src: self.recv_id.0,
             kind: MsgKind::Credit,
             state: StreamState::MoreData,
-            epoch: s.cfg.epoch,
+            epoch: self.cfg.epoch,
             payload_len: 0,
             src_tid: 0, // Control traffic carries no flow identity.
             counter: credit,
             remote_addr: 0,
         };
         buf.write_header(&header)?;
-        s.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
-        s.outstanding.lock().insert(buf.offset() as u64, 1);
-        let guard = s.post_lock.lock(sim);
-        if s.cfg.post_overhead > SimDuration::ZERO {
-            sim.sleep(s.cfg.post_overhead);
-        }
-        s.qp.post_send(
-            sim,
-            SendWr {
-                wr_id: buf.offset() as u64,
-                mr: buf.region().clone(),
-                offset: buf.offset(),
-                len: HEADER_LEN,
-                imm: None,
-                ah: Some(ah),
-            },
-        )?;
-        drop(guard);
-        Ok(())
+        self.window.launch(sim, &buf, 1);
+        self.post(sim, UdShared::send_wr(&buf, HEADER_LEN, Some(ah)), None)
     }
 }

@@ -13,341 +13,113 @@
 //! every multicast destination costs a full extra data transmission, and
 //! flow control stalls when a receiver is slow to re-grant buffers.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
-use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
-use rshuffle_simnet::{NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{
-    Completion, CompletionQueue, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode, WcStatus,
-};
+use rshuffle_audit::{BufId, RingKind};
+use rshuffle_simnet::{NodeId, SimContext};
+use rshuffle_verbs::{Context, MemoryRegion, QueuePair, RemoteAddr};
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
+use crate::endpoint::frame::{
+    data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
+    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE,
+};
 use crate::endpoint::{
-    audit_handle, buf_id, Backoff, CqScratch, Delivery, EndpointId, ReceiveEndpoint, RecvObs,
-    SendEndpoint, SendObs, CQ_BATCH,
+    buf_id, Delivery, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint, RecvObs,
+    SendEndpoint, SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
-/// Audit identity of a ring from the remote address the peer shared out
-/// of band (the owning side derives the same key from its own memory
-/// region, so both sides feed one ring record).
-fn ring_key(addr: &RemoteAddr) -> RingKey {
-    RingKey {
-        rkey: addr.rkey,
-        base: addr.offset as u64,
-    }
-}
-
 /// Tuning knobs for the RDMA Write endpoint.
-#[derive(Clone, Debug)]
-pub struct WrRcConfig {
-    /// Transmission buffer window (header + payload).
-    pub message_size: usize,
-    /// Staging/remote buffers per peer.
-    pub buffers_per_peer: usize,
-    /// Polling granularity.
-    pub poll_interval: SimDuration,
-    /// Give up with [`ShuffleError::Stalled`] after this long without
-    /// progress.
-    pub stall_timeout: SimDuration,
-    /// Flow epoch stamped on every outgoing header and required of every
-    /// accepted arrival. The recovery orchestrator bumps this on partial
-    /// retries so leftovers of the failed attempt are fenced off; healthy
-    /// runs stay at 0.
-    pub epoch: u16,
-}
+pub type WrRcConfig = OneSidedConfig;
 
-impl Default for WrRcConfig {
-    fn default() -> Self {
-        WrRcConfig {
-            message_size: 64 * 1024,
-            buffers_per_peer: 2,
-            poll_interval: SimDuration::from_nanos(400),
-            stall_timeout: SimDuration::from_millis(500),
-            epoch: 0,
-        }
+/// What either half pins toward `peers` peers: `buffers_per_peer` windows
+/// per peer (staging buffers at the sender, the data buffers senders
+/// write into at the receiver) and per peer one ring that holds a peer's
+/// share of the buffers plus two slots of slack.
+pub(crate) fn layout(cfg: &WrRcConfig, peers: usize) -> Layout {
+    Layout {
+        window: cfg.message_size,
+        buffers: cfg.buffers_per_peer * peers,
+        rings: peers,
+        ring_cap: cfg.buffers_per_peer + 2,
+        inline_writes: true,
     }
-}
-
-/// What a sender needs to push data into a [`WrRcReceiveEndpoint`].
-#[derive(Copy, Clone, Debug)]
-pub struct WrReceiverDescriptor {
-    /// The receiving endpoint's id.
-    pub endpoint: EndpointId,
-    /// Node the receiver lives on.
-    pub node: NodeId,
-    /// rkey of the receiver's data pool.
-    pub pool_rkey: u32,
-    /// The sender's ring inside the receiver's `ValidArr`.
-    pub valid_ring: RemoteAddr,
-    /// Ring capacity on both sides.
-    pub ring_cap: usize,
 }
 
 /// SEND endpoint: pushes payloads into remote buffers with RDMA Write.
 pub struct WrRcSendEndpoint {
-    id: EndpointId,
-    peer_index: HashMap<NodeId, usize>,
-    qps: Vec<QueuePair>,
-    send_cq: CompletionQueue,
-    /// Reusable scratch for batched send-CQ drains.
-    send_scratch: CqScratch,
+    half: RcHalf,
+    /// Acks of the data writes and of the ValidArr announcements.
+    send_cq: Cq,
     /// Local staging buffers the operators fill.
-    pool_mr: MemoryRegion,
-    message_size: usize,
-    ring_cap: usize,
+    window: SendWindow,
     /// Grant rings: the receiver on peer `i` RDMA-Writes offsets of its
-    /// free remote buffers into ring `i` (offset + 1; zero = empty).
-    grant_arr: MemoryRegion,
-    state: Mutex<WrSendState>,
-    scratch: MemoryRegion,
-    wr_seq: AtomicU64,
-    post_lock: rshuffle_simnet::SimMutex<()>,
+    /// free remote buffers into ring `i`.
+    grants: SlotRings,
+    /// The peers' `ValidArr` rings this endpoint announces writes into.
+    valid_rings: RingProducer,
+    /// Each peer's data pool, once wired.
+    remote_pools: Mutex<Vec<Option<RemoteAddr>>>,
     obs: SendObs,
-    audit: AuditHandle,
     cfg: WrRcConfig,
-    setup_cost: SimDuration,
-}
-
-struct WrSendState {
-    grant_cons: Vec<u64>,
-    valid_prod: Vec<u64>,
-    descriptors: Vec<Option<WrReceiverDescriptor>>,
-    /// Remaining write completions per in-flight staging buffer.
-    outstanding: HashMap<u64, u32>,
-    free: Vec<Buffer>,
 }
 
 impl WrRcSendEndpoint {
     /// Creates the endpoint with its staging pool, grant rings and per-peer
     /// QPs.
     pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: WrRcConfig) -> Self {
-        assert!(!peers.is_empty(), "send endpoint needs at least one peer");
-        let send_cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = peers
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, send_cq.clone(), send_cq.clone()))
-            .collect();
-        let buffers = cfg.buffers_per_peer * peers.len();
-        let ring_cap = cfg.buffers_per_peer + 2;
-        let pool_bytes = cfg.message_size * buffers;
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let grant_arr = ctx.register_untimed(8 * ring_cap * peers.len());
-        let free = (0..buffers)
-            .map(|i| Buffer::new(pool_mr.clone(), i * cfg.message_size, cfg.message_size))
-            .collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * peers.len() as u64
-            + profile.mr_register_time(pool_bytes + 8 * ring_cap * peers.len());
-        let n = peers.len();
-        let peer_index = peers.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let audit = audit_handle(ctx);
-        for pi in 0..n {
-            audit.ring(
-                RingKey {
-                    rkey: grant_arr.rkey(),
-                    base: (8 * ring_cap * pi) as u64,
-                },
-                RingKind::Grant,
-                ring_cap as u64,
-            );
-        }
+        let layout = layout(&cfg, peers.len());
+        let send_cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
         WrRcSendEndpoint {
-            id,
-            peer_index,
-            qps,
-            send_cq,
-            send_scratch: CqScratch::new(),
-            pool_mr,
-            message_size: cfg.message_size,
-            ring_cap,
-            grant_arr,
-            state: Mutex::new(WrSendState {
-                grant_cons: vec![0; n],
-                valid_prod: vec![0; n],
-                descriptors: vec![None; n],
-                outstanding: HashMap::new(),
-                free,
-            }),
-            scratch: ctx.register_untimed(64 * 8),
-            wr_seq: AtomicU64::new(0),
-            post_lock: rshuffle_simnet::SimMutex::new(
-                ctx.runtime().kernel(),
-                (),
-                SimDuration::from_nanos(60),
-            ),
+            window: SendWindow::register(ctx, &layout),
+            grants: SlotRings::register(ctx, RingKind::Grant, &layout),
+            valid_rings: RingProducer::register(ctx, peers.len(), layout.ring_cap),
+            remote_pools: Mutex::new(vec![None; peers.len()]),
             obs: SendObs::new(ctx, id),
-            audit,
+            half,
+            send_cq,
             cfg,
-            setup_cost,
         }
-    }
-
-    /// The QP facing `peer` (for wiring).
-    pub fn qp_for(&self, peer: NodeId) -> &QueuePair {
-        &self.qps[self.peer_index[&peer]]
-    }
-
-    /// Where the receiver on `peer` should RDMA-Write its buffer grants.
-    pub fn free_ring_for(&self, peer: NodeId) -> RemoteAddr {
-        let pi = self.peer_index[&peer];
-        RemoteAddr {
-            node: self.grant_arr.node(),
-            rkey: self.grant_arr.rkey(),
-            offset: 8 * self.ring_cap * pi,
-        }
-    }
-
-    /// Wires the receiver descriptor for `peer`.
-    pub fn set_descriptor(&self, peer: NodeId, desc: WrReceiverDescriptor) {
-        let pi = self.peer_index[&peer];
-        assert_eq!(desc.ring_cap, self.ring_cap, "ring capacities must agree");
-        self.audit.ring(
-            ring_key(&desc.valid_ring),
-            RingKind::ValidArr,
-            desc.ring_cap as u64,
-        );
-        self.state.lock().descriptors[pi] = Some(desc);
-    }
-
-    /// Seeds the grant ring for `peer` with the receiver's initial buffer
-    /// offsets (out-of-band bootstrap, before any traffic).
-    ///
-    /// # Errors
-    ///
-    /// [`ShuffleError::Config`] if `peer` is unknown;
-    /// [`ShuffleError::Corrupt`] if an offset lands outside the ring.
-    pub fn bootstrap_grants(&self, peer: NodeId, offsets: &[u64]) -> Result<()> {
-        let pi = *self
-            .peer_index
-            .get(&peer)
-            .ok_or_else(|| ShuffleError::Config(format!("unknown grant peer {peer}")))?;
-        if offsets.len() > self.ring_cap {
-            return Err(ShuffleError::Config(format!(
-                "{} initial grants exceed ring capacity {}",
-                offsets.len(),
-                self.ring_cap
-            )));
-        }
-        let key = RingKey {
-            rkey: self.grant_arr.rkey(),
-            base: (8 * self.ring_cap * pi) as u64,
-        };
-        for (k, &off) in offsets.iter().enumerate() {
-            self.grant_arr
-                .write_u64(8 * (self.ring_cap * pi + k), off + 1)?;
-            // Bootstrap happens outside the measured window, at virtual 0.
-            self.audit.ring_produced(key, 0);
-        }
-        Ok(())
     }
 
     /// Pops one granted remote buffer offset for peer `pi`, blocking while
-    /// none is granted.
+    /// none is granted. Grant exhaustion is this transport's flow-control
+    /// stall, bracketed like the SR credit stalls.
     fn take_grant(&self, sim: &SimContext, pi: usize) -> Result<u64> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
         let mut drained = false;
-        // Grant exhaustion is this transport's flow-control stall; it is
-        // bracketed like the SR credit stalls (opened on the first failed
-        // ring check only).
-        let mut stall_start = None;
-        let result = loop {
-            let got = {
-                let mut st = self.state.lock();
-                let slot = 8 * (self.ring_cap * pi + (st.grant_cons[pi] as usize % self.ring_cap));
-                let v = self.grant_arr.read_u64(slot)?;
-                if v != 0 {
-                    self.grant_arr.write_u64(slot, 0)?;
-                    st.grant_cons[pi] += 1;
-                    Some(v - 1)
+        Watchdog::fixed(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 32,
+            "waiting for remote buffer grant",
+        )
+        .wait(
+            sim,
+            Some(&self.obs),
+            || {
+                let grant = self.grants.try_consume(sim, pi)?;
+                self.obs.freearr_poll(sim, grant.is_some());
+                Ok(grant)
+            },
+            |slice| {
+                // Clear stale wake tokens and re-check once before every
+                // sleep.
+                if drained {
+                    self.grants.region().wait_update_timeout(sim, slice);
                 } else {
-                    None
+                    self.grants.region().drain_updates();
                 }
-            };
-            self.obs.freearr_poll(sim, got.is_some());
-            if let Some(off) = got {
-                self.audit.ring_consumed(
-                    RingKey {
-                        rkey: self.grant_arr.rkey(),
-                        base: (8 * self.ring_cap * pi) as u64,
-                    },
-                    sim.now().as_nanos(),
-                );
-                break Ok(off);
-            }
-            if stall_start.is_none() {
-                stall_start = Some(self.obs.stall_begin(sim));
-            }
-            if sim.now() >= deadline {
-                break Err(ShuffleError::Stalled("waiting for remote buffer grant"));
-            }
-            if !drained {
-                self.grant_arr.drain_updates();
-                drained = true;
-                continue; // Re-check after the drain.
-            }
-            self.grant_arr
-                .wait_update_timeout(sim, self.cfg.poll_interval * 32);
-            drained = false;
-        };
-        if let Some(started) = stall_start {
-            self.obs.stall_end(sim, started);
-        }
-        result
-    }
-
-    /// Reaps a batch of write completions (one poll cost for the whole
-    /// drain), recycling staging buffers. Returns whether progress was
-    /// made.
-    fn reap(&self, sim: &SimContext, slice: SimDuration) -> Result<bool> {
-        let mut scratch = self.send_scratch.take();
-        let n = self
-            .send_cq
-            .drain_into(sim, &mut scratch, CQ_BATCH, slice);
-        let result = self.process_send_batch(sim, &scratch);
-        self.send_scratch.put(scratch);
-        result?;
-        Ok(n > 0)
-    }
-
-    fn process_send_batch(&self, sim: &SimContext, batch: &[Completion]) -> Result<()> {
-        for c in batch {
-            if c.status != WcStatus::Success {
-                return Err(ShuffleError::CompletionError("RDMA write failed"));
-            }
-            // Ring announcements use sequence ids above the staging range
-            // and need no bookkeeping.
-            if c.wr_id >= RING_WR_BASE {
-                continue;
-            }
-            let mut st = self.state.lock();
-            let Some(remaining) = st.outstanding.get_mut(&c.wr_id) else {
-                return Err(ShuffleError::CompletionError(
-                    "write completion for unknown staging buffer",
-                ));
-            };
-            *remaining -= 1;
-            if *remaining == 0 {
-                st.outstanding.remove(&c.wr_id);
-                let buf =
-                    Buffer::try_new(self.pool_mr.clone(), c.wr_id as usize, self.message_size)?;
-                self.audit.buffer_recycled(buf_id(&buf), sim.now().as_nanos());
-                st.free.push(buf);
-            }
-        }
-        Ok(())
+                drained = !drained;
+                Ok(false)
+            },
+        )
     }
 }
 
-/// Work-request ids at or above this value are ring announcements.
-const RING_WR_BASE: u64 = 1 << 48;
-
 impl SendEndpoint for WrRcSendEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn send(
@@ -358,42 +130,26 @@ impl SendEndpoint for WrRcSendEndpoint {
         state: StreamState,
     ) -> Result<()> {
         assert!(!dest.is_empty(), "send needs at least one destination");
-        let header = MsgHeader {
-            src: self.id.0,
-            kind: MsgKind::Data,
-            state,
-            epoch: self.cfg.epoch,
-            payload_len: buf.len() as u32,
-            src_tid: buf.tag(),
-            counter: 0,
-            remote_addr: 0, // Filled per destination below.
-        };
-        self.state
-            .lock()
-            .outstanding
-            .insert(buf.offset() as u64, dest.len() as u32);
-        self.audit.buffer_sent(buf_id(&buf), sim.now().as_nanos());
+        let header = data_header(self.half.id, self.cfg.epoch, &buf, state);
+        self.window.launch(sim, &buf, dest.len());
         for &d in dest {
-            let pi = *self
-                .peer_index
-                .get(&d)
-                .ok_or_else(|| ShuffleError::Config(format!("unknown destination node {d}")))?;
-            let desc = self.state.lock().descriptors[pi]
-                .ok_or_else(|| ShuffleError::Config("receiver descriptor not wired".into()))?;
+            let pi = self.half.index_of(d)?;
+            let pool = self.remote_pools.lock()[pi]
+                .ok_or_else(|| ShuffleError::Config("receiver data pool not wired".into()))?;
             let remote_off = self.take_grant(sim, pi)?;
             // The receiver re-grants its own buffer; record its offset so
             // RELEASE can hand it back.
-            let mut h = header;
-            h.remote_addr = remote_off;
-            buf.write_header(&h)?;
+            buf.write_header(&MsgHeader {
+                remote_addr: remote_off,
+                ..header
+            })?;
             // Push the payload into the granted remote buffer...
             let target = RemoteAddr {
-                node: desc.node,
-                rkey: desc.pool_rkey,
                 offset: remote_off as usize,
+                ..pool
             };
-            let guard = self.post_lock.lock(sim);
-            self.qps[pi].post_write(
+            let guard = self.half.lock_post(sim);
+            self.half.qp(pi).post_write(
                 sim,
                 buf.offset() as u64,
                 (buf.region().clone(), buf.offset()),
@@ -402,29 +158,9 @@ impl SendEndpoint for WrRcSendEndpoint {
             )?;
             // ...then announce it through the ValidArr ring (ordered after
             // the data on the same reliable connection).
-            let slot_index = {
-                let mut st = self.state.lock();
-                let idx = st.valid_prod[pi] as usize % self.ring_cap;
-                st.valid_prod[pi] += 1;
-                idx
-            };
-            let seq = self.wr_seq.fetch_add(1, Ordering::Relaxed);
-            let scratch_off = (seq % 64) as usize * 8;
-            self.scratch.write_u64(scratch_off, remote_off + 1)?;
-            let ring_target = RemoteAddr {
-                node: desc.valid_ring.node,
-                rkey: desc.valid_ring.rkey,
-                offset: desc.valid_ring.offset + 8 * slot_index,
-            };
-            self.audit
-                .ring_produced(ring_key(&desc.valid_ring), sim.now().as_nanos());
-            self.qps[pi].post_write(
-                sim,
-                RING_WR_BASE + seq,
-                (self.scratch.clone(), scratch_off),
-                ring_target,
-                8,
-            )?;
+            let slot = self.valid_rings.claim(sim, pi)?;
+            self.valid_rings
+                .publish(sim, self.half.qp(pi), slot, remote_off)?;
             drop(guard);
             self.obs.sent(d, buf.len() as u64);
         }
@@ -432,331 +168,204 @@ impl SendEndpoint for WrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        let mut backoff = Backoff::new(self.cfg.poll_interval * 8);
-        loop {
-            if let Some(mut buf) = self.state.lock().free.pop() {
-                buf.clear();
-                self.audit.buffer_taken(buf_id(&buf), sim.now().as_nanos());
-                return Ok(buf);
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("waiting for a free staging buffer"));
-            }
-            if self.reap(sim, backoff.next())? {
-                backoff.reset();
-            }
-        }
+        Watchdog::backoff(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 8,
+            "waiting for a free staging buffer",
+        )
+        .wait(
+            sim,
+            None,
+            || Ok(self.window.take(sim)),
+            |slice| {
+                self.send_cq.drain(sim, slice, |c| {
+                    expect_success(c, "RDMA write failed")?;
+                    // Ring announcements need no bookkeeping; a staging
+                    // buffer is reusable once its own writes completed.
+                    if c.wr_id >= INLINE_WR_BASE {
+                        return Ok(());
+                    }
+                    self.window.complete(sim, c.wr_id)
+                })
+            },
+        )
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool_mr.len() + self.grant_arr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }
 
 /// RECEIVE endpoint: passive target of RDMA Writes.
 pub struct WrRcReceiveEndpoint {
-    id: EndpointId,
-    srcs: Vec<NodeId>,
-    src_index: HashMap<NodeId, usize>,
-    qps: Vec<QueuePair>,
-    ctrl_cq: CompletionQueue,
-    /// Reusable scratch for batched control-CQ drains.
-    ctrl_scratch: CqScratch,
+    half: RcHalf,
+    srcs: Sources,
+    /// Acks of the grant writes.
+    ctrl_cq: Cq,
     /// Data buffers remote senders write into; per-source partitions.
     pool_mr: MemoryRegion,
     /// `ValidArr`: per-source rings announcing filled buffers.
-    valid_arr: MemoryRegion,
-    message_size: usize,
-    ring_cap: usize,
-    state: Mutex<WrRecvState>,
-    scratch: MemoryRegion,
-    wr_seq: AtomicU64,
-    bytes_received: AtomicU64,
+    valid_arr: SlotRings,
+    /// The sources' grant rings this endpoint hands buffers back through.
+    grant_rings: RingProducer,
     obs: RecvObs,
-    audit: AuditHandle,
     cfg: WrRcConfig,
-    setup_cost: SimDuration,
-}
-
-struct WrRecvState {
-    valid_cons: Vec<u64>,
-    grant_prod: Vec<u64>,
-    grant_rings: Vec<Option<RemoteAddr>>,
-    depleted: Vec<bool>,
-    /// Buffers pending initial grant per source.
-    ungranted: Vec<Vec<u64>>,
-    /// Source endpoint id → slot index, learned from message headers.
-    src_ep_map: HashMap<u32, usize>,
 }
 
 impl WrRcReceiveEndpoint {
     /// Creates the endpoint: data pool, `ValidArr` and per-source QPs.
     pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: WrRcConfig) -> Self {
-        assert!(
-            !srcs.is_empty(),
-            "receive endpoint needs at least one source"
-        );
-        let ctrl_cq = ctx.create_cq();
-        let qps: Vec<QueuePair> = srcs
-            .iter()
-            .map(|_| ctx.create_qp(rshuffle_verbs::QpType::Rc, ctrl_cq.clone(), ctrl_cq.clone()))
-            .collect();
-        let buffers_per_src = cfg.buffers_per_peer;
-        let ring_cap = cfg.buffers_per_peer + 2;
-        let pool_bytes = cfg.message_size * buffers_per_src * srcs.len();
-        let pool_mr = ctx.register_untimed(pool_bytes);
-        let valid_arr = ctx.register_untimed(8 * ring_cap * srcs.len());
-        let ungranted: Vec<Vec<u64>> = (0..srcs.len())
-            .map(|si| {
-                (0..buffers_per_src)
-                    .map(|k| ((si * buffers_per_src + k) * cfg.message_size) as u64)
-                    .collect()
-            })
-            .collect();
-        let profile = ctx.profile();
-        let setup_cost = profile.endpoint_setup
-            + profile.rc_qp_setup * srcs.len() as u64
-            + profile.mr_register_time(pool_bytes + 8 * ring_cap * srcs.len());
-        let n = srcs.len();
-        let src_index = srcs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let audit = audit_handle(ctx);
-        for si in 0..n {
-            audit.ring(
-                RingKey {
-                    rkey: valid_arr.rkey(),
-                    base: (8 * ring_cap * si) as u64,
-                },
-                RingKind::ValidArr,
-                ring_cap as u64,
-            );
-        }
+        let layout = layout(&cfg, srcs.len());
+        let ctrl_cq = Cq::new(ctx);
+        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq, &layout);
         WrRcReceiveEndpoint {
-            id,
-            srcs,
-            src_index,
-            qps,
-            ctrl_cq,
-            ctrl_scratch: CqScratch::new(),
-            pool_mr,
-            valid_arr,
-            message_size: cfg.message_size,
-            ring_cap,
-            state: Mutex::new(WrRecvState {
-                valid_cons: vec![0; n],
-                grant_prod: vec![0; n],
-                grant_rings: vec![None; n],
-                depleted: vec![false; n],
-                ungranted,
-                src_ep_map: HashMap::new(),
-            }),
-            scratch: ctx.register_untimed(64 * 8),
-            wr_seq: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
+            srcs: Sources::new(srcs.len()),
+            pool_mr: ctx.register_untimed(layout.pool_bytes()),
+            valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
+            grant_rings: RingProducer::register(ctx, srcs.len(), layout.ring_cap),
             obs: RecvObs::new(ctx, id),
-            audit,
+            half,
+            ctrl_cq,
             cfg,
-            setup_cost,
         }
     }
 
-    /// The QP facing `src` (for wiring).
-    pub fn qp_for(&self, src: NodeId) -> &QueuePair {
-        &self.qps[self.src_index[&src]]
-    }
-
-    /// Descriptor the sender on `src` needs to push data here.
-    pub fn remote_descriptor(&self, src: NodeId) -> WrReceiverDescriptor {
-        let si = self.src_index[&src];
-        WrReceiverDescriptor {
-            endpoint: self.id,
-            node: self.pool_mr.node(),
-            pool_rkey: self.pool_mr.rkey(),
-            valid_ring: RemoteAddr {
-                node: self.valid_arr.node(),
-                rkey: self.valid_arr.rkey(),
-                offset: 8 * self.ring_cap * si,
-            },
-            ring_cap: self.ring_cap,
-        }
-    }
-
-    /// Wires where to push buffer grants for `src`.
-    pub fn set_free_ring(&mut self, src: NodeId, ring: RemoteAddr) {
-        let si = self.src_index[&src];
-        self.audit
-            .ring(ring_key(&ring), RingKind::Grant, self.ring_cap as u64);
-        self.state.lock().grant_rings[si] = Some(ring);
-    }
-
-    /// Takes the initial buffer offsets to grant to `src` and advances the
-    /// grant ring producer accordingly. The exchange builder passes the
-    /// offsets to [`WrRcSendEndpoint::bootstrap_grants`].
-    pub fn initial_grants(&self, src: NodeId) -> Vec<u64> {
-        let si = self.src_index[&src];
-        let mut st = self.state.lock();
-        let offsets = std::mem::take(&mut st.ungranted[si]);
-        st.grant_prod[si] += offsets.len() as u64;
-        offsets
-    }
-
+    /// Re-grants the (receiver-owned) buffer at `offset` to the sender
+    /// behind source slot `si`.
     fn grant_back(&self, sim: &SimContext, si: usize, offset: u64) -> Result<()> {
-        let (ring, idx) = {
-            let mut st = self.state.lock();
-            let ring = st.grant_rings[si]
-                .ok_or_else(|| ShuffleError::Config("grant ring not wired".into()))?;
-            let idx = st.grant_prod[si] as usize % self.ring_cap;
-            st.grant_prod[si] += 1;
-            (ring, idx)
+        let id = BufId {
+            rkey: self.pool_mr.rkey(),
+            offset,
         };
-        let now = sim.now().as_nanos();
-        self.audit.released(
-            BufId {
-                rkey: self.pool_mr.rkey(),
-                offset,
-            },
-            now,
-        );
-        self.audit.ring_produced(ring_key(&ring), now);
-        let seq = self.wr_seq.fetch_add(1, Ordering::Relaxed);
-        let scratch_off = (seq % 64) as usize * 8;
-        self.scratch.write_u64(scratch_off, offset + 1)?;
-        let target = RemoteAddr {
-            node: ring.node,
-            rkey: ring.rkey,
-            offset: ring.offset + 8 * idx,
-        };
-        self.qps[si].post_write(sim, seq, (self.scratch.clone(), scratch_off), target, 8)?;
+        self.half.audit.released(id, sim.now().as_nanos());
+        let slot = self.grant_rings.claim(sim, si)?;
+        self.grant_rings
+            .publish(sim, self.half.qp(si), slot, offset)?;
         // Keep the control CQ bounded, checking every grant-write ack
         // instead of swallowing them.
         if self.ctrl_cq.depth() > 16 {
-            self.drain_ctrl(sim)?;
+            self.ctrl_cq
+                .poll(sim, |c| expect_write_ack(c, "buffer grant write failed"))?;
         }
         Ok(())
     }
 
-    /// Drains queued grant-write acks through the handled path.
-    fn drain_ctrl(&self, sim: &SimContext) -> Result<()> {
-        let mut scratch = self.ctrl_scratch.take();
-        self.ctrl_cq.poll_into(sim, &mut scratch, CQ_BATCH);
-        let mut result = Ok(());
-        for c in scratch.iter() {
-            if c.status != WcStatus::Success {
-                result = Err(ShuffleError::CompletionError("buffer grant write failed"));
-                break;
-            }
-            if c.opcode != WcOpcode::Write {
-                result = Err(ShuffleError::CompletionError(
-                    "unexpected completion opcode on WR control CQ",
+    /// Scans the `ValidArr` rings for an announced buffer.
+    fn scan_valid_arr(&self, sim: &SimContext) -> Result<Option<Delivery>> {
+        for si in 0..self.half.peers() {
+            let Some(offset) = self.valid_arr.try_consume(sim, si)? else {
+                continue;
+            };
+            self.obs.validarr_poll(sim, 1);
+            let buf =
+                Buffer::try_new(self.pool_mr.clone(), offset as usize, self.cfg.message_size)?;
+            let header = buf.read_header()?;
+            if header.kind != MsgKind::Data {
+                return Err(ShuffleError::Corrupt(
+                    "ValidArr announced a buffer without a data header".into(),
                 ));
-                break;
             }
+            if header.epoch != self.cfg.epoch {
+                // Leftover announcement from a fenced-off attempt:
+                // re-grant the buffer to its sender without handing it
+                // to the operator. `grant_back` audits a release, so
+                // record the matching delivery to keep the ledger
+                // balanced.
+                self.obs.stale_drop();
+                self.half
+                    .audit
+                    .delivered(buf_id(&buf), sim.now().as_nanos());
+                self.grant_back(sim, si, offset)?;
+                continue;
+            }
+            self.srcs.learn(header.src, si);
+            if header.state == StreamState::Depleted {
+                self.srcs.mark_depleted(si);
+            }
+            return deliver(sim, &self.obs, &self.half.audit, &header, buf, offset).map(Some);
         }
-        self.ctrl_scratch.put(scratch);
-        result
+        self.obs.validarr_poll(sim, 0);
+        Ok(None)
+    }
+}
+
+impl RcTransport for WrRcSendEndpoint {
+    type Config = WrRcConfig;
+    type Receiver = WrRcReceiveEndpoint;
+
+    fn qp_pair<'a>(
+        &'a self,
+        peer: NodeId,
+        recv: &'a WrRcReceiveEndpoint,
+        src: NodeId,
+    ) -> (&'a QueuePair, &'a QueuePair) {
+        (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn fully_done(&self) -> Result<bool> {
-        let st = self.state.lock();
-        for si in 0..self.srcs.len() {
-            if !st.depleted[si] {
-                return Ok(false);
-            }
-            let slot = 8 * (self.ring_cap * si + (st.valid_cons[si] as usize % self.ring_cap));
-            if self.valid_arr.read_u64(slot)? != 0 {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    fn lease_depth(cfg: &WrRcConfig) -> u32 {
+        cfg.buffers_per_peer as u32
+    }
+
+    /// The receiver learns its ring among the sender's grant rings and
+    /// grants its share of the data pool; the sender learns the data pool,
+    /// its ring in the receiver's `ValidArr` and those initial grants.
+    fn handshake(&self, peer: NodeId, recv: &WrRcReceiveEndpoint, src: NodeId) -> Result<()> {
+        let (pi, si) = (self.half.index_of(peer)?, recv.half.index_of(src)?);
+        assert_eq!(
+            self.grants.cap(),
+            recv.valid_arr.cap(),
+            "ring capacities must agree"
+        );
+        let share = recv.cfg.buffers_per_peer;
+        let initial: Vec<u64> = (si * share..(si + 1) * share)
+            .map(|k| (k * recv.cfg.message_size) as u64)
+            .collect();
+        recv.grant_rings.wire(
+            si,
+            RingKind::Grant,
+            self.grants.base(pi),
+            initial.len() as u64,
+        );
+        self.valid_rings
+            .wire(pi, RingKind::ValidArr, recv.valid_arr.base(si), 0);
+        self.remote_pools.lock()[pi] = Some(region_base(&recv.pool_mr));
+        self.grants.seed(pi, &initial)
     }
 }
 
 impl ReceiveEndpoint for WrRcReceiveEndpoint {
     fn id(&self) -> EndpointId {
-        self.id
+        self.half.id
     }
 
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let deadline = sim.now() + self.cfg.stall_timeout;
-        loop {
-            // Scan the ValidArr rings for announced buffers.
-            for si in 0..self.srcs.len() {
-                let entry = {
-                    let mut st = self.state.lock();
-                    let slot =
-                        8 * (self.ring_cap * si + (st.valid_cons[si] as usize % self.ring_cap));
-                    let v = self.valid_arr.read_u64(slot)?;
-                    if v == 0 {
-                        None
-                    } else {
-                        self.valid_arr.write_u64(slot, 0)?;
-                        st.valid_cons[si] += 1;
-                        Some(v - 1)
-                    }
-                };
-                let Some(offset) = entry else { continue };
-                self.obs.validarr_poll(sim, 1);
-                self.audit.ring_consumed(
-                    RingKey {
-                        rkey: self.valid_arr.rkey(),
-                        base: (8 * self.ring_cap * si) as u64,
-                    },
-                    sim.now().as_nanos(),
-                );
-                let mut buf =
-                    Buffer::try_new(self.pool_mr.clone(), offset as usize, self.message_size)?;
-                let header = buf.read_header()?;
-                if header.kind != MsgKind::Data {
-                    return Err(ShuffleError::Corrupt(
-                        "ValidArr announced a buffer without a data header".into(),
-                    ));
+        Watchdog::fixed(
+            sim,
+            self.cfg.stall_timeout,
+            self.cfg.poll_interval * 32,
+            "WR receive made no progress",
+        )
+        .wait(
+            sim,
+            None,
+            || {
+                if let Some(d) = self.scan_valid_arr(sim)? {
+                    return Ok(Some(Some(d)));
                 }
-                if header.epoch != self.cfg.epoch {
-                    // Leftover announcement from a fenced-off attempt:
-                    // re-grant the buffer to its sender without handing it
-                    // to the operator. `grant_back` audits a release, so
-                    // record the matching delivery to keep the ledger
-                    // balanced.
-                    self.obs.stale_drop();
-                    self.audit.delivered(buf_id(&buf), sim.now().as_nanos());
-                    self.grant_back(sim, si, offset)?;
-                    continue;
-                }
-                buf.set_len(header.payload_len as usize)?;
-                self.bytes_received
-                    .fetch_add(header.payload_len as u64, Ordering::Relaxed);
-                self.obs.received(header.payload_len as u64);
-                self.audit.delivered(buf_id(&buf), sim.now().as_nanos());
-                {
-                    let mut st = self.state.lock();
-                    st.src_ep_map.insert(header.src, si);
-                    if header.state == StreamState::Depleted {
-                        st.depleted[si] = true;
-                    }
-                }
-                return Ok(Some(Delivery {
-                    state: header.state,
-                    src: EndpointId(header.src),
-                    src_tid: header.src_tid,
-                    remote: offset,
-                    local: buf,
-                }));
-            }
-            self.obs.validarr_poll(sim, 0);
-            if self.fully_done()? {
-                return Ok(None);
-            }
-            if sim.now() >= deadline {
-                return Err(ShuffleError::Stalled("WR receive made no progress"));
-            }
-            self.valid_arr.drain_updates();
-            self.valid_arr
-                .wait_update_timeout(sim, self.cfg.poll_interval * 32);
-        }
+                let done = self.srcs.all_depleted() && self.valid_arr.all_empty()?;
+                Ok(done.then_some(None))
+            },
+            |slice| {
+                self.valid_arr.region().drain_updates();
+                self.valid_arr.region().wait_update_timeout(sim, slice);
+                Ok(false)
+            },
+        )
     }
 
     fn release(
@@ -766,29 +375,23 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
         _local: Buffer,
         src: EndpointId,
     ) -> Result<()> {
-        let si = {
-            let st = self.state.lock();
-            *st.src_ep_map.get(&src.0).ok_or_else(|| {
-                ShuffleError::Config(format!("release for unknown source {src:?}"))
-            })?
-        };
+        let si = self.srcs.slot_of(src)?;
         #[cfg(feature = "saboteur")]
         if crate::sabotage::take(crate::sabotage::Sabotage::DoubleGrant) {
             self.grant_back(sim, si, remote)?;
         }
-        // Re-grant the (receiver-owned) buffer to the sender it serves.
         self.grant_back(sim, si, remote)
     }
 
     fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
+        self.obs.bytes_received()
     }
 
     fn registered_bytes(&self) -> usize {
-        self.pool_mr.len() + self.valid_arr.len()
+        self.half.registered_bytes()
     }
 
     fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
+        self.half.charge_setup(sim);
     }
 }

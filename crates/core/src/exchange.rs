@@ -13,14 +13,17 @@ use std::sync::Arc;
 
 use rshuffle_mux::{Multiplexer, MuxConfig};
 use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, NodeId, SimContext, SimDuration, Topology};
-use rshuffle_verbs::{ConnectionManager, FaultConfig, VerbsRuntime};
+use rshuffle_verbs::{ConnectionManager, Context, FaultConfig, VerbsRuntime};
 
 use crate::config::{EndpointImpl, EndpointMode, ShuffleAlgorithm};
-use crate::endpoint::rd_rc::{RdRcConfig, RdRcReceiveEndpoint, RdRcSendEndpoint};
+use crate::endpoint::rd_rc::{RdRcReceiveEndpoint, RdRcSendEndpoint};
 use crate::endpoint::sr_rc::{SrRcConfig, SrRcReceiveEndpoint, SrRcSendEndpoint};
 use crate::endpoint::sr_ud::{SrUdChannel, SrUdConfig};
-use crate::endpoint::wr_rc::{WrRcConfig, WrRcReceiveEndpoint, WrRcSendEndpoint};
-use crate::endpoint::{EndpointId, ReceiveEndpoint, SendEndpoint};
+use crate::endpoint::wr_rc::{WrRcReceiveEndpoint, WrRcSendEndpoint};
+use crate::endpoint::{
+    rd_rc, sr_rc, sr_ud, wr_rc, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint,
+    SendEndpoint,
+};
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
 use crate::phase::{PhasePolicy, PhaseRunner, PhaseSchedule};
@@ -198,23 +201,13 @@ impl ExchangeConfig {
         }
     }
 
-    fn rd_rc(&self) -> RdRcConfig {
-        RdRcConfig {
+    fn one_sided(&self) -> OneSidedConfig {
+        OneSidedConfig {
             message_size: self.message_size,
             buffers_per_peer: self.buffers_per_peer * self.pool_scale(),
             stall_timeout: self.stall_timeout,
             epoch: self.epoch,
-            ..RdRcConfig::default()
-        }
-    }
-
-    fn wr_rc(&self) -> WrRcConfig {
-        WrRcConfig {
-            message_size: self.message_size,
-            buffers_per_peer: self.buffers_per_peer * self.pool_scale(),
-            stall_timeout: self.stall_timeout,
-            epoch: self.epoch,
-            ..WrRcConfig::default()
+            ..OneSidedConfig::default()
         }
     }
 
@@ -223,9 +216,8 @@ impl ExchangeConfig {
         // Sharing one QP among t threads bounces its state between cores on
         // every post; dedicated (ME) endpoints pay nothing. The per-thread
         // constant comes from the hardware profile (older CPUs pay more).
-        let sharers = self.pool_scale();
-        let post_overhead = if sharers > 1 {
-            self.sq_contention * sharers as u64
+        let post_overhead = if scale > 1 {
+            self.sq_contention * scale as u64
         } else {
             rshuffle_simnet::SimDuration::ZERO
         };
@@ -274,71 +266,191 @@ impl ExchangeConfig {
         let dests: Vec<Vec<NodeId>> = self.groups.iter().map(|g| g.destinations()).collect();
         let d = dests.get(node).map_or(0, |v| v.len());
         let s = dests.iter().filter(|ds| ds.contains(&node)).count();
-        let msg = self.message_size;
-        // Every endpoint registers a 64-slot scratch region for control
-        // writes (credit write-back, ring announcements).
-        const SCRATCH: usize = 64 * 8;
+        // A half that talks to no one is never built.
+        let half = |peers: usize, pinned: usize| if peers > 0 { pinned } else { 0 };
         let per_lane = match self.algorithm.imp {
             EndpointImpl::MqSr => {
                 let cfg = self.sr_rc();
-                let send = if d > 0 {
-                    msg * cfg.buffers_per_peer * d + 8 * d
-                } else {
-                    0
-                };
-                let recv = if s > 0 {
-                    msg * cfg.recv_depth_per_peer * s + SCRATCH
-                } else {
-                    0
-                };
-                send + recv
+                half(d, sr_rc::send_layout(&cfg, d).pinned())
+                    + half(s, sr_rc::recv_layout(&cfg, s).pinned())
             }
             EndpointImpl::MqRd => {
-                let cfg = self.rd_rc();
-                let send = if d > 0 {
-                    let buffers = cfg.buffers_per_peer * d;
-                    msg * buffers + 8 * (buffers + 2) * d + SCRATCH
-                } else {
-                    0
-                };
-                let recv = if s > 0 {
-                    let ring_cap = cfg.buffers_per_peer * s + 2;
-                    msg * cfg.buffers_per_peer * s + 8 * ring_cap * s + SCRATCH
-                } else {
-                    0
-                };
-                send + recv
+                let cfg = self.one_sided();
+                half(d, rd_rc::layout(&cfg, d).pinned()) + half(s, rd_rc::layout(&cfg, s).pinned())
             }
             EndpointImpl::MqWr => {
-                let cfg = self.wr_rc();
-                let ring_cap = cfg.buffers_per_peer + 2;
-                let send = if d > 0 {
-                    msg * cfg.buffers_per_peer * d + 8 * ring_cap * d + SCRATCH
-                } else {
-                    0
-                };
-                let recv = if s > 0 {
-                    msg * cfg.buffers_per_peer * s + 8 * ring_cap * s + SCRATCH
-                } else {
-                    0
-                };
-                send + recv
+                let cfg = self.one_sided();
+                half(d, wr_rc::layout(&cfg, d).pinned()) + half(s, wr_rc::layout(&cfg, s).pinned())
             }
+            // The UD channel registers its send pool unconditionally; the
+            // receive pool only exists on nodes that receive.
             EndpointImpl::SqSr => {
-                // The UD channel registers its send pool unconditionally;
-                // the receive pool (window + 2x in-flight head-room per
-                // source) only exists on nodes that receive.
                 let cfg = self.sr_ud();
-                let send = profile.mtu * cfg.send_buffers;
-                let recv = if s > 0 {
-                    3 * cfg.recv_window_per_src * s * profile.mtu
-                } else {
-                    0
-                };
-                send + recv
+                sr_ud::send_layout(&cfg, profile.mtu).pinned()
+                    + half(s, sr_ud::recv_layout(&cfg, profile.mtu, s).pinned())
             }
         };
         per_lane * lanes
+    }
+}
+
+/// `[node][lane]` send endpoints.
+type SendLanes = Vec<Vec<Arc<dyn SendEndpoint>>>;
+/// `[node][lane]` receive endpoints.
+type RecvLanes = Vec<Vec<Arc<dyn ReceiveEndpoint>>>;
+/// Every endpoint half is constructed from `(ctx, id, peers, config)`.
+type HalfCtor<E, C> = fn(&Context, EndpointId, Vec<NodeId>, C) -> E;
+
+/// What [`Exchange::build`] has settled before any endpoint exists: who
+/// sends to whom, over how many lanes, under which endpoint ids.
+struct Wiring<'a> {
+    runtime: &'a Arc<VerbsRuntime>,
+    flow: FlowId,
+    lanes: usize,
+    id_base: u32,
+    /// `dests[a]` = nodes `a` sends to.
+    dests: &'a [Vec<NodeId>],
+    /// `srcs[b]` = nodes that send to `b`.
+    srcs: &'a [Vec<NodeId>],
+    muxer: Option<&'a Multiplexer>,
+}
+
+impl Wiring<'_> {
+    // Endpoint ids: (node, lane, role) → unique integer, offset into this
+    // exchange's id space.
+    fn send_id(&self, node: usize, lane: usize) -> EndpointId {
+        EndpointId(self.id_base + (node * self.lanes + lane) as u32 * 2)
+    }
+
+    fn recv_id(&self, node: usize, lane: usize) -> EndpointId {
+        EndpointId(self.send_id(node, lane).0 + 1)
+    }
+
+    /// Builds and wires the endpoints of one reliable-connection
+    /// transport: every lane of every node gets its halves, then each
+    /// sender→receiver pair is connected, bound to a shared slot when a
+    /// multiplexer is in effect, and put through the transport's
+    /// out-of-band handshake.
+    fn rc<T: RcTransport>(
+        &self,
+        cfg: &T::Config,
+        sender: HalfCtor<T, T::Config>,
+        receiver: HalfCtor<T::Receiver, T::Config>,
+    ) -> Result<(SendLanes, RecvLanes)> {
+        let mut send: Vec<Vec<Arc<T>>> = Vec::new();
+        let mut recv: Vec<Vec<Arc<T::Receiver>>> = Vec::new();
+        for node in 0..self.dests.len() {
+            let ctx = self.runtime.context_flow(node, self.flow);
+            let (mut s_lane, mut r_lane) = (Vec::new(), Vec::new());
+            for lane in 0..self.lanes {
+                if !self.dests[node].is_empty() {
+                    let (id, peers) = (self.send_id(node, lane), self.dests[node].clone());
+                    s_lane.push(Arc::new(sender(&ctx, id, peers, cfg.clone())));
+                }
+                if !self.srcs[node].is_empty() {
+                    let (id, srcs) = (self.recv_id(node, lane), self.srcs[node].clone());
+                    r_lane.push(Arc::new(receiver(&ctx, id, srcs, cfg.clone())));
+                }
+            }
+            send.push(s_lane);
+            recv.push(r_lane);
+        }
+        for (a, dests) in self.dests.iter().enumerate() {
+            for lane in 0..self.lanes {
+                for &b in dests {
+                    let (s, r) = (&send[a][lane], &recv[b][lane]);
+                    let (qp_s, qp_r) = s.qp_pair(b, r, a);
+                    ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
+                    ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
+                    if let Some(m) = self.muxer {
+                        let lease = m.lease(a, b, T::lease_depth(cfg));
+                        qp_s.bind_shared_slot(&lease.send_slot)?;
+                        qp_r.bind_shared_slot(&lease.recv_slot)?;
+                    }
+                    s.handshake(b, r, a)?;
+                }
+            }
+        }
+        let send = send.into_iter().map(|lanes| {
+            lanes
+                .into_iter()
+                .map(|e| e as Arc<dyn SendEndpoint>)
+                .collect()
+        });
+        let recv = recv.into_iter().map(|lanes| {
+            lanes
+                .into_iter()
+                .map(|e| e as Arc<dyn ReceiveEndpoint>)
+                .collect()
+        });
+        Ok((send.collect(), recv.collect()))
+    }
+
+    /// Builds the UD design: one channel (one Queue Pair) per lane and
+    /// node, every channel told its peers' address handles, receive
+    /// windows posted and credit seeded.
+    fn ud(&self, cfg: &SrUdConfig) -> Result<(SendLanes, RecvLanes)> {
+        let nodes = self.dests.len();
+        let mut channels: Vec<Vec<SrUdChannel>> = Vec::new();
+        for node in 0..nodes {
+            let ctx = self.runtime.context_flow(node, self.flow);
+            let lane_channels = (0..self.lanes)
+                .map(|lane| {
+                    let (send_id, recv_id) = (self.send_id(node, lane), self.recv_id(node, lane));
+                    SrUdChannel::new(&ctx, send_id, recv_id, cfg.clone())
+                })
+                .collect();
+            channels.push(lane_channels);
+        }
+        // Activate QPs and exchange lane-matched address handles.
+        for channel in channels.iter().flatten() {
+            ConnectionManager::activate_untimed(channel.qp(), None)?;
+        }
+        for a in 0..nodes {
+            let peers: BTreeSet<NodeId> = self.dests[a]
+                .iter()
+                .chain(self.srcs[a].iter())
+                .copied()
+                .collect();
+            for (lane, channel) in channels[a].iter().enumerate() {
+                for &b in &peers {
+                    channel.add_peer(b, channels[b][lane].address_handle());
+                }
+            }
+        }
+        // Bootstrap receive windows and credit.
+        for b in 0..nodes {
+            if self.srcs[b].is_empty() {
+                continue;
+            }
+            let ctx = self.runtime.context_flow(b, self.flow);
+            for (lane, channel) in channels[b].iter().enumerate() {
+                let expected: Vec<(EndpointId, NodeId)> = self.srcs[b]
+                    .iter()
+                    .map(|&a| (self.send_id(a, lane), a))
+                    .collect();
+                let credit = channel.bootstrap_receives(&ctx, &expected)?;
+                for &a in &self.srcs[b] {
+                    channels[a][lane].bootstrap_credit(b, credit);
+                }
+            }
+        }
+        // A node that sends (receives) nothing exposes no send (receive)
+        // halves.
+        let lanes_if = |active: bool, node: usize| if active { &channels[node][..] } else { &[] };
+        let send = (0..nodes).map(|node| {
+            lanes_if(!self.dests[node].is_empty(), node)
+                .iter()
+                .map(|c| Arc::new(c.send_half()) as Arc<dyn SendEndpoint>)
+                .collect()
+        });
+        let recv = (0..nodes).map(|node| {
+            lanes_if(!self.srcs[node].is_empty(), node)
+                .iter()
+                .map(|c| Arc::new(c.recv_half()) as Arc<dyn ReceiveEndpoint>)
+                .collect()
+        });
+        Ok((send.collect(), recv.collect()))
     }
 }
 
@@ -423,14 +535,6 @@ impl Exchange {
         }
         let srcs: Vec<Vec<NodeId>> = srcs.into_iter().map(|s| s.into_iter().collect()).collect();
 
-        // Endpoint ids: (node, lane, role) → unique integer, offset into
-        // this exchange's id space.
-        let base = config.endpoint_id_base;
-        let send_id =
-            |node: usize, lane: usize| EndpointId(base + (node * lanes + lane) as u32 * 2);
-        let recv_id =
-            |node: usize, lane: usize| EndpointId(base + (node * lanes + lane) as u32 * 2 + 1);
-
         // Connection multiplexing: only the RC designs open one QP per
         // (lane, destination); the UD design already shares one QP per
         // lane, so a cap never applies to it. A cap at or above the lane
@@ -443,325 +547,42 @@ impl Exchange {
             _ => None,
         };
 
-        let mut exchange = match config.algorithm.imp {
-            EndpointImpl::MqSr => {
-                let cfg = config.sr_rc();
-                let mut send_eps: Vec<Vec<Arc<SrRcSendEndpoint>>> = Vec::new();
-                let mut recv_eps: Vec<Vec<Arc<SrRcReceiveEndpoint>>> = Vec::new();
-                for node in 0..nodes {
-                    let ctx = runtime.context_flow(node, config.flow);
-                    let mut s_lane = Vec::new();
-                    let mut r_lane = Vec::new();
-                    for lane in 0..lanes {
-                        if !dests[node].is_empty() {
-                            s_lane.push(Arc::new(SrRcSendEndpoint::new(
-                                &ctx,
-                                send_id(node, lane),
-                                dests[node].clone(),
-                                cfg.clone(),
-                            )));
-                        }
-                        if !srcs[node].is_empty() {
-                            r_lane.push(Arc::new(SrRcReceiveEndpoint::new(
-                                &ctx,
-                                recv_id(node, lane),
-                                srcs[node].clone(),
-                                cfg.clone(),
-                            )));
-                        }
-                    }
-                    send_eps.push(s_lane);
-                    recv_eps.push(r_lane);
-                }
-                // Wire QP pairs and bootstrap credit.
-                for a in 0..nodes {
-                    for lane in 0..lanes {
-                        for &b in &dests[a] {
-                            let s = &send_eps[a][lane];
-                            let r = &recv_eps[b][lane];
-                            let qp_s = s.qp_for(b);
-                            let qp_r = r.qp_for(a);
-                            ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
-                            ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
-                            if let Some(m) = &muxer {
-                                let lease = m.lease(a, b, cfg.recv_depth_per_peer as u32);
-                                qp_s.bind_shared_slot(&lease.send_slot)?;
-                                qp_r.bind_shared_slot(&lease.recv_slot)?;
-                            }
-                            let credit = r.bootstrap_src(a, s.credit_slot_for(b))?;
-                            s.bootstrap_credit(b, credit)?;
-                        }
-                    }
-                }
-                Exchange {
-                    send: send_eps
-                        .into_iter()
-                        .map(|l| l.into_iter().map(|e| e as Arc<dyn SendEndpoint>).collect())
-                        .collect(),
-                    recv: recv_eps
-                        .into_iter()
-                        .map(|l| {
-                            l.into_iter()
-                                .map(|e| e as Arc<dyn ReceiveEndpoint>)
-                                .collect()
-                        })
-                        .collect(),
-                    groups: config.groups.clone(),
-                    algorithm: config.algorithm,
-                    lanes,
-                    flow: config.flow,
-                    mux: muxer.clone(),
-                    phases: None,
-                }
-            }
-            EndpointImpl::MqRd => {
-                let cfg = config.rd_rc();
-                let mut send_eps: Vec<Vec<Arc<RdRcSendEndpoint>>> = Vec::new();
-                let mut recv_eps: Vec<Vec<RdRcReceiveEndpoint>> = Vec::new();
-                for node in 0..nodes {
-                    let ctx = runtime.context_flow(node, config.flow);
-                    let mut s_lane = Vec::new();
-                    let mut r_lane = Vec::new();
-                    for lane in 0..lanes {
-                        if !dests[node].is_empty() {
-                            s_lane.push(Arc::new(RdRcSendEndpoint::new(
-                                &ctx,
-                                send_id(node, lane),
-                                dests[node].clone(),
-                                cfg.clone(),
-                            )));
-                        }
-                        if !srcs[node].is_empty() {
-                            r_lane.push(RdRcReceiveEndpoint::new(
-                                &ctx,
-                                recv_id(node, lane),
-                                srcs[node].clone(),
-                                cfg.clone(),
-                            ));
-                        }
-                    }
-                    send_eps.push(s_lane);
-                    recv_eps.push(r_lane);
-                }
-                for a in 0..nodes {
-                    for lane in 0..lanes {
-                        for &b in &dests[a] {
-                            let s = &send_eps[a][lane];
-                            // Receive endpoints need &mut for descriptor
-                            // wiring; index twice to satisfy the borrow
-                            // checker.
-                            let (qs_ah, qr_ah) = {
-                                let r = &recv_eps[b][lane];
-                                (s.qp_for(b).address_handle(), r.qp_for(a).address_handle())
-                            };
-                            ConnectionManager::activate_untimed(s.qp_for(b), Some(qr_ah))?;
-                            {
-                                let r = &recv_eps[b][lane];
-                                ConnectionManager::activate_untimed(r.qp_for(a), Some(qs_ah))?;
-                            }
-                            if let Some(m) = &muxer {
-                                let lease = m.lease(a, b, cfg.buffers_per_peer as u32);
-                                s.qp_for(b).bind_shared_slot(&lease.send_slot)?;
-                                recv_eps[b][lane]
-                                    .qp_for(a)
-                                    .bind_shared_slot(&lease.recv_slot)?;
-                            }
-                            let desc = s.remote_descriptor(b);
-                            let ring = recv_eps[b][lane].valid_ring_for(a);
-                            recv_eps[b][lane].set_descriptor(a, desc);
-                            s.set_valid_ring(b, ring);
-                        }
-                    }
-                }
-                Exchange {
-                    send: send_eps
-                        .into_iter()
-                        .map(|l| l.into_iter().map(|e| e as Arc<dyn SendEndpoint>).collect())
-                        .collect(),
-                    recv: recv_eps
-                        .into_iter()
-                        .map(|l| {
-                            l.into_iter()
-                                .map(|e| Arc::new(e) as Arc<dyn ReceiveEndpoint>)
-                                .collect()
-                        })
-                        .collect(),
-                    groups: config.groups.clone(),
-                    algorithm: config.algorithm,
-                    lanes,
-                    flow: config.flow,
-                    mux: muxer.clone(),
-                    phases: None,
-                }
-            }
-            EndpointImpl::MqWr => {
-                let cfg = config.wr_rc();
-                let mut send_eps: Vec<Vec<Arc<WrRcSendEndpoint>>> = Vec::new();
-                let mut recv_eps: Vec<Vec<WrRcReceiveEndpoint>> = Vec::new();
-                for node in 0..nodes {
-                    let ctx = runtime.context_flow(node, config.flow);
-                    let mut s_lane = Vec::new();
-                    let mut r_lane = Vec::new();
-                    for lane in 0..lanes {
-                        if !dests[node].is_empty() {
-                            s_lane.push(Arc::new(WrRcSendEndpoint::new(
-                                &ctx,
-                                send_id(node, lane),
-                                dests[node].clone(),
-                                cfg.clone(),
-                            )));
-                        }
-                        if !srcs[node].is_empty() {
-                            r_lane.push(WrRcReceiveEndpoint::new(
-                                &ctx,
-                                recv_id(node, lane),
-                                srcs[node].clone(),
-                                cfg.clone(),
-                            ));
-                        }
-                    }
-                    send_eps.push(s_lane);
-                    recv_eps.push(r_lane);
-                }
-                for a in 0..nodes {
-                    for lane in 0..lanes {
-                        for &b in &dests[a] {
-                            let s = &send_eps[a][lane];
-                            let (qs_ah, qr_ah) = {
-                                let r = &recv_eps[b][lane];
-                                (s.qp_for(b).address_handle(), r.qp_for(a).address_handle())
-                            };
-                            ConnectionManager::activate_untimed(s.qp_for(b), Some(qr_ah))?;
-                            {
-                                let r = &recv_eps[b][lane];
-                                ConnectionManager::activate_untimed(r.qp_for(a), Some(qs_ah))?;
-                            }
-                            if let Some(m) = &muxer {
-                                let lease = m.lease(a, b, cfg.buffers_per_peer as u32);
-                                s.qp_for(b).bind_shared_slot(&lease.send_slot)?;
-                                recv_eps[b][lane]
-                                    .qp_for(a)
-                                    .bind_shared_slot(&lease.recv_slot)?;
-                            }
-                            let desc = recv_eps[b][lane].remote_descriptor(a);
-                            let free_ring = s.free_ring_for(b);
-                            recv_eps[b][lane].set_free_ring(a, free_ring);
-                            s.set_descriptor(b, desc);
-                            let grants = recv_eps[b][lane].initial_grants(a);
-                            s.bootstrap_grants(b, &grants)?;
-                        }
-                    }
-                }
-                Exchange {
-                    send: send_eps
-                        .into_iter()
-                        .map(|l| l.into_iter().map(|e| e as Arc<dyn SendEndpoint>).collect())
-                        .collect(),
-                    recv: recv_eps
-                        .into_iter()
-                        .map(|l| {
-                            l.into_iter()
-                                .map(|e| Arc::new(e) as Arc<dyn ReceiveEndpoint>)
-                                .collect()
-                        })
-                        .collect(),
-                    groups: config.groups.clone(),
-                    algorithm: config.algorithm,
-                    lanes,
-                    flow: config.flow,
-                    mux: muxer.clone(),
-                    phases: None,
-                }
-            }
-            EndpointImpl::SqSr => {
-                let cfg = config.sr_ud();
-                let mut channels: Vec<Vec<SrUdChannel>> = Vec::new();
-                for node in 0..nodes {
-                    let ctx = runtime.context_flow(node, config.flow);
-                    let lane_channels = (0..lanes)
-                        .map(|lane| {
-                            SrUdChannel::new(
-                                &ctx,
-                                send_id(node, lane),
-                                recv_id(node, lane),
-                                cfg.clone(),
-                            )
-                        })
-                        .collect();
-                    channels.push(lane_channels);
-                }
-                // Activate QPs and exchange lane-matched address handles.
-                for lane_channels in &channels {
-                    for channel in lane_channels {
-                        ConnectionManager::activate_untimed(channel.qp(), None)?;
-                    }
-                }
-                for a in 0..nodes {
-                    #[allow(clippy::needless_range_loop)]
-                    for lane in 0..lanes {
-                        let union: BTreeSet<NodeId> =
-                            dests[a].iter().chain(srcs[a].iter()).copied().collect();
-                        for b in union {
-                            let ah = channels[b][lane].address_handle();
-                            channels[a][lane].add_peer(b, ah);
-                        }
-                    }
-                }
-                // Bootstrap receive windows and credit.
-                for b in 0..nodes {
-                    #[allow(clippy::needless_range_loop)]
-                    for lane in 0..lanes {
-                        if srcs[b].is_empty() {
-                            continue;
-                        }
-                        let expected: Vec<(EndpointId, NodeId)> =
-                            srcs[b].iter().map(|&a| (send_id(a, lane), a)).collect();
-                        let ctx = runtime.context_flow(b, config.flow);
-                        let credit = channels[b][lane].bootstrap_receives(&ctx, &expected)?;
-                        for &a in &srcs[b] {
-                            channels[a][lane].bootstrap_credit(b, credit);
-                        }
-                    }
-                }
-                let send = channels
-                    .iter()
-                    .enumerate()
-                    .map(|(node, lane_ch)| {
-                        if dests[node].is_empty() {
-                            Vec::new()
-                        } else {
-                            lane_ch
-                                .iter()
-                                .map(|c| Arc::new(c.send_half()) as Arc<dyn SendEndpoint>)
-                                .collect()
-                        }
-                    })
-                    .collect();
-                let recv = channels
-                    .iter()
-                    .enumerate()
-                    .map(|(node, lane_ch)| {
-                        if srcs[node].is_empty() {
-                            Vec::new()
-                        } else {
-                            lane_ch
-                                .iter()
-                                .map(|c| Arc::new(c.recv_half()) as Arc<dyn ReceiveEndpoint>)
-                                .collect()
-                        }
-                    })
-                    .collect();
-                Exchange {
-                    send,
-                    recv,
-                    groups: config.groups.clone(),
-                    algorithm: config.algorithm,
-                    lanes,
-                    flow: config.flow,
-                    mux: muxer.clone(),
-                    phases: None,
-                }
-            }
+        let wiring = Wiring {
+            runtime,
+            flow: config.flow,
+            lanes,
+            id_base: config.endpoint_id_base,
+            dests: &dests,
+            srcs: &srcs,
+            muxer: muxer.as_deref(),
+        };
+        let (send, recv) = match config.algorithm.imp {
+            EndpointImpl::MqSr => wiring.rc(
+                &config.sr_rc(),
+                SrRcSendEndpoint::new,
+                SrRcReceiveEndpoint::new,
+            )?,
+            EndpointImpl::MqRd => wiring.rc(
+                &config.one_sided(),
+                RdRcSendEndpoint::new,
+                RdRcReceiveEndpoint::new,
+            )?,
+            EndpointImpl::MqWr => wiring.rc(
+                &config.one_sided(),
+                WrRcSendEndpoint::new,
+                WrRcReceiveEndpoint::new,
+            )?,
+            EndpointImpl::SqSr => wiring.ud(&config.sr_ud())?,
+        };
+        let mut exchange = Exchange {
+            send,
+            recv,
+            groups: config.groups.clone(),
+            algorithm: config.algorithm,
+            lanes,
+            flow: config.flow,
+            mux: muxer,
+            phases: None,
         };
         // Lazy: registers no `mux.*` series unless a lease actually shared
         // a slot, keeping identity-configuration snapshots byte-identical.

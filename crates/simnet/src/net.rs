@@ -3,7 +3,7 @@
 //! InfiniBand clusters of the paper's scale (≤16 nodes) sit under a single
 //! non-blocking switch, so the only shared network resources are each node's
 //! egress and ingress port. Modelling those two ports as FIFO
-//! [`Resource`]s reproduces the first-order effects the paper relies on:
+//! [`Resource`](crate::Resource)s reproduces the first-order effects the paper relies on:
 //!
 //! * a single sender cannot exceed line rate (egress serialization),
 //! * a receiver under incast (repartition/broadcast) caps at line rate no

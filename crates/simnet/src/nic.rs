@@ -2,7 +2,7 @@
 //! context cache.
 //!
 //! Each node owns one [`NicModel`]. Every work request the node issues or
-//! receives occupies the NIC's processing pipeline (a FIFO [`Resource`]
+//! receives occupies the NIC's processing pipeline (a FIFO [`Resource`](crate::Resource)
 //! bounding the message rate) and touches the context of the Queue Pair it
 //! belongs to. Contexts live in a fixed-size LRU cache; a miss pays a PCIe
 //! round trip. This is the mechanism behind the paper's Figure 11 (effect of

@@ -223,7 +223,7 @@ impl CompletionQueue {
     ///
     /// Burst pricing: if a previous charge already covered this entry (the
     /// queue held several completions when it was paid), no additional
-    /// poll cost is charged — see [`CqInner::charge_poll`].
+    /// poll cost is charged (the private `CqInner::charge_poll`).
     pub fn next(&self, ctx: &SimContext) -> Completion {
         self.inner.charge_poll(ctx);
         let c = self.inner.gate.recv(ctx);
