@@ -7,7 +7,14 @@ cd "$(dirname "$0")"
 CARGO_FLAGS=${CARGO_FLAGS:-}
 
 cargo build --release $CARGO_FLAGS
-cargo test -q $CARGO_FLAGS
+
+# The whole workspace in one run: the umbrella package's integration
+# suite (tests/) plus every crate's own — the simnet kernel/fiber and
+# verbs transport tests that guard the scheduler, sched admission, mux
+# slot leasing, core end-to-end, obs, audit, engine, tpch. 31 s on the
+# fiber kernel. The umbrella suite used to run a second time on its own
+# (`cargo test -q`, 21 s) before this; the workspace run is a superset.
+cargo test -q --workspace $CARGO_FLAGS
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings
 
 # Feature matrix: the audit feature auto-installs the protocol invariant
@@ -21,9 +28,9 @@ cargo clippy --workspace --all-targets --features audit $CARGO_FLAGS -- -D warni
 cargo test -q --features saboteur --test mutation $CARGO_FLAGS
 cargo clippy --workspace --all-targets --features saboteur $CARGO_FLAGS -- -D warnings
 
-# Panic-free data path: endpoint hot paths and the recovery/restart
-# orchestrators propagate typed ShuffleErrors; unwrap/expect would turn a
-# poisoned ring slot or a failed reconnect into a process abort.
+# Panic-free data path: endpoint hot paths and the query coordinator
+# (engine::recovery) propagate typed ShuffleErrors; unwrap/expect would
+# turn a poisoned ring slot or a failed reconnect into a process abort.
 if grep -rnE '\.(unwrap|expect)\(' crates/core/src/endpoint/ crates/engine/src/ crates/mux/src/ \
   crates/core/src/phase.rs crates/core/src/advisor.rs; then
   echo "ERROR: unwrap()/expect() on an engine, endpoint or mux data path (see above)" >&2
@@ -47,13 +54,6 @@ fi
 # with exactly-once row delivery, and the partial-recovery plan is
 # contained without a full restart.
 cargo run -q --release -p rshuffle-bench --bin chaos $CARGO_FLAGS -- --smoke
-
-# Every crate's own suite (the umbrella package above only runs the
-# integration tests): the simnet kernel/fiber and verbs transport tests
-# that guard the scheduler, sched admission, mux slot leasing, core
-# end-to-end, obs, audit, engine, tpch. 27 s on the fiber kernel; 1m08 on
-# the OS-thread kernel it replaced, same sandbox (1m40 at re-anchor).
-cargo test -q --workspace $CARGO_FLAGS
 
 # One host thread: simulated threads are fibers (crates/simnet/src/fiber.rs).
 # An OS thread per simulated thread must not come back through a side door.

@@ -27,9 +27,10 @@ use rshuffle_bench::{Pattern, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, Topology};
 use rshuffle_verbs::FaultPlan;
 
-/// Canned fault plans selectable by name. Diagnostic runs have no
-/// restart orchestration, so only faults the transports ride out
-/// in-place are offered here.
+/// Canned fault plans selectable by name. Diagnostic runs drive the
+/// exchange directly, without the `run_shuffle_with_recovery`
+/// coordinator, so only faults the transports ride out in-place are
+/// offered here.
 fn canned_plan(name: &str) -> Option<FaultPlan> {
     let us = SimDuration::from_micros;
     match name {

@@ -11,9 +11,10 @@
 //!   [`Project`], [`HashJoin`], [`HashAggregate`], [`ComputeStage`],
 //! * [`exec`] — fragment drivers that pump pipelines to completion on
 //!   simulated worker threads and report timing,
-//! * [`restart`] — a query-restart orchestrator that recovers from
-//!   transient shuffle failures by rebuilding the exchange and re-running
-//!   the query (§4.4.2), with capped virtual-time backoff,
+//! * [`recovery`] — the query coordinator: recovers from transient
+//!   shuffle failures with the cheapest rung of one ladder, from a
+//!   per-flow retry up to rebuilding the exchange and re-running the
+//!   query (§4.4.2), with capped virtual-time backoff,
 //! * [`workload`] — a multi-query driver that runs N queries through the
 //!   admission scheduler ([`rshuffle_sched`]) on one shared cluster.
 
@@ -22,17 +23,12 @@
 pub mod exec;
 pub mod ops;
 pub mod recovery;
-pub mod restart;
 pub mod table;
 pub mod workload;
 
 pub use exec::{drive_to_sink, FragmentStats};
 pub use recovery::{
     degrade, run_shuffle_with_recovery, BackoffSchedule, RecoveryPolicy, RecoveryReport,
-};
-pub use restart::{
-    run_shuffle_with_restart, run_shuffle_with_restart_hooks, AttemptEnd, AttemptHooks,
-    QueryReport, RestartPolicy,
 };
 pub use ops::{
     ComputeStage, Filter, Generator, HashAggregate, HashJoin, HashSemiJoin, MemScan, Project, TopN,

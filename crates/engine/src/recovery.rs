@@ -1,13 +1,13 @@
-//! Partial-failure recovery: epoch-fenced per-flow retry, QP reconnect
-//! with backoff, and graceful algorithm degradation.
+//! The query coordinator: one recovery ladder from epoch-fenced
+//! per-flow retry up to the paper's query restart (§4.4.2).
 //!
-//! The [`crate::restart`] orchestrator answers every transient failure
-//! the same way: discard the whole attempt and replay the query from
-//! row zero. That is the paper's §4.4.2 contract and it is always
-//! correct, but it is also maximally wasteful — a single failed Queue
-//! Pair forces every healthy flow in the cluster to redo work it had
-//! already delivered. This module adds three finer-grained rungs below
-//! the full restart:
+//! The shuffling operators never retransmit: when the transport loses
+//! data (UD message loss), a Queue Pair fails, or flow control stops
+//! making progress, every endpoint surfaces a typed [`ShuffleError`]
+//! instead of hanging. The coordinator here is the layer above that
+//! contract. It runs a cluster-wide shuffle as a sequence of *attempts*,
+//! collects every worker's result, and answers a transient failure with
+//! the cheapest rung that can still finish the query:
 //!
 //! 1. **Epoch-fenced per-flow retry.** Receivers track a delivered-row
 //!    watermark per flow (`(source node, source thread, destination
@@ -32,16 +32,27 @@
 //!    UD design that does not depend on the broken connections — and
 //!    resumes *mid-query* on the sturdier algorithm, still keeping the
 //!    watermarked rows (every design delivers the same row set per
-//!    destination). Only when the ladder and budgets are exhausted does
-//!    the query escalate to the classic full restart.
+//!    destination).
+//! 4. **Full restart** — the paper's own answer, and the only rung for
+//!    datagram loss, multicast patterns and exhausted partial budgets:
+//!    discard the generation, rebuild, back off (capped exponential, in
+//!    virtual time, so recovery latency is measurable and
+//!    deterministic) and replay the source from row zero. A policy with
+//!    `max_partial_retries: 0` is exactly §4.4.2.
 //!
-//! All recovery activity is observable: `engine.partial_retries`,
+//! Exactly-once delivery holds per *generation*, not per attempt: the
+//! `sink` closure is told which generation each batch belongs to, and
+//! only the generation the report names survives.
+//!
+//! All recovery activity is observable: `engine.restarts`,
+//! `engine.recovery_ns`, `engine.partial_retries`,
 //! `engine.qp_reconnects`, `engine.degraded`, `engine.kept_bytes` and
-//! `engine.redone_bytes` counters, plus `partial_retry`, `qp_reconnect`,
-//! `flow_resumed`, `query_degraded` flight-recorder events on the
-//! coordinator track. On a healthy run none of this machinery executes
-//! and the wire traffic is byte-identical to the pre-recovery stack
-//! (epoch 0 in every header).
+//! `engine.redone_bytes` counters, plus `query_restart`,
+//! `query_recovered`, `partial_retry`, `qp_reconnect`, `flow_resumed`,
+//! `query_degraded` flight-recorder events on the coordinator track. On
+//! a healthy run none of this machinery executes and the wire traffic
+//! is byte-identical to the pre-recovery stack (epoch 0 in every
+//! header).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -49,22 +60,23 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle::{
     CostModel, EndpointImpl, Exchange, ExchangeConfig, Operator, RowBatch, ShuffleAlgorithm,
-    ShuffleError, ShuffleOperator,
+    ShuffleError, ShuffleOperator, StreamState,
 };
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
 use rshuffle_verbs::{ConnectionManager, QpType, RecvWr, SendWr, VerbsRuntime, WcStatus};
-
-use crate::restart::{restartable, spawn_worker, WorkerResult};
 
 /// Payload bytes pushed through a probe QP to prove the fabric carries
 /// traffic again.
 const PROBE_BYTES: usize = 64;
 /// Polling cadence while waiting for the probe send completion.
 const PROBE_POLL: SimDuration = SimDuration::from_micros(2);
+/// How long one probe waits for its send completion before counting
+/// the attempt as failed.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
 /// Endpoint-id distance between consecutive rebuild attempts of one
 /// query, so a retried flow never aliases a fenced-off attempt's ids.
-const ATTEMPT_ID_STRIDE: u32 = 4096;
+pub(crate) const ATTEMPT_ID_STRIDE: u32 = 4096;
 
 /// A capped exponential backoff schedule in virtual time, with optional
 /// deterministic per-seed jitter.
@@ -173,9 +185,6 @@ pub struct RecoveryPolicy {
     pub initial_backoff: SimDuration,
     /// Backoff cap.
     pub max_backoff: SimDuration,
-    /// How long one probe waits for its send completion before counting
-    /// the attempt as failed.
-    pub probe_timeout: SimDuration,
     /// Whether the query may step down the [`degrade`] ladder when the
     /// reconnect budget is exhausted.
     pub allow_degradation: bool,
@@ -191,7 +200,6 @@ impl Default for RecoveryPolicy {
             reconnect_budget: 5,
             initial_backoff: SimDuration::from_micros(50),
             max_backoff: SimDuration::from_millis(1),
-            probe_timeout: SimDuration::from_micros(200),
             allow_degradation: true,
             max_full_restarts: 2,
         }
@@ -216,8 +224,8 @@ pub struct RecoveryReport {
     pub final_algorithm: ShuffleAlgorithm,
     /// Full restarts performed (generation bumps that discarded work).
     pub full_restarts: u32,
-    /// The surviving generation; sinks must discard batches tagged with
-    /// any earlier generation.
+    /// The surviving generation (the one the query gave up in, on
+    /// failure); sinks must discard batches tagged with any earlier one.
     pub generation: u32,
     /// Sink-visible bytes that bought no new rows: batches of discarded
     /// generations plus receiver-side duplicate drops.
@@ -235,7 +243,7 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    fn new(algorithm: ShuffleAlgorithm) -> Self {
+    pub(crate) fn new(algorithm: ShuffleAlgorithm) -> Self {
         RecoveryReport {
             rows: 0,
             bytes: 0,
@@ -271,6 +279,16 @@ struct FlowLedger {
 impl FlowLedger {
     fn get(&self, key: (usize, u16, usize)) -> u64 {
         self.rows.lock().get(&key).copied().unwrap_or(0)
+    }
+
+    /// Rows sender `(src, tid)` skips on resume for the group targeting
+    /// `members`: the minimum delivered watermark across them.
+    fn resume_skip(&self, src: usize, tid: usize, members: &[NodeId]) -> u64 {
+        members
+            .iter()
+            .map(|&d| self.get((src, tid as u16, d)))
+            .min()
+            .unwrap_or(0)
     }
 
     fn advance(&self, key: (usize, u16, usize), n: u64) {
@@ -323,29 +341,87 @@ fn qp_shaped(e: &ShuffleError, runtime: &VerbsRuntime) -> bool {
     ) && !runtime.failed_qp_nodes().is_empty()
 }
 
+/// Whether an error is worth a fresh attempt. Configuration errors and
+/// impossible memory budgets are deterministic and would fail
+/// identically; everything else (message loss, stalls, completion
+/// errors, verbs failures) is transient fabric state that a rebuilt
+/// exchange escapes.
+fn restartable(e: &ShuffleError) -> bool {
+    !matches!(
+        e,
+        ShuffleError::Config(_) | ShuffleError::BudgetImpossible { .. }
+    )
+}
+
+/// How one attempt ended, as told to [`AttemptHooks::after_attempt`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum AttemptEnd {
+    /// The attempt delivered the query to completion.
+    Success,
+    /// The attempt failed and the query goes on: a probe, a backoff or
+    /// a rebuild follows (a fabric that never answers the probe can
+    /// still end the query afterwards, holding nothing).
+    Retry,
+    /// The query gave up: non-restartable error, exhausted budgets, or
+    /// the exchange would not build.
+    Failure,
+}
+
+/// Per-attempt callbacks of the coordinator loop: the seam the
+/// multi-query scheduler plugs into. `before_attempt` runs on the
+/// coordinator thread before each exchange is built (admission — may
+/// block in virtual time; an `Err` fails the query without running the
+/// attempt); `after_attempt` runs once the attempt's outcome is known
+/// (release). A recovering query therefore gives its slot back and
+/// re-enters admission at the back of the queue instead of holding
+/// resources while it probes or backs off.
+pub(crate) struct AttemptHooks {
+    pub(crate) before_attempt: BeforeAttempt,
+    pub(crate) after_attempt: AfterAttempt,
+}
+
+type BeforeAttempt = Box<dyn Fn(&SimContext) -> Result<(), ShuffleError> + Send + Sync>;
+type AfterAttempt = Box<dyn Fn(&SimContext, AttemptEnd) + Send + Sync>;
+
+impl Default for AttemptHooks {
+    fn default() -> Self {
+        AttemptHooks {
+            before_attempt: Box::new(|_| Ok(())),
+            after_attempt: Box::new(|_, _| {}),
+        }
+    }
+}
+
+/// What one worker of an attempt reports to the coordinator.
+type WorkerResult = Result<(), ShuffleError>;
+
 /// Shared factory producing the source operator for a (generation,
 /// node). Partial retries reuse the generation, so the factory must be
 /// deterministic: the same `(generation, node)` yields the same rows in
 /// the same order.
-type GenSourceFactory = Arc<dyn Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sync>;
+pub(crate) type GenSourceFactory = Arc<dyn Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sync>;
 
 /// Shared sink receiving every delivered `(generation, node, tid,
 /// batch)`. Rows within one generation are delivered exactly once; a
 /// full restart bumps the generation and the caller must discard all
 /// earlier generations.
-type GenSink = Arc<dyn Fn(u32, NodeId, usize, &RowBatch) + Send + Sync>;
+pub(crate) type GenSink = Arc<dyn Fn(u32, NodeId, usize, &RowBatch) + Send + Sync>;
 
 /// Runs a cluster-wide shuffle query under `policy`, recovering from
 /// partial failures without discarding delivered work where possible.
 ///
-/// The coordinator (a simulated thread on node 0) builds an
-/// [`Exchange`] from `config` and drives it like
-/// [`crate::restart::run_shuffle_with_restart`], but on a QP-shaped
-/// failure it (1) probes the failed node with reconnect-with-backoff,
-/// (2) resumes the query under a bumped epoch with senders fast-
-/// forwarded past the delivered watermarks, (3) steps down the
-/// [`degrade`] ladder when the reconnect budget is exhausted, and only
-/// then (4) escalates to a generation-bumping full restart.
+/// For every attempt the coordinator (a simulated thread on node 0)
+/// builds a fresh [`Exchange`] from `config`, spawns `config.threads`
+/// send workers pumping `make_source(generation, node)` through the
+/// shuffle operator and `config.threads` receive workers streaming
+/// `row_size`-byte rows into `sink` on every node, then blocks until
+/// all workers report. On a QP-shaped failure it (1) probes the failed
+/// node with reconnect-with-backoff, (2) resumes the query under a
+/// bumped epoch with senders fast-forwarded past the delivered
+/// watermarks, (3) steps down the [`degrade`] ladder when the reconnect
+/// budget is exhausted, and otherwise — or once the partial budget is
+/// spent — (4) tears the exchange down, backs off and replays a new
+/// generation from scratch.
 ///
 /// `sink` receives `(generation, node, tid, batch)`; rows are delivered
 /// exactly once per generation and only the final generation (see
@@ -361,15 +437,30 @@ pub fn run_shuffle_with_recovery(
     make_source: impl Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sync + 'static,
     sink: impl Fn(u32, NodeId, usize, &RowBatch) + Send + Sync + 'static,
 ) -> Arc<Mutex<RecoveryReport>> {
+    let hooks = AttemptHooks::default();
+    let (make_source, sink) = (Arc::new(make_source), Arc::new(sink));
+    run_query(runtime, config, policy, row_size, make_source, sink, hooks)
+}
+
+/// The coordinator loop behind [`run_shuffle_with_recovery`], with the
+/// per-attempt [`AttemptHooks`] that [`crate::workload::run_workload`]
+/// fills with the scheduler's admit and release.
+pub(crate) fn run_query(
+    runtime: &Arc<VerbsRuntime>,
+    config: &ExchangeConfig,
+    policy: RecoveryPolicy,
+    row_size: usize,
+    make_source: GenSourceFactory,
+    sink: GenSink,
+    hooks: AttemptHooks,
+) -> Arc<Mutex<RecoveryReport>> {
     let report = Arc::new(Mutex::new(RecoveryReport::new(config.algorithm)));
     let out = report.clone();
     let runtime = runtime.clone();
     let config = config.clone();
-    let make_source: GenSourceFactory = Arc::new(make_source);
-    let sink: GenSink = Arc::new(sink);
     let cluster = runtime.cluster().clone();
     let obs = cluster.obs().clone();
-    cluster.clone().spawn(0, "recovery-coordinator", move |sim| {
+    cluster.clone().spawn(0, "query-coordinator", move |sim| {
         let cost = CostModel::from_profile(runtime.profile());
         let m = &obs.metrics;
         let partial_ctr = m.counter(names::ENGINE_PARTIAL_RETRIES, Labels::node(0));
@@ -381,19 +472,26 @@ pub fn run_shuffle_with_recovery(
         let recovery_ctr = m.counter(names::ENGINE_RECOVERY_NS, Labels::node(0));
         let track = sim.id().track();
 
+        // `rep.final_algorithm` and `rep.generation` are the loop's own
+        // state, so every exit reports the design and generation the
+        // query was on.
         let mut rep = RecoveryReport::new(config.algorithm);
         let ledger = Arc::new(FlowLedger::default());
         let accounting = Arc::new(RecvAccounting::default());
         let eligible = partial_eligible(&config);
-        let mut algorithm = config.algorithm;
-        let mut generation = 0u32;
         let mut epoch = 0u16;
         let mut rebuilds = 0u32;
         let mut first_failure = None;
         let mut backoff = BackoffSchedule::new(policy.initial_backoff, policy.max_backoff);
         loop {
+            // Admission (may block in virtual time); a hook error fails
+            // the query before any resource is built.
+            if let Err(e) = (hooks.before_attempt)(&sim) {
+                rep.failure = Some(e);
+                break;
+            }
             let mut attempt_cfg = config.clone();
-            attempt_cfg.algorithm = algorithm;
+            attempt_cfg.algorithm = rep.final_algorithm;
             attempt_cfg.epoch = epoch;
             attempt_cfg.endpoint_id_base = config
                 .endpoint_id_base
@@ -402,17 +500,18 @@ pub fn run_shuffle_with_recovery(
             let exchange = match Exchange::build(&runtime, &attempt_cfg) {
                 Ok(ex) => ex,
                 Err(e) => {
+                    (hooks.after_attempt)(&sim, AttemptEnd::Failure);
                     rep.failure = Some(e);
                     break;
                 }
             };
             let done: Gate<WorkerResult> = Gate::new(cluster.kernel(), SimDuration::ZERO);
-            let expected = spawn_recovery_attempt(
+            let expected = spawn_attempt(
                 &cluster,
                 &exchange,
                 &attempt_cfg,
                 &cost,
-                generation,
+                rep.generation,
                 rebuilds,
                 row_size,
                 &make_source,
@@ -424,15 +523,13 @@ pub fn run_shuffle_with_recovery(
             let mut first_err: Option<ShuffleError> = None;
             for _ in 0..expected {
                 if let Err(e) = done.recv(&sim) {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
             obs.recorder.span(
                 0,
                 track,
-                &format!("recovery-attempt:g{generation}e{epoch}"),
+                &format!("recovery-attempt:g{}e{epoch}", rep.generation),
                 attempt_started.as_nanos(),
                 sim.now().as_nanos(),
             );
@@ -442,48 +539,51 @@ pub fn run_shuffle_with_recovery(
             // the scheduler's budget across a reconnect. A no-op for
             // untagged exchanges.
             exchange.release(&runtime);
-            let e = match first_err {
-                None => {
+            let Some(e) = first_err else {
+                {
                     let per_gen = accounting.per_generation.lock();
-                    let (rows, bytes) = per_gen.get(&generation).copied().unwrap_or((0, 0));
-                    rep.rows = rows;
-                    rep.bytes = bytes;
-                    rep.generation = generation;
-                    rep.final_algorithm = algorithm;
+                    (rep.rows, rep.bytes) =
+                        per_gen.get(&rep.generation).copied().unwrap_or((0, 0));
                     rep.redone_bytes = per_gen
                         .iter()
-                        .filter(|(g, _)| **g != generation)
+                        .filter(|(g, _)| **g != rep.generation)
                         .map(|(_, v)| v.1)
                         .sum::<u64>()
                         + *accounting.dedup_dropped_bytes.lock();
-                    redone_ctr.add(rep.redone_bytes);
-                    if let Some(at) = first_failure {
-                        let recovery = sim.now() - at;
-                        rep.recovery = Some(recovery);
-                        recovery_ctr.add(recovery.as_nanos());
-                        obs.recorder.event(
-                            0,
-                            track,
-                            sim.now().as_nanos(),
-                            EventKind::QueryRecovered,
-                            recovery.as_nanos(),
-                        );
-                    }
-                    break;
                 }
-                Some(e) => e,
+                redone_ctr.add(rep.redone_bytes);
+                if let Some(at) = first_failure {
+                    let recovery = sim.now() - at;
+                    rep.recovery = Some(recovery);
+                    recovery_ctr.add(recovery.as_nanos());
+                    obs.recorder.event(
+                        0,
+                        track,
+                        sim.now().as_nanos(),
+                        EventKind::QueryRecovered,
+                        recovery.as_nanos(),
+                    );
+                }
+                (hooks.after_attempt)(&sim, AttemptEnd::Success);
+                break;
             };
             first_failure.get_or_insert(sim.now());
             rep.attempt_errors.push(e.clone());
-            if !restartable(&e) {
+            // Rungs 1–3 answer a QP-shaped failure while the partial
+            // budget lasts; rung 4 answers any restartable one.
+            let partial = eligible
+                && rep.partial_retries < policy.max_partial_retries
+                && qp_shaped(&e, &runtime);
+            let restart = restartable(&e) && rep.full_restarts < policy.max_full_restarts;
+            if !(partial || restart) {
+                (hooks.after_attempt)(&sim, AttemptEnd::Failure);
                 rep.failure = Some(e);
                 break;
             }
-            // Rung 1+2: probe-gated per-flow retry on a QP-shaped
-            // failure, while the partial budget lasts.
+            // The slot goes back before any probe or backoff.
+            (hooks.after_attempt)(&sim, AttemptEnd::Retry);
             let mut resumed = false;
-            if eligible && rep.partial_retries < policy.max_partial_retries && qp_shaped(&e, &runtime)
-            {
+            if partial {
                 let probed = probe_failed_nodes(
                     &sim,
                     &runtime,
@@ -502,9 +602,9 @@ pub fn run_shuffle_with_recovery(
                         // down the ladder and resume on a design that
                         // does not need the broken resource.
                         rep.attempt_errors.push(budget_err.clone());
-                        match degrade(algorithm) {
+                        match degrade(rep.final_algorithm) {
                             Some(next) if policy.allow_degradation => {
-                                algorithm = next;
+                                rep.final_algorithm = next;
                                 rep.degradations.push(next);
                                 degraded_ctr.inc();
                                 obs.recorder.event(
@@ -517,12 +617,11 @@ pub fn run_shuffle_with_recovery(
                                 runtime.clear_failed_qp_nodes();
                                 resumed = true;
                             }
-                            _ => {
-                                if rep.full_restarts >= policy.max_full_restarts {
-                                    rep.failure = Some(budget_err);
-                                    break;
-                                }
+                            _ if rep.full_restarts >= policy.max_full_restarts => {
+                                rep.failure = Some(budget_err);
+                                break;
                             }
+                            _ => {}
                         }
                     }
                 }
@@ -546,14 +645,12 @@ pub fn run_shuffle_with_recovery(
                 backoff.reset();
                 continue;
             }
-            // Rung 4: classic full restart — discard the generation.
-            if rep.full_restarts >= policy.max_full_restarts {
-                rep.failure = Some(e);
-                break;
-            }
+            // Rung 4: the paper's full restart — discard the generation.
+            // Its budget was checked above, before the release or after
+            // the failed probe.
             rep.full_restarts += 1;
             restarts_ctr.inc();
-            generation += 1;
+            rep.generation += 1;
             epoch = epoch.wrapping_add(1);
             rebuilds += 1;
             ledger.clear();
@@ -622,7 +719,7 @@ fn probe_failed_nodes(
                 EventKind::QpReconnect,
                 attempts as u64,
             );
-            if probe_once(sim, &qa, &qb, &send_cq, &mr_a, &mr_b, policy.probe_timeout).is_ok() {
+            if probe_once(sim, &qa, &qb, &send_cq, &mr_a, &mr_b).is_ok() {
                 healthy = true;
                 break;
             }
@@ -650,7 +747,6 @@ fn probe_once(
     send_cq: &rshuffle_verbs::CompletionQueue,
     mr_a: &rshuffle_verbs::MemoryRegion,
     mr_b: &rshuffle_verbs::MemoryRegion,
-    timeout: SimDuration,
 ) -> Result<(), ShuffleError> {
     ConnectionManager::reconnect_rc(sim, qa, qb.address_handle())?;
     ConnectionManager::reconnect_rc(sim, qb, qa.address_handle())?;
@@ -674,7 +770,7 @@ fn probe_once(
             ah: None,
         },
     )?;
-    let deadline = sim.now() + timeout;
+    let deadline = sim.now() + PROBE_TIMEOUT;
     loop {
         if let Some(c) = send_cq.poll(sim, 1).into_iter().next() {
             return if c.status == WcStatus::Success {
@@ -706,11 +802,7 @@ fn seed_pending_drops(
     for (src, groups) in config.groups.iter().enumerate() {
         for tid in 0..config.threads {
             for members in groups.iter() {
-                let skip = members
-                    .iter()
-                    .map(|&d| ledger.get((src, tid as u16, d)))
-                    .min()
-                    .unwrap_or(0);
+                let skip = ledger.resume_skip(src, tid, members);
                 for &d in members {
                     let excess = ledger.get((src, tid as u16, d)).saturating_sub(skip);
                     if excess > 0 {
@@ -722,13 +814,13 @@ fn seed_pending_drops(
     }
 }
 
-/// Spawns send and receive workers for one recovery attempt; returns
-/// how many results the coordinator must collect. Senders are seeded
-/// with resume skips from the ledger (all zero on a fresh generation);
-/// receivers track per-flow watermarks and deliver straight to the
+/// Spawns send and receive workers for one attempt; returns how many
+/// results the coordinator must collect. Senders are seeded with resume
+/// skips from the ledger (all zero on a fresh generation); receivers
+/// track per-flow watermarks and deliver straight to the
 /// generation-tagged sink.
 #[allow(clippy::too_many_arguments)]
-fn spawn_recovery_attempt(
+fn spawn_attempt(
     cluster: &rshuffle_simnet::Cluster,
     exchange: &Exchange,
     config: &ExchangeConfig,
@@ -753,13 +845,7 @@ fn spawn_recovery_attempt(
                 .map(|tid| {
                     groups
                         .iter()
-                        .map(|members| {
-                            members
-                                .iter()
-                                .map(|&d| ledger.get((node, tid as u16, d)))
-                                .min()
-                                .unwrap_or(0)
-                        })
+                        .map(|members| ledger.resume_skip(node, tid, members))
                         .collect()
                 })
                 .collect();
@@ -777,7 +863,19 @@ fn spawn_recovery_attempt(
             let op: Arc<dyn Operator> = Arc::new(shuffle);
             for tid in 0..threads {
                 let name = format!("r{rebuild}-shuffle-{node}-{tid}");
-                spawn_worker(cluster, node, &name, op.clone(), tid, None, done.clone());
+                let (op, done) = (op.clone(), done.clone());
+                // A send worker pumps the shuffle operator until
+                // depletion or error and reports the outcome.
+                cluster.spawn(node, &name, move |sim: SimContext| {
+                    let result = loop {
+                        match op.next(&sim, tid) {
+                            Ok((StreamState::Depleted, _)) => break Ok(()),
+                            Ok(_) => {}
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    done.push(result);
+                });
                 expected += 1;
             }
         }
@@ -824,13 +922,7 @@ fn recovery_recv_loop(
     ledger: &Arc<FlowLedger>,
     accounting: &Arc<RecvAccounting>,
 ) -> WorkerResult {
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
-    loop {
-        let delivery = match ep.get_data(sim)? {
-            Some(d) => d,
-            None => return Ok((rows, bytes)),
-        };
+    while let Some(delivery) = ep.get_data(sim)? {
         let len = delivery.local.len();
         if len % row_size != 0 {
             return Err(ShuffleError::Config(format!(
@@ -871,10 +963,9 @@ fn recovery_recv_loop(
             let entry = per_gen.entry(generation).or_insert((0, 0));
             entry.0 += n;
             entry.1 += b;
-            rows += n;
-            bytes += b;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

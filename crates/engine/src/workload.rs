@@ -1,14 +1,15 @@
 //! Multi-query workload driver: runs N shuffle queries through the
 //! admission scheduler on one simulated cluster.
 //!
-//! Each query gets its own coordinator (the restart orchestrator of
-//! [`crate::restart`]) whose per-attempt hooks go through
+//! Each query gets its own coordinator (the recovery ladder of
+//! [`crate::recovery`]) whose per-attempt hooks go through
 //! [`Scheduler::admit`] / [`Scheduler::release`]: every attempt —
-//! including a restart after a transient failure — re-enters admission
-//! at the back of the queue, returns its registered memory, and gives
-//! its fairness weight back while backing off. Queries are isolated on
-//! the shared fabric by their [`FlowId`] (the query id) and by disjoint
-//! endpoint-id spaces ([`ENDPOINT_ID_STRIDE`]).
+//! including a partial retry or a restart after a transient failure —
+//! re-enters admission at the back of the queue, returns its registered
+//! memory, and gives its fairness weight back while probing or backing
+//! off. Queries are isolated on the shared fabric by their [`FlowId`]
+//! (the query id) and by disjoint endpoint-id spaces
+//! ([`ENDPOINT_ID_STRIDE`]).
 
 use std::sync::Arc;
 
@@ -18,11 +19,11 @@ use rshuffle::{
 };
 use rshuffle_obs::EventKind;
 use rshuffle_sched::{Admission, QueryRequest, ReleaseOutcome, Scheduler};
-use rshuffle_simnet::{FlowId, NodeId, SimDuration, SimTime};
+use rshuffle_simnet::{FlowId, NodeId, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
-use crate::restart::{
-    run_shuffle_with_restart_hooks, AttemptEnd, AttemptHooks, QueryReport, RestartPolicy,
+use crate::recovery::{
+    run_query, AttemptEnd, AttemptHooks, RecoveryPolicy, RecoveryReport, ATTEMPT_ID_STRIDE,
 };
 
 /// Gap between the endpoint-id spaces of consecutive query ids: room
@@ -38,8 +39,10 @@ pub struct QuerySpec {
     /// The exchange to run. `flow` and `endpoint_id_base` are
     /// overwritten from `id`.
     pub config: ExchangeConfig,
-    /// Restart policy for transient failures.
-    pub policy: RestartPolicy,
+    /// Recovery policy for transient failures. Every rebuild it allows
+    /// takes its own endpoint-id range inside the query's
+    /// [`ENDPOINT_ID_STRIDE`], so at most 15 in total.
+    pub policy: RecoveryPolicy,
     /// Row size streamed by the receive operators.
     pub row_size: usize,
     /// Weighted-fair bandwidth weight (1 = equal share).
@@ -49,12 +52,12 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// A weight-1, priority-0 query with the default restart policy.
+    /// A weight-1, priority-0 query with the default recovery policy.
     pub fn new(id: u32, config: ExchangeConfig, row_size: usize) -> Self {
         QuerySpec {
             id,
             config,
-            policy: RestartPolicy::default(),
+            policy: RecoveryPolicy::default(),
             row_size,
             weight: 1,
             priority: 0,
@@ -141,6 +144,25 @@ fn record_advice(runtime: &Arc<VerbsRuntime>, advice: &Advice) {
         .event(0, 0, now, EventKind::AdvisorDecision, code);
 }
 
+/// `spec`'s endpoint-id base, or a typed error when the id space cannot
+/// hold the query: each rebuild its policy allows takes a fresh
+/// [`ATTEMPT_ID_STRIDE`]-wide range above the base, and all of them must
+/// end below the next query's base (and inside `u32`).
+fn endpoint_id_base(spec: &QuerySpec) -> Result<u32, ShuffleError> {
+    let policy = &spec.policy;
+    let attempts = policy.max_partial_retries as u64 + policy.max_full_restarts as u64 + 1;
+    if attempts * ATTEMPT_ID_STRIDE as u64 > ENDPOINT_ID_STRIDE as u64 {
+        return Err(ShuffleError::Config(format!(
+            "query {}: {attempts} attempts of {ATTEMPT_ID_STRIDE} endpoint ids each overrun \
+             the query's {ENDPOINT_ID_STRIDE}-id space",
+            spec.id
+        )));
+    }
+    spec.id.checked_mul(ENDPOINT_ID_STRIDE).ok_or_else(|| {
+        ShuffleError::Config(format!("query id {} is past the endpoint-id space", spec.id))
+    })
+}
+
 /// Virtual-time milestones of one query's trip through the scheduler,
 /// populated while the simulation runs.
 #[derive(Clone, Debug, Default)]
@@ -169,8 +191,8 @@ impl QueryTiming {
 pub struct WorkloadHandle {
     /// The query id.
     pub query: u32,
-    /// The restart orchestrator's report (rows, restarts, failure).
-    pub report: Arc<Mutex<QueryReport>>,
+    /// The coordinator's report (rows, retries, restarts, failure).
+    pub report: Arc<Mutex<RecoveryReport>>,
     /// Scheduler-side timing milestones.
     pub timing: Arc<Mutex<QueryTiming>>,
 }
@@ -179,10 +201,12 @@ pub struct WorkloadHandle {
 /// cluster. Returns one handle per query (same order); results are
 /// valid after `runtime.cluster().run()`.
 ///
-/// `make_source(query, attempt, node)` builds the source operator and
-/// `sink(query, attempt, node, tid, batch)` receives every delivered
-/// batch — per-query, so sinks can keep attempt outputs apart exactly
-/// like [`crate::restart::run_shuffle_with_restart`] does per attempt.
+/// `make_source(query, generation, node)` builds the source operator and
+/// `sink(query, generation, node, tid, batch)` receives every delivered
+/// batch — per-query, so sinks can keep generations apart exactly like
+/// [`crate::recovery::run_shuffle_with_recovery`]'s do. A spec whose id
+/// or policy does not fit the endpoint-id space fails with
+/// [`ShuffleError::Config`] in its report and never asks for admission.
 pub fn run_workload(
     runtime: &Arc<VerbsRuntime>,
     scheduler: &Arc<Scheduler>,
@@ -197,9 +221,23 @@ pub fn run_workload(
     let nodes = runtime.cluster().nodes();
     let mut handles = Vec::with_capacity(queries.len());
     for spec in queries {
+        let query = spec.id;
+        let timing = Arc::new(Mutex::new(QueryTiming::default()));
         let mut config = spec.config.clone();
         config.flow = FlowId(spec.id);
-        config.endpoint_id_base = spec.id * ENDPOINT_ID_STRIDE;
+        config.endpoint_id_base = match endpoint_id_base(&spec) {
+            Ok(base) => base,
+            Err(e) => {
+                let mut report = RecoveryReport::new(config.algorithm);
+                report.failure = Some(e);
+                handles.push(WorkloadHandle {
+                    query,
+                    report: Arc::new(Mutex::new(report)),
+                    timing,
+                });
+                continue;
+            }
+        };
         let request = QueryRequest {
             id: spec.id,
             weight: spec.weight,
@@ -208,13 +246,12 @@ pub fn run_workload(
                 .map(|n| config.registered_bytes_estimate(runtime.profile(), n))
                 .collect(),
         };
-        let timing = Arc::new(Mutex::new(QueryTiming::default()));
         let slot: Arc<Mutex<Option<Admission>>> = Arc::new(Mutex::new(None));
         let before = {
             let scheduler = scheduler.clone();
             let timing = timing.clone();
             let slot = slot.clone();
-            Box::new(move |sim: &rshuffle_simnet::SimContext, _attempt: u32| {
+            Box::new(move |sim: &SimContext| {
                 {
                     let mut t = timing.lock();
                     t.submitted.get_or_insert(sim.now());
@@ -234,47 +271,44 @@ pub fn run_workload(
             let timing = timing.clone();
             let slot = slot.clone();
             let obs = runtime.obs().clone();
-            Box::new(
-                move |sim: &rshuffle_simnet::SimContext, _attempt: u32, end: &AttemptEnd<'_>| {
-                    // `before_attempt` always runs first and fills the
-                    // slot; a missing admission would mean the attempt
-                    // never started, so there is nothing to release.
-                    let Some(adm) = slot.lock().take() else {
-                        return;
-                    };
-                    let outcome = match end {
-                        AttemptEnd::Success => ReleaseOutcome::Completed,
-                        AttemptEnd::Retry(_) => ReleaseOutcome::Requeued,
-                        AttemptEnd::Failure(_) => ReleaseOutcome::Failed,
-                    };
-                    scheduler.release(sim, adm, outcome);
-                    if matches!(end, AttemptEnd::Success) {
-                        let mut t = timing.lock();
-                        t.completed = Some(sim.now());
-                        // Submission-to-completion latency feeds the
-                        // perf-trajectory percentile reports.
-                        if let (Some(done), Some(sub)) = (t.completed, t.submitted) {
-                            obs.metrics
-                                .histogram(
-                                    rshuffle_obs::names::ENGINE_QUERY_LATENCY_NS,
-                                    rshuffle_obs::Labels::GLOBAL,
-                                )
-                                .record((done - sub).as_nanos());
-                        }
+            Box::new(move |sim: &SimContext, end: AttemptEnd| {
+                // `before_attempt` always runs first and fills the
+                // slot; a missing admission would mean the attempt
+                // never started, so there is nothing to release.
+                let Some(adm) = slot.lock().take() else {
+                    return;
+                };
+                let outcome = match end {
+                    AttemptEnd::Success => ReleaseOutcome::Completed,
+                    AttemptEnd::Retry => ReleaseOutcome::Requeued,
+                    AttemptEnd::Failure => ReleaseOutcome::Failed,
+                };
+                scheduler.release(sim, adm, outcome);
+                if end == AttemptEnd::Success {
+                    let mut t = timing.lock();
+                    t.completed = Some(sim.now());
+                    // Submission-to-completion latency feeds the
+                    // perf-trajectory percentile reports.
+                    if let (Some(done), Some(sub)) = (t.completed, t.submitted) {
+                        obs.metrics
+                            .histogram(
+                                rshuffle_obs::names::ENGINE_QUERY_LATENCY_NS,
+                                rshuffle_obs::Labels::GLOBAL,
+                            )
+                            .record((done - sub).as_nanos());
                     }
-                },
-            )
+                }
+            })
         };
-        let query = spec.id;
         let ms = make_source.clone();
         let sk = sink.clone();
-        let report = run_shuffle_with_restart_hooks(
+        let report = run_query(
             runtime,
             &config,
             spec.policy,
             spec.row_size,
-            move |attempt, node| ms(query, attempt, node),
-            move |attempt, node, tid, batch| sk(query, attempt, node, tid, batch),
+            Arc::new(move |generation, node| ms(query, generation, node)),
+            Arc::new(move |generation, node, tid, batch| sk(query, generation, node, tid, batch)),
             AttemptHooks {
                 before_attempt: before,
                 after_attempt: after,
@@ -388,6 +422,6 @@ mod tests {
             rep.failure,
             Some(ShuffleError::BudgetImpossible { .. })
         ));
-        assert_eq!(rep.restarts, 0, "budget errors must not burn restarts");
+        assert_eq!(rep.full_restarts, 0, "budget errors must not burn restarts");
     }
 }

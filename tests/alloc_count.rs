@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, RestartPolicy};
+use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 
@@ -67,13 +67,15 @@ fn allocs_during_run(algorithm: ShuffleAlgorithm, rows_per_thread: usize) -> u64
     let runtime = config.build_runtime(DeviceProfile::edr());
     let delivered = Arc::new(AtomicU64::new(0));
     let d = delivered.clone();
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy {
-            max_restarts: 0,
+        RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts: 0,
             initial_backoff: SimDuration::from_micros(50),
             max_backoff: SimDuration::from_micros(500),
+            ..RecoveryPolicy::default()
         },
         ROW,
         move |_, node| {

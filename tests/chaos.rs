@@ -3,9 +3,10 @@
 //! The contract under test is the paper's §4.4.2 failure model plus this
 //! repo's recovery layer: under any injected fault, a query either
 //! delivers every generated row exactly once (possibly after bounded
-//! query restarts) or returns a typed [`ShuffleError`] — never a hang,
-//! never a panic, never a duplicated or dropped row in the winning
-//! attempt. Because faults are virtual-time-scheduled and every random
+//! query restarts — the partial rungs of the ladder are off here, see
+//! `tests/recovery.rs` for those) or returns a typed [`ShuffleError`] —
+//! never a hang, never a panic, never a duplicated or dropped row in
+//! the winning generation. Because faults are virtual-time-scheduled and every random
 //! draw is seeded, same-seed chaos runs must be byte-identical down to
 //! the metrics snapshot and Chrome trace.
 
@@ -13,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, QueryReport, RestartPolicy};
+use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
@@ -70,28 +71,35 @@ fn chaos_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConfig 
     config
 }
 
-fn chaos_policy() -> RestartPolicy {
-    RestartPolicy {
-        max_restarts: 6,
+/// The paper's restart-only semantics with a budget of `max_full_restarts`.
+fn restart_policy(max_full_restarts: u32, max_backoff: SimDuration) -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts,
         initial_backoff: us(50),
-        max_backoff: SimDuration::from_millis(1),
+        max_backoff,
+        ..RecoveryPolicy::default()
     }
 }
 
+fn chaos_policy() -> RecoveryPolicy {
+    restart_policy(6, SimDuration::from_millis(1))
+}
+
 struct ChaosRun {
-    report: QueryReport,
-    /// Rows delivered to any sink, keyed by attempt number.
+    report: RecoveryReport,
+    /// Rows delivered to any sink, keyed by generation.
     delivered: HashMap<u32, Vec<[u8; ROW]>>,
     snapshot: String,
     trace: String,
 }
 
-fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RestartPolicy) -> ChaosRun {
+fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolicy) -> ChaosRun {
     let config = chaos_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
     let d = delivered.clone();
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
         policy,
@@ -99,9 +107,9 @@ fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RestartPolicy
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |attempt, _, _, batch| {
+        move |generation, _, _, batch| {
             let mut map = d.lock();
-            let rows = map.entry(attempt).or_default();
+            let rows = map.entry(generation).or_default();
             for row in batch.iter() {
                 rows.push(row.try_into().expect("16-byte row"));
             }
@@ -144,18 +152,18 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
             assert!(
                 rep.succeeded(),
                 "{algorithm} under {plan_name}: query failed after {} restarts: {:?}",
-                rep.restarts,
+                rep.full_restarts,
                 rep.failure
             );
             assert!(
-                rep.restarts <= 6,
+                rep.full_restarts <= 6,
                 "{algorithm} under {plan_name}: restart budget exceeded"
             );
-            // Exactly-once: the winning attempt delivered precisely the
+            // Exactly-once: the winning generation delivered precisely the
             // generated multiset — no loss, no duplication.
             let mut got = run
                 .delivered
-                .get(&rep.restarts)
+                .get(&rep.generation)
                 .cloned()
                 .unwrap_or_default();
             got.sort_unstable();
@@ -165,7 +173,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
                 "{algorithm} under {plan_name}: delivered {} of {} rows (restarts: {})",
                 got.len(),
                 expected.len(),
-                rep.restarts
+                rep.full_restarts
             );
             assert_eq!(
                 got, expected,
@@ -190,7 +198,7 @@ fn same_seed_chaos_runs_are_byte_identical() {
         let a = run_chaos(algorithm, plan.clone(), chaos_policy());
         let b = run_chaos(algorithm, plan.clone(), chaos_policy());
         assert_eq!(
-            a.report.restarts, b.report.restarts,
+            a.report.full_restarts, b.report.full_restarts,
             "{algorithm}: same-seed runs took different restart counts"
         );
         assert_eq!(
@@ -213,12 +221,8 @@ fn unrecoverable_loss_returns_typed_error_not_a_hang() {
         let mut config = chaos_config(algorithm, FaultPlan::new());
         config.faults.ud_drop_probability = 0.35;
         let runtime = config.build_runtime(DeviceProfile::edr());
-        let policy = RestartPolicy {
-            max_restarts: 2,
-            initial_backoff: us(50),
-            max_backoff: us(200),
-        };
-        let report = run_shuffle_with_restart(
+        let policy = restart_policy(2, us(200));
+        let report = run_shuffle_with_recovery(
             &runtime,
             &config,
             policy,
@@ -234,7 +238,7 @@ fn unrecoverable_loss_returns_typed_error_not_a_hang() {
             .failure
             .clone()
             .unwrap_or_else(|| panic!("{algorithm}: permanent loss cannot succeed"));
-        assert_eq!(rep.restarts, 2, "{algorithm}: must exhaust the budget");
+        assert_eq!(rep.full_restarts, 2, "{algorithm}: must exhaust the budget");
         assert!(
             !matches!(failure, ShuffleError::Config(_)),
             "{algorithm}: loss must surface as a transport error, got {failure:?}"
@@ -250,12 +254,8 @@ fn marathon_receiver_pause_exhausts_restart_budget() {
     let plan = FaultPlan::new().receiver_pause(1, us(10), SimDuration::from_millis(40));
     let config = chaos_config(ShuffleAlgorithm::MEMQ_SR, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let policy = RestartPolicy {
-        max_restarts: 1,
-        initial_backoff: us(50),
-        max_backoff: us(200),
-    };
-    let report = run_shuffle_with_restart(
+    let policy = restart_policy(1, us(200));
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
         policy,
@@ -271,7 +271,7 @@ fn marathon_receiver_pause_exhausts_restart_budget() {
         rep.failure.is_some(),
         "a 40 ms pause defeats a 1-restart budget"
     );
-    assert_eq!(rep.restarts, 1);
+    assert_eq!(rep.full_restarts, 1);
     assert_eq!(
         rep.attempt_errors.len(),
         2,

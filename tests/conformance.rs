@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle_repro::audit::AuditViolation;
 use rshuffle_repro::engine::{
-    run_shuffle_with_restart, run_workload, Generator, QueryReport, QuerySpec, RestartPolicy,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
@@ -34,9 +34,9 @@ fn us(v: u64) -> SimDuration {
 }
 
 /// One run of one algorithm: the query report, the rows the winning
-/// attempt delivered (sorted), and the auditor's final verdict.
+/// generation delivered (sorted), and the auditor's final verdict.
 struct ConformanceRun {
-    report: QueryReport,
+    report: RecoveryReport,
     delivered: Vec<[u8; ROW]>,
     violations: Vec<AuditViolation>,
 }
@@ -54,7 +54,9 @@ fn conformance_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeC
     config
 }
 
-fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_restarts: u32) -> ConformanceRun {
+/// Runs `algorithm` under `plan` with the paper's restart-only
+/// semantics (the partial rungs have their own suite, `tests/recovery.rs`).
+fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_full_restarts: u32) -> ConformanceRun {
     let config = conformance_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
     // Install the auditor explicitly so the harness exercises it even
@@ -62,21 +64,23 @@ fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_restarts: u
     let auditor = runtime.enable_audit();
     let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
     let d = delivered.clone();
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy {
-            max_restarts,
+        RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts,
             initial_backoff: us(50),
             max_backoff: SimDuration::from_millis(1),
+            ..RecoveryPolicy::default()
         },
         ROW,
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |attempt, _, _, batch| {
+        move |generation, _, _, batch| {
             let mut map = d.lock();
-            let rows = map.entry(attempt).or_default();
+            let rows = map.entry(generation).or_default();
             for row in batch.iter() {
                 rows.push(row.try_into().expect("16-byte row"));
             }
@@ -87,7 +91,7 @@ fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_restarts: u
     let violations = auditor.finalize(report.succeeded());
     let mut delivered = delivered
         .lock()
-        .get(&report.restarts)
+        .get(&report.generation)
         .cloned()
         .unwrap_or_default();
     delivered.sort_unstable();
@@ -128,7 +132,7 @@ fn all_algorithms_agree_on_a_healthy_fabric() {
             "{algorithm}: healthy run failed: {:?}",
             run.report.failure
         );
-        assert_eq!(run.report.restarts, 0, "{algorithm}: healthy run restarted");
+        assert_eq!(run.report.full_restarts, 0, "{algorithm}: healthy run restarted");
         assert_eq!(
             run.delivered, expected,
             "{algorithm}: delivered multiset diverges from the generator \
@@ -170,16 +174,16 @@ fn all_algorithms_agree_under_fault_plans() {
             assert!(
                 run.report.succeeded(),
                 "{algorithm} under {plan_name}: failed after {} restarts: {:?}",
-                run.report.restarts,
+                run.report.full_restarts,
                 run.report.failure
             );
             assert_eq!(
                 run.delivered, expected,
-                "{algorithm} under {plan_name}: winning attempt diverges \
+                "{algorithm} under {plan_name}: winning generation diverges \
                  ({} of {} rows, {} restarts)",
                 run.delivered.len(),
                 expected.len(),
-                run.report.restarts
+                run.report.full_restarts
             );
             assert!(
                 run.violations.is_empty(),
@@ -211,7 +215,7 @@ fn expected_rows_for_query(query: u32) -> Vec<[u8; ROW]> {
 }
 
 /// Two queries on the same fabric, for every algorithm: each query's
-/// winning attempt must deliver exactly its own generator's multiset
+/// winning generation must deliver exactly its own generator's multiset
 /// (no loss, no duplication, no cross-query leakage), the protocol
 /// auditor must stay silent, and — because the scheduler, the
 /// weighted-fair arbiter, and the kernel are all deterministic — two
@@ -225,8 +229,8 @@ fn two_queries_share_the_fabric_cleanly() {
             let runtime = config.build_runtime(DeviceProfile::edr());
             let auditor = runtime.enable_audit();
             let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
-            type PerAttempt = HashMap<(u32, u32), Vec<[u8; ROW]>>;
-            let delivered: Arc<Mutex<PerAttempt>> = Arc::new(Mutex::new(HashMap::new()));
+            type PerGeneration = HashMap<(u32, u32), Vec<[u8; ROW]>>;
+            let delivered: Arc<Mutex<PerGeneration>> = Arc::new(Mutex::new(HashMap::new()));
             let d = delivered.clone();
             let handles = run_workload(
                 &runtime,
@@ -242,9 +246,9 @@ fn two_queries_share_the_fabric_cleanly() {
                         query_seed(query, node),
                     )) as Arc<dyn Operator>
                 },
-                move |query, attempt, _, _, batch| {
+                move |query, generation, _, _, batch| {
                     let mut map = d.lock();
-                    let rows = map.entry((query, attempt)).or_default();
+                    let rows = map.entry((query, generation)).or_default();
                     for row in batch.iter() {
                         rows.push(row.try_into().expect("16-byte row"));
                     }
@@ -261,7 +265,7 @@ fn two_queries_share_the_fabric_cleanly() {
                 );
                 let mut rows = delivered
                     .lock()
-                    .get(&(h.query, report.restarts))
+                    .get(&(h.query, report.generation))
                     .cloned()
                     .unwrap_or_default();
                 rows.sort_unstable();
@@ -303,13 +307,15 @@ fn auditor_is_invisible_to_virtual_time() {
             if enable {
                 runtime.enable_audit();
             }
-            let report = run_shuffle_with_restart(
+            let report = run_shuffle_with_recovery(
                 &runtime,
                 &config,
-                RestartPolicy {
-                    max_restarts: 0,
+                RecoveryPolicy {
+                    max_partial_retries: 0,
+                    max_full_restarts: 0,
                     initial_backoff: us(50),
                     max_backoff: us(500),
+                    ..RecoveryPolicy::default()
                 },
                 ROW,
                 |_, node| {

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, RestartPolicy};
+use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::simnet::DeviceProfile;
 
@@ -35,10 +35,10 @@ fn mesq_sr_peak(nodes: usize, message_size: usize) -> usize {
     let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, THREADS);
     config.message_size = message_size;
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy::default(),
+        RecoveryPolicy::default(),
         ROW,
         |_, node| Arc::new(Generator::new(64, THREADS, node as u64)) as Arc<dyn Operator>,
         |_, _, _, _| {},

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_repro::audit::{AuditViolation, ShuffleAuditor};
-use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, QueryReport, RestartPolicy};
+use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::sabotage::{arm, disarm, Sabotage};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
@@ -30,7 +30,7 @@ const ROW: usize = 16;
 static SABOTAGE_LOCK: Mutex<()> = Mutex::new(());
 
 struct SabotagedRun {
-    report: QueryReport,
+    report: RecoveryReport,
     auditor: Arc<ShuffleAuditor>,
     delivered: usize,
 }
@@ -48,21 +48,23 @@ fn run_sabotaged(algorithm: ShuffleAlgorithm, s: Sabotage) -> SabotagedRun {
     let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
     let d = delivered.clone();
     arm(s);
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy {
-            max_restarts: 0,
+        RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts: 0,
             initial_backoff: SimDuration::from_micros(50),
             max_backoff: SimDuration::from_micros(500),
+            ..RecoveryPolicy::default()
         },
         ROW,
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |attempt, _, _, batch| {
+        move |generation, _, _, batch| {
             let mut map = d.lock();
-            let rows = map.entry(attempt).or_default();
+            let rows = map.entry(generation).or_default();
             for row in batch.iter() {
                 rows.push(row.try_into().expect("16-byte row"));
             }

@@ -12,7 +12,7 @@
 //!   skew-aware) every algorithm still delivers every row exactly once
 //!   with a clean auditor, and same-seed phased runs are bit-identical.
 //! * **Chaos**: phased runs under the PR 2 fault plans still terminate
-//!   with exactly-once delivery in the winning attempt (the runner's
+//!   with exactly-once delivery in the winning generation (the runner's
 //!   abort path must fail peers fast instead of hanging the barrier).
 
 use std::collections::HashMap;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_repro::engine::{
-    drive_to_sink, run_shuffle_with_restart, Generator, RestartPolicy,
+    drive_to_sink, run_shuffle_with_recovery, Generator, RecoveryPolicy,
 };
 use rshuffle_repro::rshuffle::{
     CostModel, Exchange, ExchangeConfig, Operator, PhasePolicy, ReceiveOperator, ShuffleAlgorithm,
@@ -240,22 +240,24 @@ fn phased_chaos_plans_stay_exactly_once() {
             let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> =
                 Arc::new(Mutex::new(HashMap::new()));
             let d = delivered.clone();
-            let report = run_shuffle_with_restart(
+            let report = run_shuffle_with_recovery(
                 &runtime,
                 &config,
-                RestartPolicy {
-                    max_restarts: 6,
+                RecoveryPolicy {
+                    max_partial_retries: 0,
+                    max_full_restarts: 6,
                     initial_backoff: us(50),
                     max_backoff: SimDuration::from_millis(1),
+                    ..RecoveryPolicy::default()
                 },
                 ROW,
                 |_, node| {
                     Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
                         as Arc<dyn Operator>
                 },
-                move |attempt, _, _, batch| {
+                move |generation, _, _, batch| {
                     let mut map = d.lock();
-                    let rows = map.entry(attempt).or_default();
+                    let rows = map.entry(generation).or_default();
                     for row in batch.iter() {
                         rows.push(row.try_into().expect("16-byte row"));
                     }
@@ -266,13 +268,13 @@ fn phased_chaos_plans_stay_exactly_once() {
             assert!(
                 rep.succeeded(),
                 "{algorithm} phased under {plan_name}: query failed after {} restarts: {:?}",
-                rep.restarts,
+                rep.full_restarts,
                 rep.failure
             );
             let map = Arc::try_unwrap(delivered)
                 .map(|m| m.into_inner())
                 .unwrap_or_default();
-            let winning = rep.restarts;
+            let winning = rep.generation;
             let mut rows = map.get(&winning).cloned().unwrap_or_default();
             rows.sort_unstable();
             assert_eq!(
@@ -282,7 +284,7 @@ fn phased_chaos_plans_stay_exactly_once() {
                  (restarts: {})",
                 rows.len(),
                 expected.len(),
-                rep.restarts
+                rep.full_restarts
             );
         }
     }

@@ -423,7 +423,7 @@ fn random_multicast_groups_deliver_exactly() {
 #[test]
 fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
     use parking_lot::Mutex;
-    use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, RestartPolicy};
+    use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
     use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
     use rshuffle_repro::simnet::DeviceProfile;
     use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
@@ -466,21 +466,23 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
         let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; 16]>>>> =
             Arc::new(Mutex::new(HashMap::new()));
         let d = delivered.clone();
-        let report = run_shuffle_with_restart(
+        let report = run_shuffle_with_recovery(
             &runtime,
             &config,
-            RestartPolicy {
-                max_restarts: 3,
+            RecoveryPolicy {
+                max_partial_retries: 0,
+                max_full_restarts: 3,
                 initial_backoff: us(50),
                 max_backoff: us(500),
+                ..RecoveryPolicy::default()
             },
             16,
             move |_, node| {
                 Arc::new(Generator::new(rows_per_thread, threads, node as u64)) as Arc<dyn Operator>
             },
-            move |attempt, _, _, batch| {
+            move |generation, _, _, batch| {
                 let mut map = d.lock();
-                let rows = map.entry(attempt).or_default();
+                let rows = map.entry(generation).or_default();
                 for row in batch.iter() {
                     rows.push(row.try_into().unwrap());
                 }
@@ -491,7 +493,7 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
         let stats = runtime.stats();
         match &rep.failure {
             None => {
-                // Success means exactly-once: the winning attempt holds the
+                // Success means exactly-once: the winning generation holds the
                 // full generated multiset, drops notwithstanding.
                 let mut expected = Vec::new();
                 for node in 0..nodes {
@@ -504,7 +506,7 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
                 expected.sort_unstable();
                 let mut got = delivered
                     .lock()
-                    .get(&rep.restarts)
+                    .get(&rep.generation)
                     .cloned()
                     .unwrap_or_default();
                 got.sort_unstable();
@@ -513,7 +515,7 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
                     expected,
                     "case {}: loss schedule produced silent row corruption (restarts: {}, drops: {})",
                     case,
-                    rep.restarts,
+                    rep.full_restarts,
                     stats.ud_dropped_in_network
                 );
             }
@@ -526,7 +528,7 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
                 );
             }
         }
-        if rep.succeeded() && rep.restarts == 0 {
+        if rep.succeeded() && rep.full_restarts == 0 {
             // No attempt was torn down mid-stream, so every datagram that
             // reached a receiver must have found a posted receive: the
             // absolute-credit window was never overrun even when credit

@@ -17,9 +17,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_repro::engine::{
-    run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
+use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::simnet::FlowId;
 use rshuffle_repro::verbs::{FaultConfig, FaultPlan, QpScope};
@@ -300,35 +301,140 @@ fn persistent_rc_outage_degrades_to_ud_and_completes() {
     );
 }
 
-/// A permanent all-transport outage with degradation disabled: the
-/// reconnect budget runs out, no rung is available, no full restart is
-/// allowed — the query must give up with the typed budget error, not
-/// hang.
+/// A permanent all-transport outage: the reconnect budget runs out, no
+/// rung is left (degradation disabled, or the ladder walked to its
+/// sturdiest design, which the outage breaks too), the full-restart
+/// budget is spent — the query must give up with the typed budget
+/// error, not hang, and report the design and generation it gave up on.
 #[test]
 fn exhausted_budgets_surface_typed_error_not_a_hang() {
-    let plan =
-        FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::All);
-    let policy = RecoveryPolicy {
-        max_partial_retries: 4,
-        reconnect_budget: 3,
-        allow_degradation: false,
-        max_full_restarts: 0,
+    for (allow_degradation, max_full_restarts, gave_up_on) in [
+        (false, 0, ShuffleAlgorithm::MEMQ_SR),
+        (true, 1, ShuffleAlgorithm::MESQ_SR),
+    ] {
+        let plan = FaultPlan::new().qp_failure_window(
+            1,
+            us(20),
+            SimDuration::from_millis(500),
+            QpScope::All,
+        );
+        let policy = RecoveryPolicy {
+            max_partial_retries: 4,
+            reconnect_budget: 3,
+            allow_degradation,
+            max_full_restarts,
+            ..RecoveryPolicy::default()
+        };
+        let run = run_recovery(ShuffleAlgorithm::MEMQ_SR, plan, policy);
+        let failure = run
+            .report
+            .failure
+            .clone()
+            .unwrap_or_else(|| panic!("a permanent outage cannot succeed"));
+        assert!(
+            matches!(failure, ShuffleError::RetryBudgetExhausted { node: 1, .. }),
+            "expected the typed budget error, got {failure:?}"
+        );
+        assert!(
+            run.report.qp_reconnects >= 3,
+            "the budget must actually be spent"
+        );
+        assert_eq!(
+            run.report.final_algorithm, gave_up_on,
+            "a failed query reports the design it gave up on, not the one it started on"
+        );
+        assert_eq!(run.report.full_restarts, max_full_restarts);
+        assert_eq!(
+            run.report.generation, max_full_restarts,
+            "a failed query reports the generation it gave up in"
+        );
+    }
+}
+
+/// The same outage through the admission scheduler: a scheduled query
+/// contains it with partial retries (no full replay), re-enters
+/// admission once per rebuild, holds no slot or budget while it probes,
+/// and leaves nothing pinned.
+#[test]
+fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
+    let config = recovery_config(ShuffleAlgorithm::MEMQ_SR, qp_outage());
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
+    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let d = delivered.clone();
+    let mut spec = QuerySpec::new(1, config.clone(), ROW);
+    spec.policy = partial_policy();
+    let handles = run_workload(
+        &runtime,
+        &scheduler,
+        vec![spec],
+        |_, _, node| {
+            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
+        },
+        move |_, generation, _, _, batch| {
+            let mut map = d.lock();
+            let rows = map.entry(generation).or_default();
+            for row in batch.iter() {
+                rows.push(row.try_into().expect("16-byte row"));
+            }
+        },
+    );
+    runtime.cluster().run();
+    let report = handles[0].report.lock().clone();
+    assert!(report.succeeded(), "scheduled recovery failed: {:?}", report.failure);
+    assert!(report.partial_retries >= 1, "the outage must exercise the partial rung");
+    assert_eq!(report.full_restarts, 0, "contained without a full replay");
+    assert_eq!(report.generation, 0);
+    assert_eq!(
+        handles[0].timing.lock().admissions,
+        report.partial_retries + 1,
+        "one admission per exchange build"
+    );
+    let mut got = delivered.lock().get(&0).cloned().unwrap_or_default();
+    got.sort_unstable();
+    assert_eq!(got, expected_rows(), "generation 0 holds every row exactly once");
+    for node in 0..NODES {
+        assert!(
+            scheduler.reserved_bytes_peak(node)
+                <= config.registered_bytes_estimate(runtime.profile(), node),
+            "node {node}: a recovering query never holds two admissions' worth of budget"
+        );
+        assert_eq!(scheduler.reserved_bytes(node), 0);
+        assert_eq!(runtime.registered_bytes(node), 0, "node {node}: memory leaked");
+    }
+}
+
+/// Rebuild `k` of a query takes endpoint ids `base + k * 4096`, and
+/// queries sit 65 536 ids apart: a policy allowing 16 rebuilds would walk
+/// into the next query's ids. Such a spec fails typed, before admission;
+/// its neighbour runs.
+#[test]
+fn policy_that_overruns_the_endpoint_id_space_fails_before_admission() {
+    let config = recovery_config(ShuffleAlgorithm::MEMQ_SR, FaultPlan::new());
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
+    let mut greedy = QuerySpec::new(0, config.clone(), ROW);
+    greedy.policy = RecoveryPolicy {
+        max_partial_retries: 10,
+        max_full_restarts: 6,
         ..RecoveryPolicy::default()
     };
-    let run = run_recovery(ShuffleAlgorithm::MEMQ_SR, plan, policy);
-    let failure = run
-        .report
-        .failure
-        .clone()
-        .unwrap_or_else(|| panic!("a permanent outage cannot succeed without restarts"));
-    assert!(
-        matches!(failure, ShuffleError::RetryBudgetExhausted { node: 1, .. }),
-        "expected the typed budget error, got {failure:?}"
+    let handles = run_workload(
+        &runtime,
+        &scheduler,
+        vec![greedy, QuerySpec::new(1, config, ROW)],
+        |_, _, node| Arc::new(Generator::new(100, THREADS, node as u64)) as Arc<dyn Operator>,
+        |_, _, _, _, _| {},
     );
+    runtime.cluster().run();
+    let failure = handles[0].report.lock().failure.clone();
     assert!(
-        run.report.qp_reconnects >= 3,
-        "the budget must actually be spent"
+        matches!(failure, Some(ShuffleError::Config(_))),
+        "expected a typed config error, got {failure:?}"
     );
+    assert_eq!(handles[0].timing.lock().admissions, 0, "failed before admission");
+    assert!(handles[1].report.lock().succeeded(), "the neighbour is unaffected");
+    assert_eq!(handles[1].timing.lock().admissions, 1);
 }
 
 /// Healthy runs pay nothing: no retries, no reconnects, no redone

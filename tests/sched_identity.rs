@@ -1,7 +1,8 @@
 //! Scheduler transparency: with a concurrency limit of 1 and default
 //! weights, driving a query through `run_workload` + `Scheduler` must
 //! be byte-identical in virtual time to the direct
-//! `run_shuffle_with_restart` path, for all six paper algorithms.
+//! `run_shuffle_with_recovery` path — the same coordinator loop with
+//! no-op admission hooks — for all six paper algorithms.
 //!
 //! "Byte-identical" is checked on the strongest observable artifacts we
 //! have: the full metrics snapshot and the Chrome trace, after removing
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle_obs::trace::chrome_trace;
 use rshuffle_repro::engine::{
-    run_shuffle_with_restart, run_workload, Generator, QuerySpec, RestartPolicy,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
@@ -97,10 +98,10 @@ fn run_direct(algorithm: ShuffleAlgorithm) -> RunArtifacts {
     let runtime = config.build_runtime(DeviceProfile::edr());
     let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
     let push = collect(&delivered);
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy::default(),
+        RecoveryPolicy::default(),
         ROW,
         |_, node| Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>,
         move |_, _, _, batch| push(batch),
