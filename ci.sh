@@ -107,6 +107,21 @@ cargo run -q --release -p rshuffle-bench --bin adaptive $CARGO_FLAGS -- \
 cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
   --against BENCH_0010.json --candidate "$ADAPT_CAND" --tolerance-pct 10
 
+# Host-memory ceiling: the smoke's N = 256 cells are the largest thing
+# this script runs. They peaked at 2909 MiB resident when registered
+# memory started to follow live windows (EXPERIMENTS.md, "Host memory");
+# 1.25x that fails the build — the ~14 GiB they used to take got the
+# run OOM-killed in a 16 GiB sandbox.
+ADAPT_RSS_CEILING_MIB=3636
+awk -v ceiling="$ADAPT_RSS_CEILING_MIB" '
+  /"host_peak_rss_mib": [0-9]/ { gsub(/[^0-9.]/, "", $2); peak = $2 }
+  END {
+    if (peak + 0 <= 0 || peak + 0 > ceiling) {
+      printf "ERROR: adaptive --smoke peaked at %s MiB resident (ceiling %d MiB)\n", peak, ceiling > "/dev/stderr"
+      exit 1
+    }
+  }' "$ADAPT_CAND"
+
 # Adaptive gate self-check: a 2x inflation of the lower-is-better
 # advisor ratios must be caught, or the gate is dead weight.
 if cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \

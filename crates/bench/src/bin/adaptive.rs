@@ -34,7 +34,9 @@
 use std::collections::HashMap;
 
 use rshuffle::{AdvisorSignals, AlgorithmAdvisor, PhasePolicy, ShuffleAlgorithm};
-use rshuffle_bench::perf::{take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow};
+use rshuffle_bench::perf::{
+    host_result, take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow,
+};
 use rshuffle_bench::skew::{skew_ratio, zipf_partition_rows, SkewSpec};
 use rshuffle_bench::{run_shuffle_workload, Pattern, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, IncastModel, Topology};
@@ -541,6 +543,7 @@ fn main() {
                     ],
                     stages: Vec::new(),
                 }))
+                .chain(std::iter::once(host_result()))
                 .collect(),
         });
         if let Err(e) = report.write(&path) {

@@ -20,11 +20,14 @@
 //!   configuration gated by `perfdiff` against `BENCH_SCALE_0010.json`.
 //! * `--emit` writes an `rshuffle-bench/1` report. Virtual-time metrics
 //!   (`gib_per_sec`, `response_virt_ns`) are gated; `qp_count`,
-//!   `mux_lease_waits` and the host `wall_clock_ms` are informational
+//!   `mux_lease_waits`, the host `wall_clock_ms` and the `host` row's
+//!   `host_peak_rss_mib` (the process's `VmHWM`) are informational
 //!   (wall-clock depends on the host machine, never on the simulation).
 
 use rshuffle::ShuffleAlgorithm;
-use rshuffle_bench::perf::{take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow};
+use rshuffle_bench::perf::{
+    host_result, take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow,
+};
 use rshuffle_bench::skew::{straggler_plan, SkewSpec};
 use rshuffle_bench::{run_shuffle_workload, Transport, WorkloadConfig};
 use rshuffle_mux::MuxConfig;
@@ -343,6 +346,7 @@ fn main() {
                     },
                     stages: Vec::new(),
                 }))
+                .chain(std::iter::once(host_result()))
                 .collect(),
         });
         if let Err(e) = report.write(&path) {

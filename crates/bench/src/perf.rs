@@ -847,6 +847,26 @@ pub fn diff_reports(base: &ParsedReport, cand: &ParsedReport, tolerance_pct: f64
         .collect()
 }
 
+/// The `host` row `scale` and `adaptive` close their reports with: the
+/// process's peak resident set so far (`VmHWM`), MiB. Informational —
+/// host memory never gates a virtual-time metric — but `ci.sh` holds the
+/// adaptive smoke under a ceiling with it.
+pub fn host_result() -> BenchResult {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status.lines().find_map(|l| {
+        let value = l.strip_prefix("VmHWM:")?.split_whitespace().next()?;
+        value.parse::<f64>().ok()
+    });
+    BenchResult {
+        id: "host".to_string(),
+        metrics: vec![MetricRow::info(
+            "host_peak_rss_mib",
+            kib.unwrap_or(0.0) / 1024.0,
+        )],
+        stages: Vec::new(),
+    }
+}
+
 /// Extracts `--emit PATH` from an argument list, returning the
 /// remaining arguments and the path (if given). Shared by the bench
 /// binaries.

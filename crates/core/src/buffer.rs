@@ -333,7 +333,8 @@ impl Buffer {
 /// released delivery names — validating the wire-derived offset exactly
 /// like [`Buffer::try_new`], but without constructing anything new. The
 /// free list is LIFO and the pool itself never advances virtual time, so
-/// same-seed runs stay byte-identical.
+/// same-seed runs stay byte-identical. A recycled window's contents are dead
+/// ([`MemoryRegion::discard`]): it costs the host no memory until refilled.
 pub struct BufferPool {
     mr: MemoryRegion,
     window: usize,
@@ -396,6 +397,7 @@ impl BufferPool {
                 self.capacity
             )));
         }
+        self.mr.discard(offset, self.window);
         free.push(Buffer {
             mr: self.mr.clone(),
             offset,
@@ -410,6 +412,7 @@ impl BufferPool {
     pub fn recycle(&self, mut buf: Buffer) {
         buf.len = 0;
         buf.tag = 0;
+        buf.mr.discard(buf.offset, buf.window);
         self.free.lock().push(buf);
     }
 

@@ -271,7 +271,7 @@ pub(crate) struct SendWindow {
 impl SendWindow {
     /// Registers and carves the pool `layout` describes.
     pub(crate) fn register(ctx: &Context, layout: &Layout) -> SendWindow {
-        let mr = ctx.register_untimed(layout.pool_bytes());
+        let mr = ctx.register_pool_untimed(layout.window, layout.buffers);
         SendWindow {
             pool: BufferPool::carve(mr, 0, layout.window, layout.buffers),
             in_flight: Mutex::new(HashMap::new()),

@@ -220,7 +220,7 @@ impl RdRcReceiveEndpoint {
         let layout = layout(&cfg, n);
         let cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, &srcs, &cq, &cq, &layout);
-        let pool_mr = ctx.register_untimed(layout.pool_bytes());
+        let pool_mr = ctx.register_pool_untimed(layout.window, layout.buffers);
         let local = (0..n)
             .map(|si| {
                 (0..cfg.buffers_per_peer)
@@ -303,6 +303,14 @@ impl RdRcReceiveEndpoint {
         Ok(())
     }
 
+    /// Returns `buf` to source `si`'s `LocalArr`. What it holds was
+    /// consumed (or fenced off), so its storage goes back to the runtime
+    /// until the next read lands in it.
+    fn requeue_local(&self, si: usize, buf: Buffer) {
+        buf.region().discard(buf.offset(), buf.window());
+        self.state.lock().local[si].push(buf);
+    }
+
     /// Decodes one completion: FreeArr write acks are checked and skipped,
     /// stale-epoch reads recycled, live reads queued as pending deliveries.
     fn on_completion(&self, sim: &SimContext, c: &Completion) -> Result<()> {
@@ -340,7 +348,7 @@ impl RdRcReceiveEndpoint {
             // FreeArr and requeue the local one, no delivery.
             self.obs.stale_drop();
             self.push_free(sim, si, header.remote_addr)?;
-            self.state.lock().local[si].push(buf);
+            self.requeue_local(si, buf);
             return Ok(());
         }
         let remote = header.remote_addr;
@@ -445,7 +453,7 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
             .audit
             .released(buf_id(&local), sim.now().as_nanos());
         self.push_free(sim, si, remote)?;
-        self.state.lock().local[si].push(local);
+        self.requeue_local(si, local);
         Ok(())
     }
 

@@ -281,7 +281,7 @@ impl SrRcReceiveEndpoint {
         let n = srcs.len();
         SrRcReceiveEndpoint {
             srcs: Sources::new(n),
-            pool_mr: ctx.register_untimed(layout.pool_bytes()),
+            pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             pending: Mutex::new(VecDeque::new()),
             ctrl_outstanding: AtomicU64::new(0),
             posted: Mutex::new(vec![0; n]),

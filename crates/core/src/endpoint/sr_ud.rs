@@ -306,11 +306,10 @@ impl SrUdChannel {
         }
         let layout = recv_layout(&s.cfg, s.mtu, expected.len());
         let slots = layout.buffers;
-        let pool = ctx.register_untimed(layout.pool_bytes());
-        // SAFETY of replace: bootstrap runs once before any receive is
-        // posted; swap the placeholder empty pool for the real one.
-        // (MemoryRegion clones share backing storage, so we must store the
-        // new region where the receive path can see it.)
+        let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
+        // Every window is posted on the one Queue Pair; a completion names
+        // its window by `wr_id`, and `process_inbound` resolves it against
+        // the handle stored below (clones share the region).
         for i in 0..slots {
             // Widen before multiplying: `i * s.mtu` would wrap in usize
             // before the cast on a 32-bit host.

@@ -225,7 +225,7 @@ impl WrRcReceiveEndpoint {
         let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq, &layout);
         WrRcReceiveEndpoint {
             srcs: Sources::new(srcs.len()),
-            pool_mr: ctx.register_untimed(layout.pool_bytes()),
+            pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
             grant_rings: RingProducer::register(ctx, srcs.len(), layout.ring_cap),
             obs: RecvObs::new(ctx, id),
@@ -243,6 +243,9 @@ impl WrRcReceiveEndpoint {
             offset,
         };
         self.half.audit.released(id, sim.now().as_nanos());
+        // The sender may overwrite the buffer from here on: what it holds
+        // is dead, and its storage goes back to the runtime.
+        self.pool_mr.discard(offset as usize, self.cfg.message_size);
         let slot = self.grant_rings.claim(sim, si)?;
         self.grant_rings
             .publish(sim, self.half.qp(si), slot, offset)?;

@@ -5,6 +5,7 @@
 //! tuples plus a stream state; worker threads pass their id so operator
 //! state and output buffers stay thread-partitioned (Figure 1).
 
+use std::iter::repeat_n;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -303,7 +304,9 @@ impl ShuffleOperator {
         // (plain memory; the copy into RDMA-registered buffers is charged
         // per phase below, so total CPU cost matches the unphased path).
         let mut staged: Vec<Vec<u8>> = vec![Vec::new(); self.groups.len()];
-        let mut staged_lens: Vec<Vec<usize>> = vec![Vec::new(); self.groups.len()];
+        // Row lengths as `(length, rows)` runs: a batch's rows are all one
+        // width, and a length per 16-byte row would be half the staging.
+        let mut staged_lens: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.groups.len()];
         loop {
             let (state, batch) = self.child.next(sim, tid)?;
             if !batch.is_empty() {
@@ -316,7 +319,10 @@ impl ShuffleOperator {
                     continue;
                 }
                 staged[dest].extend_from_slice(row);
-                staged_lens[dest].push(row.len());
+                match staged_lens[dest].last_mut() {
+                    Some((len, rows)) if *len == row.len() => *rows += 1,
+                    _ => staged_lens[dest].push((row.len(), 1)),
+                }
             }
             if state == StreamState::Depleted {
                 break;
@@ -342,11 +348,13 @@ impl ShuffleOperator {
             let lens = std::mem::take(&mut staged_lens[dest]);
             if !bytes.is_empty() {
                 sim.sleep(self.cost.copy_time(bytes.len()));
+                // Walk the rows to find where each message ends — a row
+                // that no longer fits sends the buffer and takes the next
+                // one, exactly where pushing row by row would — and write
+                // a message's rows into its buffer in one piece.
                 let mut cur: Option<Buffer> = None;
-                let mut off = 0usize;
-                for len in lens {
-                    let row = &bytes[off..off + len];
-                    off += len;
+                let (mut start, mut end) = (0usize, 0usize);
+                for len in lens.into_iter().flat_map(|(len, rows)| repeat_n(len, rows)) {
                     let mut buf = match cur.take() {
                         Some(b) => b,
                         None => {
@@ -355,16 +363,19 @@ impl ShuffleOperator {
                             b
                         }
                     };
-                    if buf.remaining() < row.len() {
+                    if buf.capacity().saturating_sub(end - start) < len {
+                        buf.push(&bytes[start..end])?;
+                        start = end;
                         target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
                         buf = target.get_free(sim)?;
                         buf.set_tag(tid as u16);
                     }
-                    buf.push(row)?;
+                    end += len;
                     cur = Some(buf);
                 }
-                if let Some(buf) = cur {
-                    if !buf.is_empty() {
+                if let Some(mut buf) = cur {
+                    if end > start {
+                        buf.push(&bytes[start..end])?;
                         target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
                     }
                 }
@@ -398,8 +409,20 @@ impl ShuffleOperator {
         skip: &mut [u64],
     ) -> Result<(StreamState, RowBatch)> {
         let target = self.endpoint(tid).clone();
-        // The partially filled buffer per transmission group.
+        // Per transmission group: the buffer being filled, and the rows
+        // staged for it. Rows are staged in plain memory and written into
+        // the registered window once per message (a write into registered
+        // memory takes the region's lock and resolves the window); the
+        // buffer is still taken when its first row arrives and sent when a
+        // row no longer fits, so the endpoint sees the same calls at the
+        // same rows.
         let mut outbuf: Vec<Option<Buffer>> = vec![None; self.groups.len()];
+        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); self.groups.len()];
+        let flush = |mut buf: Buffer, rows: &mut Vec<u8>, dest: usize| -> Result<()> {
+            buf.push(rows)?;
+            rows.clear();
+            target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)
+        };
         loop {
             let (state, batch) = self.child.next(sim, tid)?;
             if !batch.is_empty() {
@@ -413,28 +436,27 @@ impl ShuffleOperator {
                     skip[dest] -= 1;
                     continue;
                 }
-                let slot = &mut outbuf[dest];
-                if let Some(full) = slot.take_if(|b| b.remaining() < row.len()) {
-                    target.send(sim, full, self.groups.group(dest), StreamState::MoreData)?;
+                let (slot, rows) = (&mut outbuf[dest], &mut staged[dest]);
+                if let Some(full) =
+                    slot.take_if(|b| b.capacity().saturating_sub(rows.len()) < row.len())
+                {
+                    flush(full, rows, dest)?;
                 }
-                let cur = match slot {
-                    Some(b) => b,
-                    None => {
-                        let mut b = target.get_free(sim)?;
-                        b.set_tag(tid as u16);
-                        slot.insert(b)
-                    }
-                };
-                cur.push(row)?;
+                if slot.is_none() {
+                    let b = slot.insert(target.get_free(sim)?);
+                    b.set_tag(tid as u16);
+                    rows.reserve_exact(b.capacity());
+                }
+                rows.extend_from_slice(row);
             }
             if state == StreamState::Depleted {
                 break;
             }
         }
-        // Flush every partial buffer.
-        for (dest, buf) in outbuf.into_iter().enumerate() {
-            if let Some(buf) = buf.filter(|b| !b.is_empty()) {
-                target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
+        // Flush every partial buffer, freeing its staging as it goes.
+        for (dest, (buf, mut rows)) in outbuf.into_iter().zip(staged).enumerate() {
+            if let Some(buf) = buf.filter(|_| !rows.is_empty()) {
+                flush(buf, &mut rows, dest)?;
             }
         }
         // Propagate Depleted: the last thread of each lane closes that

@@ -487,6 +487,7 @@ pub fn qp_state_bytes_estimate(
 mod tests {
     use super::*;
     use rshuffle_simnet::{Cluster, DeviceProfile};
+    use rshuffle_verbs::{ConnectionManager, QpType, RecvWr};
 
     fn runtime(nodes: usize) -> Arc<VerbsRuntime> {
         VerbsRuntime::new(Cluster::new(nodes, DeviceProfile::edr()))
@@ -709,10 +710,26 @@ mod tests {
         rt.cluster().spawn(0, "q3", move |sim| {
             let adm = sched.admit(&sim, &QueryRequest::new(3, 1)).unwrap();
             let ctx = rt2.context_flow(0, FlowId(3));
-            let _mr = ctx.register_untimed(4096);
+            let mr = ctx.register_untimed(4096);
             assert_eq!(rt2.registered_bytes(0), 4096);
+            // The query's memory is in use — written, and half of it posted
+            // as a receive — and a handle to it outlives the release.
+            let cq = ctx.create_cq();
+            let qp = ctx.create_qp(QpType::Ud, cq.clone(), cq);
+            ConnectionManager::activate_untimed(&qp, None).unwrap();
+            let posted = RecvWr {
+                wr_id: 0,
+                mr: mr.clone(),
+                offset: 2048,
+                len: 2048,
+            };
+            qp.post_recv_untimed(posted).unwrap();
+            mr.write(0, &[1; 64]).unwrap();
+            assert_eq!((rt2.resident_bytes(0), qp.posted_receives()), (4096, 1));
             sched.release(&sim, adm, ReleaseOutcome::Completed);
             assert_eq!(rt2.registered_bytes(0), 0, "flow memory returned");
+            assert_eq!(rt2.resident_bytes(0), 0, "and the storage behind it");
+            assert_eq!(qp.posted_receives(), 0, "no receive names it any more");
         });
         rt.cluster().run();
         assert_eq!(rt.registered_bytes_peak(0), 4096);

@@ -28,7 +28,7 @@ use rshuffle_simnet::{FlowId, SimContext, SimDuration, SimTime};
 
 use crate::cq::{Completion, CompletionQueue, WcOpcode, WcStatus};
 use crate::error::{Result, VerbsError};
-use crate::mr::{MemoryRegion, RemoteAddr};
+use crate::mr::{MemoryRegion, Payload, RemoteAddr};
 use crate::runtime::VerbsRuntime;
 use crate::types::{QpNum, QpState, QpType};
 use crate::NodeId;
@@ -62,6 +62,67 @@ pub struct RecvWr {
     pub offset: usize,
     /// Buffer capacity.
     pub len: usize,
+}
+
+/// The receives posted on a Queue Pair, oldest first, run-length encoded:
+/// an endpoint posts its pool as one arithmetic progression of windows
+/// (thousands deep on the UD design), which is one run here instead of one
+/// [`RecvWr`] — and one region handle — per window.
+#[derive(Default)]
+pub(crate) struct RecvQueue {
+    runs: VecDeque<RecvRun>,
+    len: usize,
+}
+
+/// `count` receives over one region: `next`, then each `step` further on
+/// in `wr_id` and `offset` (wrapping, so a descending run is a run too).
+struct RecvRun {
+    next: RecvWr,
+    step: (u64, usize),
+    count: usize,
+}
+
+impl RecvQueue {
+    fn push(&mut self, wr: RecvWr) {
+        self.len += 1;
+        if let Some(run) = self.runs.back_mut() {
+            let (first, n) = (&run.next, run.count - 1);
+            let last_id = first.wr_id.wrapping_add(run.step.0.wrapping_mul(n as u64));
+            let last_offset = first.offset.wrapping_add(run.step.1.wrapping_mul(n));
+            let step = (
+                wr.wr_id.wrapping_sub(last_id),
+                wr.offset.wrapping_sub(last_offset),
+            );
+            let same_shape = Arc::ptr_eq(&wr.mr.inner, &first.mr.inner) && wr.len == first.len;
+            if same_shape && (n == 0 || step == run.step) {
+                run.step = step;
+                run.count += 1;
+                return;
+            }
+        }
+        self.runs.push_back(RecvRun {
+            next: wr,
+            step: (0, 0),
+            count: 1,
+        });
+    }
+
+    fn pop(&mut self) -> Option<RecvWr> {
+        let run = self.runs.front_mut()?;
+        self.len -= 1;
+        if run.count == 1 {
+            return self.runs.pop_front().map(|run| run.next);
+        }
+        let wr = run.next.clone();
+        run.next.wr_id = wr.wr_id.wrapping_add(run.step.0);
+        run.next.offset = wr.offset.wrapping_add(run.step.1);
+        run.count -= 1;
+        Some(wr)
+    }
+
+    pub(crate) fn clear(&mut self) {
+        *self = RecvQueue::default();
+    }
 }
 
 /// A Send work request.
@@ -129,7 +190,7 @@ pub(crate) struct QpInner {
     pub(crate) peer: Mutex<Option<AddressHandle>>,
     pub(crate) send_cq: CompletionQueue,
     pub(crate) recv_cq: CompletionQueue,
-    pub(crate) recv_queue: Mutex<VecDeque<RecvWr>>,
+    pub(crate) recv_queue: Mutex<RecvQueue>,
     /// Latest delivery time issued on this (RC) QP. Reliable Connections
     /// deliver strictly in posted order even when a small message could
     /// physically arrive earlier (control virtual lane), so delivery times
@@ -160,7 +221,7 @@ impl QpInner {
             peer: Mutex::new(None),
             send_cq,
             recv_cq,
-            recv_queue: Mutex::new(VecDeque::new()),
+            recv_queue: Mutex::new(RecvQueue::default()),
             last_delivery: Mutex::new(SimTime::ZERO),
             flow,
             shared: OnceLock::new(),
@@ -193,8 +254,8 @@ impl QpInner {
             }
             *st = QpState::Error;
         }
-        let flushed: Vec<RecvWr> = self.recv_queue.lock().drain(..).collect();
-        for rwr in flushed {
+        let mut flushed = std::mem::take(&mut *self.recv_queue.lock());
+        while let Some(rwr) = flushed.pop() {
             self.recv_cq.deposit(Completion {
                 wr_id: rwr.wr_id,
                 status: WcStatus::Flushed,
@@ -392,31 +453,14 @@ impl QueuePair {
 
     /// Number of Receive requests currently posted.
     pub fn posted_receives(&self) -> usize {
-        self.inner.recv_queue.lock().len()
+        self.inner.recv_queue.lock().len
     }
 
     /// Posts a Receive work request (`ibv_post_recv`). Allowed from INIT
-    /// onward.
+    /// onward. The buffer's contents are undefined from here until a
+    /// message lands in it, so whatever it held is discarded.
     pub fn post_recv(&self, sim: &SimContext, wr: RecvWr) -> Result<()> {
-        let st = *self.inner.state.lock();
-        if st < QpState::Init || st == QpState::Error {
-            return Err(VerbsError::InvalidState {
-                qp: self.inner.qpn,
-                state: st,
-                op: "post_recv",
-            });
-        }
-        if wr
-            .offset
-            .checked_add(wr.len)
-            .is_none_or(|e| e > wr.mr.len())
-        {
-            return Err(VerbsError::OutOfBounds {
-                offset: wr.offset,
-                len: wr.len,
-                region: wr.mr.len(),
-            });
-        }
+        self.check_recv(&wr, "post_recv")?;
         sim.sleep(self.runtime.profile().post_wr_cpu);
         self.runtime.rt_obs.obs.recorder.event(
             sim.node() as u32,
@@ -425,7 +469,7 @@ impl QueuePair {
             EventKind::RecvPosted,
             wr.len as u64,
         );
-        self.inner.recv_queue.lock().push_back(wr);
+        self.enqueue_recv(wr);
         Ok(())
     }
 
@@ -433,27 +477,28 @@ impl QueuePair {
     /// outside the measured window (initial receive pools are posted while
     /// connections are established, before the query starts).
     pub fn post_recv_untimed(&self, wr: RecvWr) -> Result<()> {
+        self.check_recv(&wr, "post_recv_untimed")?;
+        self.enqueue_recv(wr);
+        Ok(())
+    }
+
+    /// Whether `wr` may be posted now: the QP is past RESET and not in
+    /// error, and the buffer lies inside its region.
+    fn check_recv(&self, wr: &RecvWr, op: &'static str) -> Result<()> {
         let st = *self.inner.state.lock();
         if st < QpState::Init || st == QpState::Error {
             return Err(VerbsError::InvalidState {
                 qp: self.inner.qpn,
                 state: st,
-                op: "post_recv_untimed",
+                op,
             });
         }
-        if wr
-            .offset
-            .checked_add(wr.len)
-            .is_none_or(|e| e > wr.mr.len())
-        {
-            return Err(VerbsError::OutOfBounds {
-                offset: wr.offset,
-                len: wr.len,
-                region: wr.mr.len(),
-            });
-        }
-        self.inner.recv_queue.lock().push_back(wr);
-        Ok(())
+        wr.mr.locate(wr.offset, wr.len).map(drop)
+    }
+
+    fn enqueue_recv(&self, wr: RecvWr) {
+        wr.mr.discard(wr.offset, wr.len);
+        self.inner.recv_queue.lock().push(wr);
     }
 
     /// Posts a Send work request (`ibv_post_send` with `IBV_WR_SEND`).
@@ -477,7 +522,7 @@ impl QueuePair {
         if wr.len > max {
             return Err(VerbsError::MessageTooLarge { len: wr.len, max });
         }
-        let payload = wr.mr.read(wr.offset, wr.len)?;
+        let payload = wr.mr.capture(wr.offset, wr.len)?;
         sim.sleep(profile.post_wr_cpu);
 
         let now = self.runtime.kernel().now();
@@ -606,7 +651,7 @@ impl QueuePair {
             });
         }
         assert!(!dests.is_empty(), "multicast needs at least one destination");
-        let payload = wr.mr.read(wr.offset, wr.len)?;
+        let payload = wr.mr.capture(wr.offset, wr.len)?;
         sim.sleep(profile.post_wr_cpu);
 
         let now = self.runtime.kernel().now();
@@ -666,16 +711,7 @@ impl QueuePair {
             });
         }
         let (local_mr, local_off) = local;
-        if local_off
-            .checked_add(len)
-            .is_none_or(|e| e > local_mr.len())
-        {
-            return Err(VerbsError::OutOfBounds {
-                offset: local_off,
-                len,
-                region: local_mr.len(),
-            });
-        }
+        local_mr.locate(local_off, len)?;
         sim.sleep(profile.post_wr_cpu);
 
         let now = self.runtime.kernel().now();
@@ -711,11 +747,9 @@ impl QueuePair {
             let serve = runtime
                 .nic(remote.node)
                 .process_flow(now, peer_ctx, WrKind::RemoteDma, flow);
-            let data = match runtime.lookup_mr(remote.rkey) {
-                Some(mr) if remote.offset + len <= mr.len() => {
-                    mr.read(remote.offset, len).expect("bounds checked")
-                }
-                _ => {
+            let data = match remote_region(&runtime, remote, len) {
+                Some(mr) => mr.capture(remote.offset, len).expect("bounds checked"),
+                None => {
                     // Bad rkey or bounds: remote access error completion.
                     let completion = Completion {
                         wr_id,
@@ -748,7 +782,7 @@ impl QueuePair {
                         .nic(local_node)
                         .process_flow(now, self_ctx, WrKind::RecvMatch, flow);
                 local_mr
-                    .write(local_off, &data)
+                    .land(local_off, data)
                     .expect("bounds checked at post time");
                 let completion = Completion {
                     wr_id,
@@ -791,7 +825,7 @@ impl QueuePair {
             });
         }
         let (local_mr, local_off) = local;
-        let payload = local_mr.read(local_off, len)?;
+        let payload = local_mr.capture(local_off, len)?;
         sim.sleep(profile.post_wr_cpu);
 
         let now = self.runtime.kernel().now();
@@ -823,9 +857,9 @@ impl QueuePair {
             let served = runtime
                 .nic(remote.node)
                 .process_flow(now, peer_ctx, WrKind::RemoteDma, flow);
-            match runtime.lookup_mr(remote.rkey) {
-                Some(mr) if remote.offset + len <= mr.len() => {
-                    mr.write(remote.offset, &payload).expect("bounds checked");
+            match remote_region(&runtime, remote, len) {
+                Some(mr) => {
+                    mr.land(remote.offset, payload).expect("bounds checked");
                     let mr2 = mr.clone();
                     let runtime2 = runtime.clone();
                     runtime.kernel().schedule(served, move || {
@@ -847,7 +881,7 @@ impl QueuePair {
                             .schedule_in(ack_latency, move || send_cq.deposit(completion));
                     });
                 }
-                _ => {
+                None => {
                     let completion = Completion {
                         wr_id,
                         status: WcStatus::Flushed,
@@ -950,6 +984,14 @@ fn wire_bytes(ty: QpType, len: usize, mtu: usize) -> usize {
     }
 }
 
+/// The region a one-sided operation on `[remote.offset, +len)` targets, if
+/// the rkey resolves and the range — `offset` and `len` arrive over the
+/// wire — lies inside it. `None` is a remote access error.
+fn remote_region(runtime: &VerbsRuntime, remote: RemoteAddr, len: usize) -> Option<MemoryRegion> {
+    let mr = runtime.lookup_mr(remote.rkey)?;
+    mr.locate(remote.offset, len).is_ok().then_some(mr)
+}
+
 /// Records an unmatched inbound datagram at `node` (the §2.2.1 silent
 /// UD drop).
 fn observe_unmatched(runtime: &VerbsRuntime, node: crate::NodeId, at: SimTime) {
@@ -968,7 +1010,7 @@ fn observe_unmatched(runtime: &VerbsRuntime, node: crate::NodeId, at: SimTime) {
 fn deliver_send(
     runtime: Arc<VerbsRuntime>,
     dest: AddressHandle,
-    payload: Vec<u8>,
+    payload: Payload,
     imm: Option<u32>,
     src: AddressHandle,
     sender_ctx: Option<(CompletionQueue, u64)>,
@@ -996,7 +1038,7 @@ fn deliver_send(
                 wr_id,
                 status: WcStatus::Flushed,
                 opcode: WcOpcode::Send,
-                byte_len: payload.len(),
+                byte_len: payload.len,
                 src_node: dest.node,
                 src_qp: dest.qpn,
                 qp: src.qpn,
@@ -1027,17 +1069,17 @@ fn deliver_send(
     let rwr = if runtime.recv_paused(dest.node, now.as_nanos()) {
         None
     } else {
-        qp.recv_queue.lock().pop_front()
+        qp.recv_queue.lock().pop()
     };
     match rwr {
         Some(rwr) => {
-            if payload.len() > rwr.len {
+            if payload.len > rwr.len {
                 // Message larger than the posted buffer.
                 let completion = Completion {
                     wr_id: rwr.wr_id,
                     status: WcStatus::LocalLengthError,
                     opcode: WcOpcode::Recv,
-                    byte_len: payload.len(),
+                    byte_len: payload.len,
                     src_node: src.node,
                     src_qp: src.qpn,
                     qp: dest.qpn,
@@ -1051,8 +1093,9 @@ fn deliver_send(
                     .schedule(nic_done, move || recv_cq.deposit(completion));
                 return;
             }
+            let byte_len = payload.len;
             rwr.mr
-                .write(rwr.offset, &payload)
+                .land(rwr.offset, payload)
                 .expect("receive buffer bounds checked at post time");
             runtime.rt_obs.obs.metrics.record(
                 runtime.rt_obs.msg_latency[dest.node],
@@ -1062,7 +1105,7 @@ fn deliver_send(
                 wr_id: rwr.wr_id,
                 status: WcStatus::Success,
                 opcode: WcOpcode::Recv,
-                byte_len: payload.len(),
+                byte_len,
                 src_node: src.node,
                 src_qp: src.qpn,
                 qp: dest.qpn,
@@ -1081,7 +1124,7 @@ fn deliver_send(
                     wr_id,
                     status: WcStatus::Success,
                     opcode: WcOpcode::Send,
-                    byte_len: payload.len(),
+                    byte_len,
                     src_node: dest.node,
                     src_qp: dest.qpn,
                     qp: src.qpn,
@@ -1106,7 +1149,7 @@ fn deliver_send(
                     wr_id,
                     status: WcStatus::RetryExceeded,
                     opcode: WcOpcode::Send,
-                    byte_len: payload.len(),
+                    byte_len: payload.len,
                     src_node: dest.node,
                     src_qp: dest.qpn,
                     qp: src.qpn,
@@ -1134,5 +1177,63 @@ fn deliver_send(
                 deliver_send(rt, dest, payload, imm, src, sender_ctx, attempt + 1, posted_ns);
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ConnectionManager;
+    use rshuffle_simnet::{Cluster, DeviceProfile, Kernel};
+
+    #[test]
+    fn posted_receives_coalesce_into_runs_and_pop_in_order() {
+        let mr = MemoryRegion::new_for_tests(&Kernel::new(), 0, 1, 4096);
+        let wr = |slot: u64| RecvWr {
+            wr_id: slot * 64,
+            mr: mr.clone(),
+            offset: slot as usize * 64,
+            len: 64,
+        };
+        let mut queue = RecvQueue::default();
+        // A pool posted in order, three reposts walking down, one stray.
+        let slots: Vec<u64> = (0..32).chain([40, 38, 36, 7]).collect();
+        for &slot in &slots {
+            queue.push(wr(slot));
+        }
+        assert_eq!((queue.len, queue.runs.len()), (36, 3));
+        let popped: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+        assert!(popped.iter().all(|wr| wr.offset as u64 == wr.wr_id));
+        let order: Vec<u64> = popped.iter().map(|wr| wr.wr_id / 64).collect();
+        assert_eq!((order, queue.len), (slots, 0));
+    }
+
+    /// `remote.offset` arrives over the wire: one that overflows when the
+    /// length is added must complete in error like any other bad address.
+    #[test]
+    fn an_overflowing_remote_offset_is_a_remote_access_error() {
+        let rt = VerbsRuntime::new(Cluster::new(2, DeviceProfile::edr()));
+        let (ctx_a, ctx_b) = (rt.context(0), rt.context(1));
+        let (cq_a, cq_b) = (ctx_a.create_cq(), ctx_b.create_cq());
+        let qp_a = ctx_a.create_qp(QpType::Rc, cq_a.clone(), cq_a.clone());
+        let qp_b = ctx_b.create_qp(QpType::Rc, cq_b.clone(), cq_b);
+        ConnectionManager::activate_untimed(&qp_a, Some(qp_b.address_handle())).unwrap();
+        ConnectionManager::activate_untimed(&qp_b, Some(qp_a.address_handle())).unwrap();
+        let local = ctx_a.register_untimed(64);
+        let remote = RemoteAddr {
+            node: 1,
+            rkey: ctx_b.register_untimed(64).rkey(),
+            offset: usize::MAX - 1,
+        };
+        rt.cluster().spawn(0, "initiator", move |sim| {
+            qp_a.post_read(&sim, 1, (local.clone(), 0), remote, 8)
+                .unwrap();
+            qp_a.post_write(&sim, 2, (local, 0), remote, 8).unwrap();
+            for _ in 0..2 {
+                let c = cq_a.next(&sim);
+                assert_eq!((c.status, c.byte_len), (WcStatus::Flushed, 0));
+            }
+        });
+        rt.cluster().run();
     }
 }

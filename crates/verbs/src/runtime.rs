@@ -19,7 +19,7 @@ use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimConte
 
 use crate::cq::CompletionQueue;
 use crate::fault::{FaultEvent, FaultPlan, QpScope, Window};
-use crate::mr::MemoryRegion;
+use crate::mr::{MemoryRegion, Slab};
 use crate::qp::{QpInner, QueuePair};
 use crate::types::{QpNum, QpType};
 use crate::NodeId;
@@ -135,6 +135,8 @@ pub struct VerbsRuntime {
     registered: Mutex<Vec<usize>>,
     /// High-water mark of registered bytes per node (Figure 9b).
     registered_peak: Mutex<Vec<usize>>,
+    /// Backing storage of every region's windows.
+    slab: Arc<Slab>,
     /// Burst UD-loss windows from the fault plan: `(window, drop_prob)`.
     ud_loss_windows: Vec<(Window, f64)>,
     /// Receiver-pause windows from the fault plan.
@@ -216,6 +218,7 @@ impl VerbsRuntime {
             rt_obs,
             registered: Mutex::new(vec![0; nodes]),
             registered_peak: Mutex::new(vec![0; nodes]),
+            slab: Arc::default(),
             ud_loss_windows,
             recv_pause_windows,
             qp_kill_windows,
@@ -537,28 +540,49 @@ impl VerbsRuntime {
         self.registered_peak.lock()[node]
     }
 
+    /// Bytes of registered windows on `node` that hold storage right now:
+    /// written since they were last posted as a receive, recycled or
+    /// deregistered. Counts live windows at their full size, so it repeats
+    /// exactly per seed and bounds what registered memory costs the host.
+    pub fn resident_bytes(&self, node: NodeId) -> usize {
+        self.slab.resident(node).0
+    }
+
+    /// High-water mark of [`VerbsRuntime::resident_bytes`] on `node`.
+    pub fn resident_bytes_peak(&self, node: NodeId) -> usize {
+        self.slab.resident(node).1
+    }
+
     /// Deregisters a memory region without charging virtual time and
     /// without touching the recorder — invisible to traces. Used by the
     /// scheduler to return an exchange's pinned memory to the budget after
     /// a query completes (endpoints register eagerly and historically never
-    /// released). Idempotent: deregistering an unknown rkey is a no-op.
+    /// released). The region's storage goes back to the runtime, whoever
+    /// still holds a handle. Idempotent: deregistering an unknown rkey is a
+    /// no-op.
     pub fn deregister_untimed(&self, mr: &MemoryRegion) {
         if self.mrs.lock().remove(&mr.rkey()).is_none() {
             return;
         }
         self.mr_flows.lock().remove(&mr.rkey());
+        mr.discard(0, mr.len());
         let mut reg = self.registered.lock();
         reg[mr.node()] = reg[mr.node()].saturating_sub(mr.len());
     }
 
     /// Deregisters every memory region that was registered through a
     /// [`Context`] tagged with `flow`, without charging virtual time (see
-    /// [`VerbsRuntime::deregister_untimed`]). Returns the number of bytes
-    /// released cluster-wide. A no-op for [`FlowId::NONE`]: untagged
-    /// regions are shared harness state, not query state.
+    /// [`VerbsRuntime::deregister_untimed`]), and drops the receives still
+    /// posted on the flow's Queue Pairs, which name those regions. Returns
+    /// the number of bytes released cluster-wide. A no-op for
+    /// [`FlowId::NONE`]: untagged regions are shared harness state, not
+    /// query state.
     pub fn deregister_flow(&self, flow: FlowId) -> usize {
         if !flow.is_tagged() {
             return 0;
+        }
+        for qp in self.qps.lock().values().filter(|qp| qp.flow == flow) {
+            qp.recv_queue.lock().clear();
         }
         let mut rkeys: Vec<u32> = self
             .mr_flows
@@ -677,17 +701,33 @@ impl Context {
     }
 
     /// Registers memory without charging setup time. Intended for tests and
-    /// for harness bookkeeping outside the measured window.
+    /// for harness bookkeeping outside the measured window. The region is
+    /// backed in one piece from the start: what rings, credit arrays and
+    /// scratch slots need, which are polled far more often than written.
     pub fn register_untimed(&self, len: usize) -> MemoryRegion {
-        let rkey = self.runtime.next_rkey.fetch_add(1, Ordering::Relaxed);
-        let mr = MemoryRegion::new(self.runtime.kernel(), self.node, rkey, len);
-        self.runtime.mrs.lock().insert(rkey, mr.clone());
-        if self.flow.is_tagged() {
-            self.runtime.mr_flows.lock().insert(rkey, self.flow.0);
+        let mr = self.register_pool_untimed(len, 1);
+        if len > 0 {
+            mr.with_mut(0, len, |_| ()).expect("the whole region");
         }
-        let mut reg = self.runtime.registered.lock();
-        reg[self.node] += len;
-        let mut peak = self.runtime.registered_peak.lock();
+        mr
+    }
+
+    /// Registers a pool of `windows` transmission windows of `window` bytes
+    /// each, without charging setup time. One region like any other, except
+    /// that the host backs it window by window: posting a window as a
+    /// receive or recycling it ([`MemoryRegion::discard`]) returns that
+    /// window's storage alone, and no access may straddle two windows.
+    pub fn register_pool_untimed(&self, window: usize, windows: usize) -> MemoryRegion {
+        let rt = &self.runtime;
+        let rkey = rt.next_rkey.fetch_add(1, Ordering::Relaxed);
+        let mr = MemoryRegion::new(rt.kernel(), &rt.slab, (self.node, rkey), (window, windows));
+        rt.mrs.lock().insert(rkey, mr.clone());
+        if self.flow.is_tagged() {
+            rt.mr_flows.lock().insert(rkey, self.flow.0);
+        }
+        let mut reg = rt.registered.lock();
+        reg[self.node] += mr.len();
+        let mut peak = rt.registered_peak.lock();
         peak[self.node] = peak[self.node].max(reg[self.node]);
         mr
     }
@@ -696,10 +736,7 @@ impl Context {
     /// (`ibv_dereg_mr`).
     pub fn deregister(&self, sim: &SimContext, mr: MemoryRegion) {
         sim.sleep(self.runtime.profile().mr_deregister_time(mr.len()));
-        self.runtime.mrs.lock().remove(&mr.rkey());
-        self.runtime.mr_flows.lock().remove(&mr.rkey());
-        let mut reg = self.runtime.registered.lock();
-        reg[self.node] = reg[self.node].saturating_sub(mr.len());
+        self.runtime.deregister_untimed(&mr);
     }
 
     /// Creates a Queue Pair of `ty` using `send_cq` and `recv_cq`

@@ -18,15 +18,43 @@
 //! admission controller budgets against these very numbers
 //! (`ExchangeConfig::registered_bytes_estimate`), so any drift is a
 //! real footprint change that must be acknowledged here.
+//!
+//! What registered memory costs the *host* is pinned beside it:
+//! `VerbsRuntime::resident_bytes` counts the windows that hold storage,
+//! which must follow the windows holding live bytes — not every window
+//! ever touched — and return to zero when the exchange is released.
 
 use std::sync::Arc;
 
 use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
-use rshuffle_repro::simnet::DeviceProfile;
+use rshuffle_repro::simnet::{DeviceProfile, FlowId};
+use rshuffle_repro::verbs::VerbsRuntime;
 
 const THREADS: usize = 2;
 const ROW: usize = 16;
+
+/// Runs one healthy MESQ/SR shuffle of `rows` rows per thread under
+/// `config` and returns the runtime it ran on.
+fn run_mesq_sr(config: &ExchangeConfig, rows: usize) -> Arc<VerbsRuntime> {
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let report = run_shuffle_with_recovery(
+        &runtime,
+        config,
+        RecoveryPolicy::default(),
+        ROW,
+        move |_, node| Arc::new(Generator::new(rows, THREADS, node as u64)) as Arc<dyn Operator>,
+        |_, _, _, _| {},
+    );
+    runtime.cluster().run();
+    assert!(
+        report.lock().succeeded(),
+        "MESQ/SR msg {}: {:?}",
+        config.message_size,
+        report.lock().failure
+    );
+    runtime
+}
 
 /// Runs one healthy MESQ/SR shuffle and returns the peak registered
 /// bytes observed on node 0 (all nodes are symmetric under the
@@ -34,21 +62,7 @@ const ROW: usize = 16;
 fn mesq_sr_peak(nodes: usize, message_size: usize) -> usize {
     let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, THREADS);
     config.message_size = message_size;
-    let runtime = config.build_runtime(DeviceProfile::edr());
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        RecoveryPolicy::default(),
-        ROW,
-        |_, node| Arc::new(Generator::new(64, THREADS, node as u64)) as Arc<dyn Operator>,
-        |_, _, _, _| {},
-    );
-    runtime.cluster().run();
-    assert!(
-        report.lock().succeeded(),
-        "MESQ/SR {nodes} nodes msg {message_size}: {:?}",
-        report.lock().failure
-    );
+    let runtime = run_mesq_sr(&config, 64);
     let peak = runtime.registered_bytes_peak(0);
     for node in 1..nodes {
         assert_eq!(
@@ -105,4 +119,41 @@ fn mesq_sr_peak_is_pinned_per_scaleout_shape() {
             "MESQ/SR @ {nodes} nodes: {peak} bytes pinned — UD footprint blew up"
         );
     }
+}
+
+/// Host backing follows live windows. A UD channel can hold live bytes in
+/// its send windows and in as many receive windows as it granted credit
+/// for; the two thirds of the receive pool kept as head-room for credit
+/// datagrams are reposted as soon as they are read, and a window that
+/// was consumed costs nothing until the next message lands in it. So the
+/// peak stays under `live windows x MTU` however many messages pass
+/// through, is as flat across the message-size sweep as the pinned bytes
+/// are, and is back to zero once the query has released its exchange.
+#[test]
+fn mesq_sr_resident_backing_follows_live_windows() {
+    const NODES: usize = 8;
+    let mut peaks = Vec::new();
+    for message_size in [4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20] {
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, NODES, THREADS);
+        config.message_size = message_size;
+        // Tagged, so that the coordinator's release has something to release.
+        config.flow = FlowId(1);
+        // 18 datagrams per thread and destination: every send window is
+        // used eight times over.
+        let runtime = run_mesq_sr(&config, 32 << 10);
+        let mtu = runtime.profile().mtu;
+        let live_windows = THREADS * (config.ud_send_buffers + config.ud_recv_window * (NODES - 1));
+        for node in 0..NODES {
+            let peak = runtime.resident_bytes_peak(node);
+            assert!(
+                0 < peak && peak <= live_windows * mtu,
+                "node {node}: {peak} resident bytes against {live_windows} live windows"
+            );
+            assert!(peak * 2 < runtime.registered_bytes_peak(node));
+            assert_eq!(runtime.resident_bytes(node), 0, "node {node} after release");
+        }
+        peaks.push(runtime.resident_bytes_peak(0));
+    }
+    assert_eq!(peaks, [peaks[0]; 5], "host backing depends on message size");
+    assert_eq!(peaks[0], 176_128, "MESQ/SR @ 8 nodes: resident peak drifted");
 }

@@ -116,12 +116,19 @@ fn run_recovery(
     let report = report.lock().clone();
     let violations = auditor.finalize(report.succeeded()).len();
     // Memory-budget hygiene across rebuilds: every exchange generation
-    // and every reconnect probe must deregister what it pinned.
+    // and every reconnect probe must deregister what it pinned, and the
+    // host storage behind it must go back to the runtime — the attempts a
+    // recovery went through, failed ones included, hold nothing once over.
     for node in 0..NODES {
         assert_eq!(
             runtime.registered_bytes(node),
             0,
             "node {node}: registered memory leaked across recovery rebuilds"
+        );
+        assert_eq!(
+            runtime.resident_bytes(node),
+            0,
+            "node {node}: a released attempt's windows still hold storage"
         );
     }
     RecoveryRun {
