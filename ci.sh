@@ -67,45 +67,54 @@ fi
 # time and the registered-memory budget holds on every node.
 cargo run -q --release -p rshuffle-bench --bin concurrency $CARGO_FLAGS -- --smoke
 
-# Perf-trajectory gate: regenerate the deterministic smoke session and
-# compare against the committed baseline. Any gated metric (latency up,
-# throughput down) past the tolerance fails the build.
-PERF_CAND=$(mktemp /tmp/rshuffle-bench-cand.XXXXXX.json)
-trap 'rm -f "$PERF_CAND"' EXIT
-cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
-  --against BENCH_0008.json --tolerance-pct 10 --save-candidate "$PERF_CAND"
-
-# Gate self-check: an injected 2x latency slowdown must be caught; if it
-# passes, the gate itself is broken.
-if cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
-  --against BENCH_0008.json --tolerance-pct 10 \
-  --candidate "$PERF_CAND" --scale-latency 2 >/dev/null 2>&1; then
-  echo "ERROR: perfdiff failed to catch an injected 2x latency regression" >&2
-  exit 1
-fi
-
-# Scale-out smoke: the 32-node crossover-pair sweep over the fat-tree
-# fabric, with and without the QP cap, gated against the committed
-# baseline on its deterministic virtual-time metrics (qp_count and
-# lease waits ride along as informational rows).
-SCALE_CAND=$(mktemp /tmp/rshuffle-scale-cand.XXXXXX.json)
-trap 'rm -f "$PERF_CAND" "$SCALE_CAND"' EXIT
-cargo run -q --release -p rshuffle-bench --bin scale $CARGO_FLAGS -- \
-  --smoke --emit "$SCALE_CAND" >/dev/null
-cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
-  --against BENCH_SCALE_0010.json --candidate "$SCALE_CAND" --tolerance-pct 10
-
-# Adaptive smoke: the phased-vs-unphased sweep (N = 128/256 under Zipf
-# skew on the congested fat tree — phased MESQ/SR must stay strictly
-# faster) and the advisor-vs-oracle matrix (picks within the acceptance
-# band on >= 90% of rows). The binary enforces both gates itself;
-# perfdiff then pins the actual numbers against the committed baseline.
-ADAPT_CAND=$(mktemp /tmp/rshuffle-adaptive-cand.XXXXXX.json)
-trap 'rm -f "$PERF_CAND" "$SCALE_CAND" "$ADAPT_CAND"' EXIT
-cargo run -q --release -p rshuffle-bench --bin adaptive $CARGO_FLAGS -- \
-  --smoke --emit "$ADAPT_CAND" >/dev/null
-cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
-  --against BENCH_0010.json --candidate "$ADAPT_CAND" --tolerance-pct 10
+# Perf-trajectory gates, one row each: regenerate a deterministic smoke
+# session and compare it against the committed baseline; any gated metric
+# (latency up, throughput down) past the 10% tolerance fails the build,
+# naming the gate. Where the last column says so the gate then checks
+# itself: the same candidate with an injected 2x slowdown must be caught,
+# or the gate is dead weight.
+#   smoke    — perfdiff's own session (concurrency + message-size smoke).
+#   scale    — the 32-node crossover-pair sweep over the fat-tree fabric,
+#              with and without the QP cap, on its deterministic
+#              virtual-time metrics (qp_count and lease waits ride along
+#              as informational rows).
+#   adaptive — the phased-vs-unphased sweep (N = 128/256 under Zipf skew on
+#              the congested fat tree — phased MESQ/SR must stay strictly
+#              faster) and the advisor-vs-oracle matrix (picks within the
+#              acceptance band on >= 90% of rows). The binary enforces both
+#              itself; perfdiff pins the actual numbers.
+# gate | baseline | binary emitting the candidate ("-": perfdiff's own) | self-check
+PERF_GATES=(
+  "smoke    BENCH_0008.json       -        yes"
+  "scale    BENCH_SCALE_0010.json scale    no"
+  "adaptive BENCH_0010.json       adaptive yes"
+)
+PERF_TMP=$(mktemp -d /tmp/rshuffle-perf.XXXXXX)
+trap 'rm -rf "$PERF_TMP"' EXIT
+bench_bin() {
+  cargo run -q --release -p rshuffle-bench --bin "$1" $CARGO_FLAGS -- "${@:2}"
+}
+perf_gate() {
+  local gate=$1 baseline=$2 producer=$3 selfcheck=$4 cand="$PERF_TMP/$1.json"
+  local against=(--against "$baseline" --tolerance-pct 10)
+  if [ "$producer" = - ]; then
+    bench_bin perfdiff "${against[@]}" --save-candidate "$cand"
+  else
+    bench_bin "$producer" --smoke --emit "$cand" >/dev/null &&
+      bench_bin perfdiff "${against[@]}" --candidate "$cand"
+  fi || {
+    echo "ERROR: perf gate '$gate' failed against $baseline" >&2
+    exit 1
+  }
+  if [ "$selfcheck" = yes ] &&
+    bench_bin perfdiff "${against[@]}" --candidate "$cand" --scale-latency 2 >/dev/null 2>&1; then
+    echo "ERROR: perf gate '$gate': perfdiff failed to catch an injected 2x regression" >&2
+    exit 1
+  fi
+}
+for row in "${PERF_GATES[@]}"; do
+  perf_gate $row
+done
 
 # Host-memory ceiling: the smoke's N = 256 cells are the largest thing
 # this script runs. They peaked at 2909 MiB resident when registered
@@ -120,16 +129,7 @@ awk -v ceiling="$ADAPT_RSS_CEILING_MIB" '
       printf "ERROR: adaptive --smoke peaked at %s MiB resident (ceiling %d MiB)\n", peak, ceiling > "/dev/stderr"
       exit 1
     }
-  }' "$ADAPT_CAND"
-
-# Adaptive gate self-check: a 2x inflation of the lower-is-better
-# advisor ratios must be caught, or the gate is dead weight.
-if cargo run -q --release -p rshuffle-bench --bin perfdiff $CARGO_FLAGS -- \
-  --against BENCH_0010.json --tolerance-pct 10 \
-  --candidate "$ADAPT_CAND" --scale-latency 2 >/dev/null 2>&1; then
-  echo "ERROR: perfdiff failed to catch an injected 2x adaptive regression" >&2
-  exit 1
-fi
+  }' "$PERF_TMP/adaptive.json"
 
 # Documentation gate: rshuffle-sched is #![warn(missing_docs)]; deny all
 # rustdoc warnings in every workspace member (a plain `cargo doc` only

@@ -6,7 +6,7 @@
 //! it twice:
 //!
 //! * every byte costs CPU on the sending and the receiving side
-//!   (`tcp_cpu_per_byte`; the paper profiles the IPoIB run at ~2/3 of all
+//!   (`TCP_CPU_PER_BYTE`; the paper profiles the IPoIB run at ~2/3 of all
 //!   cycles inside `send`/`recv`), and
 //! * all inbound traffic at a node serializes through a soft-IRQ/interrupt
 //!   path whose effective bandwidth (`ipoib_bandwidth`) is well below line
@@ -22,10 +22,12 @@ use rshuffle::{
 use rshuffle_simnet::{NodeId, Resource, SimContext, SimDuration};
 use rshuffle_verbs::VerbsRuntime;
 
-/// Kernel-stack cost constants.
+/// Kernel TCP/IP stack CPU cost per byte, either direction.
+const TCP_CPU_PER_BYTE: SimDuration = SimDuration::from_nanos(1);
+
+/// The kernel stack's per-node receive path.
 #[derive(Clone)]
 struct TcpStack {
-    cpu_per_byte: SimDuration,
     /// Per-node soft-IRQ path shared by every inbound stream.
     softirq: Arc<Mutex<Resource>>,
     softirq_bandwidth: f64,
@@ -34,7 +36,6 @@ struct TcpStack {
 /// The sending half of the IPoIB baseline (`send(2)`).
 pub struct IpoibSendEndpoint {
     inner: Arc<dyn SendEndpoint>,
-    stack: TcpStack,
 }
 
 impl SendEndpoint for IpoibSendEndpoint {
@@ -51,7 +52,7 @@ impl SendEndpoint for IpoibSendEndpoint {
     ) -> Result<()> {
         // Kernel send path: per-byte CPU for every destination copy.
         let per_dest =
-            SimDuration::from_nanos(self.stack.cpu_per_byte.as_nanos() * buf.len().max(1) as u64);
+            SimDuration::from_nanos(TCP_CPU_PER_BYTE.as_nanos() * buf.len().max(1) as u64);
         sim.sleep(per_dest * dest.len() as u64);
         self.inner.send(sim, buf, dest, state)
     }
@@ -106,7 +107,7 @@ impl ReceiveEndpoint for IpoibReceiveEndpoint {
             }
             // recv(2) copies out of kernel buffers.
             sim.sleep(SimDuration::from_nanos(
-                self.stack.cpu_per_byte.as_nanos() * bytes as u64,
+                TCP_CPU_PER_BYTE.as_nanos() * bytes as u64,
             ));
         }
         Ok(d)
@@ -163,7 +164,6 @@ impl IpoibExchange {
         let exchange = Exchange::build(runtime, &config)?;
         let stacks: Vec<TcpStack> = (0..nodes)
             .map(|_| TcpStack {
-                cpu_per_byte: profile.tcp_cpu_per_byte,
                 softirq: Arc::new(Mutex::new(Resource::new())),
                 softirq_bandwidth: profile.ipoib_bandwidth,
             })
@@ -174,7 +174,6 @@ impl IpoibExchange {
                     exchange.send[node].first().map(|inner| {
                         Arc::new(IpoibSendEndpoint {
                             inner: inner.clone(),
-                            stack: stacks[node].clone(),
                         }) as Arc<dyn SendEndpoint>
                     })
                 })

@@ -26,12 +26,16 @@ use rshuffle::{
 use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex};
 use rshuffle_verbs::VerbsRuntime;
 
+/// Eager threshold: messages up to this size are copied eagerly, larger
+/// ones go through the rendezvous handshake (MVAPICH2's default order of
+/// magnitude).
+const EAGER_THRESHOLD: usize = 16 * 1024;
+
 /// MPI-library cost constants (taken from the device profile).
 #[derive(Clone, Debug)]
 struct MpiCosts {
     per_message: SimDuration,
     rendezvous_rtt: SimDuration,
-    eager_threshold: usize,
     memcpy_bandwidth: f64,
 }
 
@@ -66,7 +70,7 @@ impl SendEndpoint for MpiSendEndpoint {
         let guard = self.progress.lock(sim);
         for _ in dest {
             sim.sleep(self.costs.per_message);
-            if buf.len() <= self.costs.eager_threshold {
+            if buf.len() <= EAGER_THRESHOLD {
                 // Eager: copy into the library's internal buffer.
                 sim.sleep(self.costs.copy_time(buf.len()));
             } else {
@@ -165,7 +169,6 @@ impl MpiExchange {
         let costs = MpiCosts {
             per_message: profile.mpi_per_message,
             rendezvous_rtt: profile.mpi_rendezvous_rtt,
-            eager_threshold: profile.mpi_eager_threshold,
             memcpy_bandwidth: profile.memcpy_bandwidth,
         };
         // The library endpoint is the SEMQ/SR design — one endpoint per

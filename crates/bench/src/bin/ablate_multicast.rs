@@ -24,8 +24,8 @@ fn main() {
                 nodes,
                 Transport::Rdma(ShuffleAlgorithm::MESQ_SR),
             );
-            cfg.pattern = Pattern::Broadcast;
-            cfg.ud_native_multicast = native;
+            cfg.set_pattern(Pattern::Broadcast);
+            cfg.exchange.ud_native_multicast = native;
             cfg.bytes_per_node =
                 (rshuffle_bench::workload::default_volume() / (nodes - 1)).max(4 << 20);
             let r = run_shuffle_workload(&cfg);

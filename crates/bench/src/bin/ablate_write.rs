@@ -29,7 +29,7 @@ fn main() {
         let mut points = Vec::new();
         for (x, pattern) in [(0.0, Pattern::Repartition), (1.0, Pattern::Broadcast)] {
             let mut cfg = WorkloadConfig::new(profile.clone(), 8, Transport::Rdma(a));
-            cfg.pattern = pattern;
+            cfg.set_pattern(pattern);
             if pattern == Pattern::Broadcast {
                 cfg.bytes_per_node = (cfg.bytes_per_node / 7).max(4 << 20);
             }

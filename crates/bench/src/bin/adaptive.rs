@@ -97,20 +97,20 @@ fn run_phased_cell(nodes: usize, bytes_per_node: usize) -> PhasedCell {
             nodes,
             Transport::Rdma(ShuffleAlgorithm::MESQ_SR),
         );
-        cfg.threads = THREADS;
+        cfg.exchange.threads = THREADS;
         cfg.bytes_per_node = bytes_per_node;
         cfg.topology = congested_fat_tree();
         cfg.skew = Some(SkewSpec {
             theta: ZIPF_THETA,
             seed: ZIPF_SEED,
         });
-        cfg.phase = policy;
+        cfg.exchange.phase = policy;
         // Deep UD rings: with shallow defaults the sender is
         // credit-bound long before it is fabric-bound, and the incast
         // penalty (what phasing removes) never shows. Both policies run
         // the same depths.
-        cfg.ud_send_buffers = 256;
-        cfg.ud_recv_window = 64;
+        cfg.exchange.ud_send_buffers = 256;
+        cfg.exchange.ud_recv_window = 64;
         let start = std::time::Instant::now();
         let r = run_shuffle_workload(&cfg);
         assert!(
@@ -158,17 +158,17 @@ impl Row {
     fn config(&self, algorithm: ShuffleAlgorithm, phase: PhasePolicy) -> WorkloadConfig {
         let mut cfg =
             WorkloadConfig::new(DeviceProfile::edr(), self.nodes, Transport::Rdma(algorithm));
-        cfg.threads = self.threads;
-        cfg.message_size = self.message_size;
+        cfg.exchange.threads = self.threads;
+        cfg.exchange.message_size = self.message_size;
         cfg.bytes_per_node = self.bytes_per_node;
-        cfg.pattern = self.pattern;
+        cfg.set_pattern(self.pattern);
         if self.congested {
             cfg.topology = congested_fat_tree();
             // Same deep UD rings as the phased sweep: the decision the
             // row exercises (to phase or not) only exists once the
             // sender is fabric-bound rather than credit-bound.
-            cfg.ud_send_buffers = 256;
-            cfg.ud_recv_window = 64;
+            cfg.exchange.ud_send_buffers = 256;
+            cfg.exchange.ud_recv_window = 64;
         }
         if self.skewed {
             cfg.skew = Some(SkewSpec {
@@ -176,7 +176,7 @@ impl Row {
                 seed: ZIPF_SEED,
             });
         }
-        cfg.phase = phase;
+        cfg.exchange.phase = phase;
         cfg
     }
 

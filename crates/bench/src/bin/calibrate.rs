@@ -29,10 +29,7 @@ fn main() {
     );
     for t in transports {
         let mut cfg = WorkloadConfig::new(profile.clone(), nodes, t);
-        cfg.pattern = pattern;
-        if let Ok(j) = std::env::var("RSHUFFLE_JITTER_US") {
-            cfg.receiver_jitter = rshuffle_simnet::SimDuration::from_micros(j.parse().unwrap_or(3));
-        }
+        cfg.set_pattern(pattern);
         let started = std::time::Instant::now();
         let r = run_shuffle_workload(&cfg);
         println!(

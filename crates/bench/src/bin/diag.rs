@@ -23,7 +23,7 @@
 
 use rshuffle::{AdvisorSignals, AlgorithmAdvisor, PhasePolicy, PhaseSchedule, ShuffleAlgorithm};
 use rshuffle_bench::skew::{skew_ratio, zipf_partition_rows};
-use rshuffle_bench::{Pattern, Transport, WorkloadConfig};
+use rshuffle_bench::{Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, Topology};
 use rshuffle_verbs::FaultPlan;
 
@@ -147,47 +147,41 @@ fn main() {
         .unwrap_or_else(|| "trace.json".to_string());
 
     let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, Transport::Rdma(alg));
-    cfg.pattern = Pattern::Repartition;
     if let Some(name) = args.get(4) {
         match canned_plan(name) {
-            Some(plan) => cfg.faults.plan = plan,
+            Some(plan) => cfg.exchange.faults.plan = plan,
             None => {
                 eprintln!("unknown fault plan {name:?}; known: link-flap, link-degrade, straggler");
                 std::process::exit(2);
             }
         }
     }
-    if cfg.faults.plan.is_empty() {
+    if cfg.exchange.faults.plan.is_empty() {
         println!("fault plan: none");
     } else {
-        for ev in &cfg.faults.plan.events {
+        for ev in &cfg.exchange.faults.plan.events {
             println!("fault plan: {ev}");
         }
     }
 
     // Inline a copy of the workload with extra reporting.
-    let cluster = rshuffle_simnet::Cluster::new(cfg.nodes, cfg.profile.clone());
-    let runtime = rshuffle_verbs::VerbsRuntime::with_faults(cluster, cfg.faults.clone());
-    let groups: Vec<rshuffle::TransmissionGroups> = (0..cfg.nodes)
-        .map(|me| rshuffle::TransmissionGroups::repartition(me, cfg.nodes))
-        .collect();
+    let threads = cfg.exchange.threads;
+    let cluster = rshuffle_simnet::Cluster::new(nodes, cfg.profile.clone());
+    let runtime = rshuffle_verbs::VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
     let cost = rshuffle::CostModel::from_profile(runtime.profile());
-    let rows_per_thread = cfg.bytes_per_node / 16 / cfg.threads;
-    let mut xcfg = rshuffle::ExchangeConfig::with_groups(alg, cfg.threads, groups.clone());
-    xcfg.message_size = cfg.message_size;
-    let exchange = rshuffle::Exchange::build(&runtime, &xcfg).unwrap();
-    for (node, group) in groups.iter().enumerate() {
+    let rows_per_thread = cfg.bytes_per_node / 16 / threads;
+    let exchange = rshuffle::Exchange::build(&runtime, &cfg.exchange).unwrap();
+    for (node, group) in cfg.exchange.groups.iter().enumerate() {
         let gen = std::sync::Arc::new(rshuffle_engine::Generator::new(
             rows_per_thread,
-            cfg.threads,
+            threads,
             node as u64,
         ));
-        let shuffle = std::sync::Arc::new(rshuffle::ShuffleOperator::new(
-            alg.mode,
+        let shuffle = std::sync::Arc::new(rshuffle::ShuffleOperator::with_lanes(
             gen,
             exchange.send[node].clone(),
             group.clone(),
-            cfg.threads,
+            threads,
             cost.clone(),
         ));
         rshuffle_engine::drive_to_sink(
@@ -195,15 +189,14 @@ fn main() {
             node,
             &format!("s{node}"),
             shuffle,
-            cfg.threads,
+            threads,
             |_, _| {},
         );
-        let recv = std::sync::Arc::new(rshuffle::ReceiveOperator::new(
-            alg.mode,
+        let recv = std::sync::Arc::new(rshuffle::ReceiveOperator::with_lanes(
             exchange.recv[node].clone(),
             16,
             2048,
-            cfg.threads,
+            threads,
             cost.clone(),
         ));
         rshuffle_engine::drive_to_sink(
@@ -211,18 +204,18 @@ fn main() {
             node,
             &format!("r{node}"),
             recv,
-            cfg.threads,
+            threads,
             |_, _| {},
         );
     }
     runtime.cluster().run();
     let t_end = runtime.kernel().now();
     let bytes = exchange.bytes_received(0);
-    let total: u64 = (0..cfg.nodes).map(|n| exchange.bytes_received(n)).sum();
+    let total: u64 = (0..nodes).map(|n| exchange.bytes_received(n)).sum();
     println!(
         "total received {:.2} MiB (expected {:.2} MiB); stats {:?}",
         total as f64 / 1048576.0,
-        (rows_per_thread * cfg.threads * 16 * cfg.nodes) as f64 / 1048576.0,
+        (rows_per_thread * threads * 16 * nodes) as f64 / 1048576.0,
         runtime.stats()
     );
     println!(

@@ -34,10 +34,10 @@ fn main() {
             let mut points = Vec::new();
             for &f in &freqs {
                 let mut cfg = WorkloadConfig::new(profile.clone(), 8, Transport::Rdma(a));
-                cfg.credit_writeback_frequency = f;
+                cfg.exchange.credit_writeback_frequency = f;
                 // §5.1.1: each thread registers 16 RDMA buffers per remote
                 // node.
-                cfg.buffers_per_peer = 16;
+                cfg.exchange.buffers_per_peer = 16;
                 let r = run_shuffle_workload(&cfg);
                 assert!(r.errors.is_empty(), "{a} freq {f}: {:?}", r.errors);
                 points.push((f as f64, r.gib_per_sec()));

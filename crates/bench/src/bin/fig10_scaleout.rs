@@ -44,7 +44,7 @@ fn main() {
             let mut points = Vec::new();
             for &n in &cluster_sizes {
                 let mut cfg = WorkloadConfig::new(profile.clone(), n, t);
-                cfg.pattern = pattern;
+                cfg.set_pattern(pattern);
                 if pattern == Pattern::Broadcast {
                     // Every node transmits its fragment to n-1 peers; keep
                     // total simulated traffic bounded.

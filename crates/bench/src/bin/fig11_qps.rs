@@ -33,7 +33,7 @@ fn main() {
                 imp,
             };
             let mut cfg = WorkloadConfig::new(profile.clone(), nodes, Transport::Rdma(algorithm));
-            cfg.lanes = Some(lanes);
+            cfg.exchange.lanes_override = Some(lanes);
             let r = run_shuffle_workload(&cfg);
             assert!(
                 r.errors.is_empty(),

@@ -175,11 +175,11 @@ fn main() {
                 }
                 let mut cfg =
                     WorkloadConfig::new(profile.clone(), nodes, Transport::Rdma(algorithm));
-                cfg.threads = THREADS;
-                cfg.message_size = message_size;
+                cfg.exchange.threads = THREADS;
+                cfg.exchange.message_size = message_size;
                 cfg.bytes_per_node = bytes_per_node;
                 cfg.topology = topology.clone();
-                cfg.mux = cap.map(MuxConfig::with_cap);
+                cfg.exchange.mux = cap.map(MuxConfig::with_cap);
                 if skew_theta > 0.0 {
                     cfg.skew = Some(SkewSpec {
                         theta: skew_theta,

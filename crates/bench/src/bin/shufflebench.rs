@@ -90,32 +90,32 @@ fn main() {
 
     let mut cfg = WorkloadConfig::new(profile, nodes, transport);
     if let Some(t) = threads {
-        cfg.threads = t;
+        cfg.exchange.threads = t;
     }
-    cfg.pattern = pattern;
+    cfg.set_pattern(pattern);
     if let Some(m) = mib {
         cfg.bytes_per_node = m << 20;
     }
     if let Some(s) = msg_size {
-        cfg.message_size = s;
+        cfg.exchange.message_size = s;
     }
     if let Some(f) = credit_freq {
-        cfg.credit_writeback_frequency = f;
+        cfg.exchange.credit_writeback_frequency = f;
     }
-    cfg.lanes = lanes;
+    cfg.exchange.lanes_override = lanes;
     cfg.compute_per_batch = SimDuration::from_nanos((compute_us * 1000.0) as u64);
-    cfg.faults.ud_drop_probability = drop_prob;
-    cfg.ud_native_multicast = native_multicast;
+    cfg.exchange.faults.ud_drop_probability = drop_prob;
+    cfg.exchange.ud_native_multicast = native_multicast;
     cfg.zero_copy = zero_copy;
 
     println!(
         "{} | {} nodes x {} threads | {:?} | {} MiB/node | msg {} KiB",
         transport,
-        cfg.nodes,
-        cfg.threads,
-        cfg.pattern,
+        cfg.nodes(),
+        cfg.exchange.threads,
+        pattern,
         cfg.bytes_per_node >> 20,
-        cfg.message_size >> 10
+        cfg.exchange.message_size >> 10
     );
     let r = run_shuffle_workload(&cfg);
     println!(
@@ -129,17 +129,17 @@ fn main() {
         report.benches.push(BenchRun {
             bench: "shufflebench".to_string(),
             config: vec![
-                ("nodes".to_string(), Value::UInt(cfg.nodes as u64)),
-                ("threads".to_string(), Value::UInt(cfg.threads as u64)),
+                ("nodes".to_string(), Value::UInt(cfg.nodes() as u64)),
+                ("threads".to_string(), Value::UInt(cfg.exchange.threads as u64)),
                 (
                     "bytes_per_node".to_string(),
                     Value::UInt(cfg.bytes_per_node as u64),
                 ),
                 (
                     "message_size".to_string(),
-                    Value::UInt(cfg.message_size as u64),
+                    Value::UInt(cfg.exchange.message_size as u64),
                 ),
-                ("pattern".to_string(), Value::Str(format!("{:?}", cfg.pattern))),
+                ("pattern".to_string(), Value::Str(format!("{:?}", pattern))),
             ],
             results: vec![BenchResult {
                 id: transport.to_string(),

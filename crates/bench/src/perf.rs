@@ -485,9 +485,8 @@ pub fn run_msgsize_sweep(
     for a in ShuffleAlgorithm::ALL {
         for &msg in sizes {
             let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, Transport::Rdma(a));
-            cfg.message_size = msg;
-            cfg.buffers_per_peer = 2;
-            cfg.recv_depth_per_peer = 4;
+            cfg.exchange.message_size = msg;
+            cfg.exchange.recv_depth_per_peer = 4;
             if let Some(b) = bytes_per_node {
                 cfg.bytes_per_node = b;
             }

@@ -14,14 +14,14 @@
 use std::sync::Arc;
 
 use rshuffle::{
-    CostModel, Exchange, ExchangeConfig, PhasePolicy, PhaseRunner, PhaseSchedule,
-    ReceiveOperator, ShuffleAlgorithm, ShuffleError, ShuffleOperator, TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, PhaseRunner, PhaseSchedule, ReceiveEndpoint,
+    ReceiveOperator, SendEndpoint, ShuffleAlgorithm, ShuffleError, ShuffleOperator,
+    TransmissionGroups,
 };
 use rshuffle_baselines::{IpoibExchange, MpiExchange};
 use rshuffle_engine::{drive_to_sink, ComputeStage, Generator};
-use rshuffle_mux::MuxConfig;
 use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration, Topology};
-use rshuffle_verbs::{FaultConfig, VerbsRuntime};
+use rshuffle_verbs::VerbsRuntime;
 
 use crate::skew::{zipf_partition_rows, SkewSpec, StragglerPlan};
 
@@ -59,42 +59,31 @@ impl std::fmt::Display for Transport {
     }
 }
 
-/// Configuration of one workload run.
+/// Rows per receive-operator output batch: 32 KiB of 16-byte rows (the
+/// L1-sized batch).
+const BATCH_ROWS: usize = 2048;
+
+/// Maximum per-batch OS-scheduling jitter at the receiving fragment
+/// (seeded, uniform). Real shared clusters are never perfectly balanced;
+/// this is what starves the one-sided designs of free buffers in the
+/// broadcast pattern (§5.1.3).
+const RECEIVER_JITTER: SimDuration = SimDuration::from_micros(3);
+
+/// Configuration of one workload run: what the §5.1 query adds around an
+/// exchange, and the exchange itself.
 #[derive(Clone)]
 pub struct WorkloadConfig {
     /// Hardware generation.
     pub profile: DeviceProfile,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Worker threads per fragment (defaults to the profile's).
-    pub threads: usize,
-    /// Transport under test.
+    /// Transport under test, as given to [`WorkloadConfig::new`] (which
+    /// also sets `exchange.algorithm` from it).
     pub transport: Transport,
-    /// Communication pattern.
-    pub pattern: Pattern,
     /// Bytes each node transmits per destination-set pass (the local table
     /// fragment size).
     pub bytes_per_node: usize,
-    /// RC message size (header + payload).
-    pub message_size: usize,
-    /// Send buffers per peer (RC designs).
-    pub buffers_per_peer: usize,
-    /// Receive depth per peer.
-    pub recv_depth_per_peer: usize,
-    /// UD send buffers / receive window.
-    pub ud_send_buffers: usize,
-    /// UD receive window per source.
-    pub ud_recv_window: usize,
-    /// Credit write-back frequency (Figure 8).
-    pub credit_writeback_frequency: u32,
     /// Extra compute charged per 32 KiB batch at the receiving fragment
     /// (Figure 13).
     pub compute_per_batch: SimDuration,
-    /// Rows per receive-operator output batch.
-    pub batch_rows: usize,
-    /// Endpoint lanes per operator (Figure 11); `None` = derived from the
-    /// algorithm's mode.
-    pub lanes: Option<usize>,
     /// Whether the sender skips the copy into RDMA-registered buffers.
     /// `None` picks the per-design default: zero copy for the reliable
     /// (RC) designs, whose pooled registered buffers let tuples be staged
@@ -102,67 +91,63 @@ pub struct WorkloadConfig {
     /// UD designs and the MPI/IPoIB baselines. `Some(_)` forces one side,
     /// which is what the §4.3.1 ablation uses.
     pub zero_copy: Option<bool>,
-    /// Use native switch multicast for UD group sends (§7 extension).
-    pub ud_native_multicast: bool,
-    /// Maximum per-batch OS-scheduling jitter at the receiving fragment
-    /// (seeded, uniform). Real shared clusters are never perfectly
-    /// balanced; this is what starves the one-sided designs of free
-    /// buffers in the broadcast pattern (§5.1.3).
-    pub receiver_jitter: SimDuration,
-    /// Fault injection.
-    pub faults: FaultConfig,
-    /// Connection-multiplexing cap handed to the RC exchanges (see
-    /// [`rshuffle::ExchangeConfig::mux`]); `None` = direct wiring.
-    pub mux: Option<MuxConfig>,
     /// Switch topology ([`Topology::SingleSwitch`] = the paper's
     /// full-bisection testbed; fat trees for the scale-out sweeps).
     pub topology: Topology,
     /// Per-node volume skew: split the cluster's total table volume by a
     /// seeded Zipf histogram instead of evenly. `None` = uniform.
     pub skew: Option<SkewSpec>,
-    /// Phase scheduling of the all-to-all ([`PhasePolicy::Off`] = the
-    /// classic interleaved transmission). Skew-aware schedules derive
-    /// their byte estimate from the configured [`WorkloadConfig::skew`]
-    /// split, exactly what a planner's table statistics would predict.
-    pub phase: PhasePolicy,
     /// Straggler injection applied to the kernel before the run.
     pub stragglers: Option<StragglerPlan>,
+    /// The exchange under test: cluster size and pattern (its transmission
+    /// groups), threads, message size, pool depths, lanes, multiplexing,
+    /// phasing and fault injection, at the defaults of §5.1.2–5.1.3
+    /// unless set. The MPI and IPoIB baselines read `groups`, `threads`,
+    /// `message_size` and `faults` only — the libraries bring their own
+    /// depths. A skew-aware phase schedule takes its byte estimate
+    /// (`phase_bytes`) from the [`WorkloadConfig::skew`] split when the run
+    /// starts, exactly what a planner's table statistics would predict.
+    pub exchange: ExchangeConfig,
 }
 
 impl WorkloadConfig {
-    /// The defaults of §5.1.2–5.1.3: 64 KiB RC messages, double buffering,
-    /// credit write-back every 2 receives.
+    /// The §5.1 repartition query among `nodes` nodes with the profile's
+    /// thread count and the paper's exchange defaults.
     pub fn new(profile: DeviceProfile, nodes: usize, transport: Transport) -> Self {
-        let threads = profile.threads_per_node;
+        // The baseline libraries are built on the SEMQ/SR design.
+        let algorithm = match transport {
+            Transport::Rdma(algorithm) => algorithm,
+            Transport::Mpi | Transport::Ipoib => ShuffleAlgorithm::SEMQ_SR,
+        };
+        let mut exchange = ExchangeConfig::repartition(algorithm, nodes, profile.threads_per_node);
+        exchange.faults.ud_reorder_probability = 0.05;
         WorkloadConfig {
             profile,
-            nodes,
-            threads,
             transport,
-            pattern: Pattern::Repartition,
             bytes_per_node: default_volume(),
-            message_size: 64 * 1024,
-            buffers_per_peer: 2,
-            recv_depth_per_peer: 16,
-            ud_send_buffers: 16,
-            ud_recv_window: 16,
-            credit_writeback_frequency: 2,
             compute_per_batch: SimDuration::ZERO,
-            batch_rows: 2048, // 32 KiB of 16-byte rows (the L1-sized batch).
-            lanes: None,
             zero_copy: None,
-            ud_native_multicast: false,
-            receiver_jitter: SimDuration::from_micros(3),
-            faults: FaultConfig {
-                ud_reorder_probability: 0.05,
-                ..FaultConfig::default()
-            },
-            mux: None,
             topology: Topology::SingleSwitch,
             skew: None,
-            phase: PhasePolicy::Off,
             stragglers: None,
+            exchange,
         }
+    }
+
+    /// Cluster size.
+    pub fn nodes(&self) -> usize {
+        self.exchange.groups.len()
+    }
+
+    /// Switches the communication pattern, keeping the cluster size.
+    pub fn set_pattern(&mut self, pattern: Pattern) {
+        let nodes = self.nodes();
+        self.exchange.groups = (0..nodes)
+            .map(|me| match pattern {
+                Pattern::Repartition => TransmissionGroups::repartition(me, nodes),
+                Pattern::Broadcast => TransmissionGroups::broadcast(me, nodes),
+            })
+            .collect();
     }
 
     /// The effective copy/zero-copy decision after applying the
@@ -215,120 +200,89 @@ impl WorkloadResult {
     }
 }
 
+/// `[node][lane]` send and receive endpoints.
+type Lanes = (
+    Vec<Vec<Arc<dyn SendEndpoint>>>,
+    Vec<Vec<Arc<dyn ReceiveEndpoint>>>,
+);
+
+/// A baseline library's one endpoint pair per node as single-lane
+/// vectors, with the bytes node 0 registered.
+fn baseline_lanes(
+    send: Vec<Option<Arc<dyn SendEndpoint>>>,
+    recv: Vec<Option<Arc<dyn ReceiveEndpoint>>>,
+) -> (Lanes, usize) {
+    let registered = send[0].as_ref().map_or(0, |e| e.registered_bytes())
+        + recv[0].as_ref().map_or(0, |e| e.registered_bytes());
+    let send = send.into_iter().map(|e| e.into_iter().collect());
+    let recv = recv.into_iter().map(|e| e.into_iter().collect());
+    ((send.collect(), recv.collect()), registered)
+}
+
 /// Runs the synthetic shuffle workload and reports receive throughput.
 pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
-    let cluster = Cluster::with_topology(cfg.nodes, cfg.profile.clone(), cfg.topology.clone());
-    let runtime = VerbsRuntime::with_faults(cluster, cfg.faults.clone());
+    let (nodes, threads) = (cfg.nodes(), cfg.exchange.threads);
+    let cluster = Cluster::with_topology(nodes, cfg.profile.clone(), cfg.topology.clone());
+    let runtime = VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
     if let Some(plan) = &cfg.stragglers {
         plan.apply(runtime.kernel());
     }
-    let groups: Vec<TransmissionGroups> = (0..cfg.nodes)
-        .map(|me| match cfg.pattern {
-            Pattern::Repartition => TransmissionGroups::repartition(me, cfg.nodes),
-            Pattern::Broadcast => TransmissionGroups::broadcast(me, cfg.nodes),
-        })
-        .collect();
+    let groups = &cfg.exchange.groups;
     let cost = CostModel::from_profile(runtime.profile());
     // Per-node fragment sizes: even by default, or a seeded Zipf split of
     // the same cluster-wide total when volume skew is configured.
-    let uniform_rows_per_thread = cfg.bytes_per_node / ROW_BYTES / cfg.threads;
+    let uniform_rows_per_thread = cfg.bytes_per_node / ROW_BYTES / threads;
     let skewed_rows: Option<Vec<u64>> = cfg.skew.map(|s| {
-        let total = (cfg.bytes_per_node / ROW_BYTES) as u64 * cfg.nodes as u64;
-        zipf_partition_rows(total, cfg.nodes, s.theta, s.seed)
+        let total = (cfg.bytes_per_node / ROW_BYTES) as u64 * nodes as u64;
+        zipf_partition_rows(total, nodes, s.theta, s.seed)
     });
     let rows_per_thread_on = |node: usize| match &skewed_rows {
-        Some(rows) => rows[node] as usize / cfg.threads,
+        Some(rows) => rows[node] as usize / threads,
         None => uniform_rows_per_thread,
     };
 
     // Build endpoints for the chosen transport.
-    let mut phases: Option<std::sync::Arc<PhaseRunner>> = None;
-    let (send_eps, recv_eps, mode, registered, mux_stats) = match cfg.transport {
-        Transport::Rdma(algorithm) => {
-            let mut xcfg = ExchangeConfig::with_groups(algorithm, cfg.threads, groups.clone());
-            xcfg.message_size = cfg.message_size;
-            xcfg.buffers_per_peer = cfg.buffers_per_peer;
-            xcfg.recv_depth_per_peer = cfg.recv_depth_per_peer;
-            xcfg.ud_send_buffers = cfg.ud_send_buffers;
-            xcfg.ud_recv_window = cfg.ud_recv_window;
-            xcfg.credit_writeback_frequency = cfg.credit_writeback_frequency;
-            xcfg.lanes_override = cfg.lanes;
-            xcfg.ud_native_multicast = cfg.ud_native_multicast;
-            xcfg.mux = cfg.mux;
-            xcfg.phase = cfg.phase;
-            if cfg.phase.enabled() {
-                // The skew-aware schedule sees exactly what a planner's
-                // table statistics would predict: the per-node byte
-                // totals of the configured Zipf split.
-                if let Some(rows) = &skewed_rows {
-                    let totals: Vec<u64> = rows.iter().map(|&r| r * ROW_BYTES as u64).collect();
-                    xcfg.phase_bytes =
-                        Some(Arc::new(PhaseSchedule::estimate_from_source_totals(&totals)));
-                }
+    let mut phases: Option<Arc<PhaseRunner>> = None;
+    let mut mux_stats = (0, 0, 0);
+    let ((send_eps, recv_eps), registered) = match cfg.transport {
+        Transport::Rdma(_) => {
+            let mut xcfg = cfg.exchange.clone();
+            if let (true, Some(rows)) = (xcfg.phase.enabled(), &skewed_rows) {
+                let totals: Vec<u64> = rows.iter().map(|&r| r * ROW_BYTES as u64).collect();
+                xcfg.phase_bytes = Some(Arc::new(PhaseSchedule::estimate_from_source_totals(
+                    &totals,
+                )));
             }
             let exchange = Exchange::build(&runtime, &xcfg).expect("exchange builds");
-            let registered = exchange.registered_bytes(0);
-            let mux_stats = exchange.mux.as_ref().map_or((0, 0, 0), |m| {
-                (m.qp_count(), m.natural_qps(), m.lease_waits())
-            });
+            if let Some(m) = &exchange.mux {
+                mux_stats = (m.qp_count(), m.natural_qps(), m.lease_waits());
+            }
             phases = exchange.phases.clone();
-            (
-                exchange.send.clone(),
-                exchange.recv.clone(),
-                algorithm.mode,
-                registered,
-                mux_stats,
-            )
+            let registered = exchange.registered_bytes(0);
+            ((exchange.send, exchange.recv), registered)
         }
         Transport::Mpi => {
-            let ex = MpiExchange::build(&runtime, groups.clone(), cfg.message_size, cfg.threads)
+            let message_size = cfg.exchange.message_size;
+            let ex = MpiExchange::build(&runtime, groups.clone(), message_size, threads)
                 .expect("mpi exchange builds");
-            let registered = ex.send[0].as_ref().map_or(0, |e| e.registered_bytes())
-                + ex.recv[0].as_ref().map_or(0, |e| e.registered_bytes());
-            (
-                ex.send
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                ex.recv
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                rshuffle::EndpointMode::Single,
-                registered,
-                (0, 0, 0),
-            )
+            baseline_lanes(ex.send, ex.recv)
         }
         Transport::Ipoib => {
-            let ex = IpoibExchange::build(&runtime, groups.clone(), cfg.message_size, cfg.threads)
+            let message_size = cfg.exchange.message_size;
+            let ex = IpoibExchange::build(&runtime, groups.clone(), message_size, threads)
                 .expect("ipoib exchange builds");
-            let registered = ex.send[0].as_ref().map_or(0, |e| e.registered_bytes())
-                + ex.recv[0].as_ref().map_or(0, |e| e.registered_bytes());
-            (
-                ex.send
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                ex.recv
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                rshuffle::EndpointMode::Single,
-                registered,
-                (0, 0, 0),
-            )
+            baseline_lanes(ex.send, ex.recv)
         }
     };
 
     let mut recv_stats = Vec::new();
     let mut send_stats = Vec::new();
-    for node in 0..cfg.nodes {
+    for node in 0..nodes {
         let generator = Arc::new(Generator::new(
             rows_per_thread_on(node),
-            cfg.threads,
+            threads,
             0xACE0_BA5E ^ (node as u64) << 16,
         ));
-        let _ = mode;
         let send_cost = if cfg.resolved_zero_copy() {
             // Zero copy: tuples are transmitted in place; only hashing
             // remains on the sender's critical path.
@@ -343,7 +297,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
             generator,
             send_eps[node].clone(),
             groups[node].clone(),
-            cfg.threads,
+            threads,
             send_cost,
         );
         if let Some(runner) = &phases {
@@ -355,25 +309,19 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
             node,
             &format!("shuffle-{node}"),
             shuffle,
-            cfg.threads,
+            threads,
             |_, _| {},
         ));
 
         let receive = Arc::new(ReceiveOperator::with_lanes(
             recv_eps[node].clone(),
             ROW_BYTES,
-            cfg.batch_rows,
-            cfg.threads,
+            BATCH_ROWS,
+            threads,
             cost.clone(),
         ));
-        let mut staged: Arc<dyn rshuffle::Operator> = receive;
-        if cfg.receiver_jitter > SimDuration::ZERO {
-            staged = Arc::new(JitterStage::new(
-                staged,
-                cfg.receiver_jitter,
-                0xBEEF ^ node as u64,
-            ));
-        }
+        let mut staged: Arc<dyn rshuffle::Operator> =
+            Arc::new(JitterStage::new(receive, 0xBEEF ^ node as u64));
         if cfg.compute_per_batch > SimDuration::ZERO {
             staged = Arc::new(ComputeStage::new(staged, cfg.compute_per_batch));
         }
@@ -382,7 +330,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
             node,
             &format!("receive-{node}"),
             staged,
-            cfg.threads,
+            threads,
             |_, _| {},
         ));
     }
@@ -400,7 +348,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     for s in &recv_stats {
         bytes_total += s.lock().bytes;
     }
-    let per_node = bytes_total as f64 / cfg.nodes as f64;
+    let per_node = bytes_total as f64 / nodes as f64;
     WorkloadResult {
         receive_throughput: per_node / response_time.as_secs_f64(),
         response_time,
@@ -414,20 +362,19 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     }
 }
 
-/// Adds seeded, uniformly distributed per-batch delays to a pipeline,
-/// modelling OS-scheduling noise on a shared cluster.
+/// Adds seeded, uniformly distributed per-batch delays of up to
+/// [`RECEIVER_JITTER`] to a pipeline, modelling OS-scheduling noise on a
+/// shared cluster.
 struct JitterStage {
     child: Arc<dyn rshuffle::Operator>,
-    max: SimDuration,
     rng: parking_lot::Mutex<rand::rngs::StdRng>,
 }
 
 impl JitterStage {
-    fn new(child: Arc<dyn rshuffle::Operator>, max: SimDuration, seed: u64) -> Self {
+    fn new(child: Arc<dyn rshuffle::Operator>, seed: u64) -> Self {
         use rand::SeedableRng;
         JitterStage {
             child,
-            max,
             rng: parking_lot::Mutex::new(rand::rngs::StdRng::seed_from_u64(seed)),
         }
     }
@@ -442,7 +389,7 @@ impl rshuffle::Operator for JitterStage {
         let (state, batch) = self.child.next(sim, tid)?;
         if !batch.is_empty() {
             use rand::Rng;
-            let ns = self.rng.lock().gen_range(0..=self.max.as_nanos());
+            let ns = self.rng.lock().gen_range(0..=RECEIVER_JITTER.as_nanos());
             sim.sleep(SimDuration::from_nanos(ns));
         }
         Ok((state, batch))

@@ -421,11 +421,6 @@ impl BufferPool {
         self.free.lock().len()
     }
 
-    /// Whether no window is currently free.
-    pub fn is_exhausted(&self) -> bool {
-        self.free.lock().is_empty()
-    }
-
     /// Total windows carved at setup.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -31,6 +31,10 @@ use crate::error::{Result, ShuffleError};
 /// `ibv_poll_cq`-style call retrieves at most.
 const CQ_BATCH: usize = 64;
 
+/// Polling granularity of every endpoint wait: watchdog slices are small
+/// multiples of it.
+pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_nanos(400);
+
 /// Slots in the rotating scratch region that sources inline writes.
 const INLINE_SLOTS: usize = 64;
 
@@ -41,9 +45,10 @@ pub(crate) const INLINE_WR_BASE: u64 = 1 << 48;
 
 /// What one endpoint half pins: `buffers` message windows of `window`
 /// bytes, `rings` u64 rings of `ring_cap` slots each, and optionally the
-/// inline-write scratch. Each transport derives its layouts from its
-/// config in one function that both its constructor and
-/// [`crate::ExchangeConfig::registered_bytes_estimate`] call.
+/// inline-write scratch. Each transport derives its layouts from the
+/// exchange's [`Params`](super::Params) in one function that both its
+/// constructor and [`crate::ExchangeConfig::registered_bytes_estimate`]
+/// call.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Layout {
     pub window: usize,

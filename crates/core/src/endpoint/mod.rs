@@ -72,45 +72,50 @@ pub(crate) fn buf_id(buf: &Buffer) -> BufId {
     }
 }
 
-/// Tuning knobs of the one-sided endpoints ([`rd_rc`], [`wr_rc`]).
+/// What the four transports read of an exchange's configuration:
+/// computed once per build by [`crate::ExchangeConfig`], with every pool
+/// already scaled for the threads that share an endpoint, and also what
+/// [`crate::ExchangeConfig::registered_bytes_estimate`] sizes the layouts
+/// from. Each transport reads the fields its protocol has and ignores
+/// the rest.
 #[derive(Clone, Debug)]
-pub struct OneSidedConfig {
-    /// Transmission buffer window (header + payload), e.g. 64 KiB.
+pub(crate) struct Params {
+    /// RC transmission window (header + payload); UD windows are the MTU.
     pub message_size: usize,
-    /// Buffers per peer on the side that owns the data buffers — the
-    /// sender for RDMA Read, the receiver for RDMA Write (2 = double
-    /// buffering).
+    /// RC: buffers per peer on the side that owns the data buffers — the
+    /// sender for Send/Receive and RDMA Read, the receiver for RDMA Write.
     pub buffers_per_peer: usize,
-    /// Polling granularity for the circular queues.
-    pub poll_interval: SimDuration,
-    /// Give up with [`crate::ShuffleError::Stalled`] after this long
-    /// without progress.
+    /// `sr_rc`: receives kept posted per peer.
+    pub recv_depth_per_peer: usize,
+    /// `sr_ud`: send windows per endpoint.
+    pub ud_send_buffers: usize,
+    /// `sr_ud`: receive window granted to each source.
+    pub ud_recv_window: usize,
+    /// `sr_rc`, `sr_ud`: return credit every this many releases (Figure 8).
+    pub credit_writeback_frequency: u32,
+    /// `sr_ud`: extra CPU per post under the shared-QP lock — the QP
+    /// state cache line bouncing between the cores that share an SE
+    /// endpoint (the "excessive contention" of Table 1, §5.1.3). Zero for
+    /// dedicated (ME) endpoints.
+    pub ud_post_overhead: SimDuration,
+    /// `sr_ud`: group sends go out as one native switch multicast (§7).
+    pub ud_native_multicast: bool,
+    /// Every wait gives up with [`crate::ShuffleError::Stalled`] after
+    /// this long without progress.
     pub stall_timeout: SimDuration,
+    /// `sr_ud`: how long to wait for counted stragglers at end of stream
+    /// before declaring a network error (§4.4.2).
+    pub depleted_timeout: SimDuration,
     /// Flow epoch stamped on every outgoing header and required of every
-    /// accepted arrival. The recovery orchestrator bumps this on partial
-    /// retries so leftovers of the failed attempt are fenced off; healthy
-    /// runs stay at 0.
+    /// accepted arrival (0 outside recovery).
     pub epoch: u16,
-}
-
-impl Default for OneSidedConfig {
-    fn default() -> Self {
-        OneSidedConfig {
-            message_size: 64 * 1024,
-            buffers_per_peer: 2,
-            poll_interval: SimDuration::from_nanos(400),
-            stall_timeout: SimDuration::from_millis(500),
-            epoch: 0,
-        }
-    }
 }
 
 /// How a reliable-connection transport plugs into the one wiring routine
 /// of [`crate::Exchange::build`]: implemented by the transport's send
-/// endpoint, with its receive endpoint and config as associated types.
-/// Both halves are constructed by `new(ctx, id, peers, config)`.
+/// endpoint, with its receive endpoint as associated type. Both halves
+/// are constructed by `new(ctx, id, peers, params)`.
 pub(crate) trait RcTransport: SendEndpoint + Sized + 'static {
-    type Config: Clone;
     type Receiver: ReceiveEndpoint + 'static;
 
     /// The two Queue Pairs of the connection from `self` to `recv`, which
@@ -124,7 +129,7 @@ pub(crate) trait RcTransport: SendEndpoint + Sized + 'static {
 
     /// Outstanding work requests per virtual endpoint a multiplexed slot
     /// of this transport must hold.
-    fn lease_depth(cfg: &Self::Config) -> u32;
+    fn lease_depth(params: &Params) -> u32;
 
     /// The out-of-band exchange once the pair is connected: ring and
     /// credit addresses, initial credit or grants (§4.2).

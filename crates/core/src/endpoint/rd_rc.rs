@@ -25,22 +25,19 @@ use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, W
 use crate::buffer::{Buffer, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, Watchdog,
+    RingProducer, SendWindow, SlotRings, Sources, Watchdog, POLL_INTERVAL,
 };
 use crate::endpoint::{
-    buf_id, Delivery, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint, RecvObs,
-    SendEndpoint, SendObs,
+    buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
+    SendObs,
 };
 use crate::error::{Result, ShuffleError};
-
-/// Tuning knobs for the RDMA Read endpoint.
-pub type RdRcConfig = OneSidedConfig;
 
 /// What either half pins toward `peers` peers: a pool of
 /// `buffers_per_peer` windows per peer, and per peer one ring that can
 /// hold every buffer of the pool (a broadcast may put all of them in
 /// front of one peer) plus two slots of slack.
-pub(crate) fn layout(cfg: &RdRcConfig, peers: usize) -> Layout {
+pub(crate) fn layout(cfg: &Params, peers: usize) -> Layout {
     let buffers = cfg.buffers_per_peer * peers;
     Layout {
         window: cfg.message_size,
@@ -64,13 +61,13 @@ pub struct RdRcSendEndpoint {
     /// The peers' `ValidArr` rings this endpoint announces buffers into.
     valid_rings: RingProducer,
     obs: SendObs,
-    cfg: RdRcConfig,
+    cfg: Params,
 }
 
 impl RdRcSendEndpoint {
     /// Creates the endpoint: data pool, `FreeArr` rings and one QP per
     /// peer.
-    pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: RdRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
@@ -145,7 +142,7 @@ impl SendEndpoint for RdRcSendEndpoint {
         Watchdog::fixed(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 32,
+            POLL_INTERVAL * 32,
             "waiting for FreeArr notifications",
         )
         .wait(
@@ -200,7 +197,7 @@ pub struct RdRcReceiveEndpoint {
     free_rings: RingProducer,
     state: Mutex<RecvState>,
     obs: RecvObs,
-    cfg: RdRcConfig,
+    cfg: Params,
 }
 
 struct RecvState {
@@ -215,7 +212,7 @@ struct RecvState {
 impl RdRcReceiveEndpoint {
     /// Creates the endpoint: `ValidArr`, local read buffers and one QP per
     /// source.
-    pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: RdRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: Params) -> Self {
         let n = srcs.len();
         let layout = layout(&cfg, n);
         let cq = Cq::new(ctx);
@@ -367,7 +364,6 @@ impl RdRcReceiveEndpoint {
 }
 
 impl RcTransport for RdRcSendEndpoint {
-    type Config = RdRcConfig;
     type Receiver = RdRcReceiveEndpoint;
 
     fn qp_pair<'a>(
@@ -379,7 +375,7 @@ impl RcTransport for RdRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &RdRcConfig) -> u32 {
+    fn lease_depth(cfg: &Params) -> u32 {
         cfg.buffers_per_peer as u32
     }
 
@@ -412,7 +408,7 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
         let mut watchdog = Watchdog::fixed(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 32,
+            POLL_INTERVAL * 32,
             "RD receive made no progress",
         );
         loop {
@@ -437,7 +433,7 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
                 }
                 continue;
             }
-            let slice = self.cfg.poll_interval * 64;
+            let slice = POLL_INTERVAL * 64;
             if !self.cq.drain(sim, slice, |c| self.on_completion(sim, c))? {
                 if self.fully_done()? {
                     return Ok(None);

@@ -7,7 +7,7 @@
 //! Receives posted on the connection so far) rather than a relative delta.
 //! Credit travels from receiver to sender as an RDMA Write into a dedicated
 //! credit region at the sender (inlined to save a DMA fetch). The write-back
-//! is amortized over [`SrRcConfig::credit_writeback_frequency`] Receives —
+//! is amortized over `credit_writeback_frequency` Receives —
 //! the trade-off studied in Figure 8.
 //!
 //! Each endpoint holds one Queue Pair per peer (Θ(n) per endpoint, the "MQ"
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rshuffle_audit::CreditLane;
-use rshuffle_simnet::{NodeId, SimContext, SimDuration};
+use rshuffle_simnet::{NodeId, SimContext};
 use rshuffle_verbs::{
     Completion, Context, MemoryRegion, QueuePair, RecvWr, RemoteAddr, SendWr, WcOpcode,
 };
@@ -27,10 +27,11 @@ use rshuffle_verbs::{
 use crate::buffer::{Buffer, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, region_base, Cq, InlineWrites, Layout, RcHalf,
-    SendWindow, Sources, Watchdog,
+    SendWindow, Sources, Watchdog, POLL_INTERVAL,
 };
 use crate::endpoint::{
-    buf_id, Delivery, EndpointId, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint, SendObs,
+    buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
+    SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
@@ -42,46 +43,9 @@ fn credit_lane(addr: &RemoteAddr) -> CreditLane {
     }
 }
 
-/// Tuning knobs shared by the RC-based endpoints.
-#[derive(Clone, Debug)]
-pub struct SrRcConfig {
-    /// Transmission buffer window (header + payload), e.g. 64 KiB.
-    pub message_size: usize,
-    /// Send-side buffers per peer (2 = the paper's double buffering).
-    pub buffers_per_peer: usize,
-    /// Receive requests kept posted per peer.
-    pub recv_depth_per_peer: usize,
-    /// Post a credit write-back every this many Receives (Figure 8).
-    pub credit_writeback_frequency: u32,
-    /// Polling granularity for flow-control waits.
-    pub poll_interval: SimDuration,
-    /// Give up and report [`ShuffleError::Stalled`] after this long without
-    /// progress.
-    pub stall_timeout: SimDuration,
-    /// Flow epoch stamped on every outgoing header and required of every
-    /// accepted arrival. The recovery orchestrator bumps this on partial
-    /// retries so leftovers of the failed attempt are fenced off; healthy
-    /// runs stay at 0.
-    pub epoch: u16,
-}
-
-impl Default for SrRcConfig {
-    fn default() -> Self {
-        SrRcConfig {
-            message_size: 64 * 1024,
-            buffers_per_peer: 2,
-            recv_depth_per_peer: 16,
-            credit_writeback_frequency: 2,
-            poll_interval: SimDuration::from_nanos(400),
-            stall_timeout: SimDuration::from_millis(500),
-            epoch: 0,
-        }
-    }
-}
-
 /// What the send half pins toward `peers` destinations: the send pool and
 /// one absolute credit counter per peer (rings of a single slot).
-pub(crate) fn send_layout(cfg: &SrRcConfig, peers: usize) -> Layout {
+pub(crate) fn send_layout(cfg: &Params, peers: usize) -> Layout {
     Layout {
         window: cfg.message_size,
         buffers: cfg.buffers_per_peer * peers,
@@ -93,7 +57,7 @@ pub(crate) fn send_layout(cfg: &SrRcConfig, peers: usize) -> Layout {
 
 /// What the receive half pins for `srcs` sources: the posted-receive pool
 /// and the scratch its credit writes are sourced from.
-pub(crate) fn recv_layout(cfg: &SrRcConfig, srcs: usize) -> Layout {
+pub(crate) fn recv_layout(cfg: &Params, srcs: usize) -> Layout {
     Layout {
         window: cfg.message_size,
         buffers: cfg.recv_depth_per_peer * srcs,
@@ -113,13 +77,13 @@ pub struct SrRcSendEndpoint {
     /// Data messages sent per peer.
     sent: Mutex<Vec<u64>>,
     obs: SendObs,
-    cfg: SrRcConfig,
+    cfg: Params,
 }
 
 impl SrRcSendEndpoint {
     /// Creates the endpoint with its per-peer QPs (unconnected; the
     /// exchange builder wires them to the matching receive endpoints).
-    pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: SrRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = send_layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
@@ -153,7 +117,7 @@ impl SrRcSendEndpoint {
         Watchdog::fixed(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 32,
+            POLL_INTERVAL * 32,
             "waiting for send credit",
         )
         .wait(sim, Some(&self.obs), has_credit, |slice| {
@@ -219,7 +183,7 @@ impl SendEndpoint for SrRcSendEndpoint {
         Watchdog::backoff(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 8,
+            POLL_INTERVAL * 8,
             "waiting for a free send buffer",
         )
         .wait(
@@ -268,12 +232,12 @@ pub struct SrRcReceiveEndpoint {
     credit_remote: Mutex<Vec<Option<RemoteAddr>>>,
     credit_writes: InlineWrites,
     obs: RecvObs,
-    cfg: SrRcConfig,
+    cfg: Params,
 }
 
 impl SrRcReceiveEndpoint {
     /// Creates the endpoint with one QP per source.
-    pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: SrRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: Params) -> Self {
         let layout = recv_layout(&cfg, srcs.len());
         let recv_cq = Cq::new(ctx);
         let ctrl_cq = Cq::new(ctx);
@@ -324,7 +288,6 @@ impl SrRcReceiveEndpoint {
 }
 
 impl RcTransport for SrRcSendEndpoint {
-    type Config = SrRcConfig;
     type Receiver = SrRcReceiveEndpoint;
 
     fn qp_pair<'a>(
@@ -336,7 +299,7 @@ impl RcTransport for SrRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &SrRcConfig) -> u32 {
+    fn lease_depth(cfg: &Params) -> u32 {
         cfg.recv_depth_per_peer as u32
     }
 
@@ -359,7 +322,7 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
         Watchdog::backoff(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 16,
+            POLL_INTERVAL * 16,
             "receive endpoint made no progress",
         )
         .wait(
@@ -562,7 +525,7 @@ impl SrRcReceiveEndpoint {
         Watchdog::backoff(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 4,
+            POLL_INTERVAL * 4,
             "credit write-back completions never arrived",
         )
         .wait(
@@ -575,5 +538,41 @@ impl SrRcReceiveEndpoint {
             },
             |slice| self.ctrl_cq.drain(sim, slice, |c| self.on_ctrl(c)),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
+    use rshuffle_verbs::VerbsRuntime;
+
+    use super::*;
+    use crate::{ExchangeConfig, ShuffleAlgorithm};
+
+    #[test]
+    fn sender_without_credit_reports_stall() {
+        // A send endpoint whose peer never grants credit must fail with
+        // `Stalled` instead of hanging (flow-control bug detection).
+        let rt = VerbsRuntime::new(Cluster::new(2, DeviceProfile::edr()));
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_SR, 2, 1);
+        config.stall_timeout = SimDuration::from_micros(200);
+        let params = config.params(rt.profile());
+        let ep = Arc::new(SrRcSendEndpoint::new(
+            &rt.context(0),
+            EndpointId(0),
+            vec![1],
+            params,
+        ));
+        // No handshake: the peer "never" posts receives.
+        rt.cluster().spawn(0, "sender", move |sim| {
+            let Ok(buf) = ep.get_free(&sim) else {
+                panic!("buffers start free");
+            };
+            let err = ep.send(&sim, buf, &[1], StreamState::MoreData).unwrap_err();
+            assert!(matches!(err, ShuffleError::Stalled(_)), "got {err:?}");
+        });
+        rt.cluster().run();
     }
 }

@@ -22,7 +22,7 @@
 //!   buffer.
 //!
 //! The send and receive halves of a node's endpoint share one Queue Pair
-//! (a [`SrUdChannel`]), keeping the QP count at one per endpoint.
+//! (one channel), keeping the QP count at one per endpoint.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,75 +30,26 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, CreditLane};
-use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration, SimMutex, SimTime};
+use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration, SimMutex, SimTime, UD_MTU};
 use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair, RecvWr, SendWr};
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, post_lock, Cq, Layout, SendWindow, Watchdog,
+    POLL_INTERVAL,
 };
 use crate::endpoint::{
-    audit_handle, buf_id, Delivery, EndpointId, ReceiveEndpoint, RecvObs, SendEndpoint, SendObs,
+    audit_handle, buf_id, Delivery, EndpointId, Params, ReceiveEndpoint, RecvObs, SendEndpoint,
+    SendObs,
 };
 use crate::error::{Result, ShuffleError};
 
-/// Tuning knobs for the UD endpoint.
-#[derive(Clone, Debug)]
-pub struct SrUdConfig {
-    /// Send buffers registered by the endpoint (each is one MTU).
-    pub send_buffers: usize,
-    /// Receive window granted to each expected source.
-    pub recv_window_per_src: usize,
-    /// Send a credit datagram every this many data releases (Figure 8).
-    pub credit_writeback_frequency: u32,
-    /// Polling granularity for flow-control waits.
-    pub poll_interval: SimDuration,
-    /// Give up with [`ShuffleError::Stalled`] after this long without any
-    /// progress.
-    pub stall_timeout: SimDuration,
-    /// After a count mismatch is detected at end of stream, wait this long
-    /// for outstanding packets before declaring a network error (§4.4.2).
-    pub depleted_timeout: SimDuration,
-    /// Use the switch's native multicast for group sends: one work request
-    /// and one egress serialization reach every group member (the paper's
-    /// §7 extension). Termination (`Depleted`) messages always go out
-    /// per-destination because their counters differ.
-    pub native_multicast: bool,
-    /// Extra CPU charged per post while holding the shared-QP lock: models
-    /// the QP state cache line bouncing between the cores that share the
-    /// endpoint. Zero for dedicated (ME) endpoints; the exchange builder
-    /// scales it with the thread count for SE (the "excessive contention"
-    /// of Table 1 that bottlenecks SESQ/SR on `ibv_post_send`, §5.1.3).
-    pub post_overhead: SimDuration,
-    /// Flow epoch stamped on every outgoing header and required of every
-    /// accepted arrival (data *and* credit). The recovery orchestrator
-    /// bumps this on partial retries so leftovers of the failed attempt
-    /// are fenced off; healthy runs stay at 0.
-    pub epoch: u16,
-}
-
-impl Default for SrUdConfig {
-    fn default() -> Self {
-        SrUdConfig {
-            send_buffers: 16,
-            recv_window_per_src: 16,
-            credit_writeback_frequency: 2,
-            poll_interval: SimDuration::from_nanos(400),
-            stall_timeout: SimDuration::from_millis(500),
-            depleted_timeout: SimDuration::from_millis(2),
-            post_overhead: SimDuration::ZERO,
-            native_multicast: false,
-            epoch: 0,
-        }
-    }
-}
-
-/// What the send half pins: `send_buffers` MTU windows, whatever the
+/// What the send half pins: `ud_send_buffers` MTU windows, whatever the
 /// fanout (one UD Queue Pair reaches every peer).
-pub(crate) fn send_layout(cfg: &SrUdConfig, mtu: usize) -> Layout {
+pub(crate) fn send_layout(cfg: &Params) -> Layout {
     Layout {
-        window: mtu,
-        buffers: cfg.send_buffers,
+        window: UD_MTU,
+        buffers: cfg.ud_send_buffers,
         rings: 0,
         ring_cap: 0,
         inline_writes: false,
@@ -109,10 +60,10 @@ pub(crate) fn send_layout(cfg: &SrUdConfig, mtu: usize) -> Layout {
 /// window per source plus generous head-room for in-flight credit
 /// datagrams (see module docs) — credit arrivals are paced at one per
 /// `freq` releases, so 2× the window per source bounds any burst.
-pub(crate) fn recv_layout(cfg: &SrUdConfig, mtu: usize, srcs: usize) -> Layout {
+pub(crate) fn recv_layout(cfg: &Params, srcs: usize) -> Layout {
     Layout {
-        window: mtu,
-        buffers: 3 * cfg.recv_window_per_src * srcs.max(1),
+        window: UD_MTU,
+        buffers: 3 * cfg.ud_recv_window * srcs.max(1),
         rings: 0,
         ring_cap: 0,
         inline_writes: false,
@@ -131,7 +82,6 @@ struct UdShared {
     qp: QueuePair,
     send_cq: Cq,
     recv_cq: Cq,
-    mtu: usize,
 
     /// Lane-matched peer channels: destination node → its channel's QP.
     peer_ahs: Mutex<HashMap<NodeId, AddressHandle>>,
@@ -180,23 +130,23 @@ struct UdShared {
     audit: AuditHandle,
     /// This channel's node, for the receive side of audit credit lanes.
     node: u64,
-    cfg: SrUdConfig,
+    cfg: Params,
     setup_cost_send: SimDuration,
     setup_cost_recv: SimDuration,
 }
 
 /// A UD endpoint pair: the send and receive halves share one Queue Pair.
-pub struct SrUdChannel {
+pub(crate) struct SrUdChannel {
     shared: Arc<UdShared>,
 }
 
-/// The send half of a [`SrUdChannel`].
+/// The send half of a UD channel.
 #[derive(Clone)]
 pub struct SrUdSendEndpoint {
     shared: Arc<UdShared>,
 }
 
-/// The receive half of a [`SrUdChannel`].
+/// The receive half of a UD channel.
 #[derive(Clone)]
 pub struct SrUdReceiveEndpoint {
     shared: Arc<UdShared>,
@@ -205,7 +155,12 @@ pub struct SrUdReceiveEndpoint {
 impl SrUdChannel {
     /// Creates a channel on `ctx`'s node with the given endpoint ids for
     /// its two halves.
-    pub fn new(ctx: &Context, send_id: EndpointId, recv_id: EndpointId, cfg: SrUdConfig) -> Self {
+    pub(crate) fn new(
+        ctx: &Context,
+        send_id: EndpointId,
+        recv_id: EndpointId,
+        cfg: Params,
+    ) -> Self {
         let send_cq = Cq::new(ctx);
         let recv_cq = Cq::new(ctx);
         let qp = ctx.create_qp(
@@ -214,8 +169,7 @@ impl SrUdChannel {
             recv_cq.queue().clone(),
         );
         let profile = ctx.profile();
-        let mtu = profile.mtu;
-        let layout = send_layout(&cfg, mtu);
+        let layout = send_layout(&cfg);
         let window = SendWindow::register(ctx, &layout);
         let setup_cost_send = profile.endpoint_setup
             + profile.ud_qp_setup
@@ -228,7 +182,6 @@ impl SrUdChannel {
                 qp,
                 send_cq,
                 recv_cq,
-                mtu,
                 peer_ahs: Mutex::new(HashMap::new()),
                 mcast_ahs: Mutex::new(HashMap::new()),
                 credit: Mutex::new(HashMap::new()),
@@ -256,17 +209,17 @@ impl SrUdChannel {
     }
 
     /// The channel's QP address, for peers' lane wiring.
-    pub fn address_handle(&self) -> AddressHandle {
+    pub(crate) fn address_handle(&self) -> AddressHandle {
         self.shared.qp.address_handle()
     }
 
     /// The underlying QP (activated by the exchange builder).
-    pub fn qp(&self) -> &QueuePair {
+    pub(crate) fn qp(&self) -> &QueuePair {
         &self.shared.qp
     }
 
     /// Registers the lane-matched peer channel for `node`.
-    pub fn add_peer(&self, node: NodeId, ah: AddressHandle) {
+    pub(crate) fn add_peer(&self, node: NodeId, ah: AddressHandle) {
         self.shared.peer_ahs.lock().insert(node, ah);
     }
 
@@ -275,13 +228,13 @@ impl SrUdChannel {
     /// credit each source must be bootstrapped with.
     ///
     /// `ctx` must belong to the same node the channel was created on.
-    pub fn bootstrap_receives(
+    pub(crate) fn bootstrap_receives(
         &self,
         ctx: &Context,
         expected: &[(EndpointId, NodeId)],
     ) -> Result<u64> {
         let s = &self.shared;
-        let window = s.cfg.recv_window_per_src;
+        let window = s.cfg.ud_recv_window;
         {
             let mut map = s.expected_srcs.lock();
             for &(ep, node) in expected {
@@ -304,20 +257,20 @@ impl SrUdChannel {
                 s.audit.credit_granted(lane, window as u64, 0);
             }
         }
-        let layout = recv_layout(&s.cfg, s.mtu, expected.len());
+        let layout = recv_layout(&s.cfg, expected.len());
         let slots = layout.buffers;
         let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
         // Every window is posted on the one Queue Pair; a completion names
         // its window by `wr_id`, and `process_inbound` resolves it against
         // the handle stored below (clones share the region).
         for i in 0..slots {
-            // Widen before multiplying: `i * s.mtu` would wrap in usize
+            // Widen before multiplying: `i * UD_MTU` would wrap in usize
             // before the cast on a 32-bit host.
             s.qp.post_recv_untimed(RecvWr {
-                wr_id: (i as u64) * (s.mtu as u64),
+                wr_id: (i as u64) * (UD_MTU as u64),
                 mr: pool.clone(),
-                offset: i * s.mtu,
-                len: s.mtu,
+                offset: i * UD_MTU,
+                len: UD_MTU,
             })?;
         }
         s.recv_pool_dynamic.lock().replace(pool);
@@ -325,20 +278,20 @@ impl SrUdChannel {
     }
 
     /// Seeds the send half's credit for `dest` (out-of-band bootstrap).
-    pub fn bootstrap_credit(&self, dest: NodeId, credit: u64) {
+    pub(crate) fn bootstrap_credit(&self, dest: NodeId, credit: u64) {
         self.shared.credit.lock().insert(dest, credit);
         self.shared.initial_credit.lock().insert(dest, credit);
     }
 
     /// The send half.
-    pub fn send_half(&self) -> SrUdSendEndpoint {
+    pub(crate) fn send_half(&self) -> SrUdSendEndpoint {
         SrUdSendEndpoint {
             shared: self.shared.clone(),
         }
     }
 
     /// The receive half.
-    pub fn recv_half(&self) -> SrUdReceiveEndpoint {
+    pub(crate) fn recv_half(&self) -> SrUdReceiveEndpoint {
         SrUdReceiveEndpoint {
             shared: self.shared.clone(),
         }
@@ -381,12 +334,7 @@ impl UdShared {
     /// A watchdog over this channel's stall budget whose backoff starts
     /// at `polls` poll intervals.
     fn watchdog(&self, sim: &SimContext, polls: u64, what: &'static str) -> Watchdog {
-        Watchdog::backoff(
-            sim,
-            self.cfg.stall_timeout,
-            self.cfg.poll_interval * polls,
-            what,
-        )
+        Watchdog::backoff(sim, self.cfg.stall_timeout, POLL_INTERVAL * polls, what)
     }
 
     /// Waits until the data already sent toward `dest` has fully
@@ -443,7 +391,7 @@ impl UdShared {
                 wr_id: buf.offset() as u64,
                 mr: buf.region().clone(),
                 offset: buf.offset(),
-                len: self.mtu,
+                len: UD_MTU,
             },
         )?;
         Ok(())
@@ -465,8 +413,8 @@ impl UdShared {
     /// multicast to those members).
     fn post(&self, sim: &SimContext, wr: SendWr, ahs: Option<&[AddressHandle]>) -> Result<()> {
         let guard = self.post_lock.lock(sim);
-        if self.cfg.post_overhead > SimDuration::ZERO {
-            sim.sleep(self.cfg.post_overhead);
+        if self.cfg.ud_post_overhead > SimDuration::ZERO {
+            sim.sleep(self.cfg.ud_post_overhead);
         }
         match ahs {
             Some(ahs) => self.qp.post_send_multicast(sim, wr, ahs)?,
@@ -483,7 +431,7 @@ impl UdShared {
         let pool = self.recv_pool_dynamic.lock().clone().ok_or(
             ShuffleError::CompletionError("UD receive before the pool was bootstrapped"),
         )?;
-        let buf = Buffer::try_new(pool, c.wr_id as usize, self.mtu)?;
+        let buf = Buffer::try_new(pool, c.wr_id as usize, UD_MTU)?;
         let header = buf.read_header()?;
         if header.epoch != self.cfg.epoch {
             // Leftover datagram from a fenced-off attempt — stale data or
@@ -656,7 +604,7 @@ impl SendEndpoint for SrUdSendEndpoint {
     ) -> Result<()> {
         assert!(!dest.is_empty(), "send needs at least one destination");
         let s = &self.shared;
-        if s.cfg.native_multicast && dest.len() > 1 && state == StreamState::MoreData {
+        if s.cfg.ud_native_multicast && dest.len() > 1 && state == StreamState::MoreData {
             return self.send_native_multicast(sim, buf, dest);
         }
         s.window.launch(sim, &buf, dest.len());

@@ -21,22 +21,19 @@ use rshuffle_verbs::{Context, MemoryRegion, QueuePair, RemoteAddr};
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE,
+    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE, POLL_INTERVAL,
 };
 use crate::endpoint::{
-    buf_id, Delivery, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint, RecvObs,
-    SendEndpoint, SendObs,
+    buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
+    SendObs,
 };
 use crate::error::{Result, ShuffleError};
-
-/// Tuning knobs for the RDMA Write endpoint.
-pub type WrRcConfig = OneSidedConfig;
 
 /// What either half pins toward `peers` peers: `buffers_per_peer` windows
 /// per peer (staging buffers at the sender, the data buffers senders
 /// write into at the receiver) and per peer one ring that holds a peer's
 /// share of the buffers plus two slots of slack.
-pub(crate) fn layout(cfg: &WrRcConfig, peers: usize) -> Layout {
+pub(crate) fn layout(cfg: &Params, peers: usize) -> Layout {
     Layout {
         window: cfg.message_size,
         buffers: cfg.buffers_per_peer * peers,
@@ -61,13 +58,13 @@ pub struct WrRcSendEndpoint {
     /// Each peer's data pool, once wired.
     remote_pools: Mutex<Vec<Option<RemoteAddr>>>,
     obs: SendObs,
-    cfg: WrRcConfig,
+    cfg: Params,
 }
 
 impl WrRcSendEndpoint {
     /// Creates the endpoint with its staging pool, grant rings and per-peer
     /// QPs.
-    pub fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: WrRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
@@ -91,7 +88,7 @@ impl WrRcSendEndpoint {
         Watchdog::fixed(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 32,
+            POLL_INTERVAL * 32,
             "waiting for remote buffer grant",
         )
         .wait(
@@ -171,7 +168,7 @@ impl SendEndpoint for WrRcSendEndpoint {
         Watchdog::backoff(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 8,
+            POLL_INTERVAL * 8,
             "waiting for a free staging buffer",
         )
         .wait(
@@ -214,12 +211,12 @@ pub struct WrRcReceiveEndpoint {
     /// The sources' grant rings this endpoint hands buffers back through.
     grant_rings: RingProducer,
     obs: RecvObs,
-    cfg: WrRcConfig,
+    cfg: Params,
 }
 
 impl WrRcReceiveEndpoint {
     /// Creates the endpoint: data pool, `ValidArr` and per-source QPs.
-    pub fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: WrRcConfig) -> Self {
+    pub(crate) fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, srcs.len());
         let ctrl_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq, &layout);
@@ -298,7 +295,6 @@ impl WrRcReceiveEndpoint {
 }
 
 impl RcTransport for WrRcSendEndpoint {
-    type Config = WrRcConfig;
     type Receiver = WrRcReceiveEndpoint;
 
     fn qp_pair<'a>(
@@ -310,7 +306,7 @@ impl RcTransport for WrRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &WrRcConfig) -> u32 {
+    fn lease_depth(cfg: &Params) -> u32 {
         cfg.buffers_per_peer as u32
     }
 
@@ -350,7 +346,7 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
         Watchdog::fixed(
             sim,
             self.cfg.stall_timeout,
-            self.cfg.poll_interval * 32,
+            POLL_INTERVAL * 32,
             "WR receive made no progress",
         )
         .wait(

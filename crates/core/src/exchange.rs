@@ -12,17 +12,16 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rshuffle_mux::{Multiplexer, MuxConfig};
-use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, NodeId, SimContext, SimDuration, Topology};
+use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, NodeId, SimContext, SimDuration};
 use rshuffle_verbs::{ConnectionManager, Context, FaultConfig, VerbsRuntime};
 
-use crate::config::{EndpointImpl, EndpointMode, ShuffleAlgorithm};
+use crate::config::{EndpointImpl, ShuffleAlgorithm};
 use crate::endpoint::rd_rc::{RdRcReceiveEndpoint, RdRcSendEndpoint};
-use crate::endpoint::sr_rc::{SrRcConfig, SrRcReceiveEndpoint, SrRcSendEndpoint};
-use crate::endpoint::sr_ud::{SrUdChannel, SrUdConfig};
+use crate::endpoint::sr_rc::{SrRcReceiveEndpoint, SrRcSendEndpoint};
+use crate::endpoint::sr_ud::SrUdChannel;
 use crate::endpoint::wr_rc::{WrRcReceiveEndpoint, WrRcSendEndpoint};
 use crate::endpoint::{
-    rd_rc, sr_rc, sr_ud, wr_rc, EndpointId, OneSidedConfig, RcTransport, ReceiveEndpoint,
-    SendEndpoint,
+    rd_rc, sr_rc, sr_ud, wr_rc, EndpointId, Params, RcTransport, ReceiveEndpoint, SendEndpoint,
 };
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
@@ -53,10 +52,6 @@ pub struct ExchangeConfig {
     pub lanes_override: Option<usize>,
     /// Use native switch multicast for UD group sends (§7 extension).
     pub ud_native_multicast: bool,
-    /// Per-thread shared-QP posting cost (see
-    /// [`rshuffle_simnet::DeviceProfile::sq_contention_per_thread`]); the
-    /// builder reads it from the runtime's profile.
-    pub sq_contention: rshuffle_simnet::SimDuration,
     /// Stall watchdog applied to every endpoint wait loop: a wait that
     /// exceeds this virtual-time budget returns a typed
     /// [`ShuffleError::Stalled`] instead of hanging. Chaos tests shorten
@@ -94,11 +89,6 @@ pub struct ExchangeConfig {
     /// virtual endpoints lease shared slots from a [`Multiplexer`]. Never
     /// applied to the UD design (it already uses one QP per lane total).
     pub mux: Option<MuxConfig>,
-    /// Switch topology for [`ExchangeConfig::build_runtime`].
-    /// [`Topology::SingleSwitch`] (the default) reproduces the paper's
-    /// full-bisection testbed; fat trees model the oversubscribed spines
-    /// of the 128–512-node scale-out runs.
-    pub topology: Topology,
     /// Phase scheduling of the all-to-all transfer
     /// ([`crate::PhasePolicy::Off`] by default — the operator interleaves
     /// destinations freely and nothing phase-related is even built).
@@ -153,7 +143,6 @@ impl ExchangeConfig {
             credit_writeback_frequency: 2,
             lanes_override: None,
             ud_native_multicast: false,
-            sq_contention: rshuffle_simnet::SimDuration::from_nanos(28),
             stall_timeout: SimDuration::from_millis(500),
             depleted_timeout: SimDuration::from_millis(2),
             faults: FaultConfig::default(),
@@ -161,65 +150,42 @@ impl ExchangeConfig {
             endpoint_id_base: 0,
             epoch: 0,
             mux: None,
-            topology: Topology::SingleSwitch,
             phase: PhasePolicy::Off,
             phase_bytes: None,
             groups,
         }
     }
 
-    /// Builds the simulated cluster and verbs runtime this exchange runs
-    /// over, with the configured fault plan installed on the kernel's
-    /// event queue — the one-stop entry point for chaos tests and the
-    /// chaos benchmark.
+    /// Builds the simulated cluster (the paper's single-switch testbed)
+    /// and verbs runtime this exchange runs over, with the configured
+    /// fault plan installed on the kernel's event queue — the one-stop
+    /// entry point for chaos tests and the chaos benchmark.
     pub fn build_runtime(&self, profile: DeviceProfile) -> Arc<VerbsRuntime> {
-        let cluster = Cluster::with_topology(self.groups.len(), profile, self.topology.clone());
+        let cluster = Cluster::new(self.groups.len(), profile);
         VerbsRuntime::with_faults(cluster, self.faults.clone())
     }
 
-    /// A single-endpoint (SE) configuration serves all `threads` workers
-    /// from one endpoint, so its pools scale by the thread count — which is
-    /// why Figure 9(b) shows SE and ME designs registering the same amount
-    /// of memory.
-    fn pool_scale(&self) -> usize {
-        let lanes = self
-            .lanes_override
-            .unwrap_or_else(|| self.algorithm.endpoints(self.threads));
-        self.threads.div_ceil(lanes.max(1))
+    /// Lanes per node: the override, else SE = 1 and ME = `threads`.
+    fn lanes(&self) -> usize {
+        self.lanes_override
+            .unwrap_or_else(|| self.algorithm.endpoints(self.threads))
     }
 
-    fn sr_rc(&self) -> SrRcConfig {
-        let scale = self.pool_scale();
-        SrRcConfig {
-            message_size: self.message_size,
-            buffers_per_peer: self.buffers_per_peer * scale,
-            recv_depth_per_peer: self.recv_depth_per_peer * scale,
-            credit_writeback_frequency: self.credit_writeback_frequency,
-            stall_timeout: self.stall_timeout,
-            epoch: self.epoch,
-            ..SrRcConfig::default()
-        }
-    }
-
-    fn one_sided(&self) -> OneSidedConfig {
-        OneSidedConfig {
-            message_size: self.message_size,
-            buffers_per_peer: self.buffers_per_peer * self.pool_scale(),
-            stall_timeout: self.stall_timeout,
-            epoch: self.epoch,
-            ..OneSidedConfig::default()
-        }
-    }
-
-    fn sr_ud(&self) -> SrUdConfig {
-        let scale = self.pool_scale();
+    /// The parameter set every endpoint of this exchange is built from,
+    /// and [`ExchangeConfig::registered_bytes_estimate`] sizes from.
+    pub(crate) fn params(&self, profile: &DeviceProfile) -> Params {
+        // A single-endpoint (SE) configuration serves all `threads`
+        // workers from one endpoint, so its pools scale by the thread
+        // count — which is why Figure 9(b) shows SE and ME designs
+        // registering the same amount of memory.
+        let scale = self.threads.div_ceil(self.lanes().max(1));
         // Sharing one QP among t threads bounces its state between cores on
         // every post; dedicated (ME) endpoints pay nothing. The per-thread
         // constant comes from the hardware profile (older CPUs pay more).
-        let post_overhead = if scale > 1 {
-            self.sq_contention * scale as u64
+        let ud_post_overhead = if scale > 1 {
+            profile.sq_contention_per_thread * scale as u64
         } else {
-            rshuffle_simnet::SimDuration::ZERO
+            SimDuration::ZERO
         };
         // The SEND operator parks one partially-filled staging buffer per
         // destination, so a send pool no larger than the fanout deadlocks
@@ -234,22 +200,61 @@ impl ExchangeConfig {
             .map(|g| g.destinations().len())
             .max()
             .unwrap_or(0);
-        let send_buffers = if fanout >= self.ud_send_buffers {
+        let ud_send_buffers = if fanout >= self.ud_send_buffers {
             fanout + self.ud_send_buffers.div_ceil(2).max(2)
         } else {
             self.ud_send_buffers
         };
-        SrUdConfig {
-            send_buffers: send_buffers * scale,
-            recv_window_per_src: self.ud_recv_window * scale,
+        Params {
+            message_size: self.message_size,
+            buffers_per_peer: self.buffers_per_peer * scale,
+            recv_depth_per_peer: self.recv_depth_per_peer * scale,
+            ud_send_buffers: ud_send_buffers * scale,
+            ud_recv_window: self.ud_recv_window * scale,
             credit_writeback_frequency: self.credit_writeback_frequency,
-            post_overhead,
-            native_multicast: self.ud_native_multicast,
+            ud_post_overhead,
+            ud_native_multicast: self.ud_native_multicast,
             stall_timeout: self.stall_timeout,
             depleted_timeout: self.depleted_timeout,
             epoch: self.epoch,
-            ..SrUdConfig::default()
         }
+    }
+
+    /// The phase schedule of this exchange's all-to-all among the pairs
+    /// `dests` names, or why the configuration cannot be phased.
+    fn phase_schedule(&self, dests: &[Vec<NodeId>]) -> Result<PhaseSchedule> {
+        // Phasing serializes destinations, which only makes sense when
+        // every send targets exactly one node: a multicast group would
+        // need to appear in several phases at once.
+        for (node, g) in self.groups.iter().enumerate() {
+            for i in 0..g.len() {
+                if g.group(i).len() > 1 {
+                    return Err(ShuffleError::Config(format!(
+                        "phase scheduling requires singleton transmission \
+                         groups; node {node} group {i} has {} members",
+                        g.group(i).len()
+                    )));
+                }
+            }
+        }
+        // The schedule covers exactly the pairs that exist: a provided
+        // estimate refines the weights, but presence is decided by the
+        // transmission groups (estimates for absent pairs are dropped,
+        // present pairs are clamped to at least one byte so they are
+        // never scheduled away).
+        let nodes = dests.len();
+        let mut bytes = vec![vec![0u64; nodes]; nodes];
+        for (a, ds) in dests.iter().enumerate() {
+            for &b in ds {
+                let est = self
+                    .phase_bytes
+                    .as_ref()
+                    .and_then(|m| m.get(a).and_then(|row| row.get(b)).copied())
+                    .unwrap_or(1);
+                bytes[a][b] = est.max(1);
+            }
+        }
+        PhaseSchedule::build(self.phase, &bytes)
     }
 
     /// Predicts the total bytes of RDMA memory [`Exchange::build`] will
@@ -260,9 +265,7 @@ impl ExchangeConfig {
     /// unit test pins the estimate to the actual
     /// [`VerbsRuntime::registered_bytes`] delta of a real build.
     pub fn registered_bytes_estimate(&self, profile: &DeviceProfile, node: NodeId) -> usize {
-        let lanes = self
-            .lanes_override
-            .unwrap_or_else(|| self.algorithm.endpoints(self.threads));
+        let params = &self.params(profile);
         let dests: Vec<Vec<NodeId>> = self.groups.iter().map(|g| g.destinations()).collect();
         let d = dests.get(node).map_or(0, |v| v.len());
         let s = dests.iter().filter(|ds| ds.contains(&node)).count();
@@ -270,27 +273,25 @@ impl ExchangeConfig {
         let half = |peers: usize, pinned: usize| if peers > 0 { pinned } else { 0 };
         let per_lane = match self.algorithm.imp {
             EndpointImpl::MqSr => {
-                let cfg = self.sr_rc();
-                half(d, sr_rc::send_layout(&cfg, d).pinned())
-                    + half(s, sr_rc::recv_layout(&cfg, s).pinned())
+                half(d, sr_rc::send_layout(params, d).pinned())
+                    + half(s, sr_rc::recv_layout(params, s).pinned())
             }
             EndpointImpl::MqRd => {
-                let cfg = self.one_sided();
-                half(d, rd_rc::layout(&cfg, d).pinned()) + half(s, rd_rc::layout(&cfg, s).pinned())
+                half(d, rd_rc::layout(params, d).pinned())
+                    + half(s, rd_rc::layout(params, s).pinned())
             }
             EndpointImpl::MqWr => {
-                let cfg = self.one_sided();
-                half(d, wr_rc::layout(&cfg, d).pinned()) + half(s, wr_rc::layout(&cfg, s).pinned())
+                half(d, wr_rc::layout(params, d).pinned())
+                    + half(s, wr_rc::layout(params, s).pinned())
             }
             // The UD channel registers its send pool unconditionally; the
             // receive pool only exists on nodes that receive.
             EndpointImpl::SqSr => {
-                let cfg = self.sr_ud();
-                sr_ud::send_layout(&cfg, profile.mtu).pinned()
-                    + half(s, sr_ud::recv_layout(&cfg, profile.mtu, s).pinned())
+                sr_ud::send_layout(params).pinned()
+                    + half(s, sr_ud::recv_layout(params, s).pinned())
             }
         };
-        per_lane * lanes
+        per_lane * self.lanes()
     }
 }
 
@@ -298,8 +299,8 @@ impl ExchangeConfig {
 type SendLanes = Vec<Vec<Arc<dyn SendEndpoint>>>;
 /// `[node][lane]` receive endpoints.
 type RecvLanes = Vec<Vec<Arc<dyn ReceiveEndpoint>>>;
-/// Every endpoint half is constructed from `(ctx, id, peers, config)`.
-type HalfCtor<E, C> = fn(&Context, EndpointId, Vec<NodeId>, C) -> E;
+/// Every endpoint half is constructed from `(ctx, id, peers, params)`.
+type HalfCtor<E> = fn(&Context, EndpointId, Vec<NodeId>, Params) -> E;
 
 /// What [`Exchange::build`] has settled before any endpoint exists: who
 /// sends to whom, over how many lanes, under which endpoint ids.
@@ -308,6 +309,7 @@ struct Wiring<'a> {
     flow: FlowId,
     lanes: usize,
     id_base: u32,
+    params: &'a Params,
     /// `dests[a]` = nodes `a` sends to.
     dests: &'a [Vec<NodeId>],
     /// `srcs[b]` = nodes that send to `b`.
@@ -333,9 +335,8 @@ impl Wiring<'_> {
     /// out-of-band handshake.
     fn rc<T: RcTransport>(
         &self,
-        cfg: &T::Config,
-        sender: HalfCtor<T, T::Config>,
-        receiver: HalfCtor<T::Receiver, T::Config>,
+        sender: HalfCtor<T>,
+        receiver: HalfCtor<T::Receiver>,
     ) -> Result<(SendLanes, RecvLanes)> {
         let mut send: Vec<Vec<Arc<T>>> = Vec::new();
         let mut recv: Vec<Vec<Arc<T::Receiver>>> = Vec::new();
@@ -345,11 +346,11 @@ impl Wiring<'_> {
             for lane in 0..self.lanes {
                 if !self.dests[node].is_empty() {
                     let (id, peers) = (self.send_id(node, lane), self.dests[node].clone());
-                    s_lane.push(Arc::new(sender(&ctx, id, peers, cfg.clone())));
+                    s_lane.push(Arc::new(sender(&ctx, id, peers, self.params.clone())));
                 }
                 if !self.srcs[node].is_empty() {
                     let (id, srcs) = (self.recv_id(node, lane), self.srcs[node].clone());
-                    r_lane.push(Arc::new(receiver(&ctx, id, srcs, cfg.clone())));
+                    r_lane.push(Arc::new(receiver(&ctx, id, srcs, self.params.clone())));
                 }
             }
             send.push(s_lane);
@@ -363,7 +364,7 @@ impl Wiring<'_> {
                     ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
                     ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
                     if let Some(m) = self.muxer {
-                        let lease = m.lease(a, b, T::lease_depth(cfg));
+                        let lease = m.lease(a, b, T::lease_depth(self.params));
                         qp_s.bind_shared_slot(&lease.send_slot)?;
                         qp_r.bind_shared_slot(&lease.recv_slot)?;
                     }
@@ -389,7 +390,7 @@ impl Wiring<'_> {
     /// Builds the UD design: one channel (one Queue Pair) per lane and
     /// node, every channel told its peers' address handles, receive
     /// windows posted and credit seeded.
-    fn ud(&self, cfg: &SrUdConfig) -> Result<(SendLanes, RecvLanes)> {
+    fn ud(&self) -> Result<(SendLanes, RecvLanes)> {
         let nodes = self.dests.len();
         let mut channels: Vec<Vec<SrUdChannel>> = Vec::new();
         for node in 0..nodes {
@@ -397,7 +398,7 @@ impl Wiring<'_> {
             let lane_channels = (0..self.lanes)
                 .map(|lane| {
                     let (send_id, recv_id) = (self.send_id(node, lane), self.recv_id(node, lane));
-                    SrUdChannel::new(&ctx, send_id, recv_id, cfg.clone())
+                    SrUdChannel::new(&ctx, send_id, recv_id, self.params.clone())
                 })
                 .collect();
             channels.push(lane_channels);
@@ -500,9 +501,6 @@ impl Exchange {
         if let Some(auditor) = runtime.auditor() {
             auditor.begin_epoch();
         }
-        let mut config = config.clone();
-        config.sq_contention = runtime.profile().sq_contention_per_thread;
-        let config = &config;
         let nodes = runtime.cluster().nodes();
         if config.groups.len() != nodes {
             return Err(ShuffleError::Config(format!(
@@ -511,9 +509,7 @@ impl Exchange {
                 nodes
             )));
         }
-        let lanes = config
-            .lanes_override
-            .unwrap_or_else(|| config.algorithm.endpoints(config.threads));
+        let lanes = config.lanes();
         if lanes == 0 || lanes > config.threads {
             return Err(ShuffleError::Config(format!(
                 "lane count {lanes} out of range 1..={}",
@@ -534,6 +530,15 @@ impl Exchange {
             }
         }
         let srcs: Vec<Vec<NodeId>> = srcs.into_iter().map(|s| s.into_iter().collect()).collect();
+        // Everything that can reject the configuration runs before the
+        // first endpoint registers memory: endpoints never release on
+        // their own, so an error past this point would leave their pools
+        // pinned on the runtime.
+        let schedule = if config.phase.enabled() {
+            Some(config.phase_schedule(&dests)?)
+        } else {
+            None
+        };
 
         // Connection multiplexing: only the RC designs open one QP per
         // (lane, destination); the UD design already shares one QP per
@@ -552,75 +557,23 @@ impl Exchange {
             flow: config.flow,
             lanes,
             id_base: config.endpoint_id_base,
+            params: &config.params(runtime.profile()),
             dests: &dests,
             srcs: &srcs,
             muxer: muxer.as_deref(),
         };
         let (send, recv) = match config.algorithm.imp {
-            EndpointImpl::MqSr => wiring.rc(
-                &config.sr_rc(),
-                SrRcSendEndpoint::new,
-                SrRcReceiveEndpoint::new,
-            )?,
-            EndpointImpl::MqRd => wiring.rc(
-                &config.one_sided(),
-                RdRcSendEndpoint::new,
-                RdRcReceiveEndpoint::new,
-            )?,
-            EndpointImpl::MqWr => wiring.rc(
-                &config.one_sided(),
-                WrRcSendEndpoint::new,
-                WrRcReceiveEndpoint::new,
-            )?,
-            EndpointImpl::SqSr => wiring.ud(&config.sr_ud())?,
-        };
-        let mut exchange = Exchange {
-            send,
-            recv,
-            groups: config.groups.clone(),
-            algorithm: config.algorithm,
-            lanes,
-            flow: config.flow,
-            mux: muxer,
-            phases: None,
+            EndpointImpl::MqSr => wiring.rc(SrRcSendEndpoint::new, SrRcReceiveEndpoint::new)?,
+            EndpointImpl::MqRd => wiring.rc(RdRcSendEndpoint::new, RdRcReceiveEndpoint::new)?,
+            EndpointImpl::MqWr => wiring.rc(WrRcSendEndpoint::new, WrRcReceiveEndpoint::new)?,
+            EndpointImpl::SqSr => wiring.ud()?,
         };
         // Lazy: registers no `mux.*` series unless a lease actually shared
         // a slot, keeping identity-configuration snapshots byte-identical.
-        if let Some(m) = &exchange.mux {
+        if let Some(m) = &muxer {
             m.publish(runtime.cluster().obs().as_ref());
         }
-        if config.phase.enabled() {
-            // Phasing serializes destinations, which only makes sense when
-            // every send targets exactly one node: a multicast group would
-            // need to appear in several phases at once.
-            for (node, g) in config.groups.iter().enumerate() {
-                for i in 0..g.len() {
-                    if g.group(i).len() > 1 {
-                        return Err(ShuffleError::Config(format!(
-                            "phase scheduling requires singleton transmission \
-                             groups; node {node} group {i} has {} members",
-                            g.group(i).len()
-                        )));
-                    }
-                }
-            }
-            // The schedule covers exactly the pairs that exist: a provided
-            // estimate refines the weights, but presence is decided by the
-            // transmission groups (estimates for absent pairs are dropped,
-            // present pairs are clamped to at least one byte so they are
-            // never scheduled away).
-            let mut bytes = vec![vec![0u64; nodes]; nodes];
-            for (a, ds) in dests.iter().enumerate() {
-                for &b in ds {
-                    let est = config
-                        .phase_bytes
-                        .as_ref()
-                        .and_then(|m| m.get(a).and_then(|row| row.get(b)).copied())
-                        .unwrap_or(1);
-                    bytes[a][b] = est.max(1);
-                }
-            }
-            let schedule = PhaseSchedule::build(config.phase, &bytes)?;
+        let phases = schedule.map(|schedule| {
             // Free (exempted) sources run the unphased path and never
             // reach the barrier: counting them would deadlock round 0.
             let senders = dests
@@ -628,16 +581,24 @@ impl Exchange {
                 .enumerate()
                 .filter(|(n, d)| !d.is_empty() && !schedule.is_free(*n))
                 .count();
-            let parties = senders * config.threads;
-            exchange.phases = Some(PhaseRunner::with_obs(
+            PhaseRunner::with_obs(
                 runtime.kernel(),
                 schedule,
-                parties,
+                senders * config.threads,
                 config.stall_timeout,
                 runtime.obs().clone(),
-            ));
-        }
-        Ok(exchange)
+            )
+        });
+        Ok(Exchange {
+            send,
+            recv,
+            groups: config.groups.clone(),
+            algorithm: config.algorithm,
+            lanes,
+            flow: config.flow,
+            mux: muxer,
+            phases,
+        })
     }
 
     /// Charges the modelled connection-setup cost for `node`'s endpoints to
@@ -678,21 +639,5 @@ impl Exchange {
     /// Payload bytes received by `node` so far.
     pub fn bytes_received(&self, node: NodeId) -> u64 {
         self.recv[node].iter().map(|e| e.bytes_received()).sum()
-    }
-
-    /// The send endpoint for `(node, tid)` under this exchange's mode.
-    pub fn send_endpoint(&self, node: NodeId, tid: usize) -> &Arc<dyn SendEndpoint> {
-        match self.algorithm.mode {
-            EndpointMode::Single => &self.send[node][0],
-            EndpointMode::Multi => &self.send[node][tid],
-        }
-    }
-
-    /// The receive endpoint for `(node, tid)` under this exchange's mode.
-    pub fn recv_endpoint(&self, node: NodeId, tid: usize) -> &Arc<dyn ReceiveEndpoint> {
-        match self.algorithm.mode {
-            EndpointMode::Single => &self.recv[node][0],
-            EndpointMode::Multi => &self.recv[node][tid],
-        }
     }
 }

@@ -13,7 +13,6 @@ use parking_lot::Mutex;
 use rshuffle_simnet::{DeviceProfile, NodeId, SimContext, SimDuration};
 
 use crate::buffer::{Buffer, StreamState};
-use crate::config::EndpointMode;
 use crate::endpoint::{ReceiveEndpoint, SendEndpoint};
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
@@ -152,9 +151,6 @@ pub fn default_partition_hash(row: &[u8]) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Shared row-hash function: row bytes to a 64-bit partition hash.
-pub type PartitionHashFn = Arc<dyn Fn(&[u8]) -> u64 + Send + Sync>;
-
 /// The SHUFFLE operator (Algorithm 1): hashes every tuple of its child to a
 /// transmission group and transmits full buffers through a communication
 /// endpoint.
@@ -163,7 +159,6 @@ pub struct ShuffleOperator {
     /// `endpoint[0]` for SE; `endpoint[tid]` for ME.
     endpoints: Vec<Arc<dyn SendEndpoint>>,
     groups: TransmissionGroups,
-    hash: PartitionHashFn,
     /// Threads still running per lane; the last thread of a lane propagates
     /// Depleted on it (Algorithm 1 lines 14–17; with one lane this is the
     /// paper's "last thread" rule).
@@ -183,32 +178,15 @@ pub struct ShuffleOperator {
 }
 
 impl ShuffleOperator {
-    /// Creates the operator for `threads` workers.
+    /// Creates the operator for `threads` workers over any number of
+    /// endpoint lanes (1 ≤ lanes ≤ threads: one for SE, `threads` for ME);
+    /// worker `tid` uses lane `tid % lanes`. This is the knob swept in
+    /// Figure 11 (the number of endpoints controls the number of Queue
+    /// Pairs).
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint count does not match the mode.
-    pub fn new(
-        mode: EndpointMode,
-        child: Arc<dyn Operator>,
-        endpoints: Vec<Arc<dyn SendEndpoint>>,
-        groups: TransmissionGroups,
-        threads: usize,
-        cost: CostModel,
-    ) -> Self {
-        match mode {
-            EndpointMode::Single => assert_eq!(endpoints.len(), 1, "SE needs exactly 1 endpoint"),
-            EndpointMode::Multi => {
-                assert_eq!(endpoints.len(), threads, "ME needs one endpoint per thread")
-            }
-        }
-        Self::with_lanes(child, endpoints, groups, threads, cost)
-    }
-
-    /// Creates the operator with an arbitrary number of endpoint lanes
-    /// (1 ≤ lanes ≤ threads); worker `tid` uses lane `tid % lanes`. This is
-    /// the knob swept in Figure 11 (the number of endpoints controls the
-    /// number of Queue Pairs).
+    /// Panics if the lane count is out of range.
     pub fn with_lanes(
         child: Arc<dyn Operator>,
         endpoints: Vec<Arc<dyn SendEndpoint>>,
@@ -229,7 +207,6 @@ impl ShuffleOperator {
             child,
             endpoints,
             groups,
-            hash: Arc::new(default_partition_hash),
             lane_remaining,
             resume_skip: (0..threads)
                 .map(|_| Mutex::new(vec![0; n_groups]))
@@ -238,12 +215,6 @@ impl ShuffleOperator {
             cost,
             phases: None,
         }
-    }
-
-    /// Replaces the partition hash function.
-    pub fn with_hash(mut self, hash: impl Fn(&[u8]) -> u64 + Send + Sync + 'static) -> Self {
-        self.hash = Arc::new(hash);
-        self
     }
 
     /// Seeds per-`(tid, group)` resume skips: worker `tid` silently drops
@@ -313,7 +284,7 @@ impl ShuffleOperator {
                 sim.sleep(self.cost.hash_per_tuple * batch.rows() as u64);
             }
             for row in batch.iter() {
-                let dest = ((self.hash)(row) % self.groups.len() as u64) as usize;
+                let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
                 if skip[dest] > 0 {
                     skip[dest] -= 1;
                     continue;
@@ -431,7 +402,7 @@ impl ShuffleOperator {
                 sim.sleep(self.cost.copy_time(batch.bytes()));
             }
             for row in batch.iter() {
-                let dest = ((self.hash)(row) % self.groups.len() as u64) as usize;
+                let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
                 if skip[dest] > 0 {
                     skip[dest] -= 1;
                     continue;
@@ -513,25 +484,7 @@ pub struct ReceiveOperator {
 
 impl ReceiveOperator {
     /// Creates the operator for `threads` workers producing `row_size`-byte
-    /// rows in batches of `batch_rows`.
-    pub fn new(
-        mode: EndpointMode,
-        endpoints: Vec<Arc<dyn ReceiveEndpoint>>,
-        row_size: usize,
-        batch_rows: usize,
-        threads: usize,
-        cost: CostModel,
-    ) -> Self {
-        match mode {
-            EndpointMode::Single => assert_eq!(endpoints.len(), 1, "SE needs exactly 1 endpoint"),
-            EndpointMode::Multi => {
-                assert_eq!(endpoints.len(), threads, "ME needs one endpoint per thread")
-            }
-        }
-        Self::with_lanes(endpoints, row_size, batch_rows, threads, cost)
-    }
-
-    /// Creates the operator with an arbitrary number of endpoint lanes
+    /// rows in batches of `batch_rows`, over any number of endpoint lanes
     /// (1 ≤ lanes ≤ threads); worker `tid` uses lane `tid % lanes`.
     pub fn with_lanes(
         endpoints: Vec<Arc<dyn ReceiveEndpoint>>,

@@ -486,11 +486,6 @@ impl PhaseRunner {
             st.gate.push(());
         }
     }
-
-    /// `true` once any worker has aborted the runner.
-    pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]

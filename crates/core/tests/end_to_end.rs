@@ -109,16 +109,14 @@ fn run_shuffle(
 
     for node in 0..nodes {
         let source = Arc::new(TestSource::new(node, threads, rows_per_thread));
-        let shuffle = Arc::new(ShuffleOperator::new(
-            algorithm.mode,
+        let shuffle = Arc::new(ShuffleOperator::with_lanes(
             source,
             exchange.send[node].clone(),
             exchange.groups[node].clone(),
             threads,
             cost.clone(),
         ));
-        let receive = Arc::new(ReceiveOperator::new(
-            algorithm.mode,
+        let receive = Arc::new(ReceiveOperator::with_lanes(
             exchange.recv[node].clone(),
             ROW,
             256,
@@ -298,8 +296,7 @@ fn native_multicast_broadcast_delivers_every_row() {
         Arc::new((0..nodes).map(|_| Mutex::new(Vec::new())).collect());
     for node in 0..nodes {
         let source = Arc::new(TestSource::new(node, threads, rows));
-        let shuffle = Arc::new(ShuffleOperator::new(
-            config.algorithm.mode,
+        let shuffle = Arc::new(ShuffleOperator::with_lanes(
             source,
             exchange.send[node].clone(),
             exchange.groups[node].clone(),
@@ -314,8 +311,7 @@ fn native_multicast_broadcast_delivers_every_row() {
                     shuffle.next(&sim, tid).expect("shuffle");
                 });
         }
-        let receive = Arc::new(ReceiveOperator::new(
-            config.algorithm.mode,
+        let receive = Arc::new(ReceiveOperator::with_lanes(
             exchange.recv[node].clone(),
             ROW,
             256,
@@ -499,16 +495,14 @@ fn multicast_groups_deliver_to_each_group_member() {
     for node in 0..nodes {
         let rows_here = if node == 0 { rows } else { 40 };
         let source = Arc::new(TestSource::new(node, threads, rows_here));
-        let shuffle = Arc::new(ShuffleOperator::new(
-            config.algorithm.mode,
+        let shuffle = Arc::new(ShuffleOperator::with_lanes(
             source,
             exchange.send[node].clone(),
             exchange.groups[node].clone(),
             threads,
             cost.clone(),
         ));
-        let receive = Arc::new(ReceiveOperator::new(
-            config.algorithm.mode,
+        let receive = Arc::new(ReceiveOperator::with_lanes(
             exchange.recv[node].clone(),
             ROW,
             256,

@@ -1,38 +1,17 @@
-//! Edge-path tests for the endpoint implementations: stall detection,
-//! setup-cost accounting, configuration validation and buffer bookkeeping.
+//! Edge-path tests for the endpoint implementations: setup-cost
+//! accounting, configuration validation and buffer bookkeeping.
 
 use std::sync::Arc;
 
-use rshuffle::endpoint::sr_rc::{SrRcConfig, SrRcSendEndpoint};
-use rshuffle::endpoint::{EndpointId, SendEndpoint};
 use rshuffle::{
-    Exchange, ExchangeConfig, ShuffleAlgorithm, ShuffleError, StreamState, TransmissionGroups,
+    Exchange, ExchangeConfig, PhasePolicy, ShuffleAlgorithm, ShuffleError, StreamState,
+    TransmissionGroups,
 };
-use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration, SimTime};
+use rshuffle_simnet::{Cluster, DeviceProfile, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
 fn runtime(nodes: usize) -> Arc<VerbsRuntime> {
     VerbsRuntime::new(Cluster::new(nodes, DeviceProfile::edr()))
-}
-
-#[test]
-fn sender_without_credit_reports_stall() {
-    // A send endpoint whose peer never grants credit must fail with
-    // `Stalled` instead of hanging (flow-control bug detection).
-    let rt = runtime(2);
-    let ctx = rt.context(0);
-    let cfg = SrRcConfig {
-        stall_timeout: SimDuration::from_micros(200),
-        ..SrRcConfig::default()
-    };
-    let ep = Arc::new(SrRcSendEndpoint::new(&ctx, EndpointId(0), vec![1], cfg));
-    // No bootstrap_credit: the peer "never" posts receives.
-    rt.cluster().spawn(0, "sender", move |sim| {
-        let buf = ep.get_free(&sim).expect("buffers start free");
-        let err = ep.send(&sim, buf, &[1], StreamState::MoreData).unwrap_err();
-        assert!(matches!(err, ShuffleError::Stalled(_)), "got {err:?}");
-    });
-    rt.cluster().run();
 }
 
 #[test]
@@ -68,6 +47,30 @@ fn exchange_rejects_bad_lane_count() {
     let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 2, 4);
     config.lanes_override = Some(9); // More lanes than threads.
     assert!(Exchange::build(&rt, &config).is_err());
+}
+
+#[test]
+fn rejected_configuration_pins_nothing() {
+    // Phasing needs singleton groups and a broadcast has none. The build
+    // must refuse before any endpoint registers its pools: endpoints never
+    // release on their own, so a late refusal would leave them pinned.
+    for algorithm in ShuffleAlgorithm::ALL {
+        let rt = runtime(3);
+        let mut config = ExchangeConfig::broadcast(algorithm, 3, 2);
+        config.phase = PhasePolicy::Naive;
+        let err = Exchange::build(&rt, &config).err().expect("must fail");
+        assert!(
+            matches!(err, ShuffleError::Config(_)),
+            "{algorithm}: {err:?}"
+        );
+        for node in 0..3 {
+            assert_eq!(
+                rt.registered_bytes(node),
+                0,
+                "{algorithm}: node {node} left pinned"
+            );
+        }
+    }
 }
 
 #[test]

@@ -35,6 +35,4 @@ pub use ops::{
     UnionAll,
 };
 pub use table::Table;
-pub use workload::{
-    advisor_signals, run_workload, QuerySpec, QueryTiming, WorkloadHandle, ENDPOINT_ID_STRIDE,
-};
+pub use workload::{run_workload, QuerySpec, QueryTiming, WorkloadHandle, ENDPOINT_ID_STRIDE};

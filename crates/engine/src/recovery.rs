@@ -74,6 +74,10 @@ const PROBE_POLL: SimDuration = SimDuration::from_micros(2);
 /// How long one probe waits for its send completion before counting
 /// the attempt as failed.
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
+/// First backoff delay of a query's schedule (probe retries and full
+/// restarts), and the cap it doubles up to.
+const INITIAL_BACKOFF: SimDuration = SimDuration::from_micros(50);
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(1);
 /// Endpoint-id distance between consecutive rebuild attempts of one
 /// query, so a retried flow never aliases a fenced-off attempt's ids.
 pub(crate) const ATTEMPT_ID_STRIDE: u32 = 4096;
@@ -181,10 +185,6 @@ pub struct RecoveryPolicy {
     /// surfaces [`ShuffleError::RetryBudgetExhausted`] and triggers
     /// degradation.
     pub reconnect_budget: u32,
-    /// First backoff delay (probe retries and full restarts).
-    pub initial_backoff: SimDuration,
-    /// Backoff cap.
-    pub max_backoff: SimDuration,
     /// Whether the query may step down the [`degrade`] ladder when the
     /// reconnect budget is exhausted.
     pub allow_degradation: bool,
@@ -198,8 +198,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_partial_retries: 4,
             reconnect_budget: 5,
-            initial_backoff: SimDuration::from_micros(50),
-            max_backoff: SimDuration::from_millis(1),
             allow_degradation: true,
             max_full_restarts: 2,
         }
@@ -482,7 +480,7 @@ pub(crate) fn run_query(
         let mut epoch = 0u16;
         let mut rebuilds = 0u32;
         let mut first_failure = None;
-        let mut backoff = BackoffSchedule::new(policy.initial_backoff, policy.max_backoff);
+        let mut backoff = BackoffSchedule::new(INITIAL_BACKOFF, MAX_BACKOFF);
         loop {
             // Admission (may block in virtual time); a hook error fails
             // the query before any resource is built.

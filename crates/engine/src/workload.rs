@@ -14,10 +14,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle::{
-    Advice, AdvisorSignals, AlgorithmAdvisor, ExchangeConfig, Operator, RowBatch, ShuffleError,
-};
-use rshuffle_obs::EventKind;
+use rshuffle::{ExchangeConfig, Operator, RowBatch, ShuffleError};
 use rshuffle_sched::{Admission, QueryRequest, ReleaseOutcome, Scheduler};
 use rshuffle_simnet::{FlowId, NodeId, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
@@ -63,85 +60,6 @@ impl QuerySpec {
             priority: 0,
         }
     }
-
-    /// As [`QuerySpec::new`], but lets the [`AlgorithmAdvisor`] pick
-    /// the shuffle design and phase policy from what is observable on
-    /// `runtime` and `scheduler` before the query runs — the spec's
-    /// configured algorithm is only the fallback shape the signals are
-    /// derived from. Returns the spec plus the advice that rewrote it.
-    pub fn advised(
-        id: u32,
-        config: ExchangeConfig,
-        row_size: usize,
-        runtime: &Arc<VerbsRuntime>,
-        scheduler: Option<&Scheduler>,
-    ) -> (Self, Advice) {
-        let mut spec = QuerySpec::new(id, config, row_size);
-        let signals = advisor_signals(runtime, scheduler, &spec.config);
-        let advice = AlgorithmAdvisor::advise(&signals);
-        spec.config.algorithm = advice.pick();
-        spec.config.phase = advice.phase;
-        record_advice(runtime, &advice);
-        (spec, advice)
-    }
-}
-
-/// Collects the advisor's observable inputs for `config` on `runtime`:
-/// plan shape from the config itself, load from `scheduler`, topology
-/// shape (including incast modeling) from the fabric, and declared
-/// volume skew from the plan's per-pair byte estimate when one is
-/// attached.
-pub fn advisor_signals(
-    runtime: &Arc<VerbsRuntime>,
-    scheduler: Option<&Scheduler>,
-    config: &ExchangeConfig,
-) -> AdvisorSignals {
-    let nodes = runtime.cluster().nodes();
-    let mut signals = AdvisorSignals::baseline(nodes, config.threads, config.message_size);
-    signals.fanout = config
-        .groups
-        .iter()
-        .map(|g| g.destinations().len())
-        .max()
-        .unwrap_or(0);
-    signals.broadcast = config
-        .groups
-        .iter()
-        .any(|g| (0..g.len()).any(|i| g.group(i).len() > 1));
-    signals.oversubscription = config.topology.oversubscription();
-    signals.incast = config.topology.incast().is_some();
-    if let Some(load) = scheduler.map(|s| s.load_signals()) {
-        signals.co_runners = load.co_runners;
-        signals.mem_headroom = load.mem_headroom;
-    }
-    if let Some(bytes) = &config.phase_bytes {
-        let totals: Vec<u64> = bytes.iter().map(|row| row.iter().sum()).collect();
-        let max = totals.iter().copied().max().unwrap_or(0);
-        let mean = totals.iter().sum::<u64>() as f64 / totals.len().max(1) as f64;
-        if mean > 0.0 {
-            signals.skew = max as f64 / mean;
-        }
-    }
-    signals
-}
-
-/// Publishes an advisor decision: bumps `advisor.decisions` and drops
-/// an [`EventKind::AdvisorDecision`] trace instant whose argument
-/// encodes the picked design (`mode * 8 + imp`, matching
-/// [`ShuffleAlgorithm`]'s field order).
-fn record_advice(runtime: &Arc<VerbsRuntime>, advice: &Advice) {
-    let obs = runtime.obs();
-    obs.metrics
-        .counter(
-            rshuffle_obs::names::ADVISOR_DECISIONS,
-            rshuffle_obs::Labels::GLOBAL,
-        )
-        .inc();
-    let pick = advice.pick();
-    let code = (pick.mode as u64) * 8 + pick.imp as u64;
-    let now = runtime.kernel().now().as_nanos();
-    obs.recorder
-        .event(0, 0, now, EventKind::AdvisorDecision, code);
 }
 
 /// `spec`'s endpoint-id base, or a typed error when the id space cannot

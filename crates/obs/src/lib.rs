@@ -165,8 +165,6 @@ pub mod names {
     pub const EXCHANGE_PHASES_RUN: &str = "exchange.phases_run";
     /// Virtual ns a sender thread spent parked at the phase barrier.
     pub const EXCHANGE_PHASE_BARRIER_WAIT_NS: &str = "exchange.phase_barrier_wait_ns";
-    /// Algorithm recommendations issued by the `AlgorithmAdvisor`.
-    pub const ADVISOR_DECISIONS: &str = "advisor.decisions";
 }
 
 /// One shared observability context: the metrics registry plus the
@@ -204,14 +202,6 @@ impl Obs {
     /// Creates a fresh context with default recorder capacity.
     pub fn new() -> Arc<Obs> {
         Arc::new(Obs::default())
-    }
-
-    /// Creates a context with a specific per-track ring capacity.
-    pub fn with_ring_capacity(capacity: usize) -> Arc<Obs> {
-        Arc::new(Obs {
-            recorder: FlightRecorder::new(capacity),
-            ..Obs::default()
-        })
     }
 
     /// Enables or disables stage latency histograms. Flip before the

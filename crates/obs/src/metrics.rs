@@ -81,11 +81,6 @@ impl Labels {
         }
     }
 
-    /// This label set additionally attributed to `query`.
-    pub fn with_query(self, query: u32) -> Labels {
-        Labels { query, ..self }
-    }
-
     /// Renders the label suffix, e.g. `{node=2,lane=0}`. Empty string
     /// when no dimension is set.
     pub fn render(&self) -> String {

@@ -96,9 +96,6 @@ pub enum EventKind {
     /// A sender thread entered a new communication phase of a
     /// phase-scheduled exchange (`arg` = phase index).
     PhaseBegin,
-    /// The algorithm advisor issued a recommendation (`arg` = the
-    /// picked configuration's algorithm code).
-    AdvisorDecision,
 }
 
 impl EventKind {
@@ -133,7 +130,6 @@ impl EventKind {
             EventKind::PartialRetry => "partial_retry",
             EventKind::QueryDegraded => "query_degraded",
             EventKind::PhaseBegin => "phase_begin",
-            EventKind::AdvisorDecision => "advisor_decision",
         }
     }
 }

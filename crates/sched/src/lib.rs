@@ -124,17 +124,6 @@ impl Admission {
     }
 }
 
-/// What the scheduler can tell the exchange advisor about current
-/// load (see [`Scheduler::load_signals`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LoadSignals {
-    /// Queries running or queued besides the one asking.
-    pub co_runners: usize,
-    /// Smallest per-node headroom under the registered-memory budget,
-    /// in bytes; `None` when no budget governs.
-    pub mem_headroom: Option<usize>,
-}
-
 /// Why a query is giving its slot back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReleaseOutcome {
@@ -243,27 +232,6 @@ impl Scheduler {
     /// Queries waiting in the admission queue.
     pub fn queued(&self) -> usize {
         self.state.lock().queue.len()
-    }
-
-    /// Cross-query load signals for the exchange advisor: how many
-    /// other queries compete for the fabric right now, and the smallest
-    /// per-node registered-memory headroom left under the budget
-    /// (`None` when the budget is ungoverned).
-    pub fn load_signals(&self) -> LoadSignals {
-        let state = self.state.lock();
-        let co_runners = state.running + state.queue.len();
-        let mem_headroom = self.cfg.mem_budget_per_node.map(|budget| {
-            state
-                .reserved
-                .iter()
-                .map(|&r| budget.saturating_sub(r))
-                .min()
-                .unwrap_or(budget)
-        });
-        LoadSignals {
-            co_runners,
-            mem_headroom,
-        }
     }
 
     /// Requests admission for `req`, blocking in virtual time until a

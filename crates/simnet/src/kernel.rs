@@ -698,11 +698,6 @@ impl SimContext {
         let at = st.now + d;
         self.kernel.yield_until(st, self.id, at);
     }
-
-    /// Yields to any runnable entity scheduled at the current instant.
-    pub fn yield_now(&self) {
-        self.sleep(SimDuration::ZERO);
-    }
 }
 
 struct GateInner<T> {

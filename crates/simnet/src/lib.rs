@@ -49,7 +49,7 @@ pub use cluster::Cluster;
 pub use kernel::{Gate, Kernel, RecvTimeout, SimContext, SimThreadId, ThreadStats};
 pub use net::{Fabric, IncastModel, Topology};
 pub use nic::{FairResource, FlowId, FlowTable, NicModel};
-pub use profile::DeviceProfile;
+pub use profile::{DeviceProfile, MAX_RC_MESSAGE, UD_MTU};
 pub use resource::Resource;
 pub use sync::{SimBarrier, SimMutex};
 pub use time::{SimDuration, SimTime};

@@ -75,7 +75,7 @@ pub enum Topology {
 /// model captures that knee: while more than `sender_threshold`
 /// distinct senders hold in-flight bulk reservations on a port, every
 /// new reservation's serialization time is inflated by
-/// `min(max_penalty, active_senders / sender_threshold)`.
+/// `min(MAX_PENALTY, active_senders / sender_threshold)`.
 ///
 /// Applied to fat-tree ingress ports and leaf downlinks only (the
 /// resources a naive all-to-all overloads); control packets on the
@@ -87,23 +87,17 @@ pub struct IncastModel {
     /// Concurrent distinct senders a port absorbs at full rate (its
     /// buffer headroom, naturally about one leaf's worth of hosts).
     sender_threshold: usize,
-    /// Cap on the serialization inflation factor.
-    max_penalty: f64,
 }
 
 impl IncastModel {
-    /// A model with the given threshold and the default 4× penalty cap.
+    /// Cap on the serialization inflation factor.
+    const MAX_PENALTY: f64 = 4.0;
+
+    /// A model with the given threshold.
     pub fn new(sender_threshold: usize) -> IncastModel {
         IncastModel {
             sender_threshold: sender_threshold.max(1),
-            max_penalty: 4.0,
         }
-    }
-
-    /// Sets the penalty cap (clamped to ≥ 1.0).
-    pub fn with_max_penalty(mut self, max_penalty: f64) -> IncastModel {
-        self.max_penalty = max_penalty.max(1.0);
-        self
     }
 
     /// Concurrent-sender knee of the model.
@@ -127,7 +121,7 @@ impl IncastModel {
         if active <= knee {
             1.0
         } else {
-            (active as f64 / knee as f64).min(self.max_penalty)
+            (active as f64 / knee as f64).min(Self::MAX_PENALTY)
         }
     }
 }
@@ -234,7 +228,8 @@ impl Topology {
                     None => String::new(),
                     Some(m) => format!(
                         "\nincast:    collapse past {} concurrent senders/port, up to {:.1}x",
-                        m.sender_threshold, m.max_penalty
+                        m.sender_threshold,
+                        IncastModel::MAX_PENALTY
                     ),
                 };
                 format!(
@@ -785,10 +780,10 @@ mod tests {
 
     #[test]
     fn incast_penalty_is_capped() {
-        let m = IncastModel::new(4).with_max_penalty(3.0);
+        let m = IncastModel::new(4);
         assert_eq!(m.penalty(4), 1.0);
         assert!((m.penalty(6) - 1.5).abs() < 1e-9);
-        assert!((m.penalty(1000) - 3.0).abs() < 1e-9);
+        assert!((m.penalty(1000) - IncastModel::MAX_PENALTY).abs() < 1e-9);
         // Control packets stay exempt regardless of fan-in.
         let f = topo_fabric(
             8,

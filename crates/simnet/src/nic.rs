@@ -356,6 +356,13 @@ impl NicObs {
     }
 }
 
+/// Doorbell coalescing window: a sender-side work request arriving at the
+/// NIC within this long of the previous one on the *same* QP context rides
+/// the earlier doorbell (the driver chains WQEs and rings once), paying
+/// [`DeviceProfile::wr_nic_batched`] instead of the full per-doorbell
+/// cost. Receive matching is never coalesced.
+const DOORBELL_WINDOW: SimDuration = SimDuration::from_nanos(600);
+
 /// Timing model of one node's RDMA NIC.
 pub struct NicModel {
     pipe: Mutex<FairResource>,
@@ -365,12 +372,11 @@ pub struct NicModel {
     wr_nic: SimDuration,
     wr_recv_match: SimDuration,
     qp_cache_miss: SimDuration,
-    /// Doorbell coalescing (see [`DeviceProfile::doorbell_window`]): the
-    /// arrival time of the last *sender-side* work request per QP context.
-    /// Lookup/insert only — iteration order is never observed, so the map
-    /// stays deterministic.
+    /// Doorbell coalescing (see [`DOORBELL_WINDOW`]): the arrival time of
+    /// the last *sender-side* work request per QP context. Lookup/insert
+    /// only — iteration order is never observed, so the map stays
+    /// deterministic.
     doorbell: Mutex<HashMap<u64, SimTime>>,
-    doorbell_window: SimDuration,
     wr_nic_batched: SimDuration,
 }
 
@@ -405,7 +411,6 @@ impl NicModel {
             wr_recv_match: profile.wr_recv_match,
             qp_cache_miss: profile.qp_cache_miss,
             doorbell: Mutex::new(HashMap::new()),
-            doorbell_window: profile.doorbell_window,
             wr_nic_batched: profile.wr_nic_batched,
         }
     }
@@ -432,7 +437,7 @@ impl NicModel {
                 let mut doorbell = self.doorbell.lock();
                 let batched = doorbell
                     .insert(qp_ctx, at)
-                    .is_some_and(|last| at <= last + self.doorbell_window);
+                    .is_some_and(|last| at <= last + DOORBELL_WINDOW);
                 if batched {
                     self.wr_nic_batched
                 } else {
@@ -549,7 +554,7 @@ mod tests {
         let b = n.process(t0 + SimDuration::from_nanos(100), 3, WrKind::SendRc);
         assert_eq!((b - a).as_nanos(), p.wr_nic_batched.as_nanos());
         // Far outside the window: a new doorbell at full cost again.
-        let late = b + p.doorbell_window + SimDuration::from_nanos(1);
+        let late = b + DOORBELL_WINDOW + SimDuration::from_nanos(1);
         let t2 = n.process(late, 3, WrKind::SendRc);
         assert_eq!((t2 - late).as_nanos(), p.wr_nic.as_nanos());
     }

@@ -16,19 +16,20 @@ use crate::time::SimDuration;
 /// One GiB in bytes, used for bandwidth constants.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
+/// Maximum message size of the Unreliable Datagram service — the MTU
+/// (§2.2.2: 4 KiB). A property of InfiniBand, not of a NIC generation.
+pub const UD_MTU: usize = 4096;
+
+/// Maximum message size of the Reliable Connection service (Table 1).
+pub const MAX_RC_MESSAGE: usize = 1 << 30;
+
 /// Calibration constants for one cluster generation.
 #[derive(Debug, Clone)]
 pub struct DeviceProfile {
     /// Human-readable name ("FDR", "EDR").
     pub name: &'static str,
-    /// Nominal signalling rate in Gbit/s (56 for FDR, 100 for EDR).
-    pub line_rate_gbit: f64,
     /// Achievable payload bandwidth per port direction, bytes/second.
     pub payload_bandwidth: f64,
-    /// Maximum message size for the Unreliable Datagram service (the MTU).
-    pub mtu: usize,
-    /// Maximum message size for the Reliable Connection service.
-    pub max_rc_message: usize,
     /// Worker threads per query fragment (one per CPU core used).
     pub threads_per_node: usize,
 
@@ -39,14 +40,9 @@ pub struct DeviceProfile {
     pub qp_cache_miss: SimDuration,
     /// NIC pipeline occupancy per send/read work request.
     pub wr_nic: SimDuration,
-    /// Doorbell coalescing window: a sender-side work request arriving at
-    /// the NIC within this long of the previous one on the *same* QP
-    /// context rides the earlier doorbell (the driver chains WQEs and
-    /// rings once), paying [`DeviceProfile::wr_nic_batched`] instead of
-    /// the full per-doorbell cost. Receive matching is never coalesced.
-    pub doorbell_window: SimDuration,
     /// NIC pipeline occupancy for a work request absorbed into an earlier
-    /// doorbell (WQE fetch amortized across the chain).
+    /// doorbell (WQE fetch amortized across the chain; the coalescing
+    /// window itself is a driver constant in [`crate::nic`]).
     pub wr_nic_batched: SimDuration,
     /// NIC pipeline occupancy to match an incoming message to a posted
     /// receive.
@@ -81,12 +77,7 @@ pub struct DeviceProfile {
     pub endpoint_setup: SimDuration,
     /// Memory registration cost per GiB of pinned memory.
     pub mr_register_per_gib: SimDuration,
-    /// Memory deregistration cost per GiB.
-    pub mr_deregister_per_gib: SimDuration,
 
-    /// Kernel TCP/IP stack CPU cost per byte (IPoIB baseline). The paper
-    /// profiles the IPoIB run at ~2/3 of cycles inside `send`/`recv` (§5.1.3).
-    pub tcp_cpu_per_byte: SimDuration,
     /// Effective bandwidth cap of the IPoIB path (interrupt + soft-IRQ
     /// bound), bytes/second.
     pub ipoib_bandwidth: f64,
@@ -99,8 +90,6 @@ pub struct DeviceProfile {
     /// thread count for single-endpoint UD designs; this is the
     /// `ibv_post_send` contention that bottlenecks SESQ/SR (§5.1.3).
     pub sq_contention_per_thread: SimDuration,
-    /// MPI eager threshold: messages up to this size are copied eagerly.
-    pub mpi_eager_threshold: usize,
 }
 
 impl DeviceProfile {
@@ -109,15 +98,11 @@ impl DeviceProfile {
     pub fn fdr() -> Self {
         DeviceProfile {
             name: "FDR",
-            line_rate_gbit: 56.0,
             payload_bandwidth: 6.2 * GIB,
-            mtu: 4096,
-            max_rc_message: 1 << 30,
             threads_per_node: 10,
             qp_cache_entries: 28,
             qp_cache_miss: SimDuration::from_nanos(1_500),
             wr_nic: SimDuration::from_nanos(260),
-            doorbell_window: SimDuration::from_nanos(600),
             wr_nic_batched: SimDuration::from_nanos(90),
             wr_recv_match: SimDuration::from_nanos(120),
             switch_latency: SimDuration::from_nanos(300),
@@ -132,12 +117,9 @@ impl DeviceProfile {
             ud_qp_setup: SimDuration::from_micros(1_500),
             endpoint_setup: SimDuration::from_micros(1_000),
             mr_register_per_gib: SimDuration::from_millis(280),
-            mr_deregister_per_gib: SimDuration::from_millis(60),
-            tcp_cpu_per_byte: SimDuration::from_nanos(1),
             ipoib_bandwidth: 1.85 * GIB,
             mpi_per_message: SimDuration::from_nanos(1_400),
             mpi_rendezvous_rtt: SimDuration::from_micros(2),
-            mpi_eager_threshold: 16 * 1024,
             sq_contention_per_thread: SimDuration::from_nanos(60),
         }
     }
@@ -147,15 +129,11 @@ impl DeviceProfile {
     pub fn edr() -> Self {
         DeviceProfile {
             name: "EDR",
-            line_rate_gbit: 100.0,
             payload_bandwidth: 11.9 * GIB,
-            mtu: 4096,
-            max_rc_message: 1 << 30,
             threads_per_node: 14,
             qp_cache_entries: 640,
             qp_cache_miss: SimDuration::from_nanos(450),
             wr_nic: SimDuration::from_nanos(160),
-            doorbell_window: SimDuration::from_nanos(600),
             wr_nic_batched: SimDuration::from_nanos(50),
             wr_recv_match: SimDuration::from_nanos(80),
             switch_latency: SimDuration::from_nanos(230),
@@ -170,12 +148,9 @@ impl DeviceProfile {
             ud_qp_setup: SimDuration::from_micros(1_400),
             endpoint_setup: SimDuration::from_micros(900),
             mr_register_per_gib: SimDuration::from_millis(240),
-            mr_deregister_per_gib: SimDuration::from_millis(50),
-            tcp_cpu_per_byte: SimDuration::from_nanos(1),
             ipoib_bandwidth: 3.9 * GIB,
             mpi_per_message: SimDuration::from_nanos(1_100),
             mpi_rendezvous_rtt: SimDuration::from_nanos(1_500),
-            mpi_eager_threshold: 16 * 1024,
             sq_contention_per_thread: SimDuration::from_nanos(12),
         }
     }
@@ -194,22 +169,10 @@ impl DeviceProfile {
         transfer_time(bytes, self.payload_bandwidth)
     }
 
-    /// CPU time to copy `bytes` on one core.
-    pub fn memcpy_time(&self, bytes: usize) -> SimDuration {
-        transfer_time(bytes, self.memcpy_bandwidth)
-    }
-
     /// Memory registration time for `bytes` of pinned memory.
     pub fn mr_register_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos(
             (self.mr_register_per_gib.as_nanos() as f64 * bytes as f64 / GIB) as u64,
-        )
-    }
-
-    /// Memory deregistration time for `bytes`.
-    pub fn mr_deregister_time(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_nanos(
-            (self.mr_deregister_per_gib.as_nanos() as f64 * bytes as f64 / GIB) as u64,
         )
     }
 }
@@ -250,14 +213,6 @@ mod tests {
         assert_eq!(DeviceProfile::by_name("FDR").unwrap().name, "FDR");
         assert_eq!(DeviceProfile::by_name("edr").unwrap().name, "EDR");
         assert!(DeviceProfile::by_name("qdr").is_none());
-    }
-
-    #[test]
-    fn ud_mtu_is_4k() {
-        // §2.2.2: "The maximum message size in Unreliable Datagram transport
-        // is 4 KiB".
-        assert_eq!(DeviceProfile::fdr().mtu, 4096);
-        assert_eq!(DeviceProfile::edr().mtu, 4096);
     }
 
     #[test]

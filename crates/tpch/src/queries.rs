@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{
-    CostModel, EndpointMode, Exchange, ExchangeConfig, Operator, ReceiveEndpoint, ReceiveOperator,
-    SendEndpoint, ShuffleAlgorithm, ShuffleOperator, TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, Operator, ReceiveEndpoint, ReceiveOperator, SendEndpoint,
+    ShuffleAlgorithm, ShuffleOperator, TransmissionGroups,
 };
 use rshuffle_baselines::MpiExchange;
 use rshuffle_engine::{
@@ -90,7 +90,6 @@ fn revenue(price: i64, discount_bp: i64) -> i64 {
 struct Stage {
     send: Vec<Vec<Arc<dyn SendEndpoint>>>,
     recv: Vec<Vec<Arc<dyn ReceiveEndpoint>>>,
-    mode: EndpointMode,
     groups: Vec<TransmissionGroups>,
 }
 
@@ -106,7 +105,6 @@ fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: 
             Stage {
                 send: ex.send,
                 recv: ex.recv,
-                mode: algorithm.mode,
                 groups,
             }
         }
@@ -124,7 +122,6 @@ fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: 
                     .into_iter()
                     .map(|e| e.into_iter().collect())
                     .collect(),
-                mode: EndpointMode::Single,
                 groups,
             }
         }
@@ -142,8 +139,7 @@ fn spawn_shuffle(
     threads: usize,
     cost: &CostModel,
 ) {
-    let shuffle = Arc::new(ShuffleOperator::new(
-        stage.mode,
+    let shuffle = Arc::new(ShuffleOperator::with_lanes(
         source,
         stage.send[node].clone(),
         stage.groups[node].clone(),
@@ -162,8 +158,7 @@ fn receive_op(
     threads: usize,
     cost: &CostModel,
 ) -> Arc<dyn Operator> {
-    Arc::new(ReceiveOperator::new(
-        stage.mode,
+    Arc::new(ReceiveOperator::with_lanes(
         stage.recv[node].clone(),
         row_size,
         2048,

@@ -49,14 +49,6 @@ impl ConnectionManager {
         Self::connect_rc(sim, qp, peer)
     }
 
-    /// Tears a UD QP down and brings it back to RTS, charging the UD
-    /// setup cost again (recovery path for a killed shared QP).
-    pub fn resetup_ud(sim: &SimContext, qp: &QueuePair) -> Result<()> {
-        debug_assert_eq!(qp.qp_type(), QpType::Ud);
-        qp.reset()?;
-        Self::setup_ud(sim, qp)
-    }
-
     /// Brings a UD QP from RESET to RTS, charging the UD setup cost
     /// (creation plus address-handle exchange).
     pub fn setup_ud(sim: &SimContext, qp: &QueuePair) -> Result<()> {

@@ -341,12 +341,6 @@ impl MemoryRegion {
         self.inner.update_gate.recv(ctx)
     }
 
-    /// Non-blocking variant of [`MemoryRegion::wait_update`]: consumes one
-    /// pending update notification if present.
-    pub fn try_update(&self) -> bool {
-        self.inner.update_gate.try_recv().is_some()
-    }
-
     /// Discards all pending update notifications. A poller calls this
     /// before re-checking its condition so stale notifications cannot make
     /// the subsequent wait spin.

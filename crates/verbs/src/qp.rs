@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 use rshuffle_obs::{EventKind, Stage, HW_TRACK};
 use rshuffle_simnet::nic::WrKind;
-use rshuffle_simnet::{FlowId, SimContext, SimDuration, SimTime};
+use rshuffle_simnet::{FlowId, SimContext, SimDuration, SimTime, MAX_RC_MESSAGE, UD_MTU};
 
 use crate::cq::{Completion, CompletionQueue, WcOpcode, WcStatus};
 use crate::error::{Result, VerbsError};
@@ -425,11 +425,6 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Whether this QP is bound onto a shared physical-QP slot.
-    pub fn is_shared(&self) -> bool {
-        self.inner.shared.get().is_some()
-    }
-
     /// Binds this RC QP to its (single) remote peer. Must happen in INIT,
     /// before RTR.
     pub fn connect(&self, peer: AddressHandle) -> Result<()> {
@@ -510,12 +505,12 @@ impl QueuePair {
         self.check_sendable("post_send")?;
         let profile = self.runtime.profile();
         let (dest, max) = match self.inner.ty {
-            QpType::Ud => (wr.ah.ok_or(VerbsError::MissingAddressHandle)?, profile.mtu),
+            QpType::Ud => (wr.ah.ok_or(VerbsError::MissingAddressHandle)?, UD_MTU),
             QpType::Rc => {
                 let peer = *self.inner.peer.lock();
                 (
                     peer.ok_or(VerbsError::NotConnected(self.inner.qpn))?,
-                    profile.max_rc_message,
+                    MAX_RC_MESSAGE,
                 )
             }
         };
@@ -538,7 +533,7 @@ impl QueuePair {
         self.observe_wr_batch(sim, now, nic_done);
 
         let reliable = self.inner.ty == QpType::Rc;
-        let wire_bytes = wire_bytes(self.inner.ty, wr.len, profile.mtu);
+        let wire_bytes = wire_bytes(self.inner.ty, wr.len);
 
         // UD fault injection: loss and reordering.
         let jitter = if reliable {
@@ -644,10 +639,10 @@ impl QueuePair {
         }
         self.check_sendable("post_send_multicast")?;
         let profile = self.runtime.profile();
-        if wr.len > profile.mtu {
+        if wr.len > UD_MTU {
             return Err(VerbsError::MessageTooLarge {
                 len: wr.len,
-                max: profile.mtu,
+                max: UD_MTU,
             });
         }
         assert!(!dests.is_empty(), "multicast needs at least one destination");
@@ -661,7 +656,7 @@ impl QueuePair {
             .nic(self.inner.node)
             .process_flow(now, self.inner.ctx_key(), WrKind::SendUd, self.inner.flow);
         self.observe_wr_batch(sim, now, nic_done);
-        let wire = wire_bytes(QpType::Ud, wr.len, profile.mtu);
+        let wire = wire_bytes(QpType::Ud, wr.len);
         let dest_nodes: Vec<crate::NodeId> = dests.iter().map(|d| d.node).collect();
         let deliveries = self.runtime.cluster().fabric().transfer_multicast_flow(
             self.inner.node,
@@ -704,10 +699,10 @@ impl QueuePair {
     ) -> Result<()> {
         self.check_one_sided("post_read")?;
         let profile = self.runtime.profile();
-        if len > profile.max_rc_message {
+        if len > MAX_RC_MESSAGE {
             return Err(VerbsError::MessageTooLarge {
                 len,
-                max: profile.max_rc_message,
+                max: MAX_RC_MESSAGE,
             });
         }
         let (local_mr, local_off) = local;
@@ -738,7 +733,6 @@ impl QueuePair {
         let qpn = self.inner.qpn;
         let peer_ctx = self.peer_ctx_key();
         let self_ctx = self.inner.ctx_key();
-        let mtu = profile.mtu;
         let flow = self.inner.flow;
         self.runtime.kernel().schedule(req_arrive, move || {
             let now = runtime.kernel().now();
@@ -769,7 +763,7 @@ impl QueuePair {
                     return;
                 }
             };
-            let wire = len + RC_HEADER_BYTES * len.div_ceil(mtu).max(1);
+            let wire = wire_bytes(QpType::Rc, len);
             let back = runtime
                 .cluster()
                 .fabric()
@@ -818,10 +812,10 @@ impl QueuePair {
     ) -> Result<()> {
         self.check_one_sided("post_write")?;
         let profile = self.runtime.profile();
-        if len > profile.max_rc_message {
+        if len > MAX_RC_MESSAGE {
             return Err(VerbsError::MessageTooLarge {
                 len,
-                max: profile.max_rc_message,
+                max: MAX_RC_MESSAGE,
             });
         }
         let (local_mr, local_off) = local;
@@ -837,7 +831,7 @@ impl QueuePair {
         );
         self.observe_wr_batch(sim, now, nic_done);
         let write_posted_ns = now.as_nanos();
-        let wire = len + RC_HEADER_BYTES * len.div_ceil(profile.mtu).max(1);
+        let wire = wire_bytes(QpType::Rc, len);
         let deliver = self.ordered_delivery(self.runtime.cluster().fabric().transfer_flow(
             self.inner.node,
             remote.node,
@@ -977,10 +971,10 @@ impl QueuePair {
 }
 
 /// Wire bytes for a message of `len` payload bytes on transport `ty`.
-fn wire_bytes(ty: QpType, len: usize, mtu: usize) -> usize {
+fn wire_bytes(ty: QpType, len: usize) -> usize {
     match ty {
         QpType::Ud => len + UD_HEADER_BYTES,
-        QpType::Rc => len + RC_HEADER_BYTES * len.div_ceil(mtu).max(1),
+        QpType::Rc => len + RC_HEADER_BYTES * len.div_ceil(UD_MTU).max(1),
     }
 }
 

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rshuffle_audit::ShuffleAuditor;
 use rshuffle_obs::{names, Counter, EventKind, HistogramId, Labels, Obs, HW_TRACK};
-use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimContext, SimDuration};
+use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimDuration};
 
 use crate::cq::CompletionQueue;
 use crate::fault::{FaultEvent, FaultPlan, QpScope, Window};
@@ -496,11 +496,6 @@ impl VerbsRuntime {
         &self.rt_obs.obs
     }
 
-    /// Installs (or replaces) the protocol auditor endpoints consult.
-    pub fn install_auditor(&self, auditor: Arc<ShuffleAuditor>) {
-        *self.auditor.lock() = Some(auditor);
-    }
-
     /// The installed protocol auditor, if any.
     pub fn auditor(&self) -> Option<Arc<ShuffleAuditor>> {
         self.auditor.lock().clone()
@@ -693,15 +688,9 @@ impl Context {
         CompletionQueue::new(self.runtime.kernel(), p.completion_latency, p.poll_cq_cpu)
     }
 
-    /// Registers `len` bytes of memory, charging the pinning cost to the
-    /// calling thread (`ibv_reg_mr`).
-    pub fn register(&self, sim: &SimContext, len: usize) -> MemoryRegion {
-        sim.sleep(self.runtime.profile().mr_register_time(len));
-        self.register_untimed(len)
-    }
-
-    /// Registers memory without charging setup time. Intended for tests and
-    /// for harness bookkeeping outside the measured window. The region is
+    /// Registers `len` bytes of memory (`ibv_reg_mr`) without charging
+    /// setup time: endpoints charge the modelled pinning cost where
+    /// Figure 12 measures it, in their `charge_setup`. The region is
     /// backed in one piece from the start: what rings, credit arrays and
     /// scratch slots need, which are polled far more often than written.
     pub fn register_untimed(&self, len: usize) -> MemoryRegion {
@@ -730,13 +719,6 @@ impl Context {
         let mut peak = rt.registered_peak.lock();
         peak[self.node] = peak[self.node].max(reg[self.node]);
         mr
-    }
-
-    /// Deregisters a memory region, charging the unpinning cost
-    /// (`ibv_dereg_mr`).
-    pub fn deregister(&self, sim: &SimContext, mr: MemoryRegion) {
-        sim.sleep(self.runtime.profile().mr_deregister_time(mr.len()));
-        self.runtime.deregister_untimed(&mr);
     }
 
     /// Creates a Queue Pair of `ty` using `send_cq` and `recv_cq`
@@ -774,13 +756,7 @@ mod tests {
         let _b = ctx.register_untimed(2048);
         assert_eq!(rt.registered_bytes(0), 3072);
         assert_eq!(rt.registered_bytes(1), 0);
-        // Deregistration needs a sim thread for the timed path; exercise
-        // the registry directly.
-        let rt2 = rt.clone();
-        rt.cluster().spawn(0, "dereg", move |sim| {
-            rt2.context(0).deregister(&sim, a);
-        });
-        rt.cluster().run();
+        rt.deregister_untimed(&a);
         assert_eq!(rt.registered_bytes(0), 2048);
         assert_eq!(rt.registered_bytes_peak(0), 3072, "peak must persist");
     }

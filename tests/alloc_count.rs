@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
+use rshuffle_repro::simnet::DeviceProfile;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
 /// test binary. Frees are not counted: the gate is on allocation churn.
@@ -73,8 +73,6 @@ fn allocs_during_run(algorithm: ShuffleAlgorithm, rows_per_thread: usize) -> u64
         RecoveryPolicy {
             max_partial_retries: 0,
             max_full_restarts: 0,
-            initial_backoff: SimDuration::from_micros(50),
-            max_backoff: SimDuration::from_micros(500),
             ..RecoveryPolicy::default()
         },
         ROW,

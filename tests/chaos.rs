@@ -10,23 +10,17 @@
 //! draw is seeded, same-seed chaos runs must be byte-identical down to
 //! the metrics snapshot and Chrome trace.
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use common::{small_config, us, Collector, ROW, THREADS};
 use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport};
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
+use rshuffle_repro::rshuffle::{Operator, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
-use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
+use rshuffle_repro::verbs::FaultPlan;
 
-const NODES: usize = 3;
-const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 1000;
-const ROW: usize = 16;
-
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
 
 /// The chaos matrix: one representative plan per fault type. Offsets are
 /// early (≤ 20 µs) so every fault lands while the query is in flight;
@@ -57,47 +51,31 @@ fn fault_matrix() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-fn chaos_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConfig {
-    let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-    config.message_size = 4096;
-    // Short watchdogs so injected faults surface quickly in virtual time.
-    config.stall_timeout = SimDuration::from_millis(2);
-    config.depleted_timeout = us(500);
-    config.faults = FaultConfig {
-        seed: 42,
-        plan,
-        ..FaultConfig::default()
-    };
-    config
-}
-
 /// The paper's restart-only semantics with a budget of `max_full_restarts`.
-fn restart_policy(max_full_restarts: u32, max_backoff: SimDuration) -> RecoveryPolicy {
+fn restart_policy(max_full_restarts: u32) -> RecoveryPolicy {
     RecoveryPolicy {
         max_partial_retries: 0,
         max_full_restarts,
-        initial_backoff: us(50),
-        max_backoff,
         ..RecoveryPolicy::default()
     }
 }
 
 fn chaos_policy() -> RecoveryPolicy {
-    restart_policy(6, SimDuration::from_millis(1))
+    restart_policy(6)
 }
 
 struct ChaosRun {
     report: RecoveryReport,
     /// Rows delivered to any sink, keyed by generation.
-    delivered: HashMap<u32, Vec<[u8; ROW]>>,
+    delivered: Collector<u32>,
     snapshot: String,
     trace: String,
 }
 
 fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolicy) -> ChaosRun {
-    let config = chaos_config(algorithm, plan);
+    let config = small_config(algorithm, Some(plan));
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let delivered = Collector::default();
     let d = delivered.clone();
     let report = run_shuffle_with_recovery(
         &runtime,
@@ -107,22 +85,14 @@ fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolic
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
+        move |generation, _, _, batch| d.push(generation, batch),
     );
     runtime.cluster().run();
     let obs = runtime.obs();
     let report = report.lock().clone();
     ChaosRun {
         report,
-        delivered: Arc::try_unwrap(delivered)
-            .map(|m| m.into_inner())
-            .unwrap_or_default(),
+        delivered,
         snapshot: obs.snapshot_json(),
         trace: obs.chrome_trace_json(),
     }
@@ -130,16 +100,7 @@ fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolic
 
 /// Every row each node's generator will emit, cluster-wide.
 fn expected_rows() -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(node as u64, tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
+    common::expected_rows(ROWS_PER_THREAD, |node| node as u64)
 }
 
 #[test]
@@ -161,12 +122,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
             );
             // Exactly-once: the winning generation delivered precisely the
             // generated multiset — no loss, no duplication.
-            let mut got = run
-                .delivered
-                .get(&rep.generation)
-                .cloned()
-                .unwrap_or_default();
-            got.sort_unstable();
+            let got = run.delivered.sorted(&rep.generation);
             assert_eq!(
                 got.len(),
                 expected.len(),
@@ -218,10 +174,10 @@ fn unrecoverable_loss_returns_typed_error_not_a_hang() {
     // messages, so the restart budget runs out and the query must give up
     // with a typed, restart-worthy error — not hang, not panic.
     for algorithm in [ShuffleAlgorithm::MESQ_SR, ShuffleAlgorithm::SESQ_SR] {
-        let mut config = chaos_config(algorithm, FaultPlan::new());
+        let mut config = small_config(algorithm, Some(FaultPlan::new()));
         config.faults.ud_drop_probability = 0.35;
         let runtime = config.build_runtime(DeviceProfile::edr());
-        let policy = restart_policy(2, us(200));
+        let policy = restart_policy(2);
         let report = run_shuffle_with_recovery(
             &runtime,
             &config,
@@ -252,9 +208,9 @@ fn marathon_receiver_pause_exhausts_restart_budget() {
     // send/receive design sees RNR retries exhaust on each attempt and
     // must hand back the final typed error.
     let plan = FaultPlan::new().receiver_pause(1, us(10), SimDuration::from_millis(40));
-    let config = chaos_config(ShuffleAlgorithm::MEMQ_SR, plan);
+    let config = small_config(ShuffleAlgorithm::MEMQ_SR, Some(plan));
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let policy = restart_policy(1, us(200));
+    let policy = restart_policy(1);
     let report = run_shuffle_with_recovery(
         &runtime,
         &config,

@@ -11,27 +11,21 @@
 //! healthy run the invariant auditor must agree with a completely empty
 //! violation log.
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use common::{expected_rows, small_config, us, Collector, ROW, THREADS};
 use rshuffle_repro::audit::AuditViolation;
 use rshuffle_repro::engine::{
     run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
 };
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::rshuffle::{Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
-use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
+use rshuffle_repro::simnet::DeviceProfile;
+use rshuffle_repro::verbs::FaultPlan;
 
-const NODES: usize = 3;
-const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
-const ROW: usize = 16;
-
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
 
 /// One run of one algorithm: the query report, the rows the winning
 /// generation delivered (sorted), and the auditor's final verdict.
@@ -41,28 +35,15 @@ struct ConformanceRun {
     violations: Vec<AuditViolation>,
 }
 
-fn conformance_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConfig {
-    let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-    config.message_size = 4096;
-    config.stall_timeout = SimDuration::from_millis(2);
-    config.depleted_timeout = us(500);
-    config.faults = FaultConfig {
-        seed: 42,
-        plan,
-        ..FaultConfig::default()
-    };
-    config
-}
-
 /// Runs `algorithm` under `plan` with the paper's restart-only
 /// semantics (the partial rungs have their own suite, `tests/recovery.rs`).
 fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_full_restarts: u32) -> ConformanceRun {
-    let config = conformance_config(algorithm, plan);
+    let config = small_config(algorithm, Some(plan));
     let runtime = config.build_runtime(DeviceProfile::edr());
     // Install the auditor explicitly so the harness exercises it even
     // when the `audit` cargo feature (auto-install) is off.
     let auditor = runtime.enable_audit();
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let delivered = Collector::default();
     let d = delivered.clone();
     let report = run_shuffle_with_recovery(
         &runtime,
@@ -70,50 +51,23 @@ fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_full_restar
         RecoveryPolicy {
             max_partial_retries: 0,
             max_full_restarts,
-            initial_backoff: us(50),
-            max_backoff: SimDuration::from_millis(1),
             ..RecoveryPolicy::default()
         },
         ROW,
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
+        move |generation, _, _, batch| d.push(generation, batch),
     );
     runtime.cluster().run();
     let report = report.lock().clone();
     let violations = auditor.finalize(report.succeeded());
-    let mut delivered = delivered
-        .lock()
-        .get(&report.generation)
-        .cloned()
-        .unwrap_or_default();
-    delivered.sort_unstable();
+    let delivered = delivered.sorted(&report.generation);
     ConformanceRun {
         report,
         delivered,
         violations,
     }
-}
-
-/// Every row each node's generator will emit, cluster-wide, sorted.
-fn expected_rows() -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(node as u64, tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
 }
 
 /// Healthy fabric: all six paper algorithms plus the two §7 RDMA Write
@@ -122,7 +76,7 @@ fn expected_rows() -> Vec<[u8; ROW]> {
 /// find nothing.
 #[test]
 fn all_algorithms_agree_on_a_healthy_fabric() {
-    let expected = expected_rows();
+    let expected = expected_rows(ROWS_PER_THREAD, |node| node as u64);
     let wr_variants = ["MEMQ/WR", "SEMQ/WR"]
         .map(|n| ShuffleAlgorithm::parse(n).expect("WR variant parses"));
     for algorithm in ShuffleAlgorithm::ALL.into_iter().chain(wr_variants) {
@@ -155,7 +109,7 @@ fn all_algorithms_agree_on_a_healthy_fabric() {
 /// their recovery paths differ wildly.
 #[test]
 fn all_algorithms_agree_under_fault_plans() {
-    let expected = expected_rows();
+    let expected = expected_rows(ROWS_PER_THREAD, |node| node as u64);
     let plans: Vec<(&str, FaultPlan)> = vec![
         ("link-flap", FaultPlan::new().link_flap(1, us(10), us(150))),
         (
@@ -200,20 +154,6 @@ fn query_seed(query: u32, node: usize) -> u64 {
     node as u64 ^ ((query as u64 + 1) << 32)
 }
 
-/// Every row `query`'s generators emit cluster-wide, sorted.
-fn expected_rows_for_query(query: u32) -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(query_seed(query, node), tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
-}
-
 /// Two queries on the same fabric, for every algorithm: each query's
 /// winning generation must deliver exactly its own generator's multiset
 /// (no loss, no duplication, no cross-query leakage), the protocol
@@ -225,12 +165,11 @@ fn two_queries_share_the_fabric_cleanly() {
     for algorithm in ShuffleAlgorithm::ALL {
         let mut artifacts = Vec::new();
         for rep in 0..2 {
-            let config = conformance_config(algorithm, FaultPlan::new());
+            let config = small_config(algorithm, Some(FaultPlan::new()));
             let runtime = config.build_runtime(DeviceProfile::edr());
             let auditor = runtime.enable_audit();
             let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
-            type PerGeneration = HashMap<(u32, u32), Vec<[u8; ROW]>>;
-            let delivered: Arc<Mutex<PerGeneration>> = Arc::new(Mutex::new(HashMap::new()));
+            let delivered = Collector::default();
             let d = delivered.clone();
             let handles = run_workload(
                 &runtime,
@@ -246,13 +185,7 @@ fn two_queries_share_the_fabric_cleanly() {
                         query_seed(query, node),
                     )) as Arc<dyn Operator>
                 },
-                move |query, generation, _, _, batch| {
-                    let mut map = d.lock();
-                    let rows = map.entry((query, generation)).or_default();
-                    for row in batch.iter() {
-                        rows.push(row.try_into().expect("16-byte row"));
-                    }
-                },
+                move |query, generation, _, _, batch| d.push((query, generation), batch),
             );
             runtime.cluster().run();
             for h in &handles {
@@ -263,15 +196,10 @@ fn two_queries_share_the_fabric_cleanly() {
                     h.query,
                     report.failure
                 );
-                let mut rows = delivered
-                    .lock()
-                    .get(&(h.query, report.generation))
-                    .cloned()
-                    .unwrap_or_default();
-                rows.sort_unstable();
+                let rows = delivered.sorted(&(h.query, report.generation));
                 assert_eq!(
                     rows,
-                    expected_rows_for_query(h.query),
+                    expected_rows(ROWS_PER_THREAD, |node| query_seed(h.query, node)),
                     "{algorithm} rep {rep} query {}: delivered multiset diverges \
                      from its own generator",
                     h.query
@@ -302,7 +230,7 @@ fn auditor_is_invisible_to_virtual_time() {
         let mut snapshots = Vec::new();
         let mut traces = Vec::new();
         for enable in [false, true] {
-            let config = conformance_config(algorithm, FaultPlan::new());
+            let config = small_config(algorithm, Some(FaultPlan::new()));
             let runtime = config.build_runtime(DeviceProfile::edr());
             if enable {
                 runtime.enable_audit();
@@ -313,8 +241,6 @@ fn auditor_is_invisible_to_virtual_time() {
                 RecoveryPolicy {
                     max_partial_retries: 0,
                     max_full_restarts: 0,
-                    initial_backoff: us(50),
-                    max_backoff: us(500),
                     ..RecoveryPolicy::default()
                 },
                 ROW,

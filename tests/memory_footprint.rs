@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
-use rshuffle_repro::simnet::{DeviceProfile, FlowId};
+use rshuffle_repro::simnet::{DeviceProfile, FlowId, UD_MTU};
 use rshuffle_repro::verbs::VerbsRuntime;
 
 const THREADS: usize = 2;
@@ -141,12 +141,11 @@ fn mesq_sr_resident_backing_follows_live_windows() {
         // 18 datagrams per thread and destination: every send window is
         // used eight times over.
         let runtime = run_mesq_sr(&config, 32 << 10);
-        let mtu = runtime.profile().mtu;
         let live_windows = THREADS * (config.ud_send_buffers + config.ud_recv_window * (NODES - 1));
         for node in 0..NODES {
             let peak = runtime.resident_bytes_peak(node);
             assert!(
-                0 < peak && peak <= live_windows * mtu,
+                0 < peak && peak <= live_windows * UD_MTU,
                 "node {node}: {peak} resident bytes against {live_windows} live windows"
             );
             assert!(peak * 2 < runtime.registered_bytes_peak(node));

@@ -54,8 +54,6 @@ fn run_sabotaged(algorithm: ShuffleAlgorithm, s: Sabotage) -> SabotagedRun {
         RecoveryPolicy {
             max_partial_retries: 0,
             max_full_restarts: 0,
-            initial_backoff: SimDuration::from_micros(50),
-            max_backoff: SimDuration::from_micros(500),
             ..RecoveryPolicy::default()
         },
         ROW,

@@ -14,20 +14,19 @@
 //!   fewer physical QPs than the natural wiring plus a nonzero
 //!   lease-wait count.
 
+mod common;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use common::{small_config, Collector, NODES, ROW, THREADS};
 use rshuffle_repro::engine::{drive_to_sink, Generator};
 use rshuffle_repro::mux::MuxConfig;
 use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
+    CostModel, Exchange, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
 };
 use rshuffle_repro::simnet::DeviceProfile;
 
-const NODES: usize = 3;
-const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
-const ROW: usize = 16;
 
 struct MuxRun {
     snapshot: String,
@@ -42,14 +41,13 @@ struct MuxRun {
 /// Runs one small repartition with an optional mux configuration and
 /// returns everything the contracts compare.
 fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> MuxRun {
-    let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-    config.message_size = 4096;
+    let mut config = small_config(algorithm, None);
     config.mux = mux;
     let runtime = config.build_runtime(DeviceProfile::edr());
     let auditor = runtime.enable_audit();
     let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
     let cost = CostModel::from_profile(runtime.profile());
-    let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
+    let delivered = Collector::default();
     let mut stats = Vec::new();
     for node in 0..NODES {
         let source = Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64));
@@ -82,12 +80,7 @@ fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> MuxRun {
             &format!("r{node}"),
             receive,
             THREADS,
-            move |_, batch| {
-                let mut rows = d.lock();
-                for row in batch.iter() {
-                    rows.push(row.try_into().expect("16-byte row"));
-                }
-            },
+            move |_, batch| d.push((), batch),
         ));
     }
     runtime.cluster().run();
@@ -103,10 +96,7 @@ fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> MuxRun {
         .mux
         .as_ref()
         .map_or((0, 0, 0), |m| (m.qp_count(), m.natural_qps(), m.lease_waits()));
-    let mut delivered = Arc::try_unwrap(delivered)
-        .expect("all workers joined")
-        .into_inner();
-    delivered.sort_unstable();
+    let delivered = delivered.sorted(&());
     MuxRun {
         snapshot: runtime.obs().snapshot_json(),
         end_ns: runtime.kernel().now().as_nanos(),
@@ -118,16 +108,7 @@ fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> MuxRun {
 
 /// Every row the generators emit, cluster-wide, sorted.
 fn expected_rows() -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(node as u64, tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
+    common::expected_rows(ROWS_PER_THREAD, |node| node as u64)
 }
 
 /// A cap at or above every design's natural per-pair QP count must be

@@ -15,24 +15,21 @@
 //!   with exactly-once delivery in the winning generation (the runner's
 //!   abort path must fail peers fast instead of hanging the barrier).
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use common::{small_config, us, Collector, NODES, ROW, THREADS};
 use rshuffle_repro::engine::{
     drive_to_sink, run_shuffle_with_recovery, Generator, RecoveryPolicy,
 };
 use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, Operator, PhasePolicy, ReceiveOperator, ShuffleAlgorithm,
-    ShuffleOperator,
+    CostModel, Exchange, Operator, PhasePolicy, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
 };
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
-use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
+use rshuffle_repro::simnet::DeviceProfile;
+use rshuffle_repro::verbs::FaultPlan;
 
-const NODES: usize = 3;
-const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
-const ROW: usize = 16;
 
 struct PhaseRun {
     snapshot: String,
@@ -48,15 +45,14 @@ fn run_phase(
     policy: PhasePolicy,
     bytes: Option<Vec<Vec<u64>>>,
 ) -> PhaseRun {
-    let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-    config.message_size = 4096;
+    let mut config = small_config(algorithm, None);
     config.phase = policy;
     config.phase_bytes = bytes.map(Arc::new);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let auditor = runtime.enable_audit();
     let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
     let cost = CostModel::from_profile(runtime.profile());
-    let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
+    let delivered = Collector::default();
     let mut stats = Vec::new();
     for node in 0..NODES {
         let source = Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64));
@@ -92,12 +88,7 @@ fn run_phase(
             &format!("r{node}"),
             receive,
             THREADS,
-            move |_, batch| {
-                let mut rows = d.lock();
-                for row in batch.iter() {
-                    rows.push(row.try_into().expect("16-byte row"));
-                }
-            },
+            move |_, batch| d.push((), batch),
         ));
     }
     runtime.cluster().run();
@@ -109,10 +100,7 @@ fn run_phase(
         );
     }
     let violations = auditor.finalize(true).len();
-    let mut delivered = Arc::try_unwrap(delivered)
-        .expect("all workers joined")
-        .into_inner();
-    delivered.sort_unstable();
+    let delivered = delivered.sorted(&());
     PhaseRun {
         snapshot: runtime.obs().snapshot_json(),
         end_ns: runtime.kernel().now().as_nanos(),
@@ -123,16 +111,7 @@ fn run_phase(
 
 /// Every row the generators emit, cluster-wide, sorted.
 fn expected_rows() -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(node as u64, tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
+    common::expected_rows(ROWS_PER_THREAD, |node| node as u64)
 }
 
 fn all_with_wr() -> Vec<ShuffleAlgorithm> {
@@ -206,10 +185,6 @@ fn skew_aware_estimate_preserves_delivery() {
     assert_eq!(run.violations, 0, "auditor under skewed estimate");
 }
 
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
-
 /// Phased chaos: under the PR 2 fault plans the query must still
 /// terminate (abort propagates through the barrier instead of hanging)
 /// and the winning attempt must deliver every row exactly once.
@@ -226,19 +201,10 @@ fn phased_chaos_plans_stay_exactly_once() {
     let expected = expected_rows();
     for (plan_name, plan) in plans {
         for algorithm in ShuffleAlgorithm::ALL {
-            let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-            config.message_size = 4096;
+            let mut config = small_config(algorithm, Some(plan.clone()));
             config.phase = PhasePolicy::Naive;
-            config.stall_timeout = SimDuration::from_millis(2);
-            config.depleted_timeout = us(500);
-            config.faults = FaultConfig {
-                seed: 42,
-                plan: plan.clone(),
-                ..FaultConfig::default()
-            };
             let runtime = config.build_runtime(DeviceProfile::edr());
-            let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> =
-                Arc::new(Mutex::new(HashMap::new()));
+            let delivered = Collector::default();
             let d = delivered.clone();
             let report = run_shuffle_with_recovery(
                 &runtime,
@@ -246,8 +212,6 @@ fn phased_chaos_plans_stay_exactly_once() {
                 RecoveryPolicy {
                     max_partial_retries: 0,
                     max_full_restarts: 6,
-                    initial_backoff: us(50),
-                    max_backoff: SimDuration::from_millis(1),
                     ..RecoveryPolicy::default()
                 },
                 ROW,
@@ -255,13 +219,7 @@ fn phased_chaos_plans_stay_exactly_once() {
                     Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
                         as Arc<dyn Operator>
                 },
-                move |generation, _, _, batch| {
-                    let mut map = d.lock();
-                    let rows = map.entry(generation).or_default();
-                    for row in batch.iter() {
-                        rows.push(row.try_into().expect("16-byte row"));
-                    }
-                },
+                move |generation, _, _, batch| d.push(generation, batch),
             );
             runtime.cluster().run();
             let rep = report.lock().clone();
@@ -271,12 +229,7 @@ fn phased_chaos_plans_stay_exactly_once() {
                 rep.full_restarts,
                 rep.failure
             );
-            let map = Arc::try_unwrap(delivered)
-                .map(|m| m.into_inner())
-                .unwrap_or_default();
-            let winning = rep.generation;
-            let mut rows = map.get(&winning).cloned().unwrap_or_default();
-            rows.sort_unstable();
+            let rows = delivered.sorted(&rep.generation);
             assert_eq!(
                 rows,
                 expected,

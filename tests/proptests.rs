@@ -472,8 +472,6 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
             RecoveryPolicy {
                 max_partial_retries: 0,
                 max_full_restarts: 3,
-                initial_backoff: us(50),
-                max_backoff: us(500),
                 ..RecoveryPolicy::default()
             },
             16,

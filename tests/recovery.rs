@@ -12,10 +12,11 @@
 //! surface a typed [`ShuffleError::RetryBudgetExhausted`] — never a
 //! hang.
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use common::{small_config, us, Collector, NODES, ROW, THREADS};
 use rshuffle_repro::engine::{
     run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
 };
@@ -23,31 +24,16 @@ use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, Shuff
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::simnet::FlowId;
-use rshuffle_repro::verbs::{FaultConfig, FaultPlan, QpScope};
+use rshuffle_repro::verbs::{FaultPlan, QpScope};
 
-const NODES: usize = 3;
-const THREADS: usize = 2;
 // Larger than the chaos suite's workload: healthy queries finish in
 // 13–32 µs of virtual time at 1000 rows/thread, which a fault window
 // opening at 20 µs would miss entirely for the fast SR designs. At
 // 4000 rows every algorithm is mid-flight when the outage lands.
 const ROWS_PER_THREAD: usize = 4000;
-const ROW: usize = 16;
-
-fn us(v: u64) -> SimDuration {
-    SimDuration::from_micros(v)
-}
 
 fn recovery_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConfig {
-    let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
-    config.message_size = 4096;
-    config.stall_timeout = SimDuration::from_millis(2);
-    config.depleted_timeout = us(500);
-    config.faults = FaultConfig {
-        seed: 42,
-        plan,
-        ..FaultConfig::default()
-    };
+    let mut config = small_config(algorithm, Some(plan));
     // Tag the query's memory so the orchestrator's per-attempt release
     // is observable: after the run, every node's registered bytes must
     // be back to zero however many rebuilds recovery took.
@@ -79,7 +65,7 @@ fn full_only_policy() -> RecoveryPolicy {
 struct RecoveryRun {
     report: RecoveryReport,
     /// Rows delivered to any sink, keyed by generation.
-    delivered: HashMap<u32, Vec<[u8; ROW]>>,
+    delivered: Collector<u32>,
     snapshot: String,
     trace: String,
     violations: usize,
@@ -93,7 +79,7 @@ fn run_recovery(
     let config = recovery_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let auditor = runtime.enable_audit();
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let delivered = Collector::default();
     let d = delivered.clone();
     let report = run_shuffle_with_recovery(
         &runtime,
@@ -103,13 +89,7 @@ fn run_recovery(
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
+        move |generation, _, _, batch| d.push(generation, batch),
     );
     runtime.cluster().run();
     let obs = runtime.obs();
@@ -133,9 +113,7 @@ fn run_recovery(
     }
     RecoveryRun {
         report,
-        delivered: Arc::try_unwrap(delivered)
-            .map(|m| m.into_inner())
-            .unwrap_or_default(),
+        delivered,
         snapshot: obs.snapshot_json(),
         trace: obs.chrome_trace_json(),
         violations,
@@ -144,16 +122,7 @@ fn run_recovery(
 
 /// Every row each node's generator will emit, cluster-wide.
 fn expected_rows() -> Vec<[u8; ROW]> {
-    let mut rows = Vec::with_capacity(NODES * THREADS * ROWS_PER_THREAD);
-    for node in 0..NODES {
-        for tid in 0..THREADS {
-            for seq in 0..ROWS_PER_THREAD {
-                rows.push(Generator::row(node as u64, tid, seq));
-            }
-        }
-    }
-    rows.sort_unstable();
-    rows
+    common::expected_rows(ROWS_PER_THREAD, |node| node as u64)
 }
 
 /// A transient QP outage on node 1 killing every Queue Pair built while
@@ -165,12 +134,7 @@ fn qp_outage() -> FaultPlan {
 
 fn assert_exactly_once(run: &RecoveryRun, label: &str) {
     let expected = expected_rows();
-    let mut got = run
-        .delivered
-        .get(&run.report.generation)
-        .cloned()
-        .unwrap_or_default();
-    got.sort_unstable();
+    let got = run.delivered.sorted(&run.report.generation);
     assert_eq!(
         got.len(),
         expected.len(),
@@ -330,7 +294,6 @@ fn exhausted_budgets_surface_typed_error_not_a_hang() {
             reconnect_budget: 3,
             allow_degradation,
             max_full_restarts,
-            ..RecoveryPolicy::default()
         };
         let run = run_recovery(ShuffleAlgorithm::MEMQ_SR, plan, policy);
         let failure = run
@@ -367,7 +330,7 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
     let config = recovery_config(ShuffleAlgorithm::MEMQ_SR, qp_outage());
     let runtime = config.build_runtime(DeviceProfile::edr());
     let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let delivered = Collector::default();
     let d = delivered.clone();
     let mut spec = QuerySpec::new(1, config.clone(), ROW);
     spec.policy = partial_policy();
@@ -378,13 +341,7 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
         |_, _, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |_, generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
+        move |_, generation, _, _, batch| d.push(generation, batch),
     );
     runtime.cluster().run();
     let report = handles[0].report.lock().clone();
@@ -397,8 +354,7 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
         report.partial_retries + 1,
         "one admission per exchange build"
     );
-    let mut got = delivered.lock().get(&0).cloned().unwrap_or_default();
-    got.sort_unstable();
+    let got = delivered.sorted(&0);
     assert_eq!(got, expected_rows(), "generation 0 holds every row exactly once");
     for node in 0..NODES {
         assert!(
