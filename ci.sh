@@ -53,7 +53,10 @@ fi
 # window) across all six algorithms; fails unless every query recovers
 # with exactly-once row delivery, and the partial-recovery plan is
 # contained without a full restart.
-cargo run -q --release -p rshuffle-bench --bin chaos $CARGO_FLAGS -- --smoke
+bench_bin() {
+  cargo run -q --release -p rshuffle-bench --bin "$1" $CARGO_FLAGS -- "${@:2}"
+}
+bench_bin bench chaos --smoke
 
 # One host thread: simulated threads are fibers (crates/simnet/src/fiber.rs).
 # An OS thread per simulated thread must not come back through a side door.
@@ -62,18 +65,18 @@ if grep -rn 'thread::Builder\|thread::spawn' crates/simnet/src; then
   exit 1
 fi
 
-# Concurrency smoke: 1 and 2 co-running queries per algorithm through the
-# admission scheduler; fails unless queries genuinely overlap in virtual
-# time and the registered-memory budget holds on every node.
-cargo run -q --release -p rshuffle-bench --bin concurrency $CARGO_FLAGS -- --smoke
-
-# Perf-trajectory gates, one row each: regenerate a deterministic smoke
-# session and compare it against the committed baseline; any gated metric
-# (latency up, throughput down) past the 10% tolerance fails the build,
-# naming the gate. Where the last column says so the gate then checks
-# itself: the same candidate with an injected 2x slowdown must be caught,
-# or the gate is dead weight.
-#   smoke    — perfdiff's own session (concurrency + message-size smoke).
+# Perf-trajectory gates, one row each: `bench <experiments> --smoke --emit`
+# runs the deterministic smoke configuration of each experiment — which
+# checks its own invariants and exits non-zero when one breaks — and
+# perfdiff compares the report against the committed baseline; any gated
+# metric (latency up, throughput down) past the 10% tolerance fails the
+# build, naming the gate. Where the last column says so the gate then
+# checks itself: the same candidate with an injected 2x slowdown must be
+# caught, or the gate is dead weight.
+#   smoke    — the concurrency matrix (1 and 2 co-running queries per
+#              algorithm through the admission scheduler: queries must
+#              genuinely overlap in virtual time and the registered-memory
+#              budget must hold on every node) and the message-size smoke.
 #   scale    — the 32-node crossover-pair sweep over the fat-tree fabric,
 #              with and without the QP cap, on its deterministic
 #              virtual-time metrics (qp_count and lease waits ride along
@@ -81,33 +84,29 @@ cargo run -q --release -p rshuffle-bench --bin concurrency $CARGO_FLAGS -- --smo
 #   adaptive — the phased-vs-unphased sweep (N = 128/256 under Zipf skew on
 #              the congested fat tree — phased MESQ/SR must stay strictly
 #              faster) and the advisor-vs-oracle matrix (picks within the
-#              acceptance band on >= 90% of rows). The binary enforces both
-#              itself; perfdiff pins the actual numbers.
-# gate | baseline | binary emitting the candidate ("-": perfdiff's own) | self-check
+#              acceptance band on >= 90% of rows). The experiment enforces
+#              both itself; perfdiff pins the actual numbers.
+#   figures  — the paper's figures and the ablations: each sweep's first
+#              and last x at 4 MiB/node, TPC-H at SF 0.01/node.
+# gate | baseline | experiments emitting the candidate | self-check
 PERF_GATES=(
-  "smoke    BENCH_0008.json       -        yes"
-  "scale    BENCH_SCALE_0010.json scale    no"
-  "adaptive BENCH_0010.json       adaptive yes"
+  "smoke    BENCH_0008.json       concurrency,fig09_msgsize yes"
+  "scale    BENCH_SCALE_0010.json scale                     no"
+  "adaptive BENCH_0010.json       adaptive                  yes"
+  "figures  BENCH_FIGS_0018.json  fig08_credit,fig10_scaleout,fig11_qps,fig12_setup,fig13_compute,fig14_tpch,ablate_write,ablate_multicast,ablate_zerocopy no"
 )
 PERF_TMP=$(mktemp -d /tmp/rshuffle-perf.XXXXXX)
 trap 'rm -rf "$PERF_TMP"' EXIT
-bench_bin() {
-  cargo run -q --release -p rshuffle-bench --bin "$1" $CARGO_FLAGS -- "${@:2}"
-}
 perf_gate() {
-  local gate=$1 baseline=$2 producer=$3 selfcheck=$4 cand="$PERF_TMP/$1.json"
-  local against=(--against "$baseline" --tolerance-pct 10)
-  if [ "$producer" = - ]; then
-    bench_bin perfdiff "${against[@]}" --save-candidate "$cand"
-  else
-    bench_bin "$producer" --smoke --emit "$cand" >/dev/null &&
-      bench_bin perfdiff "${against[@]}" --candidate "$cand"
-  fi || {
+  local gate=$1 baseline=$2 experiments=$3 selfcheck=$4 cand="$PERF_TMP/$1.json"
+  local diff=(perfdiff --against "$baseline" --tolerance-pct 10 --candidate "$cand")
+  bench_bin bench ${experiments//,/ } --smoke --emit "$cand" >/dev/null &&
+    bench_bin "${diff[@]}" || {
     echo "ERROR: perf gate '$gate' failed against $baseline" >&2
     exit 1
   }
   if [ "$selfcheck" = yes ] &&
-    bench_bin perfdiff "${against[@]}" --candidate "$cand" --scale-latency 2 >/dev/null 2>&1; then
+    bench_bin "${diff[@]}" --scale-latency 2 >/dev/null 2>&1; then
     echo "ERROR: perf gate '$gate': perfdiff failed to catch an injected 2x regression" >&2
     exit 1
   fi

@@ -130,65 +130,39 @@ impl ReceiveEndpoint for IpoibReceiveEndpoint {
     }
 }
 
-/// A cluster-wide IPoIB exchange: one socket pair per node pair, a shared
-/// kernel stack per node.
-pub struct IpoibExchange {
-    /// `send[node]`.
-    pub send: Vec<Option<Arc<dyn SendEndpoint>>>,
-    /// `recv[node]`.
-    pub recv: Vec<Option<Arc<dyn ReceiveEndpoint>>>,
-    /// Per-node transmission groups.
-    pub groups: Vec<TransmissionGroups>,
-}
-
-impl IpoibExchange {
-    /// Builds the exchange for the given per-node groups.
-    pub fn build(
-        runtime: &Arc<VerbsRuntime>,
-        groups: Vec<TransmissionGroups>,
-        message_size: usize,
-        threads: usize,
-    ) -> Result<IpoibExchange> {
-        let nodes = runtime.cluster().nodes();
-        assert_eq!(groups.len(), nodes, "one group set per node");
-        let profile = runtime.profile();
-        // One socket pair per node pair is the SEMQ/SR design; the socket
-        // buffers serve every thread of the process, and TCP acknowledges
-        // (here: writes credit back for) every segment.
-        let mut config =
-            ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
-        config.message_size = message_size;
-        config.buffers_per_peer = 2;
-        config.recv_depth_per_peer = 8;
-        config.credit_writeback_frequency = 1;
-        let exchange = Exchange::build(runtime, &config)?;
-        let stacks: Vec<TcpStack> = (0..nodes)
-            .map(|_| TcpStack {
-                softirq: Arc::new(Mutex::new(Resource::new())),
-                softirq_bandwidth: profile.ipoib_bandwidth,
-            })
-            .collect();
-        Ok(IpoibExchange {
-            send: (0..nodes)
-                .map(|node| {
-                    exchange.send[node].first().map(|inner| {
-                        Arc::new(IpoibSendEndpoint {
-                            inner: inner.clone(),
-                        }) as Arc<dyn SendEndpoint>
-                    })
-                })
-                .collect(),
-            recv: (0..nodes)
-                .map(|node| {
-                    exchange.recv[node].first().map(|inner| {
-                        Arc::new(IpoibReceiveEndpoint {
-                            inner: inner.clone(),
-                            stack: stacks[node].clone(),
-                        }) as Arc<dyn ReceiveEndpoint>
-                    })
-                })
-                .collect(),
-            groups: exchange.groups,
-        })
+/// Builds a cluster-wide IPoIB exchange for the given per-node groups: one
+/// socket pair per node pair, a shared kernel stack per node.
+pub fn build(
+    runtime: &Arc<VerbsRuntime>,
+    groups: Vec<TransmissionGroups>,
+    message_size: usize,
+    threads: usize,
+) -> Result<Exchange> {
+    let nodes = runtime.cluster().nodes();
+    assert_eq!(groups.len(), nodes, "one group set per node");
+    // One socket pair per node pair is the SEMQ/SR design; the socket
+    // buffers serve every thread of the process, and TCP acknowledges
+    // (here: writes credit back for) every segment.
+    let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
+    config.message_size = message_size;
+    config.buffers_per_peer = 2;
+    config.recv_depth_per_peer = 8;
+    config.credit_writeback_frequency = 1;
+    let mut exchange = Exchange::build(runtime, &config)?;
+    for ep in exchange.send.iter_mut().flatten() {
+        *ep = Arc::new(IpoibSendEndpoint { inner: ep.clone() });
     }
+    for lanes in &mut exchange.recv {
+        let stack = TcpStack {
+            softirq: Arc::new(Mutex::new(Resource::new())),
+            softirq_bandwidth: runtime.profile().ipoib_bandwidth,
+        };
+        for ep in lanes {
+            *ep = Arc::new(IpoibReceiveEndpoint {
+                inner: ep.clone(),
+                stack: stack.clone(),
+            });
+        }
+    }
+    Ok(exchange)
 }

@@ -16,7 +16,10 @@
 //! The MPI and IPoIB baselines implement the same
 //! [`SendEndpoint`](rshuffle::SendEndpoint) /
 //! [`ReceiveEndpoint`](rshuffle::ReceiveEndpoint) traits as the six RDMA
-//! designs, so the benchmark harness drives all of them identically.
+//! designs and hand back the same [`Exchange`](rshuffle::Exchange) —
+//! [`mpi::build`] and [`ipoib::build`] wrap the endpoints of the SEMQ/SR
+//! exchange they are built on — so the benchmark harness drives all of
+//! them identically.
 
 #![warn(missing_docs)]
 
@@ -24,6 +27,4 @@ pub mod ipoib;
 pub mod mpi;
 pub mod qperf;
 
-pub use ipoib::IpoibExchange;
-pub use mpi::MpiExchange;
 pub use qperf::qperf_peak_bandwidth;

@@ -143,71 +143,48 @@ impl ReceiveEndpoint for MpiReceiveEndpoint {
     }
 }
 
-/// A cluster-wide MPI communicator: one rank per node, single logical
-/// endpoint pair per rank (the library is process-level), shared progress
-/// engine.
-pub struct MpiExchange {
-    /// `send[node]`.
-    pub send: Vec<Option<Arc<dyn SendEndpoint>>>,
-    /// `recv[node]`.
-    pub recv: Vec<Option<Arc<dyn ReceiveEndpoint>>>,
-    /// Per-node transmission groups.
-    pub groups: Vec<TransmissionGroups>,
-}
-
-impl MpiExchange {
-    /// Builds the communicator for the given per-node groups.
-    pub fn build(
-        runtime: &Arc<VerbsRuntime>,
-        groups: Vec<TransmissionGroups>,
-        message_size: usize,
-        threads: usize,
-    ) -> Result<MpiExchange> {
-        let nodes = runtime.cluster().nodes();
-        assert_eq!(groups.len(), nodes, "one group set per node");
-        let profile = runtime.profile();
-        let costs = MpiCosts {
-            per_message: profile.mpi_per_message,
-            rendezvous_rtt: profile.mpi_rendezvous_rtt,
-            memcpy_bandwidth: profile.memcpy_bandwidth,
-        };
-        // The library endpoint is the SEMQ/SR design — one endpoint per
-        // rank serving every thread of the process, so its internal pools
-        // scale with the thread count — with the library's own depths.
-        let mut config =
-            ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
-        config.message_size = message_size;
-        config.buffers_per_peer = 2;
-        config.recv_depth_per_peer = 8;
-        config.credit_writeback_frequency = 2;
-        let exchange = Exchange::build(runtime, &config)?;
-        let locks: Vec<SimMutex<()>> = (0..nodes)
-            .map(|_| SimMutex::new(runtime.kernel(), (), SimDuration::from_nanos(100)))
-            .collect();
-        Ok(MpiExchange {
-            send: (0..nodes)
-                .map(|node| {
-                    exchange.send[node].first().map(|inner| {
-                        Arc::new(MpiSendEndpoint {
-                            inner: inner.clone(),
-                            progress: locks[node].clone(),
-                            costs: costs.clone(),
-                        }) as Arc<dyn SendEndpoint>
-                    })
-                })
-                .collect(),
-            recv: (0..nodes)
-                .map(|node| {
-                    exchange.recv[node].first().map(|inner| {
-                        Arc::new(MpiReceiveEndpoint {
-                            inner: inner.clone(),
-                            progress: locks[node].clone(),
-                            costs: costs.clone(),
-                        }) as Arc<dyn ReceiveEndpoint>
-                    })
-                })
-                .collect(),
-            groups: exchange.groups,
-        })
+/// Builds a cluster-wide MPI communicator for the given per-node groups:
+/// one rank per node, a single logical endpoint pair per rank (the library
+/// is process-level) behind the rank's shared progress engine.
+pub fn build(
+    runtime: &Arc<VerbsRuntime>,
+    groups: Vec<TransmissionGroups>,
+    message_size: usize,
+    threads: usize,
+) -> Result<Exchange> {
+    let nodes = runtime.cluster().nodes();
+    assert_eq!(groups.len(), nodes, "one group set per node");
+    let profile = runtime.profile();
+    let costs = MpiCosts {
+        per_message: profile.mpi_per_message,
+        rendezvous_rtt: profile.mpi_rendezvous_rtt,
+        memcpy_bandwidth: profile.memcpy_bandwidth,
+    };
+    // The library endpoint is the SEMQ/SR design — one endpoint per
+    // rank serving every thread of the process, so its internal pools
+    // scale with the thread count — with the library's own depths.
+    let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
+    config.message_size = message_size;
+    config.buffers_per_peer = 2;
+    config.recv_depth_per_peer = 8;
+    config.credit_writeback_frequency = 2;
+    let mut exchange = Exchange::build(runtime, &config)?;
+    for node in 0..nodes {
+        let progress = SimMutex::new(runtime.kernel(), (), SimDuration::from_nanos(100));
+        for ep in &mut exchange.send[node] {
+            *ep = Arc::new(MpiSendEndpoint {
+                inner: ep.clone(),
+                progress: progress.clone(),
+                costs: costs.clone(),
+            });
+        }
+        for ep in &mut exchange.recv[node] {
+            *ep = Arc::new(MpiReceiveEndpoint {
+                inner: ep.clone(),
+                progress: progress.clone(),
+                costs: costs.clone(),
+            });
+        }
     }
+    Ok(exchange)
 }

@@ -3,7 +3,8 @@
 //! transport. Not a paper figure.
 //!
 //! Usage: `diag [ALGORITHM] [NODES] [TRACE_PATH] [FAULT]`
-//! (defaults: `MESQ_SR 8 trace.json` with no injected fault).
+//! (defaults: `MESQ/SR 8 trace.json` with no injected fault); the run is
+//! the §5.1 workload exactly as `shufflebench` and the figures run it.
 //! `diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]` dumps the
 //! fabric layout; `diag --phases [NODES] [POLICY] [THETA]` dumps a
 //! phase schedule (per-phase byte totals, exempted sources) together
@@ -12,7 +13,7 @@
 //! `link-degrade` or `straggler`) whose injection markers then appear on
 //! the hardware track of the exported trace; the active plan is echoed
 //! in the header. Faults needing the recovery orchestrator (QP failures,
-//! UD bursts) belong to the `chaos` binary instead.
+//! UD bursts) belong to `bench chaos` instead.
 //!
 //! The trace file is in the Chrome Trace Event Format: open it at
 //! `chrome://tracing` or <https://ui.perfetto.dev> (drag-and-drop the
@@ -22,15 +23,20 @@
 //! stalls, completions and fragment spans on their own tracks.
 
 use rshuffle::{AdvisorSignals, AlgorithmAdvisor, PhasePolicy, PhaseSchedule, ShuffleAlgorithm};
+use rshuffle_bench::cli::{or_usage, transport, value, Args};
 use rshuffle_bench::skew::{skew_ratio, zipf_partition_rows};
-use rshuffle_bench::{Transport, WorkloadConfig};
+use rshuffle_bench::workload::ROW_BYTES;
+use rshuffle_bench::{run_shuffle_workload, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, Topology};
 use rshuffle_verbs::FaultPlan;
 
+const USAGE: &str = "diag [ALGORITHM] [NODES] [TRACE_PATH] [link-flap|link-degrade|straggler]
+       diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]
+       diag --phases [NODES] [off|naive|skew-aware] [THETA]";
+
 /// Canned fault plans selectable by name. Diagnostic runs drive the
-/// exchange directly, without the `run_shuffle_with_recovery`
-/// coordinator, so only faults the transports ride out in-place are
-/// offered here.
+/// exchange without the `run_shuffle_with_recovery` coordinator, so only
+/// faults the transports ride out in-place are offered here.
 fn canned_plan(name: &str) -> Option<FaultPlan> {
     let us = SimDuration::from_micros;
     match name {
@@ -45,28 +51,17 @@ fn canned_plan(name: &str) -> Option<FaultPlan> {
 /// exchange would follow for a Zipf-skewed repartition of that size and
 /// dump it round by round, then show how the advisor reads the same
 /// shape. No workload runs.
-fn dump_phases(args: &[String]) {
-    let nodes: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let policy = args
-        .get(1)
-        .and_then(|s| PhasePolicy::parse(s))
-        .unwrap_or(PhasePolicy::SkewAware);
-    let theta: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.5);
+fn dump_phases(mut args: Args) -> Result<(), String> {
+    let nodes: usize = args.positional("NODES", value)?.unwrap_or(16);
+    let policy = args.positional("POLICY", PhasePolicy::parse)?;
+    let policy = policy.unwrap_or(PhasePolicy::SkewAware);
+    let theta: f64 = args.positional("THETA", value)?.unwrap_or(0.5);
+    args.finish()?;
     let bytes_per_node = 8usize << 20;
-    let totals = zipf_partition_rows(
-        (nodes * bytes_per_node / 16) as u64,
-        nodes,
-        theta,
-        0x5CA1E,
-    );
+    let totals = zipf_partition_rows((nodes * bytes_per_node / 16) as u64, nodes, theta, 0x5CA1E);
     let matrix = PhaseSchedule::estimate_from_source_totals(&totals);
-    let schedule = match PhaseSchedule::build(policy, &matrix) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot build schedule: {e}");
-            std::process::exit(2);
-        }
-    };
+    let schedule =
+        PhaseSchedule::build(policy, &matrix).map_err(|e| format!("cannot build schedule: {e}"))?;
     println!(
         "{} schedule, N={nodes}, Zipf θ={theta} (row estimates in 16-byte rows):",
         policy.label()
@@ -109,53 +104,53 @@ fn dump_phases(args: &[String]) {
     let advice = AlgorithmAdvisor::advise(&signals);
     println!("--- advisor decision table ---");
     print!("{}", AlgorithmAdvisor::table(&signals, &advice));
+    Ok(())
+}
+
+/// `diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]`: dump the simulated
+/// fabric layout (leaf/spine structure, per-link capacities,
+/// oversubscription) without running a workload.
+fn dump_topology(mut args: Args) -> Result<(), String> {
+    let nodes: usize = args.positional("NODES", value)?.unwrap_or(16);
+    let oversub: f64 = args.positional("OVERSUB", value)?.unwrap_or(4.0);
+    let hosts: usize = args.positional("HOSTS_PER_LEAF", value)?.unwrap_or(16);
+    args.finish()?;
+    let bandwidth = DeviceProfile::edr().payload_bandwidth;
+    println!(
+        "single-switch: {}",
+        Topology::SingleSwitch.describe(nodes, bandwidth)
+    );
+    println!(
+        "fat-tree:      {}",
+        Topology::fat_tree(hosts, oversub).describe(nodes, bandwidth)
+    );
+    Ok(())
+}
+
+/// `diag [ALGORITHM] [NODES] [TRACE_PATH] [FAULT]`: the configuration to
+/// run and where the trace goes.
+fn workload(mut args: Args) -> Result<(WorkloadConfig, String), String> {
+    let mesq = Transport::Rdma(ShuffleAlgorithm::MESQ_SR);
+    let design = args.positional("ALGORITHM", transport)?.unwrap_or(mesq);
+    let nodes: usize = args.positional("NODES", value)?.unwrap_or(8);
+    let trace_path = args.positional("TRACE_PATH", value)?;
+    let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, design);
+    if let Some(plan) = args.positional("FAULT", canned_plan)? {
+        cfg.exchange.faults.plan = plan;
+    }
+    args.finish()?;
+    Ok((cfg, trace_path.unwrap_or_else(|| "trace.json".to_string())))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).is_some_and(|a| a == "--phases") {
-        dump_phases(&args[2..]);
-        return;
+    let mut args = Args::from_env();
+    if args.flag("--phases") {
+        return or_usage(dump_phases(args), USAGE);
     }
-    if args.get(1).is_some_and(|a| a == "--topology") {
-        // `diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]`: dump the
-        // simulated fabric layout (leaf/spine structure, per-link
-        // capacities, oversubscription) without running a workload.
-        let nodes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
-        let oversub: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4.0);
-        let hosts: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(16);
-        let profile = DeviceProfile::edr();
-        println!(
-            "single-switch: {}",
-            rshuffle_simnet::Topology::SingleSwitch.describe(nodes, profile.payload_bandwidth)
-        );
-        println!(
-            "fat-tree:      {}",
-            rshuffle_simnet::Topology::fat_tree(hosts, oversub)
-                .describe(nodes, profile.payload_bandwidth)
-        );
-        return;
+    if args.flag("--topology") {
+        return or_usage(dump_topology(args), USAGE);
     }
-    let alg = args
-        .get(1)
-        .and_then(|s| ShuffleAlgorithm::parse(s))
-        .unwrap_or(ShuffleAlgorithm::MESQ_SR);
-    let nodes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let trace_path = args
-        .get(3)
-        .cloned()
-        .unwrap_or_else(|| "trace.json".to_string());
-
-    let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, Transport::Rdma(alg));
-    if let Some(name) = args.get(4) {
-        match canned_plan(name) {
-            Some(plan) => cfg.exchange.faults.plan = plan,
-            None => {
-                eprintln!("unknown fault plan {name:?}; known: link-flap, link-degrade, straggler");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (cfg, trace_path) = or_usage(workload(args), USAGE);
     if cfg.exchange.faults.plan.is_empty() {
         println!("fault plan: none");
     } else {
@@ -164,65 +159,26 @@ fn main() {
         }
     }
 
-    // Inline a copy of the workload with extra reporting.
     let threads = cfg.exchange.threads;
-    let cluster = rshuffle_simnet::Cluster::new(nodes, cfg.profile.clone());
-    let runtime = rshuffle_verbs::VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
-    let cost = rshuffle::CostModel::from_profile(runtime.profile());
-    let rows_per_thread = cfg.bytes_per_node / 16 / threads;
-    let exchange = rshuffle::Exchange::build(&runtime, &cfg.exchange).unwrap();
-    for (node, group) in cfg.exchange.groups.iter().enumerate() {
-        let gen = std::sync::Arc::new(rshuffle_engine::Generator::new(
-            rows_per_thread,
-            threads,
-            node as u64,
-        ));
-        let shuffle = std::sync::Arc::new(rshuffle::ShuffleOperator::with_lanes(
-            gen,
-            exchange.send[node].clone(),
-            group.clone(),
-            threads,
-            cost.clone(),
-        ));
-        rshuffle_engine::drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("s{node}"),
-            shuffle,
-            threads,
-            |_, _| {},
-        );
-        let recv = std::sync::Arc::new(rshuffle::ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            threads,
-            cost.clone(),
-        ));
-        rshuffle_engine::drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("r{node}"),
-            recv,
-            threads,
-            |_, _| {},
-        );
-    }
-    runtime.cluster().run();
+    let rows_per_thread = cfg.bytes_per_node / ROW_BYTES / threads;
+    let r = run_shuffle_workload(&cfg);
+    let runtime = &r.runtime;
     let t_end = runtime.kernel().now();
-    let bytes = exchange.bytes_received(0);
-    let total: u64 = (0..nodes).map(|n| exchange.bytes_received(n)).sum();
     println!(
         "total received {:.2} MiB (expected {:.2} MiB); stats {:?}",
-        total as f64 / 1048576.0,
-        (rows_per_thread * threads * 16 * nodes) as f64 / 1048576.0,
+        r.bytes_received_per_node * cfg.nodes() as f64 / 1048576.0,
+        (rows_per_thread * threads * ROW_BYTES * cfg.nodes()) as f64 / 1048576.0,
         runtime.stats()
     );
     println!(
-        "{alg}: {:.2} GiB/s per node, response {}",
-        bytes as f64 / t_end.as_secs_f64() / (1u64 << 30) as f64,
-        rshuffle_simnet::SimDuration::from_nanos(t_end.as_nanos())
+        "{}: {:.2} GiB/s per node, response {}",
+        cfg.transport,
+        r.gib_per_sec(),
+        r.response_time
     );
+    for e in &r.errors {
+        println!("worker error: {e}");
+    }
     let node = 0usize;
     println!(
         "node {node}: egress {:.1}%  ingress {:.1}%",

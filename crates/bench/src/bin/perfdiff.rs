@@ -1,117 +1,52 @@
 //! `perfdiff` — the perf-trajectory regression gate.
 //!
-//! Compares a candidate `BENCH_*.json` report against a committed
-//! baseline and fails (exit 1) when any gated metric moves past the
-//! tolerance in its bad direction: `*_ns` latencies up, throughput
-//! down. Without `--candidate`, the candidate is regenerated by running
-//! the deterministic smoke measurement session in-process — the same
-//! collectors that produced the baseline — so an unmodified tree always
-//! passes and any perf change shows up as an exact virtual-time delta.
+//! Compares a candidate `rshuffle-bench/1` report (written by
+//! `bench … --emit`) against a committed baseline and fails (exit 1)
+//! when any gated metric moves past the tolerance in its bad direction:
+//! `*_ns` latencies up, throughput down. It measures nothing itself: the
+//! simulator is deterministic, so an unmodified tree reproduces its
+//! baseline exactly and any perf change shows up as an exact
+//! virtual-time delta.
 //!
-//! ```text
-//! perfdiff --against BENCH_0008.json [--tolerance-pct 10]
-//!          [--candidate FILE] [--save-candidate FILE]
-//!          [--scale-latency X] [--record FILE] [-v]
-//! ```
-//!
-//! * `--record FILE` runs the smoke session and writes it as a new
-//!   baseline, then exits (how `BENCH_0008.json` was produced).
-//! * `--save-candidate FILE` additionally writes the regenerated
-//!   candidate, so a follow-up `--candidate FILE` run skips the
-//!   measurement (CI uses this for the self-check).
-//! * `--scale-latency X` multiplies every lower-is-better candidate
-//!   metric by `X` before comparing — a fault injection for the gate
-//!   itself: `--scale-latency 2` must always fail.
+//! `--scale-latency X` multiplies every lower-is-better candidate metric
+//! by `X` before comparing — a fault injection for the gate itself:
+//! `--scale-latency 2` must always fail.
 
-use rshuffle_bench::perf::{
-    diff_reports, smoke_report, Direction, ParsedReport,
-};
+use rshuffle_bench::cli::{or_usage, value, Args};
+use rshuffle_bench::perf::{diff_reports, Direction, ParsedReport};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: perfdiff --against BASELINE.json [--tolerance-pct P]\n\
-         \x20              [--candidate FILE] [--save-candidate FILE]\n\
-         \x20              [--scale-latency X] [--record FILE] [-v]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "perfdiff --against BASELINE.json --candidate FILE \
+                     [--tolerance-pct P] [--scale-latency X] [-v]";
+
+fn read(path: &str) -> ParsedReport {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| ParsedReport::parse(&text).map_err(|e| format!("{path}: {e}")));
+    parsed.unwrap_or_else(|e| {
+        eprintln!("perfdiff: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut against: Option<String> = None;
-    let mut candidate: Option<String> = None;
-    let mut save_candidate: Option<String> = None;
-    let mut record: Option<String> = None;
-    let mut tolerance_pct = 10.0f64;
-    let mut scale_latency = 1.0f64;
-    let mut verbose = false;
+    let status = or_usage(compare(Args::from_env()), USAGE);
+    std::process::exit(status);
+}
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--against" => against = Some(value()),
-            "--candidate" => candidate = Some(value()),
-            "--save-candidate" => save_candidate = Some(value()),
-            "--record" => record = Some(value()),
-            "--tolerance-pct" => {
-                tolerance_pct = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--scale-latency" => {
-                scale_latency = value().parse().unwrap_or_else(|_| usage());
-            }
-            "-v" | "--verbose" => verbose = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-
-    if let Some(path) = record {
-        let report = smoke_report();
-        if let Err(e) = report.write(&path) {
-            eprintln!("perfdiff: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!(
-            "perfdiff: recorded baseline {path} at commit {}",
-            report.commit
-        );
-        return;
-    }
-
-    let Some(baseline_path) = against else { usage() };
-    let baseline_text = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        eprintln!("perfdiff: cannot read {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-    let baseline = ParsedReport::parse(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("perfdiff: {baseline_path}: {e}");
-        std::process::exit(1);
-    });
-
-    let mut cand = match &candidate {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("perfdiff: cannot read {path}: {e}");
-                std::process::exit(1);
-            });
-            ParsedReport::parse(&text).unwrap_or_else(|e| {
-                eprintln!("perfdiff: {path}: {e}");
-                std::process::exit(1);
-            })
-        }
-        None => {
-            eprintln!("perfdiff: measuring candidate (deterministic smoke session)...");
-            let report = smoke_report();
-            if let Some(path) = &save_candidate {
-                if let Err(e) = report.write(path) {
-                    eprintln!("perfdiff: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            ParsedReport::parse(&report.to_json()).expect("in-process report parses")
-        }
-    };
+/// Parses the command line, compares, prints; the exit status.
+fn compare(mut args: Args) -> Result<i32, String> {
+    let against: String = args
+        .option("--against", value)?
+        .ok_or("--against is required")?;
+    let candidate: String = args
+        .option("--candidate", value)?
+        .ok_or("--candidate is required")?;
+    let tolerance_pct: f64 = args.option("--tolerance-pct", value)?.unwrap_or(10.0);
+    let scale_latency: f64 = args.option("--scale-latency", value)?.unwrap_or(1.0);
+    let verbose = args.flag("-v");
+    args.finish()?;
+    let baseline = read(&against);
+    let mut cand = read(&candidate);
 
     if scale_latency != 1.0 {
         for m in &mut cand.metrics {
@@ -123,18 +58,13 @@ fn main() {
     }
 
     let lines = diff_reports(&baseline, &cand, tolerance_pct);
-    let regressions: Vec<_> = lines.iter().filter(|l| l.regressed).collect();
+    let regressions = lines.iter().filter(|l| l.regressed).count();
     println!(
-        "perfdiff: {} metrics vs {} (commit {}), tolerance {tolerance_pct}%",
+        "perfdiff: {} metrics vs {against} (commit {}), tolerance {tolerance_pct}%",
         lines.len(),
-        baseline_path,
         baseline.commit
     );
-    for l in &lines {
-        let show = l.regressed || verbose;
-        if !show {
-            continue;
-        }
+    for l in lines.iter().filter(|l| l.regressed || verbose) {
         let marker = if l.regressed { "REGRESSED" } else { "ok" };
         match l.cand {
             Some(c) => println!(
@@ -147,13 +77,10 @@ fn main() {
             ),
         }
     }
-    if regressions.is_empty() {
+    if regressions == 0 {
         println!("perfdiff: PASS — no gated metric moved past the tolerance");
     } else {
-        println!(
-            "perfdiff: FAIL — {} regression(s) past {tolerance_pct}%",
-            regressions.len()
-        );
-        std::process::exit(1);
+        println!("perfdiff: FAIL — {regressions} regression(s) past {tolerance_pct}%");
     }
+    Ok(i32::from(regressions > 0))
 }

@@ -1,112 +1,71 @@
 //! `shufflebench` — run any single shuffle configuration from the command
-//! line and print the paper's receive-throughput metric.
-//!
-//! ```text
-//! shufflebench [--profile fdr|edr] [--nodes N] [--threads T]
-//!              [--algorithm MESQ/SR|...|mpi|ipoib] [--pattern repartition|broadcast]
-//!              [--mib M] [--msg-size BYTES] [--credit-freq F] [--lanes L]
-//!              [--compute-us X] [--drop-prob P] [--native-multicast]
-//!              [--zero-copy | --copy] [--emit BENCH.json]
-//! ```
+//! line and print the paper's receive-throughput metric ([`USAGE`]).
 //!
 //! `--emit` writes the run as a machine-readable perf-trajectory record
 //! (schema `rshuffle-bench/1`) including per-stage latency digests.
 
 use rshuffle::ShuffleAlgorithm;
-use rshuffle_bench::perf::{
-    stage_summaries, take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow,
-};
+use rshuffle_bench::cli::{or_usage, transport, value, Args};
+use rshuffle_bench::perf::{emit, stage_summaries, BenchResult, BenchRun, MetricRow};
 use rshuffle_bench::{run_shuffle_workload, Pattern, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, SimDuration};
 use serde::Value;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: shufflebench [--profile fdr|edr] [--nodes N] [--threads T]\n\
-         \x20                   [--algorithm MESQ/SR|MEMQ/SR|MEMQ/RD|SEMQ/SR|SEMQ/RD|SESQ/SR|MEMQ/WR|mpi|ipoib]\n\
-         \x20                   [--pattern repartition|broadcast] [--mib M]\n\
-         \x20                   [--msg-size BYTES] [--credit-freq F] [--lanes L]\n\
-         \x20                   [--compute-us X] [--drop-prob P]\n\
-         \x20                   [--native-multicast] [--zero-copy | --copy]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "shufflebench [--profile fdr|edr] [--nodes N] [--threads T]
+                    [--algorithm MESQ/SR|MEMQ/SR|MEMQ/RD|SEMQ/SR|SEMQ/RD|SESQ/SR|MEMQ/WR|mpi|ipoib]
+                    [--pattern repartition|broadcast] [--mib M]
+                    [--msg-size BYTES] [--credit-freq F] [--lanes L]
+                    [--compute-us X] [--drop-prob P]
+                    [--native-multicast] [--zero-copy | --copy] [--emit BENCH.json]";
+
+/// The configuration and pattern the command line asks for, and where to
+/// emit the report.
+fn configuration(mut args: Args) -> Result<(WorkloadConfig, Pattern, Option<String>), String> {
+    let parse_pattern = |s: &str| match s {
+        "repartition" => Some(Pattern::Repartition),
+        "broadcast" => Some(Pattern::Broadcast),
+        _ => None,
+    };
+    let profile = args.option("--profile", DeviceProfile::by_name)?;
+    let nodes = args.option("--nodes", value)?.unwrap_or(8);
+    let design = args.option("--algorithm", transport)?;
+    let design = design.unwrap_or(Transport::Rdma(ShuffleAlgorithm::MESQ_SR));
+    let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::edr), nodes, design);
+    if let Some(threads) = args.option("--threads", value)? {
+        cfg.exchange.threads = threads;
+    }
+    let pattern = args
+        .option("--pattern", parse_pattern)?
+        .unwrap_or(Pattern::Repartition);
+    cfg.set_pattern(pattern);
+    if let Some(mib) = args.option("--mib", value::<usize>)? {
+        cfg.bytes_per_node = mib << 20;
+    }
+    if let Some(size) = args.option("--msg-size", value)? {
+        cfg.exchange.message_size = size;
+    }
+    if let Some(frequency) = args.option("--credit-freq", value)? {
+        cfg.exchange.credit_writeback_frequency = frequency;
+    }
+    cfg.exchange.lanes_override = args.option("--lanes", value)?;
+    let compute_us: f64 = args.option("--compute-us", value)?.unwrap_or(0.0);
+    cfg.compute_per_batch = SimDuration::from_nanos((compute_us * 1000.0) as u64);
+    cfg.exchange.faults.ud_drop_probability = args.option("--drop-prob", value)?.unwrap_or(0.0);
+    cfg.exchange.ud_native_multicast = args.flag("--native-multicast");
+    cfg.zero_copy = match (args.flag("--zero-copy"), args.flag("--copy")) {
+        (true, true) => return Err("--zero-copy and --copy exclude each other".to_string()),
+        (true, false) => Some(true),
+        (false, true) => Some(false),
+        (false, false) => None,
+    };
+    let emit_path = args.option("--emit", value)?;
+    args.finish()?;
+    Ok((cfg, pattern, emit_path))
 }
 
 fn main() {
-    let (args, emit) = take_emit_flag(std::env::args().skip(1).collect());
-    let mut profile = DeviceProfile::edr();
-    let mut nodes = 8usize;
-    let mut threads: Option<usize> = None;
-    let mut transport = Transport::Rdma(ShuffleAlgorithm::MESQ_SR);
-    let mut pattern = Pattern::Repartition;
-    let mut mib: Option<usize> = None;
-    let mut msg_size: Option<usize> = None;
-    let mut credit_freq: Option<u32> = None;
-    let mut lanes: Option<usize> = None;
-    let mut compute_us = 0.0f64;
-    let mut drop_prob = 0.0f64;
-    let mut native_multicast = false;
-    let mut zero_copy: Option<bool> = None;
-
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--profile" => {
-                profile = DeviceProfile::by_name(value()).unwrap_or_else(|| usage());
-            }
-            "--nodes" => nodes = value().parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--algorithm" => {
-                let v = value();
-                transport = match v.to_ascii_lowercase().as_str() {
-                    "mpi" => Transport::Mpi,
-                    "ipoib" => Transport::Ipoib,
-                    other => Transport::Rdma(
-                        ShuffleAlgorithm::parse(other).unwrap_or_else(|| usage()),
-                    ),
-                };
-            }
-            "--pattern" => {
-                pattern = match value().as_str() {
-                    "repartition" => Pattern::Repartition,
-                    "broadcast" => Pattern::Broadcast,
-                    _ => usage(),
-                };
-            }
-            "--mib" => mib = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--msg-size" => msg_size = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--credit-freq" => credit_freq = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--lanes" => lanes = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--compute-us" => compute_us = value().parse().unwrap_or_else(|_| usage()),
-            "--drop-prob" => drop_prob = value().parse().unwrap_or_else(|_| usage()),
-            "--native-multicast" => native_multicast = true,
-            "--zero-copy" => zero_copy = Some(true),
-            "--copy" => zero_copy = Some(false),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-
-    let mut cfg = WorkloadConfig::new(profile, nodes, transport);
-    if let Some(t) = threads {
-        cfg.exchange.threads = t;
-    }
-    cfg.set_pattern(pattern);
-    if let Some(m) = mib {
-        cfg.bytes_per_node = m << 20;
-    }
-    if let Some(s) = msg_size {
-        cfg.exchange.message_size = s;
-    }
-    if let Some(f) = credit_freq {
-        cfg.exchange.credit_writeback_frequency = f;
-    }
-    cfg.exchange.lanes_override = lanes;
-    cfg.compute_per_batch = SimDuration::from_nanos((compute_us * 1000.0) as u64);
-    cfg.exchange.faults.ud_drop_probability = drop_prob;
-    cfg.exchange.ud_native_multicast = native_multicast;
-    cfg.zero_copy = zero_copy;
+    let (cfg, pattern, emit_path) = or_usage(configuration(Args::from_env()), USAGE);
+    let transport = cfg.transport;
 
     println!(
         "{} | {} nodes x {} threads | {:?} | {} MiB/node | msg {} KiB",
@@ -124,13 +83,16 @@ fn main() {
         r.response_time,
         r.registered_bytes_per_node / 1024
     );
-    if let Some(path) = emit {
-        let mut report = BenchReport::new();
-        report.benches.push(BenchRun {
+    let mut failed = !r.errors.is_empty();
+    if let Some(path) = emit_path {
+        let run = BenchRun {
             bench: "shufflebench".to_string(),
             config: vec![
                 ("nodes".to_string(), Value::UInt(cfg.nodes() as u64)),
-                ("threads".to_string(), Value::UInt(cfg.exchange.threads as u64)),
+                (
+                    "threads".to_string(),
+                    Value::UInt(cfg.exchange.threads as u64),
+                ),
                 (
                     "bytes_per_node".to_string(),
                     Value::UInt(cfg.bytes_per_node as u64),
@@ -148,14 +110,14 @@ fn main() {
                     MetricRow::lower("response_ns", r.response_time.as_nanos() as f64),
                     MetricRow::info("registered_bytes", r.registered_bytes_per_node as f64),
                 ],
-                stages: stage_summaries(&r.metrics),
+                stages: stage_summaries(&r.runtime.obs().metrics.snapshot()),
             }],
-        });
-        match report.write(&path) {
+        };
+        match emit(&path, vec![run]) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {
-                eprintln!("shufflebench: cannot write {path}: {e}");
-                std::process::exit(1);
+                eprintln!("shufflebench: {e}");
+                failed = true;
             }
         }
     }
@@ -164,6 +126,8 @@ fn main() {
         for e in r.errors.iter().take(4) {
             println!("  - {e}");
         }
+    }
+    if failed {
         std::process::exit(1);
     }
 }

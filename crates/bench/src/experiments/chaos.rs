@@ -3,23 +3,25 @@
 //! reports partial retries, full restarts, QP reconnects, redone bytes,
 //! recovery latency, and delivered-row verification.
 //!
-//! Usage: `chaos [--smoke] [--emit PATH]`. `--smoke` runs a composite
-//! fault plan plus a partial-recovery (QP-failure-window) plan across all
-//! six algorithms (the CI gate); the default runs the full plan matrix.
-//! `--emit` writes the per-run recovery metrics as an `rshuffle-bench/1`
-//! report for `perfdiff`.
+//! `--smoke` runs a composite fault plan plus a partial-recovery
+//! (QP-failure-window) plan across all six algorithms (the CI gate); the
+//! full run is the whole plan matrix. A run is a violation unless it
+//! recovers with exactly-once delivery — and, under the partial-recovery
+//! plan, without a full restart.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
-use rshuffle_bench::perf::{take_emit_flag, BenchReport, BenchResult, BenchRun, MetricRow};
-use serde::Value;
 use rshuffle_engine::ops::Generator;
 use rshuffle_engine::recovery::{run_shuffle_with_recovery, RecoveryPolicy};
 use rshuffle_simnet::{DeviceProfile, SimDuration};
 use rshuffle_verbs::{FaultConfig, FaultPlan, QpScope};
+use serde::Value;
+
+use super::{Outcome, Scale};
+use crate::perf::MetricRow;
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
@@ -76,38 +78,25 @@ fn partial_recovery_plan() -> (&'static str, FaultPlan) {
     )
 }
 
-fn main() {
-    let (args, emit) = take_emit_flag(std::env::args().skip(1).collect());
-    let smoke = args.iter().any(|a| a == "--smoke");
+pub(super) fn chaos(scale: Scale) -> Outcome {
+    let smoke = scale == Scale::Smoke;
     let plans = if smoke {
         vec![composite_plan(), partial_recovery_plan()]
     } else {
         fault_matrix()
     };
+    let config = vec![
+        ("nodes", Value::UInt(NODES as u64)),
+        ("threads", Value::UInt(THREADS as u64)),
+        ("rows_per_thread", Value::UInt(ROWS_PER_THREAD as u64)),
+        ("row_size", Value::UInt(ROW as u64)),
+        ("smoke", Value::Bool(smoke)),
+    ];
+    let mut out = Outcome::new("chaos", config);
     let expected_rows = (NODES * THREADS * ROWS_PER_THREAD) as u64;
-    let mut failures = 0u32;
-    let mut rows_out: Vec<BenchResult> = Vec::new();
     for (plan_name, plan) in &plans {
         let described: Vec<String> = plan.events.iter().map(|e| e.to_string()).collect();
-        println!(
-            "plan {plan_name}: {}",
-            if described.is_empty() {
-                "no injected faults".to_string()
-            } else {
-                described.join("; ")
-            }
-        );
-        println!(
-            "  {:<10} {:>7} {:>8} {:>10} {:>10} {:>9} {:>13} {:>12}  outcome",
-            "algorithm",
-            "partial",
-            "restarts",
-            "reconnects",
-            "redone(B)",
-            "rows",
-            "recovery(µs)",
-            "virtual(µs)"
-        );
+        eprintln!("[chaos] plan {plan_name}: {}", described.join("; "));
         for algorithm in ShuffleAlgorithm::ALL {
             let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
             config.message_size = 4096;
@@ -145,41 +134,22 @@ fn main() {
             // failure must be absorbed without a full restart.
             let contained = *plan_name != "partial-recovery"
                 || (rep.partial_retries >= 1 && rep.full_restarts == 0);
-            let ok = rep.succeeded() && winning == expected_rows && contained;
-            if !ok {
-                failures += 1;
-            }
-            let outcome = match &rep.failure {
-                None if winning != expected_rows => {
-                    format!("ROW MISMATCH ({winning}/{expected_rows})")
-                }
-                None if !contained => format!(
-                    "NOT CONTAINED ({} partial, {} full)",
+            let id = format!("{plan_name}/{algorithm}");
+            match &rep.failure {
+                Some(e) => out.violations.push(format!("{id}: failed: {e}")),
+                None if winning != expected_rows => out
+                    .violations
+                    .push(format!("{id}: row mismatch ({winning}/{expected_rows})")),
+                None if !contained => out.violations.push(format!(
+                    "{id}: not contained ({} partial, {} full)",
                     rep.partial_retries, rep.full_restarts
-                ),
-                None => "ok".to_string(),
-                Some(e) => format!("FAILED: {e}"),
-            };
+                )),
+                None => {}
+            }
             let recovery_ns = rep.recovery.map(|r| r.as_nanos()).unwrap_or(0);
-            println!(
-                "  {:<10} {:>7} {:>8} {:>10} {:>10} {:>9} {:>13} {:>12.1}  {}",
-                algorithm.to_string(),
-                rep.partial_retries,
-                rep.full_restarts,
-                rep.qp_reconnects,
-                rep.redone_bytes,
-                rep.rows,
-                if recovery_ns == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}", recovery_ns as f64 / 1e3)
-                },
-                runtime.cluster().kernel().now().as_nanos() as f64 / 1e3,
-                outcome
-            );
-            rows_out.push(BenchResult {
-                id: format!("{plan_name}/{algorithm}"),
-                metrics: vec![
+            out.row(
+                id,
+                vec![
                     MetricRow::lower("engine.recovery_ns", recovery_ns as f64),
                     MetricRow::info("engine.partial_retries", rep.partial_retries as f64),
                     MetricRow::info("engine.restarts", rep.full_restarts as f64),
@@ -188,34 +158,8 @@ fn main() {
                     MetricRow::info("engine.kept_bytes", rep.kept_bytes as f64),
                     MetricRow::info("rows", rep.rows as f64),
                 ],
-                stages: Vec::new(),
-            });
+            );
         }
     }
-    if let Some(path) = emit {
-        let mut report = BenchReport::new();
-        report.benches.push(BenchRun {
-            bench: "chaos".to_string(),
-            config: vec![
-                ("nodes".to_string(), Value::UInt(NODES as u64)),
-                ("threads".to_string(), Value::UInt(THREADS as u64)),
-                (
-                    "rows_per_thread".to_string(),
-                    Value::UInt(ROWS_PER_THREAD as u64),
-                ),
-                ("row_size".to_string(), Value::UInt(ROW as u64)),
-                ("smoke".to_string(), Value::Bool(smoke)),
-            ],
-            results: rows_out,
-        });
-        if let Err(e) = report.write(&path) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {path}");
-    }
-    if failures > 0 {
-        eprintln!("chaos: {failures} run(s) failed");
-        std::process::exit(1);
-    }
+    out
 }

@@ -3,30 +3,21 @@
 //!
 //! A [`BenchReport`] captures one measurement session under the stable
 //! `rshuffle-bench/1` schema: the git commit, one [`BenchRun`] per
-//! benchmark binary, and per-configuration [`BenchResult`] rows holding
+//! experiment, and per-configuration [`BenchResult`] rows holding
 //! scalar metrics (latency percentiles, throughput) plus per-stage
 //! latency digests ([`HistogramSummary`]). Because the simulator is
-//! deterministic, re-running the same collectors on the same tree
-//! reproduces the report bit-for-bit — the committed baseline
+//! deterministic, re-running the same experiment on the same tree
+//! reproduces the report bit-for-bit — a committed baseline
 //! (`BENCH_0008.json`) is therefore an exact perf contract that
 //! `perfdiff` enforces in CI with a configurable tolerance.
 //!
-//! The measurement loops of the `concurrency` and `fig09_msgsize`
-//! binaries live here ([`run_concurrency_matrix`],
-//! [`run_msgsize_sweep`]) so the binaries, the `perfdiff` gate, and the
-//! baseline recorder all drive the identical code path.
+//! The rows are also the only thing the `bench` runner prints:
+//! [`BenchRun::markdown`] renders them as the tables EXPERIMENTS.md holds.
 
-use std::sync::Arc;
+use std::fmt::Write as _;
 
-use rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
-use rshuffle_engine::ops::Generator;
-use rshuffle_engine::workload::{run_workload, QuerySpec};
 use rshuffle_obs::{stage::Stage, HistogramSnapshot, HistogramSummary, Snapshot};
-use rshuffle_sched::{Scheduler, SchedulerConfig};
-use rshuffle_simnet::DeviceProfile;
 use serde::{Serialize, Value};
-
-use crate::workload::{run_shuffle_workload, Transport, WorkloadConfig};
 
 /// Schema tag written into every report; bump on breaking layout
 /// changes so `perfdiff` refuses to compare across formats.
@@ -87,15 +78,53 @@ pub struct BenchResult {
     pub stages: Vec<(String, HistogramSummary)>,
 }
 
-/// One benchmark binary's worth of results.
+/// One experiment's worth of results.
 #[derive(Clone, Debug)]
 pub struct BenchRun {
-    /// Benchmark id, e.g. `"concurrency"`.
+    /// Experiment id, e.g. `"concurrency"`.
     pub bench: String,
     /// The configuration the rows were measured under.
     pub config: Vec<(String, Value)>,
     /// Measured rows.
     pub results: Vec<BenchResult>,
+}
+
+impl BenchRun {
+    /// The run as markdown: the id and configuration, then the result
+    /// rows as tables with one column per metric (stage digests are left
+    /// to the JSON). A row whose metric names differ from those of the
+    /// row above it starts a new table. Whole numbers print as integers,
+    /// everything else with three decimals.
+    pub fn markdown(&self) -> String {
+        let config: Vec<String> = self
+            .config
+            .iter()
+            .map(|(k, v)| {
+                let value = serde_json::to_string(v).expect("values serialize");
+                format!("{k} = {value}")
+            })
+            .collect();
+        let mut out = format!("**{}** ({})\n", self.bench, config.join(", "));
+        let mut columns: Option<Vec<&str>> = None;
+        for r in &self.results {
+            let names: Vec<&str> = r.metrics.iter().map(|m| m.name.as_str()).collect();
+            if columns.as_ref() != Some(&names) {
+                let _ = writeln!(out, "\n| row | {} |", names.join(" | "));
+                let _ = writeln!(out, "|---|{}", "---:|".repeat(names.len()));
+                columns = Some(names);
+            }
+            let cells: Vec<String> = r
+                .metrics
+                .iter()
+                .map(|m| match m.value {
+                    v if v.fract() == 0.0 && v.abs() < 1e15 => format!("{v:.0}"),
+                    v => format!("{v:.3}"),
+                })
+                .collect();
+            let _ = writeln!(out, "| {} | {} |", r.id, cells.join(" | "));
+        }
+        out
+    }
 }
 
 /// A full measurement session: what `BENCH_*.json` holds.
@@ -111,30 +140,21 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// An empty report stamped with the current commit.
-    pub fn new() -> Self {
-        BenchReport {
-            schema: SCHEMA.to_string(),
-            commit: commit_id(),
-            benches: Vec::new(),
-        }
-    }
-
     /// Renders the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialization is infallible")
     }
-
-    /// Writes the report to `path`.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json() + "\n")
-    }
 }
 
-impl Default for BenchReport {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Writes `benches` to `path` as one report stamped with the current
+/// commit: what `--emit` does.
+pub fn emit(path: &str, benches: Vec<BenchRun>) -> Result<(), String> {
+    let report = BenchReport {
+        schema: SCHEMA.to_string(),
+        commit: commit_id(),
+        benches,
+    };
+    std::fs::write(path, report.to_json() + "\n").map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 impl Serialize for BenchResult {
@@ -234,358 +254,6 @@ pub fn stage_summaries(snapshot: &Snapshot) -> Vec<(String, HistogramSummary)> {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency matrix (the `concurrency` binary's measurement loop).
-// ---------------------------------------------------------------------------
-
-/// Cluster size of the concurrency benchmark.
-pub const CONCURRENCY_NODES: usize = 3;
-/// Worker threads per node of the concurrency benchmark.
-pub const CONCURRENCY_THREADS: usize = 2;
-/// Row size streamed by the concurrency benchmark.
-pub const CONCURRENCY_ROW: usize = 16;
-/// Concurrency levels of the smoke (CI) matrix.
-pub const SMOKE_LEVELS: &[usize] = &[1, 2];
-/// Rows per thread of the smoke (CI) matrix.
-pub const SMOKE_ROWS_PER_THREAD: usize = 200;
-
-/// One cell of the concurrency matrix: an `(algorithm, N)` run.
-#[derive(Clone, Debug)]
-pub struct ConcurrencyCell {
-    /// Algorithm under test.
-    pub algorithm: ShuffleAlgorithm,
-    /// Concurrent queries.
-    pub n: usize,
-    /// Median submission-to-completion virtual latency.
-    pub p50_ns: u64,
-    /// Tail submission-to-completion virtual latency.
-    pub p99_ns: u64,
-    /// Virtual time from first admission to last completion.
-    pub makespan_ns: u64,
-    /// Aggregate delivered throughput over the makespan.
-    pub agg_mbps: f64,
-    /// Peak registered bytes across nodes.
-    pub peak_bytes: usize,
-    /// Invariant violations and per-query failures (empty on success).
-    pub violations: Vec<String>,
-    /// Per-stage latency digests for this cell's run.
-    pub stages: Vec<(String, HistogramSummary)>,
-}
-
-/// Runs the scheduler-driven concurrency matrix: every algorithm at
-/// every level of `levels`, `rows_per_thread` rows per worker. Each
-/// cell gets a fresh cluster; the memory budget exactly fits N
-/// concurrent copies of the query, so one byte of over-pinning trips a
-/// violation.
-pub fn run_concurrency_matrix(levels: &[usize], rows_per_thread: usize) -> Vec<ConcurrencyCell> {
-    let mut cells = Vec::new();
-    for algorithm in ShuffleAlgorithm::ALL {
-        for &n in levels {
-            cells.push(run_concurrency_cell(algorithm, n, rows_per_thread));
-        }
-    }
-    cells
-}
-
-fn run_concurrency_cell(
-    algorithm: ShuffleAlgorithm,
-    n: usize,
-    rows_per_thread: usize,
-) -> ConcurrencyCell {
-    let mut config =
-        ExchangeConfig::repartition(algorithm, CONCURRENCY_NODES, CONCURRENCY_THREADS);
-    config.message_size = 4096;
-    let runtime = config.build_runtime(DeviceProfile::edr());
-    let est_max = (0..CONCURRENCY_NODES)
-        .map(|node| config.registered_bytes_estimate(runtime.profile(), node))
-        .max()
-        .unwrap();
-    let budget = est_max * n;
-    let sched = Scheduler::new(
-        &runtime,
-        SchedulerConfig {
-            max_concurrent: n,
-            mem_budget_per_node: Some(budget),
-            ..SchedulerConfig::default()
-        },
-    );
-    let queries = (0..n as u32)
-        .map(|id| QuerySpec::new(id, config.clone(), CONCURRENCY_ROW))
-        .collect();
-    let handles = run_workload(
-        &runtime,
-        &sched,
-        queries,
-        move |query, _, node| {
-            Arc::new(Generator::new(
-                rows_per_thread,
-                CONCURRENCY_THREADS,
-                node as u64 ^ (query as u64) << 16,
-            )) as Arc<dyn Operator>
-        },
-        |_, _, _, _, _| {},
-    );
-    runtime.cluster().run();
-
-    let expected_rows = (CONCURRENCY_NODES * CONCURRENCY_THREADS * rows_per_thread) as u64;
-    let mut violations = Vec::new();
-    let mut latencies = Vec::new();
-    let mut total_bytes = 0u64;
-    let mut windows = Vec::new();
-    let mut makespan_end = 0u64;
-    for h in &handles {
-        let rep = h.report.lock();
-        let t = h.timing.lock();
-        if !rep.succeeded() || rep.rows != expected_rows {
-            violations.push(format!(
-                "{algorithm} N={n} query {}: rows {}/{} failure {:?}",
-                h.query, rep.rows, expected_rows, rep.failure
-            ));
-            continue;
-        }
-        let lat = t.latency().expect("completed query has a latency");
-        latencies.push(lat.as_nanos());
-        total_bytes += rep.bytes;
-        let start = t.first_admitted.expect("admitted").as_nanos();
-        let end = t.completed.expect("completed").as_nanos();
-        windows.push((start, end));
-        makespan_end = makespan_end.max(end);
-    }
-    // Invariant: with N >= 2 slots and N queries, at least one pair must
-    // overlap in virtual time — the scheduler runs them concurrently,
-    // not back to back.
-    if latencies.len() == n && n >= 2 {
-        let overlap = windows
-            .iter()
-            .enumerate()
-            .any(|(i, a)| windows[i + 1..].iter().any(|b| a.0 < b.1 && b.0 < a.1));
-        if !overlap {
-            violations.push(format!(
-                "{algorithm} N={n}: no two queries overlapped: {windows:?}"
-            ));
-        }
-    }
-    // Invariant: the budget holds at all times on every node.
-    let mut peak = 0usize;
-    for node in 0..CONCURRENCY_NODES {
-        let p = runtime.registered_bytes_peak(node);
-        peak = peak.max(p);
-        if p > budget {
-            violations.push(format!(
-                "{algorithm} N={n}: node {node} peak {p} exceeds budget {budget}"
-            ));
-        }
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((latencies.len() as f64 * p).ceil() as usize).max(1) - 1;
-        latencies[idx.min(latencies.len() - 1)]
-    };
-    let agg_mbps = if makespan_end > 0 {
-        total_bytes as f64 / (makespan_end as f64 / 1e9) / 1e6
-    } else {
-        0.0
-    };
-    ConcurrencyCell {
-        algorithm,
-        n,
-        p50_ns: pct(0.50),
-        p99_ns: pct(0.99),
-        makespan_ns: makespan_end,
-        agg_mbps,
-        peak_bytes: peak,
-        violations,
-        stages: stage_summaries(&runtime.obs().metrics.snapshot()),
-    }
-}
-
-/// Packages concurrency cells as a [`BenchRun`].
-pub fn concurrency_bench_run(
-    cells: &[ConcurrencyCell],
-    levels: &[usize],
-    rows_per_thread: usize,
-) -> BenchRun {
-    BenchRun {
-        bench: "concurrency".to_string(),
-        config: vec![
-            ("nodes".to_string(), Value::UInt(CONCURRENCY_NODES as u64)),
-            (
-                "threads".to_string(),
-                Value::UInt(CONCURRENCY_THREADS as u64),
-            ),
-            (
-                "rows_per_thread".to_string(),
-                Value::UInt(rows_per_thread as u64),
-            ),
-            (
-                "levels".to_string(),
-                Value::Array(levels.iter().map(|&n| Value::UInt(n as u64)).collect()),
-            ),
-        ],
-        results: cells
-            .iter()
-            .map(|c| BenchResult {
-                id: format!("{}/N={}", c.algorithm, c.n),
-                metrics: vec![
-                    MetricRow::lower("p50_ns", c.p50_ns as f64),
-                    MetricRow::lower("p99_ns", c.p99_ns as f64),
-                    MetricRow::lower("makespan_ns", c.makespan_ns as f64),
-                    MetricRow::higher("agg_mbps", c.agg_mbps),
-                    MetricRow::info("peak_bytes", c.peak_bytes as f64),
-                ],
-                stages: c.stages.clone(),
-            })
-            .collect(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Message-size sweep (the `fig09_msgsize` binary's measurement loop).
-// ---------------------------------------------------------------------------
-
-/// Message sizes of the smoke (CI) sweep.
-pub const SMOKE_MSG_SIZES: &[usize] = &[16 << 10, 64 << 10];
-/// Cluster size of the smoke (CI) sweep.
-pub const SMOKE_MSG_NODES: usize = 4;
-/// Per-node table volume of the smoke (CI) sweep (fixed, independent of
-/// `RSHUFFLE_BENCH_MIB`, so baseline and candidate always agree).
-pub const SMOKE_MSG_BYTES_PER_NODE: usize = 4 << 20;
-
-/// One cell of the message-size sweep: an `(algorithm, msg_size)` run.
-#[derive(Clone, Debug)]
-pub struct MsgSizeCell {
-    /// Algorithm under test.
-    pub algorithm: ShuffleAlgorithm,
-    /// RC message size (header + payload).
-    pub msg_size: usize,
-    /// Receive throughput per node, GiB/s (the paper's metric).
-    pub gib_per_sec: f64,
-    /// End-to-end virtual response time.
-    pub response_ns: u64,
-    /// RDMA-registered bytes per node (Figure 9b).
-    pub registered_bytes: usize,
-    /// Worker errors rendered as strings (empty on success).
-    pub errors: Vec<String>,
-    /// Per-stage latency digests for this cell's run.
-    pub stages: Vec<(String, HistogramSummary)>,
-}
-
-/// Runs the §5.1.2 message-size sweep for every algorithm: double
-/// buffering, `recv_depth_per_peer = 4`, sizes from `sizes`.
-/// `bytes_per_node = None` uses the workload default
-/// (`RSHUFFLE_BENCH_MIB`).
-pub fn run_msgsize_sweep(
-    sizes: &[usize],
-    nodes: usize,
-    bytes_per_node: Option<usize>,
-) -> Vec<MsgSizeCell> {
-    let mut cells = Vec::new();
-    for a in ShuffleAlgorithm::ALL {
-        for &msg in sizes {
-            let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, Transport::Rdma(a));
-            cfg.exchange.message_size = msg;
-            cfg.exchange.recv_depth_per_peer = 4;
-            if let Some(b) = bytes_per_node {
-                cfg.bytes_per_node = b;
-            }
-            let r = run_shuffle_workload(&cfg);
-            cells.push(MsgSizeCell {
-                algorithm: a,
-                msg_size: msg,
-                gib_per_sec: r.gib_per_sec(),
-                response_ns: r.response_time.as_nanos(),
-                registered_bytes: r.registered_bytes_per_node,
-                errors: r.errors.iter().map(|e| e.to_string()).collect(),
-                stages: stage_summaries(&r.metrics),
-            });
-        }
-    }
-    cells
-}
-
-/// Packages message-size cells as a [`BenchRun`].
-pub fn msgsize_bench_run(
-    cells: &[MsgSizeCell],
-    nodes: usize,
-    bytes_per_node: Option<usize>,
-) -> BenchRun {
-    BenchRun {
-        bench: "fig09_msgsize".to_string(),
-        config: vec![
-            ("nodes".to_string(), Value::UInt(nodes as u64)),
-            (
-                "bytes_per_node".to_string(),
-                match bytes_per_node {
-                    Some(b) => Value::UInt(b as u64),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "sizes".to_string(),
-                Value::Array(
-                    cells
-                        .iter()
-                        .map(|c| c.msg_size)
-                        .collect::<std::collections::BTreeSet<_>>()
-                        .into_iter()
-                        .map(|s| Value::UInt(s as u64))
-                        .collect(),
-                ),
-            ),
-        ],
-        results: cells
-            .iter()
-            .map(|c| {
-                let mut metrics = vec![
-                    MetricRow::higher("gib_per_sec", c.gib_per_sec),
-                    MetricRow::lower("response_ns", c.response_ns as f64),
-                    MetricRow::info("registered_bytes", c.registered_bytes as f64),
-                ];
-                // Promote the sender-side batching stages from the
-                // informational digests to gated scalars: doorbell
-                // coalescing and post-to-completion latency are exactly
-                // what the hot-path work optimises, so a regression
-                // there must fail the build even when end-to-end
-                // throughput hides it.
-                for stage in ["stage.wr_batch_ns", "stage.post_to_completion_ns"] {
-                    if let Some((_, s)) = c.stages.iter().find(|(k, _)| k == stage) {
-                        metrics.push(MetricRow::lower(&format!("{stage}_p50"), s.p50 as f64));
-                    }
-                }
-                BenchResult {
-                    id: format!("{}/msg={}KiB", c.algorithm, c.msg_size >> 10),
-                    metrics,
-                    stages: c.stages.clone(),
-                }
-            })
-            .collect(),
-    }
-}
-
-/// Runs the full smoke measurement session — exactly what the committed
-/// baseline records and what `perfdiff` regenerates as the candidate.
-pub fn smoke_report() -> BenchReport {
-    let mut report = BenchReport::new();
-    let cells = run_concurrency_matrix(SMOKE_LEVELS, SMOKE_ROWS_PER_THREAD);
-    report
-        .benches
-        .push(concurrency_bench_run(&cells, SMOKE_LEVELS, SMOKE_ROWS_PER_THREAD));
-    let cells = run_msgsize_sweep(
-        SMOKE_MSG_SIZES,
-        SMOKE_MSG_NODES,
-        Some(SMOKE_MSG_BYTES_PER_NODE),
-    );
-    report.benches.push(msgsize_bench_run(
-        &cells,
-        SMOKE_MSG_NODES,
-        Some(SMOKE_MSG_BYTES_PER_NODE),
-    ));
-    report
-}
-
-// ---------------------------------------------------------------------------
 // Parsing and diffing.
 // ---------------------------------------------------------------------------
 
@@ -621,19 +289,18 @@ impl ParsedReport {
         let Value::Object(fields) = root else {
             return Err("report root is not an object".to_string());
         };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let schema = match get("schema") {
+        let schema = match field(&fields, "schema") {
             Some(Value::Str(s)) => s.clone(),
             _ => return Err("missing schema tag".to_string()),
         };
         if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
-        let commit = match get("commit") {
+        let commit = match field(&fields, "commit") {
             Some(Value::Str(s)) => s.clone(),
             _ => "unknown".to_string(),
         };
-        let Some(Value::Array(benches)) = get("benches") else {
+        let Some(Value::Array(benches)) = field(&fields, "benches") else {
             return Err("missing benches array".to_string());
         };
         let mut metrics = Vec::new();
@@ -641,25 +308,23 @@ impl ParsedReport {
             let Value::Object(bf) = bench else {
                 return Err("bench entry is not an object".to_string());
             };
-            let bget = |key: &str| bf.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let Some(Value::Str(bench_id)) = bget("bench") else {
+            let Some(Value::Str(bench_id)) = field(bf, "bench") else {
                 return Err("bench entry without a bench id".to_string());
             };
-            let Some(Value::Array(results)) = bget("results") else {
+            let Some(Value::Array(results)) = field(bf, "results") else {
                 return Err(format!("bench {bench_id}: missing results"));
             };
             for result in results {
                 let Value::Object(rf) = result else {
                     return Err(format!("bench {bench_id}: result is not an object"));
                 };
-                let rget = |key: &str| rf.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-                let Some(Value::Str(id)) = rget("id") else {
+                let Some(Value::Str(id)) = field(rf, "id") else {
                     return Err(format!("bench {bench_id}: result without an id"));
                 };
-                let Some(Value::Object(ms)) = rget("metrics") else {
+                let Some(Value::Object(ms)) = field(rf, "metrics") else {
                     return Err(format!("bench {bench_id}/{id}: missing metrics"));
                 };
-                let directions = match rget("directions") {
+                let directions = match field(rf, "directions") {
                     Some(Value::Object(ds)) => ds,
                     Some(_) => {
                         return Err(format!("bench {bench_id}/{id}: directions is not an object"))
@@ -672,18 +337,12 @@ impl ParsedReport {
                     }
                 };
                 for (name, value) in ms {
-                    let v = match value {
-                        Value::Float(f) => *f,
-                        Value::UInt(u) => *u as f64,
-                        Value::Int(i) => *i as f64,
-                        _ => {
-                            return Err(format!(
-                                "bench {bench_id}/{id}: metric {name} is not numeric"
-                            ))
-                        }
+                    let Some(v) = number(value) else {
+                        return Err(format!(
+                            "bench {bench_id}/{id}: metric {name} is not numeric"
+                        ));
                     };
-                    let tag = directions.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-                    let direction = match tag {
+                    let direction = match field(directions, name) {
                         Some(Value::Str(tag)) => Direction::from_tag(tag)
                             .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
                         Some(_) => {
@@ -708,18 +367,14 @@ impl ParsedReport {
                 // even against baselines that never promoted them. A
                 // result that promotes a stage p50 into its gated
                 // metrics wins: the flattened copy is skipped.
-                if let Some(Value::Object(stages)) = rget("stages") {
+                if let Some(Value::Object(stages)) = field(rf, "stages") {
                     for (sname, sval) in stages {
                         let Value::Object(sf) = sval else { continue };
-                        let p50 = sf.iter().find(|(k, _)| k == "p50").map(|(_, v)| v);
-                        let v = match p50 {
-                            Some(Value::Float(f)) => *f,
-                            Some(Value::UInt(u)) => *u as f64,
-                            Some(Value::Int(i)) => *i as f64,
-                            _ => continue,
+                        let Some(v) = field(sf, "p50").and_then(number) else {
+                            continue;
                         };
                         let name = format!("{sname}_p50");
-                        if ms.iter().any(|(k, _)| *k == name) {
+                        if field(ms, &name).is_some() {
                             continue;
                         }
                         metrics.push(ParsedMetric {
@@ -736,6 +391,21 @@ impl ParsedReport {
             commit,
             metrics,
         })
+    }
+}
+
+/// The value under `key` of a JSON object.
+fn field<'a>(object: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    object.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A JSON number of any of the three kinds.
+fn number(value: &Value) -> Option<f64> {
+    match value {
+        Value::Float(f) => Some(*f),
+        Value::UInt(u) => Some(*u as f64),
+        Value::Int(i) => Some(*i as f64),
+        _ => None,
     }
 }
 
@@ -866,27 +536,6 @@ pub fn host_result() -> BenchResult {
     }
 }
 
-/// Extracts `--emit PATH` from an argument list, returning the
-/// remaining arguments and the path (if given). Shared by the bench
-/// binaries.
-pub fn take_emit_flag(args: Vec<String>) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut emit = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--emit" {
-            emit = it.next();
-            if emit.is_none() {
-                eprintln!("--emit requires a path");
-                std::process::exit(2);
-            }
-        } else {
-            rest.push(a);
-        }
-    }
-    (rest, emit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,6 +598,21 @@ mod tests {
         assert_eq!(parsed.metrics[0].direction, Direction::LowerIsBetter);
         assert_eq!(parsed.metrics[1].direction, Direction::HigherIsBetter);
         assert_eq!(parsed.metrics[2].direction, Direction::Informational);
+    }
+
+    #[test]
+    fn markdown_holds_every_row_and_starts_a_table_per_column_set() {
+        let mut run = fixture().benches.remove(0);
+        run.results.push(BenchResult {
+            id: "host".to_string(),
+            metrics: vec![MetricRow::info("host_peak_rss_mib", 85.4609375)],
+            stages: Vec::new(),
+        });
+        let expected = "**concurrency** (nodes = 3)\n\n\
+                        | row | p99_ns | agg_mbps | peak_bytes |\n|---|---:|---:|---:|\n\
+                        | MESQ/SR/N=1 | 1000 | 50 | 4096 |\n\n\
+                        | row | host_peak_rss_mib |\n|---|---:|\n| host | 85.461 |\n";
+        assert_eq!(run.markdown(), expected);
     }
 
     #[test]

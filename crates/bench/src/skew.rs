@@ -2,25 +2,18 @@
 //!
 //! Real repartition exchanges are rarely uniform: join keys follow
 //! power-law distributions, so a few partitions (and hence a few
-//! receiving nodes) absorb a disproportionate share of the data, and
-//! individual nodes straggle for reasons unrelated to the shuffle
-//! (background compaction, co-tenants, thermal throttling). This module
-//! generates both perturbations deterministically from a seed so the
-//! scale benchmarks can replay them bit-for-bit:
-//!
-//! * [`zipf_weights`] / [`zipf_partition_rows`] — Zipfian partition
-//!   histograms with a configurable exponent `theta` (0 = uniform;
-//!   ~1 = classic web-like skew). The heavy ranks are assigned to
-//!   partition ids by a seeded permutation so the hot partition moves
-//!   around the cluster as the seed changes.
-//! * [`straggler_plan`] — picks a deterministic subset of nodes and a
-//!   CPU slowdown factor for each, applied to the virtual-time kernel
-//!   via [`StragglerPlan::apply`] (which drives
-//!   `Kernel::set_cpu_slowdown`).
+//! receiving nodes) absorb a disproportionate share of the data. This
+//! module generates that perturbation deterministically from a seed so
+//! the scale benchmarks can replay it bit-for-bit:
+//! [`zipf_weights`] / [`zipf_partition_rows`] are Zipfian partition
+//! histograms with a configurable exponent `theta` (0 = uniform;
+//! ~1 = classic web-like skew). The heavy ranks are assigned to
+//! partition ids by a seeded permutation so the hot partition moves
+//! around the cluster as the seed changes. (A node that straggles is a
+//! fault, not a workload shape: `FaultPlan::straggler`.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rshuffle_simnet::{Kernel, NodeId};
 
 /// Normalized Zipf weights for `partitions` ranks with exponent `theta`:
 /// rank `k` (1-based) gets weight proportional to `1 / k^theta`. The
@@ -129,62 +122,9 @@ pub struct SkewSpec {
     pub seed: u64,
 }
 
-/// A deterministic straggler injection plan: which nodes run slow, and
-/// by how much.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StragglerPlan {
-    /// `(node, factor)` pairs, sorted by node id; every listed factor is
-    /// `> 1.0` (a node that isn't slowed simply isn't listed).
-    pub slowdowns: Vec<(NodeId, f64)>,
-}
-
-impl StragglerPlan {
-    /// Installs the plan on `kernel`: each listed node's subsequent CPU
-    /// work stretches by its factor.
-    pub fn apply(&self, kernel: &Kernel) {
-        for &(node, factor) in &self.slowdowns {
-            kernel.set_cpu_slowdown(node, factor);
-        }
-    }
-
-    /// Removes the plan from `kernel` (factors back to 1.0).
-    pub fn clear(&self, kernel: &Kernel) {
-        for &(node, _) in &self.slowdowns {
-            kernel.set_cpu_slowdown(node, 1.0);
-        }
-    }
-}
-
-/// Picks `count` distinct straggler nodes out of `nodes` (seeded,
-/// deterministic) and assigns each the CPU slowdown `factor`. `count`
-/// is clamped to `nodes`; a factor at or below 1.0 yields an empty plan
-/// (nothing to slow down).
-pub fn straggler_plan(nodes: usize, count: usize, factor: f64, seed: u64) -> StragglerPlan {
-    if nodes == 0 || count == 0 || !factor.is_finite() || factor <= 1.0 {
-        return StragglerPlan {
-            slowdowns: Vec::new(),
-        };
-    }
-    let count = count.min(nodes);
-    // Seeded partial Fisher–Yates: the first `count` entries of a
-    // seeded permutation of 0..nodes.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut ids: Vec<NodeId> = (0..nodes).collect();
-    for i in 0..count {
-        let j = rng.gen_range(i..nodes);
-        ids.swap(i, j);
-    }
-    let mut picked: Vec<NodeId> = ids[..count].to_vec();
-    picked.sort_unstable();
-    StragglerPlan {
-        slowdowns: picked.into_iter().map(|n| (n, factor)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rshuffle_simnet::SimDuration;
 
     #[test]
     fn uniform_theta_splits_evenly() {
@@ -225,42 +165,5 @@ mod tests {
         sb.sort_unstable();
         assert_eq!(sa, sb, "placement must not change the histogram shape");
         assert_ne!(hot(&a), hot(&b), "seed must move the heavy partition");
-    }
-
-    #[test]
-    fn straggler_plan_is_seeded_and_clamped() {
-        let p = straggler_plan(16, 3, 4.0, 9);
-        assert_eq!(p, straggler_plan(16, 3, 4.0, 9));
-        assert_eq!(p.slowdowns.len(), 3);
-        let nodes: Vec<NodeId> = p.slowdowns.iter().map(|&(n, _)| n).collect();
-        let mut sorted = nodes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(nodes, sorted, "nodes sorted and distinct");
-        assert!(nodes.iter().all(|&n| n < 16));
-        // Clamp: asking for more stragglers than nodes slows every node.
-        assert_eq!(straggler_plan(4, 99, 2.0, 0).slowdowns.len(), 4);
-        // A non-slowing factor yields an empty plan.
-        assert!(straggler_plan(8, 2, 1.0, 0).slowdowns.is_empty());
-    }
-
-    #[test]
-    fn plan_apply_stretches_cpu_work_on_the_kernel() {
-        let kernel = Kernel::new();
-        let plan = StragglerPlan {
-            slowdowns: vec![(0, 3.0)],
-        };
-        plan.apply(&kernel);
-        kernel.spawn(0, "slow", |sim| {
-            sim.sleep(SimDuration::from_nanos(100));
-            assert_eq!(sim.now().as_nanos(), 300, "3x straggler factor");
-        });
-        kernel.spawn(1, "fast", |sim| {
-            sim.sleep(SimDuration::from_nanos(100));
-            assert_eq!(sim.now().as_nanos(), 100, "other nodes unaffected");
-        });
-        kernel.run();
-        plan.clear(&kernel);
-        assert_eq!(kernel.cpu_slowdown(0), 1.0);
     }
 }

@@ -14,16 +14,15 @@
 use std::sync::Arc;
 
 use rshuffle::{
-    CostModel, Exchange, ExchangeConfig, PhaseRunner, PhaseSchedule, ReceiveEndpoint,
-    ReceiveOperator, SendEndpoint, ShuffleAlgorithm, ShuffleError, ShuffleOperator,
-    TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, PhaseSchedule, ReceiveOperator, ShuffleAlgorithm,
+    ShuffleError, ShuffleOperator, TransmissionGroups,
 };
-use rshuffle_baselines::{IpoibExchange, MpiExchange};
+use rshuffle_baselines::{ipoib, mpi};
 use rshuffle_engine::{drive_to_sink, ComputeStage, Generator};
 use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration, Topology};
 use rshuffle_verbs::VerbsRuntime;
 
-use crate::skew::{zipf_partition_rows, SkewSpec, StragglerPlan};
+use crate::skew::{zipf_partition_rows, SkewSpec};
 
 /// Bytes per row of the synthetic table R(a, b): two long integers.
 pub const ROW_BYTES: usize = 16;
@@ -97,8 +96,6 @@ pub struct WorkloadConfig {
     /// Per-node volume skew: split the cluster's total table volume by a
     /// seeded Zipf histogram instead of evenly. `None` = uniform.
     pub skew: Option<SkewSpec>,
-    /// Straggler injection applied to the kernel before the run.
-    pub stragglers: Option<StragglerPlan>,
     /// The exchange under test: cluster size and pattern (its transmission
     /// groups), threads, message size, pool depths, lanes, multiplexing,
     /// phasing and fault injection, at the defaults of §5.1.2–5.1.3
@@ -129,7 +126,6 @@ impl WorkloadConfig {
             zero_copy: None,
             topology: Topology::SingleSwitch,
             skew: None,
-            stragglers: None,
             exchange,
         }
     }
@@ -171,7 +167,6 @@ pub fn default_volume() -> usize {
 }
 
 /// Result of one workload run.
-#[derive(Clone, Debug)]
 pub struct WorkloadResult {
     /// Receive throughput per node, bytes/second (the paper's metric).
     pub receive_throughput: f64,
@@ -185,12 +180,11 @@ pub struct WorkloadResult {
     pub errors: Vec<ShuffleError>,
     /// Physical QPs the multiplexer materialized (0 on the direct path).
     pub mux_qp_count: u64,
-    /// QPs the direct path would have opened (0 on the direct path).
-    pub mux_natural_qps: u64,
     /// Leases that had to share an occupied slot (0 on the direct path).
     pub mux_lease_waits: u64,
-    /// Unified metrics snapshot taken after the run (all tiers).
-    pub metrics: rshuffle_obs::Snapshot,
+    /// The runtime the query ran on, finished: the metrics registry and
+    /// flight recorder (`obs()`), fabric, NIC and kernel statistics.
+    pub runtime: Arc<VerbsRuntime>,
 }
 
 impl WorkloadResult {
@@ -200,33 +194,11 @@ impl WorkloadResult {
     }
 }
 
-/// `[node][lane]` send and receive endpoints.
-type Lanes = (
-    Vec<Vec<Arc<dyn SendEndpoint>>>,
-    Vec<Vec<Arc<dyn ReceiveEndpoint>>>,
-);
-
-/// A baseline library's one endpoint pair per node as single-lane
-/// vectors, with the bytes node 0 registered.
-fn baseline_lanes(
-    send: Vec<Option<Arc<dyn SendEndpoint>>>,
-    recv: Vec<Option<Arc<dyn ReceiveEndpoint>>>,
-) -> (Lanes, usize) {
-    let registered = send[0].as_ref().map_or(0, |e| e.registered_bytes())
-        + recv[0].as_ref().map_or(0, |e| e.registered_bytes());
-    let send = send.into_iter().map(|e| e.into_iter().collect());
-    let recv = recv.into_iter().map(|e| e.into_iter().collect());
-    ((send.collect(), recv.collect()), registered)
-}
-
 /// Runs the synthetic shuffle workload and reports receive throughput.
 pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     let (nodes, threads) = (cfg.nodes(), cfg.exchange.threads);
     let cluster = Cluster::with_topology(nodes, cfg.profile.clone(), cfg.topology.clone());
     let runtime = VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
-    if let Some(plan) = &cfg.stragglers {
-        plan.apply(runtime.kernel());
-    }
     let groups = &cfg.exchange.groups;
     let cost = CostModel::from_profile(runtime.profile());
     // Per-node fragment sizes: even by default, or a seeded Zipf split of
@@ -241,10 +213,8 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         None => uniform_rows_per_thread,
     };
 
-    // Build endpoints for the chosen transport.
-    let mut phases: Option<Arc<PhaseRunner>> = None;
-    let mut mux_stats = (0, 0, 0);
-    let ((send_eps, recv_eps), registered) = match cfg.transport {
+    let message_size = cfg.exchange.message_size;
+    let exchange = match cfg.transport {
         Transport::Rdma(_) => {
             let mut xcfg = cfg.exchange.clone();
             if let (true, Some(rows)) = (xcfg.phase.enabled(), &skewed_rows) {
@@ -253,31 +223,19 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
                     &totals,
                 )));
             }
-            let exchange = Exchange::build(&runtime, &xcfg).expect("exchange builds");
-            if let Some(m) = &exchange.mux {
-                mux_stats = (m.qp_count(), m.natural_qps(), m.lease_waits());
-            }
-            phases = exchange.phases.clone();
-            let registered = exchange.registered_bytes(0);
-            ((exchange.send, exchange.recv), registered)
+            Exchange::build(&runtime, &xcfg)
         }
-        Transport::Mpi => {
-            let message_size = cfg.exchange.message_size;
-            let ex = MpiExchange::build(&runtime, groups.clone(), message_size, threads)
-                .expect("mpi exchange builds");
-            baseline_lanes(ex.send, ex.recv)
-        }
-        Transport::Ipoib => {
-            let message_size = cfg.exchange.message_size;
-            let ex = IpoibExchange::build(&runtime, groups.clone(), message_size, threads)
-                .expect("ipoib exchange builds");
-            baseline_lanes(ex.send, ex.recv)
-        }
-    };
+        Transport::Mpi => mpi::build(&runtime, groups.clone(), message_size, threads),
+        Transport::Ipoib => ipoib::build(&runtime, groups.clone(), message_size, threads),
+    }
+    .expect("exchange builds");
+    let registered_bytes_per_node = exchange.registered_bytes(0);
+    let mux_qp_count = exchange.mux.as_ref().map_or(0, |m| m.qp_count());
+    let mux_lease_waits = exchange.mux.as_ref().map_or(0, |m| m.lease_waits());
 
     let mut recv_stats = Vec::new();
     let mut send_stats = Vec::new();
-    for node in 0..nodes {
+    for (node, group) in groups.iter().enumerate() {
         let generator = Arc::new(Generator::new(
             rows_per_thread_on(node),
             threads,
@@ -295,12 +253,12 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         };
         let mut shuffle_op = ShuffleOperator::with_lanes(
             generator,
-            send_eps[node].clone(),
-            groups[node].clone(),
+            exchange.send[node].clone(),
+            group.clone(),
             threads,
             send_cost,
         );
-        if let Some(runner) = &phases {
+        if let Some(runner) = &exchange.phases {
             shuffle_op = shuffle_op.with_phases(runner.clone(), node);
         }
         let shuffle = Arc::new(shuffle_op);
@@ -314,7 +272,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         ));
 
         let receive = Arc::new(ReceiveOperator::with_lanes(
-            recv_eps[node].clone(),
+            exchange.recv[node].clone(),
             ROW_BYTES,
             BATCH_ROWS,
             threads,
@@ -339,26 +297,20 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
 
     let response_time = runtime.kernel().now() - rshuffle_simnet::SimTime::ZERO;
     let mut errors = Vec::new();
-    let mut bytes_total = 0u64;
     for s in recv_stats.iter().chain(send_stats.iter()) {
-        let s = s.lock();
-        errors.extend(s.errors.iter().cloned());
-        // Only count receive-fragment bytes below.
+        errors.extend(s.lock().errors.iter().cloned());
     }
-    for s in &recv_stats {
-        bytes_total += s.lock().bytes;
-    }
-    let per_node = bytes_total as f64 / nodes as f64;
+    let bytes_received: u64 = recv_stats.iter().map(|s| s.lock().bytes).sum();
+    let per_node = bytes_received as f64 / nodes as f64;
     WorkloadResult {
         receive_throughput: per_node / response_time.as_secs_f64(),
         response_time,
         bytes_received_per_node: per_node,
-        registered_bytes_per_node: registered,
+        registered_bytes_per_node,
         errors,
-        mux_qp_count: mux_stats.0,
-        mux_natural_qps: mux_stats.1,
-        mux_lease_waits: mux_stats.2,
-        metrics: runtime.obs().metrics.snapshot(),
+        mux_qp_count,
+        mux_lease_waits,
+        runtime,
     }
 }
 

@@ -1,0 +1,111 @@
+//! The documents name commands; the commands must exist. Every `--bin X`
+//! in README.md, EXPERIMENTS.md, DESIGN.md, `ci.sh` and the verify skill
+//! must be a file of `src/bin`, every `bench <id>` an experiment of the
+//! registry, and every registered experiment must have its command in
+//! EXPERIMENTS.md.
+
+use std::collections::BTreeSet;
+
+use rshuffle_bench::experiments::REGISTRY;
+
+const DOCUMENTS: [&str; 5] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "ci.sh",
+    ".claude/skills/verify/SKILL.md",
+];
+
+fn repo_path(name: &str) -> String {
+    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The words of a document's code: all of a shell script; of markdown,
+/// the fenced blocks and the inline `code` spans. A `|` word ends every
+/// line and span, so a command is never read across two of them.
+fn code_words(name: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(repo_path(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut code = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced || name.ends_with(".sh") {
+            code += line;
+        } else {
+            // Odd-numbered pieces of a line split at backticks are code.
+            for span in line.split('`').skip(1).step_by(2) {
+                code += span;
+                code += " | ";
+            }
+        }
+        code += " | ";
+    }
+    code.split_whitespace().map(str::to_string).collect()
+}
+
+/// Whether a word has the shape of a binary or experiment name (and is
+/// not a shell variable, a placeholder or a path).
+fn is_name(word: &str) -> bool {
+    word.starts_with(|c: char| c.is_ascii_lowercase())
+        && word
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// The binaries a document runs with `--bin X`.
+fn bins_named(words: &[String]) -> BTreeSet<String> {
+    let named = words
+        .windows(2)
+        .filter(|w| w[0] == "--bin" && is_name(&w[1]));
+    named.map(|w| w[1].clone()).collect()
+}
+
+/// The names that follow `bench` (or `…/release/bench`, or `bench --`).
+fn experiments_named(words: &[String]) -> BTreeSet<String> {
+    let mut named = BTreeSet::new();
+    for (at, word) in words.iter().enumerate() {
+        if word == "bench" || word.ends_with("/release/bench") {
+            let rest = words[at + 1..].iter().skip_while(|w| *w == "--");
+            named.extend(rest.take_while(|w| is_name(w)).cloned());
+        }
+    }
+    named
+}
+
+#[test]
+fn every_named_binary_exists() {
+    for document in DOCUMENTS {
+        for bin in bins_named(&code_words(document)) {
+            let source = repo_path(&format!("crates/bench/src/bin/{bin}.rs"));
+            assert!(
+                std::path::Path::new(&source).exists(),
+                "{document} runs `--bin {bin}`, which crates/bench/src/bin lacks"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_named_experiment_is_registered() {
+    for document in DOCUMENTS {
+        for id in experiments_named(&code_words(document)) {
+            assert!(
+                REGISTRY.iter().any(|e| e.id == id),
+                "{document} runs `bench {id}`, which the registry lacks"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_registered_experiment_has_its_command_in_experiments_md() {
+    let documented = experiments_named(&code_words("EXPERIMENTS.md"));
+    for experiment in REGISTRY {
+        assert!(
+            documented.contains(experiment.id),
+            "EXPERIMENTS.md has no `bench {}` command",
+            experiment.id
+        );
+    }
+}

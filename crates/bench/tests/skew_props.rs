@@ -3,7 +3,7 @@
 //! sanity across the whole parameter space the scale benchmarks sweep.
 
 use proptest::prelude::*;
-use rshuffle_bench::skew::{skew_ratio, straggler_plan, zipf_partition_rows, zipf_weights};
+use rshuffle_bench::skew::{skew_ratio, zipf_partition_rows, zipf_weights};
 
 proptest! {
     /// The partition histogram is a pure function of its arguments.
@@ -66,26 +66,5 @@ proptest! {
         prop_assert!(skew_ratio(&rows_hi) + 1e-9 >= skew_ratio(&rows_lo),
             "skew ratio must not decrease: {} vs {}",
             skew_ratio(&rows_lo), skew_ratio(&rows_hi));
-    }
-
-    /// Straggler plans are seeded-deterministic, pick distinct in-range
-    /// nodes, clamp the count, and carry the requested factor.
-    #[test]
-    fn straggler_plans_are_sane(
-        nodes in 1usize..512,
-        count in 0usize..64,
-        factor_c in 11u32..100,
-        seed in any::<u64>(),
-    ) {
-        let factor = factor_c as f64 / 10.0;
-        let plan = straggler_plan(nodes, count, factor, seed);
-        prop_assert_eq!(&plan, &straggler_plan(nodes, count, factor, seed));
-        prop_assert_eq!(plan.slowdowns.len(), count.min(nodes));
-        let mut seen = std::collections::BTreeSet::new();
-        for &(node, f) in &plan.slowdowns {
-            prop_assert!(node < nodes);
-            prop_assert!(seen.insert(node), "straggler nodes must be distinct");
-            prop_assert_eq!(f, factor);
-        }
     }
 }

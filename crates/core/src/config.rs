@@ -82,9 +82,10 @@ impl ShuffleAlgorithm {
         Self::SESQ_SR,
     ];
 
-    /// Parses names like `"MESQ/SR"` (case-insensitive, `/` optional).
+    /// Parses names like `"MESQ/SR"` (case-insensitive; the separator may
+    /// be `/`, `_` as in the constants' names, or absent).
     pub fn parse(name: &str) -> Option<Self> {
-        let n = name.to_ascii_uppercase().replace('/', "");
+        let n = name.to_ascii_uppercase().replace(['/', '_'], "");
         match n.as_str() {
             "MEMQRD" => Some(Self::MEMQ_RD),
             "MEMQSR" => Some(Self::MEMQ_SR),
@@ -235,6 +236,10 @@ mod tests {
         assert_eq!(
             ShuffleAlgorithm::parse("mesq/sr"),
             Some(ShuffleAlgorithm::MESQ_SR)
+        );
+        assert_eq!(
+            ShuffleAlgorithm::parse("MEMQ_RD"),
+            Some(ShuffleAlgorithm::MEMQ_RD)
         );
         assert!(
             ShuffleAlgorithm::parse("SESQRD").is_none(),

@@ -283,16 +283,6 @@ impl Kernel {
         }
     }
 
-    /// The current straggler factor for `node` (1.0 when healthy).
-    pub fn cpu_slowdown(&self, node: NodeId) -> f64 {
-        self.state
-            .lock()
-            .cpu_slowdown
-            .get(&node)
-            .copied()
-            .unwrap_or(1.0)
-    }
-
     /// Spawns a simulated thread pinned to `node`, runnable at the current
     /// virtual time. Returns its id.
     ///
@@ -834,6 +824,21 @@ mod tests {
         });
         kernel.run();
         assert_eq!(kernel.now().as_nanos(), 7_000);
+    }
+
+    #[test]
+    fn cpu_slowdown_stretches_sleeps_on_its_node_only() {
+        let kernel = Kernel::new();
+        kernel.set_cpu_slowdown(0, 3.0);
+        kernel.spawn(0, "slow", |sim| {
+            sim.sleep(SimDuration::from_nanos(100));
+            assert_eq!(sim.now().as_nanos(), 300, "3x straggler factor");
+        });
+        kernel.spawn(1, "fast", |sim| {
+            sim.sleep(SimDuration::from_nanos(100));
+            assert_eq!(sim.now().as_nanos(), 100, "other nodes unaffected");
+        });
+        kernel.run();
     }
 
     #[test]

@@ -23,10 +23,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{
-    CostModel, Exchange, ExchangeConfig, Operator, ReceiveEndpoint, ReceiveOperator, SendEndpoint,
-    ShuffleAlgorithm, ShuffleOperator, TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, Operator, ReceiveOperator, ShuffleAlgorithm,
+    ShuffleOperator, TransmissionGroups,
 };
-use rshuffle_baselines::MpiExchange;
 use rshuffle_engine::{
     drive_to_sink, Filter, HashAggregate, HashJoin, HashSemiJoin, MemScan, Project,
 };
@@ -86,45 +85,19 @@ fn revenue(price: i64, discount_bp: i64) -> i64 {
     price * (10_000 - discount_bp) / 10_000
 }
 
-/// Lane-indexed endpoints of one shuffle stage.
-struct Stage {
-    send: Vec<Vec<Arc<dyn SendEndpoint>>>,
-    recv: Vec<Vec<Arc<dyn ReceiveEndpoint>>>,
-    groups: Vec<TransmissionGroups>,
-}
-
-fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: usize) -> Stage {
+/// Builds the exchange of one shuffle stage.
+fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: usize) -> Exchange {
     let nodes = runtime.cluster().nodes();
     let groups: Vec<TransmissionGroups> = (0..nodes)
         .map(|_| TransmissionGroups::partition(nodes))
         .collect();
     match transport {
         QueryTransport::Rdma(algorithm) => {
-            let cfg = ExchangeConfig::with_groups(algorithm, threads, groups.clone());
-            let ex = Exchange::build(runtime, &cfg).expect("stage exchange builds");
-            Stage {
-                send: ex.send,
-                recv: ex.recv,
-                groups,
-            }
+            let cfg = ExchangeConfig::with_groups(algorithm, threads, groups);
+            Exchange::build(runtime, &cfg).expect("stage exchange builds")
         }
-        QueryTransport::Mpi => {
-            let ex = MpiExchange::build(runtime, groups.clone(), 64 * 1024, threads)
-                .expect("mpi stage builds");
-            Stage {
-                send: ex
-                    .send
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                recv: ex
-                    .recv
-                    .into_iter()
-                    .map(|e| e.into_iter().collect())
-                    .collect(),
-                groups,
-            }
-        }
+        QueryTransport::Mpi => rshuffle_baselines::mpi::build(runtime, groups, 64 * 1024, threads)
+            .expect("mpi stage builds"),
         QueryTransport::LocalData => unreachable!("local plans build no stages"),
     }
 }
@@ -132,7 +105,7 @@ fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: 
 /// Spawns a sender fragment: `source` → SHUFFLE through `stage`.
 fn spawn_shuffle(
     runtime: &Arc<VerbsRuntime>,
-    stage: &Stage,
+    stage: &Exchange,
     node: usize,
     name: &str,
     source: Arc<dyn Operator>,
@@ -152,7 +125,7 @@ fn spawn_shuffle(
 /// A RECEIVE operator over `stage` on `node` producing `row_size`-byte
 /// rows.
 fn receive_op(
-    stage: &Stage,
+    stage: &Exchange,
     node: usize,
     row_size: usize,
     threads: usize,
