@@ -48,6 +48,19 @@ if grep -rn 'to_vec()\|Vec::new(' crates/core/src/endpoint/ | grep -v 'alloc-ok'
   exit 1
 fi
 
+# One seam: `Exchange::shuffle_operator` / `receive_operator` are the only
+# builders of the two operators (lanes, groups, threads, the phase runner
+# exactly where the schedule wants it). The constructors under them stay
+# `pub` for the frozen `benchmark/` alone — not scanned here — until
+# ROADMAP 1a moves it; every other caller goes through the exchange.
+if wired=$(grep -rlE 'ShuffleOperator::with_lanes|ReceiveOperator::with_lanes|\.with_phases\(' \
+  crates src tests examples | grep -v '^crates/core/src/'); then
+  echo "ERROR: SHUFFLE/RECEIVE operators wired by hand outside crates/core/src/ in:" >&2
+  echo "$wired" >&2
+  echo "       use Exchange::shuffle_operator / Exchange::receive_operator" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

@@ -5,10 +5,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use std::sync::Arc;
 
 use rshuffle::{
-    default_partition_hash, CostModel, Exchange, ExchangeConfig, MsgHeader, MsgKind, RowBatch,
-    ShuffleAlgorithm, ShuffleOperator, StreamState, HEADER_LEN,
+    default_partition_hash, Exchange, ExchangeConfig, MsgHeader, MsgKind, Operator, RowBatch,
+    ShuffleAlgorithm, StreamState, HEADER_LEN,
 };
-use rshuffle_engine::{drive_to_sink, Generator};
+use rshuffle_engine::{drive_exchange, Generator};
 use rshuffle_simnet::lru::LruSet;
 use rshuffle_simnet::{Cluster, DeviceProfile};
 use rshuffle_verbs::VerbsRuntime;
@@ -104,26 +104,9 @@ fn bench_end_to_end_shuffle(c: &mut Criterion) {
             let runtime = VerbsRuntime::new(cluster);
             let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, threads);
             let exchange = Exchange::build(&runtime, &config).expect("builds");
-            let cost = CostModel::from_profile(runtime.profile());
-            for node in 0..nodes {
-                let source = Arc::new(Generator::new(16_384, threads, node as u64));
-                let shuffle = Arc::new(ShuffleOperator::with_lanes(
-                    source,
-                    exchange.send[node].clone(),
-                    exchange.groups[node].clone(),
-                    threads,
-                    cost.clone(),
-                ));
-                drive_to_sink(runtime.cluster(), node, "s", shuffle, threads, |_, _| {});
-                let receive = Arc::new(rshuffle::ReceiveOperator::with_lanes(
-                    exchange.recv[node].clone(),
-                    16,
-                    2048,
-                    threads,
-                    cost.clone(),
-                ));
-                drive_to_sink(runtime.cluster(), node, "r", receive, threads, |_, _| {});
-            }
+            let source =
+                |node| Arc::new(Generator::new(16_384, threads, node as u64)) as Arc<dyn Operator>;
+            drive_exchange(&runtime, &exchange, 16, 2048, source, |_, _, _| {});
             runtime.cluster().run();
             black_box(exchange.bytes_received(0))
         })

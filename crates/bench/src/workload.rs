@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use rshuffle::{
-    CostModel, Exchange, ExchangeConfig, PhaseSchedule, ReceiveOperator, ShuffleAlgorithm,
-    ShuffleError, ShuffleOperator, TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, PhaseSchedule, ShuffleAlgorithm, ShuffleError,
+    TransmissionGroups,
 };
 use rshuffle_baselines::{ipoib, mpi};
 use rshuffle_engine::{drive_to_sink, ComputeStage, Generator};
@@ -235,7 +235,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
 
     let mut recv_stats = Vec::new();
     let mut send_stats = Vec::new();
-    for (node, group) in groups.iter().enumerate() {
+    for node in 0..nodes {
         let generator = Arc::new(Generator::new(
             rows_per_thread_on(node),
             threads,
@@ -251,35 +251,23 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         } else {
             cost.clone()
         };
-        let mut shuffle_op = ShuffleOperator::with_lanes(
-            generator,
-            exchange.send[node].clone(),
-            group.clone(),
-            threads,
-            send_cost,
-        );
-        if let Some(runner) = &exchange.phases {
-            shuffle_op = shuffle_op.with_phases(runner.clone(), node);
+        if let Some(shuffle) = exchange.shuffle_operator(node, generator, send_cost) {
+            send_stats.push(drive_to_sink(
+                runtime.cluster(),
+                node,
+                &format!("shuffle-{node}"),
+                Arc::new(shuffle),
+                threads,
+                |_, _| {},
+            ));
         }
-        let shuffle = Arc::new(shuffle_op);
-        send_stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("shuffle-{node}"),
-            shuffle,
-            threads,
-            |_, _| {},
-        ));
 
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            ROW_BYTES,
-            BATCH_ROWS,
-            threads,
-            cost.clone(),
-        ));
+        let Some(receive) = exchange.receive_operator(node, ROW_BYTES, BATCH_ROWS, cost.clone())
+        else {
+            continue;
+        };
         let mut staged: Arc<dyn rshuffle::Operator> =
-            Arc::new(JitterStage::new(receive, 0xBEEF ^ node as u64));
+            Arc::new(JitterStage::new(Arc::new(receive), 0xBEEF ^ node as u64));
         if cfg.compute_per_batch > SimDuration::ZERO {
             staged = Arc::new(ComputeStage::new(staged, cfg.compute_per_batch));
         }

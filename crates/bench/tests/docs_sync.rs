@@ -2,7 +2,7 @@
 //! in README.md, EXPERIMENTS.md, DESIGN.md, `ci.sh` and the verify skill
 //! must be a file of `src/bin`, every `bench <id>` an experiment of the
 //! registry, and every registered experiment must have its command in
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. README's Rust snippet must be the quickstart example.
 
 use std::collections::BTreeSet;
 
@@ -108,4 +108,29 @@ fn every_registered_experiment_has_its_command_in_experiments_md() {
             experiment.id
         );
     }
+}
+
+#[test]
+fn readme_snippet_is_the_quickstart_example() {
+    let read = |name: &str| {
+        std::fs::read_to_string(repo_path(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let readme = read("README.md");
+    let snippet: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| *line != "```rust")
+        .skip(1)
+        .take_while(|line| *line != "```")
+        .collect();
+    // The example, past its `//!` header.
+    let example = read("examples/quickstart.rs");
+    let example: Vec<&str> = example
+        .lines()
+        .skip_while(|line| line.starts_with("//!") || line.is_empty())
+        .collect();
+    assert!(!snippet.is_empty(), "README.md has no ```rust block");
+    assert_eq!(
+        snippet, example,
+        "README.md's Rust snippet and examples/quickstart.rs have drifted apart"
+    );
 }

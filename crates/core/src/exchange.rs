@@ -25,6 +25,7 @@ use crate::endpoint::{
 };
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
+use crate::operator::{CostModel, Operator, ReceiveOperator, ShuffleOperator};
 use crate::phase::{PhasePolicy, PhaseRunner, PhaseSchedule};
 
 /// Configuration for building a cluster-wide exchange.
@@ -171,6 +172,24 @@ impl ExchangeConfig {
             .unwrap_or_else(|| self.algorithm.endpoints(self.threads))
     }
 
+    /// The endpoint-id layout an exchange built from this configuration
+    /// mints its ids from.
+    fn id_layout(&self) -> IdLayout {
+        IdLayout {
+            base: self.endpoint_id_base,
+            nodes: self.groups.len(),
+            lanes: self.lanes(),
+        }
+    }
+
+    /// How many endpoint ids, counted from `endpoint_id_base`, an
+    /// exchange built from this configuration mints. Whoever hands out
+    /// id bases (the query coordinator, per attempt and per query) must
+    /// space them at least this far apart.
+    pub fn endpoint_ids(&self) -> u32 {
+        self.id_layout().minted()
+    }
+
     /// The parameter set every endpoint of this exchange is built from,
     /// and [`ExchangeConfig::registered_bytes_estimate`] sizes from.
     pub(crate) fn params(&self, profile: &DeviceProfile) -> Params {
@@ -302,13 +321,44 @@ type RecvLanes = Vec<Vec<Arc<dyn ReceiveEndpoint>>>;
 /// Every endpoint half is constructed from `(ctx, id, peers, params)`.
 type HalfCtor<E> = fn(&Context, EndpointId, Vec<NodeId>, Params) -> E;
 
+/// Endpoint ids of one exchange: `(node, lane, role)` → a unique integer
+/// offset into the exchange's id space, send halves on the even offsets.
+/// The only place that knows the arithmetic, in both directions.
+#[derive(Copy, Clone, Debug)]
+struct IdLayout {
+    base: u32,
+    nodes: usize,
+    lanes: usize,
+}
+
+impl IdLayout {
+    fn send_id(&self, node: usize, lane: usize) -> EndpointId {
+        EndpointId(self.base + (node * self.lanes + lane) as u32 * 2)
+    }
+
+    fn recv_id(&self, node: usize, lane: usize) -> EndpointId {
+        EndpointId(self.send_id(node, lane).0 + 1)
+    }
+
+    /// Ids between `base` and the last one minted, both roles.
+    fn minted(&self) -> u32 {
+        (self.nodes * self.lanes) as u32 * 2
+    }
+
+    /// The node whose send half carries `id`; `None` for a receive id
+    /// and for anything outside this exchange's range.
+    fn source_node(&self, id: EndpointId) -> Option<NodeId> {
+        let offset = id.0.checked_sub(self.base)?;
+        (offset < self.minted() && offset % 2 == 0).then(|| (offset / 2) as usize / self.lanes)
+    }
+}
+
 /// What [`Exchange::build`] has settled before any endpoint exists: who
 /// sends to whom, over how many lanes, under which endpoint ids.
 struct Wiring<'a> {
     runtime: &'a Arc<VerbsRuntime>,
     flow: FlowId,
-    lanes: usize,
-    id_base: u32,
+    ids: IdLayout,
     params: &'a Params,
     /// `dests[a]` = nodes `a` sends to.
     dests: &'a [Vec<NodeId>],
@@ -318,16 +368,6 @@ struct Wiring<'a> {
 }
 
 impl Wiring<'_> {
-    // Endpoint ids: (node, lane, role) → unique integer, offset into this
-    // exchange's id space.
-    fn send_id(&self, node: usize, lane: usize) -> EndpointId {
-        EndpointId(self.id_base + (node * self.lanes + lane) as u32 * 2)
-    }
-
-    fn recv_id(&self, node: usize, lane: usize) -> EndpointId {
-        EndpointId(self.send_id(node, lane).0 + 1)
-    }
-
     /// Builds and wires the endpoints of one reliable-connection
     /// transport: every lane of every node gets its halves, then each
     /// sender→receiver pair is connected, bound to a shared slot when a
@@ -343,13 +383,13 @@ impl Wiring<'_> {
         for node in 0..self.dests.len() {
             let ctx = self.runtime.context_flow(node, self.flow);
             let (mut s_lane, mut r_lane) = (Vec::new(), Vec::new());
-            for lane in 0..self.lanes {
+            for lane in 0..self.ids.lanes {
                 if !self.dests[node].is_empty() {
-                    let (id, peers) = (self.send_id(node, lane), self.dests[node].clone());
+                    let (id, peers) = (self.ids.send_id(node, lane), self.dests[node].clone());
                     s_lane.push(Arc::new(sender(&ctx, id, peers, self.params.clone())));
                 }
                 if !self.srcs[node].is_empty() {
-                    let (id, srcs) = (self.recv_id(node, lane), self.srcs[node].clone());
+                    let (id, srcs) = (self.ids.recv_id(node, lane), self.srcs[node].clone());
                     r_lane.push(Arc::new(receiver(&ctx, id, srcs, self.params.clone())));
                 }
             }
@@ -357,7 +397,7 @@ impl Wiring<'_> {
             recv.push(r_lane);
         }
         for (a, dests) in self.dests.iter().enumerate() {
-            for lane in 0..self.lanes {
+            for lane in 0..self.ids.lanes {
                 for &b in dests {
                     let (s, r) = (&send[a][lane], &recv[b][lane]);
                     let (qp_s, qp_r) = s.qp_pair(b, r, a);
@@ -395,9 +435,10 @@ impl Wiring<'_> {
         let mut channels: Vec<Vec<SrUdChannel>> = Vec::new();
         for node in 0..nodes {
             let ctx = self.runtime.context_flow(node, self.flow);
-            let lane_channels = (0..self.lanes)
+            let lane_channels = (0..self.ids.lanes)
                 .map(|lane| {
-                    let (send_id, recv_id) = (self.send_id(node, lane), self.recv_id(node, lane));
+                    let (send_id, recv_id) =
+                        (self.ids.send_id(node, lane), self.ids.recv_id(node, lane));
                     SrUdChannel::new(&ctx, send_id, recv_id, self.params.clone())
                 })
                 .collect();
@@ -428,7 +469,7 @@ impl Wiring<'_> {
             for (lane, channel) in channels[b].iter().enumerate() {
                 let expected: Vec<(EndpointId, NodeId)> = self.srcs[b]
                     .iter()
-                    .map(|&a| (self.send_id(a, lane), a))
+                    .map(|&a| (self.ids.send_id(a, lane), a))
                     .collect();
                 let credit = channel.bootstrap_receives(&ctx, &expected)?;
                 for &a in &self.srcs[b] {
@@ -481,6 +522,10 @@ pub struct Exchange {
     /// sender thread of the cluster; operators cross its barrier once per
     /// phase.
     pub phases: Option<Arc<PhaseRunner>>,
+    /// Worker threads per fragment, as configured.
+    threads: usize,
+    /// The ids this exchange's endpoints were minted from.
+    ids: IdLayout,
 }
 
 impl Exchange {
@@ -552,11 +597,11 @@ impl Exchange {
             _ => None,
         };
 
+        let ids = config.id_layout();
         let wiring = Wiring {
             runtime,
             flow: config.flow,
-            lanes,
-            id_base: config.endpoint_id_base,
+            ids,
             params: &config.params(runtime.profile()),
             dests: &dests,
             srcs: &srcs,
@@ -598,7 +643,65 @@ impl Exchange {
             flow: config.flow,
             mux: muxer,
             phases,
+            threads: config.threads,
+            ids,
         })
+    }
+
+    /// The SHUFFLE operator (Algorithm 1) of `node`'s fragment over this
+    /// exchange: `child`'s rows go out through the node's send lanes to
+    /// its transmission groups, phase-scheduled when the exchange is and
+    /// the node is one of the schedule's sources (a source the skew-aware
+    /// schedule exempted streams unphased and is no barrier party).
+    /// `None` when `node` sends nothing.
+    pub fn shuffle_operator(
+        &self,
+        node: NodeId,
+        child: Arc<dyn Operator>,
+        cost: CostModel,
+    ) -> Option<ShuffleOperator> {
+        let lanes = self.send.get(node).filter(|lanes| !lanes.is_empty())?;
+        let groups = self.groups[node].clone();
+        let shuffle = ShuffleOperator::with_lanes(child, lanes.clone(), groups, self.threads, cost);
+        Some(match &self.phases {
+            Some(runner) if !runner.schedule().is_free(node) => {
+                shuffle.with_phases(runner.clone(), node)
+            }
+            _ => shuffle,
+        })
+    }
+
+    /// The RECEIVE operator (Algorithm 2) of `node`'s fragment: what the
+    /// node's receive lanes deliver, as `row_size`-byte rows in batches of
+    /// `batch_rows`. `None` when nothing is sent to `node`.
+    pub fn receive_operator(
+        &self,
+        node: NodeId,
+        row_size: usize,
+        batch_rows: usize,
+        cost: CostModel,
+    ) -> Option<ReceiveOperator> {
+        let lanes = self.recv.get(node).filter(|lanes| !lanes.is_empty())?;
+        Some(ReceiveOperator::with_lanes(
+            lanes.clone(),
+            row_size,
+            batch_rows,
+            self.threads,
+            cost,
+        ))
+    }
+
+    /// Worker threads each fragment of this exchange runs.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The node that sent a [`crate::Delivery`] whose `src` is `id`:
+    /// the inverse of the exchange's own endpoint-id layout. `None` for
+    /// an id this exchange minted no send endpoint under — a receive id,
+    /// or one from another attempt's or another query's range.
+    pub fn source_node(&self, id: EndpointId) -> Option<NodeId> {
+        self.ids.source_node(id)
     }
 
     /// Charges the modelled connection-setup cost for `node`'s endpoints to
@@ -639,5 +742,174 @@ impl Exchange {
     /// Payload bytes received by `node` so far.
     pub fn bytes_received(&self, node: NodeId) -> u64 {
         self.recv[node].iter().map(|e| e.bytes_received()).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use rshuffle_obs::names;
+
+    use super::*;
+    use crate::buffer::StreamState;
+    use crate::operator::RowBatch;
+
+    const ROW: usize = 16;
+    const ROWS_PER_THREAD: usize = 2_000;
+
+    /// `ROWS_PER_THREAD` distinct-key rows per thread, in batches of 500.
+    struct Rows(Vec<AtomicUsize>);
+
+    impl Operator for Rows {
+        fn next(&self, _sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+            let done = self.0[tid].fetch_add(500, Ordering::Relaxed);
+            let mut batch = RowBatch::new(ROW, 500);
+            for seq in done..done + 500 {
+                let mut row = [0u8; ROW];
+                row[0..8].copy_from_slice(&((seq * 31 + tid) as u64).to_le_bytes());
+                batch.push_row(&row);
+            }
+            let more = done + 500 < ROWS_PER_THREAD;
+            Ok((
+                if more {
+                    StreamState::MoreData
+                } else {
+                    StreamState::Depleted
+                },
+                batch,
+            ))
+        }
+    }
+
+    /// Builds `config`'s exchange and pulls both operators of every node
+    /// that has them to depletion; returns the exchange and its runtime.
+    fn run(config: &ExchangeConfig) -> (Exchange, Arc<VerbsRuntime>) {
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let exchange = Exchange::build(&runtime, config).expect("exchange builds");
+        let cost = CostModel::from_profile(runtime.profile());
+        for node in 0..config.groups.len() {
+            let source = Arc::new(Rows(
+                (0..config.threads).map(|_| AtomicUsize::new(0)).collect(),
+            ));
+            let shuffle = exchange.shuffle_operator(node, source, cost.clone());
+            let receive = exchange.receive_operator(node, ROW, 512, cost.clone());
+            let ops = [
+                shuffle.map(|op| Arc::new(op) as Arc<dyn Operator>),
+                receive.map(|op| Arc::new(op) as Arc<dyn Operator>),
+            ];
+            for (half, op) in ops.into_iter().enumerate() {
+                let Some(op) = op else { continue };
+                for tid in 0..config.threads {
+                    let op = op.clone();
+                    let name = format!("n{node}-h{half}-{tid}");
+                    runtime.cluster().spawn(node, &name, move |sim| {
+                        while op.next(&sim, tid).expect("operator").0 != StreamState::Depleted {}
+                    });
+                }
+            }
+        }
+        runtime.cluster().run();
+        (exchange, runtime)
+    }
+
+    #[test]
+    fn shuffle_operator_phases_the_constrained_sources_only() {
+        // Node 0 is estimated at 1000x everyone else: the skew-aware
+        // schedule exempts it, and the barrier counts the other three
+        // nodes' threads only. Were node 0's operator phased anyway, or
+        // counted as a party, round 0 would never fill and the run would
+        // end in a stall instead of completing.
+        let (nodes, threads) = (4, 2);
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, threads);
+        config.phase = PhasePolicy::SkewAware;
+        let mut estimate = vec![vec![1u64; nodes]; nodes];
+        estimate[0] = vec![1000; nodes];
+        config.phase_bytes = Some(Arc::new(estimate));
+        let (exchange, runtime) = run(&config);
+        let runner = exchange.phases.as_ref().expect("phased exchange");
+        assert_eq!(runner.schedule().free_sources(), vec![0]);
+        assert_eq!(runner.parties(), (nodes - 1) * threads);
+        assert!(
+            runtime
+                .obs()
+                .metrics
+                .counter_total(names::EXCHANGE_PHASES_RUN)
+                > 0
+        );
+        let received: u64 = (0..nodes).map(|n| exchange.bytes_received(n)).sum();
+        assert_eq!(received, (nodes * threads * ROWS_PER_THREAD * ROW) as u64);
+    }
+
+    #[test]
+    fn a_node_without_a_half_gets_no_operator_for_it() {
+        // Node 0 sends to node 1 and nothing comes back.
+        for algorithm in [ShuffleAlgorithm::MESQ_SR, ShuffleAlgorithm::SEMQ_SR] {
+            let groups = vec![
+                TransmissionGroups::new(vec![vec![1]]),
+                TransmissionGroups::new(vec![]),
+            ];
+            let mut config = ExchangeConfig::with_groups(algorithm, 2, groups);
+            config.message_size = 4096;
+            let (exchange, runtime) = run(&config);
+            let cost = CostModel::from_profile(runtime.profile());
+            let source = || Arc::new(Rows(Vec::new())) as Arc<dyn Operator>;
+            assert!(exchange
+                .shuffle_operator(0, source(), cost.clone())
+                .is_some());
+            assert!(exchange
+                .shuffle_operator(1, source(), cost.clone())
+                .is_none());
+            assert!(exchange
+                .receive_operator(0, ROW, 512, cost.clone())
+                .is_none());
+            assert!(exchange
+                .receive_operator(1, ROW, 512, cost.clone())
+                .is_some());
+            assert!(
+                exchange.shuffle_operator(2, source(), cost).is_none(),
+                "no such node"
+            );
+            assert_eq!(exchange.bytes_received(0), 0);
+            assert_eq!(
+                exchange.bytes_received(1),
+                (2 * ROWS_PER_THREAD * ROW) as u64,
+                "{algorithm}"
+            );
+        }
+    }
+
+    #[test]
+    fn source_node_inverts_the_id_layout_and_refuses_foreign_ids() {
+        // Counted from configuration alone: both roles of every lane.
+        let big = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_SR, 33, 64);
+        assert_eq!(big.endpoint_ids(), 4224);
+        let (nodes, threads) = (3, 4);
+        for algorithm in [ShuffleAlgorithm::MEMQ_SR, ShuffleAlgorithm::SESQ_SR] {
+            let mut config = ExchangeConfig::repartition(algorithm, nodes, threads);
+            config.endpoint_id_base = 8192;
+            let runtime = config.build_runtime(DeviceProfile::edr());
+            let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
+            let mut minted = 0;
+            for node in 0..nodes {
+                for ep in &exchange.send[node] {
+                    assert_eq!(exchange.source_node(ep.id()), Some(node), "{algorithm}");
+                    minted += 1;
+                }
+                for ep in &exchange.recv[node] {
+                    assert_eq!(exchange.source_node(ep.id()), None, "a receive id");
+                    minted += 1;
+                }
+            }
+            assert_eq!(minted, config.endpoint_ids(), "{algorithm}");
+            // The neighbouring attempts' ranges, and the first id past this one.
+            for foreign in [8192 - 4096, 8192 - 2, 8192 + minted, 8192 + 4096] {
+                assert_eq!(
+                    exchange.source_node(EndpointId(foreign)),
+                    None,
+                    "id {foreign}"
+                );
+            }
+        }
     }
 }

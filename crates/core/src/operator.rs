@@ -96,11 +96,6 @@ impl RowBatch {
         self.data.chunks_exact(self.row_size)
     }
 
-    /// The raw row bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.data
-    }
-
     /// Removes all rows, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -182,7 +177,9 @@ impl ShuffleOperator {
     /// endpoint lanes (1 ≤ lanes ≤ threads: one for SE, `threads` for ME);
     /// worker `tid` uses lane `tid % lanes`. This is the knob swept in
     /// Figure 11 (the number of endpoints controls the number of Queue
-    /// Pairs).
+    /// Pairs). What [`crate::Exchange::shuffle_operator`] is written in:
+    /// take the operator from the exchange, which knows its own lanes,
+    /// groups and threads.
     ///
     /// # Panics
     ///
@@ -240,6 +237,8 @@ impl ShuffleOperator {
     /// per destination, then transmit one destination per schedule phase,
     /// crossing `runner`'s cluster-wide barrier between phases. `node` is
     /// this operator's node id in the schedule.
+    /// [`crate::Exchange::shuffle_operator`] calls this where the schedule
+    /// wants it.
     pub fn with_phases(mut self, runner: Arc<PhaseRunner>, node: NodeId) -> Self {
         self.phases = Some((runner, node));
         self
@@ -456,7 +455,9 @@ impl Operator for ShuffleOperator {
         let res = match &self.phases {
             // A source the skew-aware schedule exempted streams through
             // the ordinary unphased path: it is not a barrier party and
-            // owes the schedule nothing.
+            // owes the schedule nothing. (The exchange does not phase
+            // such a source's operator in the first place; the guard is
+            // for whoever calls `with_phases` on every node.)
             Some((runner, node)) if !runner.schedule().is_free(*node) => {
                 let res = self.next_phased(sim, tid, runner, *node, &mut skip);
                 if res.is_err() {
@@ -485,7 +486,8 @@ pub struct ReceiveOperator {
 impl ReceiveOperator {
     /// Creates the operator for `threads` workers producing `row_size`-byte
     /// rows in batches of `batch_rows`, over any number of endpoint lanes
-    /// (1 ≤ lanes ≤ threads); worker `tid` uses lane `tid % lanes`.
+    /// (1 ≤ lanes ≤ threads); worker `tid` uses lane `tid % lanes`. What
+    /// [`crate::Exchange::receive_operator`] is written in.
     pub fn with_lanes(
         endpoints: Vec<Arc<dyn ReceiveEndpoint>>,
         row_size: usize,

@@ -170,15 +170,16 @@ impl PhaseSchedule {
                 "phase schedule: transfer matrix must be square ({nodes} rows)"
             )));
         }
-        let (phases, free) = match policy {
+        let free = match policy {
             PhasePolicy::Off => {
                 return Err(ShuffleError::Config(
                     "phase schedule requested with PhasePolicy::Off".to_string(),
                 ))
             }
-            PhasePolicy::Naive => (naive_phases(bytes), vec![false; nodes]),
-            PhasePolicy::SkewAware => skew_aware_phases(bytes),
+            PhasePolicy::Naive => vec![false; nodes],
+            PhasePolicy::SkewAware => heavy_sources(bytes),
         };
+        let phases = rotation_phases(bytes, &free);
         let mut dest = vec![vec![None; nodes]; phases.len()];
         for (p, phase) in phases.iter().enumerate() {
             for &(src, dst, _) in &phase.edges {
@@ -263,55 +264,13 @@ impl PhaseSchedule {
     }
 }
 
-/// Latin-square rotation: phase `p` pairs `src → (src + p) mod N`.
-/// Each of the `N` rotations is a perfect matching on the complete
-/// graph (with self loops at `p = 0`), restricted here to the pairs
-/// actually present in the matrix; rotations with no present pairs are
-/// dropped.
-fn naive_phases(bytes: &[Vec<u64>]) -> Vec<Phase> {
+/// Latin-square rotation over the sources that are not `free`: phase `p`
+/// pairs `src → (src + p) mod N`. Each of the `N` rotations is a perfect
+/// matching on the complete graph (with self loops at `p = 0`),
+/// restricted here to the pairs actually present in the matrix;
+/// rotations with no present pairs are dropped.
+fn rotation_phases(bytes: &[Vec<u64>], free: &[bool]) -> Vec<Phase> {
     let n = bytes.len();
-    let mut phases = Vec::new();
-    for p in 0..n {
-        let mut edges = Vec::new();
-        for (src, row) in bytes.iter().enumerate() {
-            let dst = (src + p) % n;
-            if row[dst] > 0 {
-                edges.push((src, dst, row[dst]));
-            }
-        }
-        if !edges.is_empty() {
-            phases.push(Phase { edges });
-        }
-    }
-    phases
-}
-
-/// Skew-aware construction: exempt heavy sources, rotate the rest.
-///
-/// Sources whose row total exceeds [`HEAVY_SOURCE_FACTOR`] × the mean
-/// (over rows with any traffic) are marked *free*: a barrier schedule
-/// would stretch every round to the heavy row's edge and pay the
-/// per-round fixed cost `N` times on the critical path, yet a single
-/// heavy sender spreads a repartition hash across every destination
-/// and never concentrates on one ingress port — phasing it buys
-/// nothing. The constrained (near-uniform) sources follow the same
-/// Latin-square rotation as the naive schedule, restricted to their
-/// rows, so the bulk of the matrix stays contention-free while each
-/// free source adds at most one extra flow to any port. A uniform
-/// matrix exempts nobody and the result equals the naive rotation.
-fn skew_aware_phases(bytes: &[Vec<u64>]) -> (Vec<Phase>, Vec<bool>) {
-    let n = bytes.len();
-    let totals: Vec<u64> = bytes.iter().map(|row| row.iter().sum()).collect();
-    let active = totals.iter().filter(|&&t| t > 0).count();
-    let mean = if active == 0 {
-        0.0
-    } else {
-        totals.iter().sum::<u64>() as f64 / active as f64
-    };
-    let free: Vec<bool> = totals
-        .iter()
-        .map(|&t| mean > 0.0 && (t as f64) > HEAVY_SOURCE_FACTOR * mean)
-        .collect();
     let mut phases = Vec::new();
     for p in 0..n {
         let mut edges = Vec::new();
@@ -328,7 +287,34 @@ fn skew_aware_phases(bytes: &[Vec<u64>]) -> (Vec<Phase>, Vec<bool>) {
             phases.push(Phase { edges });
         }
     }
-    (phases, free)
+    phases
+}
+
+/// The sources a skew-aware schedule exempts.
+///
+/// Sources whose row total exceeds [`HEAVY_SOURCE_FACTOR`] × the mean
+/// (over rows with any traffic) are marked *free*: a barrier schedule
+/// would stretch every round to the heavy row's edge and pay the
+/// per-round fixed cost `N` times on the critical path, yet a single
+/// heavy sender spreads a repartition hash across every destination
+/// and never concentrates on one ingress port — phasing it buys
+/// nothing. The constrained (near-uniform) sources follow the same
+/// Latin-square rotation as the naive schedule, restricted to their
+/// rows, so the bulk of the matrix stays contention-free while each
+/// free source adds at most one extra flow to any port. A uniform
+/// matrix exempts nobody and the result equals the naive rotation.
+fn heavy_sources(bytes: &[Vec<u64>]) -> Vec<bool> {
+    let totals: Vec<u64> = bytes.iter().map(|row| row.iter().sum()).collect();
+    let active = totals.iter().filter(|&&t| t > 0).count();
+    let mean = if active == 0 {
+        0.0
+    } else {
+        totals.iter().sum::<u64>() as f64 / active as f64
+    };
+    totals
+        .iter()
+        .map(|&t| mean > 0.0 && (t as f64) > HEAVY_SOURCE_FACTOR * mean)
+        .collect()
 }
 
 /// Runtime coordinator for a phased transmission: all sender threads of
@@ -345,7 +331,7 @@ pub struct PhaseRunner {
     timeout: SimDuration,
     state: Mutex<BarrierState>,
     aborted: AtomicBool,
-    obs: Option<PhaseObs>,
+    obs: PhaseObs,
 }
 
 struct BarrierState {
@@ -366,27 +352,9 @@ impl PhaseRunner {
     /// Builds a runner for `schedule`, crossed by `parties` sender
     /// threads (every lane of every sending node). `timeout` bounds a
     /// single barrier wait; a thread that waits longer aborts the
-    /// whole runner (some peer died without reporting).
-    pub fn new(
-        kernel: &Kernel,
-        schedule: PhaseSchedule,
-        parties: usize,
-        timeout: SimDuration,
-    ) -> Arc<PhaseRunner> {
-        let gate = Arc::new(Gate::new(kernel, BARRIER_WAKE_LATENCY));
-        Arc::new(PhaseRunner {
-            schedule,
-            parties: parties.max(1),
-            timeout,
-            state: Mutex::new(BarrierState { arrived: 0, gate }),
-            aborted: AtomicBool::new(false),
-            obs: None,
-        })
-    }
-
-    /// As [`PhaseRunner::new`], publishing `exchange.phases_run` /
-    /// `exchange.phase_barrier_wait_ns` and per-phase trace instants
-    /// into `obs`.
+    /// whole runner (some peer died without reporting). Publishes
+    /// `exchange.phases_run` / `exchange.phase_barrier_wait_ns` and
+    /// per-phase trace instants into `obs`.
     pub fn with_obs(
         kernel: &Kernel,
         schedule: PhaseSchedule,
@@ -408,7 +376,7 @@ impl PhaseRunner {
             timeout,
             state: Mutex::new(BarrierState { arrived: 0, gate }),
             aborted: AtomicBool::new(false),
-            obs: Some(phase_obs),
+            obs: phase_obs,
         })
     }
 
@@ -459,18 +427,17 @@ impl PhaseRunner {
         if self.aborted.load(Ordering::Acquire) {
             return Err(ShuffleError::Stalled("phase barrier aborted"));
         }
-        if let Some(po) = &self.obs {
-            po.phases_run.inc();
-            po.barrier_wait
-                .record(sim.now().as_nanos().saturating_sub(started.as_nanos()));
-            po.obs.recorder.event(
-                sim.node() as u32,
-                sim.id().track(),
-                sim.now().as_nanos(),
-                EventKind::PhaseBegin,
-                phase as u64,
-            );
-        }
+        let po = &self.obs;
+        po.phases_run.inc();
+        po.barrier_wait
+            .record(sim.now().as_nanos().saturating_sub(started.as_nanos()));
+        po.obs.recorder.event(
+            sim.node() as u32,
+            sim.id().track(),
+            sim.now().as_nanos(),
+            EventKind::PhaseBegin,
+            phase as u64,
+        );
         Ok(())
     }
 

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle::{
     default_partition_hash, CostModel, EndpointImpl, EndpointMode, Exchange, ExchangeConfig,
-    Operator, ReceiveOperator, RowBatch, ShuffleAlgorithm, ShuffleError, ShuffleOperator,
-    StreamState, TransmissionGroups,
+    Operator, RowBatch, ShuffleAlgorithm, ShuffleError, StreamState, TransmissionGroups,
 };
 use rshuffle_simnet::{Cluster, DeviceProfile, SimContext};
 use rshuffle_verbs::{FaultConfig, VerbsRuntime};
@@ -91,8 +90,6 @@ fn run_shuffle(
     rows_per_thread: usize,
     faults: FaultConfig,
 ) -> RunResult {
-    let cluster = Cluster::new(nodes, DeviceProfile::edr());
-    let runtime = VerbsRuntime::with_faults(cluster, faults);
     let mut config = match pattern {
         Pattern::Repartition => ExchangeConfig::repartition(algorithm, nodes, threads),
         Pattern::Broadcast => ExchangeConfig::broadcast(algorithm, nodes, threads),
@@ -100,7 +97,21 @@ fn run_shuffle(
     // Small RC messages so the tests exercise many buffers.
     config.message_size = 4096;
     config.buffers_per_peer = 4;
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
+    run_exchange(&config, faults, |_| rows_per_thread)
+}
+
+/// Builds `config`'s exchange over a fresh EDR cluster and runs both
+/// operators of every node to completion, node `n` sending
+/// `rows_on(n)` rows per thread.
+fn run_exchange(
+    config: &ExchangeConfig,
+    faults: FaultConfig,
+    rows_on: impl Fn(usize) -> usize,
+) -> RunResult {
+    let (nodes, threads) = (config.groups.len(), config.threads);
+    let cluster = Cluster::new(nodes, DeviceProfile::edr());
+    let runtime = VerbsRuntime::with_faults(cluster, faults);
+    let exchange = Exchange::build(&runtime, config).expect("exchange builds");
     let cost = CostModel::from_profile(runtime.profile());
 
     let received: Arc<Vec<Mutex<Vec<[u8; ROW]>>>> =
@@ -108,32 +119,27 @@ fn run_shuffle(
     let errors: Arc<Mutex<Vec<ShuffleError>>> = Arc::new(Mutex::new(Vec::new()));
 
     for node in 0..nodes {
-        let source = Arc::new(TestSource::new(node, threads, rows_per_thread));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            ROW,
-            256,
-            threads,
-            cost.clone(),
-        ));
+        let source = Arc::new(TestSource::new(node, threads, rows_on(node)));
+        let shuffle = exchange
+            .shuffle_operator(node, source, cost.clone())
+            .map(Arc::new);
+        let receive = exchange
+            .receive_operator(node, ROW, 256, cost.clone())
+            .map(Arc::new);
         for tid in 0..threads {
-            let shuffle = shuffle.clone();
-            let errs = errors.clone();
-            runtime
-                .cluster()
-                .spawn(node, &format!("send-{node}-{tid}"), move |sim| {
-                    if let Err(e) = shuffle.next(&sim, tid) {
-                        errs.lock().push(e);
-                    }
-                });
-            let receive = receive.clone();
+            if let Some(shuffle) = shuffle.clone() {
+                let errs = errors.clone();
+                runtime
+                    .cluster()
+                    .spawn(node, &format!("send-{node}-{tid}"), move |sim| {
+                        if let Err(e) = shuffle.next(&sim, tid) {
+                            errs.lock().push(e);
+                        }
+                    });
+            }
+            let Some(receive) = receive.clone() else {
+                continue;
+            };
             let sink = received.clone();
             let errs = errors.clone();
             runtime
@@ -286,56 +292,10 @@ fn native_multicast_broadcast_delivers_every_row() {
         ud_reorder_probability: 0.3,
         ..no_reorder()
     };
-    let cluster = Cluster::new(nodes, DeviceProfile::edr());
-    let runtime = VerbsRuntime::with_faults(cluster, faults);
     let mut config = ExchangeConfig::broadcast(ShuffleAlgorithm::MESQ_SR, nodes, threads);
     config.ud_native_multicast = true;
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-    let received: Arc<Vec<Mutex<Vec<[u8; ROW]>>>> =
-        Arc::new((0..nodes).map(|_| Mutex::new(Vec::new())).collect());
-    for node in 0..nodes {
-        let source = Arc::new(TestSource::new(node, threads, rows));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        for tid in 0..threads {
-            let shuffle = shuffle.clone();
-            runtime
-                .cluster()
-                .spawn(node, &format!("send-{node}-{tid}"), move |sim| {
-                    shuffle.next(&sim, tid).expect("shuffle");
-                });
-        }
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            ROW,
-            256,
-            threads,
-            cost.clone(),
-        ));
-        for tid in 0..threads {
-            let receive = receive.clone();
-            let sink = received.clone();
-            runtime
-                .cluster()
-                .spawn(node, &format!("recv-{node}-{tid}"), move |sim| loop {
-                    let (state, batch) = receive.next(&sim, tid).expect("receive");
-                    let mut out = sink[node].lock();
-                    for row in batch.iter() {
-                        out.push(row.try_into().expect("16-byte row"));
-                    }
-                    if state == StreamState::Depleted {
-                        break;
-                    }
-                });
-        }
-    }
-    runtime.cluster().run();
+    let result = run_exchange(&config, faults, |_| rows);
+    assert!(result.errors.is_empty(), "errors: {:?}", result.errors);
     for node in 0..nodes {
         let mut expected = Vec::new();
         for src in 0..nodes {
@@ -349,7 +309,7 @@ fn native_multicast_broadcast_delivers_every_row() {
             }
         }
         assert_eq!(
-            sorted(received[node].lock().clone()),
+            sorted(result.received[node].clone()),
             sorted(expected),
             "native multicast lost rows at node {node}"
         );
@@ -480,59 +440,15 @@ fn multicast_groups_deliver_to_each_group_member() {
             }
         })
         .collect();
-    let cluster = Cluster::new(nodes, DeviceProfile::edr());
-    let runtime = VerbsRuntime::with_faults(cluster, no_reorder());
-    let mut config =
-        ExchangeConfig::with_groups(ShuffleAlgorithm::MEMQ_SR, threads, groups.clone());
+    let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::MEMQ_SR, threads, groups);
     config.message_size = 4096;
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-
     let rows = 1200;
-    let received: Arc<Vec<Mutex<Vec<[u8; ROW]>>>> =
-        Arc::new((0..nodes).map(|_| Mutex::new(Vec::new())).collect());
-
-    for node in 0..nodes {
-        let rows_here = if node == 0 { rows } else { 40 };
-        let source = Arc::new(TestSource::new(node, threads, rows_here));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            ROW,
-            256,
-            threads,
-            cost.clone(),
-        ));
-        for tid in 0..threads {
-            let shuffle = shuffle.clone();
-            runtime
-                .cluster()
-                .spawn(node, &format!("send-{node}-{tid}"), move |sim| {
-                    shuffle.next(&sim, tid).expect("shuffle");
-                });
-            let receive = receive.clone();
-            let sink = received.clone();
-            runtime
-                .cluster()
-                .spawn(node, &format!("recv-{node}-{tid}"), move |sim| loop {
-                    let (state, batch) = receive.next(&sim, tid).expect("receive");
-                    let mut out = sink[node].lock();
-                    for row in batch.iter() {
-                        out.push(row.try_into().expect("16-byte row"));
-                    }
-                    if state == StreamState::Depleted {
-                        break;
-                    }
-                });
-        }
-    }
-    runtime.cluster().run();
+    let result = run_exchange(
+        &config,
+        no_reorder(),
+        |node| if node == 0 { rows } else { 40 },
+    );
+    assert!(result.errors.is_empty(), "errors: {:?}", result.errors);
 
     // Node 0's rows that hash to group 0 must appear on BOTH node 1 and 2;
     // group-1 rows only on node 3.
@@ -550,8 +466,7 @@ fn multicast_groups_deliver_to_each_group_member() {
         }
     }
     for target in [1usize, 2, 3] {
-        let got: Vec<[u8; ROW]> = received[target]
-            .lock()
+        let got: Vec<[u8; ROW]> = result.received[target]
             .iter()
             .copied()
             .filter(|r| node_of(r) == 0)

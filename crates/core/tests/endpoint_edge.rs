@@ -131,22 +131,14 @@ fn credit_writeback_frequency_one_works() {
     let cost = rshuffle::CostModel::from_profile(rt.profile());
     for node in 0..2 {
         let src = Arc::new(rshuffle_test_source(node));
-        let sh = Arc::new(rshuffle::ShuffleOperator::with_lanes(
-            src,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            2,
-            cost.clone(),
-        ));
-        rshuffle_engine_drive(&rt, node, sh, 2);
-        let rc = Arc::new(rshuffle::ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            512,
-            2,
-            cost.clone(),
-        ));
-        rshuffle_engine_drive(&rt, node, rc, 2);
+        let sh = exchange
+            .shuffle_operator(node, src, cost.clone())
+            .expect("sends");
+        rshuffle_engine_drive(&rt, node, Arc::new(sh), 2);
+        let rc = exchange
+            .receive_operator(node, 16, 512, cost.clone())
+            .expect("receives");
+        rshuffle_engine_drive(&rt, node, Arc::new(rc), 2);
     }
     rt.cluster().run();
     assert_eq!(

@@ -4,9 +4,10 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle::{Operator, RowBatch, ShuffleError, StreamState};
+use rshuffle::{CostModel, Exchange, Operator, RowBatch, ShuffleError, StreamState};
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_simnet::{Cluster, NodeId, SimTime};
+use rshuffle_verbs::VerbsRuntime;
 
 /// Statistics from driving one fragment.
 ///
@@ -105,6 +106,56 @@ pub fn drive_to_sink(
     stats
 }
 
+/// Spawns both fragments of `exchange` on every node of `runtime`'s
+/// cluster, node by node: `make_source(node)` feeding the node's SHUFFLE
+/// operator, and its RECEIVE operator streaming `row_size`-byte rows in
+/// batches of `batch_rows` into `sink(node, tid, batch)`, at the
+/// profile's CPU costs. A node that sends (receives) nothing gets no
+/// SHUFFLE (RECEIVE) fragment. Returns the fragments' statistics in
+/// spawn order, readable after [`Cluster::run`].
+pub fn drive_exchange(
+    runtime: &Arc<VerbsRuntime>,
+    exchange: &Exchange,
+    row_size: usize,
+    batch_rows: usize,
+    make_source: impl Fn(NodeId) -> Arc<dyn Operator>,
+    sink: impl Fn(NodeId, usize, &RowBatch) + Send + Sync + 'static,
+) -> Vec<Arc<Mutex<FragmentStats>>> {
+    let cluster = runtime.cluster();
+    let threads = exchange.threads();
+    let cost = CostModel::from_profile(runtime.profile());
+    let sink = Arc::new(sink);
+    let mut stats = Vec::new();
+    for node in 0..cluster.nodes() {
+        if let Some(shuffle) = exchange.shuffle_operator(node, make_source(node), cost.clone()) {
+            let name = format!("shuffle-{node}");
+            let shuffle = Arc::new(shuffle);
+            stats.push(drive_to_sink(
+                cluster,
+                node,
+                &name,
+                shuffle,
+                threads,
+                |_, _| {},
+            ));
+        }
+        if let Some(receive) = exchange.receive_operator(node, row_size, batch_rows, cost.clone()) {
+            let name = format!("receive-{node}");
+            let sink = sink.clone();
+            let deliver = move |tid: usize, batch: &RowBatch| sink(node, tid, batch);
+            stats.push(drive_to_sink(
+                cluster,
+                node,
+                &name,
+                Arc::new(receive),
+                threads,
+                deliver,
+            ));
+        }
+    }
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,11 +172,6 @@ mod tests {
         let mut b = [0u8; 8];
         b.copy_from_slice(&row[at..at + 8]);
         u64::from_le_bytes(b)
-    }
-
-    /// Little-endian i64 at `row[at..at + 8]`.
-    fn le_i64(row: &[u8], at: usize) -> i64 {
-        le_u64(row, at) as i64
     }
 
     fn key(row: &[u8]) -> u64 {
@@ -367,31 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn union_all_concatenates_children() {
-        use crate::ops::UnionAll;
-        let c = cluster();
-        let a = Arc::new(Generator::new(1_000, 2, 1));
-        let b = Arc::new(Generator::new(500, 2, 2));
-        let union = Arc::new(UnionAll::new(vec![a, b], 2));
-        let stats = drive_to_sink(&c, 0, "union", union, 2, |_, _| {});
-        c.run();
-        assert_eq!(stats.lock().rows, 2 * 1_000 + 2 * 500);
-    }
-
-    #[test]
-    fn union_all_with_empty_children() {
-        use crate::ops::UnionAll;
-        let c = cluster();
-        let empty = Arc::new(MemScan::new(Table::empty(16), 1, 8e9));
-        let data = Arc::new(Generator::new(100, 1, 3));
-        let empty2 = Arc::new(MemScan::new(Table::empty(16), 1, 8e9));
-        let union = Arc::new(UnionAll::new(vec![empty, data, empty2], 1));
-        let stats = drive_to_sink(&c, 0, "union", union, 1, |_, _| {});
-        c.run();
-        assert_eq!(stats.lock().rows, 100);
-    }
-
-    #[test]
     fn semi_join_passes_only_matching_probes() {
         use crate::ops::HashSemiJoin;
         let c = cluster();
@@ -445,40 +466,6 @@ mod tests {
         let stats = drive_to_sink(&c, 0, "semi", semi, 1, |_, _| {});
         c.run();
         assert_eq!(stats.lock().rows, 0);
-    }
-
-    #[test]
-    fn top_n_keeps_the_largest_keys_in_order() {
-        use crate::ops::TopN;
-        let c = cluster();
-        let mut b = Table::builder(8);
-        // Shuffled values 0..1000.
-        for i in 0..1000u64 {
-            let v = (i * 617) % 1000;
-            b.push(&(v as i64).to_le_bytes());
-        }
-        let scan = Arc::new(MemScan::new(b.build(), 3, 8e9));
-        let top = Arc::new(TopN::new(
-            c.kernel(),
-            scan,
-            |row| le_i64(row, 0),
-            10,
-            3,
-            SimDuration::from_nanos(2),
-        ));
-        let rows = Arc::new(Mutex::new(Vec::new()));
-        let rows2 = rows.clone();
-        let stats = drive_to_sink(&c, 0, "top", top, 3, move |_, batch| {
-            for row in batch.iter() {
-                rows2
-                    .lock()
-                    .push(le_i64(row, 0));
-            }
-        });
-        c.run();
-        assert!(stats.lock().errors.is_empty());
-        let rows = rows.lock().clone();
-        assert_eq!(rows, (990..1000).rev().map(|v| v as i64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -20,16 +20,12 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// Extracts an unsigned 64-bit key from a row (hash keys, group keys).
 pub type RowKeyFn = Arc<dyn Fn(&[u8]) -> u64 + Send + Sync>;
-/// Extracts a signed ordering key from a row (Top-N sort keys).
-pub type RowOrdKeyFn = Arc<dyn Fn(&[u8]) -> i64 + Send + Sync>;
 /// Emits a joined output row from a build row and a probe row.
 pub type JoinEmitFn = Arc<dyn Fn(&[u8], &[u8], &mut Vec<u8>) + Send + Sync>;
 /// Folds a row into its group accumulator.
 pub type FoldFn = Arc<dyn Fn(&mut Vec<u8>, &[u8]) + Send + Sync>;
 /// Builds the initial accumulator for a new group.
 pub type InitFn = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
-/// Min-heap of `(key, row)` keeping the N largest entries.
-type TopHeap = std::collections::BinaryHeap<std::cmp::Reverse<(i64, Vec<u8>)>>;
 
 /// Scans a [`Table`] fragment, block-partitioned across threads.
 pub struct MemScan {
@@ -505,130 +501,6 @@ impl Operator for HashAggregate {
                 return Ok((StreamState::MoreData, out));
             }
         }
-    }
-}
-
-/// Pulls from each child in turn (used to feed a join's probe side from
-/// both a local scan and a received stream).
-pub struct UnionAll {
-    children: Vec<Arc<dyn Operator>>,
-    /// Index of the child each thread is currently draining.
-    cursor: Vec<AtomicUsize>,
-}
-
-impl UnionAll {
-    /// Creates a union over `children` for `threads` workers.
-    pub fn new(children: Vec<Arc<dyn Operator>>, threads: usize) -> Self {
-        UnionAll {
-            children,
-            cursor: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-}
-
-impl Operator for UnionAll {
-    fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
-        loop {
-            let i = self.cursor[tid].load(Ordering::Relaxed);
-            if i >= self.children.len() {
-                return Ok((StreamState::Depleted, RowBatch::new(1, 0)));
-            }
-            let (state, batch) = self.children[i].next(sim, tid)?;
-            let last = i + 1 == self.children.len();
-            if state == StreamState::Depleted {
-                self.cursor[tid].store(i + 1, Ordering::Relaxed);
-                if last {
-                    return Ok((StreamState::Depleted, batch));
-                }
-                if !batch.is_empty() {
-                    return Ok((StreamState::MoreData, batch));
-                }
-                continue;
-            }
-            return Ok((StreamState::MoreData, batch));
-        }
-    }
-}
-
-/// Top-N selection: drains the child, keeps the `n` rows with the largest
-/// key (TPC-H Q3's `ORDER BY revenue DESC LIMIT 10`), then emits them in
-/// descending key order from thread 0.
-pub struct TopN {
-    child: Arc<dyn Operator>,
-    key: RowOrdKeyFn,
-    n: usize,
-    /// Min-heap of (key, row) keeping the N largest.
-    heap: Mutex<TopHeap>,
-    barrier: SimBarrier,
-    drained: Vec<AtomicBool>,
-    emitted: AtomicBool,
-    per_tuple: SimDuration,
-}
-
-impl TopN {
-    /// Creates a top-`n` operator for `threads` workers ordering by `key`
-    /// descending.
-    pub fn new(
-        kernel: &rshuffle_simnet::Kernel,
-        child: Arc<dyn Operator>,
-        key: impl Fn(&[u8]) -> i64 + Send + Sync + 'static,
-        n: usize,
-        threads: usize,
-        per_tuple: SimDuration,
-    ) -> Self {
-        assert!(n > 0, "top-N needs a positive N");
-        TopN {
-            child,
-            key: Arc::new(key),
-            n,
-            heap: Mutex::new(std::collections::BinaryHeap::new()),
-            barrier: SimBarrier::new(kernel, threads),
-            drained: (0..threads).map(|_| AtomicBool::new(false)).collect(),
-            emitted: AtomicBool::new(false),
-            per_tuple,
-        }
-    }
-}
-
-impl Operator for TopN {
-    fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
-        if !self.drained[tid].load(Ordering::SeqCst) {
-            loop {
-                let (state, batch) = self.child.next(sim, tid)?;
-                if !batch.is_empty() {
-                    sim.sleep(self.per_tuple * batch.rows() as u64);
-                    let mut heap = self.heap.lock();
-                    for row in batch.iter() {
-                        heap.push(std::cmp::Reverse(((self.key)(row), row.to_vec())));
-                        if heap.len() > self.n {
-                            heap.pop();
-                        }
-                    }
-                }
-                if state == StreamState::Depleted {
-                    break;
-                }
-            }
-            self.barrier.wait(sim);
-            self.drained[tid].store(true, Ordering::SeqCst);
-        }
-        // One thread emits the final ranking; everyone else is done.
-        if self
-            .emitted
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Ok((StreamState::Depleted, RowBatch::new(1, 0)));
-        }
-        let mut rows: Vec<(i64, Vec<u8>)> =
-            self.heap.lock().drain().map(|r| r.0).collect();
-        rows.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let row_size = rows.first().map_or(1, |(_, r)| r.len());
-        let mut out = RowBatch::new(row_size, rows.len());
-        for (_, row) in rows {
-            out.push_row(&row);
-        }
-        Ok((StreamState::Depleted, out))
     }
 }
 

@@ -60,7 +60,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle::{
     CostModel, EndpointImpl, Exchange, ExchangeConfig, Operator, RowBatch, ShuffleAlgorithm,
-    ShuffleError, ShuffleOperator, StreamState,
+    ShuffleError, StreamState,
 };
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
@@ -78,28 +78,26 @@ const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
 /// restarts), and the cap it doubles up to.
 const INITIAL_BACKOFF: SimDuration = SimDuration::from_micros(50);
 const MAX_BACKOFF: SimDuration = SimDuration::from_millis(1);
-/// Endpoint-id distance between consecutive rebuild attempts of one
-/// query, so a retried flow never aliases a fenced-off attempt's ids.
-pub(crate) const ATTEMPT_ID_STRIDE: u32 = 4096;
+/// Least endpoint-id distance between consecutive rebuild attempts of
+/// one query.
+const MIN_ATTEMPT_ID_STRIDE: u32 = 4096;
 
-/// A capped exponential backoff schedule in virtual time, with optional
-/// deterministic per-seed jitter.
-///
-/// The base schedule starts at `initial`, doubles on every [`next`]
-/// call and saturates at `max` — monotone non-decreasing until the cap.
-/// With [`with_jitter`], each delay is stretched by up to a quarter of
-/// its base value using a splitmix64 stream, so concurrent retriers
-/// de-synchronize; the jittered delay is still clamped to `max` and the
-/// sequence is a pure function of the seed.
-///
-/// [`next`]: BackoffSchedule::next
-/// [`with_jitter`]: BackoffSchedule::with_jitter
+/// Endpoint-id distance between consecutive rebuild attempts of a query
+/// whose exchange mints `ids_minted` ids
+/// ([`ExchangeConfig::endpoint_ids`]): wide enough that a retried flow
+/// never aliases a fenced-off attempt's ids.
+pub(crate) fn attempt_id_stride(ids_minted: u32) -> u32 {
+    ids_minted.next_power_of_two().max(MIN_ATTEMPT_ID_STRIDE)
+}
+
+/// A capped exponential backoff schedule in virtual time: starts at
+/// `initial`, doubles on every [`next`](BackoffSchedule::next) call and
+/// saturates at `max` — monotone non-decreasing until the cap.
 #[derive(Clone, Debug)]
 pub struct BackoffSchedule {
     initial: SimDuration,
     max: SimDuration,
     cur: SimDuration,
-    jitter: Option<u64>,
 }
 
 impl BackoffSchedule {
@@ -109,18 +107,6 @@ impl BackoffSchedule {
             initial,
             max,
             cur: initial,
-            jitter: None,
-        }
-    }
-
-    /// Creates a jittered schedule; the delay sequence is deterministic
-    /// per `seed`.
-    pub fn with_jitter(initial: SimDuration, max: SimDuration, seed: u64) -> Self {
-        BackoffSchedule {
-            initial,
-            max,
-            cur: initial,
-            jitter: Some(seed),
         }
     }
 
@@ -129,20 +115,7 @@ impl BackoffSchedule {
     pub fn next(&mut self) -> SimDuration {
         let base = self.cur.min(self.max);
         self.cur = (base * 2).min(self.max);
-        match &mut self.jitter {
-            None => base,
-            Some(state) => {
-                // splitmix64: a full-period, seedable stream.
-                *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = *state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                let quarter = base.as_nanos() / 4;
-                let extra = if quarter == 0 { 0 } else { z % quarter };
-                (base + SimDuration::from_nanos(extra)).min(self.max)
-            }
-        }
+        base
     }
 
     /// Rewinds the schedule to its initial delay (a new failure episode).
@@ -477,6 +450,7 @@ pub(crate) fn run_query(
         let ledger = Arc::new(FlowLedger::default());
         let accounting = Arc::new(RecvAccounting::default());
         let eligible = partial_eligible(&config);
+        let id_stride = attempt_id_stride(config.endpoint_ids());
         let mut epoch = 0u16;
         let mut rebuilds = 0u32;
         let mut first_failure = None;
@@ -493,10 +467,10 @@ pub(crate) fn run_query(
             attempt_cfg.epoch = epoch;
             attempt_cfg.endpoint_id_base = config
                 .endpoint_id_base
-                .wrapping_add(rebuilds.wrapping_mul(ATTEMPT_ID_STRIDE));
+                .wrapping_add(rebuilds.wrapping_mul(id_stride));
             let attempt_started = sim.now();
             let exchange = match Exchange::build(&runtime, &attempt_cfg) {
-                Ok(ex) => ex,
+                Ok(ex) => Arc::new(ex),
                 Err(e) => {
                     (hooks.after_attempt)(&sim, AttemptEnd::Failure);
                     rep.failure = Some(e);
@@ -507,7 +481,6 @@ pub(crate) fn run_query(
             let expected = spawn_attempt(
                 &cluster,
                 &exchange,
-                &attempt_cfg,
                 &cost,
                 rep.generation,
                 rebuilds,
@@ -820,8 +793,7 @@ fn seed_pending_drops(
 #[allow(clippy::too_many_arguments)]
 fn spawn_attempt(
     cluster: &rshuffle_simnet::Cluster,
-    exchange: &Exchange,
-    config: &ExchangeConfig,
+    exchange: &Arc<Exchange>,
     cost: &CostModel,
     generation: u32,
     rebuild: u32,
@@ -832,33 +804,20 @@ fn spawn_attempt(
     accounting: &Arc<RecvAccounting>,
     done: &Gate<WorkerResult>,
 ) -> usize {
-    let threads = config.threads;
-    let lanes = exchange.lanes;
-    let base = config.endpoint_id_base;
+    let threads = exchange.threads();
     let mut expected = 0;
     for node in 0..cluster.nodes() {
-        if !exchange.send[node].is_empty() {
-            let groups = &exchange.groups[node];
+        let source = make_source(generation, node);
+        if let Some(shuffle) = exchange.shuffle_operator(node, source, cost.clone()) {
             let skips: Vec<Vec<u64>> = (0..threads)
                 .map(|tid| {
-                    groups
+                    exchange.groups[node]
                         .iter()
                         .map(|members| ledger.resume_skip(node, tid, members))
                         .collect()
                 })
                 .collect();
-            let mut shuffle = ShuffleOperator::with_lanes(
-                make_source(generation, node),
-                exchange.send[node].clone(),
-                groups.clone(),
-                threads,
-                cost.clone(),
-            )
-            .with_resume_skip(skips);
-            if let Some(runner) = &exchange.phases {
-                shuffle = shuffle.with_phases(runner.clone(), node);
-            }
-            let op: Arc<dyn Operator> = Arc::new(shuffle);
+            let op: Arc<dyn Operator> = Arc::new(shuffle.with_resume_skip(skips));
             for tid in 0..threads {
                 let name = format!("r{rebuild}-shuffle-{node}-{tid}");
                 let (op, done) = (op.clone(), done.clone());
@@ -880,7 +839,7 @@ fn spawn_attempt(
         if !exchange.recv[node].is_empty() {
             for tid in 0..threads {
                 let name = format!("r{rebuild}-recv-{node}-{tid}");
-                let ep = exchange.recv[node][tid % exchange.recv[node].len()].clone();
+                let exchange = exchange.clone();
                 let sink = sink.clone();
                 let ledger = ledger.clone();
                 let accounting = accounting.clone();
@@ -888,8 +847,16 @@ fn spawn_attempt(
                 let done = done.clone();
                 cluster.spawn(node, &name, move |sim: SimContext| {
                     let result = recovery_recv_loop(
-                        &sim, &ep, node, tid, generation, base, lanes, row_size, &cost, &sink,
-                        &ledger, &accounting,
+                        &sim,
+                        &exchange,
+                        node,
+                        tid,
+                        generation,
+                        row_size,
+                        &cost,
+                        &sink,
+                        &ledger,
+                        &accounting,
                     );
                     done.push(result);
                 });
@@ -908,18 +875,18 @@ fn spawn_attempt(
 #[allow(clippy::too_many_arguments)]
 fn recovery_recv_loop(
     sim: &SimContext,
-    ep: &Arc<dyn rshuffle::ReceiveEndpoint>,
+    exchange: &Exchange,
     node: NodeId,
     tid: usize,
     generation: u32,
-    base: u32,
-    lanes: usize,
     row_size: usize,
     cost: &CostModel,
     sink: &GenSink,
     ledger: &Arc<FlowLedger>,
     accounting: &Arc<RecvAccounting>,
 ) -> WorkerResult {
+    let lanes = &exchange.recv[node];
+    let ep = &lanes[tid % lanes.len()];
     while let Some(delivery) = ep.get_data(sim)? {
         let len = delivery.local.len();
         if len % row_size != 0 {
@@ -928,9 +895,12 @@ fn recovery_recv_loop(
             )));
         }
         let rows_in = (len / row_size) as u64;
-        // Map the wire-level source endpoint id back to the sending
-        // node: send ids are `base + (node * lanes + lane) * 2`.
-        let src_node = (delivery.src.0.wrapping_sub(base) / 2) as usize / lanes;
+        let Some(src_node) = exchange.source_node(delivery.src) else {
+            return Err(ShuffleError::Corrupt(format!(
+                "delivery from endpoint {}, which is no sender of this attempt",
+                delivery.src.0
+            )));
+        };
         let flow = (src_node, delivery.src_tid, node);
         let drop_now = {
             let mut drops = accounting.pending_drops.lock();
@@ -983,6 +953,21 @@ mod tests {
         assert_eq!(b.next(), us(400), "saturates at the cap");
         b.reset();
         assert_eq!(b.next(), us(50));
+    }
+
+    #[test]
+    fn attempt_id_ranges_are_disjoint_whatever_the_exchange_mints() {
+        // What 33 nodes x 64 lanes mint: past the 4 096 floor.
+        let minted = 4224;
+        let stride = attempt_id_stride(minted);
+        assert_eq!(stride, 8192);
+        for attempt in 0..4 {
+            assert!(attempt * stride + minted <= (attempt + 1) * stride);
+        }
+        // Everything the suites and benches run sits on the floor: 3
+        // nodes x 2 lanes mint 12.
+        assert_eq!(attempt_id_stride(12), 4096);
+        assert_eq!(attempt_id_stride(4096), 4096);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rshuffle_simnet::{FlowId, NodeId, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
 use crate::recovery::{
-    run_query, AttemptEnd, AttemptHooks, RecoveryPolicy, RecoveryReport, ATTEMPT_ID_STRIDE,
+    attempt_id_stride, run_query, AttemptEnd, AttemptHooks, RecoveryPolicy, RecoveryReport,
 };
 
 /// Gap between the endpoint-id spaces of consecutive query ids: room
@@ -38,7 +38,8 @@ pub struct QuerySpec {
     pub config: ExchangeConfig,
     /// Recovery policy for transient failures. Every rebuild it allows
     /// takes its own endpoint-id range inside the query's
-    /// [`ENDPOINT_ID_STRIDE`], so at most 15 in total.
+    /// [`ENDPOINT_ID_STRIDE`]: at most 15 in total, fewer for an exchange
+    /// that mints more than 4 096 ids.
     pub policy: RecoveryPolicy,
     /// Row size streamed by the receive operators.
     pub row_size: usize,
@@ -63,15 +64,17 @@ impl QuerySpec {
 }
 
 /// `spec`'s endpoint-id base, or a typed error when the id space cannot
-/// hold the query: each rebuild its policy allows takes a fresh
-/// [`ATTEMPT_ID_STRIDE`]-wide range above the base, and all of them must
-/// end below the next query's base (and inside `u32`).
+/// hold the query: each rebuild its policy allows takes a fresh range
+/// above the base, as wide as the coordinator spaces its attempts
+/// (`attempt_id_stride`), and all of them must end below the next
+/// query's base (and inside `u32`).
 fn endpoint_id_base(spec: &QuerySpec) -> Result<u32, ShuffleError> {
     let policy = &spec.policy;
     let attempts = policy.max_partial_retries as u64 + policy.max_full_restarts as u64 + 1;
-    if attempts * ATTEMPT_ID_STRIDE as u64 > ENDPOINT_ID_STRIDE as u64 {
+    let stride = attempt_id_stride(spec.config.endpoint_ids());
+    if attempts * stride as u64 > ENDPOINT_ID_STRIDE as u64 {
         return Err(ShuffleError::Config(format!(
-            "query {}: {attempts} attempts of {ATTEMPT_ID_STRIDE} endpoint ids each overrun \
+            "query {}: {attempts} attempts of {stride} endpoint ids each overrun \
              the query's {ENDPOINT_ID_STRIDE}-id space",
             spec.id
         )));

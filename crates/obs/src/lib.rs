@@ -27,8 +27,8 @@ pub mod stage;
 pub mod trace;
 
 pub use metrics::{
-    Counter, CounterId, Histogram, HistogramId, HistogramSnapshot, HistogramSummary, Labels,
-    MetricsRegistry, Snapshot, NO_LABEL,
+    Counter, Histogram, HistogramSnapshot, HistogramSummary, Labels, MetricsRegistry, Snapshot,
+    NO_LABEL,
 };
 pub use recorder::{EventKind, FlightRecorder, Record, HW_TRACK};
 pub use stage::Stage;
@@ -181,9 +181,9 @@ pub struct Obs {
     stage_histograms: AtomicBool,
     /// Stage Chrome-trace spans on/off (default off — spans are bulky).
     stage_spans: AtomicBool,
-    /// Lazily grown per-node table of interned stage histogram ids,
-    /// indexed `[node][stage as usize]`.
-    stage_ids: RwLock<Vec<[HistogramId; Stage::COUNT]>>,
+    /// Lazily grown per-node table of stage histogram handles, indexed
+    /// `[node][stage as usize]`.
+    stage_hists: RwLock<Vec<[Arc<Histogram>; Stage::COUNT]>>,
 }
 
 impl Default for Obs {
@@ -193,7 +193,7 @@ impl Default for Obs {
             recorder: FlightRecorder::default(),
             stage_histograms: AtomicBool::new(true),
             stage_spans: AtomicBool::new(false),
-            stage_ids: RwLock::new(Vec::new()),
+            stage_hists: RwLock::new(Vec::new()),
         }
     }
 }
@@ -229,35 +229,25 @@ impl Obs {
         self.stage_spans.load(Ordering::Relaxed)
     }
 
-    /// Interned histogram id for `(stage, node)`. The whole node row is
-    /// registered on first touch; callers on very hot paths may cache
-    /// the returned id and use [`MetricsRegistry::record`] directly.
-    pub fn stage_histogram_id(&self, stage: Stage, node: u32) -> HistogramId {
-        {
-            let table = self.stage_ids.read();
-            if let Some(row) = table.get(node as usize) {
-                return row[stage as usize];
-            }
-        }
-        let mut table = self.stage_ids.write();
-        while table.len() <= node as usize {
-            let n = table.len() as u32;
-            let row = Stage::ALL.map(|s| self.metrics.histogram_id(s.metric_name(), Labels::node(n)));
-            table.push(row);
-        }
-        table[node as usize][stage as usize]
-    }
-
     /// Records one stage latency sample for `node`. A no-op (single
     /// atomic load) when stage histograms are disabled; never advances
-    /// virtual time.
+    /// virtual time. A node's whole row of series is registered on its
+    /// first sample, with the rows of the nodes below it.
     #[inline]
     pub fn record_stage(&self, stage: Stage, node: u32, ns: u64) {
         if !self.stage_histograms_enabled() {
             return;
         }
-        let id = self.stage_histogram_id(stage, node);
-        self.metrics.record(id, ns);
+        if let Some(row) = self.stage_hists.read().get(node as usize) {
+            return row[stage as usize].record(ns);
+        }
+        let mut table = self.stage_hists.write();
+        while table.len() <= node as usize {
+            let n = table.len() as u32;
+            table
+                .push(Stage::ALL.map(|s| self.metrics.histogram(s.metric_name(), Labels::node(n))));
+        }
+        table[node as usize][stage as usize].record(ns);
     }
 
     /// Records a stage interval as a Chrome-trace span on `(node, tid)`.

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Serialize, Value};
 
 /// Sentinel meaning "this label dimension is not set".
@@ -443,33 +443,11 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-/// Dense handle to an interned counter series. Obtained once via
-/// [`MetricsRegistry::counter_id`]; recording through the id does no
-/// string hashing or allocation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CounterId(u32);
-
-/// Dense handle to an interned histogram series. Obtained once via
-/// [`MetricsRegistry::histogram_id`]; recording through the id does no
-/// string hashing or allocation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub struct HistogramId(u32);
-
 /// Registry of named metric series. Handle creation and snapshots take
 /// a lock; recording through the returned handles does not.
-///
-/// Series can additionally be *interned* to dense integer ids
-/// ([`CounterId`] / [`HistogramId`]): the name→handle resolution is paid
-/// once at registration, and [`add`](Self::add) /
-/// [`record`](Self::record) are then a slab index under a read lock —
-/// no string hashing, comparison, or allocation per sample.
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<(&'static str, Labels), Metric>>,
-    counter_ids: Mutex<BTreeMap<(&'static str, Labels), CounterId>>,
-    histogram_ids: Mutex<BTreeMap<(&'static str, Labels), HistogramId>>,
-    counter_slab: RwLock<Vec<Arc<Counter>>>,
-    histogram_slab: RwLock<Vec<Arc<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -504,50 +482,6 @@ impl MetricsRegistry {
             Metric::Histogram(h) => h.clone(),
             Metric::Counter(_) => panic!("metric {name} already registered as a counter"),
         }
-    }
-
-    /// Interns the counter `(name, labels)` to a dense id. Idempotent:
-    /// the same series always yields the same id. The id stays valid for
-    /// the registry's lifetime and aliases the [`counter`](Self::counter)
-    /// handle for the same series.
-    pub fn counter_id(&self, name: &'static str, labels: Labels) -> CounterId {
-        let mut ids = self.counter_ids.lock();
-        if let Some(&id) = ids.get(&(name, labels)) {
-            return id;
-        }
-        let handle = self.counter(name, labels);
-        let mut slab = self.counter_slab.write();
-        let id = CounterId(slab.len() as u32);
-        slab.push(handle);
-        ids.insert((name, labels), id);
-        id
-    }
-
-    /// Interns the histogram `(name, labels)` to a dense id. Idempotent;
-    /// aliases the [`histogram`](Self::histogram) handle for the series.
-    pub fn histogram_id(&self, name: &'static str, labels: Labels) -> HistogramId {
-        let mut ids = self.histogram_ids.lock();
-        if let Some(&id) = ids.get(&(name, labels)) {
-            return id;
-        }
-        let handle = self.histogram(name, labels);
-        let mut slab = self.histogram_slab.write();
-        let id = HistogramId(slab.len() as u32);
-        slab.push(handle);
-        ids.insert((name, labels), id);
-        id
-    }
-
-    /// Adds `n` to an interned counter.
-    #[inline]
-    pub fn add(&self, id: CounterId, n: u64) {
-        self.counter_slab.read()[id.0 as usize].add(n);
-    }
-
-    /// Records one observation into an interned histogram.
-    #[inline]
-    pub fn record(&self, id: HistogramId, value: u64) {
-        self.histogram_slab.read()[id.0 as usize].record(value);
     }
 
     /// Current value of a counter series (0 if it does not exist).
@@ -902,20 +836,6 @@ mod tests {
         let mut ba = b.snapshot();
         ba.merge(&a.snapshot());
         assert_eq!(ba, m);
-    }
-
-    #[test]
-    fn interned_ids_alias_named_handles() {
-        let r = MetricsRegistry::new();
-        let id = r.counter_id("hits", Labels::node(3));
-        assert_eq!(id, r.counter_id("hits", Labels::node(3)));
-        r.add(id, 2);
-        r.counter("hits", Labels::node(3)).inc();
-        assert_eq!(r.counter_value("hits", Labels::node(3)), 3);
-
-        let hid = r.histogram_id("lat", Labels::GLOBAL);
-        r.record(hid, 42);
-        assert_eq!(r.histogram("lat", Labels::GLOBAL).count(), 1);
     }
 
     #[test]

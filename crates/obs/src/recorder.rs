@@ -11,7 +11,6 @@
 //! deterministic for a fixed seed.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
@@ -175,7 +174,6 @@ struct RecorderState {
 pub struct FlightRecorder {
     state: Mutex<RecorderState>,
     capacity: usize,
-    enabled: AtomicBool,
 }
 
 impl Default for FlightRecorder {
@@ -191,19 +189,7 @@ impl FlightRecorder {
         FlightRecorder {
             state: Mutex::new(RecorderState::default()),
             capacity: capacity.max(1),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Globally enables or disables recording. Disabled recording is a
-    /// single atomic load per call site.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Names a track for trace exports (e.g. the simulated thread name).
@@ -215,18 +201,12 @@ impl FlightRecorder {
     /// Records a point event on `(node, tid)` at virtual time `at_ns`.
     #[inline]
     pub fn event(&self, node: u32, tid: u32, at_ns: u64, kind: EventKind, arg: u64) {
-        if !self.enabled() {
-            return;
-        }
         self.push(node, tid, Record::Instant { at_ns, kind, arg });
     }
 
     /// Records a completed span on `(node, tid)`.
     #[inline]
     pub fn span(&self, node: u32, tid: u32, name: &str, start_ns: u64, end_ns: u64) {
-        if !self.enabled() {
-            return;
-        }
         self.push(
             node,
             tid,
@@ -286,17 +266,6 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of events that matched `kind` across all rings.
-    pub fn count_events(&self, kind: EventKind) -> usize {
-        self.state
-            .lock()
-            .tracks
-            .values()
-            .flat_map(|t| t.ring.iter())
-            .filter(|r| matches!(r, Record::Instant { kind: k, .. } if *k == kind))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -324,18 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = FlightRecorder::new(16);
-        rec.set_enabled(false);
-        rec.event(0, 0, 1, EventKind::UdDrop, 0);
-        rec.span(0, 0, "s", 0, 10);
-        assert!(rec.is_empty());
-        rec.set_enabled(true);
-        rec.event(0, 0, 2, EventKind::UdDrop, 0);
-        assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
     fn spans_clamp_negative_duration() {
         let rec = FlightRecorder::new(16);
         rec.span(1, 2, "backwards", 10, 5);
@@ -345,15 +302,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn count_events_filters_by_kind() {
-        let rec = FlightRecorder::new(16);
-        rec.event(0, 0, 1, EventKind::QpCacheMiss, 7);
-        rec.event(0, 1, 2, EventKind::QpCacheMiss, 8);
-        rec.event(0, 1, 3, EventKind::RnrRetry, 0);
-        assert_eq!(rec.count_events(EventKind::QpCacheMiss), 2);
-        assert_eq!(rec.count_events(EventKind::RnrRetry), 1);
     }
 }

@@ -23,8 +23,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{
-    CostModel, Exchange, ExchangeConfig, Operator, ReceiveOperator, ShuffleAlgorithm,
-    ShuffleOperator, TransmissionGroups,
+    CostModel, Exchange, ExchangeConfig, Operator, ShuffleAlgorithm, TransmissionGroups,
 };
 use rshuffle_engine::{
     drive_to_sink, Filter, HashAggregate, HashJoin, HashSemiJoin, MemScan, Project,
@@ -102,44 +101,6 @@ fn build_stage(runtime: &Arc<VerbsRuntime>, transport: QueryTransport, threads: 
     }
 }
 
-/// Spawns a sender fragment: `source` → SHUFFLE through `stage`.
-fn spawn_shuffle(
-    runtime: &Arc<VerbsRuntime>,
-    stage: &Exchange,
-    node: usize,
-    name: &str,
-    source: Arc<dyn Operator>,
-    threads: usize,
-    cost: &CostModel,
-) {
-    let shuffle = Arc::new(ShuffleOperator::with_lanes(
-        source,
-        stage.send[node].clone(),
-        stage.groups[node].clone(),
-        threads,
-        cost.clone(),
-    ));
-    drive_to_sink(runtime.cluster(), node, name, shuffle, threads, |_, _| {});
-}
-
-/// A RECEIVE operator over `stage` on `node` producing `row_size`-byte
-/// rows.
-fn receive_op(
-    stage: &Exchange,
-    node: usize,
-    row_size: usize,
-    threads: usize,
-    cost: &CostModel,
-) -> Arc<dyn Operator> {
-    Arc::new(ReceiveOperator::with_lanes(
-        stage.recv[node].clone(),
-        row_size,
-        2048,
-        threads,
-        cost.clone(),
-    ))
-}
-
 /// Shared aggregate sink: folds per-node partial aggregates into the
 /// global map (the coordinator's trivial final merge).
 type GroupSink = Arc<Mutex<HashMap<u64, i64>>>;
@@ -200,6 +161,29 @@ pub fn run_query(
     let hash_cost = runtime.profile().hash_per_tuple;
     let tick = SimDuration::from_nanos(2);
     let groups: GroupSink = Arc::new(Mutex::new(HashMap::new()));
+    // Every stage is a partition among all nodes, so each node has both
+    // halves: a sender fragment `source` → SHUFFLE through `stage`, and a
+    // RECEIVE operator producing `row_size`-byte rows.
+    let shuffle = |stage: &Exchange, node: usize, name: &str, source: Arc<dyn Operator>| {
+        let op = stage
+            .shuffle_operator(node, source, cost.clone())
+            .expect("every node of a partition stage sends");
+        let name = format!("{name}-{node}");
+        drive_to_sink(
+            runtime.cluster(),
+            node,
+            &name,
+            Arc::new(op),
+            threads,
+            |_, _| {},
+        );
+    };
+    let receive = |stage: &Exchange, node: usize, row_size: usize| -> Arc<dyn Operator> {
+        let op = stage
+            .receive_operator(node, row_size, 2048, cost.clone())
+            .expect("every node of a partition stage receives");
+        Arc::new(op)
+    };
 
     match (query, transport) {
         (QueryId::Q4, QueryTransport::LocalData) => {
@@ -232,26 +216,10 @@ pub fn run_query(
             let o_stage = build_stage(&runtime, transport, threads);
             for node in 0..nodes {
                 let (li_src, o_src) = q4_sources(dataset, node, threads, scan_bw, tick);
-                spawn_shuffle(
-                    &runtime,
-                    &li_stage,
-                    node,
-                    &format!("q4-li-{node}"),
-                    li_src,
-                    threads,
-                    &cost,
-                );
-                spawn_shuffle(
-                    &runtime,
-                    &o_stage,
-                    node,
-                    &format!("q4-o-{node}"),
-                    o_src,
-                    threads,
-                    &cost,
-                );
-                let li_recv = receive_op(&li_stage, node, 8, threads, &cost);
-                let o_recv = receive_op(&o_stage, node, 9, threads, &cost);
+                shuffle(&li_stage, node, "q4-li", li_src);
+                shuffle(&o_stage, node, "q4-o", o_src);
+                let li_recv = receive(&li_stage, node, 8);
+                let o_recv = receive(&o_stage, node, 9);
                 let semi = Arc::new(HashSemiJoin::new(
                     runtime.kernel(),
                     li_recv,
@@ -301,15 +269,7 @@ pub fn run_query(
                     |r, out| out.extend_from_slice(&r[0..8]),
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &c_stage,
-                    node,
-                    &format!("q3-c-{node}"),
-                    c_proj,
-                    threads,
-                    &cost,
-                );
+                shuffle(&c_stage, node, "q3-c", c_proj);
 
                 // Orders: σ(orderdate < cut) → π(custkey, okey, date, prio)
                 // partitioned on the customer key.
@@ -330,20 +290,12 @@ pub fn run_query(
                     },
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &o_stage,
-                    node,
-                    &format!("q3-o-{node}"),
-                    o_proj,
-                    threads,
-                    &cost,
-                );
+                shuffle(&o_stage, node, "q3-o", o_proj);
 
                 // Join 1 (semi on custkey) → re-key output on the order key
                 // → shuffle.
-                let c_recv = receive_op(&c_stage, node, 8, threads, &cost);
-                let o_recv = receive_op(&o_stage, node, 21, threads, &cost);
+                let c_recv = receive(&c_stage, node, 8);
+                let o_recv = receive(&o_stage, node, 21);
                 let semi = Arc::new(HashSemiJoin::new(
                     runtime.kernel(),
                     c_recv,
@@ -359,15 +311,7 @@ pub fn run_query(
                     |r, out| out.extend_from_slice(&r[8..21]),
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &j_stage,
-                    node,
-                    &format!("q3-j-{node}"),
-                    rekey,
-                    threads,
-                    &cost,
-                );
+                shuffle(&j_stage, node, "q3-j", rekey);
 
                 // Lineitem: σ(shipdate > cut) → π(okey, revenue) → shuffle.
                 let li_scan = Arc::new(MemScan::new(
@@ -391,19 +335,11 @@ pub fn run_query(
                     },
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &li_stage,
-                    node,
-                    &format!("q3-li-{node}"),
-                    li_proj,
-                    threads,
-                    &cost,
-                );
+                shuffle(&li_stage, node, "q3-li", li_proj);
 
                 // Join 2 on the order key, then SUM(revenue) by order.
-                let j_recv = receive_op(&j_stage, node, 13, threads, &cost);
-                let li_recv = receive_op(&li_stage, node, 16, threads, &cost);
+                let j_recv = receive(&j_stage, node, 13);
+                let li_recv = receive(&li_stage, node, 16);
                 let join = Arc::new(HashJoin::new(
                     runtime.kernel(),
                     j_recv,
@@ -473,15 +409,7 @@ pub fn run_query(
                     },
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &o_stage,
-                    node,
-                    &format!("q10-o-{node}"),
-                    o_proj,
-                    threads,
-                    &cost,
-                );
+                shuffle(&o_stage, node, "q10-o", o_proj);
 
                 // Lineitem: σ(returnflag = 'R') → π(okey, revenue) on okey.
                 let li_scan = Arc::new(MemScan::new(
@@ -502,20 +430,12 @@ pub fn run_query(
                     },
                     tick,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &li_stage,
-                    node,
-                    &format!("q10-li-{node}"),
-                    li_proj,
-                    threads,
-                    &cost,
-                );
+                shuffle(&li_stage, node, "q10-li", li_proj);
 
                 // Join 1 on okey → π(custkey, revenue) re-shuffled on the
                 // customer key.
-                let o_recv = receive_op(&o_stage, node, 16, threads, &cost);
-                let li_recv = receive_op(&li_stage, node, 16, threads, &cost);
+                let o_recv = receive(&o_stage, node, 16);
+                let li_recv = receive(&li_stage, node, 16);
                 let join1 = Arc::new(HashJoin::new(
                     runtime.kernel(),
                     o_recv,
@@ -530,15 +450,7 @@ pub fn run_query(
                     threads,
                     hash_cost,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &j_stage,
-                    node,
-                    &format!("q10-j-{node}"),
-                    join1,
-                    threads,
-                    &cost,
-                );
+                shuffle(&j_stage, node, "q10-j", join1);
 
                 // Customer ⋈ NATION locally (NATION is replicated), then
                 // shuffled on the customer key.
@@ -561,19 +473,11 @@ pub fn run_query(
                     threads,
                     hash_cost,
                 ));
-                spawn_shuffle(
-                    &runtime,
-                    &c_stage,
-                    node,
-                    &format!("q10-c-{node}"),
-                    c_nation,
-                    threads,
-                    &cost,
-                );
+                shuffle(&c_stage, node, "q10-c", c_nation);
 
                 // Final join on custkey, SUM(revenue) by customer.
-                let c_recv = receive_op(&c_stage, node, 8, threads, &cost);
-                let j_recv = receive_op(&j_stage, node, 16, threads, &cost);
+                let c_recv = receive(&c_stage, node, 8);
+                let j_recv = receive(&j_stage, node, 16);
                 let join2 = Arc::new(HashJoin::new(
                     runtime.kernel(),
                     c_recv,
@@ -615,9 +519,7 @@ pub fn run_query(
 
     runtime.cluster().run();
     let response_time = runtime.kernel().now() - rshuffle_simnet::SimTime::ZERO;
-    let groups = Arc::try_unwrap(groups)
-        .map(|m| m.into_inner())
-        .unwrap_or_default();
+    let groups = std::mem::take(&mut *groups.lock());
     QueryResult {
         response_time,
         groups,

@@ -49,17 +49,6 @@ impl ConnectionManager {
         Self::connect_rc(sim, qp, peer)
     }
 
-    /// Brings a UD QP from RESET to RTS, charging the UD setup cost
-    /// (creation plus address-handle exchange).
-    pub fn setup_ud(sim: &SimContext, qp: &QueuePair) -> Result<()> {
-        debug_assert_eq!(qp.qp_type(), QpType::Ud);
-        sim.sleep(qp.profile_ud_setup());
-        qp.modify_to_init()?;
-        qp.modify_to_rtr()?;
-        qp.modify_to_rts()?;
-        Ok(())
-    }
-
     /// Brings a QP to RTS without charging any setup time. For tests and
     /// for setup outside a measured window.
     pub fn activate_untimed(qp: &QueuePair, peer: Option<AddressHandle>) -> Result<()> {

@@ -311,12 +311,6 @@ impl QueuePair {
         self.runtime.profile().rc_qp_setup
     }
 
-    /// The modelled setup cost of creating one UD QP and exchanging its
-    /// address handle.
-    pub fn profile_ud_setup(&self) -> SimDuration {
-        self.runtime.profile().ud_qp_setup
-    }
-
     /// An address handle peers can use to reach this QP.
     pub fn address_handle(&self) -> AddressHandle {
         AddressHandle {
@@ -595,7 +589,7 @@ impl QueuePair {
     }
 
     /// Records the send into the flight recorder and size histogram
-    /// (through the interned per-node id — no name lookup per message).
+    /// (through the cached per-node handle — no name lookup per message).
     fn observe_send_posted(&self, sim: &SimContext, len: usize, now: SimTime) {
         let obs = &self.runtime.rt_obs.obs;
         obs.recorder.event(
@@ -605,8 +599,7 @@ impl QueuePair {
             EventKind::SendPosted,
             len as u64,
         );
-        obs.metrics
-            .record(self.runtime.rt_obs.msg_size[self.inner.node], len as u64);
+        self.runtime.rt_obs.msg_size[self.inner.node].record(len as u64);
     }
 
     /// Records the doorbell→NIC-accept WR batching stage for a work
@@ -1091,10 +1084,8 @@ fn deliver_send(
             rwr.mr
                 .land(rwr.offset, payload)
                 .expect("receive buffer bounds checked at post time");
-            runtime.rt_obs.obs.metrics.record(
-                runtime.rt_obs.msg_latency[dest.node],
-                now.as_nanos().saturating_sub(posted_ns),
-            );
+            runtime.rt_obs.msg_latency[dest.node]
+                .record(now.as_nanos().saturating_sub(posted_ns));
             let completion = Completion {
                 wr_id: rwr.wr_id,
                 status: WcStatus::Success,

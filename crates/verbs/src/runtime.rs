@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rshuffle_audit::ShuffleAuditor;
-use rshuffle_obs::{names, Counter, EventKind, HistogramId, Labels, Obs, HW_TRACK};
+use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs, HW_TRACK};
 use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimDuration};
 
 use crate::cq::CompletionQueue;
@@ -77,19 +77,19 @@ pub struct RuntimeStats {
     pub ud_reordered: u64,
 }
 
-/// Cached registry handles for the delivery hot paths. Per-message
-/// series are interned to dense [`HistogramId`]s at runtime construction
-/// so recording a sample never hashes or compares metric-name strings.
+/// Cached registry handles for the delivery hot paths, taken at runtime
+/// construction so recording a sample never hashes or compares
+/// metric-name strings.
 pub(crate) struct RtObs {
     pub(crate) obs: Arc<Obs>,
     pub(crate) ud_dropped: Arc<Counter>,
     pub(crate) ud_unmatched: Arc<Counter>,
     pub(crate) rnr_retries: Arc<Counter>,
     pub(crate) ud_reordered: Arc<Counter>,
-    /// `verbs.msg_size_bytes{node}` ids, indexed by node.
-    pub(crate) msg_size: Vec<HistogramId>,
-    /// `verbs.msg_latency_ns{node}` ids, indexed by node.
-    pub(crate) msg_latency: Vec<HistogramId>,
+    /// `verbs.msg_size_bytes{node}`, indexed by node.
+    pub(crate) msg_size: Vec<Arc<Histogram>>,
+    /// `verbs.msg_latency_ns{node}`, indexed by node.
+    pub(crate) msg_latency: Vec<Arc<Histogram>>,
 }
 
 impl RtObs {
@@ -97,13 +97,13 @@ impl RtObs {
         let msg_size = (0..nodes)
             .map(|n| {
                 obs.metrics
-                    .histogram_id(names::VERBS_MSG_SIZE_BYTES, Labels::node(n as u32))
+                    .histogram(names::VERBS_MSG_SIZE_BYTES, Labels::node(n as u32))
             })
             .collect();
         let msg_latency = (0..nodes)
             .map(|n| {
                 obs.metrics
-                    .histogram_id(names::VERBS_MSG_LATENCY_NS, Labels::node(n as u32))
+                    .histogram(names::VERBS_MSG_LATENCY_NS, Labels::node(n as u32))
             })
             .collect();
         RtObs {

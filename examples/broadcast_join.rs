@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rshuffle_repro::engine::{drive_to_sink, HashJoin, MemScan, Table};
-use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
-};
+use rshuffle_repro::rshuffle::{CostModel, Exchange, ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{Cluster, DeviceProfile, SimDuration};
 use rshuffle_repro::verbs::VerbsRuntime;
 
@@ -42,18 +40,14 @@ fn main() {
         }
         // Broadcast the local dimension slice to every other node.
         let dim_scan = Arc::new(MemScan::new(dim.build(), threads, 8e9));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            dim_scan,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
+        let shuffle = exchange
+            .shuffle_operator(node, dim_scan, cost.clone())
+            .expect("every node broadcasts");
         drive_to_sink(
             runtime.cluster(),
             node,
             &format!("bcast-{node}"),
-            shuffle,
+            Arc::new(shuffle),
             threads,
             |_, _| {},
         );
@@ -71,16 +65,12 @@ fn main() {
         let fact_scan = Arc::new(MemScan::new(fact.build(), threads, 8e9));
 
         // Build side: the received (remote) dimension slices.
-        let received_dim = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            threads,
-            cost.clone(),
-        ));
+        let received_dim = exchange
+            .receive_operator(node, 16, 2048, cost.clone())
+            .expect("every node receives the others' slices");
         let join = Arc::new(HashJoin::new(
             runtime.kernel(),
-            received_dim,
+            Arc::new(received_dim),
             fact_scan,
             |d| u64::from_le_bytes(d[0..8].try_into().unwrap()),
             |f| u64::from_le_bytes(f[0..8].try_into().unwrap()),

@@ -10,10 +10,9 @@
 
 use std::sync::Arc;
 
-use rshuffle_repro::engine::{drive_to_sink, Generator};
+use rshuffle_repro::engine::{drive_exchange, Generator};
 use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, ReceiveOperator, ShuffleAlgorithm, ShuffleError,
-    ShuffleOperator,
+    Exchange, ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError,
 };
 use rshuffle_repro::simnet::{Cluster, DeviceProfile};
 use rshuffle_repro::verbs::{FaultConfig, VerbsRuntime};
@@ -34,42 +33,8 @@ fn attempt(drop_probability: f64, seed: u64) -> Result<u64, ShuffleError> {
     );
     let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, threads);
     let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-
-    let mut fragment_stats = Vec::new();
-    for node in 0..nodes {
-        let source = Arc::new(Generator::new(60_000, threads, node as u64));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        fragment_stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("s{node}"),
-            shuffle,
-            threads,
-            |_, _| {},
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            threads,
-            cost.clone(),
-        ));
-        fragment_stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("r{node}"),
-            receive,
-            threads,
-            |_, _| {},
-        ));
-    }
+    let source = |node| Arc::new(Generator::new(60_000, threads, node as u64)) as Arc<dyn Operator>;
+    let fragment_stats = drive_exchange(&runtime, &exchange, 16, 2048, source, |_, _, _| {});
     runtime.cluster().run();
 
     let net = runtime.stats();

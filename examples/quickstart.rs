@@ -8,10 +8,8 @@
 
 use std::sync::Arc;
 
-use rshuffle_repro::engine::{drive_to_sink, Generator};
-use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
-};
+use rshuffle_repro::engine::{drive_exchange, Generator};
+use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{Cluster, DeviceProfile};
 use rshuffle_repro::verbs::VerbsRuntime;
 
@@ -28,43 +26,13 @@ fn main() {
     //    per worker thread, RDMA Send/Receive, credit flow control.
     let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, nodes, threads);
     let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
 
     // 3. On every node: a generator feeding the SHUFFLE operator, and the
-    //    RECEIVE operator draining inbound buffers.
-    for node in 0..nodes {
-        let source = Arc::new(Generator::new(rows_per_thread, threads, node as u64));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("shuffle-{node}"),
-            shuffle,
-            threads,
-            |_, _| {},
-        );
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            threads,
-            cost.clone(),
-        ));
-        drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("receive-{node}"),
-            receive,
-            threads,
-            |_, _| {},
-        );
-    }
+    //    RECEIVE operator draining inbound buffers as 16-byte rows in
+    //    batches of 2048 (nothing downstream here, so the sink is a no-op).
+    let source =
+        |node| Arc::new(Generator::new(rows_per_thread, threads, node as u64)) as Arc<dyn Operator>;
+    drive_exchange(&runtime, &exchange, 16, 2048, source, |_, _, _| {});
 
     // 4. Run the virtual-time simulation to completion.
     runtime.cluster().run();

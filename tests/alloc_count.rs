@@ -11,13 +11,17 @@
 //! message (a `to_vec()` on the send path, a rebuilt AH vector per
 //! multicast, a fresh completion `Vec` per poll) blows the bound.
 
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::engine::RecoveryPolicy;
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::DeviceProfile;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
@@ -56,7 +60,6 @@ static COUNT_LOCK: Mutex<()> = Mutex::new(());
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
-const ROW: usize = 16;
 
 /// Runs one repartition query and returns the allocations made while
 /// the simulation ran (setup/teardown excluded — the gate is on the
@@ -65,36 +68,24 @@ fn allocs_during_run(algorithm: ShuffleAlgorithm, rows_per_thread: usize) -> u64
     let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
     config.message_size = 4096;
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let delivered = Arc::new(AtomicU64::new(0));
-    let d = delivered.clone();
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        RecoveryPolicy {
-            max_partial_retries: 0,
-            max_full_restarts: 0,
-            ..RecoveryPolicy::default()
-        },
-        ROW,
-        move |_, node| {
-            Arc::new(Generator::new(rows_per_thread, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |_, _, _, batch| {
-            d.fetch_add(batch.rows() as u64, Ordering::Relaxed);
-        },
-    );
+    let policy = RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts: 0,
+        ..RecoveryPolicy::default()
+    };
+    let pending = coordinated::spawn(&runtime, &config, policy, rows_per_thread);
     let before = ALLOCS.load(Ordering::SeqCst);
     runtime.cluster().run();
     let after = ALLOCS.load(Ordering::SeqCst);
-    let rep = report.lock().clone();
+    let run = pending.finish();
     assert!(
-        rep.failure.is_none(),
+        run.report.failure.is_none(),
         "{algorithm}: query failed: {:?}",
-        rep.failure
+        run.report.failure
     );
-    let expected = (NODES * THREADS * rows_per_thread) as u64;
+    let expected = NODES * THREADS * rows_per_thread;
     assert_eq!(
-        delivered.load(Ordering::SeqCst),
+        run.delivered[&0].len(),
         expected,
         "{algorithm}: wrong row count"
     );

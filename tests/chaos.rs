@@ -11,14 +11,17 @@
 //! the metrics snapshot and Chrome trace.
 
 mod common;
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
 
-use std::sync::Arc;
-
-use common::{small_config, us, Collector, ROW, THREADS};
-use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport};
-use rshuffle_repro::rshuffle::{Operator, ShuffleAlgorithm, ShuffleError};
+use common::{small_config, us};
+use rshuffle_repro::engine::{RecoveryPolicy, RecoveryReport};
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::verbs::FaultPlan;
+use run::{Run, ROW};
 
 const ROWS_PER_THREAD: usize = 1000;
 
@@ -64,38 +67,9 @@ fn chaos_policy() -> RecoveryPolicy {
     restart_policy(6)
 }
 
-struct ChaosRun {
-    report: RecoveryReport,
-    /// Rows delivered to any sink, keyed by generation.
-    delivered: Collector<u32>,
-    snapshot: String,
-    trace: String,
-}
-
-fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolicy) -> ChaosRun {
-    let config = small_config(algorithm, Some(plan));
+fn run_chaos(config: &ExchangeConfig, policy: RecoveryPolicy) -> Run<RecoveryReport> {
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let delivered = Collector::default();
-    let d = delivered.clone();
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        policy,
-        ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |generation, _, _, batch| d.push(generation, batch),
-    );
-    runtime.cluster().run();
-    let obs = runtime.obs();
-    let report = report.lock().clone();
-    ChaosRun {
-        report,
-        delivered,
-        snapshot: obs.snapshot_json(),
-        trace: obs.chrome_trace_json(),
-    }
+    coordinated::spawn(&runtime, config, policy, ROWS_PER_THREAD).finish()
 }
 
 /// Every row each node's generator will emit, cluster-wide.
@@ -108,7 +82,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
     let expected = expected_rows();
     for (plan_name, plan) in fault_matrix() {
         for algorithm in ShuffleAlgorithm::ALL {
-            let run = run_chaos(algorithm, plan.clone(), chaos_policy());
+            let run = run_chaos(&small_config(algorithm, Some(plan.clone())), chaos_policy());
             let rep = &run.report;
             assert!(
                 rep.succeeded(),
@@ -122,7 +96,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
             );
             // Exactly-once: the winning generation delivered precisely the
             // generated multiset — no loss, no duplication.
-            let got = run.delivered.sorted(&rep.generation);
+            let got = &run.delivered[&rep.generation];
             assert_eq!(
                 got.len(),
                 expected.len(),
@@ -132,7 +106,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
                 rep.full_restarts
             );
             assert_eq!(
-                got, expected,
+                *got, expected,
                 "{algorithm} under {plan_name}: delivered rows diverge from the source"
             );
             assert_eq!(rep.rows, expected.len() as u64, "{algorithm} {plan_name}");
@@ -151,8 +125,9 @@ fn same_seed_chaos_runs_are_byte_identical() {
         .qp_failure(1, us(20))
         .ud_loss_burst(0, us(10), us(120), 1.0);
     for algorithm in ShuffleAlgorithm::ALL {
-        let a = run_chaos(algorithm, plan.clone(), chaos_policy());
-        let b = run_chaos(algorithm, plan.clone(), chaos_policy());
+        let config = small_config(algorithm, Some(plan.clone()));
+        let a = run_chaos(&config, chaos_policy());
+        let b = run_chaos(&config, chaos_policy());
         assert_eq!(
             a.report.full_restarts, b.report.full_restarts,
             "{algorithm}: same-seed runs took different restart counts"
@@ -176,20 +151,7 @@ fn unrecoverable_loss_returns_typed_error_not_a_hang() {
     for algorithm in [ShuffleAlgorithm::MESQ_SR, ShuffleAlgorithm::SESQ_SR] {
         let mut config = small_config(algorithm, Some(FaultPlan::new()));
         config.faults.ud_drop_probability = 0.35;
-        let runtime = config.build_runtime(DeviceProfile::edr());
-        let policy = restart_policy(2);
-        let report = run_shuffle_with_recovery(
-            &runtime,
-            &config,
-            policy,
-            ROW,
-            |_, node| {
-                Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-            },
-            |_, _, _, _| {},
-        );
-        runtime.cluster().run();
-        let rep = report.lock();
+        let rep = run_chaos(&config, restart_policy(2)).report;
         let failure = rep
             .failure
             .clone()
@@ -209,20 +171,7 @@ fn marathon_receiver_pause_exhausts_restart_budget() {
     // must hand back the final typed error.
     let plan = FaultPlan::new().receiver_pause(1, us(10), SimDuration::from_millis(40));
     let config = small_config(ShuffleAlgorithm::MEMQ_SR, Some(plan));
-    let runtime = config.build_runtime(DeviceProfile::edr());
-    let policy = restart_policy(1);
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        policy,
-        ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        |_, _, _, _| {},
-    );
-    runtime.cluster().run();
-    let rep = report.lock();
+    let rep = run_chaos(&config, restart_policy(1)).report;
     assert!(
         rep.failure.is_some(),
         "a 40 ms pause defeats a 1-restart budget"

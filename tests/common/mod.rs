@@ -1,21 +1,26 @@
 //! What the chaos, conformance, mux-identity, phase-identity and
-//! recovery suites share: the small seeded cluster they all run, the rows
-//! its generators emit, and a sink that collects what was delivered.
-//! Every item is used by every one of the five.
+//! recovery suites share: the small seeded cluster they all run and the
+//! rows its generators emit. Every item is used by every one of the five.
+//!
+//! The harnesses live beside this file, one concern each, and a suite
+//! includes the ones it uses (`#[path = "common/…"] mod …;` at its root,
+//! so that they find each other as `super::…`): `run.rs` — the [`Run`] a
+//! harness returns and the collecting sink; `wired.rs` — an exchange
+//! driven directly; `coordinated.rs` — a query under the recovery ladder.
+//! No `allow(dead_code)` anywhere: an item a suite does not use is a
+//! warning in that suite, so a file holds only what all its includers use.
+//!
+//! [`Run`]: super::run::Run
 
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use rshuffle_repro::engine::Generator;
-use rshuffle_repro::rshuffle::{ExchangeConfig, RowBatch, ShuffleAlgorithm};
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::SimDuration;
 use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
 
+use super::run::ROW;
+
 pub const NODES: usize = 3;
 pub const THREADS: usize = 2;
-pub const ROW: usize = 16;
 
 pub fn us(v: u64) -> SimDuration {
     SimDuration::from_micros(v)
@@ -52,34 +57,4 @@ pub fn expected_rows(rows_per_thread: usize, seed: impl Fn(usize) -> u64) -> Vec
     }
     rows.sort_unstable();
     rows
-}
-
-/// The rows delivered to a query's sinks, under whatever key tells
-/// deliveries apart: the generation, `(query, generation)`, or `()` where
-/// there is one attempt. Clones share the rows.
-#[derive(Clone)]
-pub struct Collector<K>(Arc<Mutex<HashMap<K, Vec<[u8; ROW]>>>>);
-
-impl<K> Default for Collector<K> {
-    fn default() -> Self {
-        Collector(Arc::default())
-    }
-}
-
-impl<K: Hash + Eq> Collector<K> {
-    /// Appends every row of `batch` under `key`.
-    pub fn push(&self, key: K, batch: &RowBatch) {
-        let mut map = self.0.lock();
-        let rows = map.entry(key).or_default();
-        for row in batch.iter() {
-            rows.push(row.try_into().expect("16-byte row"));
-        }
-    }
-
-    /// The rows collected under `key`, sorted.
-    pub fn sorted(&self, key: &K) -> Vec<[u8; ROW]> {
-        let mut rows = self.0.lock().get(key).cloned().unwrap_or_default();
-        rows.sort_unstable();
-        rows
-    }
 }

@@ -12,62 +12,45 @@
 //! violation log.
 
 mod common;
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
 
 use std::sync::Arc;
 
-use common::{expected_rows, small_config, us, Collector, ROW, THREADS};
-use rshuffle_repro::audit::AuditViolation;
-use rshuffle_repro::engine::{
-    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
-};
+use common::{expected_rows, small_config, us, THREADS};
+use rshuffle_repro::engine::{run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::{Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::DeviceProfile;
 use rshuffle_repro::verbs::FaultPlan;
+use run::{Collector, Run, ROW};
 
 const ROWS_PER_THREAD: usize = 800;
 
-/// One run of one algorithm: the query report, the rows the winning
-/// generation delivered (sorted), and the auditor's final verdict.
-struct ConformanceRun {
-    report: RecoveryReport,
-    delivered: Vec<[u8; ROW]>,
-    violations: Vec<AuditViolation>,
-}
-
 /// Runs `algorithm` under `plan` with the paper's restart-only
-/// semantics (the partial rungs have their own suite, `tests/recovery.rs`).
-fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_full_restarts: u32) -> ConformanceRun {
+/// semantics (the partial rungs have their own suite, `tests/recovery.rs`),
+/// with the auditor installed or not.
+fn run_conformance(
+    algorithm: ShuffleAlgorithm,
+    plan: FaultPlan,
+    max_full_restarts: u32,
+    audit: bool,
+) -> Run<RecoveryReport> {
     let config = small_config(algorithm, Some(plan));
     let runtime = config.build_runtime(DeviceProfile::edr());
     // Install the auditor explicitly so the harness exercises it even
     // when the `audit` cargo feature (auto-install) is off.
-    let auditor = runtime.enable_audit();
-    let delivered = Collector::default();
-    let d = delivered.clone();
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        RecoveryPolicy {
-            max_partial_retries: 0,
-            max_full_restarts,
-            ..RecoveryPolicy::default()
-        },
-        ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |generation, _, _, batch| d.push(generation, batch),
-    );
-    runtime.cluster().run();
-    let report = report.lock().clone();
-    let violations = auditor.finalize(report.succeeded());
-    let delivered = delivered.sorted(&report.generation);
-    ConformanceRun {
-        report,
-        delivered,
-        violations,
+    if audit {
+        runtime.enable_audit();
     }
+    let policy = RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts,
+        ..RecoveryPolicy::default()
+    };
+    coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD).finish()
 }
 
 /// Healthy fabric: all six paper algorithms plus the two §7 RDMA Write
@@ -80,18 +63,19 @@ fn all_algorithms_agree_on_a_healthy_fabric() {
     let wr_variants = ["MEMQ/WR", "SEMQ/WR"]
         .map(|n| ShuffleAlgorithm::parse(n).expect("WR variant parses"));
     for algorithm in ShuffleAlgorithm::ALL.into_iter().chain(wr_variants) {
-        let run = run_conformance(algorithm, FaultPlan::new(), 0);
+        let run = run_conformance(algorithm, FaultPlan::new(), 0, true);
         assert!(
             run.report.succeeded(),
             "{algorithm}: healthy run failed: {:?}",
             run.report.failure
         );
         assert_eq!(run.report.full_restarts, 0, "{algorithm}: healthy run restarted");
+        let delivered = &run.delivered[&run.report.generation];
         assert_eq!(
-            run.delivered, expected,
+            *delivered, expected,
             "{algorithm}: delivered multiset diverges from the generator \
              ({} of {} rows)",
-            run.delivered.len(),
+            delivered.len(),
             expected.len()
         );
         assert!(
@@ -124,18 +108,19 @@ fn all_algorithms_agree_under_fault_plans() {
     ];
     for (plan_name, plan) in plans {
         for algorithm in ShuffleAlgorithm::ALL {
-            let run = run_conformance(algorithm, plan.clone(), 6);
+            let run = run_conformance(algorithm, plan.clone(), 6, true);
             assert!(
                 run.report.succeeded(),
                 "{algorithm} under {plan_name}: failed after {} restarts: {:?}",
                 run.report.full_restarts,
                 run.report.failure
             );
+            let delivered = &run.delivered[&run.report.generation];
             assert_eq!(
-                run.delivered, expected,
+                *delivered, expected,
                 "{algorithm} under {plan_name}: winning generation diverges \
                  ({} of {} rows, {} restarts)",
-                run.delivered.len(),
+                delivered.len(),
                 expected.len(),
                 run.report.full_restarts
             );
@@ -188,6 +173,7 @@ fn two_queries_share_the_fabric_cleanly() {
                 move |query, generation, _, _, batch| d.push((query, generation), batch),
             );
             runtime.cluster().run();
+            let delivered = delivered.into_sorted();
             for h in &handles {
                 let report = h.report.lock();
                 assert!(
@@ -196,9 +182,8 @@ fn two_queries_share_the_fabric_cleanly() {
                     h.query,
                     report.failure
                 );
-                let rows = delivered.sorted(&(h.query, report.generation));
                 assert_eq!(
-                    rows,
+                    delivered[&(h.query, report.generation)],
                     expected_rows(ROWS_PER_THREAD, |node| query_seed(h.query, node)),
                     "{algorithm} rep {rep} query {}: delivered multiset diverges \
                      from its own generator",
@@ -230,34 +215,13 @@ fn auditor_is_invisible_to_virtual_time() {
         let mut snapshots = Vec::new();
         let mut traces = Vec::new();
         for enable in [false, true] {
-            let config = small_config(algorithm, Some(FaultPlan::new()));
-            let runtime = config.build_runtime(DeviceProfile::edr());
-            if enable {
-                runtime.enable_audit();
-            }
-            let report = run_shuffle_with_recovery(
-                &runtime,
-                &config,
-                RecoveryPolicy {
-                    max_partial_retries: 0,
-                    max_full_restarts: 0,
-                    ..RecoveryPolicy::default()
-                },
-                ROW,
-                |_, node| {
-                    Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
-                        as Arc<dyn Operator>
-                },
-                |_, _, _, _| {},
-            );
-            runtime.cluster().run();
+            let run = run_conformance(algorithm, FaultPlan::new(), 0, enable);
             assert!(
-                report.lock().succeeded(),
+                run.report.succeeded(),
                 "{algorithm} (audit={enable}): failed"
             );
-            let obs = runtime.obs();
-            snapshots.push(obs.snapshot_json());
-            traces.push(obs.chrome_trace_json());
+            snapshots.push(run.snapshot);
+            traces.push(run.trace);
         }
         assert_eq!(
             snapshots[0], snapshots[1],

@@ -4,12 +4,12 @@
 //! that makes flight-recorder diffs meaningful: any divergence between
 //! two runs is a real behavioural difference, never scheduler noise.
 
-use std::sync::Arc;
+#[path = "common/run.rs"]
+mod run;
+#[path = "common/wired.rs"]
+mod wired;
 
-use rshuffle_repro::engine::{drive_to_sink, Generator};
-use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ExchangeConfig, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
-};
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{Cluster, DeviceProfile};
 use rshuffle_repro::verbs::{FaultConfig, VerbsRuntime};
 
@@ -45,56 +45,8 @@ fn run_observed_staged(
     runtime.obs().set_stage_histograms(histograms);
     runtime.obs().set_stage_spans(spans);
     let config = ExchangeConfig::repartition(algorithm, nodes, threads);
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-    let mut stats = Vec::new();
-    for node in 0..nodes {
-        let source = Arc::new(Generator::new(rows_per_thread, threads, node as u64));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            threads,
-            cost.clone(),
-        ));
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("s{node}"),
-            shuffle,
-            threads,
-            |_, _| {},
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            threads,
-            cost.clone(),
-        ));
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("r{node}"),
-            receive,
-            threads,
-            |_, _| {},
-        ));
-    }
-    runtime.cluster().run();
-    for s in &stats {
-        assert!(
-            s.lock().errors.is_empty(),
-            "{algorithm}: worker errors: {:?}",
-            s.lock().errors
-        );
-    }
-    let obs = runtime.obs();
-    (
-        obs.snapshot_json(),
-        obs.chrome_trace_json(),
-        runtime.kernel().now().as_nanos(),
-    )
+    let run = wired::run(&runtime, &config, rows_per_thread);
+    (run.snapshot, run.trace, run.end_ns)
 }
 
 #[test]

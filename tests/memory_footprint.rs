@@ -24,34 +24,30 @@
 //! which must follow the windows holding live bytes — not every window
 //! ever touched — and return to zero when the exchange is released.
 
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
+
 use std::sync::Arc;
 
-use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::engine::RecoveryPolicy;
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{DeviceProfile, FlowId, UD_MTU};
 use rshuffle_repro::verbs::VerbsRuntime;
 
 const THREADS: usize = 2;
-const ROW: usize = 16;
 
 /// Runs one healthy MESQ/SR shuffle of `rows` rows per thread under
 /// `config` and returns the runtime it ran on.
 fn run_mesq_sr(config: &ExchangeConfig, rows: usize) -> Arc<VerbsRuntime> {
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        config,
-        RecoveryPolicy::default(),
-        ROW,
-        move |_, node| Arc::new(Generator::new(rows, THREADS, node as u64)) as Arc<dyn Operator>,
-        |_, _, _, _| {},
-    );
-    runtime.cluster().run();
+    let run = coordinated::spawn(&runtime, config, RecoveryPolicy::default(), rows).finish();
     assert!(
-        report.lock().succeeded(),
+        run.report.succeeded(),
         "MESQ/SR msg {}: {:?}",
         config.message_size,
-        report.lock().failure
+        run.report.failure
     );
     runtime
 }

@@ -10,73 +10,64 @@
 //! `Depleted` counter and one double grant.
 #![cfg(feature = "saboteur")]
 
-use std::collections::HashMap;
-use std::sync::Arc;
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
 
 use parking_lot::Mutex;
+use std::sync::Arc;
+
 use rshuffle_repro::audit::{AuditViolation, ShuffleAuditor};
-use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport};
+use rshuffle_repro::engine::{RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::sabotage::{arm, disarm, Sabotage};
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
+use run::Run;
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
-const ROW: usize = 16;
 
 /// The saboteur state is process-wide; the test harness runs tests on
 /// parallel threads, so every test serializes on this lock.
 static SABOTAGE_LOCK: Mutex<()> = Mutex::new(());
 
-struct SabotagedRun {
-    report: RecoveryReport,
-    auditor: Arc<ShuffleAuditor>,
-    delivered: usize,
-}
-
 /// Runs one single-attempt query with `s` armed and the auditor
-/// installed. Completing at all (success or typed error) is itself part
-/// of the contract under test: a sabotaged run must never hang.
-fn run_sabotaged(algorithm: ShuffleAlgorithm, s: Sabotage) -> SabotagedRun {
+/// installed; returns the run, the violations the auditor saw online —
+/// before any end-of-run check — and the auditor. Completing at all
+/// (success or typed error) is itself part of the contract under test: a
+/// sabotaged run must never hang.
+fn run_sabotaged(
+    algorithm: ShuffleAlgorithm,
+    s: Sabotage,
+) -> (
+    Run<RecoveryReport>,
+    Vec<AuditViolation>,
+    Arc<ShuffleAuditor>,
+) {
     let mut config = ExchangeConfig::repartition(algorithm, NODES, THREADS);
     config.message_size = 4096;
     config.stall_timeout = SimDuration::from_millis(2);
     config.depleted_timeout = SimDuration::from_micros(500);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let auditor = runtime.enable_audit();
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
-    let d = delivered.clone();
     arm(s);
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        RecoveryPolicy {
-            max_partial_retries: 0,
-            max_full_restarts: 0,
-            ..RecoveryPolicy::default()
-        },
-        ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
-    );
+    let policy = RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts: 0,
+        ..RecoveryPolicy::default()
+    };
+    let pending = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD);
     runtime.cluster().run();
     disarm();
-    let report = report.lock().clone();
-    let delivered = delivered.lock().get(&0).map_or(0, Vec::len);
-    SabotagedRun {
-        report,
-        auditor,
-        delivered,
-    }
+    let online = auditor.violations();
+    (pending.finish(), online, auditor)
+}
+
+/// Rows generation 0 delivered.
+fn delivered(run: &Run<RecoveryReport>) -> usize {
+    run.delivered.get(&0).map_or(0, Vec::len)
 }
 
 fn codes(violations: &[AuditViolation]) -> Vec<&'static str> {
@@ -89,8 +80,8 @@ fn codes(violations: &[AuditViolation]) -> Vec<&'static str> {
 #[test]
 fn skipped_credit_writeback_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let run = run_sabotaged(ShuffleAlgorithm::MEMQ_SR, Sabotage::SkipCreditWriteback);
-    let found = codes(&run.auditor.violations());
+    let (run, online, _) = run_sabotaged(ShuffleAlgorithm::MEMQ_SR, Sabotage::SkipCreditWriteback);
+    let found = codes(&online);
     assert!(
         found.contains(&"credit_writeback_lost"),
         "skipped write-back must surface as credit_writeback_lost, got {found:?} \
@@ -106,17 +97,17 @@ fn skipped_credit_writeback_is_named() {
 #[test]
 fn dropped_valid_arr_update_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let run = run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::DropValidArrUpdate);
+    let (run, _, auditor) = run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::DropValidArrUpdate);
     assert!(
         run.report.failure.is_some(),
         "a dropped ValidArr entry must stall the query, not pass silently \
          ({} rows delivered)",
-        run.delivered
+        delivered(&run)
     );
     // The attempt was torn down mid-stream, so audit against the
     // clean-termination invariants deliberately: the stranded entry is
     // exactly a producer/consumer imbalance.
-    let found = codes(&run.auditor.finalize(true));
+    let found = codes(&auditor.finalize(true));
     assert!(
         found.contains(&"ring_imbalance"),
         "dropped ValidArr update must surface as ring_imbalance, got {found:?}"
@@ -130,14 +121,17 @@ fn dropped_valid_arr_update_is_named() {
 #[test]
 fn underreported_depleted_count_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let run = run_sabotaged(ShuffleAlgorithm::MESQ_SR, Sabotage::UnderreportDepletedCount);
-    let found = codes(&run.auditor.violations());
+    let (run, online, _) = run_sabotaged(
+        ShuffleAlgorithm::MESQ_SR,
+        Sabotage::UnderreportDepletedCount,
+    );
+    let found = codes(&online);
     assert!(
         found.contains(&"depleted_mismatch"),
         "underreported Depleted counter must surface as depleted_mismatch, \
          got {found:?} (run: {:?}, {} rows delivered)",
         run.report.failure,
-        run.delivered
+        delivered(&run)
     );
 }
 
@@ -149,7 +143,7 @@ fn underreported_depleted_count_is_named() {
 #[test]
 fn swallowed_ctrl_completion_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let run = run_sabotaged(ShuffleAlgorithm::MEMQ_SR, Sabotage::SwallowCtrlCompletion);
+    let (run, _, _) = run_sabotaged(ShuffleAlgorithm::MEMQ_SR, Sabotage::SwallowCtrlCompletion);
     let failure = run
         .report
         .failure
@@ -168,11 +162,11 @@ fn swallowed_ctrl_completion_is_named() {
 #[test]
 fn double_grant_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let run = run_sabotaged(
+    let (run, online, _) = run_sabotaged(
         ShuffleAlgorithm::parse("MEMQ/WR").expect("MEMQ/WR parses"),
         Sabotage::DoubleGrant,
     );
-    let found = codes(&run.auditor.violations());
+    let found = codes(&online);
     assert!(
         found.contains(&"double_release"),
         "double grant must surface as double_release, got {found:?} \

@@ -15,95 +15,36 @@
 //!   lease-wait count.
 
 mod common;
+#[path = "common/run.rs"]
+mod run;
+#[path = "common/wired.rs"]
+mod wired;
 
-use std::sync::Arc;
-
-use common::{small_config, Collector, NODES, ROW, THREADS};
-use rshuffle_repro::engine::{drive_to_sink, Generator};
+use common::{small_config, THREADS};
 use rshuffle_repro::mux::MuxConfig;
-use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
-};
+use rshuffle_repro::rshuffle::{Exchange, ShuffleAlgorithm};
 use rshuffle_repro::simnet::DeviceProfile;
+use run::{Run, ROW};
 
 const ROWS_PER_THREAD: usize = 800;
 
-struct MuxRun {
-    snapshot: String,
-    end_ns: u64,
-    delivered: Vec<[u8; ROW]>,
-    violations: usize,
-    /// `(qp_count, natural_qps, lease_waits)`; zeros when the mux never
-    /// engaged.
-    mux_stats: (u64, u64, u64),
-}
-
-/// Runs one small repartition with an optional mux configuration and
-/// returns everything the contracts compare.
-fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> MuxRun {
+/// Runs one small repartition, audited, with an optional mux
+/// configuration.
+fn run_mux(algorithm: ShuffleAlgorithm, mux: Option<MuxConfig>) -> Run<Exchange> {
     let mut config = small_config(algorithm, None);
     config.mux = mux;
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let auditor = runtime.enable_audit();
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-    let delivered = Collector::default();
-    let mut stats = Vec::new();
-    for node in 0..NODES {
-        let source = Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64));
-        let shuffle = Arc::new(ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            THREADS,
-            cost.clone(),
-        ));
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("s{node}"),
-            shuffle,
-            THREADS,
-            |_, _| {},
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            16,
-            2048,
-            THREADS,
-            cost.clone(),
-        ));
-        let d = delivered.clone();
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("r{node}"),
-            receive,
-            THREADS,
-            move |_, batch| d.push((), batch),
-        ));
-    }
-    runtime.cluster().run();
-    for s in &stats {
-        assert!(
-            s.lock().errors.is_empty(),
-            "{algorithm}: worker errors: {:?}",
-            s.lock().errors
-        );
-    }
-    let violations = auditor.finalize(true).len();
-    let mux_stats = exchange
-        .mux
-        .as_ref()
-        .map_or((0, 0, 0), |m| (m.qp_count(), m.natural_qps(), m.lease_waits()));
-    let delivered = delivered.sorted(&());
-    MuxRun {
-        snapshot: runtime.obs().snapshot_json(),
-        end_ns: runtime.kernel().now().as_nanos(),
-        delivered,
-        violations,
-        mux_stats,
-    }
+    runtime.enable_audit();
+    wired::run(&runtime, &config, ROWS_PER_THREAD)
+}
+
+/// `(qp_count, natural_qps, lease_waits)`; zeros when the mux never
+/// engaged.
+fn mux_stats(run: &Run<Exchange>) -> (u64, u64, u64) {
+    let mux = run.report.mux.as_ref();
+    mux.map_or((0, 0, 0), |m| {
+        (m.qp_count(), m.natural_qps(), m.lease_waits())
+    })
 }
 
 /// Every row the generators emit, cluster-wide, sorted.
@@ -130,14 +71,14 @@ fn high_cap_is_byte_identical_to_the_direct_path() {
             direct.end_ns, muxed.end_ns,
             "{algorithm}: cap 16 moved the final virtual time"
         );
-        assert_eq!(muxed.delivered, expected, "{algorithm}: delivered multiset");
+        assert_eq!(muxed.delivered[&0], expected, "{algorithm}: delivered multiset");
         assert_eq!(
-            muxed.mux_stats,
+            mux_stats(&muxed),
             (0, 0, 0),
             "{algorithm}: a non-engaging mux must not materialize slots"
         );
-        assert_eq!(direct.violations, 0, "{algorithm}: direct-path auditor");
-        assert_eq!(muxed.violations, 0, "{algorithm}: muxed-path auditor");
+        assert_eq!(direct.violations.len(), 0, "{algorithm}: direct-path auditor");
+        assert_eq!(muxed.violations.len(), 0, "{algorithm}: muxed-path auditor");
     }
 }
 
@@ -155,14 +96,14 @@ fn capped_lanes_share_qps_and_still_deliver_everything() {
         assert!(algorithm.endpoints(THREADS) > 1, "{algorithm}: needs >1 lane");
         let run = run_mux(algorithm, Some(MuxConfig::with_cap(1)));
         assert_eq!(
-            run.delivered, expected,
+            run.delivered[&0], expected,
             "{algorithm}: capped run lost or duplicated rows \
              ({} of {} delivered)",
-            run.delivered.len(),
+            run.delivered[&0].len(),
             expected.len()
         );
-        assert_eq!(run.violations, 0, "{algorithm}: capped-run auditor");
-        let (qp_count, natural, waits) = run.mux_stats;
+        assert_eq!(run.violations.len(), 0, "{algorithm}: capped-run auditor");
+        let (qp_count, natural, waits) = mux_stats(&run);
         assert!(
             qp_count > 0 && qp_count < natural,
             "{algorithm}: cap 1 must materialize fewer physical QPs than \

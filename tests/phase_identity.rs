@@ -16,97 +16,36 @@
 //!   abort path must fail peers fast instead of hanging the barrier).
 
 mod common;
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
+#[path = "common/wired.rs"]
+mod wired;
 
 use std::sync::Arc;
 
-use common::{small_config, us, Collector, NODES, ROW, THREADS};
-use rshuffle_repro::engine::{
-    drive_to_sink, run_shuffle_with_recovery, Generator, RecoveryPolicy,
-};
-use rshuffle_repro::rshuffle::{
-    CostModel, Exchange, Operator, PhasePolicy, ReceiveOperator, ShuffleAlgorithm, ShuffleOperator,
-};
+use common::{small_config, us, NODES};
+use rshuffle_repro::engine::RecoveryPolicy;
+use rshuffle_repro::rshuffle::{Exchange, PhasePolicy, ShuffleAlgorithm};
 use rshuffle_repro::simnet::DeviceProfile;
 use rshuffle_repro::verbs::FaultPlan;
+use run::{Run, ROW};
 
 const ROWS_PER_THREAD: usize = 800;
 
-struct PhaseRun {
-    snapshot: String,
-    end_ns: u64,
-    delivered: Vec<[u8; ROW]>,
-    violations: usize,
-}
-
-/// Runs one small repartition with the given phase policy and returns
-/// everything the contracts compare.
+/// Runs one small repartition, audited, with the given phase policy.
 fn run_phase(
     algorithm: ShuffleAlgorithm,
     policy: PhasePolicy,
     bytes: Option<Vec<Vec<u64>>>,
-) -> PhaseRun {
+) -> Run<Exchange> {
     let mut config = small_config(algorithm, None);
     config.phase = policy;
     config.phase_bytes = bytes.map(Arc::new);
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let auditor = runtime.enable_audit();
-    let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-    let cost = CostModel::from_profile(runtime.profile());
-    let delivered = Collector::default();
-    let mut stats = Vec::new();
-    for node in 0..NODES {
-        let source = Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64));
-        let mut shuffle = ShuffleOperator::with_lanes(
-            source,
-            exchange.send[node].clone(),
-            exchange.groups[node].clone(),
-            THREADS,
-            cost.clone(),
-        );
-        if let Some(runner) = &exchange.phases {
-            shuffle = shuffle.with_phases(runner.clone(), node);
-        }
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("s{node}"),
-            Arc::new(shuffle),
-            THREADS,
-            |_, _| {},
-        ));
-        let receive = Arc::new(ReceiveOperator::with_lanes(
-            exchange.recv[node].clone(),
-            ROW,
-            2048,
-            THREADS,
-            cost.clone(),
-        ));
-        let d = delivered.clone();
-        stats.push(drive_to_sink(
-            runtime.cluster(),
-            node,
-            &format!("r{node}"),
-            receive,
-            THREADS,
-            move |_, batch| d.push((), batch),
-        ));
-    }
-    runtime.cluster().run();
-    for s in &stats {
-        assert!(
-            s.lock().errors.is_empty(),
-            "{algorithm} under {policy:?}: worker errors: {:?}",
-            s.lock().errors
-        );
-    }
-    let violations = auditor.finalize(true).len();
-    let delivered = delivered.sorted(&());
-    PhaseRun {
-        snapshot: runtime.obs().snapshot_json(),
-        end_ns: runtime.kernel().now().as_nanos(),
-        delivered,
-        violations,
-    }
+    runtime.enable_audit();
+    wired::run(&runtime, &config, ROWS_PER_THREAD)
 }
 
 /// Every row the generators emit, cluster-wide, sorted.
@@ -139,9 +78,9 @@ fn off_policy_is_byte_identical_to_the_seed_path() {
             seed.end_ns, off.end_ns,
             "{algorithm}: Off moved the final virtual time"
         );
-        assert_eq!(off.delivered, expected, "{algorithm}: delivered multiset");
-        assert_eq!(seed.violations, 0, "{algorithm}: seed-path auditor");
-        assert_eq!(off.violations, 0, "{algorithm}: off-path auditor");
+        assert_eq!(off.delivered[&0], expected, "{algorithm}: delivered multiset");
+        assert_eq!(seed.violations.len(), 0, "{algorithm}: seed-path auditor");
+        assert_eq!(off.violations.len(), 0, "{algorithm}: off-path auditor");
     }
 }
 
@@ -154,14 +93,14 @@ fn phased_delivery_is_exactly_once_for_every_algorithm() {
         for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
             let run = run_phase(algorithm, policy, None);
             assert_eq!(
-                run.delivered,
+                run.delivered[&0],
                 expected,
                 "{algorithm} under {policy:?}: phased run lost or duplicated rows \
                  ({} of {} delivered)",
-                run.delivered.len(),
+                run.delivered[&0].len(),
                 expected.len()
             );
-            assert_eq!(run.violations, 0, "{algorithm} under {policy:?}: auditor");
+            assert_eq!(run.violations.len(), 0, "{algorithm} under {policy:?}: auditor");
             let again = run_phase(algorithm, policy, None);
             assert_eq!(
                 run.snapshot, again.snapshot,
@@ -181,8 +120,8 @@ fn skew_aware_estimate_preserves_delivery() {
     let mut est = vec![vec![1u64; NODES]; NODES];
     est[0][1] = 100;
     let run = run_phase(ShuffleAlgorithm::MESQ_SR, PhasePolicy::SkewAware, Some(est));
-    assert_eq!(run.delivered, expected, "estimate must not change delivery");
-    assert_eq!(run.violations, 0, "auditor under skewed estimate");
+    assert_eq!(run.delivered[&0], expected, "estimate must not change delivery");
+    assert_eq!(run.violations.len(), 0, "auditor under skewed estimate");
 }
 
 /// Phased chaos: under the PR 2 fault plans the query must still
@@ -204,34 +143,22 @@ fn phased_chaos_plans_stay_exactly_once() {
             let mut config = small_config(algorithm, Some(plan.clone()));
             config.phase = PhasePolicy::Naive;
             let runtime = config.build_runtime(DeviceProfile::edr());
-            let delivered = Collector::default();
-            let d = delivered.clone();
-            let report = run_shuffle_with_recovery(
-                &runtime,
-                &config,
-                RecoveryPolicy {
-                    max_partial_retries: 0,
-                    max_full_restarts: 6,
-                    ..RecoveryPolicy::default()
-                },
-                ROW,
-                |_, node| {
-                    Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
-                        as Arc<dyn Operator>
-                },
-                move |generation, _, _, batch| d.push(generation, batch),
-            );
-            runtime.cluster().run();
-            let rep = report.lock().clone();
+            let policy = RecoveryPolicy {
+                max_partial_retries: 0,
+                max_full_restarts: 6,
+                ..RecoveryPolicy::default()
+            };
+            let run = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD).finish();
+            let rep = &run.report;
             assert!(
                 rep.succeeded(),
                 "{algorithm} phased under {plan_name}: query failed after {} restarts: {:?}",
                 rep.full_restarts,
                 rep.failure
             );
-            let rows = delivered.sorted(&rep.generation);
+            let rows = &run.delivered[&rep.generation];
             assert_eq!(
-                rows,
+                *rows,
                 expected,
                 "{algorithm} phased under {plan_name}: delivered {} of {} rows \
                  (restarts: {})",

@@ -1,5 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
+
 use proptest::prelude::*;
 use rshuffle_repro::engine::BackoffSchedule;
 use rshuffle_repro::rshuffle::{
@@ -276,11 +281,8 @@ proptest! {
 #[test]
 fn random_multicast_groups_deliver_exactly() {
     use parking_lot::Mutex;
-    use rshuffle_repro::engine::drive_to_sink;
-    use rshuffle_repro::rshuffle::{
-        CostModel, Exchange, ExchangeConfig, Operator, ReceiveOperator, ShuffleAlgorithm,
-        ShuffleOperator,
-    };
+    use rshuffle_repro::engine::drive_exchange;
+    use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, ShuffleAlgorithm};
     use rshuffle_repro::simnet::{Cluster, DeviceProfile, SimContext};
     use rshuffle_repro::verbs::VerbsRuntime;
     use std::sync::Arc;
@@ -335,7 +337,6 @@ fn random_multicast_groups_deliver_exactly() {
             ExchangeConfig::with_groups(ShuffleAlgorithm::MEMQ_SR, threads, groups.clone());
         config.message_size = 4096;
         let exchange = Exchange::build(&runtime, &config).expect("builds");
-        let cost = CostModel::from_profile(runtime.profile());
 
         let mut expected: Vec<Vec<[u8; 16]>> = vec![Vec::new(); nodes];
         let mut sources = Vec::new();
@@ -359,44 +360,20 @@ fn random_multicast_groups_deliver_exactly() {
 
         let received: Arc<Vec<Mutex<Vec<[u8; 16]>>>> =
             Arc::new((0..nodes).map(|_| Mutex::new(Vec::new())).collect());
-        for node in 0..nodes {
-            let shuffle = Arc::new(ShuffleOperator::with_lanes(
-                sources[node].clone(),
-                exchange.send[node].clone(),
-                groups[node].clone(),
-                threads,
-                cost.clone(),
-            ));
-            drive_to_sink(
-                runtime.cluster(),
-                node,
-                &format!("s{node}"),
-                shuffle,
-                threads,
-                |_, _| {},
-            );
-            let receive = Arc::new(ReceiveOperator::with_lanes(
-                exchange.recv[node].clone(),
-                16,
-                256,
-                threads,
-                cost.clone(),
-            ));
-            let sink = received.clone();
-            drive_to_sink(
-                runtime.cluster(),
-                node,
-                &format!("r{node}"),
-                receive,
-                threads,
-                move |_, batch| {
-                    let mut out = sink[node].lock();
-                    for row in batch.iter() {
-                        out.push(row.try_into().unwrap());
-                    }
-                },
-            );
-        }
+        let sink = received.clone();
+        drive_exchange(
+            &runtime,
+            &exchange,
+            16,
+            256,
+            |node| sources[node].clone() as Arc<dyn Operator>,
+            move |node, _, batch| {
+                let mut out = sink[node].lock();
+                for row in batch.iter() {
+                    out.push(row.try_into().unwrap());
+                }
+            },
+        );
         runtime.cluster().run();
         for node in 0..nodes {
             let mut got = received[node].lock().clone();
@@ -422,13 +399,10 @@ fn random_multicast_groups_deliver_exactly() {
 /// full stack over a hand-rolled deterministic sample of 12 schedules.
 #[test]
 fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
-    use parking_lot::Mutex;
-    use rshuffle_repro::engine::{run_shuffle_with_recovery, Generator, RecoveryPolicy};
-    use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
+    use rshuffle_repro::engine::{Generator, RecoveryPolicy};
+    use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm, ShuffleError};
     use rshuffle_repro::simnet::DeviceProfile;
     use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
-    use std::collections::HashMap;
-    use std::sync::Arc;
 
     let nodes = 2;
     let threads = 2;
@@ -463,31 +437,13 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
             ..FaultConfig::default()
         };
         let runtime = config.build_runtime(DeviceProfile::edr());
-        let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; 16]>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let d = delivered.clone();
-        let report = run_shuffle_with_recovery(
-            &runtime,
-            &config,
-            RecoveryPolicy {
-                max_partial_retries: 0,
-                max_full_restarts: 3,
-                ..RecoveryPolicy::default()
-            },
-            16,
-            move |_, node| {
-                Arc::new(Generator::new(rows_per_thread, threads, node as u64)) as Arc<dyn Operator>
-            },
-            move |generation, _, _, batch| {
-                let mut map = d.lock();
-                let rows = map.entry(generation).or_default();
-                for row in batch.iter() {
-                    rows.push(row.try_into().unwrap());
-                }
-            },
-        );
-        runtime.cluster().run();
-        let rep = report.lock().clone();
+        let policy = RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts: 3,
+            ..RecoveryPolicy::default()
+        };
+        let run = coordinated::spawn(&runtime, &config, policy, rows_per_thread).finish();
+        let rep = &run.report;
         let stats = runtime.stats();
         match &rep.failure {
             None => {
@@ -502,12 +458,11 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
                     }
                 }
                 expected.sort_unstable();
-                let mut got = delivered
-                    .lock()
+                let got = run
+                    .delivered
                     .get(&rep.generation)
                     .cloned()
                     .unwrap_or_default();
-                got.sort_unstable();
                 prop_assert_eq!(
                     got,
                     expected,
@@ -660,35 +615,6 @@ proptest! {
         prop_assert_eq!(sched.next(), initial, "reset must rewind to the initial delay");
     }
 
-    /// Jittered schedules are pure functions of their seed: two
-    /// schedules built with the same parameters agree delay-for-delay,
-    /// and every jittered delay stays within `[base, max]` where `base`
-    /// is the unjittered schedule's delay at the same step.
-    #[test]
-    fn jittered_backoff_is_deterministic_per_seed_and_bounded(
-        initial_ns in 1u64..100_000,
-        extra_ns in 0u64..1_000_000,
-        seed in any::<u64>(),
-        steps in 1usize..64,
-    ) {
-        let initial = SimDuration::from_nanos(initial_ns);
-        let max = SimDuration::from_nanos(initial_ns + extra_ns);
-        let mut a = BackoffSchedule::with_jitter(initial, max, seed);
-        let mut b = BackoffSchedule::with_jitter(initial, max, seed);
-        let mut unjittered = BackoffSchedule::new(initial, max);
-        for step in 0..steps {
-            let da = a.next();
-            let db = b.next();
-            prop_assert_eq!(da, db, "same-seed schedules diverged at step {}", step);
-            let floor = unjittered.next();
-            prop_assert!(
-                da >= floor && da <= max,
-                "step {}: jittered delay {:?} outside [{:?}, {:?}]",
-                step, da, floor, max
-            );
-        }
-    }
-
     /// A probe loop driven by the schedule can never hang: spending a
     /// reconnect budget of `n` attempts sleeps at most `n × max` of
     /// virtual time before the loop exits — which the recovery layer
@@ -699,12 +625,11 @@ proptest! {
     fn backoff_budget_exhaustion_is_time_bounded(
         initial_ns in 1u64..100_000,
         extra_ns in 0u64..1_000_000,
-        seed in any::<u64>(),
         budget in 1u32..32,
     ) {
         let initial = SimDuration::from_nanos(initial_ns);
         let max = SimDuration::from_nanos(initial_ns + extra_ns);
-        let mut sched = BackoffSchedule::with_jitter(initial, max, seed);
+        let mut sched = BackoffSchedule::new(initial, max);
         let mut slept = SimDuration::from_nanos(0);
         let mut attempts = 0u32;
         while attempts < budget {

@@ -13,18 +13,21 @@
 //! hang.
 
 mod common;
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
 
 use std::sync::Arc;
 
-use common::{small_config, us, Collector, NODES, ROW, THREADS};
-use rshuffle_repro::engine::{
-    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
-};
+use common::{small_config, us, NODES, THREADS};
+use rshuffle_repro::engine::{run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::simnet::FlowId;
+use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::verbs::{FaultPlan, QpScope};
+use run::{Collector, Run, ROW};
 
 // Larger than the chaos suite's workload: healthy queries finish in
 // 13–32 µs of virtual time at 1000 rows/thread, which a fault window
@@ -62,39 +65,15 @@ fn full_only_policy() -> RecoveryPolicy {
     }
 }
 
-struct RecoveryRun {
-    report: RecoveryReport,
-    /// Rows delivered to any sink, keyed by generation.
-    delivered: Collector<u32>,
-    snapshot: String,
-    trace: String,
-    violations: usize,
-}
-
 fn run_recovery(
     algorithm: ShuffleAlgorithm,
     plan: FaultPlan,
     policy: RecoveryPolicy,
-) -> RecoveryRun {
+) -> Run<RecoveryReport> {
     let config = recovery_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let auditor = runtime.enable_audit();
-    let delivered = Collector::default();
-    let d = delivered.clone();
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        policy,
-        ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |generation, _, _, batch| d.push(generation, batch),
-    );
-    runtime.cluster().run();
-    let obs = runtime.obs();
-    let report = report.lock().clone();
-    let violations = auditor.finalize(report.succeeded()).len();
+    runtime.enable_audit();
+    let run = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD).finish();
     // Memory-budget hygiene across rebuilds: every exchange generation
     // and every reconnect probe must deregister what it pinned, and the
     // host storage behind it must go back to the runtime — the attempts a
@@ -111,13 +90,7 @@ fn run_recovery(
             "node {node}: a released attempt's windows still hold storage"
         );
     }
-    RecoveryRun {
-        report,
-        delivered,
-        snapshot: obs.snapshot_json(),
-        trace: obs.chrome_trace_json(),
-        violations,
-    }
+    run
 }
 
 /// Every row each node's generator will emit, cluster-wide.
@@ -132,9 +105,9 @@ fn qp_outage() -> FaultPlan {
     FaultPlan::new().qp_failure_window(1, us(20), us(150), QpScope::All)
 }
 
-fn assert_exactly_once(run: &RecoveryRun, label: &str) {
+fn assert_exactly_once(run: &Run<RecoveryReport>, label: &str) {
     let expected = expected_rows();
-    let got = run.delivered.sorted(&run.report.generation);
+    let got = &run.delivered[&run.report.generation];
     assert_eq!(
         got.len(),
         expected.len(),
@@ -145,7 +118,7 @@ fn assert_exactly_once(run: &RecoveryRun, label: &str) {
         run.report.full_restarts
     );
     assert_eq!(
-        got, expected,
+        *got, expected,
         "{label}: delivered rows diverge from the source"
     );
     assert_eq!(run.report.rows, expected.len() as u64, "{label}");
@@ -203,10 +176,11 @@ fn partial_recovery_redoes_strictly_fewer_bytes_than_full_restart() {
             "{algorithm}: the resume must be probe-gated"
         );
         assert_eq!(
-            partial.violations, 0,
+            partial.violations.len(),
+            0,
             "{algorithm}: auditor must stay clean across epoch bumps"
         );
-        assert_eq!(full.violations, 0, "{algorithm}: baseline auditor clean");
+        assert_eq!(full.violations.len(), 0, "{algorithm}: baseline auditor clean");
         assert!(
             partial.snapshot.contains("endpoint.stale_epoch_drops"),
             "{algorithm}: the epoch fence must be observable in the snapshot"
@@ -265,7 +239,7 @@ fn persistent_rc_outage_degrades_to_ud_and_completes() {
     assert_eq!(run.report.full_restarts, 0);
     assert_eq!(run.report.generation, 0, "degradation keeps the generation");
     assert_exactly_once(&run, "degraded MEMQ_RD");
-    assert_eq!(run.violations, 0, "auditor clean across the descent");
+    assert_eq!(run.violations.len(), 0, "auditor clean across the descent");
     assert!(
         run.snapshot.contains("engine.degraded"),
         "degradation must be observable in the metrics snapshot"
@@ -354,8 +328,8 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
         report.partial_retries + 1,
         "one admission per exchange build"
     );
-    let got = delivered.sorted(&0);
-    assert_eq!(got, expected_rows(), "generation 0 holds every row exactly once");
+    let got = &delivered.into_sorted()[&0];
+    assert_eq!(*got, expected_rows(), "generation 0 holds every row exactly once");
     for node in 0..NODES {
         assert!(
             scheduler.reserved_bytes_peak(node)
@@ -415,5 +389,5 @@ fn healthy_recovery_runs_are_free_and_deterministic() {
     assert_eq!(a.report.recovery, None);
     assert_exactly_once(&a, "healthy MESQ_SR");
     assert_eq!(a.snapshot, b.snapshot, "healthy runs must be byte-identical");
-    assert_eq!(a.violations, 0);
+    assert_eq!(a.violations.len(), 0);
 }

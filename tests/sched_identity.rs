@@ -13,30 +13,25 @@
 //! virtual time and the weighted-fair arbiter with a single weight-1
 //! flow reproduces the untagged schedule exactly.
 
+#[path = "common/coordinated.rs"]
+mod coordinated;
+#[path = "common/run.rs"]
+mod run;
+
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use coordinated::Pending;
 use rshuffle_obs::trace::chrome_trace;
-use rshuffle_repro::engine::{
-    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy,
-};
+use rshuffle_repro::engine::{run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::DeviceProfile;
+use run::{Collector, Run, ROW};
 use serde::Value;
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 300;
-const ROW: usize = 16;
-
-/// What one run leaves behind, with the scheduler's additive surface
-/// stripped so the two paths are comparable.
-struct RunArtifacts {
-    rows: Vec<[u8; ROW]>,
-    snapshot: String,
-    trace: String,
-}
 
 /// Renders the metrics snapshot with every `sched.*` series and the
 /// workload driver's query-latency histogram removed — the scheduler
@@ -81,48 +76,31 @@ fn config_for(algorithm: ShuffleAlgorithm) -> ExchangeConfig {
     config
 }
 
-fn collect(
-    delivered: &Arc<Mutex<Vec<[u8; ROW]>>>,
-) -> impl Fn(&rshuffle_repro::rshuffle::RowBatch) + Send + Sync + 'static {
-    let delivered = delivered.clone();
-    move |batch| {
-        let mut rows = delivered.lock();
-        for row in batch.iter() {
-            rows.push(row.try_into().expect("16-byte row"));
-        }
-    }
+/// Finishes a spawned query and re-renders its snapshot and trace with
+/// the scheduler's additive surface stripped, so the two paths are
+/// comparable.
+fn stripped(algorithm: ShuffleAlgorithm, path: &str, pending: Pending) -> Run<RecoveryReport> {
+    let obs = pending.runtime.obs().clone();
+    let mut run = pending.finish();
+    assert!(
+        run.report.succeeded(),
+        "{algorithm}: {path} run failed: {:?}",
+        run.report.failure
+    );
+    run.snapshot = strip_sched_series(obs.metrics.snapshot());
+    run.trace = strip_sched_events(chrome_trace(&obs.recorder));
+    run
 }
 
-fn run_direct(algorithm: ShuffleAlgorithm) -> RunArtifacts {
+fn run_direct(algorithm: ShuffleAlgorithm) -> Run<RecoveryReport> {
     let config = config_for(algorithm);
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
-    let push = collect(&delivered);
-    let report = run_shuffle_with_recovery(
-        &runtime,
-        &config,
-        RecoveryPolicy::default(),
-        ROW,
-        |_, node| Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>,
-        move |_, _, _, batch| push(batch),
-    );
-    runtime.cluster().run();
-    assert!(
-        report.lock().succeeded(),
-        "{algorithm}: direct run failed: {:?}",
-        report.lock().failure
-    );
-    let obs = runtime.obs();
-    let mut rows = delivered.lock().clone();
-    rows.sort_unstable();
-    RunArtifacts {
-        rows,
-        snapshot: strip_sched_series(obs.metrics.snapshot()),
-        trace: strip_sched_events(chrome_trace(&obs.recorder)),
-    }
+    let policy = RecoveryPolicy::default();
+    let pending = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD);
+    stripped(algorithm, "direct", pending)
 }
 
-fn run_scheduled(algorithm: ShuffleAlgorithm) -> RunArtifacts {
+fn run_scheduled(algorithm: ShuffleAlgorithm) -> Run<RecoveryReport> {
     let config = config_for(algorithm);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let scheduler = Scheduler::new(
@@ -132,8 +110,8 @@ fn run_scheduled(algorithm: ShuffleAlgorithm) -> RunArtifacts {
             ..SchedulerConfig::default()
         },
     );
-    let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
-    let push = collect(&delivered);
+    let delivered = Collector::default();
+    let sink = delivered.clone();
     // Query id 0: flow 0, endpoint-id base 0 — the very same endpoint
     // ids the direct path allocates.
     let handles = run_workload(
@@ -141,23 +119,15 @@ fn run_scheduled(algorithm: ShuffleAlgorithm) -> RunArtifacts {
         &scheduler,
         vec![QuerySpec::new(0, config, ROW)],
         |_, _, node| Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>,
-        move |_, _, _, _, batch| push(batch),
+        move |_, generation, _, _, batch| sink.push(generation, batch),
     );
-    runtime.cluster().run();
-    let report = handles[0].report.lock();
-    assert!(
-        report.succeeded(),
-        "{algorithm}: scheduled run failed: {:?}",
-        report.failure
-    );
-    let obs = runtime.obs();
-    let mut rows = delivered.lock().clone();
-    rows.sort_unstable();
-    RunArtifacts {
-        rows,
-        snapshot: strip_sched_series(obs.metrics.snapshot()),
-        trace: strip_sched_events(chrome_trace(&obs.recorder)),
-    }
+    let report = handles[0].report.clone();
+    let pending = Pending {
+        runtime,
+        delivered,
+        report,
+    };
+    stripped(algorithm, "scheduled", pending)
 }
 
 /// The headline acceptance criterion: limit-1, weightless scheduling is
@@ -169,12 +139,12 @@ fn limit_one_scheduler_is_byte_identical_to_direct_path() {
         let direct = run_direct(algorithm);
         let scheduled = run_scheduled(algorithm);
         assert_eq!(
-            direct.rows.len(),
+            direct.delivered[&0].len(),
             NODES * THREADS * ROWS_PER_THREAD,
             "{algorithm}: direct run dropped rows"
         );
         assert_eq!(
-            direct.rows, scheduled.rows,
+            direct.delivered, scheduled.delivered,
             "{algorithm}: delivered multisets diverge"
         );
         if direct.snapshot != scheduled.snapshot {
