@@ -69,7 +69,6 @@ fn run_cell(out: &mut Outcome, algorithm: ShuffleAlgorithm, n: usize, rows_per_t
         SchedulerConfig {
             max_concurrent: n,
             mem_budget_per_node: Some(budget),
-            ..SchedulerConfig::default()
         },
     );
     let queries = (0..n as u32)

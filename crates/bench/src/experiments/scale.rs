@@ -2,7 +2,7 @@
 //!
 //! Sweeps cluster sizes far beyond the paper's 16-node testbed over a
 //! two-tier fat-tree fabric (16 hosts per leaf, 4:1 oversubscribed), with
-//! and without the connection multiplexer's QP cap, and reports where the
+//! and without the per-pair QP cap, and reports where the
 //! chunked-message designs stop paying for their per-pair QP state: the
 //! MESQ/SR (UD) vs MEMQ/RD (RC) crossover that §7's scalability
 //! discussion predicts.
@@ -20,7 +20,6 @@
 //! (wall-clock depends on the host machine, never on the simulation).
 
 use rshuffle::ShuffleAlgorithm;
-use rshuffle_mux::MuxConfig;
 use rshuffle_simnet::{DeviceProfile, Topology};
 use serde::Value;
 
@@ -125,7 +124,7 @@ pub(super) fn scale(scale: Scale) -> Outcome {
                 cfg.exchange.message_size = message_size;
                 cfg.bytes_per_node = bytes_per_node;
                 cfg.topology = topology.clone();
-                cfg.exchange.mux = cap.map(MuxConfig::with_cap);
+                cfg.exchange.qp_cap_per_pair = cap;
                 let start = std::time::Instant::now();
                 let id = match cap {
                     Some(c) => format!("{algorithm}/N={nodes}/cap={c}"),
@@ -134,18 +133,13 @@ pub(super) fn scale(scale: Scale) -> Outcome {
                 let r = out.workload(&id, &cfg);
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 // Physical send-side QPs cluster-wide: what the NIC
-                // context caches actually hold.
-                let qp_count = if r.mux_qp_count > 0 {
-                    r.mux_qp_count
-                } else if algorithm.reliable_transport() {
-                    (nodes * (nodes - 1) * lanes) as u64
-                } else {
-                    (nodes * lanes) as u64
-                };
+                // context caches actually hold. Every lane past them
+                // waits its turn on a connection it shares.
+                let qp_count = r.physical_qps;
+                let lease_waits = r.natural_qps - r.physical_qps;
                 eprintln!(
-                    "[scale] {id} : {:.3} GiB/s/node, {qp_count} QPs, {} lease waits, {wall_ms:.0} ms wall",
+                    "[scale] {id} : {:.3} GiB/s/node, {qp_count} QPs, {lease_waits} lease waits, {wall_ms:.0} ms wall",
                     r.gib_per_sec(),
-                    r.mux_lease_waits,
                 );
                 out.row(
                     id,
@@ -153,7 +147,7 @@ pub(super) fn scale(scale: Scale) -> Outcome {
                         MetricRow::higher("gib_per_sec", r.gib_per_sec()),
                         MetricRow::lower("response_virt_ns", r.response_time.as_nanos() as f64),
                         MetricRow::info("qp_count", qp_count as f64),
-                        MetricRow::info("mux_lease_waits", r.mux_lease_waits as f64),
+                        MetricRow::info("mux_lease_waits", lease_waits as f64),
                         MetricRow::info("wall_clock_ms", wall_ms),
                         MetricRow::info("bytes_per_node", bytes_per_node as f64),
                     ],

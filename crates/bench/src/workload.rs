@@ -97,7 +97,7 @@ pub struct WorkloadConfig {
     /// seeded Zipf histogram instead of evenly. `None` = uniform.
     pub skew: Option<SkewSpec>,
     /// The exchange under test: cluster size and pattern (its transmission
-    /// groups), threads, message size, pool depths, lanes, multiplexing,
+    /// groups), threads, message size, pool depths, lanes, the QP cap,
     /// phasing and fault injection, at the defaults of §5.1.2–5.1.3
     /// unless set. The MPI and IPoIB baselines read `groups`, `threads`,
     /// `message_size` and `faults` only — the libraries bring their own
@@ -178,10 +178,10 @@ pub struct WorkloadResult {
     pub registered_bytes_per_node: usize,
     /// Errors raised by any worker (empty on success).
     pub errors: Vec<ShuffleError>,
-    /// Physical QPs the multiplexer materialized (0 on the direct path).
-    pub mux_qp_count: u64,
-    /// Leases that had to share an occupied slot (0 on the direct path).
-    pub mux_lease_waits: u64,
+    /// Send-side QPs the design opens cluster-wide with no cap.
+    pub natural_qps: u64,
+    /// Send-side QP contexts the NICs hold: fewer under an engaged cap.
+    pub physical_qps: u64,
     /// The runtime the query ran on, finished: the metrics registry and
     /// flight recorder (`obs()`), fabric, NIC and kernel statistics.
     pub runtime: Arc<VerbsRuntime>,
@@ -230,8 +230,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     }
     .expect("exchange builds");
     let registered_bytes_per_node = exchange.registered_bytes(0);
-    let mux_qp_count = exchange.mux.as_ref().map_or(0, |m| m.qp_count());
-    let mux_lease_waits = exchange.mux.as_ref().map_or(0, |m| m.lease_waits());
+    let (natural_qps, physical_qps) = (exchange.natural_qps(), exchange.physical_qps());
 
     let mut recv_stats = Vec::new();
     let mut send_stats = Vec::new();
@@ -296,8 +295,8 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         bytes_received_per_node: per_node,
         registered_bytes_per_node,
         errors,
-        mux_qp_count,
-        mux_lease_waits,
+        natural_qps,
+        physical_qps,
         runtime,
     }
 }

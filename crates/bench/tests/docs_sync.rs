@@ -3,6 +3,8 @@
 //! must be a file of `src/bin`, every `bench <id>` an experiment of the
 //! registry, and every registered experiment must have its command in
 //! EXPERIMENTS.md. README's Rust snippet must be the quickstart example.
+//! DESIGN.md's inventory (§3) and dependencies (§5) must name the
+//! directories of `crates/` and `vendor/`, all of them and no others.
 
 use std::collections::BTreeSet;
 
@@ -106,6 +108,38 @@ fn every_registered_experiment_has_its_command_in_experiments_md() {
             documented.contains(experiment.id),
             "EXPERIMENTS.md has no `bench {}` command",
             experiment.id
+        );
+    }
+}
+
+/// The names `text` mentions as `{dir}/name`.
+fn named_under(text: &str, dir: &str) -> BTreeSet<String> {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let prefix = format!("{dir}/");
+    let names = text
+        .split(prefix.as_str())
+        .skip(1)
+        .map(|rest| rest.split(|c| !is_word(c)).next().unwrap_or(""));
+    let names = names.filter(|n| !n.is_empty());
+    names.map(str::to_string).collect()
+}
+
+#[test]
+fn design_md_names_every_crate_and_shim_and_no_other() {
+    let design = std::fs::read_to_string(repo_path("DESIGN.md")).expect("DESIGN.md");
+    for (heading, dir) in [("\n## 3. ", "crates"), ("\n## 5. ", "vendor")] {
+        let (_, section) = design.split_once(heading).expect("section heading");
+        let section = section.split("\n## ").next().unwrap_or("");
+        let on_disk: BTreeSet<String> = std::fs::read_dir(repo_path(dir))
+            .expect("directory")
+            .filter_map(|entry| entry.ok())
+            .filter(|entry| entry.path().is_dir())
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            named_under(section, dir),
+            on_disk,
+            "DESIGN.md section{heading}against the directories of {dir}/"
         );
     }
 }

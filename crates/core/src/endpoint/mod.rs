@@ -127,10 +127,6 @@ pub(crate) trait RcTransport: SendEndpoint + Sized + 'static {
         src: NodeId,
     ) -> (&'a QueuePair, &'a QueuePair);
 
-    /// Outstanding work requests per virtual endpoint a multiplexed slot
-    /// of this transport must hold.
-    fn lease_depth(params: &Params) -> u32;
-
     /// The out-of-band exchange once the pair is connected: ring and
     /// credit addresses, initial credit or grants (§4.2).
     fn handshake(&self, peer: NodeId, recv: &Self::Receiver, src: NodeId) -> Result<()>;

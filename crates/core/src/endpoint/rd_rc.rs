@@ -375,10 +375,6 @@ impl RcTransport for RdRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &Params) -> u32 {
-        cfg.buffers_per_peer as u32
-    }
-
     /// The receiver learns the sender's data pool and its ring in the
     /// sender's `FreeArr`; the sender learns its ring in the receiver's
     /// `ValidArr`.

@@ -299,10 +299,6 @@ impl RcTransport for SrRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &Params) -> u32 {
-        cfg.recv_depth_per_peer as u32
-    }
-
     /// The receiver posts its initial receives and learns where to write
     /// credit; the sender is seeded with the credit that grants.
     fn handshake(&self, peer: NodeId, recv: &SrRcReceiveEndpoint, src: NodeId) -> Result<()> {

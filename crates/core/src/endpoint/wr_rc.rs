@@ -306,10 +306,6 @@ impl RcTransport for WrRcSendEndpoint {
         (self.half.qp_for(peer), recv.half.qp_for(src))
     }
 
-    fn lease_depth(cfg: &Params) -> u32 {
-        cfg.buffers_per_peer as u32
-    }
-
     /// The receiver learns its ring among the sender's grant rings and
     /// grants its share of the data pool; the sender learns the data pool,
     /// its ring in the receiver's `ValidArr` and those initial grants.

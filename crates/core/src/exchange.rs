@@ -11,9 +11,8 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rshuffle_mux::{Multiplexer, MuxConfig};
 use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{ConnectionManager, Context, FaultConfig, VerbsRuntime};
+use rshuffle_verbs::{ConnectionManager, Context, FaultConfig, SharedQpSlot, VerbsRuntime};
 
 use crate::config::{EndpointImpl, ShuffleAlgorithm};
 use crate::endpoint::rd_rc::{RdRcReceiveEndpoint, RdRcSendEndpoint};
@@ -83,13 +82,14 @@ pub struct ExchangeConfig {
     /// a fenced-off attempt are discarded at the transport; healthy runs
     /// stay at 0 and are byte-identical to the pre-recovery wire format.
     pub epoch: u16,
-    /// Connection multiplexing: cap on physical QPs per directed node
-    /// pair (the scale-out experiments sweep this). `None`, or a cap at
-    /// least as large as the lane count, leaves the direct one-QP-per-lane
-    /// wiring byte-identical to the pre-mux behaviour; a smaller cap makes
-    /// virtual endpoints lease shared slots from a [`Multiplexer`]. Never
-    /// applied to the UD design (it already uses one QP per lane total).
-    pub mux: Option<MuxConfig>,
+    /// Cap on physical RC connections per directed node pair (the
+    /// scale-out experiment sets it). Below the lane count, lane `l` of a
+    /// pair shares connection `l % cap` — one NIC QP context and one
+    /// delivery order, see [`SharedQpSlot`]. `None`, or a cap at least as
+    /// large as the lane count, is the direct one-QP-per-lane wiring, bit
+    /// for bit; zero is rejected. Never applied to the UD design (it
+    /// already uses one QP per lane whatever the peer count).
+    pub qp_cap_per_pair: Option<usize>,
     /// Phase scheduling of the all-to-all transfer
     /// ([`crate::PhasePolicy::Off`] by default — the operator interleaves
     /// destinations freely and nothing phase-related is even built).
@@ -150,7 +150,7 @@ impl ExchangeConfig {
             flow: FlowId::NONE,
             endpoint_id_base: 0,
             epoch: 0,
-            mux: None,
+            qp_cap_per_pair: None,
             phase: PhasePolicy::Off,
             phase_bytes: None,
             groups,
@@ -364,15 +364,17 @@ struct Wiring<'a> {
     dests: &'a [Vec<NodeId>],
     /// `srcs[b]` = nodes that send to `b`.
     srcs: &'a [Vec<NodeId>],
-    muxer: Option<&'a Multiplexer>,
+    /// Physical connections per directed pair; `ids.lanes` on the direct
+    /// path, fewer when [`ExchangeConfig::qp_cap_per_pair`] engages.
+    qps_per_pair: usize,
 }
 
 impl Wiring<'_> {
     /// Builds and wires the endpoints of one reliable-connection
     /// transport: every lane of every node gets its halves, then each
-    /// sender→receiver pair is connected, bound to a shared slot when a
-    /// multiplexer is in effect, and put through the transport's
-    /// out-of-band handshake.
+    /// sender→receiver pair is connected, bound to one of the pair's
+    /// shared connections when the QP cap is in effect, and put through
+    /// the transport's out-of-band handshake.
     fn rc<T: RcTransport>(
         &self,
         sender: HalfCtor<T>,
@@ -396,17 +398,32 @@ impl Wiring<'_> {
             send.push(s_lane);
             recv.push(r_lane);
         }
+        // Under the cap a pair's lanes share `qps_per_pair` connections,
+        // each a slot at the sender's NIC and one at the receiver's, and
+        // lane `l` takes connection `l % qps_per_pair`: the lanes of a
+        // pair are wired in lane order, so that is both "first vacant"
+        // and, once all are taken, "least recently shared".
+        let shared_per_pair = if self.qps_per_pair < self.ids.lanes {
+            self.qps_per_pair
+        } else {
+            0
+        };
+        let both_ends = |_| (SharedQpSlot::new(), SharedQpSlot::new());
         for (a, dests) in self.dests.iter().enumerate() {
+            let shared: Vec<Vec<_>> = dests
+                .iter()
+                .map(|_| (0..shared_per_pair).map(both_ends).collect())
+                .collect();
             for lane in 0..self.ids.lanes {
-                for &b in dests {
+                for (i, &b) in dests.iter().enumerate() {
                     let (s, r) = (&send[a][lane], &recv[b][lane]);
                     let (qp_s, qp_r) = s.qp_pair(b, r, a);
                     ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))?;
                     ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))?;
-                    if let Some(m) = self.muxer {
-                        let lease = m.lease(a, b, T::lease_depth(self.params));
-                        qp_s.bind_shared_slot(&lease.send_slot)?;
-                        qp_r.bind_shared_slot(&lease.recv_slot)?;
+                    if shared_per_pair > 0 {
+                        let (at_sender, at_receiver) = &shared[i][lane % shared_per_pair];
+                        qp_s.bind_shared_slot(at_sender)?;
+                        qp_r.bind_shared_slot(at_receiver)?;
                     }
                     s.handshake(b, r, a)?;
                 }
@@ -512,11 +529,6 @@ pub struct Exchange {
     /// The flow tag all of this exchange's QPs and memory regions carry
     /// ([`FlowId::NONE`] outside the multi-query scheduler).
     pub flow: FlowId,
-    /// The connection multiplexer, present when a QP cap below the lane
-    /// count was in effect for this build (`None` on the direct path).
-    /// Exposes [`Multiplexer::qp_count`] / [`Multiplexer::lease_waits`]
-    /// to the scale benchmarks.
-    pub mux: Option<Arc<Multiplexer>>,
     /// The phase runner when [`ExchangeConfig::phase`] enables scheduled
     /// all-to-all, `None` on the (default) unphased path. Shared by every
     /// sender thread of the cluster; operators cross its barrier once per
@@ -526,6 +538,9 @@ pub struct Exchange {
     threads: usize,
     /// The ids this exchange's endpoints were minted from.
     ids: IdLayout,
+    /// Physical connections per directed pair: `lanes`, or the QP cap
+    /// where it engaged.
+    qps_per_pair: usize,
 }
 
 impl Exchange {
@@ -585,16 +600,17 @@ impl Exchange {
             None
         };
 
-        // Connection multiplexing: only the RC designs open one QP per
-        // (lane, destination); the UD design already shares one QP per
-        // lane, so a cap never applies to it. A cap at or above the lane
-        // count changes nothing either — the lease table is skipped
-        // entirely and the wiring stays byte-identical to the direct path.
-        let muxer: Option<Arc<Multiplexer>> = match config.mux {
-            Some(m) if config.algorithm.imp != EndpointImpl::SqSr && m.applies(lanes) => {
-                Some(Multiplexer::new(m))
+        // Only the RC designs open one QP per (lane, destination); the UD
+        // design already shares one QP per lane, so the cap never applies
+        // to it. A cap at or above the lane count changes nothing either.
+        let qps_per_pair = match config.qp_cap_per_pair {
+            Some(0) => {
+                return Err(ShuffleError::Config(
+                    "qp_cap_per_pair of 0: a pair needs one connection".into(),
+                ))
             }
-            _ => None,
+            Some(cap) if config.algorithm.imp != EndpointImpl::SqSr => cap.min(lanes),
+            _ => lanes,
         };
 
         let ids = config.id_layout();
@@ -605,7 +621,7 @@ impl Exchange {
             params: &config.params(runtime.profile()),
             dests: &dests,
             srcs: &srcs,
-            muxer: muxer.as_deref(),
+            qps_per_pair,
         };
         let (send, recv) = match config.algorithm.imp {
             EndpointImpl::MqSr => wiring.rc(SrRcSendEndpoint::new, SrRcReceiveEndpoint::new)?,
@@ -613,11 +629,6 @@ impl Exchange {
             EndpointImpl::MqWr => wiring.rc(WrRcSendEndpoint::new, WrRcReceiveEndpoint::new)?,
             EndpointImpl::SqSr => wiring.ud()?,
         };
-        // Lazy: registers no `mux.*` series unless a lease actually shared
-        // a slot, keeping identity-configuration snapshots byte-identical.
-        if let Some(m) = &muxer {
-            m.publish(runtime.cluster().obs().as_ref());
-        }
         let phases = schedule.map(|schedule| {
             // Free (exempted) sources run the unphased path and never
             // reach the barrier: counting them would deadlock round 0.
@@ -641,10 +652,10 @@ impl Exchange {
             algorithm: config.algorithm,
             lanes,
             flow: config.flow,
-            mux: muxer,
             phases,
             threads: config.threads,
             ids,
+            qps_per_pair,
         })
     }
 
@@ -702,6 +713,28 @@ impl Exchange {
     /// or one from another attempt's or another query's range.
     pub fn source_node(&self, id: EndpointId) -> Option<NodeId> {
         self.ids.source_node(id)
+    }
+
+    /// Send-side Queue Pairs the design opens cluster-wide, one per lane:
+    /// toward every destination of every node for the RC designs, per
+    /// node for UD (which reaches all its peers through one).
+    pub fn natural_qps(&self) -> u64 {
+        self.qps(self.lanes)
+    }
+
+    /// Send-side NIC QP contexts actually held cluster-wide: fewer than
+    /// [`Exchange::natural_qps`] exactly when the QP cap engaged, and the
+    /// difference is the lanes that share a connection with another.
+    pub fn physical_qps(&self) -> u64 {
+        self.qps(self.qps_per_pair)
+    }
+
+    fn qps(&self, per_pair: usize) -> u64 {
+        let pairs_or_nodes = match self.algorithm.imp {
+            EndpointImpl::SqSr => self.groups.len(),
+            _ => self.groups.iter().map(|g| g.destinations().len()).sum(),
+        };
+        (pairs_or_nodes * per_pair) as u64
     }
 
     /// Charges the modelled connection-setup cost for `node`'s endpoints to
@@ -875,6 +908,57 @@ mod tests {
                 exchange.bytes_received(1),
                 (2 * ROWS_PER_THREAD * ROW) as u64,
                 "{algorithm}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_qp_cap_is_refused_before_anything_is_pinned() {
+        let nodes = 3;
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_SR, nodes, 2);
+        config.qp_cap_per_pair = Some(0);
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        match Exchange::build(&runtime, &config) {
+            Err(ShuffleError::Config(why)) => assert!(why.contains("qp_cap_per_pair"), "{why}"),
+            other => panic!("expected a Config error, got {:?}", other.err()),
+        }
+        for node in 0..nodes {
+            assert_eq!(runtime.registered_bytes(node), 0, "node {node}");
+        }
+    }
+
+    #[test]
+    fn qp_counts_follow_the_directed_pairs_and_the_cap() {
+        let (nodes, threads) = (4, 4);
+        // A broadcast among the four, or node 0 sending to node 1 alone.
+        let (broadcast, one_way) = (true, false);
+        // (design, pattern, cap) -> (natural, physical)
+        let cases = [
+            // One group of three per node is still twelve directed pairs.
+            (ShuffleAlgorithm::MEMQ_RD, broadcast, None, (48, 48)),
+            (ShuffleAlgorithm::MEMQ_RD, broadcast, Some(3), (48, 36)),
+            (ShuffleAlgorithm::MEMQ_RD, broadcast, Some(4), (48, 48)),
+            // One lane: nothing to share. UD: one QP per lane and node.
+            (ShuffleAlgorithm::SEMQ_SR, broadcast, Some(1), (12, 12)),
+            (ShuffleAlgorithm::MESQ_SR, broadcast, Some(1), (16, 16)),
+            // Nothing comes back: one directed pair, not `nodes - 1` each.
+            (ShuffleAlgorithm::MEMQ_SR, one_way, None, (4, 4)),
+            (ShuffleAlgorithm::MEMQ_SR, one_way, Some(1), (4, 1)),
+        ];
+        for (algorithm, pattern, cap, expected) in cases {
+            let mut config = ExchangeConfig::broadcast(algorithm, nodes, threads);
+            if pattern == one_way {
+                config.groups = vec![TransmissionGroups::new(vec![]); nodes];
+                config.groups[0] = TransmissionGroups::new(vec![vec![1]]);
+            }
+            config.message_size = 4096;
+            config.qp_cap_per_pair = cap;
+            let runtime = config.build_runtime(DeviceProfile::edr());
+            let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
+            assert_eq!(
+                (exchange.natural_qps(), exchange.physical_qps()),
+                expected,
+                "{algorithm} cap {cap:?}"
             );
         }
     }

@@ -45,12 +45,10 @@ pub struct QuerySpec {
     pub row_size: usize,
     /// Weighted-fair bandwidth weight (1 = equal share).
     pub weight: u64,
-    /// Priority under the scheduler's priority policy.
-    pub priority: i32,
 }
 
 impl QuerySpec {
-    /// A weight-1, priority-0 query with the default recovery policy.
+    /// A weight-1 query with the default recovery policy.
     pub fn new(id: u32, config: ExchangeConfig, row_size: usize) -> Self {
         QuerySpec {
             id,
@@ -58,7 +56,6 @@ impl QuerySpec {
             policy: RecoveryPolicy::default(),
             row_size,
             weight: 1,
-            priority: 0,
         }
     }
 }
@@ -162,7 +159,6 @@ pub fn run_workload(
         let request = QueryRequest {
             id: spec.id,
             weight: spec.weight,
-            priority: spec.priority,
             mem_per_node: (0..nodes)
                 .map(|n| config.registered_bytes_estimate(runtime.profile(), n))
                 .collect(),

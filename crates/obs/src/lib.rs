@@ -149,17 +149,6 @@ pub mod names {
     /// Payload bytes whose rows survived from failed attempts `{node}`
     /// (work a full restart would have thrown away).
     pub const ENGINE_KEPT_BYTES: &str = "engine.kept_bytes";
-    /// Distinct shared QP slots the multiplexer materialized `{node}`
-    /// (the effective QP-context population after leasing).
-    pub const MUX_QP_COUNT: &str = "mux.qp_count";
-    /// Virtual endpoints bound onto shared slots `{node}`.
-    pub const MUX_LEASES: &str = "mux.leases";
-    /// Leases that had to share an already-occupied slot `{node}` — each
-    /// one is a virtual endpoint serialized behind a stranger's traffic.
-    pub const MUX_LEASE_WAITS: &str = "mux.lease_waits";
-    /// Natural (un-multiplexed) QP demand the lease table saw `{node}`;
-    /// `mux.qp_count / mux.natural_qps` is the context-compression ratio.
-    pub const MUX_NATURAL_QPS: &str = "mux.natural_qps";
     /// Communication phases completed by a phase-scheduled exchange
     /// (one increment per sender thread per barrier crossing).
     pub const EXCHANGE_PHASES_RUN: &str = "exchange.phases_run";

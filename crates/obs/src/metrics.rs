@@ -418,7 +418,7 @@ impl Serialize for HistogramSnapshot {
 
 /// Percentile digest of one histogram series, as written into bench
 /// reports and the `perfdiff` baseline.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSummary {
     /// Total observations.
     pub count: u64,
@@ -436,6 +436,21 @@ pub struct HistogramSummary {
     pub p99: u64,
     /// 99.9th percentile.
     pub p999: u64,
+}
+
+impl Serialize for HistogramSummary {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("count".to_string(), Value::UInt(self.count)),
+            ("min".to_string(), Value::UInt(self.min)),
+            ("max".to_string(), Value::UInt(self.max)),
+            ("mean".to_string(), Value::Float(self.mean)),
+            ("p50".to_string(), Value::UInt(self.p50)),
+            ("p90".to_string(), Value::UInt(self.p90)),
+            ("p99".to_string(), Value::UInt(self.p99)),
+            ("p999".to_string(), Value::UInt(self.p999)),
+        ])
+    }
 }
 
 enum Metric {

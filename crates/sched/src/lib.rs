@@ -7,10 +7,10 @@
 //! §4.3/Figure 9b). This crate adds the missing coordination layer on
 //! top of the simulated cluster:
 //!
-//! * **Admission control** — a configurable concurrency limit with FIFO
-//!   or priority queueing ([`QueuePolicy`]). Admission is strict
-//!   head-of-queue: a query that does not fit blocks every query behind
-//!   it, which is what makes the policy starvation-free.
+//! * **Admission control** — a configurable concurrency limit over a
+//!   FIFO queue. Admission is strict head-of-queue: a query that does
+//!   not fit blocks every query behind it, which is what makes the
+//!   policy starvation-free.
 //! * **Registered-memory governance** — an optional per-node byte
 //!   budget. A query declares its per-node requirement up front (from
 //!   [`rshuffle::ExchangeConfig::registered_bytes_estimate`]); if the
@@ -45,24 +45,11 @@ use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs};
 use rshuffle_simnet::{FlowId, FlowTable, Gate, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
-/// How the admission queue is ordered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    /// Strict arrival order.
-    #[default]
-    Fifo,
-    /// Higher [`QueryRequest::priority`] first; FIFO among equals. A
-    /// waiting query is never preempted once admitted.
-    Priority,
-}
-
 /// Static configuration of a [`Scheduler`].
 #[derive(Clone, Debug)]
 pub struct SchedulerConfig {
     /// Maximum queries running at once (≥ 1).
     pub max_concurrent: usize,
-    /// Admission-queue ordering.
-    pub policy: QueuePolicy,
     /// Per-node registered-memory budget in bytes; `None` = ungoverned.
     pub mem_budget_per_node: Option<usize>,
 }
@@ -71,7 +58,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             max_concurrent: usize::MAX,
-            policy: QueuePolicy::Fifo,
             mem_budget_per_node: None,
         }
     }
@@ -85,20 +71,17 @@ pub struct QueryRequest {
     pub id: u32,
     /// Weighted-fair bandwidth weight (0 is clamped to 1).
     pub weight: u64,
-    /// Priority under [`QueuePolicy::Priority`]; higher runs first.
-    pub priority: i32,
     /// Registered-memory requirement per node, in bytes. Length must
     /// equal the cluster's node count.
     pub mem_per_node: Vec<usize>,
 }
 
 impl QueryRequest {
-    /// A weight-1, priority-0 request with no declared memory need.
+    /// A weight-1 request with no declared memory need.
     pub fn new(id: u32, nodes: usize) -> Self {
         QueryRequest {
             id,
             weight: 1,
-            priority: 0,
             mem_per_node: vec![0; nodes],
         }
     }
@@ -138,8 +121,6 @@ pub enum ReleaseOutcome {
 }
 
 struct Waiter {
-    ticket: u64,
-    priority: i32,
     id: u32,
     weight: u64,
     mem: Vec<usize>,
@@ -153,7 +134,6 @@ struct SchedState {
     /// High-water mark of `reserved`, per node.
     reserved_peak: Vec<usize>,
     queue: VecDeque<Waiter>,
-    next_ticket: u64,
 }
 
 /// The admission controller and resource governor. Passive shared
@@ -203,7 +183,6 @@ impl Scheduler {
                 reserved: vec![0; nodes],
                 reserved_peak: vec![0; nodes],
                 queue: VecDeque::new(),
-                next_ticket: 0,
             }),
             runtime: runtime.clone(),
         })
@@ -274,25 +253,12 @@ impl Scheduler {
         let gate: Gate<()> = Gate::new(sim.kernel(), SimDuration::ZERO);
         {
             let mut st = self.state.lock();
-            let ticket = st.next_ticket;
-            st.next_ticket += 1;
-            let waiter = Waiter {
-                ticket,
-                priority: req.priority,
+            st.queue.push_back(Waiter {
                 id: req.id,
                 weight: req.weight.max(1),
                 mem: req.mem_per_node.clone(),
                 gate: gate.clone(),
-            };
-            let pos = match self.cfg.policy {
-                QueuePolicy::Fifo => st.queue.len(),
-                QueuePolicy::Priority => st
-                    .queue
-                    .iter()
-                    .position(|w| w.priority < req.priority)
-                    .unwrap_or(st.queue.len()),
-            };
-            st.queue.insert(pos, waiter);
+            });
             self.grant_ready(&mut st);
         }
         // The cooperative kernel runs one thread at a time, so nothing
@@ -387,7 +353,7 @@ impl Scheduler {
 
     /// Admits from the head of the queue while the head fits. Strictly
     /// in-order: a head that does not fit blocks everything behind it
-    /// (no starvation; ordering is the policy's, not the allocator's).
+    /// (no starvation; ordering is arrival's, not the allocator's).
     fn grant_ready(&self, st: &mut SchedState) {
         while let Some(head) = st.queue.front() {
             if st.running >= self.cfg.max_concurrent {
@@ -413,42 +379,10 @@ impl Scheduler {
                     self.mem_peak[node].add(delta as u64);
                 }
             }
-            let _ = w.ticket;
             self.flows.set_weight(FlowId(w.id), w.weight);
             w.gate.push(());
         }
     }
-}
-
-/// Modelled per-connection (QP) state footprint, in bytes: the NIC
-/// context entry plus the host-memory work-queue descriptors the driver
-/// pins per RC connection. A modelling constant, not a measured buffer
-/// size — it exists so admission can price *connection count*, which
-/// registered-buffer estimates are blind to.
-pub const QP_STATE_BYTES: usize = 384;
-
-/// Estimates the per-node QP-state bytes of one shuffle query: `fanout`
-/// destination pairs plus `fanin` source pairs, each `lanes` natural
-/// connections deep, optionally compressed by a connection-multiplexer
-/// cap ([`rshuffle_mux::MuxConfig::effective_slots`]).
-///
-/// [`rshuffle::ExchangeConfig::registered_bytes_estimate`] is unchanged
-/// by multiplexing — slot sharing merges NIC contexts, not message
-/// buffers — so a mux-aware admission controller adds this estimate on
-/// top of the buffer estimate in [`QueryRequest::mem_per_node`]. The
-/// default path (no cap, or callers that never add the term) is
-/// untouched.
-pub fn qp_state_bytes_estimate(
-    lanes: usize,
-    fanout: usize,
-    fanin: usize,
-    mux: Option<rshuffle_mux::MuxConfig>,
-) -> usize {
-    let per_pair = match mux {
-        Some(cap) => cap.effective_slots(lanes),
-        None => lanes,
-    };
-    (fanout + fanin) * per_pair * QP_STATE_BYTES
 }
 
 #[cfg(test)]
@@ -465,7 +399,6 @@ mod tests {
         QueryRequest {
             id,
             weight: 1,
-            priority: 0,
             mem_per_node: mem,
         }
     }
@@ -574,38 +507,29 @@ mod tests {
     }
 
     #[test]
-    fn priority_queue_reorders_waiters_fifo_does_not() {
-        for (policy, expected) in [
-            (QueuePolicy::Fifo, vec![0, 1, 2]),
-            (QueuePolicy::Priority, vec![0, 2, 1]),
-        ] {
-            let rt = runtime(1);
-            let sched = Scheduler::new(
-                &rt,
-                SchedulerConfig {
-                    max_concurrent: 1,
-                    policy,
-                    ..SchedulerConfig::default()
-                },
-            );
-            let order = Arc::new(Mutex::new(Vec::new()));
-            // q0 occupies the slot; q1 (prio 0) and q2 (prio 5) queue
-            // behind it in spawn order.
-            for (id, priority) in [(0u32, 0), (1, 0), (2, 5)] {
-                let sched = sched.clone();
-                let order = order.clone();
-                rt.cluster().spawn(0, &format!("q{id}"), move |sim| {
-                    let mut r = QueryRequest::new(id, 1);
-                    r.priority = priority;
-                    let adm = sched.admit(&sim, &r).unwrap();
-                    order.lock().push(id);
-                    sim.sleep(SimDuration::from_micros(3));
-                    sched.release(&sim, adm, ReleaseOutcome::Completed);
-                });
-            }
-            rt.cluster().run();
-            assert_eq!(*order.lock(), expected, "policy {policy:?}");
+    fn waiters_are_admitted_in_arrival_order() {
+        let rt = runtime(1);
+        let sched = Scheduler::new(
+            &rt,
+            SchedulerConfig {
+                max_concurrent: 1,
+                ..SchedulerConfig::default()
+            },
+        );
+        let order = Arc::new(Mutex::new(Vec::new()));
+        // q0 occupies the slot; q1 and q2 queue behind it in spawn order.
+        for id in 0..3u32 {
+            let sched = sched.clone();
+            let order = order.clone();
+            rt.cluster().spawn(0, &format!("q{id}"), move |sim| {
+                let adm = sched.admit(&sim, &QueryRequest::new(id, 1)).unwrap();
+                order.lock().push(id);
+                sim.sleep(SimDuration::from_micros(3));
+                sched.release(&sim, adm, ReleaseOutcome::Completed);
+            });
         }
+        rt.cluster().run();
+        assert_eq!(*order.lock(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -701,19 +625,5 @@ mod tests {
         });
         rt.cluster().run();
         assert_eq!(rt.registered_bytes_peak(0), 4096);
-    }
-
-    #[test]
-    fn qp_state_pricing_shrinks_under_a_cap() {
-        use rshuffle_mux::MuxConfig;
-        // 14 lanes to 15 destinations + 15 sources, uncapped.
-        let natural = qp_state_bytes_estimate(14, 15, 15, None);
-        assert_eq!(natural, 30 * 14 * QP_STATE_BYTES);
-        // A cap of 2 collapses each pair to 2 physical connections.
-        let capped = qp_state_bytes_estimate(14, 15, 15, Some(MuxConfig::with_cap(2)));
-        assert_eq!(capped, 30 * 2 * QP_STATE_BYTES);
-        // A cap at or above the lane count prices exactly the direct path.
-        let identity = qp_state_bytes_estimate(14, 15, 15, Some(MuxConfig::with_cap(14)));
-        assert_eq!(identity, natural);
     }
 }

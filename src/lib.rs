@@ -3,7 +3,6 @@ pub use rshuffle;
 pub use rshuffle_audit as audit;
 pub use rshuffle_baselines as baselines;
 pub use rshuffle_engine as engine;
-pub use rshuffle_mux as mux;
 pub use rshuffle_sched as sched;
 pub use rshuffle_simnet as simnet;
 pub use rshuffle_tpch as tpch;
