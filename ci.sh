@@ -61,6 +61,17 @@ if wired=$(grep -rlE 'ShuffleOperator::with_lanes|ReceiveOperator::with_lanes|\.
   exit 1
 fi
 
+# One completion constructor: every work request's completion is built by
+# `Completion::new(..).outcome(..)` (crates/verbs/src/cq.rs). A
+# ten-field literal per outcome is how two of them come to disagree on a
+# field no endpoint reads.
+if copies=$(grep -rl 'Completion {' crates/verbs/src | grep -v '/cq\.rs$'); then
+  echo "ERROR: a Completion { .. } literal in crates/verbs/src outside cq.rs, in:" >&2
+  echo "$copies" >&2
+  echo "       use Completion::new(..).outcome(..)" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

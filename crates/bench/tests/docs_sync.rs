@@ -4,7 +4,9 @@
 //! registry, and every registered experiment must have its command in
 //! EXPERIMENTS.md. README's Rust snippet must be the quickstart example.
 //! DESIGN.md's inventory (§3) and dependencies (§5) must name the
-//! directories of `crates/` and `vendor/`, all of them and no others.
+//! directories of `crates/` and `vendor/`, all of them and no others, and
+//! a type §3 names under a crate must be declared in that crate. README's
+//! test count must be what the sources hold.
 
 use std::collections::BTreeSet;
 
@@ -142,6 +144,101 @@ fn design_md_names_every_crate_and_shim_and_no_other() {
             "DESIGN.md section{heading}against the directories of {dir}/"
         );
     }
+}
+
+/// The `.rs` files under `dir`, read.
+fn sources(dir: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path().to_string_lossy().into_owned();
+        if entry.path().is_dir() {
+            found.extend(sources(&path));
+        } else if path.ends_with(".rs") {
+            found.push(std::fs::read_to_string(&path).expect("source file"));
+        }
+    }
+    found
+}
+
+/// Whether `line` declares `name`: as a type, or as a variant or field-less
+/// item at the head of its line.
+fn declares(line: &str, name: &str) -> bool {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let ends = |rest: &str| !rest.starts_with(is_word);
+    let typed = ["struct ", "enum ", "trait ", "type "].iter().any(|kw| {
+        let after = line
+            .split_once(kw)
+            .and_then(|(_, rest)| rest.strip_prefix(name));
+        after.is_some_and(ends)
+    });
+    typed || line.trim_start().strip_prefix(name).is_some_and(ends)
+}
+
+#[test]
+fn design_md_inventory_names_types_its_crates_declare() {
+    let design = std::fs::read_to_string(repo_path("DESIGN.md")).expect("DESIGN.md");
+    let (_, inventory) = design.split_once("\n## 3. ").expect("section 3");
+    let inventory = inventory.split("\n## ").next().unwrap_or("");
+    for paragraph in inventory.split("\n### crates/").skip(1) {
+        let krate = paragraph
+            .split(|c: char| !c.is_ascii_lowercase())
+            .next()
+            .unwrap_or("");
+        let sources = sources(&repo_path(&format!("crates/{krate}/src")));
+        // Odd-numbered pieces of the text split at backticks are code; a
+        // CamelCase word of it is a type's or a variant's name.
+        for span in paragraph.split('`').skip(1).step_by(2) {
+            let words = span.split(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            let names = words.filter(|w| {
+                w.starts_with(|c: char| c.is_ascii_uppercase())
+                    && w.contains(|c: char| c.is_ascii_lowercase())
+            });
+            for name in names {
+                let declared = sources
+                    .iter()
+                    .any(|text| text.lines().any(|line| declares(line, name)));
+                assert!(
+                    declared,
+                    "DESIGN.md §3 names `{name}` under crates/{krate}, which declares no such item"
+                );
+            }
+        }
+    }
+}
+
+/// `cargo test --workspace` runs every `#[test]` outside a file gated on a
+/// feature, and every untagged code block of a doc comment.
+#[test]
+fn readme_test_count_is_what_the_sources_hold() {
+    let mut held = 0;
+    for dir in ["crates", "vendor", "src", "tests"] {
+        for text in sources(&repo_path(dir)) {
+            if text.lines().any(|line| line.starts_with("#![cfg(feature")) {
+                continue;
+            }
+            let mut in_doc_block = false;
+            for line in text.lines().map(str::trim) {
+                let doc = line.strip_prefix("//!").or(line.strip_prefix("///"));
+                let fence = doc.map(str::trim).and_then(|d| d.strip_prefix("```"));
+                if let Some(tag) = fence {
+                    in_doc_block = !in_doc_block;
+                    held += usize::from(in_doc_block && tag.is_empty());
+                }
+                held += usize::from(line == "#[test]");
+            }
+        }
+    }
+    let readme = std::fs::read_to_string(repo_path("README.md")).expect("README.md");
+    let command = readme
+        .lines()
+        .find(|line| line.starts_with("cargo test  --workspace"))
+        .expect("README.md runs the workspace suite");
+    let quoted = command.split("# ").nth(1).and_then(|c| c.split(' ').next());
+    assert_eq!(
+        quoted,
+        Some(held.to_string().as_str()),
+        "README.md's count beside `{command}` against the sources'"
+    );
 }
 
 #[test]

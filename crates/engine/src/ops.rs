@@ -228,10 +228,7 @@ pub struct HashJoin {
     barrier: SimBarrier,
     /// Whether each thread has completed the build phase.
     built: Vec<AtomicBool>,
-    threads: usize,
     hash_cost: SimDuration,
-    /// Probe-side leftovers awaiting emission, per thread.
-    pending: Vec<Mutex<RowBatch>>,
 }
 
 impl HashJoin {
@@ -258,11 +255,7 @@ impl HashJoin {
             table: Mutex::new(HashMap::new()),
             barrier: SimBarrier::new(kernel, threads),
             built: (0..threads).map(|_| AtomicBool::new(false)).collect(),
-            threads,
             hash_cost,
-            pending: (0..threads)
-                .map(|_| Mutex::new(RowBatch::new(out_size.max(1), 0)))
-                .collect(),
         }
     }
 
@@ -292,19 +285,11 @@ impl HashJoin {
 
 impl Operator for HashJoin {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
-        let _ = self.threads;
         if !self.built[tid].load(Ordering::SeqCst) {
             self.build_phase(sim, tid)?;
             self.built[tid].store(true, Ordering::SeqCst);
         }
         let mut out = RowBatch::new(self.out_size, BATCH_ROWS);
-        {
-            // Emit leftovers from an earlier overflowing probe batch first.
-            let mut pending = self.pending[tid].lock();
-            if !pending.is_empty() {
-                std::mem::swap(&mut *pending, &mut out);
-            }
-        }
         let mut scratch = Vec::with_capacity(self.out_size);
         loop {
             if out.rows() >= BATCH_ROWS {

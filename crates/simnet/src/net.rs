@@ -352,16 +352,12 @@ impl Fabric {
     /// Creates a fabric connecting `nodes` nodes with the bandwidth and
     /// latency of `profile`, with a private (empty) flow table.
     pub fn new(nodes: usize, profile: &DeviceProfile) -> Self {
-        Self::with_flows(nodes, profile, Arc::new(FlowTable::new()))
-    }
-
-    /// Creates a fabric whose ports arbitrate across the cluster-shared
-    /// `flows` weights.
-    pub fn with_flows(nodes: usize, profile: &DeviceProfile, flows: Arc<FlowTable>) -> Self {
+        let flows = Arc::new(FlowTable::new());
         Self::with_topology(nodes, profile, flows, Topology::SingleSwitch)
     }
 
-    /// Creates a fabric with an explicit switch [`Topology`].
+    /// Creates a fabric with an explicit switch [`Topology`], whose ports
+    /// arbitrate across the cluster-shared `flows` weights.
     pub fn with_topology(
         nodes: usize,
         profile: &DeviceProfile,
@@ -587,25 +583,9 @@ impl Fabric {
 
     /// Schedules one `bytes`-sized message from `from` to every node in
     /// `tos`, serializing on the sender's egress port **once** — the
-    /// defining property of switch-level (native) multicast. Returns the
-    /// per-destination delivery times, in `tos` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any node id is out of range.
-    pub fn transfer_multicast(
-        &self,
-        from: NodeId,
-        tos: &[NodeId],
-        bytes: usize,
-        depart: SimTime,
-    ) -> Vec<SimTime> {
-        self.transfer_multicast_flow(from, tos, bytes, depart, FlowId::NONE)
-    }
-
-    /// Flow-tagged form of [`Fabric::transfer_multicast`]: one egress
-    /// serialization charged to `flow`, per-destination ingress reservations
-    /// likewise.
+    /// defining property of switch-level (native) multicast — charged to
+    /// `flow`, the per-destination ingress reservations likewise. Returns
+    /// the per-destination delivery times, in `tos` order.
     ///
     /// # Panics
     ///
@@ -879,7 +859,8 @@ mod tests {
         }
         // Native multicast: one egress serialization for all 3.
         let f2 = fabric(4);
-        let deliveries = f2.transfer_multicast(0, &[1, 2, 3], 1 << 20, SimTime::ZERO);
+        let deliveries =
+            f2.transfer_multicast_flow(0, &[1, 2, 3], 1 << 20, SimTime::ZERO, FlowId::NONE);
         let last_multicast = deliveries.iter().copied().max().expect("non-empty");
         assert!(
             last_multicast.as_nanos() * 2 < last_unicast.as_nanos(),

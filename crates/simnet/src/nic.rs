@@ -382,16 +382,11 @@ pub struct NicModel {
 
 impl NicModel {
     /// Creates a NIC with the cost constants of `profile`, reporting
-    /// into a private observability context (see
-    /// [`NicModel::with_obs`] for the shared-cluster form).
+    /// into a private observability context and with a private (empty)
+    /// flow table (see [`NicModel::with_flows`] for the shared-cluster
+    /// form).
     pub fn new(profile: &DeviceProfile) -> Self {
-        Self::with_obs(profile, Obs::new(), 0)
-    }
-
-    /// Creates a NIC that records into `obs` as node `node`, with a
-    /// private (empty) flow table.
-    pub fn with_obs(profile: &DeviceProfile, obs: Arc<Obs>, node: u32) -> Self {
-        Self::with_flows(profile, obs, node, Arc::new(FlowTable::new()))
+        Self::with_flows(profile, Obs::new(), 0, Arc::new(FlowTable::new()))
     }
 
     /// Creates a NIC that records into `obs` as node `node` and arbitrates

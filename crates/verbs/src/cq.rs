@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_obs::{EventKind, Obs, Stage};
-use rshuffle_simnet::{Gate, Kernel, SimContext, SimDuration};
+use rshuffle_simnet::{Gate, Kernel, SimContext, SimDuration, SimTime};
 
 use crate::types::QpNum;
 use crate::NodeId;
@@ -72,6 +72,40 @@ pub struct Completion {
     /// Virtual ns the completion was deposited into the CQ (stamped by
     /// the queue itself). Drives the CQ-wait stage histogram.
     pub deposited_ns: u64,
+}
+
+impl Completion {
+    /// The entry owed for work request `wr_id`, an `opcode` posted on local
+    /// QP `qp` at `posted_ns` (0: unknown), the far side's node and QP being
+    /// `(src_node, src_qp)`. Successful and empty until
+    /// [`Completion::outcome`] says otherwise; [`CompletionQueue::deposit`]
+    /// stamps `deposited_ns`.
+    pub(crate) fn new(
+        wr_id: u64,
+        opcode: WcOpcode,
+        (src_node, src_qp): (NodeId, QpNum),
+        qp: QpNum,
+        posted_ns: u64,
+    ) -> Self {
+        Completion {
+            wr_id,
+            status: WcStatus::Success,
+            opcode,
+            byte_len: 0,
+            src_node,
+            src_qp,
+            qp,
+            imm: None,
+            posted_ns,
+            deposited_ns: 0,
+        }
+    }
+
+    /// How the request ended and the bytes it moved.
+    pub(crate) fn outcome(mut self, status: WcStatus, byte_len: usize) -> Self {
+        (self.status, self.byte_len) = (status, byte_len);
+        self
+    }
 }
 
 struct CqInner {
@@ -255,6 +289,12 @@ impl CompletionQueue {
         c.deposited_ns = self.inner.kernel.now().as_nanos();
         self.inner.gate.push(c);
     }
+
+    /// Has the simulated NIC deposit `c` at virtual time `at`.
+    pub(crate) fn complete_at(&self, at: SimTime, c: Completion) {
+        let cq = self.clone();
+        self.inner.kernel.schedule(at, move || cq.deposit(c));
+    }
 }
 
 #[cfg(test)]
@@ -271,18 +311,7 @@ mod tests {
     }
 
     fn dummy(wr_id: u64) -> Completion {
-        Completion {
-            wr_id,
-            status: WcStatus::Success,
-            opcode: WcOpcode::Send,
-            byte_len: 0,
-            src_node: 0,
-            src_qp: QpNum(0),
-            qp: QpNum(0),
-            imm: None,
-            posted_ns: 0,
-            deposited_ns: 0,
-        }
+        Completion::new(wr_id, WcOpcode::Send, (0, QpNum(0)), QpNum(0), 0)
     }
 
     #[test]
@@ -318,7 +347,7 @@ mod tests {
             assert_eq!(sim.now().as_nanos(), 1_200);
         });
         let cq3 = cq.clone();
-        kernel.schedule(rshuffle_simnet::SimTime::from_nanos(1_000), move || {
+        kernel.schedule(SimTime::from_nanos(1_000), move || {
             cq3.deposit(dummy(7));
         });
         kernel.run();
@@ -434,7 +463,7 @@ mod tests {
             );
         });
         let cq3 = cq.clone();
-        kernel.schedule(rshuffle_simnet::SimTime::from_nanos(1_000), move || {
+        kernel.schedule(SimTime::from_nanos(1_000), move || {
             for i in 0..3 {
                 cq3.deposit(dummy(i));
             }

@@ -21,7 +21,7 @@ use std::fmt;
 
 use rshuffle_simnet::{NodeId, SimDuration};
 
-/// Which Queue Pairs a [`FaultEvent::QpFailureWindow`] kills.
+/// Which Queue Pairs a persistent QP-failure window kills.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QpScope {
     /// Only Reliable Connection QPs fail (links stay up for UD traffic).
@@ -30,144 +30,88 @@ pub enum QpScope {
     All,
 }
 
-/// One scheduled failure, anchored `at` virtual time after simulation
-/// start. Window faults end `duration` later.
+/// One scheduled failure on `node`, anchored `at` virtual time after
+/// simulation start. A window fault ends `duration` later; the one-shot
+/// QP failure has none. Built by the [`FaultPlan`] methods, one per kind.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FaultEvent {
-    /// The node's switch port goes down for `duration`. InfiniBand links
-    /// are lossless, so in-window traffic stalls (and resumes at
-    /// recovery) rather than dropping — long flaps therefore surface as
-    /// endpoint stall timeouts, short ones as latency spikes.
-    LinkFlap {
-        /// Node whose port flaps.
-        node: NodeId,
-        /// Virtual-time offset of the flap.
-        at: SimDuration,
-        /// How long the port stays down.
-        duration: SimDuration,
-    },
-    /// The node's port runs at `bandwidth_factor` of nominal bandwidth
-    /// with `extra_latency` added per message, for `duration`.
+pub struct FaultEvent {
+    pub(crate) node: NodeId,
+    pub(crate) at: SimDuration,
+    pub(crate) duration: Option<SimDuration>,
+    pub(crate) kind: FaultKind,
+}
+
+/// What fails, with what only that kind of failure needs to know.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum FaultKind {
+    /// The node's switch port goes down. InfiniBand links are lossless, so
+    /// in-window traffic stalls (and resumes at recovery) rather than
+    /// dropping — long flaps therefore surface as endpoint stall timeouts,
+    /// short ones as latency spikes.
+    LinkFlap,
+    /// The node's port runs at `bandwidth_factor` (0 < factor ≤ 1) of
+    /// nominal bandwidth with `extra_latency` added one way per message.
     LinkDegrade {
-        /// Node whose port degrades.
-        node: NodeId,
-        /// Virtual-time offset of the degradation.
-        at: SimDuration,
-        /// How long the degradation lasts.
-        duration: SimDuration,
-        /// Multiplier on the port's bandwidth (0 < factor ≤ 1).
         bandwidth_factor: f64,
-        /// Additional one-way latency per message.
         extra_latency: SimDuration,
     },
-    /// UD datagrams sent from `node` are dropped with
-    /// `drop_probability` during the window (burst loss, §4.4.2).
-    UdLossBurst {
-        /// Sending node whose datagrams are lossy.
-        node: NodeId,
-        /// Virtual-time offset of the burst.
-        at: SimDuration,
-        /// How long the burst lasts.
-        duration: SimDuration,
-        /// In-window drop probability (sampled per datagram).
-        drop_probability: f64,
-    },
-    /// Every `SimContext::sleep` on `node` stretches by `slowdown`
-    /// during the window (straggling CPU).
-    Straggler {
-        /// Node that straggles.
-        node: NodeId,
-        /// Virtual-time offset of the slowdown.
-        at: SimDuration,
-        /// How long the slowdown lasts.
-        duration: SimDuration,
-        /// CPU-work multiplier (> 1 slows the node down).
-        slowdown: f64,
-    },
-    /// Receives on `node` stop matching incoming messages for the
-    /// window, as if the application stopped posting receives: RC
-    /// senders take the RNR-retry path, UD datagrams drop unmatched.
-    ReceiverPause {
-        /// Node whose receive queues freeze.
-        node: NodeId,
-        /// Virtual-time offset of the pause.
-        at: SimDuration,
-        /// How long receives stay frozen.
-        duration: SimDuration,
-    },
-    /// Every RC QP on `node` transitions to the error state at `at`;
-    /// queued receives are flushed with error status and subsequent
-    /// sends targeting the node complete with a flush error.
-    QpFailure {
-        /// Node whose RC QPs fail.
-        node: NodeId,
-        /// Virtual-time offset of the failure.
-        at: SimDuration,
-    },
-    /// A *persistent* QP fault: every in-scope QP on `node` fails at
-    /// `at`, and any QP used on the node while the window is open is
-    /// forced into the error state on first touch. Unlike the one-shot
-    /// [`FaultEvent::QpFailure`], reconnect attempts inside the window
-    /// keep failing — the fault models a broken HCA port rather than a
-    /// transient glitch, and is what drives retry budgets and algorithm
-    /// degradation in the recovery layer.
-    QpFailureWindow {
-        /// Node whose QPs fail.
-        node: NodeId,
-        /// Virtual-time offset of the failure window.
-        at: SimDuration,
-        /// How long newly-used QPs keep failing.
-        duration: SimDuration,
-        /// Which transport services the failure covers.
-        scope: QpScope,
-    },
+    /// UD datagrams sent from the node are dropped with `drop_probability`,
+    /// sampled per datagram (burst loss, §4.4.2).
+    UdLossBurst { drop_probability: f64 },
+    /// Every `SimContext::sleep` on the node stretches by `slowdown` (> 1:
+    /// a straggling CPU).
+    Straggler { slowdown: f64 },
+    /// Receives on the node stop matching incoming messages, as if the
+    /// application stopped posting receives: RC senders take the RNR-retry
+    /// path, UD datagrams drop unmatched.
+    ReceiverPause,
+    /// Every RC QP on the node transitions to the error state at `at`;
+    /// queued receives are flushed with error status and subsequent sends
+    /// targeting the node complete with a flush error.
+    QpFailure,
+    /// A *persistent* QP fault: every QP in `scope` on the node fails at
+    /// `at`, and any QP used on the node while the window is open is forced
+    /// into the error state on first touch. Unlike the one-shot `QpFailure`,
+    /// reconnect attempts inside the window keep failing — the fault models
+    /// a broken HCA port rather than a transient glitch, and is what drives
+    /// retry budgets and algorithm degradation in the recovery layer.
+    QpFailureWindow { scope: QpScope },
 }
 
 impl FaultEvent {
     /// The node this fault targets.
     pub fn node(&self) -> NodeId {
-        match *self {
-            FaultEvent::LinkFlap { node, .. }
-            | FaultEvent::LinkDegrade { node, .. }
-            | FaultEvent::UdLossBurst { node, .. }
-            | FaultEvent::Straggler { node, .. }
-            | FaultEvent::ReceiverPause { node, .. }
-            | FaultEvent::QpFailure { node, .. }
-            | FaultEvent::QpFailureWindow { node, .. } => node,
-        }
+        self.node
     }
 
     /// When the fault activates (offset from simulation start).
     pub fn at(&self) -> SimDuration {
-        match *self {
-            FaultEvent::LinkFlap { at, .. }
-            | FaultEvent::LinkDegrade { at, .. }
-            | FaultEvent::UdLossBurst { at, .. }
-            | FaultEvent::Straggler { at, .. }
-            | FaultEvent::ReceiverPause { at, .. }
-            | FaultEvent::QpFailure { at, .. }
-            | FaultEvent::QpFailureWindow { at, .. } => at,
-        }
+        self.at
     }
 
     /// Stable numeric code used in the `fault_begin`/`fault_end` trace
     /// events (`arg = code << 32 | node`).
     pub fn code(&self) -> u64 {
-        match self {
-            FaultEvent::LinkFlap { .. } => 1,
-            FaultEvent::LinkDegrade { .. } => 2,
-            FaultEvent::UdLossBurst { .. } => 3,
-            FaultEvent::Straggler { .. } => 4,
-            FaultEvent::ReceiverPause { .. } => 5,
-            FaultEvent::QpFailure { .. } => 6,
-            FaultEvent::QpFailureWindow { .. } => 7,
+        self.tag().0
+    }
+
+    /// The code, and the name [`fmt::Display`] prints.
+    fn tag(&self) -> (u64, &'static str) {
+        match self.kind {
+            FaultKind::LinkFlap => (1, "link-flap"),
+            FaultKind::LinkDegrade { .. } => (2, "link-degrade"),
+            FaultKind::UdLossBurst { .. } => (3, "ud-loss-burst"),
+            FaultKind::Straggler { .. } => (4, "straggler"),
+            FaultKind::ReceiverPause => (5, "receiver-pause"),
+            FaultKind::QpFailure => (6, "qp-failure"),
+            FaultKind::QpFailureWindow { .. } => (7, "qp-failure-window"),
         }
     }
 
     /// The trace-event argument: fault code in the high word, node in
     /// the low word.
     pub fn obs_arg(&self) -> u64 {
-        (self.code() << 32) | self.node() as u64
+        (self.code() << 32) | self.node as u64
     }
 }
 
@@ -176,74 +120,30 @@ impl fmt::Display for FaultEvent {
     /// `diag` instead of the numeric [`FaultEvent::code`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let us = |d: SimDuration| d.as_nanos() as f64 / 1_000.0;
-        match *self {
-            FaultEvent::LinkFlap { node, at, duration } => write!(
-                f,
-                "link-flap(node {node} @ {:.0}µs for {:.0}µs)",
-                us(at),
-                us(duration)
-            ),
-            FaultEvent::LinkDegrade {
-                node,
-                at,
-                duration,
+        let (name, node) = (self.tag().1, self.node);
+        write!(f, "{name}(node {node} @ {:.0}µs", us(self.at))?;
+        if let Some(duration) = self.duration {
+            write!(f, " for {:.0}µs", us(duration))?;
+        }
+        match self.kind {
+            FaultKind::LinkDegrade {
                 bandwidth_factor,
                 extra_latency,
             } => write!(
                 f,
-                "link-degrade(node {node} @ {:.0}µs for {:.0}µs, {:.0}% bw, +{:.1}µs)",
-                us(at),
-                us(duration),
+                ", {:.0}% bw, +{:.1}µs",
                 bandwidth_factor * 100.0,
                 us(extra_latency)
-            ),
-            FaultEvent::UdLossBurst {
-                node,
-                at,
-                duration,
-                drop_probability,
-            } => write!(
-                f,
-                "ud-loss-burst(node {node} @ {:.0}µs for {:.0}µs, p={drop_probability})",
-                us(at),
-                us(duration)
-            ),
-            FaultEvent::Straggler {
-                node,
-                at,
-                duration,
-                slowdown,
-            } => write!(
-                f,
-                "straggler(node {node} @ {:.0}µs for {:.0}µs, {slowdown}x)",
-                us(at),
-                us(duration)
-            ),
-            FaultEvent::ReceiverPause { node, at, duration } => write!(
-                f,
-                "receiver-pause(node {node} @ {:.0}µs for {:.0}µs)",
-                us(at),
-                us(duration)
-            ),
-            FaultEvent::QpFailure { node, at } => {
-                write!(f, "qp-failure(node {node} @ {:.0}µs)", us(at))
-            }
-            FaultEvent::QpFailureWindow {
-                node,
-                at,
-                duration,
-                scope,
-            } => write!(
-                f,
-                "qp-failure-window(node {node} @ {:.0}µs for {:.0}µs, {})",
-                us(at),
-                us(duration),
-                match scope {
-                    QpScope::Rc => "rc",
-                    QpScope::All => "all",
-                }
-            ),
+            )?,
+            FaultKind::UdLossBurst { drop_probability } => write!(f, ", p={drop_probability}")?,
+            FaultKind::Straggler { slowdown } => write!(f, ", {slowdown}x")?,
+            FaultKind::QpFailureWindow { scope } => f.write_str(match scope {
+                QpScope::Rc => ", rc",
+                QpScope::All => ", all",
+            })?,
+            FaultKind::LinkFlap | FaultKind::ReceiverPause | FaultKind::QpFailure => {}
         }
+        f.write_str(")")
     }
 }
 
@@ -265,15 +165,26 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Adds an arbitrary event.
-    pub fn with(mut self, event: FaultEvent) -> Self {
-        self.events.push(event);
+    /// Adds a `kind` fault on `node` at `at`, `duration` long if a window.
+    fn with(
+        mut self,
+        node: NodeId,
+        at: SimDuration,
+        duration: Option<SimDuration>,
+        kind: FaultKind,
+    ) -> Self {
+        self.events.push(FaultEvent {
+            node,
+            at,
+            duration,
+            kind,
+        });
         self
     }
 
     /// Adds a link flap (port down for `duration` starting at `at`).
     pub fn link_flap(self, node: NodeId, at: SimDuration, duration: SimDuration) -> Self {
-        self.with(FaultEvent::LinkFlap { node, at, duration })
+        self.with(node, at, Some(duration), FaultKind::LinkFlap)
     }
 
     /// Adds a link degradation window.
@@ -285,13 +196,11 @@ impl FaultPlan {
         bandwidth_factor: f64,
         extra_latency: SimDuration,
     ) -> Self {
-        self.with(FaultEvent::LinkDegrade {
-            node,
-            at,
-            duration,
+        let kind = FaultKind::LinkDegrade {
             bandwidth_factor,
             extra_latency,
-        })
+        };
+        self.with(node, at, Some(duration), kind)
     }
 
     /// Adds a burst UD loss window on `node`'s outgoing datagrams.
@@ -302,12 +211,8 @@ impl FaultPlan {
         duration: SimDuration,
         drop_probability: f64,
     ) -> Self {
-        self.with(FaultEvent::UdLossBurst {
-            node,
-            at,
-            duration,
-            drop_probability,
-        })
+        let kind = FaultKind::UdLossBurst { drop_probability };
+        self.with(node, at, Some(duration), kind)
     }
 
     /// Adds a straggler window (CPU work on `node` stretched by
@@ -319,22 +224,18 @@ impl FaultPlan {
         duration: SimDuration,
         slowdown: f64,
     ) -> Self {
-        self.with(FaultEvent::Straggler {
-            node,
-            at,
-            duration,
-            slowdown,
-        })
+        let kind = FaultKind::Straggler { slowdown };
+        self.with(node, at, Some(duration), kind)
     }
 
     /// Adds a receiver-pause window on `node`.
     pub fn receiver_pause(self, node: NodeId, at: SimDuration, duration: SimDuration) -> Self {
-        self.with(FaultEvent::ReceiverPause { node, at, duration })
+        self.with(node, at, Some(duration), FaultKind::ReceiverPause)
     }
 
     /// Adds an RC QP failure on `node` at `at`.
     pub fn qp_failure(self, node: NodeId, at: SimDuration) -> Self {
-        self.with(FaultEvent::QpFailure { node, at })
+        self.with(node, at, None, FaultKind::QpFailure)
     }
 
     /// Adds a persistent QP failure window on `node`: in-scope QPs fail
@@ -346,12 +247,8 @@ impl FaultPlan {
         duration: SimDuration,
         scope: QpScope,
     ) -> Self {
-        self.with(FaultEvent::QpFailureWindow {
-            node,
-            at,
-            duration,
-            scope,
-        })
+        let kind = FaultKind::QpFailureWindow { scope };
+        self.with(node, at, Some(duration), kind)
     }
 }
 
@@ -403,24 +300,26 @@ mod tests {
 
     #[test]
     fn display_is_human_readable() {
-        let e = FaultEvent::QpFailureWindow {
-            node: 1,
-            at: SimDuration::from_micros(20),
-            duration: SimDuration::from_micros(150),
-            scope: QpScope::All,
-        };
-        assert_eq!(e.to_string(), "qp-failure-window(node 1 @ 20µs for 150µs, all)");
-        let e = FaultEvent::QpFailure {
-            node: 0,
-            at: SimDuration::from_micros(5),
-        };
-        assert_eq!(e.to_string(), "qp-failure(node 0 @ 5µs)");
-        let e = FaultEvent::LinkFlap {
-            node: 3,
-            at: SimDuration::from_micros(10),
-            duration: SimDuration::from_micros(40),
-        };
-        assert_eq!(e.to_string(), "link-flap(node 3 @ 10µs for 40µs)");
+        let us = SimDuration::from_micros;
+        let plan = FaultPlan::new()
+            .qp_failure_window(1, us(20), us(150), QpScope::All)
+            .qp_failure(0, us(5))
+            .link_flap(3, us(10), us(40))
+            .link_degrade(2, us(10), us(40), 0.25, SimDuration::from_nanos(1_500))
+            .ud_loss_burst(0, us(1), us(2), 0.5)
+            .straggler(1, us(1), us(2), 4.0)
+            .receiver_pause(2, us(3), us(4));
+        let shown: Vec<String> = plan.events.iter().map(FaultEvent::to_string).collect();
+        let expected = [
+            "qp-failure-window(node 1 @ 20µs for 150µs, all)",
+            "qp-failure(node 0 @ 5µs)",
+            "link-flap(node 3 @ 10µs for 40µs)",
+            "link-degrade(node 2 @ 10µs for 40µs, 25% bw, +1.5µs)",
+            "ud-loss-burst(node 0 @ 1µs for 2µs, p=0.5)",
+            "straggler(node 1 @ 1µs for 2µs, 4x)",
+            "receiver-pause(node 2 @ 3µs for 4µs)",
+        ];
+        assert_eq!(shown, expected);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`VerbsRuntime`] — one per cluster; hands out per-node [`Context`]s.
 //! * [`MemoryRegion`] — registered, "pinned" memory that RDMA operations
-//!   target. Registration and deregistration charge the modelled setup cost.
+//!   target. Registering is untimed; endpoints charge the pinning cost.
 //! * [`QueuePair`] — Reliable Connection (RC) or Unreliable Datagram (UD),
 //!   with the standard RESET→INIT→RTR→RTS state machine.
 //! * [`CompletionQueue`] — completions are polled (`poll`) or awaited

@@ -13,9 +13,9 @@
 //! sender's window (`Payload`) to land as the receiver's, uncopied.
 //!
 //! One-sided writes into a region can be awaited through
-//! [`MemoryRegion::wait_update`], which models a thread polling local memory
-//! for a change made by a remote RDMA Write (the paper's ValidArr/FreeArr
-//! message queues, §4.4.3).
+//! [`MemoryRegion::wait_update_timeout`], which models a thread polling
+//! local memory for a change made by a remote RDMA Write (the paper's
+//! ValidArr/FreeArr message queues, §4.4.3).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -333,14 +333,6 @@ impl MemoryRegion {
         self.write(offset, &v.to_le_bytes())
     }
 
-    /// Blocks until a remote RDMA Write lands anywhere in this region.
-    ///
-    /// Models a consumer polling local memory for updates made by a passive
-    /// remote writer; the wakeup carries the polling latency.
-    pub fn wait_update(&self, ctx: &SimContext) {
-        self.inner.update_gate.recv(ctx)
-    }
-
     /// Discards all pending update notifications. A poller calls this
     /// before re-checking its condition so stale notifications cannot make
     /// the subsequent wait spin.
@@ -348,10 +340,12 @@ impl MemoryRegion {
         while self.inner.update_gate.try_recv().is_some() {}
     }
 
-    /// Blocks until a remote RDMA Write lands in this region or `timeout`
-    /// elapses; returns whether an update arrived. Wakes *early* on the
-    /// write (this is what makes polled ring buffers latency-neutral in the
-    /// simulator).
+    /// Blocks until a remote RDMA Write lands anywhere in this region or
+    /// `timeout` elapses; returns whether an update arrived. Models a
+    /// consumer polling local memory for updates made by a passive remote
+    /// writer: the wakeup carries the polling latency and comes *early*, on
+    /// the write (this is what makes polled ring buffers latency-neutral in
+    /// the simulator).
     pub fn wait_update_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> bool {
         matches!(
             self.inner.update_gate.recv_timeout(ctx, timeout),

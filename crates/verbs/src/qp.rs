@@ -256,18 +256,10 @@ impl QpInner {
         }
         let mut flushed = std::mem::take(&mut *self.recv_queue.lock());
         while let Some(rwr) = flushed.pop() {
-            self.recv_cq.deposit(Completion {
-                wr_id: rwr.wr_id,
-                status: WcStatus::Flushed,
-                opcode: WcOpcode::Recv,
-                byte_len: 0,
-                src_node: self.node,
-                src_qp: self.qpn,
-                qp: self.qpn,
-                imm: None,
-                posted_ns: 0,
-                deposited_ns: 0,
-            });
+            // Post time unknown: 0.
+            let me = (self.node, self.qpn);
+            let flushed = Completion::new(rwr.wr_id, WcOpcode::Recv, me, self.qpn, 0);
+            self.recv_cq.deposit(flushed.outcome(WcStatus::Flushed, 0));
         }
         true
     }
@@ -497,120 +489,53 @@ impl QueuePair {
     /// arrives.
     pub fn post_send(&self, sim: &SimContext, wr: SendWr) -> Result<()> {
         self.check_sendable("post_send")?;
-        let profile = self.runtime.profile();
-        let (dest, max) = match self.inner.ty {
-            QpType::Ud => (wr.ah.ok_or(VerbsError::MissingAddressHandle)?, UD_MTU),
+        let (dest, max, kind) = match self.inner.ty {
+            QpType::Ud => (
+                wr.ah.ok_or(VerbsError::MissingAddressHandle)?,
+                UD_MTU,
+                WrKind::SendUd,
+            ),
             QpType::Rc => {
                 let peer = *self.inner.peer.lock();
                 (
                     peer.ok_or(VerbsError::NotConnected(self.inner.qpn))?,
                     MAX_RC_MESSAGE,
+                    WrKind::SendRc,
                 )
             }
         };
-        if wr.len > max {
-            return Err(VerbsError::MessageTooLarge { len: wr.len, max });
-        }
+        check_len(wr.len, max)?;
         let payload = wr.mr.capture(wr.offset, wr.len)?;
-        sim.sleep(profile.post_wr_cpu);
-
-        let now = self.runtime.kernel().now();
-        self.observe_send_posted(sim, wr.len, now);
-        let kind = match self.inner.ty {
-            QpType::Rc => WrKind::SendRc,
-            QpType::Ud => WrKind::SendUd,
-        };
-        let nic_done = self
-            .runtime
-            .nic(self.inner.node)
-            .process_flow(now, self.inner.ctx_key(), kind, self.inner.flow);
-        self.observe_wr_batch(sim, now, nic_done);
+        let (posted, nic_done) = self.accept(sim, kind, wr.len);
 
         let reliable = self.inner.ty == QpType::Rc;
-        let wire_bytes = wire_bytes(self.inner.ty, wr.len);
-
-        // UD fault injection: loss and reordering.
-        let jitter = if reliable {
-            SimDuration::ZERO
-        } else {
+        let mut jitter = SimDuration::ZERO;
+        if !reliable {
+            self.complete_locally(&wr, posted, nic_done);
+            // UD fault injection: loss and reordering. A datagram lost in
+            // the network never reaches the fabric.
             match self.runtime.sample_ud_fate(self.inner.node) {
-                Some(j) => j,
-                None => {
-                    // Lost in the network: the sender still sees a local
-                    // send completion (it only means the NIC consumed the
-                    // buffer).
-                    let send_cq = self.inner.send_cq.clone();
-                    let completion = self.local_send_completion(&wr, now.as_nanos());
-                    self.runtime
-                        .kernel()
-                        .schedule(nic_done, move || send_cq.deposit(completion));
-                    return Ok(());
-                }
+                Some(j) => jitter = j,
+                None => return Ok(()),
             }
-        };
-
-        let deliver = self.runtime.cluster().fabric().transfer_flow(
+        }
+        let arrival = self.runtime.cluster().fabric().transfer_flow(
             self.inner.node,
             dest.node,
-            wire_bytes,
+            wire_bytes(self.inner.ty, wr.len),
             nic_done,
             self.inner.flow,
         ) + jitter;
-        let deliver = if reliable {
-            self.ordered_delivery(deliver)
+        let arrival = if reliable {
+            self.ordered_delivery(arrival)
         } else {
-            deliver
+            arrival
         };
-
-        // Sender-side completion: UD completes locally once the NIC is done;
-        // RC completes after the remote match acknowledges (scheduled by the
-        // delivery path).
-        if !reliable {
-            let send_cq = self.inner.send_cq.clone();
-            let completion = self.local_send_completion(&wr, now.as_nanos());
-            self.runtime
-                .kernel()
-                .schedule(nic_done, move || send_cq.deposit(completion));
-        }
-
-        let runtime = self.runtime.clone();
-        let src = self.address_handle();
-        let sender_ctx = if reliable {
-            Some((self.inner.send_cq.clone(), wr.wr_id))
-        } else {
-            None
-        };
-        let imm = wr.imm;
-        let posted_ns = now.as_nanos();
-        self.runtime.kernel().schedule(deliver, move || {
-            deliver_send(runtime, dest, payload, imm, src, sender_ctx, 0, posted_ns);
-        });
+        let inbound = self.inbound(dest, payload, &wr, posted);
+        self.runtime
+            .kernel()
+            .schedule(arrival, move || inbound.arrive(0));
         Ok(())
-    }
-
-    /// Records the send into the flight recorder and size histogram
-    /// (through the cached per-node handle — no name lookup per message).
-    fn observe_send_posted(&self, sim: &SimContext, len: usize, now: SimTime) {
-        let obs = &self.runtime.rt_obs.obs;
-        obs.recorder.event(
-            sim.node() as u32,
-            sim.id().track(),
-            now.as_nanos(),
-            EventKind::SendPosted,
-            len as u64,
-        );
-        self.runtime.rt_obs.msg_size[self.inner.node].record(len as u64);
-    }
-
-    /// Records the doorbell→NIC-accept WR batching stage for a work
-    /// request posted at `posted` and accepted at `nic_done`.
-    fn observe_wr_batch(&self, sim: &SimContext, posted: SimTime, nic_done: SimTime) {
-        let obs = &self.runtime.rt_obs.obs;
-        let node = self.inner.node as u32;
-        let p = posted.as_nanos();
-        let d = nic_done.as_nanos();
-        obs.record_stage(Stage::WrBatch, node, d.saturating_sub(p));
-        obs.stage_span(Stage::WrBatch, node, sim.id().track(), p, d);
     }
 
     /// Posts one UD Send that the switch replicates to every destination
@@ -631,51 +556,27 @@ impl QueuePair {
             });
         }
         self.check_sendable("post_send_multicast")?;
-        let profile = self.runtime.profile();
-        if wr.len > UD_MTU {
-            return Err(VerbsError::MessageTooLarge {
-                len: wr.len,
-                max: UD_MTU,
-            });
-        }
+        check_len(wr.len, UD_MTU)?;
         assert!(!dests.is_empty(), "multicast needs at least one destination");
         let payload = wr.mr.capture(wr.offset, wr.len)?;
-        sim.sleep(profile.post_wr_cpu);
-
-        let now = self.runtime.kernel().now();
-        self.observe_send_posted(sim, wr.len, now);
-        let nic_done = self
-            .runtime
-            .nic(self.inner.node)
-            .process_flow(now, self.inner.ctx_key(), WrKind::SendUd, self.inner.flow);
-        self.observe_wr_batch(sim, now, nic_done);
-        let wire = wire_bytes(QpType::Ud, wr.len);
+        let (posted, nic_done) = self.accept(sim, WrKind::SendUd, wr.len);
+        self.complete_locally(&wr, posted, nic_done);
         let dest_nodes: Vec<crate::NodeId> = dests.iter().map(|d| d.node).collect();
-        let deliveries = self.runtime.cluster().fabric().transfer_multicast_flow(
+        let arrivals = self.runtime.cluster().fabric().transfer_multicast_flow(
             self.inner.node,
             &dest_nodes,
-            wire,
+            wire_bytes(QpType::Ud, wr.len),
             nic_done,
             self.inner.flow,
         );
-        // One local completion for the single work request.
-        let send_cq = self.inner.send_cq.clone();
-        let completion = self.local_send_completion(&wr, now.as_nanos());
-        self.runtime
-            .kernel()
-            .schedule(nic_done, move || send_cq.deposit(completion));
-        let src = self.address_handle();
-        let posted_ns = now.as_nanos();
-        for (&dest, deliver) in dests.iter().zip(deliveries) {
+        for (&dest, arrival) in dests.iter().zip(arrivals) {
             let Some(jitter) = self.runtime.sample_ud_fate(self.inner.node) else {
                 continue; // This member's copy is lost.
             };
-            let runtime = self.runtime.clone();
-            let payload = payload.clone();
-            let imm = wr.imm;
-            self.runtime.kernel().schedule(deliver + jitter, move || {
-                deliver_send(runtime, dest, payload, imm, src, None, 0, posted_ns);
-            });
+            let inbound = self.inbound(dest, payload.clone(), &wr, posted);
+            self.runtime
+                .kernel()
+                .schedule(arrival + jitter, move || inbound.arrive(0));
         }
         Ok(())
     }
@@ -691,26 +592,10 @@ impl QueuePair {
         len: usize,
     ) -> Result<()> {
         self.check_one_sided("post_read")?;
-        let profile = self.runtime.profile();
-        if len > MAX_RC_MESSAGE {
-            return Err(VerbsError::MessageTooLarge {
-                len,
-                max: MAX_RC_MESSAGE,
-            });
-        }
+        check_len(len, MAX_RC_MESSAGE)?;
         let (local_mr, local_off) = local;
         local_mr.locate(local_off, len)?;
-        sim.sleep(profile.post_wr_cpu);
-
-        let now = self.runtime.kernel().now();
-        let nic_done = self.runtime.nic(self.inner.node).process_flow(
-            now,
-            self.inner.ctx_key(),
-            WrKind::Read,
-            self.inner.flow,
-        );
-        self.observe_wr_batch(sim, now, nic_done);
-        let read_posted_ns = now.as_nanos();
+        let (posted, nic_done) = self.accept(sim, WrKind::Read, len);
         // The read request itself is a small packet to the remote node.
         let req_arrive = self.runtime.cluster().fabric().transfer_flow(
             self.inner.node,
@@ -719,73 +604,30 @@ impl QueuePair {
             nic_done,
             self.inner.flow,
         );
-
-        let runtime = self.runtime.clone();
-        let local_node = self.inner.node;
-        let send_cq = self.inner.send_cq.clone();
-        let qpn = self.inner.qpn;
-        let peer_ctx = self.peer_ctx_key();
-        let self_ctx = self.inner.ctx_key();
-        let flow = self.inner.flow;
+        let req = self.one_sided(wr_id, WcOpcode::Read, remote, len, posted);
+        let (local_node, self_ctx) = (self.inner.node, self.inner.ctx_key());
         self.runtime.kernel().schedule(req_arrive, move || {
-            let now = runtime.kernel().now();
-            // The target NIC serves the read passively: pipeline occupancy
-            // plus a QP-context touch, no remote CPU.
-            let serve = runtime
-                .nic(remote.node)
-                .process_flow(now, peer_ctx, WrKind::RemoteDma, flow);
-            let data = match remote_region(&runtime, remote, len) {
-                Some(mr) => mr.capture(remote.offset, len).expect("bounds checked"),
-                None => {
-                    // Bad rkey or bounds: remote access error completion.
-                    let completion = Completion {
-                        wr_id,
-                        status: WcStatus::Flushed,
-                        opcode: WcOpcode::Read,
-                        byte_len: 0,
-                        src_node: remote.node,
-                        src_qp: QpNum(0),
-                        qp: qpn,
-                        imm: None,
-                        posted_ns: read_posted_ns,
-                        deposited_ns: 0,
-                    };
-                    runtime
-                        .kernel()
-                        .schedule(serve, move || send_cq.deposit(completion));
-                    return;
-                }
+            let (served, region) = req.serve();
+            let Some(region) = region else {
+                return req.complete(served, WcStatus::Flushed);
             };
-            let wire = wire_bytes(QpType::Rc, len);
-            let back = runtime
-                .cluster()
-                .fabric()
-                .transfer_flow(remote.node, local_node, wire, serve, flow);
-            let runtime2 = runtime.clone();
+            let data = region.capture(remote.offset, len).expect("bounds checked");
+            let runtime = req.runtime.clone();
+            let back = runtime.cluster().fabric().transfer_flow(
+                remote.node,
+                local_node,
+                wire_bytes(QpType::Rc, len),
+                served,
+                req.flow,
+            );
             runtime.kernel().schedule(back, move || {
-                let now = runtime2.kernel().now();
-                let done =
-                    runtime2
-                        .nic(local_node)
-                        .process_flow(now, self_ctx, WrKind::RecvMatch, flow);
+                let now = req.runtime.kernel().now();
+                let nic = req.runtime.nic(local_node);
+                let done = nic.process_flow(now, self_ctx, WrKind::RecvMatch, req.flow);
                 local_mr
                     .land(local_off, data)
                     .expect("bounds checked at post time");
-                let completion = Completion {
-                    wr_id,
-                    status: WcStatus::Success,
-                    opcode: WcOpcode::Read,
-                    byte_len: len,
-                    src_node: remote.node,
-                    src_qp: QpNum(0),
-                    qp: qpn,
-                    imm: None,
-                    posted_ns: read_posted_ns,
-                    deposited_ns: 0,
-                };
-                runtime2
-                    .kernel()
-                    .schedule(done, move || send_cq.deposit(completion));
+                req.complete(done, WcStatus::Success);
             });
         });
         Ok(())
@@ -794,7 +636,7 @@ impl QueuePair {
     /// Posts an RDMA Write (`ibv_post_send` with `IBV_WR_RDMA_WRITE`):
     /// pushes the local buffer into `remote`. RC only. The target CPU is
     /// never involved; consumers poll memory (see
-    /// [`MemoryRegion::wait_update`]).
+    /// [`MemoryRegion::wait_update_timeout`]).
     pub fn post_write(
         &self,
         sim: &SimContext,
@@ -804,90 +646,115 @@ impl QueuePair {
         len: usize,
     ) -> Result<()> {
         self.check_one_sided("post_write")?;
-        let profile = self.runtime.profile();
-        if len > MAX_RC_MESSAGE {
-            return Err(VerbsError::MessageTooLarge {
-                len,
-                max: MAX_RC_MESSAGE,
-            });
-        }
+        check_len(len, MAX_RC_MESSAGE)?;
         let (local_mr, local_off) = local;
         let payload = local_mr.capture(local_off, len)?;
-        sim.sleep(profile.post_wr_cpu);
-
-        let now = self.runtime.kernel().now();
-        let nic_done = self.runtime.nic(self.inner.node).process_flow(
-            now,
-            self.inner.ctx_key(),
-            WrKind::Write,
-            self.inner.flow,
-        );
-        self.observe_wr_batch(sim, now, nic_done);
-        let write_posted_ns = now.as_nanos();
-        let wire = wire_bytes(QpType::Rc, len);
+        let (posted, nic_done) = self.accept(sim, WrKind::Write, len);
         let deliver = self.ordered_delivery(self.runtime.cluster().fabric().transfer_flow(
             self.inner.node,
             remote.node,
-            wire,
+            wire_bytes(QpType::Rc, len),
             nic_done,
             self.inner.flow,
         ));
-
-        let runtime = self.runtime.clone();
-        let send_cq = self.inner.send_cq.clone();
-        let qpn = self.inner.qpn;
-        let ack_latency = profile.rc_ack_latency;
-        let peer_ctx = self.peer_ctx_key();
-        let flow = self.inner.flow;
+        let req = self.one_sided(wr_id, WcOpcode::Write, remote, len, posted);
+        let ack_latency = self.runtime.profile().rc_ack_latency;
         self.runtime.kernel().schedule(deliver, move || {
-            let now = runtime.kernel().now();
-            let served = runtime
-                .nic(remote.node)
-                .process_flow(now, peer_ctx, WrKind::RemoteDma, flow);
-            match remote_region(&runtime, remote, len) {
-                Some(mr) => {
-                    mr.land(remote.offset, payload).expect("bounds checked");
-                    let mr2 = mr.clone();
-                    let runtime2 = runtime.clone();
-                    runtime.kernel().schedule(served, move || {
-                        mr2.signal_update();
-                        let completion = Completion {
-                            wr_id,
-                            status: WcStatus::Success,
-                            opcode: WcOpcode::Write,
-                            byte_len: len,
-                            src_node: remote.node,
-                            src_qp: QpNum(0),
-                            qp: qpn,
-                            imm: None,
-                            posted_ns: write_posted_ns,
-                            deposited_ns: 0,
-                        };
-                        runtime2
-                            .kernel()
-                            .schedule_in(ack_latency, move || send_cq.deposit(completion));
-                    });
-                }
-                None => {
-                    let completion = Completion {
-                        wr_id,
-                        status: WcStatus::Flushed,
-                        opcode: WcOpcode::Write,
-                        byte_len: 0,
-                        src_node: remote.node,
-                        src_qp: QpNum(0),
-                        qp: qpn,
-                        imm: None,
-                        posted_ns: write_posted_ns,
-                        deposited_ns: 0,
-                    };
-                    runtime
-                        .kernel()
-                        .schedule(served, move || send_cq.deposit(completion));
-                }
-            }
+            let (served, region) = req.serve();
+            let Some(region) = region else {
+                return req.complete(served, WcStatus::Flushed);
+            };
+            region.land(remote.offset, payload).expect("bounds checked");
+            let kernel = req.runtime.kernel().clone();
+            kernel.schedule(served, move || {
+                region.signal_update();
+                req.complete(served + ack_latency, WcStatus::Success);
+            });
         });
         Ok(())
+    }
+
+    /// The step every work request takes into the NIC, whatever its verb:
+    /// the post's CPU cost, then the local NIC's pipeline and this QP's
+    /// context. Returns the post instant and when the NIC is done with the
+    /// request.
+    fn accept(&self, sim: &SimContext, kind: WrKind, len: usize) -> (SimTime, SimTime) {
+        sim.sleep(self.runtime.profile().post_wr_cpu);
+        let now = self.runtime.kernel().now();
+        let rt_obs = &self.runtime.rt_obs;
+        let obs = &rt_obs.obs;
+        let (node, track) = (self.inner.node as u32, sim.id().track());
+        if matches!(kind, WrKind::SendRc | WrKind::SendUd) {
+            // The flight recorder and the size histogram see Sends only
+            // (the histogram through the cached per-node handle: no name
+            // lookup per message).
+            obs.recorder.event(
+                sim.node() as u32,
+                track,
+                now.as_nanos(),
+                EventKind::SendPosted,
+                len as u64,
+            );
+            rt_obs.msg_size[self.inner.node].record(len as u64);
+        }
+        let nic = self.runtime.nic(self.inner.node);
+        let nic_done = nic.process_flow(now, self.inner.ctx_key(), kind, self.inner.flow);
+        // The doorbell→NIC-accept WR batching stage.
+        let (p, d) = (now.as_nanos(), nic_done.as_nanos());
+        obs.record_stage(Stage::WrBatch, node, d.saturating_sub(p));
+        obs.stage_span(Stage::WrBatch, node, track, p, d);
+        (now, nic_done)
+    }
+
+    /// The sender-side completion of a UD Send: local, once the NIC is done
+    /// with the buffer, whatever becomes of the datagram. (RC completes
+    /// when the remote match acknowledges: `InboundSend::answer`.)
+    fn complete_locally(&self, wr: &SendWr, posted: SimTime, nic_done: SimTime) {
+        let me = (self.inner.node, self.inner.qpn);
+        let completion = Completion::new(wr.wr_id, WcOpcode::Send, me, me.1, posted.as_nanos())
+            .outcome(WcStatus::Success, wr.len);
+        self.inner.send_cq.complete_at(nic_done, completion);
+    }
+
+    /// `wr`'s message on its way to `dest`.
+    fn inbound(
+        &self,
+        dest: AddressHandle,
+        payload: Payload,
+        wr: &SendWr,
+        posted: SimTime,
+    ) -> InboundSend {
+        let reliable = self.inner.ty == QpType::Rc;
+        InboundSend {
+            runtime: self.runtime.clone(),
+            dest,
+            src: self.address_handle(),
+            payload,
+            imm: wr.imm,
+            sender: reliable.then(|| (self.inner.send_cq.clone(), wr.wr_id)),
+            posted_ns: posted.as_nanos(),
+        }
+    }
+
+    /// The one-sided request `wr_id` on its way to `remote`.
+    fn one_sided(
+        &self,
+        wr_id: u64,
+        opcode: WcOpcode,
+        remote: RemoteAddr,
+        len: usize,
+        posted: SimTime,
+    ) -> OneSided {
+        let target = (remote.node, QpNum(0));
+        OneSided {
+            runtime: self.runtime.clone(),
+            cq: self.inner.send_cq.clone(),
+            completion: Completion::new(wr_id, opcode, target, self.inner.qpn, posted.as_nanos()),
+            remote,
+            len,
+            peer_ctx: self.peer_ctx_key(),
+            flow: self.inner.flow,
+        }
     }
 
     /// The NIC context key the connected peer's passive (RemoteDma) work
@@ -935,31 +802,12 @@ impl QueuePair {
     /// everything sharing the physical connection delivers in one posted
     /// order, which is exactly the head-of-line cost of QP sharing.
     fn ordered_delivery(&self, deliver: SimTime) -> SimTime {
-        if let Some(b) = self.inner.shared.get() {
-            let mut last = b.slot.order.lock();
-            let t = deliver.max(*last);
-            *last = t;
-            return t;
-        }
-        let mut last = self.inner.last_delivery.lock();
-        let t = deliver.max(*last);
-        *last = t;
-        t
-    }
-
-    fn local_send_completion(&self, wr: &SendWr, posted_ns: u64) -> Completion {
-        Completion {
-            wr_id: wr.wr_id,
-            status: WcStatus::Success,
-            opcode: WcOpcode::Send,
-            byte_len: wr.len,
-            src_node: self.inner.node,
-            src_qp: self.inner.qpn,
-            qp: self.inner.qpn,
-            imm: None,
-            posted_ns,
-            deposited_ns: 0,
-        }
+        let mut last = match self.inner.shared.get() {
+            Some(b) => b.slot.order.lock(),
+            None => self.inner.last_delivery.lock(),
+        };
+        *last = deliver.max(*last);
+        *last
     }
 }
 
@@ -971,12 +819,11 @@ fn wire_bytes(ty: QpType, len: usize) -> usize {
     }
 }
 
-/// The region a one-sided operation on `[remote.offset, +len)` targets, if
-/// the rkey resolves and the range — `offset` and `len` arrive over the
-/// wire — lies inside it. `None` is a remote access error.
-fn remote_region(runtime: &VerbsRuntime, remote: RemoteAddr, len: usize) -> Option<MemoryRegion> {
-    let mr = runtime.lookup_mr(remote.rkey)?;
-    mr.locate(remote.offset, len).is_ok().then_some(mr)
+fn check_len(len: usize, max: usize) -> Result<()> {
+    if len > max {
+        return Err(VerbsError::MessageTooLarge { len, max });
+    }
+    Ok(())
 }
 
 /// Records an unmatched inbound datagram at `node` (the §2.2.1 silent
@@ -990,162 +837,104 @@ fn observe_unmatched(runtime: &VerbsRuntime, node: crate::NodeId, at: SimTime) {
         .event(node as u32, HW_TRACK, at.as_nanos(), EventKind::UdDrop, 1);
 }
 
-/// Delivery event: an inbound Send arrives at `dest`. `posted_ns` is the
-/// virtual time the sender posted the work request, for the end-to-end
-/// message-latency histogram.
-#[allow(clippy::too_many_arguments)]
-fn deliver_send(
+/// An RDMA Read or Write past the requester's NIC: what the target's NIC
+/// and the requester's completion need of it.
+struct OneSided {
+    runtime: Arc<VerbsRuntime>,
+    /// The requester's send CQ and the entry it is owed, outcome open.
+    cq: CompletionQueue,
+    completion: Completion,
+    remote: RemoteAddr,
+    len: usize,
+    /// The target QP's NIC context key.
+    peer_ctx: u64,
+    flow: FlowId,
+}
+
+impl OneSided {
+    /// The target NIC serves the request passively: pipeline occupancy plus
+    /// a QP-context touch, no remote CPU. Returns when it is done and the
+    /// region `[remote.offset, +len)` lies in, if the rkey resolves and the
+    /// range — `offset` and `len` arrive over the wire — is inside it;
+    /// `None` is a remote access error.
+    fn serve(&self) -> (SimTime, Option<MemoryRegion>) {
+        let (runtime, remote) = (&self.runtime, self.remote);
+        let now = runtime.kernel().now();
+        let nic = runtime.nic(remote.node);
+        let served = nic.process_flow(now, self.peer_ctx, WrKind::RemoteDma, self.flow);
+        let region = runtime
+            .lookup_mr(remote.rkey)
+            .filter(|mr| mr.locate(remote.offset, self.len).is_ok());
+        (served, region)
+    }
+
+    /// The requester's completion, at `at`: every byte or none.
+    fn complete(self, at: SimTime, status: WcStatus) {
+        let bytes = match status {
+            WcStatus::Success => self.len,
+            _ => 0,
+        };
+        self.cq
+            .complete_at(at, self.completion.outcome(status, bytes));
+    }
+}
+
+/// A Send past the sender's NIC and the fabric.
+struct InboundSend {
     runtime: Arc<VerbsRuntime>,
     dest: AddressHandle,
+    src: AddressHandle,
     payload: Payload,
     imm: Option<u32>,
-    src: AddressHandle,
-    sender_ctx: Option<(CompletionQueue, u64)>,
-    attempt: u32,
+    /// A reliable sender's CQ and work-request id: it is completed by what
+    /// happens at `dest`, a datagram's sender was at post time.
+    sender: Option<(CompletionQueue, u64)>,
+    /// When the sender posted, for the completions and the end-to-end
+    /// message-latency histogram.
     posted_ns: u64,
-) {
-    let now = runtime.kernel().now();
-    let reliable = sender_ctx.is_some();
-    let Some(qp) = runtime.lookup_qp(dest.node, dest.qpn) else {
-        // Unknown QP: UD drops; RC would eventually retry out. Treat both as
-        // a drop with a counter.
-        observe_unmatched(&runtime, dest.node, now);
-        return;
-    };
-    // Lazy persistent-fault enforcement at the receiver: a target QP
-    // inside an open kill window is forced into the error state before
-    // the delivery is matched (see `check_sendable`).
-    runtime.enforce_kill_window(&qp);
-    let st = *qp.state.lock();
-    if st == QpState::Error {
-        // Target QP was killed (fault injection): an RC sender gets its
-        // work request flushed in error; a UD datagram drops silently.
-        if let Some((send_cq, wr_id)) = sender_ctx {
-            let completion = Completion {
-                wr_id,
-                status: WcStatus::Flushed,
-                opcode: WcOpcode::Send,
-                byte_len: payload.len,
-                src_node: dest.node,
-                src_qp: dest.qpn,
-                qp: src.qpn,
-                imm: None,
-                posted_ns,
-                deposited_ns: 0,
-            };
-            runtime
-                .kernel()
-                .schedule(now, move || send_cq.deposit(completion));
+}
+
+impl InboundSend {
+    /// Delivery event: the message arrives at `dest` for the `attempt`-th
+    /// time after the first.
+    fn arrive(self, attempt: u32) {
+        let (runtime, dest) = (&*self.runtime, self.dest);
+        let now = runtime.kernel().now();
+        let Some(qp) = runtime.lookup_qp(dest.node, dest.qpn) else {
+            // Unknown QP: UD drops; RC would eventually retry out. Treat
+            // both as a drop with a counter.
+            return observe_unmatched(runtime, dest.node, now);
+        };
+        // Lazy persistent-fault enforcement at the receiver: a target QP
+        // inside an open kill window is forced into the error state before
+        // the delivery is matched (see `check_sendable`).
+        runtime.enforce_kill_window(&qp);
+        let st = *qp.state.lock();
+        if st == QpState::Error {
+            // Target QP was killed (fault injection): an RC sender gets its
+            // work request flushed in error; a UD datagram drops silently.
+            return self.answer(now, WcStatus::Flushed);
+        }
+        if st < QpState::ReadyToReceive {
+            return observe_unmatched(runtime, dest.node, now);
+        }
+        // Receive matching occupies the *target* QP's context — the aliased
+        // slot key when the target is multiplexed (identical to the natural
+        // `node << 32 | qpn` key otherwise).
+        let nic = runtime.nic(dest.node);
+        let nic_done = nic.process_flow(now, qp.ctx_key(), WrKind::RecvMatch, qp.flow);
+        // A receiver-pause fault freezes receive matching: the queue looks
+        // empty, so RC takes the RNR-retry path and UD drops unmatched.
+        let rwr = if runtime.recv_paused(dest.node, now.as_nanos()) {
+            None
         } else {
-            observe_unmatched(&runtime, dest.node, now);
-        }
-        return;
-    }
-    if st < QpState::ReadyToReceive {
-        observe_unmatched(&runtime, dest.node, now);
-        return;
-    }
-    // Receive matching occupies the *target* QP's context — the aliased
-    // slot key when the target is multiplexed (identical to the natural
-    // `node << 32 | qpn` key otherwise).
-    let nic_done = runtime
-        .nic(dest.node)
-        .process_flow(now, qp.ctx_key(), WrKind::RecvMatch, qp.flow);
-    // A receiver-pause fault freezes receive matching: the queue looks
-    // empty, so RC takes the RNR-retry path and UD drops unmatched.
-    let rwr = if runtime.recv_paused(dest.node, now.as_nanos()) {
-        None
-    } else {
-        qp.recv_queue.lock().pop()
-    };
-    match rwr {
-        Some(rwr) => {
-            if payload.len > rwr.len {
-                // Message larger than the posted buffer.
-                let completion = Completion {
-                    wr_id: rwr.wr_id,
-                    status: WcStatus::LocalLengthError,
-                    opcode: WcOpcode::Recv,
-                    byte_len: payload.len,
-                    src_node: src.node,
-                    src_qp: src.qpn,
-                    qp: dest.qpn,
-                    imm,
-                    posted_ns,
-                    deposited_ns: 0,
-                };
-                let recv_cq = qp.recv_cq.clone();
-                runtime
-                    .kernel()
-                    .schedule(nic_done, move || recv_cq.deposit(completion));
-                return;
-            }
-            let byte_len = payload.len;
-            rwr.mr
-                .land(rwr.offset, payload)
-                .expect("receive buffer bounds checked at post time");
-            runtime.rt_obs.msg_latency[dest.node]
-                .record(now.as_nanos().saturating_sub(posted_ns));
-            let completion = Completion {
-                wr_id: rwr.wr_id,
-                status: WcStatus::Success,
-                opcode: WcOpcode::Recv,
-                byte_len,
-                src_node: src.node,
-                src_qp: src.qpn,
-                qp: dest.qpn,
-                imm,
-                posted_ns,
-                deposited_ns: 0,
-            };
-            let recv_cq = qp.recv_cq.clone();
-            runtime
-                .kernel()
-                .schedule(nic_done, move || recv_cq.deposit(completion));
-            if let Some((send_cq, wr_id)) = sender_ctx {
-                // The hardware ACK completes the reliable send.
-                let ack = nic_done + runtime.profile().rc_ack_latency;
-                let completion = Completion {
-                    wr_id,
-                    status: WcStatus::Success,
-                    opcode: WcOpcode::Send,
-                    byte_len,
-                    src_node: dest.node,
-                    src_qp: dest.qpn,
-                    qp: src.qpn,
-                    imm: None,
-                    posted_ns,
-                    deposited_ns: 0,
-                };
-                runtime
-                    .kernel()
-                    .schedule(ack, move || send_cq.deposit(completion));
-            }
-        }
-        None => {
-            if !reliable {
-                // §2.2.1: an unmatched Send on UD is dropped.
-                observe_unmatched(&runtime, dest.node, now);
-                return;
-            }
-            if attempt >= RNR_RETRY_LIMIT {
-                let (send_cq, wr_id) = sender_ctx.expect("reliable implies sender ctx");
-                let completion = Completion {
-                    wr_id,
-                    status: WcStatus::RetryExceeded,
-                    opcode: WcOpcode::Send,
-                    byte_len: payload.len,
-                    src_node: dest.node,
-                    src_qp: dest.qpn,
-                    qp: src.qpn,
-                    imm: None,
-                    posted_ns,
-                    deposited_ns: 0,
-                };
-                runtime
-                    .kernel()
-                    .schedule(now, move || send_cq.deposit(completion));
-                return;
+            qp.recv_queue.lock().pop()
+        };
+        let Some(rwr) = rwr else {
+            if self.sender.is_none() || attempt >= RNR_RETRY_LIMIT {
+                // §2.2.1: an unmatched Send on UD is dropped; on RC the
+                // hardware has retried for the last time.
+                return self.answer(now, WcStatus::RetryExceeded);
             }
             // Receiver not ready: the hardware retries after a delay.
             runtime.rt_obs.rnr_retries.inc();
@@ -1156,11 +945,50 @@ fn deliver_send(
                 EventKind::RnrRetry,
                 attempt as u64 + 1,
             );
-            let retry_at = now + RNR_RETRY_DELAY;
-            let rt = runtime.clone();
-            runtime.kernel().schedule(retry_at, move || {
-                deliver_send(rt, dest, payload, imm, src, sender_ctx, attempt + 1, posted_ns);
-            });
+            let kernel = runtime.kernel().clone();
+            return kernel.schedule(now + RNR_RETRY_DELAY, move || self.arrive(attempt + 1));
+        };
+        let fits = self.payload.len <= rwr.len;
+        let status = if fits {
+            WcStatus::Success
+        } else {
+            WcStatus::LocalLengthError
+        };
+        let from = (self.src.node, self.src.qpn);
+        let mut completion =
+            Completion::new(rwr.wr_id, WcOpcode::Recv, from, dest.qpn, self.posted_ns)
+                .outcome(status, self.payload.len);
+        completion.imm = self.imm;
+        qp.recv_cq.complete_at(nic_done, completion);
+        if fits {
+            // The hardware ACK completes the reliable send.
+            let acked = nic_done + runtime.profile().rc_ack_latency;
+            self.answer(acked, WcStatus::Success);
+            runtime.rt_obs.msg_latency[dest.node]
+                .record(now.as_nanos().saturating_sub(self.posted_ns));
+            rwr.mr
+                .land(rwr.offset, self.payload)
+                .expect("receive buffer bounds checked at post time");
+        }
+    }
+
+    /// What the sender learns of the delivery: a reliable one is completed
+    /// with `status` at `at`; a datagram that was not received was dropped,
+    /// which only a counter sees.
+    fn answer(&self, at: SimTime, status: WcStatus) {
+        let (dest, src) = (self.dest, self.src);
+        match &self.sender {
+            Some((send_cq, wr_id)) => {
+                let target = (dest.node, dest.qpn);
+                let completion =
+                    Completion::new(*wr_id, WcOpcode::Send, target, src.qpn, self.posted_ns)
+                        .outcome(status, self.payload.len);
+                send_cq.complete_at(at, completion);
+            }
+            None if status != WcStatus::Success => {
+                observe_unmatched(&self.runtime, dest.node, at);
+            }
+            None => {}
         }
     }
 }

@@ -18,7 +18,7 @@ use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs, HW_TRACK};
 use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimDuration};
 
 use crate::cq::CompletionQueue;
-use crate::fault::{FaultEvent, FaultPlan, QpScope, Window};
+use crate::fault::{FaultEvent, FaultKind, FaultPlan, QpScope, Window};
 use crate::mr::{MemoryRegion, Slab};
 use crate::qp::{QpInner, QueuePair};
 use crate::types::{QpNum, QpType};
@@ -56,25 +56,6 @@ impl Default for FaultConfig {
             plan: FaultPlan::new(),
         }
     }
-}
-
-/// Legacy snapshot of events the application cannot observe directly.
-///
-/// Since the unified observability layer landed this is a *view* built
-/// from the shared [`rshuffle_obs::MetricsRegistry`] (series
-/// `verbs.ud_dropped_in_network`, `verbs.ud_unmatched`,
-/// `verbs.rnr_retries`, `verbs.ud_reordered`); the runtime keeps no
-/// private counters.
-#[derive(Clone, Debug, Default)]
-pub struct RuntimeStats {
-    /// UD datagrams lost by fault injection.
-    pub ud_dropped_in_network: u64,
-    /// UD datagrams dropped because no Receive was posted at the target.
-    pub ud_unmatched: u64,
-    /// RC receiver-not-ready retries.
-    pub rnr_retries: u64,
-    /// UD datagrams delivered out of order (delayed by jitter).
-    pub ud_reordered: u64,
 }
 
 /// Cached registry handles for the delivery hot paths, taken at runtime
@@ -169,40 +150,20 @@ impl VerbsRuntime {
         let mut recv_pause_windows = Vec::new();
         let mut qp_kill_windows = Vec::new();
         for ev in &faults.plan.events {
-            match *ev {
-                FaultEvent::UdLossBurst {
-                    node,
-                    at,
-                    duration,
-                    drop_probability,
-                } => ud_loss_windows.push((
-                    Window {
-                        node,
-                        start: at,
-                        end: at + duration,
-                    },
-                    drop_probability,
-                )),
-                FaultEvent::ReceiverPause { node, at, duration } => {
-                    recv_pause_windows.push(Window {
-                        node,
-                        start: at,
-                        end: at + duration,
-                    });
+            let Some(duration) = ev.duration else {
+                continue;
+            };
+            let window = Window {
+                node: ev.node,
+                start: ev.at,
+                end: ev.at + duration,
+            };
+            match ev.kind {
+                FaultKind::UdLossBurst { drop_probability } => {
+                    ud_loss_windows.push((window, drop_probability));
                 }
-                FaultEvent::QpFailureWindow {
-                    node,
-                    at,
-                    duration,
-                    scope,
-                } => qp_kill_windows.push((
-                    Window {
-                        node,
-                        start: at,
-                        end: at + duration,
-                    },
-                    scope,
-                )),
+                FaultKind::ReceiverPause => recv_pause_windows.push(window),
+                FaultKind::QpFailureWindow { scope } => qp_kill_windows.push((window, scope)),
                 _ => {}
             }
         }
@@ -240,8 +201,13 @@ impl VerbsRuntime {
         let kernel = self.kernel().clone();
         let origin = kernel.now();
         let obs = self.rt_obs.obs.clone();
-        for ev in self.faults.plan.events.clone() {
-            let node = ev.node();
+        for &ev in &self.faults.plan.events {
+            let FaultEvent {
+                node,
+                at,
+                duration,
+                kind,
+            } = ev;
             let arg = ev.obs_arg();
             let injected = obs
                 .metrics
@@ -250,7 +216,7 @@ impl VerbsRuntime {
             {
                 let obs = obs.clone();
                 let kernel_at = kernel.clone();
-                kernel.schedule(origin + ev.at(), move || {
+                kernel.schedule(origin + at, move || {
                     injected.inc();
                     obs.recorder.event(
                         node as u32,
@@ -262,19 +228,11 @@ impl VerbsRuntime {
                 });
             }
             // Deactivation marker for window faults.
-            let end_at = match ev {
-                FaultEvent::QpFailure { .. } => None,
-                FaultEvent::LinkFlap { at, duration, .. }
-                | FaultEvent::LinkDegrade { at, duration, .. }
-                | FaultEvent::UdLossBurst { at, duration, .. }
-                | FaultEvent::Straggler { at, duration, .. }
-                | FaultEvent::ReceiverPause { at, duration, .. }
-                | FaultEvent::QpFailureWindow { at, duration, .. } => Some(at + duration),
-            };
-            if let Some(end) = end_at {
+            let end = duration.map(|duration| origin + (at + duration));
+            if let Some(end) = end {
                 let obs = obs.clone();
                 let kernel_at = kernel.clone();
-                kernel.schedule(origin + end, move || {
+                kernel.schedule(end, move || {
                     obs.recorder.event(
                         node as u32,
                         HW_TRACK,
@@ -285,21 +243,20 @@ impl VerbsRuntime {
                 });
             }
             // The state mutation itself.
-            match ev {
-                FaultEvent::LinkFlap { node, at, duration } => {
+            match (kind, end) {
+                (FaultKind::LinkFlap, Some(down_until)) => {
                     let cluster = self.cluster.clone();
-                    let down_until = origin + at + duration;
                     kernel.schedule(origin + at, move || {
                         cluster.fabric().set_port_down_until(node, down_until);
                     });
                 }
-                FaultEvent::LinkDegrade {
-                    node,
-                    at,
-                    duration,
-                    bandwidth_factor,
-                    extra_latency,
-                } => {
+                (
+                    FaultKind::LinkDegrade {
+                        bandwidth_factor,
+                        extra_latency,
+                    },
+                    Some(end),
+                ) => {
                     let cluster = self.cluster.clone();
                     kernel.schedule(origin + at, move || {
                         cluster
@@ -307,41 +264,31 @@ impl VerbsRuntime {
                             .set_degradation(node, bandwidth_factor, extra_latency);
                     });
                     let cluster = self.cluster.clone();
-                    kernel.schedule(origin + at + duration, move || {
+                    kernel.schedule(end, move || {
                         cluster.fabric().clear_degradation(node);
                     });
                 }
-                FaultEvent::Straggler {
-                    node,
-                    at,
-                    duration,
-                    slowdown,
-                } => {
+                (FaultKind::Straggler { slowdown }, Some(end)) => {
                     let k = kernel.clone();
                     kernel.schedule(origin + at, move || {
                         k.set_cpu_slowdown(node, slowdown);
                     });
                     let k = kernel.clone();
-                    kernel.schedule(origin + at + duration, move || {
+                    kernel.schedule(end, move || {
                         k.set_cpu_slowdown(node, 1.0);
                     });
                 }
-                FaultEvent::QpFailure { node, at } => {
+                (FaultKind::QpFailure | FaultKind::QpFailureWindow { .. }, _) => {
+                    // Kill the QPs in scope (the one-shot failure: RC) that
+                    // exist at the trigger time; QPs created (or
+                    // reconnected) inside a window are caught lazily by the
+                    // hot paths consulting `qp_kill_windows`.
+                    let scope = match kind {
+                        FaultKind::QpFailureWindow { scope } => scope,
+                        _ => QpScope::Rc,
+                    };
                     // Weak: the event queue must not keep the runtime
                     // (and thus the kernel) alive in a reference cycle.
-                    let rt = Arc::downgrade(self);
-                    kernel.schedule(origin + at, move || {
-                        if let Some(rt) = rt.upgrade() {
-                            rt.fail_rc_qps(node);
-                        }
-                    });
-                }
-                FaultEvent::QpFailureWindow {
-                    node, at, scope, ..
-                } => {
-                    // Kill existing in-scope QPs at the window start; QPs
-                    // created (or reconnected) later are caught lazily by
-                    // the hot paths consulting `qp_kill_windows`.
                     let rt = Arc::downgrade(self);
                     kernel.schedule(origin + at, move || {
                         if let Some(rt) = rt.upgrade() {
@@ -349,9 +296,9 @@ impl VerbsRuntime {
                         }
                     });
                 }
-                // Window faults: the hot paths consult the precomputed
-                // windows; nothing to mutate.
-                FaultEvent::UdLossBurst { .. } | FaultEvent::ReceiverPause { .. } => {}
+                // The other window faults mutate nothing: the hot paths
+                // consult the precomputed windows.
+                _ => {}
             }
         }
     }
@@ -512,17 +459,6 @@ impl VerbsRuntime {
         let auditor = ShuffleAuditor::new(Some(self.rt_obs.obs.clone()));
         *slot = Some(auditor.clone());
         auditor
-    }
-
-    /// Snapshot of the runtime's fault/delivery counters (view over the
-    /// unified registry).
-    pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats {
-            ud_dropped_in_network: self.rt_obs.ud_dropped.get(),
-            ud_unmatched: self.rt_obs.ud_unmatched.get(),
-            rnr_retries: self.rt_obs.rnr_retries.get(),
-            ud_reordered: self.rt_obs.ud_reordered.get(),
-        }
     }
 
     /// Currently registered bytes on `node`.
@@ -796,7 +732,7 @@ mod tests {
         for _ in 0..16 {
             assert!(rt.sample_ud_fate(0).is_none());
         }
-        assert_eq!(rt.stats().ud_dropped_in_network, 16);
+        assert_eq!(rt.rt_obs.ud_dropped.get(), 16);
     }
 
     #[test]

@@ -10,11 +10,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rshuffle_obs::names;
 use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
 use rshuffle_verbs::{
-    AddressHandle, CompletionQueue, ConnectionManager, FaultConfig, QpType, QueuePair, RecvWr,
-    RemoteAddr, SendWr, VerbsError, VerbsRuntime, WcOpcode, WcStatus,
+    AddressHandle, Completion, CompletionQueue, ConnectionManager, FaultConfig, QpNum, QpType,
+    QueuePair, RecvWr, RemoteAddr, SendWr, VerbsError, VerbsRuntime, WcOpcode, WcStatus,
 };
+
+/// A delivery counter the application cannot observe directly, read from
+/// the registry.
+fn counted(rt: &VerbsRuntime, series: &'static str) -> u64 {
+    rt.obs().metrics.counter_total(series)
+}
 
 fn runtime(nodes: usize) -> Arc<VerbsRuntime> {
     // Reordering off by default for deterministic latency assertions.
@@ -201,7 +208,7 @@ fn ud_unmatched_send_is_dropped() {
         assert_eq!(c.status, WcStatus::Success);
     });
     rt.cluster().run();
-    assert_eq!(rt.stats().ud_unmatched, 1);
+    assert_eq!(counted(&rt, names::VERBS_UD_UNMATCHED), 1);
 }
 
 #[test]
@@ -338,7 +345,7 @@ fn rdma_write_updates_remote_memory_and_signals() {
     let target2 = target_mr.clone();
     rt.cluster().spawn(1, "poller", move |sim| {
         // Poll local memory for the remote write (ValidArr-style).
-        target2.wait_update(&sim);
+        assert!(target2.wait_update_timeout(&sim, SimDuration::from_millis(1)));
         assert_eq!(target2.read(0, 7).unwrap(), b"written".to_vec());
     });
     rt.cluster().spawn(0, "writer", move |sim| {
@@ -463,7 +470,7 @@ fn rc_rnr_retries_until_receive_is_posted() {
 
     rt.cluster().run();
     assert!(
-        rt.stats().rnr_retries >= 1,
+        counted(&rt, names::VERBS_RNR_RETRIES) >= 1,
         "at least one RNR retry expected"
     );
 }
@@ -557,7 +564,7 @@ fn ud_loss_injection_loses_datagrams() {
 
     rt.cluster().run();
     let got = delivered.load(Ordering::SeqCst);
-    let lost = rt.stats().ud_dropped_in_network;
+    let lost = counted(&rt, names::VERBS_UD_DROPPED);
     assert_eq!(
         got + lost,
         100,
@@ -760,5 +767,256 @@ fn fault_plan_ud_loss_burst_drops_only_in_window() {
         20,
         "exactly the in-window datagrams are lost"
     );
-    assert_eq!(rt.stats().ud_dropped_in_network, 10);
+    assert_eq!(counted(&rt, names::VERBS_UD_DROPPED), 10);
+}
+
+/// Everything a completion-queue entry says apart from its two timestamps:
+/// `(status, opcode, byte_len, src_node, src_qp, qp, imm)`.
+type Entry = (WcStatus, WcOpcode, usize, usize, QpNum, QpNum, Option<u32>);
+
+/// `c` as an [`Entry`], having checked `posted_ns`: the instant the work
+/// request was posted, or 0 for the flush of a receive nobody matched.
+fn entry(c: &Completion, posted_at: u64) -> Entry {
+    let unknown = (c.status, c.opcode) == (WcStatus::Flushed, WcOpcode::Recv);
+    assert_eq!(c.posted_ns, if unknown { 0 } else { posted_at }, "{c:?}");
+    (
+        c.status, c.opcode, c.byte_len, c.src_node, c.src_qp, c.qp, c.imm,
+    )
+}
+
+/// What the requester (node 0, QP [`A`]) posts at the target (node 1, QP
+/// [`B`]): an 11-byte message or one-sided transfer, `wr_id` 7.
+#[derive(Clone, Copy)]
+enum Verb {
+    /// Send with immediate 99.
+    Send,
+    /// One-sided, at `offset` of the target's 64-byte region, or of one
+    /// nobody registered.
+    Read {
+        known_rkey: bool,
+        offset: usize,
+    },
+    Write {
+        known_rkey: bool,
+        offset: usize,
+    },
+}
+
+/// What is wrong at the target or on the way to it.
+#[derive(Clone, Copy, PartialEq)]
+enum Trouble {
+    None,
+    /// Every datagram is lost in the network.
+    Lossy,
+    /// The target's RC QPs are forced into the error state before the post.
+    Killed,
+}
+
+const A: QpNum = QpNum(1);
+const B: QpNum = QpNum(2);
+/// One-sided completions name no remote QP.
+const Z: QpNum = QpNum(0);
+const LEN: usize = 11;
+
+/// One way a work request can end: its name, the service, the receive the
+/// target posted (its capacity), the trouble, the verb, and the entries
+/// expected in the requester's and in the target's completion queue.
+type Row = (
+    &'static str,
+    QpType,
+    Option<usize>,
+    Trouble,
+    Verb,
+    Vec<Entry>,
+    Vec<Entry>,
+);
+
+#[test]
+fn every_completion_carries_the_whole_entry() {
+    use Trouble::{Killed, Lossy};
+    use WcOpcode::{Read, Recv, Send, Write};
+    use WcStatus::{Flushed, LocalLengthError, RetryExceeded, Success};
+    let read = |known_rkey, offset| Verb::Read { known_rkey, offset };
+    let write = |known_rkey, offset| Verb::Write { known_rkey, offset };
+    let imm = Some(99);
+    let ud_local: Entry = (Success, Send, LEN, 0, A, A, None);
+    #[rustfmt::skip]
+    let table: Vec<Row> = vec![
+        ("rc send", QpType::Rc, Some(64), Trouble::None, Verb::Send,
+            vec![(Success, Send, LEN, 1, B, A, None)], vec![(Success, Recv, LEN, 0, A, B, imm)]),
+        ("ud send", QpType::Ud, Some(64), Trouble::None, Verb::Send,
+            vec![ud_local], vec![(Success, Recv, LEN, 0, A, B, imm)]),
+        ("ud send lost in the network", QpType::Ud, Some(64), Lossy, Verb::Send,
+            vec![ud_local], vec![]),
+        ("ud send unmatched", QpType::Ud, None, Trouble::None, Verb::Send,
+            vec![ud_local], vec![]),
+        ("rc send to a killed qp", QpType::Rc, Some(64), Killed, Verb::Send,
+            vec![(Flushed, Send, LEN, 1, B, A, None)], vec![(Flushed, Recv, 0, 1, B, B, None)]),
+        ("rc send, rnr retries exhausted", QpType::Rc, None, Trouble::None, Verb::Send,
+            vec![(RetryExceeded, Send, LEN, 1, B, A, None)], vec![]),
+        // The sender of a message that overran the receive is never completed.
+        ("rc send longer than the receive", QpType::Rc, Some(8), Trouble::None, Verb::Send,
+            vec![], vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+        ("read", QpType::Rc, None, Trouble::None, read(true, 0),
+            vec![(Success, Read, LEN, 1, Z, A, None)], vec![]),
+        ("read, bad rkey", QpType::Rc, None, Trouble::None, read(false, 0),
+            vec![(Flushed, Read, 0, 1, Z, A, None)], vec![]),
+        ("read, out of bounds", QpType::Rc, None, Trouble::None, read(true, 60),
+            vec![(Flushed, Read, 0, 1, Z, A, None)], vec![]),
+        ("write", QpType::Rc, None, Trouble::None, write(true, 0),
+            vec![(Success, Write, LEN, 1, Z, A, None)], vec![]),
+        ("write, bad rkey", QpType::Rc, None, Trouble::None, write(false, 0),
+            vec![(Flushed, Write, 0, 1, Z, A, None)], vec![]),
+        ("write, out of bounds", QpType::Rc, None, Trouble::None, write(true, 60),
+            vec![(Flushed, Write, 0, 1, Z, A, None)], vec![]),
+    ];
+    for (name, service, recv, trouble, verb, at_requester, at_target) in table {
+        let faults = FaultConfig {
+            ud_reorder_probability: 0.0,
+            ud_drop_probability: if trouble == Lossy { 1.0 } else { 0.0 },
+            ..FaultConfig::default()
+        };
+        let rt = VerbsRuntime::with_faults(Cluster::new(2, DeviceProfile::edr()), faults);
+        let (qp_a, cq_a, qp_b, cq_b) = match service {
+            QpType::Rc => rc_pair(&rt, 0, 1),
+            QpType::Ud => {
+                let ((qp_a, cq_a), (qp_b, cq_b)) = (ud_qp(&rt, 0), ud_qp(&rt, 1));
+                (qp_a, cq_a, qp_b, cq_b)
+            }
+        };
+        assert_eq!((qp_a.qpn(), qp_b.qpn()), (A, B));
+        let local = rt.context(0).register_untimed(64);
+        local.write(0, b"hello rdma!").unwrap();
+        let target = rt.context(1).register_untimed(64);
+        if let Some(len) = recv {
+            qp_b.post_recv_untimed(RecvWr {
+                wr_id: 5,
+                mr: target.clone(),
+                offset: 0,
+                len,
+            })
+            .unwrap();
+        }
+        if trouble == Killed {
+            rt.fail_rc_qps(1);
+        }
+        let rkey = target.rkey();
+        let remote = move |known_rkey, offset| RemoteAddr {
+            node: 1,
+            rkey: if known_rkey { rkey } else { 9_999 },
+            offset,
+        };
+        let ah = (service == QpType::Ud).then(|| qp_b.address_handle());
+        rt.cluster().spawn(0, "requester", move |sim| {
+            sim.sleep(SimDuration::from_micros(10));
+            match verb {
+                Verb::Send => qp_a.post_send(
+                    &sim,
+                    SendWr {
+                        wr_id: 7,
+                        mr: local,
+                        offset: 0,
+                        len: LEN,
+                        imm,
+                        ah,
+                    },
+                ),
+                Verb::Read { known_rkey, offset } => {
+                    qp_a.post_read(&sim, 7, (local, 0), remote(known_rkey, offset), LEN)
+                }
+                Verb::Write { known_rkey, offset } => {
+                    qp_a.post_write(&sim, 7, (local, 0), remote(known_rkey, offset), LEN)
+                }
+            }
+            .unwrap();
+            let posted_at = sim.now().as_nanos();
+            // Past the last receiver-not-ready retry (7 x 20 µs).
+            sim.sleep(SimDuration::from_millis(1));
+            for (side, cq, wr_id, expected) in [
+                ("requester", &cq_a, 7, &at_requester),
+                ("target", &cq_b, 5, &at_target),
+            ] {
+                let polled = cq.poll(&sim, 8);
+                let entries: Vec<Entry> = polled.iter().map(|c| entry(c, posted_at)).collect();
+                assert_eq!(&entries, expected, "{name}: {side}");
+                assert!(polled.iter().all(|c| c.wr_id == wr_id), "{name}: {side}");
+                for c in &polled {
+                    let after = c.deposited_ns.saturating_sub(posted_at);
+                    println!("{name}: {side} {:?} +{after}ns", entry(c, posted_at));
+                }
+            }
+        });
+        rt.cluster().run();
+    }
+}
+
+/// A fault seed under which, at drop probability one half, the second of
+/// three fates drawn is the only loss.
+const MULTICAST_SEED: u64 = 7;
+
+/// One multicast work request to three members, the second member's copy
+/// lost: one local completion, one receive completion at each of the other
+/// two, the fates drawn in member order.
+#[test]
+fn multicast_completes_once_locally_and_once_per_surviving_member() {
+    let faults = FaultConfig {
+        ud_reorder_probability: 0.0,
+        ud_drop_probability: 0.5,
+        seed: MULTICAST_SEED,
+        ..FaultConfig::default()
+    };
+    let rt = VerbsRuntime::with_faults(Cluster::new(4, DeviceProfile::edr()), faults);
+    let (qp_s, cq_s) = ud_qp(&rt, 0);
+    let members: Vec<_> = (1..4).map(|node| ud_qp(&rt, node)).collect();
+    let dests: Vec<AddressHandle> = members.iter().map(|(qp, _)| qp.address_handle()).collect();
+    for (node, (qp, _)) in (1..4).zip(&members) {
+        qp.post_recv_untimed(RecvWr {
+            wr_id: 5,
+            mr: rt.context(node).register_untimed(64),
+            offset: 0,
+            len: 64,
+        })
+        .unwrap();
+    }
+    let local = rt.context(0).register_untimed(64);
+    let rt2 = rt.clone();
+    rt.cluster().spawn(0, "sender", move |sim| {
+        sim.sleep(SimDuration::from_micros(10));
+        let wr = SendWr {
+            wr_id: 7,
+            mr: local,
+            offset: 0,
+            len: LEN,
+            imm: Some(99),
+            ah: None,
+        };
+        qp_s.post_send_multicast(&sim, wr, &dests).unwrap();
+        let posted_at = sim.now().as_nanos();
+        sim.sleep(SimDuration::from_millis(1));
+        let s = qp_s.qpn();
+        let at = |cq: &CompletionQueue| -> Vec<Entry> {
+            let polled = cq.poll(&sim, 8);
+            polled.iter().map(|c| entry(c, posted_at)).collect()
+        };
+        assert_eq!(
+            at(&cq_s),
+            [(WcStatus::Success, WcOpcode::Send, LEN, 0, s, s, None)]
+        );
+        let got: Vec<Vec<Entry>> = members.iter().map(|(_, cq)| at(cq)).collect();
+        let copy = |m: usize| {
+            (
+                WcStatus::Success,
+                WcOpcode::Recv,
+                LEN,
+                0,
+                s,
+                dests[m].qpn,
+                Some(99),
+            )
+        };
+        println!("multicast: {got:?}");
+        assert_eq!(got, [vec![copy(0)], vec![], vec![copy(2)]]);
+        assert_eq!(counted(&rt2, names::VERBS_UD_DROPPED), 1);
+    });
+    rt.cluster().run();
 }

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use rshuffle_obs::names;
 use rshuffle_repro::engine::{drive_exchange, Generator};
 use rshuffle_repro::rshuffle::{
     Exchange, ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError,
@@ -37,10 +38,11 @@ fn attempt(drop_probability: f64, seed: u64) -> Result<u64, ShuffleError> {
     let fragment_stats = drive_exchange(&runtime, &exchange, 16, 2048, source, |_, _, _| {});
     runtime.cluster().run();
 
-    let net = runtime.stats();
+    let counted = |series| runtime.obs().metrics.counter_total(series);
     println!(
         "  attempt: {} datagrams lost in the network, {} reordered",
-        net.ud_dropped_in_network, net.ud_reordered
+        counted(names::VERBS_UD_DROPPED),
+        counted(names::VERBS_UD_REORDERED)
     );
     for stats in &fragment_stats {
         let stats = stats.lock();

@@ -444,7 +444,8 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
         };
         let run = coordinated::spawn(&runtime, &config, policy, rows_per_thread).finish();
         let rep = &run.report;
-        let stats = runtime.stats();
+        let counted = |series| runtime.obs().metrics.counter_total(series);
+        use rshuffle_obs::names::{VERBS_UD_DROPPED, VERBS_UD_REORDERED, VERBS_UD_UNMATCHED};
         match &rep.failure {
             None => {
                 // Success means exactly-once: the winning generation holds the
@@ -469,7 +470,7 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
                     "case {}: loss schedule produced silent row corruption (restarts: {}, drops: {})",
                     case,
                     rep.full_restarts,
-                    stats.ud_dropped_in_network
+                    counted(VERBS_UD_DROPPED)
                 );
             }
             Some(e) => {
@@ -487,13 +488,13 @@ fn ud_loss_schedules_never_overrun_credit_or_lose_rows_silently() {
             // absolute-credit window was never overrun even when credit
             // datagrams were dropped or reordered.
             prop_assert_eq!(
-                stats.ud_unmatched,
+                counted(VERBS_UD_UNMATCHED),
                 0,
                 "case {}: credit window overrun: {} unmatched datagrams (drops: {}, reorders: {})",
                 case,
-                stats.ud_unmatched,
-                stats.ud_dropped_in_network,
-                stats.ud_reordered
+                counted(VERBS_UD_UNMATCHED),
+                counted(VERBS_UD_DROPPED),
+                counted(VERBS_UD_REORDERED)
             );
         }
     }
