@@ -72,6 +72,16 @@ if copies=$(grep -rl 'Completion {' crates/verbs/src | grep -v '/cq\.rs$'); then
   exit 1
 fi
 
+# A pool, not its windows: an endpoint hands its Queue Pair a receive pool
+# as one run (`QueuePair::post_recv_run_untimed`). A per-window bootstrap
+# loop is O(peers x ring depth) host time per `Exchange::build` — 3.1 M
+# posts on the 64-node cell — and can leave a refused pool half posted.
+if grep -rn 'post_recv_untimed(' crates/core/src/endpoint/; then
+  echo "ERROR: an endpoint posts its receive pool window by window (see above);" >&2
+  echo "       hand the Queue Pair the pool: post_recv_run_untimed(first, step, count)" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers
@@ -124,11 +134,14 @@ trap 'rm -rf "$PERF_TMP"' EXIT
 perf_gate() {
   local gate=$1 baseline=$2 experiments=$3 selfcheck=$4 cand="$PERF_TMP/$1.json"
   local diff=(perfdiff --against "$baseline" --tolerance-pct 10 --candidate "$cand")
+  local started=$SECONDS
   bench_bin bench ${experiments//,/ } --smoke --emit "$cand" >/dev/null &&
     bench_bin "${diff[@]}" || {
     echo "ERROR: perf gate '$gate' failed against $baseline" >&2
     exit 1
   }
+  # Host time is gated nowhere: a set-up regression at N = 256 shows here.
+  echo "perf gate '$gate': $((SECONDS - started)) s wall"
   if [ "$selfcheck" = yes ] &&
     bench_bin "${diff[@]}" --scale-latency 2 >/dev/null 2>&1; then
     echo "ERROR: perf gate '$gate': perfdiff failed to catch an injected 2x regression" >&2

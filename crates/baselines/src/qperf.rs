@@ -45,15 +45,14 @@ pub fn qperf_peak_bandwidth(profile: &DeviceProfile, message_size: usize) -> f64
     let send_mr = ctx_s.register_untimed(message_size);
     // ...and a ring of receive buffers it never reads.
     let recv_mr = ctx_r.register_untimed(message_size * window);
-    for i in 0..window {
-        qp_r.post_recv_untimed(RecvWr {
-            wr_id: i as u64,
-            mr: recv_mr.clone(),
-            offset: i * message_size,
-            len: message_size,
-        })
+    let first = RecvWr {
+        wr_id: 0,
+        mr: recv_mr.clone(),
+        offset: 0,
+        len: message_size,
+    };
+    qp_r.post_recv_run_untimed(first, (1, message_size), window)
         .expect("prepost");
-    }
 
     let bytes_done = Arc::new(AtomicU64::new(0));
     let finished_at = Arc::new(AtomicU64::new(0));

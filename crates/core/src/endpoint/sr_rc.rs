@@ -265,16 +265,17 @@ impl SrRcReceiveEndpoint {
     fn bootstrap_src(&self, src: NodeId, credit_slot: RemoteAddr) -> Result<u64> {
         let si = self.half.index_of(src)?;
         self.credit_remote.lock()[si] = Some(credit_slot);
-        let depth = self.cfg.recv_depth_per_peer;
-        for k in 0..depth {
-            let offset = (depth * si + k) * self.cfg.message_size;
-            self.half.qp(si).post_recv_untimed(RecvWr {
-                wr_id: offset as u64,
-                mr: self.pool_mr.clone(),
-                offset,
-                len: self.cfg.message_size,
-            })?;
-        }
+        // Source `si`'s `depth` windows of the pool, named by their offsets.
+        let (depth, window) = (self.cfg.recv_depth_per_peer, self.cfg.message_size);
+        let offset = depth * si * window;
+        let first = RecvWr {
+            wr_id: offset as u64,
+            mr: self.pool_mr.clone(),
+            offset,
+            len: window,
+        };
+        let step = (window as u64, window);
+        self.half.qp(si).post_recv_run_untimed(first, step, depth)?;
         let credit = depth as u64;
         self.posted.lock()[si] = credit;
         // Bootstrap happens outside the measured window, at virtual 0.

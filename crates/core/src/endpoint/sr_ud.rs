@@ -258,21 +258,20 @@ impl SrUdChannel {
             }
         }
         let layout = recv_layout(&s.cfg, expected.len());
-        let slots = layout.buffers;
         let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
         // Every window is posted on the one Queue Pair; a completion names
         // its window by `wr_id`, and `process_inbound` resolves it against
         // the handle stored below (clones share the region).
-        for i in 0..slots {
-            // Widen before multiplying: `i * UD_MTU` would wrap in usize
-            // before the cast on a 32-bit host.
-            s.qp.post_recv_untimed(RecvWr {
-                wr_id: (i as u64) * (UD_MTU as u64),
-                mr: pool.clone(),
-                offset: i * UD_MTU,
-                len: UD_MTU,
-            })?;
-        }
+        let first = RecvWr {
+            wr_id: 0,
+            mr: pool.clone(),
+            offset: 0,
+            len: UD_MTU,
+        };
+        let step = (UD_MTU as u64, UD_MTU);
+        // A refused pool was not posted in part, and does not stay pinned.
+        s.qp.post_recv_run_untimed(first, step, layout.buffers)
+            .inspect_err(|_| ctx.runtime().deregister_untimed(&pool))?;
         s.recv_pool_dynamic.lock().replace(pool);
         Ok(window as u64)
     }
@@ -833,5 +832,52 @@ impl UdShared {
         buf.write_header(&header)?;
         self.window.launch(sim, &buf, 1);
         self.post(sim, UdShared::send_wr(&buf, HEADER_LEN, Some(ah)), None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rshuffle_simnet::{Cluster, DeviceProfile};
+    use rshuffle_verbs::{ConnectionManager, QpState, VerbsError, VerbsRuntime};
+
+    use super::*;
+    use crate::{ExchangeConfig, ShuffleAlgorithm};
+
+    /// The endpoint's case of `rejected_configuration_pins_nothing`: a
+    /// receive pool its Queue Pair refuses is neither posted in part nor
+    /// left pinned, and one it accepts is on the Queue Pair as one run.
+    #[test]
+    fn a_refused_receive_pool_is_not_posted_in_part_and_pins_nothing() {
+        let rt = VerbsRuntime::new(Cluster::new(4, DeviceProfile::edr()));
+        let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 4, 1);
+        let params = config.params(rt.profile());
+        let ctx = rt.context(0);
+        let channel = SrUdChannel::new(&ctx, EndpointId(0), EndpointId(1), params.clone());
+        let expected = [1, 2, 3].map(|node| (EndpointId(2 * node as u32), node));
+        let send_pool = rt.registered_bytes(0);
+        // Nobody activated the Queue Pair: it takes no receives yet.
+        let refused = channel.bootstrap_receives(&ctx, &expected).err();
+        let in_reset = VerbsError::InvalidState {
+            qp: channel.qp().qpn(),
+            state: QpState::Reset,
+            op: "post_recv_untimed",
+        };
+        assert!(
+            matches!(&refused, Some(ShuffleError::Verbs(why)) if *why == in_reset),
+            "{refused:?}"
+        );
+        assert_eq!(channel.qp().posted_receives(), 0);
+        assert_eq!(rt.registered_bytes(0), send_pool);
+        assert!(ConnectionManager::activate_untimed(channel.qp(), None).is_ok());
+        let granted = channel.bootstrap_receives(&ctx, &expected);
+        assert_eq!(granted.ok(), Some(params.ud_recv_window as u64));
+        let layout = recv_layout(&params, expected.len());
+        assert_eq!(layout.buffers, 3 * params.ud_recv_window * expected.len());
+        let qp = channel.qp();
+        assert_eq!(
+            (qp.posted_receives(), qp.posted_receive_runs()),
+            (layout.buffers, 1)
+        );
+        assert_eq!(rt.registered_bytes(0), send_pool + layout.pinned());
     }
 }

@@ -29,6 +29,9 @@ pub enum WcStatus {
     RetryExceeded,
     /// The QP transitioned to the error state; the request was flushed.
     Flushed,
+    /// The responder refused the request (`IBV_WC_REM_INV_REQ_ERR`): a
+    /// reliable Send longer than the Receive it matched.
+    RemoteInvalidRequest,
 }
 
 /// Which operation a completion refers to.

@@ -74,7 +74,7 @@ impl fmt::Display for VerbsError {
             } => write!(
                 f,
                 "access [{offset}, {}) outside region of {region} bytes",
-                offset + len
+                offset.saturating_add(*len)
             ),
             VerbsError::BadRemoteKey(rkey) => write!(f, "unknown rkey {rkey}"),
             VerbsError::UnsupportedOp { op, reason } => {

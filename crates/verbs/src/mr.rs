@@ -103,6 +103,12 @@ fn slot(windows: &mut Windows, w: usize) -> &mut Option<Chunk> {
     &mut windows[w]
 }
 
+/// The offsets of a run of `count` accesses: `offset`, then every `step`
+/// further on, wrapping.
+fn run_offsets(offset: usize, step: usize, count: usize) -> impl Iterator<Item = usize> {
+    (0..count).map(move |i| offset.wrapping_add(step.wrapping_mul(i)))
+}
+
 pub(crate) struct MrInner {
     pub(crate) node: NodeId,
     pub(crate) rkey: u32,
@@ -212,6 +218,33 @@ impl MemoryRegion {
         inside.then_some((w, o)).ok_or(out_of_bounds)
     }
 
+    /// [`MemoryRegion::locate`] for each of `count` accesses of `len`
+    /// bytes: at `offset`, then every `step` further on (wrapping, so a
+    /// progression may walk down). The error is the first offending
+    /// access's.
+    pub(crate) fn locate_run(
+        &self,
+        offset: usize,
+        step: usize,
+        count: usize,
+        len: usize,
+    ) -> Result<()> {
+        let Some(last) = count.checked_sub(1) else {
+            return Ok(());
+        };
+        // Whole windows apart, every access sits at the same place in its
+        // window and the offsets move one way: the two ends decide for all.
+        let stride = step as isize;
+        if stride.unsigned_abs().is_multiple_of(self.inner.window) {
+            let end = usize::try_from(offset as i128 + stride as i128 * last as i128);
+            let inside = |at: usize| self.locate(at, len).is_ok();
+            if inside(offset) && end.is_ok_and(inside) {
+                return Ok(());
+            }
+        }
+        run_offsets(offset, step, count).try_for_each(|at| self.locate(at, len).map(drop))
+    }
+
     /// Copies `bytes` into the region at `offset`.
     pub fn write(&self, offset: usize, bytes: &[u8]) -> Result<()> {
         self.with_mut(offset, bytes.len(), |dst| dst.copy_from_slice(bytes))
@@ -281,6 +314,18 @@ impl MemoryRegion {
                 inner.slab.account(inner.node, inner.window, false);
                 inner.slab.give(chunk);
             }
+        }
+    }
+
+    /// [`MemoryRegion::discard`] for each access of a run that
+    /// [`MemoryRegion::locate_run`] accepted. Only a buffer that is a whole
+    /// window gives storage back, and a pool's lie back to back: one span.
+    pub(crate) fn discard_run(&self, offset: usize, step: usize, count: usize, len: usize) {
+        if step == len && len == self.inner.window {
+            return self.discard(offset, len.saturating_mul(count));
+        }
+        for at in run_offsets(offset, step, count) {
+            self.discard(at, len);
         }
     }
 

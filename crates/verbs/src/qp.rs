@@ -65,9 +65,10 @@ pub struct RecvWr {
 }
 
 /// The receives posted on a Queue Pair, oldest first, run-length encoded:
-/// an endpoint posts its pool as one arithmetic progression of windows
-/// (thousands deep on the UD design), which is one run here instead of one
-/// [`RecvWr`] — and one region handle — per window.
+/// an endpoint's pool is one arithmetic progression of windows (thousands
+/// deep on the UD design), posted ([`QueuePair::post_recv_run_untimed`])
+/// and held as one run instead of one [`RecvWr`] — and one region handle —
+/// per window.
 #[derive(Default)]
 pub(crate) struct RecvQueue {
     runs: VecDeque<RecvRun>,
@@ -83,27 +84,33 @@ struct RecvRun {
 }
 
 impl RecvQueue {
-    fn push(&mut self, wr: RecvWr) {
-        self.len += 1;
+    /// Appends `count` receives: `first`, then each `step` further on. They
+    /// join the newest run when they continue it, exactly as they would
+    /// pushed one by one (a run of one takes whatever step comes next).
+    fn push_run(&mut self, first: RecvWr, step: (u64, usize), count: usize) {
+        if count == 0 {
+            return;
+        }
+        self.len += count;
         if let Some(run) = self.runs.back_mut() {
-            let (first, n) = (&run.next, run.count - 1);
-            let last_id = first.wr_id.wrapping_add(run.step.0.wrapping_mul(n as u64));
-            let last_offset = first.offset.wrapping_add(run.step.1.wrapping_mul(n));
-            let step = (
-                wr.wr_id.wrapping_sub(last_id),
-                wr.offset.wrapping_sub(last_offset),
+            let (head, n) = (&run.next, run.count - 1);
+            let last_id = head.wr_id.wrapping_add(run.step.0.wrapping_mul(n as u64));
+            let last_offset = head.offset.wrapping_add(run.step.1.wrapping_mul(n));
+            let gap = (
+                first.wr_id.wrapping_sub(last_id),
+                first.offset.wrapping_sub(last_offset),
             );
-            let same_shape = Arc::ptr_eq(&wr.mr.inner, &first.mr.inner) && wr.len == first.len;
-            if same_shape && (n == 0 || step == run.step) {
-                run.step = step;
-                run.count += 1;
+            let same_shape = Arc::ptr_eq(&first.mr.inner, &head.mr.inner) && first.len == head.len;
+            if same_shape && (n == 0 || gap == run.step) && (count == 1 || step == gap) {
+                run.step = gap;
+                run.count += count;
                 return;
             }
         }
         self.runs.push_back(RecvRun {
-            next: wr,
-            step: (0, 0),
-            count: 1,
+            next: first,
+            step,
+            count,
         });
     }
 
@@ -437,11 +444,17 @@ impl QueuePair {
         self.inner.recv_queue.lock().len
     }
 
+    /// How many runs the posted receives are held as (see [`RecvQueue`]).
+    #[doc(hidden)]
+    pub fn posted_receive_runs(&self) -> usize {
+        self.inner.recv_queue.lock().runs.len()
+    }
+
     /// Posts a Receive work request (`ibv_post_recv`). Allowed from INIT
     /// onward. The buffer's contents are undefined from here until a
     /// message lands in it, so whatever it held is discarded.
     pub fn post_recv(&self, sim: &SimContext, wr: RecvWr) -> Result<()> {
-        self.check_recv(&wr, "post_recv")?;
+        self.check_recv(&wr, (0, 0), 1, "post_recv")?;
         sim.sleep(self.runtime.profile().post_wr_cpu);
         self.runtime.rt_obs.obs.recorder.event(
             sim.node() as u32,
@@ -450,7 +463,7 @@ impl QueuePair {
             EventKind::RecvPosted,
             wr.len as u64,
         );
-        self.enqueue_recv(wr);
+        self.enqueue_recv(wr, (0, 0), 1);
         Ok(())
     }
 
@@ -458,14 +471,37 @@ impl QueuePair {
     /// outside the measured window (initial receive pools are posted while
     /// connections are established, before the query starts).
     pub fn post_recv_untimed(&self, wr: RecvWr) -> Result<()> {
-        self.check_recv(&wr, "post_recv_untimed")?;
-        self.enqueue_recv(wr);
+        self.post_recv_run_untimed(wr, (0, 0), 1)
+    }
+
+    /// Posts a receive pool without charging CPU time: `count` Receives of
+    /// `first.len` bytes over `first.mr`, `first` and then each `step`
+    /// further on in `(wr_id, offset)` (wrapping, so a pool may be handed
+    /// over back to front). What [`QueuePair::post_recv_untimed`] would do
+    /// for each in turn is done once for all of them — and for all or
+    /// none: the first Receive that would be refused is the error, and
+    /// then nothing has been posted or discarded.
+    pub fn post_recv_run_untimed(
+        &self,
+        first: RecvWr,
+        step: (u64, usize),
+        count: usize,
+    ) -> Result<()> {
+        self.check_recv(&first, step, count, "post_recv_untimed")?;
+        self.enqueue_recv(first, step, count);
         Ok(())
     }
 
-    /// Whether `wr` may be posted now: the QP is past RESET and not in
-    /// error, and the buffer lies inside its region.
-    fn check_recv(&self, wr: &RecvWr, op: &'static str) -> Result<()> {
+    /// Whether the `count` receives from `first` on, `step` apart, may be
+    /// posted now: the QP is past RESET and not in error, and every buffer
+    /// lies inside the region.
+    fn check_recv(
+        &self,
+        first: &RecvWr,
+        step: (u64, usize),
+        count: usize,
+        op: &'static str,
+    ) -> Result<()> {
         let st = *self.inner.state.lock();
         if st < QpState::Init || st == QpState::Error {
             return Err(VerbsError::InvalidState {
@@ -474,12 +510,12 @@ impl QueuePair {
                 op,
             });
         }
-        wr.mr.locate(wr.offset, wr.len).map(drop)
+        first.mr.locate_run(first.offset, step.1, count, first.len)
     }
 
-    fn enqueue_recv(&self, wr: RecvWr) {
-        wr.mr.discard(wr.offset, wr.len);
-        self.inner.recv_queue.lock().push(wr);
+    fn enqueue_recv(&self, first: RecvWr, step: (u64, usize), count: usize) {
+        first.mr.discard_run(first.offset, step.1, count, first.len);
+        self.inner.recv_queue.lock().push_run(first, step, count);
     }
 
     /// Posts a Send work request (`ibv_post_send` with `IBV_WR_SEND`).
@@ -948,11 +984,14 @@ impl InboundSend {
             let kernel = runtime.kernel().clone();
             return kernel.schedule(now + RNR_RETRY_DELAY, move || self.arrive(attempt + 1));
         };
+        // A message longer than the Receive it matched is an error at both
+        // ends of a Reliable Connection: the responder's NAK reaches the
+        // sender where the ACK would have. A datagram's sender hears nothing.
         let fits = self.payload.len <= rwr.len;
-        let status = if fits {
-            WcStatus::Success
+        let (status, answer) = if fits {
+            (WcStatus::Success, WcStatus::Success)
         } else {
-            WcStatus::LocalLengthError
+            (WcStatus::LocalLengthError, WcStatus::RemoteInvalidRequest)
         };
         let from = (self.src.node, self.src.qpn);
         let mut completion =
@@ -960,10 +999,10 @@ impl InboundSend {
                 .outcome(status, self.payload.len);
         completion.imm = self.imm;
         qp.recv_cq.complete_at(nic_done, completion);
+        if self.sender.is_some() {
+            self.answer(nic_done + runtime.profile().rc_ack_latency, answer);
+        }
         if fits {
-            // The hardware ACK completes the reliable send.
-            let acked = nic_done + runtime.profile().rc_ack_latency;
-            self.answer(acked, WcStatus::Success);
             runtime.rt_obs.msg_latency[dest.node]
                 .record(now.as_nanos().saturating_sub(self.posted_ns));
             rwr.mr
@@ -1012,13 +1051,145 @@ mod tests {
         // A pool posted in order, three reposts walking down, one stray.
         let slots: Vec<u64> = (0..32).chain([40, 38, 36, 7]).collect();
         for &slot in &slots {
-            queue.push(wr(slot));
+            queue.push_run(wr(slot), (0, 0), 1);
         }
         assert_eq!((queue.len, queue.runs.len()), (36, 3));
         let popped: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
         assert!(popped.iter().all(|wr| wr.offset as u64 == wr.wr_id));
         let order: Vec<u64> = popped.iter().map(|wr| wr.wr_id / 64).collect();
         assert_eq!((order, queue.len), (slots, 0));
+        // The same pool in three posts is one run; another region's is not.
+        queue.push_run(wr(0), (64, 64), 16);
+        queue.push_run(wr(16), (64, 64), 15);
+        queue.push_run(wr(31), (0, 0), 1);
+        assert_eq!((queue.len, queue.runs.len()), (32, 1));
+        let mr = MemoryRegion::new_for_tests(&Kernel::new(), 0, 2, 4096);
+        queue.push_run(RecvWr { mr, ..wr(32) }, (64, 64), 4);
+        assert_eq!((queue.len, queue.runs.len()), (36, 2));
+    }
+
+    /// A run is indistinguishable from its windows: whatever is posted as
+    /// runs — ascending, descending, wrapping, empty, adjacent runs that
+    /// merge, foreign regions that must not — pops as the same receives
+    /// pushed one by one would, whenever the pops come.
+    #[test]
+    fn run_posts_pop_as_their_receives_pushed_one_by_one() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let kernel = Kernel::new();
+        let regions = [1, 2].map(|rkey| MemoryRegion::new_for_tests(&kernel, 0, rkey, 1 << 20));
+        let seen = |wr: Option<RecvWr>| wr.map(|wr| (wr.wr_id, wr.offset, wr.len, wr.mr.rkey()));
+        for seed in 0..64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut runs, mut singles) = (RecvQueue::default(), RecvQueue::default());
+            // Where the last run ended, so that some runs continue it.
+            let mut after_last = (0u64, 0usize);
+            for _ in 0..200 {
+                if rng.gen_range(0..4) == 0 {
+                    for _ in 0..rng.gen_range(0..40) {
+                        assert_eq!(seen(runs.pop()), seen(singles.pop()), "seed {seed}");
+                    }
+                    continue;
+                }
+                let step = match rng.gen_range(0..4) {
+                    0 => (64, 64),
+                    1 => (64u64.wrapping_neg(), 64usize.wrapping_neg()),
+                    2 => (u64::MAX / 3, usize::MAX / 5),
+                    _ => (rng.gen_range(0..3), rng.gen_range(0..200)),
+                };
+                let count = [0, 1, 2, rng.gen_range(3..50)][rng.gen_range(0..4)];
+                let (wr_id, offset) = match rng.gen_range(0..3) {
+                    0 => after_last,
+                    _ => (rng.gen_range(0..1 << 20), rng.gen_range(0..1 << 20)),
+                };
+                let first = RecvWr {
+                    wr_id,
+                    mr: regions[usize::from(rng.gen_range(0..8) == 0)].clone(),
+                    offset,
+                    len: [64, 64, 64, 32][rng.gen_range(0..4)],
+                };
+                for i in 0..count {
+                    let mut wr = first.clone();
+                    wr.wr_id = wr_id.wrapping_add(step.0.wrapping_mul(i as u64));
+                    wr.offset = offset.wrapping_add(step.1.wrapping_mul(i));
+                    singles.push_run(wr, (0, 0), 1);
+                }
+                after_last = (
+                    wr_id.wrapping_add(step.0.wrapping_mul(count as u64)),
+                    offset.wrapping_add(step.1.wrapping_mul(count)),
+                );
+                runs.push_run(first, step, count);
+                assert_eq!(runs.len, singles.len, "seed {seed}");
+            }
+            while singles.len > 0 {
+                assert_eq!(seen(runs.pop()), seen(singles.pop()), "seed {seed}");
+            }
+            assert_eq!((runs.len, seen(runs.pop())), (0, None), "seed {seed}");
+        }
+    }
+
+    /// A pool one window too long, or handed to a QP still in RESET, is
+    /// refused whole — with the error its first offending window alone
+    /// would have met, the state's before any window's — and leaves queue
+    /// and region as they were.
+    #[test]
+    fn a_refused_pool_posts_nothing_and_discards_nothing() {
+        let rt = VerbsRuntime::new(Cluster::new(1, DeviceProfile::edr()));
+        let ctx = rt.context(0);
+        let cq = ctx.create_cq();
+        let qp = ctx.create_qp(QpType::Ud, cq.clone(), cq);
+        let pool = ctx.register_pool_untimed(64, 4);
+        pool.write(0, b"kept").unwrap();
+        let post = |wr_id, offset, step, count| {
+            let first = RecvWr {
+                wr_id,
+                mr: pool.clone(),
+                offset,
+                len: 64,
+            };
+            qp.post_recv_run_untimed(first, (64, step), count)
+        };
+        let untouched = || {
+            assert_eq!((qp.posted_receives(), qp.posted_receive_runs()), (0, 0));
+            assert_eq!(pool.read(0, 4).unwrap(), b"kept");
+            assert_eq!(rt.resident_bytes(0), 64);
+        };
+        // RESET: the state is the error, whatever the windows are.
+        for count in [4, 5] {
+            let refused = post(0, 0, 64, count).unwrap_err();
+            assert!(
+                matches!(
+                    refused,
+                    VerbsError::InvalidState {
+                        state: QpState::Reset,
+                        op: "post_recv_untimed",
+                        ..
+                    }
+                ),
+                "{refused:?}"
+            );
+            untouched();
+        }
+        qp.modify_to_init().unwrap();
+        let offending = |offset| VerbsError::OutOfBounds {
+            offset,
+            len: 64,
+            region: 256,
+        };
+        // Whole windows apart, walking up and down; and not (per window).
+        assert_eq!(post(0, 0, 64, 5), Err(offending(256)));
+        untouched();
+        let down = 64usize.wrapping_neg();
+        assert_eq!(post(0, 128, down, 4), Err(offending(down)));
+        untouched();
+        assert_eq!(post(0, 0, 96, 3), Err(offending(96)));
+        untouched();
+        // The same pool, as long as the region: posted, and window 0 is dead.
+        post(0, 0, 64, 4).unwrap();
+        post(256, 192, down, 4).unwrap();
+        assert_eq!((qp.posted_receives(), qp.posted_receive_runs()), (8, 2));
+        assert_eq!(pool.read(0, 4).unwrap(), [0; 4]);
+        assert_eq!(rt.resident_bytes(0), 0);
     }
 
     /// `remote.offset` arrives over the wire: one that overflows when the

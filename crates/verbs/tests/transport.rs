@@ -835,7 +835,7 @@ type Row = (
 fn every_completion_carries_the_whole_entry() {
     use Trouble::{Killed, Lossy};
     use WcOpcode::{Read, Recv, Send, Write};
-    use WcStatus::{Flushed, LocalLengthError, RetryExceeded, Success};
+    use WcStatus::{Flushed, LocalLengthError, RemoteInvalidRequest, RetryExceeded, Success};
     let read = |known_rkey, offset| Verb::Read { known_rkey, offset };
     let write = |known_rkey, offset| Verb::Write { known_rkey, offset };
     let imm = Some(99);
@@ -854,9 +854,11 @@ fn every_completion_carries_the_whole_entry() {
             vec![(Flushed, Send, LEN, 1, B, A, None)], vec![(Flushed, Recv, 0, 1, B, B, None)]),
         ("rc send, rnr retries exhausted", QpType::Rc, None, Trouble::None, Verb::Send,
             vec![(RetryExceeded, Send, LEN, 1, B, A, None)], vec![]),
-        // The sender of a message that overran the receive is never completed.
         ("rc send longer than the receive", QpType::Rc, Some(8), Trouble::None, Verb::Send,
-            vec![], vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+            vec![(RemoteInvalidRequest, Send, LEN, 1, B, A, None)],
+            vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+        ("ud send longer than the receive", QpType::Ud, Some(8), Trouble::None, Verb::Send,
+            vec![ud_local], vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
         ("read", QpType::Rc, None, Trouble::None, read(true, 0),
             vec![(Success, Read, LEN, 1, Z, A, None)], vec![]),
         ("read, bad rkey", QpType::Rc, None, Trouble::None, read(false, 0),
@@ -907,6 +909,7 @@ fn every_completion_carries_the_whole_entry() {
             offset,
         };
         let ah = (service == QpType::Ud).then(|| qp_b.address_handle());
+        let ack_latency = rt.profile().rc_ack_latency.as_nanos();
         rt.cluster().spawn(0, "requester", move |sim| {
             sim.sleep(SimDuration::from_micros(10));
             match verb {
@@ -932,6 +935,7 @@ fn every_completion_carries_the_whole_entry() {
             let posted_at = sim.now().as_nanos();
             // Past the last receiver-not-ready retry (7 x 20 µs).
             sim.sleep(SimDuration::from_millis(1));
+            let mut deposits = Vec::new();
             for (side, cq, wr_id, expected) in [
                 ("requester", &cq_a, 7, &at_requester),
                 ("target", &cq_b, 5, &at_target),
@@ -944,7 +948,89 @@ fn every_completion_carries_the_whole_entry() {
                     let after = c.deposited_ns.saturating_sub(posted_at);
                     println!("{name}: {side} {:?} +{after}ns", entry(c, posted_at));
                 }
+                deposits.push(polled.first().map(|c| c.deposited_ns));
             }
+            // A reliable sender hears of the match, fit or overrun, one
+            // ACK latency after it.
+            if let (QpType::Rc, Verb::Send, Trouble::None, [Some(answered), Some(matched)]) =
+                (service, verb, trouble, &deposits[..])
+            {
+                assert_eq!(answered - matched, ack_latency, "{name}");
+            }
+        });
+        rt.cluster().run();
+    }
+}
+
+/// A pool posted as one run is matched window by window, oldest first, on
+/// either service; a failing QP flushes what of it is still posted, no more.
+#[test]
+fn a_pool_posted_as_one_run_is_matched_window_by_window() {
+    use rshuffle_verbs::QpScope;
+    const WINDOW: usize = 64;
+    const POOL: usize = 16;
+    const MESSAGES: usize = 5;
+    const ID_STEP: u64 = 3;
+    for service in [QpType::Ud, QpType::Rc] {
+        let rt = runtime(2);
+        let (qp_s, cq_s, qp_r, cq_r) = match service {
+            QpType::Rc => rc_pair(&rt, 0, 1),
+            QpType::Ud => {
+                let ((qp_s, cq_s), (qp_r, cq_r)) = (ud_qp(&rt, 0), ud_qp(&rt, 1));
+                (qp_s, cq_s, qp_r, cq_r)
+            }
+        };
+        let pool = rt.context(1).register_pool_untimed(WINDOW, POOL);
+        let first = RecvWr {
+            wr_id: 0,
+            mr: pool.clone(),
+            offset: 0,
+            len: WINDOW,
+        };
+        qp_r.post_recv_run_untimed(first, (ID_STEP, WINDOW), POOL)
+            .unwrap();
+        assert_eq!(
+            (qp_r.posted_receives(), qp_r.posted_receive_runs()),
+            (POOL, 1)
+        );
+        let send_mr = rt.context(0).register_untimed(WINDOW);
+        let ah = (service == QpType::Ud).then(|| qp_r.address_handle());
+        rt.cluster().spawn(0, "sender", move |sim| {
+            for i in 0..MESSAGES {
+                send_mr.write(0, &[i as u8 + 1]).unwrap();
+                let wr = SendWr {
+                    wr_id: i as u64,
+                    mr: send_mr.clone(),
+                    offset: 0,
+                    len: 1,
+                    imm: None,
+                    ah,
+                };
+                qp_s.post_send(&sim, wr).unwrap();
+                assert_eq!(cq_s.next(&sim).status, WcStatus::Success);
+            }
+        });
+        let rt_r = rt.clone();
+        rt.cluster().spawn(1, "receiver", move |sim| {
+            for i in 0..MESSAGES {
+                let c = cq_r.next(&sim);
+                assert_eq!(
+                    (c.status, c.wr_id),
+                    (WcStatus::Success, i as u64 * ID_STEP),
+                    "{service:?}"
+                );
+                assert_eq!(pool.read(i * WINDOW, 2).unwrap(), [i as u8 + 1, 0]);
+            }
+            assert_eq!(qp_r.posted_receives(), POOL - MESSAGES);
+            rt_r.fail_qps(1, QpScope::All);
+            let flushed: Vec<_> = cq_r
+                .poll(&sim, 2 * POOL)
+                .iter()
+                .map(|c| (c.status, c.wr_id))
+                .collect();
+            let rest = (MESSAGES..POOL).map(|i| (WcStatus::Flushed, i as u64 * ID_STEP));
+            assert_eq!(flushed, rest.collect::<Vec<_>>(), "{service:?}");
+            assert_eq!(qp_r.posted_receives(), 0);
         });
         rt.cluster().run();
     }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rshuffle_repro::engine::RecoveryPolicy;
-use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
+use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, ShuffleAlgorithm};
 use rshuffle_repro::simnet::DeviceProfile;
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
@@ -142,5 +142,42 @@ fn wr_extension_allocations_do_not_scale_with_messages() {
             "{name}: steady-state allocations scale with messages \
              ({slope:.3} allocs/row)"
         );
+    }
+}
+
+/// Heap allocations made by one `Exchange::build` of `algorithm` on eight
+/// nodes with every receive ring `depth` windows deep.
+fn allocs_during_build(algorithm: ShuffleAlgorithm, depth: usize) -> u64 {
+    let mut config = ExchangeConfig::repartition(algorithm, 8, 2);
+    config.message_size = 4096;
+    config.ud_recv_window = depth;
+    config.recv_depth_per_peer = depth;
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let exchange = Exchange::build(&runtime, &config);
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert!(exchange.is_ok(), "{algorithm} at depth {depth} builds");
+    after - before
+}
+
+/// Set-up does not scale with ring depth: an endpoint hands its Queue
+/// Pair the receive pool as one run, so a pool 64 (16) times as deep
+/// costs `Exchange::build` not one allocation more. The deterministic
+/// stand-in for `core.exchange.build_s`, which no test can pin.
+#[test]
+fn exchange_build_allocations_do_not_scale_with_ring_depth() {
+    let _guard = COUNT_LOCK.lock();
+    let designs = [
+        (ShuffleAlgorithm::MESQ_SR, 1024),
+        (ShuffleAlgorithm::MEMQ_SR, 256),
+    ];
+    for (algorithm, deep) in designs {
+        let _ = allocs_during_build(algorithm, 16);
+        let (shallow, deep) = (
+            allocs_during_build(algorithm, 16),
+            allocs_during_build(algorithm, deep),
+        );
+        eprintln!("{algorithm}: {shallow} allocs to build at depth 16, {deep} deep");
+        assert_eq!(shallow, deep, "{algorithm}: build allocates per window");
     }
 }
