@@ -37,6 +37,17 @@ if grep -rnE '\.(unwrap|expect)\(' crates/core/src/endpoint/ crates/engine/src/ 
   exit 1
 fi
 
+# Rows at row speed: the engine's operators key their tables through the
+# unseeded `KeyHasher` aliases (std's SipHash was 11 % of tpch_mix's host
+# time) and give no row a heap allocation of its own (a `to_vec()` per
+# build row was two allocations per row, with the join's per-key lists).
+if grep -HnE 'Hash(Map|Set)<u64' crates/engine/src/ops.rs | grep -v 'BuildHasherDefault<KeyHasher>' ||
+  grep -Hn 'to_vec()' crates/engine/src/ops.rs; then
+  echo "ERROR: an engine operator keys a table with SipHash or copies a row into a Vec (see above);" >&2
+  echo "       use KeyMap / KeySet, and write rows into the output batch or the join arena" >&2
+  exit 1
+fi
+
 # Allocation-free hot paths: the endpoints run on pooled registered
 # buffers, reusable CQ scratch and cached address handles, so fresh
 # heap allocations (`to_vec()`, `Vec::new(`) in the endpoint sources

@@ -61,9 +61,30 @@ impl RowBatch {
     /// # Panics
     ///
     /// Panics if `row` is not exactly `row_size` bytes.
+    #[inline]
     pub fn push_row(&mut self, row: &[u8]) {
         assert_eq!(row.len(), self.row_size, "row width mismatch");
         self.data.extend_from_slice(row);
+    }
+
+    /// Appends the row `write` appends to the vector it is handed — the
+    /// batch's own storage, so the row is written once, in place. `write`
+    /// must only append. A row of any other width than `row_size` is
+    /// taken back out and reported as [`ShuffleError::Config`]: the batch
+    /// is left as it was.
+    #[inline]
+    pub fn write_row(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        let start = self.data.len();
+        write(&mut self.data);
+        let written = self.data.len().wrapping_sub(start);
+        if written != self.row_size {
+            self.data.truncate(start);
+            return Err(ShuffleError::Config(format!(
+                "a {written}-byte row written into a batch of {}-byte rows",
+                self.row_size
+            )));
+        }
+        Ok(())
     }
 
     /// Appends `bytes` of whole rows (e.g. a received buffer payload).
@@ -541,5 +562,28 @@ impl Operator for ReceiveOperator {
                 None => return Ok((StreamState::Depleted, out)),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_row_keeps_a_whole_row_and_takes_back_any_other() {
+        let mut batch = RowBatch::new(4, 2);
+        batch.push_row(&[1, 2, 3, 4]);
+        assert!(batch
+            .write_row(|out| out.extend_from_slice(&[5, 6, 7, 8]))
+            .is_ok());
+        for width in [0, 3, 5, 8] {
+            let wrote = batch.write_row(|out| out.resize(out.len() + width, 9));
+            assert!(
+                matches!(wrote, Err(ShuffleError::Config(_))),
+                "{width}: {wrote:?}"
+            );
+        }
+        let rows: Vec<&[u8]> = batch.iter().collect();
+        assert_eq!(rows, [[1, 2, 3, 4], [5, 6, 7, 8]]);
     }
 }

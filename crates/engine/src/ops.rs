@@ -5,7 +5,9 @@
 //! model of the device profiles (memory-bandwidth-bound scans, a few
 //! nanoseconds per hashed tuple).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -26,6 +28,36 @@ pub type JoinEmitFn = Arc<dyn Fn(&[u8], &[u8], &mut Vec<u8>) + Send + Sync>;
 pub type FoldFn = Arc<dyn Fn(&mut Vec<u8>, &[u8]) + Send + Sync>;
 /// Builds the initial accumulator for a new group.
 pub type InitFn = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+
+/// Hasher of the operators' `u64`-keyed tables: a multiply per key, and a
+/// rotate that brings the product's well-mixed high bits down to where
+/// the table picks a bucket. It is not seeded, so a table's layout — and
+/// the order it iterates in — is the same in every process; no key here
+/// comes from an adversary, so SipHash's resistance to chosen keys buys
+/// nothing.
+#[derive(Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0.rotate_left(5) ^ key).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by `u64`, hashed by [`KeyHasher`].
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+/// A set of `u64` keys, hashed by [`KeyHasher`].
+type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
 
 /// Scans a [`Table`] fragment, block-partitioned across threads.
 pub struct MemScan {
@@ -53,13 +85,11 @@ impl MemScan {
 impl Operator for MemScan {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         let range = self.table.thread_range(tid, self.threads);
-        let mut batch = RowBatch::new(self.table.row_size(), BATCH_ROWS);
-        let start = range.start + self.cursor[tid].load(Ordering::Relaxed);
+        let start = (range.start + self.cursor[tid].load(Ordering::Relaxed)).min(range.end);
         let end = (start + BATCH_ROWS).min(range.end);
-        for i in start..end {
-            batch.push_row(self.table.row(i));
-        }
-        self.cursor[tid].fetch_add(end.saturating_sub(start), Ordering::Relaxed);
+        let mut batch = RowBatch::new(self.table.row_size(), end - start);
+        batch.extend_rows(self.table.row_run(start..end));
+        self.cursor[tid].fetch_add(end - start, Ordering::Relaxed);
         if !batch.is_empty() {
             sim.sleep(transfer_time(batch.bytes(), self.scan_bandwidth));
         }
@@ -196,20 +226,69 @@ impl<F: Fn(&[u8], &mut Vec<u8>) + Send + Sync> Operator for Project<F> {
         }
         sim.sleep(self.per_tuple * batch.rows() as u64);
         let mut out = RowBatch::new(self.out_size, batch.rows());
-        let mut scratch = Vec::with_capacity(self.out_size);
         for row in batch.iter() {
-            scratch.clear();
-            (self.f)(row, &mut scratch);
-            if scratch.len() != self.out_size {
-                return Err(ShuffleError::Config(format!(
-                    "projection produced {} bytes, expected {}",
-                    scratch.len(),
-                    self.out_size
-                )));
-            }
-            out.push_row(&scratch);
+            out.write_row(|to| (self.f)(row, to))?;
         }
         Ok((state, out))
+    }
+}
+
+/// The build side of a [`HashJoin`]: every build row back to back in one
+/// arena, in the order it was built, and per key a chain through those
+/// rows — `chains` holds a key's first and last row, `next` each row's
+/// successor under its key. A key's matches come out in build order.
+#[derive(Default)]
+struct JoinTable {
+    row_size: usize,
+    arena: Vec<u8>,
+    next: Vec<usize>,
+    chains: KeyMap<(usize, usize)>,
+}
+
+/// The end of a chain.
+const CHAIN_END: usize = usize::MAX;
+
+impl JoinTable {
+    /// Appends the rows of `batch` under their `key`s.
+    fn insert(&mut self, batch: &RowBatch, key: &RowKeyFn) -> Result<()> {
+        if self.arena.is_empty() {
+            self.row_size = batch.row_size();
+        } else if batch.row_size() != self.row_size {
+            return Err(ShuffleError::Config(format!(
+                "join build side changed from {}-byte to {}-byte rows",
+                self.row_size,
+                batch.row_size()
+            )));
+        }
+        for row in batch.iter() {
+            let at = self.next.len();
+            self.arena.extend_from_slice(row);
+            self.next.push(CHAIN_END);
+            match self.chains.entry(key(row)) {
+                Entry::Occupied(mut chain) => {
+                    let last = &mut chain.get_mut().1;
+                    self.next[*last] = at;
+                    *last = at;
+                }
+                Entry::Vacant(chain) => {
+                    chain.insert((at, at));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The rows built under `key`, in build order.
+    fn matches(&self, key: u64) -> impl Iterator<Item = &[u8]> {
+        let mut at = self.chains.get(&key).map_or(CHAIN_END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            if at == CHAIN_END {
+                return None;
+            }
+            let row = &self.arena[at * self.row_size..(at + 1) * self.row_size];
+            at = self.next[at];
+            Some(row)
+        })
     }
 }
 
@@ -224,7 +303,7 @@ pub struct HashJoin {
     /// Emits the joined output row.
     emit: JoinEmitFn,
     out_size: usize,
-    table: Mutex<HashMap<u64, Vec<Vec<u8>>>>,
+    table: Mutex<JoinTable>,
     barrier: SimBarrier,
     /// Whether each thread has completed the build phase.
     built: Vec<AtomicBool>,
@@ -252,7 +331,7 @@ impl HashJoin {
             probe_key: Arc::new(probe_key),
             emit: Arc::new(emit),
             out_size,
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::default(),
             barrier: SimBarrier::new(kernel, threads),
             built: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             hash_cost,
@@ -266,13 +345,7 @@ impl HashJoin {
             let (state, batch) = self.build.next(sim, tid)?;
             if !batch.is_empty() {
                 sim.sleep(self.hash_cost * batch.rows() as u64);
-                let mut table = self.table.lock();
-                for row in batch.iter() {
-                    table
-                        .entry((self.build_key)(row))
-                        .or_default()
-                        .push(row.to_vec());
-                }
+                self.table.lock().insert(&batch, &self.build_key)?;
             }
             if state == StreamState::Depleted {
                 break;
@@ -290,7 +363,6 @@ impl Operator for HashJoin {
             self.built[tid].store(true, Ordering::SeqCst);
         }
         let mut out = RowBatch::new(self.out_size, BATCH_ROWS);
-        let mut scratch = Vec::with_capacity(self.out_size);
         loop {
             if out.rows() >= BATCH_ROWS {
                 return Ok((StreamState::MoreData, out));
@@ -300,12 +372,8 @@ impl Operator for HashJoin {
                 sim.sleep(self.hash_cost * batch.rows() as u64);
                 let table = self.table.lock();
                 for row in batch.iter() {
-                    if let Some(matches) = table.get(&(self.probe_key)(row)) {
-                        for build_row in matches {
-                            scratch.clear();
-                            (self.emit)(build_row, row, &mut scratch);
-                            out.push_row(&scratch);
-                        }
+                    for build_row in table.matches((self.probe_key)(row)) {
+                        out.write_row(|to| (self.emit)(build_row, row, to))?;
                     }
                 }
             }
@@ -325,7 +393,7 @@ pub struct HashSemiJoin {
     probe: Arc<dyn Operator>,
     build_key: RowKeyFn,
     probe_key: RowKeyFn,
-    keys: Mutex<std::collections::HashSet<u64>>,
+    keys: Mutex<KeySet>,
     barrier: SimBarrier,
     built: Vec<AtomicBool>,
     hash_cost: SimDuration,
@@ -347,7 +415,7 @@ impl HashSemiJoin {
             probe,
             build_key: Arc::new(build_key),
             probe_key: Arc::new(probe_key),
-            keys: Mutex::new(std::collections::HashSet::new()),
+            keys: Mutex::default(),
             barrier: SimBarrier::new(kernel, threads),
             built: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             hash_cost,
@@ -400,7 +468,7 @@ pub struct HashAggregate {
     /// Initial accumulator for a new group.
     init: InitFn,
     out_size: usize,
-    groups: Mutex<HashMap<u64, Vec<u8>>>,
+    groups: Mutex<KeyMap<Vec<u8>>>,
     barrier: SimBarrier,
     /// Sorted group keys, filled once after aggregation.
     emit_order: Mutex<Vec<u64>>,
@@ -430,7 +498,7 @@ impl HashAggregate {
             fold: Arc::new(fold),
             init: Arc::new(init),
             out_size,
-            groups: Mutex::new(HashMap::new()),
+            groups: Mutex::default(),
             barrier: SimBarrier::new(kernel, threads),
             emit_order: Mutex::new(Vec::new()),
             emit_cursor: AtomicUsize::new(0),
@@ -449,11 +517,10 @@ impl Operator for HashAggregate {
                     sim.sleep(self.hash_cost * batch.rows() as u64);
                     let mut groups = self.groups.lock();
                     for row in batch.iter() {
-                        let k = (self.key)(row);
-                        match groups.get_mut(&k) {
-                            Some(acc) => (self.fold)(acc, row),
-                            None => {
-                                groups.insert(k, (self.init)(row));
+                        match groups.entry((self.key)(row)) {
+                            Entry::Occupied(acc) => (self.fold)(acc.into_mut(), row),
+                            Entry::Vacant(slot) => {
+                                slot.insert((self.init)(row));
                             }
                         }
                     }
@@ -480,8 +547,7 @@ impl Operator for HashAggregate {
                 return Ok((StreamState::Depleted, out));
             }
             let acc = &groups[&order[i]];
-            debug_assert_eq!(acc.len(), self.out_size);
-            out.push_row(acc);
+            out.write_row(|to| to.extend_from_slice(acc))?;
             if out.rows() >= BATCH_ROWS {
                 return Ok((StreamState::MoreData, out));
             }
@@ -510,5 +576,329 @@ impl Operator for ComputeStage {
             sim.sleep(self.per_batch);
         }
         Ok((state, batch))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::drive_to_sink;
+    use proptest::prelude::*;
+    use rshuffle_simnet::{Cluster, DeviceProfile, Kernel};
+
+    const HASH: SimDuration = SimDuration::from_nanos(4);
+    const SCAN: f64 = 8e9;
+
+    /// The 16-byte row `(a, b)`.
+    fn pair(a: u64, b: u64) -> [u8; 16] {
+        let mut row = [0u8; 16];
+        row[..8].copy_from_slice(&a.to_le_bytes());
+        row[8..].copy_from_slice(&b.to_le_bytes());
+        row
+    }
+
+    /// A table of `(key, tag)` rows.
+    fn keyed(rows: &[(u64, u64)]) -> Table {
+        let mut b = Table::builder(16);
+        for &(key, tag) in rows {
+            b.push(&pair(key, tag));
+        }
+        b.build()
+    }
+
+    fn word(row: &[u8], at: usize) -> u64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&row[at..at + 8]);
+        u64::from_le_bytes(b)
+    }
+
+    fn key(row: &[u8]) -> u64 {
+        word(row, 0)
+    }
+
+    fn scan(rows: &[(u64, u64)], threads: usize) -> Arc<dyn Operator> {
+        Arc::new(MemScan::new(keyed(rows), threads, SCAN))
+    }
+
+    /// What a fragment's sink was handed.
+    struct Pulled {
+        /// Every non-empty batch, with the worker that pulled it, in the
+        /// order the sink saw them.
+        batches: Vec<(usize, RowBatch)>,
+        errors: Vec<ShuffleError>,
+    }
+
+    impl Pulled {
+        /// Every 16-byte row as `(word 0, word 1)`, in sink order.
+        fn pairs(&self) -> Vec<(u64, u64)> {
+            let rows = self.batches.iter().flat_map(|(_, batch)| batch.iter());
+            rows.map(|row| (word(row, 0), word(row, 8))).collect()
+        }
+    }
+
+    /// Pulls the operator `make` builds to depletion on `threads` workers
+    /// of a one-node cluster.
+    fn pull(threads: usize, make: impl FnOnce(&Kernel) -> Arc<dyn Operator>) -> Pulled {
+        let cluster = Cluster::new(1, DeviceProfile::edr());
+        let op = make(cluster.kernel());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let stats = drive_to_sink(&cluster, 0, "op", op, threads, move |tid, batch| {
+            sink.lock().push((tid, batch.clone()))
+        });
+        cluster.run();
+        let errors = std::mem::take(&mut stats.lock().errors);
+        let batches = std::mem::take(&mut *seen.lock());
+        Pulled { batches, errors }
+    }
+
+    /// An equi-join on word 0 emitting `(build tag, probe tag)`.
+    fn tag_join(
+        kernel: &Kernel,
+        build: &[(u64, u64)],
+        probe: &[(u64, u64)],
+        threads: usize,
+    ) -> Arc<dyn Operator> {
+        Arc::new(HashJoin::new(
+            kernel,
+            scan(build, threads),
+            scan(probe, threads),
+            key,
+            key,
+            |b, p, out| {
+                out.extend_from_slice(&b[8..16]);
+                out.extend_from_slice(&p[8..16]);
+            },
+            16,
+            threads,
+            HASH,
+        ))
+    }
+
+    /// The join's answer the slow way: per probe row in order, every
+    /// build row with its key in build order.
+    fn nested_loop(build: &[(u64, u64)], probe: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for &(pk, pt) in probe {
+            for &(bk, bt) in build {
+                if bk == pk {
+                    out.push((bt, pt));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hash_join_gives_duplicate_build_keys_in_build_order() {
+        // 3 000 build rows over seven keys: each key's chain crosses
+        // build batches.
+        let build: Vec<(u64, u64)> = (0..3_000).map(|i| (i % 7, i)).collect();
+        let probe: Vec<(u64, u64)> = [3, 0, 6, 3, 9].into_iter().zip(10_000..).collect();
+        let pulled = pull(1, |k| tag_join(k, &build, &probe, 1));
+        assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+        let got = pulled.pairs();
+        assert_eq!(got.len(), 4 * 3_000 / 7 + 1);
+        assert_eq!(got, nested_loop(&build, &probe));
+    }
+
+    #[test]
+    fn hash_join_probe_misses_and_an_empty_build_side_emit_nothing() {
+        let build: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
+        let probe: Vec<(u64, u64)> = (100..2_100).map(|i| (i, i)).collect();
+        for (build, probe) in [(&build[..], &probe[..]), (&[][..], &build[..])] {
+            let pulled = pull(2, |k| tag_join(k, build, probe, 2));
+            assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+            assert!(
+                pulled.batches.is_empty(),
+                "{} batches",
+                pulled.batches.len()
+            );
+        }
+    }
+
+    #[test]
+    fn semi_join_passes_exactly_the_probe_rows_whose_key_was_built() {
+        // Multiples of three, each built twice.
+        let build: Vec<(u64, u64)> = (0..800).map(|i| (i / 2 * 3, i)).collect();
+        let probe: Vec<(u64, u64)> = (0..1_500).map(|i| (i, i + 7)).collect();
+        let built = |k: u64| k.is_multiple_of(3) && k < 1_200;
+        let mut expected: Vec<(u64, u64)> =
+            probe.iter().copied().filter(|&(k, _)| built(k)).collect();
+        for threads in [1, 3] {
+            let pulled = pull(threads, |k| {
+                let build = scan(&build, threads);
+                let probe = scan(&probe, threads);
+                Arc::new(HashSemiJoin::new(k, build, probe, key, key, threads, HASH))
+            });
+            assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+            let mut got = pulled.pairs();
+            if threads > 1 {
+                got.sort_unstable();
+                expected.sort_unstable();
+            }
+            assert_eq!(got, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn hash_aggregate_emits_each_group_once_in_key_order_across_threads() {
+        // 2 500 groups (more than two output batches), four rows each,
+        // arriving in a scrambled order.
+        let rows: Vec<(u64, u64)> = (0..10_000).map(|i| (i * 7_919 % 2_500, 1)).collect();
+        let pulled = pull(3, |k| {
+            Arc::new(HashAggregate::new(
+                k,
+                scan(&rows, 3),
+                key,
+                |row| {
+                    let mut acc = Vec::with_capacity(16);
+                    acc.extend_from_slice(row);
+                    acc
+                },
+                |acc, row| {
+                    let sum = word(acc, 8) + word(row, 8);
+                    acc[8..16].copy_from_slice(&sum.to_le_bytes());
+                },
+                16,
+                3,
+                HASH,
+            ))
+        });
+        assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+        assert!(pulled.batches.len() >= 3);
+        for (_, batch) in &pulled.batches {
+            assert!(batch.rows() <= BATCH_ROWS);
+        }
+        let expected: Vec<(u64, u64)> = (0..2_500).map(|k| (k, 4)).collect();
+        assert_eq!(pulled.pairs(), expected);
+    }
+
+    /// Whether some worker stopped, and every one that did stopped on a
+    /// typed configuration error.
+    fn config_errors(pulled: &Pulled) -> bool {
+        let config = |e: &ShuffleError| matches!(e, ShuffleError::Config(_));
+        !pulled.errors.is_empty() && pulled.errors.iter().all(config)
+    }
+
+    #[test]
+    fn a_join_emitting_the_wrong_width_is_a_typed_error() {
+        let rows: Vec<(u64, u64)> = (0..100).map(|i| (i, i)).collect();
+        let pulled = pull(2, |k| {
+            Arc::new(HashJoin::new(
+                k,
+                scan(&rows, 2),
+                scan(&rows, 2),
+                key,
+                key,
+                |b, _, out| out.extend_from_slice(&b[..15]),
+                16,
+                2,
+                HASH,
+            ))
+        });
+        assert!(config_errors(&pulled), "{:?}", pulled.errors);
+        assert!(pulled.batches.is_empty());
+    }
+
+    #[test]
+    fn an_aggregate_of_the_wrong_width_is_a_typed_error() {
+        let rows: Vec<(u64, u64)> = (0..100).map(|i| (i % 10, 1)).collect();
+        // A short first accumulator, and one fold that grows its group's.
+        let short_init = |row: &[u8]| {
+            let mut acc = Vec::with_capacity(16);
+            acc.extend_from_slice(&row[..8]);
+            acc
+        };
+        let whole_init = |row: &[u8]| {
+            let mut acc = Vec::with_capacity(16);
+            acc.extend_from_slice(row);
+            acc
+        };
+        let grow_five = |acc: &mut Vec<u8>, row: &[u8]| {
+            if key(row) == 5 && acc.len() == 16 {
+                acc.push(0);
+            }
+        };
+        for short in [true, false] {
+            let pulled = pull(2, |k| -> Arc<dyn Operator> {
+                let child = scan(&rows, 2);
+                if short {
+                    Arc::new(HashAggregate::new(
+                        k,
+                        child,
+                        key,
+                        short_init,
+                        |_, _| {},
+                        16,
+                        2,
+                        HASH,
+                    ))
+                } else {
+                    Arc::new(HashAggregate::new(
+                        k, child, key, whole_init, grow_five, 16, 2, HASH,
+                    ))
+                }
+            });
+            assert!(
+                config_errors(&pulled),
+                "short init {short}: {:?}",
+                pulled.errors
+            );
+            // Whatever was emitted is whole groups of the right width.
+            for (_, batch) in &pulled.batches {
+                assert_eq!(batch.row_size(), 16);
+            }
+        }
+    }
+
+    #[test]
+    fn memscan_hands_out_every_row_once_in_bounded_batches() {
+        for rows in [0, 3, BATCH_ROWS, 5_000] {
+            let table: Vec<(u64, u64)> = (0..rows as u64).map(|i| (i, i)).collect();
+            let blocks = keyed(&table);
+            for threads in 1..=5 {
+                let pulled = pull(threads, |_| scan(&table, threads));
+                assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+                let mut next = vec![None; threads];
+                for (tid, batch) in &pulled.batches {
+                    assert!((1..=BATCH_ROWS).contains(&batch.rows()));
+                    // A worker's batches walk its own block in order.
+                    let range = blocks.thread_range(*tid, threads);
+                    for row in batch.iter() {
+                        let at = key(row) as usize;
+                        let expected = next[*tid].unwrap_or(range.start);
+                        assert_eq!(at, expected, "{rows} rows, {threads} threads, worker {tid}");
+                        next[*tid] = Some(at + 1);
+                    }
+                }
+                let mut seen: Vec<(u64, u64)> = pulled.pairs();
+                seen.sort_unstable();
+                assert_eq!(seen, table, "{rows} rows, {threads} threads");
+            }
+        }
+    }
+
+    proptest! {
+        /// The join against a nested-loop join over keys drawn from a few
+        /// values, so that most keys repeat many times: the same rows in
+        /// the same order on one worker, the same multiset on several.
+        #[test]
+        fn hash_join_agrees_with_a_nested_loop_join(
+            build_keys in prop::collection::vec(0u64..6, 0..300),
+            probe_keys in prop::collection::vec(0u64..8, 0..300),
+            threads in 1usize..4,
+        ) {
+            let build: Vec<(u64, u64)> = build_keys.into_iter().zip(0..).collect();
+            let probe: Vec<(u64, u64)> = probe_keys.into_iter().zip(1_000..).collect();
+            let pulled = pull(threads, |k| tag_join(k, &build, &probe, threads));
+            prop_assert!(pulled.errors.is_empty(), "{:?}", pulled.errors);
+            let (mut got, mut expected) = (pulled.pairs(), nested_loop(&build, &probe));
+            if threads > 1 {
+                got.sort_unstable();
+                expected.sort_unstable();
+            }
+            prop_assert_eq!(got, expected);
+        }
     }
 }

@@ -32,6 +32,7 @@ impl TableBuilder {
     /// # Panics
     ///
     /// Panics if `row` is not exactly `row_size` bytes.
+    #[inline]
     pub fn push(&mut self, row: &[u8]) {
         assert_eq!(row.len(), self.row_size, "row width mismatch");
         self.data.extend_from_slice(row);
@@ -81,6 +82,15 @@ impl Table {
         &self.data[i * self.row_size..(i + 1) * self.row_size]
     }
 
+    /// Rows `range` as one slice of `range.len() * row_size` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` runs backwards or past the last row.
+    pub fn row_run(&self, range: std::ops::Range<usize>) -> &[u8] {
+        &self.data[range.start * self.row_size..range.end * self.row_size]
+    }
+
     /// The contiguous range of rows thread `tid` of `threads` should scan:
     /// an even block partition.
     pub fn thread_range(&self, tid: usize, threads: usize) -> std::ops::Range<usize> {
@@ -116,6 +126,14 @@ mod tests {
         assert_eq!(t.rows(), 10);
         assert_eq!(t.row(3), 3u64.to_le_bytes());
         assert_eq!(t.bytes(), 80);
+    }
+
+    #[test]
+    fn a_row_run_is_its_rows_back_to_back() {
+        let t = table(10);
+        let run: Vec<u8> = (3..6).flat_map(|i| t.row(i).iter().copied()).collect();
+        assert_eq!(t.row_run(3..6), run);
+        assert!(t.row_run(10..10).is_empty());
     }
 
     #[test]

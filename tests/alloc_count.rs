@@ -9,7 +9,9 @@
 //! allocator, runs every algorithm at two sizes, and pins the marginal
 //! allocations-per-row slope. An endpoint that starts allocating per
 //! message (a `to_vec()` on the send path, a rebuilt AH vector per
-//! multicast, a fresh completion `Vec` per poll) blows the bound.
+//! multicast, a fresh completion `Vec` per poll) blows the bound. The
+//! same counter holds `Exchange::build` to its ring depth and a hash
+//! join's build side to its row count.
 
 #[path = "common/coordinated.rs"]
 mod coordinated;
@@ -18,11 +20,12 @@ mod run;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::RecoveryPolicy;
-use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, ShuffleAlgorithm};
-use rshuffle_repro::simnet::DeviceProfile;
+use rshuffle_repro::engine::{drive_to_sink, HashJoin, MemScan, RecoveryPolicy, Table};
+use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::simnet::{Cluster, DeviceProfile, SimDuration};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
 /// test binary. Frees are not counted: the gate is on allocation churn.
@@ -180,4 +183,60 @@ fn exchange_build_allocations_do_not_scale_with_ring_depth() {
         eprintln!("{algorithm}: {shallow} allocs to build at depth 16, {deep} deep");
         assert_eq!(shallow, deep, "{algorithm}: build allocates per window");
     }
+}
+
+/// Heap allocations made while one worker drives a `HashJoin` whose
+/// build side holds `rows` rows of distinct keys and whose probe side is
+/// empty: the cost of building the join table.
+fn allocs_during_join_build(rows: u64) -> u64 {
+    let cluster = Cluster::new(1, DeviceProfile::edr());
+    let mut build = Table::builder(16);
+    for i in 0..rows {
+        build.push(&[i.to_le_bytes(), (!i).to_le_bytes()].concat());
+    }
+    let scan = |table| -> Arc<dyn Operator> { Arc::new(MemScan::new(table, 1, 8e9)) };
+    let key = |row: &[u8]| u64::from_le_bytes(row[..8].try_into().expect("8-byte key"));
+    let join = HashJoin::new(
+        cluster.kernel(),
+        scan(build.build()),
+        scan(Table::empty(16)),
+        key,
+        key,
+        |b, _, out| out.extend_from_slice(b),
+        16,
+        1,
+        SimDuration::from_nanos(4),
+    );
+    let stats = drive_to_sink(&cluster, 0, "join", Arc::new(join), 1, |_, _| {});
+    let before = ALLOCS.load(Ordering::SeqCst);
+    cluster.run();
+    let after = ALLOCS.load(Ordering::SeqCst);
+    let stats = stats.lock();
+    assert!(
+        stats.errors.is_empty() && stats.rows == 0,
+        "{:?}",
+        stats.errors
+    );
+    after - before
+}
+
+/// A join's build side grows by amortised doubling: four times the rows
+/// cost the arena, the chains and the key table a few more growth steps
+/// (and the scan six more batches), not an allocation per row — which
+/// two per build row (a copied row and a one-row list per key) were.
+/// The deterministic stand-in for the host time a build row costs.
+#[test]
+fn join_build_allocations_do_not_scale_with_build_rows() {
+    let _guard = COUNT_LOCK.lock();
+    let _ = allocs_during_join_build(2_048);
+    let (small, large) = (
+        allocs_during_join_build(2_048),
+        allocs_during_join_build(8_192),
+    );
+    eprintln!("join build: {small} allocs over 2048 rows, {large} over 8192");
+    assert!(
+        large.saturating_sub(small) <= 32,
+        "building over 6 144 more rows took {} more allocations",
+        large.saturating_sub(small)
+    );
 }
