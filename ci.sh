@@ -37,14 +37,25 @@ if grep -rnE '\.(unwrap|expect)\(' crates/core/src/endpoint/ crates/engine/src/ 
   exit 1
 fi
 
-# Rows at row speed: the engine's operators key their tables through the
-# unseeded `KeyHasher` aliases (std's SipHash was 11 % of tpch_mix's host
-# time) and give no row a heap allocation of its own (a `to_vec()` per
-# build row was two allocations per row, with the join's per-key lists).
-if grep -HnE 'Hash(Map|Set)<u64' crates/engine/src/ops.rs | grep -v 'BuildHasherDefault<KeyHasher>' ||
+# Index, don't hash: the tables a message or a row passes through are keyed
+# by ids the simulator hands out (node, QP number, rkey, endpoint, window)
+# or by the engine's u64 keys, and hash through the workspace's one
+# unseeded `KeyHasher` (`rshuffle_simnet::KeyMap` / `KeySet`) — std's
+# SipHash was 11 % of tpch_mix's and 10 % of fattree64_phased's host time.
+# What is per peer is a vector indexed by node id, the recorder sorts its
+# tracks only when it dumps them, and no engine row gets a heap allocation
+# of its own (a `to_vec()` per build row was two allocations per row).
+ID_KEYED=(crates/core/src/endpoint crates/simnet/src/nic.rs crates/simnet/src/lru.rs
+  crates/verbs/src/runtime.rs crates/verbs/src/mr.rs crates/obs/src/recorder.rs
+  crates/engine/src/ops.rs)
+if grep -rnE 'Hash(Map|Set)<' "${ID_KEYED[@]}" ||
+  grep -rn 'Mutex<HashMap<NodeId' crates/core/src/endpoint/ ||
+  grep -Hn 'BTreeMap' crates/obs/src/recorder.rs ||
   grep -Hn 'to_vec()' crates/engine/src/ops.rs; then
-  echo "ERROR: an engine operator keys a table with SipHash or copies a row into a Vec (see above);" >&2
-  echo "       use KeyMap / KeySet, and write rows into the output batch or the join arena" >&2
+  echo "ERROR: an id- or key-indexed table hashes with SipHash, the recorder keeps a BTreeMap," >&2
+  echo "       or an engine operator copies a row into a Vec (see above); use" >&2
+  echo "       rshuffle_simnet::KeyMap / KeySet, a vector indexed by node id, and write rows" >&2
+  echo "       into the output batch or the join arena" >&2
   exit 1
 fi
 

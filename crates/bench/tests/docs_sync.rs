@@ -160,8 +160,8 @@ fn sources(dir: &str) -> Vec<String> {
     found
 }
 
-/// Whether `line` declares `name`: as a type, or as a variant or field-less
-/// item at the head of its line.
+/// Whether `line` declares `name`: as a type, as a variant or field-less
+/// item at the head of its line, or by re-exporting it (`pub use`).
 fn declares(line: &str, name: &str) -> bool {
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let ends = |rest: &str| !rest.starts_with(is_word);
@@ -171,7 +171,9 @@ fn declares(line: &str, name: &str) -> bool {
             .and_then(|(_, rest)| rest.strip_prefix(name));
         after.is_some_and(ends)
     });
-    typed || line.trim_start().strip_prefix(name).is_some_and(ends)
+    let reexported = line.trim_start().starts_with("pub use ")
+        && line.split(|c: char| !is_word(c)).any(|word| word == name);
+    typed || reexported || line.trim_start().strip_prefix(name).is_some_and(ends)
 }
 
 #[test]

@@ -11,13 +11,12 @@
 //! datagrams, multicast address-handle cache and `quiesce` stay in
 //! `sr_ud`, because sharing them would make the frame ask who is calling.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
 use rshuffle_simnet::sync::SimMutexGuard;
-use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex, SimTime};
+use rshuffle_simnet::{KeyMap, NodeId, SimContext, SimDuration, SimMutex, SimTime};
 use rshuffle_verbs::{
     Completion, CompletionQueue, Context, MemoryRegion, QpType, QueuePair, RemoteAddr, WcOpcode,
     WcStatus,
@@ -185,7 +184,8 @@ pub(crate) fn region_base(mr: &MemoryRegion) -> RemoteAddr {
 pub(crate) struct RcHalf {
     pub id: EndpointId,
     pub audit: AuditHandle,
-    index: HashMap<NodeId, usize>,
+    /// Slot of each peer, indexed by node id.
+    index: Vec<Option<usize>>,
     qps: Vec<QueuePair>,
     /// Serializes `ibv_post_send`; the contention cost of sharing one
     /// endpoint among threads (SE configurations) shows up here.
@@ -213,10 +213,14 @@ impl RcHalf {
     ) -> RcHalf {
         assert!(!peers.is_empty(), "endpoint needs at least one peer");
         let profile = ctx.profile();
+        let mut index = vec![None; peers.iter().max().map_or(0, |&last| last + 1)];
+        for (slot, &peer) in peers.iter().enumerate() {
+            index[peer] = Some(slot);
+        }
         RcHalf {
             id,
             audit: audit_handle(ctx),
-            index: peers.iter().enumerate().map(|(i, &p)| (p, i)).collect(),
+            index,
             qps: peers
                 .iter()
                 .map(|_| ctx.create_qp(QpType::Rc, send_cq.cq.clone(), recv_cq.cq.clone()))
@@ -236,8 +240,9 @@ impl RcHalf {
     /// Slot index of `peer`.
     pub(crate) fn index_of(&self, peer: NodeId) -> Result<usize> {
         self.index
-            .get(&peer)
+            .get(peer)
             .copied()
+            .flatten()
             .ok_or_else(|| ShuffleError::Config(format!("unknown peer node {peer}")))
     }
 
@@ -247,7 +252,10 @@ impl RcHalf {
 
     /// The QP facing `peer` (for the exchange builder's wiring).
     pub(crate) fn qp_for(&self, peer: NodeId) -> &QueuePair {
-        &self.qps[self.index[&peer]]
+        match self.index.get(peer) {
+            Some(&Some(slot)) => &self.qps[slot],
+            _ => panic!("no Queue Pair faces node {peer}"),
+        }
     }
 
     pub(crate) fn lock_post(&self, sim: &SimContext) -> SimMutexGuard<'_, ()> {
@@ -263,13 +271,14 @@ impl RcHalf {
     }
 }
 
-/// The send side's registered buffer pool and its in-flight map: a
+/// The send side's registered buffer pool and its in-flight table: a
 /// buffer sent to `k` destinations completes once per destination and
 /// rejoins the pool on the last.
 pub(crate) struct SendWindow {
     pool: BufferPool,
-    /// Completions still owed per in-flight buffer, keyed by its offset.
-    in_flight: Mutex<HashMap<u64, u32>>,
+    /// Completions still owed per window, indexed by window (0: not in
+    /// flight).
+    in_flight: Mutex<Vec<u32>>,
     audit: AuditHandle,
 }
 
@@ -279,7 +288,7 @@ impl SendWindow {
         let mr = ctx.register_pool_untimed(layout.window, layout.buffers);
         SendWindow {
             pool: BufferPool::carve(mr, 0, layout.window, layout.buffers),
-            in_flight: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(vec![0; layout.buffers]),
             audit: audit_handle(ctx),
         }
     }
@@ -298,17 +307,27 @@ impl SendWindow {
     /// Marks `buf` in flight toward `fanout` destinations.
     pub(crate) fn launch(&self, sim: &SimContext, buf: &Buffer, fanout: usize) {
         self.audit.buffer_sent(buf_id(buf), sim.now().as_nanos());
-        self.in_flight
-            .lock()
-            .insert(buf.offset() as u64, fanout as u32);
+        self.in_flight.lock()[buf.offset() / self.pool.window()] = fanout as u32;
+    }
+
+    /// Gives `buf`'s storage back once every message it carries is posted:
+    /// each holds its own reference to the bytes it captured, so the
+    /// window need not stay backed until its completions are reaped.
+    pub(crate) fn discard(&self, buf: &Buffer) {
+        buf.region().discard(buf.offset(), buf.window());
     }
 
     /// One destination is done with the buffer at `offset`; the last one
     /// recycles it.
     pub(crate) fn complete(&self, sim: &SimContext, offset: u64) -> Result<()> {
         {
+            let window = self.pool.window() as u64;
             let mut in_flight = self.in_flight.lock();
-            let Some(remaining) = in_flight.get_mut(&offset) else {
+            let owed = match offset % window {
+                0 => in_flight.get_mut((offset / window) as usize),
+                _ => None,
+            };
+            let Some(remaining) = owed.filter(|owed| **owed > 0) else {
                 return Err(ShuffleError::CompletionError(
                     "completion for a buffer that is not in flight",
                 ));
@@ -317,7 +336,6 @@ impl SendWindow {
             if *remaining > 0 {
                 return Ok(());
             }
-            in_flight.remove(&offset);
         }
         let id = BufId {
             rkey: self.pool.region().rkey(),
@@ -629,7 +647,7 @@ impl RingProducer {
 /// What a receive half knows about its sources: which slot a source
 /// endpoint id maps to, and which sources announced end of stream.
 pub(crate) struct Sources {
-    by_endpoint: Mutex<HashMap<u32, usize>>,
+    by_endpoint: Mutex<KeyMap<u32, usize>>,
     depleted: Mutex<Vec<bool>>,
     all_depleted: AtomicBool,
 }
@@ -637,7 +655,7 @@ pub(crate) struct Sources {
 impl Sources {
     pub(crate) fn new(n: usize) -> Sources {
         Sources {
-            by_endpoint: Mutex::new(HashMap::new()),
+            by_endpoint: Mutex::default(),
             depleted: Mutex::new(vec![false; n]),
             all_depleted: AtomicBool::new(false),
         }

@@ -24,9 +24,9 @@
 //! | frame piece | used by | what the transport still owns |
 //! |---|---|---|
 //! | `Layout` (windows, ring slots → pinned bytes) | all four | how many buffers and ring slots its protocol needs |
-//! | `RcHalf` (peer table, per-peer RC QPs, post lock, setup cost) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
+//! | `RcHalf` (peer slots by node id, per-peer RC QPs, post lock, setup cost) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
-//! | `SendWindow` (registered pool + in-flight map) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
+//! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, backoff, typed stall, credit-stall bracket) | all four | the readiness check and what to park on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
 //! | `Sources` (endpoint→slot map, depleted flags) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
@@ -43,7 +43,6 @@ pub mod sr_rc;
 pub mod sr_ud;
 pub mod wr_rc;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -137,8 +136,8 @@ pub(crate) trait RcTransport: SendEndpoint + Sized + 'static {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct EndpointId(pub u32);
 
-/// Per-destination `(bytes, messages)` counter handles.
-type LaneCounters = HashMap<NodeId, (Arc<Counter>, Arc<Counter>)>;
+/// A destination lane's `(bytes, messages)` counter handles.
+type LaneCounters = (Arc<Counter>, Arc<Counter>);
 
 /// Send-side observability handles shared by all four transports:
 /// per-lane traffic counters (`{node,lane}`), credit-stall accounting
@@ -147,8 +146,9 @@ type LaneCounters = HashMap<NodeId, (Arc<Counter>, Arc<Counter>)>;
 pub(crate) struct SendObs {
     obs: Arc<Obs>,
     node: u32,
-    /// Lazily-created `(bytes, messages)` counters per destination lane.
-    lanes: Mutex<LaneCounters>,
+    /// Lazily-created `(bytes, messages)` counters per destination lane,
+    /// indexed by node.
+    lanes: Mutex<Vec<Option<LaneCounters>>>,
     credit_stalls: Arc<Counter>,
     credit_stall_ns: Arc<Counter>,
     credit_stall_hist: Arc<Histogram>,
@@ -162,7 +162,7 @@ impl SendObs {
         let ep = Labels::endpoint(node, id.0);
         SendObs {
             node,
-            lanes: Mutex::new(HashMap::new()),
+            lanes: Mutex::default(),
             credit_stalls: obs.metrics.counter(names::EP_CREDIT_STALLS, ep),
             credit_stall_ns: obs.metrics.counter(names::EP_CREDIT_STALL_NS, ep),
             credit_stall_hist: obs.metrics.histogram(names::EP_CREDIT_STALL_HIST_NS, ep),
@@ -174,7 +174,10 @@ impl SendObs {
     /// Counts one data message of `bytes` payload pushed toward `dest`.
     pub(crate) fn sent(&self, dest: NodeId, bytes: u64) {
         let mut lanes = self.lanes.lock();
-        let (b, m) = lanes.entry(dest).or_insert_with(|| {
+        if lanes.len() <= dest {
+            lanes.resize(dest + 1, None);
+        }
+        let (b, m) = lanes[dest].get_or_insert_with(|| {
             let l = Labels::lane(self.node, dest as u32);
             (
                 self.obs.metrics.counter(names::EP_BYTES_SENT, l),

@@ -22,15 +22,19 @@
 //!   buffer.
 //!
 //! The send and receive halves of a node's endpoint share one Queue Pair
-//! (one channel), keeping the QP count at one per endpoint.
+//! (one channel), keeping the QP count at one per endpoint. What the
+//! channel keeps per peer node — its address, the credit toward it, the
+//! grants to it — is one table indexed by node id under one lock; what it
+//! keeps per source endpoint is one table with running totals, so
+//! termination is a lookup, not a scan.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::cmp::{Ordering as Cmp, Reverse};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, CreditLane};
-use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration, SimMutex, SimTime, UD_MTU};
+use rshuffle_simnet::{Gate, KeyMap, NodeId, SimContext, SimDuration, SimMutex, SimTime, UD_MTU};
 use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair, RecvWr, SendWr};
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
@@ -70,10 +74,155 @@ pub(crate) fn recv_layout(cfg: &Params, srcs: usize) -> Layout {
     }
 }
 
+/// What a channel keeps about one peer node, for both of its halves.
+#[derive(Default)]
+struct Peer {
+    /// The lane-matched channel on that node; `None` for a node the
+    /// channel was not wired to.
+    ah: Option<AddressHandle>,
+    /// Send half: absolute credit the peer granted this channel.
+    credit: u64,
+    /// Send half: the bootstrap window the peer granted — the
+    /// drained-state credit level [`UdShared::quiesce_dest`] waits to
+    /// recover; `None` if it never granted one, so nothing was ever sent.
+    initial_credit: Option<u64>,
+    /// Send half: data messages sent to the peer. Each consumed one
+    /// credit, and a `Depleted` message declares the total.
+    sent: u64,
+    /// Receive half: credit granted to the peer (absolute).
+    granted: u64,
+    /// Receive half: the peer's releases since the last write-back.
+    releases: u32,
+}
+
+/// The address of wired peer `node` with its entry, or the typed error
+/// `unknown` names.
+fn wired<'a>(
+    peers: &'a mut [Peer],
+    node: NodeId,
+    unknown: &str,
+) -> Result<(&'a mut Peer, AddressHandle)> {
+    let peer = peers.get_mut(node);
+    let ah = peer.as_ref().and_then(|p| p.ah);
+    peer.zip(ah)
+        .ok_or_else(|| ShuffleError::Config(format!("{unknown} {node}")))
+}
+
+/// Where a source endpoint stands against the total it declared.
+#[derive(Copy, Clone, PartialEq)]
+enum Standing {
+    /// No `Depleted` message yet.
+    Open,
+    Short,
+    Exact,
+    Over,
+}
+
+/// Message accounting of one source endpoint.
+#[derive(Default)]
 struct SrcCount {
     node: NodeId,
     received: u64,
-    expected: Option<u64>,
+    /// The total its `Depleted` message declared.
+    declared: Option<u64>,
+    /// Whether termination waits for it (it was declared at bootstrap).
+    expected: bool,
+}
+
+impl SrcCount {
+    fn standing(&self) -> Standing {
+        match self.declared.map(|total| self.received.cmp(&total)) {
+            None => Standing::Open,
+            Some(Cmp::Less) => Standing::Short,
+            Some(Cmp::Equal) => Standing::Exact,
+            Some(Cmp::Greater) => Standing::Over,
+        }
+    }
+}
+
+/// The receive half's sources, by endpoint id, and how many of the
+/// expected ones stand where — so termination reads four counters.
+#[derive(Default)]
+struct Sources {
+    by_endpoint: KeyMap<u32, SrcCount>,
+    /// Expected sources per [`Standing`].
+    tally: [usize; 4],
+}
+
+impl Sources {
+    /// Declares `ep` on `node` a source termination waits for.
+    fn wait_for(&mut self, ep: u32, node: NodeId) {
+        let src = self.by_endpoint.entry(ep).or_insert(SrcCount {
+            node,
+            ..SrcCount::default()
+        });
+        if !src.expected {
+            src.expected = true;
+            src.node = node;
+            self.tally[src.standing() as usize] += 1;
+        }
+    }
+
+    /// Counts one data message from `ep` (which arrived from `node`),
+    /// carrying the sender's declared total if it was `Depleted`.
+    fn count(&mut self, ep: u32, node: NodeId, declared: Option<u64>) -> &SrcCount {
+        let src = self.by_endpoint.entry(ep).or_insert(SrcCount {
+            node,
+            ..SrcCount::default()
+        });
+        let before = src.standing();
+        src.received += 1;
+        if declared.is_some() {
+            src.declared = declared;
+        }
+        if src.expected {
+            self.tally[before as usize] -= 1;
+            self.tally[src.standing() as usize] += 1;
+        }
+        src
+    }
+
+    /// The node `ep` sends from.
+    fn node_of(&self, ep: u32) -> Option<NodeId> {
+        self.by_endpoint.get(&ep).map(|src| src.node)
+    }
+
+    /// Whether every expected source has delivered all counted messages.
+    ///
+    /// # Errors
+    ///
+    /// [`ShuffleError::Corrupt`] if a source delivered *more* messages
+    /// than its `Depleted` counter declared — a duplicated datagram or a
+    /// corrupted counter, either way unrecoverable within this attempt.
+    fn done(&self) -> Result<DoneState> {
+        if let Some((ep, declared, received)) = self.worst(Standing::Over) {
+            return Err(ShuffleError::Corrupt(format!(
+                "source {ep} delivered {received} messages but declared {declared}"
+            )));
+        }
+        let count = |standing: Standing| self.tally[standing as usize];
+        Ok(if count(Standing::Open) > 0 {
+            DoneState::InProgress
+        } else if count(Standing::Short) > 0 {
+            DoneState::WaitingForStragglers
+        } else {
+            DoneState::Done
+        })
+    }
+
+    /// The expected source standing `standing` furthest from its declared
+    /// total, ties to the lowest endpoint id: `(ep, declared, received)`.
+    /// The one place that scans, and only when the tally has such a source.
+    fn worst(&self, standing: Standing) -> Option<(u32, u64, u64)> {
+        if self.tally[standing as usize] == 0 {
+            return None;
+        }
+        let sources = self.by_endpoint.iter();
+        let candidates = sources.filter(|(_, src)| src.expected && src.standing() == standing);
+        candidates
+            .map(|(&ep, src)| (ep, src.declared.unwrap_or(0), src.received))
+            .max_by_key(|&(ep, declared, received)| (declared.abs_diff(received), Reverse(ep)))
+    }
 }
 
 struct UdShared {
@@ -83,23 +232,14 @@ struct UdShared {
     send_cq: Cq,
     recv_cq: Cq,
 
-    /// Lane-matched peer channels: destination node → its channel's QP.
-    peer_ahs: Mutex<HashMap<NodeId, AddressHandle>>,
+    /// Per peer node, indexed by node id: its channel's address, the
+    /// credit toward it and the grants to it.
+    peers: Mutex<Vec<Peer>>,
     /// Multicast AH lists cached per destination set: built once on the
     /// first group send and reused, instead of rebuilt per send.
-    mcast_ahs: Mutex<HashMap<Vec<NodeId>, Arc<Vec<AddressHandle>>>>,
+    mcast_ahs: Mutex<KeyMap<Vec<NodeId>, Arc<Vec<AddressHandle>>>>,
 
     // ---- send half ----
-    /// Absolute credit granted to this channel by each destination.
-    credit: Mutex<HashMap<NodeId, u64>>,
-    /// The bootstrap window granted per destination — the drained-state
-    /// credit level [`UdShared::quiesce_dest`] waits to recover.
-    initial_credit: Mutex<HashMap<NodeId, u64>>,
-    /// Messages (data + credit) sent to each destination; each consumes one
-    /// credit.
-    consumed: Mutex<HashMap<NodeId, u64>>,
-    /// Data messages sent per destination (drives termination counting).
-    sent_data: Mutex<HashMap<NodeId, u64>>,
     /// The registered MTU windows data and credit datagrams are sourced
     /// from.
     window: SendWindow,
@@ -111,19 +251,15 @@ struct UdShared {
     /// Receive pool; allocated and posted by
     /// [`SrUdChannel::bootstrap_receives`] once the expected sources are
     /// known.
-    recv_pool_dynamic: Mutex<Option<MemoryRegion>>,
+    recv_pool: OnceLock<MemoryRegion>,
     /// Deliveries demultiplexed by some other thread (e.g. the send half's
     /// credit wait) for the receive half to pick up.
     data_gate: Gate<Delivery>,
     /// Per-source-endpoint message accounting.
-    srcs: Mutex<HashMap<u32, SrcCount>>,
-    /// Source endpoints that will send to this receive half.
-    expected_srcs: Mutex<HashMap<u32, NodeId>>,
-    /// Credit granted (absolute) per source node, plus releases since the
-    /// last write-back.
-    grants: Mutex<HashMap<NodeId, (u64, u32)>>,
+    sources: Mutex<Sources>,
     done: AtomicBool,
-    last_progress: Mutex<SimTime>,
+    /// Virtual nanoseconds of the last arrival.
+    last_progress: AtomicU64,
 
     send_obs: SendObs,
     recv_obs: RecvObs,
@@ -182,21 +318,15 @@ impl SrUdChannel {
                 qp,
                 send_cq,
                 recv_cq,
-                peer_ahs: Mutex::new(HashMap::new()),
-                mcast_ahs: Mutex::new(HashMap::new()),
-                credit: Mutex::new(HashMap::new()),
-                initial_credit: Mutex::new(HashMap::new()),
-                consumed: Mutex::new(HashMap::new()),
-                sent_data: Mutex::new(HashMap::new()),
+                peers: Mutex::default(),
+                mcast_ahs: Mutex::default(),
                 window,
                 post_lock: post_lock(ctx),
-                recv_pool_dynamic: Mutex::new(None),
+                recv_pool: OnceLock::new(),
                 data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
-                srcs: Mutex::new(HashMap::new()),
-                expected_srcs: Mutex::new(HashMap::new()),
-                grants: Mutex::new(HashMap::new()),
+                sources: Mutex::default(),
                 done: AtomicBool::new(false),
-                last_progress: Mutex::new(SimTime::ZERO),
+                last_progress: AtomicU64::new(0),
                 send_obs: SendObs::new(ctx, send_id),
                 recv_obs: RecvObs::new(ctx, recv_id),
                 audit: audit_handle(ctx),
@@ -220,7 +350,7 @@ impl SrUdChannel {
 
     /// Registers the lane-matched peer channel for `node`.
     pub(crate) fn add_peer(&self, node: NodeId, ah: AddressHandle) {
-        self.shared.peer_ahs.lock().insert(node, ah);
+        self.shared.update_peer(node, |peer| peer.ah = Some(ah));
     }
 
     /// Declares the sources that will send to this channel's receive half,
@@ -234,28 +364,32 @@ impl SrUdChannel {
         expected: &[(EndpointId, NodeId)],
     ) -> Result<u64> {
         let s = &self.shared;
+        if s.recv_pool.get().is_some() {
+            return Err(ShuffleError::Config(
+                "UD receive pool bootstrapped twice".to_string(),
+            ));
+        }
         let window = s.cfg.ud_recv_window;
         {
-            let mut map = s.expected_srcs.lock();
+            let mut sources = s.sources.lock();
             for &(ep, node) in expected {
-                map.insert(ep.0, node);
+                sources.wait_for(ep.0, node);
             }
-            let mut grants = s.grants.lock();
-            for &(_, node) in expected {
-                grants.insert(node, (window as u64, 0));
-            }
+        }
+        for &(ep, node) in expected {
+            s.update_peer(node, |peer| {
+                (peer.granted, peer.releases) = (window as u64, 0)
+            });
             // Credit datagrams may legally be lost on the unreliable
             // transport, so the lanes carry no write-back frequency: the
             // auditor checks monotonicity and overdraft, not gaps.
             // Bootstrap happens outside the measured window, at virtual 0.
-            for &(ep, _) in expected {
-                let lane = CreditLane::Ud {
-                    sender: ep.0 as u64,
-                    dest: s.node,
-                };
-                s.audit.credit_lane(lane, None);
-                s.audit.credit_granted(lane, window as u64, 0);
-            }
+            let lane = CreditLane::Ud {
+                sender: ep.0 as u64,
+                dest: s.node,
+            };
+            s.audit.credit_lane(lane, None);
+            s.audit.credit_granted(lane, window as u64, 0);
         }
         let layout = recv_layout(&s.cfg, expected.len());
         let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
@@ -272,14 +406,17 @@ impl SrUdChannel {
         // A refused pool was not posted in part, and does not stay pinned.
         s.qp.post_recv_run_untimed(first, step, layout.buffers)
             .inspect_err(|_| ctx.runtime().deregister_untimed(&pool))?;
-        s.recv_pool_dynamic.lock().replace(pool);
+        // Checked empty above, and bootstrap runs before any traffic.
+        let _ = s.recv_pool.set(pool);
         Ok(window as u64)
     }
 
     /// Seeds the send half's credit for `dest` (out-of-band bootstrap).
     pub(crate) fn bootstrap_credit(&self, dest: NodeId, credit: u64) {
-        self.shared.credit.lock().insert(dest, credit);
-        self.shared.initial_credit.lock().insert(dest, credit);
+        self.shared.update_peer(dest, |peer| {
+            peer.credit = credit;
+            peer.initial_credit = Some(credit);
+        });
     }
 
     /// The send half.
@@ -298,28 +435,37 @@ impl SrUdChannel {
 }
 
 impl UdShared {
-    /// Consumes one credit toward `dest`, blocking while exhausted. While
-    /// waiting, drains inbound completions so credit datagrams are seen even
-    /// if no receive-half thread is active.
-    fn consume_credit(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
+    /// Runs `update` on peer `node`'s entry, which is created if the table
+    /// does not reach that far yet.
+    fn update_peer<R>(&self, node: NodeId, update: impl FnOnce(&mut Peer) -> R) -> R {
+        let mut peers = self.peers.lock();
+        if peers.len() <= node {
+            peers.resize_with(node + 1, Peer::default);
+        }
+        update(&mut peers[node])
+    }
+
+    /// Consumes one credit toward `dest`, blocking while exhausted, and
+    /// returns `dest`'s address with the count of data messages sent there,
+    /// this one included. While waiting, drains inbound completions so
+    /// credit datagrams are seen even if no receive-half thread is active.
+    fn consume_credit(&self, sim: &SimContext, dest: NodeId) -> Result<(AddressHandle, u64)> {
         let try_consume = || {
-            let credit = self.credit.lock();
-            let mut consumed = self.consumed.lock();
-            let c = credit.get(&dest).copied().unwrap_or(0);
-            let used = consumed.entry(dest).or_insert(0);
-            if c <= *used {
+            let mut peers = self.peers.lock();
+            let (peer, ah) = wired(&mut peers, dest, "unknown destination node")?;
+            if peer.credit <= peer.sent {
                 return Ok(None);
             }
-            *used += 1;
+            peer.sent += 1;
             self.audit.credit_consumed(
                 CreditLane::Ud {
                     sender: self.send_id.0 as u64,
                     dest: dest as u64,
                 },
-                *used,
+                peer.sent,
                 sim.now().as_nanos(),
             );
-            Ok(Some(()))
+            Ok(Some((ah, peer.sent)))
         };
         // The credit we need may be sitting in the receive CQ.
         self.watchdog(sim, 4, "waiting for UD send credit").wait(
@@ -356,17 +502,17 @@ impl UdShared {
     /// wait instead.
     fn quiesce_dest(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
         let lag = u64::from(self.cfg.credit_writeback_frequency.saturating_sub(1));
-        let target = match self.initial_credit.lock().get(&dest) {
-            Some(&window) => window.saturating_sub(lag),
-            // Never bootstrapped toward `dest`: nothing was ever sent.
-            None => return Ok(()),
+        let initial = self.peers.lock().get(dest).and_then(|p| p.initial_credit);
+        // Never bootstrapped toward `dest`: nothing was ever sent.
+        let Some(target) = initial.map(|window| window.saturating_sub(lag)) else {
+            return Ok(());
         };
         let drained = || {
-            let credit = self.credit.lock();
-            let consumed = self.consumed.lock();
-            let c = credit.get(&dest).copied().unwrap_or(0);
-            let m = consumed.get(&dest).copied().unwrap_or(0);
-            Ok((c.saturating_sub(m) >= target).then_some(()))
+            let peers = self.peers.lock();
+            let peer = peers.get(dest);
+            Ok(peer
+                .is_some_and(|p| p.credit.saturating_sub(p.sent) >= target)
+                .then_some(()))
         };
         // The credit write-backs we are waiting for arrive on the
         // receive CQ.
@@ -424,13 +570,13 @@ impl UdShared {
     }
 
     /// Demultiplexes one inbound completion: stale datagrams are recycled,
-    /// credit updates folded into the credit map, data pushed to the gate.
+    /// credit updates folded into the peer table, data pushed to the gate.
     fn process_inbound(&self, sim: &SimContext, c: &Completion) -> Result<()> {
         expect_success(c, "UD receive completed in error")?;
-        let pool = self.recv_pool_dynamic.lock().clone().ok_or(
-            ShuffleError::CompletionError("UD receive before the pool was bootstrapped"),
-        )?;
-        let buf = Buffer::try_new(pool, c.wr_id as usize, UD_MTU)?;
+        let pool = self.recv_pool.get().ok_or(ShuffleError::CompletionError(
+            "UD receive before the pool was bootstrapped",
+        ))?;
+        let buf = Buffer::try_new(pool.clone(), c.wr_id as usize, UD_MTU)?;
         let header = buf.read_header()?;
         if header.epoch != self.cfg.epoch {
             // Leftover datagram from a fenced-off attempt — stale data or
@@ -438,48 +584,44 @@ impl UdShared {
             // counting. Recycle the slot without acting on the message.
             self.recv_obs.stale_drop();
             self.repost(sim, &buf)?;
-            *self.last_progress.lock() = sim.now();
+            self.made_progress(sim);
             return Ok(());
         }
         match header.kind {
             MsgKind::Credit => {
                 // Absolute credit: later updates supersede earlier ones, so
                 // out-of-order arrival needs only a max().
-                let mut credit = self.credit.lock();
-                let e = credit.entry(c.src_node).or_insert(0);
-                *e = (*e).max(header.counter);
-                drop(credit);
+                self.update_peer(c.src_node, |peer| {
+                    peer.credit = peer.credit.max(header.counter)
+                });
                 // Recycle the receive slot immediately; control traffic does
                 // not count toward data credit.
                 self.repost(sim, &buf)?;
-                *self.last_progress.lock() = sim.now();
+                self.made_progress(sim);
                 Ok(())
             }
             MsgKind::Data => {
                 {
-                    let mut srcs = self.srcs.lock();
-                    let entry = srcs.entry(header.src).or_insert(SrcCount {
-                        node: c.src_node,
-                        received: 0,
-                        expected: None,
-                    });
-                    entry.received += 1;
-                    if header.state == StreamState::Depleted {
-                        entry.expected = Some(header.counter);
-                    }
-                    self.audit.counted_receive(
-                        header.src as u64,
-                        entry.received,
-                        entry.expected,
-                        sim.now().as_nanos(),
-                    );
+                    let declared =
+                        (header.state == StreamState::Depleted).then_some(header.counter);
+                    let mut sources = self.sources.lock();
+                    let src = sources.count(header.src, c.src_node, declared);
+                    let now = sim.now().as_nanos();
+                    self.audit
+                        .counted_receive(header.src as u64, src.received, src.declared, now);
                 }
-                *self.last_progress.lock() = sim.now();
+                self.made_progress(sim);
                 self.data_gate
                     .push(deliver(sim, &self.recv_obs, &self.audit, &header, buf, 0)?);
                 Ok(())
             }
         }
+    }
+
+    /// Stamps an arrival: the straggler wait counts from the last one.
+    fn made_progress(&self, sim: &SimContext) {
+        self.last_progress
+            .store(sim.now().as_nanos(), Ordering::Relaxed);
     }
 
     /// Drains a batch of send completions, recycling buffers whose every
@@ -502,41 +644,10 @@ impl UdShared {
             )
     }
 
-    /// Whether every expected source has delivered all counted messages.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuffleError::Corrupt`] if a source delivered *more* messages
-    /// than its `Depleted` counter declared — a duplicated datagram or a
-    /// corrupted counter, either way unrecoverable within this attempt.
+    /// Whether every expected source has delivered all counted messages
+    /// (see [`Sources::done`]).
     fn check_done(&self) -> Result<DoneState> {
-        let expected = self.expected_srcs.lock();
-        if expected.is_empty() {
-            return Ok(DoneState::Done);
-        }
-        let srcs = self.srcs.lock();
-        let mut waiting_for_stragglers = false;
-        for (&ep, _) in expected.iter() {
-            match srcs.get(&ep) {
-                Some(s) => match s.expected {
-                    Some(total) if s.received == total => {}
-                    Some(total) if s.received > total => {
-                        return Err(ShuffleError::Corrupt(format!(
-                            "source {ep} delivered {} messages but declared {total}",
-                            s.received
-                        )));
-                    }
-                    Some(_) => waiting_for_stragglers = true,
-                    None => return Ok(DoneState::InProgress),
-                },
-                None => return Ok(DoneState::InProgress),
-            }
-        }
-        if waiting_for_stragglers {
-            Ok(DoneState::WaitingForStragglers)
-        } else {
-            Ok(DoneState::Done)
-        }
+        self.sources.lock().done()
     }
 
     /// The cached AH list for a multicast destination set, built on first
@@ -546,10 +657,10 @@ impl UdShared {
             return Ok(ahs.clone());
         }
         let built = {
-            let peers = self.peer_ahs.lock();
+            let peers = self.peers.lock();
             let mut ahs = Vec::with_capacity(dest.len());
             for &d in dest {
-                ahs.push(*peers.get(&d).ok_or_else(|| {
+                ahs.push(peers.get(d).and_then(|p| p.ah).ok_or_else(|| {
                     ShuffleError::Config(format!("unknown destination node {d}"))
                 })?);
             }
@@ -561,28 +672,20 @@ impl UdShared {
         Ok(built)
     }
 
-    /// Builds the restart error naming the worst straggler source.
+    /// Builds the restart error naming the worst straggler: the source
+    /// with the largest deficit, ties to the lowest endpoint id.
     fn straggler_error(&self) -> ShuffleError {
-        let srcs = self.srcs.lock();
-        for (&ep, s) in srcs.iter() {
-            if let Some(total) = s.expected {
-                if s.received < total {
-                    return ShuffleError::NetworkErrorRestartQuery {
-                        src: ep,
-                        expected: total,
-                        received: s.received,
-                    };
-                }
-            }
-        }
+        let worst = self.sources.lock().worst(Standing::Short);
+        let (src, expected, received) = worst.unwrap_or((u32::MAX, 0, 0));
         ShuffleError::NetworkErrorRestartQuery {
-            src: u32::MAX,
-            expected: 0,
-            received: 0,
+            src,
+            expected,
+            received,
         }
     }
 }
 
+#[derive(Debug, PartialEq)]
 enum DoneState {
     InProgress,
     WaitingForStragglers,
@@ -608,18 +711,7 @@ impl SendEndpoint for SrUdSendEndpoint {
         }
         s.window.launch(sim, &buf, dest.len());
         for &d in dest {
-            let ah = *s
-                .peer_ahs
-                .lock()
-                .get(&d)
-                .ok_or_else(|| ShuffleError::Config(format!("unknown destination node {d}")))?;
-            s.consume_credit(sim, d)?;
-            let total = {
-                let mut sent = s.sent_data.lock();
-                let e = sent.entry(d).or_insert(0);
-                *e += 1;
-                *e
-            };
+            let (ah, total) = s.consume_credit(sim, d)?;
             let now = sim.now().as_nanos();
             s.audit.data_sent(s.send_id.0 as u64, d as u64, now);
             #[cfg(feature = "saboteur")]
@@ -647,6 +739,8 @@ impl SendEndpoint for SrUdSendEndpoint {
             )?;
             s.send_obs.sent(d, buf.len() as u64);
         }
+        // Every datagram captured its message when posted.
+        s.window.discard(&buf);
         Ok(())
     }
 
@@ -684,9 +778,6 @@ impl SrUdSendEndpoint {
         let ahs = s.cached_mcast_ahs(dest)?;
         for &d in dest {
             s.consume_credit(sim, d)?;
-            let mut sent = s.sent_data.lock();
-            *sent.entry(d).or_insert(0) += 1;
-            drop(sent);
             s.audit
                 .data_sent(s.send_id.0 as u64, d as u64, sim.now().as_nanos());
         }
@@ -699,6 +790,7 @@ impl SrUdSendEndpoint {
             UdShared::send_wr(&buf, buf.message_len(), None),
             Some(&ahs),
         )?;
+        s.window.discard(&buf);
         for &d in dest {
             s.send_obs.sent(d, buf.len() as u64);
         }
@@ -737,7 +829,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
                     // All totals are known but packets are missing — either
                     // still in flight (common: out-of-order delivery) or
                     // lost (rare). Wait bounded time since the last arrival.
-                    let last = *s.last_progress.lock();
+                    let last = SimTime::from_nanos(s.last_progress.load(Ordering::Relaxed));
                     if sim.now() >= last + s.cfg.depleted_timeout {
                         return Err(s.straggler_error());
                     }
@@ -757,26 +849,17 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
         let s = &self.shared;
         s.audit.released(buf_id(&local), sim.now().as_nanos());
         s.repost(sim, &local)?;
-        let src_node = {
-            let map = s.expected_srcs.lock();
-            match map.get(&src.0) {
-                Some(&n) => n,
-                // Unknown source (e.g. tests releasing synthetic buffers):
-                // fall back to the recorded delivery source.
-                None => match s.srcs.lock().get(&src.0) {
-                    Some(sc) => sc.node,
-                    None => return Ok(()),
-                },
-            }
+        // An unknown source (e.g. tests releasing synthetic buffers) is
+        // owed no credit.
+        let Some(src_node) = s.sources.lock().node_of(src.0) else {
+            return Ok(());
         };
-        let (credit_now, write_back) = {
-            let mut grants = s.grants.lock();
-            let e = grants.entry(src_node).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += 1;
-            let wb = e.1.is_multiple_of(s.cfg.credit_writeback_frequency);
-            (e.0, wb)
-        };
+        let (credit_now, write_back) = s.update_peer(src_node, |peer| {
+            peer.granted += 1;
+            peer.releases += 1;
+            let freq = s.cfg.credit_writeback_frequency;
+            (peer.granted, peer.releases.is_multiple_of(freq))
+        });
         if write_back {
             s.audit.credit_granted(
                 CreditLane::Ud {
@@ -796,11 +879,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
     }
 
     fn registered_bytes(&self) -> usize {
-        self.shared
-            .recv_pool_dynamic
-            .lock()
-            .as_ref()
-            .map_or(0, |p| p.len())
+        self.shared.recv_pool.get().map_or(0, MemoryRegion::len)
     }
 
     fn charge_setup(&self, sim: &SimContext) {
@@ -811,11 +890,7 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
 impl UdShared {
     /// Sends an absolute-credit datagram to `dest` on the shared QP.
     fn send_credit(&self, sim: &SimContext, dest: NodeId, credit: u64) -> Result<()> {
-        let ah = *self
-            .peer_ahs
-            .lock()
-            .get(&dest)
-            .ok_or_else(|| ShuffleError::Config(format!("no lane to credit target {dest}")))?;
+        let (_, ah) = wired(&mut self.peers.lock(), dest, "no lane to credit target")?;
         // Credit datagrams are header-only; source them from a free send
         // buffer (waiting briefly if the pool is momentarily empty).
         let buf = self.get_free(sim)?;
@@ -831,7 +906,9 @@ impl UdShared {
         };
         buf.write_header(&header)?;
         self.window.launch(sim, &buf, 1);
-        self.post(sim, UdShared::send_wr(&buf, HEADER_LEN, Some(ah)), None)
+        self.post(sim, UdShared::send_wr(&buf, HEADER_LEN, Some(ah)), None)?;
+        self.window.discard(&buf);
+        Ok(())
     }
 }
 
@@ -879,5 +956,226 @@ mod tests {
             (layout.buffers, 1)
         );
         assert_eq!(rt.registered_bytes(0), send_pool + layout.pinned());
+    }
+
+    /// A channel on node 0 of a four-node runtime, as `Exchange::build`
+    /// leaves it: its Queue Pair active, nodes 1 and 2 wired as peers, its
+    /// receive pool posted for `expected` and its credit toward node 1
+    /// seeded with `credit`. Node 3 is in the cluster but no peer.
+    fn wired(expected: &[(EndpointId, NodeId)], credit: u64) -> (Arc<VerbsRuntime>, SrUdChannel) {
+        let rt = VerbsRuntime::new(Cluster::new(4, DeviceProfile::edr()));
+        let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 4, 1);
+        let params = config.params(rt.profile());
+        let ctx = rt.context(0);
+        let channel = SrUdChannel::new(&ctx, EndpointId(0), EndpointId(1), params.clone());
+        for node in [1, 2] {
+            let id = EndpointId(2 * node as u32);
+            let peer =
+                SrUdChannel::new(&rt.context(node), id, EndpointId(id.0 + 1), params.clone());
+            channel.add_peer(node, peer.address_handle());
+        }
+        assert!(ConnectionManager::activate_untimed(channel.qp(), None).is_ok());
+        assert!(channel.bootstrap_receives(&ctx, expected).is_ok());
+        channel.bootstrap_credit(1, credit);
+        (rt, channel)
+    }
+
+    /// Runs `body` on a simulated thread of node 0; an error out of it
+    /// fails the test.
+    fn in_sim(
+        rt: &Arc<VerbsRuntime>,
+        body: impl FnOnce(&SimContext) -> Result<()> + Send + 'static,
+    ) {
+        rt.cluster().spawn(0, "sr-ud-test", move |sim| {
+            if let Err(e) = body(&sim) {
+                panic!("UD test body failed: {e:?}");
+            }
+        });
+        rt.cluster().run();
+    }
+
+    /// Lands `header`, sent from `src_node`, in receive window `slot` and
+    /// hands its completion to the channel, as the NIC and a drain would.
+    fn arrive(
+        s: &UdShared,
+        sim: &SimContext,
+        slot: usize,
+        src_node: NodeId,
+        header: MsgHeader,
+    ) -> Result<()> {
+        let pool = s.recv_pool.get().cloned();
+        let pool = pool.ok_or(ShuffleError::CompletionError("no receive pool"))?;
+        Buffer::try_new(pool, slot * UD_MTU, UD_MTU)?.write_header(&header)?;
+        let completion = Completion {
+            wr_id: (slot * UD_MTU) as u64,
+            status: rshuffle_verbs::WcStatus::Success,
+            opcode: rshuffle_verbs::WcOpcode::Recv,
+            byte_len: HEADER_LEN,
+            src_node,
+            src_qp: rshuffle_verbs::QpNum(0),
+            qp: s.qp.qpn(),
+            imm: None,
+            posted_ns: 0,
+            deposited_ns: 0,
+        };
+        s.process_inbound(sim, &completion)
+    }
+
+    /// The header of a datagram from endpoint `src`: absolute credit
+    /// `counter` for [`MsgKind::Credit`], the sender's data total on a
+    /// `Depleted` data message.
+    fn header(src: u32, kind: MsgKind, state: StreamState, counter: u64) -> MsgHeader {
+        MsgHeader {
+            src,
+            kind,
+            state,
+            epoch: 0,
+            payload_len: 0,
+            src_tid: 0,
+            counter,
+            remote_addr: 0,
+        }
+    }
+
+    #[test]
+    fn credit_is_the_maximum_over_reordered_credit_datagrams() {
+        let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
+        let s = channel.shared.clone();
+        in_sim(&rt, move |sim| {
+            // Node 1 wrote back 9, then 5; the 5 overtook nothing, it was
+            // simply sent first and arrived last.
+            let credit = |counter| header(3, MsgKind::Credit, StreamState::MoreData, counter);
+            arrive(&s, sim, 0, 1, credit(9))?;
+            arrive(&s, sim, 1, 1, credit(5))?;
+            for sent in 0..9 {
+                assert!(s.consume_credit(sim, 1).is_ok(), "message {sent}");
+            }
+            let tenth = s.consume_credit(sim, 1);
+            assert!(matches!(tenth, Err(ShuffleError::Stalled(_))), "{tenth:?}");
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn quiesce_toward_a_never_bootstrapped_destination_returns_at_once() {
+        let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
+        let send = channel.send_half();
+        in_sim(&rt, move |sim| {
+            let start = sim.now();
+            // Node 2 is a peer, node 3 is not and node 9 is outside the
+            // cluster: none was granted credit, so nothing was ever sent.
+            for dest in [2, 3, 9] {
+                send.quiesce(sim, dest)?;
+            }
+            // Node 1's whole window is unused: already drained.
+            send.quiesce(sim, 1)?;
+            assert_eq!(sim.now(), start);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn an_unknown_destination_is_a_config_error() {
+        let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
+        let (send, s) = (channel.send_half(), channel.shared.clone());
+        in_sim(&rt, move |sim| {
+            for dest in [3, 9] {
+                let buf = send.get_free(sim)?;
+                let sent = send.send(sim, buf, &[dest], StreamState::MoreData);
+                assert!(
+                    matches!(sent, Err(ShuffleError::Config(_))),
+                    "{dest}: {sent:?}"
+                );
+                let credit = s.send_credit(sim, dest, 1);
+                assert!(
+                    matches!(credit, Err(ShuffleError::Config(_))),
+                    "{dest}: {credit:?}"
+                );
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn termination_waits_for_stragglers_and_refuses_over_delivery() {
+        let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
+        let s = channel.shared.clone();
+        in_sim(&rt, move |sim| {
+            let data = |state, counter| header(2, MsgKind::Data, state, counter);
+            assert_eq!(s.check_done()?, DoneState::InProgress);
+            arrive(&s, sim, 0, 1, data(StreamState::MoreData, 0))?;
+            assert_eq!(s.check_done()?, DoneState::InProgress);
+            // The Depleted message overtook one of the two it follows.
+            arrive(&s, sim, 1, 1, data(StreamState::Depleted, 3))?;
+            assert_eq!(s.check_done()?, DoneState::WaitingForStragglers);
+            arrive(&s, sim, 2, 1, data(StreamState::MoreData, 0))?;
+            assert_eq!(s.check_done()?, DoneState::Done);
+            // A fourth message against a declared three.
+            arrive(&s, sim, 3, 1, data(StreamState::MoreData, 0))?;
+            let over = s.check_done();
+            assert!(
+                matches!(&over, Err(ShuffleError::Corrupt(why)) if why.contains("source 2")),
+                "{over:?}"
+            );
+            Ok(())
+        });
+        // A channel expecting nobody is done before anything arrives.
+        let (_, idle) = wired(&[], 4);
+        assert!(matches!(idle.shared.check_done(), Ok(DoneState::Done)));
+    }
+
+    /// The straggler error names the source with the largest deficit,
+    /// ties to the lowest endpoint id — not whichever a hash table
+    /// happened to visit first — and so does the over-delivery error.
+    #[test]
+    fn the_worst_straggler_is_named() {
+        let expected = [(14, 3), (10, 1), (12, 2)].map(|(ep, node)| (EndpointId(ep), node));
+        let (rt, channel) = wired(&expected, 4);
+        let s = channel.shared.clone();
+        in_sim(&rt, move |sim| {
+            let mut slot = 0;
+            let mut land = |ep, node, state, counter| {
+                slot += 1;
+                arrive(
+                    &s,
+                    sim,
+                    slot,
+                    node,
+                    header(ep, MsgKind::Data, state, counter),
+                )
+            };
+            // `(endpoint, node, declared, received)`: deficits 1, 3 and 3.
+            for (ep, node, declared, received) in [(14, 3, 5, 2), (10, 1, 3, 2), (12, 2, 4, 1)] {
+                for _ in 1..received {
+                    land(ep, node, StreamState::MoreData, 0)?;
+                }
+                land(ep, node, StreamState::Depleted, declared)?;
+            }
+            assert_eq!(s.check_done()?, DoneState::WaitingForStragglers);
+            let named = s.straggler_error();
+            assert!(
+                matches!(
+                    named,
+                    ShuffleError::NetworkErrorRestartQuery {
+                        src: 12,
+                        expected: 4,
+                        received: 1
+                    }
+                ),
+                "{named:?}"
+            );
+            // Over-delivery by one from endpoint 12 and by two from 10.
+            for (ep, node, extra) in [(12, 2, 4), (10, 1, 3)] {
+                for _ in 0..extra {
+                    land(ep, node, StreamState::MoreData, 0)?;
+                }
+            }
+            let over = s.check_done();
+            assert!(
+                matches!(&over, Err(ShuffleError::Corrupt(why)) if why.starts_with("source 10 ")),
+                "{over:?}"
+            );
+            Ok(())
+        });
     }
 }

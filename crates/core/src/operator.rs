@@ -5,7 +5,6 @@
 //! tuples plus a stream state; worker threads pass their id so operator
 //! state and output buffers stay thread-partitioned (Figure 1).
 
-use std::iter::repeat_n;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -339,36 +338,41 @@ impl ShuffleOperator {
             let lens = std::mem::take(&mut staged_lens[dest]);
             if !bytes.is_empty() {
                 sim.sleep(self.cost.copy_time(bytes.len()));
-                // Walk the rows to find where each message ends — a row
-                // that no longer fits sends the buffer and takes the next
-                // one, exactly where pushing row by row would — and write
-                // a message's rows into its buffer in one piece.
-                let mut cur: Option<Buffer> = None;
+                // Cut each run of equal rows where pushing row by row would
+                // end a message — a row that no longer fits sends the
+                // buffer and takes the next one — and write a message's
+                // rows into its buffer in one piece.
+                let take = || -> Result<Buffer> {
+                    let mut buf = target.get_free(sim)?;
+                    buf.set_tag(tid as u16);
+                    Ok(buf)
+                };
+                let mut buf = take()?;
                 let (mut start, mut end) = (0usize, 0usize);
-                for len in lens.into_iter().flat_map(|(len, rows)| repeat_n(len, rows)) {
-                    let mut buf = match cur.take() {
-                        Some(b) => b,
-                        None => {
-                            let mut b = target.get_free(sim)?;
-                            b.set_tag(tid as u16);
-                            b
+                for (len, mut rows) in lens {
+                    while rows > 0 {
+                        let room = buf.capacity().saturating_sub(end - start);
+                        let fit = (room / len).min(rows);
+                        if fit == 0 {
+                            buf.push(&bytes[start..end])?;
+                            start = end;
+                            target.send(
+                                sim,
+                                buf,
+                                self.groups.group(dest),
+                                StreamState::MoreData,
+                            )?;
+                            buf = take()?;
                         }
-                    };
-                    if buf.capacity().saturating_sub(end - start) < len {
-                        buf.push(&bytes[start..end])?;
-                        start = end;
-                        target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
-                        buf = target.get_free(sim)?;
-                        buf.set_tag(tid as u16);
+                        // After a send, the row goes in whether it fits or not.
+                        let placed = fit.max(1);
+                        end += placed * len;
+                        rows -= placed;
                     }
-                    end += len;
-                    cur = Some(buf);
                 }
-                if let Some(mut buf) = cur {
-                    if end > start {
-                        buf.push(&bytes[start..end])?;
-                        target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
-                    }
+                if end > start {
+                    buf.push(&bytes[start..end])?;
+                    target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
                 }
             }
             // A phase is only contention-free if the previous one has left
@@ -567,7 +571,128 @@ impl Operator for ReceiveOperator {
 
 #[cfg(test)]
 mod tests {
+    use rshuffle_obs::Obs;
+    use rshuffle_simnet::Kernel;
+    use rshuffle_verbs::MemoryRegion;
+
     use super::*;
+    use crate::buffer::HEADER_LEN;
+    use crate::endpoint::EndpointId;
+    use crate::phase::{PhasePolicy, PhaseSchedule};
+
+    /// Payload bytes of a [`Counting`] endpoint's windows.
+    const PAYLOAD: usize = 100;
+
+    /// What a [`Counting`] endpoint was asked: a window, or the send of
+    /// one with `len` payload bytes in `state`.
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        GetFree,
+        Send(usize, StreamState),
+    }
+
+    /// A send endpoint toward node 1 that records its calls and hands out
+    /// windows of [`PAYLOAD`] bytes over one test region.
+    struct Counting {
+        region: MemoryRegion,
+        calls: Mutex<Vec<Call>>,
+    }
+
+    impl SendEndpoint for Counting {
+        fn id(&self) -> EndpointId {
+            EndpointId(0)
+        }
+
+        fn send(
+            &self,
+            _: &SimContext,
+            buf: Buffer,
+            dest: &[NodeId],
+            state: StreamState,
+        ) -> Result<()> {
+            assert_eq!(dest, [1]);
+            self.calls.lock().push(Call::Send(buf.len(), state));
+            Ok(())
+        }
+
+        fn get_free(&self, _: &SimContext) -> Result<Buffer> {
+            self.calls.lock().push(Call::GetFree);
+            Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
+        }
+
+        fn registered_bytes(&self) -> usize {
+            0
+        }
+
+        fn charge_setup(&self, _: &SimContext) {}
+    }
+
+    /// A child handing worker 0 one batch per `(row width, rows)` entry.
+    struct Batches(Mutex<Vec<(usize, usize)>>);
+
+    impl Operator for Batches {
+        fn next(&self, _: &SimContext, _: usize) -> Result<(StreamState, RowBatch)> {
+            let mut left = self.0.lock();
+            if left.is_empty() {
+                return Ok((StreamState::Depleted, RowBatch::new(1, 0)));
+            }
+            let (width, rows) = left.remove(0);
+            let mut batch = RowBatch::new(width, rows);
+            for row in 0..rows {
+                batch.push_row(&vec![row as u8; width]);
+            }
+            Ok((StreamState::MoreData, batch))
+        }
+    }
+
+    /// The phased SHUFFLE cuts its staged rows into messages where pushing
+    /// them row by row would: a row that no longer fits sends the window
+    /// and takes the next, runs of 16- and 24-byte rows alike.
+    #[test]
+    fn phased_cut_sends_where_row_by_row_pushing_would() {
+        let kernel = Kernel::new();
+        // Node 0 sends everything to node 1, in the schedule's one phase.
+        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
+        let timeout = SimDuration::from_millis(1);
+        let runner = PhaseRunner::with_obs(&kernel, schedule, 1, timeout, Obs::new());
+        let endpoint = Arc::new(Counting {
+            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+            calls: Mutex::new(Vec::new()),
+        });
+        // 16 x 9 straddles the first boundary; 24 x 4 and 24 x 1 each
+        // take what is left of a window and spill into the next.
+        let runs = vec![(16, 9), (24, 4), (16, 3), (24, 1), (16, 2)];
+        let op = ShuffleOperator::with_lanes(
+            Arc::new(Batches(Mutex::new(runs))),
+            vec![endpoint.clone()],
+            TransmissionGroups::new(vec![vec![1]]),
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        )
+        .with_phases(runner, 0);
+        kernel.spawn(0, "phased-shuffle", move |sim| {
+            let (state, batch) = op.next(&sim, 0).unwrap();
+            assert_eq!((state, batch.rows()), (StreamState::Depleted, 0));
+        });
+        kernel.run();
+        use Call::{GetFree, Send};
+        use StreamState::{Depleted, MoreData};
+        assert_eq!(
+            *endpoint.calls.lock(),
+            [
+                GetFree,
+                Send(96, MoreData),
+                GetFree,
+                Send(96, MoreData),
+                GetFree,
+                Send(96, MoreData),
+                GetFree,
+                Send(56, MoreData),
+                GetFree,
+                Send(0, Depleted),
+            ]
+        );
+    }
 
     #[test]
     fn write_row_keeps_a_whole_row_and_takes_back_any_other() {

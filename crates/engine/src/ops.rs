@@ -6,14 +6,14 @@
 //! nanoseconds per hashed tuple).
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{Operator, Result, RowBatch, ShuffleError, StreamState};
-use rshuffle_simnet::{resource::transfer_time, SimBarrier, SimContext, SimDuration};
+use rshuffle_simnet::{
+    resource::transfer_time, KeyMap, KeySet, SimBarrier, SimContext, SimDuration,
+};
 
 use crate::table::Table;
 
@@ -28,36 +28,6 @@ pub type JoinEmitFn = Arc<dyn Fn(&[u8], &[u8], &mut Vec<u8>) + Send + Sync>;
 pub type FoldFn = Arc<dyn Fn(&mut Vec<u8>, &[u8]) + Send + Sync>;
 /// Builds the initial accumulator for a new group.
 pub type InitFn = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
-
-/// Hasher of the operators' `u64`-keyed tables: a multiply per key, and a
-/// rotate that brings the product's well-mixed high bits down to where
-/// the table picks a bucket. It is not seeded, so a table's layout — and
-/// the order it iterates in — is the same in every process; no key here
-/// comes from an adversary, so SipHash's resistance to chosen keys buys
-/// nothing.
-#[derive(Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (self.0.rotate_left(5) ^ key).wrapping_mul(0xF135_7AEA_2E62_A9C5);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A map keyed by `u64`, hashed by [`KeyHasher`].
-type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
-/// A set of `u64` keys, hashed by [`KeyHasher`].
-type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
 
 /// Scans a [`Table`] fragment, block-partitioned across threads.
 pub struct MemScan {
@@ -242,7 +212,7 @@ struct JoinTable {
     row_size: usize,
     arena: Vec<u8>,
     next: Vec<usize>,
-    chains: KeyMap<(usize, usize)>,
+    chains: KeyMap<u64, (usize, usize)>,
 }
 
 /// The end of a chain.
@@ -393,7 +363,7 @@ pub struct HashSemiJoin {
     probe: Arc<dyn Operator>,
     build_key: RowKeyFn,
     probe_key: RowKeyFn,
-    keys: Mutex<KeySet>,
+    keys: Mutex<KeySet<u64>>,
     barrier: SimBarrier,
     built: Vec<AtomicBool>,
     hash_cost: SimDuration,
@@ -468,7 +438,7 @@ pub struct HashAggregate {
     /// Initial accumulator for a new group.
     init: InitFn,
     out_size: usize,
-    groups: Mutex<KeyMap<Vec<u8>>>,
+    groups: Mutex<KeyMap<u64, Vec<u8>>>,
     barrier: SimBarrier,
     /// Sorted group keys, filled once after aggregation.
     emit_order: Mutex<Vec<u64>>,

@@ -21,11 +21,13 @@
 
 #![warn(missing_docs)]
 
+pub mod key;
 pub mod metrics;
 pub mod recorder;
 pub mod stage;
 pub mod trace;
 
+pub use key::{KeyHasher, KeyMap, KeySet};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, HistogramSummary, Labels, MetricsRegistry, Snapshot,
     NO_LABEL,

@@ -10,10 +10,11 @@
 //! single mutex here is effectively uncontended and recording order is
 //! deterministic for a fixed seed.
 
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
+
+use crate::KeyMap;
 
 /// Hardware track id (`tid` 0) used for NIC and fault-injection events.
 pub const HW_TRACK: u32 = 0;
@@ -156,16 +157,38 @@ pub enum Record {
     },
 }
 
-#[derive(Default)]
 struct Track {
+    node: u32,
+    tid: u32,
     name: String,
     ring: VecDeque<Record>,
     dropped: u64,
 }
 
+/// Tracks in the order they were first recorded into, found by
+/// `(node, tid)`; only [`FlightRecorder::dump`] sorts them.
 #[derive(Default)]
 struct RecorderState {
-    tracks: BTreeMap<(u32, u32), Track>,
+    index: KeyMap<(u32, u32), usize>,
+    tracks: Vec<Track>,
+}
+
+impl RecorderState {
+    /// Track `(node, tid)`, created on first use.
+    fn track(&mut self, node: u32, tid: u32) -> &mut Track {
+        let tracks = &mut self.tracks;
+        let at = *self.index.entry((node, tid)).or_insert_with(|| {
+            tracks.push(Track {
+                node,
+                tid,
+                name: String::new(),
+                ring: VecDeque::new(),
+                dropped: 0,
+            });
+            tracks.len() - 1
+        });
+        &mut self.tracks[at]
+    }
 }
 
 /// The flight recorder. Cheap to record into, bounded in memory, and
@@ -194,8 +217,7 @@ impl FlightRecorder {
 
     /// Names a track for trace exports (e.g. the simulated thread name).
     pub fn name_track(&self, node: u32, tid: u32, name: &str) {
-        let mut st = self.state.lock();
-        st.tracks.entry((node, tid)).or_default().name = name.to_string();
+        self.state.lock().track(node, tid).name = name.to_string();
     }
 
     /// Records a point event on `(node, tid)` at virtual time `at_ns`.
@@ -220,7 +242,7 @@ impl FlightRecorder {
 
     fn push(&self, node: u32, tid: u32, rec: Record) {
         let mut st = self.state.lock();
-        let track = st.tracks.entry((node, tid)).or_default();
+        let track = st.track(node, tid);
         if track.ring.len() == self.capacity {
             track.ring.pop_front();
             track.dropped += 1;
@@ -230,36 +252,27 @@ impl FlightRecorder {
 
     /// Copies out one track's records in recording order.
     pub fn records(&self, node: u32, tid: u32) -> Vec<Record> {
-        self.state
-            .lock()
-            .tracks
-            .get(&(node, tid))
-            .map(|t| t.ring.iter().cloned().collect())
-            .unwrap_or_default()
+        let st = self.state.lock();
+        let track = st.index.get(&(node, tid)).map(|&at| &st.tracks[at]);
+        track.map_or_else(Vec::new, |t| t.ring.iter().cloned().collect())
     }
 
     /// All tracks, in `(node, tid)` order:
     /// `(node, tid, name, records, dropped)`.
     pub fn dump(&self) -> Vec<(u32, u32, String, Vec<Record>, u64)> {
-        self.state
-            .lock()
-            .tracks
-            .iter()
-            .map(|(&(node, tid), t)| {
-                (
-                    node,
-                    tid,
-                    t.name.clone(),
-                    t.ring.iter().cloned().collect(),
-                    t.dropped,
-                )
-            })
-            .collect()
+        let st = self.state.lock();
+        let mut tracks: Vec<&Track> = st.tracks.iter().collect();
+        tracks.sort_unstable_by_key(|t| (t.node, t.tid));
+        let dump = tracks.into_iter().map(|t| {
+            let records = t.ring.iter().cloned().collect();
+            (t.node, t.tid, t.name.clone(), records, t.dropped)
+        });
+        dump.collect()
     }
 
     /// Total records currently held across all rings.
     pub fn len(&self) -> usize {
-        self.state.lock().tracks.values().map(|t| t.ring.len()).sum()
+        self.state.lock().tracks.iter().map(|t| t.ring.len()).sum()
     }
 
     /// True when nothing has been recorded (or everything was dropped).
@@ -302,5 +315,47 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn dump_is_in_track_order_whatever_order_tracks_appear_in() {
+        let rec = FlightRecorder::new(16);
+        // Thread tracks first, the hardware track late, and a thread track
+        // recorded under a node that is not its own (the recovery
+        // coordinator records on node 0 with its own track id).
+        rec.event(2, 7, 1, EventKind::SendPosted, 0);
+        rec.event(1, 3, 2, EventKind::SendPosted, 0);
+        rec.name_track(0, 9, "coordinator");
+        rec.event(0, 9, 3, EventKind::QueryRestart, 1);
+        rec.event(1, HW_TRACK, 4, EventKind::QpCacheMiss, 5);
+        rec.event(2, 7, 5, EventKind::CompletionPolled, 0);
+        rec.event(0, 2, 6, EventKind::SendPosted, 0);
+        let dump = rec.dump();
+        let order: Vec<(u32, u32, usize)> = dump.iter().map(|t| (t.0, t.1, t.3.len())).collect();
+        let want = [(0, 2, 1), (0, 9, 1), (1, 0, 1), (1, 3, 1), (2, 7, 2)];
+        assert_eq!(order, want);
+        assert_eq!(dump[1].2, "coordinator");
+        // Records keep their recording order within a track.
+        let at: Vec<u64> = rec
+            .records(2, 7)
+            .iter()
+            .map(|r| match r {
+                Record::Instant { at_ns, .. } => *at_ns,
+                Record::Span { start_ns, .. } => *start_ns,
+            })
+            .collect();
+        assert_eq!(at, [1, 5]);
+        assert_eq!(rec.len(), 6);
+    }
+
+    #[test]
+    fn records_of_an_unknown_track_are_empty() {
+        let rec = FlightRecorder::new(16);
+        assert!(rec.is_empty());
+        rec.event(1, 3, 2, EventKind::SendPosted, 0);
+        for (node, tid) in [(1, 2), (3, 1), (0, 3)] {
+            assert!(rec.records(node, tid).is_empty(), "({node}, {tid})");
+        }
+        assert_eq!(rec.dump().len(), 1);
     }
 }

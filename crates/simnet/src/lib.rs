@@ -51,6 +51,9 @@ pub use net::{Fabric, IncastModel, Topology};
 pub use nic::{FairResource, FlowId, FlowTable, NicModel};
 pub use profile::{DeviceProfile, MAX_RC_MESSAGE, UD_MTU};
 pub use resource::Resource;
+/// The unseeded integer hasher every id-keyed table of the stack uses
+/// (declared below the simulator, in `rshuffle_obs`, for the recorder).
+pub use rshuffle_obs::{KeyHasher, KeyMap, KeySet};
 pub use sync::{SimBarrier, SimMutex};
 pub use time::{SimDuration, SimTime};
 

@@ -7,17 +7,18 @@
 //! (Dragojević et al., NSDI '14; Kalia et al., ATC '16). [`LruSet::touch`]
 //! returns whether the access hit, so callers can charge the miss penalty.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use crate::KeyMap;
 
 /// A fixed-capacity set with least-recently-used eviction.
 ///
-/// Implemented as a doubly-linked list over a slab, with a hash index; all
-/// operations are O(1).
+/// Implemented as a doubly-linked list over a slab, with a [`KeyMap`]
+/// index; all operations are O(1).
 #[derive(Debug)]
 pub struct LruSet<K: Eq + Hash + Clone> {
     capacity: usize,
-    index: HashMap<K, usize>,
+    index: KeyMap<K, usize>,
     nodes: Vec<Node<K>>,
     free: Vec<usize>,
     head: Option<usize>, // Most recently used.
@@ -43,7 +44,7 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         assert!(capacity > 0, "LruSet capacity must be positive");
         LruSet {
             capacity,
-            index: HashMap::with_capacity(capacity),
+            index: KeyMap::with_capacity_and_hasher(capacity, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: None,

@@ -11,7 +11,7 @@
 //! algorithms degrade as the cluster grows while the Θ(1)/Θ(t)-QP
 //! Unreliable Datagram designs do not.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -21,6 +21,7 @@ use crate::lru::LruSet;
 use crate::profile::DeviceProfile;
 use crate::resource::Reservation;
 use crate::time::{SimDuration, SimTime};
+use crate::KeyMap;
 
 /// Identity of a bandwidth-sharing flow (one concurrent query / exchange).
 ///
@@ -376,7 +377,7 @@ pub struct NicModel {
     /// the last *sender-side* work request per QP context. Lookup/insert
     /// only — iteration order is never observed, so the map stays
     /// deterministic.
-    doorbell: Mutex<HashMap<u64, SimTime>>,
+    doorbell: Mutex<KeyMap<u64, SimTime>>,
     wr_nic_batched: SimDuration,
 }
 
@@ -405,7 +406,7 @@ impl NicModel {
             wr_nic: profile.wr_nic,
             wr_recv_match: profile.wr_recv_match,
             qp_cache_miss: profile.qp_cache_miss,
-            doorbell: Mutex::new(HashMap::new()),
+            doorbell: Mutex::new(KeyMap::default()),
             wr_nic_batched: profile.wr_nic_batched,
         }
     }

@@ -17,11 +17,10 @@
 //! local memory for a change made by a remote RDMA Write (the paper's
 //! ValidArr/FreeArr message queues, §4.4.3).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_simnet::{Gate, Kernel, SimContext, SimDuration};
+use rshuffle_simnet::{Gate, Kernel, KeyMap, SimContext, SimDuration};
 
 use crate::error::{Result, VerbsError};
 use crate::NodeId;
@@ -30,7 +29,7 @@ use crate::NodeId;
 /// first-out, and per node the bytes of windows holding storage (now, peak).
 #[derive(Default)]
 pub(crate) struct Slab {
-    free: Mutex<HashMap<usize, Vec<Arc<[u8]>>>>,
+    free: Mutex<KeyMap<usize, Vec<Arc<[u8]>>>>,
     resident: Mutex<Vec<(usize, usize)>>,
 }
 

@@ -6,7 +6,7 @@
 //! `ibv_context`): it creates completion queues, registers memory and
 //! creates Queue Pairs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rshuffle_audit::ShuffleAuditor;
 use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs, HW_TRACK};
-use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, NicModel, SimDuration};
+use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, Kernel, KeyMap, NicModel, SimDuration};
 
 use crate::cq::CompletionQueue;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, QpScope, Window};
@@ -102,11 +102,11 @@ impl RtObs {
 /// Cluster-wide verbs state. One per simulated cluster.
 pub struct VerbsRuntime {
     cluster: Cluster,
-    pub(crate) qps: Mutex<HashMap<(NodeId, u32), Arc<QpInner>>>,
-    pub(crate) mrs: Mutex<HashMap<u32, MemoryRegion>>,
+    pub(crate) qps: Mutex<KeyMap<(NodeId, u32), Arc<QpInner>>>,
+    pub(crate) mrs: Mutex<KeyMap<u32, MemoryRegion>>,
     /// rkey → owning flow, for regions registered through a flow-tagged
     /// [`Context`]; lets the scheduler release a whole query's memory.
-    mr_flows: Mutex<HashMap<u32, u32>>,
+    mr_flows: Mutex<KeyMap<u32, u32>>,
     next_qpn: AtomicU32,
     next_rkey: AtomicU32,
     pub(crate) rng: Mutex<StdRng>,
@@ -169,9 +169,9 @@ impl VerbsRuntime {
         }
         let rt = Arc::new(VerbsRuntime {
             cluster,
-            qps: Mutex::new(HashMap::new()),
-            mrs: Mutex::new(HashMap::new()),
-            mr_flows: Mutex::new(HashMap::new()),
+            qps: Mutex::default(),
+            mrs: Mutex::default(),
+            mr_flows: Mutex::default(),
             next_qpn: AtomicU32::new(1),
             next_rkey: AtomicU32::new(1),
             rng: Mutex::new(StdRng::seed_from_u64(faults.seed)),

@@ -150,5 +150,25 @@ fn mesq_sr_resident_backing_follows_live_windows() {
         peaks.push(runtime.resident_bytes_peak(0));
     }
     assert_eq!(peaks, [peaks[0]; 5], "host backing depends on message size");
-    assert_eq!(peaks[0], 176_128, "MESQ/SR @ 8 nodes: resident peak drifted");
+    assert_eq!(peaks[0], 69_632, "MESQ/SR @ 8 nodes: resident peak drifted");
+}
+
+/// A send window gives its storage back as soon as its datagrams are
+/// posted: each captured its message at the post, so nothing waits for the
+/// completion to be reaped — which happens only when the pool runs dry.
+/// With every delivery released and no credit datagram still in flight
+/// (the write-back frequency is never reached), nothing on any node holds
+/// storage when the run ends, before anything is released.
+#[test]
+fn mesq_sr_send_windows_hold_no_storage_after_the_run() {
+    const NODES: usize = 8;
+    let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, NODES, THREADS);
+    config.credit_writeback_frequency = u32::MAX;
+    // Untagged: the coordinator's release has nothing to release.
+    let runtime = run_mesq_sr(&config, 64);
+    for node in 0..NODES {
+        let peak = runtime.resident_bytes_peak(node);
+        assert!(peak > 0, "node {node} sent nothing");
+        assert_eq!(runtime.resident_bytes(node), 0, "node {node} after the run");
+    }
 }
