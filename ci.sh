@@ -104,6 +104,18 @@ if grep -rn 'post_recv_untimed(' crates/core/src/endpoint/; then
   exit 1
 fi
 
+# One wire path for one receiver or many: a multicast is the unicast path
+# with more members — `Fabric::transfer_group` in simnet, the one datagram
+# body behind `post_send` and `post_send_multicast` in verbs, one more
+# target of `sr_ud`'s send. The second, laxer copy each layer used to hold
+# skipped the control lane, the incast model and a degraded receiver.
+if forked=$(grep -rlE 'transfer_multicast_flow|send_native_multicast' crates); then
+  echo "ERROR: a separate multicast send path is back in:" >&2
+  echo "$forked" >&2
+  echo "       send to a group through Fabric::transfer_group and QueuePair::post_send_multicast" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

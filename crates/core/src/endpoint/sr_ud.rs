@@ -706,38 +706,49 @@ impl SendEndpoint for SrUdSendEndpoint {
     ) -> Result<()> {
         assert!(!dest.is_empty(), "send needs at least one destination");
         let s = &self.shared;
-        if s.cfg.ud_native_multicast && dest.len() > 1 && state == StreamState::MoreData {
-            return self.send_native_multicast(sim, buf, dest);
-        }
-        s.window.launch(sim, &buf, dest.len());
-        for &d in dest {
-            let (ah, total) = s.consume_credit(sim, d)?;
-            let now = sim.now().as_nanos();
-            s.audit.data_sent(s.send_id.0 as u64, d as u64, now);
-            #[cfg(feature = "saboteur")]
-            let total = if state == StreamState::Depleted
-                && crate::sabotage::take(crate::sabotage::Sabotage::UnderreportDepletedCount)
-            {
-                total - 1
-            } else {
-                total
-            };
-            if state == StreamState::Depleted {
-                s.audit
-                    .depleted_announced(s.send_id.0 as u64, d as u64, total, now);
+        // One post per target: each member alone, or the whole group at
+        // once through the switch's multicast replication (§7). A
+        // `Depleted` message declares each member its own count, so it is
+        // never sent to a group.
+        let group = s.cfg.ud_native_multicast && state == StreamState::MoreData;
+        let targets = dest.chunks(if group { dest.len() } else { 1 });
+        s.window.launch(sim, &buf, targets.len());
+        for target in targets {
+            let mut header = data_header(s.send_id, s.cfg.epoch, &buf, state);
+            let mut ah = None;
+            for &d in target {
+                let (peer, total) = s.consume_credit(sim, d)?;
+                let now = sim.now().as_nanos();
+                s.audit.data_sent(s.send_id.0 as u64, d as u64, now);
+                #[cfg(feature = "saboteur")]
+                let total = if state == StreamState::Depleted
+                    && crate::sabotage::take(crate::sabotage::Sabotage::UnderreportDepletedCount)
+                {
+                    total - 1
+                } else {
+                    total
+                };
+                if state == StreamState::Depleted {
+                    s.audit
+                        .depleted_announced(s.send_id.0 as u64, d as u64, total, now);
+                }
+                (ah, header.counter) = (Some(peer), total);
             }
-            // Per-destination header: the Depleted counter is specific to
-            // each destination, so it is written immediately before posting.
-            buf.write_header(&MsgHeader {
-                counter: total,
-                ..data_header(s.send_id, s.cfg.epoch, &buf, state)
-            })?;
-            s.post(
-                sim,
-                UdShared::send_wr(&buf, buf.message_len(), Some(ah)),
-                None,
-            )?;
-            s.send_obs.sent(d, buf.len() as u64);
+            // The header is written immediately before posting: the
+            // `Depleted` counter is specific to each destination (a group's
+            // is never read).
+            buf.write_header(&header)?;
+            let len = buf.message_len();
+            match target {
+                [_] => s.post(sim, UdShared::send_wr(&buf, len, ah), None)?,
+                group => {
+                    let ahs = s.cached_mcast_ahs(group)?;
+                    s.post(sim, UdShared::send_wr(&buf, len, None), Some(&ahs))?
+                }
+            }
+            for &d in target {
+                s.send_obs.sent(d, buf.len() as u64);
+            }
         }
         // Every datagram captured its message when posted.
         s.window.discard(&buf);
@@ -758,43 +769,6 @@ impl SendEndpoint for SrUdSendEndpoint {
 
     fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
         self.shared.quiesce_dest(sim, dest)
-    }
-}
-
-impl SrUdSendEndpoint {
-    /// Group send through the switch's multicast replication: consumes one
-    /// credit per member (each still consumes a posted receive), then posts
-    /// a single work request.
-    fn send_native_multicast(
-        &self,
-        sim: &SimContext,
-        buf: Buffer,
-        dest: &[NodeId],
-    ) -> Result<()> {
-        let s = &self.shared;
-        // AH lists are cached per destination set at first use (satellite
-        // of the hot-path pass): steady-state multicast sends rebuild
-        // nothing.
-        let ahs = s.cached_mcast_ahs(dest)?;
-        for &d in dest {
-            s.consume_credit(sim, d)?;
-            s.audit
-                .data_sent(s.send_id.0 as u64, d as u64, sim.now().as_nanos());
-        }
-        // The counter is only read on Depleted, which never multicasts.
-        let header = data_header(s.send_id, s.cfg.epoch, &buf, StreamState::MoreData);
-        buf.write_header(&header)?;
-        s.window.launch(sim, &buf, 1);
-        s.post(
-            sim,
-            UdShared::send_wr(&buf, buf.message_len(), None),
-            Some(&ahs),
-        )?;
-        s.window.discard(&buf);
-        for &d in dest {
-            s.send_obs.sent(d, buf.len() as u64);
-        }
-        Ok(())
     }
 }
 

@@ -198,8 +198,8 @@ pub struct RecoveryReport {
     /// The surviving generation (the one the query gave up in, on
     /// failure); sinks must discard batches tagged with any earlier one.
     pub generation: u32,
-    /// Sink-visible bytes that bought no new rows: batches of discarded
-    /// generations plus receiver-side duplicate drops.
+    /// Sink-visible bytes that bought no new rows: the batches of
+    /// discarded generations.
     pub redone_bytes: u64,
     /// Watermarked bytes carried across partial retries instead of
     /// being replayed (summed over retries).
@@ -280,12 +280,6 @@ impl FlowLedger {
 struct RecvAccounting {
     /// Rows and bytes delivered to the sink, per generation.
     per_generation: Mutex<BTreeMap<u32, (u64, u64)>>,
-    /// Receiver-side duplicate rows dropped (bytes).
-    dedup_dropped_bytes: Mutex<u64>,
-    /// Outstanding per-flow duplicate drops, keyed
-    /// `(dst node, src node, src tid)`; seeded before each resumed
-    /// attempt, normally all zero (the sender skip is exact).
-    pending_drops: Mutex<BTreeMap<(usize, usize, u16), u64>>,
 }
 
 /// Whether `config`'s transmission groups admit per-flow retry: every
@@ -519,8 +513,7 @@ pub(crate) fn run_query(
                         .iter()
                         .filter(|(g, _)| **g != rep.generation)
                         .map(|(_, v)| v.1)
-                        .sum::<u64>()
-                        + *accounting.dedup_dropped_bytes.lock();
+                        .sum();
                 }
                 redone_ctr.add(rep.redone_bytes);
                 if let Some(at) = first_failure {
@@ -605,7 +598,6 @@ pub(crate) fn run_query(
                 let kept = ledger.total_rows() * row_size as u64;
                 rep.kept_bytes += kept;
                 kept_ctr.add(kept);
-                seed_pending_drops(&config, &ledger, &accounting);
                 obs.recorder.event(
                     0,
                     track,
@@ -625,7 +617,6 @@ pub(crate) fn run_query(
             epoch = epoch.wrapping_add(1);
             rebuilds += 1;
             ledger.clear();
-            accounting.pending_drops.lock().clear();
             runtime.clear_failed_qp_nodes();
             obs.recorder.event(
                 0,
@@ -757,34 +748,6 @@ fn probe_once(
     }
 }
 
-/// Seeds the receiver-side duplicate-drop counts for a resumed attempt:
-/// for every flow, the delivered watermark minus what the sender will
-/// skip (the minimum watermark across the group's members). With
-/// single-member groups — the eligibility condition — sender skips are
-/// exact and every seeded count is zero; the mechanism stays armed as a
-/// guard regardless.
-fn seed_pending_drops(
-    config: &ExchangeConfig,
-    ledger: &FlowLedger,
-    accounting: &RecvAccounting,
-) {
-    let mut drops = accounting.pending_drops.lock();
-    drops.clear();
-    for (src, groups) in config.groups.iter().enumerate() {
-        for tid in 0..config.threads {
-            for members in groups.iter() {
-                let skip = ledger.resume_skip(src, tid, members);
-                for &d in members {
-                    let excess = ledger.get((src, tid as u16, d)).saturating_sub(skip);
-                    if excess > 0 {
-                        *drops.entry((d, src, tid as u16)).or_insert(0) += excess;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Spawns send and receive workers for one attempt; returns how many
 /// results the coordinator must collect. Senders are seeded with resume
 /// skips from the ledger (all zero on a fresh generation); receivers
@@ -869,9 +832,10 @@ fn spawn_attempt(
 
 /// The recovery receive worker: pulls deliveries straight off the
 /// endpoint (no [`rshuffle::ReceiveOperator`] — watermarks are per
-/// flow, which batching would blur), drops any leading duplicate rows
-/// the dedup guard demands, hands unique rows to the sink and advances
-/// the flow's watermark.
+/// flow, which batching would blur), hands the rows to the sink and
+/// advances the flow's watermark. A resumed sender skips exactly the
+/// rows its flow's watermark counts (partial retry requires singleton
+/// groups), so no row arrives twice within a generation.
 #[allow(clippy::too_many_arguments)]
 fn recovery_recv_loop(
     sim: &SimContext,
@@ -894,7 +858,6 @@ fn recovery_recv_loop(
                 "received {len} bytes, not a multiple of {row_size}-byte rows"
             )));
         }
-        let rows_in = (len / row_size) as u64;
         let Some(src_node) = exchange.source_node(delivery.src) else {
             return Err(ShuffleError::Corrupt(format!(
                 "delivery from endpoint {}, which is no sender of this attempt",
@@ -902,26 +865,10 @@ fn recovery_recv_loop(
             )));
         };
         let flow = (src_node, delivery.src_tid, node);
-        let drop_now = {
-            let mut drops = accounting.pending_drops.lock();
-            match drops.get_mut(&(node, src_node, delivery.src_tid)) {
-                Some(pending) => {
-                    let d = (*pending).min(rows_in);
-                    *pending -= d;
-                    d
-                }
-                None => 0,
-            }
-        };
         sim.sleep(cost.copy_time(len));
-        let mut batch = RowBatch::new(row_size, (rows_in - drop_now) as usize);
-        delivery
-            .local
-            .with_payload(|p| batch.extend_rows(&p[(drop_now as usize) * row_size..]))?;
+        let mut batch = RowBatch::new(row_size, len / row_size);
+        delivery.local.with_payload(|p| batch.extend_rows(p))?;
         ep.release(sim, delivery.remote, delivery.local, delivery.src)?;
-        if drop_now > 0 {
-            *accounting.dedup_dropped_bytes.lock() += drop_now * row_size as u64;
-        }
         if !batch.is_empty() {
             let n = batch.rows() as u64;
             let b = batch.bytes() as u64;

@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use crate::nic::{FairResource, FlowId, FlowTable};
 use crate::profile::DeviceProfile;
-use crate::resource::transfer_time;
+use crate::resource::{transfer_time, Reservation};
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 
@@ -305,37 +305,28 @@ pub struct Fabric {
     /// Incast collapse model, copied out of the topology; `None` keeps
     /// every path below bit-identical to the work-conserving fabric.
     incast: Option<IncastModel>,
-    /// Distinct senders with in-flight bulk reservations, per ingress
-    /// port (`[node]`) and per leaf downlink (`[leaf]`). Entries are
-    /// `(sender, reservation end)` pairs, pruned lazily against each
-    /// new departure. Empty when the incast model is off.
-    incast_ingress: Mutex<Vec<Vec<(NodeId, SimTime)>>>,
-    incast_downlink: Mutex<Vec<Vec<(NodeId, SimTime)>>>,
+    /// The bulk senders on each ingress port (`[node]`) and on each leaf
+    /// downlink (`[leaf]`).
+    incast_ingress: IncastPorts,
+    incast_downlink: IncastPorts,
 }
 
-/// Prunes expired reservations from `set` and returns the penalty for
-/// one more bulk reservation by `from` departing at `depart`.
-fn incast_penalty(
-    model: &IncastModel,
-    set: &mut Vec<(NodeId, SimTime)>,
-    from: NodeId,
-    depart: SimTime,
+/// Distinct senders with in-flight bulk reservations on each of a set of
+/// shared ports, for the incast model.
+struct IncastPorts {
+    /// The least knee of these ports (see [`IncastModel::penalty_floored`]).
     knee_floor: usize,
-) -> f64 {
-    set.retain(|&(_, end)| end > depart);
-    let mut active = set.len();
-    if !set.iter().any(|&(n, _)| n == from) {
-        active += 1;
-    }
-    model.penalty_floored(active, knee_floor)
+    /// Per port, `(sender, reservation end)` pairs, pruned lazily against
+    /// each new departure. Empty when the incast model is off.
+    senders: Mutex<Vec<Vec<(NodeId, SimTime)>>>,
 }
 
-/// Records `from`'s bulk reservation on `set` as busy until `end`.
-fn incast_note(set: &mut Vec<(NodeId, SimTime)>, from: NodeId, end: SimTime) {
-    match set.iter_mut().find(|e| e.0 == from) {
-        Some(e) => e.1 = e.1.max(end),
-        None => set.push((from, end)),
-    }
+/// A message leaving `from`'s egress port at `at`, in `flow`'s share.
+#[derive(Clone, Copy)]
+struct Departure {
+    from: NodeId,
+    at: SimTime,
+    flow: FlowId,
 }
 
 /// Inflates a serialization time by an incast penalty factor; exactly
@@ -364,9 +355,16 @@ impl Fabric {
         flows: Arc<FlowTable>,
         topology: Topology,
     ) -> Self {
-        let leaf_count = match topology {
-            Topology::SingleSwitch => 0,
-            Topology::FatTree { .. } => topology.leaves(nodes),
+        let (leaf_count, hosts_per_leaf) = match topology {
+            Topology::SingleSwitch => (0, 1),
+            Topology::FatTree { hosts_per_leaf, .. } => (topology.leaves(nodes), hosts_per_leaf),
+        };
+        let incast_ports = |ports: usize, knee_floor| IncastPorts {
+            knee_floor,
+            senders: Mutex::new(match topology.incast() {
+                Some(_) => vec![Vec::new(); ports],
+                None => Vec::new(),
+            }),
         };
         Fabric {
             ports: (0..nodes)
@@ -383,16 +381,11 @@ impl Fabric {
                 .collect(),
             uplink_bandwidth: topology.uplink_bandwidth(profile.payload_bandwidth),
             incast: topology.incast(),
-            incast_ingress: Mutex::new(if topology.incast().is_some() {
-                vec![Vec::new(); nodes]
-            } else {
-                Vec::new()
-            }),
-            incast_downlink: Mutex::new(if topology.incast().is_some() {
-                vec![Vec::new(); leaf_count]
-            } else {
-                Vec::new()
-            }),
+            incast_ingress: incast_ports(nodes, 1),
+            // The downlink aggregates a leaf's worth of hosts; its knee is
+            // floored at one flow per host so a phase-scheduled transfer
+            // (at most one sender per destination port) never crosses it.
+            incast_downlink: incast_ports(leaf_count, hosts_per_leaf),
             topology,
             flows,
             bandwidth: profile.payload_bandwidth,
@@ -452,18 +445,6 @@ impl Fabric {
         faults[node].extra_latency = crate::time::SimDuration::ZERO;
     }
 
-    /// Fault view for a path `from → to`: earliest departure, effective
-    /// bandwidth factor, and summed extra latency.
-    fn path_fault(&self, from: NodeId, to: NodeId) -> (SimTime, f64, crate::time::SimDuration) {
-        let faults = self.link_faults.lock();
-        let (a, b) = (faults[from], faults[to]);
-        (
-            a.down_until.max(b.down_until),
-            a.bw_factor.min(b.bw_factor),
-            a.extra_latency + b.extra_latency,
-        )
-    }
-
     /// Schedules an untagged `bytes`-sized message from `from` to `to`,
     /// departing the sender NIC at `depart` (see [`Fabric::transfer_flow`]).
     pub fn transfer(&self, from: NodeId, to: NodeId, bytes: usize, depart: SimTime) -> SimTime {
@@ -471,9 +452,8 @@ impl Fabric {
     }
 
     /// Schedules a `bytes`-sized message belonging to `flow` from `from` to
-    /// `to`, departing the sender NIC at `depart`. Returns the delivery time
-    /// at the receiver NIC. Both ports are weighted-fair across flows with
-    /// registered weights; untagged traffic takes the plain FIFO path.
+    /// `to`, departing the sender NIC at `depart`, and returns the delivery
+    /// time at the receiver NIC: [`Fabric::transfer_group`] with one member.
     ///
     /// # Panics
     ///
@@ -486,183 +466,161 @@ impl Fabric {
         depart: SimTime,
         flow: FlowId,
     ) -> SimTime {
-        assert!(from < self.ports.len(), "sender {from} out of range");
-        assert!(to < self.ports.len(), "receiver {to} out of range");
-        if from == to {
-            // Loopback: the message never touches the wire, so link faults
-            // (which model the cable and switch port) do not apply.
-            return depart + self.loopback_latency;
-        }
-        let (down_until, bw_factor, extra_latency) = self.path_fault(from, to);
-        let depart = depart.max(down_until);
-        let ser = transfer_time(bytes, self.bandwidth * bw_factor);
-        let spine = self.spine_path(from, to);
-        if bytes <= CONTROL_BYPASS_BYTES {
-            // Small control packets (RDMA Read requests, 8-byte ring/credit
-            // writes, ACKs) ride a dedicated virtual lane: InfiniBand's VL
-            // arbitration interleaves them with bulk data at packet
-            // granularity, so they never wait behind megabytes of queued
-            // payload. Their bandwidth share is negligible and is not
-            // charged against the ports (or the spine links).
-            let hop = match spine {
-                Some((_, _, lat)) => lat + self.switch_latency,
-                None => SimDuration::ZERO,
-            };
-            return depart + ser + self.switch_latency + hop + extra_latency;
-        }
-        // Cut-through switching (InfiniBand): the head of the message
-        // reaches the ingress port one switch latency after it starts
-        // leaving the egress, so both ports stream the same bytes in
-        // parallel and serialization is paid once, not twice.
-        let e = self.ports[from]
-            .egress
-            .lock()
-            .reserve_flow(depart, ser, flow, &self.flows);
-        let ingress_ready = match spine {
-            None => e.start + self.switch_latency,
-            Some((src_leaf, dst_leaf, hop)) => {
-                // Inter-leaf: stream through the source leaf's shared
-                // uplink and the destination leaf's shared downlink —
-                // the oversubscribed resources — still cut-through, so
-                // serialization on the (faster) spine links overlaps
-                // the host-port serialization.
-                let ser_up = transfer_time(bytes, self.uplink_bandwidth);
-                let u = self.leaves[src_leaf].uplink.lock().reserve_flow(
-                    e.start + self.switch_latency,
-                    ser_up,
-                    flow,
-                    &self.flows,
-                );
-                let ser_dl = match &self.incast {
-                    None => ser_up,
-                    Some(m) => {
-                        // The downlink aggregates a leaf's worth of
-                        // hosts; its knee is floored at one flow per
-                        // host so a phase-scheduled transfer (at most
-                        // one sender per destination port) never
-                        // crosses it.
-                        let floor = match self.topology {
-                            Topology::FatTree { hosts_per_leaf, .. } => hosts_per_leaf,
-                            Topology::SingleSwitch => 1,
-                        };
-                        let mut dl = self.incast_downlink.lock();
-                        inflate(
-                            ser_up,
-                            incast_penalty(m, &mut dl[dst_leaf], from, depart, floor),
-                        )
-                    }
-                };
-                let d = self.leaves[dst_leaf].downlink.lock().reserve_flow(
-                    u.start + hop,
-                    ser_dl,
-                    flow,
-                    &self.flows,
-                );
-                if self.incast.is_some() {
-                    incast_note(&mut self.incast_downlink.lock()[dst_leaf], from, d.end);
-                }
-                d.start + self.switch_latency
-            }
-        };
-        let ser_in = match &self.incast {
-            None => ser,
-            Some(m) => {
-                let mut ig = self.incast_ingress.lock();
-                inflate(ser, incast_penalty(m, &mut ig[to], from, depart, 1))
-            }
-        };
-        let i = self.ports[to]
-            .ingress
-            .lock()
-            .reserve_flow(ingress_ready, ser_in, flow, &self.flows);
-        if self.incast.is_some() {
-            incast_note(&mut self.incast_ingress.lock()[to], from, i.end);
-        }
-        i.end + extra_latency
+        let mut delivered = depart;
+        let one = std::iter::once(to);
+        self.transfer_group(from, one, bytes, depart, flow, |_, at| delivered = at);
+        delivered
     }
 
-    /// Schedules one `bytes`-sized message from `from` to every node in
-    /// `tos`, serializing on the sender's egress port **once** — the
-    /// defining property of switch-level (native) multicast — charged to
-    /// `flow`, the per-destination ingress reservations likewise. Returns
-    /// the per-destination delivery times, in `tos` order.
+    /// Schedules one `bytes`-sized message belonging to `flow` from `from`
+    /// to every node of `tos`, departing the sender NIC at `depart`, and
+    /// hands `delivered` each member's position in `tos` with the delivery
+    /// time at its NIC, in member order. Ports are weighted-fair across
+    /// flows with registered weights; untagged traffic takes the plain FIFO
+    /// path.
+    ///
+    /// A unicast is the one-member case and a multicast is the same path
+    /// with more members, replicated by the switches: the sender's egress,
+    /// the source leaf's uplink and each destination leaf's downlink carry
+    /// one copy. The message departs once every member's port is up and
+    /// serializes at the lowest bandwidth among the sender's and the
+    /// members' ports — a lossless multicast moves at the pace of its
+    /// slowest branch. Each copy then takes its own leg: the control lane,
+    /// the incast model, the member's ingress port and the extra latency of
+    /// its path.
     ///
     /// # Panics
     ///
     /// Panics if any node id is out of range.
-    pub fn transfer_multicast_flow(
+    pub fn transfer_group(
         &self,
         from: NodeId,
-        tos: &[NodeId],
+        tos: impl ExactSizeIterator<Item = NodeId> + Clone,
         bytes: usize,
         depart: SimTime,
         flow: FlowId,
-    ) -> Vec<SimTime> {
+        mut delivered: impl FnMut(usize, SimTime),
+    ) {
         assert!(from < self.ports.len(), "sender {from} out of range");
-        let (sender_down, sender_bw, sender_lat) = {
-            let faults = self.link_faults.lock();
-            let f = faults[from];
-            (f.down_until, f.bw_factor, f.extra_latency)
+        let faults = self.link_faults.lock();
+        let sender = faults[from];
+        let (mut down_until, mut bw_factor) = (sender.down_until, sender.bw_factor);
+        for to in tos.clone() {
+            assert!(to < self.ports.len(), "receiver {to} out of range");
+            if to != from {
+                down_until = down_until.max(faults[to].down_until);
+                bw_factor = bw_factor.min(faults[to].bw_factor);
+            }
+        }
+        drop(faults);
+        let wire = Departure {
+            from,
+            at: depart.max(down_until),
+            flow,
         };
-        let depart = depart.max(sender_down);
-        let ser = transfer_time(bytes, self.bandwidth * sender_bw);
-        let e = self.ports[from]
-            .egress
-            .lock()
-            .reserve_flow(depart, ser, flow, &self.flows);
-        // Fat tree: the switch tier replicates, so the source uplink
-        // carries ONE copy (reserved lazily, only when some destination
-        // sits on another leaf) and each destination leaf's downlink
-        // carries one copy (cached per leaf below).
-        let mut uplink_start: Option<SimTime> = None;
-        let mut downlink_start: Vec<Option<SimTime>> = vec![None; self.leaves.len()];
-        tos.iter()
-            .map(|&to| {
-                assert!(to < self.ports.len(), "receiver {to} out of range");
-                if to == from {
-                    return depart + self.loopback_latency;
+        let ser = transfer_time(bytes, self.bandwidth * bw_factor);
+        // One copy per link, reserved by the first member that crosses it;
+        // a unicast crosses each link once and keeps no table.
+        let (mut egress, mut uplink) = (None, None);
+        let mut downlinks = vec![None; if tos.len() > 1 { self.leaves.len() } else { 0 }];
+        for (member, to) in tos.enumerate() {
+            if to == from {
+                // Loopback: the message never touches the wire, so link
+                // faults (which model the cable and switch port) do not
+                // apply.
+                delivered(member, depart + self.loopback_latency);
+                continue;
+            }
+            let extra_latency = sender.extra_latency + self.link_faults.lock()[to].extra_latency;
+            let spine = self.spine_path(from, to);
+            if bytes <= CONTROL_BYPASS_BYTES {
+                // Small control packets (RDMA Read requests, 8-byte
+                // ring/credit writes, ACKs) ride a dedicated virtual lane:
+                // InfiniBand's VL arbitration interleaves them with bulk
+                // data at packet granularity, so they never wait behind
+                // megabytes of queued payload. Their bandwidth share is
+                // negligible and is not charged against the ports (or the
+                // spine links).
+                let hop = spine.map_or(SimDuration::ZERO, |(_, _, lat)| lat + self.switch_latency);
+                delivered(
+                    member,
+                    wire.at + ser + self.switch_latency + hop + extra_latency,
+                );
+                continue;
+            }
+            // Cut-through switching (InfiniBand): the head of the message
+            // reaches the ingress port one switch latency after it starts
+            // leaving the egress, so both ports stream the same bytes in
+            // parallel and serialization is paid once, not twice.
+            let e_start = *egress.get_or_insert_with(|| {
+                let mut port = self.ports[from].egress.lock();
+                port.reserve_flow(wire.at, ser, flow, &self.flows).start
+            });
+            let ingress_ready = match spine {
+                None => e_start + self.switch_latency,
+                Some((src_leaf, dst_leaf, hop)) => {
+                    // Inter-leaf: stream through the source leaf's shared
+                    // uplink and the destination leaf's shared downlink —
+                    // the oversubscribed resources — still cut-through, so
+                    // serialization on the (faster) spine links overlaps
+                    // the host-port serialization.
+                    let ser_up = transfer_time(bytes, self.uplink_bandwidth);
+                    let u_start = *uplink.get_or_insert_with(|| {
+                        let mut link = self.leaves[src_leaf].uplink.lock();
+                        let ready = e_start + self.switch_latency;
+                        link.reserve_flow(ready, ser_up, flow, &self.flows).start
+                    });
+                    let reserved = downlinks.get(dst_leaf).copied().flatten();
+                    let d_start = reserved.unwrap_or_else(|| {
+                        let link = &self.leaves[dst_leaf].downlink;
+                        let incast = (&self.incast_downlink, dst_leaf);
+                        let d = self.reserve_bulk(link, incast, wire, u_start + hop, ser_up);
+                        if let Some(copy) = downlinks.get_mut(dst_leaf) {
+                            *copy = Some(d.start);
+                        }
+                        d.start
+                    });
+                    d_start + self.switch_latency
                 }
-                let (recv_down, _, recv_lat) = {
-                    let faults = self.link_faults.lock();
-                    let f = faults[to];
-                    (f.down_until, f.bw_factor, f.extra_latency)
-                };
-                let ingress_ready = match self.spine_path(from, to) {
-                    None => e.start.max(recv_down) + self.switch_latency,
-                    Some((src_leaf, dst_leaf, hop)) => {
-                        let ser_up = transfer_time(bytes, self.uplink_bandwidth);
-                        let u_start = *uplink_start.get_or_insert_with(|| {
-                            self.leaves[src_leaf]
-                                .uplink
-                                .lock()
-                                .reserve_flow(e.start + self.switch_latency, ser_up, flow, &self.flows)
-                                .start
-                        });
-                        let d_start = match downlink_start[dst_leaf] {
-                            Some(start) => start,
-                            None => {
-                                let d = self.leaves[dst_leaf].downlink.lock().reserve_flow(
-                                    u_start + hop,
-                                    ser_up,
-                                    flow,
-                                    &self.flows,
-                                );
-                                downlink_start[dst_leaf] = Some(d.start);
-                                d.start
-                            }
-                        };
-                        d_start.max(recv_down) + self.switch_latency
-                    }
-                };
-                self.ports[to]
-                    .ingress
-                    .lock()
-                    .reserve_flow(ingress_ready, ser, flow, &self.flows)
-                    .end
-                    + sender_lat
-                    + recv_lat
-            })
-            .collect()
+            };
+            let (port, incast) = (&self.ports[to].ingress, (&self.incast_ingress, to));
+            let i = self.reserve_bulk(port, incast, wire, ingress_ready, ser);
+            delivered(member, i.end + extra_latency);
+        }
+    }
+
+    /// Reserves `resource` for one bulk copy of `wire`, ready at `ready`,
+    /// for `ser`. With the incast model on, `resource` is port `port` of
+    /// `incast`: `ser` is inflated by what one more distinct sender costs
+    /// there (reservations that ended before the departure pruned first),
+    /// and the copy is noted there until its reservation ends.
+    fn reserve_bulk(
+        &self,
+        resource: &Mutex<FairResource>,
+        (incast, port): (&IncastPorts, usize),
+        wire: Departure,
+        ready: SimTime,
+        ser: SimDuration,
+    ) -> Reservation {
+        let Some(model) = &self.incast else {
+            return resource
+                .lock()
+                .reserve_flow(ready, ser, wire.flow, &self.flows);
+        };
+        let mut senders = incast.senders.lock();
+        let set = &mut senders[port];
+        set.retain(|&(_, end)| end > wire.at);
+        let known = set.iter().position(|&(n, _)| n == wire.from);
+        let active = set.len() + usize::from(known.is_none());
+        let ser = inflate(ser, model.penalty_floored(active, incast.knee_floor));
+        let r = resource
+            .lock()
+            .reserve_flow(ready, ser, wire.flow, &self.flows);
+        match known {
+            Some(i) => set[i].1 = set[i].1.max(r.end),
+            None => set.push((wire.from, r.end)),
+        }
+        r
     }
 
     /// Utilization of a node's ingress port over `[0, horizon]`.
@@ -859,9 +817,11 @@ mod tests {
         }
         // Native multicast: one egress serialization for all 3.
         let f2 = fabric(4);
-        let deliveries =
-            f2.transfer_multicast_flow(0, &[1, 2, 3], 1 << 20, SimTime::ZERO, FlowId::NONE);
-        let last_multicast = deliveries.iter().copied().max().expect("non-empty");
+        let mut last_multicast = SimTime::ZERO;
+        let members = [1, 2, 3].into_iter();
+        f2.transfer_group(0, members, 1 << 20, SimTime::ZERO, FlowId::NONE, |_, at| {
+            last_multicast = last_multicast.max(at)
+        });
         assert!(
             last_multicast.as_nanos() * 2 < last_unicast.as_nanos(),
             "multicast {last_multicast:?} must beat unicast fan-out {last_unicast:?}"
@@ -1037,5 +997,182 @@ mod tests {
         let later = SimTime::ZERO + crate::time::SimDuration::from_millis(100);
         let restored = f2.transfer(0, 1, 1 << 20, later);
         assert_eq!((restored - later).as_nanos(), healthy.as_nanos());
+    }
+
+    /// Senders of the fan-in in [`UNICAST`]: six nodes, everyone sends one
+    /// message to node 0 at t = 0, node 2 a second one. On the fat tree
+    /// (three leaves of two hosts) node 1 shares node 0's leaf and nodes
+    /// 2–5 cross the spine.
+    const FAN_IN: [NodeId; 6] = [1, 2, 3, 4, 5, 2];
+
+    /// Delivery times in ns of the [`FAN_IN`] messages sent one at a time
+    /// with `transfer_flow`, per topology, link condition and message size:
+    /// the unicast timing every change to the transfer path must keep. The
+    /// control lane (64 B), the incast penalty (the fat tree's later
+    /// senders) and all three link faults show in it.
+    #[rustfmt::skip]
+    const UNICAST: [(&str, &str, usize, [u64; 6]); 24] = [
+        ("single switch", "healthy", 64, [235, 235, 235, 235, 235, 235]),
+        ("single switch", "healthy", 4096, [551, 872, 1193, 1514, 1835, 2156]),
+        ("single switch", "healthy", 1048576, [82294, 164358, 246422, 328486, 410550, 492614]),
+        ("single switch", "sender down", 64, [235, 20235, 235, 235, 235, 20235]),
+        ("single switch", "sender down", 4096, [551, 20551, 20872, 21193, 21514, 21835]),
+        ("single switch", "sender down", 1048576, [82294, 164358, 246422, 328486, 410550, 492614]),
+        ("single switch", "receiver down", 64, [20235, 20235, 20235, 20235, 20235, 20235]),
+        ("single switch", "receiver down", 4096, [20551, 20872, 21193, 21514, 21835, 22156]),
+        ("single switch", "receiver down", 1048576, [102294, 184358, 266422, 348486, 430550, 512614]),
+        ("single switch", "receiver degraded", 64, [3240, 3240, 3240, 3240, 3240, 3240]),
+        ("single switch", "receiver degraded", 4096, [3871, 4512, 5153, 5794, 6435, 7076]),
+        ("single switch", "receiver degraded", 1048576, [167358, 331486, 495614, 659742, 823870, 987998]),
+        ("fat tree with incast", "healthy", 64, [235, 965, 965, 965, 965, 965]),
+        ("fat tree with incast", "healthy", 4096, [551, 1281, 1763, 2405, 3208, 4011]),
+        ("fat tree with incast", "healthy", 1048576, [82294, 164358, 287454, 451582, 656742, 861902]),
+        ("fat tree with incast", "sender down", 64, [235, 20965, 965, 965, 965, 20965]),
+        ("fat tree with incast", "sender down", 4096, [551, 21281, 21602, 22084, 22726, 23368]),
+        ("fat tree with incast", "sender down", 1048576, [82294, 164358, 287454, 451582, 656742, 861902]),
+        ("fat tree with incast", "receiver down", 64, [20235, 20965, 20965, 20965, 20965, 20965]),
+        ("fat tree with incast", "receiver down", 4096, [20551, 21281, 21763, 22405, 23208, 24011]),
+        ("fat tree with incast", "receiver down", 1048576, [102294, 184358, 307454, 471582, 676742, 881902]),
+        ("fat tree with incast", "receiver degraded", 64, [3240, 3970, 3970, 3970, 3970, 3970]),
+        ("fat tree with incast", "receiver degraded", 4096, [3871, 4601, 5563, 6845, 8448, 10051]),
+        ("fat tree with incast", "receiver degraded", 1048576, [167358, 331486, 577678, 905934, 1316254, 1726574]),
+    ];
+
+    /// A six-node fabric of `topology` with `link`'s fault in place: node 2
+    /// (a sender) or node 0 (the receiver) down for 20 µs, or node 0 at
+    /// half bandwidth and 3 µs extra latency.
+    fn table_fabric(topology: &str, link: &str) -> Fabric {
+        let topology = match topology {
+            "single switch" => Topology::SingleSwitch,
+            _ => Topology::fat_tree(2, 2.0).with_incast(IncastModel::new(2)),
+        };
+        let f = topo_fabric(6, topology);
+        let until = SimTime::ZERO + SimDuration::from_micros(20);
+        match link {
+            "healthy" => {}
+            "sender down" => f.set_port_down_until(2, until),
+            "receiver down" => f.set_port_down_until(0, until),
+            _ => f.set_degradation(0, 0.5, SimDuration::from_micros(3)),
+        }
+        f
+    }
+
+    /// `transfer_group` to `tos`, its deliveries in member order.
+    fn multicast(f: &Fabric, from: NodeId, tos: &[NodeId], bytes: usize) -> Vec<SimTime> {
+        let mut at = Vec::new();
+        let members = tos.iter().copied();
+        f.transfer_group(
+            from,
+            members,
+            bytes,
+            SimTime::ZERO,
+            FlowId::NONE,
+            |member, t| {
+                assert_eq!(member, at.len(), "deliveries come in member order");
+                at.push(t)
+            },
+        );
+        at
+    }
+
+    #[test]
+    fn unicast_delivery_table_holds_and_a_one_member_multicast_matches_it() {
+        for (topology, link, bytes, want) in UNICAST {
+            let row = format!("{topology}, {link}, {bytes} B");
+            let f = table_fabric(topology, link);
+            let unicast = FAN_IN.map(|from| f.transfer(from, 0, bytes, SimTime::ZERO).as_nanos());
+            assert_eq!(unicast, want, "{row}: unicast");
+            let f = table_fabric(topology, link);
+            let one = FAN_IN.map(|from| multicast(&f, from, &[0], bytes)[0].as_nanos());
+            assert_eq!(one, want, "{row}: one-member multicast");
+        }
+    }
+
+    /// A multicast datagram of at most [`CONTROL_BYPASS_BYTES`] rides the
+    /// control lane to every member, as the same datagram sent unicast
+    /// does, instead of queueing behind bulk payload on the egress.
+    #[test]
+    fn a_small_multicast_rides_the_control_lane_past_queued_bulk_data() {
+        let f = fabric(4);
+        let bulk_done = f.transfer(0, 1, 16 << 20, SimTime::ZERO);
+        let depart = SimTime::from_nanos(10);
+        let mut at = Vec::new();
+        let members = [1, 2, 3].into_iter();
+        f.transfer_group(0, members, 64, depart, FlowId::NONE, |_, t| at.push(t));
+        let unicast: Vec<_> = (1..4).map(|to| f.transfer(0, to, 64, depart)).collect();
+        assert_eq!(at, unicast);
+        assert!(
+            at.iter().all(|&t| t < bulk_done),
+            "{at:?} behind {bulk_done:?}"
+        );
+    }
+
+    /// Each copy of a multicast is ordinary traffic on its member's ports:
+    /// a copy lands exactly when the same message sent unicast to that
+    /// member would, penalized by the incast model on the downlink and the
+    /// ingress port, and counts toward the penalty of whatever follows.
+    #[test]
+    fn multicast_copies_count_toward_ingress_and_downlink_incast() {
+        let topology = Topology::fat_tree(2, 2.0).with_incast(IncastModel::new(2));
+        let (bytes, follower) = (1 << 20, 5);
+        let (copies, unicasts) = (topo_fabric(6, topology.clone()), topo_fabric(6, topology));
+        for from in [2, 3, 4] {
+            let both = multicast(&copies, from, &[0, 1], bytes);
+            assert_eq!(
+                both[0],
+                unicasts.transfer(from, 0, bytes, SimTime::ZERO),
+                "{from}"
+            );
+        }
+        let after_copies = copies.transfer(follower, 0, bytes, SimTime::ZERO);
+        let after_unicasts = unicasts.transfer(follower, 0, bytes, SimTime::ZERO);
+        assert_eq!(after_copies, after_unicasts);
+        // The penalty bites: without the model the same traffic lands sooner.
+        let ideal = topo_fabric(6, Topology::fat_tree(2, 2.0));
+        for from in [2, 3, 4] {
+            multicast(&ideal, from, &[0, 1], bytes);
+        }
+        assert!(ideal.transfer(follower, 0, bytes, SimTime::ZERO) < after_copies);
+        let (ingress, downlink) = (
+            copies.incast_ingress.senders.lock(),
+            copies.incast_downlink.senders.lock(),
+        );
+        let noted = |set: &Vec<(NodeId, SimTime)>| set.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(
+            noted(&ingress[1]),
+            [2, 3, 4],
+            "every member's port counts the copies"
+        );
+        assert_eq!(
+            noted(&downlink[0]),
+            [2, 3, 4, 5],
+            "one copy per sender on the leaf"
+        );
+    }
+
+    /// A lossless multicast moves at its slowest branch: a degraded or
+    /// downed member's copy lands exactly when a unicast to it would, and
+    /// the healthy members' copies leave with it, at its pace, without its
+    /// extra latency.
+    #[test]
+    fn a_degraded_or_downed_member_paces_the_multicast_as_it_paces_unicast() {
+        let (bytes, lag) = (1 << 20, SimDuration::from_micros(3));
+        let until = SimTime::ZERO + SimDuration::from_micros(500);
+        for downed in [false, true] {
+            let [f, alone] = [fabric(4), fabric(4)];
+            for f in [&f, &alone] {
+                match downed {
+                    true => f.set_port_down_until(2, until),
+                    false => f.set_degradation(2, 0.5, lag),
+                }
+            }
+            let unicast = alone.transfer(0, 2, bytes, SimTime::ZERO);
+            let healthy = if downed { unicast } else { unicast - lag };
+            assert!(healthy > fabric(4).transfer(0, 1, bytes, SimTime::ZERO));
+            assert_eq!(
+                multicast(&f, 0, &[1, 2, 3], bytes),
+                [healthy, unicast, healthy]
+            );
+        }
     }
 }

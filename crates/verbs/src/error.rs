@@ -32,7 +32,8 @@ pub enum VerbsError {
     },
     /// An RC operation was attempted before the QP was connected to a peer.
     NotConnected(QpNum),
-    /// A UD send was posted without an address handle.
+    /// A UD send was posted without an address handle (a multicast to no
+    /// member has none either).
     MissingAddressHandle,
     /// A buffer range falls outside its memory region.
     OutOfBounds {

@@ -525,48 +525,22 @@ impl QueuePair {
     /// arrives.
     pub fn post_send(&self, sim: &SimContext, wr: SendWr) -> Result<()> {
         self.check_sendable("post_send")?;
-        let (dest, max, kind) = match self.inner.ty {
-            QpType::Ud => (
-                wr.ah.ok_or(VerbsError::MissingAddressHandle)?,
-                UD_MTU,
-                WrKind::SendUd,
-            ),
-            QpType::Rc => {
-                let peer = *self.inner.peer.lock();
-                (
-                    peer.ok_or(VerbsError::NotConnected(self.inner.qpn))?,
-                    MAX_RC_MESSAGE,
-                    WrKind::SendRc,
-                )
-            }
-        };
-        check_len(wr.len, max)?;
-        let payload = wr.mr.capture(wr.offset, wr.len)?;
-        let (posted, nic_done) = self.accept(sim, kind, wr.len);
-
-        let reliable = self.inner.ty == QpType::Rc;
-        let mut jitter = SimDuration::ZERO;
-        if !reliable {
-            self.complete_locally(&wr, posted, nic_done);
-            // UD fault injection: loss and reordering. A datagram lost in
-            // the network never reaches the fabric.
-            match self.runtime.sample_ud_fate(self.inner.node) {
-                Some(j) => jitter = j,
-                None => return Ok(()),
-            }
+        if self.inner.ty == QpType::Ud {
+            let dest = wr.ah.ok_or(VerbsError::MissingAddressHandle)?;
+            return self.post_datagram(sim, wr, &[dest]);
         }
-        let arrival = self.runtime.cluster().fabric().transfer_flow(
+        let peer = *self.inner.peer.lock();
+        let dest = peer.ok_or(VerbsError::NotConnected(self.inner.qpn))?;
+        check_len(wr.len, MAX_RC_MESSAGE)?;
+        let payload = wr.mr.capture(wr.offset, wr.len)?;
+        let (posted, nic_done) = self.accept(sim, WrKind::SendRc, wr.len);
+        let arrival = self.ordered_delivery(self.runtime.cluster().fabric().transfer_flow(
             self.inner.node,
             dest.node,
-            wire_bytes(self.inner.ty, wr.len),
+            wire_bytes(QpType::Rc, wr.len),
             nic_done,
             self.inner.flow,
-        ) + jitter;
-        let arrival = if reliable {
-            self.ordered_delivery(arrival)
-        } else {
-            arrival
-        };
+        ));
         let inbound = self.inbound(dest, payload, &wr, posted);
         self.runtime
             .kernel()
@@ -576,9 +550,9 @@ impl QueuePair {
 
     /// Posts one UD Send that the switch replicates to every destination
     /// (native InfiniBand multicast; the paper's §7 hypothesizes this will
-    /// reduce broadcast CPU cost). One work request, one egress
-    /// serialization, one local completion; each destination's delivery is
-    /// subject to its own fault sampling. UD only.
+    /// reduce broadcast CPU cost): a UD [`QueuePair::post_send`] to every
+    /// member of `dests` at once. UD only; an empty member list is
+    /// [`VerbsError::MissingAddressHandle`].
     pub fn post_send_multicast(
         &self,
         sim: &SimContext,
@@ -592,28 +566,54 @@ impl QueuePair {
             });
         }
         self.check_sendable("post_send_multicast")?;
+        if dests.is_empty() {
+            return Err(VerbsError::MissingAddressHandle);
+        }
+        self.post_datagram(sim, wr, dests)
+    }
+
+    /// The one body of a UD Send, to one member or many: one work request,
+    /// one local completion and one fabric transfer for all of `dests`.
+    /// Every member's fate (UD loss and reordering) is drawn first, in
+    /// member order; a lost copy never reaches the fabric, and when every
+    /// copy is lost nothing does.
+    fn post_datagram(&self, sim: &SimContext, wr: SendWr, dests: &[AddressHandle]) -> Result<()> {
         check_len(wr.len, UD_MTU)?;
-        assert!(!dests.is_empty(), "multicast needs at least one destination");
         let payload = wr.mr.capture(wr.offset, wr.len)?;
         let (posted, nic_done) = self.accept(sim, WrKind::SendUd, wr.len);
-        self.complete_locally(&wr, posted, nic_done);
-        let dest_nodes: Vec<crate::NodeId> = dests.iter().map(|d| d.node).collect();
-        let arrivals = self.runtime.cluster().fabric().transfer_multicast_flow(
-            self.inner.node,
-            &dest_nodes,
-            wire_bytes(QpType::Ud, wr.len),
-            nic_done,
-            self.inner.flow,
-        );
-        for (&dest, arrival) in dests.iter().zip(arrivals) {
-            let Some(jitter) = self.runtime.sample_ud_fate(self.inner.node) else {
-                continue; // This member's copy is lost.
-            };
+        // The sender completes locally once the NIC is done with the
+        // buffer, whatever becomes of the copies.
+        let me = (self.inner.node, self.inner.qpn);
+        let sent = Completion::new(wr.wr_id, WcOpcode::Send, me, me.1, posted.as_nanos());
+        let sent = sent.outcome(WcStatus::Success, wr.len);
+        self.inner.send_cq.complete_at(nic_done, sent);
+        let fate = |&dest: &AddressHandle| {
+            let jitter = self.runtime.sample_ud_fate(self.inner.node)?;
+            Some((dest, jitter))
+        };
+        // The surviving copies; a unicast's one stays off the heap.
+        let (one, many);
+        let copies: &[(AddressHandle, SimDuration)] = match dests {
+            [dest] => {
+                one = fate(dest);
+                one.as_slice()
+            }
+            _ => {
+                many = dests.iter().filter_map(fate).collect::<Vec<_>>();
+                &many
+            }
+        };
+        let members = copies.iter().map(|(dest, _)| dest.node);
+        let bytes = wire_bytes(QpType::Ud, wr.len);
+        let fabric = self.runtime.cluster().fabric();
+        let (node, flow) = (self.inner.node, self.inner.flow);
+        fabric.transfer_group(node, members, bytes, nic_done, flow, |copy, arrival| {
+            let (dest, jitter) = copies[copy];
             let inbound = self.inbound(dest, payload.clone(), &wr, posted);
             self.runtime
                 .kernel()
                 .schedule(arrival + jitter, move || inbound.arrive(0));
-        }
+        });
         Ok(())
     }
 
@@ -740,16 +740,6 @@ impl QueuePair {
         obs.record_stage(Stage::WrBatch, node, d.saturating_sub(p));
         obs.stage_span(Stage::WrBatch, node, track, p, d);
         (now, nic_done)
-    }
-
-    /// The sender-side completion of a UD Send: local, once the NIC is done
-    /// with the buffer, whatever becomes of the datagram. (RC completes
-    /// when the remote match acknowledges: `InboundSend::answer`.)
-    fn complete_locally(&self, wr: &SendWr, posted: SimTime, nic_done: SimTime) {
-        let me = (self.inner.node, self.inner.qpn);
-        let completion = Completion::new(wr.wr_id, WcOpcode::Send, me, me.1, posted.as_nanos())
-            .outcome(WcStatus::Success, wr.len);
-        self.inner.send_cq.complete_at(nic_done, completion);
     }
 
     /// `wr`'s message on its way to `dest`.

@@ -790,6 +790,9 @@ fn entry(c: &Completion, posted_at: u64) -> Entry {
 enum Verb {
     /// Send with immediate 99.
     Send,
+    /// The same Send as a multicast to this many members, each of them
+    /// the target's QP.
+    Multicast(usize),
     /// One-sided, at `offset` of the target's 64-byte region, or of one
     /// nobody registered.
     Read {
@@ -820,14 +823,15 @@ const LEN: usize = 11;
 
 /// One way a work request can end: its name, the service, the receive the
 /// target posted (its capacity), the trouble, the verb, and the entries
-/// expected in the requester's and in the target's completion queue.
+/// expected in the requester's completion queue — or the error the post is
+/// refused with — and in the target's.
 type Row = (
     &'static str,
     QpType,
     Option<usize>,
     Trouble,
     Verb,
-    Vec<Entry>,
+    Result<Vec<Entry>, VerbsError>,
     Vec<Entry>,
 );
 
@@ -843,34 +847,45 @@ fn every_completion_carries_the_whole_entry() {
     #[rustfmt::skip]
     let table: Vec<Row> = vec![
         ("rc send", QpType::Rc, Some(64), Trouble::None, Verb::Send,
-            vec![(Success, Send, LEN, 1, B, A, None)], vec![(Success, Recv, LEN, 0, A, B, imm)]),
+            Ok(vec![(Success, Send, LEN, 1, B, A, None)]), vec![(Success, Recv, LEN, 0, A, B, imm)]),
         ("ud send", QpType::Ud, Some(64), Trouble::None, Verb::Send,
-            vec![ud_local], vec![(Success, Recv, LEN, 0, A, B, imm)]),
+            Ok(vec![ud_local]), vec![(Success, Recv, LEN, 0, A, B, imm)]),
         ("ud send lost in the network", QpType::Ud, Some(64), Lossy, Verb::Send,
-            vec![ud_local], vec![]),
+            Ok(vec![ud_local]), vec![]),
         ("ud send unmatched", QpType::Ud, None, Trouble::None, Verb::Send,
-            vec![ud_local], vec![]),
+            Ok(vec![ud_local]), vec![]),
         ("rc send to a killed qp", QpType::Rc, Some(64), Killed, Verb::Send,
-            vec![(Flushed, Send, LEN, 1, B, A, None)], vec![(Flushed, Recv, 0, 1, B, B, None)]),
+            Ok(vec![(Flushed, Send, LEN, 1, B, A, None)]), vec![(Flushed, Recv, 0, 1, B, B, None)]),
         ("rc send, rnr retries exhausted", QpType::Rc, None, Trouble::None, Verb::Send,
-            vec![(RetryExceeded, Send, LEN, 1, B, A, None)], vec![]),
+            Ok(vec![(RetryExceeded, Send, LEN, 1, B, A, None)]), vec![]),
         ("rc send longer than the receive", QpType::Rc, Some(8), Trouble::None, Verb::Send,
-            vec![(RemoteInvalidRequest, Send, LEN, 1, B, A, None)],
+            Ok(vec![(RemoteInvalidRequest, Send, LEN, 1, B, A, None)]),
             vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
         ("ud send longer than the receive", QpType::Ud, Some(8), Trouble::None, Verb::Send,
-            vec![ud_local], vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+            Ok(vec![ud_local]), vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+        // A multicast to one member is a UD send, entry for entry.
+        ("ud multicast to one member", QpType::Ud, Some(64), Trouble::None, Verb::Multicast(1),
+            Ok(vec![ud_local]), vec![(Success, Recv, LEN, 0, A, B, imm)]),
+        ("ud multicast to one member, lost in the network", QpType::Ud, Some(64), Lossy,
+            Verb::Multicast(1), Ok(vec![ud_local]), vec![]),
+        ("ud multicast to one member, unmatched", QpType::Ud, None, Trouble::None,
+            Verb::Multicast(1), Ok(vec![ud_local]), vec![]),
+        ("ud multicast to one member, longer than the receive", QpType::Ud, Some(8), Trouble::None,
+            Verb::Multicast(1), Ok(vec![ud_local]), vec![(LocalLengthError, Recv, LEN, 0, A, B, imm)]),
+        ("ud multicast to no member", QpType::Ud, Some(64), Trouble::None, Verb::Multicast(0),
+            Err(VerbsError::MissingAddressHandle), vec![]),
         ("read", QpType::Rc, None, Trouble::None, read(true, 0),
-            vec![(Success, Read, LEN, 1, Z, A, None)], vec![]),
+            Ok(vec![(Success, Read, LEN, 1, Z, A, None)]), vec![]),
         ("read, bad rkey", QpType::Rc, None, Trouble::None, read(false, 0),
-            vec![(Flushed, Read, 0, 1, Z, A, None)], vec![]),
+            Ok(vec![(Flushed, Read, 0, 1, Z, A, None)]), vec![]),
         ("read, out of bounds", QpType::Rc, None, Trouble::None, read(true, 60),
-            vec![(Flushed, Read, 0, 1, Z, A, None)], vec![]),
+            Ok(vec![(Flushed, Read, 0, 1, Z, A, None)]), vec![]),
         ("write", QpType::Rc, None, Trouble::None, write(true, 0),
-            vec![(Success, Write, LEN, 1, Z, A, None)], vec![]),
+            Ok(vec![(Success, Write, LEN, 1, Z, A, None)]), vec![]),
         ("write, bad rkey", QpType::Rc, None, Trouble::None, write(false, 0),
-            vec![(Flushed, Write, 0, 1, Z, A, None)], vec![]),
+            Ok(vec![(Flushed, Write, 0, 1, Z, A, None)]), vec![]),
         ("write, out of bounds", QpType::Rc, None, Trouble::None, write(true, 60),
-            vec![(Flushed, Write, 0, 1, Z, A, None)], vec![]),
+            Ok(vec![(Flushed, Write, 0, 1, Z, A, None)]), vec![]),
     ];
     for (name, service, recv, trouble, verb, at_requester, at_target) in table {
         let faults = FaultConfig {
@@ -908,31 +923,40 @@ fn every_completion_carries_the_whole_entry() {
             rkey: if known_rkey { rkey } else { 9_999 },
             offset,
         };
-        let ah = (service == QpType::Ud).then(|| qp_b.address_handle());
+        let b = qp_b.address_handle();
+        let ah = (service == QpType::Ud).then_some(b);
         let ack_latency = rt.profile().rc_ack_latency.as_nanos();
         rt.cluster().spawn(0, "requester", move |sim| {
             sim.sleep(SimDuration::from_micros(10));
-            match verb {
-                Verb::Send => qp_a.post_send(
-                    &sim,
-                    SendWr {
-                        wr_id: 7,
-                        mr: local,
-                        offset: 0,
-                        len: LEN,
-                        imm,
-                        ah,
-                    },
-                ),
+            let before = sim.now().as_nanos();
+            let send = SendWr {
+                wr_id: 7,
+                mr: local.clone(),
+                offset: 0,
+                len: LEN,
+                imm,
+                ah,
+            };
+            let posted = match verb {
+                Verb::Send => qp_a.post_send(&sim, send),
+                Verb::Multicast(members) => {
+                    let send = SendWr { ah: None, ..send };
+                    qp_a.post_send_multicast(&sim, send, &vec![b; members])
+                }
                 Verb::Read { known_rkey, offset } => {
                     qp_a.post_read(&sim, 7, (local, 0), remote(known_rkey, offset), LEN)
                 }
                 Verb::Write { known_rkey, offset } => {
                     qp_a.post_write(&sim, 7, (local, 0), remote(known_rkey, offset), LEN)
                 }
-            }
-            .unwrap();
+            };
             let posted_at = sim.now().as_nanos();
+            assert_eq!(posted, at_requester.clone().map(|_| ()), "{name}");
+            // A refused post is refused before its CPU cost is charged.
+            if posted.is_err() {
+                assert_eq!(posted_at, before, "{name}: time passed");
+            }
+            let at_requester = at_requester.unwrap_or_default();
             // Past the last receiver-not-ready retry (7 x 20 µs).
             sim.sleep(SimDuration::from_millis(1));
             let mut deposits = Vec::new();

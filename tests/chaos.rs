@@ -16,12 +16,17 @@ mod coordinated;
 #[path = "common/run.rs"]
 mod run;
 
-use common::{small_config, us};
-use rshuffle_repro::engine::{RecoveryPolicy, RecoveryReport};
-use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm, ShuffleError};
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use common::{small_config, us, NODES, THREADS};
+use rshuffle_repro::engine::{
+    run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport,
+};
+use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
+use rshuffle_repro::simnet::{DeviceProfile, NodeId, SimDuration};
 use rshuffle_repro::verbs::FaultPlan;
-use run::{Run, ROW};
+use run::{Collector, Run, ROW};
 
 const ROWS_PER_THREAD: usize = 1000;
 
@@ -77,6 +82,50 @@ fn expected_rows() -> Vec<[u8; ROW]> {
     common::expected_rows(ROWS_PER_THREAD, |node| node as u64)
 }
 
+/// Every row the nodes other than `node` emit, sorted: what a broadcast
+/// delivers to `node`.
+fn rows_from_others(node: NodeId) -> Vec<[u8; ROW]> {
+    let emitted = |src: NodeId| {
+        let seqs =
+            move |tid| (0..ROWS_PER_THREAD).map(move |seq| Generator::row(src as u64, tid, seq));
+        (0..THREADS).flat_map(seqs)
+    };
+    let mut rows: Vec<_> = (0..NODES)
+        .filter(|&src| src != node)
+        .flat_map(emitted)
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// The rows each node received, sorted, per `(generation, node)`.
+type ReceivedByNode = HashMap<(u32, NodeId), Vec<[u8; ROW]>>;
+
+/// MESQ/SR broadcasting through the switch's native multicast under
+/// `plan`, restart-only: the report and what each node received.
+fn run_native_multicast(plan: FaultPlan) -> (RecoveryReport, ReceivedByNode) {
+    let algorithm = ShuffleAlgorithm::MESQ_SR;
+    let mut config = small_config(algorithm, Some(plan));
+    config.groups = ExchangeConfig::broadcast(algorithm, NODES, THREADS).groups;
+    config.ud_native_multicast = true;
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let delivered = Collector::sized((NODES - 1) * THREADS * ROWS_PER_THREAD);
+    let sink = delivered.clone();
+    let report = run_shuffle_with_recovery(
+        &runtime,
+        &config,
+        chaos_policy(),
+        ROW,
+        |_, node| {
+            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
+        },
+        move |generation, node, _, batch| sink.push((generation, node), batch),
+    );
+    runtime.cluster().run();
+    let report = report.lock().clone();
+    (report, delivered.into_sorted())
+}
+
 #[test]
 fn every_algorithm_survives_every_fault_plan_exactly_once() {
     let expected = expected_rows();
@@ -110,6 +159,24 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
                 "{algorithm} under {plan_name}: delivered rows diverge from the source"
             );
             assert_eq!(rep.rows, expected.len() as u64, "{algorithm} {plan_name}");
+        }
+        // Native multicast (§7): each member's copy meets the fault on its
+        // own, and every destination gets every other node's rows once.
+        let (rep, delivered) = run_native_multicast(plan);
+        assert!(
+            rep.succeeded(),
+            "native multicast under {plan_name}: query failed after {} restarts: {:?}",
+            rep.full_restarts,
+            rep.failure
+        );
+        for node in 0..NODES {
+            let got = delivered.get(&(rep.generation, node));
+            let want = rows_from_others(node);
+            assert_eq!(
+                got,
+                Some(&want),
+                "native multicast under {plan_name}: node {node}"
+            );
         }
     }
 }
