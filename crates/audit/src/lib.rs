@@ -1140,6 +1140,355 @@ mod tests {
         assert_eq!(a.violation_count(), 1, "old lane state must not leak");
     }
 
+    /// One UD data message from endpoint 4 to node 1, as `sr_ud` reports
+    /// it: the credit lane's running count, then the per-destination count.
+    fn send_ud(h: &AuditHandle, sent: u64, at_ns: u64) {
+        h.credit_consumed(CreditLane::Ud { sender: 4, dest: 1 }, sent, at_ns);
+        h.data_sent(4, 1, at_ns);
+    }
+
+    /// A whole verdict: `(code_id, code, Display)` of each violation, in
+    /// report order.
+    type Verdict = &'static [(u64, &'static str, &'static str)];
+
+    /// A scripted hook sequence, what the auditor reports while it runs,
+    /// and what `finalize(true)` appends to that.
+    struct Row {
+        name: &'static str,
+        script: fn(&AuditHandle),
+        online: Verdict,
+        added: Verdict,
+    }
+
+    const VERDICTS: &[Row] = &[
+        Row {
+            name: "clean",
+            script: |h| {
+                let ud = CreditLane::Ud { sender: 4, dest: 1 };
+                h.credit_lane(ud, None);
+                h.credit_granted(ud, 2, 0);
+                h.credit_lane(lane(), Some(2));
+                h.receives_posted(lane(), 2, 0);
+                h.credit_granted(lane(), 2, 0);
+                h.credit_consumed(lane(), 1, 10);
+                h.credit_consumed(lane(), 2, 20);
+                h.receives_posted(lane(), 2, 30);
+                h.credit_granted(lane(), 4, 30);
+                h.credit_lane_closed(lane(), 40);
+                let b = BufId { rkey: 1, offset: 64 };
+                h.buffer_taken(b, 50);
+                h.buffer_sent(b, 51);
+                h.buffer_recycled(b, 52);
+                h.delivered(b, 53);
+                h.released(b, 54);
+                let r = RingKey { rkey: 3, base: 0 };
+                h.ring(r, RingKind::ValidArr, 2);
+                h.ring_produced(r, 60);
+                h.ring_produced(r, 61);
+                h.ring_consumed(r, 62);
+                h.ring_consumed(r, 63);
+                send_ud(h, 1, 70);
+                send_ud(h, 2, 71);
+                h.depleted_announced(4, 1, 2, 71);
+                h.counted_receive(4, 1, None, 72);
+                h.counted_receive(4, 2, Some(2), 73);
+            },
+            online: &[],
+            added: &[],
+        },
+        Row {
+            name: "credit_overdraft",
+            script: |h| {
+                h.credit_lane(lane(), Some(4));
+                h.receives_posted(lane(), 4, 0);
+                h.credit_granted(lane(), 4, 0);
+                h.credit_consumed(lane(), 4, 10);
+                h.credit_consumed(lane(), 5, 20);
+            },
+            online: &[
+                (
+                    1,
+                    "credit_overdraft",
+                    "credit overdraft on rc-slot[rkey=7,off=8]: consumed 5 > granted 4 at 20ns",
+                ),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "credit_regression",
+            script: |h| {
+                h.credit_lane(lane(), Some(4));
+                h.receives_posted(lane(), 4, 0);
+                h.credit_granted(lane(), 4, 0);
+                h.credit_granted(lane(), 3, 10);
+                h.credit_granted(lane(), 4, 20);
+            },
+            online: &[
+                (
+                    2,
+                    "credit_regression",
+                    "credit regression on rc-slot[rkey=7,off=8]: 3 after 4 at 10ns",
+                ),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "credit_over_grant",
+            script: |h| {
+                h.credit_lane(lane(), Some(4));
+                h.receives_posted(lane(), 2, 0);
+                h.credit_granted(lane(), 3, 10);
+                // A lossy lane announces whatever it likes.
+                let ud = CreditLane::Ud { sender: 4, dest: 1 };
+                h.credit_lane(ud, None);
+                h.credit_granted(ud, 9, 20);
+            },
+            online: &[
+                (
+                    3,
+                    "credit_over_grant",
+                    "over-grant on rc-slot[rkey=7,off=8]: granted 3 > posted 2 at 10ns",
+                ),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "credit_writeback_lost",
+            script: |h| {
+                h.credit_lane(lane(), Some(2));
+                h.receives_posted(lane(), 2, 0);
+                h.credit_granted(lane(), 2, 0);
+                h.receives_posted(lane(), 1, 10);
+                h.receives_posted(lane(), 1, 20);
+                h.receives_posted(lane(), 1, 30);
+                // The same loss, caught only when the lane closes.
+                let other = CreditLane::Slot { rkey: 7, offset: 16 };
+                h.credit_lane(other, Some(2));
+                h.receives_posted(other, 2, 40);
+                h.credit_granted(other, 2, 40);
+                h.receives_posted(other, 2, 50);
+                h.credit_lane_closed(other, 60);
+            },
+            online: &[
+                (
+                    4,
+                    "credit_writeback_lost",
+                    "lost credit write-back on rc-slot[rkey=7,off=8]: posted 5, granted 2, frequency 2 at 30ns",
+                ),
+                (
+                    4,
+                    "credit_writeback_lost",
+                    "lost credit write-back on rc-slot[rkey=7,off=16]: posted 4, granted 2, frequency 2 at 60ns",
+                ),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "use_after_free",
+            script: |h| {
+                let b = BufId { rkey: 1, offset: 64 };
+                h.buffer_taken(b, 0);
+                h.buffer_sent(b, 1);
+                h.buffer_recycled(b, 2);
+                h.buffer_sent(b, 3);
+                h.buffer_recycled(b, 4);
+            },
+            online: &[
+                (5, "use_after_free", "send of unowned buffer rkey=1,off=64 at 3ns"),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "double_free",
+            script: |h| {
+                let b = BufId { rkey: 1, offset: 64 };
+                h.buffer_taken(b, 0);
+                h.buffer_sent(b, 1);
+                h.buffer_recycled(b, 2);
+                h.buffer_recycled(b, 3);
+            },
+            online: &[
+                (6, "double_free", "recycle of unsent buffer rkey=1,off=64 at 3ns"),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "double_release",
+            script: |h| {
+                let b = BufId { rkey: 2, offset: 0 };
+                h.delivered(b, 0);
+                h.released(b, 1);
+                h.released(b, 2);
+            },
+            online: &[
+                (7, "double_release", "double release of buffer rkey=2,off=0 at 2ns"),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "double_delivery",
+            script: |h| {
+                let b = BufId { rkey: 2, offset: 0 };
+                h.delivered(b, 0);
+                h.delivered(b, 1);
+                h.released(b, 2);
+            },
+            online: &[
+                (8, "double_delivery", "double delivery of buffer rkey=2,off=0 at 1ns"),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "buffer_leak",
+            script: |h| {
+                h.buffer_taken(BufId { rkey: 1, offset: 128 }, 0);
+                h.buffer_taken(BufId { rkey: 1, offset: 0 }, 1);
+                h.delivered(BufId { rkey: 2, offset: 0 }, 2);
+            },
+            online: &[],
+            added: &[
+                (9, "buffer_leak", "buffer leak at termination: rkey=1,off=0 (taken, never sent)"),
+                (
+                    9,
+                    "buffer_leak",
+                    "buffer leak at termination: rkey=1,off=128 (taken, never sent)",
+                ),
+                (
+                    9,
+                    "buffer_leak",
+                    "buffer leak at termination: rkey=2,off=0 (delivered, never released)",
+                ),
+            ],
+        },
+        Row {
+            name: "ring_overwrite",
+            script: |h| {
+                let r = RingKey { rkey: 3, base: 0 };
+                h.ring(r, RingKind::FreeArr, 2);
+                h.ring_produced(r, 0);
+                h.ring_produced(r, 1);
+                h.ring_consumed(r, 2);
+                h.ring_produced(r, 3);
+                h.ring_produced(r, 4);
+            },
+            online: &[
+                (
+                    10,
+                    "ring_overwrite",
+                    "FreeArr ring overwrite [rkey=3,base=0]: produced 4 − consumed 1 > capacity 2 at 4ns",
+                ),
+            ],
+            added: &[],
+        },
+        Row {
+            name: "ring_imbalance",
+            script: |h| {
+                let valid = RingKey { rkey: 3, base: 64 };
+                h.ring(valid, RingKind::ValidArr, 4);
+                h.ring_produced(valid, 0);
+                h.ring_produced(valid, 1);
+                h.ring_consumed(valid, 2);
+                // Only ValidArr must drain by the end.
+                let grant = RingKey { rkey: 3, base: 0 };
+                h.ring(grant, RingKind::Grant, 4);
+                h.ring_produced(grant, 3);
+            },
+            online: &[],
+            added: &[
+                (
+                    11,
+                    "ring_imbalance",
+                    "ValidArr ring imbalance at termination [rkey=3,base=64]: produced 2, consumed 1",
+                ),
+            ],
+        },
+        Row {
+            name: "depleted_overrun",
+            script: |h| {
+                h.counted_receive(4, 1, None, 0);
+                h.counted_receive(4, 2, Some(1), 1);
+            },
+            online: &[
+                (
+                    12,
+                    "depleted_overrun",
+                    "Depleted overrun from node 4: received 2 > declared 1 at 1ns",
+                ),
+            ],
+            added: &[
+                (
+                    13,
+                    "depleted_mismatch",
+                    "Depleted counter mismatch for source 4: declared 1, actual 2 at 0ns",
+                ),
+            ],
+        },
+        Row {
+            name: "depleted_mismatch",
+            script: |h| {
+                send_ud(h, 1, 0);
+                h.depleted_announced(4, 1, 2, 1);
+                h.counted_receive(5, 1, Some(3), 2);
+            },
+            online: &[
+                (
+                    13,
+                    "depleted_mismatch",
+                    "Depleted counter mismatch for source 4: declared 2, actual 1 at 1ns",
+                ),
+            ],
+            added: &[
+                (
+                    13,
+                    "depleted_mismatch",
+                    "Depleted counter mismatch for source 5: declared 3, actual 1 at 0ns",
+                ),
+            ],
+        },
+        Row {
+            name: "time_regression",
+            script: |h| {
+                let b = BufId { rkey: 1, offset: 0 };
+                h.buffer_taken(b, 100);
+                h.buffer_sent(b, 50);
+                h.buffer_recycled(b, 40);
+            },
+            online: &[
+                (14, "time_regression", "virtual time regression: 50ns after 100ns"),
+            ],
+            added: &[],
+        },
+    ];
+
+    fn verdict(found: &[AuditViolation]) -> Vec<(u64, &'static str, String)> {
+        found.iter().map(|v| (v.code_id(), v.code(), v.to_string())).collect()
+    }
+
+    fn owned(rows: Verdict) -> Vec<(u64, &'static str, String)> {
+        rows.iter().map(|&(id, code, text)| (id, code, text.to_string())).collect()
+    }
+
+    /// Every violation kind and a clean run, as whole verdicts: nothing
+    /// the auditor reports — which rule fires, its numeric and short
+    /// codes, its message, the order — may change under a refactor.
+    #[test]
+    fn verdict_table_holds() {
+        let mut kinds: Vec<&str> = VERDICTS.iter().map(|row| row.name).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 15, "one row per violation kind, plus a clean one");
+        for row in VERDICTS {
+            let named = row.online.iter().chain(row.added).any(|v| v.1 == row.name);
+            assert!(named || row.name == "clean", "row {} never reports its kind", row.name);
+            let (a, h) = auditor();
+            (row.script)(&h);
+            assert_eq!(verdict(&a.violations()), owned(row.online), "{} online", row.name);
+            let mut finalized = owned(row.online);
+            finalized.extend(owned(row.added));
+            assert_eq!(verdict(&a.finalize(true)), finalized, "{} finalized", row.name);
+        }
+    }
+
     #[test]
     fn time_regression_flagged_once_per_epoch() {
         let (a, h) = auditor();
