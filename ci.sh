@@ -47,7 +47,7 @@ fi
 # of its own (a `to_vec()` per build row was two allocations per row).
 ID_KEYED=(crates/core/src/endpoint crates/simnet/src/nic.rs crates/simnet/src/lru.rs
   crates/verbs/src/runtime.rs crates/verbs/src/mr.rs crates/obs/src/recorder.rs
-  crates/engine/src/ops.rs)
+  crates/engine/src/ops.rs crates/audit/src)
 if grep -rnE 'Hash(Map|Set)<' "${ID_KEYED[@]}" ||
   grep -rn 'Mutex<HashMap<NodeId' crates/core/src/endpoint/ ||
   grep -Hn 'BTreeMap' crates/obs/src/recorder.rs ||
@@ -113,6 +113,27 @@ if forked=$(grep -rlE 'transfer_multicast_flow|send_native_multicast' crates); t
   echo "ERROR: a separate multicast send path is back in:" >&2
   echo "$forked" >&2
   echo "       send to a group through Fabric::transfer_group and QueuePair::post_send_multicast" >&2
+  exit 1
+fi
+
+# One rule, one place: each auditor hook is one `AuditHandle` method that
+# hands its rule to one helper (the `Option` branch, the lock, the
+# virtual-time check, the recording). The private twin each hook used to
+# forward to is how two copies of a protocol rule drift apart; a UD
+# `Depleted` declaration is checked against the credit lane's count, not
+# against a second table of the same sends.
+HOOKS='credit_lane|credit_granted|receives_posted|credit_lane_closed|credit_consumed|buffer_taken|buffer_sent|buffer_recycled|delivered|released|ring|ring_produced|ring_consumed|depleted_announced|counted_receive'
+twice=$(grep -rnoE "fn ($HOOKS)\(" crates/audit/src | awk -F: 'seen[$3]++ { print $1 ": " $3 }')
+if [ -n "$twice" ]; then
+  echo "ERROR: an auditor hook is defined more than once, in:" >&2
+  echo "$twice" >&2
+  echo "       write each rule once, in its AuditHandle method" >&2
+  exit 1
+fi
+if sent=$(grep -rlwE 'data_sent|sent_data' crates); then
+  echo "ERROR: a second count of UD data sends is back in:" >&2
+  echo "$sent" >&2
+  echo "       the Depleted check reads the UD credit lane's consumed count" >&2
   exit 1
 fi
 

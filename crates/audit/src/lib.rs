@@ -44,18 +44,18 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_obs::{EventKind, Labels, Obs, HW_TRACK};
+use rshuffle_obs::{EventKind, KeyMap, Labels, Obs, HW_TRACK};
 
 /// Metric name for the total number of audit violations `{node}`.
 pub const AUDIT_VIOLATIONS: &str = "audit.violations";
 
-/// Upper bound on stored violations per auditor; beyond this they are
-/// counted but dropped, so a pathological run cannot exhaust memory.
+/// Upper bound on stored violations per auditor; beyond this they still
+/// reach the recorder and the [`AUDIT_VIOLATIONS`] metric but are not
+/// stored, so a pathological run cannot exhaust memory.
 pub const MAX_VIOLATIONS: usize = 4096;
 
 /// Identifies one credit flow-control lane.
@@ -99,16 +99,6 @@ pub enum RingKind {
     FreeArr,
     /// Grant ring: receiver grants writable remote offsets (§7).
     Grant,
-}
-
-impl fmt::Display for RingKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RingKind::ValidArr => f.write_str("ValidArr"),
-            RingKind::FreeArr => f.write_str("FreeArr"),
-            RingKind::Grant => f.write_str("Grant"),
-        }
-    }
 }
 
 /// Identity of one circular queue, shared by producer and consumer:
@@ -301,45 +291,54 @@ pub enum AuditViolation {
     },
 }
 
+/// Every violation's short code, in numeric-code order: a violation's
+/// [`AuditViolation::code_id`] is its code's position here plus one.
+const CODES: [&str; 14] = [
+    "credit_overdraft",
+    "credit_regression",
+    "credit_over_grant",
+    "credit_writeback_lost",
+    "use_after_free",
+    "double_free",
+    "double_release",
+    "double_delivery",
+    "buffer_leak",
+    "ring_overwrite",
+    "ring_imbalance",
+    "depleted_overrun",
+    "depleted_mismatch",
+    "time_regression",
+];
+
 impl AuditViolation {
     /// Stable short code used in error messages and trace `arg`s.
     pub fn code(&self) -> &'static str {
-        match self {
-            AuditViolation::CreditOverdraft { .. } => "credit_overdraft",
-            AuditViolation::CreditRegression { .. } => "credit_regression",
-            AuditViolation::CreditOverGrant { .. } => "credit_over_grant",
-            AuditViolation::CreditWritebackLost { .. } => "credit_writeback_lost",
-            AuditViolation::UseAfterFree { .. } => "use_after_free",
-            AuditViolation::DoubleFree { .. } => "double_free",
-            AuditViolation::DoubleRelease { .. } => "double_release",
-            AuditViolation::DoubleDelivery { .. } => "double_delivery",
-            AuditViolation::BufferLeak { .. } => "buffer_leak",
-            AuditViolation::RingOverwrite { .. } => "ring_overwrite",
-            AuditViolation::RingImbalance { .. } => "ring_imbalance",
-            AuditViolation::DepletedOverrun { .. } => "depleted_overrun",
-            AuditViolation::DepletedMismatch { .. } => "depleted_mismatch",
-            AuditViolation::TimeRegression { .. } => "time_regression",
-        }
+        CODES[self.rank()]
     }
 
     /// Numeric code recorded as the `arg` of the
     /// `EventKind::AuditViolation` recorder event.
     pub fn code_id(&self) -> u64 {
+        self.rank() as u64 + 1
+    }
+
+    /// This violation's position in [`CODES`].
+    fn rank(&self) -> usize {
         match self {
-            AuditViolation::CreditOverdraft { .. } => 1,
-            AuditViolation::CreditRegression { .. } => 2,
-            AuditViolation::CreditOverGrant { .. } => 3,
-            AuditViolation::CreditWritebackLost { .. } => 4,
-            AuditViolation::UseAfterFree { .. } => 5,
-            AuditViolation::DoubleFree { .. } => 6,
-            AuditViolation::DoubleRelease { .. } => 7,
-            AuditViolation::DoubleDelivery { .. } => 8,
-            AuditViolation::BufferLeak { .. } => 9,
-            AuditViolation::RingOverwrite { .. } => 10,
-            AuditViolation::RingImbalance { .. } => 11,
-            AuditViolation::DepletedOverrun { .. } => 12,
-            AuditViolation::DepletedMismatch { .. } => 13,
-            AuditViolation::TimeRegression { .. } => 14,
+            AuditViolation::CreditOverdraft { .. } => 0,
+            AuditViolation::CreditRegression { .. } => 1,
+            AuditViolation::CreditOverGrant { .. } => 2,
+            AuditViolation::CreditWritebackLost { .. } => 3,
+            AuditViolation::UseAfterFree { .. } => 4,
+            AuditViolation::DoubleFree { .. } => 5,
+            AuditViolation::DoubleRelease { .. } => 6,
+            AuditViolation::DoubleDelivery { .. } => 7,
+            AuditViolation::BufferLeak { .. } => 8,
+            AuditViolation::RingOverwrite { .. } => 9,
+            AuditViolation::RingImbalance { .. } => 10,
+            AuditViolation::DepletedOverrun { .. } => 11,
+            AuditViolation::DepletedMismatch { .. } => 12,
+            AuditViolation::TimeRegression { .. } => 13,
         }
     }
 }
@@ -386,13 +385,13 @@ impl fmt::Display for AuditViolation {
             AuditViolation::RingOverwrite { ring, kind, produced, consumed, capacity, at_ns } => {
                 write!(
                     f,
-                    "{kind} ring overwrite [{ring}]: produced {produced} − consumed {consumed} \
+                    "{kind:?} ring overwrite [{ring}]: produced {produced} − consumed {consumed} \
                      > capacity {capacity} at {at_ns}ns"
                 )
             }
             AuditViolation::RingImbalance { ring, kind, produced, consumed } => write!(
                 f,
-                "{kind} ring imbalance at termination [{ring}]: produced {produced}, \
+                "{kind:?} ring imbalance at termination [{ring}]: produced {produced}, \
                  consumed {consumed}"
             ),
             AuditViolation::DepletedOverrun { src, received, expected, at_ns } => write!(
@@ -415,6 +414,8 @@ impl fmt::Display for AuditViolation {
 #[derive(Default)]
 struct CreditState {
     granted: Option<u64>,
+    /// The sender's running count of messages sent on the lane — for a
+    /// UD lane also the count its `Depleted` declaration must match.
     consumed: u64,
     posted: u64,
     /// Write-back frequency for reliably-written RC slots; `None` for
@@ -428,9 +429,9 @@ enum SendBufState {
     Sent,
 }
 
-#[derive(Default)]
+#[derive(Copy, Clone)]
 struct RingState {
-    kind: Option<RingKind>,
+    kind: RingKind,
     capacity: u64,
     produced: u64,
     consumed: u64,
@@ -446,18 +447,15 @@ struct DepletedState {
 struct AuditState {
     last_ns: u64,
     time_flagged: bool,
-    credits: HashMap<CreditLane, CreditState>,
-    send_bufs: HashMap<BufId, SendBufState>,
-    recv_held: HashMap<BufId, bool>,
-    rings: HashMap<RingKey, RingState>,
-    /// Per-destination data-message counts at the sender, keyed by
-    /// `(sender endpoint, destination node)`.
-    sent_data: HashMap<(u64, u64), u64>,
+    credits: KeyMap<CreditLane, CreditState>,
+    send_bufs: KeyMap<BufId, SendBufState>,
+    recv_held: KeyMap<BufId, bool>,
+    /// Registered rings; an entry into any other ring is not audited.
+    rings: KeyMap<RingKey, RingState>,
     /// Per-source receive counts at a receiver, keyed by
     /// `(receiving node, source node)`.
-    depleted: HashMap<(u64, u64), DepletedState>,
+    depleted: KeyMap<(u64, u64), DepletedState>,
     violations: Vec<AuditViolation>,
-    dropped: u64,
 }
 
 /// The shared invariant checker: one per [`VerbsRuntime`], installed via
@@ -490,25 +488,12 @@ impl ShuffleAuditor {
         st.send_bufs.clear();
         st.recv_held.clear();
         st.rings.clear();
-        st.sent_data.clear();
         st.depleted.clear();
     }
 
     /// All violations recorded so far (across epochs).
     pub fn violations(&self) -> Vec<AuditViolation> {
         self.state.lock().violations.clone()
-    }
-
-    /// Number of violations recorded so far, including any dropped
-    /// beyond [`MAX_VIOLATIONS`].
-    pub fn violation_count(&self) -> u64 {
-        let st = self.state.lock();
-        st.violations.len() as u64 + st.dropped
-    }
-
-    /// True when no invariant has been violated.
-    pub fn is_clean(&self) -> bool {
-        self.violation_count() == 0
     }
 
     /// Runs end-of-run checks and returns every violation recorded.
@@ -535,7 +520,7 @@ impl ShuffleAuditor {
                 }
             }
             for (&ring, rs) in &st.rings {
-                if rs.kind == Some(RingKind::ValidArr) && rs.produced != rs.consumed {
+                if rs.kind == RingKind::ValidArr && rs.produced != rs.consumed {
                     found.push(AuditViolation::RingImbalance {
                         ring,
                         kind: RingKind::ValidArr,
@@ -573,237 +558,6 @@ impl ShuffleAuditor {
         }
         if st.violations.len() < MAX_VIOLATIONS {
             st.violations.push(v);
-        } else {
-            st.dropped += 1;
-        }
-    }
-
-    fn observe_time(&self, st: &mut AuditState, node: u32, at_ns: u64) {
-        if at_ns < st.last_ns {
-            if !st.time_flagged {
-                st.time_flagged = true;
-                let last_ns = st.last_ns;
-                self.record(st, node, at_ns, AuditViolation::TimeRegression { at_ns, last_ns });
-            }
-        } else {
-            st.last_ns = at_ns;
-        }
-    }
-
-    fn credit_lane(&self, lane: CreditLane, frequency: Option<u64>) {
-        let mut st = self.state.lock();
-        let entry = st.credits.entry(lane).or_default();
-        if frequency.is_some() {
-            entry.frequency = frequency;
-        }
-    }
-
-    fn credit_granted(&self, node: u32, lane: CreditLane, granted: u64, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.credits.entry(lane).or_default();
-        let previous = entry.granted;
-        let posted = entry.posted;
-        let tracked = entry.frequency.is_some();
-        entry.granted = Some(entry.granted.unwrap_or(0).max(granted));
-        if let Some(previous) = previous {
-            if granted < previous {
-                self.record(
-                    &mut st,
-                    node,
-                    at_ns,
-                    AuditViolation::CreditRegression { lane, previous, granted, at_ns },
-                );
-                return;
-            }
-        }
-        if tracked && granted > posted {
-            self.record(
-                &mut st,
-                node,
-                at_ns,
-                AuditViolation::CreditOverGrant { lane, granted, posted, at_ns },
-            );
-        }
-    }
-
-    fn receives_posted(&self, node: u32, lane: CreditLane, n: u64, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.credits.entry(lane).or_default();
-        entry.posted += n;
-        let posted = entry.posted;
-        let granted = entry.granted;
-        let frequency = entry.frequency;
-        if let (Some(frequency), Some(granted)) = (frequency, granted) {
-            if posted - granted > frequency {
-                self.record(
-                    &mut st,
-                    node,
-                    at_ns,
-                    AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
-                );
-            }
-        }
-    }
-
-    fn credit_lane_closed(&self, node: u32, lane: CreditLane, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.credits.entry(lane).or_default();
-        let Some(frequency) = entry.frequency else {
-            return;
-        };
-        let posted = entry.posted;
-        let granted = entry.granted.unwrap_or(0);
-        // A release that lands on a write-back boundary announces the
-        // grant in the same atomic step as the audited post, so at any
-        // quiescent point the un-announced backlog is strictly below one
-        // period. At lane close the receiver stops recycling, which ends
-        // online gap checking — a backlog of a full period here means a
-        // boundary passed without its write-back ever being announced.
-        if posted.saturating_sub(granted) >= frequency {
-            self.record(
-                &mut st,
-                node,
-                at_ns,
-                AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
-            );
-        }
-    }
-
-    fn credit_consumed(&self, node: u32, lane: CreditLane, consumed: u64, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.credits.entry(lane).or_default();
-        entry.consumed = entry.consumed.max(consumed);
-        if let Some(granted) = entry.granted {
-            if consumed > granted {
-                self.record(
-                    &mut st,
-                    node,
-                    at_ns,
-                    AuditViolation::CreditOverdraft { lane, consumed, granted, at_ns },
-                );
-            }
-        }
-    }
-
-    fn buffer_taken(&self, node: u32, buf: BufId, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        st.send_bufs.insert(buf, SendBufState::Taken);
-    }
-
-    fn buffer_sent(&self, node: u32, buf: BufId, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        match st.send_bufs.insert(buf, SendBufState::Sent) {
-            Some(SendBufState::Taken) => {}
-            _ => self.record(&mut st, node, at_ns, AuditViolation::UseAfterFree { buf, at_ns }),
-        }
-    }
-
-    fn buffer_recycled(&self, node: u32, buf: BufId, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        match st.send_bufs.remove(&buf) {
-            Some(SendBufState::Sent) => {}
-            _ => self.record(&mut st, node, at_ns, AuditViolation::DoubleFree { buf, at_ns }),
-        }
-    }
-
-    fn delivered(&self, node: u32, buf: BufId, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        if st.recv_held.insert(buf, true) == Some(true) {
-            self.record(&mut st, node, at_ns, AuditViolation::DoubleDelivery { buf, at_ns });
-        }
-    }
-
-    fn released(&self, node: u32, buf: BufId, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        if st.recv_held.insert(buf, false) != Some(true) {
-            self.record(&mut st, node, at_ns, AuditViolation::DoubleRelease { buf, at_ns });
-        }
-    }
-
-    fn ring(&self, ring: RingKey, kind: RingKind, capacity: u64) {
-        let mut st = self.state.lock();
-        let entry = st.rings.entry(ring).or_default();
-        entry.kind = Some(kind);
-        entry.capacity = entry.capacity.max(capacity);
-    }
-
-    fn ring_produced(&self, node: u32, ring: RingKey, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.rings.entry(ring).or_default();
-        entry.produced += 1;
-        let (produced, consumed, capacity) = (entry.produced, entry.consumed, entry.capacity);
-        let kind = entry.kind.unwrap_or(RingKind::ValidArr);
-        if capacity > 0 && produced - consumed.min(produced) > capacity {
-            self.record(
-                &mut st,
-                node,
-                at_ns,
-                AuditViolation::RingOverwrite { ring, kind, produced, consumed, capacity, at_ns },
-            );
-        }
-    }
-
-    fn ring_consumed(&self, node: u32, ring: RingKey, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        st.rings.entry(ring).or_default().consumed += 1;
-    }
-
-    fn data_sent(&self, node: u32, sender: u64, dest: u64, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        *st.sent_data.entry((sender, dest)).or_default() += 1;
-    }
-
-    fn depleted_announced(&self, node: u32, sender: u64, dest: u64, declared: u64, at_ns: u64) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let actual = st.sent_data.get(&(sender, dest)).copied().unwrap_or(0);
-        if declared != actual {
-            self.record(
-                &mut st,
-                node,
-                at_ns,
-                AuditViolation::DepletedMismatch { src: sender, declared, actual, at_ns },
-            );
-        }
-    }
-
-    fn counted_receive(
-        &self,
-        node: u32,
-        src: u64,
-        received: u64,
-        expected: Option<u64>,
-        at_ns: u64,
-    ) {
-        let mut st = self.state.lock();
-        self.observe_time(&mut st, node, at_ns);
-        let entry = st.depleted.entry((node as u64, src)).or_default();
-        entry.received = entry.received.max(received);
-        if let Some(expected) = expected {
-            entry.expected = Some(expected);
-        }
-        let received = entry.received;
-        if let Some(expected) = entry.expected {
-            if received > expected {
-                self.record(
-                    &mut st,
-                    node,
-                    at_ns,
-                    AuditViolation::DepletedOverrun { src, received, expected, at_ns },
-                );
-            }
         }
     }
 }
@@ -811,7 +565,7 @@ impl ShuffleAuditor {
 /// Per-endpoint handle through which protocol hooks reach the shared
 /// [`ShuffleAuditor`]. When no auditor is installed every hook is a
 /// single branch on an `Option` — cheap enough to leave compiled in.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct AuditHandle {
     auditor: Option<Arc<ShuffleAuditor>>,
     node: u32,
@@ -824,39 +578,77 @@ impl AuditHandle {
         AuditHandle { auditor, node }
     }
 
-    /// A permanently disabled handle.
-    pub fn disabled() -> AuditHandle {
-        AuditHandle::default()
-    }
-
-    /// Whether an auditor is attached.
-    pub fn enabled(&self) -> bool {
-        self.auditor.is_some()
+    /// Applies one hook's `rule` to the shared state, if an auditor is
+    /// installed, and records the violation it returns. An event stamped
+    /// `Some(at_ns)` is first checked for virtual-time monotonicity;
+    /// registrations carry no time.
+    #[inline]
+    fn check(
+        &self,
+        at_ns: Option<u64>,
+        rule: impl FnOnce(&mut AuditState) -> Option<AuditViolation>,
+    ) {
+        let Some(auditor) = &self.auditor else {
+            return;
+        };
+        let mut st = auditor.state.lock();
+        if let Some(at_ns) = at_ns {
+            if at_ns >= st.last_ns {
+                st.last_ns = at_ns;
+            } else if !st.time_flagged {
+                st.time_flagged = true;
+                let last_ns = st.last_ns;
+                let v = AuditViolation::TimeRegression { at_ns, last_ns };
+                auditor.record(&mut st, self.node, at_ns, v);
+            }
+        }
+        if let Some(v) = rule(&mut st) {
+            auditor.record(&mut st, self.node, at_ns.unwrap_or(0), v);
+        }
     }
 
     /// Registers a credit lane; `frequency` is the write-back period
     /// for reliably-written RC slots and `None` for lossy (UD) lanes.
     #[inline]
     pub fn credit_lane(&self, lane: CreditLane, frequency: Option<u64>) {
-        if let Some(a) = &self.auditor {
-            a.credit_lane(lane, frequency);
-        }
+        self.check(None, |st| {
+            let entry = st.credits.entry(lane).or_default();
+            entry.frequency = frequency.or(entry.frequency);
+            None
+        });
     }
 
     /// The receiver announced an absolute credit value on `lane`.
     #[inline]
     pub fn credit_granted(&self, lane: CreditLane, granted: u64, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.credit_granted(self.node, lane, granted, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.credits.entry(lane).or_default();
+            match entry.granted.replace(entry.granted.map_or(granted, |g| g.max(granted))) {
+                Some(previous) if granted < previous => {
+                    Some(AuditViolation::CreditRegression { lane, previous, granted, at_ns })
+                }
+                _ => (entry.frequency.is_some() && granted > entry.posted).then_some(
+                    AuditViolation::CreditOverGrant { lane, granted, posted: entry.posted, at_ns },
+                ),
+            }
+        });
     }
 
     /// The receiver posted `n` more receives backing `lane`.
     #[inline]
     pub fn receives_posted(&self, lane: CreditLane, n: u64, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.receives_posted(self.node, lane, n, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.credits.entry(lane).or_default();
+            entry.posted += n;
+            let (Some(frequency), Some(granted)) = (entry.frequency, entry.granted) else {
+                return None;
+            };
+            // An over-grant has already been reported; it leaves no backlog.
+            let posted = entry.posted;
+            (posted.saturating_sub(granted) > frequency).then_some(
+                AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
+            )
+        });
     }
 
     /// The source behind `lane` announced end-of-stream: no further
@@ -864,109 +656,143 @@ impl AuditHandle {
     /// reached write-back boundary must already have been granted.
     #[inline]
     pub fn credit_lane_closed(&self, lane: CreditLane, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.credit_lane_closed(self.node, lane, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.credits.entry(lane).or_default();
+            let frequency = entry.frequency?;
+            let (posted, granted) = (entry.posted, entry.granted.unwrap_or(0));
+            // A release that lands on a write-back boundary announces the
+            // grant in the same atomic step as the audited post, so at any
+            // quiescent point the un-announced backlog is strictly below one
+            // period. At lane close the receiver stops recycling, which ends
+            // online gap checking — a backlog of a full period here means a
+            // boundary passed without its write-back ever being announced.
+            (posted.saturating_sub(granted) >= frequency).then_some(
+                AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
+            )
+        });
     }
 
     /// The sender's cumulative message count on `lane` reached
     /// `consumed`.
     #[inline]
     pub fn credit_consumed(&self, lane: CreditLane, consumed: u64, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.credit_consumed(self.node, lane, consumed, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.credits.entry(lane).or_default();
+            entry.consumed = entry.consumed.max(consumed);
+            let granted = entry.granted?;
+            let v = AuditViolation::CreditOverdraft { lane, consumed, granted, at_ns };
+            (consumed > granted).then_some(v)
+        });
     }
 
     /// A sender took `buf` via GETFREE.
     #[inline]
     pub fn buffer_taken(&self, buf: BufId, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.buffer_taken(self.node, buf, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            st.send_bufs.insert(buf, SendBufState::Taken);
+            None
+        });
     }
 
     /// A sender posted `buf` to the fabric.
     #[inline]
     pub fn buffer_sent(&self, buf: BufId, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.buffer_sent(self.node, buf, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let was = st.send_bufs.insert(buf, SendBufState::Sent);
+            (was != Some(SendBufState::Taken))
+                .then_some(AuditViolation::UseAfterFree { buf, at_ns })
+        });
     }
 
     /// A sender reaped the completion for `buf`, returning it to the
     /// free pool.
     #[inline]
     pub fn buffer_recycled(&self, buf: BufId, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.buffer_recycled(self.node, buf, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let was = st.send_bufs.remove(&buf);
+            (was != Some(SendBufState::Sent)).then_some(AuditViolation::DoubleFree { buf, at_ns })
+        });
     }
 
     /// A receiver handed `buf` to the operator.
     #[inline]
     pub fn delivered(&self, buf: BufId, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.delivered(self.node, buf, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let held = st.recv_held.insert(buf, true) == Some(true);
+            held.then_some(AuditViolation::DoubleDelivery { buf, at_ns })
+        });
     }
 
     /// A receiver released `buf` back to the transport.
     #[inline]
     pub fn released(&self, buf: BufId, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.released(self.node, buf, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let held = st.recv_held.insert(buf, false) == Some(true);
+            (!held).then_some(AuditViolation::DoubleRelease { buf, at_ns })
+        });
     }
 
-    /// Registers a circular queue of `capacity` slots.
+    /// Registers a circular queue of `capacity` slots; its owner, the
+    /// consuming side, does this once.
     #[inline]
     pub fn ring(&self, ring: RingKey, kind: RingKind, capacity: u64) {
-        if let Some(a) = &self.auditor {
-            a.ring(ring, kind, capacity);
-        }
+        self.check(None, |st| {
+            st.rings.insert(ring, RingState { kind, capacity, produced: 0, consumed: 0 });
+            None
+        });
     }
 
     /// The producer announced one entry into `ring`.
     #[inline]
     pub fn ring_produced(&self, ring: RingKey, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.ring_produced(self.node, ring, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.rings.get_mut(&ring)?;
+            entry.produced += 1;
+            let RingState { kind, capacity, produced, consumed } = *entry;
+            (produced.saturating_sub(consumed) > capacity).then_some(
+                AuditViolation::RingOverwrite { ring, kind, produced, consumed, capacity, at_ns },
+            )
+        });
     }
 
     /// The consumer drained one entry from `ring`.
     #[inline]
     pub fn ring_consumed(&self, ring: RingKey, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.ring_consumed(self.node, ring, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            st.rings.get_mut(&ring)?.consumed += 1;
+            None
+        });
     }
 
-    /// A sender endpoint `sender` posted one data message to node
-    /// `dest` on a message-counting (UD) design.
-    #[inline]
-    pub fn data_sent(&self, sender: u64, dest: u64, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.data_sent(self.node, sender, dest, at_ns);
-        }
-    }
-
-    /// A sender announced its `Depleted` counter `declared` to `dest`.
+    /// A sender announced its `Depleted` counter `declared` to `dest`. It
+    /// must equal the data messages counted on the UD credit lane from
+    /// `sender` to `dest`, which advances once per message sent.
     #[inline]
     pub fn depleted_announced(&self, sender: u64, dest: u64, declared: u64, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.depleted_announced(self.node, sender, dest, declared, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let lane = CreditLane::Ud { sender, dest };
+            let actual = st.credits.get(&lane).map_or(0, |c| c.consumed);
+            (declared != actual).then_some(AuditViolation::DepletedMismatch {
+                src: sender,
+                declared,
+                actual,
+                at_ns,
+            })
+        });
     }
 
     /// A receiver's per-source message count advanced (`expected` set
     /// once the source's `Depleted` declaration arrives).
     #[inline]
     pub fn counted_receive(&self, src: u64, received: u64, expected: Option<u64>, at_ns: u64) {
-        if let Some(a) = &self.auditor {
-            a.counted_receive(self.node, src, received, expected, at_ns);
-        }
+        self.check(Some(at_ns), |st| {
+            let entry = st.depleted.entry((self.node as u64, src)).or_default();
+            entry.received = entry.received.max(received);
+            entry.expected = expected.or(entry.expected);
+            let (received, expected) = (entry.received, entry.expected?);
+            let v = AuditViolation::DepletedOverrun { src, received, expected, at_ns };
+            (received > expected).then_some(v)
+        });
     }
 }
 
@@ -997,7 +823,7 @@ mod tests {
             h.receives_posted(lane(), 1, 90);
         }
         h.credit_granted(lane(), 12, 100);
-        assert!(a.is_clean(), "{:?}", a.violations());
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
         assert!(a.finalize(true).is_empty());
     }
 
@@ -1027,7 +853,7 @@ mod tests {
         // period and must fire.
         h.receives_posted(lane(), 1, 10);
         h.receives_posted(lane(), 1, 20);
-        assert!(a.is_clean());
+        assert!(a.violations().is_empty());
         h.receives_posted(lane(), 1, 30);
         assert_eq!(a.violations()[0].code(), "credit_writeback_lost");
     }
@@ -1043,9 +869,22 @@ mod tests {
         // gap check could see a third un-granted re-post.
         h.receives_posted(lane(), 1, 10);
         h.receives_posted(lane(), 1, 20);
-        assert!(a.is_clean());
+        assert!(a.violations().is_empty());
         h.credit_lane_closed(lane(), 30);
         assert_eq!(a.violations()[0].code(), "credit_writeback_lost");
+    }
+
+    #[test]
+    fn post_after_over_grant_reports_only_the_over_grant() {
+        let (a, h) = auditor();
+        h.credit_lane(lane(), Some(4));
+        h.receives_posted(lane(), 2, 0);
+        h.credit_granted(lane(), 5, 10);
+        // Granted is ahead of posted: no write-back is owed, and the gap
+        // must not wrap around into one.
+        h.receives_posted(lane(), 1, 20);
+        let codes: Vec<_> = a.violations().iter().map(|v| v.code()).collect();
+        assert_eq!(codes, vec!["credit_over_grant"]);
     }
 
     #[test]
@@ -1061,7 +900,7 @@ mod tests {
         // below the boundary, so nothing was owed.
         h.receives_posted(lane(), 1, 30);
         h.credit_lane_closed(lane(), 40);
-        assert!(a.is_clean(), "{:?}", a.violations());
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
     }
 
     #[test]
@@ -1071,7 +910,7 @@ mod tests {
         h.buffer_taken(b, 0);
         h.buffer_sent(b, 1);
         h.buffer_recycled(b, 2);
-        assert!(a.is_clean());
+        assert!(a.violations().is_empty());
         h.buffer_sent(b, 3); // never re-taken
         h.buffer_recycled(b, 4);
         h.buffer_recycled(b, 5); // double free
@@ -1102,7 +941,7 @@ mod tests {
         h.ring_produced(r, 1);
         h.ring_consumed(r, 2);
         h.ring_produced(r, 3);
-        assert!(a.is_clean());
+        assert!(a.violations().is_empty());
         h.ring_produced(r, 4); // 3 in flight > capacity 2
         assert_eq!(a.violations()[0].code(), "ring_overwrite");
         let finals = a.finalize(true);
@@ -1112,16 +951,16 @@ mod tests {
     #[test]
     fn depleted_counting() {
         let (a, h) = auditor();
-        h.data_sent(4, 1, 0);
-        h.data_sent(4, 1, 1);
+        send_ud(&h, 1, 0);
+        send_ud(&h, 2, 1);
         h.depleted_announced(4, 1, 2, 2);
         h.counted_receive(0, 1, None, 3);
         h.counted_receive(0, 2, Some(2), 4);
-        assert!(a.is_clean(), "{:?}", a.violations());
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
         h.counted_receive(0, 3, None, 5);
         assert_eq!(a.violations()[0].code(), "depleted_overrun");
         let (a2, h2) = auditor();
-        h2.data_sent(4, 1, 0);
+        send_ud(&h2, 1, 0);
         h2.depleted_announced(4, 1, 0, 1);
         assert_eq!(a2.violations()[0].code(), "depleted_mismatch");
     }
@@ -1132,19 +971,18 @@ mod tests {
         h.credit_lane(lane(), Some(1));
         h.receives_posted(lane(), 1, 0);
         h.credit_granted(lane(), 3, 0); // over-grant
-        assert_eq!(a.violation_count(), 1);
+        assert_eq!(a.violations().len(), 1);
         a.begin_epoch();
         h.credit_lane(lane(), Some(1));
         h.receives_posted(lane(), 1, 0);
         h.credit_granted(lane(), 1, 0);
-        assert_eq!(a.violation_count(), 1, "old lane state must not leak");
+        assert_eq!(a.violations().len(), 1, "old lane state must not leak");
     }
 
     /// One UD data message from endpoint 4 to node 1, as `sr_ud` reports
-    /// it: the credit lane's running count, then the per-destination count.
+    /// it: the credit lane's running count.
     fn send_ud(h: &AuditHandle, sent: u64, at_ns: u64) {
         h.credit_consumed(CreditLane::Ud { sender: 4, dest: 1 }, sent, at_ns);
-        h.data_sent(4, 1, at_ns);
     }
 
     /// A whole verdict: `(code_id, code, Display)` of each violation, in

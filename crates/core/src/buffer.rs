@@ -275,19 +275,9 @@ impl Buffer {
         Ok(())
     }
 
-    /// Copies the payload out.
-    pub fn payload(&self) -> Result<Vec<u8>> {
-        Ok(self.mr.read(self.offset + HEADER_LEN, self.len)?)
-    }
-
     /// Runs `f` over the payload without copying.
     pub fn with_payload<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         Ok(self.mr.with(self.offset + HEADER_LEN, self.len, f)?)
-    }
-
-    /// Resets the payload length to zero (contents are left in place).
-    pub fn clear(&mut self) {
-        self.len = 0;
     }
 
     /// Writes `header` into the buffer's header area.
@@ -510,7 +500,7 @@ mod tests {
         buf.push(b"abc").unwrap();
         buf.push(b"defg").unwrap();
         assert_eq!(buf.len(), 7);
-        assert_eq!(buf.payload().unwrap(), b"abcdefg".to_vec());
+        assert!(buf.with_payload(|p| p == b"abcdefg").unwrap());
     }
 
     #[test]
@@ -565,17 +555,7 @@ mod tests {
         };
         buf.write_header(&h).unwrap();
         assert_eq!(buf.read_header().unwrap(), h);
-        assert_eq!(buf.payload().unwrap(), vec![0xAA; 16]);
-    }
-
-    #[test]
-    fn clear_resets_length_only() {
-        let mr = mr(4096);
-        let mut buf = Buffer::new(mr, 0, 256);
-        buf.push(&[1, 2, 3]).unwrap();
-        buf.clear();
-        assert_eq!(buf.len(), 0);
-        assert_eq!(buf.remaining(), buf.capacity());
+        assert!(buf.with_payload(|p| p == [0xAA; 16]).unwrap());
     }
 
     #[test]

@@ -613,9 +613,9 @@ impl RingProducer {
     }
 
     /// Wires peer `i`'s ring, `skip` slots of which were already filled
-    /// out of band.
-    pub(crate) fn wire(&self, i: usize, kind: RingKind, base: RemoteAddr, skip: u64) {
-        self.audit.ring(ring_key(&base), kind, self.cap as u64);
+    /// out of band. The [`SlotRings`] that owns the ring registered it with
+    /// the auditor.
+    pub(crate) fn wire(&self, i: usize, base: RemoteAddr, skip: u64) {
         self.rings.lock()[i] = (Some(base), skip);
     }
 
@@ -782,7 +782,7 @@ mod tests {
         in_sim(|rt, sim| {
             let rings = SlotRings::register(&rt.context(0), RingKind::FreeArr, &rings_of(3));
             let producer = RingProducer::register(&rt.context(1), 1, 3);
-            producer.wire(0, RingKind::FreeArr, rings.base(1), 0);
+            producer.wire(0, rings.base(1), 0);
             assert!(rings.all_empty()?);
             assert_eq!(rings.try_consume(sim, 1)?, None);
             // Ten entries through three slots; value 0 is a legal entry
@@ -808,7 +808,7 @@ mod tests {
         in_sim(|rt, sim| {
             let rings = SlotRings::register(&rt.context(0), RingKind::ValidArr, &rings_of(4));
             let producer = RingProducer::register(&rt.context(1), 1, 4);
-            producer.wire(0, RingKind::ValidArr, rings.base(0), 0);
+            producer.wire(0, rings.base(0), 0);
             let mut next_produced = 0u64;
             let mut next_consumed = 0u64;
             // The producer runs up to a full ring ahead, never further;

@@ -385,12 +385,10 @@ impl RcTransport for RdRcSendEndpoint {
             recv.valid_arr.cap(),
             "FreeArr/ValidArr ring capacities must agree"
         );
-        recv.free_rings
-            .wire(si, RingKind::FreeArr, self.free_arr.base(pi), 0);
+        recv.free_rings.wire(si, self.free_arr.base(pi), 0);
         recv.state.lock().remote_pools[si] = Some(region_base(self.window.region()));
         recv.srcs.learn(self.half.id.0, si);
-        self.valid_rings
-            .wire(pi, RingKind::ValidArr, recv.valid_arr.base(si), 0);
+        self.valid_rings.wire(pi, recv.valid_arr.base(si), 0);
         Ok(())
     }
 }

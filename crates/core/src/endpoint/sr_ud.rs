@@ -718,8 +718,6 @@ impl SendEndpoint for SrUdSendEndpoint {
             let mut ah = None;
             for &d in target {
                 let (peer, total) = s.consume_credit(sim, d)?;
-                let now = sim.now().as_nanos();
-                s.audit.data_sent(s.send_id.0 as u64, d as u64, now);
                 #[cfg(feature = "saboteur")]
                 let total = if state == StreamState::Depleted
                     && crate::sabotage::take(crate::sabotage::Sabotage::UnderreportDepletedCount)
@@ -729,6 +727,7 @@ impl SendEndpoint for SrUdSendEndpoint {
                     total
                 };
                 if state == StreamState::Depleted {
+                    let now = sim.now().as_nanos();
                     s.audit
                         .depleted_announced(s.send_id.0 as u64, d as u64, total, now);
                 }

@@ -320,14 +320,9 @@ impl RcTransport for WrRcSendEndpoint {
         let initial: Vec<u64> = (si * share..(si + 1) * share)
             .map(|k| (k * recv.cfg.message_size) as u64)
             .collect();
-        recv.grant_rings.wire(
-            si,
-            RingKind::Grant,
-            self.grants.base(pi),
-            initial.len() as u64,
-        );
-        self.valid_rings
-            .wire(pi, RingKind::ValidArr, recv.valid_arr.base(si), 0);
+        recv.grant_rings
+            .wire(si, self.grants.base(pi), initial.len() as u64);
+        self.valid_rings.wire(pi, recv.valid_arr.base(si), 0);
         self.remote_pools.lock()[pi] = Some(region_base(&recv.pool_mr));
         self.grants.seed(pi, &initial)
     }

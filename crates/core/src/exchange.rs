@@ -69,7 +69,8 @@ pub struct ExchangeConfig {
     /// exchange. [`FlowId::NONE`] (the default) leaves traffic untagged
     /// and is byte-identical to the pre-scheduler behaviour; the
     /// multi-query scheduler assigns one flow per query so the fabric can
-    /// arbitrate bandwidth by weight and attribute busy time.
+    /// share bandwidth equally among running queries and attribute busy
+    /// time.
     pub flow: FlowId,
     /// Offset added to every [`EndpointId`] this exchange mints. Distinct
     /// concurrent queries on one runtime must use disjoint id spaces

@@ -6,9 +6,9 @@
 //! [`Scheduler::admit`] / [`Scheduler::release`]: every attempt —
 //! including a partial retry or a restart after a transient failure —
 //! re-enters admission at the back of the queue, returns its registered
-//! memory, and gives its fairness weight back while probing or backing
-//! off. Queries are isolated on the shared fabric by their [`FlowId`]
-//! (the query id) and by disjoint endpoint-id spaces
+//! memory, and leaves the fabric's running flows while probing or
+//! backing off. Queries are isolated on the shared fabric by their
+//! [`FlowId`] (the query id) and by disjoint endpoint-id spaces
 //! ([`ENDPOINT_ID_STRIDE`]).
 
 use std::sync::Arc;
@@ -43,19 +43,16 @@ pub struct QuerySpec {
     pub policy: RecoveryPolicy,
     /// Row size streamed by the receive operators.
     pub row_size: usize,
-    /// Weighted-fair bandwidth weight (1 = equal share).
-    pub weight: u64,
 }
 
 impl QuerySpec {
-    /// A weight-1 query with the default recovery policy.
+    /// A query with the default recovery policy.
     pub fn new(id: u32, config: ExchangeConfig, row_size: usize) -> Self {
         QuerySpec {
             id,
             config,
             policy: RecoveryPolicy::default(),
             row_size,
-            weight: 1,
         }
     }
 }
@@ -158,7 +155,6 @@ pub fn run_workload(
         };
         let request = QueryRequest {
             id: spec.id,
-            weight: spec.weight,
             mem_per_node: (0..nodes)
                 .map(|n| config.registered_bytes_estimate(runtime.profile(), n))
                 .collect(),

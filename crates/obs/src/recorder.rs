@@ -79,7 +79,7 @@ pub enum EventKind {
     /// enough registered-memory budget (`arg` = query id).
     QueryDeferred,
     /// A scheduled query completed and released its slot, memory and
-    /// flow weight (`arg` = query id).
+    /// flow (`arg` = query id).
     QueryCompleted,
     /// The recovery orchestrator re-established a failed queue pair
     /// (`arg` = reconnect attempt number, starting at 1).

@@ -18,10 +18,11 @@
 //!   with the typed [`ShuffleError::BudgetImpossible`] instead of
 //!   queueing forever. Otherwise the query waits until enough memory is
 //!   released.
-//! * **Fabric fairness** — each admitted query's [`FlowId`] is entered
-//!   into the cluster's [`FlowTable`] with its weight, switching the NIC
-//!   and switch-port arbiters ([`rshuffle_simnet::FairResource`]) into
-//!   weighted-fair mode for the duration of the query.
+//! * **Fabric fairness** — each admitted query's [`FlowId`] is started
+//!   in the cluster's [`FlowTable`], switching the NIC and switch-port
+//!   arbiters ([`rshuffle_simnet::FairResource`]) into fair mode for the
+//!   duration of the query: running queries share contended bandwidth
+//!   equally.
 //! * **Attribution** — queue-wait, run time and each query's share of
 //!   NIC/port busy time land in the unified metrics registry under
 //!   `sched.*` series tagged with a `query` label, and admission
@@ -69,19 +70,16 @@ pub struct QueryRequest {
     /// Query id; doubles as the fabric [`FlowId`] (must not be
     /// `u32::MAX`, which is the untagged sentinel).
     pub id: u32,
-    /// Weighted-fair bandwidth weight (0 is clamped to 1).
-    pub weight: u64,
     /// Registered-memory requirement per node, in bytes. Length must
     /// equal the cluster's node count.
     pub mem_per_node: Vec<usize>,
 }
 
 impl QueryRequest {
-    /// A weight-1 request with no declared memory need.
+    /// A request with no declared memory need.
     pub fn new(id: u32, nodes: usize) -> Self {
         QueryRequest {
             id,
-            weight: 1,
             mem_per_node: vec![0; nodes],
         }
     }
@@ -122,7 +120,6 @@ pub enum ReleaseOutcome {
 
 struct Waiter {
     id: u32,
-    weight: u64,
     mem: Vec<usize>,
     gate: Gate<()>,
 }
@@ -255,7 +252,6 @@ impl Scheduler {
             let mut st = self.state.lock();
             st.queue.push_back(Waiter {
                 id: req.id,
-                weight: req.weight.max(1),
                 mem: req.mem_per_node.clone(),
                 gate: gate.clone(),
             });
@@ -301,13 +297,13 @@ impl Scheduler {
 
     /// Returns `adm`'s slot, budget reservation and pinned memory (every
     /// region registered under the query's flow tag is deregistered),
-    /// clears the query's fairness weight, and grants newly-fitting
+    /// finishes the query's flow, and grants newly-fitting
     /// waiters. On [`ReleaseOutcome::Completed`] the query's run time
     /// and its attributed share of NIC/port busy time are recorded.
     pub fn release(&self, sim: &SimContext, adm: Admission, outcome: ReleaseOutcome) {
         let flow = FlowId(adm.query);
         self.runtime.deregister_flow(flow);
-        self.flows.clear_weight(flow);
+        self.flows.finish(flow);
         {
             let mut st = self.state.lock();
             st.running -= 1;
@@ -379,7 +375,7 @@ impl Scheduler {
                     self.mem_peak[node].add(delta as u64);
                 }
             }
-            self.flows.set_weight(FlowId(w.id), w.weight);
+            self.flows.start(FlowId(w.id));
             w.gate.push(());
         }
     }
@@ -398,7 +394,6 @@ mod tests {
     fn req(id: u32, mem: Vec<usize>) -> QueryRequest {
         QueryRequest {
             id,
-            weight: 1,
             mem_per_node: mem,
         }
     }
@@ -533,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn weights_registered_while_running_cleared_after() {
+    fn flows_registered_while_running_cleared_after() {
         let rt = runtime(1);
         let flows = rt.cluster().flows().clone();
         let sched = Scheduler::new(&rt, SchedulerConfig::default());
@@ -541,15 +536,13 @@ mod tests {
         let obs2 = observed.clone();
         let f = flows.clone();
         rt.cluster().spawn(0, "q7", move |sim| {
-            let mut r = QueryRequest::new(7, 1);
-            r.weight = 3;
-            let adm = sched.admit(&sim, &r).unwrap();
-            *obs2.lock() = Some(f.share(FlowId(7)));
+            let adm = sched.admit(&sim, &QueryRequest::new(7, 1)).unwrap();
+            *obs2.lock() = Some(f.running_with(FlowId(7)));
             sched.release(&sim, adm, ReleaseOutcome::Completed);
         });
         rt.cluster().run();
-        assert_eq!(observed.lock().take(), Some(Some((3, 3))));
-        assert!(flows.is_empty(), "weight cleared on release");
+        assert_eq!(observed.lock().take(), Some(Some(1)));
+        assert!(flows.is_empty(), "flow finished on release");
     }
 
     #[test]

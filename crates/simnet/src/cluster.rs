@@ -45,8 +45,8 @@ impl Cluster {
         let obs = Obs::new();
         let kernel = Kernel::new();
         kernel.set_obs(obs.clone());
-        // One flow-weight table shared by the fabric ports and every NIC
-        // pipeline, so a query's weight governs all its bottlenecks.
+        // One set of running flows shared by the fabric ports and every NIC
+        // pipeline, so a query gets its equal share at all its bottlenecks.
         let flows = Arc::new(FlowTable::new());
         let fabric = Arc::new(Fabric::with_topology(
             nodes,
@@ -71,7 +71,7 @@ impl Cluster {
         }
     }
 
-    /// The cluster-shared flow-weight table (weighted-fair arbitration).
+    /// The cluster-shared set of running flows (fair arbitration).
     pub fn flows(&self) -> &Arc<FlowTable> {
         &self.flows
     }

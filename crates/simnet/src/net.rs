@@ -348,7 +348,7 @@ impl Fabric {
     }
 
     /// Creates a fabric with an explicit switch [`Topology`], whose ports
-    /// arbitrate across the cluster-shared `flows` weights.
+    /// arbitrate across the cluster-shared running `flows`.
     pub fn with_topology(
         nodes: usize,
         profile: &DeviceProfile,
@@ -475,9 +475,8 @@ impl Fabric {
     /// Schedules one `bytes`-sized message belonging to `flow` from `from`
     /// to every node of `tos`, departing the sender NIC at `depart`, and
     /// hands `delivered` each member's position in `tos` with the delivery
-    /// time at its NIC, in member order. Ports are weighted-fair across
-    /// flows with registered weights; untagged traffic takes the plain FIFO
-    /// path.
+    /// time at its NIC, in member order. Ports are fair across running
+    /// flows; untagged traffic takes the plain FIFO path.
     ///
     /// A unicast is the one-member case and a multicast is the same path
     /// with more members, replicated by the switches: the sender's egress,
@@ -643,7 +642,7 @@ impl Fabric {
         self.ports[node].ingress.lock().busy_for(flow)
     }
 
-    /// The cluster-shared flow-weight table this fabric arbitrates on.
+    /// The cluster-shared set of running flows this fabric arbitrates on.
     pub fn flows(&self) -> &Arc<FlowTable> {
         &self.flows
     }

@@ -11,7 +11,7 @@
 //! algorithms degrade as the cluster grows while the Θ(1)/Θ(t)-QP
 //! Unreliable Datagram designs do not.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,8 +26,7 @@ use crate::KeyMap;
 /// Identity of a bandwidth-sharing flow (one concurrent query / exchange).
 ///
 /// Flows exist so that co-running queries share the NIC pipeline and the
-/// fabric ports by *configured weight* instead of by unspecified FIFO
-/// interleaving. [`FlowId::NONE`] marks untagged traffic, which always takes
+/// fabric ports *equally* instead of by unspecified FIFO interleaving. [`FlowId::NONE`] marks untagged traffic, which always takes
 /// the plain FIFO path — byte-identical to the pre-flow simulator.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u32);
@@ -42,16 +41,16 @@ impl FlowId {
     }
 }
 
-/// Cluster-wide registry of flow weights, shared by every [`NicModel`]
+/// The cluster-wide set of running flows, shared by every [`NicModel`]
 /// pipeline and every fabric port.
 ///
-/// A flow with no registered weight — or [`FlowId::NONE`] — is treated as
-/// untagged: its reservations take the plain FIFO path. Registering weights
-/// is what switches a [`FairResource`] into weighted-fair mode, so a cluster
-/// that never registers any weight is byte-identical to one without flows.
+/// A flow that is not running — or [`FlowId::NONE`] — is treated as
+/// untagged: its reservations take the plain FIFO path. Starting a flow is
+/// what switches a [`FairResource`] into fair mode, so a cluster that
+/// never starts one is byte-identical to one without flows.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    weights: Mutex<BTreeMap<u32, u64>>,
+    running: Mutex<BTreeSet<u32>>,
 }
 
 impl FlowTable {
@@ -60,36 +59,32 @@ impl FlowTable {
         Self::default()
     }
 
-    /// Registers (or updates) `flow`'s weight. Zero weights are clamped to 1.
+    /// Starts `flow`: while contended, it gets an equal share of every
+    /// resource with the other running flows.
     ///
     /// # Panics
     ///
     /// Panics if `flow` is [`FlowId::NONE`].
-    pub fn set_weight(&self, flow: FlowId, weight: u64) {
-        assert!(flow.is_tagged(), "cannot weight the untagged flow");
-        self.weights.lock().insert(flow.0, weight.max(1));
+    pub fn start(&self, flow: FlowId) {
+        assert!(flow.is_tagged(), "cannot start the untagged flow");
+        self.running.lock().insert(flow.0);
     }
 
-    /// Removes `flow` from the table; its future reservations are untagged.
-    pub fn clear_weight(&self, flow: FlowId) {
-        self.weights.lock().remove(&flow.0);
+    /// Stops `flow`; its future reservations are untagged.
+    pub fn finish(&self, flow: FlowId) {
+        self.running.lock().remove(&flow.0);
     }
 
-    /// `(weight, total_weight)` for `flow`, or `None` if the flow is
-    /// untagged / unregistered (plain FIFO path).
-    pub fn share(&self, flow: FlowId) -> Option<(u64, u64)> {
-        if !flow.is_tagged() {
-            return None;
-        }
-        let weights = self.weights.lock();
-        let weight = *weights.get(&flow.0)?;
-        let total: u64 = weights.values().sum();
-        Some((weight, total))
+    /// How many flows are running, `flow` among them, or `None` if `flow`
+    /// is untagged or not running (plain FIFO path).
+    pub fn running_with(&self, flow: FlowId) -> Option<u64> {
+        let running = self.running.lock();
+        running.contains(&flow.0).then_some(running.len() as u64)
     }
 
-    /// Whether no weights are registered at all.
+    /// Whether no flow is running.
     pub fn is_empty(&self) -> bool {
-        self.weights.lock().is_empty()
+        self.running.lock().is_empty()
     }
 }
 
@@ -112,27 +107,27 @@ struct FlowLedger {
     busy: SimDuration,
 }
 
-/// A FIFO-serialized resource with optional weighted-fair pacing.
+/// A FIFO-serialized resource with optional fair pacing.
 ///
-/// Untagged reservations ([`FairResource::reserve`], or a flow with no
-/// registered weight) behave exactly like [`crate::Resource`]: the eager
-/// FIFO ledger commits `start = max(at, free_at)` immediately. Runs that
-/// never register a weight are therefore byte-identical to the plain
-/// resource — the property the scheduler's trace-identity test pins.
+/// Untagged reservations ([`FairResource::reserve`], or a flow that is not
+/// running) behave exactly like [`crate::Resource`]: the eager FIFO ledger
+/// commits `start = max(at, free_at)` immediately. Runs that never start a
+/// flow are therefore byte-identical to the plain resource — the property
+/// the scheduler's trace-identity test pins.
 ///
 /// Tagged reservations implement an eager approximation of start-time fair
 /// queueing. Each flow carries a virtual clock `fair_next` advanced by
-/// `duration × total_weight / weight` per reservation, so a flow at twice
-/// the weight advances half as fast and is entitled to twice the bandwidth.
+/// `duration × running flows` per reservation, so each of `n` running
+/// flows is entitled to `1/n` of the bandwidth.
 /// A flow ahead of its entitlement is *paced*: its reservation is placed at
 /// `fair_next` and the skipped interval is donated as a gap that under-share
 /// flows back-fill. Three guards keep the policy work-conserving:
 ///
 /// * pacing applies only while **contended** — some other flow has reserved
 ///   since this flow's last reservation. A solo flow runs at line rate no
-///   matter what weights idle flows hold.
+///   matter how many idle flows are running.
 /// * `fair_next` is capped at `free_at + advance`, so a flow can never be
-///   deferred more than one weighted quantum past the backlog front (no
+///   deferred more than one quantum past the backlog front (no
 ///   starvation).
 /// * when the resource is idle at arrival (`at ≥ free_at`) the reservation
 ///   is granted immediately.
@@ -163,9 +158,8 @@ impl FairResource {
         Reservation { start, end }
     }
 
-    /// Reserves `duration` for `flow`, pacing it to its weighted share of
-    /// the resource when `table` registers a weight for it (plain FIFO
-    /// otherwise).
+    /// Reserves `duration` for `flow`, pacing it to its equal share of the
+    /// resource while `table` runs it (plain FIFO otherwise).
     pub fn reserve_flow(
         &mut self,
         at: SimTime,
@@ -173,7 +167,7 @@ impl FairResource {
         flow: FlowId,
         table: &FlowTable,
     ) -> Reservation {
-        let Some((weight, total)) = table.share(flow) else {
+        let Some(flows) = table.running_with(flow) else {
             return self.reserve(at, duration);
         };
         let ledger = self.flows.get(&flow.0).copied().unwrap_or_default();
@@ -185,12 +179,9 @@ impl FairResource {
             .flows
             .iter()
             .any(|(&id, l)| id != flow.0 && (l.fair_next >= at || l.last_end >= at));
-        // One weighted quantum: how far this reservation advances the
-        // flow's virtual clock. Integer-only so every platform agrees.
-        let adv = SimDuration::from_nanos(
-            ((duration.as_nanos() as u128 * total as u128) / weight as u128)
-                .min(u64::MAX as u128) as u64,
-        );
+        // One quantum: how far this reservation advances the flow's
+        // virtual clock. Integer-only so every platform agrees.
+        let adv = SimDuration::from_nanos(duration.as_nanos().saturating_mul(flows));
         let start;
         if !contended {
             // No co-runner since our last reservation: plain FIFO —
@@ -206,7 +197,7 @@ impl FairResource {
                 // applies even when the resource is idle at arrival —
                 // a backlogged flow that re-arrives exactly at the
                 // FIFO tail must not dodge its pacing, or shares track
-                // quantum size instead of weight. Donation starts at
+                // quantum size instead of an equal share. Donation starts at
                 // the arrival: the kernel dispatches in timestamp
                 // order, so no later reservation can start before it.
                 self.push_gap(self.free_at.max(at), earliest);
@@ -391,7 +382,7 @@ impl NicModel {
     }
 
     /// Creates a NIC that records into `obs` as node `node` and arbitrates
-    /// its pipeline across the cluster-shared `flows` weights.
+    /// its pipeline across the cluster-shared running `flows`.
     pub fn with_flows(
         profile: &DeviceProfile,
         obs: Arc<Obs>,
@@ -420,8 +411,8 @@ impl NicModel {
     /// Processes a work request belonging to `flow` on QP context `qp_ctx`
     /// no earlier than `at`. Returns the time the NIC finishes its local
     /// processing (pipeline occupancy plus any context-cache miss penalty).
-    /// The pipeline is weighted-fair across flows with registered weights;
-    /// untagged or unregistered flows take the plain FIFO path.
+    /// The pipeline is fair across running flows; untagged or finished
+    /// flows take the plain FIFO path.
     pub fn process_flow(&self, at: SimTime, qp_ctx: u64, kind: WrKind, flow: FlowId) -> SimTime {
         let base = match kind {
             WrKind::SendRc | WrKind::SendUd | WrKind::Read | WrKind::Write => {
@@ -595,7 +586,7 @@ mod tests {
             let b = fair.reserve(at, d);
             let c_at = SimTime::from_nanos(at.as_nanos() + 1_000_000);
             assert_eq!((a.start, a.end), (b.start, b.end));
-            // A flow with no registered weight is untagged too.
+            // A flow that is not running is untagged too.
             let mut plain2 = plain.clone();
             let c = plain2.reserve(c_at, d);
             let c2 = fair.reserve_flow(c_at, d, FlowId(7), &table);
@@ -608,11 +599,12 @@ mod tests {
 
     #[test]
     fn solo_flow_runs_at_line_rate() {
-        // A lone weighted flow must never be paced, even when other
-        // (idle) flows hold most of the registered weight.
+        // A lone flow must never be paced, even when other (idle) flows
+        // are running too.
         let table = FlowTable::new();
-        table.set_weight(FlowId(1), 1);
-        table.set_weight(FlowId(2), 9);
+        for flow in 1..=9 {
+            table.start(FlowId(flow));
+        }
         let mut fair = FairResource::new();
         let d = SimDuration::from_nanos(100);
         let mut end = SimTime::ZERO;
@@ -624,23 +616,24 @@ mod tests {
     }
 
     #[test]
-    fn contended_flows_share_by_weight() {
-        // Two backlogged flows, weights 3:1, closed loop with window 4.
-        // The granted shares must approximate the weights and nobody may
-        // starve; the resource must stay (nearly) fully busy.
+    fn contended_flows_share_equally() {
+        // Two backlogged flows in a closed loop, flow 1 with three times
+        // flow 2's window: plain FIFO would grant them 3:1. The granted
+        // shares must approximate 1:1 and nobody may starve; the resource
+        // must stay (nearly) fully busy.
         let table = FlowTable::new();
-        table.set_weight(FlowId(1), 3);
-        table.set_weight(FlowId(2), 1);
+        table.start(FlowId(1));
+        table.start(FlowId(2));
         let mut fair = FairResource::new();
         let d = SimDuration::from_nanos(100);
-        // Per-flow queue of next arrival times (window of 4 outstanding).
-        let mut next: Vec<Vec<SimTime>> = vec![vec![SimTime::ZERO; 4]; 2];
+        // Per-flow queue of next arrival times (12 and 4 outstanding).
+        let mut next: Vec<Vec<SimTime>> = vec![vec![SimTime::ZERO; 12], vec![SimTime::ZERO; 4]];
         let mut last_end = [SimTime::ZERO; 2];
         for _ in 0..200 {
             // Serve whichever flow's earliest outstanding arrival is older;
             // ties go to flow 1 — a deterministic interleaving.
             let f = if next[0].iter().min() <= next[1].iter().min() { 0 } else { 1 };
-            let i = (0..4).min_by_key(|&i| next[f][i]).unwrap();
+            let i = (0..next[f].len()).min_by_key(|&i| next[f][i]).unwrap();
             let at = next[f][i];
             let r = fair.reserve_flow(at, d, FlowId(f as u32 + 1), &table);
             next[f][i] = r.end;
@@ -649,11 +642,11 @@ mod tests {
         let horizon = last_end[0].min(last_end[1]);
         let b1 = fair.busy_for(FlowId(1));
         let b2 = fair.busy_for(FlowId(2));
-        assert!(b2 > SimDuration::ZERO, "low-weight flow starved");
+        assert!(b2 > SimDuration::ZERO, "the smaller-window flow starved");
         let ratio = b1.as_nanos() as f64 / b2.as_nanos() as f64;
         assert!(
-            ratio > 1.5 && ratio < 4.5,
-            "3:1 weights gave busy ratio {ratio:.2} ({b1:?} vs {b2:?})"
+            ratio > 0.5 && ratio < 1.5,
+            "equal shares gave busy ratio {ratio:.2} ({b1:?} vs {b2:?})"
         );
         // Work conservation: donated gaps get back-filled, so total busy
         // time tracks the horizon closely.
@@ -666,14 +659,16 @@ mod tests {
 
     #[test]
     fn debt_cap_bounds_deferral() {
-        // A heavily over-share flow may be deferred at most one weighted
-        // quantum past the backlog front.
+        // Two backlogged flows among 100 running ones are each far over
+        // their 1/100 share, yet may be deferred at most one quantum past
+        // the backlog front.
         let table = FlowTable::new();
-        table.set_weight(FlowId(1), 1);
-        table.set_weight(FlowId(2), 99);
+        for flow in 1..=100 {
+            table.start(FlowId(flow));
+        }
         let mut fair = FairResource::new();
         let d = SimDuration::from_nanos(10);
-        let adv = 10 * 100; // duration × total / weight for flow 1
+        let adv = 10 * 100; // duration × running flows
         for _ in 0..100 {
             // Both flows keep arriving at time zero (infinitely backlogged).
             fair.reserve_flow(SimTime::ZERO, d, FlowId(2), &table);

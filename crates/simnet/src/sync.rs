@@ -83,17 +83,6 @@ impl<T: Send + 'static> SimMutex<T> {
             self.inner.state.lock().waiters -= 1;
         }
     }
-
-    /// Acquires the lock only if it is free right now.
-    pub fn try_lock(&self) -> Option<SimMutexGuard<'_, T>> {
-        let mut st = self.inner.state.lock();
-        if st.held {
-            None
-        } else {
-            st.held = true;
-            Some(SimMutexGuard { mutex: self })
-        }
-    }
 }
 
 impl<T> SimMutex<T> {
@@ -240,24 +229,6 @@ mod tests {
         kernel.run();
         // All four 100ns critical sections must serialize: total 400ns.
         assert_eq!(kernel.now().as_nanos(), 400);
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let kernel = Kernel::new();
-        let m = SimMutex::new(&kernel, (), SimDuration::ZERO);
-        let m2 = m.clone();
-        kernel.spawn(0, "holder", move |sim| {
-            let _g = m.lock(&sim);
-            sim.sleep(SimDuration::from_nanos(100));
-        });
-        kernel.spawn(0, "prober", move |sim| {
-            sim.sleep(SimDuration::from_nanos(50));
-            assert!(m2.try_lock().is_none());
-            sim.sleep(SimDuration::from_nanos(100));
-            assert!(m2.try_lock().is_some());
-        });
-        kernel.run();
     }
 
     #[test]

@@ -303,18 +303,13 @@ impl VerbsRuntime {
         }
     }
 
-    /// Forces every RC QP on `node` into the error state: queued
+    /// Forces every in-scope QP on `node` into the error state: queued
     /// receives are flushed to their completion queues with
     /// [`crate::WcStatus::Flushed`], and future deliveries targeting
     /// these QPs complete in error at the sender. Iteration is sorted by
-    /// QP number so same-seed runs stay byte-identical.
-    pub fn fail_rc_qps(&self, node: NodeId) {
-        self.fail_qps(node, QpScope::Rc);
-    }
-
-    /// Forces every in-scope QP on `node` into the error state (see
-    /// [`VerbsRuntime::fail_rc_qps`]) and records the node as QP-failed
-    /// for the recovery layer's error classification.
+    /// QP number so same-seed runs stay byte-identical. The node is
+    /// recorded as QP-failed for the recovery layer's error
+    /// classification.
     pub fn fail_qps(&self, node: NodeId, scope: QpScope) {
         let now_ns = self.kernel().now().as_nanos();
         let targets: Vec<Arc<QpInner>> = {
@@ -427,7 +422,7 @@ impl VerbsRuntime {
     }
 
     /// Returns a device context for `node` whose Queue Pairs tag all their
-    /// traffic with `flow` for weighted-fair arbitration and per-query
+    /// traffic with `flow` for fair arbitration and per-query
     /// busy-time attribution.
     pub fn context_flow(self: &Arc<Self>, node: NodeId, flow: FlowId) -> Context {
         assert!(node < self.cluster.nodes(), "node {node} out of range");

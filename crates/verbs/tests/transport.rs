@@ -13,8 +13,8 @@ use parking_lot::Mutex;
 use rshuffle_obs::names;
 use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
 use rshuffle_verbs::{
-    AddressHandle, Completion, CompletionQueue, ConnectionManager, FaultConfig, QpNum, QpType,
-    QueuePair, RecvWr, RemoteAddr, SendWr, VerbsError, VerbsRuntime, WcOpcode, WcStatus,
+    AddressHandle, Completion, CompletionQueue, ConnectionManager, FaultConfig, QpNum, QpScope,
+    QpType, QueuePair, RecvWr, RemoteAddr, SendWr, VerbsError, VerbsRuntime, WcOpcode, WcStatus,
 };
 
 /// A delivery counter the application cannot observe directly, read from
@@ -915,7 +915,7 @@ fn every_completion_carries_the_whole_entry() {
             .unwrap();
         }
         if trouble == Killed {
-            rt.fail_rc_qps(1);
+            rt.fail_qps(1, QpScope::Rc);
         }
         let rkey = target.rkey();
         let remote = move |known_rkey, offset| RemoteAddr {
@@ -990,7 +990,6 @@ fn every_completion_carries_the_whole_entry() {
 /// either service; a failing QP flushes what of it is still posted, no more.
 #[test]
 fn a_pool_posted_as_one_run_is_matched_window_by_window() {
-    use rshuffle_verbs::QpScope;
     const WINDOW: usize = 64;
     const POOL: usize = 16;
     const MESSAGES: usize = 5;

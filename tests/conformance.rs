@@ -143,7 +143,7 @@ fn query_seed(query: u32, node: usize) -> u64 {
 /// winning generation must deliver exactly its own generator's multiset
 /// (no loss, no duplication, no cross-query leakage), the protocol
 /// auditor must stay silent, and — because the scheduler, the
-/// weighted-fair arbiter, and the kernel are all deterministic — two
+/// fair arbiter, and the kernel are all deterministic — two
 /// same-seed runs must produce byte-identical snapshots and traces.
 #[test]
 fn two_queries_share_the_fabric_cleanly() {

@@ -1,24 +1,24 @@
-//! Property tests for the weighted-fair NIC arbiter
-//! ([`FairResource`]) in isolation: for random weight vectors and
-//! demand patterns, granted bandwidth shares converge to the configured
-//! weights, no flow starves, and the untagged path stays bit-identical
-//! to the plain FIFO [`Resource`].
+//! Property tests for the fair NIC arbiter ([`FairResource`]) in
+//! isolation: for random flow counts and demand patterns, granted
+//! bandwidth shares converge to equal shares, no flow starves, and the
+//! untagged path stays bit-identical to the plain FIFO [`Resource`].
 
 use proptest::prelude::*;
 use rshuffle_repro::simnet::{FairResource, FlowId, FlowTable, Resource, SimDuration, SimTime};
 
 const HORIZON_NS: u64 = 20_000_000; // 20 ms of virtual time
 
-/// Closed-loop demand: every flow re-issues a `quantum_ns[i]`-long
-/// reservation the moment its previous one completes, until the
-/// horizon. Returns per-flow busy time and the sum of all durations.
-fn run_closed_loop(weights: &[u64], quantum_ns: &[u64]) -> (Vec<SimDuration>, SimDuration) {
+/// Closed-loop demand: every one of `quantum_ns.len()` running flows
+/// re-issues a `quantum_ns[i]`-long reservation the moment its previous
+/// one completes, until the horizon. Returns per-flow busy time and the
+/// sum of all durations.
+fn run_closed_loop(quantum_ns: &[u64]) -> (Vec<SimDuration>, SimDuration) {
     let table = FlowTable::new();
-    for (i, &w) in weights.iter().enumerate() {
-        table.set_weight(FlowId(i as u32), w);
+    for i in 0..quantum_ns.len() {
+        table.start(FlowId(i as u32));
     }
     let mut fair = FairResource::new();
-    let mut next_arrival: Vec<SimTime> = vec![SimTime::ZERO; weights.len()];
+    let mut next_arrival: Vec<SimTime> = vec![SimTime::ZERO; quantum_ns.len()];
     let mut issued = SimDuration::ZERO;
     // The flow whose next request arrives earliest goes next (ties by
     // flow id) — the deterministic analogue of event order.
@@ -35,7 +35,7 @@ fn run_closed_loop(weights: &[u64], quantum_ns: &[u64]) -> (Vec<SimDuration>, Si
         next_arrival[i] = r.end;
         issued += duration;
     }
-    let busy: Vec<SimDuration> = (0..weights.len())
+    let busy: Vec<SimDuration> = (0..quantum_ns.len())
         .map(|i| fair.busy_for(FlowId(i as u32)))
         .collect();
     assert_eq!(
@@ -49,7 +49,7 @@ fn run_closed_loop(weights: &[u64], quantum_ns: &[u64]) -> (Vec<SimDuration>, Si
 proptest! {
     /// Untagged reservations through the fair arbiter are bit-identical
     /// to the plain FIFO resource, for any arrival/duration pattern —
-    /// the "default weightless mode" guarantee.
+    /// the "no running flow" guarantee.
     #[test]
     fn untagged_path_matches_plain_fifo(
         gaps in prop::collection::vec(0u64..5_000, 48),
@@ -70,17 +70,19 @@ proptest! {
         prop_assert_eq!(fair.free_at(), fifo.free_at());
     }
 
-    /// A single registered flow with any weight is never paced: with no
-    /// co-runner its schedule is plain FIFO, so registering a weight for
-    /// a lone query cannot change its trace.
+    /// A flow with no co-runner is never paced, however many idle flows
+    /// are running beside it: its schedule is plain FIFO, so starting a
+    /// lone query cannot change its trace.
     #[test]
     fn solo_flow_is_never_paced(
-        weight in 1u64..16,
+        idle in 0u32..16,
         gaps in prop::collection::vec(0u64..5_000, 48),
         durs in prop::collection::vec(1u64..10_000, 48),
     ) {
         let table = FlowTable::new();
-        table.set_weight(FlowId(7), weight);
+        for flow in 7..=7 + idle {
+            table.start(FlowId(flow));
+        }
         let mut fair = FairResource::new();
         let mut fifo = Resource::default();
         let mut now = SimTime::ZERO;
@@ -95,20 +97,19 @@ proptest! {
     }
 
     /// Under saturating closed-loop demand from every flow, granted
-    /// shares converge to the weight vector: each flow's busy time,
-    /// normalized by its weight, lands within 2.5× of every other's, and
-    /// the resource stays mostly busy. (The arbiter is an *eager online*
-    /// approximation — it never reorders or delays a grant beyond one
-    /// weighted quantum — and the closed-loop harness issues one request
-    /// per flow at a time, so perfect shares and 100% utilization are
+    /// shares converge to equal shares whatever each flow's request
+    /// size: every flow's busy time lands within 2.5× of every other's,
+    /// and the resource stays mostly busy. (The arbiter is an *eager
+    /// online* approximation — it never reorders or delays a grant beyond
+    /// one quantum — and the closed-loop harness issues one request per
+    /// flow at a time, so perfect shares and 100% utilization are
     /// unattainable by construction; the bounds pin the approximation.)
     #[test]
-    fn shares_converge_to_weights(
-        weights in prop::collection::vec(1u64..8, 2..5),
+    fn shares_converge_to_equal(
+        flows in 2usize..5,
         quanta in prop::collection::vec(500u64..4_000, 4),
     ) {
-        let quanta = &quanta[..weights.len()];
-        let (busy, issued) = run_closed_loop(&weights, quanta);
+        let (busy, issued) = run_closed_loop(&quanta[..flows]);
         // Work conservation: closed-loop demand keeps the pipe full, so
         // nearly the entire horizon is granted (boundary effects only).
         prop_assert!(
@@ -117,38 +118,28 @@ proptest! {
              {} of {HORIZON_NS} ns granted",
             issued.as_nanos()
         );
-        let normalized: Vec<f64> = busy
-            .iter()
-            .zip(&weights)
-            .map(|(b, &w)| b.as_nanos() as f64 / w as f64)
-            .collect();
-        let lo = normalized.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = normalized.iter().cloned().fold(0.0f64, f64::max);
+        let lo = busy.iter().min().map_or(0, |b| b.as_nanos()) as f64;
+        let hi = busy.iter().max().map_or(0, |b| b.as_nanos()) as f64;
         prop_assert!(
             hi <= lo * 2.5,
-            "weighted shares diverged: weights {weights:?}, busy {busy:?}, \
-             normalized spread {lo:.0}..{hi:.0}"
+            "shares diverged: quanta {quanta:?}, busy {busy:?}, spread {lo:.0}..{hi:.0}"
         );
     }
 
-    /// No starvation: every flow — even weight 1 against weight-7
-    /// rivals — receives at least a quarter of its entitled share of
-    /// the horizon.
+    /// No starvation: every flow — even one asking for 500 ns at a time
+    /// against rivals asking for 4 µs — receives at least a quarter of its
+    /// equal share of the horizon.
     #[test]
     fn no_flow_starves(
-        weights in prop::collection::vec(1u64..8, 2..5),
+        flows in 2usize..5,
         quanta in prop::collection::vec(500u64..4_000, 4),
     ) {
-        let quanta = &quanta[..weights.len()];
-        let (busy, _) = run_closed_loop(&weights, quanta);
-        let total: u64 = weights.iter().sum();
+        let (busy, _) = run_closed_loop(&quanta[..flows]);
+        let entitled = HORIZON_NS as f64 / flows as f64;
         for (i, b) in busy.iter().enumerate() {
-            let entitled = HORIZON_NS as f64 * weights[i] as f64 / total as f64;
             prop_assert!(
                 b.as_nanos() as f64 >= entitled * 0.25,
-                "flow {i} (weight {}) starved: {} ns of {entitled:.0} entitled, \
-                 weights {weights:?}",
-                weights[i],
+                "flow {i} starved: {} ns of {entitled:.0} entitled, quanta {quanta:?}",
                 b.as_nanos()
             );
         }

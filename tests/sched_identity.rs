@@ -1,8 +1,8 @@
-//! Scheduler transparency: with a concurrency limit of 1 and default
-//! weights, driving a query through `run_workload` + `Scheduler` must
-//! be byte-identical in virtual time to the direct
-//! `run_shuffle_with_recovery` path — the same coordinator loop with
-//! no-op admission hooks — for all six paper algorithms.
+//! Scheduler transparency: with a concurrency limit of 1, driving a
+//! query through `run_workload` + `Scheduler` must be byte-identical in
+//! virtual time to the direct `run_shuffle_with_recovery` path — the
+//! same coordinator loop with no-op admission hooks — for all six paper
+//! algorithms.
 //!
 //! "Byte-identical" is checked on the strongest observable artifacts we
 //! have: the full metrics snapshot and the Chrome trace, after removing
@@ -10,8 +10,8 @@
 //! query_admitted/deferred/completed instants). Everything else — every
 //! NIC reservation, completion timestamp, credit stall, retry — must
 //! match to the byte, which it only can if admission consumed zero
-//! virtual time and the weighted-fair arbiter with a single weight-1
-//! flow reproduces the untagged schedule exactly.
+//! virtual time and the fair arbiter with a single running flow
+//! reproduces the untagged schedule exactly.
 
 #[path = "common/coordinated.rs"]
 mod coordinated;
@@ -130,7 +130,7 @@ fn run_scheduled(algorithm: ShuffleAlgorithm) -> Run<RecoveryReport> {
     stripped(algorithm, "scheduled", pending)
 }
 
-/// The headline acceptance criterion: limit-1, weightless scheduling is
+/// The headline acceptance criterion: limit-1 scheduling is
 /// invisible — same rows, same metrics, same trace, for all six
 /// algorithms.
 #[test]
