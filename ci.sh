@@ -73,8 +73,9 @@ fi
 # One seam: `Exchange::shuffle_operator` / `receive_operator` are the only
 # builders of the two operators (lanes, groups, threads, the phase runner
 # exactly where the schedule wants it). The constructors under them stay
-# `pub` for the frozen `benchmark/` alone — not scanned here — until
-# ROADMAP 1a moves it; every other caller goes through the exchange.
+# `pub` for the frozen `benchmark/` alone — not scanned here — until the
+# ROADMAP item "Thaw the `benchmark/` surface once" moves it; every other
+# caller goes through the exchange.
 if wired=$(grep -rlE 'ShuffleOperator::with_lanes|ReceiveOperator::with_lanes|\.with_phases\(' \
   crates src tests examples | grep -v '^crates/core/src/'); then
   echo "ERROR: SHUFFLE/RECEIVE operators wired by hand outside crates/core/src/ in:" >&2
@@ -208,11 +209,12 @@ for row in "${PERF_GATES[@]}"; do
 done
 
 # Host-memory ceiling: the smoke's N = 256 cells are the largest thing
-# this script runs. They peaked at 2909 MiB resident when registered
-# memory started to follow live windows (EXPERIMENTS.md, "Host memory");
-# 1.25x that fails the build — the ~14 GiB they used to take got the
-# run OOM-killed in a 16 GiB sandbox.
-ADAPT_RSS_CEILING_MIB=3636
+# this script runs. They peak at 2402 MiB resident since the phased
+# SHUFFLE stages each row once, in a slot sized to its destination
+# (2856 MiB before; EXPERIMENTS.md, "Host memory"); 1.25x that fails the
+# build — the ~14 GiB they took before registered memory followed live
+# windows got the run OOM-killed in a 16 GiB sandbox.
+ADAPT_RSS_CEILING_MIB=3002
 awk -v ceiling="$ADAPT_RSS_CEILING_MIB" '
   /"host_peak_rss_mib": [0-9]/ { gsub(/[^0-9.]/, "", $2); peak = $2 }
   END {

@@ -290,10 +290,23 @@ impl ShuffleOperator {
                 group_of[g[0]] = Some(i);
             }
         }
-        // Stage: hash every row of the child into its destination bin
-        // (plain memory; the copy into RDMA-registered buffers is charged
-        // per phase below, so total CPU cost matches the unphased path).
-        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); self.groups.len()];
+        // Stage, in two passes over the child's batches (plain memory; the
+        // copy into RDMA-registered buffers is charged per phase below, so
+        // total CPU cost matches the unphased path). The first keeps each
+        // batch as it arrives and counts what each destination is sent;
+        // the second copies every row once into a slot sized to exactly
+        // its destination's rows, dropping each batch behind it. Both
+        // passes skip the same first `skip[dest]` rows of each destination.
+        let route = |row: &[u8], skip: &mut [u64]| {
+            let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
+            if skip[dest] > 0 {
+                skip[dest] -= 1;
+                return None;
+            }
+            Some(dest)
+        };
+        let mut skip_again = skip.to_vec();
+        let mut batches = Vec::new();
         // Row lengths as `(length, rows)` runs: a batch's rows are all one
         // width, and a length per 16-byte row would be half the staging.
         let mut staged_lens: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.groups.len()];
@@ -303,19 +316,28 @@ impl ShuffleOperator {
                 sim.sleep(self.cost.hash_per_tuple * batch.rows() as u64);
             }
             for row in batch.iter() {
-                let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
-                if skip[dest] > 0 {
-                    skip[dest] -= 1;
+                let Some(dest) = route(row, skip) else {
                     continue;
-                }
-                staged[dest].extend_from_slice(row);
+                };
                 match staged_lens[dest].last_mut() {
                     Some((len, rows)) if *len == row.len() => *rows += 1,
                     _ => staged_lens[dest].push((row.len(), 1)),
                 }
             }
+            batches.push(batch);
             if state == StreamState::Depleted {
                 break;
+            }
+        }
+        let mut staged: Vec<Vec<u8>> = staged_lens
+            .iter()
+            .map(|runs| Vec::with_capacity(runs.iter().map(|(len, rows)| len * rows).sum()))
+            .collect();
+        for batch in batches {
+            for row in batch.iter() {
+                if let Some(dest) = route(row, &mut skip_again) {
+                    staged[dest].extend_from_slice(row);
+                }
             }
         }
         // Transmit: one destination per phase. The barrier is crossed
@@ -379,6 +401,14 @@ impl ShuffleOperator {
             // the fabric: wait for the endpoint to drain toward this
             // destination before reporting the phase done.
             target.quiesce(sim, dest_node)?;
+        }
+        // Rows for a group no phase takes this node to would be lost.
+        if let Some(dest) = staged.iter().position(|rows| !rows.is_empty()) {
+            return Err(ShuffleError::Config(format!(
+                "no phase sends node {node} to group {dest} {:?}: {} staged bytes would be lost",
+                self.groups.group(dest),
+                staged[dest].len()
+            )));
         }
         // Propagate Depleted (same last-thread-per-lane rule as the
         // unphased path).
@@ -543,20 +573,27 @@ impl Operator for ReceiveOperator {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         assert!(tid < self.threads, "tid {tid} out of range");
         let target = self.endpoint(tid).clone();
-        let mut out = RowBatch::new(self.row_size, self.batch_rows);
+        let mut out = RowBatch::new(self.row_size, 0);
         loop {
             match target.get_data(sim)? {
                 Some(delivery) => {
-                    if delivery.local.len() % self.row_size != 0 {
+                    let len = delivery.local.len();
+                    if len % self.row_size != 0 {
                         return Err(ShuffleError::Config(format!(
-                            "received {} bytes, not a multiple of {}-byte rows",
-                            delivery.local.len(),
+                            "received {len} bytes, not a multiple of {}-byte rows",
                             self.row_size
                         )));
                     }
+                    // Sized once, on the first delivery: the batch goes out
+                    // as soon as it holds `batch_rows` rows, so at one
+                    // message size it never holds more than that plus one
+                    // delivery and never grows.
+                    if out.is_empty() {
+                        out = RowBatch::new(self.row_size, self.batch_rows + len / self.row_size);
+                    }
                     // Copy out of RDMA-registered memory (Algorithm 2,
                     // line 8) and charge the copy.
-                    sim.sleep(self.cost.copy_time(delivery.local.len()));
+                    sim.sleep(self.cost.copy_time(len));
                     delivery.local.with_payload(|p| out.extend_rows(p))?;
                     target.release(sim, delivery.remote, delivery.local, delivery.src)?;
                     if out.rows() >= self.batch_rows {
@@ -577,7 +614,7 @@ mod tests {
 
     use super::*;
     use crate::buffer::HEADER_LEN;
-    use crate::endpoint::EndpointId;
+    use crate::endpoint::{Delivery, EndpointId};
     use crate::phase::{PhasePolicy, PhaseSchedule};
 
     /// Payload bytes of a [`Counting`] endpoint's windows.
@@ -690,6 +727,136 @@ mod tests {
                 Send(56, MoreData),
                 GetFree,
                 Send(0, Depleted),
+            ]
+        );
+    }
+
+    /// Rows hashed to a group that no phase takes the node to are a
+    /// typed error naming the group, not rows silently left behind: the
+    /// schedule here reaches node 1 and not node 0 itself.
+    #[test]
+    fn phased_rows_no_phase_reaches_are_an_error() {
+        let kernel = Kernel::new();
+        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
+        let timeout = SimDuration::from_millis(1);
+        let runner = PhaseRunner::with_obs(&kernel, schedule, 1, timeout, Obs::new());
+        let endpoint = Arc::new(Counting {
+            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+            calls: Mutex::new(Vec::new()),
+        });
+        // Rows 0..4 of `Batches` hash to group `row % 2`: two for node 0,
+        // two for node 1.
+        let op = ShuffleOperator::with_lanes(
+            Arc::new(Batches(Mutex::new(vec![(16, 4)]))),
+            vec![endpoint.clone()],
+            TransmissionGroups::partition(2),
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        )
+        .with_phases(runner, 0);
+        let result = Arc::new(Mutex::new(None));
+        let slot = result.clone();
+        kernel.spawn(0, "phased-shuffle", move |sim| {
+            *slot.lock() = Some(op.next(&sim, 0).map(|(state, _)| state));
+        });
+        kernel.run();
+        let result = result.lock().take().expect("the shuffle returned");
+        assert!(
+            matches!(&result, Err(ShuffleError::Config(msg)) if msg.contains("group 0 [0]")),
+            "{result:?}"
+        );
+        // Node 1's rows went out in their phase; nothing was declared done.
+        assert_eq!(
+            *endpoint.calls.lock(),
+            [Call::GetFree, Call::Send(32, StreamState::MoreData)]
+        );
+    }
+
+    /// A receive endpoint handing out `left` deliveries of [`PAYLOAD`]
+    /// bytes each.
+    struct Delivering {
+        region: MemoryRegion,
+        left: Mutex<usize>,
+    }
+
+    impl ReceiveEndpoint for Delivering {
+        fn id(&self) -> EndpointId {
+            EndpointId(1)
+        }
+
+        fn get_data(&self, _: &SimContext) -> Result<Option<Delivery>> {
+            let mut left = self.left.lock();
+            if *left == 0 {
+                return Ok(None);
+            }
+            *left -= 1;
+            let mut local = Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD);
+            local.push(&[7; PAYLOAD])?;
+            Ok(Some(Delivery {
+                state: StreamState::MoreData,
+                src: EndpointId(0),
+                src_tid: 0,
+                remote: 0,
+                local,
+            }))
+        }
+
+        fn release(&self, _: &SimContext, _: u64, _: Buffer, _: EndpointId) -> Result<()> {
+            Ok(())
+        }
+
+        fn bytes_received(&self) -> u64 {
+            0
+        }
+
+        fn registered_bytes(&self) -> usize {
+            0
+        }
+
+        fn charge_setup(&self, _: &SimContext) {}
+    }
+
+    /// RECEIVE allocates each batch once, on its first delivery, for
+    /// `batch_rows` plus one delivery: at one message size the batch
+    /// that overshoots `batch_rows` keeps the capacity it was made with
+    /// instead of doubling, and an empty end-of-stream batch allocates
+    /// nothing.
+    #[test]
+    fn receive_batch_is_sized_once_on_its_first_delivery() {
+        // 10-byte rows, ten to a delivery; a batch goes out at 32 rows,
+        // so the fourth delivery overshoots it.
+        const ROW: usize = 10;
+        let kernel = Kernel::new();
+        let op = ReceiveOperator::with_lanes(
+            vec![Arc::new(Delivering {
+                region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+                left: Mutex::new(9),
+            })],
+            ROW,
+            32,
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        );
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let out = batches.clone();
+        kernel.spawn(0, "receive", move |sim| loop {
+            let (state, batch) = op.next(&sim, 0).unwrap();
+            let capacity = batch.data.capacity();
+            out.lock().push((state, batch.rows(), capacity));
+            if state == StreamState::Depleted && batch.is_empty() {
+                break;
+            }
+        });
+        kernel.run();
+        use StreamState::{Depleted, MoreData};
+        let sized = (32 + PAYLOAD / ROW) * ROW;
+        assert_eq!(
+            *batches.lock(),
+            [
+                (MoreData, 40, sized),
+                (MoreData, 40, sized),
+                (Depleted, 10, sized),
+                (Depleted, 0, 0),
             ]
         );
     }

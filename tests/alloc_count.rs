@@ -11,7 +11,8 @@
 //! message (a `to_vec()` on the send path, a rebuilt AH vector per
 //! multicast, a fresh completion `Vec` per poll) blows the bound. The
 //! same counter holds `Exchange::build` to its ring depth and a hash
-//! join's build side to its row count.
+//! join's build side to its row count; its live-bytes high-water mark
+//! holds the phased SHUFFLE's staging to the bytes it stages.
 
 #[path = "common/coordinated.rs"]
 mod coordinated;
@@ -23,33 +24,59 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::{drive_to_sink, HashJoin, MemScan, RecoveryPolicy, Table};
-use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, ShuffleAlgorithm};
+use rshuffle_repro::engine::{
+    drive_to_sink, run_shuffle_with_recovery, Generator, HashJoin, MemScan, RecoveryPolicy, Table,
+};
+use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, PhasePolicy, ShuffleAlgorithm};
 use rshuffle_repro::simnet::{Cluster, DeviceProfile, SimDuration};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
-/// test binary. Frees are not counted: the gate is on allocation churn.
+/// test binary, and the bytes live on the heap with their high-water
+/// mark. Frees are not counted as allocations: that gate is on churn.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
+/// Adds `bytes` to the live heap and raises the high-water mark.
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method hands its caller's arguments to `System` unchanged
+// and returns what `System` returns; the counters beside it are atomics
+// that allocate nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
+    /// A moving reallocation holds both blocks until it has copied the
+    /// old one: the high-water mark sees the new block before the old
+    /// one goes.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(new_size);
+        shrink(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -238,5 +265,74 @@ fn join_build_allocations_do_not_scale_with_build_rows() {
         large.saturating_sub(small) <= 32,
         "building over 6 144 more rows took {} more allocations",
         large.saturating_sub(small)
+    );
+}
+
+/// The phased run: 32 nodes of two threads. Besides the staging, two
+/// things on the heap grow with the volume, each a share of it that falls
+/// with the node count: the rows of the phase in flight, which are also
+/// still staged (1/31), and the thread between its two staging passes,
+/// which still holds its batches (1/64).
+const PHASED_NODES: usize = 32;
+const PHASED_ROWS_PER_THREAD: [usize; 2] = [8_192, 32_768];
+
+/// Runs one phased MESQ/SR repartition of `rows_per_thread` rows per
+/// thread whose sinks keep nothing, and returns how far the live heap
+/// rose above where it stood when the simulation started, with the bytes
+/// the SHUFFLE staged.
+fn peak_heap_growth_during_phased_run(rows_per_thread: usize) -> (u64, u64) {
+    let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, PHASED_NODES, THREADS);
+    config.message_size = 4096;
+    config.phase = PhasePolicy::Naive;
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let policy = RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts: 0,
+        ..RecoveryPolicy::default()
+    };
+    let report = run_shuffle_with_recovery(
+        &runtime,
+        &config,
+        policy,
+        run::ROW,
+        move |_, node| {
+            Arc::new(Generator::new(rows_per_thread, THREADS, node as u64)) as Arc<dyn Operator>
+        },
+        |_, _, _, _| {},
+    );
+    let start = LIVE.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
+    runtime.cluster().run();
+    let growth = PEAK.load(Ordering::SeqCst) - start;
+    let report = report.lock();
+    let rows = PHASED_NODES * THREADS * rows_per_thread;
+    assert!(report.succeeded(), "query failed: {:?}", report.failure);
+    assert_eq!(report.rows, rows as u64, "wrong row count");
+    (growth, (rows * run::ROW) as u64)
+}
+
+/// The phased SHUFFLE stages every row before its first phase, so its
+/// staging is what the live heap's peak grows by with the volume. Staged
+/// once, at exactly the size each destination is sent, four times the
+/// rows raise the peak by 1.04 x the extra staged bytes. Grown by
+/// doubling, one `Vec` per destination, they raised it by 1.86 x
+/// (measured before the staging was sized): up to twice each
+/// destination's rows, and both blocks of a moving reallocation.
+#[test]
+fn phased_staging_holds_each_row_once() {
+    let _guard = COUNT_LOCK.lock();
+    let [small, large] = PHASED_ROWS_PER_THREAD;
+    let _ = peak_heap_growth_during_phased_run(small);
+    let (small_peak, small_staged) = peak_heap_growth_during_phased_run(small);
+    let (large_peak, large_staged) = peak_heap_growth_during_phased_run(large);
+    let ratio = large_peak.saturating_sub(small_peak) as f64 / (large_staged - small_staged) as f64;
+    eprintln!(
+        "phased MESQ/SR: peak heap +{small_peak} B staging {small_staged} B, \
+         +{large_peak} B staging {large_staged} B: {ratio:.3} x the extra staged bytes"
+    );
+    assert!(
+        ratio <= 1.1,
+        "the peak heap grew by {ratio:.3} x the extra staged bytes (at most 1.1): \
+         the phased SHUFFLE holds staged rows more than once"
     );
 }
