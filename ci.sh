@@ -138,6 +138,23 @@ if sent=$(grep -rlwE 'data_sent|sent_data' crates); then
   exit 1
 fi
 
+# One SHUFFLE loop: `ShuffleOperator` reads its child in one place, and a
+# phase schedule only decides when each destination opens. The streamed
+# and the phased loop it replaced each carried their own copy of the
+# buffer taking, the message cut and the Depleted tail.
+reads=$(grep -o 'self\.child\.next(' crates/core/src/operator.rs | wc -l)
+if [ "$reads" -gt 1 ]; then
+  echo "ERROR: crates/core/src/operator.rs calls self.child.next( $reads times;" >&2
+  echo "       ShuffleOperator has one transmit loop, phased or not" >&2
+  exit 1
+fi
+if forked=$(grep -rlwE 'next_streamed|next_phased' crates); then
+  echo "ERROR: a second SHUFFLE transmit loop is back in:" >&2
+  echo "$forked" >&2
+  echo "       open destinations in ShuffleOperator's one loop instead" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

@@ -662,10 +662,10 @@ impl Exchange {
 
     /// The SHUFFLE operator (Algorithm 1) of `node`'s fragment over this
     /// exchange: `child`'s rows go out through the node's send lanes to
-    /// its transmission groups, phase-scheduled when the exchange is and
-    /// the node is one of the schedule's sources (a source the skew-aware
-    /// schedule exempted streams unphased and is no barrier party).
-    /// `None` when `node` sends nothing.
+    /// its transmission groups, phase-scheduled when the exchange is (the
+    /// operator itself lets a source the skew-aware schedule exempted
+    /// stream unphased, no barrier party). `None` when `node` sends
+    /// nothing.
     pub fn shuffle_operator(
         &self,
         node: NodeId,
@@ -676,10 +676,8 @@ impl Exchange {
         let groups = self.groups[node].clone();
         let shuffle = ShuffleOperator::with_lanes(child, lanes.clone(), groups, self.threads, cost);
         Some(match &self.phases {
-            Some(runner) if !runner.schedule().is_free(node) => {
-                shuffle.with_phases(runner.clone(), node)
-            }
-            _ => shuffle,
+            Some(runner) => shuffle.with_phases(runner.clone(), node),
+            None => shuffle,
         })
     }
 

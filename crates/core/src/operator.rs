@@ -181,14 +181,14 @@ pub struct ShuffleOperator {
     /// Rows to silently drop per `(tid, group)` before transmitting again:
     /// the recovery orchestrator seeds this with the receivers' delivered
     /// watermarks so a partial retry does not resend rows that already
-    /// arrived. All zeros (no skipping) on a fresh run. Worker `tid` takes
-    /// its row out for the duration of `next` and puts it back on return.
-    resume_skip: Vec<Mutex<Vec<u64>>>,
+    /// arrived (all zeros on a fresh run). Worker `tid`'s `next` takes its
+    /// row for good: a second call finds `None` and touches nothing.
+    resume_skip: Vec<Mutex<Option<Vec<u64>>>>,
     threads: usize,
     cost: CostModel,
     /// Phase-scheduled transmission: the cluster-wide runner plus this
-    /// node's id in the schedule. `None` (the default) keeps the classic
-    /// interleaved Algorithm 1 transmission order.
+    /// node's id in the schedule. `None` (the default) opens every
+    /// destination from the first row: Algorithm 1's interleaved order.
     phases: Option<(Arc<PhaseRunner>, NodeId)>,
 }
 
@@ -226,7 +226,7 @@ impl ShuffleOperator {
             groups,
             lane_remaining,
             resume_skip: (0..threads)
-                .map(|_| Mutex::new(vec![0; n_groups]))
+                .map(|_| Mutex::new(Some(vec![0; n_groups])))
                 .collect(),
             threads,
             cost,
@@ -245,58 +245,42 @@ impl ShuffleOperator {
     /// Panics if `skip` is not `threads x groups`.
     pub fn with_resume_skip(self, skip: Vec<Vec<u64>>) -> Self {
         assert_eq!(skip.len(), self.threads, "need one skip row per thread");
-        for (tid, per_group) in skip.into_iter().enumerate() {
-            let mut slot = self.resume_skip[tid].lock();
-            assert_eq!(per_group.len(), slot.len(), "need one skip per group");
-            *slot = per_group;
+        for (tid, skips) in skip.into_iter().enumerate() {
+            assert_eq!(skips.len(), self.groups.len(), "need one skip per group");
+            *self.resume_skip[tid].lock() = Some(skips);
         }
         self
     }
 
     /// Switches transmission to the phase-scheduled order: stage all rows
-    /// per destination, then transmit one destination per schedule phase,
+    /// per destination, then open one destination per schedule phase,
     /// crossing `runner`'s cluster-wide barrier between phases. `node` is
-    /// this operator's node id in the schedule.
-    /// [`crate::Exchange::shuffle_operator`] calls this where the schedule
-    /// wants it.
+    /// this operator's node id in the schedule; a source the schedule
+    /// leaves free streams with every destination open all the same.
+    /// [`crate::Exchange::shuffle_operator`] calls this when it is phased.
     pub fn with_phases(mut self, runner: Arc<PhaseRunner>, node: NodeId) -> Self {
         self.phases = Some((runner, node));
         self
     }
 
-    fn endpoint(&self, tid: usize) -> &Arc<dyn SendEndpoint> {
-        &self.endpoints[tid % self.endpoints.len()]
-    }
-
-    /// The phase-scheduled transmission loop. Any error aborts the runner
-    /// (in the caller) so peers blocked on the barrier fail fast instead
-    /// of timing out.
-    fn next_phased(
+    /// Algorithm 1's loop. Each routed row goes into its destination's
+    /// outbox once the destination is open: unphased, every destination
+    /// is open from the first row; phased, the fragment is staged and
+    /// each destination opens at its phase.
+    fn transmit(
         &self,
         sim: &SimContext,
         tid: usize,
-        runner: &Arc<PhaseRunner>,
-        node: NodeId,
-        skip: &mut [u64],
-    ) -> Result<(StreamState, RowBatch)> {
-        let target = self.endpoint(tid).clone();
-        let schedule = runner.schedule();
-        // `Exchange::build` enforces singleton groups under phasing; map
-        // each destination node back to its group index.
-        let mut group_of: Vec<Option<usize>> = vec![None; schedule.nodes()];
-        for i in 0..self.groups.len() {
-            let g = self.groups.group(i);
-            if g.len() == 1 && g[0] < group_of.len() {
-                group_of[g[0]] = Some(i);
-            }
-        }
-        // Stage, in two passes over the child's batches (plain memory; the
-        // copy into RDMA-registered buffers is charged per phase below, so
-        // total CPU cost matches the unphased path). The first keeps each
-        // batch as it arrives and counts what each destination is sent;
-        // the second copies every row once into a slot sized to exactly
-        // its destination's rows, dropping each batch behind it. Both
-        // passes skip the same first `skip[dest]` rows of each destination.
+        phases: Option<&(Arc<PhaseRunner>, NodeId)>,
+    ) -> Result<()> {
+        let Some(mut skip) = self.resume_skip[tid].lock().take() else {
+            return Ok(());
+        };
+        let lane = Lane {
+            sim,
+            target: self.endpoints[tid % self.endpoints.len()].as_ref(),
+            tid,
+        };
         let route = |row: &[u8], skip: &mut [u64]| {
             let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
             if skip[dest] > 0 {
@@ -305,197 +289,126 @@ impl ShuffleOperator {
             }
             Some(dest)
         };
-        let mut skip_again = skip.to_vec();
+        let open = phases.is_none();
+        let mut outboxes = Vec::new();
+        outboxes.resize_with(if open { self.groups.len() } else { 0 }, Outbox::default);
+        // Phased, the child's batches are kept and each destination's rows
+        // counted as `(length, rows)` runs (a batch's rows are one width; a
+        // length per 16-byte row would be half the staging), to be routed
+        // again through the same skips.
         let mut batches = Vec::new();
-        // Row lengths as `(length, rows)` runs: a batch's rows are all one
-        // width, and a length per 16-byte row would be half the staging.
-        let mut staged_lens: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.groups.len()];
+        let mut runs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.groups.len()];
+        let mut restage_skip = skip.clone();
         loop {
             let (state, batch) = self.child.next(sim, tid)?;
             if !batch.is_empty() {
                 sim.sleep(self.cost.hash_per_tuple * batch.rows() as u64);
-            }
-            for row in batch.iter() {
-                let Some(dest) = route(row, skip) else {
-                    continue;
-                };
-                match staged_lens[dest].last_mut() {
-                    Some((len, rows)) if *len == row.len() => *rows += 1,
-                    _ => staged_lens[dest].push((row.len(), 1)),
+                if open {
+                    // The copy into RDMA-registered memory. Unlike the
+                    // phased charge below it counts rows the resume skip
+                    // drops: kept, as evening the two out moves virtual time.
+                    sim.sleep(self.cost.copy_time(batch.bytes()));
                 }
             }
-            batches.push(batch);
+            for row in batch.iter() {
+                let Some(dest) = route(row, &mut skip) else {
+                    continue;
+                };
+                if open {
+                    outboxes[dest].put(&lane, self.groups.group(dest), row, row.len())?;
+                    continue;
+                }
+                match runs[dest].last_mut() {
+                    Some((len, rows)) if *len == row.len() => *rows += 1,
+                    _ => runs[dest].push((row.len(), 1)),
+                }
+            }
+            batches.extend((!open).then_some(batch));
             if state == StreamState::Depleted {
                 break;
             }
         }
-        let mut staged: Vec<Vec<u8>> = staged_lens
-            .iter()
-            .map(|runs| Vec::with_capacity(runs.iter().map(|(len, rows)| len * rows).sum()))
-            .collect();
-        for batch in batches {
-            for row in batch.iter() {
-                if let Some(dest) = route(row, &mut skip_again) {
-                    staged[dest].extend_from_slice(row);
+        if let Some((runner, node)) = phases {
+            let schedule = runner.schedule();
+            // `Exchange::build` enforces singleton groups under phasing;
+            // map each destination node back to its group index.
+            let mut group_of: Vec<Option<usize>> = vec![None; schedule.nodes()];
+            for (i, g) in self.groups.iter().enumerate() {
+                if g.len() == 1 && g[0] < group_of.len() {
+                    group_of[g[0]] = Some(i);
                 }
             }
-        }
-        // Transmit: one destination per phase. The barrier is crossed
-        // once per super-round (every PHASE_GROUP phases): inside a
-        // super-round lanes drift at most PHASE_GROUP − 1 phases apart,
-        // so an ingress port never serves more than PHASE_GROUP bulk
-        // senders — still under the incast knee — while slow lanes
-        // catch up without stretching every peer's round.
-        for p in 0..schedule.num_phases() {
-            if p % crate::phase::PHASE_GROUP == 0 {
-                runner.wait(sim, p)?;
-            }
-            let Some(dest_node) = schedule.dest_of(p, node) else {
-                continue;
-            };
-            let Some(dest) = group_of.get(dest_node).copied().flatten() else {
-                continue;
-            };
-            let bytes = std::mem::take(&mut staged[dest]);
-            let lens = std::mem::take(&mut staged_lens[dest]);
-            if !bytes.is_empty() {
-                sim.sleep(self.cost.copy_time(bytes.len()));
-                // Cut each run of equal rows where pushing row by row would
-                // end a message — a row that no longer fits sends the
-                // buffer and takes the next one — and write a message's
-                // rows into its buffer in one piece.
-                let take = || -> Result<Buffer> {
-                    let mut buf = target.get_free(sim)?;
-                    buf.set_tag(tid as u16);
-                    Ok(buf)
-                };
-                let mut buf = take()?;
-                let (mut start, mut end) = (0usize, 0usize);
-                for (len, mut rows) in lens {
-                    while rows > 0 {
-                        let room = buf.capacity().saturating_sub(end - start);
-                        let fit = (room / len).min(rows);
-                        if fit == 0 {
-                            buf.push(&bytes[start..end])?;
-                            start = end;
-                            target.send(
-                                sim,
-                                buf,
-                                self.groups.group(dest),
-                                StreamState::MoreData,
-                            )?;
-                            buf = take()?;
-                        }
-                        // After a send, the row goes in whether it fits or not.
-                        let placed = fit.max(1);
-                        end += placed * len;
-                        rows -= placed;
+            // Stage each row once, in plain memory, into a slot sized to
+            // exactly its destination's rows, dropping each batch behind
+            // it. The copy into RDMA-registered buffers is charged per
+            // phase below.
+            let mut staged: Vec<Vec<u8>> = runs
+                .iter()
+                .map(|runs| Vec::with_capacity(runs.iter().map(|(len, rows)| len * rows).sum()))
+                .collect();
+            for batch in batches {
+                for row in batch.iter() {
+                    if let Some(dest) = route(row, &mut restage_skip) {
+                        staged[dest].extend_from_slice(row);
                     }
                 }
-                if end > start {
-                    buf.push(&bytes[start..end])?;
-                    target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)?;
+            }
+            // One destination per phase. The barrier is crossed once per
+            // super-round (every PHASE_GROUP phases): inside a super-round
+            // lanes drift at most PHASE_GROUP − 1 phases apart, so an
+            // ingress port never serves more than PHASE_GROUP bulk senders
+            // — still under the incast knee — while slow lanes catch up
+            // without stretching every peer's round.
+            for p in 0..schedule.num_phases() {
+                if p % crate::phase::PHASE_GROUP == 0 {
+                    runner.wait(sim, p)?;
                 }
-            }
-            // A phase is only contention-free if the previous one has left
-            // the fabric: wait for the endpoint to drain toward this
-            // destination before reporting the phase done.
-            target.quiesce(sim, dest_node)?;
-        }
-        // Rows for a group no phase takes this node to would be lost.
-        if let Some(dest) = staged.iter().position(|rows| !rows.is_empty()) {
-            return Err(ShuffleError::Config(format!(
-                "no phase sends node {node} to group {dest} {:?}: {} staged bytes would be lost",
-                self.groups.group(dest),
-                staged[dest].len()
-            )));
-        }
-        // Propagate Depleted (same last-thread-per-lane rule as the
-        // unphased path).
-        let lane = tid % self.endpoints.len();
-        let last = self.lane_remaining[lane].fetch_sub(1, Ordering::SeqCst) == 1;
-        if last {
-            for d in self.groups.destinations() {
-                let mut buf = target.get_free(sim)?;
-                buf.set_tag(tid as u16);
-                target.send(sim, buf, &[d], StreamState::Depleted)?;
-            }
-        }
-        Ok((StreamState::Depleted, RowBatch::new(1, 0)))
-    }
-}
-
-impl ShuffleOperator {
-    /// The classic interleaved Algorithm 1 transmission loop.
-    fn next_streamed(
-        &self,
-        sim: &SimContext,
-        tid: usize,
-        skip: &mut [u64],
-    ) -> Result<(StreamState, RowBatch)> {
-        let target = self.endpoint(tid).clone();
-        // Per transmission group: the buffer being filled, and the rows
-        // staged for it. Rows are staged in plain memory and written into
-        // the registered window once per message (a write into registered
-        // memory takes the region's lock and resolves the window); the
-        // buffer is still taken when its first row arrives and sent when a
-        // row no longer fits, so the endpoint sees the same calls at the
-        // same rows.
-        let mut outbuf: Vec<Option<Buffer>> = vec![None; self.groups.len()];
-        let mut staged: Vec<Vec<u8>> = vec![Vec::new(); self.groups.len()];
-        let flush = |mut buf: Buffer, rows: &mut Vec<u8>, dest: usize| -> Result<()> {
-            buf.push(rows)?;
-            rows.clear();
-            target.send(sim, buf, self.groups.group(dest), StreamState::MoreData)
-        };
-        loop {
-            let (state, batch) = self.child.next(sim, tid)?;
-            if !batch.is_empty() {
-                // Charge hashing and the copy into RDMA-registered memory.
-                sim.sleep(self.cost.hash_per_tuple * batch.rows() as u64);
-                sim.sleep(self.cost.copy_time(batch.bytes()));
-            }
-            for row in batch.iter() {
-                let dest = (default_partition_hash(row) % self.groups.len() as u64) as usize;
-                if skip[dest] > 0 {
-                    skip[dest] -= 1;
+                let Some(dest_node) = schedule.dest_of(p, *node) else {
                     continue;
+                };
+                let Some(dest) = group_of.get(dest_node).copied().flatten() else {
+                    continue;
+                };
+                // Open `dest`: its slot drains run by run through an outbox
+                // of its own, which the phase's end frees.
+                let rows = std::mem::take(&mut staged[dest]);
+                if !rows.is_empty() {
+                    sim.sleep(self.cost.copy_time(rows.len()));
                 }
-                let (slot, rows) = (&mut outbuf[dest], &mut staged[dest]);
-                if let Some(full) =
-                    slot.take_if(|b| b.capacity().saturating_sub(rows.len()) < row.len())
-                {
-                    flush(full, rows, dest)?;
+                let (mut outbox, to) = (Outbox::default(), self.groups.group(dest));
+                let mut at = 0;
+                for (len, n) in std::mem::take(&mut runs[dest]) {
+                    outbox.put(&lane, to, &rows[at..at + len * n], len)?;
+                    at += len * n;
                 }
-                if slot.is_none() {
-                    let b = slot.insert(target.get_free(sim)?);
-                    b.set_tag(tid as u16);
-                    rows.reserve_exact(b.capacity());
-                }
-                rows.extend_from_slice(row);
+                outbox.send(&lane, to)?;
+                // A phase is only contention-free if the previous one has
+                // left the fabric: wait for the endpoint to drain toward
+                // this destination before reporting the phase done.
+                lane.target.quiesce(sim, dest_node)?;
             }
-            if state == StreamState::Depleted {
-                break;
+            // Rows for a group no phase takes this node to would be lost.
+            if let Some(dest) = staged.iter().position(|rows| !rows.is_empty()) {
+                return Err(ShuffleError::Config(format!(
+                    "no phase sends node {node} to group {dest} {:?}: {} staged bytes would be lost",
+                    self.groups.group(dest),
+                    staged[dest].len()
+                )));
             }
         }
-        // Flush every partial buffer, freeing its staging as it goes.
-        for (dest, (buf, mut rows)) in outbuf.into_iter().zip(staged).enumerate() {
-            if let Some(buf) = buf.filter(|_| !rows.is_empty()) {
-                flush(buf, &mut rows, dest)?;
-            }
+        // Send every open message, freeing its rows as it goes.
+        for (mut outbox, to) in outboxes.into_iter().zip(self.groups.iter()) {
+            outbox.send(&lane, to)?;
         }
         // Propagate Depleted: the last thread of each lane closes that
         // lane's endpoint (Algorithm 1, lines 14–17).
-        let lane = tid % self.endpoints.len();
-        let last = self.lane_remaining[lane].fetch_sub(1, Ordering::SeqCst) == 1;
-        if last {
+        if self.lane_remaining[tid % self.endpoints.len()].fetch_sub(1, Ordering::SeqCst) == 1 {
             for d in self.groups.destinations() {
-                let mut buf = target.get_free(sim)?;
-                buf.set_tag(tid as u16);
-                target.send(sim, buf, &[d], StreamState::Depleted)?;
+                let buf = lane.take()?;
+                lane.target.send(sim, buf, &[d], StreamState::Depleted)?;
             }
         }
-        Ok((StreamState::Depleted, RowBatch::new(1, 0)))
+        Ok(())
     }
 }
 
@@ -504,26 +417,94 @@ impl Operator for ShuffleOperator {
         assert!(tid < self.threads, "tid {tid} out of range");
         // `next` consumes the whole child stream and returns only at
         // Depleted (or on an error), so the per-row state — the skip
-        // counters here, the output buffers in the loops — is call-local
-        // and the row path takes no lock.
-        let mut skip = std::mem::take(&mut *self.resume_skip[tid].lock());
-        let res = match &self.phases {
-            // A source the skew-aware schedule exempted streams through
-            // the ordinary unphased path: it is not a barrier party and
-            // owes the schedule nothing. (The exchange does not phase
-            // such a source's operator in the first place; the guard is
-            // for whoever calls `with_phases` on every node.)
-            Some((runner, node)) if !runner.schedule().is_free(*node) => {
-                let res = self.next_phased(sim, tid, runner, *node, &mut skip);
-                if res.is_err() {
-                    runner.abort();
-                }
-                res
+        // counters, the outboxes — is call-local and the row path takes no
+        // lock. A source the skew-aware schedule exempted is no barrier
+        // party: it streams with every destination open.
+        let phases = self.phases.as_ref();
+        let phases = phases.filter(|(runner, node)| !runner.schedule().is_free(*node));
+        let res = self.transmit(sim, tid, phases);
+        // Peers blocked on the barrier fail fast instead of timing out.
+        if let (Err(_), Some((runner, _))) = (&res, phases) {
+            runner.abort();
+        }
+        res.map(|()| (StreamState::Depleted, RowBatch::new(1, 0)))
+    }
+}
+
+/// Worker `tid`'s endpoint lane: what its outboxes take windows from and
+/// send through.
+struct Lane<'a> {
+    sim: &'a SimContext,
+    target: &'a dyn SendEndpoint,
+    tid: usize,
+}
+
+impl Lane<'_> {
+    /// A free window, tagged with the worker that fills it.
+    fn take(&self) -> Result<Buffer> {
+        let mut buf = self.target.get_free(self.sim)?;
+        buf.set_tag(self.tid as u16);
+        Ok(buf)
+    }
+}
+
+/// One destination's message in the making: the window, taken when the
+/// message's first row arrives, and the rows gathered for it in plain
+/// memory, written into the window once per message (a write into
+/// registered memory takes the region's lock and resolves the window) at
+/// the row where pushing each row on its own would have sent it.
+#[derive(Default)]
+struct Outbox {
+    buf: Option<Buffer>,
+    rows: Vec<u8>,
+}
+
+impl Outbox {
+    /// Gathers `run`, rows of `len` bytes for the group `to`; a streamed
+    /// row is a run of one, and one that fits is one compare and one copy.
+    #[inline]
+    fn put(&mut self, lane: &Lane, to: &[NodeId], run: &[u8], len: usize) -> Result<()> {
+        match &self.buf {
+            Some(buf) if buf.capacity().saturating_sub(self.rows.len()) >= run.len() => {
+                self.rows.extend_from_slice(run);
+                Ok(())
             }
-            _ => self.next_streamed(sim, tid, &mut skip),
+            _ => self.cut(lane, to, run, len),
+        }
+    }
+
+    /// The one cut rule, where pushing the rows one by one would end a
+    /// message: a row that no longer fits sends the window and takes the
+    /// next, and after a send the row goes in whether it fits or not.
+    #[cold]
+    #[inline(never)]
+    fn cut(&mut self, lane: &Lane, to: &[NodeId], mut run: &[u8], len: usize) -> Result<()> {
+        while !run.is_empty() {
+            let Some(buf) = &self.buf else {
+                let buf = self.buf.insert(lane.take()?);
+                self.rows.reserve_exact(buf.capacity());
+                continue;
+            };
+            let room = buf.capacity().saturating_sub(self.rows.len());
+            if room < len && !self.rows.is_empty() {
+                self.send(lane, to)?;
+                continue;
+            }
+            let (now, rest) = run.split_at(run.len().min((room / len).max(1) * len));
+            self.rows.extend_from_slice(now);
+            run = rest;
+        }
+        Ok(())
+    }
+
+    /// Sends the open message, if there is one.
+    fn send(&mut self, lane: &Lane, to: &[NodeId]) -> Result<()> {
+        let Some(mut buf) = self.buf.take() else {
+            return Ok(());
         };
-        *self.resume_skip[tid].lock() = skip;
-        res
+        buf.push(&self.rows)?;
+        self.rows.clear();
+        lane.target.send(lane.sim, buf, to, StreamState::MoreData)
     }
 }
 
@@ -682,53 +663,69 @@ mod tests {
         }
     }
 
-    /// The phased SHUFFLE cuts its staged rows into messages where pushing
-    /// them row by row would: a row that no longer fits sends the window
-    /// and takes the next, runs of 16- and 24-byte rows alike.
-    #[test]
-    fn phased_cut_sends_where_row_by_row_pushing_would() {
-        let kernel = Kernel::new();
-        // Node 0 sends everything to node 1, in the schedule's one phase.
-        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
-        let timeout = SimDuration::from_millis(1);
-        let runner = PhaseRunner::with_obs(&kernel, schedule, 1, timeout, Obs::new());
-        let endpoint = Arc::new(Counting {
-            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+    /// A [`Counting`] endpoint over a fresh test region.
+    fn counting(kernel: &Kernel) -> Arc<Counting> {
+        Arc::new(Counting {
+            region: MemoryRegion::new_for_tests(kernel, 0, 1, HEADER_LEN + PAYLOAD),
             calls: Mutex::new(Vec::new()),
-        });
-        // 16 x 9 straddles the first boundary; 24 x 4 and 24 x 1 each
-        // take what is left of a window and spill into the next.
-        let runs = vec![(16, 9), (24, 4), (16, 3), (24, 1), (16, 2)];
-        let op = ShuffleOperator::with_lanes(
-            Arc::new(Batches(Mutex::new(runs))),
-            vec![endpoint.clone()],
-            TransmissionGroups::new(vec![vec![1]]),
-            1,
-            CostModel::from_profile(&DeviceProfile::edr()),
-        )
-        .with_phases(runner, 0);
-        kernel.spawn(0, "phased-shuffle", move |sim| {
-            let (state, batch) = op.next(&sim, 0).unwrap();
-            assert_eq!((state, batch.rows()), (StreamState::Depleted, 0));
-        });
-        kernel.run();
+        })
+    }
+
+    /// A runner for `parties` workers over a schedule whose one phase
+    /// takes node 0 to node 1.
+    fn one_phase(kernel: &Kernel, parties: usize, timeout: SimDuration) -> Arc<PhaseRunner> {
+        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
+        PhaseRunner::with_obs(kernel, schedule, parties, timeout, Obs::new())
+    }
+
+    /// The SHUFFLE cuts rows into messages where pushing them row by row
+    /// would, whether each row goes out as it arrives or the fragment is
+    /// staged and sent in its phase: a row that no longer fits sends the
+    /// window and takes the next, runs of 16- and 24-byte rows alike.
+    #[test]
+    fn both_orders_cut_where_row_by_row_pushing_would() {
         use Call::{GetFree, Send};
         use StreamState::{Depleted, MoreData};
-        assert_eq!(
-            *endpoint.calls.lock(),
-            [
-                GetFree,
-                Send(96, MoreData),
-                GetFree,
-                Send(96, MoreData),
-                GetFree,
-                Send(96, MoreData),
-                GetFree,
-                Send(56, MoreData),
-                GetFree,
-                Send(0, Depleted),
-            ]
-        );
+        for phased in [false, true] {
+            let kernel = Kernel::new();
+            let endpoint = counting(&kernel);
+            // 16 x 9 straddles the first boundary; 24 x 4 and 24 x 1 each
+            // take what is left of a window and spill into the next.
+            let runs = vec![(16, 9), (24, 4), (16, 3), (24, 1), (16, 2)];
+            let op = ShuffleOperator::with_lanes(
+                Arc::new(Batches(Mutex::new(runs))),
+                vec![endpoint.clone()],
+                TransmissionGroups::new(vec![vec![1]]),
+                1,
+                CostModel::from_profile(&DeviceProfile::edr()),
+            );
+            // Node 0 sends everything to node 1, in the schedule's one phase.
+            let op = match phased {
+                true => op.with_phases(one_phase(&kernel, 1, SimDuration::from_millis(1)), 0),
+                false => op,
+            };
+            kernel.spawn(0, "shuffle", move |sim| {
+                let (state, batch) = op.next(&sim, 0).unwrap();
+                assert_eq!((state, batch.rows()), (StreamState::Depleted, 0));
+            });
+            kernel.run();
+            assert_eq!(
+                *endpoint.calls.lock(),
+                [
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(56, MoreData),
+                    GetFree,
+                    Send(0, Depleted),
+                ],
+                "phased: {phased}"
+            );
+        }
     }
 
     /// Rows hashed to a group that no phase takes the node to are a
@@ -737,13 +734,7 @@ mod tests {
     #[test]
     fn phased_rows_no_phase_reaches_are_an_error() {
         let kernel = Kernel::new();
-        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
-        let timeout = SimDuration::from_millis(1);
-        let runner = PhaseRunner::with_obs(&kernel, schedule, 1, timeout, Obs::new());
-        let endpoint = Arc::new(Counting {
-            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
-            calls: Mutex::new(Vec::new()),
-        });
+        let endpoint = counting(&kernel);
         // Rows 0..4 of `Batches` hash to group `row % 2`: two for node 0,
         // two for node 1.
         let op = ShuffleOperator::with_lanes(
@@ -753,7 +744,7 @@ mod tests {
             1,
             CostModel::from_profile(&DeviceProfile::edr()),
         )
-        .with_phases(runner, 0);
+        .with_phases(one_phase(&kernel, 1, SimDuration::from_millis(1)), 0);
         let result = Arc::new(Mutex::new(None));
         let slot = result.clone();
         kernel.spawn(0, "phased-shuffle", move |sim| {
@@ -770,6 +761,65 @@ mod tests {
             *endpoint.calls.lock(),
             [Call::GetFree, Call::Send(32, StreamState::MoreData)]
         );
+    }
+
+    /// A worker that has returned Depleted returns it again at once. Its
+    /// second `next` neither closes the shared lane under a peer that has
+    /// not run yet (unphased) nor waits alone at the barrier until it
+    /// times out (phased).
+    #[test]
+    fn a_second_next_after_depleted_touches_nothing() {
+        use Call::{GetFree, Send};
+        use StreamState::{Depleted, MoreData};
+        for phased in [false, true] {
+            let kernel = Kernel::new();
+            let endpoint = counting(&kernel);
+            // SE: two workers on one lane. Worker 0 takes both rows and
+            // calls `next` twice; worker 1 starts a millisecond later.
+            let op = ShuffleOperator::with_lanes(
+                Arc::new(Batches(Mutex::new(vec![(16, 2)]))),
+                vec![endpoint.clone()],
+                TransmissionGroups::new(vec![vec![1]]),
+                2,
+                CostModel::from_profile(&DeviceProfile::edr()),
+            );
+            let op = Arc::new(match phased {
+                true => op.with_phases(one_phase(&kernel, 2, SimDuration::from_millis(100)), 0),
+                false => op,
+            });
+            let returned = Arc::new(Mutex::new(Vec::new()));
+            for tid in 0..2 {
+                let (op, endpoint, returned) = (op.clone(), endpoint.clone(), returned.clone());
+                kernel.spawn(0, "shuffle", move |sim| {
+                    sim.sleep(SimDuration::from_millis(tid as u64));
+                    for _ in tid..2 {
+                        let next = op
+                            .next(&sim, tid)
+                            .map(|(state, batch)| (state, batch.rows()));
+                        let calls = endpoint.calls.lock().len();
+                        returned.lock().push((tid, next.ok(), calls));
+                    }
+                });
+            }
+            kernel.run();
+            let returned = std::mem::take(&mut *returned.lock());
+            assert!(
+                returned
+                    .iter()
+                    .all(|(_, next, _)| *next == Some((Depleted, 0))),
+                "phased: {phased}: {returned:?}"
+            );
+            if !phased {
+                // Worker 0's second call sent nothing: the lane stays open
+                // until worker 1 has run.
+                assert_eq!(returned[..2], [(0, Some((Depleted, 0)), 2); 2]);
+            }
+            assert_eq!(
+                *endpoint.calls.lock(),
+                [GetFree, Send(32, MoreData), GetFree, Send(0, Depleted)],
+                "phased: {phased}"
+            );
+        }
     }
 
     /// A receive endpoint handing out `left` deliveries of [`PAYLOAD`]
