@@ -155,6 +155,24 @@ if forked=$(grep -rlwE 'next_streamed|next_phased' crates); then
   exit 1
 fi
 
+# Every layer names what dies without it (DESIGN.md §20, "The layer
+# ledger"). The ones whose only callers were their own tests, or whose job
+# another layer already did, are gone: the stage-span switch, the
+# coordinator's attempt hooks (it calls the scheduler itself), a recorder
+# event nothing emitted, a CQ wait nothing called. The phase runner
+# crosses a `simnet::SimBarrier`; a barrier of its own is a second copy.
+if revived=$(grep -rlE 'AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout' crates); then
+  echo "ERROR: a layer the ledger deleted is back in:" >&2
+  echo "$revived" >&2
+  echo "       give it a row in DESIGN.md §20 that names what dies without it, or leave it out" >&2
+  exit 1
+fi
+if grep -Hn 'Gate::new' crates/core/src/phase.rs; then
+  echo "ERROR: crates/core/src/phase.rs builds a barrier of its own (see above);" >&2
+  echo "       PhaseRunner waits on its simnet::SimBarrier" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

@@ -130,11 +130,12 @@ fn dump_topology(mut args: Args) -> Result<(), String> {
 /// `diag [ALGORITHM] [NODES] [TRACE_PATH] [FAULT]`: the configuration to
 /// run and where the trace goes.
 fn workload(mut args: Args) -> Result<(WorkloadConfig, String), String> {
-    let mesq = Transport::Rdma(ShuffleAlgorithm::MESQ_SR);
-    let design = args.positional("ALGORITHM", transport)?.unwrap_or(mesq);
+    let mesq = (Transport::Rdma, ShuffleAlgorithm::MESQ_SR);
+    let (over, algorithm) = args.positional("ALGORITHM", transport)?.unwrap_or(mesq);
     let nodes: usize = args.positional("NODES", value)?.unwrap_or(8);
     let trace_path = args.positional("TRACE_PATH", value)?;
-    let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, design);
+    let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, algorithm);
+    cfg.transport = over;
     if let Some(plan) = args.positional("FAULT", canned_plan)? {
         cfg.exchange.faults.plan = plan;
     }
@@ -172,7 +173,7 @@ fn main() {
     );
     println!(
         "{}: {:.2} GiB/s per node, response {}",
-        cfg.transport,
+        cfg.design(),
         r.gib_per_sec(),
         r.response_time
     );

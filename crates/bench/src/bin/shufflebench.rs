@@ -29,8 +29,9 @@ fn configuration(mut args: Args) -> Result<(WorkloadConfig, Pattern, Option<Stri
     let profile = args.option("--profile", DeviceProfile::by_name)?;
     let nodes = args.option("--nodes", value)?.unwrap_or(8);
     let design = args.option("--algorithm", transport)?;
-    let design = design.unwrap_or(Transport::Rdma(ShuffleAlgorithm::MESQ_SR));
-    let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::edr), nodes, design);
+    let (over, algorithm) = design.unwrap_or((Transport::Rdma, ShuffleAlgorithm::MESQ_SR));
+    let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::edr), nodes, algorithm);
+    cfg.transport = over;
     if let Some(threads) = args.option("--threads", value)? {
         cfg.exchange.threads = threads;
     }
@@ -65,11 +66,11 @@ fn configuration(mut args: Args) -> Result<(WorkloadConfig, Pattern, Option<Stri
 
 fn main() {
     let (cfg, pattern, emit_path) = or_usage(configuration(Args::from_env()), USAGE);
-    let transport = cfg.transport;
+    let design = cfg.design();
 
     println!(
         "{} | {} nodes x {} threads | {:?} | {} MiB/node | msg {} KiB",
-        transport,
+        design,
         cfg.nodes(),
         cfg.exchange.threads,
         pattern,
@@ -104,7 +105,7 @@ fn main() {
                 ("pattern".to_string(), Value::Str(format!("{:?}", pattern))),
             ],
             results: vec![BenchResult {
-                id: transport.to_string(),
+                id: design,
                 metrics: vec![
                     MetricRow::higher("gib_per_sec", r.gib_per_sec()),
                     MetricRow::lower("response_ns", r.response_time.as_nanos() as f64),

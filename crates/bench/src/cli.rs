@@ -80,12 +80,13 @@ pub fn value<T: FromStr>(s: &str) -> Option<T> {
     s.parse().ok()
 }
 
-/// One of the eight designs by name, or `mpi` / `ipoib`.
-pub fn transport(s: &str) -> Option<Transport> {
+/// One of the eight designs by name, or `mpi` / `ipoib` (the libraries
+/// are built on SEMQ/SR).
+pub fn transport(s: &str) -> Option<(Transport, ShuffleAlgorithm)> {
     match s.to_ascii_lowercase().as_str() {
-        "mpi" => Some(Transport::Mpi),
-        "ipoib" => Some(Transport::Ipoib),
-        other => ShuffleAlgorithm::parse(other).map(Transport::Rdma),
+        "mpi" => Some((Transport::Mpi, ShuffleAlgorithm::SEMQ_SR)),
+        "ipoib" => Some((Transport::Ipoib, ShuffleAlgorithm::SEMQ_SR)),
+        other => ShuffleAlgorithm::parse(other).map(|a| (Transport::Rdma, a)),
     }
 }
 
@@ -116,7 +117,7 @@ mod tests {
         );
         assert_eq!(
             a.positional("algorithm", transport),
-            Ok(Some(Transport::Rdma(ShuffleAlgorithm::MEMQ_RD)))
+            Ok(Some((Transport::Rdma, ShuffleAlgorithm::MEMQ_RD)))
         );
         assert_eq!(a.positional("nodes", value::<usize>), Ok(Some(4)));
         assert_eq!(a.positional("nodes", value::<usize>), Ok(None));

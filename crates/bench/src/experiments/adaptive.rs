@@ -36,7 +36,7 @@ use serde::Value;
 use super::{Outcome, Scale};
 use crate::perf::{host_result, MetricRow};
 use crate::skew::{skew_ratio, zipf_partition_rows, SkewSpec};
-use crate::workload::{Pattern, Transport, WorkloadConfig};
+use crate::workload::{Pattern, WorkloadConfig};
 
 /// Worker threads per node for the phased sweep. Four lanes per node
 /// keep the UD send ring busy across a phase boundary, so the
@@ -85,11 +85,7 @@ fn run_phased_cell(out: &mut Outcome, nodes: usize, bytes_per_node: usize) {
     let mut times = [0u64; 2];
     let mut gib = [0f64; 2];
     for (slot, policy) in [(0usize, PhasePolicy::SkewAware), (1, PhasePolicy::Off)] {
-        let mut cfg = WorkloadConfig::new(
-            DeviceProfile::edr(),
-            nodes,
-            Transport::Rdma(ShuffleAlgorithm::MESQ_SR),
-        );
+        let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, ShuffleAlgorithm::MESQ_SR);
         cfg.exchange.threads = THREADS;
         cfg.bytes_per_node = bytes_per_node;
         congest(&mut cfg);
@@ -143,8 +139,7 @@ struct Row {
 
 impl Row {
     fn config(&self, algorithm: ShuffleAlgorithm, phase: PhasePolicy) -> WorkloadConfig {
-        let mut cfg =
-            WorkloadConfig::new(DeviceProfile::edr(), self.nodes, Transport::Rdma(algorithm));
+        let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), self.nodes, algorithm);
         cfg.exchange.threads = self.threads;
         cfg.exchange.message_size = self.message_size;
         cfg.bytes_per_node = self.bytes_per_node;

@@ -31,10 +31,13 @@ const SMOKE_MSG_BYTES_PER_NODE: usize = 4 << 20;
 /// TPC-H scale factor per node of the Figure 14 smoke.
 const SMOKE_SF_PER_NODE: f64 = 0.01;
 
-/// The six designs plus the two library baselines (Figures 10 and 13).
-fn all_transports() -> Vec<Transport> {
-    let rdma = ShuffleAlgorithm::ALL.into_iter().map(Transport::Rdma);
-    rdma.chain([Transport::Mpi, Transport::Ipoib]).collect()
+/// The six designs plus the two library baselines (Figures 10 and 13),
+/// each as the §5.1 query among `nodes` nodes.
+fn all_designs(profile: &DeviceProfile, nodes: usize) -> Vec<WorkloadConfig> {
+    let rdma = ShuffleAlgorithm::ALL.map(|a| WorkloadConfig::new(profile.clone(), nodes, a));
+    let baselines = [Transport::Mpi, Transport::Ipoib]
+        .map(|t| WorkloadConfig::baseline(profile.clone(), nodes, t));
+    rdma.into_iter().chain(baselines).collect()
 }
 
 /// Per-node volume of a broadcast among `nodes`: every node transmits its
@@ -141,7 +144,7 @@ pub(super) fn fig08_credit(scale: Scale) -> Outcome {
     ];
     for profile in [DeviceProfile::fdr(), DeviceProfile::edr()] {
         // Reference lines: MPI (frequency-independent) and qperf.
-        let mpi = WorkloadConfig::new(profile.clone(), 8, Transport::Mpi);
+        let mpi = WorkloadConfig::baseline(profile.clone(), 8, Transport::Mpi);
         let mpi = s.throughput("MPI", profile.name, mpi);
         let qperf = qperf_peak_bandwidth(&profile, 64 * 1024) / GIB;
         s.rows(
@@ -150,7 +153,7 @@ pub(super) fn fig08_credit(scale: Scale) -> Outcome {
             |s, &f| {
                 let mut row = Vec::new();
                 for a in algorithms {
-                    let mut cfg = WorkloadConfig::new(profile.clone(), 8, Transport::Rdma(a));
+                    let mut cfg = WorkloadConfig::new(profile.clone(), 8, a);
                     cfg.exchange.credit_writeback_frequency = f;
                     cfg.exchange.buffers_per_peer = 16;
                     let x = format!("{} freq {f}", profile.name);
@@ -189,7 +192,7 @@ pub(super) fn fig09_msgsize(scale: Scale) -> Outcome {
     let mut out = Outcome::new("fig09_msgsize", config);
     for a in ShuffleAlgorithm::ALL {
         for &msg in sizes {
-            let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, Transport::Rdma(a));
+            let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, a);
             cfg.exchange.message_size = msg;
             cfg.exchange.recv_depth_per_peer = 4;
             cfg.bytes_per_node = volume;
@@ -233,14 +236,13 @@ pub(super) fn fig10_scaleout(scale: Scale) -> Outcome {
                 |n| format!("{}/{pattern:?}/nodes={n}", profile.name),
                 |s, &n| {
                     let mut row = Vec::new();
-                    for t in all_transports() {
-                        let mut cfg = WorkloadConfig::new(profile.clone(), n, t);
+                    for mut cfg in all_designs(&profile, n) {
                         cfg.set_pattern(pattern);
                         if pattern == Pattern::Broadcast {
                             cfg.bytes_per_node = broadcast_volume(n);
                         }
                         let x = format!("{} {pattern:?} n={n}", profile.name);
-                        row.push(s.throughput(&t.to_string(), x, cfg));
+                        row.push(s.throughput(&cfg.design(), x, cfg));
                     }
                     row.extend(qperf.map(|q| MetricRow::higher("qperf", q)));
                     row
@@ -277,8 +279,8 @@ pub(super) fn fig11_qps(scale: Scale) -> Outcome {
                     1 => EndpointMode::Single,
                     _ => EndpointMode::Multi,
                 };
-                let transport = Transport::Rdma(ShuffleAlgorithm { mode, imp });
-                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, transport);
+                let algorithm = ShuffleAlgorithm { mode, imp };
+                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, algorithm);
                 cfg.exchange.lanes_override = Some(lanes);
                 row.push(s.throughput(label, format!("lanes {lanes}"), cfg));
             }
@@ -336,17 +338,17 @@ pub(super) fn fig13_compute(scale: Scale) -> Outcome {
         |us| format!("batch={us}us"),
         |s, &us| {
             let mut row = Vec::new();
-            for t in all_transports() {
-                let mut cfg = WorkloadConfig::new(profile.clone(), 8, t);
+            for mut cfg in all_designs(&profile, 8) {
                 // With t threads snatching batches concurrently, each
                 // thread's per-batch compute is x · t (§5.1.6).
                 cfg.compute_per_batch =
                     SimDuration::from_nanos((us * 1000.0) as u64 * profile.threads_per_node as u64);
-                let measured = s.throughput(&t.to_string(), format!("compute {us}us"), cfg);
+                let design = cfg.design();
+                let measured = s.throughput(&design, format!("compute {us}us"), cfg);
                 // Processing capacity of the fragment: one batch per x.
                 let capacity = 32.0 * 1024.0 / (us * 1e-6);
                 let relative = (measured.value * GIB / capacity * 100.0).min(100.0);
-                row.push(MetricRow::higher(&t.to_string(), relative));
+                row.push(MetricRow::higher(&design, relative));
             }
             row
         },
@@ -437,7 +439,7 @@ pub(super) fn ablate_write(scale: Scale) -> Outcome {
         |s, &pattern| {
             let mut row = Vec::new();
             for a in algorithms {
-                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), 8, Transport::Rdma(a));
+                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), 8, a);
                 cfg.set_pattern(pattern);
                 if pattern == Pattern::Broadcast {
                     cfg.bytes_per_node = broadcast_volume(8);
@@ -461,8 +463,8 @@ pub(super) fn ablate_multicast(scale: Scale) -> Outcome {
         |s, &n| {
             let mut row = Vec::new();
             for (label, native) in [("software fan-out", false), ("native multicast", true)] {
-                let mesq = Transport::Rdma(ShuffleAlgorithm::MESQ_SR);
-                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), n, mesq);
+                let mut cfg =
+                    WorkloadConfig::new(DeviceProfile::edr(), n, ShuffleAlgorithm::MESQ_SR);
                 cfg.set_pattern(Pattern::Broadcast);
                 cfg.exchange.ud_native_multicast = native;
                 cfg.bytes_per_node = broadcast_volume(n);
@@ -485,8 +487,8 @@ pub(super) fn ablate_zerocopy(scale: Scale) -> Outcome {
         |s, &n| {
             let mut row = Vec::new();
             for (label, zero_copy) in [("copy", false), ("zero copy", true)] {
-                let mesq = Transport::Rdma(ShuffleAlgorithm::MESQ_SR);
-                let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), n, mesq);
+                let mut cfg =
+                    WorkloadConfig::new(DeviceProfile::edr(), n, ShuffleAlgorithm::MESQ_SR);
                 cfg.zero_copy = Some(zero_copy);
                 row.push(s.throughput(label, format!("n={n}"), cfg));
             }

@@ -25,7 +25,7 @@ use serde::Value;
 
 use super::{Outcome, Scale};
 use crate::perf::{host_result, MetricRow};
-use crate::workload::{Transport, WorkloadConfig};
+use crate::workload::WorkloadConfig;
 
 /// Worker threads per node: 2 lanes for the ME designs, so a QP cap of
 /// 1 genuinely halves the per-pair connection count.
@@ -118,8 +118,7 @@ pub(super) fn scale(scale: Scale) -> Outcome {
                 if cap.is_some_and(|c| !algorithm.reliable_transport() || c >= lanes) {
                     continue;
                 }
-                let mut cfg =
-                    WorkloadConfig::new(profile.clone(), nodes, Transport::Rdma(algorithm));
+                let mut cfg = WorkloadConfig::new(profile.clone(), nodes, algorithm);
                 cfg.exchange.threads = THREADS;
                 cfg.exchange.message_size = message_size;
                 cfg.bytes_per_node = bytes_per_node;

@@ -37,25 +37,16 @@ pub enum Pattern {
     Broadcast,
 }
 
-/// Which transport drives the shuffle.
+/// Which transport drives the shuffle. Over RDMA the design is the
+/// exchange's `algorithm`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Transport {
     /// One of the six RDMA designs (plus the MQ/WR extension).
-    Rdma(ShuffleAlgorithm),
+    Rdma,
     /// The MVAPICH-style MPI baseline.
     Mpi,
     /// TCP/IP over InfiniBand.
     Ipoib,
-}
-
-impl std::fmt::Display for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Transport::Rdma(a) => write!(f, "{a}"),
-            Transport::Mpi => write!(f, "MPI"),
-            Transport::Ipoib => write!(f, "IPoIB"),
-        }
-    }
 }
 
 /// Rows per receive-operator output batch: 32 KiB of 16-byte rows (the
@@ -74,8 +65,9 @@ const RECEIVER_JITTER: SimDuration = SimDuration::from_micros(3);
 pub struct WorkloadConfig {
     /// Hardware generation.
     pub profile: DeviceProfile,
-    /// Transport under test, as given to [`WorkloadConfig::new`] (which
-    /// also sets `exchange.algorithm` from it).
+    /// Transport under test: [`Transport::Rdma`] from
+    /// [`WorkloadConfig::new`]. The MPI and IPoIB libraries are built on
+    /// SEMQ/SR.
     pub transport: Transport,
     /// Bytes each node transmits per destination-set pass (the local table
     /// fragment size).
@@ -108,25 +100,39 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The §5.1 repartition query among `nodes` nodes with the profile's
-    /// thread count and the paper's exchange defaults.
-    pub fn new(profile: DeviceProfile, nodes: usize, transport: Transport) -> Self {
-        // The baseline libraries are built on the SEMQ/SR design.
-        let algorithm = match transport {
-            Transport::Rdma(algorithm) => algorithm,
-            Transport::Mpi | Transport::Ipoib => ShuffleAlgorithm::SEMQ_SR,
-        };
+    /// The §5.1 repartition query among `nodes` nodes over RDMA design
+    /// `algorithm`, with the profile's thread count and the paper's
+    /// exchange defaults.
+    pub fn new(profile: DeviceProfile, nodes: usize, algorithm: ShuffleAlgorithm) -> Self {
         let mut exchange = ExchangeConfig::repartition(algorithm, nodes, profile.threads_per_node);
         exchange.faults.ud_reorder_probability = 0.05;
         WorkloadConfig {
             profile,
-            transport,
+            transport: Transport::Rdma,
             bytes_per_node: default_volume(),
             compute_per_batch: SimDuration::ZERO,
             zero_copy: None,
             topology: Topology::SingleSwitch,
             skew: None,
             exchange,
+        }
+    }
+
+    /// The same query over a baseline library (`Transport::Mpi` or
+    /// `Transport::Ipoib`), built on the SEMQ/SR design.
+    pub fn baseline(profile: DeviceProfile, nodes: usize, transport: Transport) -> Self {
+        let mut cfg = WorkloadConfig::new(profile, nodes, ShuffleAlgorithm::SEMQ_SR);
+        cfg.transport = transport;
+        cfg
+    }
+
+    /// The design under test as rows and reports name it: the RDMA
+    /// algorithm, `MPI` or `IPoIB`.
+    pub fn design(&self) -> String {
+        match self.transport {
+            Transport::Rdma => self.exchange.algorithm.to_string(),
+            Transport::Mpi => "MPI".to_string(),
+            Transport::Ipoib => "IPoIB".to_string(),
         }
     }
 
@@ -150,7 +156,7 @@ impl WorkloadConfig {
     /// per-design default (see [`WorkloadConfig::zero_copy`]).
     pub fn resolved_zero_copy(&self) -> bool {
         self.zero_copy.unwrap_or(match self.transport {
-            Transport::Rdma(a) => a.reliable_transport(),
+            Transport::Rdma => self.exchange.algorithm.reliable_transport(),
             Transport::Mpi | Transport::Ipoib => false,
         })
     }
@@ -215,7 +221,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
 
     let message_size = cfg.exchange.message_size;
     let exchange = match cfg.transport {
-        Transport::Rdma(_) => {
+        Transport::Rdma => {
             let mut xcfg = cfg.exchange.clone();
             if let (true, Some(rows)) = (xcfg.phase.enabled(), &skewed_rows) {
                 let totals: Vec<u64> = rows.iter().map(|&r| r * ROW_BYTES as u64).collect();

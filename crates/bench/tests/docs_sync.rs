@@ -6,7 +6,8 @@
 //! DESIGN.md's inventory (§3) and dependencies (§5) must name the
 //! directories of `crates/` and `vendor/`, all of them and no others, and
 //! a type §3 names under a crate must be declared in that crate. README's
-//! test count must be what the sources hold.
+//! test count must be what the sources hold. Every path and experiment
+//! §20's layer ledger names must exist: a row must not outlive its code.
 
 use std::collections::BTreeSet;
 
@@ -29,12 +30,17 @@ fn repo_path(name: &str) -> String {
 /// line and span, so a command is never read across two of them.
 fn code_words(name: &str) -> Vec<String> {
     let text = std::fs::read_to_string(repo_path(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    code_words_of(&text, name.ends_with(".sh"))
+}
+
+/// [`code_words`] of `text`, all of it code when `shell`.
+fn code_words_of(text: &str, shell: bool) -> Vec<String> {
     let mut code = String::new();
     let mut fenced = false;
     for line in text.lines() {
         if line.trim_start().starts_with("```") {
             fenced = !fenced;
-        } else if fenced || name.ends_with(".sh") {
+        } else if fenced || shell {
             code += line;
         } else {
             // Odd-numbered pieces of a line split at backticks are code.
@@ -110,6 +116,55 @@ fn every_registered_experiment_has_its_command_in_experiments_md() {
             documented.contains(experiment.id),
             "EXPERIMENTS.md has no `bench {}` command",
             experiment.id
+        );
+    }
+}
+
+/// DESIGN.md §20's layer ledger: the first table under its heading.
+fn layer_ledger() -> String {
+    let design = std::fs::read_to_string(repo_path("DESIGN.md")).expect("DESIGN.md");
+    let (_, section) = design
+        .split_once("\n### The layer ledger\n")
+        .expect("DESIGN.md has a layer ledger");
+    let lines = section.lines().skip_while(|line| !line.starts_with('|'));
+    let table: Vec<&str> = lines.take_while(|line| line.starts_with('|')).collect();
+    table.join("\n")
+}
+
+#[test]
+fn every_path_the_layer_ledger_names_exists() {
+    let words = code_words_of(&layer_ledger(), false);
+    let paths = words
+        .iter()
+        .filter(|w| w.starts_with("tests/") || w.starts_with("crates/"));
+    let mut checked = 0;
+    for word in paths {
+        // `file::test` names a test of the file.
+        let (path, item) = word.split_once("::").unwrap_or((word, ""));
+        assert!(
+            std::path::Path::new(&repo_path(path)).exists(),
+            "the layer ledger names `{word}`, but {path} is gone"
+        );
+        if !item.is_empty() {
+            let text = std::fs::read_to_string(repo_path(path)).expect("source file");
+            assert!(
+                text.contains(&format!("fn {item}(")),
+                "the layer ledger names `{word}`, but {path} has no `fn {item}`"
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "the layer ledger names no path at all");
+}
+
+#[test]
+fn every_experiment_the_layer_ledger_names_is_registered() {
+    let named = experiments_named(&code_words_of(&layer_ledger(), false));
+    assert!(!named.is_empty(), "the layer ledger names no `bench <id>`");
+    for id in named {
+        assert!(
+            REGISTRY.iter().any(|e| e.id == id),
+            "the layer ledger names `bench {id}`, which the registry lacks"
         );
     }
 }

@@ -212,8 +212,6 @@ impl SendObs {
         self.credit_stall_ns.add(dur);
         self.credit_stall_hist.record(dur);
         self.obs.record_stage(Stage::CreditWait, self.node, dur);
-        self.obs
-            .stage_span(Stage::CreditWait, self.node, sim.id().track(), started_ns, now);
         self.obs.recorder.event(
             sim.node() as u32,
             sim.id().track(),

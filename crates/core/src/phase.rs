@@ -33,17 +33,14 @@
 //!   naive rotation.
 //!
 //! [`PhaseRunner`] executes a schedule at run time: an abortable
-//! generation barrier (same shape as `simnet::SimBarrier`, plus an
-//! [`abort`](PhaseRunner::abort) escape hatch) that all sender threads
-//! cross between rounds, so a fault on any worker releases the whole
-//! barrier instead of deadlocking the remaining senders.
+//! `simnet::SimBarrier` that all sender threads cross between rounds,
+//! so a fault on any worker releases the whole barrier instead of
+//! deadlocking the remaining senders.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rshuffle_obs::{names, Counter, EventKind, Histogram, Labels, Obs};
-use rshuffle_simnet::{Gate, Kernel, NodeId, SimContext, SimDuration};
+use rshuffle_simnet::{BarrierError, Kernel, NodeId, SimBarrier, SimContext, SimDuration};
 
 use crate::error::{Result, ShuffleError};
 
@@ -320,23 +317,16 @@ fn heavy_sources(bytes: &[Vec<u64>]) -> Vec<bool> {
 /// Runtime coordinator for a phased transmission: all sender threads of
 /// the exchange cross a generation barrier between rounds, so round
 /// `p + 1` traffic never enters the fabric while round `p` is still
-/// draining. The barrier is *abortable*: a worker that hits an error
-/// calls [`abort`](PhaseRunner::abort), which releases every current
-/// and future waiter with a typed error instead of leaving the
-/// survivors parked forever — fault-injected phased runs must fail the
-/// query, not hang the simulation.
+/// draining. The barrier is a [`SimBarrier`] and *abortable*: a worker
+/// that hits an error calls [`abort`](PhaseRunner::abort), which releases
+/// every current and future waiter with a typed error instead of leaving
+/// the survivors parked forever — fault-injected phased runs must fail
+/// the query, not hang the simulation.
 pub struct PhaseRunner {
     schedule: PhaseSchedule,
-    parties: usize,
     timeout: SimDuration,
-    state: Mutex<BarrierState>,
-    aborted: AtomicBool,
+    barrier: SimBarrier,
     obs: PhaseObs,
-}
-
-struct BarrierState {
-    arrived: usize,
-    gate: Arc<Gate<()>>,
 }
 
 struct PhaseObs {
@@ -345,7 +335,7 @@ struct PhaseObs {
     barrier_wait: Arc<Histogram>,
 }
 
-/// Barrier wake handoff, matching `simnet::SimBarrier`.
+/// How long after the last sender arrives the parked ones resume.
 const BARRIER_WAKE_LATENCY: SimDuration = SimDuration::from_nanos(100);
 
 impl PhaseRunner {
@@ -362,7 +352,7 @@ impl PhaseRunner {
         timeout: SimDuration,
         obs: Arc<Obs>,
     ) -> Arc<PhaseRunner> {
-        let gate = Arc::new(Gate::new(kernel, BARRIER_WAKE_LATENCY));
+        let barrier = SimBarrier::new(kernel, parties.max(1), BARRIER_WAKE_LATENCY);
         let phase_obs = PhaseObs {
             phases_run: obs.metrics.counter(names::EXCHANGE_PHASES_RUN, Labels::GLOBAL),
             barrier_wait: obs
@@ -372,10 +362,8 @@ impl PhaseRunner {
         };
         Arc::new(PhaseRunner {
             schedule,
-            parties: parties.max(1),
             timeout,
-            state: Mutex::new(BarrierState { arrived: 0, gate }),
-            aborted: AtomicBool::new(false),
+            barrier,
             obs: phase_obs,
         })
     }
@@ -387,46 +375,20 @@ impl PhaseRunner {
 
     /// Sender threads expected at every barrier crossing.
     pub fn parties(&self) -> usize {
-        self.parties
+        self.barrier.parties()
     }
 
     /// Blocks until all parties have arrived, then releases everyone
     /// into round `phase`. Returns an error (after waking all peers) if
     /// the runner was aborted or the wait exceeded the timeout.
     pub fn wait(&self, sim: &SimContext, phase: usize) -> Result<()> {
-        if self.aborted.load(Ordering::Acquire) {
-            return Err(ShuffleError::Stalled("phase barrier aborted"));
-        }
         let started = sim.now();
-        let gate = {
-            let mut st = self.state.lock();
-            st.arrived += 1;
-            if st.arrived == self.parties {
-                st.arrived = 0;
-                let full = std::mem::replace(
-                    &mut st.gate,
-                    Arc::new(Gate::new(sim.kernel(), BARRIER_WAKE_LATENCY)),
-                );
-                for _ in 0..self.parties - 1 {
-                    full.push(());
-                }
-                None
-            } else {
-                Some(st.gate.clone())
-            }
-        };
-        if let Some(gate) = gate {
-            match gate.recv_timeout(sim, self.timeout) {
-                rshuffle_simnet::RecvTimeout::Value(()) => {}
-                rshuffle_simnet::RecvTimeout::TimedOut => {
-                    self.abort();
-                    return Err(ShuffleError::Stalled("phase barrier timed out"));
-                }
-            }
-        }
-        if self.aborted.load(Ordering::Acquire) {
-            return Err(ShuffleError::Stalled("phase barrier aborted"));
-        }
+        self.barrier.wait_timeout(sim, self.timeout).map_err(|e| {
+            ShuffleError::Stalled(match e {
+                BarrierError::Aborted => "phase barrier aborted",
+                BarrierError::TimedOut => "phase barrier timed out",
+            })
+        })?;
         let po = &self.obs;
         po.phases_run.inc();
         po.barrier_wait
@@ -445,13 +407,7 @@ impl PhaseRunner {
     /// barrier and turns every future [`wait`](PhaseRunner::wait) into
     /// an immediate error. Idempotent.
     pub fn abort(&self) {
-        if self.aborted.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let st = self.state.lock();
-        for _ in 0..self.parties {
-            st.gate.push(());
-        }
+        self.barrier.abort();
     }
 }
 

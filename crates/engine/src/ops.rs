@@ -302,7 +302,7 @@ impl HashJoin {
             emit: Arc::new(emit),
             out_size,
             table: Mutex::default(),
-            barrier: SimBarrier::new(kernel, threads),
+            barrier: SimBarrier::new(kernel, threads, SimDuration::ZERO),
             built: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             hash_cost,
         }
@@ -386,7 +386,7 @@ impl HashSemiJoin {
             build_key: Arc::new(build_key),
             probe_key: Arc::new(probe_key),
             keys: Mutex::default(),
-            barrier: SimBarrier::new(kernel, threads),
+            barrier: SimBarrier::new(kernel, threads, SimDuration::ZERO),
             built: (0..threads).map(|_| AtomicBool::new(false)).collect(),
             hash_cost,
         }
@@ -469,7 +469,7 @@ impl HashAggregate {
             init: Arc::new(init),
             out_size,
             groups: Mutex::default(),
-            barrier: SimBarrier::new(kernel, threads),
+            barrier: SimBarrier::new(kernel, threads, SimDuration::ZERO),
             emit_order: Mutex::new(Vec::new()),
             emit_cursor: AtomicUsize::new(0),
             aggregated: (0..threads).map(|_| AtomicBool::new(false)).collect(),

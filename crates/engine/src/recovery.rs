@@ -44,12 +44,16 @@
 //! `sink` closure is told which generation each batch belongs to, and
 //! only the generation the report names survives.
 //!
+//! A query of [`crate::workload::run_workload`] runs the same loop and
+//! calls the admission scheduler itself: `Scheduler::admit` before each
+//! attempt, `Scheduler::release` once the attempt's outcome is known.
+//!
 //! All recovery activity is observable: `engine.restarts`,
 //! `engine.recovery_ns`, `engine.partial_retries`,
 //! `engine.qp_reconnects`, `engine.degraded`, `engine.kept_bytes` and
 //! `engine.redone_bytes` counters, plus `query_restart`,
-//! `query_recovered`, `partial_retry`, `qp_reconnect`, `flow_resumed`,
-//! `query_degraded` flight-recorder events on the coordinator track. On
+//! `query_recovered`, `partial_retry`, `qp_reconnect`, `query_degraded`
+//! flight-recorder events on the coordinator track. On
 //! a healthy run none of this machinery executes and the wire traffic
 //! is byte-identical to the pre-recovery stack (epoch 0 in every
 //! header).
@@ -63,8 +67,11 @@ use rshuffle::{
     ShuffleError, StreamState,
 };
 use rshuffle_obs::{names, EventKind, Labels};
+use rshuffle_sched::{Admission, ReleaseOutcome};
 use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
 use rshuffle_verbs::{ConnectionManager, QpType, RecvWr, SendWr, VerbsRuntime, WcStatus};
+
+use crate::workload::Scheduled;
 
 /// Payload bytes pushed through a probe QP to prove the fabric carries
 /// traffic again.
@@ -318,45 +325,6 @@ fn restartable(e: &ShuffleError) -> bool {
     )
 }
 
-/// How one attempt ended, as told to [`AttemptHooks::after_attempt`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AttemptEnd {
-    /// The attempt delivered the query to completion.
-    Success,
-    /// The attempt failed and the query goes on: a probe, a backoff or
-    /// a rebuild follows (a fabric that never answers the probe can
-    /// still end the query afterwards, holding nothing).
-    Retry,
-    /// The query gave up: non-restartable error, exhausted budgets, or
-    /// the exchange would not build.
-    Failure,
-}
-
-/// Per-attempt callbacks of the coordinator loop: the seam the
-/// multi-query scheduler plugs into. `before_attempt` runs on the
-/// coordinator thread before each exchange is built (admission — may
-/// block in virtual time; an `Err` fails the query without running the
-/// attempt); `after_attempt` runs once the attempt's outcome is known
-/// (release). A recovering query therefore gives its slot back and
-/// re-enters admission at the back of the queue instead of holding
-/// resources while it probes or backs off.
-pub(crate) struct AttemptHooks {
-    pub(crate) before_attempt: BeforeAttempt,
-    pub(crate) after_attempt: AfterAttempt,
-}
-
-type BeforeAttempt = Box<dyn Fn(&SimContext) -> Result<(), ShuffleError> + Send + Sync>;
-type AfterAttempt = Box<dyn Fn(&SimContext, AttemptEnd) + Send + Sync>;
-
-impl Default for AttemptHooks {
-    fn default() -> Self {
-        AttemptHooks {
-            before_attempt: Box::new(|_| Ok(())),
-            after_attempt: Box::new(|_, _| {}),
-        }
-    }
-}
-
 /// What one worker of an attempt reports to the coordinator.
 type WorkerResult = Result<(), ShuffleError>;
 
@@ -402,14 +370,17 @@ pub fn run_shuffle_with_recovery(
     make_source: impl Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sync + 'static,
     sink: impl Fn(u32, NodeId, usize, &RowBatch) + Send + Sync + 'static,
 ) -> Arc<Mutex<RecoveryReport>> {
-    let hooks = AttemptHooks::default();
     let (make_source, sink) = (Arc::new(make_source), Arc::new(sink));
-    run_query(runtime, config, policy, row_size, make_source, sink, hooks)
+    run_query(runtime, config, policy, row_size, make_source, sink, None)
 }
 
-/// The coordinator loop behind [`run_shuffle_with_recovery`], with the
-/// per-attempt [`AttemptHooks`] that [`crate::workload::run_workload`]
-/// fills with the scheduler's admit and release.
+/// The coordinator loop behind [`run_shuffle_with_recovery`]. A query
+/// of [`crate::workload::run_workload`] comes `scheduled`: each attempt
+/// is admitted before its exchange is built (admission may block in
+/// virtual time; a refusal fails the query without running the attempt)
+/// and released once its outcome is known — before any probe or backoff,
+/// so a recovering query holds no slot or budget meanwhile and re-enters
+/// admission at the back of the queue.
 pub(crate) fn run_query(
     runtime: &Arc<VerbsRuntime>,
     config: &ExchangeConfig,
@@ -417,7 +388,7 @@ pub(crate) fn run_query(
     row_size: usize,
     make_source: GenSourceFactory,
     sink: GenSink,
-    hooks: AttemptHooks,
+    scheduled: Option<Scheduled>,
 ) -> Arc<Mutex<RecoveryReport>> {
     let report = Arc::new(Mutex::new(RecoveryReport::new(config.algorithm)));
     let out = report.clone();
@@ -449,12 +420,22 @@ pub(crate) fn run_query(
         let mut rebuilds = 0u32;
         let mut first_failure = None;
         let mut backoff = BackoffSchedule::new(INITIAL_BACKOFF, MAX_BACKOFF);
+        // The attempt's admission, held until its outcome is known.
+        let mut admission = None;
+        let release = |admission: &mut Option<Admission>, outcome| {
+            if let (Some(s), Some(adm)) = (&scheduled, admission.take()) {
+                s.release(&sim, adm, outcome, &obs);
+            }
+        };
         loop {
-            // Admission (may block in virtual time); a hook error fails
-            // the query before any resource is built.
-            if let Err(e) = (hooks.before_attempt)(&sim) {
-                rep.failure = Some(e);
-                break;
+            if let Some(s) = &scheduled {
+                match s.admit(&sim) {
+                    Ok(adm) => admission = Some(adm),
+                    Err(e) => {
+                        rep.failure = Some(e);
+                        break;
+                    }
+                }
             }
             let mut attempt_cfg = config.clone();
             attempt_cfg.algorithm = rep.final_algorithm;
@@ -466,7 +447,7 @@ pub(crate) fn run_query(
             let exchange = match Exchange::build(&runtime, &attempt_cfg) {
                 Ok(ex) => Arc::new(ex),
                 Err(e) => {
-                    (hooks.after_attempt)(&sim, AttemptEnd::Failure);
+                    release(&mut admission, ReleaseOutcome::Failed);
                     rep.failure = Some(e);
                     break;
                 }
@@ -528,7 +509,7 @@ pub(crate) fn run_query(
                         recovery.as_nanos(),
                     );
                 }
-                (hooks.after_attempt)(&sim, AttemptEnd::Success);
+                release(&mut admission, ReleaseOutcome::Completed);
                 break;
             };
             first_failure.get_or_insert(sim.now());
@@ -540,12 +521,12 @@ pub(crate) fn run_query(
                 && qp_shaped(&e, &runtime);
             let restart = restartable(&e) && rep.full_restarts < policy.max_full_restarts;
             if !(partial || restart) {
-                (hooks.after_attempt)(&sim, AttemptEnd::Failure);
+                release(&mut admission, ReleaseOutcome::Failed);
                 rep.failure = Some(e);
                 break;
             }
             // The slot goes back before any probe or backoff.
-            (hooks.after_attempt)(&sim, AttemptEnd::Retry);
+            release(&mut admission, ReleaseOutcome::Requeued);
             let mut resumed = false;
             if partial {
                 let probed = probe_failed_nodes(

@@ -2,8 +2,8 @@
 //! admission scheduler on one simulated cluster.
 //!
 //! Each query gets its own coordinator (the recovery ladder of
-//! [`crate::recovery`]) whose per-attempt hooks go through
-//! [`Scheduler::admit`] / [`Scheduler::release`]: every attempt —
+//! [`crate::recovery`]) that calls [`Scheduler::admit`] /
+//! [`Scheduler::release`] around each attempt: every attempt —
 //! including a partial retry or a restart after a transient failure —
 //! re-enters admission at the back of the queue, returns its registered
 //! memory, and leaves the fabric's running flows while probing or
@@ -15,13 +15,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{ExchangeConfig, Operator, RowBatch, ShuffleError};
+use rshuffle_obs::{names, Labels, Obs};
 use rshuffle_sched::{Admission, QueryRequest, ReleaseOutcome, Scheduler};
 use rshuffle_simnet::{FlowId, NodeId, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
-use crate::recovery::{
-    attempt_id_stride, run_query, AttemptEnd, AttemptHooks, RecoveryPolicy, RecoveryReport,
-};
+use crate::recovery::{attempt_id_stride, run_query, RecoveryPolicy, RecoveryReport};
 
 /// Gap between the endpoint-id spaces of consecutive query ids: room
 /// for 32768 endpoints per query, far above any simulated plan.
@@ -101,6 +100,48 @@ impl QueryTiming {
     }
 }
 
+/// A query that goes through the admission scheduler: what the
+/// coordinator admits before each attempt and releases after it.
+pub(crate) struct Scheduled {
+    pub(crate) scheduler: Arc<Scheduler>,
+    pub(crate) request: QueryRequest,
+    pub(crate) timing: Arc<Mutex<QueryTiming>>,
+}
+
+impl Scheduled {
+    /// Waits for admission (in virtual time), noting the milestones.
+    pub(crate) fn admit(&self, sim: &SimContext) -> Result<Admission, ShuffleError> {
+        self.timing.lock().submitted.get_or_insert(sim.now());
+        let adm = self.scheduler.admit(sim, &self.request)?;
+        let mut t = self.timing.lock();
+        t.first_admitted.get_or_insert(adm.admitted_at);
+        t.queue_wait += adm.queue_wait();
+        t.admissions += 1;
+        Ok(adm)
+    }
+
+    /// Gives `adm` back; a completed query's submission-to-completion
+    /// latency feeds the perf-trajectory percentile reports.
+    pub(crate) fn release(
+        &self,
+        sim: &SimContext,
+        adm: Admission,
+        outcome: ReleaseOutcome,
+        obs: &Obs,
+    ) {
+        self.scheduler.release(sim, adm, outcome);
+        if outcome == ReleaseOutcome::Completed {
+            let mut t = self.timing.lock();
+            t.completed = Some(sim.now());
+            if let Some(sub) = t.submitted {
+                obs.metrics
+                    .histogram(names::ENGINE_QUERY_LATENCY_NS, Labels::GLOBAL)
+                    .record((sim.now() - sub).as_nanos());
+            }
+        }
+    }
+}
+
 /// Handle to one workload query's results, readable after
 /// `Cluster::run`.
 pub struct WorkloadHandle {
@@ -159,60 +200,6 @@ pub fn run_workload(
                 .map(|n| config.registered_bytes_estimate(runtime.profile(), n))
                 .collect(),
         };
-        let slot: Arc<Mutex<Option<Admission>>> = Arc::new(Mutex::new(None));
-        let before = {
-            let scheduler = scheduler.clone();
-            let timing = timing.clone();
-            let slot = slot.clone();
-            Box::new(move |sim: &SimContext| {
-                {
-                    let mut t = timing.lock();
-                    t.submitted.get_or_insert(sim.now());
-                }
-                let adm = scheduler.admit(sim, &request)?;
-                let mut t = timing.lock();
-                t.first_admitted.get_or_insert(adm.admitted_at);
-                t.queue_wait += adm.queue_wait();
-                t.admissions += 1;
-                drop(t);
-                *slot.lock() = Some(adm);
-                Ok::<(), ShuffleError>(())
-            })
-        };
-        let after = {
-            let scheduler = scheduler.clone();
-            let timing = timing.clone();
-            let slot = slot.clone();
-            let obs = runtime.obs().clone();
-            Box::new(move |sim: &SimContext, end: AttemptEnd| {
-                // `before_attempt` always runs first and fills the
-                // slot; a missing admission would mean the attempt
-                // never started, so there is nothing to release.
-                let Some(adm) = slot.lock().take() else {
-                    return;
-                };
-                let outcome = match end {
-                    AttemptEnd::Success => ReleaseOutcome::Completed,
-                    AttemptEnd::Retry => ReleaseOutcome::Requeued,
-                    AttemptEnd::Failure => ReleaseOutcome::Failed,
-                };
-                scheduler.release(sim, adm, outcome);
-                if end == AttemptEnd::Success {
-                    let mut t = timing.lock();
-                    t.completed = Some(sim.now());
-                    // Submission-to-completion latency feeds the
-                    // perf-trajectory percentile reports.
-                    if let (Some(done), Some(sub)) = (t.completed, t.submitted) {
-                        obs.metrics
-                            .histogram(
-                                rshuffle_obs::names::ENGINE_QUERY_LATENCY_NS,
-                                rshuffle_obs::Labels::GLOBAL,
-                            )
-                            .record((done - sub).as_nanos());
-                    }
-                }
-            })
-        };
         let ms = make_source.clone();
         let sk = sink.clone();
         let report = run_query(
@@ -222,10 +209,11 @@ pub fn run_workload(
             spec.row_size,
             Arc::new(move |generation, node| ms(query, generation, node)),
             Arc::new(move |generation, node, tid, batch| sk(query, generation, node, tid, batch)),
-            AttemptHooks {
-                before_attempt: before,
-                after_attempt: after,
-            },
+            Some(Scheduled {
+                scheduler: scheduler.clone(),
+                request,
+                timing: timing.clone(),
+            }),
         );
         handles.push(WorkloadHandle {
             query,

@@ -170,8 +170,6 @@ pub struct Obs {
     /// constructing runtimes: when off, no `stage.*` series is ever
     /// registered, so snapshots match an uninstrumented run exactly.
     stage_histograms: AtomicBool,
-    /// Stage Chrome-trace spans on/off (default off — spans are bulky).
-    stage_spans: AtomicBool,
     /// Lazily grown per-node table of stage histogram handles, indexed
     /// `[node][stage as usize]`.
     stage_hists: RwLock<Vec<[Arc<Histogram>; Stage::COUNT]>>,
@@ -183,7 +181,6 @@ impl Default for Obs {
             metrics: MetricsRegistry::new(),
             recorder: FlightRecorder::default(),
             stage_histograms: AtomicBool::new(true),
-            stage_spans: AtomicBool::new(false),
             stage_hists: RwLock::new(Vec::new()),
         }
     }
@@ -208,18 +205,6 @@ impl Obs {
         self.stage_histograms.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables per-interval stage spans in the flight
-    /// recorder (off by default).
-    pub fn set_stage_spans(&self, on: bool) {
-        self.stage_spans.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether stage spans are being recorded.
-    #[inline]
-    pub fn stage_spans_enabled(&self) -> bool {
-        self.stage_spans.load(Ordering::Relaxed)
-    }
-
     /// Records one stage latency sample for `node`. A no-op (single
     /// atomic load) when stage histograms are disabled; never advances
     /// virtual time. A node's whole row of series is registered on its
@@ -239,16 +224,6 @@ impl Obs {
                 .push(Stage::ALL.map(|s| self.metrics.histogram(s.metric_name(), Labels::node(n))));
         }
         table[node as usize][stage as usize].record(ns);
-    }
-
-    /// Records a stage interval as a Chrome-trace span on `(node, tid)`.
-    /// A no-op unless stage spans are enabled.
-    #[inline]
-    pub fn stage_span(&self, stage: Stage, node: u32, tid: u32, start_ns: u64, end_ns: u64) {
-        if !self.stage_spans_enabled() {
-            return;
-        }
-        self.recorder.span(node, tid, stage.span_name(), start_ns, end_ns);
     }
 
     /// Deterministic JSON rendering of the current metrics snapshot.
@@ -286,15 +261,5 @@ mod obs_tests {
             snap.histogram("stage.credit_wait_ns{node=1}").unwrap().count,
             0
         );
-    }
-
-    #[test]
-    fn stage_spans_default_off() {
-        let obs = Obs::new();
-        obs.stage_span(Stage::WrBatch, 0, 1, 10, 20);
-        assert!(obs.recorder.is_empty());
-        obs.set_stage_spans(true);
-        obs.stage_span(Stage::WrBatch, 0, 1, 10, 20);
-        assert_eq!(obs.recorder.len(), 1);
     }
 }

@@ -84,9 +84,6 @@ pub enum EventKind {
     /// The recovery orchestrator re-established a failed queue pair
     /// (`arg` = reconnect attempt number, starting at 1).
     QpReconnect,
-    /// A partially-retried flow resumed past its delivered watermark
-    /// (`arg` = the flow's new epoch).
-    FlowResumed,
     /// The orchestrator began a per-flow partial retry (`arg` = the
     /// attempt's epoch).
     PartialRetry,
@@ -126,7 +123,6 @@ impl EventKind {
             EventKind::QueryDeferred => "query_deferred",
             EventKind::QueryCompleted => "query_completed",
             EventKind::QpReconnect => "qp_reconnect",
-            EventKind::FlowResumed => "flow_resumed",
             EventKind::PartialRetry => "partial_retry",
             EventKind::QueryDegraded => "query_degraded",
             EventKind::PhaseBegin => "phase_begin",

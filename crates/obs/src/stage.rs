@@ -10,16 +10,10 @@
 //! ```
 //!
 //! Each stage is surfaced as a per-node `stage.*_ns` histogram (see
-//! [`crate::names`]) and, optionally, as Chrome-trace spans. Recording
-//! is gated by two flags on [`crate::Obs`]:
-//!
-//! * `stage_histograms` (default **on**) — per-stage latency
-//!   histograms. When off, no `stage.*` series is ever registered, so a
-//!   disabled run's snapshot is byte-identical to one from a build
-//!   without the instrumentation.
-//! * `stage_spans` (default **off**) — per-interval spans in the flight
-//!   recorder for trace viewers. Spans are bulkier than histogram
-//!   increments, so they are opt-in.
+//! [`crate::names`]). Recording is gated by one flag on [`crate::Obs`],
+//! `stage_histograms` (default **on**): when off, no `stage.*` series
+//! is ever registered, so a disabled run's snapshot is byte-identical to
+//! one from a build without the instrumentation.
 //!
 //! All timestamps are virtual nanoseconds; recording never advances the
 //! simulated clock, which is what makes the instrumentation observably
@@ -62,16 +56,6 @@ impl Stage {
             Stage::CqWait => crate::names::STAGE_CQ_WAIT_NS,
         }
     }
-
-    /// Slice label used for Chrome-trace spans.
-    pub fn span_name(self) -> &'static str {
-        match self {
-            Stage::CreditWait => "stage.credit_wait",
-            Stage::WrBatch => "stage.wr_batch",
-            Stage::PostToCompletion => "stage.post_to_completion",
-            Stage::CqWait => "stage.cq_wait",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +74,6 @@ mod tests {
         for s in Stage::ALL {
             assert!(s.metric_name().starts_with("stage."));
             assert!(s.metric_name().ends_with("_ns"));
-            assert!(s.span_name().starts_with("stage."));
         }
     }
 }

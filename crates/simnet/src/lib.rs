@@ -54,7 +54,7 @@ pub use resource::Resource;
 /// The unseeded integer hasher every id-keyed table of the stack uses
 /// (declared below the simulator, in `rshuffle_obs`, for the recorder).
 pub use rshuffle_obs::{KeyHasher, KeyMap, KeySet};
-pub use sync::{SimBarrier, SimMutex};
+pub use sync::{BarrierError, SimBarrier, SimMutex};
 pub use time::{SimDuration, SimTime};
 
 /// Identifier of a simulated node (machine) in the cluster.

@@ -149,21 +149,19 @@ impl CqInner {
     fn observe_polled(&self, ctx: &SimContext, c: &Completion) {
         if let Some(obs) = &self.obs {
             let node = ctx.node() as u32;
-            let tid = ctx.id().track();
             let now = ctx.now().as_nanos();
-            obs.recorder
-                .event(node, tid, now, EventKind::CompletionPolled, c.byte_len as u64);
+            obs.recorder.event(
+                node,
+                ctx.id().track(),
+                now,
+                EventKind::CompletionPolled,
+                c.byte_len as u64,
+            );
             if c.posted_ns > 0 && c.deposited_ns >= c.posted_ns {
-                obs.record_stage(
-                    Stage::PostToCompletion,
-                    node,
-                    c.deposited_ns - c.posted_ns,
-                );
-                obs.stage_span(Stage::PostToCompletion, node, tid, c.posted_ns, c.deposited_ns);
+                obs.record_stage(Stage::PostToCompletion, node, c.deposited_ns - c.posted_ns);
             }
             if c.deposited_ns > 0 && now >= c.deposited_ns {
                 obs.record_stage(Stage::CqWait, node, now - c.deposited_ns);
-                obs.stage_span(Stage::CqWait, node, tid, c.deposited_ns, now);
             }
         }
     }
@@ -268,19 +266,6 @@ impl CompletionQueue {
         c
     }
 
-    /// Blocks until a completion arrives or `timeout` elapses. Shares
-    /// [`CompletionQueue::next`]'s burst pricing.
-    pub fn next_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> Option<Completion> {
-        self.inner.charge_poll(ctx);
-        match self.inner.gate.recv_timeout(ctx, timeout) {
-            rshuffle_simnet::RecvTimeout::Value(c) => {
-                self.inner.observe_polled(ctx, &c);
-                Some(c)
-            }
-            rshuffle_simnet::RecvTimeout::TimedOut => None,
-        }
-    }
-
     /// Number of completions currently queued.
     pub fn depth(&self) -> usize {
         self.inner.gate.len()
@@ -357,16 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn next_timeout_expires() {
-        let kernel = Kernel::new();
-        let cq = cq(&kernel);
-        kernel.spawn(0, "waiter", move |sim| {
-            assert!(cq.next_timeout(&sim, SimDuration::from_micros(2)).is_none());
-        });
-        kernel.run();
-    }
-
-    #[test]
     fn empty_poll_still_costs_cpu() {
         let kernel = Kernel::new();
         let cq = cq(&kernel);
@@ -379,48 +354,31 @@ mod tests {
 
     #[test]
     fn burst_of_next_calls_charges_one_poll_cost() {
-        // Eight completions queued before the consumer runs: real
-        // `ibv_poll_cq` retrieves them all for one call's CPU cost, so
-        // eight blocking next() calls must charge one poll cost total,
-        // not eight.
-        let kernel = Kernel::new();
-        let cq = cq(&kernel);
-        for i in 0..8 {
-            cq.deposit(dummy(i));
-        }
-        let cq2 = cq.clone();
-        kernel.spawn(0, "consumer", move |sim| {
-            for i in 0..8 {
+        // A burst queued before the consumer runs: real `ibv_poll_cq`
+        // retrieves it all for one call's CPU cost, so a blocking next()
+        // per entry must charge one poll cost total, not one per entry.
+        for burst in [3, 8] {
+            let kernel = Kernel::new();
+            let cq = cq(&kernel);
+            for i in 0..burst {
+                cq.deposit(dummy(i));
+            }
+            let cq2 = cq.clone();
+            kernel.spawn(0, "consumer", move |sim| {
+                for i in 0..burst {
+                    let c = cq2.next(&sim);
+                    assert_eq!(c.wr_id, i);
+                }
+                // One 50ns charge for the whole burst.
+                assert_eq!(sim.now().as_nanos(), 50);
+                // The burst credit is spent: the next charge is a fresh one.
+                cq2.deposit(dummy(99));
                 let c = cq2.next(&sim);
-                assert_eq!(c.wr_id, i);
-            }
-            // One 50ns charge for the whole burst.
-            assert_eq!(sim.now().as_nanos(), 50);
-            // The burst credit is spent: the next charge is a fresh one.
-            cq2.deposit(dummy(99));
-            let c = cq2.next(&sim);
-            assert_eq!(c.wr_id, 99);
-            assert_eq!(sim.now().as_nanos(), 100);
-        });
-        kernel.run();
-    }
-
-    #[test]
-    fn next_timeout_burst_shares_the_charge() {
-        let kernel = Kernel::new();
-        let cq = cq(&kernel);
-        for i in 0..3 {
-            cq.deposit(dummy(i));
+                assert_eq!(c.wr_id, 99);
+                assert_eq!(sim.now().as_nanos(), 100);
+            });
+            kernel.run();
         }
-        let cq2 = cq.clone();
-        kernel.spawn(0, "consumer", move |sim| {
-            let t = SimDuration::from_micros(1);
-            for _ in 0..3 {
-                assert!(cq2.next_timeout(&sim, t).is_some());
-            }
-            assert_eq!(sim.now().as_nanos(), 50);
-        });
-        kernel.run();
     }
 
     #[test]
@@ -459,11 +417,13 @@ mod tests {
             // Deposits at 1000, +200 completion latency, poll cost charged
             // before blocking.
             assert_eq!(sim.now().as_nanos(), 1_200);
-            // Timeout path returns zero after charging.
+            // Timeout path returns zero after charging and waiting out
+            // the whole timeout.
             assert_eq!(
                 cq2.drain_into(&sim, &mut scratch, 8, SimDuration::from_nanos(100)),
                 0
             );
+            assert_eq!(sim.now().as_nanos(), 1_350);
         });
         let cq3 = cq.clone();
         kernel.schedule(SimTime::from_nanos(1_000), move || {

@@ -719,14 +719,13 @@ impl QueuePair {
         let now = self.runtime.kernel().now();
         let rt_obs = &self.runtime.rt_obs;
         let obs = &rt_obs.obs;
-        let (node, track) = (self.inner.node as u32, sim.id().track());
         if matches!(kind, WrKind::SendRc | WrKind::SendUd) {
             // The flight recorder and the size histogram see Sends only
             // (the histogram through the cached per-node handle: no name
             // lookup per message).
             obs.recorder.event(
                 sim.node() as u32,
-                track,
+                sim.id().track(),
                 now.as_nanos(),
                 EventKind::SendPosted,
                 len as u64,
@@ -737,8 +736,7 @@ impl QueuePair {
         let nic_done = nic.process_flow(now, self.inner.ctx_key(), kind, self.inner.flow);
         // The doorbell→NIC-accept WR batching stage.
         let (p, d) = (now.as_nanos(), nic_done.as_nanos());
-        obs.record_stage(Stage::WrBatch, node, d.saturating_sub(p));
-        obs.stage_span(Stage::WrBatch, node, track, p, d);
+        obs.record_stage(Stage::WrBatch, self.inner.node as u32, d.saturating_sub(p));
         (now, nic_done)
     }
 

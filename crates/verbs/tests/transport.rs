@@ -535,11 +535,9 @@ fn ud_loss_injection_loses_datagrams() {
             .unwrap();
         }
         // Count whatever arrives within a grace period.
-        while cq_r
-            .next_timeout(&sim, SimDuration::from_micros(200))
-            .is_some()
-        {
-            d.fetch_add(1, Ordering::SeqCst);
+        let mut got = Vec::new();
+        while cq_r.drain_into(&sim, &mut got, 128, SimDuration::from_micros(200)) > 0 {
+            d.fetch_add(got.len() as u64, Ordering::SeqCst);
         }
     });
 
@@ -731,10 +729,10 @@ fn fault_plan_ud_loss_burst_drops_only_in_window() {
             .unwrap();
         }
         // Drain until well past the burst window.
+        let mut got = Vec::new();
         while sim.now() < rshuffle_simnet::SimTime::ZERO + SimDuration::from_millis(4) {
-            if cq_r.next_timeout(&sim, SimDuration::from_micros(100)).is_some() {
-                delivered2.fetch_add(1, Ordering::Relaxed);
-            }
+            let n = cq_r.drain_into(&sim, &mut got, 64, SimDuration::from_micros(100));
+            delivered2.fetch_add(n as u64, Ordering::Relaxed);
         }
     });
 

@@ -16,19 +16,13 @@ use rshuffle_repro::verbs::{FaultConfig, VerbsRuntime};
 /// Runs a small repartition and returns the serialized observability
 /// artifacts: (metrics snapshot JSON, Chrome-trace JSON).
 fn run_observed(algorithm: ShuffleAlgorithm) -> (String, String) {
-    let (snap, trace, _) = run_observed_staged(algorithm, true, false);
+    let (snap, trace, _) = run_observed_staged(algorithm, true);
     (snap, trace)
 }
 
-/// Like [`run_observed`], with the stage instrumentation toggled:
-/// `histograms` controls the per-stage latency histograms, `spans` the
-/// flight-recorder stage spans. Returns (snapshot JSON, trace JSON,
-/// final virtual time ns).
-fn run_observed_staged(
-    algorithm: ShuffleAlgorithm,
-    histograms: bool,
-    spans: bool,
-) -> (String, String, u64) {
+/// Like [`run_observed`], with the per-stage latency histograms on or
+/// off. Returns (snapshot JSON, trace JSON, final virtual time ns).
+fn run_observed_staged(algorithm: ShuffleAlgorithm, histograms: bool) -> (String, String, u64) {
     let nodes = 2;
     let threads = 2;
     let rows_per_thread = 2_000;
@@ -43,7 +37,6 @@ fn run_observed_staged(
         },
     );
     runtime.obs().set_stage_histograms(histograms);
-    runtime.obs().set_stage_spans(spans);
     let config = ExchangeConfig::repartition(algorithm, nodes, threads);
     let run = wired::run(&runtime, &config, rows_per_thread);
     (run.snapshot, run.trace, run.end_ns)
@@ -66,15 +59,15 @@ fn snapshots_and_traces_are_deterministic_for_every_algorithm() {
 }
 
 /// Zero-perturbation contract of the stage instrumentation: recording
-/// stage histograms and stage spans must not move a single virtual-time
-/// event. Same-seed runs with recording fully on vs fully off must end
-/// at the same virtual instant and agree byte-for-byte on every metric
+/// stage histograms must not move a single virtual-time event.
+/// Same-seed runs with recording on vs off must end at the same
+/// virtual instant and agree byte-for-byte on every metric
 /// series outside the `stage.` namespace itself.
 #[test]
 fn stage_recording_is_virtual_time_invisible_for_every_algorithm() {
     for algorithm in ShuffleAlgorithm::ALL {
-        let (snap_on, _, end_on) = run_observed_staged(algorithm, true, true);
-        let (snap_off, _, end_off) = run_observed_staged(algorithm, false, false);
+        let (snap_on, _, end_on) = run_observed_staged(algorithm, true);
+        let (snap_off, _, end_off) = run_observed_staged(algorithm, false);
         assert_eq!(
             end_on, end_off,
             "{algorithm}: stage recording perturbed the final virtual time"
@@ -232,7 +225,7 @@ fn virtual_time_and_snapshot_match_the_pinned_schedule() {
         .into_iter()
         .chain(wr)
         .map(|algorithm| {
-            let (snap, _, end_ns) = run_observed_staged(algorithm, true, false);
+            let (snap, _, end_ns) = run_observed_staged(algorithm, true);
             (end_ns, fnv1a(&snap))
         })
         .collect();

@@ -1,7 +1,7 @@
 //! Scheduler transparency: with a concurrency limit of 1, driving a
 //! query through `run_workload` + `Scheduler` must be byte-identical in
 //! virtual time to the direct `run_shuffle_with_recovery` path — the
-//! same coordinator loop with no-op admission hooks — for all six paper
+//! same coordinator loop with no scheduler — for all six paper
 //! algorithms.
 //!
 //! "Byte-identical" is checked on the strongest observable artifacts we
