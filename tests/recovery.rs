@@ -374,6 +374,151 @@ fn policy_that_overruns_the_endpoint_id_space_fails_before_admission() {
     assert_eq!(handles[1].timing.lock().admissions, 1);
 }
 
+/// FNV-1a over the snapshot text, as `tests/determinism.rs` digests it.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The coordinator's whole report, one line per run: the final virtual
+/// time, the snapshot and trace digests and every field of the
+/// `RecoveryReport` but `failure` (each run here succeeds). Rows: each design under the
+/// node-1 outage with the partial rung and without it, the MEMQ/RD
+/// descent of `persistent_rc_outage_degrades_to_ud_and_completes`, and a
+/// fault-free run. Recorded before the coordinator's receive workers ran
+/// on the exchange's RECEIVE operator; a change to the coordinator that
+/// is meant to leave virtual time alone reproduces every value.
+const REPORT_TABLE: [&str; 14] = [
+    "MEMQ/RD partial: end_ns 4406678 snapshot 0xb020b491820fd575 trace \
+     0xa37726f6d6495551 rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 113792 redone_bytes 0 recovery_ns \
+     Some(2357548) final MEMQ/RD degradations [] errors [verbs error: post_write not \
+     permitted on qp#13 in state Error]",
+    "MEMQ/RD full: end_ns 2161203 snapshot 0x52f39f349f5f9915 trace \
+     0xdd2be51cca66c5ff rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 113792 recovery_ns \
+     Some(112089) final MEMQ/RD degradations [] errors [verbs error: post_write not \
+     permitted on qp#13 in state Error]",
+    "MEMQ/SR partial: end_ns 4392475 snapshot 0xaca5a9b4c8faa3b8 trace \
+     0x0870f34d7a5fcb49 rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 125984 redone_bytes 0 recovery_ns \
+     Some(2343788) final MEMQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#15 in state Error]",
+    "MEMQ/SR full: end_ns 2144517 snapshot 0x59679900c75c52a8 trace \
+     0x1f1b5cad119b9b12 rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 125984 recovery_ns \
+     Some(95995) final MEMQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#15 in state Error]",
+    "SEMQ/RD partial: end_ns 4392833 snapshot 0x2dd035d46888cded trace \
+     0x4f660a0378f033ef rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 162560 redone_bytes 0 recovery_ns \
+     Some(2346698) final SEMQ/RD degradations [] errors [verbs error: post_write not \
+     permitted on qp#5 in state Error]",
+    "SEMQ/RD full: end_ns 2145848 snapshot 0x6c86224e59764bf8 trace \
+     0x3e1e9dab59a012fa rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 162560 recovery_ns \
+     Some(99070) final SEMQ/RD degradations [] errors [verbs error: post_write not \
+     permitted on qp#5 in state Error]",
+    "SEMQ/SR partial: end_ns 4393266 snapshot 0x6f34f5f5b341e509 trace \
+     0x450942d1020ff7ba rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 182880 redone_bytes 0 recovery_ns \
+     Some(2344476) final SEMQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#7 in state Error]",
+    "SEMQ/SR full: end_ns 2136462 snapshot 0x34974211834526ba trace \
+     0xf03d9949f499c16e rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 182880 recovery_ns \
+     Some(87672) final SEMQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#7 in state Error]",
+    "MESQ/SR partial: end_ns 4398803 snapshot 0xc63c9535d2c3d712 trace \
+     0xf0432c48e297138e rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 241792 redone_bytes 0 recovery_ns \
+     Some(2345637) final MESQ/SR degradations [] errors [completion error: UD receive \
+     completed in error]",
+    "MESQ/SR full: end_ns 2147320 snapshot 0x3b7d11642ab0de88 trace \
+     0x38ce4ddae4ec72f6 rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 241792 recovery_ns \
+     Some(94154) final MESQ/SR degradations [] errors [completion error: UD receive \
+     completed in error]",
+    "SESQ/SR partial: end_ns 4401945 snapshot 0xbd69044a89d2d065 trace \
+     0x309ab490cbdbf584 rows 24000 bytes 384000 partial_retries 1 qp_reconnects 1 \
+     full_restarts 0 generation 0 kept_bytes 241792 redone_bytes 0 recovery_ns \
+     Some(2347788) final SESQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#2 in state Error]",
+    "SESQ/SR full: end_ns 2147623 snapshot 0x027aad1727d73165 trace \
+     0x5c1f3c11ed85eb79 rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 1 generation 1 kept_bytes 0 redone_bytes 241792 recovery_ns \
+     Some(93466) final SESQ/SR degradations [] errors [verbs error: post_recv not \
+     permitted on qp#2 in state Error]",
+    "MEMQ/RD descent: end_ns 500020000 snapshot 0xfb6550a6b977c9e9 trace \
+     0xee088ed7d35a9541 rows 24000 bytes 384000 partial_retries 2 qp_reconnects 6 \
+     full_restarts 0 generation 0 kept_bytes 227584 redone_bytes 0 recovery_ns \
+     Some(16562227) final MESQ/SR degradations [MEMQ/SR, MESQ/SR] errors [verbs \
+     error: post_write not permitted on qp#13 in state Error | retry budget \
+     exhausted: node 1 still unreachable after 3 reconnect attempts | verbs error: \
+     post_send not permitted on qp#36 in state Error | retry budget exhausted: node 1 \
+     still unreachable after 3 reconnect attempts]",
+    "MESQ/SR healthy: end_ns 43195 snapshot 0xc8770e7215f91b0a trace \
+     0xcecd8745eb3be976 rows 24000 bytes 384000 partial_retries 0 qp_reconnects 0 \
+     full_restarts 0 generation 0 kept_bytes 0 redone_bytes 0 recovery_ns None final \
+     MESQ/SR degradations [] errors []",
+];
+
+#[test]
+fn coordinator_reports_match_the_pinned_table() {
+    let descent = (
+        FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::Rc),
+        RecoveryPolicy {
+            max_partial_retries: 8,
+            reconnect_budget: 3,
+            max_full_restarts: 0,
+            ..RecoveryPolicy::default()
+        },
+    );
+    let mut cases = Vec::new();
+    for algorithm in ShuffleAlgorithm::ALL {
+        cases.push((algorithm, "partial", qp_outage(), partial_policy()));
+        cases.push((algorithm, "full", qp_outage(), full_only_policy()));
+    }
+    cases.push((ShuffleAlgorithm::MEMQ_RD, "descent", descent.0, descent.1));
+    cases.push((ShuffleAlgorithm::MESQ_SR, "healthy", FaultPlan::new(), partial_policy()));
+    let measured: Vec<String> = cases
+        .into_iter()
+        .map(|(algorithm, label, plan, policy)| {
+            let run = run_recovery(algorithm, plan, policy);
+            let r = &run.report;
+            assert!(r.succeeded(), "{algorithm} {label}: {:?}", r.failure);
+            let degradations: Vec<String> = r.degradations.iter().map(|a| a.to_string()).collect();
+            let errors: Vec<String> = r.attempt_errors.iter().map(|e| e.to_string()).collect();
+            format!(
+                "{algorithm} {label}: end_ns {} snapshot {:#018x} trace {:#018x} rows {} bytes {} \
+                 partial_retries {} qp_reconnects {} full_restarts {} generation {} \
+                 kept_bytes {} redone_bytes {} recovery_ns {:?} final {} degradations [{}] \
+                 errors [{}]",
+                run.end_ns,
+                fnv1a(&run.snapshot),
+                fnv1a(&run.trace),
+                r.rows,
+                r.bytes,
+                r.partial_retries,
+                r.qp_reconnects,
+                r.full_restarts,
+                r.generation,
+                r.kept_bytes,
+                r.redone_bytes,
+                r.recovery.map(|d| d.as_nanos()),
+                r.final_algorithm,
+                degradations.join(", "),
+                errors.join(" | "),
+            )
+        })
+        .collect();
+    assert_eq!(measured.len(), REPORT_TABLE.len());
+    for (got, pinned) in measured.iter().zip(REPORT_TABLE) {
+        assert_eq!(got, pinned, "the coordinator's report moved (left: measured)");
+    }
+}
+
 /// Healthy runs pay nothing: no retries, no reconnects, no redone
 /// bytes, and the wire format (epoch 0 everywhere) leaves the metrics
 /// snapshot identical across repeated runs.
