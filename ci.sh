@@ -173,6 +173,26 @@ if grep -Hn 'Gate::new' crates/core/src/phase.rs; then
   exit 1
 fi
 
+# One RECEIVE: the query coordinator runs both fragments of every attempt
+# on the exchange's own operators. A recording RECEIVE writes the flow
+# ledger and a resumed SHUFFLE reads it (crates/core/src/ledger.rs). The
+# coordinator's private receive loop was a second copy of Algorithm 2, with
+# a second per-generation tally of the same rows and a skip matrix of its
+# own; two test-only counts (the QP cache's hit statistics) went by the
+# rule of the layer ledger.
+if revived=$(grep -rlwE 'recovery_recv_loop|RecvAccounting|with_resume_skip|hit_stats' crates); then
+  echo "ERROR: a folded receive path or a test-only count is back in:" >&2
+  echo "$revived" >&2
+  echo "       record with Exchange::recording_receive_operator, resume with ShuffleOperator::resume_from" >&2
+  exit 1
+fi
+if copies=$(grep -rl 'get_data(' crates/engine/src); then
+  echo "ERROR: the engine pulls deliveries off an endpoint itself, in:" >&2
+  echo "$copies" >&2
+  echo "       take them through the exchange's RECEIVE operator (Algorithm 2, crates/core)" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

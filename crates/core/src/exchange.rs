@@ -24,6 +24,7 @@ use crate::endpoint::{
 };
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
+use crate::ledger::FlowLedger;
 use crate::operator::{CostModel, Operator, ReceiveOperator, ShuffleOperator};
 use crate::phase::{PhasePolicy, PhaseRunner, PhaseSchedule};
 
@@ -701,17 +702,26 @@ impl Exchange {
         ))
     }
 
+    /// `node`'s RECEIVE for the partial-retry protocol: each delivery is
+    /// a batch of its own, and handing it out advances the delivery's flow
+    /// `(sending node, sending thread, node)` in `ledger`. A delivery
+    /// from an id this exchange minted no send endpoint under — another
+    /// attempt's or another query's — is [`ShuffleError::Corrupt`].
+    pub fn recording_receive_operator(
+        &self,
+        node: NodeId,
+        row_size: usize,
+        cost: CostModel,
+        ledger: &Arc<FlowLedger>,
+    ) -> Option<ReceiveOperator> {
+        let ids = self.ids;
+        let receive = self.receive_operator(node, row_size, 1, cost)?;
+        Some(receive.recording(ledger.clone(), node, move |id| ids.source_node(id)))
+    }
+
     /// Worker threads each fragment of this exchange runs.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The node that sent a [`crate::Delivery`] whose `src` is `id`:
-    /// the inverse of the exchange's own endpoint-id layout. `None` for
-    /// an id this exchange minted no send endpoint under — a receive id,
-    /// or one from another attempt's or another query's range.
-    pub fn source_node(&self, id: EndpointId) -> Option<NodeId> {
-        self.ids.source_node(id)
     }
 
     /// Send-side Queue Pairs the design opens cluster-wide, one per lane:
@@ -976,11 +986,11 @@ mod tests {
             let mut minted = 0;
             for node in 0..nodes {
                 for ep in &exchange.send[node] {
-                    assert_eq!(exchange.source_node(ep.id()), Some(node), "{algorithm}");
+                    assert_eq!(exchange.ids.source_node(ep.id()), Some(node), "{algorithm}");
                     minted += 1;
                 }
                 for ep in &exchange.recv[node] {
-                    assert_eq!(exchange.source_node(ep.id()), None, "a receive id");
+                    assert_eq!(exchange.ids.source_node(ep.id()), None, "a receive id");
                     minted += 1;
                 }
             }
@@ -988,7 +998,7 @@ mod tests {
             // The neighbouring attempts' ranges, and the first id past this one.
             for foreign in [8192 - 4096, 8192 - 2, 8192 + minted, 8192 + 4096] {
                 assert_eq!(
-                    exchange.source_node(EndpointId(foreign)),
+                    exchange.ids.source_node(EndpointId(foreign)),
                     None,
                     "id {foreign}"
                 );

@@ -43,6 +43,7 @@ pub mod endpoint;
 pub mod error;
 pub mod exchange;
 pub mod group;
+pub mod ledger;
 pub mod operator;
 pub mod phase;
 #[cfg(feature = "saboteur")]
@@ -55,6 +56,7 @@ pub use endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
 pub use error::{Result, ShuffleError};
 pub use exchange::{Exchange, ExchangeConfig};
 pub use group::TransmissionGroups;
+pub use ledger::FlowLedger;
 pub use phase::{Phase, PhasePolicy, PhaseRunner, PhaseSchedule, HEAVY_SOURCE_FACTOR};
 pub use operator::{
     default_partition_hash, CostModel, Operator, ReceiveOperator, RowBatch, ShuffleOperator,

@@ -12,9 +12,10 @@ use parking_lot::Mutex;
 use rshuffle_simnet::{DeviceProfile, NodeId, SimContext, SimDuration};
 
 use crate::buffer::{Buffer, StreamState};
-use crate::endpoint::{ReceiveEndpoint, SendEndpoint};
+use crate::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
+use crate::ledger::{Flow, FlowLedger};
 use crate::phase::PhaseRunner;
 
 /// A vectorized batch of fixed-width rows.
@@ -179,7 +180,7 @@ pub struct ShuffleOperator {
     /// paper's "last thread" rule).
     lane_remaining: Vec<AtomicUsize>,
     /// Rows to silently drop per `(tid, group)` before transmitting again:
-    /// the recovery orchestrator seeds this with the receivers' delivered
+    /// [`ShuffleOperator::resume_from`] seeds them from the receivers'
     /// watermarks so a partial retry does not resend rows that already
     /// arrived (all zeros on a fresh run). Worker `tid`'s `next` takes its
     /// row for good: a second call finds `None` and touches nothing.
@@ -234,20 +235,16 @@ impl ShuffleOperator {
         }
     }
 
-    /// Seeds per-`(tid, group)` resume skips: worker `tid` silently drops
-    /// its first `skip[tid][group]` rows hashing to `group` instead of
-    /// transmitting them. Because the child replays rows in the same order
-    /// and the partition hash is deterministic, this fast-forwards a
-    /// retried flow past everything the receivers already consumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `skip` is not `threads x groups`.
-    pub fn with_resume_skip(self, skip: Vec<Vec<u64>>) -> Self {
-        assert_eq!(skip.len(), self.threads, "need one skip row per thread");
-        for (tid, skips) in skip.into_iter().enumerate() {
-            assert_eq!(skips.len(), self.groups.len(), "need one skip per group");
-            *self.resume_skip[tid].lock() = Some(skips);
+    /// Resumes `node`'s fragment where `ledger` says its flows got to:
+    /// worker `tid` silently drops its first rows hashing to each group,
+    /// as many as the group's members all received from it. Because the
+    /// child replays rows in the same order and the partition hash is
+    /// deterministic, this fast-forwards a retried flow past everything
+    /// the receivers already consumed.
+    pub fn resume_from(self, ledger: &FlowLedger, node: NodeId) -> Self {
+        for (tid, skip) in self.resume_skip.iter().enumerate() {
+            let groups = self.groups.iter();
+            *skip.lock() = Some(groups.map(|to| ledger.resume_skip(node, tid, to)).collect());
         }
         self
     }
@@ -517,6 +514,29 @@ pub struct ReceiveOperator {
     batch_rows: usize,
     threads: usize,
     cost: CostModel,
+    /// Where a recording RECEIVE counts each batch it hands out.
+    recorder: Option<Recorder>,
+}
+
+/// A recording RECEIVE's ledger, its node (every flow's destination) and
+/// the node that sends under an endpoint id, if this exchange has one.
+struct Recorder {
+    ledger: Arc<FlowLedger>,
+    node: NodeId,
+    from: Box<dyn Fn(EndpointId) -> Option<NodeId> + Send + Sync>,
+}
+
+impl Recorder {
+    /// The flow `delivery` came over.
+    fn flow(&self, delivery: &Delivery) -> Result<Flow> {
+        let Some(src) = (self.from)(delivery.src) else {
+            return Err(ShuffleError::Corrupt(format!(
+                "delivery from endpoint {}, which is no sender of this attempt",
+                delivery.src.0
+            )));
+        };
+        Ok((src, delivery.src_tid, self.node))
+    }
 }
 
 impl ReceiveOperator {
@@ -542,46 +562,63 @@ impl ReceiveOperator {
             batch_rows,
             threads,
             cost,
+            recorder: None,
         }
     }
 
-    fn endpoint(&self, tid: usize) -> &Arc<dyn ReceiveEndpoint> {
-        &self.endpoints[tid % self.endpoints.len()]
+    /// Makes this `node`'s recording RECEIVE: each delivery is a batch of
+    /// its own, and handing it out advances its flow in `ledger`; `from`
+    /// names the node behind a sending endpoint id. What
+    /// [`crate::Exchange::recording_receive_operator`] is written in.
+    pub(crate) fn recording(
+        mut self,
+        ledger: Arc<FlowLedger>,
+        node: NodeId,
+        from: impl Fn(EndpointId) -> Option<NodeId> + Send + Sync + 'static,
+    ) -> Self {
+        self.batch_rows = 1;
+        let from = Box::new(from);
+        self.recorder = Some(Recorder { ledger, node, from });
+        self
     }
 }
 
 impl Operator for ReceiveOperator {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         assert!(tid < self.threads, "tid {tid} out of range");
-        let target = self.endpoint(tid).clone();
+        let target = &self.endpoints[tid % self.endpoints.len()];
         let mut out = RowBatch::new(self.row_size, 0);
         loop {
-            match target.get_data(sim)? {
-                Some(delivery) => {
-                    let len = delivery.local.len();
-                    if len % self.row_size != 0 {
-                        return Err(ShuffleError::Config(format!(
-                            "received {len} bytes, not a multiple of {}-byte rows",
-                            self.row_size
-                        )));
-                    }
-                    // Sized once, on the first delivery: the batch goes out
-                    // as soon as it holds `batch_rows` rows, so at one
-                    // message size it never holds more than that plus one
-                    // delivery and never grows.
-                    if out.is_empty() {
-                        out = RowBatch::new(self.row_size, self.batch_rows + len / self.row_size);
-                    }
-                    // Copy out of RDMA-registered memory (Algorithm 2,
-                    // line 8) and charge the copy.
-                    sim.sleep(self.cost.copy_time(len));
-                    delivery.local.with_payload(|p| out.extend_rows(p))?;
-                    target.release(sim, delivery.remote, delivery.local, delivery.src)?;
-                    if out.rows() >= self.batch_rows {
-                        return Ok((StreamState::MoreData, out));
-                    }
+            let Some(delivery) = target.get_data(sim)? else {
+                return Ok((StreamState::Depleted, out));
+            };
+            let len = delivery.local.len();
+            if len % self.row_size != 0 {
+                return Err(ShuffleError::Config(format!(
+                    "received {len} bytes, not a multiple of {}-byte rows",
+                    self.row_size
+                )));
+            }
+            let flow = match &self.recorder {
+                Some(recorder) => Some((recorder, recorder.flow(&delivery)?)),
+                None => None,
+            };
+            // Sized once, on the first delivery: the batch goes out as soon
+            // as it holds `batch_rows` rows, so at one message size it
+            // never holds more than that plus one delivery and never grows.
+            if out.is_empty() {
+                out = RowBatch::new(self.row_size, self.batch_rows + len / self.row_size);
+            }
+            // Copy out of RDMA-registered memory (Algorithm 2, line 8) and
+            // charge the copy.
+            sim.sleep(self.cost.copy_time(len));
+            delivery.local.with_payload(|p| out.extend_rows(p))?;
+            target.release(sim, delivery.remote, delivery.local, delivery.src)?;
+            if out.rows() >= self.batch_rows {
+                if let Some((recorder, flow)) = flow {
+                    recorder.ledger.advance(flow, out.rows() as u64);
                 }
-                None => return Ok((StreamState::Depleted, out)),
+                return Ok((StreamState::MoreData, out));
             }
         }
     }
@@ -595,7 +632,6 @@ mod tests {
 
     use super::*;
     use crate::buffer::HEADER_LEN;
-    use crate::endpoint::{Delivery, EndpointId};
     use crate::phase::{PhasePolicy, PhaseSchedule};
 
     /// Payload bytes of a [`Counting`] endpoint's windows.
@@ -822,11 +858,11 @@ mod tests {
         }
     }
 
-    /// A receive endpoint handing out `left` deliveries of [`PAYLOAD`]
-    /// bytes each.
+    /// A receive endpoint handing out one delivery per `(sending endpoint
+    /// id, sending thread, payload bytes)` entry of `left`, in order.
     struct Delivering {
         region: MemoryRegion,
-        left: Mutex<usize>,
+        left: Mutex<Vec<(u32, u16, usize)>>,
     }
 
     impl ReceiveEndpoint for Delivering {
@@ -836,16 +872,16 @@ mod tests {
 
         fn get_data(&self, _: &SimContext) -> Result<Option<Delivery>> {
             let mut left = self.left.lock();
-            if *left == 0 {
+            if left.is_empty() {
                 return Ok(None);
             }
-            *left -= 1;
+            let (src, src_tid, len) = left.remove(0);
             let mut local = Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD);
-            local.push(&[7; PAYLOAD])?;
+            local.push(&vec![7; len])?;
             Ok(Some(Delivery {
                 state: StreamState::MoreData,
-                src: EndpointId(0),
-                src_tid: 0,
+                src: EndpointId(src),
+                src_tid,
                 remote: 0,
                 local,
             }))
@@ -866,6 +902,34 @@ mod tests {
         fn charge_setup(&self, _: &SimContext) {}
     }
 
+    /// A [`Delivering`] endpoint over a fresh test region.
+    fn delivering(kernel: &Kernel, left: Vec<(u32, u16, usize)>) -> Arc<Delivering> {
+        Arc::new(Delivering {
+            region: MemoryRegion::new_for_tests(kernel, 0, 1, HEADER_LEN + PAYLOAD),
+            left: Mutex::new(left),
+        })
+    }
+
+    /// Pulls worker 0 of `op` until it fails or hands out an empty
+    /// Depleted batch; returns each call's outcome as `(state, rows)`, or
+    /// the error, beside the ledger's total once the call returned.
+    fn pump(kernel: &Kernel, op: ReceiveOperator, ledger: &Arc<FlowLedger>) -> Vec<String> {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let (out, ledger) = (calls.clone(), ledger.clone());
+        kernel.spawn(0, "receive", move |sim| loop {
+            let next = op.next(&sim, 0);
+            let stop = !matches!(&next, Ok((StreamState::MoreData, _)));
+            let next = next.map(|(state, batch)| (state, batch.rows()));
+            out.lock().push(format!("{next:?} {}", ledger.total_rows()));
+            if stop {
+                break;
+            }
+        });
+        kernel.run();
+        let calls = calls.lock().clone();
+        calls
+    }
+
     /// RECEIVE allocates each batch once, on its first delivery, for
     /// `batch_rows` plus one delivery: at one message size the batch
     /// that overshoots `batch_rows` keeps the capacity it was made with
@@ -878,10 +942,7 @@ mod tests {
         const ROW: usize = 10;
         let kernel = Kernel::new();
         let op = ReceiveOperator::with_lanes(
-            vec![Arc::new(Delivering {
-                region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
-                left: Mutex::new(9),
-            })],
+            vec![delivering(&kernel, vec![(0, 0, PAYLOAD); 9])],
             ROW,
             32,
             1,
@@ -909,6 +970,209 @@ mod tests {
                 (Depleted, 0, 0),
             ]
         );
+    }
+
+    /// The recording RECEIVE hands out each delivery as a batch of its
+    /// own, whatever `batch_rows` says, and advances the delivery's flow
+    /// as it returns the batch: two senders x two threads are four
+    /// watermarks under the senders' nodes, not their endpoint ids. A
+    /// zero-length delivery hands out nothing and counts nothing.
+    #[test]
+    fn recording_receive_counts_each_delivery_under_its_senders_node() {
+        const ROW: usize = 10;
+        let kernel = Kernel::new();
+        // Endpoint 4 sends from node 0, endpoint 6 from node 2.
+        let deliveries = vec![
+            (4, 0, 30),
+            (4, 1, 50),
+            (6, 0, 0),
+            (6, 0, 20),
+            (6, 1, 100),
+            (4, 0, 10),
+        ];
+        let ledger = Arc::new(FlowLedger::default());
+        let op = ReceiveOperator::with_lanes(
+            vec![delivering(&kernel, deliveries)],
+            ROW,
+            32,
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        )
+        .recording(ledger.clone(), 1, |id| match id.0 {
+            4 => Some(0),
+            6 => Some(2),
+            _ => None,
+        });
+        assert_eq!(
+            pump(&kernel, op, &ledger),
+            [
+                "Ok((MoreData, 3)) 3",
+                "Ok((MoreData, 5)) 8",
+                "Ok((MoreData, 2)) 10",
+                "Ok((MoreData, 10)) 20",
+                "Ok((MoreData, 1)) 21",
+                "Ok((Depleted, 0)) 21",
+            ]
+        );
+        let watermark = |src, tid| ledger.resume_skip(src, tid, &[1]);
+        assert_eq!(
+            [
+                watermark(0, 0),
+                watermark(0, 1),
+                watermark(2, 0),
+                watermark(2, 1)
+            ],
+            [4, 5, 2, 10]
+        );
+        assert_eq!(watermark(4, 0) + watermark(6, 1), 0, "keyed by node");
+    }
+
+    /// An endpoint id no sender of this exchange carries — here one from
+    /// the previous attempt's range — is corrupt state: the recording
+    /// RECEIVE refuses the delivery before it copies or counts a row.
+    #[test]
+    fn recording_receive_refuses_a_delivery_from_another_attempts_ids() {
+        let kernel = Kernel::new();
+        let ledger = Arc::new(FlowLedger::default());
+        let op = ReceiveOperator::with_lanes(
+            vec![delivering(&kernel, vec![(4096, 0, 20), (2, 0, 20)])],
+            10,
+            1,
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        )
+        .recording(ledger.clone(), 1, |id| {
+            (4096..4108).contains(&id.0).then_some(0)
+        });
+        let calls = pump(&kernel, op, &ledger);
+        assert_eq!(calls[0], "Ok((MoreData, 2)) 2");
+        assert_eq!(
+            calls[1..],
+            ["Err(Corrupt(\"delivery from endpoint 2, which is no sender of this attempt\")) 2"]
+        );
+    }
+
+    /// A send endpoint that keeps each data message's destination, the
+    /// worker that filled it, and its payload.
+    struct Sent {
+        region: MemoryRegion,
+        messages: Mutex<Vec<(NodeId, u16, Vec<u8>)>>,
+    }
+
+    impl SendEndpoint for Sent {
+        fn id(&self) -> EndpointId {
+            EndpointId(0)
+        }
+
+        fn send(&self, _: &SimContext, buf: Buffer, dest: &[NodeId], _: StreamState) -> Result<()> {
+            if !buf.is_empty() {
+                let payload = buf.with_payload(|p| p.to_vec())?;
+                self.messages.lock().push((dest[0], buf.tag(), payload));
+            }
+            Ok(())
+        }
+
+        fn get_free(&self, _: &SimContext) -> Result<Buffer> {
+            Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
+        }
+
+        fn registered_bytes(&self) -> usize {
+            0
+        }
+
+        fn charge_setup(&self, _: &SimContext) {}
+    }
+
+    /// A child handing each worker its rows in one Depleted batch.
+    struct PerWorker(Vec<Mutex<Option<RowBatch>>>);
+
+    impl Operator for PerWorker {
+        fn next(&self, _: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+            let batch = self.0[tid].lock().take();
+            Ok((StreamState::Depleted, batch.unwrap_or(RowBatch::new(1, 0))))
+        }
+    }
+
+    /// The partial-retry round trip: two recording RECEIVEs (nodes 1 and
+    /// 2) write what node 0's two workers got through, and a SHUFFLE
+    /// resumed from the ledger skips exactly those rows per `(worker,
+    /// group)` and sends the rest, in order.
+    #[test]
+    fn a_shuffle_resumed_from_the_ledger_sends_what_no_receiver_counted() {
+        const ROW: usize = 16;
+        let kernel = Kernel::new();
+        let cost = CostModel::from_profile(&DeviceProfile::edr());
+        let ledger = Arc::new(FlowLedger::default());
+        // Node 0 sends under endpoint 0: worker 0 got 3 rows to node 1 and
+        // 2 to node 2 through; worker 1 got 1 row to node 1.
+        let received = [
+            (1, vec![(0, 0, 3 * ROW), (0, 1, ROW)]),
+            (2, vec![(0, 0, 2 * ROW)]),
+        ];
+        for (node, deliveries) in received {
+            let op = ReceiveOperator::with_lanes(
+                vec![delivering(&kernel, deliveries)],
+                ROW,
+                1,
+                1,
+                cost.clone(),
+            )
+            .recording(ledger.clone(), node, |id| (id.0 == 0).then_some(0));
+            pump(&kernel, op, &ledger);
+        }
+        // Worker `tid` replays 20 rows keyed `100 * tid + i`.
+        let row = |tid: usize, i: usize| {
+            let mut row = [0; ROW];
+            row[..8].copy_from_slice(&((100 * tid + i) as u64).to_le_bytes());
+            row
+        };
+        let child = PerWorker(
+            (0..2)
+                .map(|tid| {
+                    let mut batch = RowBatch::new(ROW, 20);
+                    (0..20).for_each(|i| batch.push_row(&row(tid, i)));
+                    Mutex::new(Some(batch))
+                })
+                .collect(),
+        );
+        let endpoint = Arc::new(Sent {
+            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+            messages: Mutex::new(Vec::new()),
+        });
+        let op = Arc::new(
+            ShuffleOperator::with_lanes(
+                Arc::new(child),
+                vec![endpoint.clone()],
+                TransmissionGroups::new(vec![vec![1], vec![2]]),
+                2,
+                cost,
+            )
+            .resume_from(&ledger, 0),
+        );
+        for tid in 0..2 {
+            let op = op.clone();
+            kernel.spawn(0, "shuffle", move |sim| {
+                op.next(&sim, tid).unwrap();
+            });
+        }
+        kernel.run();
+        let mut sent = std::collections::BTreeMap::<_, Vec<u8>>::new();
+        for (dest, tid, payload) in endpoint.messages.lock().iter() {
+            sent.entry((*tid as usize, *dest))
+                .or_default()
+                .extend(payload);
+        }
+        let skips = [[3, 2], [1, 0]];
+        for (tid, skip) in skips.into_iter().enumerate() {
+            for (group, dest) in [1, 2].into_iter().enumerate() {
+                let to_dest = (0..20)
+                    .map(|i| row(tid, i))
+                    .filter(|r| default_partition_hash(r) % 2 == group as u64);
+                let expected: Vec<u8> = to_dest.skip(skip[group]).flatten().collect();
+                assert!(!expected.is_empty(), "worker {tid} sends node {dest} rows");
+                assert_eq!(sent[&(tid, dest)], expected, "worker {tid} to node {dest}");
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,16 @@
 //! collects every worker's result, and answers a transient failure with
 //! the cheapest rung that can still finish the query:
 //!
-//! 1. **Epoch-fenced per-flow retry.** Receivers track a delivered-row
-//!    watermark per flow (`(source node, source thread, destination
-//!    node)`). On a QP-shaped failure the exchange is rebuilt with a
-//!    bumped wire epoch and a fresh endpoint-id range; senders
-//!    fast-forward past the watermarked rows (the deterministic child
-//!    replay plus deterministic partition hash make the skip exact), and
-//!    the epoch field in every message header fences off any straggler
-//!    from the failed attempt. Work delivered before the failure is
-//!    *kept*, not redone, and delivery stays exactly-once.
+//! 1. **Epoch-fenced per-flow retry.** Each attempt's RECEIVE operators
+//!    count the rows of every flow (`(source node, source thread,
+//!    destination node)`) that reached the sink in one [`FlowLedger`].
+//!    On a QP-shaped failure the exchange is rebuilt with a bumped wire
+//!    epoch and a fresh endpoint-id range; its SHUFFLE operators skip the
+//!    counted rows (the deterministic child replay plus deterministic
+//!    partition hash make the skip exact), and the epoch field in every
+//!    message header fences off any straggler from the failed attempt.
+//!    Work delivered before the failure is *kept*, not redone, and
+//!    delivery stays exactly-once.
 //! 2. **QP reconnect with backoff.** Before resuming, the coordinator
 //!    probes the failed node by tearing down and re-establishing an RC
 //!    Queue Pair ([`rshuffle_verbs::ConnectionManager::reconnect_rc`])
@@ -58,13 +59,13 @@
 //! is byte-identical to the pre-recovery stack (epoch 0 in every
 //! header).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle::{
-    CostModel, EndpointImpl, Exchange, ExchangeConfig, Operator, RowBatch, ShuffleAlgorithm,
-    ShuffleError, StreamState,
+    CostModel, EndpointImpl, Exchange, ExchangeConfig, FlowLedger, Operator, RowBatch,
+    ShuffleAlgorithm, ShuffleError, StreamState,
 };
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_sched::{Admission, ReleaseOutcome};
@@ -245,50 +246,6 @@ impl RecoveryReport {
     }
 }
 
-/// Delivered-row watermarks per flow `(src node, src thread, dst
-/// node)`. The single source of truth for how far each flow got:
-/// senders fast-forward to these counts on resume, receivers advance
-/// them as unique rows reach the sink.
-#[derive(Default)]
-struct FlowLedger {
-    rows: Mutex<BTreeMap<(usize, u16, usize), u64>>,
-}
-
-impl FlowLedger {
-    fn get(&self, key: (usize, u16, usize)) -> u64 {
-        self.rows.lock().get(&key).copied().unwrap_or(0)
-    }
-
-    /// Rows sender `(src, tid)` skips on resume for the group targeting
-    /// `members`: the minimum delivered watermark across them.
-    fn resume_skip(&self, src: usize, tid: usize, members: &[NodeId]) -> u64 {
-        members
-            .iter()
-            .map(|&d| self.get((src, tid as u16, d)))
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn advance(&self, key: (usize, u16, usize), n: u64) {
-        *self.rows.lock().entry(key).or_insert(0) += n;
-    }
-
-    fn total_rows(&self) -> u64 {
-        self.rows.lock().values().sum()
-    }
-
-    fn clear(&self) {
-        self.rows.lock().clear();
-    }
-}
-
-/// Shared accounting the recovery receive workers write into.
-#[derive(Default)]
-struct RecvAccounting {
-    /// Rows and bytes delivered to the sink, per generation.
-    per_generation: Mutex<BTreeMap<u32, (u64, u64)>>,
-}
-
 /// Whether `config`'s transmission groups admit per-flow retry: every
 /// group must target exactly one node and no two groups of a sender may
 /// share a destination, so the per-destination row sequence is a
@@ -324,9 +281,6 @@ fn restartable(e: &ShuffleError) -> bool {
         ShuffleError::Config(_) | ShuffleError::BudgetImpossible { .. }
     )
 }
-
-/// What one worker of an attempt reports to the coordinator.
-type WorkerResult = Result<(), ShuffleError>;
 
 /// Shared factory producing the source operator for a (generation,
 /// node). Partial retries reuse the generation, so the factory must be
@@ -413,7 +367,8 @@ pub(crate) fn run_query(
         // query was on.
         let mut rep = RecoveryReport::new(config.algorithm);
         let ledger = Arc::new(FlowLedger::default());
-        let accounting = Arc::new(RecvAccounting::default());
+        // What earlier generations delivered before a full restart.
+        let mut redone = 0;
         let eligible = partial_eligible(&config);
         let id_stride = attempt_id_stride(config.endpoint_ids());
         let mut epoch = 0u16;
@@ -445,14 +400,14 @@ pub(crate) fn run_query(
                 .wrapping_add(rebuilds.wrapping_mul(id_stride));
             let attempt_started = sim.now();
             let exchange = match Exchange::build(&runtime, &attempt_cfg) {
-                Ok(ex) => Arc::new(ex),
+                Ok(ex) => ex,
                 Err(e) => {
                     release(&mut admission, ReleaseOutcome::Failed);
                     rep.failure = Some(e);
                     break;
                 }
             };
-            let done: Gate<WorkerResult> = Gate::new(cluster.kernel(), SimDuration::ZERO);
+            let done = Gate::new(cluster.kernel(), SimDuration::ZERO);
             let expected = spawn_attempt(
                 &cluster,
                 &exchange,
@@ -463,15 +418,10 @@ pub(crate) fn run_query(
                 &make_source,
                 &sink,
                 &ledger,
-                &accounting,
                 &done,
             );
-            let mut first_err: Option<ShuffleError> = None;
-            for _ in 0..expected {
-                if let Err(e) = done.recv(&sim) {
-                    first_err.get_or_insert(e);
-                }
-            }
+            let results = (0..expected).map(|_| done.recv(&sim));
+            let first_err = results.fold(None, |first, result| first.or(result.err()));
             obs.recorder.span(
                 0,
                 track,
@@ -486,17 +436,10 @@ pub(crate) fn run_query(
             // untagged exchanges.
             exchange.release(&runtime);
             let Some(e) = first_err else {
-                {
-                    let per_gen = accounting.per_generation.lock();
-                    (rep.rows, rep.bytes) =
-                        per_gen.get(&rep.generation).copied().unwrap_or((0, 0));
-                    rep.redone_bytes = per_gen
-                        .iter()
-                        .filter(|(g, _)| **g != rep.generation)
-                        .map(|(_, v)| v.1)
-                        .sum();
-                }
-                redone_ctr.add(rep.redone_bytes);
+                rep.rows = ledger.total_rows();
+                rep.bytes = rep.rows * row_size as u64;
+                rep.redone_bytes = redone;
+                redone_ctr.add(redone);
                 if let Some(at) = first_failure {
                     let recovery = sim.now() - at;
                     rep.recovery = Some(recovery);
@@ -597,6 +540,7 @@ pub(crate) fn run_query(
             rep.generation += 1;
             epoch = epoch.wrapping_add(1);
             rebuilds += 1;
+            redone += ledger.total_rows() * row_size as u64;
             ledger.clear();
             runtime.clear_failed_qp_nodes();
             obs.recorder.event(
@@ -729,15 +673,15 @@ fn probe_once(
     }
 }
 
-/// Spawns send and receive workers for one attempt; returns how many
-/// results the coordinator must collect. Senders are seeded with resume
-/// skips from the ledger (all zero on a fresh generation); receivers
-/// track per-flow watermarks and deliver straight to the
-/// generation-tagged sink.
+/// Spawns the workers of one attempt, each pumping one of its node's
+/// operators and handing every batch to the generation-tagged sink:
+/// SHUFFLE fast-forwarded past the ledger's watermarks (none on a fresh
+/// generation), RECEIVE advancing them. Returns how many results the
+/// coordinator must collect.
 #[allow(clippy::too_many_arguments)]
 fn spawn_attempt(
     cluster: &rshuffle_simnet::Cluster,
-    exchange: &Arc<Exchange>,
+    exchange: &Exchange,
     cost: &CostModel,
     generation: u32,
     rebuild: u32,
@@ -745,123 +689,36 @@ fn spawn_attempt(
     make_source: &GenSourceFactory,
     sink: &GenSink,
     ledger: &Arc<FlowLedger>,
-    accounting: &Arc<RecvAccounting>,
-    done: &Gate<WorkerResult>,
+    done: &Gate<Result<(), ShuffleError>>,
 ) -> usize {
-    let threads = exchange.threads();
     let mut expected = 0;
     for node in 0..cluster.nodes() {
-        let source = make_source(generation, node);
-        if let Some(shuffle) = exchange.shuffle_operator(node, source, cost.clone()) {
-            let skips: Vec<Vec<u64>> = (0..threads)
-                .map(|tid| {
-                    exchange.groups[node]
-                        .iter()
-                        .map(|members| ledger.resume_skip(node, tid, members))
-                        .collect()
-                })
-                .collect();
-            let op: Arc<dyn Operator> = Arc::new(shuffle.with_resume_skip(skips));
-            for tid in 0..threads {
-                let name = format!("r{rebuild}-shuffle-{node}-{tid}");
-                let (op, done) = (op.clone(), done.clone());
-                // A send worker pumps the shuffle operator until
-                // depletion or error and reports the outcome.
-                cluster.spawn(node, &name, move |sim: SimContext| {
-                    let result = loop {
-                        match op.next(&sim, tid) {
-                            Ok((StreamState::Depleted, _)) => break Ok(()),
-                            Ok(_) => {}
-                            Err(e) => break Err(e),
+        let shuffle = exchange.shuffle_operator(node, make_source(generation, node), cost.clone());
+        let shuffle = shuffle.map(|op| Arc::new(op.resume_from(ledger, node)) as Arc<dyn Operator>);
+        let receive = exchange.recording_receive_operator(node, row_size, cost.clone(), ledger);
+        let receive = receive.map(|op| Arc::new(op) as Arc<dyn Operator>);
+        for (half, op) in [("shuffle", shuffle), ("recv", receive)] {
+            let Some(op) = op else { continue };
+            for tid in 0..exchange.threads() {
+                let (op, sink, done) = (op.clone(), sink.clone(), done.clone());
+                let name = format!("r{rebuild}-{half}-{node}-{tid}");
+                cluster.spawn(node, &name, move |sim| {
+                    let pump = || loop {
+                        let (state, batch) = op.next(&sim, tid)?;
+                        if !batch.is_empty() {
+                            sink(generation, node, tid, &batch);
+                        }
+                        if state == StreamState::Depleted {
+                            return Ok(());
                         }
                     };
-                    done.push(result);
-                });
-                expected += 1;
-            }
-        }
-        if !exchange.recv[node].is_empty() {
-            for tid in 0..threads {
-                let name = format!("r{rebuild}-recv-{node}-{tid}");
-                let exchange = exchange.clone();
-                let sink = sink.clone();
-                let ledger = ledger.clone();
-                let accounting = accounting.clone();
-                let cost = cost.clone();
-                let done = done.clone();
-                cluster.spawn(node, &name, move |sim: SimContext| {
-                    let result = recovery_recv_loop(
-                        &sim,
-                        &exchange,
-                        node,
-                        tid,
-                        generation,
-                        row_size,
-                        &cost,
-                        &sink,
-                        &ledger,
-                        &accounting,
-                    );
-                    done.push(result);
+                    done.push(pump());
                 });
                 expected += 1;
             }
         }
     }
     expected
-}
-
-/// The recovery receive worker: pulls deliveries straight off the
-/// endpoint (no [`rshuffle::ReceiveOperator`] — watermarks are per
-/// flow, which batching would blur), hands the rows to the sink and
-/// advances the flow's watermark. A resumed sender skips exactly the
-/// rows its flow's watermark counts (partial retry requires singleton
-/// groups), so no row arrives twice within a generation.
-#[allow(clippy::too_many_arguments)]
-fn recovery_recv_loop(
-    sim: &SimContext,
-    exchange: &Exchange,
-    node: NodeId,
-    tid: usize,
-    generation: u32,
-    row_size: usize,
-    cost: &CostModel,
-    sink: &GenSink,
-    ledger: &Arc<FlowLedger>,
-    accounting: &Arc<RecvAccounting>,
-) -> WorkerResult {
-    let lanes = &exchange.recv[node];
-    let ep = &lanes[tid % lanes.len()];
-    while let Some(delivery) = ep.get_data(sim)? {
-        let len = delivery.local.len();
-        if len % row_size != 0 {
-            return Err(ShuffleError::Config(format!(
-                "received {len} bytes, not a multiple of {row_size}-byte rows"
-            )));
-        }
-        let Some(src_node) = exchange.source_node(delivery.src) else {
-            return Err(ShuffleError::Corrupt(format!(
-                "delivery from endpoint {}, which is no sender of this attempt",
-                delivery.src.0
-            )));
-        };
-        let flow = (src_node, delivery.src_tid, node);
-        sim.sleep(cost.copy_time(len));
-        let mut batch = RowBatch::new(row_size, len / row_size);
-        delivery.local.with_payload(|p| batch.extend_rows(p))?;
-        ep.release(sim, delivery.remote, delivery.local, delivery.src)?;
-        if !batch.is_empty() {
-            let n = batch.rows() as u64;
-            let b = batch.bytes() as u64;
-            sink(generation, node, tid, &batch);
-            ledger.advance(flow, n);
-            let mut per_gen = accounting.per_generation.lock();
-            let entry = per_gen.entry(generation).or_insert((0, 0));
-            entry.0 += n;
-            entry.1 += b;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -499,14 +499,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter series (0 if it does not exist).
-    pub fn counter_value(&self, name: &'static str, labels: Labels) -> u64 {
-        match self.metrics.lock().get(&(name, labels)) {
-            Some(Metric::Counter(c)) => c.get(),
-            _ => 0,
-        }
-    }
-
     /// Sum of a counter's value across every label combination it was
     /// recorded under (e.g. total bytes over all lanes).
     pub fn counter_total(&self, name: &'static str) -> u64 {
@@ -764,7 +756,7 @@ mod tests {
         let b = r.counter("hits", Labels::GLOBAL);
         a.inc();
         b.add(2);
-        assert_eq!(r.counter_value("hits", Labels::GLOBAL), 3);
+        assert_eq!(r.counter_total("hits"), 3);
     }
 
     #[test]

@@ -23,8 +23,6 @@ pub struct LruSet<K: Eq + Hash + Clone> {
     free: Vec<usize>,
     head: Option<usize>, // Most recently used.
     tail: Option<usize>, // Least recently used.
-    hits: u64,
-    misses: u64,
 }
 
 #[derive(Debug)]
@@ -49,8 +47,6 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
             free: Vec::new(),
             head: None,
             tail: None,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -60,10 +56,8 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         if let Some(&idx) = self.index.get(&key) {
             self.unlink(idx);
             self.push_front(idx);
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.index.len() == self.capacity {
             let lru = self.tail.expect("full cache must have a tail");
             self.unlink(lru);
@@ -105,11 +99,6 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         self.index.is_empty()
     }
 
-    /// Total hits and misses since creation.
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         match prev {
@@ -146,7 +135,6 @@ mod tests {
         let mut lru = LruSet::new(4);
         assert!(!lru.touch(1));
         assert!(lru.touch(1));
-        assert_eq!(lru.hit_stats(), (1, 1));
     }
 
     #[test]
@@ -166,14 +154,13 @@ mod tests {
     fn working_set_within_capacity_always_hits() {
         let mut lru = LruSet::new(8);
         for k in 0..8 {
-            lru.touch(k);
+            assert!(!lru.touch(k), "key {k} is cold");
         }
         for round in 0..10 {
             for k in 0..8 {
                 assert!(lru.touch(k), "round {round} key {k} should hit");
             }
         }
-        assert_eq!(lru.hit_stats(), (80, 8));
     }
 
     #[test]
@@ -186,7 +173,6 @@ mod tests {
                 assert!(!lru.touch(k));
             }
         }
-        assert_eq!(lru.hit_stats(), (0, 40));
     }
 
     #[test]
