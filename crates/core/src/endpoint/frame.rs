@@ -87,9 +87,11 @@ impl Layout {
 /// A completion queue with its pool of reusable scratch vectors.
 ///
 /// A drain takes a vector, batch-drains into it, processes, and puts it
-/// back: the steady state allocates nothing, and no lock is held across
-/// a blocking drain (each concurrent drainer works on its own vector, so
-/// SE-mode threads can never deadlock the kernel on a parking-lot mutex).
+/// back: a vector grows to the largest batch its CQ drains (at most
+/// `CQ_BATCH`), the steady state allocates nothing, and no lock is held
+/// across a blocking drain (each concurrent drainer works on its own
+/// vector, so SE-mode threads can never deadlock the kernel on a
+/// parking-lot mutex).
 pub(crate) struct Cq {
     cq: CompletionQueue,
     scratch: Mutex<Vec<Vec<Completion>>>,
@@ -99,7 +101,7 @@ impl Cq {
     pub(crate) fn new(ctx: &Context) -> Cq {
         Cq {
             cq: ctx.create_cq(),
-            scratch: Mutex::new(vec![Vec::with_capacity(CQ_BATCH)]),
+            scratch: Mutex::new(vec![Vec::new()]), // alloc-ok: grows on its first drains
         }
     }
 

@@ -4,14 +4,15 @@
 //! of wall-clock reads so that a fixed seed yields byte-identical
 //! output:
 //!
-//! * [`MetricsRegistry`] — atomic counters and fixed-size log-linear
-//!   histograms (p50/p90/p99/p999-capable, mergeable) keyed by
+//! * [`MetricsRegistry`] — atomic counters and log-linear histograms
+//!   (p50/p90/p99/p999-capable, mergeable, buckets allocated an octave
+//!   at a time) keyed by
 //!   `node/lane/endpoint` [`Labels`], snapshotted deterministically
 //!   ([`Snapshot`]). Hot paths record through interned integer ids —
 //!   no string hashing or allocation per sample.
-//! * [`FlightRecorder`] — bounded drop-oldest rings of typed
-//!   [`EventKind`] events and named spans, one ring per `(node, tid)`
-//!   track.
+//! * [`FlightRecorder`] — bounded drop-oldest rings of 17-byte slots
+//!   holding typed [`EventKind`] events and named spans, one ring per
+//!   `(node, tid)` track.
 //! * [`trace::chrome_trace`] — export of the recorder as a
 //!   `chrome://tracing` / Perfetto compatible JSON array.
 //!

@@ -1,4 +1,4 @@
-//! Lock-cheap metrics registry: atomic counters and fixed-bucket
+//! Lock-cheap metrics registry: atomic counters and log-linear
 //! histograms keyed by `node/lane/endpoint` labels.
 //!
 //! Hot paths hold an `Arc<Counter>` / `Arc<Histogram>` handle obtained
@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
@@ -183,12 +183,18 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// A fixed-size log-linear histogram. Recording is a handful of relaxed
-/// atomic operations; no lock, no allocation, independent of the value
-/// distribution — safe on the per-message hot path.
+/// Octaves of [`SUB_BUCKETS`] buckets each, the exact values below
+/// [`SUB_BUCKETS`] counting as the first.
+const OCTAVES: usize = HISTOGRAM_BUCKETS / SUB_BUCKETS;
+
+/// A log-linear histogram whose buckets are allocated one octave at a
+/// time, on the octave's first value: a series costs ~1 KiB plus 128 B
+/// per octave it has seen. Recording is a handful of relaxed atomic
+/// operations with no lock, and allocates only on an octave's first
+/// value — safe on the per-message hot path.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    octaves: [OnceLock<Box<[AtomicU64; SUB_BUCKETS]>>; OCTAVES],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -205,7 +211,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            octaves: std::array::from_fn(|_| OnceLock::new()),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -216,7 +222,10 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        let i = bucket_index(value);
+        let octave = self.octaves[i / SUB_BUCKETS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
+        octave[i % SUB_BUCKETS].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // Wrapping on purpose: the sum is diagnostic, not load-bearing.
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -232,10 +241,9 @@ impl Histogram {
     /// Snapshot of the current distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
+        let buckets = (self.octaves.iter().enumerate())
+            .filter_map(|(o, octave)| Some((o * SUB_BUCKETS, octave.get()?)))
+            .flat_map(|(first, octave)| (first..).zip(octave.iter()))
             .filter_map(|(i, b)| {
                 let n = b.load(Ordering::Relaxed);
                 (n > 0).then_some((bucket_lower_bound(i), n))
@@ -666,6 +674,36 @@ impl Serialize for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Octave-at-a-time buckets snapshot exactly as one dense array
+        /// of [`HISTOGRAM_BUCKETS`] counters would.
+        #[test]
+        fn snapshot_matches_dense_buckets(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+        ) {
+            let h = Histogram::new();
+            let mut dense = [0u64; HISTOGRAM_BUCKETS];
+            let (mut sum, mut min, mut max) = (0u64, u64::MAX, 0u64);
+            for r in &raw {
+                // Spread the values over every octave, not just the top.
+                let v = r >> (r % 64);
+                h.record(v);
+                dense[bucket_index(v)] += 1;
+                sum = sum.wrapping_add(v);
+                (min, max) = (min.min(v), max.max(v));
+            }
+            let buckets = (0..HISTOGRAM_BUCKETS)
+                .filter(|&i| dense[i] > 0)
+                .map(|i| (bucket_lower_bound(i), dense[i]))
+                .collect();
+            let count = raw.len() as u64;
+            let min = if count == 0 { 0 } else { min };
+            let want = HistogramSnapshot { count, sum, min, max, buckets };
+            prop_assert_eq!(h.snapshot(), want);
+        }
+    }
 
     #[test]
     fn bucket_index_edges() {

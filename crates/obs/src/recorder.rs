@@ -6,6 +6,10 @@
 //! hardware track (NIC pipeline, fault injection); simulated threads get
 //! `tid = thread index + 1`.
 //!
+//! A ring holds 17-byte slots, not [`Record`]s: a span's name and end
+//! sit in a per-track table that loses its front whenever a span slot
+//! falls off the ring, and [`FlightRecorder::records`] decodes both.
+//!
 //! The simulation kernel runs one simulated thread at a time, so the
 //! single mutex here is effectively uncontended and recording order is
 //! deterministic for a fixed seed.
@@ -153,12 +157,69 @@ pub enum Record {
     },
 }
 
+/// One ring entry: 17 bytes, against 40 for a [`Record`]. An instant
+/// is stored whole; a span (`kind` is `None`) keeps its start here and
+/// its name and end in the track's span table, `arg` being its sequence
+/// number among the spans recorded on the track.
+#[repr(C, packed)]
+#[derive(Copy, Clone)]
+struct Slot {
+    at_ns: u64,
+    arg: u64,
+    kind: Option<EventKind>,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 17);
+
 struct Track {
     node: u32,
     tid: u32,
     name: String,
-    ring: VecDeque<Record>,
+    ring: VecDeque<Slot>,
+    /// `(name, end_ns)` of every span slot in the ring, oldest first.
+    spans: VecDeque<(Box<str>, u64)>,
+    /// Sequence number of `spans[0]`: the spans that fell off the ring.
+    spans_dropped: u64,
     dropped: u64,
+}
+
+impl Track {
+    fn push(&mut self, slot: Slot, capacity: usize) {
+        if self.ring.len() == capacity {
+            if let Some(Slot { kind: None, .. }) = self.ring.pop_front() {
+                self.spans.pop_front();
+                self.spans_dropped += 1;
+            }
+            self.dropped += 1;
+        }
+        self.ring.push_back(slot);
+    }
+
+    fn push_span(&mut self, name: &str, start_ns: u64, end_ns: u64, capacity: usize) {
+        let arg = self.spans_dropped + self.spans.len() as u64;
+        let slot = Slot {
+            at_ns: start_ns,
+            arg,
+            kind: None,
+        };
+        self.push(slot, capacity);
+        self.spans.push_back((name.into(), end_ns));
+    }
+
+    fn records(&self) -> Vec<Record> {
+        let decode = |&Slot { at_ns, arg, kind }: &Slot| match kind {
+            Some(kind) => Record::Instant { at_ns, kind, arg },
+            None => {
+                let (name, end_ns) = &self.spans[(arg - self.spans_dropped) as usize];
+                Record::Span {
+                    name: name.to_string(),
+                    start_ns: at_ns,
+                    end_ns: *end_ns,
+                }
+            }
+        };
+        self.ring.iter().map(decode).collect()
+    }
 }
 
 /// Tracks in the order they were first recorded into, found by
@@ -179,6 +240,8 @@ impl RecorderState {
                 tid,
                 name: String::new(),
                 ring: VecDeque::new(),
+                spans: VecDeque::new(),
+                spans_dropped: 0,
                 dropped: 0,
             });
             tracks.len() - 1
@@ -219,38 +282,28 @@ impl FlightRecorder {
     /// Records a point event on `(node, tid)` at virtual time `at_ns`.
     #[inline]
     pub fn event(&self, node: u32, tid: u32, at_ns: u64, kind: EventKind, arg: u64) {
-        self.push(node, tid, Record::Instant { at_ns, kind, arg });
+        let slot = Slot {
+            at_ns,
+            arg,
+            kind: Some(kind),
+        };
+        self.state.lock().track(node, tid).push(slot, self.capacity);
     }
 
     /// Records a completed span on `(node, tid)`.
     #[inline]
     pub fn span(&self, node: u32, tid: u32, name: &str, start_ns: u64, end_ns: u64) {
-        self.push(
-            node,
-            tid,
-            Record::Span {
-                name: name.to_string(),
-                start_ns,
-                end_ns: end_ns.max(start_ns),
-            },
-        );
-    }
-
-    fn push(&self, node: u32, tid: u32, rec: Record) {
+        let end_ns = end_ns.max(start_ns);
         let mut st = self.state.lock();
         let track = st.track(node, tid);
-        if track.ring.len() == self.capacity {
-            track.ring.pop_front();
-            track.dropped += 1;
-        }
-        track.ring.push_back(rec);
+        track.push_span(name, start_ns, end_ns, self.capacity);
     }
 
     /// Copies out one track's records in recording order.
     pub fn records(&self, node: u32, tid: u32) -> Vec<Record> {
         let st = self.state.lock();
         let track = st.index.get(&(node, tid)).map(|&at| &st.tracks[at]);
-        track.map_or_else(Vec::new, |t| t.ring.iter().cloned().collect())
+        track.map_or_else(Vec::new, Track::records)
     }
 
     /// All tracks, in `(node, tid)` order:
@@ -259,10 +312,9 @@ impl FlightRecorder {
         let st = self.state.lock();
         let mut tracks: Vec<&Track> = st.tracks.iter().collect();
         tracks.sort_unstable_by_key(|t| (t.node, t.tid));
-        let dump = tracks.into_iter().map(|t| {
-            let records = t.ring.iter().cloned().collect();
-            (t.node, t.tid, t.name.clone(), records, t.dropped)
-        });
+        let dump = tracks
+            .into_iter()
+            .map(|t| (t.node, t.tid, t.name.clone(), t.records(), t.dropped));
         dump.collect()
     }
 
@@ -280,6 +332,105 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The ring as it was kept before slots: whole [`Record`]s in a
+    /// drop-oldest `VecDeque` per track, tracks in first-use order.
+    struct RecordRing {
+        capacity: usize,
+        tracks: Vec<(u32, u32, String, VecDeque<Record>, u64)>,
+    }
+
+    impl RecordRing {
+        fn track(&mut self, node: u32, tid: u32) -> &mut (u32, u32, String, VecDeque<Record>, u64) {
+            let tracks = &mut self.tracks;
+            let at = tracks.iter().position(|t| (t.0, t.1) == (node, tid));
+            let at = at.unwrap_or_else(|| {
+                tracks.push((node, tid, String::new(), VecDeque::new(), 0));
+                tracks.len() - 1
+            });
+            &mut tracks[at]
+        }
+
+        fn push(&mut self, node: u32, tid: u32, rec: Record) {
+            let capacity = self.capacity;
+            let track = self.track(node, tid);
+            if track.3.len() == capacity {
+                track.3.pop_front();
+                track.4 += 1;
+            }
+            track.3.push_back(rec);
+        }
+
+        fn dump(&self) -> Vec<(u32, u32, String, Vec<Record>, u64)> {
+            let mut dump: Vec<_> = self
+                .tracks
+                .iter()
+                .map(|t| (t.0, t.1, t.2.clone(), t.3.iter().cloned().collect(), t.4))
+                .collect();
+            dump.sort_unstable_by_key(|t| (t.0, t.1));
+            dump
+        }
+    }
+
+    const KINDS: [EventKind; 4] = [
+        EventKind::SendPosted,
+        EventKind::CompletionPolled,
+        EventKind::QpCacheMiss,
+        EventKind::PhaseBegin,
+    ];
+    const NAMES: [&str; 3] = ["", "thread", "credit_stall"];
+
+    proptest! {
+        /// Random events, spans and track names on random tracks read
+        /// back exactly as the whole-record ring kept them, drops
+        /// included, and the span table holds one entry per span slot.
+        #[test]
+        fn slots_decode_to_the_record_ring(
+            capacity in 1usize..=8,
+            ops in prop::collection::vec(any::<u64>(), 0..200),
+        ) {
+            let rec = FlightRecorder::new(capacity);
+            let mut model = RecordRing { capacity, tracks: Vec::new() };
+            for op in ops {
+                let (node, tid) = ((op >> 2) as u32 % 3, (op >> 4) as u32 % 3);
+                let at_ns = (op >> 8) % 1000;
+                let arg = op >> 20;
+                let name = NAMES[(op >> 6) as usize % NAMES.len()];
+                match op % 3 {
+                    0 => {
+                        let kind = KINDS[(op >> 18) as usize % KINDS.len()];
+                        rec.event(node, tid, at_ns, kind, arg);
+                        model.push(node, tid, Record::Instant { at_ns, kind, arg });
+                    }
+                    1 => {
+                        let end_ns = (op >> 32) % 1000;
+                        rec.span(node, tid, name, at_ns, end_ns);
+                        let span = Record::Span {
+                            name: name.to_string(),
+                            start_ns: at_ns,
+                            end_ns: end_ns.max(at_ns),
+                        };
+                        model.push(node, tid, span);
+                    }
+                    _ => {
+                        rec.name_track(node, tid, name);
+                        model.track(node, tid).2 = name.to_string();
+                    }
+                }
+            }
+            let want = model.dump();
+            prop_assert_eq!(rec.dump(), want.clone());
+            for (node, tid, _, records, _) in &want {
+                prop_assert_eq!(&rec.records(*node, *tid), records);
+            }
+            prop_assert_eq!(rec.len(), want.iter().map(|t| t.3.len()).sum::<usize>());
+            for track in &rec.state.lock().tracks {
+                let span_slots = track.ring.iter().filter(|s| s.kind.is_none()).count();
+                prop_assert_eq!(track.spans.len(), span_slots);
+            }
+        }
+    }
 
     #[test]
     fn ring_is_bounded_and_drops_oldest() {

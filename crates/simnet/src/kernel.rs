@@ -34,7 +34,7 @@
 //! takes). Independent kernels may run concurrently on different host
 //! threads.
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ use rshuffle_obs::{names, EventKind, Labels, Obs};
 
 use crate::fiber::{self, Fiber};
 use crate::time::{SimDuration, SimTime};
-use crate::NodeId;
+use crate::{KeyMap, NodeId};
 
 /// Identifier of a simulated thread, unique within a [`Kernel`].
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -156,7 +156,7 @@ struct State {
     stats: Vec<ThreadStats>,
     obs: Option<Arc<Obs>>,
     /// Straggler injection: CPU-work multiplier per node (absent = 1.0).
-    cpu_slowdown: HashMap<NodeId, f64>,
+    cpu_slowdown: KeyMap<NodeId, f64>,
 }
 
 impl State {
@@ -248,7 +248,7 @@ impl Kernel {
                 poisoned: None,
                 stats: Vec::new(),
                 obs: None,
-                cpu_slowdown: HashMap::new(),
+                cpu_slowdown: KeyMap::default(),
             })),
         }
     }

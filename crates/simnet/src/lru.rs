@@ -14,7 +14,8 @@ use crate::KeyMap;
 /// A fixed-capacity set with least-recently-used eviction.
 ///
 /// Implemented as a doubly-linked list over a slab, with a [`KeyMap`]
-/// index; all operations are O(1).
+/// index; all operations are O(1). Index and slab grow with the keys
+/// touched, so a large cache holds nothing until it is used.
 #[derive(Debug)]
 pub struct LruSet<K: Eq + Hash + Clone> {
     capacity: usize,
@@ -42,8 +43,8 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
         assert!(capacity > 0, "LruSet capacity must be positive");
         LruSet {
             capacity,
-            index: KeyMap::with_capacity_and_hasher(capacity, Default::default()),
-            nodes: Vec::with_capacity(capacity),
+            index: KeyMap::default(),
+            nodes: Vec::new(),
             free: Vec::new(),
             head: None,
             tail: None,

@@ -12,7 +12,9 @@
 //! multicast, a fresh completion `Vec` per poll) blows the bound. The
 //! same counter holds `Exchange::build` to its ring depth and a hash
 //! join's build side to its row count; its live-bytes high-water mark
-//! holds the phased SHUFFLE's staging to the bytes it stages.
+//! holds the phased SHUFFLE's staging to the bytes it stages, and its
+//! live bytes hold the flight recorder, a histogram series and the NIC's
+//! QP-context cache to what they have recorded.
 
 #[path = "common/coordinated.rs"]
 mod coordinated;
@@ -20,47 +22,59 @@ mod coordinated;
 mod run;
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use rshuffle_obs::{EventKind, FlightRecorder, Labels, MetricsRegistry};
 use rshuffle_repro::engine::{
     drive_to_sink, run_shuffle_with_recovery, Generator, HashJoin, MemScan, RecoveryPolicy, Table,
 };
 use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, Operator, PhasePolicy, ShuffleAlgorithm};
+use rshuffle_repro::simnet::lru::LruSet;
 use rshuffle_repro::simnet::{Cluster, DeviceProfile, SimDuration};
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) made by the
-/// test binary, and the bytes live on the heap with their high-water
-/// mark. Frees are not counted as allocations: that gate is on churn.
+/// Counts every allocation (alloc, alloc_zeroed, realloc) a thread of
+/// the test binary makes, and the bytes it holds live on the heap with
+/// their high-water mark. Frees are not counted as allocations: that
+/// gate is on churn. The counters are per thread because the simulation
+/// runs on the thread that drives it (simulated threads are fibers on
+/// it), while the test harness allocates on its own threads whenever a
+/// test starts or ends: counted process-wide, that landed in whatever
+/// window another test had open, a few allocations or a kilobyte at a
+/// time.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Signed: a block this thread frees may have been allocated by another.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
 
 /// Adds `bytes` to the live heap and raises the high-water mark.
 fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    let live = LIVE.get() + bytes as i64;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
 }
 
 fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+    LIVE.set(LIVE.get() - bytes as i64);
 }
 
 // SAFETY: every method hands its caller's arguments to `System` unchanged
-// and returns what `System` returns; the counters beside it are atomics
-// that allocate nothing.
+// and returns what `System` returns; the counters beside it are
+// constant-initialised thread-locals with no destructor, which allocate
+// nothing and stay readable while a thread exits.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         grow(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -69,7 +83,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     /// old one: the high-water mark sees the new block before the old
     /// one goes.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         grow(new_size);
         shrink(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -83,10 +97,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The allocator counter is process-wide; serialize the tests so one
-/// run's churn cannot leak into another's window.
-static COUNT_LOCK: Mutex<()> = Mutex::new(());
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
@@ -104,9 +114,9 @@ fn allocs_during_run(algorithm: ShuffleAlgorithm, rows_per_thread: usize) -> u64
         ..RecoveryPolicy::default()
     };
     let pending = coordinated::spawn(&runtime, &config, policy, rows_per_thread);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.get();
     runtime.cluster().run();
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = ALLOCS.get();
     let run = pending.finish();
     assert!(
         run.report.failure.is_none(),
@@ -132,7 +142,6 @@ const MAX_ALLOCS_PER_ROW: f64 = 0.2;
 
 #[test]
 fn steady_state_allocations_do_not_scale_with_messages() {
-    let _guard = COUNT_LOCK.lock();
     for algorithm in ShuffleAlgorithm::ALL {
         // Warm-up run so lazily initialized process state (thread-local
         // buffers, logger, histogram tables) is not billed to the
@@ -158,7 +167,6 @@ fn steady_state_allocations_do_not_scale_with_messages() {
 /// The WR extension rides the same pooled buffers; gate it too.
 #[test]
 fn wr_extension_allocations_do_not_scale_with_messages() {
-    let _guard = COUNT_LOCK.lock();
     for name in ["MEMQ/WR", "SEMQ/WR"] {
         let algorithm = ShuffleAlgorithm::parse(name).expect("WR variant parses");
         let _ = allocs_during_run(algorithm, 200);
@@ -183,9 +191,9 @@ fn allocs_during_build(algorithm: ShuffleAlgorithm, depth: usize) -> u64 {
     config.ud_recv_window = depth;
     config.recv_depth_per_peer = depth;
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.get();
     let exchange = Exchange::build(&runtime, &config);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = ALLOCS.get();
     assert!(exchange.is_ok(), "{algorithm} at depth {depth} builds");
     after - before
 }
@@ -196,7 +204,6 @@ fn allocs_during_build(algorithm: ShuffleAlgorithm, depth: usize) -> u64 {
 /// stand-in for `core.exchange.build_s`, which no test can pin.
 #[test]
 fn exchange_build_allocations_do_not_scale_with_ring_depth() {
-    let _guard = COUNT_LOCK.lock();
     let designs = [
         (ShuffleAlgorithm::MESQ_SR, 1024),
         (ShuffleAlgorithm::MEMQ_SR, 256),
@@ -235,9 +242,9 @@ fn allocs_during_join_build(rows: u64) -> u64 {
         SimDuration::from_nanos(4),
     );
     let stats = drive_to_sink(&cluster, 0, "join", Arc::new(join), 1, |_, _| {});
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.get();
     cluster.run();
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = ALLOCS.get();
     let stats = stats.lock();
     assert!(
         stats.errors.is_empty() && stats.rows == 0,
@@ -254,7 +261,6 @@ fn allocs_during_join_build(rows: u64) -> u64 {
 /// The deterministic stand-in for the host time a build row costs.
 #[test]
 fn join_build_allocations_do_not_scale_with_build_rows() {
-    let _guard = COUNT_LOCK.lock();
     let _ = allocs_during_join_build(2_048);
     let (small, large) = (
         allocs_during_join_build(2_048),
@@ -300,10 +306,10 @@ fn peak_heap_growth_during_phased_run(rows_per_thread: usize) -> (u64, u64) {
         },
         |_, _, _, _| {},
     );
-    let start = LIVE.load(Ordering::SeqCst);
-    PEAK.store(start, Ordering::SeqCst);
+    let start = LIVE.get();
+    PEAK.set(start);
     runtime.cluster().run();
-    let growth = PEAK.load(Ordering::SeqCst) - start;
+    let growth = (PEAK.get() - start) as u64;
     let report = report.lock();
     let rows = PHASED_NODES * THREADS * rows_per_thread;
     assert!(report.succeeded(), "query failed: {:?}", report.failure);
@@ -320,7 +326,6 @@ fn peak_heap_growth_during_phased_run(rows_per_thread: usize) -> (u64, u64) {
 /// destination's rows, and both blocks of a moving reallocation.
 #[test]
 fn phased_staging_holds_each_row_once() {
-    let _guard = COUNT_LOCK.lock();
     let [small, large] = PHASED_ROWS_PER_THREAD;
     let _ = peak_heap_growth_during_phased_run(small);
     let (small_peak, small_staged) = peak_heap_growth_during_phased_run(small);
@@ -334,5 +339,70 @@ fn phased_staging_holds_each_row_once() {
         ratio <= 1.1,
         "the peak heap grew by {ratio:.3} x the extra staged bytes (at most 1.1): \
          the phased SHUFFLE holds staged rows more than once"
+    );
+}
+
+/// Runs `f` and returns what it built with the bytes that stay live on
+/// the heap while the result is held.
+fn live_growth<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LIVE.get();
+    let built = f();
+    (built, (LIVE.get() - before).max(0) as u64)
+}
+
+/// A ring slot is 17 bytes: 10 000 instants grow a 2^14-slot ring to its
+/// full capacity, and the recorder then holds at most 24 bytes a slot.
+/// Whole 40-byte `Record`s held 40.
+#[test]
+fn flight_recorder_ring_holds_at_most_24_bytes_a_slot() {
+    const RING: usize = 1 << 14;
+    let (recorder, bytes) = live_growth(|| {
+        let recorder = FlightRecorder::new(RING);
+        for i in 0..10_000u64 {
+            recorder.event(0, 1, i, EventKind::SendPosted, i);
+        }
+        recorder
+    });
+    assert_eq!(recorder.len(), 10_000);
+    let per_slot = bytes as f64 / RING as f64;
+    eprintln!("flight recorder: {bytes} B for a {RING}-slot ring, {per_slot:.1} B a slot");
+    assert!(
+        per_slot <= 24.0,
+        "the flight recorder holds {per_slot:.1} B per ring slot (at most 24)"
+    );
+}
+
+/// A histogram series allocates its buckets an octave at a time: one
+/// recorded value leaves it under 2 KiB. All 976 buckets up front held
+/// ~7.8 KiB.
+#[test]
+fn a_histogram_series_holds_only_the_octaves_it_has_seen() {
+    let registry = MetricsRegistry::new();
+    // The registry's first map node is not the series' cost.
+    let _warm = registry.histogram("warm", Labels::GLOBAL);
+    let (series, bytes) = live_growth(|| {
+        let series = registry.histogram("lat", Labels::node(0));
+        series.record(4096);
+        series
+    });
+    assert_eq!(series.count(), 1);
+    eprintln!("histogram series with one value: {bytes} B");
+    assert!(
+        bytes < 2048,
+        "a one-value histogram series holds {bytes} B (under 2 KiB)"
+    );
+}
+
+/// The NIC's QP-context cache grows its index and slab with the keys it
+/// is touched with: a 2^16-entry cache holds nothing before its first
+/// lookup, where it used to reserve both at full capacity.
+#[test]
+fn an_untouched_qp_cache_holds_nothing() {
+    let (cache, bytes) = live_growth(|| LruSet::<u64>::new(1 << 16));
+    assert!(cache.is_empty());
+    eprintln!("untouched 2^16-entry LruSet: {bytes} B");
+    assert!(
+        bytes < 1024,
+        "an untouched LruSet holds {bytes} B (under 1 KiB)"
     );
 }
