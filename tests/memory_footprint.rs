@@ -19,6 +19,11 @@
 //! (`ExchangeConfig::registered_bytes_estimate`), so any drift is a
 //! real footprint change that must be acknowledged here.
 //!
+//! Every design's footprint before any traffic moves is pinned as a
+//! table, node by node: the bytes Figure 9b reports, the admission
+//! estimate, what the runtime pinned, and when connection setup
+//! (Figure 12) ends.
+//!
 //! What registered memory costs the *host* is pinned beside it:
 //! `VerbsRuntime::resident_bytes` counts the windows that hold storage,
 //! which must follow the windows holding live bytes — not every window
@@ -31,9 +36,11 @@ mod run;
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+use rshuffle_repro::baselines::{ipoib, mpi};
 use rshuffle_repro::engine::RecoveryPolicy;
-use rshuffle_repro::rshuffle::{ExchangeConfig, ShuffleAlgorithm};
-use rshuffle_repro::simnet::{DeviceProfile, FlowId, UD_MTU};
+use rshuffle_repro::rshuffle::{Exchange, ExchangeConfig, ShuffleAlgorithm, TransmissionGroups};
+use rshuffle_repro::simnet::{Cluster, DeviceProfile, FlowId, UD_MTU};
 use rshuffle_repro::verbs::VerbsRuntime;
 
 const THREADS: usize = 2;
@@ -170,5 +177,164 @@ fn mesq_sr_send_windows_hold_no_storage_after_the_run() {
         let peak = runtime.resident_bytes_peak(node);
         assert!(peak > 0, "node {node} sent nothing");
         assert_eq!(runtime.resident_bytes(node), 0, "node {node} after the run");
+    }
+}
+
+/// The virtual nanosecond at which each node's connection setup (Figure
+/// 12) ends when every node charges its own at once on `runtime`'s fresh
+/// kernel.
+fn setup_ends_ns(runtime: &Arc<VerbsRuntime>, exchange: &Arc<Exchange>) -> Vec<u64> {
+    let nodes = runtime.cluster().nodes();
+    let ends = Arc::new(Mutex::new(vec![0; nodes]));
+    for node in 0..nodes {
+        let (exchange, ends) = (exchange.clone(), ends.clone());
+        let name = format!("setup-{node}");
+        runtime.cluster().spawn(node, &name, move |sim| {
+            exchange.charge_setup(&sim, node);
+            ends.lock()[node] = sim.now().as_nanos();
+        });
+    }
+    runtime.cluster().run();
+    let ends = ends.lock().clone();
+    ends
+}
+
+/// Every design's footprint per node, before any traffic moves: the bytes
+/// the exchange reports to Figure 9b, the admission controller's
+/// estimate, what the runtime pinned, and when the node's connection
+/// setup ends. Recorded before the endpoint traits lost their
+/// bookkeeping methods; a change that is meant to leave Figures 9b and 12
+/// alone reproduces every value.
+const FOOTPRINT_TABLE: [&str; 72] = [
+    "MEMQ/RD repartition n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD repartition n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD repartition n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD broadcast n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD broadcast n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD broadcast n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD one-lane n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "MEMQ/RD one-lane n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "MEMQ/RD one-lane n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "MEMQ/SR repartition n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR repartition n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR repartition n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR broadcast n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR broadcast n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR broadcast n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR one-lane n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "MEMQ/SR one-lane n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "MEMQ/SR one-lane n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/RD repartition n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/RD repartition n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/RD repartition n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/RD broadcast n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/RD broadcast n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/RD broadcast n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
+    "SEMQ/SR repartition n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/SR repartition n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/SR repartition n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/SR broadcast n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/SR broadcast n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "SEMQ/SR broadcast n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
+    "MESQ/SR repartition n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR repartition n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR repartition n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR broadcast n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR broadcast n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR broadcast n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
+    "MESQ/SR one-lane n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "MESQ/SR one-lane n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "MESQ/SR one-lane n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR repartition n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR repartition n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR repartition n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR broadcast n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR broadcast n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "SESQ/SR broadcast n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
+    "MEMQ/WR repartition n0: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR repartition n1: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR repartition n2: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR broadcast n0: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR broadcast n1: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR broadcast n2: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
+    "MEMQ/WR one-lane n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "MEMQ/WR one-lane n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "MEMQ/WR one-lane n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR repartition n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR repartition n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR repartition n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR broadcast n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR broadcast n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "SEMQ/WR broadcast n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
+    "MEMQ/SR qp-cap-1 n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR qp-cap-1 n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/SR qp-cap-1 n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
+    "MEMQ/RD qp-cap-1 n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD qp-cap-1 n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MEMQ/RD qp-cap-1 n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
+    "MPI n0: fig9b 2621456 setup_ns 6985941",
+    "MPI n1: fig9b 2621456 setup_ns 6985941",
+    "MPI n2: fig9b 2621456 setup_ns 6985941",
+    "IPoIB n0: fig9b 2621456",
+    "IPoIB n1: fig9b 2621456",
+    "IPoIB n2: fig9b 2621456",
+];
+
+#[test]
+fn footprint_matches_the_pinned_table() {
+    let (nodes, threads) = (3, 2);
+    let wr = |name| ShuffleAlgorithm::parse(name).expect("a write design");
+    let designs = ShuffleAlgorithm::ALL
+        .into_iter()
+        .chain([wr("MEMQ/WR"), wr("SEMQ/WR")]);
+    let mut cases = Vec::new();
+    for algorithm in designs {
+        let repartition = ExchangeConfig::repartition(algorithm, nodes, threads);
+        cases.push((format!("{algorithm} repartition"), repartition.clone()));
+        let broadcast = ExchangeConfig::broadcast(algorithm, nodes, threads);
+        cases.push((format!("{algorithm} broadcast"), broadcast));
+        if algorithm.endpoints(threads) > 1 {
+            let mut one_lane = repartition;
+            one_lane.lanes_override = Some(1);
+            cases.push((format!("{algorithm} one-lane"), one_lane));
+        }
+    }
+    for algorithm in [ShuffleAlgorithm::MEMQ_SR, ShuffleAlgorithm::MEMQ_RD] {
+        let mut capped = ExchangeConfig::repartition(algorithm, nodes, threads);
+        capped.qp_cap_per_pair = Some(1);
+        cases.push((format!("{algorithm} qp-cap-1"), capped));
+    }
+    let mut measured = Vec::new();
+    for (label, config) in cases {
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let exchange = Arc::new(Exchange::build(&runtime, &config).expect("builds"));
+        for (node, setup_ns) in setup_ends_ns(&runtime, &exchange).into_iter().enumerate() {
+            measured.push(format!(
+                "{label} n{node}: fig9b {} estimate {} pinned {} setup_ns {setup_ns}",
+                exchange.registered_bytes(node),
+                config.registered_bytes_estimate(runtime.profile(), node),
+                runtime.registered_bytes(node),
+            ));
+        }
+    }
+    // The baselines wrap SEMQ/SR endpoints: MPI charges their setup, and
+    // IPoIB's sockets report the bytes their SEMQ/SR endpoints register.
+    let groups = || (0..nodes).map(|me| TransmissionGroups::repartition(me, nodes));
+    let runtime = || VerbsRuntime::new(Cluster::new(nodes, DeviceProfile::edr()));
+    let rt = runtime();
+    let exchange = mpi::build(&rt, groups().collect(), 64 << 10, threads).expect("builds");
+    let exchange = Arc::new(exchange);
+    for (node, setup_ns) in setup_ends_ns(&rt, &exchange).into_iter().enumerate() {
+        let fig9b = exchange.registered_bytes(node);
+        measured.push(format!("MPI n{node}: fig9b {fig9b} setup_ns {setup_ns}"));
+    }
+    let exchange = ipoib::build(&runtime(), groups().collect(), 64 << 10, threads).expect("builds");
+    for node in 0..nodes {
+        let fig9b = exchange.registered_bytes(node);
+        measured.push(format!("IPoIB n{node}: fig9b {fig9b}"));
+    }
+    assert_eq!(measured.len(), FOOTPRINT_TABLE.len());
+    for (got, pinned) in measured.iter().zip(FOOTPRINT_TABLE) {
+        assert_eq!(got, pinned, "a footprint moved (left: measured)");
     }
 }
