@@ -194,6 +194,19 @@ if copies=$(grep -rl 'get_data(' crates/engine/src); then
   exit 1
 fi
 
+# The endpoint traits are §4.2's calls (GetFree/Send, GetData/Release):
+# an endpoint's id, registered bytes and setup cost are facts of its
+# layout, which `Exchange::build` reads once through the transports'
+# layout functions (`ExchangeConfig::footprint`). A method per impl
+# restating them is how fifteen copies of three numbers come to disagree.
+if restated=$(grep -rlE 'fn id\(&self\) -> EndpointId|fn registered_bytes\(&self\)|fn charge_setup\(&self' \
+  crates/core/src/endpoint/ crates/baselines/src/ || grep -rl 'setup_cost' crates/core/src/endpoint/); then
+  echo "ERROR: an endpoint restates its id, registered bytes or setup cost, in:" >&2
+  echo "$restated" >&2
+  echo "       read them off the exchange: Exchange::registered_bytes / charge_setup" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

@@ -11,6 +11,11 @@
 //! * all inbound traffic at a node serializes through a soft-IRQ/interrupt
 //!   path whose effective bandwidth (`ipoib_bandwidth`) is well below line
 //!   rate.
+//!
+//! The socket buffers are the SEMQ/SR endpoints' pools, so the exchange
+//! reports their bytes, and their setup cost, as the registered memory
+//! and connection setup of the sockets. Figure 12 measures the six RDMA
+//! designs only and charges no baseline's setup.
 
 use std::sync::Arc;
 
@@ -39,10 +44,6 @@ pub struct IpoibSendEndpoint {
 }
 
 impl SendEndpoint for IpoibSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.inner.id()
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -60,17 +61,6 @@ impl SendEndpoint for IpoibSendEndpoint {
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
         self.inner.get_free(sim)
     }
-
-    fn registered_bytes(&self) -> usize {
-        // Sockets pin no RDMA memory; report the socket buffer footprint.
-        self.inner.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        // TCP connection setup is three orders of magnitude cheaper than
-        // RDMA (§4.2); charge a token cost.
-        sim.sleep(SimDuration::from_micros(200));
-    }
 }
 
 /// The receiving half of the IPoIB baseline (`select(2)` + `recv(2)`).
@@ -80,10 +70,6 @@ pub struct IpoibReceiveEndpoint {
 }
 
 impl ReceiveEndpoint for IpoibReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.inner.id()
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let d = self.inner.get_data(sim)?;
         if let Some(ref delivery) = d {
@@ -119,14 +105,6 @@ impl ReceiveEndpoint for IpoibReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.inner.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.inner.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(SimDuration::from_micros(200));
     }
 }
 

@@ -19,7 +19,9 @@
 //! designs and hand back the same [`Exchange`](rshuffle::Exchange) —
 //! [`mpi::build`] and [`ipoib::build`] wrap the endpoints of the SEMQ/SR
 //! exchange they are built on — so the benchmark harness drives all of
-//! them identically.
+//! them identically. A wrapper decorates the calls its library taxes and
+//! passes the rest through; the registered bytes and connection setup it
+//! reports are the exchange's, those of the SEMQ/SR endpoints underneath.
 
 #![warn(missing_docs)]
 

@@ -53,10 +53,6 @@ pub struct MpiSendEndpoint {
 }
 
 impl SendEndpoint for MpiSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.inner.id()
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -85,14 +81,6 @@ impl SendEndpoint for MpiSendEndpoint {
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
         self.inner.get_free(sim)
     }
-
-    fn registered_bytes(&self) -> usize {
-        self.inner.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.inner.charge_setup(sim);
-    }
 }
 
 /// The receiving half of the MPI baseline (`MPI_Irecv` + wait).
@@ -103,10 +91,6 @@ pub struct MpiReceiveEndpoint {
 }
 
 impl ReceiveEndpoint for MpiReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.inner.id()
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         // Block for data outside the lock (an `MPI_Wait` spin), then charge
         // the library's matching + delivery copy under the progress lock.
@@ -132,14 +116,6 @@ impl ReceiveEndpoint for MpiReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.inner.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.inner.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.inner.charge_setup(sim);
     }
 }
 

@@ -46,8 +46,8 @@ pub(crate) const INLINE_WR_BASE: u64 = 1 << 48;
 /// bytes, `rings` u64 rings of `ring_cap` slots each, and optionally the
 /// inline-write scratch. Each transport derives its layouts from the
 /// exchange's [`Params`](super::Params) in one function that both its
-/// constructor and [`crate::ExchangeConfig::registered_bytes_estimate`]
-/// call.
+/// constructor and the exchange's footprint (the bytes of Figure 9b, the
+/// registration time of Figure 12, the admission estimate) call.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct Layout {
     pub window: usize,
@@ -181,8 +181,7 @@ pub(crate) fn region_base(mr: &MemoryRegion) -> RemoteAddr {
 
 /// The per-peer side of a reliable-connection endpoint half: the
 /// peer→slot table, one RC Queue Pair per peer (Θ(n) per endpoint, the
-/// "MQ" designs), the lock that serializes posting, and the modelled
-/// setup cost.
+/// "MQ" designs) and the lock that serializes posting.
 pub(crate) struct RcHalf {
     pub id: EndpointId,
     pub audit: AuditHandle,
@@ -192,8 +191,6 @@ pub(crate) struct RcHalf {
     /// Serializes `ibv_post_send`; the contention cost of sharing one
     /// endpoint among threads (SE configurations) shows up here.
     post_lock: SimMutex<()>,
-    registered: usize,
-    setup_cost: SimDuration,
 }
 
 /// The lock serializing posts on one endpoint's Queue Pairs.
@@ -211,10 +208,8 @@ impl RcHalf {
         peers: &[NodeId],
         send_cq: &Cq,
         recv_cq: &Cq,
-        layout: &Layout,
     ) -> RcHalf {
         assert!(!peers.is_empty(), "endpoint needs at least one peer");
-        let profile = ctx.profile();
         let mut index = vec![None; peers.iter().max().map_or(0, |&last| last + 1)];
         for (slot, &peer) in peers.iter().enumerate() {
             index[peer] = Some(slot);
@@ -228,10 +223,6 @@ impl RcHalf {
                 .map(|_| ctx.create_qp(QpType::Rc, send_cq.cq.clone(), recv_cq.cq.clone()))
                 .collect(),
             post_lock: post_lock(ctx),
-            registered: layout.registered(),
-            setup_cost: profile.endpoint_setup
-                + profile.rc_qp_setup * peers.len() as u64
-                + profile.mr_register_time(layout.registered()),
         }
     }
 
@@ -262,14 +253,6 @@ impl RcHalf {
 
     pub(crate) fn lock_post(&self, sim: &SimContext) -> SimMutexGuard<'_, ()> {
         self.post_lock.lock(sim)
-    }
-
-    pub(crate) fn registered_bytes(&self) -> usize {
-        self.registered
-    }
-
-    pub(crate) fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.setup_cost);
     }
 }
 

@@ -23,14 +23,21 @@
 //!
 //! | frame piece | used by | what the transport still owns |
 //! |---|---|---|
-//! | `Layout` (windows, ring slots → pinned bytes) | all four | how many buffers and ring slots its protocol needs |
-//! | `RcHalf` (peer slots by node id, per-peer RC QPs, post lock, setup cost) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
+//! | `Layout` (windows, ring slots → pinned and Figure 9b bytes; the footprint's one source) | all four, and the exchange's footprint | how many buffers and ring slots its protocol needs |
+//! | `RcHalf` (peer slots by node id, per-peer RC QPs, post lock) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, backoff, typed stall, credit-stall bracket) | all four | the readiness check and what to park on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
 //! | `Sources` (endpoint→slot map, depleted flags) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header |
+//!
+//! The two traits declare only the calls an operator makes. What an
+//! endpoint costs before any traffic moves — the bytes it registers
+//! (Figure 9b) and its connection setup (Figure 12) — follows from its
+//! `Layout`, and the exchange reads it from there once per build
+//! (`Exchange::registered_bytes`, `Exchange::charge_setup`); its id comes
+//! from the exchange's id layout.
 //!
 //! All endpoint functions are thread-safe; the single-endpoint (SE)
 //! operator configuration shares one endpoint among all worker threads and
@@ -74,9 +81,8 @@ pub(crate) fn buf_id(buf: &Buffer) -> BufId {
 /// What the four transports read of an exchange's configuration:
 /// computed once per build by [`crate::ExchangeConfig`], with every pool
 /// already scaled for the threads that share an endpoint, and also what
-/// [`crate::ExchangeConfig::registered_bytes_estimate`] sizes the layouts
-/// from. Each transport reads the fields its protocol has and ignores
-/// the rest.
+/// the exchange sizes each node's footprint from. Each transport reads
+/// the fields its protocol has and ignores the rest.
 #[derive(Clone, Debug)]
 pub(crate) struct Params {
     /// RC transmission window (header + payload); UD windows are the MTU.
@@ -313,11 +319,9 @@ pub struct Delivery {
     pub local: Buffer,
 }
 
-/// The data-transmitting half of an endpoint (§4.2).
+/// The data-transmitting half of an endpoint (§4.2): GETFREE and SEND,
+/// plus the drain a phase-scheduled sender waits on.
 pub trait SendEndpoint: Send + Sync {
-    /// This endpoint's unique id.
-    fn id(&self) -> EndpointId;
-
     /// Schedules `buf` for transmission to every node in `dest`. The buffer
     /// must not be touched after `send` returns. `state` signals whether
     /// this is the final buffer ([`StreamState::Depleted`]) for those
@@ -335,13 +339,6 @@ pub trait SendEndpoint: Send + Sync {
     /// use.
     fn get_free(&self, sim: &SimContext) -> Result<Buffer>;
 
-    /// Bytes of memory this endpoint registered for RDMA (Figure 9b).
-    fn registered_bytes(&self) -> usize;
-
-    /// Charges the modelled connection-setup cost (QP creation, out-of-band
-    /// exchange, memory registration) to the calling thread (Figure 12).
-    fn charge_setup(&self, sim: &SimContext);
-
     /// Blocks until the traffic this endpoint already pushed toward
     /// `dest` has drained as far as its flow-control protocol can
     /// observe — used by phase-scheduled senders so one round's
@@ -357,11 +354,9 @@ pub trait SendEndpoint: Send + Sync {
     }
 }
 
-/// The data-receiving half of an endpoint (§4.2).
+/// The data-receiving half of an endpoint (§4.2): GETDATA and RELEASE,
+/// plus the payload count the throughput metric reads.
 pub trait ReceiveEndpoint: Send + Sync {
-    /// This endpoint's unique id.
-    fn id(&self) -> EndpointId;
-
     /// Returns the next delivered buffer, blocking until one is available.
     /// Returns `Ok(None)` once every source has signalled
     /// [`StreamState::Depleted`] and all data has been handed out — at that
@@ -381,11 +376,4 @@ pub trait ReceiveEndpoint: Send + Sync {
 
     /// Total payload bytes received so far (drives the throughput metric).
     fn bytes_received(&self) -> u64;
-
-    /// Bytes of memory this endpoint registered for RDMA (Figure 9b).
-    fn registered_bytes(&self) -> usize;
-
-    /// Charges the modelled connection-setup cost to the calling thread
-    /// (Figure 12).
-    fn charge_setup(&self, sim: &SimContext);
 }

@@ -70,7 +70,7 @@ impl RdRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
         RdRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             free_arr: SlotRings::register(ctx, RingKind::FreeArr, &layout),
@@ -99,10 +99,6 @@ impl RdRcSendEndpoint {
 }
 
 impl SendEndpoint for RdRcSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -168,14 +164,6 @@ impl SendEndpoint for RdRcSendEndpoint {
             },
         )
     }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
-    }
 }
 
 /// RECEIVE endpoint: active one-sided reader (Algorithm 3,
@@ -216,7 +204,7 @@ impl RdRcReceiveEndpoint {
         let n = srcs.len();
         let layout = layout(&cfg, n);
         let cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &cq, &cq, &layout);
+        let half = RcHalf::new(ctx, id, &srcs, &cq, &cq);
         let pool_mr = ctx.register_pool_untimed(layout.window, layout.buffers);
         let local = (0..n)
             .map(|si| {
@@ -394,10 +382,6 @@ impl RcTransport for RdRcSendEndpoint {
 }
 
 impl ReceiveEndpoint for RdRcReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let mut watchdog = Watchdog::fixed(
             sim,
@@ -449,13 +433,5 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.obs.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
     }
 }

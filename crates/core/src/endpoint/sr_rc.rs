@@ -86,7 +86,7 @@ impl SrRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = send_layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
         SrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             credit_mr: ctx.register_untimed(layout.ring_bytes()),
@@ -134,10 +134,6 @@ impl SrRcSendEndpoint {
 }
 
 impl SendEndpoint for SrRcSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -198,14 +194,6 @@ impl SendEndpoint for SrRcSendEndpoint {
             },
         )
     }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
-    }
 }
 
 /// RECEIVE endpoint: RDMA Send/Receive over Reliable Connection.
@@ -241,7 +229,7 @@ impl SrRcReceiveEndpoint {
         let layout = recv_layout(&cfg, srcs.len());
         let recv_cq = Cq::new(ctx);
         let ctrl_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &recv_cq, &layout);
+        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &recv_cq);
         let n = srcs.len();
         SrRcReceiveEndpoint {
             srcs: Sources::new(n),
@@ -311,10 +299,6 @@ impl RcTransport for SrRcSendEndpoint {
 }
 
 impl ReceiveEndpoint for SrRcReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         Watchdog::backoff(
             sim,
@@ -359,14 +343,6 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.obs.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
     }
 }
 

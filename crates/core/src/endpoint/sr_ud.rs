@@ -267,8 +267,6 @@ struct UdShared {
     /// This channel's node, for the receive side of audit credit lanes.
     node: u64,
     cfg: Params,
-    setup_cost_send: SimDuration,
-    setup_cost_recv: SimDuration,
 }
 
 /// A UD endpoint pair: the send and receive halves share one Queue Pair.
@@ -304,13 +302,6 @@ impl SrUdChannel {
             send_cq.queue().clone(),
             recv_cq.queue().clone(),
         );
-        let profile = ctx.profile();
-        let layout = send_layout(&cfg);
-        let window = SendWindow::register(ctx, &layout);
-        let setup_cost_send = profile.endpoint_setup
-            + profile.ud_qp_setup
-            + profile.mr_register_time(layout.registered());
-        let setup_cost_recv = profile.endpoint_setup;
         SrUdChannel {
             shared: Arc::new(UdShared {
                 send_id,
@@ -320,7 +311,7 @@ impl SrUdChannel {
                 recv_cq,
                 peers: Mutex::default(),
                 mcast_ahs: Mutex::default(),
-                window,
+                window: SendWindow::register(ctx, &send_layout(&cfg)),
                 post_lock: post_lock(ctx),
                 recv_pool: OnceLock::new(),
                 data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
@@ -332,8 +323,6 @@ impl SrUdChannel {
                 audit: audit_handle(ctx),
                 node: ctx.node() as u64,
                 cfg,
-                setup_cost_send,
-                setup_cost_recv,
             }),
         }
     }
@@ -693,10 +682,6 @@ enum DoneState {
 }
 
 impl SendEndpoint for SrUdSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.shared.send_id
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -758,24 +743,12 @@ impl SendEndpoint for SrUdSendEndpoint {
         self.shared.get_free(sim)
     }
 
-    fn registered_bytes(&self) -> usize {
-        self.shared.window.region().len()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.shared.setup_cost_send);
-    }
-
     fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
         self.shared.quiesce_dest(sim, dest)
     }
 }
 
 impl ReceiveEndpoint for SrUdReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.shared.recv_id
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let s = &self.shared;
         let mut watchdog = s.watchdog(sim, 16, "UD receive endpoint made no progress");
@@ -849,14 +822,6 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.shared.recv_obs.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.shared.recv_pool.get().map_or(0, MemoryRegion::len)
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        sim.sleep(self.shared.setup_cost_recv);
     }
 }
 

@@ -67,7 +67,7 @@ impl WrRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq, &layout);
+        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
         WrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             grants: SlotRings::register(ctx, RingKind::Grant, &layout),
@@ -115,10 +115,6 @@ impl WrRcSendEndpoint {
 }
 
 impl SendEndpoint for WrRcSendEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn send(
         &self,
         sim: &SimContext,
@@ -188,14 +184,6 @@ impl SendEndpoint for WrRcSendEndpoint {
             },
         )
     }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
-    }
 }
 
 /// RECEIVE endpoint: passive target of RDMA Writes.
@@ -219,7 +207,7 @@ impl WrRcReceiveEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, srcs.len());
         let ctrl_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq, &layout);
+        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq);
         WrRcReceiveEndpoint {
             srcs: Sources::new(srcs.len()),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
@@ -329,10 +317,6 @@ impl RcTransport for WrRcSendEndpoint {
 }
 
 impl ReceiveEndpoint for WrRcReceiveEndpoint {
-    fn id(&self) -> EndpointId {
-        self.half.id
-    }
-
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         Watchdog::fixed(
             sim,
@@ -375,13 +359,5 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.obs.bytes_received()
-    }
-
-    fn registered_bytes(&self) -> usize {
-        self.half.registered_bytes()
-    }
-
-    fn charge_setup(&self, sim: &SimContext) {
-        self.half.charge_setup(sim);
     }
 }

@@ -282,38 +282,75 @@ impl ExchangeConfig {
     /// register on `node` — from configuration alone, without building
     /// anything. The multi-query scheduler's admission controller budgets
     /// against this figure before paying for endpoint construction (an
-    /// over-budget query must be deferred *before* it pins memory); a
-    /// unit test pins the estimate to the actual
-    /// [`VerbsRuntime::registered_bytes`] delta of a real build.
+    /// over-budget query must be deferred *before* it pins memory);
+    /// `tests/memory_footprint.rs` pins it to the runtime's
+    /// [`VerbsRuntime::registered_bytes`] after a real build.
     pub fn registered_bytes_estimate(&self, profile: &DeviceProfile, node: NodeId) -> usize {
-        let params = &self.params(profile);
         let dests: Vec<Vec<NodeId>> = self.groups.iter().map(|g| g.destinations()).collect();
         let d = dests.get(node).map_or(0, |v| v.len());
         let s = dests.iter().filter(|ds| ds.contains(&node)).count();
-        // A half that talks to no one is never built.
-        let half = |peers: usize, pinned: usize| if peers > 0 { pinned } else { 0 };
-        let per_lane = match self.algorithm.imp {
-            EndpointImpl::MqSr => {
-                half(d, sr_rc::send_layout(params, d).pinned())
-                    + half(s, sr_rc::recv_layout(params, s).pinned())
-            }
-            EndpointImpl::MqRd => {
-                half(d, rd_rc::layout(params, d).pinned())
-                    + half(s, rd_rc::layout(params, s).pinned())
-            }
-            EndpointImpl::MqWr => {
-                half(d, wr_rc::layout(params, d).pinned())
-                    + half(s, wr_rc::layout(params, s).pinned())
-            }
-            // The UD channel registers its send pool unconditionally; the
-            // receive pool only exists on nodes that receive.
-            EndpointImpl::SqSr => {
-                sr_ud::send_layout(params).pinned()
-                    + half(s, sr_ud::recv_layout(params, s).pinned())
-            }
-        };
-        per_lane * self.lanes()
+        self.footprint(profile, &self.params(profile), d, s).pinned
     }
+
+    /// What the endpoint halves [`Exchange::build`] builds on a node that
+    /// sends to `d` nodes and hears from `s` cost before any traffic
+    /// moves, over every lane: the one place that reads the transports'
+    /// layouts for Figures 9b and 12.
+    fn footprint(&self, profile: &DeviceProfile, params: &Params, d: usize, s: usize) -> Footprint {
+        // Each half one lane builds, with what its Queue Pairs cost to
+        // create. A half that talks to no one is never built; the UD
+        // channel, and with it its send pool, exists on every node.
+        let rc = |layout, peers: usize| (layout, Some(profile.rc_qp_setup * peers as u64));
+        let halves = match self.algorithm.imp {
+            EndpointImpl::MqSr => [
+                (d > 0).then(|| rc(sr_rc::send_layout(params, d), d)),
+                (s > 0).then(|| rc(sr_rc::recv_layout(params, s), s)),
+            ],
+            EndpointImpl::MqRd => [
+                (d > 0).then(|| rc(rd_rc::layout(params, d), d)),
+                (s > 0).then(|| rc(rd_rc::layout(params, s), s)),
+            ],
+            EndpointImpl::MqWr => [
+                (d > 0).then(|| rc(wr_rc::layout(params, d), d)),
+                (s > 0).then(|| rc(wr_rc::layout(params, s), s)),
+            ],
+            EndpointImpl::SqSr => [
+                Some((sr_ud::send_layout(params), Some(profile.ud_qp_setup))),
+                (s > 0).then(|| (sr_ud::recv_layout(params, s), None)),
+            ],
+        };
+        let lanes = self.lanes();
+        let mut total = Footprint::default();
+        for (layout, qps) in halves.into_iter().flatten() {
+            // Figure 12's setup model: the endpoint, its Queue Pairs and
+            // the registration of what it reports. The UD receive half
+            // shares its channel's Queue Pair and pays the endpoint alone.
+            // Changing this rule moves Figure 12: a model change, for
+            // after the claims suite.
+            let setup = match qps {
+                Some(qps) => {
+                    profile.endpoint_setup + qps + profile.mr_register_time(layout.registered())
+                }
+                None => profile.endpoint_setup,
+            };
+            total.pinned += layout.pinned() * lanes;
+            total.registered += layout.registered() * lanes;
+            total.setup += setup * lanes as u64;
+        }
+        total
+    }
+}
+
+/// What one node's endpoints of an exchange cost before any traffic
+/// moves, summed over every half built there.
+#[derive(Copy, Clone, Debug, Default)]
+struct Footprint {
+    /// Bytes the runtime pins: the layouts plus the inline-write scratch.
+    pinned: usize,
+    /// Bytes Figure 9b reports: the layouts' pools and rings.
+    registered: usize,
+    /// Connection setup (Figure 12).
+    setup: SimDuration,
 }
 
 /// `[node][lane]` send endpoints.
@@ -543,6 +580,8 @@ pub struct Exchange {
     /// Physical connections per directed pair: `lanes`, or the QP cap
     /// where it engaged.
     qps_per_pair: usize,
+    /// `[node]`: what that node's endpoints cost before any traffic moves.
+    footprints: Vec<Footprint>,
 }
 
 impl Exchange {
@@ -616,11 +655,15 @@ impl Exchange {
         };
 
         let ids = config.id_layout();
+        let (profile, params) = (runtime.profile(), &config.params(runtime.profile()));
+        let footprints = (0..nodes)
+            .map(|n| config.footprint(profile, params, dests[n].len(), srcs[n].len()))
+            .collect();
         let wiring = Wiring {
             runtime,
             flow: config.flow,
             ids,
-            params: &config.params(runtime.profile()),
+            params,
             dests: &dests,
             srcs: &srcs,
             qps_per_pair,
@@ -658,6 +701,7 @@ impl Exchange {
             threads: config.threads,
             ids,
             qps_per_pair,
+            footprints,
         })
     }
 
@@ -749,12 +793,7 @@ impl Exchange {
     /// Charges the modelled connection-setup cost for `node`'s endpoints to
     /// the calling thread (the quantity of Figure 12).
     pub fn charge_setup(&self, sim: &SimContext, node: NodeId) {
-        for ep in &self.send[node] {
-            ep.charge_setup(sim);
-        }
-        for ep in &self.recv[node] {
-            ep.charge_setup(sim);
-        }
+        sim.sleep(self.footprints[node].setup);
     }
 
     /// Returns this exchange's pinned memory to the runtime: deregisters
@@ -771,14 +810,7 @@ impl Exchange {
     /// Total RDMA-registered bytes on `node` across this exchange's
     /// endpoints (the quantity of Figure 9b).
     pub fn registered_bytes(&self, node: NodeId) -> usize {
-        self.send[node]
-            .iter()
-            .map(|e| e.registered_bytes())
-            .sum::<usize>()
-            + self.recv[node]
-                .iter()
-                .map(|e| e.registered_bytes())
-                .sum::<usize>()
+        self.footprints[node].registered
     }
 
     /// Payload bytes received by `node` so far.
@@ -983,25 +1015,23 @@ mod tests {
             config.endpoint_id_base = 8192;
             let runtime = config.build_runtime(DeviceProfile::edr());
             let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-            let mut minted = 0;
+            let (ids, mut minted) = (exchange.ids, 0);
             for node in 0..nodes {
-                for ep in &exchange.send[node] {
-                    assert_eq!(exchange.ids.source_node(ep.id()), Some(node), "{algorithm}");
+                for lane in 0..exchange.send[node].len() {
+                    let id = ids.send_id(node, lane);
+                    assert_eq!(ids.source_node(id), Some(node), "{algorithm}");
                     minted += 1;
                 }
-                for ep in &exchange.recv[node] {
-                    assert_eq!(exchange.ids.source_node(ep.id()), None, "a receive id");
+                for lane in 0..exchange.recv[node].len() {
+                    let id = ids.recv_id(node, lane);
+                    assert_eq!(ids.source_node(id), None, "a receive id");
                     minted += 1;
                 }
             }
             assert_eq!(minted, config.endpoint_ids(), "{algorithm}");
             // The neighbouring attempts' ranges, and the first id past this one.
             for foreign in [8192 - 4096, 8192 - 2, 8192 + minted, 8192 + 4096] {
-                assert_eq!(
-                    exchange.ids.source_node(EndpointId(foreign)),
-                    None,
-                    "id {foreign}"
-                );
+                assert_eq!(ids.source_node(EndpointId(foreign)), None, "id {foreign}");
             }
         }
     }

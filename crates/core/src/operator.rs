@@ -653,10 +653,6 @@ mod tests {
     }
 
     impl SendEndpoint for Counting {
-        fn id(&self) -> EndpointId {
-            EndpointId(0)
-        }
-
         fn send(
             &self,
             _: &SimContext,
@@ -673,12 +669,6 @@ mod tests {
             self.calls.lock().push(Call::GetFree);
             Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
         }
-
-        fn registered_bytes(&self) -> usize {
-            0
-        }
-
-        fn charge_setup(&self, _: &SimContext) {}
     }
 
     /// A child handing worker 0 one batch per `(row width, rows)` entry.
@@ -866,10 +856,6 @@ mod tests {
     }
 
     impl ReceiveEndpoint for Delivering {
-        fn id(&self) -> EndpointId {
-            EndpointId(1)
-        }
-
         fn get_data(&self, _: &SimContext) -> Result<Option<Delivery>> {
             let mut left = self.left.lock();
             if left.is_empty() {
@@ -894,12 +880,6 @@ mod tests {
         fn bytes_received(&self) -> u64 {
             0
         }
-
-        fn registered_bytes(&self) -> usize {
-            0
-        }
-
-        fn charge_setup(&self, _: &SimContext) {}
     }
 
     /// A [`Delivering`] endpoint over a fresh test region.
@@ -1060,10 +1040,6 @@ mod tests {
     }
 
     impl SendEndpoint for Sent {
-        fn id(&self) -> EndpointId {
-            EndpointId(0)
-        }
-
         fn send(&self, _: &SimContext, buf: Buffer, dest: &[NodeId], _: StreamState) -> Result<()> {
             if !buf.is_empty() {
                 let payload = buf.with_payload(|p| p.to_vec())?;
@@ -1075,12 +1051,6 @@ mod tests {
         fn get_free(&self, _: &SimContext) -> Result<Buffer> {
             Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
         }
-
-        fn registered_bytes(&self) -> usize {
-            0
-        }
-
-        fn charge_setup(&self, _: &SimContext) {}
     }
 
     /// A child handing each worker its rows in one Depleted batch.

@@ -107,17 +107,20 @@ fn setup_cost_scales_with_queue_pair_count() {
 fn ud_registers_under_a_mebibyte_at_defaults() {
     // §5.1.2: "The RDMA Send/Receive algorithm in the Unreliable Datagram
     // protocol ... requires under 1 MiB of pinned memory" (send side,
-    // per endpoint).
-    let rt = runtime(8);
-    let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 8, 14);
+    // per endpoint). Node 0 sends to the other seven and hears from no
+    // one, so all it registers is one send endpoint per lane.
+    let (nodes, lanes) = (8, 14);
+    let rt = runtime(nodes);
+    let mut groups = vec![TransmissionGroups::new(Vec::new()); nodes];
+    groups[0] = TransmissionGroups::repartition(0, nodes);
+    let config = ExchangeConfig::with_groups(ShuffleAlgorithm::MESQ_SR, lanes, groups);
     let exchange = Exchange::build(&rt, &config).expect("builds");
-    for lane in &exchange.send[0] {
-        assert!(
-            lane.registered_bytes() < 1 << 20,
-            "UD send endpoint pins {} bytes",
-            lane.registered_bytes()
-        );
-    }
+    assert_eq!(exchange.send[0].len(), lanes);
+    let per_endpoint = exchange.registered_bytes(0) / lanes;
+    assert!(
+        per_endpoint < 1 << 20,
+        "UD send endpoint pins {per_endpoint} bytes"
+    );
 }
 
 #[test]

@@ -307,29 +307,39 @@ impl HashJoin {
             hash_cost,
         }
     }
+}
 
-    /// Drains the build child on this thread and inserts into the shared
-    /// table; all threads must pass through before probing starts.
-    fn build_phase(&self, sim: &SimContext, tid: usize) -> Result<()> {
-        loop {
-            let (state, batch) = self.build.next(sim, tid)?;
-            if !batch.is_empty() {
-                sim.sleep(self.hash_cost * batch.rows() as u64);
-                self.table.lock().insert(&batch, &self.build_key)?;
-            }
-            if state == StreamState::Depleted {
-                break;
-            }
+/// Pulls `child` on worker `tid` until it is depleted, charging
+/// `hash_cost` per row of each non-empty batch before handing the batch
+/// to `each`: the build (or aggregation) phase of the hash operators.
+fn drain(
+    sim: &SimContext,
+    tid: usize,
+    child: &dyn Operator,
+    hash_cost: SimDuration,
+    mut each: impl FnMut(&RowBatch) -> Result<()>,
+) -> Result<()> {
+    loop {
+        let (state, batch) = child.next(sim, tid)?;
+        if !batch.is_empty() {
+            sim.sleep(hash_cost * batch.rows() as u64);
+            each(&batch)?;
         }
-        self.barrier.wait(sim);
-        Ok(())
+        if state == StreamState::Depleted {
+            return Ok(());
+        }
     }
 }
 
 impl Operator for HashJoin {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+        // Every thread inserts its share of the build side into the shared
+        // table, and all of them pass the barrier before probing starts.
         if !self.built[tid].load(Ordering::SeqCst) {
-            self.build_phase(sim, tid)?;
+            drain(sim, tid, &*self.build, self.hash_cost, |batch| {
+                self.table.lock().insert(batch, &self.build_key)
+            })?;
+            self.barrier.wait(sim);
             self.built[tid].store(true, Ordering::SeqCst);
         }
         let mut out = RowBatch::new(self.out_size, BATCH_ROWS);
@@ -396,19 +406,13 @@ impl HashSemiJoin {
 impl Operator for HashSemiJoin {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         if !self.built[tid].load(Ordering::SeqCst) {
-            loop {
-                let (state, batch) = self.build.next(sim, tid)?;
-                if !batch.is_empty() {
-                    sim.sleep(self.hash_cost * batch.rows() as u64);
-                    let mut keys = self.keys.lock();
-                    for row in batch.iter() {
-                        keys.insert((self.build_key)(row));
-                    }
+            drain(sim, tid, &*self.build, self.hash_cost, |batch| {
+                let mut keys = self.keys.lock();
+                for row in batch.iter() {
+                    keys.insert((self.build_key)(row));
                 }
-                if state == StreamState::Depleted {
-                    break;
-                }
-            }
+                Ok(())
+            })?;
             self.barrier.wait(sim);
             self.built[tid].store(true, Ordering::SeqCst);
         }
@@ -481,24 +485,18 @@ impl HashAggregate {
 impl Operator for HashAggregate {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         if !self.aggregated[tid].load(Ordering::SeqCst) {
-            loop {
-                let (state, batch) = self.child.next(sim, tid)?;
-                if !batch.is_empty() {
-                    sim.sleep(self.hash_cost * batch.rows() as u64);
-                    let mut groups = self.groups.lock();
-                    for row in batch.iter() {
-                        match groups.entry((self.key)(row)) {
-                            Entry::Occupied(acc) => (self.fold)(acc.into_mut(), row),
-                            Entry::Vacant(slot) => {
-                                slot.insert((self.init)(row));
-                            }
+            drain(sim, tid, &*self.child, self.hash_cost, |batch| {
+                let mut groups = self.groups.lock();
+                for row in batch.iter() {
+                    match groups.entry((self.key)(row)) {
+                        Entry::Occupied(acc) => (self.fold)(acc.into_mut(), row),
+                        Entry::Vacant(slot) => {
+                            slot.insert((self.init)(row));
                         }
                     }
                 }
-                if state == StreamState::Depleted {
-                    break;
-                }
-            }
+                Ok(())
+            })?;
             if self.barrier.wait(sim) {
                 let mut keys: Vec<u64> = self.groups.lock().keys().copied().collect();
                 keys.sort_unstable();

@@ -338,3 +338,40 @@ fn footprint_matches_the_pinned_table() {
         assert_eq!(got, pinned, "a footprint moved (left: measured)");
     }
 }
+
+/// No UD half has inline writes, so what Figure 9b reports on a node is
+/// exactly what the node pinned — on a node that only receives too, whose
+/// channel registered its send pool as every node's does.
+#[test]
+fn ud_reports_every_byte_a_node_pins() {
+    let (nodes, threads) = (3, 2);
+    for algorithm in [ShuffleAlgorithm::MESQ_SR, ShuffleAlgorithm::SESQ_SR] {
+        let repartition = ExchangeConfig::repartition(algorithm, nodes, threads);
+        let mut one_lane = repartition.clone();
+        one_lane.lanes_override = Some(1);
+        // Node 0 sends to node 1 and nothing comes back.
+        let one_way = vec![
+            TransmissionGroups::new(vec![vec![1]]),
+            TransmissionGroups::new(vec![]),
+        ];
+        let one_way = ExchangeConfig::with_groups(algorithm, threads, one_way);
+        let broadcast = ExchangeConfig::broadcast(algorithm, nodes, threads);
+        let shapes = [
+            ("repartition", repartition),
+            ("broadcast", broadcast),
+            ("one-lane", one_lane),
+            ("one-way", one_way),
+        ];
+        for (shape, config) in shapes {
+            let runtime = config.build_runtime(DeviceProfile::edr());
+            let exchange = Exchange::build(&runtime, &config).expect("builds");
+            for node in 0..config.groups.len() {
+                assert_eq!(
+                    exchange.registered_bytes(node),
+                    runtime.registered_bytes(node),
+                    "{algorithm} {shape}: node {node}"
+                );
+            }
+        }
+    }
+}
