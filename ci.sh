@@ -207,6 +207,18 @@ if restated=$(grep -rlE 'fn id\(&self\) -> EndpointId|fn registered_bytes\(&self
   exit 1
 fi
 
+# RELEASE takes back what GETDATA handed out (§4.2, Algorithm 2): a
+# delivery names the node the transport received it from, so no receive
+# half maps a wire endpoint id back to a slot or a node, and no release
+# takes an endpoint id to look up again.
+if remapped=$(grep -rlE 'slot_of\(|fn learn\(|node_of\(|source_node' crates/core/src/ ||
+  grep -rlPz 'fn release\([^)]*EndpointId' crates/core/src/ crates/baselines/src/); then
+  echo "ERROR: the receive path maps an endpoint id to a slot or node again, in:" >&2
+  echo "$remapped" >&2
+  echo "       read the node off Delivery::src and hand the delivery back to release" >&2
+  exit 1
+fi
+
 # Chaos smoke: a composite fault plan (link flap + straggler + QP failure
 # + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
 # window) across all six algorithms; fails unless every query recovers

@@ -20,10 +20,8 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
-use rshuffle::{
-    Buffer, Exchange, ExchangeConfig, Result, ShuffleAlgorithm, StreamState, TransmissionGroups,
-};
+use rshuffle::endpoint::{Delivery, ReceiveEndpoint, SendEndpoint};
+use rshuffle::{Buffer, Exchange, Result, StreamState, TransmissionGroups};
 use rshuffle_simnet::{NodeId, Resource, SimContext, SimDuration};
 use rshuffle_verbs::VerbsRuntime;
 
@@ -99,8 +97,8 @@ impl ReceiveEndpoint for IpoibReceiveEndpoint {
         Ok(d)
     }
 
-    fn release(&self, sim: &SimContext, remote: u64, local: Buffer, src: EndpointId) -> Result<()> {
-        self.inner.release(sim, remote, local, src)
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        self.inner.release(sim, delivery)
     }
 
     fn bytes_received(&self) -> u64 {
@@ -116,17 +114,9 @@ pub fn build(
     message_size: usize,
     threads: usize,
 ) -> Result<Exchange> {
-    let nodes = runtime.cluster().nodes();
-    assert_eq!(groups.len(), nodes, "one group set per node");
-    // One socket pair per node pair is the SEMQ/SR design; the socket
-    // buffers serve every thread of the process, and TCP acknowledges
-    // (here: writes credit back for) every segment.
-    let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
-    config.message_size = message_size;
-    config.buffers_per_peer = 2;
-    config.recv_depth_per_peer = 8;
-    config.credit_writeback_frequency = 1;
-    let mut exchange = Exchange::build(runtime, &config)?;
+    // One socket pair per node pair is the SEMQ/SR design, and TCP
+    // acknowledges (here: writes credit back for) every segment.
+    let mut exchange = crate::semq_sr(runtime, groups, message_size, threads, 1)?;
     for ep in exchange.send.iter_mut().flatten() {
         *ep = Arc::new(IpoibSendEndpoint { inner: ep.clone() });
     }

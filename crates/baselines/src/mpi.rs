@@ -19,10 +19,8 @@
 
 use std::sync::Arc;
 
-use rshuffle::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
-use rshuffle::{
-    Buffer, Exchange, ExchangeConfig, Result, ShuffleAlgorithm, StreamState, TransmissionGroups,
-};
+use rshuffle::endpoint::{Delivery, ReceiveEndpoint, SendEndpoint};
+use rshuffle::{Buffer, CostModel, Exchange, Result, StreamState, TransmissionGroups};
 use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex};
 use rshuffle_verbs::VerbsRuntime;
 
@@ -36,13 +34,7 @@ const EAGER_THRESHOLD: usize = 16 * 1024;
 struct MpiCosts {
     per_message: SimDuration,
     rendezvous_rtt: SimDuration,
-    memcpy_bandwidth: f64,
-}
-
-impl MpiCosts {
-    fn copy_time(&self, bytes: usize) -> SimDuration {
-        rshuffle_simnet::resource::transfer_time(bytes, self.memcpy_bandwidth)
-    }
+    copy: CostModel,
 }
 
 /// The sending half of the MPI baseline (`MPI_Send`).
@@ -68,7 +60,7 @@ impl SendEndpoint for MpiSendEndpoint {
             sim.sleep(self.costs.per_message);
             if buf.len() <= EAGER_THRESHOLD {
                 // Eager: copy into the library's internal buffer.
-                sim.sleep(self.costs.copy_time(buf.len()));
+                sim.sleep(self.costs.copy.copy_time(buf.len()));
             } else {
                 // Rendezvous: RTS/CTS round trip before the data moves.
                 sim.sleep(self.costs.rendezvous_rtt);
@@ -100,16 +92,16 @@ impl ReceiveEndpoint for MpiReceiveEndpoint {
             sim.sleep(self.costs.per_message);
             // The eager path copies out of library buffers; rendezvous
             // transfers land in place but still pay an unpack/match pass.
-            sim.sleep(self.costs.copy_time(delivery.local.len()));
+            sim.sleep(self.costs.copy.copy_time(delivery.local.len()));
             drop(guard);
         }
         Ok(d)
     }
 
-    fn release(&self, sim: &SimContext, remote: u64, local: Buffer, src: EndpointId) -> Result<()> {
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
         // Reposting and credit write-back are non-blocking library calls.
         let guard = self.progress.lock(sim);
-        let r = self.inner.release(sim, remote, local, src);
+        let r = self.inner.release(sim, delivery);
         drop(guard);
         r
     }
@@ -128,33 +120,25 @@ pub fn build(
     message_size: usize,
     threads: usize,
 ) -> Result<Exchange> {
-    let nodes = runtime.cluster().nodes();
-    assert_eq!(groups.len(), nodes, "one group set per node");
     let profile = runtime.profile();
     let costs = MpiCosts {
         per_message: profile.mpi_per_message,
         rendezvous_rtt: profile.mpi_rendezvous_rtt,
-        memcpy_bandwidth: profile.memcpy_bandwidth,
+        copy: CostModel::from_profile(profile),
     };
-    // The library endpoint is the SEMQ/SR design — one endpoint per
-    // rank serving every thread of the process, so its internal pools
-    // scale with the thread count — with the library's own depths.
-    let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::SEMQ_SR, threads.max(1), groups);
-    config.message_size = message_size;
-    config.buffers_per_peer = 2;
-    config.recv_depth_per_peer = 8;
-    config.credit_writeback_frequency = 2;
-    let mut exchange = Exchange::build(runtime, &config)?;
-    for node in 0..nodes {
+    // The library endpoint is one per rank, writing credit back every
+    // second receive.
+    let mut exchange = crate::semq_sr(runtime, groups, message_size, threads, 2)?;
+    for (send, recv) in exchange.send.iter_mut().zip(&mut exchange.recv) {
         let progress = SimMutex::new(runtime.kernel(), (), SimDuration::from_nanos(100));
-        for ep in &mut exchange.send[node] {
+        for ep in send {
             *ep = Arc::new(MpiSendEndpoint {
                 inner: ep.clone(),
                 progress: progress.clone(),
                 costs: costs.clone(),
             });
         }
-        for ep in &mut exchange.recv[node] {
+        for ep in recv {
             *ep = Arc::new(MpiReceiveEndpoint {
                 inner: ep.clone(),
                 progress: progress.clone(),

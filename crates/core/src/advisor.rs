@@ -38,8 +38,6 @@ pub struct AdvisorSignals {
     pub threads: usize,
     /// Configured message size for the RC designs (bytes).
     pub message_size: usize,
-    /// Destinations per sending node (N for a repartition).
-    pub fanout: usize,
     /// Any transmission group with more than one member (multicast)?
     pub broadcast: bool,
     /// Other queries running or queued on the same scheduler.
@@ -64,7 +62,6 @@ impl AdvisorSignals {
             nodes,
             threads,
             message_size,
-            fanout: nodes,
             broadcast: false,
             co_runners: 0,
             mem_headroom: None,
@@ -273,12 +270,11 @@ impl AlgorithmAdvisor {
     pub fn table(signals: &AdvisorSignals, advice: &Advice) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "signals: nodes={} threads={} msg={}B fanout={} broadcast={} \
+            "signals: nodes={} threads={} msg={}B broadcast={} \
              co-runners={} headroom={} oversub={:.1} incast={} skew={:.2}\n",
             signals.nodes,
             signals.threads,
             signals.message_size,
-            signals.fanout,
             signals.broadcast,
             signals.co_runners,
             signals

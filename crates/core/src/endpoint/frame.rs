@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
 use rshuffle_simnet::sync::SimMutexGuard;
-use rshuffle_simnet::{KeyMap, NodeId, SimContext, SimDuration, SimMutex, SimTime};
+use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex, SimTime};
 use rshuffle_verbs::{
     Completion, CompletionQueue, Context, MemoryRegion, QpType, QueuePair, RemoteAddr, WcOpcode,
     WcStatus,
@@ -180,13 +180,15 @@ pub(crate) fn region_base(mr: &MemoryRegion) -> RemoteAddr {
 }
 
 /// The per-peer side of a reliable-connection endpoint half: the
-/// peer→slot table, one RC Queue Pair per peer (Θ(n) per endpoint, the
+/// peer↔slot tables, one RC Queue Pair per peer (Θ(n) per endpoint, the
 /// "MQ" designs) and the lock that serializes posting.
 pub(crate) struct RcHalf {
     pub id: EndpointId,
     pub audit: AuditHandle,
     /// Slot of each peer, indexed by node id.
     index: Vec<Option<usize>>,
+    /// Node of each slot.
+    peers: Vec<NodeId>,
     qps: Vec<QueuePair>,
     /// Serializes `ibv_post_send`; the contention cost of sharing one
     /// endpoint among threads (SE configurations) shows up here.
@@ -205,7 +207,7 @@ impl RcHalf {
     pub(crate) fn new(
         ctx: &Context,
         id: EndpointId,
-        peers: &[NodeId],
+        peers: Vec<NodeId>,
         send_cq: &Cq,
         recv_cq: &Cq,
     ) -> RcHalf {
@@ -222,12 +224,18 @@ impl RcHalf {
                 .iter()
                 .map(|_| ctx.create_qp(QpType::Rc, send_cq.cq.clone(), recv_cq.cq.clone()))
                 .collect(),
+            peers,
             post_lock: post_lock(ctx),
         }
     }
 
     pub(crate) fn peers(&self) -> usize {
-        self.qps.len()
+        self.peers.len()
+    }
+
+    /// The node behind `slot`.
+    pub(crate) fn peer(&self, slot: usize) -> NodeId {
+        self.peers[slot]
     }
 
     /// Slot index of `peer`.
@@ -629,10 +637,9 @@ impl RingProducer {
     }
 }
 
-/// What a receive half knows about its sources: which slot a source
-/// endpoint id maps to, and which sources announced end of stream.
+/// Which of a receive half's sources, by peer slot, announced end of
+/// stream.
 pub(crate) struct Sources {
-    by_endpoint: Mutex<KeyMap<u32, usize>>,
     depleted: Mutex<Vec<bool>>,
     all_depleted: AtomicBool,
 }
@@ -640,24 +647,9 @@ pub(crate) struct Sources {
 impl Sources {
     pub(crate) fn new(n: usize) -> Sources {
         Sources {
-            by_endpoint: Mutex::default(),
             depleted: Mutex::new(vec![false; n]),
             all_depleted: AtomicBool::new(false),
         }
-    }
-
-    /// Records that endpoint `src` sends through slot `slot`.
-    pub(crate) fn learn(&self, src: u32, slot: usize) {
-        self.by_endpoint.lock().entry(src).or_insert(slot);
-    }
-
-    /// The slot a `release` for `src` belongs to.
-    pub(crate) fn slot_of(&self, src: EndpointId) -> Result<usize> {
-        self.by_endpoint
-            .lock()
-            .get(&src.0)
-            .copied()
-            .ok_or_else(|| ShuffleError::Config(format!("release for unknown source {src:?}")))
     }
 
     pub(crate) fn mark_depleted(&self, slot: usize) {
@@ -699,14 +691,16 @@ pub(crate) fn data_header(
     }
 }
 
-/// Accepts the data message `header` found in `buf`: sizes the buffer to
-/// the payload, counts it and wraps it for the `get_data` caller.
+/// Accepts the data message `header` that node `src` put in `buf`: sizes
+/// the buffer to the payload, counts it and wraps it for the `get_data`
+/// caller.
 pub(crate) fn deliver(
     sim: &SimContext,
     obs: &RecvObs,
     audit: &AuditHandle,
     header: &MsgHeader,
     mut buf: Buffer,
+    src: NodeId,
     remote: u64,
 ) -> Result<Delivery> {
     buf.set_len(header.payload_len as usize)?;
@@ -714,7 +708,7 @@ pub(crate) fn deliver(
     audit.delivered(buf_id(&buf), sim.now().as_nanos());
     Ok(Delivery {
         state: header.state,
-        src: EndpointId(header.src),
+        src,
         src_tid: header.src_tid,
         remote,
         local: buf,

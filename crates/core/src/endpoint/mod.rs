@@ -29,8 +29,8 @@
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, backoff, typed stall, credit-stall bracket) | all four | the readiness check and what to park on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
-//! | `Sources` (endpoint→slot map, depleted flags) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
-//! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header |
+//! | `Sources` (depleted flags by peer slot) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
+//! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |
 //!
 //! The two traits declare only the calls an operator makes. What an
 //! endpoint costs before any traffic moves — the bytes it registers
@@ -301,20 +301,23 @@ impl RecvObs {
     }
 }
 
-/// A buffer handed out by [`ReceiveEndpoint::get_data`].
+/// A buffer handed out by [`ReceiveEndpoint::get_data`], and handed back
+/// whole to [`ReceiveEndpoint::release`]: it names where it came from and
+/// how its slot goes home, so the endpoint looks nothing up again.
 pub struct Delivery {
     /// Whether the source has more data after this buffer.
     pub state: StreamState,
-    /// The endpoint that sent this buffer.
-    pub src: EndpointId,
+    /// The node the transport received this buffer from: the
+    /// completion's source for Send/Receive and RDMA Read, the peer
+    /// behind the announcing ring for RDMA Write.
+    pub src: NodeId,
     /// The sending worker thread, from the wire header's `src_tid`
-    /// field; identifies the `(src node, src thread)` flow for the
-    /// recovery layer's ledger.
+    /// field; with [`Delivery::src`] it identifies the `(src node, src
+    /// thread)` flow for the recovery layer's ledger.
     pub src_tid: u16,
-    /// Opaque token identifying the buffer at the remote endpoint; must be
-    /// passed back to [`ReceiveEndpoint::release`]. Only meaningful for
-    /// one-sided endpoints (§4.4.3); zero otherwise.
-    pub remote: u64,
+    /// The buffer's offset at the remote endpoint, for the one-sided
+    /// designs (§4.4.3) to return; zero otherwise.
+    pub(crate) remote: u64,
     /// The local RDMA-registered buffer holding the payload.
     pub local: Buffer,
 }
@@ -369,10 +372,10 @@ pub trait ReceiveEndpoint: Send + Sync {
     /// out (§4.4.2).
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>>;
 
-    /// Returns `local` to the endpoint for reuse and, for one-sided
-    /// endpoints, notifies the remote endpoint `src` that `remote` can be
-    /// reclaimed. The buffer must not be touched after `release` returns.
-    fn release(&self, sim: &SimContext, remote: u64, local: Buffer, src: EndpointId) -> Result<()>;
+    /// Takes back what [`ReceiveEndpoint::get_data`] handed out: returns
+    /// the local buffer for reuse and credits, or for the one-sided
+    /// designs frees the remote buffer at, the node it came from.
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()>;
 
     /// Total payload bytes received so far (drives the throughput metric).
     fn bytes_received(&self) -> u64;

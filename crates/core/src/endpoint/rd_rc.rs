@@ -70,11 +70,11 @@ impl RdRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
+        let half = RcHalf::new(ctx, id, peers, &send_cq, &send_cq);
         RdRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             free_arr: SlotRings::register(ctx, RingKind::FreeArr, &layout),
-            valid_rings: RingProducer::register(ctx, peers.len(), layout.ring_cap),
+            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
             obs: SendObs::new(ctx, id),
             half,
             send_cq,
@@ -204,7 +204,7 @@ impl RdRcReceiveEndpoint {
         let n = srcs.len();
         let layout = layout(&cfg, n);
         let cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &cq, &cq);
+        let half = RcHalf::new(ctx, id, srcs, &cq, &cq);
         let pool_mr = ctx.register_pool_untimed(layout.window, layout.buffers);
         let local = (0..n)
             .map(|si| {
@@ -336,8 +336,8 @@ impl RdRcReceiveEndpoint {
             self.requeue_local(si, buf);
             return Ok(());
         }
-        let remote = header.remote_addr;
-        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, remote)?;
+        let (src, remote) = (c.src_node, header.remote_addr);
+        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, remote)?;
         if header.state == StreamState::Depleted {
             self.srcs.mark_depleted(si);
         }
@@ -375,7 +375,6 @@ impl RcTransport for RdRcSendEndpoint {
         );
         recv.free_rings.wire(si, self.free_arr.base(pi), 0);
         recv.state.lock().remote_pools[si] = Some(region_base(self.window.region()));
-        recv.srcs.learn(self.half.id.0, si);
         self.valid_rings.wire(pi, recv.valid_arr.base(si), 0);
         Ok(())
     }
@@ -421,13 +420,13 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
         }
     }
 
-    fn release(&self, sim: &SimContext, remote: u64, local: Buffer, src: EndpointId) -> Result<()> {
-        let si = self.srcs.slot_of(src)?;
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        let si = self.half.index_of(delivery.src)?;
         self.half
             .audit
-            .released(buf_id(&local), sim.now().as_nanos());
-        self.push_free(sim, si, remote)?;
-        self.requeue_local(si, local);
+            .released(buf_id(&delivery.local), sim.now().as_nanos());
+        self.push_free(sim, si, delivery.remote)?;
+        self.requeue_local(si, delivery.local);
         Ok(())
     }
 

@@ -86,11 +86,11 @@ impl SrRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = send_layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
+        let half = RcHalf::new(ctx, id, peers, &send_cq, &send_cq);
         SrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             credit_mr: ctx.register_untimed(layout.ring_bytes()),
-            sent: Mutex::new(vec![0; peers.len()]),
+            sent: Mutex::new(vec![0; half.peers()]),
             obs: SendObs::new(ctx, id),
             half,
             send_cq,
@@ -229,8 +229,8 @@ impl SrRcReceiveEndpoint {
         let layout = recv_layout(&cfg, srcs.len());
         let recv_cq = Cq::new(ctx);
         let ctrl_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &recv_cq);
-        let n = srcs.len();
+        let half = RcHalf::new(ctx, id, srcs, &ctrl_cq, &recv_cq);
+        let n = half.peers();
         SrRcReceiveEndpoint {
             srcs: Sources::new(n),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
@@ -327,18 +327,13 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
         )
     }
 
-    fn release(
-        &self,
-        sim: &SimContext,
-        _remote: u64,
-        local: Buffer,
-        src: EndpointId,
-    ) -> Result<()> {
-        let si = self.srcs.slot_of(src)?;
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        let si = self.half.index_of(delivery.src)?;
+        let local = &delivery.local;
         self.half
             .audit
-            .released(buf_id(&local), sim.now().as_nanos());
-        self.recycle_slot(sim, si, &local)
+            .released(buf_id(local), sim.now().as_nanos());
+        self.recycle_slot(sim, si, local)
     }
 
     fn bytes_received(&self) -> u64 {
@@ -449,8 +444,8 @@ impl SrRcReceiveEndpoint {
             self.obs.stale_drop();
             return self.recycle_slot(sim, si, &buf);
         }
-        self.srcs.learn(header.src, si);
-        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, 0)?;
+        let src = c.src_node;
+        let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, 0)?;
         self.pending.lock().push_back(delivery);
         if header.state == StreamState::Depleted {
             self.srcs.mark_depleted(si);

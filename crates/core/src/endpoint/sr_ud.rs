@@ -89,6 +89,9 @@ struct Peer {
     /// Send half: data messages sent to the peer. Each consumed one
     /// credit, and a `Depleted` message declares the total.
     sent: u64,
+    /// Receive half: the endpoint the peer sends from, which names the
+    /// credit lane the auditor checks grants to it on.
+    sender: u32,
     /// Receive half: credit granted to the peer (absolute).
     granted: u64,
     /// Receive half: the peer's releases since the last write-back.
@@ -121,7 +124,6 @@ enum Standing {
 /// Message accounting of one source endpoint.
 #[derive(Default)]
 struct SrcCount {
-    node: NodeId,
     received: u64,
     /// The total its `Depleted` message declared.
     declared: Option<u64>,
@@ -150,26 +152,19 @@ struct Sources {
 }
 
 impl Sources {
-    /// Declares `ep` on `node` a source termination waits for.
-    fn wait_for(&mut self, ep: u32, node: NodeId) {
-        let src = self.by_endpoint.entry(ep).or_insert(SrcCount {
-            node,
-            ..SrcCount::default()
-        });
+    /// Declares `ep` a source termination waits for.
+    fn wait_for(&mut self, ep: u32) {
+        let src = self.by_endpoint.entry(ep).or_default();
         if !src.expected {
             src.expected = true;
-            src.node = node;
             self.tally[src.standing() as usize] += 1;
         }
     }
 
-    /// Counts one data message from `ep` (which arrived from `node`),
-    /// carrying the sender's declared total if it was `Depleted`.
-    fn count(&mut self, ep: u32, node: NodeId, declared: Option<u64>) -> &SrcCount {
-        let src = self.by_endpoint.entry(ep).or_insert(SrcCount {
-            node,
-            ..SrcCount::default()
-        });
+    /// Counts one data message from `ep`, carrying the sender's declared
+    /// total if it was `Depleted`.
+    fn count(&mut self, ep: u32, declared: Option<u64>) -> &SrcCount {
+        let src = self.by_endpoint.entry(ep).or_default();
         let before = src.standing();
         src.received += 1;
         if declared.is_some() {
@@ -180,11 +175,6 @@ impl Sources {
             self.tally[src.standing() as usize] += 1;
         }
         src
-    }
-
-    /// The node `ep` sends from.
-    fn node_of(&self, ep: u32) -> Option<NodeId> {
-        self.by_endpoint.get(&ep).map(|src| src.node)
     }
 
     /// Whether every expected source has delivered all counted messages.
@@ -359,15 +349,10 @@ impl SrUdChannel {
             ));
         }
         let window = s.cfg.ud_recv_window;
-        {
-            let mut sources = s.sources.lock();
-            for &(ep, node) in expected {
-                sources.wait_for(ep.0, node);
-            }
-        }
         for &(ep, node) in expected {
+            s.sources.lock().wait_for(ep.0);
             s.update_peer(node, |peer| {
-                (peer.granted, peer.releases) = (window as u64, 0)
+                (peer.sender, peer.granted, peer.releases) = (ep.0, window as u64, 0)
             });
             // Credit datagrams may legally be lost on the unreliable
             // transport, so the lanes carry no write-back frequency: the
@@ -594,14 +579,15 @@ impl UdShared {
                     let declared =
                         (header.state == StreamState::Depleted).then_some(header.counter);
                     let mut sources = self.sources.lock();
-                    let src = sources.count(header.src, c.src_node, declared);
+                    let src = sources.count(header.src, declared);
                     let now = sim.now().as_nanos();
                     self.audit
                         .counted_receive(header.src as u64, src.received, src.declared, now);
                 }
                 self.made_progress(sim);
-                self.data_gate
-                    .push(deliver(sim, &self.recv_obs, &self.audit, &header, buf, 0)?);
+                let src = c.src_node;
+                let delivery = deliver(sim, &self.recv_obs, &self.audit, &header, buf, src, 0)?;
+                self.data_gate.push(delivery);
                 Ok(())
             }
         }
@@ -785,37 +771,27 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
         }
     }
 
-    fn release(
-        &self,
-        sim: &SimContext,
-        _remote: u64,
-        local: Buffer,
-        src: EndpointId,
-    ) -> Result<()> {
-        let s = &self.shared;
-        s.audit.released(buf_id(&local), sim.now().as_nanos());
-        s.repost(sim, &local)?;
-        // An unknown source (e.g. tests releasing synthetic buffers) is
-        // owed no credit.
-        let Some(src_node) = s.sources.lock().node_of(src.0) else {
-            return Ok(());
-        };
-        let (credit_now, write_back) = s.update_peer(src_node, |peer| {
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        let (s, local) = (&self.shared, &delivery.local);
+        s.audit.released(buf_id(local), sim.now().as_nanos());
+        s.repost(sim, local)?;
+        let (credit_now, write_back, sender) = s.update_peer(delivery.src, |peer| {
             peer.granted += 1;
             peer.releases += 1;
             let freq = s.cfg.credit_writeback_frequency;
-            (peer.granted, peer.releases.is_multiple_of(freq))
+            let write_back = peer.releases.is_multiple_of(freq);
+            (peer.granted, write_back, peer.sender)
         });
         if write_back {
             s.audit.credit_granted(
                 CreditLane::Ud {
-                    sender: src.0 as u64,
+                    sender: sender as u64,
                     dest: s.node,
                 },
                 credit_now,
                 sim.now().as_nanos(),
             );
-            s.send_credit(sim, src_node, credit_now)?;
+            s.send_credit(sim, delivery.src, credit_now)?;
         }
         Ok(())
     }

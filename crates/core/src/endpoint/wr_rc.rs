@@ -67,12 +67,12 @@ impl WrRcSendEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, peers: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, peers.len());
         let send_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &peers, &send_cq, &send_cq);
+        let half = RcHalf::new(ctx, id, peers, &send_cq, &send_cq);
         WrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             grants: SlotRings::register(ctx, RingKind::Grant, &layout),
-            valid_rings: RingProducer::register(ctx, peers.len(), layout.ring_cap),
-            remote_pools: Mutex::new(vec![None; peers.len()]),
+            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
+            remote_pools: Mutex::new(vec![None; half.peers()]),
             obs: SendObs::new(ctx, id),
             half,
             send_cq,
@@ -207,12 +207,12 @@ impl WrRcReceiveEndpoint {
     pub(crate) fn new(ctx: &Context, id: EndpointId, srcs: Vec<NodeId>, cfg: Params) -> Self {
         let layout = layout(&cfg, srcs.len());
         let ctrl_cq = Cq::new(ctx);
-        let half = RcHalf::new(ctx, id, &srcs, &ctrl_cq, &ctrl_cq);
+        let half = RcHalf::new(ctx, id, srcs, &ctrl_cq, &ctrl_cq);
         WrRcReceiveEndpoint {
-            srcs: Sources::new(srcs.len()),
+            srcs: Sources::new(half.peers()),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
-            grant_rings: RingProducer::register(ctx, srcs.len(), layout.ring_cap),
+            grant_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
             obs: RecvObs::new(ctx, id),
             half,
             ctrl_cq,
@@ -271,11 +271,11 @@ impl WrRcReceiveEndpoint {
                 self.grant_back(sim, si, offset)?;
                 continue;
             }
-            self.srcs.learn(header.src, si);
             if header.state == StreamState::Depleted {
                 self.srcs.mark_depleted(si);
             }
-            return deliver(sim, &self.obs, &self.half.audit, &header, buf, offset).map(Some);
+            let src = self.half.peer(si);
+            return deliver(sim, &self.obs, &self.half.audit, &header, buf, src, offset).map(Some);
         }
         self.obs.validarr_poll(sim, 0);
         Ok(None)
@@ -342,19 +342,13 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
         )
     }
 
-    fn release(
-        &self,
-        sim: &SimContext,
-        remote: u64,
-        _local: Buffer,
-        src: EndpointId,
-    ) -> Result<()> {
-        let si = self.srcs.slot_of(src)?;
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        let si = self.half.index_of(delivery.src)?;
         #[cfg(feature = "saboteur")]
         if crate::sabotage::take(crate::sabotage::Sabotage::DoubleGrant) {
-            self.grant_back(sim, si, remote)?;
+            self.grant_back(sim, si, delivery.remote)?;
         }
-        self.grant_back(sim, si, remote)
+        self.grant_back(sim, si, delivery.remote)
     }
 
     fn bytes_received(&self) -> u64 {

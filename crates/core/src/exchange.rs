@@ -362,7 +362,7 @@ type HalfCtor<E> = fn(&Context, EndpointId, Vec<NodeId>, Params) -> E;
 
 /// Endpoint ids of one exchange: `(node, lane, role)` → a unique integer
 /// offset into the exchange's id space, send halves on the even offsets.
-/// The only place that knows the arithmetic, in both directions.
+/// The only place that knows the arithmetic.
 #[derive(Copy, Clone, Debug)]
 struct IdLayout {
     base: u32,
@@ -382,13 +382,6 @@ impl IdLayout {
     /// Ids between `base` and the last one minted, both roles.
     fn minted(&self) -> u32 {
         (self.nodes * self.lanes) as u32 * 2
-    }
-
-    /// The node whose send half carries `id`; `None` for a receive id
-    /// and for anything outside this exchange's range.
-    fn source_node(&self, id: EndpointId) -> Option<NodeId> {
-        let offset = id.0.checked_sub(self.base)?;
-        (offset < self.minted() && offset % 2 == 0).then(|| (offset / 2) as usize / self.lanes)
     }
 }
 
@@ -575,8 +568,6 @@ pub struct Exchange {
     pub phases: Option<Arc<PhaseRunner>>,
     /// Worker threads per fragment, as configured.
     threads: usize,
-    /// The ids this exchange's endpoints were minted from.
-    ids: IdLayout,
     /// Physical connections per directed pair: `lanes`, or the QP cap
     /// where it engaged.
     qps_per_pair: usize,
@@ -654,7 +645,6 @@ impl Exchange {
             _ => lanes,
         };
 
-        let ids = config.id_layout();
         let (profile, params) = (runtime.profile(), &config.params(runtime.profile()));
         let footprints = (0..nodes)
             .map(|n| config.footprint(profile, params, dests[n].len(), srcs[n].len()))
@@ -662,7 +652,7 @@ impl Exchange {
         let wiring = Wiring {
             runtime,
             flow: config.flow,
-            ids,
+            ids: config.id_layout(),
             params,
             dests: &dests,
             srcs: &srcs,
@@ -699,7 +689,6 @@ impl Exchange {
             flow: config.flow,
             phases,
             threads: config.threads,
-            ids,
             qps_per_pair,
             footprints,
         })
@@ -748,9 +737,10 @@ impl Exchange {
 
     /// `node`'s RECEIVE for the partial-retry protocol: each delivery is
     /// a batch of its own, and handing it out advances the delivery's flow
-    /// `(sending node, sending thread, node)` in `ledger`. A delivery
-    /// from an id this exchange minted no send endpoint under — another
-    /// attempt's or another query's — is [`ShuffleError::Corrupt`].
+    /// `(sending node, sending thread, node)` in `ledger`. The sending
+    /// node is the one the transport received the message from; another
+    /// attempt's leftovers never reach the operator, since every attempt
+    /// builds fresh Queue Pairs and drops stale messages by their epoch.
     pub fn recording_receive_operator(
         &self,
         node: NodeId,
@@ -758,9 +748,8 @@ impl Exchange {
         cost: CostModel,
         ledger: &Arc<FlowLedger>,
     ) -> Option<ReceiveOperator> {
-        let ids = self.ids;
         let receive = self.receive_operator(node, row_size, 1, cost)?;
-        Some(receive.recording(ledger.clone(), node, move |id| ids.source_node(id)))
+        Some(receive.recording(ledger.clone(), node))
     }
 
     /// Worker threads each fragment of this exchange runs.
@@ -832,16 +821,26 @@ mod tests {
     const ROW: usize = 16;
     const ROWS_PER_THREAD: usize = 2_000;
 
-    /// `ROWS_PER_THREAD` distinct-key rows per thread, in batches of 500.
-    struct Rows(Vec<AtomicUsize>);
+    /// `ROWS_PER_THREAD` distinct-key rows per thread, in batches of 500,
+    /// each with the node in `.0` in its byte 8.
+    struct Rows(usize, Vec<AtomicUsize>);
+
+    /// Node `node`'s [`Rows`] for `threads` workers.
+    fn rows(node: usize, threads: usize) -> Arc<dyn Operator> {
+        Arc::new(Rows(
+            node,
+            (0..threads).map(|_| AtomicUsize::new(0)).collect(),
+        ))
+    }
 
     impl Operator for Rows {
         fn next(&self, _sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
-            let done = self.0[tid].fetch_add(500, Ordering::Relaxed);
+            let done = self.1[tid].fetch_add(500, Ordering::Relaxed);
             let mut batch = RowBatch::new(ROW, 500);
             for seq in done..done + 500 {
                 let mut row = [0u8; ROW];
                 row[0..8].copy_from_slice(&((seq * 31 + tid) as u64).to_le_bytes());
+                row[8] = self.0 as u8;
                 batch.push_row(&row);
             }
             let more = done + 500 < ROWS_PER_THREAD;
@@ -863,10 +862,7 @@ mod tests {
         let exchange = Exchange::build(&runtime, config).expect("exchange builds");
         let cost = CostModel::from_profile(runtime.profile());
         for node in 0..config.groups.len() {
-            let source = Arc::new(Rows(
-                (0..config.threads).map(|_| AtomicUsize::new(0)).collect(),
-            ));
-            let shuffle = exchange.shuffle_operator(node, source, cost.clone());
+            let shuffle = exchange.shuffle_operator(node, rows(node, config.threads), cost.clone());
             let receive = exchange.receive_operator(node, ROW, 512, cost.clone());
             let ops = [
                 shuffle.map(|op| Arc::new(op) as Arc<dyn Operator>),
@@ -927,7 +923,7 @@ mod tests {
             config.message_size = 4096;
             let (exchange, runtime) = run(&config);
             let cost = CostModel::from_profile(runtime.profile());
-            let source = || Arc::new(Rows(Vec::new())) as Arc<dyn Operator>;
+            let source = || rows(0, 0);
             assert!(exchange
                 .shuffle_operator(0, source(), cost.clone())
                 .is_some());
@@ -1005,7 +1001,7 @@ mod tests {
     }
 
     #[test]
-    fn source_node_inverts_the_id_layout_and_refuses_foreign_ids() {
+    fn the_id_layout_mints_each_half_its_own_id_within_the_counted_range() {
         // Counted from configuration alone: both roles of every lane.
         let big = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_SR, 33, 64);
         assert_eq!(big.endpoint_ids(), 4224);
@@ -1015,23 +1011,74 @@ mod tests {
             config.endpoint_id_base = 8192;
             let runtime = config.build_runtime(DeviceProfile::edr());
             let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
-            let (ids, mut minted) = (exchange.ids, 0);
+            let ids = config.id_layout();
+            let mut minted = BTreeSet::new();
             for node in 0..nodes {
                 for lane in 0..exchange.send[node].len() {
-                    let id = ids.send_id(node, lane);
-                    assert_eq!(ids.source_node(id), Some(node), "{algorithm}");
-                    minted += 1;
+                    assert!(minted.insert(ids.send_id(node, lane)), "{algorithm}");
                 }
                 for lane in 0..exchange.recv[node].len() {
-                    let id = ids.recv_id(node, lane);
-                    assert_eq!(ids.source_node(id), None, "a receive id");
-                    minted += 1;
+                    assert!(minted.insert(ids.recv_id(node, lane)), "{algorithm}");
                 }
             }
-            assert_eq!(minted, config.endpoint_ids(), "{algorithm}");
-            // The neighbouring attempts' ranges, and the first id past this one.
-            for foreign in [8192 - 4096, 8192 - 2, 8192 + minted, 8192 + 4096] {
-                assert_eq!(ids.source_node(EndpointId(foreign)), None, "id {foreign}");
+            let range = 8192..8192 + config.endpoint_ids();
+            assert_eq!(minted.len() as u32, range.len() as u32, "{algorithm}");
+            assert!(minted.iter().all(|id| range.contains(&id.0)), "{algorithm}");
+        }
+    }
+
+    /// Every delivery names the node that sent it, for all eight designs
+    /// under repartition and broadcast: each row carries its source node
+    /// in byte 8, and every row of a delivery must match the delivery's
+    /// `src`.
+    #[test]
+    fn every_delivery_names_the_node_that_sent_it() {
+        let (nodes, threads) = (3, 2);
+        let wr = ["MEMQ/WR", "SEMQ/WR"].map(|name| ShuffleAlgorithm::parse(name).unwrap());
+        for algorithm in ShuffleAlgorithm::ALL.into_iter().chain(wr) {
+            for broadcast in [false, true] {
+                let (mut config, fanout) = match broadcast {
+                    false => (ExchangeConfig::repartition(algorithm, nodes, threads), 1),
+                    true => (
+                        ExchangeConfig::broadcast(algorithm, nodes, threads),
+                        nodes - 1,
+                    ),
+                };
+                config.message_size = 4096;
+                let runtime = config.build_runtime(DeviceProfile::edr());
+                let exchange = Exchange::build(&runtime, &config).expect("exchange builds");
+                let cost = CostModel::from_profile(runtime.profile());
+                let received = Arc::new(AtomicUsize::new(0));
+                for node in 0..nodes {
+                    let shuffle =
+                        exchange.shuffle_operator(node, rows(node, threads), cost.clone());
+                    let shuffle = Arc::new(shuffle.expect("every node sends"));
+                    let lanes = &exchange.recv[node];
+                    for tid in 0..threads {
+                        let shuffle = shuffle.clone();
+                        runtime.cluster().spawn(node, "send", move |sim| {
+                            while shuffle.next(&sim, tid).expect("shuffle").0
+                                != StreamState::Depleted
+                            {}
+                        });
+                        let lane = lanes[tid % lanes.len()].clone();
+                        let received = received.clone();
+                        runtime.cluster().spawn(node, "receive", move |sim| {
+                            while let Some(d) = lane.get_data(&sim).expect("get_data") {
+                                let from = d.local.with_payload(|p| {
+                                    p.chunks(ROW).map(|row| row[8] as usize).collect::<Vec<_>>()
+                                });
+                                let from = from.expect("payload");
+                                assert!(from.iter().all(|&n| n == d.src), "{algorithm}");
+                                received.fetch_add(from.len(), Ordering::Relaxed);
+                                lane.release(&sim, d).expect("release");
+                            }
+                        });
+                    }
+                }
+                runtime.cluster().run();
+                let sent = nodes * threads * ROWS_PER_THREAD * fanout;
+                assert_eq!(received.load(Ordering::Relaxed), sent, "{algorithm}");
             }
         }
     }

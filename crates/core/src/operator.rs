@@ -12,10 +12,10 @@ use parking_lot::Mutex;
 use rshuffle_simnet::{DeviceProfile, NodeId, SimContext, SimDuration};
 
 use crate::buffer::{Buffer, StreamState};
-use crate::endpoint::{Delivery, EndpointId, ReceiveEndpoint, SendEndpoint};
+use crate::endpoint::{ReceiveEndpoint, SendEndpoint};
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
-use crate::ledger::{Flow, FlowLedger};
+use crate::ledger::FlowLedger;
 use crate::phase::PhaseRunner;
 
 /// A vectorized batch of fixed-width rows.
@@ -514,29 +514,9 @@ pub struct ReceiveOperator {
     batch_rows: usize,
     threads: usize,
     cost: CostModel,
-    /// Where a recording RECEIVE counts each batch it hands out.
-    recorder: Option<Recorder>,
-}
-
-/// A recording RECEIVE's ledger, its node (every flow's destination) and
-/// the node that sends under an endpoint id, if this exchange has one.
-struct Recorder {
-    ledger: Arc<FlowLedger>,
-    node: NodeId,
-    from: Box<dyn Fn(EndpointId) -> Option<NodeId> + Send + Sync>,
-}
-
-impl Recorder {
-    /// The flow `delivery` came over.
-    fn flow(&self, delivery: &Delivery) -> Result<Flow> {
-        let Some(src) = (self.from)(delivery.src) else {
-            return Err(ShuffleError::Corrupt(format!(
-                "delivery from endpoint {}, which is no sender of this attempt",
-                delivery.src.0
-            )));
-        };
-        Ok((src, delivery.src_tid, self.node))
-    }
+    /// Where a recording RECEIVE counts each batch it hands out: the
+    /// ledger, and its node (every flow's destination).
+    recorder: Option<(Arc<FlowLedger>, NodeId)>,
 }
 
 impl ReceiveOperator {
@@ -567,18 +547,12 @@ impl ReceiveOperator {
     }
 
     /// Makes this `node`'s recording RECEIVE: each delivery is a batch of
-    /// its own, and handing it out advances its flow in `ledger`; `from`
-    /// names the node behind a sending endpoint id. What
+    /// its own, and handing it out advances the delivery's flow
+    /// `(src node, src thread, node)` in `ledger`. What
     /// [`crate::Exchange::recording_receive_operator`] is written in.
-    pub(crate) fn recording(
-        mut self,
-        ledger: Arc<FlowLedger>,
-        node: NodeId,
-        from: impl Fn(EndpointId) -> Option<NodeId> + Send + Sync + 'static,
-    ) -> Self {
+    pub(crate) fn recording(mut self, ledger: Arc<FlowLedger>, node: NodeId) -> Self {
         self.batch_rows = 1;
-        let from = Box::new(from);
-        self.recorder = Some(Recorder { ledger, node, from });
+        self.recorder = Some((ledger, node));
         self
     }
 }
@@ -599,10 +573,7 @@ impl Operator for ReceiveOperator {
                     self.row_size
                 )));
             }
-            let flow = match &self.recorder {
-                Some(recorder) => Some((recorder, recorder.flow(&delivery)?)),
-                None => None,
-            };
+            let (src, src_tid) = (delivery.src, delivery.src_tid);
             // Sized once, on the first delivery: the batch goes out as soon
             // as it holds `batch_rows` rows, so at one message size it
             // never holds more than that plus one delivery and never grows.
@@ -613,10 +584,10 @@ impl Operator for ReceiveOperator {
             // charge the copy.
             sim.sleep(self.cost.copy_time(len));
             delivery.local.with_payload(|p| out.extend_rows(p))?;
-            target.release(sim, delivery.remote, delivery.local, delivery.src)?;
+            target.release(sim, delivery)?;
             if out.rows() >= self.batch_rows {
-                if let Some((recorder, flow)) = flow {
-                    recorder.ledger.advance(flow, out.rows() as u64);
+                if let Some((ledger, node)) = &self.recorder {
+                    ledger.advance((src, src_tid, *node), out.rows() as u64);
                 }
                 return Ok((StreamState::MoreData, out));
             }
@@ -632,6 +603,7 @@ mod tests {
 
     use super::*;
     use crate::buffer::HEADER_LEN;
+    use crate::endpoint::Delivery;
     use crate::phase::{PhasePolicy, PhaseSchedule};
 
     /// Payload bytes of a [`Counting`] endpoint's windows.
@@ -848,11 +820,11 @@ mod tests {
         }
     }
 
-    /// A receive endpoint handing out one delivery per `(sending endpoint
-    /// id, sending thread, payload bytes)` entry of `left`, in order.
+    /// A receive endpoint handing out one delivery per `(sending node,
+    /// sending thread, payload bytes)` entry of `left`, in order.
     struct Delivering {
         region: MemoryRegion,
-        left: Mutex<Vec<(u32, u16, usize)>>,
+        left: Mutex<Vec<(NodeId, u16, usize)>>,
     }
 
     impl ReceiveEndpoint for Delivering {
@@ -866,14 +838,14 @@ mod tests {
             local.push(&vec![7; len])?;
             Ok(Some(Delivery {
                 state: StreamState::MoreData,
-                src: EndpointId(src),
+                src,
                 src_tid,
                 remote: 0,
                 local,
             }))
         }
 
-        fn release(&self, _: &SimContext, _: u64, _: Buffer, _: EndpointId) -> Result<()> {
+        fn release(&self, _: &SimContext, _: Delivery) -> Result<()> {
             Ok(())
         }
 
@@ -883,7 +855,7 @@ mod tests {
     }
 
     /// A [`Delivering`] endpoint over a fresh test region.
-    fn delivering(kernel: &Kernel, left: Vec<(u32, u16, usize)>) -> Arc<Delivering> {
+    fn delivering(kernel: &Kernel, left: Vec<(NodeId, u16, usize)>) -> Arc<Delivering> {
         Arc::new(Delivering {
             region: MemoryRegion::new_for_tests(kernel, 0, 1, HEADER_LEN + PAYLOAD),
             left: Mutex::new(left),
@@ -954,21 +926,20 @@ mod tests {
 
     /// The recording RECEIVE hands out each delivery as a batch of its
     /// own, whatever `batch_rows` says, and advances the delivery's flow
-    /// as it returns the batch: two senders x two threads are four
-    /// watermarks under the senders' nodes, not their endpoint ids. A
-    /// zero-length delivery hands out nothing and counts nothing.
+    /// as it returns the batch: two sending nodes x two threads are four
+    /// watermarks under the nodes the deliveries name. A zero-length
+    /// delivery hands out nothing and counts nothing.
     #[test]
     fn recording_receive_counts_each_delivery_under_its_senders_node() {
         const ROW: usize = 10;
         let kernel = Kernel::new();
-        // Endpoint 4 sends from node 0, endpoint 6 from node 2.
         let deliveries = vec![
-            (4, 0, 30),
-            (4, 1, 50),
-            (6, 0, 0),
-            (6, 0, 20),
-            (6, 1, 100),
-            (4, 0, 10),
+            (0, 0, 30),
+            (0, 1, 50),
+            (2, 0, 0),
+            (2, 0, 20),
+            (2, 1, 100),
+            (0, 0, 10),
         ];
         let ledger = Arc::new(FlowLedger::default());
         let op = ReceiveOperator::with_lanes(
@@ -978,11 +949,7 @@ mod tests {
             1,
             CostModel::from_profile(&DeviceProfile::edr()),
         )
-        .recording(ledger.clone(), 1, |id| match id.0 {
-            4 => Some(0),
-            6 => Some(2),
-            _ => None,
-        });
+        .recording(ledger.clone(), 1);
         assert_eq!(
             pump(&kernel, op, &ledger),
             [
@@ -1003,32 +970,6 @@ mod tests {
                 watermark(2, 1)
             ],
             [4, 5, 2, 10]
-        );
-        assert_eq!(watermark(4, 0) + watermark(6, 1), 0, "keyed by node");
-    }
-
-    /// An endpoint id no sender of this exchange carries — here one from
-    /// the previous attempt's range — is corrupt state: the recording
-    /// RECEIVE refuses the delivery before it copies or counts a row.
-    #[test]
-    fn recording_receive_refuses_a_delivery_from_another_attempts_ids() {
-        let kernel = Kernel::new();
-        let ledger = Arc::new(FlowLedger::default());
-        let op = ReceiveOperator::with_lanes(
-            vec![delivering(&kernel, vec![(4096, 0, 20), (2, 0, 20)])],
-            10,
-            1,
-            1,
-            CostModel::from_profile(&DeviceProfile::edr()),
-        )
-        .recording(ledger.clone(), 1, |id| {
-            (4096..4108).contains(&id.0).then_some(0)
-        });
-        let calls = pump(&kernel, op, &ledger);
-        assert_eq!(calls[0], "Ok((MoreData, 2)) 2");
-        assert_eq!(
-            calls[1..],
-            ["Err(Corrupt(\"delivery from endpoint 2, which is no sender of this attempt\")) 2"]
         );
     }
 
@@ -1073,8 +1014,8 @@ mod tests {
         let kernel = Kernel::new();
         let cost = CostModel::from_profile(&DeviceProfile::edr());
         let ledger = Arc::new(FlowLedger::default());
-        // Node 0 sends under endpoint 0: worker 0 got 3 rows to node 1 and
-        // 2 to node 2 through; worker 1 got 1 row to node 1.
+        // Node 0's worker 0 got 3 rows to node 1 and 2 to node 2 through;
+        // worker 1 got 1 row to node 1.
         let received = [
             (1, vec![(0, 0, 3 * ROW), (0, 1, ROW)]),
             (2, vec![(0, 0, 2 * ROW)]),
@@ -1087,7 +1028,7 @@ mod tests {
                 1,
                 cost.clone(),
             )
-            .recording(ledger.clone(), node, |id| (id.0 == 0).then_some(0));
+            .recording(ledger.clone(), node);
             pump(&kernel, op, &ledger);
         }
         // Worker `tid` replays 20 rows keyed `100 * tid + i`.

@@ -311,24 +311,34 @@ impl HashJoin {
 
 /// Pulls `child` on worker `tid` until it is depleted, charging
 /// `hash_cost` per row of each non-empty batch before handing the batch
-/// to `each`: the build (or aggregation) phase of the hash operators.
+/// to `each`, then crosses `barrier`: the build (or aggregation) phase of
+/// the hash operators. Returns whether the caller arrived last. A worker
+/// whose input fails aborts the barrier, so that its peers fail too
+/// instead of parking forever or going on over a half-built table.
 fn drain(
     sim: &SimContext,
     tid: usize,
     child: &dyn Operator,
     hash_cost: SimDuration,
+    barrier: &SimBarrier,
     mut each: impl FnMut(&RowBatch) -> Result<()>,
-) -> Result<()> {
+) -> Result<bool> {
     loop {
-        let (state, batch) = child.next(sim, tid)?;
+        let (state, batch) = child.next(sim, tid).inspect_err(|_| barrier.abort())?;
         if !batch.is_empty() {
             sim.sleep(hash_cost * batch.rows() as u64);
-            each(&batch)?;
+            each(&batch).inspect_err(|_| barrier.abort())?;
         }
         if state == StreamState::Depleted {
-            return Ok(());
+            return cross(sim, barrier);
         }
     }
+}
+
+/// Crosses `barrier`; fails if a peer aborted it.
+fn cross(sim: &SimContext, barrier: &SimBarrier) -> Result<bool> {
+    let aborted = |_| ShuffleError::Stalled("a hash operator's peer failed before its barrier");
+    barrier.wait(sim).map_err(aborted)
 }
 
 impl Operator for HashJoin {
@@ -336,10 +346,10 @@ impl Operator for HashJoin {
         // Every thread inserts its share of the build side into the shared
         // table, and all of them pass the barrier before probing starts.
         if !self.built[tid].load(Ordering::SeqCst) {
-            drain(sim, tid, &*self.build, self.hash_cost, |batch| {
+            let build = &*self.build;
+            drain(sim, tid, build, self.hash_cost, &self.barrier, |batch| {
                 self.table.lock().insert(batch, &self.build_key)
             })?;
-            self.barrier.wait(sim);
             self.built[tid].store(true, Ordering::SeqCst);
         }
         let mut out = RowBatch::new(self.out_size, BATCH_ROWS);
@@ -406,14 +416,14 @@ impl HashSemiJoin {
 impl Operator for HashSemiJoin {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         if !self.built[tid].load(Ordering::SeqCst) {
-            drain(sim, tid, &*self.build, self.hash_cost, |batch| {
+            let build = &*self.build;
+            drain(sim, tid, build, self.hash_cost, &self.barrier, |batch| {
                 let mut keys = self.keys.lock();
                 for row in batch.iter() {
                     keys.insert((self.build_key)(row));
                 }
                 Ok(())
             })?;
-            self.barrier.wait(sim);
             self.built[tid].store(true, Ordering::SeqCst);
         }
         let (state, batch) = self.probe.next(sim, tid)?;
@@ -485,7 +495,8 @@ impl HashAggregate {
 impl Operator for HashAggregate {
     fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
         if !self.aggregated[tid].load(Ordering::SeqCst) {
-            drain(sim, tid, &*self.child, self.hash_cost, |batch| {
+            let child = &*self.child;
+            let last = drain(sim, tid, child, self.hash_cost, &self.barrier, |batch| {
                 let mut groups = self.groups.lock();
                 for row in batch.iter() {
                     match groups.entry((self.key)(row)) {
@@ -497,12 +508,12 @@ impl Operator for HashAggregate {
                 }
                 Ok(())
             })?;
-            if self.barrier.wait(sim) {
+            if last {
                 let mut keys: Vec<u64> = self.groups.lock().keys().copied().collect();
                 keys.sort_unstable();
                 *self.emit_order.lock() = keys;
             }
-            self.barrier.wait(sim);
+            cross(sim, &self.barrier)?;
             self.aggregated[tid].store(true, Ordering::SeqCst);
         }
         // Emit: threads grab group slots round-robin.
@@ -740,6 +751,78 @@ mod tests {
         }
         let expected: Vec<(u64, u64)> = (0..2_500).map(|k| (k, 4)).collect();
         assert_eq!(pulled.pairs(), expected);
+    }
+
+    /// A child whose worker 0 fails on its first pull; the others scan.
+    struct FailsOnWorker0(Arc<dyn Operator>);
+
+    impl Operator for FailsOnWorker0 {
+        fn next(&self, sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+            match tid {
+                0 => Err(ShuffleError::Corrupt("worker 0's input".into())),
+                _ => self.0.next(sim, tid),
+            }
+        }
+    }
+
+    /// A worker whose build or aggregation input fails aborts the hash
+    /// operator's barrier: it stops on its own error, its peer on the
+    /// abort, and neither parks forever nor goes on over a half-built
+    /// table.
+    #[test]
+    fn a_failing_input_on_one_worker_fails_both_workers_of_a_hash_operator() {
+        let rows: Vec<(u64, u64)> = (0..1_000).map(|i| (i, i)).collect();
+        let failing = || Arc::new(FailsOnWorker0(scan(&rows, 2))) as Arc<dyn Operator>;
+        let init = |row: &[u8]| {
+            let mut acc = Vec::with_capacity(16);
+            acc.extend_from_slice(row);
+            acc
+        };
+        let pulled = [
+            pull(2, |k| {
+                let emit = |b: &[u8], _: &[u8], out: &mut Vec<u8>| out.extend_from_slice(b);
+                let probe = scan(&rows, 2);
+                Arc::new(HashJoin::new(
+                    k,
+                    failing(),
+                    probe,
+                    key,
+                    key,
+                    emit,
+                    16,
+                    2,
+                    HASH,
+                ))
+            }),
+            pull(2, |k| {
+                let probe = scan(&rows, 2);
+                Arc::new(HashSemiJoin::new(k, failing(), probe, key, key, 2, HASH))
+            }),
+            pull(2, |k| {
+                let fold = |_: &mut Vec<u8>, _: &[u8]| {};
+                Arc::new(HashAggregate::new(
+                    k,
+                    failing(),
+                    key,
+                    init,
+                    fold,
+                    16,
+                    2,
+                    HASH,
+                ))
+            }),
+        ];
+        for (op, pulled) in ["join", "semi-join", "aggregate"].iter().zip(pulled) {
+            assert!(
+                matches!(
+                    &pulled.errors[..],
+                    [ShuffleError::Corrupt(_), ShuffleError::Stalled(_)]
+                ),
+                "{op}: {:?}",
+                pulled.errors
+            );
+            assert!(pulled.batches.is_empty(), "{op}");
+        }
     }
 
     /// Whether some worker stopped, and every one that did stopped on a

@@ -212,26 +212,37 @@ impl SimBarrier {
     }
 
     /// Blocks until all parties have arrived. Returns `true` for exactly one
-    /// caller (the last to arrive), mirroring `std::sync::Barrier`. For a
-    /// barrier that is never aborted.
-    pub fn wait(&self, ctx: &SimContext) -> bool {
-        match self.arrive() {
-            None => true,
-            Some(gate) => {
-                gate.recv(ctx);
-                false
-            }
-        }
+    /// caller (the last to arrive), mirroring `std::sync::Barrier`; fails
+    /// at once on an aborted barrier, and when the barrier is aborted
+    /// while the caller is parked.
+    pub fn wait(&self, ctx: &SimContext) -> Result<bool, BarrierError> {
+        self.cross(|gate| {
+            gate.recv(ctx);
+            Ok(())
+        })
     }
 
-    /// [`wait`](SimBarrier::wait), failing at once on an aborted barrier,
-    /// with an error when the barrier is aborted while the caller is
-    /// parked, and aborting the barrier for everyone when the caller is
-    /// parked longer than `timeout`.
+    /// [`wait`](SimBarrier::wait), aborting the barrier for everyone when
+    /// the caller is parked longer than `timeout`.
     pub fn wait_timeout(
         &self,
         ctx: &SimContext,
         timeout: SimDuration,
+    ) -> Result<bool, BarrierError> {
+        self.cross(|gate| match gate.recv_timeout(ctx, timeout) {
+            RecvTimeout::TimedOut => {
+                self.abort();
+                Err(BarrierError::TimedOut)
+            }
+            _ => Ok(()),
+        })
+    }
+
+    /// Arrives and, unless last, parks on the generation's gate through
+    /// `park`; an abort before or during the wait is an error.
+    fn cross(
+        &self,
+        park: impl FnOnce(Gate<()>) -> Result<(), BarrierError>,
     ) -> Result<bool, BarrierError> {
         if self.is_aborted() {
             return Err(BarrierError::Aborted);
@@ -239,10 +250,7 @@ impl SimBarrier {
         let last = match self.arrive() {
             None => true,
             Some(gate) => {
-                if let RecvTimeout::TimedOut = gate.recv_timeout(ctx, timeout) {
-                    self.abort();
-                    return Err(BarrierError::TimedOut);
-                }
+                park(gate)?;
                 false
             }
         };
@@ -252,8 +260,7 @@ impl SimBarrier {
         Ok(last)
     }
 
-    /// Aborts the barrier: wakes every party parked in
-    /// [`wait_timeout`](SimBarrier::wait_timeout) with
+    /// Aborts the barrier: wakes every parked party with
     /// [`BarrierError::Aborted`] and fails every later one at once.
     /// Idempotent.
     pub fn abort(&self) {
@@ -317,7 +324,7 @@ mod tests {
             let lasts = lasts.clone();
             kernel.spawn(0, &format!("t{i}"), move |sim| {
                 sim.sleep(SimDuration::from_nanos(100 * (i + 1)));
-                if b.wait(&sim) {
+                if b.wait(&sim) == Ok(true) {
                     lasts.fetch_add(1, Ordering::SeqCst);
                 }
                 // Everyone resumes at the last arrival time (t=300).
@@ -371,13 +378,18 @@ mod tests {
         let kernel = Kernel::new();
         let barrier = SimBarrier::new(&kernel, 3, SimDuration::from_nanos(100));
         let timeout = SimDuration::from_micros(10);
+        // Party 0 waits plainly, party 1 with a timeout: both fail alike.
         for i in 0..2u64 {
             let b = barrier.clone();
             kernel.spawn(0, &format!("t{i}"), move |sim| {
-                assert_eq!(b.wait_timeout(&sim, timeout), Err(BarrierError::Aborted));
+                let wait = |b: &SimBarrier| match i {
+                    0 => b.wait(&sim),
+                    _ => b.wait_timeout(&sim, timeout),
+                };
+                assert_eq!(wait(&b), Err(BarrierError::Aborted));
                 // Woken the wake latency after the abort at t=50.
                 assert_eq!(sim.now().as_nanos(), 150);
-                assert_eq!(b.wait_timeout(&sim, timeout), Err(BarrierError::Aborted));
+                assert_eq!(wait(&b), Err(BarrierError::Aborted));
                 assert_eq!(sim.now().as_nanos(), 150, "a later wait fails at once");
             });
         }
@@ -431,10 +443,9 @@ mod tests {
         for i in 0..2u64 {
             let b = barrier.clone();
             kernel.spawn(0, &format!("t{i}"), move |sim| {
-                for round in 0..5u64 {
+                for _ in 0..5 {
                     sim.sleep(SimDuration::from_nanos(10 * (i + 1)));
-                    b.wait(&sim);
-                    let _ = round;
+                    b.wait(&sim).expect("never aborted");
                 }
             });
         }
