@@ -1,22 +1,20 @@
-//! `perfdiff` — the perf-trajectory regression gate.
+//! `perfdiff` — the perf-trajectory gate.
 //!
 //! Compares a candidate `rshuffle-bench/1` report (written by
-//! `bench … --emit`) against a committed baseline and fails (exit 1)
-//! when any gated metric moves past the tolerance in its bad direction:
-//! `*_ns` latencies up, throughput down. It measures nothing itself: the
+//! `bench … --emit`) with a committed baseline and fails (exit 1) when
+//! any row differs: a value whose bits moved either way, a changed
+//! direction tag, or a row only one report holds. Every field of every
+//! stage digest is a row. Rows both reports tag `host` (wall clock,
+//! resident memory) are left out. It measures nothing itself: the
 //! simulator is deterministic, so an unmodified tree reproduces its
-//! baseline exactly and any perf change shows up as an exact
-//! virtual-time delta.
-//!
-//! `--scale-latency X` multiplies every lower-is-better candidate metric
-//! by `X` before comparing — a fault injection for the gate itself:
-//! `--scale-latency 2` must always fail.
+//! baseline exactly and any change to virtual time is named row by row,
+//! labelled better or worse by the row's direction tag. `-v` prints the
+//! unchanged rows too.
 
 use rshuffle_bench::cli::{or_usage, value, Args};
-use rshuffle_bench::perf::{diff_reports, Direction, ParsedReport};
+use rshuffle_bench::perf::{diff_reports, ParsedReport};
 
-const USAGE: &str = "perfdiff --against BASELINE.json --candidate FILE \
-                     [--tolerance-pct P] [--scale-latency X] [-v]";
+const USAGE: &str = "perfdiff --against BASELINE.json --candidate FILE [-v]";
 
 fn read(path: &str) -> ParsedReport {
     let parsed = std::fs::read_to_string(path)
@@ -41,46 +39,42 @@ fn compare(mut args: Args) -> Result<i32, String> {
     let candidate: String = args
         .option("--candidate", value)?
         .ok_or("--candidate is required")?;
-    let tolerance_pct: f64 = args.option("--tolerance-pct", value)?.unwrap_or(10.0);
-    let scale_latency: f64 = args.option("--scale-latency", value)?.unwrap_or(1.0);
     let verbose = args.flag("-v");
     args.finish()?;
     let baseline = read(&against);
-    let mut cand = read(&candidate);
-
-    if scale_latency != 1.0 {
-        for m in &mut cand.metrics {
-            if m.direction == Direction::LowerIsBetter {
-                m.value *= scale_latency;
-            }
-        }
-        eprintln!("perfdiff: injected {scale_latency}x latency scale into the candidate");
-    }
-
-    let lines = diff_reports(&baseline, &cand, tolerance_pct);
-    let regressions = lines.iter().filter(|l| l.regressed).count();
+    let lines = diff_reports(&baseline, &read(&candidate));
+    let changed = lines.iter().filter(|l| l.changed).count();
     println!(
-        "perfdiff: {} metrics vs {against} (commit {}), tolerance {tolerance_pct}%",
+        "perfdiff: {} rows vs {against} (commit {})",
         lines.len(),
         baseline.commit
     );
-    for l in lines.iter().filter(|l| l.regressed || verbose) {
-        let marker = if l.regressed { "REGRESSED" } else { "ok" };
-        match l.cand {
-            Some(c) => println!(
-                "  [{marker}] {}/{} {}: {:.1} -> {:.1} ({:+.2}%)",
-                l.bench, l.id, l.metric, l.base, c, l.delta_pct
-            ),
-            None => println!(
-                "  [{marker}] {}/{} {}: {:.1} -> missing",
-                l.bench, l.id, l.metric, l.base
-            ),
-        }
+    let shown = |v: Option<f64>| v.map_or("-".to_string(), |v| v.to_string());
+    for l in lines.iter().filter(|l| l.changed || verbose) {
+        let (bench, id, metric) = &l.key;
+        // A few ns on a row of milliseconds is a move too: print it legibly.
+        let delta = match (l.base, l.cand) {
+            (Some(b), Some(c)) if b != 0.0 && l.changed => match (c - b) / b * 100.0 {
+                pct if pct.abs() >= 0.01 => format!(" {pct:+.2}%"),
+                pct => format!(" {pct:+.1e}%"),
+            },
+            _ => String::new(),
+        };
+        let (marker, verdict) = if l.changed {
+            ("CHANGED", l.verdict())
+        } else {
+            ("same", "")
+        };
+        println!(
+            "  [{marker}] {bench}/{id} {metric}: {} -> {}{delta} {verdict}",
+            shown(l.base),
+            shown(l.cand)
+        );
     }
-    if regressions == 0 {
-        println!("perfdiff: PASS — no gated metric moved past the tolerance");
+    if changed == 0 {
+        println!("perfdiff: PASS — every row equals the baseline");
     } else {
-        println!("perfdiff: FAIL — {regressions} regression(s) past {tolerance_pct}%");
+        println!("perfdiff: FAIL — {changed} row(s) changed");
     }
-    Ok(i32::from(regressions > 0))
+    Ok(i32::from(changed > 0))
 }

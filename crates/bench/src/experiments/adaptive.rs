@@ -22,8 +22,8 @@
 //!    is the fraction of rows within the 1.15× acceptance band and must
 //!    stay ≥ 0.9.
 //!
-//! `--smoke` is the CI configuration gated by `perfdiff` against
-//! `BENCH_0010.json`: the acceptance-size N ∈ {128, 256} phased cells
+//! `--smoke` is the CI configuration `perfdiff` holds equal to
+//! `BENCH_ADAPTIVE.json`: the acceptance-size N ∈ {128, 256} phased cells
 //! at a fabric-bound 8 MiB/node and a six-row matrix. The full run adds
 //! the N = 64 anchor cell and two more matrix rows.
 

@@ -5,7 +5,8 @@
 //! figure's shape. Under `--smoke` a sweep keeps its first and last x and
 //! runs the §5.1 workload at [`SMOKE_MSG_BYTES_PER_NODE`] whatever
 //! `RSHUFFLE_BENCH_MIB` says. Figure 9 keeps the one-row-per-cell layout
-//! and the smoke matrix that `BENCH_0008.json` recorded.
+//! and the smoke matrix that `BENCH_SMOKE.json` records, each row with its
+//! stage digests, which `perfdiff` compares field by field.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -198,22 +199,11 @@ pub(super) fn fig09_msgsize(scale: Scale) -> Outcome {
             cfg.bytes_per_node = volume;
             let r = out.workload(&format!("{a} msg {msg}"), &cfg);
             let stages = stage_summaries(&r.runtime.obs().metrics.snapshot());
-            let mut metrics = vec![
+            let metrics = vec![
                 MetricRow::higher("gib_per_sec", r.gib_per_sec()),
                 MetricRow::lower("response_ns", r.response_time.as_nanos() as f64),
                 MetricRow::info("registered_bytes", r.registered_bytes_per_node as f64),
             ];
-            // Promote the sender-side batching stages from the
-            // informational digests to gated scalars: doorbell
-            // coalescing and post-to-completion latency are exactly
-            // what the hot-path work optimises, so a regression
-            // there must fail the build even when end-to-end
-            // throughput hides it.
-            for stage in ["stage.wr_batch_ns", "stage.post_to_completion_ns"] {
-                if let Some((_, s)) = stages.iter().find(|(k, _)| k == stage) {
-                    metrics.push(MetricRow::lower(&format!("{stage}_p50"), s.p50 as f64));
-                }
-            }
             out.run.results.push(BenchResult {
                 id: format!("{a}/msg={}KiB", msg >> 10),
                 metrics,

@@ -1,5 +1,5 @@
 //! Perf-trajectory records: machine-readable `BENCH_*.json` emission,
-//! parsing, and regression diffing.
+//! parsing, and diffing.
 //!
 //! A [`BenchReport`] captures one measurement session under the stable
 //! `rshuffle-bench/1` schema: the git commit, one [`BenchRun`] per
@@ -7,13 +7,17 @@
 //! scalar metrics (latency percentiles, throughput) plus per-stage
 //! latency digests ([`HistogramSummary`]). Because the simulator is
 //! deterministic, re-running the same experiment on the same tree
-//! reproduces the report bit-for-bit — a committed baseline
-//! (`BENCH_0008.json`) is therefore an exact perf contract that
-//! `perfdiff` enforces in CI with a configurable tolerance.
+//! reproduces the report bit for bit. A committed baseline
+//! (`BENCH_SMOKE.json` and the other three gates of `ci.sh`) is therefore
+//! an exact contract: `perfdiff` fails on any row whose bits differ, every
+//! field of every stage digest included. Only the rows tagged
+//! [`Direction::Host`] (wall clock, resident memory) are left out.
 //!
 //! The rows are also the only thing the `bench` runner prints:
 //! [`BenchRun::markdown`] renders them as the tables EXPERIMENTS.md holds.
 
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use rshuffle_obs::{stage::Stage, HistogramSnapshot, HistogramSummary, Snapshot};
@@ -23,47 +27,51 @@ use serde::{Serialize, Value};
 /// changes so `perfdiff` refuses to compare across formats.
 pub const SCHEMA: &str = "rshuffle-bench/1";
 
-/// One scalar metric row with its explicit gating direction.
+/// One scalar metric row with its explicit direction tag.
 ///
 /// The direction is part of the record, not inferred from the name at
 /// diff time: a metric named `throughput_ns` would be ambiguous under
-/// name inference, and silently guessing wrong would flip the gate.
+/// name inference, and a wrong guess would mislabel a change or skip a
+/// row that is not a host measurement.
 #[derive(Clone, Debug)]
 pub struct MetricRow {
     /// Metric name, unique within its result row.
     pub name: String,
     /// Measured value.
     pub value: f64,
-    /// Which way the gate lets this metric move.
+    /// Which way the metric is better, or that it measures the host.
     pub direction: Direction,
 }
 
 impl MetricRow {
-    /// A latency-like metric: regression when it goes up.
+    fn new(name: &str, value: f64, direction: Direction) -> Self {
+        MetricRow {
+            name: name.to_string(),
+            value,
+            direction,
+        }
+    }
+
+    /// A latency-like metric: better when it goes down.
     pub fn lower(name: &str, value: f64) -> Self {
-        MetricRow {
-            name: name.to_string(),
-            value,
-            direction: Direction::LowerIsBetter,
-        }
+        Self::new(name, value, Direction::LowerIsBetter)
     }
 
-    /// A throughput-like metric: regression when it goes down.
+    /// A throughput-like metric: better when it goes up.
     pub fn higher(name: &str, value: f64) -> Self {
-        MetricRow {
-            name: name.to_string(),
-            value,
-            direction: Direction::HigherIsBetter,
-        }
+        Self::new(name, value, Direction::HigherIsBetter)
     }
 
-    /// A tracked-but-never-gated metric (e.g. memory footprints).
+    /// A metric neither way of moving is better for (e.g. memory
+    /// footprints).
     pub fn info(name: &str, value: f64) -> Self {
-        MetricRow {
-            name: name.to_string(),
-            value,
-            direction: Direction::Informational,
-        }
+        Self::new(name, value, Direction::Informational)
+    }
+
+    /// A measurement of the host running the simulation (wall clock,
+    /// resident memory), which differs from run to run of the same tree.
+    pub fn host(name: &str, value: f64) -> Self {
+        Self::new(name, value, Direction::Host)
     }
 }
 
@@ -72,9 +80,9 @@ impl MetricRow {
 pub struct BenchResult {
     /// Stable row id, e.g. `"MESQ/SR/N=2"` or `"MEMQ/RD/msg=64KiB"`.
     pub id: String,
-    /// Gated scalar metrics.
+    /// Scalar metrics.
     pub metrics: Vec<MetricRow>,
-    /// Per-stage latency digests (informational; not gated).
+    /// Per-stage latency digests; every field is compared like a metric.
     pub stages: Vec<(String, HistogramSummary)>,
 }
 
@@ -257,14 +265,18 @@ pub fn stage_summaries(snapshot: &Snapshot) -> Vec<(String, HistogramSummary)> {
 // Parsing and diffing.
 // ---------------------------------------------------------------------------
 
-/// One metric read back from a report file.
+/// One row read back from a report file: a metric, or one field of a
+/// stage digest.
 #[derive(Clone, Debug)]
 pub struct ParsedMetric {
-    /// `(bench, result id, metric name)` — the comparison key.
+    /// `(bench, result id, metric name)` — the comparison key. A stage
+    /// digest's field is named `<stage>.<field>`, e.g.
+    /// `stage.wr_batch_ns.p50`.
     pub key: (String, String, String),
     /// Recorded value.
     pub value: f64,
-    /// Gating direction: the file's explicit `directions` entry.
+    /// The file's explicit `directions` entry; a digest field's is
+    /// `Informational`.
     pub direction: Direction,
 }
 
@@ -275,15 +287,16 @@ pub struct ParsedReport {
     pub schema: String,
     /// Commit the file was recorded at.
     pub commit: String,
-    /// Every metric, in file order.
+    /// Every row, in file order; no key appears twice.
     pub metrics: Vec<ParsedMetric>,
 }
 
 impl ParsedReport {
     /// Parses `BENCH_*.json` text. Fails on malformed JSON, a missing
-    /// or unknown schema tag, non-numeric metric values, a result
-    /// without a `directions` object, a metric it does not list, or an
-    /// unknown direction tag.
+    /// or unknown schema tag, non-numeric metric or digest values, a
+    /// result without a `directions` object, a metric it does not list,
+    /// an unknown direction tag, or a key that appears twice (an
+    /// experiment run twice in one report).
     pub fn parse(text: &str) -> Result<ParsedReport, String> {
         let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let Value::Object(fields) = root else {
@@ -327,7 +340,9 @@ impl ParsedReport {
                 let directions = match field(rf, "directions") {
                     Some(Value::Object(ds)) => ds,
                     Some(_) => {
-                        return Err(format!("bench {bench_id}/{id}: directions is not an object"))
+                        return Err(format!(
+                            "bench {bench_id}/{id}: directions is not an object"
+                        ))
                     }
                     None => {
                         return Err(format!(
@@ -336,12 +351,19 @@ impl ParsedReport {
                         ))
                     }
                 };
+                let mut row = |name: String, value: &Value, direction| match number(value) {
+                    Some(value) => {
+                        let key = (bench_id.clone(), id.clone(), name);
+                        metrics.push(ParsedMetric {
+                            key,
+                            value,
+                            direction,
+                        });
+                        Ok(())
+                    }
+                    None => Err(format!("bench {bench_id}/{id}: {name} is not numeric")),
+                };
                 for (name, value) in ms {
-                    let Some(v) = number(value) else {
-                        return Err(format!(
-                            "bench {bench_id}/{id}: metric {name} is not numeric"
-                        ));
-                    };
                     let direction = match field(directions, name) {
                         Some(Value::Str(tag)) => Direction::from_tag(tag)
                             .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
@@ -356,35 +378,29 @@ impl ParsedReport {
                             ))
                         }
                     };
-                    metrics.push(ParsedMetric {
-                        key: (bench_id.clone(), id.clone(), name.clone()),
-                        value: v,
-                        direction,
-                    });
+                    row(name.clone(), value, direction)?;
                 }
-                // Surface each stage digest's p50 as an informational
-                // metric so stage-level movement shows up in the diff
-                // even against baselines that never promoted them. A
-                // result that promotes a stage p50 into its gated
-                // metrics wins: the flattened copy is skipped.
+                // A stage digest is compared whole: each of its fields is
+                // a row of its own.
                 if let Some(Value::Object(stages)) = field(rf, "stages") {
-                    for (sname, sval) in stages {
-                        let Value::Object(sf) = sval else { continue };
-                        let Some(v) = field(sf, "p50").and_then(number) else {
-                            continue;
+                    for (stage, digest) in stages {
+                        let Value::Object(digest) = digest else {
+                            return Err(format!("bench {bench_id}/{id}: {stage} is not a digest"));
                         };
-                        let name = format!("{sname}_p50");
-                        if field(ms, &name).is_some() {
-                            continue;
+                        for (name, value) in digest {
+                            row(format!("{stage}.{name}"), value, Direction::Informational)?;
                         }
-                        metrics.push(ParsedMetric {
-                            key: (bench_id.clone(), id.clone(), name),
-                            value: v,
-                            direction: Direction::Informational,
-                        });
                     }
                 }
             }
+        }
+        let mut keys: Vec<_> = metrics.iter().map(|m| &m.key).collect();
+        keys.sort_unstable();
+        if let Some(twice) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+            let (bench, id, name) = twice[0];
+            return Err(format!(
+                "bench {bench}/{id}: {name} appears twice (an experiment repeated in one report?)"
+            ));
         }
         Ok(ParsedReport {
             schema,
@@ -409,15 +425,19 @@ fn number(value: &Value) -> Option<f64> {
     }
 }
 
-/// Which way a metric is allowed to move.
+/// Which way a metric is better: the label `perfdiff` prints beside a
+/// changed row. It decides nothing else, but for `Host`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Latency-like: a candidate above baseline + tolerance regresses.
+    /// Latency-like: lower is better.
     LowerIsBetter,
-    /// Throughput-like: a candidate below baseline − tolerance regresses.
+    /// Throughput-like: higher is better.
     HigherIsBetter,
-    /// Tracked but never gated (e.g. memory footprints).
+    /// Neither way is better (e.g. memory footprints, digest fields).
     Informational,
+    /// A measurement of the host, not of the simulation (wall clock,
+    /// resident memory): a row both reports tag `host` is not compared.
+    Host,
 }
 
 impl Direction {
@@ -427,6 +447,7 @@ impl Direction {
             Direction::LowerIsBetter => "lower_is_better",
             Direction::HigherIsBetter => "higher_is_better",
             Direction::Informational => "informational",
+            Direction::Host => "host",
         }
     }
 
@@ -437,89 +458,81 @@ impl Direction {
             "lower_is_better" => Ok(Direction::LowerIsBetter),
             "higher_is_better" => Ok(Direction::HigherIsBetter),
             "informational" => Ok(Direction::Informational),
+            "host" => Ok(Direction::Host),
             other => Err(format!("unknown metric direction tag {other:?}")),
         }
     }
 }
 
-/// One compared metric.
+/// One row of either report, compared.
 #[derive(Clone, Debug)]
 pub struct DiffLine {
-    /// Benchmark id.
-    pub bench: String,
-    /// Result row id.
-    pub id: String,
-    /// Metric name.
-    pub metric: String,
-    /// Baseline value.
-    pub base: f64,
-    /// Candidate value (`None` when the metric vanished).
+    /// `(bench, result id, metric name)`.
+    pub key: (String, String, String),
+    /// Baseline value (`None` when only the candidate holds the row).
+    pub base: Option<f64>,
+    /// Candidate value (`None` when only the baseline holds the row).
     pub cand: Option<f64>,
-    /// Signed relative change in percent (0 when base is 0).
-    pub delta_pct: f64,
-    /// Gating direction of the metric.
+    /// The row's direction tag: the baseline's where it holds the row.
     pub direction: Direction,
-    /// Whether this line violates the tolerance.
-    pub regressed: bool,
+    /// Whether the row differs between the two reports.
+    pub changed: bool,
 }
 
-/// Compares `cand` against `base`: every baseline metric must exist in
-/// the candidate and stay within `tolerance_pct` in its gating
-/// direction. Candidate-only metrics are ignored (adding coverage is
-/// never a regression).
-pub fn diff_reports(base: &ParsedReport, cand: &ParsedReport, tolerance_pct: f64) -> Vec<DiffLine> {
-    let tol = tolerance_pct / 100.0;
-    base.metrics
-        .iter()
-        .map(|bm| {
-            let (bench, id, metric) = &bm.key;
-            // The baseline's recorded direction governs the gate.
-            let direction = bm.direction;
-            let b = bm.value;
-            let cv = cand
-                .metrics
-                .iter()
-                .find(|m| m.key == bm.key)
-                .map(|m| m.value);
-            let (delta_pct, regressed) = match cv {
-                // A vanished gated metric is a regression; a vanished
-                // informational one (e.g. a stage digest that recorded
-                // no samples this time) is not.
-                None => (0.0, direction != Direction::Informational),
-                Some(c) => {
-                    let delta = if b != 0.0 { (c - b) / b * 100.0 } else { 0.0 };
-                    let regressed = match direction {
-                        Direction::LowerIsBetter => {
-                            if b == 0.0 {
-                                c > 0.0
-                            } else {
-                                c > b * (1.0 + tol)
-                            }
-                        }
-                        Direction::HigherIsBetter => c < b * (1.0 - tol),
-                        Direction::Informational => false,
-                    };
-                    (delta, regressed)
-                }
-            };
-            DiffLine {
-                bench: bench.clone(),
-                id: id.clone(),
-                metric: metric.clone(),
-                base: b,
-                cand: cv,
-                delta_pct,
-                direction,
-                regressed,
+impl DiffLine {
+    /// How a changed row moved: `better` or `worse` by its direction tag,
+    /// `changed` for a row with no better way, or the side that holds it.
+    pub fn verdict(&self) -> &'static str {
+        let (b, c) = match (self.base, self.cand) {
+            (Some(b), Some(c)) => (b, c),
+            (Some(_), None) => return "only in the baseline",
+            (None, _) => return "only in the candidate",
+        };
+        match (self.direction, c.partial_cmp(&b)) {
+            (Direction::LowerIsBetter, Some(Ordering::Less))
+            | (Direction::HigherIsBetter, Some(Ordering::Greater)) => "better",
+            (Direction::LowerIsBetter, Some(Ordering::Greater))
+            | (Direction::HigherIsBetter, Some(Ordering::Less)) => "worse",
+            _ => "changed",
+        }
+    }
+}
+
+/// Compares `cand` with `base` row by row. A row is changed when the bits
+/// of its value or its direction tag differ, or when only one report
+/// holds it; a row both reports tag [`Direction::Host`] is never changed.
+/// The baseline's rows come first, in file order, then those only the
+/// candidate holds.
+pub fn diff_reports(base: &ParsedReport, cand: &ParsedReport) -> Vec<DiffLine> {
+    let in_base: HashSet<_> = base.metrics.iter().map(|m| &m.key).collect();
+    let in_cand: HashMap<_, _> = cand.metrics.iter().map(|m| (&m.key, m)).collect();
+    let line = |row: &ParsedMetric, b: Option<&ParsedMetric>, c: Option<&ParsedMetric>| {
+        let changed = match (b, c) {
+            (Some(b), Some(c)) if b.direction == c.direction => {
+                b.direction != Direction::Host && b.value.to_bits() != c.value.to_bits()
             }
-        })
+            _ => true,
+        };
+        DiffLine {
+            key: row.key.clone(),
+            base: b.map(|m| m.value),
+            cand: c.map(|m| m.value),
+            direction: row.direction,
+            changed,
+        }
+    };
+    let both = base
+        .metrics
+        .iter()
+        .map(|b| line(b, Some(b), in_cand.get(&b.key).copied()));
+    let only_cand = cand.metrics.iter().filter(|c| !in_base.contains(&c.key));
+    both.chain(only_cand.map(|c| line(c, None, Some(c))))
         .collect()
 }
 
 /// The `host` row `scale` and `adaptive` close their reports with: the
-/// process's peak resident set so far (`VmHWM`), MiB. Informational —
-/// host memory never gates a virtual-time metric — but `ci.sh` holds the
-/// adaptive smoke under a ceiling with it.
+/// process's peak resident set so far (`VmHWM`), MiB. Never compared, but
+/// `ci.sh` holds the adaptive smoke under a ceiling with it.
 pub fn host_result() -> BenchResult {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let kib = status.lines().find_map(|l| {
@@ -528,7 +541,7 @@ pub fn host_result() -> BenchResult {
     });
     BenchResult {
         id: "host".to_string(),
-        metrics: vec![MetricRow::info(
+        metrics: vec![MetricRow::host(
             "host_peak_rss_mib",
             kib.unwrap_or(0.0) / 1024.0,
         )],
@@ -553,6 +566,7 @@ mod tests {
                         MetricRow::lower("p99_ns", 1000.0),
                         MetricRow::higher("agg_mbps", 50.0),
                         MetricRow::info("peak_bytes", 4096.0),
+                        MetricRow::host("wall_clock_ms", 12.5),
                     ],
                     stages: vec![(
                         "stage.cq_wait_ns".to_string(),
@@ -572,18 +586,37 @@ mod tests {
         }
     }
 
+    fn parsed() -> ParsedReport {
+        ParsedReport::parse(&fixture().to_json()).expect("parses")
+    }
+
+    /// `report` with `f` applied to the value of the row named `metric`.
+    fn with(report: &ParsedReport, metric: &str, f: impl Fn(f64) -> f64) -> ParsedReport {
+        let mut out = report.clone();
+        for m in out.metrics.iter_mut().filter(|m| m.key.2 == metric) {
+            m.value = f(m.value);
+        }
+        out
+    }
+
+    /// The names of the rows that changed from `base` to `cand`.
+    fn changed(base: &ParsedReport, cand: &ParsedReport) -> Vec<String> {
+        let lines = diff_reports(base, cand).into_iter();
+        lines.filter(|l| l.changed).map(|l| l.key.2).collect()
+    }
+
     #[test]
     fn report_round_trips_through_json() {
-        let report = fixture();
-        let parsed = ParsedReport::parse(&report.to_json()).expect("parses");
+        let parsed = parsed();
         assert_eq!(parsed.schema, SCHEMA);
         assert_eq!(parsed.commit, "deadbeef");
-        // 3 scalar metrics + the flattened stage.cq_wait_ns_p50 digest.
-        assert_eq!(parsed.metrics.len(), 4);
-        let flattened = &parsed.metrics[3];
-        assert_eq!(flattened.key.2, "stage.cq_wait_ns_p50");
-        assert_eq!(flattened.value, 40.0);
-        assert_eq!(flattened.direction, Direction::Informational);
+        // 4 scalar metrics, then every field of the stage digest.
+        let names: Vec<&str> = parsed.metrics.iter().map(|m| m.key.2.as_str()).collect();
+        let digest = ["count", "min", "max", "mean", "p50", "p90", "p99", "p999"];
+        let digest = digest.map(|f| format!("stage.cq_wait_ns.{f}"));
+        let expected = ["p99_ns", "agg_mbps", "peak_bytes", "wall_clock_ms"];
+        assert_eq!(names[..4], expected);
+        assert_eq!(names[4..], digest);
         assert_eq!(
             parsed.metrics[0].key,
             (
@@ -593,11 +626,50 @@ mod tests {
             )
         );
         assert_eq!(parsed.metrics[0].value, 1000.0);
+        assert_eq!(parsed.metrics[8].value, 40.0, "the digest's p50");
         // The explicit directions round-trip, including the one a name
         // inference could not have produced for `peak_bytes`.
-        assert_eq!(parsed.metrics[0].direction, Direction::LowerIsBetter);
-        assert_eq!(parsed.metrics[1].direction, Direction::HigherIsBetter);
-        assert_eq!(parsed.metrics[2].direction, Direction::Informational);
+        let directions: Vec<Direction> = parsed.metrics.iter().map(|m| m.direction).collect();
+        assert_eq!(
+            directions[..5],
+            [
+                Direction::LowerIsBetter,
+                Direction::HigherIsBetter,
+                Direction::Informational,
+                Direction::Host,
+                Direction::Informational,
+            ]
+        );
+    }
+
+    #[test]
+    fn emit_then_parse_is_bit_exact_for_every_value() {
+        let awkward = [
+            0.1 + 0.2,
+            1.0 / 3.0,
+            1e-300,
+            f64::MIN_POSITIVE,
+            123_456_789.123_456_78,
+            (1u64 << 60) as f64,
+            f64::MAX,
+            12.5,
+        ];
+        let mut report = fixture();
+        let result = &mut report.benches[0].results[0];
+        for (row, value) in result.metrics.iter_mut().zip(awkward) {
+            row.value = value;
+        }
+        let s = &mut result.stages[0].1;
+        s.mean = 2.0 / 3.0;
+        let digest = [s.count, s.min, s.max].map(|v| v as f64);
+        let percentiles = [s.p50, s.p90, s.p99, s.p999].map(|v| v as f64);
+        let mut expected: Vec<f64> = result.metrics.iter().map(|m| m.value).collect();
+        expected.extend(digest.into_iter().chain([s.mean]).chain(percentiles));
+        let parsed = ParsedReport::parse(&report.to_json()).expect("parses");
+        let bits =
+            |values: &mut dyn Iterator<Item = f64>| values.map(f64::to_bits).collect::<Vec<_>>();
+        let got = bits(&mut parsed.metrics.iter().map(|m| m.value));
+        assert_eq!(got, bits(&mut expected.into_iter()));
     }
 
     #[test]
@@ -605,12 +677,13 @@ mod tests {
         let mut run = fixture().benches.remove(0);
         run.results.push(BenchResult {
             id: "host".to_string(),
-            metrics: vec![MetricRow::info("host_peak_rss_mib", 85.4609375)],
+            metrics: vec![MetricRow::host("host_peak_rss_mib", 85.4609375)],
             stages: Vec::new(),
         });
         let expected = "**concurrency** (nodes = 3)\n\n\
-                        | row | p99_ns | agg_mbps | peak_bytes |\n|---|---:|---:|---:|\n\
-                        | MESQ/SR/N=1 | 1000 | 50 | 4096 |\n\n\
+                        | row | p99_ns | agg_mbps | peak_bytes | wall_clock_ms |\n\
+                        |---|---:|---:|---:|---:|\n\
+                        | MESQ/SR/N=1 | 1000 | 50 | 4096 | 12.500 |\n\n\
                         | row | host_peak_rss_mib |\n|---|---:|\n| host | 85.461 |\n";
         assert_eq!(run.markdown(), expected);
     }
@@ -624,88 +697,126 @@ mod tests {
     }
 
     #[test]
-    fn identical_reports_never_regress() {
-        let report = fixture();
-        let parsed = ParsedReport::parse(&report.to_json()).unwrap();
-        let lines = diff_reports(&parsed, &parsed, 10.0);
-        assert_eq!(lines.len(), 4);
-        assert!(lines.iter().all(|l| !l.regressed));
+    fn a_repeated_experiment_is_rejected_by_name() {
+        // `bench concurrency concurrency --emit` writes the run twice; a
+        // diff that matched each key once would never read the second copy.
+        let mut report = fixture();
+        report.benches.push(report.benches[0].clone());
+        let err = ParsedReport::parse(&report.to_json()).unwrap_err();
+        assert!(
+            err.contains("concurrency/MESQ/SR/N=1: agg_mbps appears twice"),
+            "got: {err}"
+        );
     }
 
     #[test]
-    fn vanished_stage_digest_is_not_a_regression() {
-        // Stage digests are informational: one recording no samples in
-        // the candidate must not fail the gate, unlike a vanished gated
-        // metric (covered by `missing_metric_is_a_regression`).
-        let base = ParsedReport::parse(&fixture().to_json()).unwrap();
-        let mut cand = base.clone();
-        cand.metrics.retain(|m| m.key.2 != "stage.cq_wait_ns_p50");
-        let lines = diff_reports(&base, &cand, 10.0);
-        let stage = lines
+    fn identical_reports_never_change() {
+        let report = parsed();
+        let lines = diff_reports(&report, &report);
+        assert_eq!(lines.len(), report.metrics.len());
+        assert!(lines.iter().all(|l| !l.changed));
+    }
+
+    #[test]
+    fn a_one_ulp_move_of_any_row_either_way_is_named() {
+        let base = parsed();
+        for row in base
+            .metrics
             .iter()
-            .find(|l| l.metric == "stage.cq_wait_ns_p50")
-            .unwrap();
-        assert!(stage.cand.is_none());
-        assert!(!stage.regressed);
+            .filter(|m| m.direction != Direction::Host)
+        {
+            for step in [1, -1] {
+                let cand = with(&base, &row.key.2, |v| {
+                    f64::from_bits(v.to_bits().wrapping_add_signed(step))
+                });
+                assert_eq!(changed(&base, &cand), [row.key.2.as_str()], "{step} ulp");
+            }
+        }
     }
 
     #[test]
-    fn latency_regression_is_caught_and_direction_matters() {
-        let base = ParsedReport::parse(&fixture().to_json()).unwrap();
+    fn a_vanished_stage_digest_is_a_change() {
+        let base = parsed();
         let mut cand = base.clone();
-        for m in &mut cand.metrics {
-            if m.key.2 == "p99_ns" {
-                m.value *= 2.0; // 2x slowdown
-            }
-        }
-        let lines = diff_reports(&base, &cand, 10.0);
-        let p99 = lines.iter().find(|l| l.metric == "p99_ns").unwrap();
-        assert!(p99.regressed);
-        assert_eq!(p99.direction, Direction::LowerIsBetter);
-        // A 2x latency *improvement* is not a regression.
-        let mut faster = base.clone();
-        for m in &mut faster.metrics {
-            if m.key.2 == "p99_ns" {
-                m.value /= 2.0;
-            }
-        }
-        assert!(diff_reports(&base, &faster, 10.0)
-            .iter()
-            .all(|l| !l.regressed));
+        cand.metrics
+            .retain(|m| !m.key.2.starts_with("stage.cq_wait_ns."));
+        let lines = diff_reports(&base, &cand);
+        let gone: Vec<&DiffLine> = lines.iter().filter(|l| l.changed).collect();
+        assert_eq!(gone.len(), 8, "every field of the digest");
+        assert!(gone.iter().all(|l| l.verdict() == "only in the baseline"));
     }
 
     #[test]
-    fn throughput_drop_regresses_and_informational_never_does() {
-        let base = ParsedReport::parse(&fixture().to_json()).unwrap();
-        let mut cand = base.clone();
-        for m in &mut cand.metrics {
-            if m.key.2 == "agg_mbps" {
-                m.value *= 0.5;
-            }
-            if m.key.2 == "peak_bytes" {
-                m.value *= 100.0;
-            }
+    fn a_latency_move_is_a_change_labelled_by_its_direction() {
+        let base = parsed();
+        for (factor, verdict) in [(2.0, "worse"), (0.5, "better")] {
+            let lines = diff_reports(&base, &with(&base, "p99_ns", |v| v * factor));
+            let moved: Vec<&DiffLine> = lines.iter().filter(|l| l.changed).collect();
+            assert_eq!(moved.len(), 1);
+            assert_eq!(moved[0].key.2, "p99_ns");
+            assert_eq!(moved[0].direction, Direction::LowerIsBetter);
+            assert_eq!(moved[0].verdict(), verdict, "p99_ns x{factor}");
         }
-        let lines = diff_reports(&base, &cand, 10.0);
-        assert!(lines.iter().find(|l| l.metric == "agg_mbps").unwrap().regressed);
-        assert!(!lines.iter().find(|l| l.metric == "peak_bytes").unwrap().regressed);
     }
 
     #[test]
-    fn missing_metric_is_a_regression() {
-        let base = ParsedReport::parse(&fixture().to_json()).unwrap();
-        let mut cand = base.clone();
-        cand.metrics.retain(|m| m.key.2 != "p99_ns");
-        let lines = diff_reports(&base, &cand, 10.0);
-        let p99 = lines.iter().find(|l| l.metric == "p99_ns").unwrap();
-        assert!(p99.regressed);
-        assert!(p99.cand.is_none());
+    fn a_throughput_or_informational_move_is_a_change() {
+        let base = parsed();
+        let cand = with(&base, "agg_mbps", |v| v * 0.5);
+        let cand = with(&cand, "peak_bytes", |v| v * 100.0);
+        let lines = diff_reports(&base, &cand);
+        let moved = lines.iter().filter(|l| l.changed);
+        let verdicts: Vec<(&str, &str)> = moved.map(|l| (l.key.2.as_str(), l.verdict())).collect();
+        assert_eq!(verdicts, [("agg_mbps", "worse"), ("peak_bytes", "changed")]);
+    }
+
+    #[test]
+    fn a_row_on_one_side_only_is_a_change() {
+        let base = parsed();
+        for metric in ["p99_ns", "wall_clock_ms"] {
+            let mut fewer = base.clone();
+            fewer.metrics.retain(|m| m.key.2 != metric);
+            assert_eq!(changed(&base, &fewer), [metric]);
+            let lines = diff_reports(&fewer, &base);
+            let added: Vec<&DiffLine> = lines.iter().filter(|l| l.changed).collect();
+            assert_eq!(added.len(), 1);
+            assert_eq!((added[0].base, added[0].key.2.as_str()), (None, metric));
+            assert_eq!(added[0].verdict(), "only in the candidate");
+        }
+    }
+
+    #[test]
+    fn a_move_from_zero_is_reported() {
+        let base = with(&parsed(), "p99_ns", |_| 0.0);
+        let lines = diff_reports(&base, &parsed());
+        let moved: Vec<&DiffLine> = lines.iter().filter(|l| l.changed).collect();
+        assert_eq!(moved.len(), 1);
+        assert_eq!((moved[0].base, moved[0].cand), (Some(0.0), Some(1000.0)));
+        assert_eq!(moved[0].verdict(), "worse");
+    }
+
+    #[test]
+    fn a_host_row_may_move_but_not_change_its_tag() {
+        let base = parsed();
+        let cand = with(&base, "wall_clock_ms", |v| v * 3.0);
+        assert!(changed(&base, &cand).is_empty());
+        // Tagged anything else on one side, the row is compared.
+        let mut retagged = cand.clone();
+        for m in retagged
+            .metrics
+            .iter_mut()
+            .filter(|m| m.key.2 == "wall_clock_ms")
+        {
+            m.direction = Direction::Informational;
+        }
+        assert_eq!(changed(&base, &retagged), ["wall_clock_ms"]);
+        assert_eq!(changed(&retagged, &base), ["wall_clock_ms"]);
     }
 
     #[test]
     fn explicit_direction_overrides_name_inference() {
         // With an explicit direction the same ambiguous name is fine,
-        // and the recorded direction — not the name — drives the gate.
+        // and the recorded direction — not the name — labels a change.
         let text = r#"{
             "schema": "rshuffle-bench/1",
             "commit": "x",
@@ -722,12 +833,11 @@ mod tests {
         }"#;
         let base = ParsedReport::parse(text).expect("explicit direction parses");
         assert_eq!(base.metrics[0].direction, Direction::HigherIsBetter);
-        let mut cand = base.clone();
-        cand.metrics[0].value = 50.0; // halved "throughput" regresses
-        assert!(diff_reports(&base, &cand, 10.0)[0].regressed);
-        let mut up = base.clone();
-        up.metrics[0].value = 200.0; // doubled does not
-        assert!(!diff_reports(&base, &up, 10.0)[0].regressed);
+        for (value, verdict) in [(50.0, "worse"), (200.0, "better")] {
+            let mut cand = base.clone();
+            cand.metrics[0].value = value;
+            assert_eq!(diff_reports(&base, &cand)[0].verdict(), verdict);
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Validates the committed perf baselines: every file a `PERF_GATES` row
-//! of `ci.sh` names must parse under the current `rshuffle-bench/1`
-//! schema, carry explicit metric directions, and — trivially — show zero
-//! regressions when diffed against itself; the experiments the row hands
-//! to `bench` must be registered. `BENCH_0008.json` must also cover the
-//! full smoke matrix (six algorithms at both concurrency levels and both
-//! message sizes). If a schema change ever breaks this test, re-record
-//! the baseline with the row's `bench … --smoke --emit` in the same
-//! commit.
+//! Validates the committed perf baselines: the file of every `PERF_GATES`
+//! row of `ci.sh` (`BENCH_<GATE>.json`) must parse under the current
+//! `rshuffle-bench/1` schema, hold a compared row of every experiment the
+//! row hands to `bench` (each of them registered), and diff unchanged
+//! against itself. `BENCH_SMOKE.json` must also cover the full smoke
+//! matrix (six algorithms at both concurrency levels and both message
+//! sizes). If a schema change ever breaks this test, re-record the
+//! baselines with `RSHUFFLE_BLESS=1 ./ci.sh` in the same commit.
 
 use rshuffle_bench::experiments::REGISTRY;
 use rshuffle_bench::perf::{diff_reports, Direction, ParsedReport, SCHEMA};
@@ -16,11 +15,12 @@ fn repo_file(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name} is readable: {e}"))
 }
 
-fn baseline_text() -> String {
-    repo_file("BENCH_0008.json")
+fn smoke_baseline() -> ParsedReport {
+    ParsedReport::parse(&repo_file("BENCH_SMOKE.json")).expect("BENCH_SMOKE.json parses")
 }
 
-/// `(baseline file, experiment ids)` of every `PERF_GATES` row.
+/// `(baseline file, experiment ids)` of every `PERF_GATES` row
+/// (`gate experiments`); a gate's baseline is `BENCH_<GATE>.json`.
 fn perf_gates() -> Vec<(String, Vec<String>)> {
     let ci = repo_file("ci.sh");
     let rows = ci
@@ -31,8 +31,8 @@ fn perf_gates() -> Vec<(String, Vec<String>)> {
     let gates: Vec<_> = rows
         .lines()
         .filter_map(|row| {
-            let mut columns = row.trim().trim_matches('"').split_whitespace().skip(1);
-            let baseline = columns.next()?.to_string();
+            let mut columns = row.trim().trim_matches('"').split_whitespace();
+            let baseline = format!("BENCH_{}.json", columns.next()?.to_uppercase());
             let experiments = columns.next()?.split(',').map(str::to_string).collect();
             Some((baseline, experiments))
         })
@@ -52,19 +52,19 @@ fn committed_baseline_parses_under_current_schema() {
                 REGISTRY.iter().any(|e| e.id == id),
                 "{baseline}: {id:?} is not registered"
             );
-            let gated = report
+            let compared = report
                 .metrics
                 .iter()
-                .any(|m| m.key.0 == *id && m.direction != Direction::Informational);
-            assert!(gated, "{baseline} gates no metric of {id:?}");
+                .any(|m| m.key.0 == *id && m.direction != Direction::Host);
+            assert!(compared, "{baseline} holds no compared row of {id:?}");
         }
     }
 
-    let report = ParsedReport::parse(&baseline_text()).expect("baseline parses");
+    let report = smoke_baseline();
     // Every algorithm must appear in both the concurrency matrix and the
     // message-size sweep, at every smoke point.
     for alg in [
-        "MESQ/SR", "MEMQ/SR", "MEMQ/RD", "SEMQ/SR", "SEMQ/RD", "SESQ/SR",
+        "MESQ/SR", "MEMQ/SR", "MEMQ/RD", "SEMQ/RD", "SEMQ/SR", "SESQ/SR",
     ] {
         for id in [
             format!("{alg}/N=1"),
@@ -79,8 +79,8 @@ fn committed_baseline_parses_under_current_schema() {
         }
     }
 
-    // The headline metrics the gate protects must all be present with
-    // sane (positive, finite) values.
+    // The headline metrics must all be present with sane (positive,
+    // finite) values.
     for metric in ["p50_ns", "p99_ns", "makespan_ns", "agg_mbps", "gib_per_sec"] {
         let values: Vec<f64> = report
             .metrics
@@ -96,38 +96,35 @@ fn committed_baseline_parses_under_current_schema() {
 }
 
 #[test]
-fn committed_baseline_gates_hot_path_stage_latencies() {
-    // The hot-path pass promoted the sender-side stage latencies to
-    // gated metrics on the large-message sweep rows; a re-recorded
-    // baseline that silently drops them would un-gate the doorbell and
-    // CQ batching wins.
-    let report = ParsedReport::parse(&baseline_text()).expect("baseline parses");
-    for stage in ["stage.wr_batch_ns_p50", "stage.post_to_completion_ns_p50"] {
-        let gated = report
-            .metrics
-            .iter()
-            .filter(|m| m.key.2 == stage && m.direction == Direction::LowerIsBetter)
-            .count();
-        assert!(
-            gated >= 6,
-            "baseline gates only {gated} rows of {stage} (want one per algorithm)"
-        );
+fn committed_baseline_holds_hot_path_stage_digests() {
+    // The sender-side batching stages are what the hot-path pass made
+    // fast; every Figure 9 row must carry both digests, which the gate
+    // compares field by field.
+    let report = smoke_baseline();
+    let rows = report.metrics.iter().filter(|m| m.key.0 == "fig09_msgsize");
+    let mut ids: Vec<&str> = rows.map(|m| m.key.1.as_str()).collect();
+    ids.dedup();
+    assert_eq!(ids.len(), 12, "six designs at two message sizes: {ids:?}");
+    for id in ids {
+        for stage in ["stage.wr_batch_ns", "stage.post_to_completion_ns"] {
+            let fields = report
+                .metrics
+                .iter()
+                .filter(|m| m.key.1 == id && m.key.2.starts_with(&format!("{stage}.")))
+                .count();
+            assert_eq!(fields, 8, "fig09_msgsize/{id} lacks the {stage} digest");
+        }
     }
 }
 
 #[test]
-fn baseline_diffed_against_itself_has_no_regressions() {
+fn baseline_diffed_against_itself_is_unchanged() {
     for (baseline, _) in perf_gates() {
         let report = ParsedReport::parse(&repo_file(&baseline)).expect("baseline parses");
-        let lines = diff_reports(&report, &report, 10.0);
+        let lines = diff_reports(&report, &report);
         assert_eq!(lines.len(), report.metrics.len());
         for l in lines {
-            assert!(
-                !l.regressed,
-                "{baseline}: self-diff regressed on {}/{} {}",
-                l.bench, l.id, l.metric
-            );
-            assert_eq!(l.delta_pct, 0.0);
+            assert!(!l.changed, "{baseline}: self-diff changed {:?}", l.key);
         }
     }
 }

@@ -4,6 +4,8 @@
 //! that makes flight-recorder diffs meaningful: any divergence between
 //! two runs is a real behavioural difference, never scheduler noise.
 
+#[path = "common/pins.rs"]
+mod pins;
 #[path = "common/run.rs"]
 mod run;
 #[path = "common/wired.rs"]
@@ -195,44 +197,38 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// `(final virtual time ns, snapshot digest)` per design, in
-/// `ShuffleAlgorithm::ALL` order, recorded at commit 5c67394 — the last
-/// kernel that ran every simulated thread as an OS thread. The schedule
-/// order is a pure function of the kernel's `(time, seq)` / `(time, tid)`
-/// queues, so a kernel rewrite must reproduce these exactly; a change to
-/// a cost model or a metric moves them on purpose and re-records them.
-const PINNED: [(u64, u64); 6] = [
-    (40_137, 11_110_549_231_812_651_235),
-    (23_764, 7_685_093_911_697_998_123),
-    (33_855, 16_731_983_075_077_475_687),
-    (23_314, 3_659_862_169_057_386_745),
-    (26_856, 5_603_919_403_184_013_053),
-    (27_934, 10_601_879_380_660_164_129),
-];
+/// `n` with its digits in groups of three, as the pins are written.
+fn grouped(n: u64) -> String {
+    let digits = n.to_string();
+    let mut out = String::new();
+    for (at, digit) in digits.chars().enumerate() {
+        if at > 0 && (digits.len() - at).is_multiple_of(3) {
+            out.push('_');
+        }
+        out.push(digit);
+    }
+    out
+}
 
-/// The §7 RDMA Write designs, MEMQ/WR then SEMQ/WR, which sit outside
-/// `ShuffleAlgorithm::ALL`; recorded at commit cdbd027, before the
-/// endpoint frame was extracted from `wr_rc.rs`.
-const PINNED_WR: [(u64, u64); 2] = [
-    (25_947, 9_554_339_082_997_949_555),
-    (25_337, 10_855_808_592_517_888_017),
-];
-
+/// `(final virtual time ns, snapshot digest)` per design, one row of
+/// `tests/pins/determinism.txt` each: `ShuffleAlgorithm::ALL` in order,
+/// recorded at commit 5c67394 — the last kernel that ran every simulated
+/// thread as an OS thread — then the §7 RDMA Write designs MEMQ/WR and
+/// SEMQ/WR, which sit outside `ALL`, recorded at commit cdbd027, before
+/// the endpoint frame was extracted from `wr_rc.rs`. The schedule order is
+/// a pure function of the kernel's `(time, seq)` / `(time, tid)` queues,
+/// so a kernel rewrite must reproduce these exactly; a change to a cost
+/// model or a metric moves them on purpose and re-records them.
 #[test]
 fn virtual_time_and_snapshot_match_the_pinned_schedule() {
     let wr = ["MEMQ/WR", "SEMQ/WR"].map(|name| ShuffleAlgorithm::parse(name).expect("WR design"));
-    let measured: Vec<(u64, u64)> = ShuffleAlgorithm::ALL
+    let measured: Vec<String> = ShuffleAlgorithm::ALL
         .into_iter()
         .chain(wr)
         .map(|algorithm| {
             let (snap, _, end_ns) = run_observed_staged(algorithm, true);
-            (end_ns, fnv1a(&snap))
+            format!("({}, {})", grouped(end_ns), grouped(fnv1a(&snap)))
         })
         .collect();
-    assert_eq!(
-        measured,
-        [PINNED.as_slice(), PINNED_WR.as_slice()].concat(),
-        "virtual finish time or obs snapshot moved from the pinned schedule \
-         (left: measured, right: pinned, in ShuffleAlgorithm::ALL order, then MEMQ/WR, SEMQ/WR)"
-    );
+    pins::check("determinism.txt", &measured);
 }

@@ -31,6 +31,8 @@
 
 #[path = "common/coordinated.rs"]
 mod coordinated;
+#[path = "common/pins.rs"]
+mod pins;
 #[path = "common/run.rs"]
 mod run;
 
@@ -199,87 +201,12 @@ fn setup_ends_ns(runtime: &Arc<VerbsRuntime>, exchange: &Arc<Exchange>) -> Vec<u
     ends
 }
 
-/// Every design's footprint per node, before any traffic moves: the bytes
-/// the exchange reports to Figure 9b, the admission controller's
-/// estimate, what the runtime pinned, and when the node's connection
-/// setup ends. Recorded before the endpoint traits lost their
-/// bookkeeping methods; a change that is meant to leave Figures 9b and 12
-/// alone reproduces every value.
-const FOOTPRINT_TABLE: [&str; 72] = [
-    "MEMQ/RD repartition n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD repartition n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD repartition n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD broadcast n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD broadcast n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD broadcast n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD one-lane n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "MEMQ/RD one-lane n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "MEMQ/RD one-lane n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "MEMQ/SR repartition n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR repartition n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR repartition n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR broadcast n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR broadcast n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR broadcast n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR one-lane n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "MEMQ/SR one-lane n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "MEMQ/SR one-lane n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/RD repartition n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/RD repartition n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/RD repartition n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/RD broadcast n0: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/RD broadcast n1: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/RD broadcast n2: fig9b 1048896 estimate 1049920 pinned 1049920 setup_ns 6634446",
-    "SEMQ/SR repartition n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/SR repartition n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/SR repartition n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/SR broadcast n0: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/SR broadcast n1: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "SEMQ/SR broadcast n2: fig9b 4718608 estimate 4719120 pinned 4719120 setup_ns 7454691",
-    "MESQ/SR repartition n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR repartition n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR repartition n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR broadcast n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR broadcast n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR broadcast n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 6429296",
-    "MESQ/SR one-lane n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "MESQ/SR one-lane n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "MESQ/SR one-lane n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR repartition n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR repartition n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR repartition n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR broadcast n0: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR broadcast n1: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "SESQ/SR broadcast n2: fig9b 917504 estimate 917504 pinned 917504 setup_ns 3229296",
-    "MEMQ/WR repartition n0: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR repartition n1: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR repartition n2: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR broadcast n0: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR broadcast n1: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR broadcast n2: fig9b 1048832 estimate 1050880 pinned 1050880 setup_ns 13034432",
-    "MEMQ/WR one-lane n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "MEMQ/WR one-lane n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "MEMQ/WR one-lane n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR repartition n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR repartition n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR repartition n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR broadcast n0: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR broadcast n1: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "SEMQ/WR broadcast n2: fig9b 1048768 estimate 1049792 pinned 1049792 setup_ns 6634416",
-    "MEMQ/SR qp-cap-1 n0: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR qp-cap-1 n1: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/SR qp-cap-1 n2: fig9b 4718624 estimate 4719648 pinned 4719648 setup_ns 13854694",
-    "MEMQ/RD qp-cap-1 n0: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD qp-cap-1 n1: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MEMQ/RD qp-cap-1 n2: fig9b 1048960 estimate 1051008 pinned 1051008 setup_ns 13034460",
-    "MPI n0: fig9b 2621456 setup_ns 6985941",
-    "MPI n1: fig9b 2621456 setup_ns 6985941",
-    "MPI n2: fig9b 2621456 setup_ns 6985941",
-    "IPoIB n0: fig9b 2621456",
-    "IPoIB n1: fig9b 2621456",
-    "IPoIB n2: fig9b 2621456",
-];
-
+/// Every design's footprint per node, before any traffic moves, one row
+/// of `tests/pins/memory_footprint.txt` per node: the bytes the exchange
+/// reports to Figure 9b, the admission controller's estimate, what the
+/// runtime pinned, and when the node's connection setup ends. Recorded
+/// before the endpoint traits lost their bookkeeping methods; a change
+/// that is meant to leave Figures 9b and 12 alone reproduces every value.
 #[test]
 fn footprint_matches_the_pinned_table() {
     let (nodes, threads) = (3, 2);
@@ -333,10 +260,7 @@ fn footprint_matches_the_pinned_table() {
         let fig9b = exchange.registered_bytes(node);
         measured.push(format!("IPoIB n{node}: fig9b {fig9b}"));
     }
-    assert_eq!(measured.len(), FOOTPRINT_TABLE.len());
-    for (got, pinned) in measured.iter().zip(FOOTPRINT_TABLE) {
-        assert_eq!(got, pinned, "a footprint moved (left: measured)");
-    }
+    pins::check("memory_footprint.txt", &measured);
 }
 
 /// No UD half has inline writes, so what Figure 9b reports on a node is
