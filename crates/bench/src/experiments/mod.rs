@@ -175,14 +175,18 @@ pub fn usage() -> String {
 /// `--smoke` or not, and where `--emit` writes the report.
 pub type Invocation = (Vec<&'static Experiment>, Scale, Option<String>);
 
-/// Reads a command line; an unknown id or flag is an error.
+/// Reads a command line; an unknown id or flag is an error, and so is an
+/// id named twice: its rows would appear twice in one report.
 pub fn parse(mut args: Args) -> Result<Invocation, String> {
     let smoke = args.flag("--smoke");
     let scale = if smoke { Scale::Smoke } else { Scale::Full };
     let emit = args.option("--emit", value::<String>)?;
-    let mut experiments = Vec::new();
+    let mut experiments: Vec<&'static Experiment> = Vec::new();
     let find = |id: &str| REGISTRY.iter().find(|e| e.id == id);
     while let Some(experiment) = args.positional("experiment", find)? {
+        if experiments.iter().any(|e| e.id == experiment.id) {
+            return Err(format!("experiment `{}` named twice", experiment.id));
+        }
         experiments.push(experiment);
     }
     if experiments.is_empty() {
@@ -240,6 +244,16 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn a_repeated_experiment_id_is_rejected() {
+        let twice = parse_words(&["concurrency", "chaos", "concurrency", "--smoke"]);
+        assert_eq!(
+            twice.err().as_deref(),
+            Some("experiment `concurrency` named twice")
+        );
+        assert!(parse_words(&["concurrency", "chaos", "--smoke"]).is_ok());
     }
 
     #[test]

@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
 use rshuffle_simnet::sync::SimMutexGuard;
-use rshuffle_simnet::{NodeId, SimContext, SimDuration, SimMutex, SimTime};
+use rshuffle_simnet::{
+    Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
+};
 use rshuffle_verbs::{
     Completion, CompletionQueue, Context, MemoryRegion, QpType, QueuePair, RemoteAddr, WcOpcode,
     WcStatus,
@@ -29,10 +31,6 @@ use crate::error::{Result, ShuffleError};
 /// Batch size for completion-queue drains: how many completions one
 /// `ibv_poll_cq`-style call retrieves at most.
 const CQ_BATCH: usize = 64;
-
-/// Polling granularity of every endpoint wait: watchdog slices are small
-/// multiples of it.
-pub(crate) const POLL_INTERVAL: SimDuration = SimDuration::from_nanos(400);
 
 /// Slots in the rotating scratch region that sources inline writes.
 const INLINE_SLOTS: usize = 64;
@@ -113,16 +111,21 @@ impl Cq {
         self.cq.depth()
     }
 
-    /// Waits up to `slice` for a completion, drains a batch (one poll
-    /// cost for the whole drain) and hands each entry to `each`. Returns
-    /// whether anything was retrieved.
+    /// Waits until a completion is queued, one of `also` is ready or
+    /// `deadline` passes, drains a batch (one poll cost for the whole
+    /// drain) and hands each entry to `each`. Returns whether anything
+    /// was retrieved.
     pub(crate) fn drain(
         &self,
         sim: &SimContext,
-        slice: SimDuration,
+        deadline: SimTime,
+        also: &[&dyn Waitable],
         each: impl FnMut(&Completion) -> Result<()>,
     ) -> Result<bool> {
-        self.batch(|b| self.cq.drain_into(sim, b, CQ_BATCH, slice), each)
+        self.batch(
+            |b| self.cq.drain_into(sim, b, CQ_BATCH, deadline, also),
+            each,
+        )
     }
 
     /// Like [`Cq::drain`] without the wait: takes only what is queued.
@@ -147,6 +150,15 @@ impl Cq {
         self.scratch.lock().push(batch);
         result.map(|()| n > 0)
     }
+}
+
+/// A notify for endpoint state that several threads of one node poll —
+/// credit, the free pool, deliveries decoded by another thread: a waiter
+/// notices a change as it would notice a completion, after the CQ's
+/// completion latency.
+pub(crate) fn state_notify(ctx: &Context) -> Notify {
+    let rt = ctx.runtime();
+    Notify::new(rt.kernel(), rt.profile().completion_latency)
 }
 
 /// Fails with `what` unless `c` completed successfully.
@@ -272,6 +284,8 @@ pub(crate) struct SendWindow {
     /// Completions still owed per window, indexed by window (0: not in
     /// flight).
     in_flight: Mutex<Vec<u32>>,
+    /// Notified whenever a buffer rejoins the pool.
+    freed: Notify,
     audit: AuditHandle,
 }
 
@@ -282,12 +296,18 @@ impl SendWindow {
         SendWindow {
             pool: BufferPool::carve(mr, 0, layout.window, layout.buffers),
             in_flight: Mutex::new(vec![0; layout.buffers]),
+            freed: state_notify(ctx),
             audit: audit_handle(ctx),
         }
     }
 
     pub(crate) fn region(&self) -> &MemoryRegion {
         self.pool.region()
+    }
+
+    /// A listener that hears every buffer rejoining the pool from now on.
+    pub(crate) fn listen(&self) -> Listener {
+        self.freed.listen()
     }
 
     /// Pops a free buffer, if any.
@@ -335,53 +355,31 @@ impl SendWindow {
             offset,
         };
         self.audit.buffer_recycled(id, sim.now().as_nanos());
-        self.pool.recycle_offset(offset as usize)
+        self.pool.recycle_offset(offset as usize)?;
+        self.freed.notify();
+        Ok(())
     }
 }
 
 /// The stall watchdog of every endpoint wait: a deadline after which the
-/// wait returns a typed [`ShuffleError::Stalled`] instead of hanging,
-/// and the slice to park for between readiness checks. Slices back off
-/// exponentially, which keeps the simulator's event count bounded when a
-/// wait drags on without hurting the hot path (the first polls stay at
-/// the configured interval).
+/// wait returns a typed [`ShuffleError::Stalled`] instead of hanging.
+/// A wait blocks until something that can satisfy it happens or the
+/// deadline passes, never for a slice.
 pub(crate) struct Watchdog {
     deadline: SimTime,
-    base: SimDuration,
-    next: SimDuration,
-    max: SimDuration,
     what: &'static str,
 }
 
 impl Watchdog {
-    /// Slices start at `base` and double up to 64 µs until progress.
-    pub(crate) fn backoff(
-        sim: &SimContext,
-        timeout: SimDuration,
-        base: SimDuration,
-        what: &'static str,
-    ) -> Watchdog {
+    pub(crate) fn new(sim: &SimContext, timeout: SimDuration, what: &'static str) -> Watchdog {
         Watchdog {
             deadline: sim.now() + timeout,
-            base,
-            next: base,
-            max: SimDuration::from_micros(64),
             what,
         }
     }
 
-    /// Every slice is `slice`: for waits an RDMA write into a watched
-    /// region cuts short, where the slice is only the safety net.
-    pub(crate) fn fixed(
-        sim: &SimContext,
-        timeout: SimDuration,
-        slice: SimDuration,
-        what: &'static str,
-    ) -> Watchdog {
-        Watchdog {
-            max: slice,
-            ..Watchdog::backoff(sim, timeout, slice, what)
-        }
+    pub(crate) fn deadline(&self) -> SimTime {
+        self.deadline
     }
 
     /// Fails with the typed stall once the deadline has passed.
@@ -393,34 +391,27 @@ impl Watchdog {
         }
     }
 
-    /// The next slice to park for; doubles (up to the cap) on every call.
-    pub(crate) fn slice(&mut self) -> SimDuration {
-        let slice = self.next;
-        self.next = (self.next * 2).min(self.max);
-        slice
-    }
-
-    /// Resets the backoff after progress.
-    pub(crate) fn progress(&mut self) {
-        self.next = self.base;
-    }
-
-    /// Runs `ready` until it yields a value, parking through `park`
-    /// (which reports whether it made progress) in between.
+    /// Runs `ready` until it yields a value. Before each check it takes
+    /// `listen`'s listeners; after a failed one it hands them and the
+    /// deadline to `park`, which blocks until one of them — or whatever
+    /// else can satisfy `ready` — fires, or the deadline passes. A change
+    /// made while `ready` runs is heard, not lost.
     ///
     /// With `stall` set, the wait is a flow-control stall (Figure 8): the
     /// bracket opens on the first failed check — the common ready path
     /// records nothing — and closes on every exit, whether the value, the
     /// typed stall or an error out of `ready` or `park`.
-    pub(crate) fn wait<T>(
-        mut self,
+    pub(crate) fn wait<T, L>(
+        self,
         sim: &SimContext,
         stall: Option<&SendObs>,
+        mut listen: impl FnMut() -> L,
         mut ready: impl FnMut() -> Result<Option<T>>,
-        mut park: impl FnMut(SimDuration) -> Result<bool>,
+        mut park: impl FnMut(L, SimTime) -> Result<()>,
     ) -> Result<T> {
         let mut stalled_at = None;
         let result: Result<T> = (|| loop {
+            let heard = listen();
             if let Some(value) = ready()? {
                 return Ok(value);
             }
@@ -428,9 +419,7 @@ impl Watchdog {
                 stalled_at = Some(obs.stall_begin(sim));
             }
             self.expired(sim)?;
-            if park(self.slice())? {
-                self.progress();
-            }
+            park(heard, self.deadline)?;
         })();
         if let (Some(obs), Some(at)) = (stall, stalled_at) {
             obs.stall_end(sim, at);
@@ -868,49 +857,57 @@ mod tests {
 
     const US: fn(u64) -> SimDuration = SimDuration::from_micros;
 
+    /// A park that sleeps until `heard` fires or the deadline.
+    fn sleep_on(sim: &SimContext) -> impl FnMut(Listener, SimTime) -> Result<()> + '_ {
+        |heard, deadline| {
+            sim.wait_any(&[&heard], Some(deadline));
+            Ok(())
+        }
+    }
+
     #[test]
-    fn watchdog_stalls_at_the_deadline_not_a_slice_later() {
-        in_sim(|_, sim| {
-            let start = sim.now();
-            let mut parked = Vec::with_capacity(2);
-            // Slices of 4 and 8 µs land exactly on the 12 µs deadline: the
-            // stall is reported there, without parking the 16 µs slice.
-            let err = Watchdog::backoff(sim, US(12), US(4), "test wait")
+    fn watchdog_stalls_at_the_deadline_after_one_park() {
+        in_sim(|rt, sim| {
+            let (start, quiet) = (sim.now(), Notify::new(rt.kernel(), US(1)));
+            let mut parks = 0;
+            let mut park = sleep_on(sim);
+            let err = Watchdog::new(sim, US(12), "test wait")
                 .wait(
                     sim,
                     None,
+                    || quiet.listen(),
                     || Ok(None::<()>),
-                    |slice| {
-                        parked.push(slice);
-                        sim.sleep(slice);
-                        Ok(false)
+                    |heard, deadline| {
+                        parks += 1;
+                        park(heard, deadline)
                     },
                 )
                 .unwrap_err();
             assert!(matches!(err, ShuffleError::Stalled("test wait")));
-            assert_eq!(parked, [US(4), US(8)]);
-            assert_eq!(sim.now(), start + US(12));
+            assert_eq!((parks, sim.now()), (1, start + US(12)));
             Ok(())
         });
     }
 
     #[test]
-    fn watchdog_backoff_doubles_to_the_cap_and_resets_on_progress() {
-        in_sim(|_, sim| {
-            let parked = std::cell::RefCell::new(Vec::with_capacity(9));
-            Watchdog::backoff(sim, US(10_000), US(4), "test wait").wait(
+    fn a_change_made_while_checking_is_heard_not_slept_through() {
+        in_sim(|rt, sim| {
+            let (start, changed) = (sim.now(), Notify::new(rt.kernel(), US(1)));
+            let mut checks = 0;
+            // The first check fails, then another party changes the state
+            // before the park: the park returns at once.
+            Watchdog::new(sim, US(50), "test wait").wait(
                 sim,
                 None,
-                || Ok((parked.borrow().len() == 9).then_some(())),
-                |slice| {
-                    parked.borrow_mut().push(slice.as_nanos() / 1_000);
-                    Ok(parked.borrow().len() == 6)
+                || changed.listen(),
+                || {
+                    checks += 1;
+                    changed.notify();
+                    Ok((checks == 2).then_some(()))
                 },
+                sleep_on(sim),
             )?;
-            assert_eq!(*parked.borrow(), [4, 8, 16, 32, 64, 64, 4, 8, 16]);
-            // A fixed watchdog hands out the same slice every time.
-            let mut fixed = Watchdog::fixed(sim, US(10), US(5), "test wait");
-            assert_eq!([fixed.slice(), fixed.slice(), fixed.slice()], [US(5); 3]);
+            assert_eq!((checks, sim.now()), (2, start));
             Ok(())
         });
     }
@@ -919,13 +916,12 @@ mod tests {
     fn stall_bracket_is_closed_on_every_exit() {
         let rt = in_sim(|rt, sim| {
             let obs = SendObs::new(&rt.context(0), EndpointId(7));
-            let watchdog = || Watchdog::backoff(sim, US(6), US(4), "test wait");
-            let sleep = |slice| {
-                sim.sleep(slice);
-                Ok(false)
-            };
+            let quiet = Notify::new(rt.kernel(), US(1));
+            let watchdog = || Watchdog::new(sim, US(6), "test wait");
+            let listen = || quiet.listen();
+            let sleep = sleep_on(sim);
             // Ready at once: no stall, no bracket.
-            watchdog().wait(sim, Some(&obs), || Ok(Some(())), sleep)?;
+            watchdog().wait(sim, Some(&obs), listen, || Ok(Some(())), sleep)?;
             // Ok after one park, the typed stall, an error out of `ready`
             // and one out of `park`: four stalls, four closed brackets.
             let mut checks = 0;
@@ -933,8 +929,9 @@ mod tests {
                 checks += 1;
                 Ok((checks == 2).then_some(()))
             };
-            watchdog().wait(sim, Some(&obs), second_time, sleep)?;
-            let stalled = watchdog().wait(sim, Some(&obs), || Ok(None::<()>), sleep);
+            watchdog().wait(sim, Some(&obs), listen, second_time, sleep_on(sim))?;
+            let stalled =
+                watchdog().wait(sim, Some(&obs), listen, || Ok(None::<()>), sleep_on(sim));
             assert!(matches!(stalled, Err(ShuffleError::Stalled(_))));
             let mut checks = 0;
             let broken_ring = || {
@@ -944,13 +941,14 @@ mod tests {
                 }
                 Ok(None::<()>)
             };
-            let failed = watchdog().wait(sim, Some(&obs), broken_ring, sleep);
+            let failed = watchdog().wait(sim, Some(&obs), listen, broken_ring, sleep_on(sim));
             assert!(matches!(failed, Err(ShuffleError::Corrupt(_))));
             let failed = watchdog().wait(
                 sim,
                 Some(&obs),
+                listen,
                 || Ok(None::<()>),
-                |_| Err(ShuffleError::CompletionError("drain")),
+                |_, _| Err(ShuffleError::CompletionError("drain")),
             );
             assert!(matches!(failed, Err(ShuffleError::CompletionError(_))));
             Ok(())

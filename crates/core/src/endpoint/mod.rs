@@ -27,7 +27,7 @@
 //! | `RcHalf` (peer slots by node id, per-peer RC QPs, post lock) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
-//! | `Watchdog` (deadline, backoff, typed stall, credit-stall bracket) | all four | the readiness check and what to park on |
+//! | `Watchdog` (deadline, typed stall, credit-stall bracket) | all four | the readiness check and what to block on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
 //! | `Sources` (depleted flags by peer slot) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |

@@ -19,13 +19,13 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 use rshuffle_audit::RingKind;
-use rshuffle_simnet::{NodeId, SimContext};
+use rshuffle_simnet::{NodeId, Notify, SimContext, Waitable};
 use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode};
 
 use crate::buffer::{Buffer, StreamState};
 use crate::endpoint::frame::{
-    data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, Watchdog, POLL_INTERVAL,
+    data_header, deliver, expect_success, expect_write_ack, region_base, state_notify, Cq, Layout,
+    RcHalf, RingProducer, SendWindow, SlotRings, Sources, Watchdog,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -135,15 +135,17 @@ impl SendEndpoint for RdRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        Watchdog::fixed(
+        // Only a release landing in the FreeArr frees a buffer, and it
+        // wakes every waiter; whoever scans first recycles for all.
+        Watchdog::new(
             sim,
             self.cfg.stall_timeout,
-            POLL_INTERVAL * 32,
             "waiting for FreeArr notifications",
         )
         .wait(
             sim,
             None,
+            || self.free_arr.region().listen(),
             || loop {
                 if let Some(buf) = self.window.take(sim) {
                     return Ok(Some(buf));
@@ -152,15 +154,9 @@ impl SendEndpoint for RdRcSendEndpoint {
                     return Ok(None);
                 }
             },
-            |slice| {
-                // Sleep until the next release lands in the FreeArr (early
-                // wake), re-scanning on a bounded slice as a safety net.
-                self.free_arr.region().drain_updates();
-                if self.scan_free_arr(sim)? {
-                    return Ok(true);
-                }
-                self.free_arr.region().wait_update_timeout(sim, slice);
-                Ok(false)
+            |released, deadline| {
+                sim.wait_any(&[&released], Some(deadline));
+                Ok(())
             },
         )
     }
@@ -176,6 +172,10 @@ pub struct RdRcReceiveEndpoint {
     /// Deliveries decoded from a batched CQ drain, waiting for a
     /// `get_data` caller.
     pending: Mutex<VecDeque<Delivery>>,
+    /// Notified whenever a delivery joins `pending` or a local buffer is
+    /// returned, so callers blocked while another caller drained the CQ
+    /// or held the buffers hear of it.
+    changed: Notify,
     /// `ValidArr`: one ring per source, written remotely with full-buffer
     /// addresses.
     valid_arr: SlotRings,
@@ -219,6 +219,7 @@ impl RdRcReceiveEndpoint {
         RdRcReceiveEndpoint {
             srcs: Sources::new(n),
             pending: Mutex::new(VecDeque::new()),
+            changed: state_notify(ctx),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
             pool_mr,
             free_rings: RingProducer::register(ctx, n, layout.ring_cap),
@@ -294,6 +295,7 @@ impl RdRcReceiveEndpoint {
     fn requeue_local(&self, si: usize, buf: Buffer) {
         buf.region().discard(buf.offset(), buf.window());
         self.state.lock().local[si].push(buf);
+        self.changed.notify();
     }
 
     /// Decodes one completion: FreeArr write acks are checked and skipped,
@@ -342,6 +344,7 @@ impl RdRcReceiveEndpoint {
             self.srcs.mark_depleted(si);
         }
         self.pending.lock().push_back(delivery);
+        self.changed.notify();
         Ok(())
     }
 
@@ -382,40 +385,39 @@ impl RcTransport for RdRcSendEndpoint {
 
 impl ReceiveEndpoint for RdRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let mut watchdog = Watchdog::fixed(
-            sim,
-            self.cfg.stall_timeout,
-            POLL_INTERVAL * 32,
-            "RD receive made no progress",
-        );
+        let watchdog = Watchdog::new(sim, self.cfg.stall_timeout, "RD receive made no progress");
         loop {
+            let (announced, changed) = (self.valid_arr.region().listen(), self.changed.listen());
             if let Some(d) = self.pending.lock().pop_front() {
                 return Ok(Some(d));
             }
             self.issue_reads(sim)?;
-            // With reads in flight, the completion queue wakes us early; if
-            // the pipeline is empty, wait for the next ValidArr
-            // announcement instead so issue latency stays flat.
-            let in_flight: u32 = self.state.lock().in_flight.iter().sum();
-            if in_flight == 0 && self.cq.depth() == 0 {
-                if self.fully_done()? {
-                    return Ok(None);
-                }
-                watchdog.expired(sim)?;
-                self.valid_arr.region().drain_updates();
-                if self.valid_arr.all_empty()? {
-                    self.valid_arr
-                        .region()
-                        .wait_update_timeout(sim, watchdog.slice());
-                }
+            let (in_flight, can_read) = {
+                let st = self.state.lock();
+                let free = st.local.iter().any(|local| !local.is_empty());
+                (st.in_flight.iter().sum::<u32>(), free)
+            };
+            let decode = |c: &Completion| self.on_completion(sim, c);
+            if in_flight == 0 && self.cq.depth() > 0 {
+                // Only release-write acks are queued, and no completion
+                // is owed: take them without waiting for more.
+                self.cq.poll(sim, decode)?;
                 continue;
             }
-            let slice = POLL_INTERVAL * 64;
-            if !self.cq.drain(sim, slice, |c| self.on_completion(sim, c))? {
-                if self.fully_done()? {
-                    return Ok(None);
-                }
-                watchdog.expired(sim)?;
+            if in_flight == 0 && self.fully_done()? {
+                return Ok(None);
+            }
+            watchdog.expired(sim)?;
+            // A ValidArr announcement gets its read issued as it lands,
+            // reads in flight or not, if a local buffer can take it; with
+            // no read in flight, no CQ poll is paid for.
+            let deadline = watchdog.deadline();
+            if in_flight == 0 {
+                sim.wait_any(&[&announced, &changed], Some(deadline));
+            } else {
+                let both: [&dyn Waitable; 2] = [&announced, &changed];
+                let also = if can_read { &both[..] } else { &both[1..] };
+                self.cq.drain(sim, deadline, also, decode)?;
             }
         }
     }
@@ -432,5 +434,81 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
 
     fn bytes_received(&self) -> u64 {
         self.obs.bytes_received()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use rshuffle_obs::{EventKind, Record};
+    use rshuffle_simnet::{DeviceProfile, SimDuration};
+
+    use super::*;
+    use crate::{Exchange, ExchangeConfig, ShuffleAlgorithm};
+
+    /// A ValidArr announcement that lands while another source's read is
+    /// in flight gets its read issued as it lands — not when that read
+    /// completes, nor when a CQ poll slice runs out.
+    #[test]
+    fn an_announcement_during_a_read_is_read_at_once() {
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_RD, 3, 1);
+        // Each read moves the whole 512 KiB window: ~40 µs of EDR wire.
+        config.message_size = 512 << 10;
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let Ok(exchange) = Exchange::build(&runtime, &config) else {
+            panic!("the exchange builds");
+        };
+        // Node 1 announces a buffer at 0, node 2 one at 10 µs.
+        for (node, at) in [(1, 0), (2, 10)] {
+            let send = exchange.send[node][0].clone();
+            runtime.cluster().spawn(node, "sender", move |sim| {
+                sim.sleep(SimDuration::from_micros(at));
+                let Ok(mut buf) = send.get_free(&sim) else {
+                    panic!("node {node} has a free buffer");
+                };
+                assert!(buf.push(&[7; 64]).is_ok());
+                assert!(send.send(&sim, buf, &[0], StreamState::MoreData).is_ok());
+            });
+        }
+        let recv = exchange.recv[0][0].clone();
+        let seen = Arc::new(Mutex::new((0, Vec::with_capacity(2))));
+        let out = seen.clone();
+        runtime.cluster().spawn(0, "receiver", move |sim| {
+            out.lock().0 = sim.id().track();
+            for _ in 0..2 {
+                let Ok(Some(delivery)) = recv.get_data(&sim) else {
+                    panic!("two deliveries arrive");
+                };
+                out.lock().1.push((delivery.src, sim.now().as_nanos()));
+                assert!(recv.release(&sim, delivery).is_ok());
+            }
+        });
+        runtime.cluster().run();
+        let (track, delivered) = &*seen.lock();
+        // When each read went out: the ValidArr scans that issued one.
+        let tracks = runtime.obs().recorder.dump();
+        let mine = tracks.iter().filter(|t| (t.0, t.1) == (0, *track));
+        let issued: Vec<u64> = mine
+            .flat_map(|t| t.3.iter())
+            .filter_map(|r| match r {
+                Record::Instant {
+                    at_ns,
+                    kind: EventKind::ValidArrPoll,
+                    arg: 1..,
+                } => Some(*at_ns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issued.len(), 2, "one read per announcement: {issued:?}");
+        assert_eq!(delivered.iter().map(|d| d.0).collect::<Vec<_>>(), [1, 2]);
+        // Node 2's read goes out within the announcement's write latency
+        // plus the region poll, while node 1's read is still on the wire.
+        assert!(
+            issued[1] < 13_000,
+            "node 2's read issued at {} ns",
+            issued[1]
+        );
+        assert!(issued[1] < delivered[0].1, "{issued:?} {delivered:?}");
     }
 }

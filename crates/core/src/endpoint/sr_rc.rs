@@ -19,15 +19,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rshuffle_audit::CreditLane;
-use rshuffle_simnet::{NodeId, SimContext};
+use rshuffle_simnet::{NodeId, Notify, SimContext};
 use rshuffle_verbs::{
     Completion, Context, MemoryRegion, QueuePair, RecvWr, RemoteAddr, SendWr, WcOpcode,
 };
 
 use crate::buffer::{Buffer, MsgKind, StreamState};
 use crate::endpoint::frame::{
-    data_header, deliver, expect_success, region_base, Cq, InlineWrites, Layout, RcHalf,
-    SendWindow, Sources, Watchdog, POLL_INTERVAL,
+    data_header, deliver, expect_success, region_base, state_notify, Cq, InlineWrites, Layout,
+    RcHalf, SendWindow, Sources, Watchdog,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -114,22 +114,16 @@ impl SrRcSendEndpoint {
             let credit = self.credit_mr.read_u64(8 * pi)?;
             Ok((credit > self.sent.lock()[pi]).then_some(()))
         };
-        Watchdog::fixed(
+        Watchdog::new(sim, self.cfg.stall_timeout, "waiting for send credit").wait(
             sim,
-            self.cfg.stall_timeout,
-            POLL_INTERVAL * 32,
-            "waiting for send credit",
+            Some(&self.obs),
+            || self.credit_mr.listen(),
+            has_credit,
+            |written, deadline| {
+                sim.wait_any(&[&written], Some(deadline));
+                Ok(())
+            },
         )
-        .wait(sim, Some(&self.obs), has_credit, |slice| {
-            // Clear stale wake tokens, re-check, then sleep until the next
-            // credit write (or a bounded slice, for SE configurations where
-            // another thread may consume our wakeup).
-            self.credit_mr.drain_updates();
-            if has_credit()?.is_none() {
-                self.credit_mr.wait_update_timeout(sim, slice);
-            }
-            Ok(false)
-        })
     }
 }
 
@@ -176,21 +170,22 @@ impl SendEndpoint for SrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        Watchdog::backoff(
+        Watchdog::new(
             sim,
             self.cfg.stall_timeout,
-            POLL_INTERVAL * 8,
             "waiting for a free send buffer",
         )
         .wait(
             sim,
             None,
+            || self.window.listen(),
             || Ok(self.window.take(sim)),
-            |slice| {
-                self.send_cq.drain(sim, slice, |c| {
+            |freed, deadline| {
+                let reap = |c: &Completion| {
                     expect_success(c, "reliable send failed (receiver never posted a receive?)")?;
                     self.window.complete(sim, c.wr_id)
-                })
+                };
+                self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
             },
         )
     }
@@ -208,6 +203,10 @@ pub struct SrRcReceiveEndpoint {
     /// Deliveries decoded from a batched CQ drain, waiting for a
     /// `get_data` caller.
     pending: Mutex<VecDeque<Delivery>>,
+    /// Notified whenever a delivery joins `pending` or the last credit
+    /// write-back completes, so callers blocked on a CQ another caller
+    /// drained hear of it.
+    changed: Notify,
     /// Credit write-backs posted but not yet seen to complete. Must drain
     /// to zero at end of stream — a swallowed control completion turns
     /// into a typed error instead of silence.
@@ -235,6 +234,7 @@ impl SrRcReceiveEndpoint {
             srcs: Sources::new(n),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             pending: Mutex::new(VecDeque::new()),
+            changed: state_notify(ctx),
             ctrl_outstanding: AtomicU64::new(0),
             posted: Mutex::new(vec![0; n]),
             releases: Mutex::new(vec![0; n]),
@@ -300,15 +300,15 @@ impl RcTransport for SrRcSendEndpoint {
 
 impl ReceiveEndpoint for SrRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        Watchdog::backoff(
+        Watchdog::new(
             sim,
             self.cfg.stall_timeout,
-            POLL_INTERVAL * 16,
             "receive endpoint made no progress",
         )
         .wait(
             sim,
             None,
+            || self.changed.listen(),
             || {
                 if let Some(d) = self.pending.lock().pop_front() {
                     return Ok(Some(Some(d)));
@@ -323,7 +323,12 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
                 }
                 Ok(None)
             },
-            |slice| self.recv_cq.drain(sim, slice, |c| self.on_receive(sim, c)),
+            |changed, deadline| {
+                let decode = |c: &Completion| self.on_receive(sim, c);
+                self.recv_cq
+                    .drain(sim, deadline, &[&changed], decode)
+                    .map(drop)
+            },
         )
     }
 
@@ -440,13 +445,17 @@ impl SrRcReceiveEndpoint {
         })?;
         if header.epoch != self.cfg.epoch {
             // A leftover from a fenced-off flow attempt: recycle the
-            // slot (repost + credit) without delivering or counting.
+            // slot (repost + credit) without delivering or counting. The
+            // CQ it came from may be what another caller waits to see
+            // empty.
             self.obs.stale_drop();
+            self.changed.notify();
             return self.recycle_slot(sim, si, &buf);
         }
         let src = c.src_node;
         let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, 0)?;
         self.pending.lock().push_back(delivery);
+        self.changed.notify();
         if header.state == StreamState::Depleted {
             self.srcs.mark_depleted(si);
             // Depletion closes the lane: releases stop recycling, so
@@ -477,12 +486,16 @@ impl SrRcReceiveEndpoint {
                 "unexpected opcode on the credit control CQ",
             ));
         }
-        if self.ctrl_outstanding.fetch_sub(1, Ordering::SeqCst) == 0 {
-            return Err(ShuffleError::CompletionError(
+        match self.ctrl_outstanding.fetch_sub(1, Ordering::SeqCst) {
+            0 => Err(ShuffleError::CompletionError(
                 "credit control CQ delivered more completions than writes posted",
-            ));
+            )),
+            1 => {
+                self.changed.notify();
+                Ok(())
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Blocks until every posted credit write-back has completed cleanly.
@@ -490,21 +503,22 @@ impl SrRcReceiveEndpoint {
     /// whose completion was lost or errored turns into a typed error here
     /// instead of silently leaking CQ entries.
     fn finish_ctrl(&self, sim: &SimContext) -> Result<()> {
-        Watchdog::backoff(
-            sim,
-            self.cfg.stall_timeout,
-            POLL_INTERVAL * 4,
-            "credit write-back completions never arrived",
-        )
-        .wait(
+        let what = "credit write-back completions never arrived";
+        Watchdog::new(sim, self.cfg.stall_timeout, what).wait(
             sim,
             None,
+            || self.changed.listen(),
             || {
                 let idle =
                     self.ctrl_outstanding.load(Ordering::SeqCst) == 0 && self.ctrl_cq.depth() == 0;
                 Ok(idle.then_some(()))
             },
-            |slice| self.ctrl_cq.drain(sim, slice, |c| self.on_ctrl(c)),
+            |changed, deadline| {
+                let account = |c: &Completion| self.on_ctrl(c);
+                self.ctrl_cq
+                    .drain(sim, deadline, &[&changed], account)
+                    .map(drop)
+            },
         )
     }
 }

@@ -34,13 +34,14 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, CreditLane};
-use rshuffle_simnet::{Gate, KeyMap, NodeId, SimContext, SimDuration, SimMutex, SimTime, UD_MTU};
+use rshuffle_simnet::{
+    Gate, KeyMap, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable, UD_MTU,
+};
 use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair, RecvWr, SendWr};
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
 use crate::endpoint::frame::{
-    data_header, deliver, expect_success, post_lock, Cq, Layout, SendWindow, Watchdog,
-    POLL_INTERVAL,
+    data_header, deliver, expect_success, post_lock, state_notify, Cq, Layout, SendWindow, Watchdog,
 };
 use crate::endpoint::{
     audit_handle, buf_id, Delivery, EndpointId, Params, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -225,6 +226,9 @@ struct UdShared {
     /// Per peer node, indexed by node id: its channel's address, the
     /// credit toward it and the grants to it.
     peers: Mutex<Vec<Peer>>,
+    /// Notified whenever a credit datagram is folded into `peers`, by
+    /// whichever half drained it.
+    credit: Notify,
     /// Multicast AH lists cached per destination set: built once on the
     /// first group send and reused, instead of rebuilt per send.
     mcast_ahs: Mutex<KeyMap<Vec<NodeId>, Arc<Vec<AddressHandle>>>>,
@@ -247,6 +251,9 @@ struct UdShared {
     data_gate: Gate<Delivery>,
     /// Per-source-endpoint message accounting.
     sources: Mutex<Sources>,
+    /// Notified whenever a data message is counted once every expected
+    /// source has declared its total: termination may have changed.
+    settled: Notify,
     done: AtomicBool,
     /// Virtual nanoseconds of the last arrival.
     last_progress: AtomicU64,
@@ -300,12 +307,14 @@ impl SrUdChannel {
                 send_cq,
                 recv_cq,
                 peers: Mutex::default(),
+                credit: state_notify(ctx),
                 mcast_ahs: Mutex::default(),
                 window: SendWindow::register(ctx, &send_layout(&cfg)),
                 post_lock: post_lock(ctx),
                 recv_pool: OnceLock::new(),
                 data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
                 sources: Mutex::default(),
+                settled: state_notify(ctx),
                 done: AtomicBool::new(false),
                 last_progress: AtomicU64::new(0),
                 send_obs: SendObs::new(ctx, send_id),
@@ -441,19 +450,20 @@ impl UdShared {
             );
             Ok(Some((ah, peer.sent)))
         };
-        // The credit we need may be sitting in the receive CQ.
-        self.watchdog(sim, 4, "waiting for UD send credit").wait(
+        // The credit we need may be sitting in the receive CQ, or be
+        // folded in by the receive half.
+        self.watchdog(sim, "waiting for UD send credit").wait(
             sim,
             Some(&self.send_obs),
+            || self.credit.listen(),
             try_consume,
-            |slice| self.drain_inbound(sim, slice),
+            |credit, deadline| self.drain_inbound(sim, deadline, &[&credit]).map(drop),
         )
     }
 
-    /// A watchdog over this channel's stall budget whose backoff starts
-    /// at `polls` poll intervals.
-    fn watchdog(&self, sim: &SimContext, polls: u64, what: &'static str) -> Watchdog {
-        Watchdog::backoff(sim, self.cfg.stall_timeout, POLL_INTERVAL * polls, what)
+    /// A watchdog over this channel's stall budget.
+    fn watchdog(&self, sim: &SimContext, what: &'static str) -> Watchdog {
+        Watchdog::new(sim, self.cfg.stall_timeout, what)
     }
 
     /// Waits until the data already sent toward `dest` has fully
@@ -489,17 +499,28 @@ impl UdShared {
                 .then_some(()))
         };
         // The credit write-backs we are waiting for arrive on the
-        // receive CQ.
-        self.watchdog(sim, 4, "waiting for a UD phase to drain")
-            .wait(sim, None, drained, |slice| self.drain_inbound(sim, slice))
+        // receive CQ, which the receive half may drain first.
+        self.watchdog(sim, "waiting for a UD phase to drain").wait(
+            sim,
+            None,
+            || self.credit.listen(),
+            drained,
+            |credit, deadline| self.drain_inbound(sim, deadline, &[&credit]).map(drop),
+        )
     }
 
-    /// Drains a batch of inbound completions (credit updates handled
-    /// internally, data pushed to the data gate), paying one poll cost
-    /// for the whole drain. Returns whether progress was made.
-    fn drain_inbound(&self, sim: &SimContext, slice: SimDuration) -> Result<bool> {
+    /// Waits until an inbound completion is queued, one of `also` is
+    /// ready or `deadline` passes, then drains a batch (credit updates
+    /// handled internally, data pushed to the data gate), paying one poll
+    /// cost for the whole drain. Returns whether anything was drained.
+    fn drain_inbound(
+        &self,
+        sim: &SimContext,
+        deadline: SimTime,
+        also: &[&dyn Waitable],
+    ) -> Result<bool> {
         self.recv_cq
-            .drain(sim, slice, |c| self.process_inbound(sim, c))
+            .drain(sim, deadline, also, |c| self.process_inbound(sim, c))
     }
 
     /// Puts `buf`'s window back on the receive queue.
@@ -568,6 +589,7 @@ impl UdShared {
                 self.update_peer(c.src_node, |peer| {
                     peer.credit = peer.credit.max(header.counter)
                 });
+                self.credit.notify();
                 // Recycle the receive slot immediately; control traffic does
                 // not count toward data credit.
                 self.repost(sim, &buf)?;
@@ -583,6 +605,9 @@ impl UdShared {
                     let now = sim.now().as_nanos();
                     self.audit
                         .counted_receive(header.src as u64, src.received, src.declared, now);
+                    if sources.tally[Standing::Open as usize] == 0 {
+                        self.settled.notify();
+                    }
                 }
                 self.made_progress(sim);
                 let src = c.src_node;
@@ -599,23 +624,32 @@ impl UdShared {
             .store(sim.now().as_nanos(), Ordering::Relaxed);
     }
 
-    /// Drains a batch of send completions, recycling buffers whose every
-    /// destination has acknowledged.
-    fn reap_sends(&self, sim: &SimContext, slice: SimDuration) -> Result<bool> {
-        self.send_cq.drain(sim, slice, |c| {
-            expect_success(c, "UD send failed")?;
-            self.window.complete(sim, c.wr_id)
-        })
+    /// Recycles the buffer of one send completion once every destination
+    /// has acknowledged it.
+    fn reap_send(&self, sim: &SimContext, c: &Completion) -> Result<()> {
+        expect_success(c, "UD send failed")?;
+        self.window.complete(sim, c.wr_id)
     }
 
-    /// Takes a free send window, reaping send completions while none is.
+    /// Takes a free send window. Every call first reaps the send
+    /// completions already queued; with none free it waits for the next
+    /// one, or for the other half to free a window.
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        self.watchdog(sim, 8, "waiting for a free UD send buffer")
+        self.watchdog(sim, "waiting for a free UD send buffer")
             .wait(
                 sim,
                 None,
-                || Ok(self.window.take(sim)),
-                |slice| self.reap_sends(sim, slice),
+                || self.window.listen(),
+                || {
+                    if self.send_cq.depth() > 0 {
+                        self.send_cq.poll(sim, |c| self.reap_send(sim, c))?;
+                    }
+                    Ok(self.window.take(sim))
+                },
+                |freed, deadline| {
+                    let reap = |c: &Completion| self.reap_send(sim, c);
+                    self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
+                },
             )
     }
 
@@ -737,37 +771,43 @@ impl SendEndpoint for SrUdSendEndpoint {
 impl ReceiveEndpoint for SrUdReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let s = &self.shared;
-        let mut watchdog = s.watchdog(sim, 16, "UD receive endpoint made no progress");
+        let watchdog = s.watchdog(sim, "UD receive endpoint made no progress");
         loop {
+            let settled = s.settled.listen();
             if let Some(d) = s.data_gate.try_recv() {
                 return Ok(Some(d));
             }
             if s.done.load(Ordering::SeqCst) {
                 return Ok(None);
             }
-            if s.drain_inbound(sim, watchdog.slice())? {
-                watchdog.progress();
+            if s.recv_cq.depth() > 0 {
+                // What already arrived counts before termination is judged.
+                s.recv_cq.poll(sim, |c| s.process_inbound(sim, c))?;
                 continue;
             }
-            // No progress this slice: evaluate termination.
-            match s.check_done()? {
+            let deadline = match s.check_done()? {
                 DoneState::Done => {
-                    if s.data_gate.is_empty() {
-                        s.done.store(true, Ordering::SeqCst);
-                        return Ok(None);
-                    }
+                    s.done.store(true, Ordering::SeqCst);
+                    return Ok(None);
                 }
                 DoneState::WaitingForStragglers => {
                     // All totals are known but packets are missing — either
                     // still in flight (common: out-of-order delivery) or
                     // lost (rare). Wait bounded time since the last arrival.
                     let last = SimTime::from_nanos(s.last_progress.load(Ordering::Relaxed));
-                    if sim.now() >= last + s.cfg.depleted_timeout {
+                    let give_up = last + s.cfg.depleted_timeout;
+                    if sim.now() >= give_up {
                         return Err(s.straggler_error());
                     }
+                    give_up
                 }
-                DoneState::InProgress => watchdog.expired(sim)?,
-            }
+                DoneState::InProgress => {
+                    watchdog.expired(sim)?;
+                    watchdog.deadline()
+                }
+            };
+            // Data the send half drained arrives through the gate.
+            s.drain_inbound(sim, deadline, &[&s.data_gate, &settled])?;
         }
     }
 
@@ -782,7 +822,10 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
             let write_back = peer.releases.is_multiple_of(freq);
             (peer.granted, write_back, peer.sender)
         });
-        if write_back {
+        // Once every source has delivered its declared total nothing more
+        // arrives: credit would only be tail traffic, still in flight when
+        // the exchange is torn down.
+        if write_back && !matches!(s.check_done(), Ok(DoneState::Done)) {
             s.audit.credit_granted(
                 CreditLane::Ud {
                     sender: sender as u64,
@@ -828,6 +871,7 @@ impl UdShared {
 
 #[cfg(test)]
 mod tests {
+    use rshuffle_obs::{EventKind, Record};
     use rshuffle_simnet::{Cluster, DeviceProfile};
     use rshuffle_verbs::{ConnectionManager, QpState, VerbsError, VerbsRuntime};
 
@@ -986,6 +1030,65 @@ mod tests {
             assert_eq!(sim.now(), start);
             Ok(())
         });
+    }
+
+    /// Two fibers on one channel, both waiting on its receive CQ: the
+    /// receive half drains the credit datagram the send half's `quiesce`
+    /// waits for, and the sender resumes one CQ wake latency after the
+    /// fold — not when a poll slice of its own runs out.
+    #[test]
+    fn quiesce_resumes_when_the_receive_half_folds_the_credit() {
+        let rt = VerbsRuntime::new(Cluster::new(2, DeviceProfile::edr()));
+        let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 2, 1);
+        let params = config.params(rt.profile());
+        let here = SrUdChannel::new(&rt.context(0), EndpointId(0), EndpointId(1), params.clone());
+        let there = SrUdChannel::new(&rt.context(1), EndpointId(2), EndpointId(3), params);
+        for (channel, peer, node) in [(&here, &there, 1), (&there, &here, 0)] {
+            channel.add_peer(node, peer.address_handle());
+            assert!(ConnectionManager::activate_untimed(channel.qp(), None).is_ok());
+        }
+        assert!(here
+            .bootstrap_receives(&rt.context(0), &[(EndpointId(2), 1)])
+            .is_ok());
+        // Four messages went out toward node 1 on a window of four: the
+        // whole window is owed back.
+        here.bootstrap_credit(1, 4);
+        here.shared.update_peer(1, |peer| peer.sent = 4);
+        let seen = Arc::new(Mutex::new((0, None, None)));
+        // Spawned first, the receive half is the CQ's longest waiter.
+        let (recv, out) = (here.recv_half(), seen.clone());
+        rt.cluster().spawn(0, "receive half", move |sim| {
+            out.lock().0 = sim.id().track();
+            let nothing = recv.get_data(&sim);
+            out.lock().1 = Some(matches!(nothing, Err(ShuffleError::Stalled(_))));
+        });
+        let (send, out) = (here.send_half(), seen.clone());
+        rt.cluster().spawn(0, "send half", move |sim| {
+            let drained = send.quiesce(&sim, 1).is_ok();
+            out.lock().2 = drained.then(|| sim.now());
+        });
+        let peer = there.shared.clone();
+        rt.cluster().spawn(1, "peer", move |sim| {
+            sim.sleep(SimDuration::from_micros(5));
+            assert!(peer.send_credit(&sim, 0, 8).is_ok());
+        });
+        rt.cluster().run();
+        let (track, receive_stalled, resumed) = *seen.lock();
+        assert_eq!(receive_stalled, Some(true), "no data ever arrived");
+        let tracks = rt.obs().recorder.dump();
+        let polled = tracks.iter().filter(|t| (t.0, t.1) == (0, track));
+        let folded = polled.flat_map(|t| t.3.iter()).find_map(|r| match r {
+            Record::Instant {
+                at_ns,
+                kind: EventKind::CompletionPolled,
+                ..
+            } => Some(SimTime::from_nanos(*at_ns)),
+            _ => None,
+        });
+        let Some(folded) = folded else {
+            panic!("the receive half drained no credit datagram");
+        };
+        assert_eq!(resumed, Some(folded + rt.profile().completion_latency));
     }
 
     #[test]

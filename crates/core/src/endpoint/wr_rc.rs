@@ -16,12 +16,12 @@
 use parking_lot::Mutex;
 use rshuffle_audit::{BufId, RingKind};
 use rshuffle_simnet::{NodeId, SimContext};
-use rshuffle_verbs::{Context, MemoryRegion, QueuePair, RemoteAddr};
+use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr};
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE, POLL_INTERVAL,
+    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -84,31 +84,23 @@ impl WrRcSendEndpoint {
     /// none is granted. Grant exhaustion is this transport's flow-control
     /// stall, bracketed like the SR credit stalls.
     fn take_grant(&self, sim: &SimContext, pi: usize) -> Result<u64> {
-        let mut drained = false;
-        Watchdog::fixed(
+        Watchdog::new(
             sim,
             self.cfg.stall_timeout,
-            POLL_INTERVAL * 32,
             "waiting for remote buffer grant",
         )
         .wait(
             sim,
             Some(&self.obs),
+            || self.grants.region().listen(),
             || {
                 let grant = self.grants.try_consume(sim, pi)?;
                 self.obs.freearr_poll(sim, grant.is_some());
                 Ok(grant)
             },
-            |slice| {
-                // Clear stale wake tokens and re-check once before every
-                // sleep.
-                if drained {
-                    self.grants.region().wait_update_timeout(sim, slice);
-                } else {
-                    self.grants.region().drain_updates();
-                }
-                drained = !drained;
-                Ok(false)
+            |granted, deadline| {
+                sim.wait_any(&[&granted], Some(deadline));
+                Ok(())
             },
         )
     }
@@ -161,18 +153,18 @@ impl SendEndpoint for WrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        Watchdog::backoff(
+        Watchdog::new(
             sim,
             self.cfg.stall_timeout,
-            POLL_INTERVAL * 8,
             "waiting for a free staging buffer",
         )
         .wait(
             sim,
             None,
+            || self.window.listen(),
             || Ok(self.window.take(sim)),
-            |slice| {
-                self.send_cq.drain(sim, slice, |c| {
+            |freed, deadline| {
+                let reap = |c: &Completion| {
                     expect_success(c, "RDMA write failed")?;
                     // Ring announcements need no bookkeeping; a staging
                     // buffer is reusable once its own writes completed.
@@ -180,7 +172,8 @@ impl SendEndpoint for WrRcSendEndpoint {
                         return Ok(());
                     }
                     self.window.complete(sim, c.wr_id)
-                })
+                };
+                self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
             },
         )
     }
@@ -318,15 +311,10 @@ impl RcTransport for WrRcSendEndpoint {
 
 impl ReceiveEndpoint for WrRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        Watchdog::fixed(
-            sim,
-            self.cfg.stall_timeout,
-            POLL_INTERVAL * 32,
-            "WR receive made no progress",
-        )
-        .wait(
+        Watchdog::new(sim, self.cfg.stall_timeout, "WR receive made no progress").wait(
             sim,
             None,
+            || self.valid_arr.region().listen(),
             || {
                 if let Some(d) = self.scan_valid_arr(sim)? {
                     return Ok(Some(Some(d)));
@@ -334,10 +322,9 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
                 let done = self.srcs.all_depleted() && self.valid_arr.all_empty()?;
                 Ok(done.then_some(None))
             },
-            |slice| {
-                self.valid_arr.region().drain_updates();
-                self.valid_arr.region().wait_update_timeout(sim, slice);
-                Ok(false)
+            |announced, deadline| {
+                sim.wait_any(&[&announced], Some(deadline));
+                Ok(())
             },
         )
     }

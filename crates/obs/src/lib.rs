@@ -56,6 +56,11 @@ pub mod names {
     pub const KERNEL_IDLE_NS: &str = "kernel.idle_ns";
     /// Simulated threads that ran to completion `{node}`.
     pub const KERNEL_THREADS_FINISHED: &str = "kernel.threads_finished";
+    /// Times the scheduler switched into a simulated thread `{node}`.
+    pub const KERNEL_RESUMES: &str = "kernel.resumes";
+    /// Gate waits that ended at their deadline with nothing to take
+    /// `{node}`.
+    pub const KERNEL_EXPIRED_WAITS: &str = "kernel.expired_waits";
     /// UD datagrams dropped in the network by fault injection.
     pub const VERBS_UD_DROPPED: &str = "verbs.ud_dropped_in_network";
     /// UD datagrams that found no posted receive (receiver overrun).

@@ -15,6 +15,11 @@
 //! * [`SimContext::sleep`] models CPU work (accounted as busy time),
 //! * [`Gate`] is a virtual-time channel: receivers block without consuming
 //!   virtual time (accounted as idle time) until a value is pushed.
+//! * [`Notify`] is a value-less gate that wakes every waiter; a
+//!   [`Listener`] taken from it hears every notification after it was
+//!   taken, so a change made between a check and the wait is not lost.
+//! * [`SimContext::wait_any`] blocks on several of these at once, plus a
+//!   deadline: the one way a thread waits for whichever comes first.
 //!
 //! Two invariants callers rely on, and must keep:
 //! * **Never hold a host lock across `sleep` / `recv`.** The next
@@ -36,6 +41,7 @@
 
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -96,6 +102,10 @@ pub struct ThreadStats {
     pub busy: SimDuration,
     /// Virtual time spent blocked on gates.
     pub idle: SimDuration,
+    /// Times the scheduler switched into the thread.
+    pub resumes: u64,
+    /// Waits that ended at their deadline with nothing to take.
+    pub expired_waits: u64,
     /// Virtual time at which the thread function returned.
     pub finished_at: SimTime,
 }
@@ -111,6 +121,8 @@ struct Slot {
     spawned_at: SimTime,
     busy: SimDuration,
     idle: SimDuration,
+    resumes: u64,
+    expired_waits: u64,
 }
 
 struct EventEntry {
@@ -315,6 +327,8 @@ impl Kernel {
             spawned_at: start_at,
             busy: SimDuration::ZERO,
             idle: SimDuration::ZERO,
+            resumes: 0,
+            expired_waits: 0,
         }));
         st.runnable.insert((start_at, tid));
         if let Some(obs) = &st.obs {
@@ -376,6 +390,12 @@ impl Kernel {
             obs.metrics
                 .counter(names::KERNEL_THREADS_FINISHED, labels)
                 .inc();
+            obs.metrics
+                .counter(names::KERNEL_RESUMES, labels)
+                .add(slot.resumes);
+            obs.metrics
+                .counter(names::KERNEL_EXPIRED_WAITS, labels)
+                .add(slot.expired_waits);
             obs.recorder.span(
                 node,
                 tid.track(),
@@ -396,6 +416,8 @@ impl Kernel {
             node: slot.node,
             busy: slot.busy,
             idle: slot.idle,
+            resumes: slot.resumes,
+            expired_waits: slot.expired_waits,
             finished_at,
         });
         slot.fiber
@@ -534,6 +556,7 @@ impl Kernel {
         st.running = Some(tid);
         let slot = st.slot(tid);
         slot.resume_at = None;
+        slot.resumes += 1;
         let mut fiber = slot.fiber.take().expect("a parked thread holds its fiber");
         drop(st);
         let finished = fiber.resume();
@@ -688,6 +711,157 @@ impl SimContext {
         let at = st.now + d;
         self.kernel.yield_until(st, self.id, at);
     }
+
+    /// Blocks until one of `on` is ready — a [`Gate`] holds a value, a
+    /// [`Listener`] heard a notification — or `deadline` passes, and
+    /// says which: `true` if something is ready, `false` at the deadline.
+    /// Returns at once if something already is. The wait is idle time; a
+    /// wait that ends at its deadline counts as expired.
+    ///
+    /// Waking takes nothing: the caller takes what it waited for. A gate
+    /// wakes one waiter per value, so a value another thread took first
+    /// sends the caller back to sleep.
+    pub fn wait_any(&self, on: &[&dyn Waitable], deadline: Option<SimTime>) -> bool {
+        loop {
+            let mut st = self.kernel.state.lock();
+            if on.iter().any(|w| w.ready()) {
+                return true;
+            }
+            if deadline.is_some_and(|d| st.now >= d) {
+                st.slot(self.id).expired_waits += 1;
+                return false;
+            }
+            st.check_running(self.id);
+            for w in on {
+                w.enlist(self.id);
+            }
+            self.kernel.block_me(st, self.id, deadline);
+            for w in on {
+                w.delist(self.id);
+            }
+        }
+    }
+}
+
+/// What [`SimContext::wait_any`] can block on: a [`Gate`], a
+/// [`Listener`], or a slice of them (so a wrapper can add its own to a
+/// caller's). A source that becomes ready wakes the threads enlisted with
+/// it through the kernel, after its wake latency.
+pub trait Waitable {
+    /// Whether a wait on this would return at once.
+    fn ready(&self) -> bool;
+    /// Registers `waiter` to be woken when this becomes ready.
+    fn enlist(&self, waiter: SimThreadId);
+    /// Withdraws `waiter` (after it woke, for whatever reason).
+    fn delist(&self, waiter: SimThreadId);
+}
+
+impl Waitable for &[&dyn Waitable] {
+    fn ready(&self) -> bool {
+        self.iter().any(|w| w.ready())
+    }
+
+    fn enlist(&self, waiter: SimThreadId) {
+        self.iter().for_each(|w| w.enlist(waiter));
+    }
+
+    fn delist(&self, waiter: SimThreadId) {
+        self.iter().for_each(|w| w.delist(waiter));
+    }
+}
+
+/// Adds `waiter` to `waiters` unless it is there already.
+fn enlist_once(waiters: &mut VecDeque<SimThreadId>, waiter: SimThreadId) {
+    if !waiters.contains(&waiter) {
+        waiters.push_back(waiter);
+    }
+}
+
+struct NotifyInner {
+    /// Notifications so far.
+    count: AtomicU64,
+    waiters: Mutex<VecDeque<SimThreadId>>,
+    wake_latency: SimDuration,
+}
+
+/// A value-less gate: [`notify`](Notify::notify) wakes *every* waiting
+/// thread `wake_latency` later, and keeps nothing for later waiters.
+///
+/// It stands for state that several threads poll, such as a credit
+/// counter or a ring in registered memory: whoever changes the state
+/// notifies, and each waiter re-checks what it waits for. To wait, take a
+/// [`listen`](Notify::listen)er *before* checking the state, then wait on
+/// the listener: a notification in between makes the wait return at once.
+pub struct Notify {
+    kernel: Kernel,
+    inner: Arc<NotifyInner>,
+}
+
+impl Clone for Notify {
+    fn clone(&self) -> Self {
+        Notify {
+            kernel: self.kernel.clone(),
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl Notify {
+    /// Creates a notify whose waiters wake `wake_latency` after a
+    /// notification.
+    pub fn new(kernel: &Kernel, wake_latency: SimDuration) -> Self {
+        Notify {
+            kernel: kernel.clone(),
+            inner: Arc::new(NotifyInner {
+                count: AtomicU64::new(0),
+                waiters: Mutex::new(VecDeque::new()),
+                wake_latency,
+            }),
+        }
+    }
+
+    /// Wakes every waiting thread. Callable from simulated threads and
+    /// from event actions.
+    pub fn notify(&self) {
+        self.inner.count.fetch_add(1, Ordering::Relaxed);
+        if self.inner.waiters.lock().is_empty() {
+            return;
+        }
+        let mut st = self.kernel.state.lock();
+        let at = st.now + self.inner.wake_latency;
+        for waiter in self.inner.waiters.lock().drain(..) {
+            st.wake(waiter, at);
+        }
+    }
+
+    /// A listener that hears every notification from now on.
+    pub fn listen(&self) -> Listener {
+        Listener {
+            heard: self.inner.count.load(Ordering::Relaxed),
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+/// The waiting end of a [`Notify`]: ready once the notify has been
+/// notified since the listener was taken.
+pub struct Listener {
+    inner: Arc<NotifyInner>,
+    heard: u64,
+}
+
+impl Waitable for Listener {
+    fn ready(&self) -> bool {
+        self.inner.count.load(Ordering::Relaxed) != self.heard
+    }
+
+    fn enlist(&self, waiter: SimThreadId) {
+        enlist_once(&mut self.inner.waiters.lock(), waiter);
+    }
+
+    fn delist(&self, waiter: SimThreadId) {
+        self.inner.waiters.lock().retain(|w| *w != waiter);
+    }
 }
 
 struct GateInner<T> {
@@ -761,18 +935,10 @@ impl<T: Send + 'static> Gate<T> {
     /// Blocks in virtual time until a value is available.
     pub fn recv(&self, ctx: &SimContext) -> T {
         loop {
-            let st = self.kernel.state.lock();
-            if let Some(v) = self.inner.queue.lock().pop_front() {
+            if let Some(v) = self.try_recv() {
                 return v;
             }
-            st.check_running(ctx.id);
-            {
-                let mut waiters = self.inner.waiters.lock();
-                if !waiters.contains(&ctx.id) {
-                    waiters.push_back(ctx.id);
-                }
-            }
-            self.kernel.block_me(st, ctx.id, None);
+            ctx.wait_any(&[self], None);
         }
     }
 
@@ -781,24 +947,27 @@ impl<T: Send + 'static> Gate<T> {
     pub fn recv_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> RecvTimeout<T> {
         let deadline = self.kernel.now() + timeout;
         loop {
-            let st = self.kernel.state.lock();
-            if let Some(v) = self.inner.queue.lock().pop_front() {
-                self.inner.waiters.lock().retain(|w| *w != ctx.id);
+            if let Some(v) = self.try_recv() {
                 return RecvTimeout::Value(v);
             }
-            if st.now >= deadline {
-                self.inner.waiters.lock().retain(|w| *w != ctx.id);
+            if !ctx.wait_any(&[self], Some(deadline)) {
                 return RecvTimeout::TimedOut;
             }
-            st.check_running(ctx.id);
-            {
-                let mut waiters = self.inner.waiters.lock();
-                if !waiters.contains(&ctx.id) {
-                    waiters.push_back(ctx.id);
-                }
-            }
-            self.kernel.block_me(st, ctx.id, Some(deadline));
         }
+    }
+}
+
+impl<T> Waitable for Gate<T> {
+    fn ready(&self) -> bool {
+        !self.inner.queue.lock().is_empty()
+    }
+
+    fn enlist(&self, waiter: SimThreadId) {
+        enlist_once(&mut self.inner.waiters.lock(), waiter);
+    }
+
+    fn delist(&self, waiter: SimThreadId) {
+        self.inner.waiters.lock().retain(|w| *w != waiter);
     }
 }
 
@@ -965,6 +1134,59 @@ mod tests {
         let g2 = gate.clone();
         kernel.schedule(SimTime::from_nanos(1_000), move || g2.push(9));
         kernel.run();
+    }
+
+    #[test]
+    fn notify_wakes_every_waiter_and_a_gate_wakes_one() {
+        let kernel = Kernel::new();
+        let notify = Notify::new(&kernel, SimDuration::from_nanos(50));
+        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::from_nanos(10));
+        let woke = Arc::new(Mutex::new(Vec::new()));
+        for name in ["a", "b", "c"] {
+            let (heard, g, woke) = (notify.listen(), gate.clone(), woke.clone());
+            kernel.spawn(0, name, move |sim| {
+                let ready = sim.wait_any(&[&heard, &g], Some(SimTime::from_nanos(10_000)));
+                let took = g.try_recv();
+                woke.lock().push((name, sim.now().as_nanos(), ready, took));
+            });
+        }
+        let g = gate.clone();
+        kernel.schedule(SimTime::from_nanos(100), move || g.push(7));
+        kernel.schedule(SimTime::from_nanos(500), move || notify.notify());
+        kernel.run();
+        // The value wakes the longest waiter alone; the notification
+        // wakes everyone still waiting, none of them at the deadline.
+        assert_eq!(
+            *woke.lock(),
+            vec![
+                ("a", 110, true, Some(7)),
+                ("b", 550, true, None),
+                ("c", 550, true, None)
+            ]
+        );
+        let expired: u64 = kernel.stats().iter().map(|t| t.expired_waits).sum();
+        assert_eq!(expired, 0);
+    }
+
+    #[test]
+    fn a_listener_hears_what_came_before_the_wait_and_deadlines_count() {
+        let kernel = Kernel::new();
+        let notify = Notify::new(&kernel, SimDuration::from_nanos(50));
+        kernel.spawn(0, "w", move |sim| {
+            let heard = notify.listen();
+            let deadline = SimTime::from_nanos(1_000);
+            assert!(!sim.wait_any(&[&heard], Some(deadline)));
+            assert_eq!(sim.now(), deadline, "nothing came: woke at the deadline");
+            // Notified between taking the listener and waiting: the wait
+            // returns at once, however far off its deadline.
+            notify.notify();
+            assert!(sim.wait_any(&[&heard], Some(SimTime::from_nanos(9_000))));
+            assert!(!sim.wait_any(&[&notify.listen()], Some(deadline)));
+            assert_eq!(sim.now(), deadline);
+        });
+        kernel.run();
+        let stats = kernel.stats();
+        assert_eq!((stats[0].expired_waits, stats[0].resumes), (2, 1));
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub mod sync;
 pub mod time;
 
 pub use cluster::Cluster;
-pub use kernel::{Gate, Kernel, RecvTimeout, SimContext, SimThreadId, ThreadStats};
+pub use kernel::{
+    Gate, Kernel, Listener, Notify, RecvTimeout, SimContext, SimThreadId, ThreadStats, Waitable,
+};
 pub use net::{Fabric, IncastModel, Topology};
 pub use nic::{FairResource, FlowId, FlowTable, NicModel};
 pub use profile::{DeviceProfile, MAX_RC_MESSAGE, UD_MTU};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_obs::{EventKind, Obs, Stage};
-use rshuffle_simnet::{Gate, Kernel, SimContext, SimDuration, SimTime};
+use rshuffle_simnet::{Gate, Kernel, SimContext, SimDuration, SimTime, Waitable};
 
 use crate::types::QpNum;
 use crate::NodeId;
@@ -221,16 +221,21 @@ impl CompletionQueue {
     }
 
     /// Blocking batched drain into caller-owned scratch: clears `out`,
-    /// waits up to `timeout` for the first completion, then drains up to
-    /// `max - 1` more that are already queued — all for a single poll
-    /// cost. Returns the number retrieved (zero on timeout). This is the
+    /// waits until a completion is queued, one of `also` is ready or
+    /// `deadline` passes, then drains up to `max` queued completions —
+    /// all for a single poll cost. Returns the number retrieved (zero at
+    /// the deadline, or when only `also` woke the caller). This is the
     /// endpoint wait-loop workhorse: one charge per burst, no allocation.
+    ///
+    /// A completion wakes one waiting drainer; `also` is how a drainer
+    /// hears that another thread changed what it waits for.
     pub fn drain_into(
         &self,
         ctx: &SimContext,
         out: &mut Vec<Completion>,
         max: usize,
-        timeout: SimDuration,
+        deadline: SimTime,
+        also: &[&dyn Waitable],
     ) -> usize {
         out.clear();
         if max == 0 {
@@ -238,10 +243,7 @@ impl CompletionQueue {
         }
         *self.inner.prepaid.lock() = 0;
         ctx.sleep(self.inner.poll_cost);
-        match self.inner.gate.recv_timeout(ctx, timeout) {
-            rshuffle_simnet::RecvTimeout::Value(c) => out.push(c),
-            rshuffle_simnet::RecvTimeout::TimedOut => return 0,
-        }
+        ctx.wait_any(&[&self.inner.gate, &also], Some(deadline));
         while out.len() < max {
             match self.inner.gate.try_recv() {
                 Some(c) => out.push(c),
@@ -412,15 +414,15 @@ mod tests {
             let mut scratch = Vec::new();
             // Blocks for the first completion, then picks up the rest of
             // the burst for the same single charge.
-            let n = cq2.drain_into(&sim, &mut scratch, 8, SimDuration::from_micros(5));
+            let n = cq2.drain_into(&sim, &mut scratch, 8, SimTime::from_nanos(5_000), &[]);
             assert_eq!(n, 3);
             // Deposits at 1000, +200 completion latency, poll cost charged
             // before blocking.
             assert_eq!(sim.now().as_nanos(), 1_200);
-            // Timeout path returns zero after charging and waiting out
-            // the whole timeout.
+            // The deadline path returns zero after charging and waiting
+            // until the deadline.
             assert_eq!(
-                cq2.drain_into(&sim, &mut scratch, 8, SimDuration::from_nanos(100)),
+                cq2.drain_into(&sim, &mut scratch, 8, SimTime::from_nanos(1_350), &[]),
                 0
             );
             assert_eq!(sim.now().as_nanos(), 1_350);

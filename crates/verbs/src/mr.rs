@@ -12,15 +12,15 @@
 //! back once the contents are dead, and a message in flight shares its
 //! sender's window (`Payload`) to land as the receiver's, uncopied.
 //!
-//! One-sided writes into a region can be awaited through
-//! [`MemoryRegion::wait_update_timeout`], which models a thread polling
-//! local memory for a change made by a remote RDMA Write (the paper's
-//! ValidArr/FreeArr message queues, §4.4.3).
+//! One-sided writes into a region can be awaited through a
+//! [`MemoryRegion::listen`]er, which models a thread polling local memory
+//! for a change made by a remote RDMA Write (the paper's ValidArr/FreeArr
+//! message queues, §4.4.3).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_simnet::{Gate, Kernel, KeyMap, SimContext, SimDuration};
+use rshuffle_simnet::{Kernel, KeyMap, Listener, Notify, SimDuration};
 
 use crate::error::{Result, VerbsError};
 use crate::NodeId;
@@ -117,8 +117,8 @@ pub(crate) struct MrInner {
     /// Storage per window, grown on demand; `None`: unwritten or discarded.
     windows: Mutex<Windows>,
     slab: Arc<Slab>,
-    /// Signalled whenever a remote RDMA Write lands in this region.
-    pub(crate) update_gate: Gate<()>,
+    /// Notified whenever a remote RDMA Write lands in this region.
+    updates: Notify,
 }
 
 impl Drop for MrInner {
@@ -166,7 +166,7 @@ impl MemoryRegion {
                 window: window.max(1),
                 windows: Mutex::new(Vec::new()),
                 slab: slab.clone(),
-                update_gate: Gate::new(kernel, SimDuration::from_nanos(100)),
+                updates: Notify::new(kernel, SimDuration::from_nanos(100)),
             }),
         }
     }
@@ -377,28 +377,20 @@ impl MemoryRegion {
         self.write(offset, &v.to_le_bytes())
     }
 
-    /// Discards all pending update notifications. A poller calls this
-    /// before re-checking its condition so stale notifications cannot make
-    /// the subsequent wait spin.
-    pub fn drain_updates(&self) {
-        while self.inner.update_gate.try_recv().is_some() {}
-    }
-
-    /// Blocks until a remote RDMA Write lands anywhere in this region or
-    /// `timeout` elapses; returns whether an update arrived. Models a
-    /// consumer polling local memory for updates made by a passive remote
-    /// writer: the wakeup carries the polling latency and comes *early*, on
-    /// the write (this is what makes polled ring buffers latency-neutral in
-    /// the simulator).
-    pub fn wait_update_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> bool {
-        matches!(
-            self.inner.update_gate.recv_timeout(ctx, timeout),
-            rshuffle_simnet::RecvTimeout::Value(())
-        )
+    /// A listener that hears every remote RDMA Write landing anywhere in
+    /// this region from now on. Models a consumer polling local memory for
+    /// updates made by a passive remote writer: take it before checking
+    /// the memory, then wait on it with [`SimContext::wait_any`]; every
+    /// waiter wakes on the write, after the polling latency (this is what
+    /// makes polled ring buffers latency-neutral in the simulator).
+    ///
+    /// [`SimContext::wait_any`]: rshuffle_simnet::SimContext::wait_any
+    pub fn listen(&self) -> Listener {
+        self.inner.updates.listen()
     }
 
     pub(crate) fn signal_update(&self) {
-        self.inner.update_gate.push(());
+        self.inner.updates.notify();
     }
 }
 

@@ -672,7 +672,7 @@ impl QueuePair {
     /// Posts an RDMA Write (`ibv_post_send` with `IBV_WR_RDMA_WRITE`):
     /// pushes the local buffer into `remote`. RC only. The target CPU is
     /// never involved; consumers poll memory (see
-    /// [`MemoryRegion::wait_update_timeout`]).
+    /// [`MemoryRegion::listen`]).
     pub fn post_write(
         &self,
         sim: &SimContext,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_obs::names;
-use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
+use rshuffle_simnet::{Cluster, DeviceProfile, SimContext, SimDuration};
 use rshuffle_verbs::{
     AddressHandle, Completion, CompletionQueue, ConnectionManager, FaultConfig, QpNum, QpScope,
     QpType, QueuePair, RecvWr, RemoteAddr, SendWr, VerbsError, VerbsRuntime, WcOpcode, WcStatus,
@@ -345,7 +345,9 @@ fn rdma_write_updates_remote_memory_and_signals() {
     let target2 = target_mr.clone();
     rt.cluster().spawn(1, "poller", move |sim| {
         // Poll local memory for the remote write (ValidArr-style).
-        assert!(target2.wait_update_timeout(&sim, SimDuration::from_millis(1)));
+        let update = target2.listen();
+        let deadline = sim.now() + SimDuration::from_millis(1);
+        assert!(sim.wait_any(&[&update], Some(deadline)));
         assert_eq!(target2.read(0, 7).unwrap(), b"written".to_vec());
     });
     rt.cluster().spawn(0, "writer", move |sim| {
@@ -536,7 +538,8 @@ fn ud_loss_injection_loses_datagrams() {
         }
         // Count whatever arrives within a grace period.
         let mut got = Vec::new();
-        while cq_r.drain_into(&sim, &mut got, 128, SimDuration::from_micros(200)) > 0 {
+        let grace = |sim: &SimContext| sim.now() + SimDuration::from_micros(200);
+        while cq_r.drain_into(&sim, &mut got, 128, grace(&sim), &[]) > 0 {
             d.fetch_add(got.len() as u64, Ordering::SeqCst);
         }
     });
@@ -731,7 +734,8 @@ fn fault_plan_ud_loss_burst_drops_only_in_window() {
         // Drain until well past the burst window.
         let mut got = Vec::new();
         while sim.now() < rshuffle_simnet::SimTime::ZERO + SimDuration::from_millis(4) {
-            let n = cq_r.drain_into(&sim, &mut got, 64, SimDuration::from_micros(100));
+            let deadline = sim.now() + SimDuration::from_micros(100);
+            let n = cq_r.drain_into(&sim, &mut got, 64, deadline, &[]);
             delivered2.fetch_add(n as u64, Ordering::Relaxed);
         }
     });
