@@ -203,9 +203,9 @@ pub struct SrRcReceiveEndpoint {
     /// Deliveries decoded from a batched CQ drain, waiting for a
     /// `get_data` caller.
     pending: Mutex<VecDeque<Delivery>>,
-    /// Notified whenever a delivery joins `pending` or the last credit
-    /// write-back completes, so callers blocked on a CQ another caller
-    /// drained hear of it.
+    /// Notified whenever a receive completion is decoded or the last
+    /// credit write-back completes, so callers blocked on a CQ another
+    /// caller drained hear of it.
     changed: Notify,
     /// Credit write-backs posted but not yet seen to complete. Must drain
     /// to zero at end of stream — a swallowed control completion turns
@@ -443,19 +443,18 @@ impl SrRcReceiveEndpoint {
                 c.src_node
             ))
         })?;
+        // Delivered or dropped, the completion changed what other callers
+        // wait for: the pending queue, or the CQ they wait to see empty.
+        self.changed.notify();
         if header.epoch != self.cfg.epoch {
             // A leftover from a fenced-off flow attempt: recycle the
-            // slot (repost + credit) without delivering or counting. The
-            // CQ it came from may be what another caller waits to see
-            // empty.
+            // slot (repost + credit) without delivering or counting.
             self.obs.stale_drop();
-            self.changed.notify();
             return self.recycle_slot(sim, si, &buf);
         }
         let src = c.src_node;
         let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, 0)?;
         self.pending.lock().push_back(delivery);
-        self.changed.notify();
         if header.state == StreamState::Depleted {
             self.srcs.mark_depleted(si);
             // Depletion closes the lane: releases stop recycling, so
