@@ -45,6 +45,12 @@ pub mod resource;
 pub mod sync;
 pub mod time;
 
+/// The workspace's pin files (`tests/pins/`), for the unit tests that
+/// hold exact values.
+#[cfg(test)]
+#[path = "../../../tests/common/pins.rs"]
+mod pins;
+
 pub use cluster::Cluster;
 pub use kernel::{
     Gate, Kernel, Listener, Notify, RecvTimeout, SimContext, SimThreadId, ThreadStats, Waitable,

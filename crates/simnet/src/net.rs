@@ -998,44 +998,21 @@ mod tests {
         assert_eq!((restored - later).as_nanos(), healthy.as_nanos());
     }
 
-    /// Senders of the fan-in in [`UNICAST`]: six nodes, everyone sends one
+    /// Senders of the fan-in of the unicast table: six nodes, everyone sends one
     /// message to node 0 at t = 0, node 2 a second one. On the fat tree
     /// (three leaves of two hosts) node 1 shares node 0's leaf and nodes
     /// 2–5 cross the spine.
     const FAN_IN: [NodeId; 6] = [1, 2, 3, 4, 5, 2];
 
-    /// Delivery times in ns of the [`FAN_IN`] messages sent one at a time
-    /// with `transfer_flow`, per topology, link condition and message size:
+    /// The topologies, link conditions and message sizes of the unicast
+    /// table, `tests/pins/unicast_delivery.txt`: the delivery times in ns
+    /// of the [`FAN_IN`] messages sent one at a time with `transfer_flow`,
     /// the unicast timing every change to the transfer path must keep. The
     /// control lane (64 B), the incast penalty (the fat tree's later
     /// senders) and all three link faults show in it.
-    #[rustfmt::skip]
-    const UNICAST: [(&str, &str, usize, [u64; 6]); 24] = [
-        ("single switch", "healthy", 64, [235, 235, 235, 235, 235, 235]),
-        ("single switch", "healthy", 4096, [551, 872, 1193, 1514, 1835, 2156]),
-        ("single switch", "healthy", 1048576, [82294, 164358, 246422, 328486, 410550, 492614]),
-        ("single switch", "sender down", 64, [235, 20235, 235, 235, 235, 20235]),
-        ("single switch", "sender down", 4096, [551, 20551, 20872, 21193, 21514, 21835]),
-        ("single switch", "sender down", 1048576, [82294, 164358, 246422, 328486, 410550, 492614]),
-        ("single switch", "receiver down", 64, [20235, 20235, 20235, 20235, 20235, 20235]),
-        ("single switch", "receiver down", 4096, [20551, 20872, 21193, 21514, 21835, 22156]),
-        ("single switch", "receiver down", 1048576, [102294, 184358, 266422, 348486, 430550, 512614]),
-        ("single switch", "receiver degraded", 64, [3240, 3240, 3240, 3240, 3240, 3240]),
-        ("single switch", "receiver degraded", 4096, [3871, 4512, 5153, 5794, 6435, 7076]),
-        ("single switch", "receiver degraded", 1048576, [167358, 331486, 495614, 659742, 823870, 987998]),
-        ("fat tree with incast", "healthy", 64, [235, 965, 965, 965, 965, 965]),
-        ("fat tree with incast", "healthy", 4096, [551, 1281, 1763, 2405, 3208, 4011]),
-        ("fat tree with incast", "healthy", 1048576, [82294, 164358, 287454, 451582, 656742, 861902]),
-        ("fat tree with incast", "sender down", 64, [235, 20965, 965, 965, 965, 20965]),
-        ("fat tree with incast", "sender down", 4096, [551, 21281, 21602, 22084, 22726, 23368]),
-        ("fat tree with incast", "sender down", 1048576, [82294, 164358, 287454, 451582, 656742, 861902]),
-        ("fat tree with incast", "receiver down", 64, [20235, 20965, 20965, 20965, 20965, 20965]),
-        ("fat tree with incast", "receiver down", 4096, [20551, 21281, 21763, 22405, 23208, 24011]),
-        ("fat tree with incast", "receiver down", 1048576, [102294, 184358, 307454, 471582, 676742, 881902]),
-        ("fat tree with incast", "receiver degraded", 64, [3240, 3970, 3970, 3970, 3970, 3970]),
-        ("fat tree with incast", "receiver degraded", 4096, [3871, 4601, 5563, 6845, 8448, 10051]),
-        ("fat tree with incast", "receiver degraded", 1048576, [167358, 331486, 577678, 905934, 1316254, 1726574]),
-    ];
+    const TOPOLOGIES: [&str; 2] = ["single switch", "fat tree with incast"];
+    const LINKS: [&str; 4] = ["healthy", "sender down", "receiver down", "receiver degraded"];
+    const SIZES: [usize; 3] = [64, 4096, 1048576];
 
     /// A six-node fabric of `topology` with `link`'s fault in place: node 2
     /// (a sender) or node 0 (the receiver) down for 20 µs, or node 0 at
@@ -1076,15 +1053,22 @@ mod tests {
 
     #[test]
     fn unicast_delivery_table_holds_and_a_one_member_multicast_matches_it() {
-        for (topology, link, bytes, want) in UNICAST {
-            let row = format!("{topology}, {link}, {bytes} B");
-            let f = table_fabric(topology, link);
-            let unicast = FAN_IN.map(|from| f.transfer(from, 0, bytes, SimTime::ZERO).as_nanos());
-            assert_eq!(unicast, want, "{row}: unicast");
-            let f = table_fabric(topology, link);
-            let one = FAN_IN.map(|from| multicast(&f, from, &[0], bytes)[0].as_nanos());
-            assert_eq!(one, want, "{row}: one-member multicast");
+        let mut measured = Vec::new();
+        for topology in TOPOLOGIES {
+            for link in LINKS {
+                for bytes in SIZES {
+                    let row = format!("{topology}, {link}, {bytes} B");
+                    let f = table_fabric(topology, link);
+                    let unicast = FAN_IN.map(|from| f.transfer(from, 0, bytes, SimTime::ZERO));
+                    let f = table_fabric(topology, link);
+                    let one = FAN_IN.map(|from| multicast(&f, from, &[0], bytes)[0]);
+                    assert_eq!(one, unicast, "{row}: one-member multicast");
+                    let ns: Vec<String> = unicast.iter().map(|t| t.as_nanos().to_string()).collect();
+                    measured.push(format!("{row}: {}", ns.join(" ")));
+                }
+            }
         }
+        crate::pins::check("unicast_delivery.txt", &measured);
     }
 
     /// A multicast datagram of at most [`CONTROL_BYPASS_BYTES`] rides the

@@ -6,14 +6,18 @@
 /// Fails unless `measured` equals the rows of `tests/pins/{file}` line for
 /// line, naming every row that moved by its line, pinned and measured
 /// value. Under `RSHUFFLE_BLESS=1` it writes `measured` there instead,
-/// touching the file only when a row moved.
+/// touching the file only when a row moved. The pin directory is the
+/// workspace's, whether the suite belongs to the umbrella package or to a
+/// crate under `crates/` that includes this file.
 pub fn check(file: &str, measured: &[String]) {
-    let path = format!("{}/tests/pins/{file}", env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = manifest.ancestors().map(|dir| dir.join("tests/pins")).find(|dir| dir.is_dir());
+    let path = dir.unwrap_or_else(|| panic!("no tests/pins above {manifest:?}")).join(file);
     let pinned = std::fs::read_to_string(&path).unwrap_or_default();
     let text: String = measured.iter().map(|row| format!("{row}\n")).collect();
     if std::env::var("RSHUFFLE_BLESS").as_deref() == Ok("1") {
         if pinned != text {
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         }
         return;
     }
