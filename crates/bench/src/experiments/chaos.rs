@@ -147,9 +147,11 @@ pub(super) fn chaos(scale: Scale) -> Outcome {
                 None => {}
             }
             let recovery_ns = rep.recovery.map(|r| r.as_nanos()).unwrap_or(0);
+            let response_ns = runtime.kernel().now().as_nanos();
             out.row(
                 id,
                 vec![
+                    MetricRow::lower("response_ns", response_ns as f64),
                     MetricRow::lower("engine.recovery_ns", recovery_ns as f64),
                     MetricRow::info("engine.partial_retries", rep.partial_retries as f64),
                     MetricRow::info("engine.restarts", rep.full_restarts as f64),

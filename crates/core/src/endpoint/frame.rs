@@ -11,13 +11,15 @@
 //! datagrams, multicast address-handle cache and `quiesce` stay in
 //! `sr_ud`, because sharing them would make the frame ask who is calling.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
 use rshuffle_simnet::sync::SimMutexGuard;
 use rshuffle_simnet::{
-    Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
+    Kernel, Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
 };
 use rshuffle_verbs::{
     Completion, CompletionQueue, Context, MemoryRegion, QpType, QueuePair, RemoteAddr, WcOpcode,
@@ -361,20 +363,85 @@ impl SendWindow {
     }
 }
 
-/// The stall watchdog of every endpoint wait: a deadline after which the
-/// wait returns a typed [`ShuffleError::Stalled`] instead of hanging.
-/// A wait blocks until something that can satisfy it happens or the
-/// deadline passes, never for a slice.
-pub(crate) struct Watchdog {
-    deadline: SimTime,
-    what: &'static str,
+/// One attempt's abort, shared by every endpoint of its exchange. Whoever
+/// runs the attempt raises it once its first worker fails; it lands one
+/// modelled control message later, and from then on every endpoint wait
+/// of the exchange returns [`ShuffleError::Aborted`] instead of waiting
+/// out its stall deadline.
+#[derive(Clone)]
+pub(crate) struct Abort(Arc<AbortInner>);
+
+struct AbortInner {
+    notify: Notify,
+    /// Taken before any landing, so it stays ready once the abort landed:
+    /// a wait reads it as a plain flag and parks on it as a source.
+    landed: Listener,
+    /// From the raise to the landing: the control message's flight.
+    delay: SimDuration,
 }
 
-impl Watchdog {
-    pub(crate) fn new(sim: &SimContext, timeout: SimDuration, what: &'static str) -> Watchdog {
+impl Abort {
+    pub(crate) fn new(kernel: &Kernel, delay: SimDuration) -> Abort {
+        let notify = Notify::new(kernel, SimDuration::ZERO);
+        let landed = notify.listen();
+        Abort(Arc::new(AbortInner {
+            notify,
+            landed,
+            delay,
+        }))
+    }
+
+    /// Lands the abort `delay` after now, then runs `also` (an event
+    /// action: it must not block).
+    pub(crate) fn raise(&self, kernel: &Kernel, also: impl FnOnce() + Send + 'static) {
+        let notify = self.0.notify.clone();
+        kernel.schedule_in(self.0.delay, move || {
+            notify.notify();
+            also();
+        });
+    }
+
+    /// Whether the abort has landed.
+    pub(crate) fn landed(&self) -> bool {
+        self.0.landed.ready()
+    }
+}
+
+impl fmt::Debug for Abort {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Abort")
+            .field("landed", &self.landed())
+            .field("delay", &self.0.delay)
+            .finish()
+    }
+}
+
+/// No abort to park on: a watchdog of an exchange-less wait.
+const NO_ABORT: &[&dyn Waitable] = &[];
+
+/// The stall watchdog of every endpoint wait: a deadline after which the
+/// wait returns a typed [`ShuffleError::Stalled`] instead of hanging, and
+/// the exchange's [`Abort`], after which it returns
+/// [`ShuffleError::Aborted`]. A wait blocks until something that can
+/// satisfy it happens, the abort lands or the deadline passes, never for
+/// a slice.
+pub(crate) struct Watchdog<'a> {
+    deadline: SimTime,
+    what: &'static str,
+    abort: Option<&'a Abort>,
+}
+
+impl<'a> Watchdog<'a> {
+    pub(crate) fn new(
+        sim: &SimContext,
+        timeout: SimDuration,
+        abort: Option<&'a Abort>,
+        what: &'static str,
+    ) -> Watchdog<'a> {
         Watchdog {
             deadline: sim.now() + timeout,
             what,
+            abort,
         }
     }
 
@@ -391,26 +458,47 @@ impl Watchdog {
         }
     }
 
-    /// Runs `ready` until it yields a value. Before each check it takes
-    /// `listen`'s listeners; after a failed one it hands them and the
-    /// deadline to `park`, which blocks until one of them — or whatever
-    /// else can satisfy `ready` — fires, or the deadline passes. A change
-    /// made while `ready` runs is heard, not lost.
+    /// Fails with [`ShuffleError::Aborted`] once the abort has landed: a
+    /// plain flag read.
+    pub(crate) fn aborted(&self) -> Result<()> {
+        match self.abort {
+            Some(abort) if abort.landed() => Err(ShuffleError::Aborted),
+            _ => Ok(()),
+        }
+    }
+
+    /// What a park waits on besides its own sources: the abort landing.
+    pub(crate) fn abort_source(&self) -> &'a dyn Waitable {
+        match self.abort {
+            Some(abort) => &abort.0.landed,
+            None => &NO_ABORT,
+        }
+    }
+
+    /// Runs `ready` until it yields a value. Before each check it fails
+    /// if the abort has landed — a sender that never blocks would
+    /// otherwise go on sending into receivers that stopped — and takes
+    /// `listen`'s listeners; after a failed one it hands them, the
+    /// abort's source and the deadline to `park`, which blocks until one
+    /// of them — or whatever else can satisfy `ready` — fires, or the
+    /// deadline passes. A change made while `ready` runs is heard, not
+    /// lost.
     ///
     /// With `stall` set, the wait is a flow-control stall (Figure 8): the
     /// bracket opens on the first failed check — the common ready path
     /// records nothing — and closes on every exit, whether the value, the
-    /// typed stall or an error out of `ready` or `park`.
+    /// typed stall or abort, or an error out of `ready` or `park`.
     pub(crate) fn wait<T, L>(
         self,
         sim: &SimContext,
         stall: Option<&SendObs>,
         mut listen: impl FnMut() -> L,
         mut ready: impl FnMut() -> Result<Option<T>>,
-        mut park: impl FnMut(L, SimTime) -> Result<()>,
+        mut park: impl FnMut(L, &dyn Waitable, SimTime) -> Result<()>,
     ) -> Result<T> {
         let mut stalled_at = None;
         let result: Result<T> = (|| loop {
+            self.aborted()?;
             let heard = listen();
             if let Some(value) = ready()? {
                 return Ok(value);
@@ -419,7 +507,7 @@ impl Watchdog {
                 stalled_at = Some(obs.stall_begin(sim));
             }
             self.expired(sim)?;
-            park(heard, self.deadline)?;
+            park(heard, self.abort_source(), self.deadline)?;
         })();
         if let (Some(obs), Some(at)) = (stall, stalled_at) {
             obs.stall_end(sim, at);
@@ -857,10 +945,13 @@ mod tests {
 
     const US: fn(u64) -> SimDuration = SimDuration::from_micros;
 
-    /// A park that sleeps until `heard` fires or the deadline.
-    fn sleep_on(sim: &SimContext) -> impl FnMut(Listener, SimTime) -> Result<()> + '_ {
-        |heard, deadline| {
-            sim.wait_any(&[&heard], Some(deadline));
+    /// A park that sleeps until `heard` fires, the abort lands or the
+    /// deadline.
+    fn sleep_on(
+        sim: &SimContext,
+    ) -> impl FnMut(Listener, &dyn Waitable, SimTime) -> Result<()> + '_ {
+        |heard, abort, deadline| {
+            sim.wait_any(&[&heard, abort], Some(deadline));
             Ok(())
         }
     }
@@ -871,15 +962,15 @@ mod tests {
             let (start, quiet) = (sim.now(), Notify::new(rt.kernel(), US(1)));
             let mut parks = 0;
             let mut park = sleep_on(sim);
-            let err = Watchdog::new(sim, US(12), "test wait")
+            let err = Watchdog::new(sim, US(12), None, "test wait")
                 .wait(
                     sim,
                     None,
                     || quiet.listen(),
                     || Ok(None::<()>),
-                    |heard, deadline| {
+                    |heard, abort, deadline| {
                         parks += 1;
-                        park(heard, deadline)
+                        park(heard, abort, deadline)
                     },
                 )
                 .unwrap_err();
@@ -896,7 +987,7 @@ mod tests {
             let mut checks = 0;
             // The first check fails, then another party changes the state
             // before the park: the park returns at once.
-            Watchdog::new(sim, US(50), "test wait").wait(
+            Watchdog::new(sim, US(50), None, "test wait").wait(
                 sim,
                 None,
                 || changed.listen(),
@@ -917,7 +1008,7 @@ mod tests {
         let rt = in_sim(|rt, sim| {
             let obs = SendObs::new(&rt.context(0), EndpointId(7));
             let quiet = Notify::new(rt.kernel(), US(1));
-            let watchdog = || Watchdog::new(sim, US(6), "test wait");
+            let watchdog = || Watchdog::new(sim, US(6), None, "test wait");
             let listen = || quiet.listen();
             let sleep = sleep_on(sim);
             // Ready at once: no stall, no bracket.
@@ -948,7 +1039,7 @@ mod tests {
                 Some(&obs),
                 listen,
                 || Ok(None::<()>),
-                |_, _| Err(ShuffleError::CompletionError("drain")),
+                |_, _, _| Err(ShuffleError::CompletionError("drain")),
             );
             assert!(matches!(failed, Err(ShuffleError::CompletionError(_))));
             Ok(())

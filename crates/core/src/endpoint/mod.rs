@@ -27,7 +27,7 @@
 //! | `RcHalf` (peer slots by node id, per-peer RC QPs, post lock) | `sr_rc`, `rd_rc`, `wr_rc`, both halves | which CQs its QPs complete into |
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
-//! | `Watchdog` (deadline, typed stall, credit-stall bracket) | all four | the readiness check and what to block on |
+//! | `Watchdog` (deadline, typed stall, the exchange's `Abort`, credit-stall bracket) | all four | the readiness check and what to block on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
 //! | `Sources` (depleted flags by peer slot) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |
@@ -61,6 +61,8 @@ use rshuffle_verbs::{Context, QueuePair};
 
 use crate::buffer::{Buffer, StreamState};
 use crate::error::Result;
+pub(crate) use frame::Abort;
+use frame::Watchdog;
 
 /// An [`AuditHandle`] for `ctx`'s node, wired to the runtime's installed
 /// protocol auditor — or a no-op handle when none is installed.
@@ -114,6 +116,16 @@ pub(crate) struct Params {
     /// Flow epoch stamped on every outgoing header and required of every
     /// accepted arrival (0 outside recovery).
     pub epoch: u16,
+    /// The exchange's abort, which every wait hears; `None` for the
+    /// parameters a footprint is sized from, which build nothing.
+    pub abort: Option<Abort>,
+}
+
+impl Params {
+    /// A watchdog over this exchange's stall budget and abort.
+    pub(crate) fn watchdog(&self, sim: &SimContext, what: &'static str) -> Watchdog<'_> {
+        Watchdog::new(sim, self.stall_timeout, self.abort.as_ref(), what)
+    }
 }
 
 /// How a reliable-connection transport plugs into the one wiring routine

@@ -25,7 +25,7 @@ use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, W
 use crate::buffer::{Buffer, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, state_notify, Cq, Layout,
-    RcHalf, RingProducer, SendWindow, SlotRings, Sources, Watchdog,
+    RcHalf, RingProducer, SendWindow, SlotRings, Sources,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -137,28 +137,25 @@ impl SendEndpoint for RdRcSendEndpoint {
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
         // Only a release landing in the FreeArr frees a buffer, and it
         // wakes every waiter; whoever scans first recycles for all.
-        Watchdog::new(
-            sim,
-            self.cfg.stall_timeout,
-            "waiting for FreeArr notifications",
-        )
-        .wait(
-            sim,
-            None,
-            || self.free_arr.region().listen(),
-            || loop {
-                if let Some(buf) = self.window.take(sim) {
-                    return Ok(Some(buf));
-                }
-                if !self.scan_free_arr(sim)? {
-                    return Ok(None);
-                }
-            },
-            |released, deadline| {
-                sim.wait_any(&[&released], Some(deadline));
-                Ok(())
-            },
-        )
+        self.cfg
+            .watchdog(sim, "waiting for FreeArr notifications")
+            .wait(
+                sim,
+                None,
+                || self.free_arr.region().listen(),
+                || loop {
+                    if let Some(buf) = self.window.take(sim) {
+                        return Ok(Some(buf));
+                    }
+                    if !self.scan_free_arr(sim)? {
+                        return Ok(None);
+                    }
+                },
+                |released, abort, deadline| {
+                    sim.wait_any(&[&released, abort], Some(deadline));
+                    Ok(())
+                },
+            )
     }
 }
 
@@ -385,8 +382,9 @@ impl RcTransport for RdRcSendEndpoint {
 
 impl ReceiveEndpoint for RdRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let watchdog = Watchdog::new(sim, self.cfg.stall_timeout, "RD receive made no progress");
+        let watchdog = self.cfg.watchdog(sim, "RD receive made no progress");
         loop {
+            watchdog.aborted()?;
             let (announced, changed) = (self.valid_arr.region().listen(), self.changed.listen());
             if let Some(d) = self.pending.lock().pop_front() {
                 return Ok(Some(d));
@@ -412,11 +410,15 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
             // reads in flight or not, if a local buffer can take it; with
             // no read in flight, no CQ poll is paid for.
             let deadline = watchdog.deadline();
+            let sources: [&dyn Waitable; 3] = [&announced, &changed, watchdog.abort_source()];
             if in_flight == 0 {
-                sim.wait_any(&[&announced, &changed], Some(deadline));
+                sim.wait_any(&sources, Some(deadline));
             } else {
-                let both: [&dyn Waitable; 2] = [&announced, &changed];
-                let also = if can_read { &both[..] } else { &both[1..] };
+                let also = if can_read {
+                    &sources[..]
+                } else {
+                    &sources[1..]
+                };
                 self.cq.drain(sim, deadline, also, decode)?;
             }
         }

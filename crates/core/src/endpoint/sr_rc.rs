@@ -27,7 +27,7 @@ use rshuffle_verbs::{
 use crate::buffer::{Buffer, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, region_base, state_notify, Cq, InlineWrites, Layout,
-    RcHalf, SendWindow, Sources, Watchdog,
+    RcHalf, SendWindow, Sources,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -114,13 +114,13 @@ impl SrRcSendEndpoint {
             let credit = self.credit_mr.read_u64(8 * pi)?;
             Ok((credit > self.sent.lock()[pi]).then_some(()))
         };
-        Watchdog::new(sim, self.cfg.stall_timeout, "waiting for send credit").wait(
+        self.cfg.watchdog(sim, "waiting for send credit").wait(
             sim,
             Some(&self.obs),
             || self.credit_mr.listen(),
             has_credit,
-            |written, deadline| {
-                sim.wait_any(&[&written], Some(deadline));
+            |written, abort, deadline| {
+                sim.wait_any(&[&written, abort], Some(deadline));
                 Ok(())
             },
         )
@@ -170,24 +170,26 @@ impl SendEndpoint for SrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        Watchdog::new(
-            sim,
-            self.cfg.stall_timeout,
-            "waiting for a free send buffer",
-        )
-        .wait(
-            sim,
-            None,
-            || self.window.listen(),
-            || Ok(self.window.take(sim)),
-            |freed, deadline| {
-                let reap = |c: &Completion| {
-                    expect_success(c, "reliable send failed (receiver never posted a receive?)")?;
-                    self.window.complete(sim, c.wr_id)
-                };
-                self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
-            },
-        )
+        self.cfg
+            .watchdog(sim, "waiting for a free send buffer")
+            .wait(
+                sim,
+                None,
+                || self.window.listen(),
+                || Ok(self.window.take(sim)),
+                |freed, abort, deadline| {
+                    let reap = |c: &Completion| {
+                        expect_success(
+                            c,
+                            "reliable send failed (receiver never posted a receive?)",
+                        )?;
+                        self.window.complete(sim, c.wr_id)
+                    };
+                    self.send_cq
+                        .drain(sim, deadline, &[&freed, abort], reap)
+                        .map(drop)
+                },
+            )
     }
 }
 
@@ -300,36 +302,33 @@ impl RcTransport for SrRcSendEndpoint {
 
 impl ReceiveEndpoint for SrRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        Watchdog::new(
-            sim,
-            self.cfg.stall_timeout,
-            "receive endpoint made no progress",
-        )
-        .wait(
-            sim,
-            None,
-            || self.changed.listen(),
-            || {
-                if let Some(d) = self.pending.lock().pop_front() {
-                    return Ok(Some(Some(d)));
-                }
-                if self.srcs.all_depleted() && self.recv_cq.depth() == 0 {
-                    // Deliveries a concurrent drainer is still decoding will be
-                    // handed out by that thread's own later calls; this caller
-                    // is done once the outstanding credit write-backs complete
-                    // cleanly (a swallowed control completion surfaces here).
-                    self.finish_ctrl(sim)?;
-                    return Ok(Some(None));
-                }
-                Ok(None)
-            },
-            |changed, deadline| {
-                let decode = |c: &Completion| self.on_receive(sim, c);
-                self.recv_cq
-                    .drain(sim, deadline, &[&changed], decode)
-                    .map(drop)
-            },
-        )
+        self.cfg
+            .watchdog(sim, "receive endpoint made no progress")
+            .wait(
+                sim,
+                None,
+                || self.changed.listen(),
+                || {
+                    if let Some(d) = self.pending.lock().pop_front() {
+                        return Ok(Some(Some(d)));
+                    }
+                    if self.srcs.all_depleted() && self.recv_cq.depth() == 0 {
+                        // Deliveries a concurrent drainer is still decoding will be
+                        // handed out by that thread's own later calls; this caller
+                        // is done once the outstanding credit write-backs complete
+                        // cleanly (a swallowed control completion surfaces here).
+                        self.finish_ctrl(sim)?;
+                        return Ok(Some(None));
+                    }
+                    Ok(None)
+                },
+                |changed, abort, deadline| {
+                    let decode = |c: &Completion| self.on_receive(sim, c);
+                    self.recv_cq
+                        .drain(sim, deadline, &[&changed, abort], decode)
+                        .map(drop)
+                },
+            )
     }
 
     fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
@@ -503,7 +502,7 @@ impl SrRcReceiveEndpoint {
     /// instead of silently leaking CQ entries.
     fn finish_ctrl(&self, sim: &SimContext) -> Result<()> {
         let what = "credit write-back completions never arrived";
-        Watchdog::new(sim, self.cfg.stall_timeout, what).wait(
+        self.cfg.watchdog(sim, what).wait(
             sim,
             None,
             || self.changed.listen(),
@@ -512,10 +511,10 @@ impl SrRcReceiveEndpoint {
                     self.ctrl_outstanding.load(Ordering::SeqCst) == 0 && self.ctrl_cq.depth() == 0;
                 Ok(idle.then_some(()))
             },
-            |changed, deadline| {
+            |changed, abort, deadline| {
                 let account = |c: &Completion| self.on_ctrl(c);
                 self.ctrl_cq
-                    .drain(sim, deadline, &[&changed], account)
+                    .drain(sim, deadline, &[&changed, abort], account)
                     .map(drop)
             },
         )

@@ -41,7 +41,7 @@ use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
 use crate::endpoint::frame::{
-    data_header, deliver, expect_success, post_lock, state_notify, Cq, Layout, SendWindow, Watchdog,
+    data_header, deliver, expect_success, post_lock, state_notify, Cq, Layout, SendWindow,
 };
 use crate::endpoint::{
     audit_handle, buf_id, Delivery, EndpointId, Params, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -452,18 +452,16 @@ impl UdShared {
         };
         // The credit we need may be sitting in the receive CQ, or be
         // folded in by the receive half.
-        self.watchdog(sim, "waiting for UD send credit").wait(
+        self.cfg.watchdog(sim, "waiting for UD send credit").wait(
             sim,
             Some(&self.send_obs),
             || self.credit.listen(),
             try_consume,
-            |credit, deadline| self.drain_inbound(sim, deadline, &[&credit]).map(drop),
+            |credit, abort, deadline| {
+                self.drain_inbound(sim, deadline, &[&credit, abort])
+                    .map(drop)
+            },
         )
-    }
-
-    /// A watchdog over this channel's stall budget.
-    fn watchdog(&self, sim: &SimContext, what: &'static str) -> Watchdog {
-        Watchdog::new(sim, self.cfg.stall_timeout, what)
     }
 
     /// Waits until the data already sent toward `dest` has fully
@@ -500,13 +498,18 @@ impl UdShared {
         };
         // The credit write-backs we are waiting for arrive on the
         // receive CQ, which the receive half may drain first.
-        self.watchdog(sim, "waiting for a UD phase to drain").wait(
-            sim,
-            None,
-            || self.credit.listen(),
-            drained,
-            |credit, deadline| self.drain_inbound(sim, deadline, &[&credit]).map(drop),
-        )
+        self.cfg
+            .watchdog(sim, "waiting for a UD phase to drain")
+            .wait(
+                sim,
+                None,
+                || self.credit.listen(),
+                drained,
+                |credit, abort, deadline| {
+                    self.drain_inbound(sim, deadline, &[&credit, abort])
+                        .map(drop)
+                },
+            )
     }
 
     /// Waits until an inbound completion is queued, one of `also` is
@@ -635,7 +638,8 @@ impl UdShared {
     /// completions already queued; with none free it waits for the next
     /// one, or for the other half to free a window.
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        self.watchdog(sim, "waiting for a free UD send buffer")
+        self.cfg
+            .watchdog(sim, "waiting for a free UD send buffer")
             .wait(
                 sim,
                 None,
@@ -646,9 +650,11 @@ impl UdShared {
                     }
                     Ok(self.window.take(sim))
                 },
-                |freed, deadline| {
+                |freed, abort, deadline| {
                     let reap = |c: &Completion| self.reap_send(sim, c);
-                    self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
+                    self.send_cq
+                        .drain(sim, deadline, &[&freed, abort], reap)
+                        .map(drop)
                 },
             )
     }
@@ -771,8 +777,9 @@ impl SendEndpoint for SrUdSendEndpoint {
 impl ReceiveEndpoint for SrUdReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
         let s = &self.shared;
-        let watchdog = s.watchdog(sim, "UD receive endpoint made no progress");
+        let watchdog = s.cfg.watchdog(sim, "UD receive endpoint made no progress");
         loop {
+            watchdog.aborted()?;
             let settled = s.settled.listen();
             if let Some(d) = s.data_gate.try_recv() {
                 return Ok(Some(d));
@@ -807,7 +814,8 @@ impl ReceiveEndpoint for SrUdReceiveEndpoint {
                 }
             };
             // Data the send half drained arrives through the gate.
-            s.drain_inbound(sim, deadline, &[&s.data_gate, &settled])?;
+            let abort = watchdog.abort_source();
+            s.drain_inbound(sim, deadline, &[&s.data_gate, &settled, abort])?;
         }
     }
 

@@ -21,7 +21,7 @@ use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr};
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, Watchdog, INLINE_WR_BASE,
+    RingProducer, SendWindow, SlotRings, Sources, INLINE_WR_BASE,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -84,25 +84,22 @@ impl WrRcSendEndpoint {
     /// none is granted. Grant exhaustion is this transport's flow-control
     /// stall, bracketed like the SR credit stalls.
     fn take_grant(&self, sim: &SimContext, pi: usize) -> Result<u64> {
-        Watchdog::new(
-            sim,
-            self.cfg.stall_timeout,
-            "waiting for remote buffer grant",
-        )
-        .wait(
-            sim,
-            Some(&self.obs),
-            || self.grants.region().listen(),
-            || {
-                let grant = self.grants.try_consume(sim, pi)?;
-                self.obs.freearr_poll(sim, grant.is_some());
-                Ok(grant)
-            },
-            |granted, deadline| {
-                sim.wait_any(&[&granted], Some(deadline));
-                Ok(())
-            },
-        )
+        self.cfg
+            .watchdog(sim, "waiting for remote buffer grant")
+            .wait(
+                sim,
+                Some(&self.obs),
+                || self.grants.region().listen(),
+                || {
+                    let grant = self.grants.try_consume(sim, pi)?;
+                    self.obs.freearr_poll(sim, grant.is_some());
+                    Ok(grant)
+                },
+                |granted, abort, deadline| {
+                    sim.wait_any(&[&granted, abort], Some(deadline));
+                    Ok(())
+                },
+            )
     }
 }
 
@@ -153,29 +150,28 @@ impl SendEndpoint for WrRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        Watchdog::new(
-            sim,
-            self.cfg.stall_timeout,
-            "waiting for a free staging buffer",
-        )
-        .wait(
-            sim,
-            None,
-            || self.window.listen(),
-            || Ok(self.window.take(sim)),
-            |freed, deadline| {
-                let reap = |c: &Completion| {
-                    expect_success(c, "RDMA write failed")?;
-                    // Ring announcements need no bookkeeping; a staging
-                    // buffer is reusable once its own writes completed.
-                    if c.wr_id >= INLINE_WR_BASE {
-                        return Ok(());
-                    }
-                    self.window.complete(sim, c.wr_id)
-                };
-                self.send_cq.drain(sim, deadline, &[&freed], reap).map(drop)
-            },
-        )
+        self.cfg
+            .watchdog(sim, "waiting for a free staging buffer")
+            .wait(
+                sim,
+                None,
+                || self.window.listen(),
+                || Ok(self.window.take(sim)),
+                |freed, abort, deadline| {
+                    let reap = |c: &Completion| {
+                        expect_success(c, "RDMA write failed")?;
+                        // Ring announcements need no bookkeeping; a staging
+                        // buffer is reusable once its own writes completed.
+                        if c.wr_id >= INLINE_WR_BASE {
+                            return Ok(());
+                        }
+                        self.window.complete(sim, c.wr_id)
+                    };
+                    self.send_cq
+                        .drain(sim, deadline, &[&freed, abort], reap)
+                        .map(drop)
+                },
+            )
     }
 }
 
@@ -311,7 +307,7 @@ impl RcTransport for WrRcSendEndpoint {
 
 impl ReceiveEndpoint for WrRcReceiveEndpoint {
     fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        Watchdog::new(sim, self.cfg.stall_timeout, "WR receive made no progress").wait(
+        self.cfg.watchdog(sim, "WR receive made no progress").wait(
             sim,
             None,
             || self.valid_arr.region().listen(),
@@ -322,8 +318,8 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
                 let done = self.srcs.all_depleted() && self.valid_arr.all_empty()?;
                 Ok(done.then_some(None))
             },
-            |announced, deadline| {
-                sim.wait_any(&[&announced], Some(deadline));
+            |announced, abort, deadline| {
+                sim.wait_any(&[&announced, abort], Some(deadline));
                 Ok(())
             },
         )

@@ -27,6 +27,10 @@ pub enum ShuffleError {
     Stalled(&'static str),
     /// A hardware completion carried an error status.
     CompletionError(&'static str),
+    /// The attempt this call served was aborted because another of its
+    /// workers failed first (`Exchange::abort`). Never an attempt's
+    /// representative error: the first worker's error is.
+    Aborted,
     /// Wire data or protocol slot state failed validation (bad header
     /// tag, out-of-range offset, oversized payload). The memory the
     /// query computed over is suspect, so the query restarts — it must
@@ -73,6 +77,9 @@ impl fmt::Display for ShuffleError {
             ),
             ShuffleError::Stalled(what) => write!(f, "endpoint stalled: {what}"),
             ShuffleError::CompletionError(what) => write!(f, "completion error: {what}"),
+            ShuffleError::Aborted => {
+                write!(f, "aborted: another worker of the attempt failed first")
+            }
             ShuffleError::Corrupt(what) => write!(f, "protocol state corrupt: {what}"),
             ShuffleError::Config(msg) => write!(f, "configuration error: {msg}"),
             ShuffleError::RetryBudgetExhausted { node, attempts } => write!(

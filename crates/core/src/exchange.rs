@@ -12,7 +12,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rshuffle_simnet::{Cluster, DeviceProfile, FlowId, NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{ConnectionManager, Context, FaultConfig, SharedQpSlot, VerbsRuntime};
+use rshuffle_verbs::{
+    ConnectionManager, Context, FaultConfig, ResourceMark, SharedQpSlot, VerbsRuntime,
+};
+
+use crate::buffer::HEADER_LEN;
 
 use crate::config::{EndpointImpl, ShuffleAlgorithm};
 use crate::endpoint::rd_rc::{RdRcReceiveEndpoint, RdRcSendEndpoint};
@@ -20,7 +24,8 @@ use crate::endpoint::sr_rc::{SrRcReceiveEndpoint, SrRcSendEndpoint};
 use crate::endpoint::sr_ud::SrUdChannel;
 use crate::endpoint::wr_rc::{WrRcReceiveEndpoint, WrRcSendEndpoint};
 use crate::endpoint::{
-    rd_rc, sr_rc, sr_ud, wr_rc, EndpointId, Params, RcTransport, ReceiveEndpoint, SendEndpoint,
+    rd_rc, sr_rc, sr_ud, wr_rc, Abort, EndpointId, Params, RcTransport, ReceiveEndpoint,
+    SendEndpoint,
 };
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
@@ -238,6 +243,7 @@ impl ExchangeConfig {
             stall_timeout: self.stall_timeout,
             depleted_timeout: self.depleted_timeout,
             epoch: self.epoch,
+            abort: None,
         }
     }
 
@@ -573,6 +579,11 @@ pub struct Exchange {
     qps_per_pair: usize,
     /// `[node]`: what that node's endpoints cost before any traffic moves.
     footprints: Vec<Footprint>,
+    /// Heard by every endpoint wait; raised by [`Exchange::abort`].
+    abort: Abort,
+    /// The runtime's marks before and after the build: everything the
+    /// exchange registered and created lies between them.
+    built: (ResourceMark, ResourceMark),
 }
 
 impl Exchange {
@@ -645,7 +656,18 @@ impl Exchange {
             _ => lanes,
         };
 
-        let (profile, params) = (runtime.profile(), &config.params(runtime.profile()));
+        // A worker hears an abort as one control message from the
+        // coordinator: a header's flight through the switch.
+        let profile = runtime.profile();
+        let abort = Abort::new(
+            runtime.kernel(),
+            profile.switch_latency + profile.wire_time(HEADER_LEN),
+        );
+        let params = &Params {
+            abort: Some(abort.clone()),
+            ..config.params(profile)
+        };
+        let built_from = runtime.mark();
         let footprints = (0..nodes)
             .map(|n| config.footprint(profile, params, dests[n].len(), srcs[n].len()))
             .collect();
@@ -691,6 +713,8 @@ impl Exchange {
             threads: config.threads,
             qps_per_pair,
             footprints,
+            abort,
+            built: (built_from, runtime.mark()),
         })
     }
 
@@ -787,13 +811,28 @@ impl Exchange {
 
     /// Returns this exchange's pinned memory to the runtime: deregisters
     /// (untimed and trace-invisible, so it cannot perturb virtual time)
-    /// every region registered under the exchange's flow tag. Endpoints
-    /// register eagerly and never release on their own; the multi-query
-    /// scheduler calls this when a query attempt finishes so the next
-    /// admission decision sees the true budget. A no-op for untagged
-    /// exchanges. Returns the bytes freed cluster-wide.
+    /// every region the build registered, flow-tagged or not. Endpoints
+    /// register eagerly and never release on their own; the query
+    /// coordinator calls this when an attempt is over, so that a retry
+    /// never pins two attempts' memory and the next admission decision
+    /// sees the true budget. Returns the bytes freed cluster-wide.
     pub fn release(&self, runtime: &VerbsRuntime) -> usize {
-        runtime.deregister_flow(self.flow)
+        runtime.deregister_built(self.built)
+    }
+
+    /// Aborts the attempt this exchange serves: one control message from
+    /// now (the switch latency plus a header's wire time), every endpoint
+    /// wait of the exchange returns [`ShuffleError::Aborted`] instead of
+    /// waiting out its stall deadline, and the phase barrier releases its
+    /// parties. The query coordinator calls it on the first worker's
+    /// error.
+    pub fn abort(&self, sim: &SimContext) {
+        let phases = self.phases.clone();
+        self.abort.raise(sim.kernel(), move || {
+            if let Some(runner) = phases {
+                runner.abort();
+            }
+        });
     }
 
     /// Total RDMA-registered bytes on `node` across this exchange's

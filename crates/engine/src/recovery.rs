@@ -6,7 +6,8 @@
 //! making progress, every endpoint surfaces a typed [`ShuffleError`]
 //! instead of hanging. The coordinator here is the layer above that
 //! contract. It runs a cluster-wide shuffle as a sequence of *attempts*,
-//! collects every worker's result, and answers a transient failure with
+//! ends an attempt at the first error a worker reports (aborting the
+//! others, [`Exchange::abort`]), and answers a transient failure with
 //! the cheapest rung that can still finish the query:
 //!
 //! 1. **Epoch-fenced per-flow retry.** Each attempt's RECEIVE operators
@@ -70,15 +71,16 @@ use rshuffle::{
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_sched::{Admission, ReleaseOutcome};
 use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{ConnectionManager, QpType, RecvWr, SendWr, VerbsRuntime, WcStatus};
+use rshuffle_verbs::{
+    CompletionQueue, ConnectionManager, MemoryRegion, QpType, QueuePair, RecvWr, SendWr,
+    VerbsRuntime, WcStatus,
+};
 
 use crate::workload::Scheduled;
 
 /// Payload bytes pushed through a probe QP to prove the fabric carries
 /// traffic again.
 const PROBE_BYTES: usize = 64;
-/// Polling cadence while waiting for the probe send completion.
-const PROBE_POLL: SimDuration = SimDuration::from_micros(2);
 /// How long one probe waits for its send completion before counting
 /// the attempt as failed.
 const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
@@ -212,8 +214,9 @@ pub struct RecoveryReport {
     /// Watermarked bytes carried across partial retries instead of
     /// being replayed (summed over retries).
     pub kept_bytes: u64,
-    /// Virtual time from the first observed failure to completion;
-    /// `None` when no attempt failed.
+    /// Virtual time from the first failure — the moment the first worker
+    /// of a failed attempt reported its error to the coordinator — to
+    /// completion; `None` when no attempt failed.
     pub recovery: Option<SimDuration>,
     /// The representative error of each failed attempt, in order.
     pub attempt_errors: Vec<ShuffleError>,
@@ -302,7 +305,8 @@ pub(crate) type GenSink = Arc<dyn Fn(u32, NodeId, usize, &RowBatch) + Send + Syn
 /// send workers pumping `make_source(generation, node)` through the
 /// shuffle operator and `config.threads` receive workers streaming
 /// `row_size`-byte rows into `sink` on every node, then blocks until
-/// all workers report. On a QP-shaped failure it (1) probes the failed
+/// all workers report, aborting the attempt's other workers at the first
+/// error one reports. On a QP-shaped failure it (1) probes the failed
 /// node with reconnect-with-backoff, (2) resumes the query under a
 /// bumped epoch with senders fast-forwarded past the delivered
 /// watermarks, (3) steps down the [`degrade`] ladder when the reconnect
@@ -420,8 +424,20 @@ pub(crate) fn run_query(
                 &ledger,
                 &done,
             );
-            let results = (0..expected).map(|_| done.recv(&sim));
-            let first_err = results.fold(None, |first, result| first.or(result.err()));
+            // The attempt ends at its first failure: that worker's error
+            // is the attempt's, and every other worker is aborted instead
+            // of waiting out its stall deadline. The abort is raised only
+            // after an error, so `ShuffleError::Aborted` is never the one
+            // kept.
+            let mut first_err = None;
+            for _ in 0..expected {
+                let Err(e) = done.recv(&sim) else { continue };
+                if first_err.is_none() {
+                    exchange.abort(&sim);
+                    first_failure.get_or_insert(sim.now());
+                    first_err = Some(e);
+                }
+            }
             obs.recorder.span(
                 0,
                 track,
@@ -429,12 +445,16 @@ pub(crate) fn run_query(
                 attempt_started.as_nanos(),
                 sim.now().as_nanos(),
             );
-            // The attempt is over (every worker has pushed its result):
-            // return the generation's pinned memory before any rebuild,
-            // so a flow-tagged query never holds two exchanges' worth of
-            // the scheduler's budget across a reconnect. A no-op for
-            // untagged exchanges.
-            exchange.release(&runtime);
+            // The attempt is over (every worker has pushed its result).
+            // An abandoned one gives back what it registered before any
+            // rebuild, so that a retry never pins two attempts' memory
+            // (nor holds two exchanges' worth of the scheduler's budget).
+            // The winner gives it back for a flow-tagged query; an
+            // untagged one stays registered, the harness state a caller
+            // inspects after the run.
+            if first_err.is_some() || exchange.flow.is_tagged() {
+                exchange.release(&runtime);
+            }
             let Some(e) = first_err else {
                 rep.rows = ledger.total_rows();
                 rep.bytes = rep.rows * row_size as u64;
@@ -455,7 +475,6 @@ pub(crate) fn run_query(
                 release(&mut admission, ReleaseOutcome::Completed);
                 break;
             };
-            first_failure.get_or_insert(sim.now());
             rep.attempt_errors.push(e.clone());
             // Rungs 1–3 answer a QP-shaped failure while the partial
             // budget lasts; rung 4 answers any restartable one.
@@ -623,20 +642,29 @@ fn probe_failed_nodes(
 }
 
 /// One reconnect-and-send round trip over the probe QP pair: reset both
-/// ends, reconnect (charging the modelled per-QP setup cost), post a
-/// receive on the peer and push one message, then wait for the send
-/// completion. Any verbs error, errored completion or timeout means the
-/// fabric is still broken.
+/// ends and reconnect them (each charging the modelled per-QP setup cost
+/// on its own node, concurrently), post a receive on the peer and push
+/// one message, then wait for the send completion. Any verbs error,
+/// errored completion or timeout means the fabric is still broken.
 fn probe_once(
     sim: &SimContext,
-    qa: &rshuffle_verbs::QueuePair,
-    qb: &rshuffle_verbs::QueuePair,
-    send_cq: &rshuffle_verbs::CompletionQueue,
-    mr_a: &rshuffle_verbs::MemoryRegion,
-    mr_b: &rshuffle_verbs::MemoryRegion,
+    qa: &QueuePair,
+    qb: &QueuePair,
+    send_cq: &CompletionQueue,
+    mr_a: &MemoryRegion,
+    mr_b: &MemoryRegion,
 ) -> Result<(), ShuffleError> {
-    ConnectionManager::reconnect_rc(sim, qa, qb.address_handle())?;
-    ConnectionManager::reconnect_rc(sim, qb, qa.address_handle())?;
+    // The peer's end is set up by a thread on the peer's node, as its
+    // host would, while this thread sets up the failed node's end.
+    let peer_done = Gate::new(sim.kernel(), SimDuration::ZERO);
+    let (peer_qp, ours, joined) = (qb.clone(), qa.address_handle(), peer_done.clone());
+    sim.kernel().spawn(qb.node(), "probe-peer", move |sim| {
+        joined.push(ConnectionManager::reconnect_rc(&sim, &peer_qp, ours));
+    });
+    let reconnected = ConnectionManager::reconnect_rc(sim, qa, qb.address_handle());
+    let peer_reconnected = peer_done.recv(sim);
+    reconnected?;
+    peer_reconnected?;
     qb.post_recv(
         sim,
         RecvWr {
@@ -658,18 +686,16 @@ fn probe_once(
         },
     )?;
     let deadline = sim.now() + PROBE_TIMEOUT;
-    loop {
-        if let Some(c) = send_cq.poll(sim, 1).into_iter().next() {
-            return if c.status == WcStatus::Success {
-                Ok(())
-            } else {
-                Err(ShuffleError::CompletionError("probe send failed"))
-            };
-        }
+    let mut completed = Vec::with_capacity(1);
+    while send_cq.drain_into(sim, &mut completed, 1, deadline, &[]) == 0 {
         if sim.now() >= deadline {
             return Err(ShuffleError::Stalled("probe send completion"));
         }
-        sim.sleep(PROBE_POLL);
+    }
+    if completed[0].status == WcStatus::Success {
+        Ok(())
+    } else {
+        Err(ShuffleError::CompletionError("probe send failed"))
     }
 }
 

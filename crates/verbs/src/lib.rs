@@ -40,7 +40,7 @@ pub use error::{Result, VerbsError};
 pub use fault::{FaultEvent, FaultPlan, QpScope};
 pub use mr::{MemoryRegion, RemoteAddr};
 pub use qp::{AddressHandle, QueuePair, RecvWr, SendWr, SharedQpSlot};
-pub use runtime::{Context, FaultConfig, VerbsRuntime};
+pub use runtime::{Context, FaultConfig, ResourceMark, VerbsRuntime};
 pub use types::{QpNum, QpState, QpType};
 
 pub use rshuffle_simnet::NodeId;

@@ -209,6 +209,9 @@ pub(crate) struct QpInner {
     /// this QP ([`QueuePair::bind_shared_slot`]); empty on the direct
     /// path, where every hot-path read is one relaxed atomic load.
     pub(crate) shared: OnceLock<SharedBinding>,
+    /// `Some` while a reliable Send to this QP waits out receiver-not-ready
+    /// retries: the Sends that arrived behind it, in posted order.
+    rnr_backlog: Mutex<Option<VecDeque<InboundSend>>>,
 }
 
 impl QpInner {
@@ -232,6 +235,7 @@ impl QpInner {
             last_delivery: Mutex::new(SimTime::ZERO),
             flow,
             shared: OnceLock::new(),
+            rnr_backlog: Mutex::new(None),
         }
     }
 
@@ -918,9 +922,22 @@ struct InboundSend {
     posted_ns: u64,
 }
 
+/// What became of one arrival of a Send at its target QP.
+enum Landing {
+    Delivered,
+    /// Receiver not ready: a retry is scheduled.
+    Retrying,
+    /// Dropped, flushed or retried out; the sender (if any) was answered.
+    Failed,
+}
+
 impl InboundSend {
     /// Delivery event: the message arrives at `dest` for the `attempt`-th
-    /// time after the first.
+    /// time after the first. A reliable Send stays in posted order, as
+    /// go-back-N retransmission keeps it in hardware: one that arrives
+    /// while an earlier Send waits out receiver-not-ready retries waits
+    /// behind it, and arrives once that one is through — or is flushed
+    /// with it when it retries out.
     fn arrive(self, attempt: u32) {
         let (runtime, dest) = (&*self.runtime, self.dest);
         let now = runtime.kernel().now();
@@ -929,18 +946,45 @@ impl InboundSend {
             // both as a drop with a counter.
             return observe_unmatched(runtime, dest.node, now);
         };
+        if attempt == 0 && self.sender.is_some() {
+            if let Some(behind) = qp.rnr_backlog.lock().as_mut() {
+                return behind.push_back(self);
+            }
+        }
+        let landing = self.land(&qp, attempt, now);
+        match landing {
+            Landing::Retrying if attempt == 0 => *qp.rnr_backlog.lock() = Some(VecDeque::new()),
+            Landing::Delivered | Landing::Failed if attempt > 0 => {
+                let behind = qp.rnr_backlog.lock().take().unwrap_or_default();
+                for send in behind {
+                    match landing {
+                        Landing::Delivered => send.arrive(0),
+                        _ => send.answer(now, WcStatus::Flushed),
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Matches this arrival against `qp`'s receive queue and delivers it,
+    /// or schedules the next receiver-not-ready retry, or fails it.
+    fn land(self, qp: &Arc<QpInner>, attempt: u32, now: SimTime) -> Landing {
+        let (runtime, dest) = (&*self.runtime, self.dest);
         // Lazy persistent-fault enforcement at the receiver: a target QP
         // inside an open kill window is forced into the error state before
         // the delivery is matched (see `check_sendable`).
-        runtime.enforce_kill_window(&qp);
+        runtime.enforce_kill_window(qp);
         let st = *qp.state.lock();
         if st == QpState::Error {
             // Target QP was killed (fault injection): an RC sender gets its
             // work request flushed in error; a UD datagram drops silently.
-            return self.answer(now, WcStatus::Flushed);
+            self.answer(now, WcStatus::Flushed);
+            return Landing::Failed;
         }
         if st < QpState::ReadyToReceive {
-            return observe_unmatched(runtime, dest.node, now);
+            observe_unmatched(runtime, dest.node, now);
+            return Landing::Failed;
         }
         // Receive matching occupies the *target* QP's context — the aliased
         // slot key when the target is multiplexed (identical to the natural
@@ -958,7 +1002,8 @@ impl InboundSend {
             if self.sender.is_none() || attempt >= RNR_RETRY_LIMIT {
                 // §2.2.1: an unmatched Send on UD is dropped; on RC the
                 // hardware has retried for the last time.
-                return self.answer(now, WcStatus::RetryExceeded);
+                self.answer(now, WcStatus::RetryExceeded);
+                return Landing::Failed;
             }
             // Receiver not ready: the hardware retries after a delay.
             runtime.rt_obs.rnr_retries.inc();
@@ -970,7 +1015,8 @@ impl InboundSend {
                 attempt as u64 + 1,
             );
             let kernel = runtime.kernel().clone();
-            return kernel.schedule(now + RNR_RETRY_DELAY, move || self.arrive(attempt + 1));
+            kernel.schedule(now + RNR_RETRY_DELAY, move || self.arrive(attempt + 1));
+            return Landing::Retrying;
         };
         // A message longer than the Receive it matched is an error at both
         // ends of a Reliable Connection: the responder's NAK reaches the
@@ -997,6 +1043,7 @@ impl InboundSend {
                 .land(rwr.offset, self.payload)
                 .expect("receive buffer bounds checked at post time");
         }
+        Landing::Delivered
     }
 
     /// What the sender learns of the delivery: a reliable one is completed

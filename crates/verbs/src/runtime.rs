@@ -99,6 +99,13 @@ impl RtObs {
     }
 }
 
+/// A point in a runtime's creation order ([`VerbsRuntime::mark`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ResourceMark {
+    rkey: u32,
+    qpn: u32,
+}
+
 /// Cluster-wide verbs state. One per simulated cluster.
 pub struct VerbsRuntime {
     cluster: Cluster,
@@ -520,6 +527,39 @@ impl VerbsRuntime {
         rkeys.sort_unstable();
         let mut freed = 0;
         for rkey in rkeys {
+            if let Some(mr) = self.lookup_mr(rkey) {
+                freed += mr.len();
+                self.deregister_untimed(&mr);
+            }
+        }
+        freed
+    }
+
+    /// The ids the next memory region and Queue Pair will get: what this
+    /// runtime creates between two marks is what was built in between.
+    pub fn mark(&self) -> ResourceMark {
+        ResourceMark {
+            rkey: self.next_rkey.load(Ordering::Relaxed),
+            qpn: self.next_qpn.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Deregisters every memory region registered between the marks
+    /// `built.0` and `built.1`, without charging virtual time (see
+    /// [`VerbsRuntime::deregister_untimed`]), and drops the receives still
+    /// posted on every Queue Pair created between them, which name those
+    /// regions. Returns the number of bytes released cluster-wide. What
+    /// one builder creates without yielding lies between two marks it
+    /// takes, tagged or not.
+    pub fn deregister_built(&self, built: (ResourceMark, ResourceMark)) -> usize {
+        let (from, to) = built;
+        for qp in self.qps.lock().values() {
+            if (from.qpn..to.qpn).contains(&qp.qpn.0) {
+                qp.recv_queue.lock().clear();
+            }
+        }
+        let mut freed = 0;
+        for rkey in from.rkey..to.rkey {
             if let Some(mr) = self.lookup_mr(rkey) {
                 freed += mr.len();
                 self.deregister_untimed(&mr);

@@ -477,6 +477,71 @@ fn rc_rnr_retries_until_receive_is_posted() {
     );
 }
 
+/// A reliable connection delivers in posted order, receiver-not-ready
+/// retries included: a Send that lands while an earlier one waits out its
+/// RNR retry waits behind it (as go-back-N retransmission keeps it), even
+/// when a receive was posted in between. Delivered ahead, a `Depleted`
+/// marker would end the receiver's stream before the data it follows.
+#[test]
+fn rc_sends_behind_an_rnr_retry_keep_their_posted_order() {
+    let rt = runtime(2);
+    let (qp_s, cq_s, qp_r, cq_r) = rc_pair(&rt, 0, 1);
+    let recv_mr = rt.context(1).register_untimed(128);
+    let send_mr = rt.context(0).register_untimed(128);
+    send_mr.write(0, &[1; 64]).unwrap();
+    send_mr.write(64, &[2; 64]).unwrap();
+    let landed = recv_mr.clone();
+
+    rt.cluster().spawn(1, "receiver", move |sim| {
+        // After the first Send was refused, before its retry.
+        sim.sleep(SimDuration::from_micros(5));
+        for slot in 0..2 {
+            let wr = RecvWr {
+                wr_id: slot,
+                mr: recv_mr.clone(),
+                offset: 64 * slot as usize,
+                len: 64,
+            };
+            qp_r.post_recv(&sim, wr).unwrap();
+        }
+        for _ in 0..2 {
+            assert_eq!(cq_r.next(&sim).status, WcStatus::Success);
+        }
+    });
+
+    rt.cluster().spawn(0, "sender", move |sim| {
+        for (wr_id, at) in [(1, 0), (2, 8)] {
+            let wr = SendWr {
+                wr_id,
+                mr: send_mr.clone(),
+                offset: 64 * (wr_id as usize - 1),
+                len: 64,
+                imm: None,
+                ah: None,
+            };
+            sim.sleep(SimDuration::from_micros(at));
+            qp_s.post_send(&sim, wr).unwrap();
+        }
+        let acked: Vec<(u64, WcStatus)> = (0..2)
+            .map(|_| cq_s.next(&sim))
+            .map(|c| (c.wr_id, c.status))
+            .collect();
+        assert_eq!(acked, [(1, WcStatus::Success), (2, WcStatus::Success)]);
+    });
+
+    rt.cluster().run();
+    assert!(
+        counted(&rt, names::VERBS_RNR_RETRIES) >= 1,
+        "the first Send met RNR"
+    );
+    assert_eq!(
+        landed.read(0, 64).unwrap(),
+        [1; 64],
+        "first receive holds the first Send"
+    );
+    assert_eq!(landed.read(64, 64).unwrap(), [2; 64]);
+}
+
 #[test]
 fn rc_sender_fails_if_receiver_never_posts() {
     let rt = runtime(2);

@@ -27,8 +27,8 @@ use rshuffle_repro::engine::{run_workload, Generator, QuerySpec, RecoveryPolicy,
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::FlowId;
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
-use rshuffle_repro::verbs::{FaultPlan, QpScope};
+use rshuffle_repro::simnet::{DeviceProfile, SimDuration, SimTime};
+use rshuffle_repro::verbs::{FaultPlan, QpScope, VerbsRuntime};
 use run::{Collector, Run, ROW};
 
 // Larger than the chaos suite's workload: healthy queries finish in
@@ -72,15 +72,23 @@ fn run_recovery(
     plan: FaultPlan,
     policy: RecoveryPolicy,
 ) -> Run<RecoveryReport> {
-    let config = recovery_config(algorithm, plan);
+    run_recovery_on(recovery_config(algorithm, plan), policy).1
+}
+
+/// [`run_recovery`] over `config`, handing back the runtime it ran on.
+fn run_recovery_on(
+    config: ExchangeConfig,
+    policy: RecoveryPolicy,
+) -> (Arc<VerbsRuntime>, Run<RecoveryReport>) {
     let runtime = config.build_runtime(DeviceProfile::edr());
     runtime.enable_audit();
     let run = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD).finish();
     // Memory-budget hygiene across rebuilds: every exchange generation
-    // and every reconnect probe must deregister what it pinned, and the
-    // host storage behind it must go back to the runtime — the attempts a
-    // recovery went through, failed ones included, hold nothing once over.
-    for node in 0..NODES {
+    // and every reconnect probe of a flow-tagged query must deregister
+    // what it pinned, and the host storage behind it must go back to the
+    // runtime — the attempts a recovery went through, failed ones
+    // included, hold nothing once over.
+    for node in (0..NODES).filter(|_| config.flow.is_tagged()) {
         assert_eq!(
             runtime.registered_bytes(node),
             0,
@@ -92,7 +100,7 @@ fn run_recovery(
             "node {node}: a released attempt's windows still hold storage"
         );
     }
-    run
+    (runtime, run)
 }
 
 /// Every row each node's generator will emit, cluster-wide.
@@ -188,6 +196,67 @@ fn partial_recovery_redoes_strictly_fewer_bytes_than_full_restart() {
             "{algorithm}: the epoch fence must be observable in the snapshot"
         );
     }
+}
+
+/// The attempt ends at its first failure: the coordinator aborts every
+/// other worker of the attempt, which returns one control message later
+/// instead of waiting out its 2 ms stall deadline — for every design,
+/// with the winning generation still exactly-once and auditor-clean. The
+/// first error is the first return of a worker once the outage began
+/// (a worker that finished before it failed nothing), and the report's
+/// recovery latency counts from it.
+#[test]
+fn a_failed_attempt_ends_within_25_us_of_its_first_error() {
+    let outage_at = SimTime::ZERO + us(20);
+    for algorithm in ShuffleAlgorithm::ALL {
+        let config = recovery_config(algorithm, qp_outage());
+        let (runtime, run) = run_recovery_on(config, partial_policy());
+        assert!(run.report.succeeded(), "{algorithm}: {:?}", run.report.failure);
+        assert_eq!(run.report.partial_retries, 1, "{algorithm}");
+        assert_exactly_once(&run, &format!("{algorithm} aborted attempt"));
+        assert_eq!(run.violations.len(), 0, "{algorithm}: auditor clean");
+        let stats = runtime.kernel().stats();
+        // The workers of the first attempt are `r0-{half}-{node}-{tid}`.
+        let returns: Vec<SimTime> = stats
+            .iter()
+            .filter(|t| t.name.starts_with("r0-") && t.finished_at >= outage_at)
+            .map(|t| t.finished_at)
+            .collect();
+        let (Some(&first), Some(&last)) = (returns.iter().min(), returns.iter().max()) else {
+            panic!("{algorithm}: no worker of the first attempt outlived the outage's start");
+        };
+        assert!(
+            last - first <= us(25),
+            "{algorithm}: the failed attempt's last worker returned {:?} after its first error",
+            last - first
+        );
+        let coordinator = stats.iter().find(|t| t.name == "query-coordinator");
+        let ended = coordinator.map(|t| t.finished_at);
+        let recovery = run.report.recovery.unwrap_or(SimDuration::ZERO);
+        assert_eq!(
+            ended.map(|at| at - recovery),
+            Some(first),
+            "{algorithm}: recovery counts from the first worker's error"
+        );
+    }
+}
+
+/// An untagged query's abandoned attempt gives its registered memory
+/// back before the retry is built: the query's registered peak under the
+/// outage is the fault-free one, not the sum of two attempts'.
+#[test]
+fn an_abandoned_attempt_gives_back_its_registered_memory() {
+    let peak = |plan: Option<FaultPlan>| {
+        let config = small_config(ShuffleAlgorithm::MESQ_SR, plan);
+        let (runtime, run) = run_recovery_on(config, partial_policy());
+        assert!(run.report.succeeded(), "{:?}", run.report.failure);
+        let peak: usize = (0..NODES).map(|n| runtime.registered_bytes_peak(n)).sum();
+        (peak, run.report.partial_retries)
+    };
+    let (healthy, _) = peak(None);
+    let (outage, retries) = peak(Some(qp_outage()));
+    assert_eq!(retries, 1, "the outage takes one partial retry");
+    assert_eq!(outage, healthy, "registered peak of two attempts");
 }
 
 /// Same-seed recovery runs — including the reconnect probes, backoff
