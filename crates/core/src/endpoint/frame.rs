@@ -1003,6 +1003,37 @@ mod tests {
         });
     }
 
+    /// A parked wait ends when the abort lands, one delay after it was
+    /// raised, and a wait begun after that fails before its first check:
+    /// a caller that would never block hears it too.
+    #[test]
+    fn an_abort_ends_a_parked_wait_when_it_lands_and_every_later_one_at_once() {
+        in_sim(|rt, sim| {
+            let (start, quiet) = (sim.now(), Notify::new(rt.kernel(), US(1)));
+            let abort = Abort::new(rt.kernel(), US(3));
+            abort.raise(rt.kernel(), || ());
+            let watchdog = || Watchdog::new(sim, US(50), Some(&abort), "test wait");
+            let parked = watchdog().wait(
+                sim,
+                None,
+                || quiet.listen(),
+                || Ok(None::<()>),
+                sleep_on(sim),
+            );
+            assert!(matches!(parked, Err(ShuffleError::Aborted)));
+            assert_eq!(sim.now(), start + US(3));
+            let mut checks = 0;
+            let ready = || {
+                checks += 1;
+                Ok(Some(()))
+            };
+            let later = watchdog().wait(sim, None, || quiet.listen(), ready, sleep_on(sim));
+            assert!(matches!(later, Err(ShuffleError::Aborted)));
+            assert_eq!(checks, 0);
+            Ok(())
+        });
+    }
+
     #[test]
     fn stall_bracket_is_closed_on_every_exit() {
         let rt = in_sim(|rt, sim| {
