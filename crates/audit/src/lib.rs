@@ -346,19 +346,40 @@ impl AuditViolation {
 impl fmt::Display for AuditViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AuditViolation::CreditOverdraft { lane, consumed, granted, at_ns } => write!(
+            AuditViolation::CreditOverdraft {
+                lane,
+                consumed,
+                granted,
+                at_ns,
+            } => write!(
                 f,
                 "credit overdraft on {lane}: consumed {consumed} > granted {granted} at {at_ns}ns"
             ),
-            AuditViolation::CreditRegression { lane, previous, granted, at_ns } => write!(
+            AuditViolation::CreditRegression {
+                lane,
+                previous,
+                granted,
+                at_ns,
+            } => write!(
                 f,
                 "credit regression on {lane}: {granted} after {previous} at {at_ns}ns"
             ),
-            AuditViolation::CreditOverGrant { lane, granted, posted, at_ns } => write!(
+            AuditViolation::CreditOverGrant {
+                lane,
+                granted,
+                posted,
+                at_ns,
+            } => write!(
                 f,
                 "over-grant on {lane}: granted {granted} > posted {posted} at {at_ns}ns"
             ),
-            AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns } => {
+            AuditViolation::CreditWritebackLost {
+                lane,
+                posted,
+                granted,
+                frequency,
+                at_ns,
+            } => {
                 write!(
                     f,
                     "lost credit write-back on {lane}: posted {posted}, granted {granted}, \
@@ -380,26 +401,52 @@ impl fmt::Display for AuditViolation {
             AuditViolation::BufferLeak { buf, held } => write!(
                 f,
                 "buffer leak at termination: {buf} ({})",
-                if *held { "delivered, never released" } else { "taken, never sent" }
+                if *held {
+                    "delivered, never released"
+                } else {
+                    "taken, never sent"
+                }
             ),
-            AuditViolation::RingOverwrite { ring, kind, produced, consumed, capacity, at_ns } => {
+            AuditViolation::RingOverwrite {
+                ring,
+                kind,
+                produced,
+                consumed,
+                capacity,
+                at_ns,
+            } => {
                 write!(
                     f,
                     "{kind:?} ring overwrite [{ring}]: produced {produced} − consumed {consumed} \
                      > capacity {capacity} at {at_ns}ns"
                 )
             }
-            AuditViolation::RingImbalance { ring, kind, produced, consumed } => write!(
+            AuditViolation::RingImbalance {
+                ring,
+                kind,
+                produced,
+                consumed,
+            } => write!(
                 f,
                 "{kind:?} ring imbalance at termination [{ring}]: produced {produced}, \
                  consumed {consumed}"
             ),
-            AuditViolation::DepletedOverrun { src, received, expected, at_ns } => write!(
+            AuditViolation::DepletedOverrun {
+                src,
+                received,
+                expected,
+                at_ns,
+            } => write!(
                 f,
                 "Depleted overrun from node {src}: received {received} > declared {expected} \
                  at {at_ns}ns"
             ),
-            AuditViolation::DepletedMismatch { src, declared, actual, at_ns } => write!(
+            AuditViolation::DepletedMismatch {
+                src,
+                declared,
+                actual,
+                at_ns,
+            } => write!(
                 f,
                 "Depleted counter mismatch for source {src}: declared {declared}, \
                  actual {actual} at {at_ns}ns"
@@ -472,7 +519,10 @@ impl ShuffleAuditor {
     /// Creates an auditor that reports violations into `obs` (recorder
     /// event + metric) in addition to storing them.
     pub fn new(obs: Option<Arc<Obs>>) -> Arc<ShuffleAuditor> {
-        Arc::new(ShuffleAuditor { state: Mutex::new(AuditState::default()), obs })
+        Arc::new(ShuffleAuditor {
+            state: Mutex::new(AuditState::default()),
+            obs,
+        })
     }
 
     /// Starts a fresh protocol epoch (one shuffle attempt): clears all
@@ -553,8 +603,16 @@ impl ShuffleAuditor {
 
     fn record(&self, st: &mut AuditState, node: u32, at_ns: u64, v: AuditViolation) {
         if let Some(obs) = &self.obs {
-            obs.recorder.event(node, HW_TRACK, at_ns, EventKind::AuditViolation, v.code_id());
-            obs.metrics.counter(AUDIT_VIOLATIONS, Labels::node(node)).inc();
+            obs.recorder.event(
+                node,
+                HW_TRACK,
+                at_ns,
+                EventKind::AuditViolation,
+                v.code_id(),
+            );
+            obs.metrics
+                .counter(AUDIT_VIOLATIONS, Labels::node(node))
+                .inc();
         }
         if st.violations.len() < MAX_VIOLATIONS {
             st.violations.push(v);
@@ -623,12 +681,23 @@ impl AuditHandle {
     pub fn credit_granted(&self, lane: CreditLane, granted: u64, at_ns: u64) {
         self.check(Some(at_ns), |st| {
             let entry = st.credits.entry(lane).or_default();
-            match entry.granted.replace(entry.granted.map_or(granted, |g| g.max(granted))) {
-                Some(previous) if granted < previous => {
-                    Some(AuditViolation::CreditRegression { lane, previous, granted, at_ns })
-                }
+            match entry
+                .granted
+                .replace(entry.granted.map_or(granted, |g| g.max(granted)))
+            {
+                Some(previous) if granted < previous => Some(AuditViolation::CreditRegression {
+                    lane,
+                    previous,
+                    granted,
+                    at_ns,
+                }),
                 _ => (entry.frequency.is_some() && granted > entry.posted).then_some(
-                    AuditViolation::CreditOverGrant { lane, granted, posted: entry.posted, at_ns },
+                    AuditViolation::CreditOverGrant {
+                        lane,
+                        granted,
+                        posted: entry.posted,
+                        at_ns,
+                    },
                 ),
             }
         });
@@ -646,7 +715,13 @@ impl AuditHandle {
             // An over-grant has already been reported; it leaves no backlog.
             let posted = entry.posted;
             (posted.saturating_sub(granted) > frequency).then_some(
-                AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
+                AuditViolation::CreditWritebackLost {
+                    lane,
+                    posted,
+                    granted,
+                    frequency,
+                    at_ns,
+                },
             )
         });
     }
@@ -667,7 +742,13 @@ impl AuditHandle {
             // online gap checking — a backlog of a full period here means a
             // boundary passed without its write-back ever being announced.
             (posted.saturating_sub(granted) >= frequency).then_some(
-                AuditViolation::CreditWritebackLost { lane, posted, granted, frequency, at_ns },
+                AuditViolation::CreditWritebackLost {
+                    lane,
+                    posted,
+                    granted,
+                    frequency,
+                    at_ns,
+                },
             )
         });
     }
@@ -680,7 +761,12 @@ impl AuditHandle {
             let entry = st.credits.entry(lane).or_default();
             entry.consumed = entry.consumed.max(consumed);
             let granted = entry.granted?;
-            let v = AuditViolation::CreditOverdraft { lane, consumed, granted, at_ns };
+            let v = AuditViolation::CreditOverdraft {
+                lane,
+                consumed,
+                granted,
+                at_ns,
+            };
             (consumed > granted).then_some(v)
         });
     }
@@ -737,7 +823,15 @@ impl AuditHandle {
     #[inline]
     pub fn ring(&self, ring: RingKey, kind: RingKind, capacity: u64) {
         self.check(None, |st| {
-            st.rings.insert(ring, RingState { kind, capacity, produced: 0, consumed: 0 });
+            st.rings.insert(
+                ring,
+                RingState {
+                    kind,
+                    capacity,
+                    produced: 0,
+                    consumed: 0,
+                },
+            );
             None
         });
     }
@@ -748,9 +842,21 @@ impl AuditHandle {
         self.check(Some(at_ns), |st| {
             let entry = st.rings.get_mut(&ring)?;
             entry.produced += 1;
-            let RingState { kind, capacity, produced, consumed } = *entry;
+            let RingState {
+                kind,
+                capacity,
+                produced,
+                consumed,
+            } = *entry;
             (produced.saturating_sub(consumed) > capacity).then_some(
-                AuditViolation::RingOverwrite { ring, kind, produced, consumed, capacity, at_ns },
+                AuditViolation::RingOverwrite {
+                    ring,
+                    kind,
+                    produced,
+                    consumed,
+                    capacity,
+                    at_ns,
+                },
             )
         });
     }
@@ -790,7 +896,12 @@ impl AuditHandle {
             entry.received = entry.received.max(received);
             entry.expected = expected.or(entry.expected);
             let (received, expected) = (entry.received, entry.expected?);
-            let v = AuditViolation::DepletedOverrun { src, received, expected, at_ns };
+            let v = AuditViolation::DepletedOverrun {
+                src,
+                received,
+                expected,
+                at_ns,
+            };
             (received > expected).then_some(v)
         });
     }
@@ -906,7 +1017,10 @@ mod tests {
     #[test]
     fn buffer_lifecycle_violations() {
         let (a, h) = auditor();
-        let b = BufId { rkey: 1, offset: 64 };
+        let b = BufId {
+            rkey: 1,
+            offset: 64,
+        };
         h.buffer_taken(b, 0);
         h.buffer_sent(b, 1);
         h.buffer_recycled(b, 2);
@@ -945,7 +1059,10 @@ mod tests {
         h.ring_produced(r, 4); // 3 in flight > capacity 2
         assert_eq!(a.violations()[0].code(), "ring_overwrite");
         let finals = a.finalize(true);
-        assert!(finals.iter().any(|v| v.code() == "ring_imbalance"), "{finals:?}");
+        assert!(
+            finals.iter().any(|v| v.code() == "ring_imbalance"),
+            "{finals:?}"
+        );
     }
 
     #[test]
@@ -1299,11 +1416,16 @@ mod tests {
     ];
 
     fn verdict(found: &[AuditViolation]) -> Vec<(u64, &'static str, String)> {
-        found.iter().map(|v| (v.code_id(), v.code(), v.to_string())).collect()
+        found
+            .iter()
+            .map(|v| (v.code_id(), v.code(), v.to_string()))
+            .collect()
     }
 
     fn owned(rows: Verdict) -> Vec<(u64, &'static str, String)> {
-        rows.iter().map(|&(id, code, text)| (id, code, text.to_string())).collect()
+        rows.iter()
+            .map(|&(id, code, text)| (id, code, text.to_string()))
+            .collect()
     }
 
     /// Every violation kind and a clean run, as whole verdicts: nothing
@@ -1314,16 +1436,34 @@ mod tests {
         let mut kinds: Vec<&str> = VERDICTS.iter().map(|row| row.name).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 15, "one row per violation kind, plus a clean one");
+        assert_eq!(
+            kinds.len(),
+            15,
+            "one row per violation kind, plus a clean one"
+        );
         for row in VERDICTS {
             let named = row.online.iter().chain(row.added).any(|v| v.1 == row.name);
-            assert!(named || row.name == "clean", "row {} never reports its kind", row.name);
+            assert!(
+                named || row.name == "clean",
+                "row {} never reports its kind",
+                row.name
+            );
             let (a, h) = auditor();
             (row.script)(&h);
-            assert_eq!(verdict(&a.violations()), owned(row.online), "{} online", row.name);
+            assert_eq!(
+                verdict(&a.violations()),
+                owned(row.online),
+                "{} online",
+                row.name
+            );
             let mut finalized = owned(row.online);
             finalized.extend(owned(row.added));
-            assert_eq!(verdict(&a.finalize(true)), finalized, "{} finalized", row.name);
+            assert_eq!(
+                verdict(&a.finalize(true)),
+                finalized,
+                "{} finalized",
+                row.name
+            );
         }
     }
 

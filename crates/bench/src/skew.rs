@@ -33,9 +33,7 @@ pub fn zipf_weights(partitions: usize, theta: f64) -> Vec<f64> {
         theta >= 0.0 && theta.is_finite(),
         "zipf_weights: exponent {theta} out of range"
     );
-    let raw: Vec<f64> = (1..=partitions)
-        .map(|k| (k as f64).powf(-theta))
-        .collect();
+    let raw: Vec<f64> = (1..=partitions).map(|k| (k as f64).powf(-theta)).collect();
     let total: f64 = raw.iter().sum();
     raw.into_iter().map(|w| w / total).collect()
 }
@@ -49,12 +47,7 @@ pub fn zipf_weights(partitions: usize, theta: f64) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `partitions` is zero or `theta` is negative/non-finite.
-pub fn zipf_partition_rows(
-    total_rows: u64,
-    partitions: usize,
-    theta: f64,
-    seed: u64,
-) -> Vec<u64> {
+pub fn zipf_partition_rows(total_rows: u64, partitions: usize, theta: f64, seed: u64) -> Vec<u64> {
     let weights = zipf_weights(partitions, theta);
     // Integral apportionment: floor everything, then hand the leftover
     // rows to the largest remainders (ties to the lower rank — still a

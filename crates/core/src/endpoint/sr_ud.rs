@@ -681,9 +681,7 @@ impl UdShared {
             }
             Arc::new(ahs)
         };
-        self.mcast_ahs
-            .lock()
-            .insert(dest.to_vec(), built.clone()); // alloc-ok: one-time cache fill per distinct destination set
+        self.mcast_ahs.lock().insert(dest.to_vec(), built.clone()); // alloc-ok: one-time cache fill per distinct destination set
         Ok(built)
     }
 

@@ -57,7 +57,7 @@ pub use error::{Result, ShuffleError};
 pub use exchange::{Exchange, ExchangeConfig};
 pub use group::TransmissionGroups;
 pub use ledger::FlowLedger;
-pub use phase::{Phase, PhasePolicy, PhaseRunner, PhaseSchedule, HEAVY_SOURCE_FACTOR};
 pub use operator::{
     default_partition_hash, CostModel, Operator, ReceiveOperator, RowBatch, ShuffleOperator,
 };
+pub use phase::{Phase, PhasePolicy, PhaseRunner, PhaseSchedule, HEAVY_SOURCE_FACTOR};

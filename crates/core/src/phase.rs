@@ -235,7 +235,11 @@ impl PhaseSchedule {
 
     /// Destination `src` serves in round `phase`, if any.
     pub fn dest_of(&self, phase: usize, src: NodeId) -> Option<NodeId> {
-        self.dest.get(phase).and_then(|row| row.get(src)).copied().flatten()
+        self.dest
+            .get(phase)
+            .and_then(|row| row.get(src))
+            .copied()
+            .flatten()
     }
 
     /// `true` when `src` is exempted from the schedule (a heavy source
@@ -257,7 +261,11 @@ impl PhaseSchedule {
     /// Length of the longest round (heaviest single edge over all
     /// phases) — what a skew-aware schedule minimises.
     pub fn worst_phase_len(&self) -> u64 {
-        self.phases.iter().map(Phase::max_edge_bytes).max().unwrap_or(0)
+        self.phases
+            .iter()
+            .map(Phase::max_edge_bytes)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -354,7 +362,9 @@ impl PhaseRunner {
     ) -> Arc<PhaseRunner> {
         let barrier = SimBarrier::new(kernel, parties.max(1), BARRIER_WAKE_LATENCY);
         let phase_obs = PhaseObs {
-            phases_run: obs.metrics.counter(names::EXCHANGE_PHASES_RUN, Labels::GLOBAL),
+            phases_run: obs
+                .metrics
+                .counter(names::EXCHANGE_PHASES_RUN, Labels::GLOBAL),
             barrier_wait: obs
                 .metrics
                 .histogram(names::EXCHANGE_PHASE_BARRIER_WAIT_NS, Labels::GLOBAL),

@@ -226,9 +226,7 @@ mod tests {
         let seen2 = seen.clone();
         let stats = drive_to_sink(&c, 0, "scan", scan, 4, move |_, batch| {
             for row in batch.iter() {
-                seen2
-                    .lock()
-                    .push(le_u64(row, 0));
+                seen2.lock().push(le_u64(row, 0));
             }
         });
         c.run();
@@ -377,9 +375,7 @@ mod tests {
             key,
             |row| {
                 let mut acc = row[0..8].to_vec();
-                acc.extend_from_slice(
-                    &le_u64(row, 8).to_le_bytes(),
-                );
+                acc.extend_from_slice(&le_u64(row, 8).to_le_bytes());
                 acc
             },
             |acc, row| {
@@ -395,10 +391,7 @@ mod tests {
         let g2 = groups.clone();
         let stats = drive_to_sink(&c, 0, "agg", agg, 2, move |_, batch| {
             for row in batch.iter() {
-                g2.lock().push((
-                    le_u64(row, 0),
-                    le_u64(row, 8),
-                ));
+                g2.lock().push((le_u64(row, 0), le_u64(row, 8)));
             }
         });
         c.run();

@@ -27,11 +27,11 @@ pub mod table;
 pub mod workload;
 
 pub use exec::{drive_exchange, drive_to_sink, FragmentStats};
-pub use recovery::{
-    degrade, run_shuffle_with_recovery, BackoffSchedule, RecoveryPolicy, RecoveryReport,
-};
 pub use ops::{
     ComputeStage, Filter, Generator, HashAggregate, HashJoin, HashSemiJoin, MemScan, Project,
+};
+pub use recovery::{
+    degrade, run_shuffle_with_recovery, BackoffSchedule, RecoveryPolicy, RecoveryReport,
 };
 pub use table::Table;
 pub use workload::{run_workload, QuerySpec, QueryTiming, WorkloadHandle, ENDPOINT_ID_STRIDE};

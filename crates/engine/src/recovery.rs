@@ -257,7 +257,8 @@ impl RecoveryReport {
 fn partial_eligible(config: &ExchangeConfig) -> bool {
     config.groups.iter().all(|g| {
         let mut seen = BTreeSet::new();
-        g.iter().all(|members| members.len() == 1 && seen.insert(members[0]))
+        g.iter()
+            .all(|members| members.len() == 1 && seen.insert(members[0]))
     })
 }
 

@@ -73,7 +73,10 @@ fn endpoint_id_base(spec: &QuerySpec) -> Result<u32, ShuffleError> {
         )));
     }
     spec.id.checked_mul(ENDPOINT_ID_STRIDE).ok_or_else(|| {
-        ShuffleError::Config(format!("query id {} is past the endpoint-id space", spec.id))
+        ShuffleError::Config(format!(
+            "query id {} is past the endpoint-id space",
+            spec.id
+        ))
     })
 }
 

@@ -898,10 +898,12 @@ mod tests {
     #[test]
     fn without_prefix_filters_series() {
         let r = MetricsRegistry::new();
-        r.counter("stage.credit_wait_ns.count", Labels::GLOBAL).inc();
+        r.counter("stage.credit_wait_ns.count", Labels::GLOBAL)
+            .inc();
         r.counter("verbs.msgs", Labels::GLOBAL).inc();
         r.histogram("stage.cq_wait_ns", Labels::node(0)).record(1);
-        r.histogram("verbs.msg_latency_ns", Labels::node(0)).record(1);
+        r.histogram("verbs.msg_latency_ns", Labels::node(0))
+            .record(1);
         let s = r.snapshot().without_prefix("stage.");
         assert_eq!(s.counters.len(), 1);
         assert_eq!(s.histograms.len(), 1);

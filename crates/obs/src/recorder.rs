@@ -457,7 +457,9 @@ mod tests {
         let rec = FlightRecorder::new(16);
         rec.span(1, 2, "backwards", 10, 5);
         match &rec.records(1, 2)[0] {
-            Record::Span { start_ns, end_ns, .. } => {
+            Record::Span {
+                start_ns, end_ns, ..
+            } => {
                 assert_eq!((*start_ns, *end_ns), (10, 10));
             }
             other => panic!("unexpected {other:?}"),

@@ -37,10 +37,7 @@ pub fn chrome_trace(recorder: &FlightRecorder) -> Value {
                 ("tid".into(), Value::UInt(0)),
                 (
                     "args".into(),
-                    Value::Object(vec![(
-                        "name".into(),
-                        Value::Str(format!("node{node}")),
-                    )]),
+                    Value::Object(vec![("name".into(), Value::Str(format!("node{node}")))]),
                 ),
             ]));
         }

@@ -56,9 +56,7 @@ impl Cluster {
         ));
         let nics = Arc::new(
             (0..nodes)
-                .map(|node| {
-                    NicModel::with_flows(&profile, obs.clone(), node as u32, flows.clone())
-                })
+                .map(|node| NicModel::with_flows(&profile, obs.clone(), node as u32, flows.clone()))
                 .collect(),
         );
         Cluster {

@@ -844,7 +844,10 @@ mod tests {
             ctrl < bulk_done,
             "control packet {ctrl:?} queued behind bulk {bulk_done:?}"
         );
-        assert!(ctrl.as_nanos() < 1_000, "control latency must stay sub-microsecond");
+        assert!(
+            ctrl.as_nanos() < 1_000,
+            "control latency must stay sub-microsecond"
+        );
         // A payload-sized message does queue.
         let payload = f.transfer(0, 1, 64 * 1024, SimTime::from_nanos(10));
         assert!(payload > bulk_done, "bulk messages must respect FIFO order");
@@ -1011,7 +1014,12 @@ mod tests {
     /// control lane (64 B), the incast penalty (the fat tree's later
     /// senders) and all three link faults show in it.
     const TOPOLOGIES: [&str; 2] = ["single switch", "fat tree with incast"];
-    const LINKS: [&str; 4] = ["healthy", "sender down", "receiver down", "receiver degraded"];
+    const LINKS: [&str; 4] = [
+        "healthy",
+        "sender down",
+        "receiver down",
+        "receiver degraded",
+    ];
     const SIZES: [usize; 3] = [64, 4096, 1048576];
 
     /// A six-node fabric of `topology` with `link`'s fault in place: node 2
@@ -1063,7 +1071,8 @@ mod tests {
                     let f = table_fabric(topology, link);
                     let one = FAN_IN.map(|from| multicast(&f, from, &[0], bytes)[0]);
                     assert_eq!(one, unicast, "{row}: one-member multicast");
-                    let ns: Vec<String> = unicast.iter().map(|t| t.as_nanos().to_string()).collect();
+                    let ns: Vec<String> =
+                        unicast.iter().map(|t| t.as_nanos().to_string()).collect();
                     measured.push(format!("{row}: {}", ns.join(" ")));
                 }
             }

@@ -454,7 +454,10 @@ impl NicModel {
                 );
             }
         }
-        self.pipe.lock().reserve_flow(at, cost, flow, &self.flows).end
+        self.pipe
+            .lock()
+            .reserve_flow(at, cost, flow, &self.flows)
+            .end
     }
 
     /// Total pipeline occupancy granted to `flow`, ever.
@@ -612,7 +615,11 @@ mod tests {
             let r = fair.reserve_flow(SimTime::ZERO, d, FlowId(1), &table);
             end = r.end;
         }
-        assert_eq!(end.as_nanos(), 50 * 100, "solo flow must saturate the resource");
+        assert_eq!(
+            end.as_nanos(),
+            50 * 100,
+            "solo flow must saturate the resource"
+        );
     }
 
     #[test]
@@ -632,7 +639,11 @@ mod tests {
         for _ in 0..200 {
             // Serve whichever flow's earliest outstanding arrival is older;
             // ties go to flow 1 — a deterministic interleaving.
-            let f = if next[0].iter().min() <= next[1].iter().min() { 0 } else { 1 };
+            let f = if next[0].iter().min() <= next[1].iter().min() {
+                0
+            } else {
+                1
+            };
             let i = (0..next[f].len()).min_by_key(|&i| next[f][i]).unwrap();
             let at = next[f][i];
             let r = fair.reserve_flow(at, d, FlowId(f as u32 + 1), &table);

@@ -89,9 +89,15 @@ impl RtObs {
             .collect();
         RtObs {
             ud_dropped: obs.metrics.counter(names::VERBS_UD_DROPPED, Labels::GLOBAL),
-            ud_unmatched: obs.metrics.counter(names::VERBS_UD_UNMATCHED, Labels::GLOBAL),
-            rnr_retries: obs.metrics.counter(names::VERBS_RNR_RETRIES, Labels::GLOBAL),
-            ud_reordered: obs.metrics.counter(names::VERBS_UD_REORDERED, Labels::GLOBAL),
+            ud_unmatched: obs
+                .metrics
+                .counter(names::VERBS_UD_UNMATCHED, Labels::GLOBAL),
+            rnr_retries: obs
+                .metrics
+                .counter(names::VERBS_RNR_RETRIES, Labels::GLOBAL),
+            ud_reordered: obs
+                .metrics
+                .counter(names::VERBS_UD_REORDERED, Labels::GLOBAL),
             msg_size,
             msg_latency,
             obs,
@@ -701,7 +707,9 @@ impl Context {
         recv_cq: CompletionQueue,
     ) -> QueuePair {
         let qpn = QpNum(self.runtime.next_qpn.fetch_add(1, Ordering::Relaxed));
-        let inner = Arc::new(QpInner::new(self.node, qpn, ty, send_cq, recv_cq, self.flow));
+        let inner = Arc::new(QpInner::new(
+            self.node, qpn, ty, send_cq, recv_cq, self.flow,
+        ));
         self.runtime
             .qps
             .lock()

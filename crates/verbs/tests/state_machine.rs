@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use rshuffle_simnet::{Cluster, DeviceProfile};
-use rshuffle_verbs::{AddressHandle, QpNum, QpType, QpState, VerbsError, VerbsRuntime};
+use rshuffle_verbs::{AddressHandle, QpNum, QpState, QpType, VerbsError, VerbsRuntime};
 
 fn runtime() -> Arc<VerbsRuntime> {
     VerbsRuntime::new(Cluster::new(2, DeviceProfile::edr()))
@@ -20,7 +20,11 @@ fn happy_path_walks_the_ladder() {
     assert_eq!(qp.state(), QpState::Reset);
     qp.modify_to_init().unwrap();
     assert_eq!(qp.state(), QpState::Init);
-    qp.connect(AddressHandle { node: 1, qpn: QpNum(99) }).unwrap();
+    qp.connect(AddressHandle {
+        node: 1,
+        qpn: QpNum(99),
+    })
+    .unwrap();
     qp.modify_to_rtr().unwrap();
     assert_eq!(qp.state(), QpState::ReadyToReceive);
     qp.modify_to_rts().unwrap();
@@ -48,8 +52,11 @@ fn ud_does_not_connect() {
     let qp = ctx.create_qp(QpType::Ud, cq.clone(), cq);
     qp.modify_to_init().unwrap();
     assert!(matches!(
-        qp.connect(AddressHandle { node: 1, qpn: QpNum(1) })
-            .unwrap_err(),
+        qp.connect(AddressHandle {
+            node: 1,
+            qpn: QpNum(1)
+        })
+        .unwrap_err(),
         VerbsError::UnsupportedOp { .. }
     ));
     // UD reaches RTR/RTS without a peer.
@@ -91,8 +98,11 @@ fn connect_after_init_only() {
     let qp = ctx.create_qp(QpType::Rc, cq.clone(), cq);
     // Too early (RESET).
     assert!(matches!(
-        qp.connect(AddressHandle { node: 1, qpn: QpNum(1) })
-            .unwrap_err(),
+        qp.connect(AddressHandle {
+            node: 1,
+            qpn: QpNum(1)
+        })
+        .unwrap_err(),
         VerbsError::InvalidState { .. }
     ));
 }

@@ -11,13 +11,19 @@
 /// crate under `crates/` that includes this file.
 pub fn check(file: &str, measured: &[String]) {
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let dir = manifest.ancestors().map(|dir| dir.join("tests/pins")).find(|dir| dir.is_dir());
-    let path = dir.unwrap_or_else(|| panic!("no tests/pins above {manifest:?}")).join(file);
+    let dir = manifest
+        .ancestors()
+        .map(|dir| dir.join("tests/pins"))
+        .find(|dir| dir.is_dir());
+    let path = dir
+        .unwrap_or_else(|| panic!("no tests/pins above {manifest:?}"))
+        .join(file);
     let pinned = std::fs::read_to_string(&path).unwrap_or_default();
     let text: String = measured.iter().map(|row| format!("{row}\n")).collect();
     if std::env::var("RSHUFFLE_BLESS").as_deref() == Ok("1") {
         if pinned != text {
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            std::fs::write(&path, text)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         }
         return;
     }

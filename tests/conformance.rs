@@ -60,8 +60,8 @@ fn run_conformance(
 #[test]
 fn all_algorithms_agree_on_a_healthy_fabric() {
     let expected = expected_rows(ROWS_PER_THREAD, |node| node as u64);
-    let wr_variants = ["MEMQ/WR", "SEMQ/WR"]
-        .map(|n| ShuffleAlgorithm::parse(n).expect("WR variant parses"));
+    let wr_variants =
+        ["MEMQ/WR", "SEMQ/WR"].map(|n| ShuffleAlgorithm::parse(n).expect("WR variant parses"));
     for algorithm in ShuffleAlgorithm::ALL.into_iter().chain(wr_variants) {
         let run = run_conformance(algorithm, FaultPlan::new(), 0, true);
         assert!(
@@ -69,10 +69,14 @@ fn all_algorithms_agree_on_a_healthy_fabric() {
             "{algorithm}: healthy run failed: {:?}",
             run.report.failure
         );
-        assert_eq!(run.report.full_restarts, 0, "{algorithm}: healthy run restarted");
+        assert_eq!(
+            run.report.full_restarts, 0,
+            "{algorithm}: healthy run restarted"
+        );
         let delivered = &run.delivered[&run.report.generation];
         assert_eq!(
-            *delivered, expected,
+            *delivered,
+            expected,
             "{algorithm}: delivered multiset diverges from the generator \
              ({} of {} rows)",
             delivered.len(),
@@ -117,7 +121,8 @@ fn all_algorithms_agree_under_fault_plans() {
             );
             let delivered = &run.delivered[&run.report.generation];
             assert_eq!(
-                *delivered, expected,
+                *delivered,
+                expected,
                 "{algorithm} under {plan_name}: winning generation diverges \
                  ({} of {} rows, {} restarts)",
                 delivered.len(),

@@ -127,8 +127,7 @@ fn parse_snapshot(json: &str) -> rshuffle_obs::Snapshot {
                     let serde::Value::Object(hf) = v else {
                         panic!("histogram {key} is an object");
                     };
-                    let get =
-                        |k: &str| hf.iter().find(|(n, _)| n == k).map(|(_, val)| val.clone());
+                    let get = |k: &str| hf.iter().find(|(n, _)| n == k).map(|(_, val)| val.clone());
                     let num = |k: &str| match get(k) {
                         Some(serde::Value::UInt(u)) => u,
                         other => panic!("histogram {key}.{k}: {other:?}"),

@@ -121,7 +121,9 @@ fn mesq_sr_peak_is_pinned_per_scaleout_shape() {
             peak < 8 << 20,
             "MESQ/SR @ {nodes} nodes: {peak} bytes pinned — UD footprint blew up"
         );
-        measured.push(format!("MESQ/SR @ {nodes} nodes: peak registered bytes {peak}"));
+        measured.push(format!(
+            "MESQ/SR @ {nodes} nodes: peak registered bytes {peak}"
+        ));
     }
     pins::check("mesq_sr_peak.txt", &measured);
 }

@@ -78,7 +78,10 @@ fn off_policy_is_byte_identical_to_the_seed_path() {
             seed.end_ns, off.end_ns,
             "{algorithm}: Off moved the final virtual time"
         );
-        assert_eq!(off.delivered[&0], expected, "{algorithm}: delivered multiset");
+        assert_eq!(
+            off.delivered[&0], expected,
+            "{algorithm}: delivered multiset"
+        );
         assert_eq!(seed.violations.len(), 0, "{algorithm}: seed-path auditor");
         assert_eq!(off.violations.len(), 0, "{algorithm}: off-path auditor");
     }
@@ -100,7 +103,11 @@ fn phased_delivery_is_exactly_once_for_every_algorithm() {
                 run.delivered[&0].len(),
                 expected.len()
             );
-            assert_eq!(run.violations.len(), 0, "{algorithm} under {policy:?}: auditor");
+            assert_eq!(
+                run.violations.len(),
+                0,
+                "{algorithm} under {policy:?}: auditor"
+            );
             let again = run_phase(algorithm, policy, None);
             assert_eq!(
                 run.snapshot, again.snapshot,
@@ -120,7 +127,10 @@ fn skew_aware_estimate_preserves_delivery() {
     let mut est = vec![vec![1u64; NODES]; NODES];
     est[0][1] = 100;
     let run = run_phase(ShuffleAlgorithm::MESQ_SR, PhasePolicy::SkewAware, Some(est));
-    assert_eq!(run.delivered[&0], expected, "estimate must not change delivery");
+    assert_eq!(
+        run.delivered[&0], expected,
+        "estimate must not change delivery"
+    );
     assert_eq!(run.violations.len(), 0, "auditor under skewed estimate");
 }
 

@@ -81,15 +81,26 @@ fn high_cap_is_byte_identical_to_the_direct_path() {
             direct.end_ns, capped.end_ns,
             "{algorithm}: cap 16 moved the final virtual time"
         );
-        assert_eq!(capped.delivered[&0], expected, "{algorithm}: delivered multiset");
+        assert_eq!(
+            capped.delivered[&0], expected,
+            "{algorithm}: delivered multiset"
+        );
         let (physical, natural) = qp_counts(&capped);
         assert_eq!(
             physical, natural,
             "{algorithm}: a non-engaging cap must not share a connection"
         );
         assert_eq!(qp_counts(&direct), (natural, natural), "{algorithm}");
-        assert_eq!(direct.violations.len(), 0, "{algorithm}: direct-path auditor");
-        assert_eq!(capped.violations.len(), 0, "{algorithm}: capped-path auditor");
+        assert_eq!(
+            direct.violations.len(),
+            0,
+            "{algorithm}: direct-path auditor"
+        );
+        assert_eq!(
+            capped.violations.len(),
+            0,
+            "{algorithm}: capped-path auditor"
+        );
     }
 }
 
@@ -104,10 +115,14 @@ fn capped_lanes_share_qps_and_still_deliver_everything() {
         .map(|n| ShuffleAlgorithm::parse(n).expect("algorithm parses"))
         .collect();
     for algorithm in capped {
-        assert!(algorithm.endpoints(THREADS) > 1, "{algorithm}: needs >1 lane");
+        assert!(
+            algorithm.endpoints(THREADS) > 1,
+            "{algorithm}: needs >1 lane"
+        );
         let run = run_capped(algorithm, Some(1));
         assert_eq!(
-            run.delivered[&0], expected,
+            run.delivered[&0],
+            expected,
             "{algorithm}: capped run lost or duplicated rows \
              ({} of {} delivered)",
             run.delivered[&0].len(),

@@ -190,7 +190,11 @@ fn partial_recovery_redoes_strictly_fewer_bytes_than_full_restart() {
             0,
             "{algorithm}: auditor must stay clean across epoch bumps"
         );
-        assert_eq!(full.violations.len(), 0, "{algorithm}: baseline auditor clean");
+        assert_eq!(
+            full.violations.len(),
+            0,
+            "{algorithm}: baseline auditor clean"
+        );
         assert!(
             partial.snapshot.contains("endpoint.stale_epoch_drops"),
             "{algorithm}: the epoch fence must be observable in the snapshot"
@@ -211,7 +215,11 @@ fn a_failed_attempt_ends_within_25_us_of_its_first_error() {
     for algorithm in ShuffleAlgorithm::ALL {
         let config = recovery_config(algorithm, qp_outage());
         let (runtime, run) = run_recovery_on(config, partial_policy());
-        assert!(run.report.succeeded(), "{algorithm}: {:?}", run.report.failure);
+        assert!(
+            run.report.succeeded(),
+            "{algorithm}: {:?}",
+            run.report.failure
+        );
         assert_eq!(run.report.partial_retries, 1, "{algorithm}");
         assert_exactly_once(&run, &format!("{algorithm} aborted attempt"));
         assert_eq!(run.violations.len(), 0, "{algorithm}: auditor clean");
@@ -288,7 +296,8 @@ fn same_seed_recovery_runs_are_byte_identical() {
 /// every row delivered before each descent is kept.
 #[test]
 fn persistent_rc_outage_degrades_to_ud_and_completes() {
-    let plan = FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::Rc);
+    let plan =
+        FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::Rc);
     let policy = RecoveryPolicy {
         max_partial_retries: 8,
         reconnect_budget: 3,
@@ -390,8 +399,15 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
     );
     runtime.cluster().run();
     let report = handles[0].report.lock().clone();
-    assert!(report.succeeded(), "scheduled recovery failed: {:?}", report.failure);
-    assert!(report.partial_retries >= 1, "the outage must exercise the partial rung");
+    assert!(
+        report.succeeded(),
+        "scheduled recovery failed: {:?}",
+        report.failure
+    );
+    assert!(
+        report.partial_retries >= 1,
+        "the outage must exercise the partial rung"
+    );
     assert_eq!(report.full_restarts, 0, "contained without a full replay");
     assert_eq!(report.generation, 0);
     assert_eq!(
@@ -400,7 +416,11 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
         "one admission per exchange build"
     );
     let got = &delivered.into_sorted()[&0];
-    assert_eq!(*got, expected_rows(), "generation 0 holds every row exactly once");
+    assert_eq!(
+        *got,
+        expected_rows(),
+        "generation 0 holds every row exactly once"
+    );
     for node in 0..NODES {
         assert!(
             scheduler.reserved_bytes_peak(node)
@@ -408,7 +428,11 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
             "node {node}: a recovering query never holds two admissions' worth of budget"
         );
         assert_eq!(scheduler.reserved_bytes(node), 0);
-        assert_eq!(runtime.registered_bytes(node), 0, "node {node}: memory leaked");
+        assert_eq!(
+            runtime.registered_bytes(node),
+            0,
+            "node {node}: memory leaked"
+        );
     }
 }
 
@@ -440,8 +464,15 @@ fn policy_that_overruns_the_endpoint_id_space_fails_before_admission() {
         matches!(failure, Some(ShuffleError::Config(_))),
         "expected a typed config error, got {failure:?}"
     );
-    assert_eq!(handles[0].timing.lock().admissions, 0, "failed before admission");
-    assert!(handles[1].report.lock().succeeded(), "the neighbour is unaffected");
+    assert_eq!(
+        handles[0].timing.lock().admissions,
+        0,
+        "failed before admission"
+    );
+    assert!(
+        handles[1].report.lock().succeeded(),
+        "the neighbour is unaffected"
+    );
     assert_eq!(handles[1].timing.lock().admissions, 1);
 }
 
@@ -478,7 +509,12 @@ fn coordinator_reports_match_the_pinned_table() {
         cases.push((algorithm, "full", qp_outage(), full_only_policy()));
     }
     cases.push((ShuffleAlgorithm::MEMQ_RD, "descent", descent.0, descent.1));
-    cases.push((ShuffleAlgorithm::MESQ_SR, "healthy", FaultPlan::new(), partial_policy()));
+    cases.push((
+        ShuffleAlgorithm::MESQ_SR,
+        "healthy",
+        FaultPlan::new(),
+        partial_policy(),
+    ));
     let measured: Vec<String> = cases
         .into_iter()
         .map(|(algorithm, label, plan, policy)| {
@@ -518,8 +554,16 @@ fn coordinator_reports_match_the_pinned_table() {
 /// snapshot identical across repeated runs.
 #[test]
 fn healthy_recovery_runs_are_free_and_deterministic() {
-    let a = run_recovery(ShuffleAlgorithm::MESQ_SR, FaultPlan::new(), partial_policy());
-    let b = run_recovery(ShuffleAlgorithm::MESQ_SR, FaultPlan::new(), partial_policy());
+    let a = run_recovery(
+        ShuffleAlgorithm::MESQ_SR,
+        FaultPlan::new(),
+        partial_policy(),
+    );
+    let b = run_recovery(
+        ShuffleAlgorithm::MESQ_SR,
+        FaultPlan::new(),
+        partial_policy(),
+    );
     assert!(a.report.succeeded());
     assert_eq!(a.report.partial_retries, 0);
     assert_eq!(a.report.qp_reconnects, 0);
@@ -527,6 +571,9 @@ fn healthy_recovery_runs_are_free_and_deterministic() {
     assert_eq!(a.report.redone_bytes, 0);
     assert_eq!(a.report.recovery, None);
     assert_exactly_once(&a, "healthy MESQ_SR");
-    assert_eq!(a.snapshot, b.snapshot, "healthy runs must be byte-identical");
+    assert_eq!(
+        a.snapshot, b.snapshot,
+        "healthy runs must be byte-identical"
+    );
     assert_eq!(a.violations.len(), 0);
 }

@@ -118,7 +118,9 @@ fn run_scheduled(algorithm: ShuffleAlgorithm) -> Run<RecoveryReport> {
         &runtime,
         &scheduler,
         vec![QuerySpec::new(0, config, ROW)],
-        |_, _, node| Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>,
+        |_, _, node| {
+            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
+        },
         move |_, generation, _, _, batch| sink.push(generation, batch),
     );
     let report = handles[0].report.clone();
