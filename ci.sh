@@ -14,6 +14,15 @@ PERF_TMP=$(mktemp -d /tmp/rshuffle-perf.XXXXXX)
 trap 'rm -rf "$PERF_TMP"' EXIT
 touch "$PERF_TMP/start"
 
+# One layout: rustfmt holds every first-party package, the root one and
+# each under crates/. The vendored drop-ins (vendor/) and the frozen
+# benchmark/ workspace keep theirs.
+FIRST_PARTY=(-p rshuffle-repro)
+for manifest in crates/*/Cargo.toml; do
+  FIRST_PARTY+=(-p "$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)")
+done
+cargo fmt --check "${FIRST_PARTY[@]}"
+
 cargo build --release $CARGO_FLAGS
 
 # The whole workspace in one run: the umbrella package's integration
@@ -226,15 +235,15 @@ if remapped=$(grep -rlE 'slot_of\(|fn learn\(|node_of\(|source_node' crates/core
   exit 1
 fi
 
-# Chaos smoke: a composite fault plan (link flap + straggler + QP failure
-# + UD loss burst) plus a partial-recovery plan (whole-node QP-failure
-# window) across all six algorithms; fails unless every query recovers
-# with exactly-once row delivery, and the partial-recovery plan is
-# contained without a full restart.
+# Chaos matrix: every fault plan (link flap, straggler, receiver pause,
+# QP failure, UD loss burst, their composite, and a partial-recovery
+# whole-node QP-failure window) across all six algorithms, 0.1 s in all;
+# fails unless every query recovers with exactly-once row delivery, and
+# the partial-recovery plan is contained without a full restart.
 bench_bin() {
   cargo run -q --release -p rshuffle-bench --bin "$1" $CARGO_FLAGS -- "${@:2}"
 }
-bench_bin bench chaos --smoke
+bench_bin bench chaos
 
 # One host thread: simulated threads are fibers (crates/simnet/src/fiber.rs).
 # An OS thread per simulated thread must not come back through a side door.

@@ -2,9 +2,10 @@
 //! Algorithm 3).
 //!
 //! The data sender stays completely **passive**: it fills registered
-//! buffers and announces them by RDMA-Writing the buffer address into the
-//! receiver's `ValidArr` circular queue. The receiver pulls the data with
-//! RDMA Read into a local buffer from its `LocalArr` stack, and returns the
+//! buffers and announces them by RDMA-Writing the buffer's window and the
+//! message's length into the receiver's `ValidArr` circular queue. The
+//! receiver pulls exactly the message's bytes with RDMA Read into a local
+//! buffer from its `LocalArr` stack, and returns the
 //! remote buffer by RDMA-Writing its address into the sender's `FreeArr`
 //! circular queue. Both queues live in registered memory and are polled —
 //! no two-sided operation is ever used for data.
@@ -22,7 +23,7 @@ use rshuffle_audit::RingKind;
 use rshuffle_simnet::{NodeId, Notify, SimContext, Waitable};
 use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode};
 
-use crate::buffer::{Buffer, StreamState};
+use crate::buffer::{Buffer, StreamState, HEADER_LEN};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, state_notify, Cq, Layout,
     RcHalf, RingProducer, SendWindow, SlotRings, Sources,
@@ -45,6 +46,69 @@ pub(crate) fn layout(cfg: &Params, peers: usize) -> Layout {
         rings: peers,
         ring_cap: buffers + 2,
         inline_writes: true,
+    }
+}
+
+/// A `ValidArr` announcement, one ring slot's `u64`: the window of the
+/// source's pool that holds a message in the high half, the message's wire
+/// length ([`Buffer::message_len`]: header plus payload) in the low half.
+/// The receiver's RDMA Read moves that many bytes, not the whole window.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Announcement {
+    window: u32,
+    len: u32,
+}
+
+impl Announcement {
+    /// What announces `buf`, header written, from its sender's pool.
+    fn of(buf: &Buffer) -> Announcement {
+        Announcement {
+            window: (buf.offset() / buf.window()) as u32,
+            len: buf.message_len() as u32,
+        }
+    }
+
+    fn encode(self) -> u64 {
+        u64::from(self.window) << 32 | u64::from(self.len)
+    }
+
+    fn decode(value: u64) -> Announcement {
+        Announcement {
+            window: (value >> 32) as u32,
+            len: value as u32,
+        }
+    }
+}
+
+/// A source's data pool as its receiver learned it in the handshake.
+#[derive(Clone, Copy)]
+struct RemotePool {
+    base: RemoteAddr,
+    /// How many windows of `Params::message_size` bytes it holds.
+    windows: usize,
+}
+
+impl RemotePool {
+    /// Where the message an announcement `value` names lies, and its
+    /// length. The value comes off the wire: one that names no window of
+    /// the pool, or a length outside `[HEADER_LEN, window]`, is corrupt.
+    fn locate(&self, value: u64, window: usize) -> Result<(RemoteAddr, usize)> {
+        let Announcement { window: w, len } = Announcement::decode(value);
+        let (w, len) = (w as usize, len as usize);
+        if w >= self.windows || !(HEADER_LEN..=window).contains(&len) {
+            return Err(ShuffleError::Corrupt(format!(
+                "ValidArr announcement {value:#x} names no message in {} windows of {window} bytes",
+                self.windows
+            )));
+        }
+        let offset = w * window;
+        Ok((
+            RemoteAddr {
+                offset,
+                ..self.base
+            },
+            len,
+        ))
     }
 }
 
@@ -120,8 +184,9 @@ impl SendEndpoint for RdRcSendEndpoint {
                 continue;
             }
             let guard = self.half.lock_post(sim);
+            let announcement = Announcement::of(&buf).encode();
             self.valid_rings
-                .publish(sim, self.half.qp(pi), slot, buf.offset() as u64)?;
+                .publish(sim, self.half.qp(pi), slot, announcement)?;
             drop(guard);
             self.obs.sent(d, buf.len() as u64);
         }
@@ -173,8 +238,8 @@ pub struct RdRcReceiveEndpoint {
     /// returned, so callers blocked while another caller drained the CQ
     /// or held the buffers hear of it.
     changed: Notify,
-    /// `ValidArr`: one ring per source, written remotely with full-buffer
-    /// addresses.
+    /// `ValidArr`: one ring per source, written remotely with
+    /// [`Announcement`]s of full buffers.
     valid_arr: SlotRings,
     /// Local destination buffers for RDMA Reads.
     pool_mr: MemoryRegion,
@@ -187,7 +252,7 @@ pub struct RdRcReceiveEndpoint {
 
 struct RecvState {
     /// Each source's data pool, once wired.
-    remote_pools: Vec<Option<RemoteAddr>>,
+    remote_pools: Vec<Option<RemotePool>>,
     /// `LocalArr`: unused local buffers per source.
     local: Vec<Vec<Buffer>>,
     /// In-flight RDMA Reads per source.
@@ -238,7 +303,7 @@ impl RdRcReceiveEndpoint {
         let mut issued = 0u64;
         for si in 0..self.half.peers() {
             loop {
-                let (remote, local_buf) = {
+                let (remote, len, local_buf) = {
                     let mut st = self.state.lock();
                     let Some(pool) = st.remote_pools[si] else {
                         break;
@@ -246,16 +311,13 @@ impl RdRcReceiveEndpoint {
                     let Some(local_buf) = st.local[si].pop() else {
                         break;
                     };
-                    let Some(remote_off) = self.valid_arr.try_consume(sim, si)? else {
+                    let Some(value) = self.valid_arr.try_consume(sim, si)? else {
                         st.local[si].push(local_buf);
                         break;
                     };
+                    let (remote, len) = pool.locate(value, self.cfg.message_size)?;
                     st.in_flight[si] += 1;
-                    let remote = RemoteAddr {
-                        offset: remote_off as usize,
-                        ..pool
-                    };
-                    (remote, local_buf)
+                    (remote, len, local_buf)
                 };
                 let wr_id = ((si as u64) << 32) | local_buf.offset() as u64;
                 let guard = self.half.lock_post(sim);
@@ -264,7 +326,7 @@ impl RdRcReceiveEndpoint {
                     wr_id,
                     (self.pool_mr.clone(), local_buf.offset()),
                     remote,
-                    self.cfg.message_size,
+                    len,
                 )?;
                 drop(guard);
                 issued += 1;
@@ -317,6 +379,13 @@ impl RdRcReceiveEndpoint {
         let local_off = (c.wr_id & 0xFFFF_FFFF) as usize;
         let buf = Buffer::try_new(self.pool_mr.clone(), local_off, self.cfg.message_size)?;
         let header = buf.read_header()?;
+        // The read moved the announced length; the header must agree.
+        if HEADER_LEN + header.payload_len as usize != c.byte_len {
+            return Err(ShuffleError::Corrupt(format!(
+                "a {}-byte read holds a {}-byte payload",
+                c.byte_len, header.payload_len
+            )));
+        }
         {
             let mut st = self.state.lock();
             st.in_flight[si] =
@@ -374,7 +443,11 @@ impl RcTransport for RdRcSendEndpoint {
             "FreeArr/ValidArr ring capacities must agree"
         );
         recv.free_rings.wire(si, self.free_arr.base(pi), 0);
-        recv.state.lock().remote_pools[si] = Some(region_base(self.window.region()));
+        let pool = self.window.region();
+        recv.state.lock().remote_pools[si] = Some(RemotePool {
+            base: region_base(pool),
+            windows: pool.len() / self.cfg.message_size,
+        });
         self.valid_rings.wire(pi, recv.valid_arr.base(si), 0);
         Ok(())
     }
@@ -445,9 +518,27 @@ mod tests {
 
     use rshuffle_obs::{EventKind, Record};
     use rshuffle_simnet::{DeviceProfile, SimDuration};
+    use rshuffle_verbs::{ConnectionManager, VerbsRuntime};
 
     use super::*;
+    use crate::endpoint::frame::data_header;
     use crate::{Exchange, ExchangeConfig, ShuffleAlgorithm};
+
+    /// The virtual times of `track`'s ValidArr scans that issued a read.
+    fn reads_issued(runtime: &VerbsRuntime, node: u32, track: u32) -> Vec<u64> {
+        let tracks = runtime.obs().recorder.dump();
+        let mine = tracks.iter().filter(|t| (t.0, t.1) == (node, track));
+        mine.flat_map(|t| t.3.iter())
+            .filter_map(|r| match r {
+                Record::Instant {
+                    at_ns,
+                    kind: EventKind::ValidArrPoll,
+                    arg: 1..,
+                } => Some(*at_ns),
+                _ => None,
+            })
+            .collect()
+    }
 
     /// A ValidArr announcement that lands while another source's read is
     /// in flight gets its read issued as it lands — not when that read
@@ -455,7 +546,8 @@ mod tests {
     #[test]
     fn an_announcement_during_a_read_is_read_at_once() {
         let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_RD, 3, 1);
-        // Each read moves the whole 512 KiB window: ~40 µs of EDR wire.
+        // Each message fills its 512 KiB window, so each read moves ~40 µs
+        // of EDR wire.
         config.message_size = 512 << 10;
         let runtime = config.build_runtime(DeviceProfile::edr());
         let Ok(exchange) = Exchange::build(&runtime, &config) else {
@@ -469,7 +561,7 @@ mod tests {
                 let Ok(mut buf) = send.get_free(&sim) else {
                     panic!("node {node} has a free buffer");
                 };
-                assert!(buf.push(&[7; 64]).is_ok());
+                assert!(buf.push(&vec![7; buf.remaining()]).is_ok());
                 assert!(send.send(&sim, buf, &[0], StreamState::MoreData).is_ok());
             });
         }
@@ -489,19 +581,7 @@ mod tests {
         runtime.cluster().run();
         let (track, delivered) = &*seen.lock();
         // When each read went out: the ValidArr scans that issued one.
-        let tracks = runtime.obs().recorder.dump();
-        let mine = tracks.iter().filter(|t| (t.0, t.1) == (0, *track));
-        let issued: Vec<u64> = mine
-            .flat_map(|t| t.3.iter())
-            .filter_map(|r| match r {
-                Record::Instant {
-                    at_ns,
-                    kind: EventKind::ValidArrPoll,
-                    arg: 1..,
-                } => Some(*at_ns),
-                _ => None,
-            })
-            .collect();
+        let issued = reads_issued(&runtime, 0, *track);
         assert_eq!(issued.len(), 2, "one read per announcement: {issued:?}");
         assert_eq!(delivered.iter().map(|d| d.0).collect::<Vec<_>>(), [1, 2]);
         // Node 2's read goes out within the announcement's write latency
@@ -512,5 +592,157 @@ mod tests {
             issued[1]
         );
         assert!(issued[1] < delivered[0].1, "{issued:?} {delivered:?}");
+    }
+
+    /// A header-only `Depleted` message costs a header's read, not a
+    /// window's: the read completes within the header's wire time plus the
+    /// read's round trip, far under the ~40 µs a 512 KiB window takes.
+    #[test]
+    fn a_depleted_marker_reads_one_header_not_a_window() {
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_RD, 2, 1);
+        config.message_size = 512 << 10;
+        let profile = DeviceProfile::edr();
+        let runtime = config.build_runtime(profile.clone());
+        let Ok(exchange) = Exchange::build(&runtime, &config) else {
+            panic!("the exchange builds");
+        };
+        let send = exchange.send[1][0].clone();
+        runtime.cluster().spawn(1, "sender", move |sim| {
+            let Ok(buf) = send.get_free(&sim) else {
+                panic!("node 1 has a free buffer");
+            };
+            assert!(send.send(&sim, buf, &[0], StreamState::Depleted).is_ok());
+        });
+        let recv = exchange.recv[0][0].clone();
+        let seen = Arc::new(Mutex::new((0, 0)));
+        let out = seen.clone();
+        runtime.cluster().spawn(0, "receiver", move |sim| {
+            let Ok(Some(delivery)) = recv.get_data(&sim) else {
+                panic!("the Depleted marker arrives");
+            };
+            assert_eq!(delivery.state, StreamState::Depleted);
+            assert_eq!(delivery.local.len(), 0);
+            *out.lock() = (sim.id().track(), sim.now().as_nanos());
+            assert!(recv.release(&sim, delivery).is_ok());
+        });
+        runtime.cluster().run();
+        let (track, delivered) = *seen.lock();
+        let issued = reads_issued(&runtime, 0, track);
+        assert_eq!(issued.len(), 1, "one read: {issued:?}");
+        // Out to the source and back, a switch and a NIC each way, then
+        // the completion: the read's latency without its payload.
+        let round_trip = (profile.switch_latency + profile.wr_nic + profile.qp_cache_miss) * 2
+            + profile.completion_latency;
+        let bound = profile.wire_time(HEADER_LEN) + round_trip;
+        let took = delivered - issued[0];
+        assert!(
+            took <= bound.as_nanos(),
+            "the header's read took {took} ns, over {bound:?}"
+        );
+        assert!(bound < profile.wire_time(config.message_size));
+    }
+
+    /// A sender and a receiver half of node 1 → node 0 with `window`-byte
+    /// buffers, wired as `Exchange::build` wires a pair, and left unstarted.
+    fn wired_pair(window: usize) -> (Arc<VerbsRuntime>, RdRcSendEndpoint, RdRcReceiveEndpoint) {
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_RD, 2, 1);
+        config.message_size = window;
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let params = config.params(runtime.profile());
+        let send =
+            RdRcSendEndpoint::new(&runtime.context(1), EndpointId(1), vec![0], params.clone());
+        let recv = RdRcReceiveEndpoint::new(&runtime.context(0), EndpointId(2), vec![1], params);
+        let (qp_s, qp_r) = send.qp_pair(0, &recv, 1);
+        let wired = ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))
+            .and_then(|()| ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle())));
+        assert!(wired.is_ok(), "the pair connects");
+        assert!(send.handshake(0, &recv, 1).is_ok(), "the pair shakes hands");
+        (runtime, send, recv)
+    }
+
+    const WINDOW: usize = 4096;
+
+    /// The announcement of the 64-byte message [`read_announced`] puts in
+    /// window 1 of node 1's pool.
+    const EXACT: Announcement = Announcement {
+        window: 1,
+        len: HEADER_LEN as u32 + 64,
+    };
+
+    /// What node 0's first `get_data` makes of `announced` in its ValidArr
+    /// slot 0 — written there straight, as if node 1 had RDMA-written it —
+    /// while window 1 of node 1's pool holds a 64-byte message: the
+    /// delivered payload's length, or the error.
+    fn read_announced(announced: Announcement) -> Result<Option<usize>> {
+        let (runtime, send, recv) = wired_pair(WINDOW);
+        let mut buf = Buffer::new(send.window.region().clone(), WINDOW, WINDOW);
+        assert!(buf.push(&[7; 64]).is_ok());
+        let header = data_header(send.half.id, 0, &buf, StreamState::MoreData);
+        assert!(buf.write_header(&header).is_ok());
+        assert_eq!(Announcement::of(&buf), EXACT);
+        let slot = recv.valid_arr.base(0).offset;
+        let value = announced.encode() + 1;
+        assert!(recv.valid_arr.region().write_u64(slot, value).is_ok());
+        let got = Arc::new(Mutex::new(None));
+        let out = got.clone();
+        runtime.cluster().spawn(0, "receiver", move |sim| {
+            let delivered = recv.get_data(&sim).map(|d| d.map(|d| d.local.len()));
+            *out.lock() = Some(delivered);
+        });
+        runtime.cluster().run();
+        let got = got.lock().take();
+        got.unwrap_or_else(|| panic!("get_data returned"))
+    }
+
+    /// An announcement off the wire that names no window of the source's
+    /// pool, or a length the window cannot hold or the header exceeds, is
+    /// a typed `Corrupt`, never a read out of bounds or a panic.
+    #[test]
+    fn an_announcement_outside_the_pool_is_corrupt() {
+        assert_eq!(read_announced(EXACT), Ok(Some(64)));
+        let (windows, len) = (2, EXACT.len);
+        for bad in [
+            Announcement {
+                window: windows,
+                len,
+            },
+            Announcement {
+                window: u32::MAX,
+                len,
+            },
+            Announcement {
+                len: HEADER_LEN as u32 - 1,
+                ..EXACT
+            },
+            Announcement {
+                len: WINDOW as u32 + 1,
+                ..EXACT
+            },
+        ] {
+            let got = read_announced(bad);
+            assert!(
+                matches!(got, Err(ShuffleError::Corrupt(_))),
+                "{bad:?}: {got:?}"
+            );
+        }
+    }
+
+    /// A read whose length the message's own header disagrees with is a
+    /// typed `Corrupt`, not a delivery cut short or padded.
+    #[test]
+    fn a_read_whose_header_disagrees_with_its_announcement_is_corrupt() {
+        assert_eq!(read_announced(EXACT), Ok(Some(64)));
+        for len in [
+            EXACT.len - 8,
+            EXACT.len + 8,
+            HEADER_LEN as u32,
+            WINDOW as u32,
+        ] {
+            let got = read_announced(Announcement { len, ..EXACT });
+            assert!(
+                matches!(got, Err(ShuffleError::Corrupt(_))),
+                "{len}: {got:?}"
+            );
+        }
     }
 }

@@ -39,7 +39,7 @@ use rshuffle_simnet::{
 };
 use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair, RecvWr, SendWr};
 
-use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState, HEADER_LEN};
+use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, post_lock, state_notify, Cq, Layout, SendWindow,
 };
@@ -540,13 +540,13 @@ impl UdShared {
         Ok(())
     }
 
-    /// The work request that sends the first `len` bytes of `buf`.
-    fn send_wr(buf: &Buffer, len: usize, ah: Option<AddressHandle>) -> SendWr {
+    /// The work request that sends `buf`'s message, header and payload.
+    fn send_wr(buf: &Buffer, ah: Option<AddressHandle>) -> SendWr {
         SendWr {
             wr_id: buf.offset() as u64,
             mr: buf.region().clone(),
             offset: buf.offset(),
-            len,
+            len: buf.message_len(),
             imm: None,
             ah,
         }
@@ -746,12 +746,11 @@ impl SendEndpoint for SrUdSendEndpoint {
             // `Depleted` counter is specific to each destination (a group's
             // is never read).
             buf.write_header(&header)?;
-            let len = buf.message_len();
             match target {
-                [_] => s.post(sim, UdShared::send_wr(&buf, len, ah), None)?,
+                [_] => s.post(sim, UdShared::send_wr(&buf, ah), None)?,
                 group => {
                     let ahs = s.cached_mcast_ahs(group)?;
-                    s.post(sim, UdShared::send_wr(&buf, len, None), Some(&ahs))?
+                    s.post(sim, UdShared::send_wr(&buf, None), Some(&ahs))?
                 }
             }
             for &d in target {
@@ -854,8 +853,9 @@ impl UdShared {
     /// Sends an absolute-credit datagram to `dest` on the shared QP.
     fn send_credit(&self, sim: &SimContext, dest: NodeId, credit: u64) -> Result<()> {
         let (_, ah) = wired(&mut self.peers.lock(), dest, "no lane to credit target")?;
-        // Credit datagrams are header-only; source them from a free send
-        // buffer (waiting briefly if the pool is momentarily empty).
+        // Credit datagrams are header-only (an empty buffer's message);
+        // source them from a free send buffer (waiting briefly if the pool
+        // is momentarily empty).
         let buf = self.get_free(sim)?;
         let header = MsgHeader {
             src: self.recv_id.0,
@@ -869,7 +869,7 @@ impl UdShared {
         };
         buf.write_header(&header)?;
         self.window.launch(sim, &buf, 1);
-        self.post(sim, UdShared::send_wr(&buf, HEADER_LEN, Some(ah)), None)?;
+        self.post(sim, UdShared::send_wr(&buf, Some(ah)), None)?;
         self.window.discard(&buf);
         Ok(())
     }
@@ -882,6 +882,7 @@ mod tests {
     use rshuffle_verbs::{ConnectionManager, QpState, VerbsError, VerbsRuntime};
 
     use super::*;
+    use crate::buffer::HEADER_LEN;
     use crate::{ExchangeConfig, ShuffleAlgorithm};
 
     /// The endpoint's case of `rejected_configuration_pins_nothing`: a
