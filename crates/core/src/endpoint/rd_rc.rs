@@ -5,9 +5,8 @@
 //! buffers and announces them by RDMA-Writing the buffer's window and the
 //! message's length into the receiver's `ValidArr` circular queue. The
 //! receiver pulls exactly the message's bytes with RDMA Read into a local
-//! buffer from its `LocalArr` stack, and returns the
-//! remote buffer by RDMA-Writing its address into the sender's `FreeArr`
-//! circular queue. Both queues live in registered memory and are polled —
+//! buffer from its `LocalArr` stack, and returns the remote buffer by
+//! RDMA-Writing its address into the sender's `FreeArr` circular queue. Both queues live in registered memory and are polled —
 //! no two-sided operation is ever used for data.
 //!
 //! Buffer-reuse rule (the broadcast pitfall of §5.1.3): a buffer sent to a
@@ -53,6 +52,8 @@ pub(crate) fn layout(cfg: &Params, peers: usize) -> Layout {
 /// source's pool that holds a message in the high half, the message's wire
 /// length ([`Buffer::message_len`]: header plus payload) in the low half.
 /// The receiver's RDMA Read moves that many bytes, not the whole window.
+/// An RC message is at most `MAX_RC_MESSAGE` (1 GiB), so a window index
+/// and a length each fit 32 bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Announcement {
     window: u32,
