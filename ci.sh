@@ -235,15 +235,18 @@ if remapped=$(grep -rlE 'slot_of\(|fn learn\(|node_of\(|source_node' crates/core
   exit 1
 fi
 
-# Chaos matrix: every fault plan (link flap, straggler, receiver pause,
-# QP failure, UD loss burst, their composite, and a partial-recovery
-# whole-node QP-failure window) across all six algorithms, 0.1 s in all;
-# fails unless every query recovers with exactly-once row delivery, and
-# the partial-recovery plan is contained without a full restart.
+# Chaos: the full matrix (one plan per fault class — link flap and
+# degrade, straggler, receiver pause, QP failure, UD loss burst — plus a
+# partial-recovery whole-node QP-failure window) and the smoke's
+# composite plan (flap + straggler + QP failure + UD burst), across all
+# six algorithms, 0.1 s each; fails unless every query recovers with
+# exactly-once row delivery, and the partial-recovery plan is contained
+# without a full restart.
 bench_bin() {
   cargo run -q --release -p rshuffle-bench --bin "$1" $CARGO_FLAGS -- "${@:2}"
 }
 bench_bin bench chaos
+bench_bin bench chaos --smoke
 
 # One host thread: simulated threads are fibers (crates/simnet/src/fiber.rs).
 # An OS thread per simulated thread must not come back through a side door.
