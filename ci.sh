@@ -268,9 +268,11 @@ fi
 #   scale    — the 32-node crossover-pair sweep over the fat-tree fabric,
 #              with and without the QP cap.
 #   adaptive — the phased-vs-unphased sweep (N = 128/256 under Zipf skew on the
-#              congested fat tree; phased MESQ/SR must stay strictly faster) and
-#              the advisor-vs-oracle matrix (picks within the acceptance band on
-#              >= 90% of rows), both enforced by the experiment itself.
+#              congested fat tree; phased MESQ/SR must stay strictly faster; the
+#              fattree64_phased benchmark's N = 64, 1 MiB/node shape is held
+#              exactly but ungated) and the advisor-vs-oracle matrix (picks within
+#              the acceptance band on >= 90% of rows), both enforced by the
+#              experiment itself.
 #   figs     — the paper's figures and the ablations: each sweep's first
 #              and last x at 4 MiB/node, TPC-H at SF 0.01/node.
 # gate | experiments emitting the candidate

@@ -231,12 +231,13 @@ impl AlgorithmAdvisor {
         };
 
         // A phased transfer needs endpoints that can actually drain at
-        // a phase boundary. The UD impl quiesces its send ring per
-        // phase (`sr_ud::quiesce_dest`); the RC impls have no
-        // phase-boundary drain yet, so their residue leaks past the
-        // schedule and re-creates the very fan-in the phases were built
-        // to remove — at fabric-bound volumes they measurably lose to
-        // the drainable designs. Restrict the finalists accordingly.
+        // a super-round boundary. The UD impl quiesces its send ring
+        // toward each destination of the super-round before the barrier
+        // (`sr_ud::quiesce_dest`); the RC impls have no such drain yet,
+        // so their residue leaks past the schedule and re-creates the
+        // very fan-in the phases were built to remove — at fabric-bound
+        // volumes they measurably lose to the drainable designs.
+        // Restrict the finalists accordingly.
         let ranked = if phase.enabled() {
             let ud: Vec<ShuffleAlgorithm> = ranked
                 .iter()

@@ -474,14 +474,15 @@ impl UdShared {
     /// legally stay unconfirmed and are excluded from the target.
     ///
     /// Full drain is deliberate: a half-window slack was tried and
-    /// reverted. Residue flows from phase p overlap phase p+1, which
-    /// doubles the active flow count on the receiver's *leaf downlink*
-    /// — past the downlink incast knee (`hosts_per_leaf`) — and the
-    /// measured collapse penalty exceeded everything the slack saved
-    /// on the credit round trip. Draining fully keeps every port at or
-    /// under its knee, and the super-round barrier cadence
-    /// ([`crate::phase::PHASE_GROUP`]) amortizes the per-phase credit
-    /// wait instead.
+    /// reverted. Residue flows overlapping the next round double the
+    /// active flow count on the receiver's *leaf downlink* — past the
+    /// downlink incast knee (`hosts_per_leaf`) — and the measured
+    /// collapse penalty exceeded everything the slack saved on the
+    /// credit round trip. The phased SHUFFLE calls this once per
+    /// destination a super-round ([`crate::phase::PHASE_GROUP`] phases)
+    /// opened, all at the super-round's end, just before the barrier:
+    /// the credit round trips of its phases overlap instead of running
+    /// one after another.
     fn quiesce_dest(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
         let lag = u64::from(self.cfg.credit_writeback_frequency.saturating_sub(1));
         let initial = self.peers.lock().get(dest).and_then(|p| p.initial_credit);

@@ -355,9 +355,14 @@ impl ShuffleOperator {
             // lanes drift at most PHASE_GROUP − 1 phases apart, so an
             // ingress port never serves more than PHASE_GROUP bulk senders
             // — still under the incast knee — while slow lanes catch up
-            // without stretching every peer's round.
+            // without stretching every peer's round. A super-round's
+            // traffic leaves the fabric before the lane crosses the next
+            // barrier: the destinations it opened are drained there, all
+            // at once, and not one credit round trip per phase.
+            let mut opened = Vec::with_capacity(crate::phase::PHASE_GROUP);
             for p in 0..schedule.num_phases() {
                 if p % crate::phase::PHASE_GROUP == 0 {
+                    lane.quiesce(&mut opened)?;
                     runner.wait(sim, p)?;
                 }
                 let Some(dest_node) = schedule.dest_of(p, *node) else {
@@ -379,11 +384,9 @@ impl ShuffleOperator {
                     at += len * n;
                 }
                 outbox.send(&lane, to)?;
-                // A phase is only contention-free if the previous one has
-                // left the fabric: wait for the endpoint to drain toward
-                // this destination before reporting the phase done.
-                lane.target.quiesce(sim, dest_node)?;
+                opened.push(dest_node);
             }
+            lane.quiesce(&mut opened)?;
             // Rows for a group no phase takes this node to would be lost.
             if let Some(dest) = staged.iter().position(|rows| !rows.is_empty()) {
                 return Err(ShuffleError::Config(format!(
@@ -442,6 +445,14 @@ impl Lane<'_> {
         let mut buf = self.target.get_free(self.sim)?;
         buf.set_tag(self.tid as u16);
         Ok(buf)
+    }
+
+    /// Waits until the traffic sent toward each of `dests` has drained,
+    /// and empties `dests`.
+    fn quiesce(&self, dests: &mut Vec<NodeId>) -> Result<()> {
+        dests
+            .drain(..)
+            .try_for_each(|dest| self.target.quiesce(self.sim, dest))
     }
 }
 
@@ -816,6 +827,123 @@ mod tests {
                 *endpoint.calls.lock(),
                 [GetFree, Send(32, MoreData), GetFree, Send(0, Depleted)],
                 "phased: {phased}"
+            );
+        }
+    }
+
+    /// What a [`Draining`] endpoint was asked, beside the number of
+    /// barrier crossings before it: a send toward a node, or a drain.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Step {
+        Send(NodeId, StreamState),
+        Quiesce(NodeId),
+    }
+
+    /// A send endpoint that records its sends and drains, each with the
+    /// phase barrier crossings `obs` counted before it.
+    struct Draining {
+        region: MemoryRegion,
+        obs: Arc<Obs>,
+        steps: Mutex<Vec<(u64, Step)>>,
+    }
+
+    impl Draining {
+        fn record(&self, step: Step) {
+            let crossed = self
+                .obs
+                .metrics
+                .counter_total(rshuffle_obs::names::EXCHANGE_PHASES_RUN);
+            self.steps.lock().push((crossed, step));
+        }
+    }
+
+    impl SendEndpoint for Draining {
+        fn send(
+            &self,
+            _: &SimContext,
+            _: Buffer,
+            dest: &[NodeId],
+            state: StreamState,
+        ) -> Result<()> {
+            self.record(Step::Send(dest[0], state));
+            Ok(())
+        }
+
+        fn get_free(&self, _: &SimContext) -> Result<Buffer> {
+            Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
+        }
+
+        fn quiesce(&self, _: &SimContext, dest: NodeId) -> Result<()> {
+            self.record(Step::Quiesce(dest));
+            Ok(())
+        }
+    }
+
+    /// A phased lane drains each super-round once, where it ends: every
+    /// destination the super-round opened is quiesced after the last of
+    /// its sends and before the next barrier crossing, and every
+    /// destination is quiesced before its Depleted marker.
+    #[test]
+    fn a_super_round_drains_after_its_sends_and_before_the_next_barrier() {
+        use crate::phase::PHASE_GROUP;
+        use StreamState::{Depleted, MoreData};
+        const NODES: usize = 2 * PHASE_GROUP;
+        let kernel = Kernel::new();
+        let obs = Obs::new();
+        let endpoint = Arc::new(Draining {
+            region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+            obs: obs.clone(),
+            steps: Mutex::new(Vec::new()),
+        });
+        // Node 0 of the naive rotation serves node `p` in phase `p`: two
+        // super-rounds of PHASE_GROUP destinations each.
+        let uniform = PhaseSchedule::uniform_bytes(NODES);
+        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &uniform).unwrap();
+        let runner = PhaseRunner::with_obs(&kernel, schedule, 1, SimDuration::from_millis(1), obs);
+        let op = ShuffleOperator::with_lanes(
+            Arc::new(Batches(Mutex::new(vec![(16, 200)]))),
+            vec![endpoint.clone()],
+            TransmissionGroups::partition(NODES),
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        )
+        .with_phases(runner, 0);
+        kernel.spawn(0, "phased-shuffle", move |sim| {
+            op.next(&sim, 0).unwrap();
+        });
+        kernel.run();
+        let steps = std::mem::take(&mut *endpoint.steps.lock());
+        let sent = |dest| {
+            let sends = steps.iter().enumerate();
+            sends.filter(move |(_, (_, s))| *s == Step::Send(dest, MoreData))
+        };
+        for dest in 0..NODES {
+            let round = (dest / PHASE_GROUP + 1) as u64;
+            assert!(
+                sent(dest).all(|(_, (crossed, _))| *crossed == round),
+                "node {dest} is sent in super-round {round}: {steps:?}"
+            );
+            let drains: Vec<_> = (steps.iter().enumerate())
+                .filter(|(_, (_, s))| *s == Step::Quiesce(dest))
+                .collect();
+            let depleted = (steps.iter())
+                .position(|(_, s)| *s == Step::Send(dest, Depleted))
+                .expect("every destination is declared done");
+            assert!(
+                drains.len() == 1 && drains[0].0 < depleted,
+                "node {dest} is drained once, before its Depleted marker: {steps:?}"
+            );
+            let (at, (crossed, _)) = drains[0];
+            // After every send of its super-round, toward any node, and
+            // before the barrier that opens the next.
+            let last_send = (steps.iter().enumerate())
+                .filter(|(_, (c, s))| *c == round && matches!(s, Step::Send(_, MoreData)))
+                .map(|(i, _)| i)
+                .max();
+            assert!(sent(dest).count() > 0, "node {dest} is sent rows");
+            assert!(
+                *crossed == round && last_send < Some(at),
+                "node {dest} is drained after super-round {round}'s sends: {steps:?}"
             );
         }
     }

@@ -76,9 +76,12 @@ pub const HEAVY_SOURCE_FACTOR: f64 = 2.0;
 /// within any incast knee ≥ `G` while (a) paying the barrier wake only
 /// `1/G` as often and (b) letting a lane that ran long in one phase
 /// catch up inside the super-round instead of stretching every peer's
-/// round to the per-phase maximum. The per-destination endpoint
-/// quiesce still paces each phase, so drift inside a super-round is
-/// additionally bounded by the send window.
+/// round to the per-phase maximum. A sender drains every destination
+/// it opened in a super-round (the endpoint's full-drain quiesce) just
+/// before it crosses the next barrier, and once more before its
+/// Depleted markers: no super-round's traffic runs into the next one,
+/// and inside a super-round the phases are paced by the send window
+/// alone.
 pub const PHASE_GROUP: usize = 3;
 
 impl PhasePolicy {

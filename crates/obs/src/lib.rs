@@ -50,6 +50,10 @@ pub mod names {
     pub const NIC_QP_CACHE_HITS: &str = "nic.qp_cache_hits";
     /// QP context cache misses `{node}` (Figure 11).
     pub const NIC_QP_CACHE_MISSES: &str = "nic.qp_cache_misses";
+    /// Serialization ns the fabric's incast model added on top of line
+    /// rate, over every ingress port and leaf downlink. Registered only
+    /// on a fabric with the model on.
+    pub const NET_INCAST_PENALTY_NS: &str = "net.incast_penalty_ns";
     /// Virtual nanoseconds simulated threads spent busy `{node}`.
     pub const KERNEL_BUSY_NS: &str = "kernel.busy_ns";
     /// Virtual nanoseconds simulated threads spent blocked `{node}`.

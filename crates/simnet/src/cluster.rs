@@ -48,12 +48,8 @@ impl Cluster {
         // One set of running flows shared by the fabric ports and every NIC
         // pipeline, so a query gets its equal share at all its bottlenecks.
         let flows = Arc::new(FlowTable::new());
-        let fabric = Arc::new(Fabric::with_topology(
-            nodes,
-            &profile,
-            flows.clone(),
-            topology,
-        ));
+        let fabric = Fabric::with_topology(nodes, &profile, flows.clone(), topology);
+        let fabric = Arc::new(fabric.with_obs(&obs));
         let nics = Arc::new(
             (0..nodes)
                 .map(|node| NicModel::with_flows(&profile, obs.clone(), node as u32, flows.clone()))

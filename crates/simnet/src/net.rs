@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rshuffle_obs::{names, Counter, Labels, Obs};
 
 use crate::nic::{FairResource, FlowId, FlowTable};
 use crate::profile::DeviceProfile;
@@ -80,8 +81,9 @@ pub enum Topology {
 /// Applied to fat-tree ingress ports and leaf downlinks only (the
 /// resources a naive all-to-all overloads); control packets on the
 /// bypass virtual lane are never penalized. A phase-scheduled transfer
-/// keeps at most one bulk sender per port and thus never crosses the
-/// threshold.
+/// keeps about one bulk sender per port and crosses the threshold only
+/// where senders drift apart; `net.incast_penalty_ns` counts what the
+/// model added ([`Fabric::with_obs`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IncastModel {
     /// Concurrent distinct senders a port absorbs at full rate (its
@@ -309,6 +311,9 @@ pub struct Fabric {
     /// downlink (`[leaf]`).
     incast_ingress: IncastPorts,
     incast_downlink: IncastPorts,
+    /// `net.incast_penalty_ns`, once [`Fabric::with_obs`] registered it
+    /// for the incast model.
+    incast_penalty: Option<Arc<Counter>>,
 }
 
 /// Distinct senders with in-flight bulk reservations on each of a set of
@@ -386,6 +391,7 @@ impl Fabric {
             // floored at one flow per host so a phase-scheduled transfer
             // (at most one sender per destination port) never crosses it.
             incast_downlink: incast_ports(leaf_count, hosts_per_leaf),
+            incast_penalty: None,
             topology,
             flows,
             bandwidth: profile.payload_bandwidth,
@@ -393,6 +399,16 @@ impl Fabric {
             loopback_latency: profile.loopback_latency,
             link_faults: Mutex::new(vec![LinkFault::default(); nodes]),
         }
+    }
+
+    /// Counts the serialization time the incast model adds into `obs` as
+    /// `net.incast_penalty_ns`. Without the model there is nothing to
+    /// count and no series is registered.
+    pub fn with_obs(mut self, obs: &Obs) -> Self {
+        let metrics = &obs.metrics;
+        let counter = || metrics.counter(names::NET_INCAST_PENALTY_NS, Labels::GLOBAL);
+        self.incast_penalty = self.incast.map(|_| counter());
+        self
     }
 
     /// Number of nodes attached to the fabric.
@@ -611,10 +627,13 @@ impl Fabric {
         set.retain(|&(_, end)| end > wire.at);
         let known = set.iter().position(|&(n, _)| n == wire.from);
         let active = set.len() + usize::from(known.is_none());
-        let ser = inflate(ser, model.penalty_floored(active, incast.knee_floor));
+        let inflated = inflate(ser, model.penalty_floored(active, incast.knee_floor));
+        if let Some(penalty) = &self.incast_penalty {
+            penalty.add(inflated.as_nanos() - ser.as_nanos());
+        }
         let r = resource
             .lock()
-            .reserve_flow(ready, ser, wire.flow, &self.flows);
+            .reserve_flow(ready, inflated, wire.flow, &self.flows);
         match known {
             Some(i) => set[i].1 = set[i].1.max(r.end),
             None => set.push((wire.from, r.end)),
@@ -713,6 +732,35 @@ mod tests {
             assert_eq!(a, b, "serial sender {s} must see identical delivery");
             depart = a;
         }
+    }
+
+    /// `net.incast_penalty_ns` counts exactly what the model added and
+    /// moves no delivery: three hosts of one leaf send host 0 a message
+    /// each at once past a knee of two, so the third copy's ingress
+    /// serialization is inflated 1.5× and the last delivery lands that
+    /// much later than on the ideal fabric. A fabric without the model
+    /// registers no series.
+    #[test]
+    fn the_penalty_counter_counts_what_incast_added_and_moves_nothing() {
+        let topology = Topology::fat_tree(8, 4.0);
+        let obs = Obs::new();
+        let modeled = topology.clone().with_incast(IncastModel::new(2));
+        let counted = topo_fabric(8, modeled.clone()).with_obs(&obs);
+        let uncounted = topo_fabric(8, modeled);
+        let ideal = topo_fabric(8, topology).with_obs(&obs);
+        let deliveries = |f: &Fabric| -> Vec<SimTime> {
+            (1..4)
+                .map(|s| f.transfer(s, 0, 1 << 20, SimTime::ZERO))
+                .collect()
+        };
+        let (with, without) = (deliveries(&counted), deliveries(&uncounted));
+        assert_eq!(with, without, "counting changes no delivery");
+        let added = with[2].as_nanos() - deliveries(&ideal)[2].as_nanos();
+        let penalty = obs.metrics.counter_total(names::NET_INCAST_PENALTY_NS);
+        assert!(added > 0);
+        assert_eq!(penalty, added);
+        let series = obs.metrics.snapshot().counters.len();
+        assert_eq!(series, 1, "only the modeled fabric registered one");
     }
 
     #[test]
