@@ -176,9 +176,13 @@ fi
 # ledger"). The ones whose only callers were their own tests, or whose job
 # another layer already did, are gone: the stage-span switch, the
 # coordinator's attempt hooks (it calls the scheduler itself), a recorder
-# event nothing emitted, a CQ wait nothing called. The phase runner
-# crosses a `simnet::SimBarrier`; a barrier of its own is a second copy.
-if revived=$(grep -rlE 'AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout' crates); then
+# event nothing emitted, a CQ wait nothing called, a flow-tagged memory
+# sweep (an attempt's memory goes back by its build's resource marks) and
+# a timed gate receive (a timed wait is `SimContext::wait_any`). The phase
+# runner crosses a `simnet::SimBarrier`; a barrier of its own is a second copy.
+LEDGER_DELETED='AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout'
+LEDGER_DELETED+='|deregister_flow|mr_flows|RecvTimeout|recv_timeout'
+if revived=$(grep -rlE "$LEDGER_DELETED" crates); then
   echo "ERROR: a layer the ledger deleted is back in:" >&2
   echo "$revived" >&2
   echo "       give it a row in DESIGN.md §20 that names what dies without it, or leave it out" >&2

@@ -40,7 +40,7 @@ struct MpiCosts {
 /// The sending half of the MPI baseline (`MPI_Send`).
 pub struct MpiSendEndpoint {
     inner: Arc<dyn SendEndpoint>,
-    progress: SimMutex<()>,
+    progress: SimMutex,
     costs: MpiCosts,
 }
 
@@ -78,7 +78,7 @@ impl SendEndpoint for MpiSendEndpoint {
 /// The receiving half of the MPI baseline (`MPI_Irecv` + wait).
 pub struct MpiReceiveEndpoint {
     inner: Arc<dyn ReceiveEndpoint>,
-    progress: SimMutex<()>,
+    progress: SimMutex,
     costs: MpiCosts,
 }
 
@@ -130,7 +130,7 @@ pub fn build(
     // second receive.
     let mut exchange = crate::semq_sr(runtime, groups, message_size, threads, 2)?;
     for (send, recv) in exchange.send.iter_mut().zip(&mut exchange.recv) {
-        let progress = SimMutex::new(runtime.kernel(), (), SimDuration::from_nanos(100));
+        let progress = SimMutex::new(runtime.kernel(), SimDuration::from_nanos(100));
         for ep in send {
             *ep = Arc::new(MpiSendEndpoint {
                 inner: ep.clone(),

@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
-use rshuffle_simnet::sync::SimMutexGuard;
 use rshuffle_simnet::{
     Kernel, Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
 };
@@ -206,12 +205,12 @@ pub(crate) struct RcHalf {
     qps: Vec<QueuePair>,
     /// Serializes `ibv_post_send`; the contention cost of sharing one
     /// endpoint among threads (SE configurations) shows up here.
-    post_lock: SimMutex<()>,
+    pub post_lock: SimMutex,
 }
 
 /// The lock serializing posts on one endpoint's Queue Pairs.
-pub(crate) fn post_lock(ctx: &Context) -> SimMutex<()> {
-    SimMutex::new(ctx.runtime().kernel(), (), SimDuration::from_nanos(60))
+pub(crate) fn post_lock(ctx: &Context) -> SimMutex {
+    SimMutex::new(ctx.runtime().kernel(), SimDuration::from_nanos(60))
 }
 
 impl RcHalf {
@@ -271,10 +270,6 @@ impl RcHalf {
             Some(&Some(slot)) => &self.qps[slot],
             _ => panic!("no Queue Pair faces node {peer}"),
         }
-    }
-
-    pub(crate) fn lock_post(&self, sim: &SimContext) -> SimMutexGuard<'_, ()> {
-        self.post_lock.lock(sim)
     }
 }
 

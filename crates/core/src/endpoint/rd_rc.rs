@@ -184,7 +184,7 @@ impl SendEndpoint for RdRcSendEndpoint {
                 self.obs.sent(d, buf.len() as u64);
                 continue;
             }
-            let guard = self.half.lock_post(sim);
+            let guard = self.half.post_lock.lock(sim);
             let announcement = Announcement::of(&buf).encode();
             self.valid_rings
                 .publish(sim, self.half.qp(pi), slot, announcement)?;
@@ -321,7 +321,7 @@ impl RdRcReceiveEndpoint {
                     (remote, len, local_buf)
                 };
                 let wr_id = ((si as u64) << 32) | local_buf.offset() as u64;
-                let guard = self.half.lock_post(sim);
+                let guard = self.half.post_lock.lock(sim);
                 self.half.qp(si).post_read(
                     sim,
                     wr_id,
@@ -342,7 +342,7 @@ impl RdRcReceiveEndpoint {
     /// drop path (which returns the remote buffer without delivering).
     fn push_free(&self, sim: &SimContext, si: usize, remote: u64) -> Result<()> {
         let slot = self.free_rings.claim(sim, si)?;
-        let guard = self.half.lock_post(sim);
+        let guard = self.half.post_lock.lock(sim);
         self.free_rings
             .publish(sim, self.half.qp(si), slot, remote)?;
         drop(guard);

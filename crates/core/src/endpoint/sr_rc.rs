@@ -151,7 +151,7 @@ impl SendEndpoint for SrRcSendEndpoint {
                 sent_now,
                 sim.now().as_nanos(),
             );
-            let guard = self.half.lock_post(sim);
+            let guard = self.half.post_lock.lock(sim);
             self.half.qp(pi).post_send(
                 sim,
                 SendWr {
@@ -213,15 +213,22 @@ pub struct SrRcReceiveEndpoint {
     /// to zero at end of stream — a swallowed control completion turns
     /// into a typed error instead of silence.
     ctrl_outstanding: AtomicU64,
-    /// Absolute receives posted per source (the credit value).
-    posted: Mutex<Vec<u64>>,
-    /// Releases since the last credit write-back, per source.
-    releases: Mutex<Vec<u32>>,
-    /// Where each source's send endpoint keeps my credit slot.
-    credit_remote: Mutex<Vec<Option<RemoteAddr>>>,
+    /// Each source's credit state, indexed by slot.
+    credit: Mutex<Vec<SrcCredit>>,
     credit_writes: InlineWrites,
     obs: RecvObs,
     cfg: Params,
+}
+
+/// What the receive half keeps about one source's credit.
+#[derive(Clone, Default)]
+struct SrcCredit {
+    /// Absolute receives posted (the credit value).
+    posted: u64,
+    /// Releases since the last credit write-back.
+    releases: u32,
+    /// Where the source's send endpoint keeps my credit slot.
+    remote: Option<RemoteAddr>,
 }
 
 impl SrRcReceiveEndpoint {
@@ -238,9 +245,7 @@ impl SrRcReceiveEndpoint {
             pending: Mutex::new(VecDeque::new()),
             changed: state_notify(ctx),
             ctrl_outstanding: AtomicU64::new(0),
-            posted: Mutex::new(vec![0; n]),
-            releases: Mutex::new(vec![0; n]),
-            credit_remote: Mutex::new(vec![None; n]),
+            credit: Mutex::new(vec![SrcCredit::default(); n]),
             credit_writes: InlineWrites::register(ctx),
             obs: RecvObs::new(ctx, id),
             half,
@@ -254,7 +259,7 @@ impl SrRcReceiveEndpoint {
     /// pool on that connection. Returns the initial credit granted.
     fn bootstrap_src(&self, src: NodeId, credit_slot: RemoteAddr) -> Result<u64> {
         let si = self.half.index_of(src)?;
-        self.credit_remote.lock()[si] = Some(credit_slot);
+        self.credit.lock()[si].remote = Some(credit_slot);
         // Source `si`'s `depth` windows of the pool, named by their offsets.
         let (depth, window) = (self.cfg.recv_depth_per_peer, self.cfg.message_size);
         let offset = depth * si * window;
@@ -267,7 +272,7 @@ impl SrRcReceiveEndpoint {
         let step = (window as u64, window);
         self.half.qp(si).post_recv_run_untimed(first, step, depth)?;
         let credit = depth as u64;
-        self.posted.lock()[si] = credit;
+        self.credit.lock()[si].posted = credit;
         // Bootstrap happens outside the measured window, at virtual 0.
         let lane = credit_lane(&credit_slot);
         let audit = &self.half.audit;
@@ -368,43 +373,40 @@ impl SrRcReceiveEndpoint {
                 len: local.window(),
             },
         )?;
-        let slot = self.credit_remote.lock()[si];
         // The write-back decision, the audited receive count and the
         // audited grant must be one atomic step: with several receiver
         // threads releasing concurrently, interleaving the hooks would
         // let the auditor observe `posted` running ahead of `granted` by
         // more than one write-back period even though no write-back was
         // lost. The RDMA write itself stays outside the lock.
-        let (credit_now, write_back) = {
-            let mut posted = self.posted.lock();
-            posted[si] += 1;
-            let credit_now = posted[si];
-            let write_back = {
-                let mut releases = self.releases.lock();
-                releases[si] += 1;
-                releases[si].is_multiple_of(self.cfg.credit_writeback_frequency)
-            };
+        let (slot, credit_now, write_back) = {
+            let src = &mut self.credit.lock()[si];
+            src.posted += 1;
+            src.releases += 1;
+            let write_back = src
+                .releases
+                .is_multiple_of(self.cfg.credit_writeback_frequency);
             // A saboteur may swallow exactly one write-back: the protocol
             // "forgets" to announce credit and only the auditor's gap check
             // can notice, because absolute credit self-heals (§4.4.1).
             #[cfg(feature = "saboteur")]
             let write_back = write_back
                 && !crate::sabotage::take(crate::sabotage::Sabotage::SkipCreditWriteback);
-            if let Some(slot) = &slot {
+            if let Some(slot) = &src.remote {
                 let lane = credit_lane(slot);
                 let now = sim.now().as_nanos();
                 self.half.audit.receives_posted(lane, 1, now);
                 if write_back {
-                    self.half.audit.credit_granted(lane, credit_now, now);
+                    self.half.audit.credit_granted(lane, src.posted, now);
                 }
             }
-            (credit_now, write_back)
+            (src.remote, src.posted, write_back)
         };
         if write_back {
             let slot =
                 slot.ok_or_else(|| ShuffleError::Config("credit slot not bootstrapped".into()))?;
             // RDMA-Write the absolute credit into the sender's credit slot.
-            // The grant was already audited under the `posted` lock above;
+            // The grant was already audited under the credit lock above;
             // auditing it again here would reorder grants across threads.
             self.ctrl_outstanding.fetch_add(1, Ordering::SeqCst);
             self.credit_writes
@@ -459,7 +461,7 @@ impl SrRcReceiveEndpoint {
             // Depletion closes the lane: releases stop recycling, so
             // this is the auditor's last chance to see a write-back
             // boundary that was reached but never announced.
-            if let Some(slot) = &self.credit_remote.lock()[si] {
+            if let Some(slot) = &self.credit.lock()[si].remote {
                 self.half
                     .audit
                     .credit_lane_closed(credit_lane(slot), sim.now().as_nanos());

@@ -239,7 +239,7 @@ struct UdShared {
     window: SendWindow,
     /// Serializes `ibv_post_send` on the shared QP; this is the contention
     /// the paper profiles for SESQ/SR (§5.1.3).
-    post_lock: SimMutex<()>,
+    post_lock: SimMutex,
 
     // ---- receive half ----
     /// Receive pool; allocated and posted by

@@ -130,7 +130,7 @@ impl SendEndpoint for WrRcSendEndpoint {
                 offset: remote_off as usize,
                 ..pool
             };
-            let guard = self.half.lock_post(sim);
+            let guard = self.half.post_lock.lock(sim);
             self.half.qp(pi).post_write(
                 sim,
                 buf.offset() as u64,

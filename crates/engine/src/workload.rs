@@ -272,6 +272,7 @@ mod tests {
                 0,
                 "all query memory returned on node {node}"
             );
+            assert_eq!(runtime.resident_bytes(node), 0, "and its storage");
             assert_eq!(sched.reserved_bytes(node), 0);
         }
     }

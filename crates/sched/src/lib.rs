@@ -295,14 +295,14 @@ impl Scheduler {
         })
     }
 
-    /// Returns `adm`'s slot, budget reservation and pinned memory (every
-    /// region registered under the query's flow tag is deregistered),
-    /// finishes the query's flow, and grants newly-fitting
-    /// waiters. On [`ReleaseOutcome::Completed`] the query's run time
-    /// and its attributed share of NIC/port busy time are recorded.
+    /// Returns `adm`'s slot and budget reservation, finishes the query's
+    /// flow, and grants newly-fitting waiters. The query's pinned memory
+    /// is not the scheduler's to free: the coordinator gives each
+    /// attempt's back with `Exchange::release` before it calls this. On
+    /// [`ReleaseOutcome::Completed`] the query's run time and its
+    /// attributed share of NIC/port busy time are recorded.
     pub fn release(&self, sim: &SimContext, adm: Admission, outcome: ReleaseOutcome) {
         let flow = FlowId(adm.query);
-        self.runtime.deregister_flow(flow);
         self.flows.finish(flow);
         {
             let mut st = self.state.lock();
@@ -385,7 +385,6 @@ impl Scheduler {
 mod tests {
     use super::*;
     use rshuffle_simnet::{Cluster, DeviceProfile};
-    use rshuffle_verbs::{ConnectionManager, QpType, RecvWr};
 
     fn runtime(nodes: usize) -> Arc<VerbsRuntime> {
         VerbsRuntime::new(Cluster::new(nodes, DeviceProfile::edr()))
@@ -585,38 +584,5 @@ mod tests {
             700,
             "reconnect cycles must not double-count the budget"
         );
-    }
-
-    #[test]
-    fn release_deregisters_the_querys_memory() {
-        let rt = runtime(1);
-        let sched = Scheduler::new(&rt, SchedulerConfig::default());
-        let rt2 = rt.clone();
-        rt.cluster().spawn(0, "q3", move |sim| {
-            let adm = sched.admit(&sim, &QueryRequest::new(3, 1)).unwrap();
-            let ctx = rt2.context_flow(0, FlowId(3));
-            let mr = ctx.register_untimed(4096);
-            assert_eq!(rt2.registered_bytes(0), 4096);
-            // The query's memory is in use — written, and half of it posted
-            // as a receive — and a handle to it outlives the release.
-            let cq = ctx.create_cq();
-            let qp = ctx.create_qp(QpType::Ud, cq.clone(), cq);
-            ConnectionManager::activate_untimed(&qp, None).unwrap();
-            let posted = RecvWr {
-                wr_id: 0,
-                mr: mr.clone(),
-                offset: 2048,
-                len: 2048,
-            };
-            qp.post_recv_untimed(posted).unwrap();
-            mr.write(0, &[1; 64]).unwrap();
-            assert_eq!((rt2.resident_bytes(0), qp.posted_receives()), (4096, 1));
-            sched.release(&sim, adm, ReleaseOutcome::Completed);
-            assert_eq!(rt2.registered_bytes(0), 0, "flow memory returned");
-            assert_eq!(rt2.resident_bytes(0), 0, "and the storage behind it");
-            assert_eq!(qp.posted_receives(), 0, "no receive names it any more");
-        });
-        rt.cluster().run();
-        assert_eq!(rt.registered_bytes_peak(0), 4096);
     }
 }

@@ -68,29 +68,6 @@ impl SimThreadId {
     }
 }
 
-/// Result of a [`Gate::recv_timeout`] call.
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeout<T> {
-    /// A value arrived before the deadline.
-    Value(T),
-    /// The deadline passed with no value available.
-    TimedOut,
-}
-
-impl<T> RecvTimeout<T> {
-    /// Returns the contained value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the receive timed out.
-    pub fn unwrap(self) -> T {
-        match self {
-            RecvTimeout::Value(v) => v,
-            RecvTimeout::TimedOut => panic!("called unwrap() on RecvTimeout::TimedOut"),
-        }
-    }
-}
-
 /// Post-mortem statistics for one simulated thread.
 #[derive(Clone, Debug)]
 pub struct ThreadStats {
@@ -941,20 +918,6 @@ impl<T: Send + 'static> Gate<T> {
             ctx.wait_any(&[self], None);
         }
     }
-
-    /// Blocks in virtual time until a value is available or `timeout`
-    /// elapses.
-    pub fn recv_timeout(&self, ctx: &SimContext, timeout: SimDuration) -> RecvTimeout<T> {
-        let deadline = self.kernel.now() + timeout;
-        loop {
-            if let Some(v) = self.try_recv() {
-                return RecvTimeout::Value(v);
-            }
-            if !ctx.wait_any(&[self], Some(deadline)) {
-                return RecvTimeout::TimedOut;
-            }
-        }
-    }
 }
 
 impl<T> Waitable for Gate<T> {
@@ -1109,30 +1072,18 @@ mod tests {
     }
 
     #[test]
-    fn gate_recv_timeout_times_out() {
+    fn a_gate_wait_ends_at_its_deadline_or_at_an_earlier_push() {
         let kernel = Kernel::new();
         let gate: Gate<u64> = Gate::new(&kernel, SimDuration::ZERO);
         let g = gate.clone();
         kernel.spawn(0, "consumer", move |sim| {
-            let r = g.recv_timeout(&sim, SimDuration::from_micros(5));
-            assert_eq!(r, RecvTimeout::TimedOut);
+            assert!(!sim.wait_any(&[&g], Some(SimTime::from_nanos(5_000))));
             assert_eq!(sim.now().as_nanos(), 5_000);
-        });
-        kernel.run();
-    }
-
-    #[test]
-    fn gate_recv_timeout_receives_early_push() {
-        let kernel = Kernel::new();
-        let gate: Gate<u64> = Gate::new(&kernel, SimDuration::ZERO);
-        let g = gate.clone();
-        kernel.spawn(0, "consumer", move |sim| {
-            let r = g.recv_timeout(&sim, SimDuration::from_micros(5));
-            assert_eq!(r, RecvTimeout::Value(9));
-            assert_eq!(sim.now().as_nanos(), 1_000);
+            assert!(sim.wait_any(&[&g], Some(SimTime::from_nanos(10_000))));
+            assert_eq!((g.try_recv(), sim.now().as_nanos()), (Some(9), 6_000));
         });
         let g2 = gate.clone();
-        kernel.schedule(SimTime::from_nanos(1_000), move || g2.push(9));
+        kernel.schedule(SimTime::from_nanos(6_000), move || g2.push(9));
         kernel.run();
     }
 

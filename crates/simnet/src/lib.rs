@@ -52,9 +52,7 @@ pub mod time;
 mod pins;
 
 pub use cluster::Cluster;
-pub use kernel::{
-    Gate, Kernel, Listener, Notify, RecvTimeout, SimContext, SimThreadId, ThreadStats, Waitable,
-};
+pub use kernel::{Gate, Kernel, Listener, Notify, SimContext, SimThreadId, ThreadStats, Waitable};
 pub use net::{Fabric, IncastModel, Topology};
 pub use nic::{FairResource, FlowId, FlowTable, NicModel};
 pub use profile::{DeviceProfile, MAX_RC_MESSAGE, UD_MTU};

@@ -11,23 +11,24 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kernel::{Gate, Kernel, RecvTimeout, SimContext};
+use crate::kernel::{Gate, Kernel, SimContext};
 use crate::time::SimDuration;
 
 /// A mutual-exclusion lock whose contention is visible on the virtual clock.
 ///
 /// Unlike a host mutex (which is free in virtual time because only one
 /// simulated thread runs at once), acquiring a held `SimMutex` blocks the
-/// caller in virtual time until the holder releases it.
-pub struct SimMutex<T> {
-    inner: Arc<MutexInner<T>>,
-    kernel: Kernel,
+/// caller in virtual time until the holder releases it. It guards no value:
+/// what it serializes is the critical section itself (a post, an MPI
+/// progress call).
+#[derive(Clone)]
+pub struct SimMutex {
+    inner: Arc<MutexInner>,
 }
 
-struct MutexInner<T> {
+struct MutexInner {
     state: Mutex<LockState>,
     gate: Gate<()>,
-    value: Mutex<T>,
 }
 
 struct LockState {
@@ -35,24 +36,15 @@ struct LockState {
     waiters: usize,
 }
 
-impl<T> Clone for SimMutex<T> {
-    fn clone(&self) -> Self {
-        SimMutex {
-            inner: self.inner.clone(),
-            kernel: self.kernel.clone(),
-        }
-    }
-}
-
 /// RAII guard for [`SimMutex`]; releases the lock on drop.
-pub struct SimMutexGuard<'a, T> {
-    mutex: &'a SimMutex<T>,
+pub struct SimMutexGuard<'a> {
+    mutex: &'a SimMutex,
 }
 
-impl<T: Send + 'static> SimMutex<T> {
-    /// Creates a mutex around `value`. `handoff_latency` is the virtual time
-    /// between a release and a blocked waiter resuming.
-    pub fn new(kernel: &Kernel, value: T, handoff_latency: SimDuration) -> Self {
+impl SimMutex {
+    /// Creates a free mutex. `handoff_latency` is the virtual time between
+    /// a release and a blocked waiter resuming.
+    pub fn new(kernel: &Kernel, handoff_latency: SimDuration) -> Self {
         SimMutex {
             inner: Arc::new(MutexInner {
                 state: Mutex::new(LockState {
@@ -60,14 +52,12 @@ impl<T: Send + 'static> SimMutex<T> {
                     waiters: 0,
                 }),
                 gate: Gate::new(kernel, handoff_latency),
-                value: Mutex::new(value),
             }),
-            kernel: kernel.clone(),
         }
     }
 
     /// Acquires the lock, blocking in virtual time while it is held.
-    pub fn lock(&self, ctx: &SimContext) -> SimMutexGuard<'_, T> {
+    pub fn lock(&self, ctx: &SimContext) -> SimMutexGuard<'_> {
         loop {
             {
                 let mut st = self.inner.state.lock();
@@ -83,9 +73,7 @@ impl<T: Send + 'static> SimMutex<T> {
             self.inner.state.lock().waiters -= 1;
         }
     }
-}
 
-impl<T> SimMutex<T> {
     fn unlock(&self) {
         let has_waiters = {
             let mut st = self.inner.state.lock();
@@ -99,18 +87,7 @@ impl<T> SimMutex<T> {
     }
 }
 
-impl<T> SimMutexGuard<'_, T> {
-    /// Accesses the protected value.
-    ///
-    /// The closure receives a `&mut T`; the host-level lock is held only for
-    /// the duration of the closure, which is safe because the guard already
-    /// guarantees exclusivity in virtual time.
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.mutex.inner.value.lock())
-    }
-}
-
-impl<T> Drop for SimMutexGuard<'_, T> {
+impl Drop for SimMutexGuard<'_> {
     fn drop(&mut self) {
         self.mutex.unlock();
     }
@@ -229,12 +206,15 @@ impl SimBarrier {
         ctx: &SimContext,
         timeout: SimDuration,
     ) -> Result<bool, BarrierError> {
-        self.cross(|gate| match gate.recv_timeout(ctx, timeout) {
-            RecvTimeout::TimedOut => {
-                self.abort();
-                Err(BarrierError::TimedOut)
+        self.cross(|gate| {
+            let deadline = ctx.now() + timeout;
+            while gate.try_recv().is_none() {
+                if !ctx.wait_any(&[&gate], Some(deadline)) {
+                    self.abort();
+                    return Err(BarrierError::TimedOut);
+                }
             }
-            _ => Ok(()),
+            Ok(())
         })
     }
 
@@ -287,11 +267,9 @@ mod tests {
     #[test]
     fn uncontended_lock_is_free() {
         let kernel = Kernel::new();
-        let m = SimMutex::new(&kernel, 0u64, SimDuration::from_nanos(50));
+        let m = SimMutex::new(&kernel, SimDuration::from_nanos(50));
         kernel.spawn(0, "t", move |sim| {
-            let g = m.lock(&sim);
-            g.with(|v| *v += 1);
-            drop(g);
+            drop(m.lock(&sim));
             assert_eq!(sim.now(), SimTime::ZERO, "uncontended lock costs nothing");
         });
         kernel.run();
@@ -300,13 +278,12 @@ mod tests {
     #[test]
     fn contended_lock_serializes_critical_sections() {
         let kernel = Kernel::new();
-        let m = SimMutex::new(&kernel, Vec::<u64>::new(), SimDuration::ZERO);
+        let m = SimMutex::new(&kernel, SimDuration::ZERO);
         for i in 0..4u64 {
             let m = m.clone();
             kernel.spawn(0, &format!("t{i}"), move |sim| {
-                let g = m.lock(&sim);
+                let _g = m.lock(&sim);
                 sim.sleep(SimDuration::from_nanos(100)); // Critical section.
-                g.with(|v| v.push(i));
             });
         }
         kernel.run();

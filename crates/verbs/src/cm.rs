@@ -26,16 +26,8 @@ impl ConnectionManager {
         debug_assert_eq!(qp.qp_type(), QpType::Rc);
         // Modelled cost: QP creation attributes, out-of-band exchange and
         // the three modify_qp calls.
-        let cost = {
-            // Profile access goes through the runtime the QP belongs to.
-            qp.profile_rc_setup()
-        };
-        sim.sleep(cost);
-        qp.modify_to_init()?;
-        qp.connect(peer)?;
-        qp.modify_to_rtr()?;
-        qp.modify_to_rts()?;
-        Ok(())
+        sim.sleep(qp.profile_rc_setup());
+        Self::activate_untimed(qp, Some(peer))
     }
 
     /// Tears an RC QP down (any state → RESET, discarding queued work)

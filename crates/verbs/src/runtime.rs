@@ -117,9 +117,6 @@ pub struct VerbsRuntime {
     cluster: Cluster,
     pub(crate) qps: Mutex<KeyMap<(NodeId, u32), Arc<QpInner>>>,
     pub(crate) mrs: Mutex<KeyMap<u32, MemoryRegion>>,
-    /// rkey → owning flow, for regions registered through a flow-tagged
-    /// [`Context`]; lets the scheduler release a whole query's memory.
-    mr_flows: Mutex<KeyMap<u32, u32>>,
     next_qpn: AtomicU32,
     next_rkey: AtomicU32,
     pub(crate) rng: Mutex<StdRng>,
@@ -184,7 +181,6 @@ impl VerbsRuntime {
             cluster,
             qps: Mutex::default(),
             mrs: Mutex::default(),
-            mr_flows: Mutex::default(),
             next_qpn: AtomicU32::new(1),
             next_rkey: AtomicU32::new(1),
             rng: Mutex::new(StdRng::seed_from_u64(faults.seed)),
@@ -493,52 +489,19 @@ impl VerbsRuntime {
     }
 
     /// Deregisters a memory region without charging virtual time and
-    /// without touching the recorder — invisible to traces. Used by the
-    /// scheduler to return an exchange's pinned memory to the budget after
-    /// a query completes (endpoints register eagerly and historically never
-    /// released). The region's storage goes back to the runtime, whoever
-    /// still holds a handle. Idempotent: deregistering an unknown rkey is a
-    /// no-op.
+    /// without touching the recorder — invisible to traces. Endpoints
+    /// register eagerly and never release on their own; the query
+    /// coordinator gives an attempt's pinned memory back through
+    /// [`VerbsRuntime::deregister_built`]. The region's storage goes back
+    /// to the runtime, whoever still holds a handle. Idempotent:
+    /// deregistering an unknown rkey is a no-op.
     pub fn deregister_untimed(&self, mr: &MemoryRegion) {
         if self.mrs.lock().remove(&mr.rkey()).is_none() {
             return;
         }
-        self.mr_flows.lock().remove(&mr.rkey());
         mr.discard(0, mr.len());
         let mut reg = self.registered.lock();
         reg[mr.node()] = reg[mr.node()].saturating_sub(mr.len());
-    }
-
-    /// Deregisters every memory region that was registered through a
-    /// [`Context`] tagged with `flow`, without charging virtual time (see
-    /// [`VerbsRuntime::deregister_untimed`]), and drops the receives still
-    /// posted on the flow's Queue Pairs, which name those regions. Returns
-    /// the number of bytes released cluster-wide. A no-op for
-    /// [`FlowId::NONE`]: untagged regions are shared harness state, not
-    /// query state.
-    pub fn deregister_flow(&self, flow: FlowId) -> usize {
-        if !flow.is_tagged() {
-            return 0;
-        }
-        for qp in self.qps.lock().values().filter(|qp| qp.flow == flow) {
-            qp.recv_queue.lock().clear();
-        }
-        let mut rkeys: Vec<u32> = self
-            .mr_flows
-            .lock()
-            .iter()
-            .filter(|&(_, &f)| f == flow.0)
-            .map(|(&rkey, _)| rkey)
-            .collect();
-        rkeys.sort_unstable();
-        let mut freed = 0;
-        for rkey in rkeys {
-            if let Some(mr) = self.lookup_mr(rkey) {
-                freed += mr.len();
-                self.deregister_untimed(&mr);
-            }
-        }
-        freed
     }
 
     /// The ids the next memory region and Queue Pair will get: what this
@@ -688,9 +651,6 @@ impl Context {
         let rkey = rt.next_rkey.fetch_add(1, Ordering::Relaxed);
         let mr = MemoryRegion::new(rt.kernel(), &rt.slab, (self.node, rkey), (window, windows));
         rt.mrs.lock().insert(rkey, mr.clone());
-        if self.flow.is_tagged() {
-            rt.mr_flows.lock().insert(rkey, self.flow.0);
-        }
         let mut reg = rt.registered.lock();
         reg[self.node] += mr.len();
         let mut peak = rt.registered_peak.lock();
@@ -721,6 +681,7 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConnectionManager, RecvWr};
     use rshuffle_simnet::Cluster;
 
     fn runtime() -> Arc<VerbsRuntime> {
@@ -738,6 +699,38 @@ mod tests {
         rt.deregister_untimed(&a);
         assert_eq!(rt.registered_bytes(0), 2048);
         assert_eq!(rt.registered_bytes_peak(0), 3072, "peak must persist");
+    }
+
+    #[test]
+    fn deregister_built_frees_what_lies_between_its_marks() {
+        let rt = runtime();
+        let ctx = rt.context(0);
+        let before = ctx.register_untimed(1024);
+        let from = rt.mark();
+        let mr = ctx.register_pool_untimed(2048, 2);
+        let cq = ctx.create_cq();
+        let qp = ctx.create_qp(QpType::Ud, cq.clone(), cq);
+        let built = (from, rt.mark());
+        // The built region is in use: written, and half of it posted as a
+        // receive, and a handle to it outlives the release.
+        ConnectionManager::activate_untimed(&qp, None).unwrap();
+        let posted = RecvWr {
+            wr_id: 0,
+            mr: mr.clone(),
+            offset: 2048,
+            len: 2048,
+        };
+        qp.post_recv_untimed(posted).unwrap();
+        mr.write(0, &[1; 64]).unwrap();
+        assert_eq!(qp.posted_receives(), 1);
+        assert_eq!(rt.registered_bytes(0), 1024 + 4096);
+        assert_eq!(rt.resident_bytes(0), 1024 + 2048);
+        assert_eq!(rt.deregister_built(built), 4096);
+        assert_eq!(rt.registered_bytes(0), 1024, "what came before stays");
+        assert_eq!(rt.resident_bytes(0), 1024, "and only its storage");
+        assert_eq!(qp.posted_receives(), 0, "no receive names it any more");
+        rt.deregister_untimed(&before);
+        assert_eq!((rt.registered_bytes(0), rt.resident_bytes(0)), (0, 0));
     }
 
     #[test]
