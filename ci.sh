@@ -180,8 +180,14 @@ fi
 # sweep (an attempt's memory goes back by its build's resource marks) and
 # a timed gate receive (a timed wait is `SimContext::wait_any`). The phase
 # runner crosses a `simnet::SimBarrier`; a barrier of its own is a second copy.
+# The UD endpoint is one `SrUdChannel` handed out as both traits, not two
+# half types over a shared state; the phase schedule has one policy (the
+# rotation with heavy sources exempted, which on a uniform matrix is the
+# plain rotation); a recording RECEIVE is `ReceiveOperator::recording`.
 LEDGER_DELETED='AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout'
 LEDGER_DELETED+='|deregister_flow|mr_flows|RecvTimeout|recv_timeout'
+LEDGER_DELETED+='|UdShared|SrUdSendEndpoint|SrUdReceiveEndpoint|send_half|recv_half'
+LEDGER_DELETED+='|recording_receive_operator|PhasePolicy::Naive'
 if revived=$(grep -rlE "$LEDGER_DELETED" crates); then
   echo "ERROR: a layer the ledger deleted is back in:" >&2
   echo "$revived" >&2
@@ -204,7 +210,7 @@ fi
 if revived=$(grep -rlwE 'recovery_recv_loop|RecvAccounting|with_resume_skip|hit_stats' crates); then
   echo "ERROR: a folded receive path or a test-only count is back in:" >&2
   echo "$revived" >&2
-  echo "       record with Exchange::recording_receive_operator, resume with ShuffleOperator::resume_from" >&2
+  echo "       record with ReceiveOperator::recording, resume with ShuffleOperator::resume_from" >&2
   exit 1
 fi
 if copies=$(grep -rl 'get_data(' crates/engine/src); then

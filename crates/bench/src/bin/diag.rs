@@ -6,9 +6,9 @@
 //! (defaults: `MESQ/SR 8 trace.json` with no injected fault); the run is
 //! the §5.1 workload exactly as `shufflebench` and the figures run it.
 //! `diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]` dumps the
-//! fabric layout; `diag --phases [NODES] [POLICY] [THETA]` dumps a
-//! phase schedule (per-phase byte totals, exempted sources) together
-//! with the advisor's signal→decision table for the same shape.
+//! fabric layout; `diag --phases [NODES] [THETA]` dumps the phase
+//! schedule (per-phase byte totals, exempted sources) together with the
+//! advisor's signal→decision table for the same shape.
 //! `FAULT` selects a canned ride-out-able fault plan (`link-flap`,
 //! `link-degrade` or `straggler`) whose injection markers then appear on
 //! the hardware track of the exported trace; the active plan is echoed
@@ -32,7 +32,7 @@ use rshuffle_verbs::FaultPlan;
 
 const USAGE: &str = "diag [ALGORITHM] [NODES] [TRACE_PATH] [link-flap|link-degrade|straggler]
        diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]
-       diag --phases [NODES] [off|naive|skew-aware] [THETA]";
+       diag --phases [NODES] [THETA]";
 
 /// Canned fault plans selectable by name. Diagnostic runs drive the
 /// exchange without the `run_shuffle_with_recovery` coordinator, so only
@@ -47,24 +47,22 @@ fn canned_plan(name: &str) -> Option<FaultPlan> {
     }
 }
 
-/// `diag --phases [NODES] [POLICY] [THETA]`: build the schedule a phased
+/// `diag --phases [NODES] [THETA]`: build the schedule a phased
 /// exchange would follow for a Zipf-skewed repartition of that size and
 /// dump it round by round, then show how the advisor reads the same
 /// shape. No workload runs.
 fn dump_phases(mut args: Args) -> Result<(), String> {
     let nodes: usize = args.positional("NODES", value)?.unwrap_or(16);
-    let policy = args.positional("POLICY", PhasePolicy::parse)?;
-    let policy = policy.unwrap_or(PhasePolicy::SkewAware);
     let theta: f64 = args.positional("THETA", value)?.unwrap_or(0.5);
     args.finish()?;
     let bytes_per_node = 8usize << 20;
     let totals = zipf_partition_rows((nodes * bytes_per_node / 16) as u64, nodes, theta, 0x5CA1E);
     let matrix = PhaseSchedule::estimate_from_source_totals(&totals);
     let schedule =
-        PhaseSchedule::build(policy, &matrix).map_err(|e| format!("cannot build schedule: {e}"))?;
+        PhaseSchedule::build(&matrix).map_err(|e| format!("cannot build schedule: {e}"))?;
     println!(
         "{} schedule, N={nodes}, Zipf θ={theta} (row estimates in 16-byte rows):",
-        policy.label()
+        PhasePolicy::SkewAware.label()
     );
     let free = schedule.free_sources();
     if free.is_empty() {

@@ -202,22 +202,14 @@ impl AlgorithmAdvisor {
         // incast modeled. On a work-conserving full-bisection fabric a
         // barrier is pure overhead.
         let phase = if s.incast && s.oversubscription > 1.0 {
-            if s.skew > 1.25 {
-                why.push((
-                    format!(
-                        "incast on {:.1}:1 tree, skew {:.2}",
-                        s.oversubscription, s.skew
-                    ),
-                    "phase the all-to-all; balance rounds around the declared skew".to_string(),
-                ));
-                PhasePolicy::SkewAware
-            } else {
-                why.push((
-                    format!("incast on {:.1}:1 tree", s.oversubscription),
-                    "phase the all-to-all in rotation order".to_string(),
-                ));
-                PhasePolicy::Naive
-            }
+            why.push((
+                format!(
+                    "incast on {:.1}:1 tree, skew {:.2}",
+                    s.oversubscription, s.skew
+                ),
+                "phase the all-to-all in rotation order; heavy sources stream unphased".to_string(),
+            ));
+            PhasePolicy::SkewAware
         } else {
             why.push((
                 if s.incast {
@@ -366,7 +358,7 @@ mod tests {
         let advice = AlgorithmAdvisor::advise(&s);
         assert_eq!(advice.phase, PhasePolicy::SkewAware);
         s.skew = 1.0;
-        assert_eq!(AlgorithmAdvisor::advise(&s).phase, PhasePolicy::Naive);
+        assert_eq!(AlgorithmAdvisor::advise(&s).phase, PhasePolicy::SkewAware);
         s.incast = false;
         assert_eq!(AlgorithmAdvisor::advise(&s).phase, PhasePolicy::Off);
     }

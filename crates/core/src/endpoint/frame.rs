@@ -314,10 +314,17 @@ impl SendWindow {
         Some(buf)
     }
 
-    /// Marks `buf` in flight toward `fanout` destinations.
-    pub(crate) fn launch(&self, sim: &SimContext, buf: &Buffer, fanout: usize) {
+    /// Marks `buf` in flight toward `fanout` destinations; a send to no
+    /// destination is a [`ShuffleError::Config`].
+    pub(crate) fn launch(&self, sim: &SimContext, buf: &Buffer, fanout: usize) -> Result<()> {
+        if fanout == 0 {
+            return Err(ShuffleError::Config(
+                "send needs at least one destination".into(),
+            ));
+        }
         self.audit.buffer_sent(buf_id(buf), sim.now().as_nanos());
         self.in_flight.lock()[buf.offset() / self.pool.window()] = fanout as u32;
+        Ok(())
     }
 
     /// Gives `buf`'s storage back once every message it carries is posted:
@@ -917,7 +924,7 @@ mod tests {
             };
             let offset = buf.offset() as u64;
             assert!(window.take(sim).is_none());
-            window.launch(sim, &buf, 3);
+            window.launch(sim, &buf, 3)?;
             for _ in 0..2 {
                 window.complete(sim, offset)?;
                 assert!(window.take(sim).is_none(), "recycled before the last ack");

@@ -171,9 +171,8 @@ impl SendEndpoint for RdRcSendEndpoint {
         dest: &[NodeId],
         state: StreamState,
     ) -> Result<()> {
-        assert!(!dest.is_empty(), "send needs at least one destination");
         buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
-        self.window.launch(sim, &buf, dest.len());
+        self.window.launch(sim, &buf, dest.len())?;
         for &d in dest {
             let pi = self.half.index_of(d)?;
             let slot = self.valid_rings.claim(sim, pi)?;

@@ -135,9 +135,8 @@ impl SendEndpoint for SrRcSendEndpoint {
         dest: &[NodeId],
         state: StreamState,
     ) -> Result<()> {
-        assert!(!dest.is_empty(), "send needs at least one destination");
         buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
-        self.window.launch(sim, &buf, dest.len());
+        self.window.launch(sim, &buf, dest.len())?;
         for &d in dest {
             let pi = self.half.index_of(d)?;
             self.wait_for_credit(sim, pi)?;

@@ -21,12 +21,12 @@
 //!   be consumed in any arrival order, so counting replaces a re-order
 //!   buffer.
 //!
-//! The send and receive halves of a node's endpoint share one Queue Pair
-//! (one channel), keeping the QP count at one per endpoint. What the
-//! channel keeps per peer node — its address, the credit toward it, the
-//! grants to it — is one table indexed by node id under one lock; what it
-//! keeps per source endpoint is one table with running totals, so
-//! termination is a lookup, not a scan.
+//! The send and receive halves of a node's endpoint are one channel over
+//! one Queue Pair, handed out as both endpoint traits, keeping the QP
+//! count at one per endpoint. What the channel keeps per peer node — its
+//! address, the credit toward it, the grants to it — is one table indexed
+//! by node id under one lock; what it keeps per source endpoint is one
+//! table with running totals, so termination is a lookup, not a scan.
 
 use std::cmp::{Ordering as Cmp, Reverse};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,7 +84,7 @@ struct Peer {
     /// Send half: absolute credit the peer granted this channel.
     credit: u64,
     /// Send half: the bootstrap window the peer granted — the
-    /// drained-state credit level [`UdShared::quiesce_dest`] waits to
+    /// drained-state credit level `quiesce` waits to
     /// recover; `None` if it never granted one, so nothing was ever sent.
     initial_credit: Option<u64>,
     /// Send half: data messages sent to the peer. Each consumed one
@@ -216,7 +216,9 @@ impl Sources {
     }
 }
 
-struct UdShared {
+/// A node's UD endpoint on one lane: the send and receive halves are one
+/// Queue Pair and one value, handed out as both endpoint traits.
+pub(crate) struct SrUdChannel {
     send_id: EndpointId,
     recv_id: EndpointId,
     qp: QueuePair,
@@ -266,23 +268,6 @@ struct UdShared {
     cfg: Params,
 }
 
-/// A UD endpoint pair: the send and receive halves share one Queue Pair.
-pub(crate) struct SrUdChannel {
-    shared: Arc<UdShared>,
-}
-
-/// The send half of a UD channel.
-#[derive(Clone)]
-pub struct SrUdSendEndpoint {
-    shared: Arc<UdShared>,
-}
-
-/// The receive half of a UD channel.
-#[derive(Clone)]
-pub struct SrUdReceiveEndpoint {
-    shared: Arc<UdShared>,
-}
-
 impl SrUdChannel {
     /// Creates a channel on `ctx`'s node with the given endpoint ids for
     /// its two halves.
@@ -291,7 +276,7 @@ impl SrUdChannel {
         send_id: EndpointId,
         recv_id: EndpointId,
         cfg: Params,
-    ) -> Self {
+    ) -> Arc<Self> {
         let send_cq = Cq::new(ctx);
         let recv_cq = Cq::new(ctx);
         let qp = ctx.create_qp(
@@ -299,46 +284,44 @@ impl SrUdChannel {
             send_cq.queue().clone(),
             recv_cq.queue().clone(),
         );
-        SrUdChannel {
-            shared: Arc::new(UdShared {
-                send_id,
-                recv_id,
-                qp,
-                send_cq,
-                recv_cq,
-                peers: Mutex::default(),
-                credit: state_notify(ctx),
-                mcast_ahs: Mutex::default(),
-                window: SendWindow::register(ctx, &send_layout(&cfg)),
-                post_lock: post_lock(ctx),
-                recv_pool: OnceLock::new(),
-                data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
-                sources: Mutex::default(),
-                settled: state_notify(ctx),
-                done: AtomicBool::new(false),
-                last_progress: AtomicU64::new(0),
-                send_obs: SendObs::new(ctx, send_id),
-                recv_obs: RecvObs::new(ctx, recv_id),
-                audit: audit_handle(ctx),
-                node: ctx.node() as u64,
-                cfg,
-            }),
-        }
+        Arc::new(SrUdChannel {
+            send_id,
+            recv_id,
+            qp,
+            send_cq,
+            recv_cq,
+            peers: Mutex::default(),
+            credit: state_notify(ctx),
+            mcast_ahs: Mutex::default(),
+            window: SendWindow::register(ctx, &send_layout(&cfg)),
+            post_lock: post_lock(ctx),
+            recv_pool: OnceLock::new(),
+            data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
+            sources: Mutex::default(),
+            settled: state_notify(ctx),
+            done: AtomicBool::new(false),
+            last_progress: AtomicU64::new(0),
+            send_obs: SendObs::new(ctx, send_id),
+            recv_obs: RecvObs::new(ctx, recv_id),
+            audit: audit_handle(ctx),
+            node: ctx.node() as u64,
+            cfg,
+        })
     }
 
     /// The channel's QP address, for peers' lane wiring.
     pub(crate) fn address_handle(&self) -> AddressHandle {
-        self.shared.qp.address_handle()
+        self.qp.address_handle()
     }
 
     /// The underlying QP (activated by the exchange builder).
     pub(crate) fn qp(&self) -> &QueuePair {
-        &self.shared.qp
+        &self.qp
     }
 
     /// Registers the lane-matched peer channel for `node`.
     pub(crate) fn add_peer(&self, node: NodeId, ah: AddressHandle) {
-        self.shared.update_peer(node, |peer| peer.ah = Some(ah));
+        self.update_peer(node, |peer| peer.ah = Some(ah));
     }
 
     /// Declares the sources that will send to this channel's receive half,
@@ -351,16 +334,15 @@ impl SrUdChannel {
         ctx: &Context,
         expected: &[(EndpointId, NodeId)],
     ) -> Result<u64> {
-        let s = &self.shared;
-        if s.recv_pool.get().is_some() {
+        if self.recv_pool.get().is_some() {
             return Err(ShuffleError::Config(
                 "UD receive pool bootstrapped twice".to_string(),
             ));
         }
-        let window = s.cfg.ud_recv_window;
+        let window = self.cfg.ud_recv_window;
         for &(ep, node) in expected {
-            s.sources.lock().wait_for(ep.0);
-            s.update_peer(node, |peer| {
+            self.sources.lock().wait_for(ep.0);
+            self.update_peer(node, |peer| {
                 (peer.sender, peer.granted, peer.releases) = (ep.0, window as u64, 0)
             });
             // Credit datagrams may legally be lost on the unreliable
@@ -369,12 +351,12 @@ impl SrUdChannel {
             // Bootstrap happens outside the measured window, at virtual 0.
             let lane = CreditLane::Ud {
                 sender: ep.0 as u64,
-                dest: s.node,
+                dest: self.node,
             };
-            s.audit.credit_lane(lane, None);
-            s.audit.credit_granted(lane, window as u64, 0);
+            self.audit.credit_lane(lane, None);
+            self.audit.credit_granted(lane, window as u64, 0);
         }
-        let layout = recv_layout(&s.cfg, expected.len());
+        let layout = recv_layout(&self.cfg, expected.len());
         let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
         // Every window is posted on the one Queue Pair; a completion names
         // its window by `wr_id`, and `process_inbound` resolves it against
@@ -387,37 +369,22 @@ impl SrUdChannel {
         };
         let step = (UD_MTU as u64, UD_MTU);
         // A refused pool was not posted in part, and does not stay pinned.
-        s.qp.post_recv_run_untimed(first, step, layout.buffers)
+        self.qp
+            .post_recv_run_untimed(first, step, layout.buffers)
             .inspect_err(|_| ctx.runtime().deregister_untimed(&pool))?;
         // Checked empty above, and bootstrap runs before any traffic.
-        let _ = s.recv_pool.set(pool);
+        let _ = self.recv_pool.set(pool);
         Ok(window as u64)
     }
 
     /// Seeds the send half's credit for `dest` (out-of-band bootstrap).
     pub(crate) fn bootstrap_credit(&self, dest: NodeId, credit: u64) {
-        self.shared.update_peer(dest, |peer| {
+        self.update_peer(dest, |peer| {
             peer.credit = credit;
             peer.initial_credit = Some(credit);
         });
     }
 
-    /// The send half.
-    pub(crate) fn send_half(&self) -> SrUdSendEndpoint {
-        SrUdSendEndpoint {
-            shared: self.shared.clone(),
-        }
-    }
-
-    /// The receive half.
-    pub(crate) fn recv_half(&self) -> SrUdReceiveEndpoint {
-        SrUdReceiveEndpoint {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl UdShared {
     /// Runs `update` on peer `node`'s entry, which is created if the table
     /// does not reach that far yet.
     fn update_peer<R>(&self, node: NodeId, update: impl FnOnce(&mut Peer) -> R) -> R {
@@ -462,55 +429,6 @@ impl UdShared {
                     .map(drop)
             },
         )
-    }
-
-    /// Waits until the data already sent toward `dest` has fully
-    /// drained as far as UD flow control can observe: the receiver has
-    /// released — and written credit back for — the whole window. The
-    /// receiver posts a credit datagram only every
-    /// `credit_writeback_frequency` releases, so waiting for the
-    /// literal bootstrap window would deadlock on any message count
-    /// that is not a multiple of the frequency; `freq − 1` messages may
-    /// legally stay unconfirmed and are excluded from the target.
-    ///
-    /// Full drain is deliberate: a half-window slack was tried and
-    /// reverted. Residue flows overlapping the next round double the
-    /// active flow count on the receiver's *leaf downlink* — past the
-    /// downlink incast knee (`hosts_per_leaf`) — and the measured
-    /// collapse penalty exceeded everything the slack saved on the
-    /// credit round trip. The phased SHUFFLE calls this once per
-    /// destination a super-round ([`crate::phase::PHASE_GROUP`] phases)
-    /// opened, all at the super-round's end, just before the barrier:
-    /// the credit round trips of its phases overlap instead of running
-    /// one after another.
-    fn quiesce_dest(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
-        let lag = u64::from(self.cfg.credit_writeback_frequency.saturating_sub(1));
-        let initial = self.peers.lock().get(dest).and_then(|p| p.initial_credit);
-        // Never bootstrapped toward `dest`: nothing was ever sent.
-        let Some(target) = initial.map(|window| window.saturating_sub(lag)) else {
-            return Ok(());
-        };
-        let drained = || {
-            let peers = self.peers.lock();
-            let peer = peers.get(dest);
-            Ok(peer
-                .is_some_and(|p| p.credit.saturating_sub(p.sent) >= target)
-                .then_some(()))
-        };
-        // The credit write-backs we are waiting for arrive on the
-        // receive CQ, which the receive half may drain first.
-        self.cfg
-            .watchdog(sim, "waiting for a UD phase to drain")
-            .wait(
-                sim,
-                None,
-                || self.credit.listen(),
-                drained,
-                |credit, abort, deadline| {
-                    self.drain_inbound(sim, deadline, &[&credit, abort])
-                        .map(drop)
-                },
-            )
     }
 
     /// Waits until an inbound completion is queued, one of `also` is
@@ -635,31 +553,6 @@ impl UdShared {
         self.window.complete(sim, c.wr_id)
     }
 
-    /// Takes a free send window. Every call first reaps the send
-    /// completions already queued; with none free it waits for the next
-    /// one, or for the other half to free a window.
-    fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        self.cfg
-            .watchdog(sim, "waiting for a free UD send buffer")
-            .wait(
-                sim,
-                None,
-                || self.window.listen(),
-                || {
-                    if self.send_cq.depth() > 0 {
-                        self.send_cq.poll(sim, |c| self.reap_send(sim, c))?;
-                    }
-                    Ok(self.window.take(sim))
-                },
-                |freed, abort, deadline| {
-                    let reap = |c: &Completion| self.reap_send(sim, c);
-                    self.send_cq
-                        .drain(sim, deadline, &[&freed, abort], reap)
-                        .map(drop)
-                },
-            )
-    }
-
     /// Whether every expected source has delivered all counted messages
     /// (see [`Sources::done`]).
     fn check_done(&self) -> Result<DoneState> {
@@ -697,160 +590,7 @@ impl UdShared {
             received,
         }
     }
-}
 
-#[derive(Debug, PartialEq)]
-enum DoneState {
-    InProgress,
-    WaitingForStragglers,
-    Done,
-}
-
-impl SendEndpoint for SrUdSendEndpoint {
-    fn send(
-        &self,
-        sim: &SimContext,
-        buf: Buffer,
-        dest: &[NodeId],
-        state: StreamState,
-    ) -> Result<()> {
-        assert!(!dest.is_empty(), "send needs at least one destination");
-        let s = &self.shared;
-        // One post per target: each member alone, or the whole group at
-        // once through the switch's multicast replication (§7). A
-        // `Depleted` message declares each member its own count, so it is
-        // never sent to a group.
-        let group = s.cfg.ud_native_multicast && state == StreamState::MoreData;
-        let targets = dest.chunks(if group { dest.len() } else { 1 });
-        s.window.launch(sim, &buf, targets.len());
-        for target in targets {
-            let mut header = data_header(s.send_id, s.cfg.epoch, &buf, state);
-            let mut ah = None;
-            for &d in target {
-                let (peer, total) = s.consume_credit(sim, d)?;
-                #[cfg(feature = "saboteur")]
-                let total = if state == StreamState::Depleted
-                    && crate::sabotage::take(crate::sabotage::Sabotage::UnderreportDepletedCount)
-                {
-                    total - 1
-                } else {
-                    total
-                };
-                if state == StreamState::Depleted {
-                    let now = sim.now().as_nanos();
-                    s.audit
-                        .depleted_announced(s.send_id.0 as u64, d as u64, total, now);
-                }
-                (ah, header.counter) = (Some(peer), total);
-            }
-            // The header is written immediately before posting: the
-            // `Depleted` counter is specific to each destination (a group's
-            // is never read).
-            buf.write_header(&header)?;
-            match target {
-                [_] => s.post(sim, UdShared::send_wr(&buf, ah), None)?,
-                group => {
-                    let ahs = s.cached_mcast_ahs(group)?;
-                    s.post(sim, UdShared::send_wr(&buf, None), Some(&ahs))?
-                }
-            }
-            for &d in target {
-                s.send_obs.sent(d, buf.len() as u64);
-            }
-        }
-        // Every datagram captured its message when posted.
-        s.window.discard(&buf);
-        Ok(())
-    }
-
-    fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        self.shared.get_free(sim)
-    }
-
-    fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
-        self.shared.quiesce_dest(sim, dest)
-    }
-}
-
-impl ReceiveEndpoint for SrUdReceiveEndpoint {
-    fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        let s = &self.shared;
-        let watchdog = s.cfg.watchdog(sim, "UD receive endpoint made no progress");
-        loop {
-            watchdog.aborted()?;
-            let settled = s.settled.listen();
-            if let Some(d) = s.data_gate.try_recv() {
-                return Ok(Some(d));
-            }
-            if s.done.load(Ordering::SeqCst) {
-                return Ok(None);
-            }
-            if s.recv_cq.depth() > 0 {
-                // What already arrived counts before termination is judged.
-                s.recv_cq.poll(sim, |c| s.process_inbound(sim, c))?;
-                continue;
-            }
-            let deadline = match s.check_done()? {
-                DoneState::Done => {
-                    s.done.store(true, Ordering::SeqCst);
-                    return Ok(None);
-                }
-                DoneState::WaitingForStragglers => {
-                    // All totals are known but packets are missing — either
-                    // still in flight (common: out-of-order delivery) or
-                    // lost (rare). Wait bounded time since the last arrival.
-                    let last = SimTime::from_nanos(s.last_progress.load(Ordering::Relaxed));
-                    let give_up = last + s.cfg.depleted_timeout;
-                    if sim.now() >= give_up {
-                        return Err(s.straggler_error());
-                    }
-                    give_up
-                }
-                DoneState::InProgress => {
-                    watchdog.expired(sim)?;
-                    watchdog.deadline()
-                }
-            };
-            // Data the send half drained arrives through the gate.
-            let abort = watchdog.abort_source();
-            s.drain_inbound(sim, deadline, &[&s.data_gate, &settled, abort])?;
-        }
-    }
-
-    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
-        let (s, local) = (&self.shared, &delivery.local);
-        s.audit.released(buf_id(local), sim.now().as_nanos());
-        s.repost(sim, local)?;
-        let (credit_now, write_back, sender) = s.update_peer(delivery.src, |peer| {
-            peer.granted += 1;
-            peer.releases += 1;
-            let freq = s.cfg.credit_writeback_frequency;
-            let write_back = peer.releases.is_multiple_of(freq);
-            (peer.granted, write_back, peer.sender)
-        });
-        // Once every source has delivered its declared total nothing more
-        // arrives: credit would only be tail traffic, still in flight when
-        // the exchange is torn down.
-        if write_back && !matches!(s.check_done(), Ok(DoneState::Done)) {
-            s.audit.credit_granted(
-                CreditLane::Ud {
-                    sender: sender as u64,
-                    dest: s.node,
-                },
-                credit_now,
-                sim.now().as_nanos(),
-            );
-            s.send_credit(sim, delivery.src, credit_now)?;
-        }
-        Ok(())
-    }
-
-    fn bytes_received(&self) -> u64 {
-        self.shared.recv_obs.bytes_received()
-    }
-}
-
-impl UdShared {
     /// Sends an absolute-credit datagram to `dest` on the shared QP.
     fn send_credit(&self, sim: &SimContext, dest: NodeId, credit: u64) -> Result<()> {
         let (_, ah) = wired(&mut self.peers.lock(), dest, "no lane to credit target")?;
@@ -869,10 +609,229 @@ impl UdShared {
             remote_addr: 0,
         };
         buf.write_header(&header)?;
-        self.window.launch(sim, &buf, 1);
-        self.post(sim, UdShared::send_wr(&buf, Some(ah)), None)?;
+        self.window.launch(sim, &buf, 1)?;
+        self.post(sim, Self::send_wr(&buf, Some(ah)), None)?;
         self.window.discard(&buf);
         Ok(())
+    }
+}
+
+#[derive(Debug, PartialEq)]
+enum DoneState {
+    InProgress,
+    WaitingForStragglers,
+    Done,
+}
+
+impl SendEndpoint for SrUdChannel {
+    fn send(
+        &self,
+        sim: &SimContext,
+        buf: Buffer,
+        dest: &[NodeId],
+        state: StreamState,
+    ) -> Result<()> {
+        // One post per target: each member alone, or the whole group at
+        // once through the switch's multicast replication (§7). A
+        // `Depleted` message declares each member its own count, so it is
+        // never sent to a group.
+        let group = self.cfg.ud_native_multicast && state == StreamState::MoreData;
+        self.window.launch(
+            sim,
+            &buf,
+            if group { dest.len().min(1) } else { dest.len() },
+        )?;
+        for target in dest.chunks(if group { dest.len() } else { 1 }) {
+            let mut header = data_header(self.send_id, self.cfg.epoch, &buf, state);
+            let mut ah = None;
+            for &d in target {
+                let (peer, total) = self.consume_credit(sim, d)?;
+                #[cfg(feature = "saboteur")]
+                let total = if state == StreamState::Depleted
+                    && crate::sabotage::take(crate::sabotage::Sabotage::UnderreportDepletedCount)
+                {
+                    total - 1
+                } else {
+                    total
+                };
+                if state == StreamState::Depleted {
+                    let now = sim.now().as_nanos();
+                    self.audit
+                        .depleted_announced(self.send_id.0 as u64, d as u64, total, now);
+                }
+                (ah, header.counter) = (Some(peer), total);
+            }
+            // The header is written immediately before posting: the
+            // `Depleted` counter is specific to each destination (a group's
+            // is never read).
+            buf.write_header(&header)?;
+            match target {
+                [_] => self.post(sim, Self::send_wr(&buf, ah), None)?,
+                group => {
+                    let ahs = self.cached_mcast_ahs(group)?;
+                    self.post(sim, Self::send_wr(&buf, None), Some(&ahs))?
+                }
+            }
+            for &d in target {
+                self.send_obs.sent(d, buf.len() as u64);
+            }
+        }
+        // Every datagram captured its message when posted.
+        self.window.discard(&buf);
+        Ok(())
+    }
+
+    /// Takes a free send window. Every call first reaps the send
+    /// completions already queued; with none free it waits for the next
+    /// one, or for the other half to free a window.
+    fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
+        self.cfg
+            .watchdog(sim, "waiting for a free UD send buffer")
+            .wait(
+                sim,
+                None,
+                || self.window.listen(),
+                || {
+                    if self.send_cq.depth() > 0 {
+                        self.send_cq.poll(sim, |c| self.reap_send(sim, c))?;
+                    }
+                    Ok(self.window.take(sim))
+                },
+                |freed, abort, deadline| {
+                    let reap = |c: &Completion| self.reap_send(sim, c);
+                    self.send_cq
+                        .drain(sim, deadline, &[&freed, abort], reap)
+                        .map(drop)
+                },
+            )
+    }
+
+    /// Waits until the data already sent toward `dest` has fully
+    /// drained as far as UD flow control can observe: the receiver has
+    /// released — and written credit back for — the whole window. The
+    /// receiver posts a credit datagram only every
+    /// `credit_writeback_frequency` releases, so waiting for the
+    /// literal bootstrap window would deadlock on any message count
+    /// that is not a multiple of the frequency; `freq − 1` messages may
+    /// legally stay unconfirmed and are excluded from the target.
+    ///
+    /// Full drain is deliberate: a half-window slack was tried and
+    /// reverted. Residue flows overlapping the next round double the
+    /// active flow count on the receiver's *leaf downlink* — past the
+    /// downlink incast knee (`hosts_per_leaf`) — and the measured
+    /// collapse penalty exceeded everything the slack saved on the
+    /// credit round trip. The phased SHUFFLE calls this once per
+    /// destination a super-round ([`crate::phase::PHASE_GROUP`] phases)
+    /// opened, all at the super-round's end, just before the barrier:
+    /// the credit round trips of its phases overlap instead of running
+    /// one after another.
+    fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
+        let lag = u64::from(self.cfg.credit_writeback_frequency.saturating_sub(1));
+        let initial = self.peers.lock().get(dest).and_then(|p| p.initial_credit);
+        // Never bootstrapped toward `dest`: nothing was ever sent.
+        let Some(target) = initial.map(|window| window.saturating_sub(lag)) else {
+            return Ok(());
+        };
+        let drained = || {
+            let peers = self.peers.lock();
+            let peer = peers.get(dest);
+            Ok(peer
+                .is_some_and(|p| p.credit.saturating_sub(p.sent) >= target)
+                .then_some(()))
+        };
+        // The credit write-backs we are waiting for arrive on the
+        // receive CQ, which the receive half may drain first.
+        self.cfg
+            .watchdog(sim, "waiting for a UD phase to drain")
+            .wait(
+                sim,
+                None,
+                || self.credit.listen(),
+                drained,
+                |credit, abort, deadline| {
+                    self.drain_inbound(sim, deadline, &[&credit, abort])
+                        .map(drop)
+                },
+            )
+    }
+}
+
+impl ReceiveEndpoint for SrUdChannel {
+    fn get_data(&self, sim: &SimContext) -> Result<Option<Delivery>> {
+        let watchdog = self
+            .cfg
+            .watchdog(sim, "UD receive endpoint made no progress");
+        loop {
+            watchdog.aborted()?;
+            let settled = self.settled.listen();
+            if let Some(d) = self.data_gate.try_recv() {
+                return Ok(Some(d));
+            }
+            if self.done.load(Ordering::SeqCst) {
+                return Ok(None);
+            }
+            if self.recv_cq.depth() > 0 {
+                // What already arrived counts before termination is judged.
+                self.recv_cq.poll(sim, |c| self.process_inbound(sim, c))?;
+                continue;
+            }
+            let deadline = match self.check_done()? {
+                DoneState::Done => {
+                    self.done.store(true, Ordering::SeqCst);
+                    return Ok(None);
+                }
+                DoneState::WaitingForStragglers => {
+                    // All totals are known but packets are missing — either
+                    // still in flight (common: out-of-order delivery) or
+                    // lost (rare). Wait bounded time since the last arrival.
+                    let last = SimTime::from_nanos(self.last_progress.load(Ordering::Relaxed));
+                    let give_up = last + self.cfg.depleted_timeout;
+                    if sim.now() >= give_up {
+                        return Err(self.straggler_error());
+                    }
+                    give_up
+                }
+                DoneState::InProgress => {
+                    watchdog.expired(sim)?;
+                    watchdog.deadline()
+                }
+            };
+            // Data the send half drained arrives through the gate.
+            let abort = watchdog.abort_source();
+            self.drain_inbound(sim, deadline, &[&self.data_gate, &settled, abort])?;
+        }
+    }
+
+    fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
+        self.audit
+            .released(buf_id(&delivery.local), sim.now().as_nanos());
+        self.repost(sim, &delivery.local)?;
+        let (credit_now, write_back, sender) = self.update_peer(delivery.src, |peer| {
+            peer.granted += 1;
+            peer.releases += 1;
+            let freq = self.cfg.credit_writeback_frequency;
+            let write_back = peer.releases.is_multiple_of(freq);
+            (peer.granted, write_back, peer.sender)
+        });
+        // Once every source has delivered its declared total nothing more
+        // arrives: credit would only be tail traffic, still in flight when
+        // the exchange is torn down.
+        if write_back && !matches!(self.check_done(), Ok(DoneState::Done)) {
+            self.audit.credit_granted(
+                CreditLane::Ud {
+                    sender: sender as u64,
+                    dest: self.node,
+                },
+                credit_now,
+                sim.now().as_nanos(),
+            );
+            self.send_credit(sim, delivery.src, credit_now)?;
+        }
+        Ok(())
+    }
+
+    fn bytes_received(&self) -> u64 {
+        self.recv_obs.bytes_received()
     }
 }
 
@@ -928,7 +887,10 @@ mod tests {
     /// leaves it: its Queue Pair active, nodes 1 and 2 wired as peers, its
     /// receive pool posted for `expected` and its credit toward node 1
     /// seeded with `credit`. Node 3 is in the cluster but no peer.
-    fn wired(expected: &[(EndpointId, NodeId)], credit: u64) -> (Arc<VerbsRuntime>, SrUdChannel) {
+    fn wired(
+        expected: &[(EndpointId, NodeId)],
+        credit: u64,
+    ) -> (Arc<VerbsRuntime>, Arc<SrUdChannel>) {
         let rt = VerbsRuntime::new(Cluster::new(4, DeviceProfile::edr()));
         let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 4, 1);
         let params = config.params(rt.profile());
@@ -963,7 +925,7 @@ mod tests {
     /// Lands `header`, sent from `src_node`, in receive window `slot` and
     /// hands its completion to the channel, as the NIC and a drain would.
     fn arrive(
-        s: &UdShared,
+        s: &SrUdChannel,
         sim: &SimContext,
         slot: usize,
         src_node: NodeId,
@@ -1006,7 +968,7 @@ mod tests {
     #[test]
     fn credit_is_the_maximum_over_reordered_credit_datagrams() {
         let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
-        let s = channel.shared.clone();
+        let s = channel.clone();
         in_sim(&rt, move |sim| {
             // Node 1 wrote back 9, then 5; the 5 overtook nothing, it was
             // simply sent first and arrived last.
@@ -1025,7 +987,7 @@ mod tests {
     #[test]
     fn quiesce_toward_a_never_bootstrapped_destination_returns_at_once() {
         let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
-        let send = channel.send_half();
+        let send = channel.clone();
         in_sim(&rt, move |sim| {
             let start = sim.now();
             // Node 2 is a peer, node 3 is not and node 9 is outside the
@@ -1061,21 +1023,21 @@ mod tests {
         // Four messages went out toward node 1 on a window of four: the
         // whole window is owed back.
         here.bootstrap_credit(1, 4);
-        here.shared.update_peer(1, |peer| peer.sent = 4);
+        here.update_peer(1, |peer| peer.sent = 4);
         let seen = Arc::new(Mutex::new((0, None, None)));
         // Spawned first, the receive half is the CQ's longest waiter.
-        let (recv, out) = (here.recv_half(), seen.clone());
+        let (recv, out) = (here.clone(), seen.clone());
         rt.cluster().spawn(0, "receive half", move |sim| {
             out.lock().0 = sim.id().track();
             let nothing = recv.get_data(&sim);
             out.lock().1 = Some(matches!(nothing, Err(ShuffleError::Stalled(_))));
         });
-        let (send, out) = (here.send_half(), seen.clone());
+        let (send, out) = (here.clone(), seen.clone());
         rt.cluster().spawn(0, "send half", move |sim| {
             let drained = send.quiesce(&sim, 1).is_ok();
             out.lock().2 = drained.then(|| sim.now());
         });
-        let peer = there.shared.clone();
+        let peer = there.clone();
         rt.cluster().spawn(1, "peer", move |sim| {
             sim.sleep(SimDuration::from_micros(5));
             assert!(peer.send_credit(&sim, 0, 8).is_ok());
@@ -1102,16 +1064,15 @@ mod tests {
     #[test]
     fn an_unknown_destination_is_a_config_error() {
         let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
-        let (send, s) = (channel.send_half(), channel.shared.clone());
         in_sim(&rt, move |sim| {
             for dest in [3, 9] {
-                let buf = send.get_free(sim)?;
-                let sent = send.send(sim, buf, &[dest], StreamState::MoreData);
+                let buf = channel.get_free(sim)?;
+                let sent = channel.send(sim, buf, &[dest], StreamState::MoreData);
                 assert!(
                     matches!(sent, Err(ShuffleError::Config(_))),
                     "{dest}: {sent:?}"
                 );
-                let credit = s.send_credit(sim, dest, 1);
+                let credit = channel.send_credit(sim, dest, 1);
                 assert!(
                     matches!(credit, Err(ShuffleError::Config(_))),
                     "{dest}: {credit:?}"
@@ -1124,7 +1085,7 @@ mod tests {
     #[test]
     fn termination_waits_for_stragglers_and_refuses_over_delivery() {
         let (rt, channel) = wired(&[(EndpointId(2), 1)], 4);
-        let s = channel.shared.clone();
+        let s = channel.clone();
         in_sim(&rt, move |sim| {
             let data = |state, counter| header(2, MsgKind::Data, state, counter);
             assert_eq!(s.check_done()?, DoneState::InProgress);
@@ -1146,7 +1107,7 @@ mod tests {
         });
         // A channel expecting nobody is done before anything arrives.
         let (_, idle) = wired(&[], 4);
-        assert!(matches!(idle.shared.check_done(), Ok(DoneState::Done)));
+        assert!(matches!(idle.check_done(), Ok(DoneState::Done)));
     }
 
     /// The straggler error names the source with the largest deficit,
@@ -1156,7 +1117,7 @@ mod tests {
     fn the_worst_straggler_is_named() {
         let expected = [(14, 3), (10, 1), (12, 2)].map(|(ep, node)| (EndpointId(ep), node));
         let (rt, channel) = wired(&expected, 4);
-        let s = channel.shared.clone();
+        let s = channel.clone();
         in_sim(&rt, move |sim| {
             let mut slot = 0;
             let mut land = |ep, node, state, counter| {

@@ -111,9 +111,8 @@ impl SendEndpoint for WrRcSendEndpoint {
         dest: &[NodeId],
         state: StreamState,
     ) -> Result<()> {
-        assert!(!dest.is_empty(), "send needs at least one destination");
         let header = data_header(self.half.id, self.cfg.epoch, &buf, state);
-        self.window.launch(sim, &buf, dest.len());
+        self.window.launch(sim, &buf, dest.len())?;
         for &d in dest {
             let pi = self.half.index_of(d)?;
             let pool = self.remote_pools.lock()[pi]

@@ -29,7 +29,6 @@ use crate::endpoint::{
 };
 use crate::error::{Result, ShuffleError};
 use crate::group::TransmissionGroups;
-use crate::ledger::FlowLedger;
 use crate::operator::{CostModel, Operator, ReceiveOperator, ShuffleOperator};
 use crate::phase::{PhasePolicy, PhaseRunner, PhaseSchedule};
 
@@ -281,7 +280,7 @@ impl ExchangeConfig {
                 bytes[a][b] = est.max(1);
             }
         }
-        PhaseSchedule::build(self.phase, &bytes)
+        PhaseSchedule::build(&bytes)
     }
 
     /// Predicts the total bytes of RDMA memory [`Exchange::build`] will
@@ -487,7 +486,7 @@ impl Wiring<'_> {
     /// windows posted and credit seeded.
     fn ud(&self) -> Result<(SendLanes, RecvLanes)> {
         let nodes = self.dests.len();
-        let mut channels: Vec<Vec<SrUdChannel>> = Vec::new();
+        let mut channels: Vec<Vec<Arc<SrUdChannel>>> = Vec::new();
         for node in 0..nodes {
             let ctx = self.runtime.context_flow(node, self.flow);
             let lane_channels = (0..self.ids.lanes)
@@ -538,13 +537,13 @@ impl Wiring<'_> {
         let send = (0..nodes).map(|node| {
             lanes_if(!self.dests[node].is_empty(), node)
                 .iter()
-                .map(|c| Arc::new(c.send_half()) as Arc<dyn SendEndpoint>)
+                .map(|c| c.clone() as Arc<dyn SendEndpoint>)
                 .collect()
         });
         let recv = (0..nodes).map(|node| {
             lanes_if(!self.srcs[node].is_empty(), node)
                 .iter()
-                .map(|c| Arc::new(c.recv_half()) as Arc<dyn ReceiveEndpoint>)
+                .map(|c| c.clone() as Arc<dyn ReceiveEndpoint>)
                 .collect()
         });
         Ok((send.collect(), recv.collect()))
@@ -757,23 +756,6 @@ impl Exchange {
             self.threads,
             cost,
         ))
-    }
-
-    /// `node`'s RECEIVE for the partial-retry protocol: each delivery is
-    /// a batch of its own, and handing it out advances the delivery's flow
-    /// `(sending node, sending thread, node)` in `ledger`. The sending
-    /// node is the one the transport received the message from; another
-    /// attempt's leftovers never reach the operator, since every attempt
-    /// builds fresh Queue Pairs and drops stale messages by their epoch.
-    pub fn recording_receive_operator(
-        &self,
-        node: NodeId,
-        row_size: usize,
-        cost: CostModel,
-        ledger: &Arc<FlowLedger>,
-    ) -> Option<ReceiveOperator> {
-        let receive = self.receive_operator(node, row_size, 1, cost)?;
-        Some(receive.recording(ledger.clone(), node))
     }
 
     /// Worker threads each fragment of this exchange runs.

@@ -1,6 +1,6 @@
 //! The partial-retry flow protocol's one table: how many rows of each flow
 //! have reached a sink. RECEIVE writes it
-//! ([`crate::Exchange::recording_receive_operator`]) and SHUFFLE reads it
+//! ([`crate::ReceiveOperator::recording`]) and SHUFFLE reads it
 //! ([`crate::ShuffleOperator::resume_from`]).
 
 use std::collections::BTreeMap;

@@ -557,13 +557,16 @@ impl ReceiveOperator {
         }
     }
 
-    /// Makes this `node`'s recording RECEIVE: each delivery is a batch of
-    /// its own, and handing it out advances the delivery's flow
-    /// `(src node, src thread, node)` in `ledger`. What
-    /// [`crate::Exchange::recording_receive_operator`] is written in.
-    pub(crate) fn recording(mut self, ledger: Arc<FlowLedger>, node: NodeId) -> Self {
+    /// Makes this `node`'s RECEIVE for the partial-retry protocol: each
+    /// delivery is a batch of its own, and handing it out advances the
+    /// delivery's flow `(src node, src thread, node)` in `ledger` — what
+    /// [`ShuffleOperator::resume_from`] reads. The sending node is the one
+    /// the transport received the message from; another attempt's
+    /// leftovers never reach the operator, since every attempt builds
+    /// fresh Queue Pairs and drops stale messages by their epoch.
+    pub fn recording(mut self, ledger: &Arc<FlowLedger>, node: NodeId) -> Self {
         self.batch_rows = 1;
-        self.recorder = Some((ledger, node));
+        self.recorder = Some((ledger.clone(), node));
         self
     }
 }
@@ -615,7 +618,7 @@ mod tests {
     use super::*;
     use crate::buffer::HEADER_LEN;
     use crate::endpoint::Delivery;
-    use crate::phase::{PhasePolicy, PhaseSchedule};
+    use crate::phase::PhaseSchedule;
 
     /// Payload bytes of a [`Counting`] endpoint's windows.
     const PAYLOAD: usize = 100;
@@ -683,7 +686,7 @@ mod tests {
     /// A runner for `parties` workers over a schedule whose one phase
     /// takes node 0 to node 1.
     fn one_phase(kernel: &Kernel, parties: usize, timeout: SimDuration) -> Arc<PhaseRunner> {
-        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &[vec![0, 1], vec![0, 0]]).unwrap();
+        let schedule = PhaseSchedule::build(&[vec![0, 1], vec![0, 0]]).unwrap();
         PhaseRunner::with_obs(kernel, schedule, parties, timeout, Obs::new())
     }
 
@@ -895,10 +898,10 @@ mod tests {
             obs: obs.clone(),
             steps: Mutex::new(Vec::new()),
         });
-        // Node 0 of the naive rotation serves node `p` in phase `p`: two
+        // On a uniform matrix node 0 serves node `p` in phase `p`: two
         // super-rounds of PHASE_GROUP destinations each.
         let uniform = PhaseSchedule::uniform_bytes(NODES);
-        let schedule = PhaseSchedule::build(PhasePolicy::Naive, &uniform).unwrap();
+        let schedule = PhaseSchedule::build(&uniform).unwrap();
         let runner = PhaseRunner::with_obs(&kernel, schedule, 1, SimDuration::from_millis(1), obs);
         let op = ShuffleOperator::with_lanes(
             Arc::new(Batches(Mutex::new(vec![(16, 200)]))),
@@ -1077,7 +1080,7 @@ mod tests {
             1,
             CostModel::from_profile(&DeviceProfile::edr()),
         )
-        .recording(ledger.clone(), 1);
+        .recording(&ledger, 1);
         assert_eq!(
             pump(&kernel, op, &ledger),
             [
@@ -1156,7 +1159,7 @@ mod tests {
                 1,
                 cost.clone(),
             )
-            .recording(ledger.clone(), node);
+            .recording(&ledger, node);
             pump(&kernel, op, &ledger);
         }
         // Worker `tid` replays 20 rows keyed `100 * tid + i`.

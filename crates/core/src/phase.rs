@@ -10,27 +10,22 @@
 //! peer and receives from exactly one peer, so no link in the fabric
 //! ever carries more than one bulk flow per direction.
 //!
-//! Two schedule constructions, both pure functions of their inputs
-//! (deterministic — same matrix, same schedule):
-//!
-//! * **Naive** ([`PhasePolicy::Naive`]): the classic Latin-square
-//!   rotation, phase `p` pairing `src → (src + p) mod N`. All present
-//!   pairs are covered exactly once in at most `N` phases.
-//! * **Skew-aware** ([`PhasePolicy::SkewAware`]): heavy *sources*
-//!   (row total above [`HEAVY_SOURCE_FACTOR`] × the mean row) are
-//!   exempted from the schedule entirely and stream unphased, while the
-//!   remaining near-uniform sources follow the rotation. The insight:
-//!   source-volume skew creates no ingress contention — one heavy
-//!   sender spraying a repartition hash touches every destination port
-//!   exactly once at a time — so forcing it through the lockstep
-//!   barrier only stretches every round to the heavy row's edge and
-//!   serialises the cluster behind the tail. Exempting it adds at most
-//!   `k` extra concurrent senders per ingress port (`k` = number of
-//!   heavy sources, < N/2 by construction and in practice a handful),
-//!   which stays below any realistic incast knee, while the schedule
-//!   keeps the remaining (N−k)² flows contention-free. On a uniform
-//!   matrix no source is exempt and the schedule degenerates to the
-//!   naive rotation.
+//! One schedule construction ([`PhasePolicy::SkewAware`]), a pure
+//! function of the transfer matrix (same matrix, same schedule): the
+//! classic Latin-square rotation, phase `p` pairing `src → (src + p) mod
+//! N`, over every source but the heavy ones (row total above
+//! [`HEAVY_SOURCE_FACTOR`] × the mean row), which are exempted and stream
+//! unphased. The insight: source-volume skew creates no ingress
+//! contention — one heavy sender spraying a repartition hash touches
+//! every destination port exactly once at a time — so forcing it through
+//! the lockstep barrier only stretches every round to the heavy row's
+//! edge and serialises the cluster behind the tail. Exempting it adds at
+//! most `k` extra concurrent senders per ingress port (`k` = number of
+//! heavy sources, < N/2 by construction and in practice a handful), which
+//! stays below any realistic incast knee, while the schedule keeps the
+//! remaining (N−k)² flows contention-free. On a uniform matrix no source
+//! is exempt: every present pair is covered exactly once in at most `N`
+//! phases.
 //!
 //! [`PhaseRunner`] executes a schedule at run time: an abortable
 //! `simnet::SimBarrier` that all sender threads cross between rounds,
@@ -52,13 +47,12 @@ pub enum PhasePolicy {
     /// run is byte-identical to the pre-phase code path.
     #[default]
     Off,
-    /// Latin-square rotation over the node set (uniform phases).
-    Naive,
     /// Latin-square rotation over the *constrained* sources only:
     /// sources whose estimated row total exceeds
     /// [`HEAVY_SOURCE_FACTOR`] × the mean row are exempted and stream
     /// unphased (source skew causes no ingress contention, so phasing
-    /// the tail-dominating sender is pure cost).
+    /// the tail-dominating sender is pure cost). On a uniform estimate
+    /// nobody is exempt and every source follows the rotation.
     SkewAware,
 }
 
@@ -85,22 +79,10 @@ pub const HEAVY_SOURCE_FACTOR: f64 = 2.0;
 pub const PHASE_GROUP: usize = 3;
 
 impl PhasePolicy {
-    /// Parses `"off"`, `"naive"`, `"skew"` / `"skew-aware"`
-    /// (case-insensitive).
-    pub fn parse(name: &str) -> Option<PhasePolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "off" => Some(PhasePolicy::Off),
-            "naive" => Some(PhasePolicy::Naive),
-            "skew" | "skew-aware" | "skewaware" => Some(PhasePolicy::SkewAware),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             PhasePolicy::Off => "off",
-            PhasePolicy::Naive => "naive",
             PhasePolicy::SkewAware => "skew-aware",
         }
     }
@@ -141,14 +123,12 @@ impl Phase {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseSchedule {
     nodes: usize,
-    policy: PhasePolicy,
     phases: Vec<Phase>,
     /// `dest[phase][src]` — the destination `src` serves in `phase`
     /// (`None` when it sits the round out).
     dest: Vec<Vec<Option<NodeId>>>,
-    /// Sources exempted from the schedule (heavy rows under
-    /// [`PhasePolicy::SkewAware`]); they transmit unphased and never
-    /// cross the barrier. Always all-false for the naive rotation.
+    /// Sources exempted from the schedule (the heavy rows); they transmit
+    /// unphased and never cross the barrier.
     free: Vec<bool>,
 }
 
@@ -159,26 +139,15 @@ impl PhaseSchedule {
     /// the fabric but the operator still sends it somewhere, so it is
     /// scheduled like any other edge.
     ///
-    /// Returns a [`ShuffleError::Config`] if `bytes` is not square or
-    /// the policy is [`PhasePolicy::Off`] (an Off exchange must not
-    /// build a schedule at all — constructing one anyway is a wiring
-    /// bug, not a quiet no-op).
-    pub fn build(policy: PhasePolicy, bytes: &[Vec<u64>]) -> Result<PhaseSchedule> {
+    /// Returns a [`ShuffleError::Config`] if `bytes` is not square.
+    pub fn build(bytes: &[Vec<u64>]) -> Result<PhaseSchedule> {
         let nodes = bytes.len();
         if bytes.iter().any(|row| row.len() != nodes) {
             return Err(ShuffleError::Config(format!(
                 "phase schedule: transfer matrix must be square ({nodes} rows)"
             )));
         }
-        let free = match policy {
-            PhasePolicy::Off => {
-                return Err(ShuffleError::Config(
-                    "phase schedule requested with PhasePolicy::Off".to_string(),
-                ))
-            }
-            PhasePolicy::Naive => vec![false; nodes],
-            PhasePolicy::SkewAware => heavy_sources(bytes),
-        };
+        let free = heavy_sources(bytes);
         let phases = rotation_phases(bytes, &free);
         let mut dest = vec![vec![None; nodes]; phases.len()];
         for (p, phase) in phases.iter().enumerate() {
@@ -188,7 +157,6 @@ impl PhaseSchedule {
         }
         Ok(PhaseSchedule {
             nodes,
-            policy,
             phases,
             dest,
             free,
@@ -226,11 +194,6 @@ impl PhaseSchedule {
         self.nodes
     }
 
-    /// Policy that produced the schedule.
-    pub fn policy(&self) -> PhasePolicy {
-        self.policy
-    }
-
     /// The scheduled rounds, in execution order.
     pub fn phases(&self) -> &[Phase] {
         &self.phases
@@ -245,9 +208,8 @@ impl PhaseSchedule {
             .flatten()
     }
 
-    /// `true` when `src` is exempted from the schedule (a heavy source
-    /// under [`PhasePolicy::SkewAware`]): it transmits unphased and
-    /// must not be counted as a barrier party.
+    /// `true` when `src` is exempted from the schedule (a heavy source):
+    /// it transmits unphased and must not be counted as a barrier party.
     pub fn is_free(&self, src: NodeId) -> bool {
         self.free.get(src).copied().unwrap_or(false)
     }
@@ -298,7 +260,7 @@ fn rotation_phases(bytes: &[Vec<u64>], free: &[bool]) -> Vec<Phase> {
     phases
 }
 
-/// The sources a skew-aware schedule exempts.
+/// The sources the schedule exempts.
 ///
 /// Sources whose row total exceeds [`HEAVY_SOURCE_FACTOR`] × the mean
 /// (over rows with any traffic) are marked *free*: a barrier schedule
@@ -306,11 +268,10 @@ fn rotation_phases(bytes: &[Vec<u64>], free: &[bool]) -> Vec<Phase> {
 /// per-round fixed cost `N` times on the critical path, yet a single
 /// heavy sender spreads a repartition hash across every destination
 /// and never concentrates on one ingress port — phasing it buys
-/// nothing. The constrained (near-uniform) sources follow the same
-/// Latin-square rotation as the naive schedule, restricted to their
-/// rows, so the bulk of the matrix stays contention-free while each
-/// free source adds at most one extra flow to any port. A uniform
-/// matrix exempts nobody and the result equals the naive rotation.
+/// nothing. The constrained (near-uniform) sources follow the
+/// Latin-square rotation, so the bulk of the matrix stays
+/// contention-free while each free source adds at most one extra flow
+/// to any port. A uniform matrix exempts nobody.
 fn heavy_sources(bytes: &[Vec<u64>]) -> Vec<bool> {
     let totals: Vec<u64> = bytes.iter().map(|row| row.iter().sum()).collect();
     let active = totals.iter().filter(|&&t| t > 0).count();
@@ -439,18 +400,19 @@ mod tests {
     }
 
     /// Builds or panics — keeps the data-path unwrap/expect lint clean.
-    fn build(policy: PhasePolicy, bytes: &[Vec<u64>]) -> PhaseSchedule {
-        match PhaseSchedule::build(policy, bytes) {
+    fn build(bytes: &[Vec<u64>]) -> PhaseSchedule {
+        match PhaseSchedule::build(bytes) {
             Ok(s) => s,
             Err(e) => panic!("schedule must build: {e}"),
         }
     }
 
     #[test]
-    fn naive_covers_complete_matrix_once() {
+    fn a_uniform_matrix_is_covered_once_and_exempts_nobody() {
         let n = 5;
-        let s = build(PhasePolicy::Naive, &PhaseSchedule::uniform_bytes(n));
+        let s = build(&PhaseSchedule::uniform_bytes(n));
         assert_eq!(s.num_phases(), n);
+        assert!(s.free_sources().is_empty());
         let pairs = pair_set(&s);
         assert_eq!(pairs.len(), n * n);
         let mut deduped = pairs.clone();
@@ -463,63 +425,43 @@ mod tests {
         let mut bytes = PhaseSchedule::uniform_bytes(6);
         bytes[0][3] = 1000;
         bytes[2][3] = 400;
-        for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            let s = build(policy, &bytes);
-            for phase in s.phases() {
-                let mut srcs: Vec<_> = phase.edges.iter().map(|e| e.0).collect();
-                let mut dsts: Vec<_> = phase.edges.iter().map(|e| e.1).collect();
-                srcs.sort_unstable();
-                dsts.sort_unstable();
-                let (ls, ld) = (srcs.len(), dsts.len());
-                srcs.dedup();
-                dsts.dedup();
-                assert_eq!(ls, srcs.len(), "{policy:?}: src repeated in a phase");
-                assert_eq!(ld, dsts.len(), "{policy:?}: dst repeated in a phase");
-            }
+        for phase in build(&bytes).phases() {
+            let mut srcs: Vec<_> = phase.edges.iter().map(|e| e.0).collect();
+            let mut dsts: Vec<_> = phase.edges.iter().map(|e| e.1).collect();
+            srcs.sort_unstable();
+            dsts.sort_unstable();
+            let (ls, ld) = (srcs.len(), dsts.len());
+            srcs.dedup();
+            dsts.dedup();
+            assert_eq!(ls, srcs.len(), "src repeated in a phase");
+            assert_eq!(ld, dsts.len(), "dst repeated in a phase");
         }
     }
 
     #[test]
-    fn skew_aware_exempts_heavy_sources_and_rotates_the_rest() {
+    fn heavy_sources_are_exempted_and_the_rest_rotate() {
         let mut bytes = PhaseSchedule::uniform_bytes(8);
         bytes[1][4] = 1 << 20;
         bytes[1][5] = 1 << 19;
         bytes[6][4] = 1 << 18;
-        let naive = build(PhasePolicy::Naive, &bytes);
-        let skew = build(PhasePolicy::SkewAware, &bytes);
+        let skew = build(&bytes);
         // Row 1 dominates the matrix and is exempted; row 6's bump stays
         // under HEAVY_SOURCE_FACTOR × mean and remains constrained.
         assert_eq!(skew.free_sources(), vec![1]);
         assert!(!skew.is_free(6));
         // Scheduled pairs = all present pairs minus the free source's rows.
-        let expected: Vec<(NodeId, NodeId)> = pair_set(&naive)
+        let expected: Vec<(NodeId, NodeId)> = pair_set(&build(&PhaseSchedule::uniform_bytes(8)))
             .into_iter()
             .filter(|&(s, _)| !skew.is_free(s))
             .collect();
         assert_eq!(pair_set(&skew), expected, "constrained pairs covered once");
         // With the heavy row out of the schedule, no phase ever waits on it.
-        assert!(skew.worst_phase_len() <= naive.worst_phase_len());
         assert_eq!(skew.worst_phase_len(), 1 << 18);
     }
 
     #[test]
-    fn skew_aware_on_uniform_matrix_equals_naive() {
-        let bytes = PhaseSchedule::uniform_bytes(6);
-        let naive = build(PhasePolicy::Naive, &bytes);
-        let skew = build(PhasePolicy::SkewAware, &bytes);
-        assert!(skew.free_sources().is_empty());
-        assert_eq!(naive.phases(), skew.phases());
-    }
-
-    #[test]
-    fn off_policy_refuses_to_build() {
-        let err = PhaseSchedule::build(PhasePolicy::Off, &PhaseSchedule::uniform_bytes(2));
-        assert!(matches!(err, Err(ShuffleError::Config(_))));
-    }
-
-    #[test]
     fn dest_of_matches_edges() {
-        let s = build(PhasePolicy::Naive, &PhaseSchedule::uniform_bytes(4));
+        let s = build(&PhaseSchedule::uniform_bytes(4));
         for (p, phase) in s.phases().iter().enumerate() {
             for &(src, dst, _) in &phase.edges {
                 assert_eq!(s.dest_of(p, src), Some(dst));
@@ -529,10 +471,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_parse_round_trips() {
-        for p in [PhasePolicy::Off, PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            assert_eq!(PhasePolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(PhasePolicy::parse("bogus"), None);
+    fn a_matrix_that_is_not_square_is_refused() {
+        let err = PhaseSchedule::build(&[vec![1, 1], vec![1]]);
+        assert!(matches!(err, Err(ShuffleError::Config(_))));
     }
 }

@@ -57,7 +57,7 @@ fn rejected_configuration_pins_nothing() {
     for algorithm in ShuffleAlgorithm::ALL {
         let rt = runtime(3);
         let mut config = ExchangeConfig::broadcast(algorithm, 3, 2);
-        config.phase = PhasePolicy::Naive;
+        config.phase = PhasePolicy::SkewAware;
         let err = Exchange::build(&rt, &config).err().expect("must fail");
         assert!(
             matches!(err, ShuffleError::Config(_)),
@@ -148,6 +148,41 @@ fn credit_writeback_frequency_one_works() {
         exchange.bytes_received(0) + exchange.bytes_received(1),
         2 * 2 * 5_000 * 16
     );
+}
+
+#[test]
+fn a_send_to_no_destination_is_a_config_error() {
+    // One transport each — sr_rc, sr_ud (unicast and native multicast),
+    // rd_rc, wr_rc: a send with an empty destination list is refused as a
+    // configuration error, not a panic that takes the kernel down.
+    let wr = ShuffleAlgorithm::parse("MEMQ/WR").expect("WR parses");
+    let designs = [
+        (ShuffleAlgorithm::MEMQ_SR, false),
+        (ShuffleAlgorithm::MESQ_SR, false),
+        (ShuffleAlgorithm::MESQ_SR, true),
+        (ShuffleAlgorithm::MEMQ_RD, false),
+        (wr, false),
+    ];
+    for (algorithm, multicast) in designs {
+        let rt = runtime(2);
+        let mut config = ExchangeConfig::repartition(algorithm, 2, 1);
+        config.ud_native_multicast = multicast;
+        let exchange = Exchange::build(&rt, &config).expect("builds");
+        let send = exchange.send[0][0].clone();
+        let sent = Arc::new(parking_lot::Mutex::new(None));
+        let out = sent.clone();
+        rt.cluster().spawn(0, "sender", move |sim| {
+            let buf = send.get_free(&sim);
+            *out.lock() =
+                Some(buf.and_then(|buf| send.send(&sim, buf, &[], StreamState::MoreData)));
+        });
+        rt.cluster().run();
+        let sent = sent.lock().take();
+        assert!(
+            matches!(sent, Some(Err(ShuffleError::Config(_)))),
+            "{algorithm} (multicast {multicast}): {sent:?}"
+        );
+    }
 }
 
 // -- small local helpers (avoid an engine dev-dependency cycle) --

@@ -722,8 +722,8 @@ fn spawn_attempt(
     for node in 0..cluster.nodes() {
         let shuffle = exchange.shuffle_operator(node, make_source(generation, node), cost.clone());
         let shuffle = shuffle.map(|op| Arc::new(op.resume_from(ledger, node)) as Arc<dyn Operator>);
-        let receive = exchange.recording_receive_operator(node, row_size, cost.clone(), ledger);
-        let receive = receive.map(|op| Arc::new(op) as Arc<dyn Operator>);
+        let receive = exchange.receive_operator(node, row_size, 1, cost.clone());
+        let receive = receive.map(|op| Arc::new(op.recording(ledger, node)) as Arc<dyn Operator>);
         for (half, op) in [("shuffle", shuffle), ("recv", receive)] {
             let Some(op) = op else { continue };
             for tid in 0..exchange.threads() {

@@ -45,12 +45,6 @@ pub mod resource;
 pub mod sync;
 pub mod time;
 
-/// The workspace's pin files (`tests/pins/`), for the unit tests that
-/// hold exact values.
-#[cfg(test)]
-#[path = "../../../tests/common/pins.rs"]
-mod pins;
-
 pub use cluster::Cluster;
 pub use kernel::{Gate, Kernel, Listener, Notify, SimContext, SimThreadId, ThreadStats, Waitable};
 pub use net::{Fabric, IncastModel, Topology};
@@ -65,3 +59,9 @@ pub use time::{SimDuration, SimTime};
 
 /// Identifier of a simulated node (machine) in the cluster.
 pub type NodeId = usize;
+
+#[cfg(test)]
+/// The workspace's pin files (`tests/pins/`), for the unit tests that
+/// hold exact values.
+#[path = "../../../tests/common/pins.rs"]
+mod pins;

@@ -289,7 +289,7 @@ const PHASED_ROWS_PER_THREAD: [usize; 2] = [8_192, 32_768];
 fn peak_heap_growth_during_phased_run(rows_per_thread: usize) -> (u64, u64) {
     let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, PHASED_NODES, THREADS);
     config.message_size = 4096;
-    config.phase = PhasePolicy::Naive;
+    config.phase = PhasePolicy::SkewAware;
     let runtime = config.build_runtime(DeviceProfile::edr());
     let policy = RecoveryPolicy {
         max_partial_retries: 0,

@@ -8,8 +8,8 @@
 //!   — even with a byte estimate supplied — must be byte-identical to
 //!   the seed path: same metrics snapshot, same delivered multiset,
 //!   same final virtual time, auditor clean.
-//! * **Exactly-once**: under both schedules (naive rotation and
-//!   skew-aware) every algorithm still delivers every row exactly once
+//! * **Exactly-once**: under the schedule (the rotation, heavy sources
+//!   exempted) every algorithm still delivers every row exactly once
 //!   with a clean auditor, and same-seed phased runs are bit-identical.
 //! * **Chaos**: phased runs under the PR 2 fault plans still terminate
 //!   with exactly-once delivery in the winning generation (the runner's
@@ -87,34 +87,33 @@ fn off_policy_is_byte_identical_to_the_seed_path() {
     }
 }
 
-/// Both schedules must keep delivery exactly-once and auditor-clean for
+/// The schedule must keep delivery exactly-once and auditor-clean for
 /// every design, and a repeated phased run must be bit-identical.
 #[test]
 fn phased_delivery_is_exactly_once_for_every_algorithm() {
     let expected = expected_rows();
+    let policy = PhasePolicy::SkewAware;
     for algorithm in ShuffleAlgorithm::ALL {
-        for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            let run = run_phase(algorithm, policy, None);
-            assert_eq!(
-                run.delivered[&0],
-                expected,
-                "{algorithm} under {policy:?}: phased run lost or duplicated rows \
-                 ({} of {} delivered)",
-                run.delivered[&0].len(),
-                expected.len()
-            );
-            assert_eq!(
-                run.violations.len(),
-                0,
-                "{algorithm} under {policy:?}: auditor"
-            );
-            let again = run_phase(algorithm, policy, None);
-            assert_eq!(
-                run.snapshot, again.snapshot,
-                "{algorithm} under {policy:?}: phased runs must be deterministic"
-            );
-            assert_eq!(run.end_ns, again.end_ns, "{algorithm} under {policy:?}");
-        }
+        let run = run_phase(algorithm, policy, None);
+        assert_eq!(
+            run.delivered[&0],
+            expected,
+            "{algorithm} under {policy:?}: phased run lost or duplicated rows \
+             ({} of {} delivered)",
+            run.delivered[&0].len(),
+            expected.len()
+        );
+        assert_eq!(
+            run.violations.len(),
+            0,
+            "{algorithm} under {policy:?}: auditor"
+        );
+        let again = run_phase(algorithm, policy, None);
+        assert_eq!(
+            run.snapshot, again.snapshot,
+            "{algorithm} under {policy:?}: phased runs must be deterministic"
+        );
+        assert_eq!(run.end_ns, again.end_ns, "{algorithm} under {policy:?}");
     }
 }
 
@@ -151,7 +150,7 @@ fn phased_chaos_plans_stay_exactly_once() {
     for (plan_name, plan) in plans {
         for algorithm in ShuffleAlgorithm::ALL {
             let mut config = small_config(algorithm, Some(plan.clone()));
-            config.phase = PhasePolicy::Naive;
+            config.phase = PhasePolicy::SkewAware;
             let runtime = config.build_runtime(DeviceProfile::edr());
             let policy = RecoveryPolicy {
                 max_partial_retries: 0,

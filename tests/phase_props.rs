@@ -2,22 +2,21 @@
 //!
 //! A phase schedule decomposes the N×N transfer matrix into rounds.
 //! Whatever the matrix (holes, skew, self edges), these invariants must
-//! hold for both policies:
+//! hold:
 //!
 //! * every round is a partial matching (no source or destination serves
 //!   twice in one round), and no exempted source ever appears;
 //! * the rounds cover every nonzero pair of every *constrained* source
-//!   exactly once, at its weight (the naive rotation constrains all
-//!   sources; skew-aware exempts exactly the rows above
-//!   `HEAVY_SOURCE_FACTOR` × the mean active row);
+//!   exactly once, at its weight (exempt are exactly the rows above
+//!   `HEAVY_SOURCE_FACTOR` × the mean active row, never all of them);
 //! * building twice from the same matrix yields the identical schedule;
-//! * the skew-aware schedule's longest round never exceeds the naive
-//!   rotation's longest round (exempting heavy rows can only shrink it).
+//! * each round is one offset of the Latin-square rotation, in rotation
+//!   order, and the longest round is the heaviest constrained edge.
 
 use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
-use rshuffle_repro::rshuffle::{PhasePolicy, PhaseSchedule, HEAVY_SOURCE_FACTOR};
+use rshuffle_repro::rshuffle::{PhaseSchedule, HEAVY_SOURCE_FACTOR};
 
 /// Maximum matrix dimension the properties explore.
 const MAX_N: usize = 10;
@@ -59,36 +58,27 @@ proptest! {
         raw in prop::collection::vec(any::<u64>(), MAX_N * MAX_N),
     ) {
         let bytes = matrix_from(n, &raw);
-        for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            let schedule = PhaseSchedule::build(policy, &bytes).expect("schedule builds");
-            for (p, phase) in schedule.phases().iter().enumerate() {
-                let mut srcs = HashSet::new();
-                let mut dsts = HashSet::new();
-                for &(src, dst, b) in &phase.edges {
-                    prop_assert!(b > 0, "{policy:?}: zero-weight edge scheduled");
-                    prop_assert!(
-                        !schedule.is_free(src),
-                        "{policy:?} phase {p}: exempted source {src} scheduled"
-                    );
-                    prop_assert!(
-                        srcs.insert(src),
-                        "{policy:?} phase {p}: source {src} serves twice"
-                    );
-                    prop_assert!(
-                        dsts.insert(dst),
-                        "{policy:?} phase {p}: destination {dst} served twice"
-                    );
-                    prop_assert_eq!(schedule.dest_of(p, src), Some(dst));
-                }
-                prop_assert!(!phase.edges.is_empty(), "{policy:?}: empty phase {p}");
+        let schedule = PhaseSchedule::build(&bytes).expect("schedule builds");
+        for (p, phase) in schedule.phases().iter().enumerate() {
+            let mut srcs = HashSet::new();
+            let mut dsts = HashSet::new();
+            for &(src, dst, b) in &phase.edges {
+                prop_assert!(b > 0, "zero-weight edge scheduled");
+                prop_assert!(
+                    !schedule.is_free(src),
+                    "phase {p}: exempted source {src} scheduled"
+                );
+                prop_assert!(srcs.insert(src), "phase {p}: source {src} serves twice");
+                prop_assert!(dsts.insert(dst), "phase {p}: destination {dst} served twice");
+                prop_assert_eq!(schedule.dest_of(p, src), Some(dst));
             }
+            prop_assert!(!phase.edges.is_empty(), "empty phase {p}");
         }
     }
 
     /// The union of all rounds is exactly the nonzero pairs of the
-    /// constrained sources, each once, at its weight. The naive
-    /// rotation constrains everybody; skew-aware exempts exactly the
-    /// rows above `HEAVY_SOURCE_FACTOR` × the mean active row, and
+    /// constrained sources, each once, at its weight. Exempt are exactly
+    /// the rows above `HEAVY_SOURCE_FACTOR` × the mean active row, and
     /// never all of them.
     #[test]
     fn coverage_is_exact(
@@ -97,51 +87,45 @@ proptest! {
     ) {
         let bytes = matrix_from(n, &raw);
         let all_pairs = nonzero_pairs(&bytes);
-        for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            let schedule = PhaseSchedule::build(policy, &bytes).expect("schedule builds");
-            if policy == PhasePolicy::Naive {
-                prop_assert!(schedule.free_sources().is_empty(), "naive exempts nobody");
-            } else {
-                // The exemption rule itself: free ⟺ row total above the
-                // factor × mean of active rows — and a sole active
-                // source is its own mean, so somebody always remains.
-                let totals: Vec<u64> = bytes.iter().map(|r| r.iter().sum()).collect();
-                let active = totals.iter().filter(|&&t| t > 0).count();
-                if active > 0 {
-                    let mean = totals.iter().sum::<u64>() as f64 / active as f64;
-                    for (src, &t) in totals.iter().enumerate() {
-                        prop_assert_eq!(
-                            schedule.is_free(src),
-                            (t as f64) > HEAVY_SOURCE_FACTOR * mean,
-                            "source {} misclassified (total {}, mean {})",
-                            src, t, mean
-                        );
-                    }
-                    prop_assert!(
-                        totals
-                            .iter()
-                            .enumerate()
-                            .any(|(s, &t)| t > 0 && !schedule.is_free(s)),
-                        "every active source exempted"
-                    );
-                }
+        let schedule = PhaseSchedule::build(&bytes).expect("schedule builds");
+        // The exemption rule itself: free ⟺ row total above the factor ×
+        // mean of active rows — and a sole active source is its own mean,
+        // so somebody always remains.
+        let totals: Vec<u64> = bytes.iter().map(|r| r.iter().sum()).collect();
+        let active = totals.iter().filter(|&&t| t > 0).count();
+        if active > 0 {
+            let mean = totals.iter().sum::<u64>() as f64 / active as f64;
+            for (src, &t) in totals.iter().enumerate() {
+                prop_assert_eq!(
+                    schedule.is_free(src),
+                    (t as f64) > HEAVY_SOURCE_FACTOR * mean,
+                    "source {} misclassified (total {}, mean {})",
+                    src, t, mean
+                );
             }
-            let expected: BTreeMap<(usize, usize), u64> = all_pairs
-                .iter()
-                .filter(|((src, _), _)| !schedule.is_free(*src))
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            let mut got = BTreeMap::new();
-            for phase in schedule.phases() {
-                for &(src, dst, b) in &phase.edges {
-                    prop_assert!(
-                        got.insert((src, dst), b).is_none(),
-                        "{policy:?}: pair ({src}, {dst}) scheduled twice"
-                    );
-                }
-            }
-            prop_assert_eq!(&got, &expected, "{:?}: coverage", policy);
+            prop_assert!(
+                totals
+                    .iter()
+                    .enumerate()
+                    .any(|(s, &t)| t > 0 && !schedule.is_free(s)),
+                "every active source exempted"
+            );
         }
+        let expected: BTreeMap<(usize, usize), u64> = all_pairs
+            .iter()
+            .filter(|((src, _), _)| !schedule.is_free(*src))
+            .map(|(&k, &v)| (k, v))
+            .collect();
+        let mut got = BTreeMap::new();
+        for phase in schedule.phases() {
+            for &(src, dst, b) in &phase.edges {
+                prop_assert!(
+                    got.insert((src, dst), b).is_none(),
+                    "pair ({src}, {dst}) scheduled twice"
+                );
+            }
+        }
+        prop_assert_eq!(&got, &expected, "coverage");
     }
 
     /// Same matrix in, same schedule out — phase order, edge order,
@@ -152,42 +136,47 @@ proptest! {
         raw in prop::collection::vec(any::<u64>(), MAX_N * MAX_N),
     ) {
         let bytes = matrix_from(n, &raw);
-        for policy in [PhasePolicy::Naive, PhasePolicy::SkewAware] {
-            let a = PhaseSchedule::build(policy, &bytes).expect("schedule builds");
-            let b = PhaseSchedule::build(policy, &bytes).expect("schedule builds");
-            prop_assert_eq!(a, b, "{:?}: non-deterministic schedule", policy);
-        }
+        let a = PhaseSchedule::build(&bytes).expect("schedule builds");
+        let b = PhaseSchedule::build(&bytes).expect("schedule builds");
+        prop_assert_eq!(a, b, "non-deterministic schedule");
     }
 
-    /// Exempting heavy rows may never regress: the skew-aware longest
-    /// round is bounded by the naive rotation's longest round, and each
-    /// equals the heaviest single transfer its constrained sources
-    /// carry (a round can never end before its largest edge does).
+    /// Every constrained source in a round sends along that round's
+    /// rotation offset (`dst = (src + offset) mod N`), the rounds come in
+    /// increasing offset, and the longest round equals the heaviest
+    /// single transfer the constrained sources carry (a round can never
+    /// end before its largest edge does).
     #[test]
-    fn skew_aware_never_longer_than_naive_worst_phase(
+    fn phases_follow_the_rotation_and_the_longest_is_the_heaviest_edge(
         n in 1usize..=MAX_N,
         raw in prop::collection::vec(any::<u64>(), MAX_N * MAX_N),
     ) {
         let bytes = matrix_from(n, &raw);
-        let naive = PhaseSchedule::build(PhasePolicy::Naive, &bytes).expect("naive builds");
-        let skew = PhaseSchedule::build(PhasePolicy::SkewAware, &bytes).expect("skew builds");
-        prop_assert!(
-            skew.worst_phase_len() <= naive.worst_phase_len(),
-            "skew-aware worst round {} exceeds naive worst round {}",
-            skew.worst_phase_len(),
-            naive.worst_phase_len()
-        );
-        let heaviest = nonzero_pairs(&bytes).values().copied().max().unwrap_or(0);
-        prop_assert_eq!(naive.worst_phase_len(), heaviest);
+        let schedule = PhaseSchedule::build(&bytes).expect("schedule builds");
+        let mut last_offset = None;
+        for (p, phase) in schedule.phases().iter().enumerate() {
+            let (src, dst, _) = phase.edges[0];
+            let offset = (dst + n - src) % n;
+            for &(src, dst, _) in &phase.edges {
+                prop_assert_eq!(
+                    dst,
+                    (src + offset) % n,
+                    "phase {} source {} leaves the rotation offset {}",
+                    p, src, offset
+                );
+            }
+            prop_assert!(
+                last_offset < Some(offset),
+                "phase {p}: offset {offset} out of rotation order"
+            );
+            last_offset = Some(offset);
+        }
         let heaviest_constrained = nonzero_pairs(&bytes)
             .iter()
-            .filter(|((src, _), _)| !skew.is_free(*src))
+            .filter(|((src, _), _)| !schedule.is_free(*src))
             .map(|(_, &b)| b)
             .max()
             .unwrap_or(0);
-        prop_assert_eq!(skew.worst_phase_len(), heaviest_constrained);
-        // Skew-aware needs no more rounds than the rotation it is built
-        // from (exemption only removes edges).
-        prop_assert!(skew.num_phases() <= naive.num_phases());
+        prop_assert_eq!(schedule.worst_phase_len(), heaviest_constrained);
     }
 }
