@@ -281,7 +281,8 @@ fi
 #              congested fat tree; phased MESQ/SR must stay strictly faster; the
 #              fattree64_phased benchmark's N = 64, 1 MiB/node shape is held
 #              exactly but ungated) and the advisor-vs-oracle matrix (picks within
-#              the acceptance band on >= 90% of rows), both enforced by the
+#              the acceptance band on >= 90% of rows, the incast/skew/N=64/1MiB
+#              row at that same benchmark shape among them), both enforced by the
 #              experiment itself.
 #   figs     — the paper's figures and the ablations: each sweep's first
 #              and last x at 4 MiB/node, TPC-H at SF 0.01/node.

@@ -11,7 +11,9 @@
 //!    sender per port and pays a few percent of it. The `phased_speedup` metric (unphased
 //!    response / phased response) must stay strictly above 1. Each row
 //!    also reports `net.incast_penalty_ns` both ways: the serialization
-//!    time the incast model added, counted rather than inferred.
+//!    time the incast model added, counted rather than inferred — and
+//!    `phase.drain_wait_ns`, the virtual time phased lanes spent in their
+//!    super-round drains.
 //!    One more, ungated cell runs the `fattree64_phased` benchmark's
 //!    shape (N = 64 at 1 MiB/node), where unphased still wins, so its
 //!    two response times are held exactly and no side is required to win.
@@ -29,9 +31,9 @@
 //!
 //! `--smoke` is the CI configuration `perfdiff` holds equal to
 //! `BENCH_ADAPTIVE.json`: the acceptance-size N ∈ {128, 256} phased cells
-//! at a fabric-bound 8 MiB/node, the N = 64 1 MiB/node cell and a six-row
-//! matrix. The full run adds the N = 64 anchor cell at 8 MiB/node and two
-//! more matrix rows.
+//! at a fabric-bound 8 MiB/node, the N = 64 1 MiB/node cell and a
+//! seven-row matrix. The full run adds the N = 64 anchor cell at
+//! 8 MiB/node and two more matrix rows.
 
 use std::collections::HashMap;
 
@@ -46,8 +48,9 @@ use crate::skew::{skew_ratio, zipf_partition_rows, SkewSpec};
 use crate::workload::{Pattern, WorkloadConfig};
 
 /// Worker threads per node for the phased sweep. Four lanes per node
-/// keep the UD send ring busy while one of them drains its super-round
-/// at the barrier, so the full-drain quiesce amortizes (DESIGN.md §18).
+/// keep the UD send ring busy while one of them drains the super-round
+/// before last at the barrier, so the full-drain quiesce amortizes
+/// (DESIGN.md §18).
 const THREADS: usize = 4;
 
 /// Zipf exponent for the skewed table in the phased sweep and the
@@ -93,6 +96,7 @@ fn run_phased_cell(out: &mut Outcome, nodes: usize, bytes_per_node: usize, gated
     let mut times = [0u64; 2];
     let mut gib = [0f64; 2];
     let mut penalty = [0u64; 2];
+    let mut drain_wait = 0;
     for (slot, policy) in [(0usize, PhasePolicy::SkewAware), (1, PhasePolicy::Off)] {
         let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), nodes, ShuffleAlgorithm::MESQ_SR);
         cfg.exchange.threads = THREADS;
@@ -103,7 +107,10 @@ fn run_phased_cell(out: &mut Outcome, nodes: usize, bytes_per_node: usize, gated
         let r = out.workload(&format!("phased sweep N={nodes} {policy:?}"), &cfg);
         times[slot] = r.response_time.as_nanos();
         gib[slot] = r.gib_per_sec();
-        penalty[slot] = (r.runtime.obs().metrics).counter_total(names::NET_INCAST_PENALTY_NS);
+        let metrics = &r.runtime.obs().metrics;
+        penalty[slot] = metrics.counter_total(names::NET_INCAST_PENALTY_NS);
+        // Only the phased run registers the drain counter.
+        drain_wait += metrics.counter_total(names::PHASE_DRAIN_WAIT_NS);
         eprintln!(
             "[adaptive] MESQ/SR N={nodes} phase={}: {:.3} GiB/s/node, {} ns virt, {:.0} ms wall",
             policy.label(),
@@ -118,6 +125,7 @@ fn run_phased_cell(out: &mut Outcome, nodes: usize, bytes_per_node: usize, gated
         MetricRow::info("unphased_response_virt_ns", times[1] as f64),
         MetricRow::info("phased_incast_penalty_ns", penalty[0] as f64),
         MetricRow::info("unphased_incast_penalty_ns", penalty[1] as f64),
+        MetricRow::info("phased_drain_wait_ns", drain_wait as f64),
         MetricRow::info("bytes_per_node", bytes_per_node as f64),
     ];
     if !gated {
@@ -349,6 +357,18 @@ fn matrix(smoke: bool) -> Vec<Row> {
             threads: 4,
             message_size: 16 * 1024,
             bytes_per_node: 4 << 20,
+            pattern: Pattern::Repartition,
+            incast: true,
+        },
+        // The `fattree64_phased` benchmark's shape: the same tree at
+        // 1 MiB/node in 64 KiB messages, where the phase decision is
+        // closest.
+        Row {
+            name: "incast/skew/N=64/1MiB",
+            nodes: 64,
+            threads: 4,
+            message_size: 64 * 1024,
+            bytes_per_node: 1 << 20,
             pattern: Pattern::Repartition,
             incast: true,
         },

@@ -224,8 +224,8 @@ impl AlgorithmAdvisor {
 
         // A phased transfer needs endpoints that can actually drain at
         // a super-round boundary. The UD impl quiesces its send ring
-        // toward each destination of the super-round before the barrier
-        // (`sr_ud::quiesce_dest`); the RC impls have no such drain yet,
+        // toward each destination of a super-round at the barrier after
+        // next (`SendEndpoint::quiesce`); the RC impls have no such drain,
         // so their residue leaks past the schedule and re-creates the
         // very fan-in the phases were built to remove — at fabric-bound
         // volumes they measurably lose to the drainable designs.

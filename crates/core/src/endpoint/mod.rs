@@ -356,8 +356,9 @@ pub trait SendEndpoint: Send + Sync {
 
     /// Blocks until the traffic this endpoint already pushed toward
     /// `dest` has drained as far as its flow-control protocol can
-    /// observe — used by phase-scheduled senders so one round's
-    /// messages leave the fabric before the next round starts.
+    /// observe — used by phase-scheduled senders so one super-round's
+    /// messages leave the fabric while the next one sends, before the
+    /// barrier after it.
     ///
     /// The reliable designs are naturally drained by their small
     /// per-peer buffer pools (at most `buffers_per_peer` messages can

@@ -722,9 +722,9 @@ impl SendEndpoint for SrUdChannel {
     /// collapse penalty exceeded everything the slack saved on the
     /// credit round trip. The phased SHUFFLE calls this once per
     /// destination a super-round ([`crate::phase::PHASE_GROUP`] phases)
-    /// opened, all at the super-round's end, just before the barrier:
-    /// the credit round trips of its phases overlap instead of running
-    /// one after another.
+    /// opened, all at once, after the next super-round's sends and just
+    /// before the barrier after it: the credit round trips of its phases
+    /// overlap each other and the next super-round's sends.
     fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
         let lag = u64::from(self.cfg.credit_writeback_frequency.saturating_sub(1));
         let initial = self.peers.lock().get(dest).and_then(|p| p.initial_credit);

@@ -350,19 +350,16 @@ impl ShuffleOperator {
                     }
                 }
             }
-            // One destination per phase. The barrier is crossed once per
-            // super-round (every PHASE_GROUP phases): inside a super-round
-            // lanes drift at most PHASE_GROUP − 1 phases apart, so an
-            // ingress port never serves more than PHASE_GROUP bulk senders
-            // — still under the incast knee — while slow lanes catch up
-            // without stretching every peer's round. A super-round's
-            // traffic leaves the fabric before the lane crosses the next
-            // barrier: the destinations it opened are drained there, all
-            // at once, and not one credit round trip per phase.
-            let mut opened = Vec::with_capacity(crate::phase::PHASE_GROUP);
+            // One destination per phase, the barrier crossed once per
+            // super-round (`PHASE_GROUP` phases; its doc has the port
+            // bound). A super-round is drained all at once at the barrier
+            // after next: its credit round trip overlaps the sends of the
+            // super-round after it.
+            let (mut sent, mut opened) = (Vec::new(), Vec::new());
             for p in 0..schedule.num_phases() {
                 if p % crate::phase::PHASE_GROUP == 0 {
-                    lane.quiesce(&mut opened)?;
+                    runner.drain(sim, || lane.quiesce(&mut sent))?;
+                    std::mem::swap(&mut sent, &mut opened);
                     runner.wait(sim, p)?;
                 }
                 let Some(dest_node) = schedule.dest_of(p, *node) else {
@@ -386,7 +383,8 @@ impl ShuffleOperator {
                 outbox.send(&lane, to)?;
                 opened.push(dest_node);
             }
-            lane.quiesce(&mut opened)?;
+            sent.append(&mut opened);
+            runner.drain(sim, || lane.quiesce(&mut sent))?;
             // Rows for a group no phase takes this node to would be lost.
             if let Some(dest) = staged.iter().position(|rows| !rows.is_empty()) {
                 return Err(ShuffleError::Config(format!(
@@ -882,15 +880,17 @@ mod tests {
         }
     }
 
-    /// A phased lane drains each super-round once, where it ends: every
-    /// destination the super-round opened is quiesced after the last of
-    /// its sends and before the next barrier crossing, and every
+    /// A phased lane drains each super-round once, one super-round late:
+    /// every destination super-round `r` opened is quiesced after the
+    /// last of super-round `r + 1`'s sends (the last super-round's after
+    /// its own) and before the barrier that opens `r + 2`, and every
     /// destination is quiesced before its Depleted marker.
     #[test]
-    fn a_super_round_drains_after_its_sends_and_before_the_next_barrier() {
+    fn a_super_round_drains_after_the_next_ones_sends_and_before_the_barrier_after_it() {
         use crate::phase::PHASE_GROUP;
         use StreamState::{Depleted, MoreData};
-        const NODES: usize = 2 * PHASE_GROUP;
+        const ROUNDS: u64 = 3;
+        const NODES: usize = ROUNDS as usize * PHASE_GROUP;
         let kernel = Kernel::new();
         let obs = Obs::new();
         let endpoint = Arc::new(Draining {
@@ -898,13 +898,13 @@ mod tests {
             obs: obs.clone(),
             steps: Mutex::new(Vec::new()),
         });
-        // On a uniform matrix node 0 serves node `p` in phase `p`: two
+        // On a uniform matrix node 0 serves node `p` in phase `p`: three
         // super-rounds of PHASE_GROUP destinations each.
         let uniform = PhaseSchedule::uniform_bytes(NODES);
         let schedule = PhaseSchedule::build(&uniform).unwrap();
         let runner = PhaseRunner::with_obs(&kernel, schedule, 1, SimDuration::from_millis(1), obs);
         let op = ShuffleOperator::with_lanes(
-            Arc::new(Batches(Mutex::new(vec![(16, 200)]))),
+            Arc::new(Batches(Mutex::new(vec![(16, 300)]))),
             vec![endpoint.clone()],
             TransmissionGroups::partition(NODES),
             1,
@@ -937,16 +937,17 @@ mod tests {
                 "node {dest} is drained once, before its Depleted marker: {steps:?}"
             );
             let (at, (crossed, _)) = drains[0];
-            // After every send of its super-round, toward any node, and
-            // before the barrier that opens the next.
+            // After every send of the next super-round, toward any node,
+            // and before the barrier that opens the one after it.
+            let next = (round + 1).min(ROUNDS);
             let last_send = (steps.iter().enumerate())
-                .filter(|(_, (c, s))| *c == round && matches!(s, Step::Send(_, MoreData)))
+                .filter(|(_, (c, s))| *c == next && matches!(s, Step::Send(_, MoreData)))
                 .map(|(i, _)| i)
                 .max();
             assert!(sent(dest).count() > 0, "node {dest} is sent rows");
             assert!(
-                *crossed == round && last_send < Some(at),
-                "node {dest} is drained after super-round {round}'s sends: {steps:?}"
+                *crossed == next && last_send < Some(at),
+                "node {dest} is drained after super-round {next}'s sends: {steps:?}"
             );
         }
     }

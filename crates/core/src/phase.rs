@@ -71,11 +71,13 @@ pub const HEAVY_SOURCE_FACTOR: f64 = 2.0;
 /// `1/G` as often and (b) letting a lane that ran long in one phase
 /// catch up inside the super-round instead of stretching every peer's
 /// round to the per-phase maximum. A sender drains every destination
-/// it opened in a super-round (the endpoint's full-drain quiesce) just
-/// before it crosses the next barrier, and once more before its
-/// Depleted markers: no super-round's traffic runs into the next one,
-/// and inside a super-round the phases are paced by the send window
-/// alone.
+/// it opened in a super-round (the endpoint's full-drain quiesce) one
+/// super-round late, just before it crosses the barrier after next, and
+/// drains what is left before its Depleted markers: super-round `r`'s
+/// credit round trip overlaps `r + 1`'s sends, and inside a super-round
+/// the phases are paced by the send window alone. A port therefore
+/// serves at most `2G` constrained senders, the tail of one super-round
+/// beside the next; `net.incast_penalty_ns` counts what that costs.
 pub const PHASE_GROUP: usize = 3;
 
 impl PhasePolicy {
@@ -305,6 +307,7 @@ struct PhaseObs {
     obs: Arc<Obs>,
     phases_run: Arc<Counter>,
     barrier_wait: Arc<Histogram>,
+    drain_wait: Arc<Counter>,
 }
 
 /// How long after the last sender arrives the parked ones resume.
@@ -315,8 +318,8 @@ impl PhaseRunner {
     /// threads (every lane of every sending node). `timeout` bounds a
     /// single barrier wait; a thread that waits longer aborts the
     /// whole runner (some peer died without reporting). Publishes
-    /// `exchange.phases_run` / `exchange.phase_barrier_wait_ns` and
-    /// per-phase trace instants into `obs`.
+    /// `exchange.phases_run`, `exchange.phase_barrier_wait_ns`,
+    /// `phase.drain_wait_ns` and per-phase trace instants into `obs`.
     pub fn with_obs(
         kernel: &Kernel,
         schedule: PhaseSchedule,
@@ -332,6 +335,7 @@ impl PhaseRunner {
             barrier_wait: obs
                 .metrics
                 .histogram(names::EXCHANGE_PHASE_BARRIER_WAIT_NS, Labels::GLOBAL),
+            drain_wait: (obs.metrics).counter(names::PHASE_DRAIN_WAIT_NS, Labels::GLOBAL),
             obs,
         };
         Arc::new(PhaseRunner {
@@ -375,6 +379,15 @@ impl PhaseRunner {
             phase as u64,
         );
         Ok(())
+    }
+
+    /// Runs a lane's super-round drain, counting the virtual ns it takes
+    /// in `phase.drain_wait_ns`.
+    pub fn drain(&self, sim: &SimContext, drain: impl FnOnce() -> Result<()>) -> Result<()> {
+        let started = sim.now();
+        let res = drain();
+        (self.obs.drain_wait).add(sim.now().duration_since(started).as_nanos());
+        res
     }
 
     /// Aborts the runner: wakes every thread currently parked at the

@@ -166,6 +166,9 @@ pub mod names {
     pub const EXCHANGE_PHASES_RUN: &str = "exchange.phases_run";
     /// Virtual ns a sender thread spent parked at the phase barrier.
     pub const EXCHANGE_PHASE_BARRIER_WAIT_NS: &str = "exchange.phase_barrier_wait_ns";
+    /// Virtual ns sender threads of a phase-scheduled exchange spent in
+    /// their super-round drains (the endpoint's `quiesce`).
+    pub const PHASE_DRAIN_WAIT_NS: &str = "phase.drain_wait_ns";
 }
 
 /// One shared observability context: the metrics registry plus the
