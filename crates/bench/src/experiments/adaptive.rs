@@ -31,9 +31,9 @@
 //!
 //! `--smoke` is the CI configuration `perfdiff` holds equal to
 //! `BENCH_ADAPTIVE.json`: the acceptance-size N ∈ {128, 256} phased cells
-//! at a fabric-bound 8 MiB/node, the N = 64 1 MiB/node cell and a
-//! seven-row matrix. The full run adds the N = 64 anchor cell at
-//! 8 MiB/node and two more matrix rows.
+//! at a fabric-bound 8 MiB/node, the N = 64 1 MiB/node cell and an
+//! eight-row matrix. The full run adds the N = 64 anchor cell at
+//! 8 MiB/node and one more matrix row.
 
 use std::collections::HashMap;
 
@@ -305,7 +305,17 @@ fn matrix(smoke: bool) -> Vec<Row> {
             pattern: Pattern::Repartition,
             incast: false,
         },
-        // Figure 9, left edge: small messages on the same cluster.
+        // The same messages on twice the cluster, where MESQ/SR wins.
+        Row {
+            name: "fig09/big-msg/N=16",
+            nodes: 16,
+            threads: 4,
+            message_size: 64 * 1024,
+            bytes_per_node: 4 << 20,
+            pattern: Pattern::Repartition,
+            incast: false,
+        },
+        // Figure 9, left edge: small messages on the eight-node cluster.
         Row {
             name: "fig09/small-msg/N=8",
             nodes: 8,
@@ -374,15 +384,6 @@ fn matrix(smoke: bool) -> Vec<Row> {
         },
     ];
     if !smoke {
-        rows.push(Row {
-            name: "fig09/big-msg/N=16",
-            nodes: 16,
-            threads: 4,
-            message_size: 64 * 1024,
-            bytes_per_node: 4 << 20,
-            pattern: Pattern::Repartition,
-            incast: false,
-        });
         rows.push(Row {
             name: "fig12/scale/N=96",
             nodes: 96,

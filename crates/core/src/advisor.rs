@@ -17,15 +17,8 @@
 //! [`Advice::rationale`], so `diag` can dump the full signal → decision
 //! table.
 
-use crate::config::{EndpointImpl, EndpointMode, ShuffleAlgorithm};
+use crate::config::{EndpointImpl, ShuffleAlgorithm};
 use crate::phase::PhasePolicy;
-
-/// The §7 one-sided WRITE variant of MEMQ (not one of the six named
-/// constants, so spelled out rather than parsed on the advice path).
-const MEMQ_WR: ShuffleAlgorithm = ShuffleAlgorithm {
-    mode: EndpointMode::Multi,
-    imp: EndpointImpl::MqWr,
-};
 
 /// Observable inputs to the advisor. Everything here is known before
 /// the query transmits a single row: shape from the plan, load from the
@@ -164,11 +157,13 @@ impl AlgorithmAdvisor {
         } else if s.message_size >= LARGE_MESSAGE {
             why.push((
                 format!("{} B messages ≥ {LARGE_MESSAGE} B", s.message_size),
-                "one-sided READ amortizes its descriptor round trip on big messages".to_string(),
+                "one-sided READ amortizes its descriptor round trip on big messages; \
+                 UD stays a finalist"
+                    .to_string(),
             ));
             vec![
                 ShuffleAlgorithm::MEMQ_RD,
-                MEMQ_WR,
+                ShuffleAlgorithm::MESQ_SR,
                 ShuffleAlgorithm::MEMQ_SR,
             ]
         } else if s.threads >= 8 && s.nodes <= 16 {
@@ -229,23 +224,18 @@ impl AlgorithmAdvisor {
         // so their residue leaks past the schedule and re-creates the
         // very fan-in the phases were built to remove — at fabric-bound
         // volumes they measurably lose to the drainable designs.
-        // Restrict the finalists accordingly.
+        // Restrict the finalists accordingly; every rule ranks MESQ/SR,
+        // so at least it remains.
         let ranked = if phase.enabled() {
-            let ud: Vec<ShuffleAlgorithm> = ranked
-                .iter()
-                .copied()
-                .filter(|a| peer_independent_state(*a))
-                .collect();
             why.push((
                 "phased transfer".to_string(),
                 "only the UD endpoints drain at phase boundaries; RC residue defeats the schedule"
                     .to_string(),
             ));
-            if ud.is_empty() {
-                vec![ShuffleAlgorithm::MESQ_SR, ShuffleAlgorithm::SESQ_SR]
-            } else {
-                ud
-            }
+            ranked
+                .into_iter()
+                .filter(|&a| peer_independent_state(a))
+                .collect()
         } else {
             ranked
         };
@@ -366,17 +356,16 @@ mod tests {
     #[test]
     fn phased_advice_restricts_finalists_to_drainable_endpoints() {
         // Big messages on a small congested cluster: the message-size
-        // rule ranks the RC one-sided designs, but once the phase rule
-        // fires every finalist must be able to drain at a phase
-        // boundary — only the UD impls can today.
+        // rule ranks READ first, but once the phase rule fires every
+        // finalist must be able to drain at a phase boundary — only the
+        // UD impls can today.
         let mut s = AdvisorSignals::baseline(8, 4, 64 * 1024);
         s.oversubscription = 4.0;
         s.incast = true;
         s.skew = 2.0;
         let advice = AlgorithmAdvisor::advise(&s);
         assert_eq!(advice.phase, PhasePolicy::SkewAware);
-        assert!(!advice.ranked.is_empty());
-        assert!(advice.ranked.iter().all(|&a| peer_independent_state(a)));
+        assert_eq!(advice.ranked, [ShuffleAlgorithm::MESQ_SR]);
         // Unphased, the same shape keeps its RC ranking.
         s.incast = false;
         assert_eq!(

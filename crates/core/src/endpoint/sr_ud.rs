@@ -97,6 +97,9 @@ struct Peer {
     granted: u64,
     /// Receive half: the peer's releases since the last write-back.
     releases: u32,
+    /// Receive half: whether the peer's `Depleted` message has declared
+    /// its total. It sends nothing more, so it gets no more credit.
+    declared: bool,
 }
 
 /// The address of wired peer `node` with its entry, or the typed error
@@ -533,6 +536,9 @@ impl SrUdChannel {
                 }
                 self.made_progress(sim);
                 let src = c.src_node;
+                if header.state == StreamState::Depleted {
+                    self.update_peer(src, |peer| peer.declared = true);
+                }
                 let delivery = deliver(sim, &self.recv_obs, &self.audit, &header, buf, src, 0)?;
                 self.data_gate.push(delivery);
                 Ok(())
@@ -806,17 +812,19 @@ impl ReceiveEndpoint for SrUdChannel {
         self.audit
             .released(buf_id(&delivery.local), sim.now().as_nanos());
         self.repost(sim, &delivery.local)?;
-        let (credit_now, write_back, sender) = self.update_peer(delivery.src, |peer| {
+        // A source whose `Depleted` message declared its total sends
+        // nothing more: credit to it would only be tail traffic, still in
+        // flight when the exchange is torn down (`sr_rc::recycle_slot`
+        // keeps the same rule). Termination needs every source declared,
+        // so a done channel credits nobody.
+        let write_back = self.update_peer(delivery.src, |peer| {
             peer.granted += 1;
             peer.releases += 1;
             let freq = self.cfg.credit_writeback_frequency;
-            let write_back = peer.releases.is_multiple_of(freq);
-            (peer.granted, write_back, peer.sender)
+            let due = !peer.declared && peer.releases.is_multiple_of(freq);
+            due.then_some((peer.granted, peer.sender))
         });
-        // Once every source has delivered its declared total nothing more
-        // arrives: credit would only be tail traffic, still in flight when
-        // the exchange is torn down.
-        if write_back && !matches!(self.check_done(), Ok(DoneState::Done)) {
+        if let Some((credit_now, sender)) = write_back {
             self.audit.credit_granted(
                 CreditLane::Ud {
                     sender: sender as u64,
@@ -1108,6 +1116,54 @@ mod tests {
         // A channel expecting nobody is done before anything arrives.
         let (_, idle) = wired(&[], 4);
         assert!(matches!(idle.check_done(), Ok(DoneState::Done)));
+    }
+
+    /// Once source A's `Depleted` message has landed, releasing A's
+    /// queued messages writes no credit back to A, while source B, still
+    /// open, is credited every `credit_writeback_frequency` releases.
+    #[test]
+    fn a_declared_source_gets_no_more_credit() {
+        let rt = VerbsRuntime::new(Cluster::new(3, DeviceProfile::edr()));
+        let config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, 3, 1);
+        let params = config.params(rt.profile());
+        let freq = params.credit_writeback_frequency as usize;
+        let here = SrUdChannel::new(&rt.context(0), EndpointId(0), EndpointId(1), params.clone());
+        let ids = [1, 2].map(|node| (EndpointId(2 * node as u32), node));
+        let sources = ids.map(|(id, node)| {
+            let ctx = rt.context(node);
+            let source = SrUdChannel::new(&ctx, id, EndpointId(id.0 + 1), params.clone());
+            here.add_peer(node, source.address_handle());
+            source.add_peer(0, here.address_handle());
+            assert!(ConnectionManager::activate_untimed(source.qp(), None).is_ok());
+            assert!(source
+                .bootstrap_receives(&ctx, &[(EndpointId(0), 0)])
+                .is_ok());
+            source
+        });
+        assert!(ConnectionManager::activate_untimed(here.qp(), None).is_ok());
+        assert!(here.bootstrap_receives(&rt.context(0), &ids).is_ok());
+        let s = here.clone();
+        in_sim(&rt, move |sim| {
+            // A (endpoint 2 on node 1) sends `freq` messages, the last one
+            // `Depleted`; B (endpoint 4 on node 2) sends as many, open.
+            for i in 0..freq {
+                let a = match i + 1 == freq {
+                    true => StreamState::Depleted,
+                    false => StreamState::MoreData,
+                };
+                arrive(&s, sim, 2 * i, 1, header(2, MsgKind::Data, a, freq as u64))?;
+                let b = header(4, MsgKind::Data, StreamState::MoreData, 0);
+                arrive(&s, sim, 2 * i + 1, 2, b)?;
+            }
+            for _ in 0..2 * freq {
+                let delivery = s.get_data(sim)?;
+                let delivery = delivery.ok_or(ShuffleError::CompletionError("no delivery"))?;
+                s.release(sim, delivery)?;
+            }
+            Ok(())
+        });
+        // Credit datagrams that landed at A and at B.
+        assert_eq!(sources.map(|source| source.recv_cq.depth()), [0, 1]);
     }
 
     /// The straggler error names the source with the largest deficit,
