@@ -140,7 +140,7 @@ fi
 # forward to is how two copies of a protocol rule drift apart; a UD
 # `Depleted` declaration is checked against the credit lane's count, not
 # against a second table of the same sends.
-HOOKS='credit_lane|credit_granted|receives_posted|credit_lane_closed|credit_consumed|buffer_taken|buffer_sent|buffer_recycled|delivered|released|ring|ring_produced|ring_consumed|depleted_announced|counted_receive'
+HOOKS='credit_lane|credit_granted|receives_posted|credit_received|credit_lane_closed|credit_consumed|buffer_taken|buffer_sent|buffer_recycled|delivered|released|ring|ring_produced|ring_consumed|depleted_announced|counted_receive'
 twice=$(grep -rnoE "fn ($HOOKS)\(" crates/audit/src | awk -F: 'seen[$3]++ { print $1 ": " $3 }')
 if [ -n "$twice" ]; then
   echo "ERROR: an auditor hook is defined more than once, in:" >&2

@@ -10,9 +10,9 @@
 //! * **Credit conservation** — per flow-control lane, the absolute
 //!   credit value a receiver announces never regresses, never exceeds
 //!   the receives it actually posted, is never overdrawn by the sender,
-//!   and (for reliably-written RC credit slots) never lags the posted
-//!   count by more than one write-back period — a lost write-back is
-//!   caught online even though absolute credit eventually self-heals.
+//!   and (for reliably-written RC credit slots) is written back whenever
+//!   the write-back rule owes it — a lost write-back is caught online
+//!   even though absolute credit eventually self-heals.
 //! * **Buffer lifecycle** — a sender may only send a buffer it took via
 //!   GETFREE and may only recycle a buffer it sent; a receiver releases
 //!   every delivered buffer exactly once.
@@ -173,9 +173,11 @@ pub enum AuditViolation {
         /// Virtual nanoseconds.
         at_ns: u64,
     },
-    /// A reliably-written RC credit slot lags the receives actually
-    /// posted by more than one write-back period — a credit write-back
-    /// was skipped or lost.
+    /// A release left a reliably-written RC credit slot owing a
+    /// write-back — at least `frequency` receives posted since the last
+    /// grant, and the sender's unspent credit (granted − received) within
+    /// its declared in-flight sends plus half the bootstrap window — and
+    /// the next event on the lane found it still unannounced.
     CreditWritebackLost {
         /// The flow-control lane.
         lane: CreditLane,
@@ -183,8 +185,10 @@ pub enum AuditViolation {
         posted: u64,
         /// Last credit announced.
         granted: u64,
-        /// Configured write-back frequency.
-        frequency: u64,
+        /// Data messages received on the lane.
+        received: u64,
+        /// The sends in flight the latest received message declared.
+        in_flight: u64,
         /// Virtual nanoseconds.
         at_ns: u64,
     },
@@ -377,13 +381,14 @@ impl fmt::Display for AuditViolation {
                 lane,
                 posted,
                 granted,
-                frequency,
+                received,
+                in_flight,
                 at_ns,
             } => {
                 write!(
                     f,
                     "lost credit write-back on {lane}: posted {posted}, granted {granted}, \
-                     frequency {frequency} at {at_ns}ns"
+                     received {received}, in flight {in_flight} at {at_ns}ns"
                 )
             }
             AuditViolation::UseAfterFree { buf, at_ns } => {
@@ -465,9 +470,31 @@ struct CreditState {
     /// UD lane also the count its `Depleted` declaration must match.
     consumed: u64,
     posted: u64,
+    /// Data messages the receiver took in on the lane, and the sends in
+    /// flight the latest of them declared.
+    received: u64,
+    in_flight: u64,
+    /// The receives posted when the first credit was granted.
+    window: u64,
+    /// A release made a write-back due and no grant has followed yet.
+    owed: bool,
     /// Write-back frequency for reliably-written RC slots; `None` for
     /// lanes whose announcements may be legally lost (UD datagrams).
     frequency: Option<u64>,
+}
+
+impl CreditState {
+    /// The lost write-back this state shows when one was owed.
+    fn lost(&self, lane: CreditLane, at_ns: u64) -> Option<AuditViolation> {
+        self.owed.then_some(AuditViolation::CreditWritebackLost {
+            lane,
+            posted: self.posted,
+            granted: self.granted.unwrap_or(0),
+            received: self.received,
+            in_flight: self.in_flight,
+            at_ns,
+        })
+    }
 }
 
 #[derive(Copy, Clone, PartialEq, Eq)]
@@ -681,6 +708,10 @@ impl AuditHandle {
     pub fn credit_granted(&self, lane: CreditLane, granted: u64, at_ns: u64) {
         self.check(Some(at_ns), |st| {
             let entry = st.credits.entry(lane).or_default();
+            entry.owed = false;
+            if entry.granted.is_none() {
+                entry.window = entry.posted;
+            }
             match entry
                 .granted
                 .replace(entry.granted.map_or(granted, |g| g.max(granted)))
@@ -703,7 +734,13 @@ impl AuditHandle {
         });
     }
 
-    /// The receiver posted `n` more receives backing `lane`.
+    /// The receiver posted `n` more receives backing `lane`. A
+    /// reliably-written slot then owes a write-back when at least
+    /// `frequency` receives were posted since the last grant and the
+    /// sender's unspent credit is within its declared in-flight sends plus
+    /// half the bootstrap window. The endpoint announces an owed grant in
+    /// the same atomic step as the post, so one still owed at the lane's
+    /// next post was lost.
     #[inline]
     pub fn receives_posted(&self, lane: CreditLane, n: u64, at_ns: u64) {
         self.check(Some(at_ns), |st| {
@@ -712,44 +749,33 @@ impl AuditHandle {
             let (Some(frequency), Some(granted)) = (entry.frequency, entry.granted) else {
                 return None;
             };
-            // An over-grant has already been reported; it leaves no backlog.
-            let posted = entry.posted;
-            (posted.saturating_sub(granted) > frequency).then_some(
-                AuditViolation::CreditWritebackLost {
-                    lane,
-                    posted,
-                    granted,
-                    frequency,
-                    at_ns,
-                },
-            )
+            let lost = entry.lost(lane, at_ns);
+            // An over-grant has already been reported; it owes nothing.
+            let reserve = entry.in_flight + entry.window / 2;
+            entry.owed = entry.posted.saturating_sub(granted) >= frequency
+                && granted.saturating_sub(entry.received) <= reserve;
+            lost
+        });
+    }
+
+    /// The receiver took in a data message on `lane` whose sender had
+    /// `in_flight` sends outstanding toward it when it posted it.
+    #[inline]
+    pub fn credit_received(&self, lane: CreditLane, in_flight: u64, at_ns: u64) {
+        self.check(Some(at_ns), |st| {
+            let entry = st.credits.entry(lane).or_default();
+            (entry.received, entry.in_flight) = (entry.received + 1, in_flight);
+            None
         });
     }
 
     /// The source behind `lane` announced end-of-stream: no further
-    /// receives will be posted or credit announced, so the lane's last
-    /// reached write-back boundary must already have been granted.
+    /// receives will be posted or credit announced, so a write-back the
+    /// last release owed must already have been announced.
     #[inline]
     pub fn credit_lane_closed(&self, lane: CreditLane, at_ns: u64) {
         self.check(Some(at_ns), |st| {
-            let entry = st.credits.entry(lane).or_default();
-            let frequency = entry.frequency?;
-            let (posted, granted) = (entry.posted, entry.granted.unwrap_or(0));
-            // A release that lands on a write-back boundary announces the
-            // grant in the same atomic step as the audited post, so at any
-            // quiescent point the un-announced backlog is strictly below one
-            // period. At lane close the receiver stops recycling, which ends
-            // online gap checking — a backlog of a full period here means a
-            // boundary passed without its write-back ever being announced.
-            (posted.saturating_sub(granted) >= frequency).then_some(
-                AuditViolation::CreditWritebackLost {
-                    lane,
-                    posted,
-                    granted,
-                    frequency,
-                    at_ns,
-                },
-            )
+            st.credits.entry(lane).or_default().lost(lane, at_ns)
         });
     }
 
@@ -929,7 +955,9 @@ mod tests {
         h.credit_granted(lane(), 8, 0);
         for sent in 1..=8 {
             h.credit_consumed(lane(), sent, sent * 10);
+            h.credit_received(lane(), 2, sent * 10);
         }
+        // The fourth release owes the write-back, announced with it.
         for _ in 0..4 {
             h.receives_posted(lane(), 1, 90);
         }
@@ -959,9 +987,11 @@ mod tests {
         h.credit_lane(lane(), Some(2));
         h.receives_posted(lane(), 2, 0);
         h.credit_granted(lane(), 2, 0);
+        h.credit_received(lane(), 1, 5);
+        h.credit_received(lane(), 1, 5);
         // Two releases re-post receives; the write-back that should have
-        // announced credit 4 is "lost". The next re-post exceeds the
-        // period and must fire.
+        // announced credit 4 is "lost". The next re-post finds it still
+        // owed and must fire.
         h.receives_posted(lane(), 1, 10);
         h.receives_posted(lane(), 1, 20);
         assert!(a.violations().is_empty());
@@ -975,9 +1005,11 @@ mod tests {
         h.credit_lane(lane(), Some(2));
         h.receives_posted(lane(), 2, 0);
         h.credit_granted(lane(), 2, 0);
-        // The releases reach the write-back boundary (posted 4) but the
-        // announcement is "lost", and the stream ends before the online
-        // gap check could see a third un-granted re-post.
+        h.credit_received(lane(), 1, 5);
+        h.credit_received(lane(), 1, 5);
+        // The releases make a write-back due (posted 4) but the
+        // announcement is "lost", and the stream ends before a third
+        // re-post could find it still owed.
         h.receives_posted(lane(), 1, 10);
         h.receives_posted(lane(), 1, 20);
         assert!(a.violations().is_empty());
@@ -1004,14 +1036,40 @@ mod tests {
         h.credit_lane(lane(), Some(2));
         h.receives_posted(lane(), 2, 0);
         h.credit_granted(lane(), 2, 0);
+        h.credit_received(lane(), 1, 5);
+        h.credit_received(lane(), 1, 5);
         h.receives_posted(lane(), 1, 10);
         h.receives_posted(lane(), 1, 20);
         h.credit_granted(lane(), 4, 20);
         // One release into the next period when the source depletes:
-        // below the boundary, so nothing was owed.
+        // below the frequency, so nothing was owed.
         h.receives_posted(lane(), 1, 30);
         h.credit_lane_closed(lane(), 40);
         assert!(a.violations().is_empty(), "{:?}", a.violations());
+    }
+
+    #[test]
+    fn a_write_back_the_sender_does_not_need_is_not_owed() {
+        let (a, h) = auditor();
+        h.credit_lane(lane(), Some(2));
+        h.receives_posted(lane(), 8, 0);
+        h.credit_granted(lane(), 8, 0);
+        h.credit_received(lane(), 1, 5);
+        // Past the frequency, but 7 of 8 credits unspent is more than one
+        // send in flight plus half the window of 8: no write-back is due.
+        for at_ns in [10, 20, 30] {
+            h.receives_posted(lane(), 1, at_ns);
+        }
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
+        // Three more arrivals leave 4 unspent, within 1 + 4: the next
+        // release owes the write-back, and a close without it is a loss.
+        for at_ns in [50, 50, 50] {
+            h.credit_received(lane(), 1, at_ns);
+        }
+        h.receives_posted(lane(), 1, 60);
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
+        h.credit_lane_closed(lane(), 70);
+        assert_eq!(a.violations()[0].code(), "credit_writeback_lost");
     }
 
     #[test]
@@ -1213,6 +1271,8 @@ mod tests {
                 h.credit_lane(lane(), Some(2));
                 h.receives_posted(lane(), 2, 0);
                 h.credit_granted(lane(), 2, 0);
+                h.credit_received(lane(), 1, 5);
+                h.credit_received(lane(), 1, 5);
                 h.receives_posted(lane(), 1, 10);
                 h.receives_posted(lane(), 1, 20);
                 h.receives_posted(lane(), 1, 30);
@@ -1221,6 +1281,8 @@ mod tests {
                 h.credit_lane(other, Some(2));
                 h.receives_posted(other, 2, 40);
                 h.credit_granted(other, 2, 40);
+                h.credit_received(other, 2, 45);
+                h.credit_received(other, 2, 45);
                 h.receives_posted(other, 2, 50);
                 h.credit_lane_closed(other, 60);
             },
@@ -1228,12 +1290,12 @@ mod tests {
                 (
                     4,
                     "credit_writeback_lost",
-                    "lost credit write-back on rc-slot[rkey=7,off=8]: posted 5, granted 2, frequency 2 at 30ns",
+                    "lost credit write-back on rc-slot[rkey=7,off=8]: posted 5, granted 2, received 2, in flight 1 at 30ns",
                 ),
                 (
                     4,
                     "credit_writeback_lost",
-                    "lost credit write-back on rc-slot[rkey=7,off=16]: posted 4, granted 2, frequency 2 at 60ns",
+                    "lost credit write-back on rc-slot[rkey=7,off=16]: posted 4, granted 2, received 2, in flight 2 at 60ns",
                 ),
             ],
             added: &[],

@@ -22,8 +22,10 @@ use super::{Outcome, Scale};
 use crate::perf::{stage_summaries, BenchResult, MetricRow};
 use crate::workload::{default_volume, Pattern, Transport, WorkloadConfig};
 
-/// Message sizes of the Figure 9 smoke sweep.
-const SMOKE_MSG_SIZES: &[usize] = &[16 << 10, 64 << 10];
+/// Message sizes of the Figure 9 smoke sweep: the full sweep's left edge,
+/// where the per-message protocol cost (credit write-backs) shows, and the
+/// paper's 16 and 64 KiB.
+const SMOKE_MSG_SIZES: &[usize] = &[4 << 10, 16 << 10, 64 << 10];
 /// Cluster size of the Figure 9 smoke sweep.
 const SMOKE_MSG_NODES: usize = 4;
 /// Per-node table volume of every smoke sweep (fixed, independent of

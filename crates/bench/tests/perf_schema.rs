@@ -104,7 +104,7 @@ fn committed_baseline_holds_hot_path_stage_digests() {
     let rows = report.metrics.iter().filter(|m| m.key.0 == "fig09_msgsize");
     let mut ids: Vec<&str> = rows.map(|m| m.key.1.as_str()).collect();
     ids.dedup();
-    assert_eq!(ids.len(), 12, "six designs at two message sizes: {ids:?}");
+    assert_eq!(ids.len(), 18, "six designs at three message sizes: {ids:?}");
     for id in ids {
         for stage in ["stage.wr_batch_ns", "stage.post_to_completion_ns"] {
             let fields = report

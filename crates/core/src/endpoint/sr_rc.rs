@@ -6,9 +6,12 @@
 //! Receive has been posted, and transmits the *absolute* credit (total
 //! Receives posted on the connection so far) rather than a relative delta.
 //! Credit travels from receiver to sender as an RDMA Write into a dedicated
-//! credit region at the sender (inlined to save a DMA fetch). The write-back
-//! is amortized over `credit_writeback_frequency` Receives —
-//! the trade-off studied in Figure 8.
+//! credit region at the sender (inlined to save a DMA fetch). Each costs a
+//! work request on both NICs, so it goes back only when due: at least
+//! `credit_writeback_frequency` releases after the last (Figure 8), once the
+//! sender's unspent credit is within its sends in flight (each data header's
+//! `counter`) plus half the window. A sender blocked at its grant is refilled
+//! within `recv_depth_per_peer` releases.
 //!
 //! Each endpoint holds one Queue Pair per peer (Θ(n) per endpoint, the "MQ"
 //! design) and associates all of them with a single completion queue to
@@ -74,8 +77,8 @@ pub struct SrRcSendEndpoint {
     window: SendWindow,
     /// Absolute credit per peer, RDMA-written by the remote receiver.
     credit_mr: MemoryRegion,
-    /// Data messages sent per peer.
-    sent: Mutex<Vec<u64>>,
+    /// Per peer: data messages sent, and the completions of them reaped.
+    sent: Mutex<Vec<(u64, u64)>>,
     obs: SendObs,
     cfg: Params,
 }
@@ -90,7 +93,7 @@ impl SrRcSendEndpoint {
         SrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             credit_mr: ctx.register_untimed(layout.ring_bytes()),
-            sent: Mutex::new(vec![0; half.peers()]),
+            sent: Mutex::new(vec![(0, 0); half.peers()]),
             obs: SendObs::new(ctx, id),
             half,
             send_cq,
@@ -112,7 +115,7 @@ impl SrRcSendEndpoint {
     fn wait_for_credit(&self, sim: &SimContext, pi: usize) -> Result<()> {
         let has_credit = || -> Result<Option<()>> {
             let credit = self.credit_mr.read_u64(8 * pi)?;
-            Ok((credit > self.sent.lock()[pi]).then_some(()))
+            Ok((credit > self.sent.lock()[pi].0).then_some(()))
         };
         self.cfg.watchdog(sim, "waiting for send credit").wait(
             sim,
@@ -135,16 +138,23 @@ impl SendEndpoint for SrRcSendEndpoint {
         dest: &[NodeId],
         state: StreamState,
     ) -> Result<()> {
-        buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
         self.window.launch(sim, &buf, dest.len())?;
+        let mut header = data_header(self.half.id, self.cfg.epoch, &buf, state);
         for &d in dest {
             let pi = self.half.index_of(d)?;
             self.wait_for_credit(sim, pi)?;
-            let sent_now = {
-                let mut sent = self.sent.lock();
-                sent[pi] += 1;
-                sent[pi]
+            let (sent_now, reaped) = {
+                let peer = &mut self.sent.lock()[pi];
+                peer.0 += 1;
+                *peer
             };
+            // How deep the pipeline toward `d` runs, which sizes the
+            // receiver's write-back. A rewrite copies a window an earlier
+            // post of a group send still shares, so only a new value is.
+            if header.counter != sent_now - reaped {
+                header.counter = sent_now - reaped;
+                buf.write_header(&header)?;
+            }
             self.half.audit.credit_consumed(
                 credit_lane(&self.credit_slot(pi)),
                 sent_now,
@@ -182,6 +192,7 @@ impl SendEndpoint for SrRcSendEndpoint {
                             c,
                             "reliable send failed (receiver never posted a receive?)",
                         )?;
+                        self.sent.lock()[self.half.index_of(c.src_node)?].1 += 1;
                         self.window.complete(sim, c.wr_id)
                     };
                     self.send_cq
@@ -224,8 +235,12 @@ pub struct SrRcReceiveEndpoint {
 struct SrcCredit {
     /// Absolute receives posted (the credit value).
     posted: u64,
-    /// Releases since the last credit write-back.
-    releases: u32,
+    /// The credit last written back (at first, the bootstrap pool).
+    granted: u64,
+    /// Data messages received from the source.
+    received: u64,
+    /// The source's sends in flight toward me when it posted the latest.
+    in_flight: u64,
     /// Where the source's send endpoint keeps my credit slot.
     remote: Option<RemoteAddr>,
 }
@@ -258,7 +273,6 @@ impl SrRcReceiveEndpoint {
     /// pool on that connection. Returns the initial credit granted.
     fn bootstrap_src(&self, src: NodeId, credit_slot: RemoteAddr) -> Result<u64> {
         let si = self.half.index_of(src)?;
-        self.credit.lock()[si].remote = Some(credit_slot);
         // Source `si`'s `depth` windows of the pool, named by their offsets.
         let (depth, window) = (self.cfg.recv_depth_per_peer, self.cfg.message_size);
         let offset = depth * si * window;
@@ -271,13 +285,14 @@ impl SrRcReceiveEndpoint {
         let step = (window as u64, window);
         self.half.qp(si).post_recv_run_untimed(first, step, depth)?;
         let credit = depth as u64;
-        self.credit.lock()[si].posted = credit;
         // Bootstrap happens outside the measured window, at virtual 0.
         let lane = credit_lane(&credit_slot);
         let audit = &self.half.audit;
         audit.credit_lane(lane, Some(self.cfg.credit_writeback_frequency as u64));
         audit.receives_posted(lane, credit, 0);
         audit.credit_granted(lane, credit, 0);
+        let src = &mut self.credit.lock()[si];
+        (src.posted, src.granted, src.remote) = (credit, credit, Some(credit_slot));
         Ok(credit)
     }
 }
@@ -373,24 +388,27 @@ impl SrRcReceiveEndpoint {
             },
         )?;
         // The write-back decision, the audited receive count and the
-        // audited grant must be one atomic step: with several receiver
-        // threads releasing concurrently, interleaving the hooks would
-        // let the auditor observe `posted` running ahead of `granted` by
-        // more than one write-back period even though no write-back was
-        // lost. The RDMA write itself stays outside the lock.
+        // audited grant must be one atomic step (as must a receive and its
+        // audit in `on_receive`): with several receiver threads at work,
+        // interleaving the hooks would let the auditor judge a write-back
+        // owed on counts the decision never saw. The RDMA write itself
+        // stays outside the lock.
         let (slot, credit_now, write_back) = {
             let src = &mut self.credit.lock()[si];
             src.posted += 1;
-            src.releases += 1;
-            let write_back = src
-                .releases
-                .is_multiple_of(self.cfg.credit_writeback_frequency);
+            // Due when the source could run short (module docs).
+            let frequency = u64::from(self.cfg.credit_writeback_frequency);
+            let reserve = src.in_flight + self.cfg.recv_depth_per_peer as u64 / 2;
+            let write_back = src.posted - src.granted >= frequency
+                && src.granted.saturating_sub(src.received) <= reserve;
             // A saboteur may swallow exactly one write-back: the protocol
-            // "forgets" to announce credit and only the auditor's gap check
-            // can notice, because absolute credit self-heals (§4.4.1).
+            // "forgets" to announce credit and only the auditor, which owes
+            // it from its own counts, can notice: absolute credit
+            // self-heals at the next write-back (§4.4.1).
             #[cfg(feature = "saboteur")]
             let write_back = write_back
                 && !crate::sabotage::take(crate::sabotage::Sabotage::SkipCreditWriteback);
+            src.granted = if write_back { src.posted } else { src.granted };
             if let Some(slot) = &src.remote {
                 let lane = credit_lane(slot);
                 let now = sim.now().as_nanos();
@@ -443,6 +461,14 @@ impl SrRcReceiveEndpoint {
                 c.src_node
             ))
         })?;
+        {
+            let src = &mut self.credit.lock()[si];
+            (src.received, src.in_flight) = (src.received + 1, header.counter);
+            if let Some(slot) = &src.remote {
+                let (lane, now) = (credit_lane(slot), sim.now().as_nanos());
+                self.half.audit.credit_received(lane, header.counter, now);
+            }
+        }
         // Delivered or dropped, the completion changed what other callers
         // wait for: the pending queue, or the CQ they wait to see empty.
         self.changed.notify();
@@ -529,8 +555,180 @@ mod tests {
     use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
     use rshuffle_verbs::VerbsRuntime;
 
+    use rshuffle_obs::{names, Labels};
+
     use super::*;
-    use crate::{ExchangeConfig, ShuffleAlgorithm};
+    use crate::operator::{CostModel, Operator, RowBatch};
+    use crate::{Exchange, ExchangeConfig, ShuffleAlgorithm, TransmissionGroups};
+
+    /// `config` built over a fresh EDR runtime.
+    fn build(config: &ExchangeConfig) -> (Arc<VerbsRuntime>, Exchange) {
+        let rt = VerbsRuntime::new(Cluster::new(config.groups.len(), DeviceProfile::edr()));
+        match Exchange::build(&rt, config) {
+            Ok(exchange) => (rt, exchange),
+            Err(e) => panic!("the configuration does not build: {e:?}"),
+        }
+    }
+
+    /// Runs `body` as a simulated thread of `node`; an error fails the test.
+    fn spawn(
+        rt: &VerbsRuntime,
+        node: NodeId,
+        body: impl FnOnce(&SimContext) -> Result<()> + Send + 'static,
+    ) {
+        rt.cluster().spawn(node, "endpoint-test", move |sim| {
+            if let Err(e) = body(&sim) {
+                panic!("node {node}: {e:?}");
+            }
+        });
+    }
+
+    /// Runs [`build`]'s exchange of `config`: every sending lane thread
+    /// sends `msgs` full messages to its whole transmission group, the last
+    /// one `Depleted`, and every receiving lane thread releases what it
+    /// gets after holding it for `hold`. Returns the runtime once the
+    /// cluster ran dry.
+    fn run(config: &ExchangeConfig, msgs: usize, hold: SimDuration) -> Arc<VerbsRuntime> {
+        let (rt, exchange) = build(config);
+        for (node, lanes) in exchange.send.iter().enumerate() {
+            for ep in lanes {
+                let (ep, dest) = (ep.clone(), config.groups[node].destinations());
+                spawn(&rt, node, move |sim| {
+                    for i in 1..=msgs {
+                        let mut buf = ep.get_free(sim)?;
+                        buf.push(&vec![0; buf.remaining()])?;
+                        let state = match i == msgs {
+                            true => StreamState::Depleted,
+                            false => StreamState::MoreData,
+                        };
+                        ep.send(sim, buf, &dest, state)?;
+                    }
+                    Ok(())
+                });
+            }
+        }
+        for (node, lanes) in exchange.recv.iter().enumerate() {
+            for ep in lanes {
+                let ep = ep.clone();
+                spawn(&rt, node, move |sim| {
+                    while let Some(delivery) = ep.get_data(sim)? {
+                        sim.sleep(hold);
+                        ep.release(sim, delivery)?;
+                    }
+                    Ok(())
+                });
+            }
+        }
+        rt.cluster().run();
+        rt
+    }
+
+    /// One MEMQ/SR lane from node 0 to node 1: node 0 sends, node 1 only
+    /// receives, with credit written back at most every `frequency`
+    /// releases.
+    fn one_flow(frequency: u32) -> ExchangeConfig {
+        let groups = vec![
+            TransmissionGroups::new(vec![vec![1]]),
+            TransmissionGroups::new(vec![]),
+        ];
+        let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::MEMQ_SR, 1, groups);
+        config.message_size = 4096;
+        config.credit_writeback_frequency = frequency;
+        config
+    }
+
+    /// The credit write-backs that reached node 0 in a [`one_flow`] run of
+    /// `msgs` messages: each lands as one passive work request on its NIC,
+    /// beside the one work request per send.
+    fn write_backs(frequency: u32, msgs: usize) -> u64 {
+        let rt = run(&one_flow(frequency), msgs, SimDuration::ZERO);
+        let work = rt
+            .obs()
+            .metrics
+            .counter(names::NIC_WORK_REQUESTS, Labels::node(0));
+        work.get() - msgs as u64
+    }
+
+    #[test]
+    fn a_flow_that_never_runs_short_draws_no_write_back() {
+        // Granted 16, a sender with at most its 2 buffers in flight is
+        // short once 2 + 16 / 2 credits or fewer are left unspent: a flow
+        // of 5 never gets there and costs no credit write-back at all,
+        // where the old rule wrote one back every second release.
+        assert_eq!(write_backs(2, 5), 0);
+        // Past that point the write-backs come, and the flow completes.
+        assert!(write_backs(2, 40) > 0);
+    }
+
+    #[test]
+    fn a_source_blocked_at_its_grant_is_refilled_at_a_frequency_of_the_depth() {
+        // Frequency 16 = `recv_depth_per_peer`, and a receiver slow enough
+        // that the sender spends each grant whole and waits: the 16
+        // releases after the last write-back make the next one due. No
+        // `Stalled`, and every message arrives.
+        let msgs = 5 * 16 + 3;
+        let rt = run(&one_flow(16), msgs, SimDuration::from_micros(2));
+        let received = rt.obs().metrics.counter_total(names::EP_MESSAGES_RECEIVED);
+        assert_eq!(received, msgs as u64);
+        assert!(rt.obs().metrics.counter_total(names::EP_CREDIT_STALLS) > 0);
+    }
+
+    /// `rows` 16-byte rows for each worker thread, in batches of 2048.
+    struct Rows(Vec<Mutex<usize>>);
+
+    impl Operator for Rows {
+        fn next(&self, _sim: &SimContext, tid: usize) -> Result<(StreamState, RowBatch)> {
+            let mut left = self.0[tid].lock();
+            let take = (*left).min(2048);
+            let mut batch = RowBatch::new(16, take);
+            for row in *left - take..*left {
+                batch.push_row(&(row as u128).to_le_bytes());
+            }
+            *left -= take;
+            let state = match *left {
+                0 => StreamState::Depleted,
+                _ => StreamState::MoreData,
+            };
+            Ok((state, batch))
+        }
+    }
+
+    #[test]
+    fn a_deep_broadcast_pipeline_stalls_on_credit_no_more_than_before() {
+        // Two threads broadcasting 16 KiB messages among 8 nodes through
+        // the SHUFFLE and RECEIVE operators keep up to 14 sends in flight
+        // toward each peer: the write-back must come early enough that
+        // they wait for credit no more often than when it came every
+        // second release, which was never. (A plain half-window rule,
+        // unspent credit below 8, stalls them 196 times here.)
+        let (nodes, threads) = (8, 2);
+        let mut config = ExchangeConfig::broadcast(ShuffleAlgorithm::MEMQ_SR, nodes, threads);
+        config.message_size = 16 << 10;
+        let (rt, exchange) = build(&config);
+        let cost = CostModel::from_profile(rt.profile());
+        for node in 0..nodes {
+            let rows = Arc::new(Rows((0..threads).map(|_| Mutex::new(1 << 15)).collect()));
+            let (Some(shuffle), Some(receive)) = (
+                exchange.shuffle_operator(node, rows, cost.clone()),
+                exchange.receive_operator(node, 16, 2048, cost.clone()),
+            ) else {
+                panic!("node {node} both sends and receives in a broadcast");
+            };
+            let ops: [Arc<dyn Operator>; 2] = [Arc::new(shuffle), Arc::new(receive)];
+            for (op, tid) in ops
+                .iter()
+                .flat_map(|op| (0..threads).map(move |tid| (op.clone(), tid)))
+            {
+                spawn(&rt, node, move |sim| {
+                    while op.next(sim, tid)?.0 == StreamState::MoreData {}
+                    Ok(())
+                });
+            }
+        }
+        rt.cluster().run();
+        let stalls = rt.obs().metrics.counter_total(names::EP_CREDIT_STALLS);
+        assert_eq!(stalls, 0, "credit stalls");
+    }
 
     #[test]
     fn sender_without_credit_reports_stall() {

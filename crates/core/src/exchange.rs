@@ -666,6 +666,19 @@ impl Exchange {
             abort: Some(abort.clone()),
             ..config.params(profile)
         };
+        // Credit goes back at most every `credit_writeback_frequency`
+        // releases: never at 0, and past the credit window of a source a
+        // sender blocked at its grant would wait for it forever.
+        let window = match config.algorithm.imp {
+            EndpointImpl::MqSr => Some(params.recv_depth_per_peer),
+            EndpointImpl::SqSr => Some(params.ud_recv_window),
+            EndpointImpl::MqRd | EndpointImpl::MqWr => None,
+        };
+        let frequency = params.credit_writeback_frequency;
+        if let Some(window) = window.filter(|&w| !(1..=w).contains(&(frequency as usize))) {
+            let why = format!("credit_writeback_frequency {frequency} outside 1..={window}");
+            return Err(ShuffleError::Config(why + ", the credit window per source"));
+        }
         let built_from = runtime.mark();
         let footprints = (0..nodes)
             .map(|n| config.footprint(profile, params, dests[n].len(), srcs[n].len()))

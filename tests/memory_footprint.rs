@@ -169,13 +169,14 @@ fn mesq_sr_resident_backing_follows_live_windows() {
 /// posted: each captured its message at the post, so nothing waits for the
 /// completion to be reaped — which happens only when the pool runs dry.
 /// With every delivery released and no credit datagram still in flight
-/// (the write-back frequency is never reached), nothing on any node holds
-/// storage when the run ends, before anything is released.
+/// (the write-back frequency, the whole receive window, is never reached
+/// by these one-message flows), nothing on any node holds storage when the
+/// run ends, before anything is released.
 #[test]
 fn mesq_sr_send_windows_hold_no_storage_after_the_run() {
     const NODES: usize = 8;
     let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MESQ_SR, NODES, THREADS);
-    config.credit_writeback_frequency = u32::MAX;
+    config.credit_writeback_frequency = config.ud_recv_window as u32;
     // Untagged: the coordinator's release has nothing to release.
     let runtime = run_mesq_sr(&config, 64);
     for node in 0..NODES {

@@ -28,6 +28,10 @@ use run::Run;
 const NODES: usize = 3;
 const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
+/// Rows per thread under an RC credit saboteur. It acts on a credit
+/// write-back, and a flow draws one only once its sender could run short
+/// of credit: at 800 rows no flow gets there, so these carry ~20 messages.
+const CREDIT_ROWS_PER_THREAD: usize = 16_000;
 
 /// The saboteur state is process-wide; the test harness runs tests on
 /// parallel threads, so every test serializes on this lock.
@@ -58,7 +62,11 @@ fn run_sabotaged(
         max_full_restarts: 0,
         ..RecoveryPolicy::default()
     };
-    let pending = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD);
+    let rows = match s {
+        Sabotage::SkipCreditWriteback | Sabotage::SwallowCtrlCompletion => CREDIT_ROWS_PER_THREAD,
+        _ => ROWS_PER_THREAD,
+    };
+    let pending = coordinated::spawn(&runtime, &config, policy, rows);
     runtime.cluster().run();
     disarm();
     let online = auditor.violations();
@@ -75,8 +83,9 @@ fn codes(violations: &[AuditViolation]) -> Vec<&'static str> {
 }
 
 /// Skipping one RC credit write-back self-heals (absolute credit), so
-/// the run usually succeeds — only the auditor's online gap check can
-/// see that the protocol forgot to announce credit.
+/// the run usually succeeds — only the auditor, which knows from its own
+/// counts when a write-back is owed, can see that the protocol forgot to
+/// announce credit.
 #[test]
 fn skipped_credit_writeback_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
