@@ -75,7 +75,7 @@ fn rejected_configuration_pins_nothing() {
 
 /// Builds `algorithm` on a fresh 3-node runtime with credit written back
 /// every `frequency` releases; a refusal must be typed and pin nothing.
-fn build_with_credit_frequency(algorithm: ShuffleAlgorithm, frequency: u32) -> Result<(), String> {
+fn built(algorithm: ShuffleAlgorithm, frequency: u32) -> Result<(), String> {
     let rt = runtime(3);
     let mut config = ExchangeConfig::repartition(algorithm, 3, 2);
     config.credit_writeback_frequency = frequency;
@@ -100,9 +100,9 @@ fn build_with_credit_frequency(algorithm: ShuffleAlgorithm, frequency: u32) -> R
 fn a_credit_writeback_frequency_of_zero_is_refused() {
     // Every design that writes credit back would never write it.
     for algorithm in ShuffleAlgorithm::ALL {
-        let built = build_with_credit_frequency(algorithm, 0);
+        let refused = built(algorithm, 0);
         let writes_back = algorithm.to_string().ends_with("/SR");
-        assert_eq!(built.is_err(), writes_back, "{algorithm}: {built:?}");
+        assert_eq!(refused.is_err(), writes_back, "{algorithm}: {refused:?}");
     }
 }
 
@@ -111,7 +111,6 @@ fn a_credit_writeback_frequency_past_the_receive_depth_is_refused() {
     // MQ/SR: a sender blocked at its grant of `recv_depth_per_peer` (16)
     // is refilled only if that many releases make a write-back due. An
     // SE endpoint serves both threads, so its depth is twice as deep.
-    let built = |algorithm, frequency| build_with_credit_frequency(algorithm, frequency);
     assert!(built(ShuffleAlgorithm::MEMQ_SR, 16).is_ok());
     assert!(built(ShuffleAlgorithm::MEMQ_SR, 17).is_err());
     assert!(built(ShuffleAlgorithm::SEMQ_SR, 32).is_ok());
@@ -121,7 +120,6 @@ fn a_credit_writeback_frequency_past_the_receive_depth_is_refused() {
 #[test]
 fn a_credit_writeback_frequency_past_the_ud_window_is_refused() {
     // SQ/SR: the same bound against the UD receive window (16).
-    let built = |algorithm, frequency| build_with_credit_frequency(algorithm, frequency);
     assert!(built(ShuffleAlgorithm::MESQ_SR, 16).is_ok());
     assert!(built(ShuffleAlgorithm::MESQ_SR, 17).is_err());
     assert!(built(ShuffleAlgorithm::SESQ_SR, 32).is_ok());
