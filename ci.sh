@@ -184,10 +184,17 @@ fi
 # half types over a shared state; the phase schedule has one policy (the
 # rotation with heavy sources exempted, which on a uniform matrix is the
 # plain rotation); a recording RECEIVE is `ReceiveOperator::recording`.
+# The advisor has two rules, both graded by `bench adaptive`: a broadcast
+# probes MESQ/SR against SEMQ/SR, everything else is MESQ/SR alone, phased
+# on an oversubscribed tree with incast. The scale, message-size, memory
+# and thread rules, their constants, the signals only they read and the
+# phased finalist filter ranked nothing the oracle confirmed.
 LEDGER_DELETED='AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout'
 LEDGER_DELETED+='|deregister_flow|mr_flows|RecvTimeout|recv_timeout'
 LEDGER_DELETED+='|UdShared|SrUdSendEndpoint|SrUdReceiveEndpoint|send_half|recv_half'
 LEDGER_DELETED+='|recording_receive_operator|PhasePolicy::Naive'
+LEDGER_DELETED+='|LARGE_CLUSTER|LARGE_MESSAGE|TIGHT_HEADROOM|mem_headroom|co_runners'
+LEDGER_DELETED+='|peer_independent_state'
 if revived=$(grep -rlE "$LEDGER_DELETED" crates); then
   echo "ERROR: a layer the ledger deleted is back in:" >&2
   echo "$revived" >&2
@@ -280,10 +287,12 @@ fi
 #   adaptive — the phased-vs-unphased sweep (N = 128/256 under Zipf skew on the
 #              congested fat tree; phased MESQ/SR must stay strictly faster; the
 #              fattree64_phased benchmark's N = 64, 1 MiB/node shape is held
-#              exactly but ungated) and the advisor-vs-oracle matrix (picks within
-#              the acceptance band on >= 90% of rows, the incast/skew/N=64/1MiB
-#              row at that same benchmark shape among them), both enforced by the
-#              experiment itself.
+#              exactly but ungated) and the advisor-vs-oracle matrix (MESQ/SR
+#              alone, phased on the incast tree, for every repartition row; a
+#              microprobe of MESQ/SR against SEMQ/SR for the broadcast row; picks
+#              within the acceptance band on >= 90% of rows, the
+#              incast/skew/N=64/1MiB row at that same benchmark shape among
+#              them), both enforced by the experiment itself.
 #   figs     — the paper's figures and the ablations: each sweep's first
 #              and last x at 4 MiB/node, TPC-H at SF 0.01/node.
 # gate | experiments emitting the candidate

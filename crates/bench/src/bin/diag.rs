@@ -24,7 +24,7 @@
 
 use rshuffle::{AdvisorSignals, AlgorithmAdvisor, PhasePolicy, PhaseSchedule, ShuffleAlgorithm};
 use rshuffle_bench::cli::{or_usage, transport, value, Args};
-use rshuffle_bench::skew::{skew_ratio, zipf_partition_rows};
+use rshuffle_bench::skew::zipf_partition_rows;
 use rshuffle_bench::workload::ROW_BYTES;
 use rshuffle_bench::{run_shuffle_workload, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, Topology};
@@ -92,13 +92,12 @@ fn dump_phases(mut args: Args) -> Result<(), String> {
         schedule.worst_phase_len()
     );
 
-    // The advisor's view of the same shape: congested fat tree, the
-    // measured skew ratio, and its rule-by-rule decision trail.
+    // The advisor's view of the same shape, a repartition on the
+    // congested fat tree, and its rule-by-rule decision trail.
     let topology = Topology::fat_tree(16, 4.0).with_incast(IncastModel::new(4));
-    let mut signals = AdvisorSignals::baseline(nodes, 4, 16 * 1024);
+    let mut signals = AdvisorSignals::baseline();
     signals.oversubscription = topology.oversubscription();
     signals.incast = topology.incast().is_some();
-    signals.skew = skew_ratio(&totals);
     let advice = AlgorithmAdvisor::advise(&signals);
     println!("--- advisor decision table ---");
     print!("{}", AlgorithmAdvisor::table(&signals, &advice));
@@ -160,7 +159,7 @@ fn main() {
 
     let threads = cfg.exchange.threads;
     let rows_per_thread = cfg.bytes_per_node / ROW_BYTES / threads;
-    let r = run_shuffle_workload(&cfg);
+    let r = or_usage(run_shuffle_workload(&cfg).map_err(|e| e.to_string()), USAGE);
     let runtime = &r.runtime;
     let t_end = runtime.kernel().now();
     // Datagrams lost, unmatched, reordered; RNR retries: `verbs.*` in the snapshot.

@@ -77,7 +77,7 @@ fn main() {
         cfg.bytes_per_node >> 20,
         cfg.exchange.message_size >> 10
     );
-    let r = run_shuffle_workload(&cfg);
+    let r = or_usage(run_shuffle_workload(&cfg).map_err(|e| e.to_string()), USAGE);
     println!(
         "receive throughput per node: {:.3} GiB/s  (response {}, pinned {} KiB/node)",
         r.gib_per_sec(),

@@ -21,13 +21,16 @@
 //! 2. **Advisor matrix** — Figure 9–13-style rows (message-size,
 //!    thread-count, broadcast, scale-out, skewed-incast shapes). Per
 //!    row an *oracle* runs every design (the six published ones plus
-//!    the §7 WRITE variants) and takes the fastest; the *advisor* sees
-//!    only the observable signals, ranks finalists with the rule
-//!    engine, breaks ties with a calibrate-style microprobe at ~1/8th
-//!    volume, and commits to one design. `advisor_over_oracle` is the
-//!    pick's full-volume response over the oracle's; `advisor_accuracy`
-//!    is the fraction of rows within the 1.15× acceptance band and must
-//!    stay ≥ 0.9.
+//!    the §7 WRITE variants) under every applicable phase policy and
+//!    takes the fastest; the *advisor* sees only the observable signals
+//!    (broadcast groups, oversubscription, incast) and commits to one
+//!    design: MESQ/SR, phased on an incast tree, for a repartition, and
+//!    for a broadcast whichever of MESQ/SR and SEMQ/SR a calibrate-style
+//!    microprobe at ~1/8th volume finds faster. `advisor_over_oracle` is
+//!    the pick's full-volume response over the oracle's, `probes` the
+//!    microprobe runs (0 with one finalist); `advisor_accuracy` is the
+//!    fraction of rows within the 1.15× acceptance band and must stay
+//!    ≥ 0.9.
 //!
 //! `--smoke` is the CI configuration `perfdiff` holds equal to
 //! `BENCH_ADAPTIVE.json`: the acceptance-size N ∈ {128, 256} phased cells
@@ -44,7 +47,7 @@ use serde::Value;
 
 use super::{Outcome, Scale};
 use crate::perf::{host_result, MetricRow};
-use crate::skew::{skew_ratio, zipf_partition_rows, SkewSpec};
+use crate::skew::SkewSpec;
 use crate::workload::{Pattern, WorkloadConfig};
 
 /// Worker threads per node for the phased sweep. Four lanes per node
@@ -104,7 +107,9 @@ fn run_phased_cell(out: &mut Outcome, nodes: usize, bytes_per_node: usize, gated
         congest(&mut cfg);
         cfg.exchange.phase = policy;
         let start = std::time::Instant::now();
-        let r = out.workload(&format!("phased sweep N={nodes} {policy:?}"), &cfg);
+        let Some(r) = out.workload(&format!("phased sweep N={nodes} {policy:?}"), &cfg) else {
+            return;
+        };
         times[slot] = r.response_time.as_nanos();
         gib[slot] = r.gib_per_sec();
         let metrics = &r.runtime.obs().metrics;
@@ -183,22 +188,15 @@ impl Row {
     }
 
     /// The observable signals a planner would hand the advisor for this
-    /// row — shape from the plan, topology from the fabric description,
-    /// skew from the table statistics. Nothing measured.
+    /// row: the groups from the plan, the topology from the fabric
+    /// description. Nothing measured.
     fn signals(&self) -> AdvisorSignals {
-        let mut s = AdvisorSignals::baseline(self.nodes, self.threads, self.message_size);
+        let mut s = AdvisorSignals::baseline();
         s.broadcast = self.pattern == Pattern::Broadcast;
         if self.incast {
             let topology = congested_fat_tree();
             s.oversubscription = topology.oversubscription();
             s.incast = topology.incast().is_some();
-            let rows = zipf_partition_rows(
-                (self.nodes * self.bytes_per_node / 16) as u64,
-                self.nodes,
-                ZIPF_THETA,
-                ZIPF_SEED,
-            );
-            s.skew = skew_ratio(&rows);
         }
         s
     }
@@ -226,7 +224,8 @@ fn run_row(out: &mut Outcome, row: &Row) -> f64 {
     // One configuration's response time, memoized on the (algorithm,
     // phase, volume) key — the sim is deterministic, so the advisor's
     // full-volume pick can reuse the oracle's measurement of the same
-    // design.
+    // design. A refused configuration is a violation already; it
+    // measures as never finishing.
     let mut cache: HashMap<(String, PhasePolicy, usize), u64> = HashMap::new();
     let mut measure = |algorithm: ShuffleAlgorithm, phase: PhasePolicy, bytes_per_node: usize| {
         let key = (algorithm.to_string(), phase, bytes_per_node);
@@ -237,7 +236,7 @@ fn run_row(out: &mut Outcome, row: &Row) -> f64 {
         cfg.bytes_per_node = bytes_per_node;
         let what = format!("{}: {algorithm} phase={}", row.name, phase.label());
         let r = out.workload(&what, &cfg);
-        let ns = r.response_time.as_nanos();
+        let ns = r.map_or(u64::MAX, |r| r.response_time.as_nanos());
         cache.insert(key, ns);
         ns
     };
@@ -255,20 +254,19 @@ fn run_row(out: &mut Outcome, row: &Row) -> f64 {
     }
     let (oracle_alg, oracle_phase, oracle_ns) = oracle.expect("oracle set is never empty");
 
-    // Advisor: rules over the observable signals, then a one-shot
-    // microprobe over the ranked finalists at ~1/8th volume to break
-    // ties the rules cannot see.
-    let signals = row.signals();
-    let advice = AlgorithmAdvisor::advise(&signals);
-    let probe_volume = (row.bytes_per_node / 8).max(256 * 1024);
-    let mut pick: Option<(ShuffleAlgorithm, u64)> = None;
-    for &finalist in &advice.ranked {
-        let ns = measure(finalist, advice.phase, probe_volume);
-        if pick.map(|(_, best)| ns < best).unwrap_or(true) {
-            pick = Some((finalist, ns));
+    // Advisor: the rules over the observable signals. Only several
+    // finalists need the one-shot microprobe, at ~1/8th volume, to
+    // pick one.
+    let advice = AlgorithmAdvisor::advise(&row.signals());
+    let (pick_alg, probes) = match advice.ranked[..] {
+        [only] => (only, 0),
+        ref finalists => {
+            let probe_volume = (row.bytes_per_node / 8).max(256 * 1024);
+            let probe = |f: &&ShuffleAlgorithm| measure(**f, advice.phase, probe_volume);
+            let best = finalists.iter().min_by_key(probe).expect("never empty");
+            (*best, finalists.len())
         }
-    }
-    let (pick_alg, _) = pick.expect("advice.ranked is never empty");
+    };
     let pick_ns = measure(pick_alg, advice.phase, row.bytes_per_node);
 
     let ratio = pick_ns as f64 / oracle_ns as f64;
@@ -286,7 +284,7 @@ fn run_row(out: &mut Outcome, row: &Row) -> f64 {
         format!("advisor/{}", row.name),
         vec![
             MetricRow::lower("advisor_over_oracle", ratio),
-            MetricRow::info("probes", advice.ranked.len() as f64),
+            MetricRow::info("probes", probes as f64),
         ],
     );
     ratio

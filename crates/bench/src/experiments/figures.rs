@@ -98,8 +98,9 @@ impl Sweep {
         if self.scale == Scale::Smoke {
             cfg.bytes_per_node = SMOKE_MSG_BYTES_PER_NODE;
         }
+        // A refused configuration is a violation already and moves nothing.
         let r = self.out.workload(&format!("{series} {x}"), &cfg);
-        MetricRow::higher(series, r.gib_per_sec())
+        MetricRow::higher(series, r.map_or(0.0, |r| r.gib_per_sec()))
     }
 }
 
@@ -199,7 +200,9 @@ pub(super) fn fig09_msgsize(scale: Scale) -> Outcome {
             cfg.exchange.message_size = msg;
             cfg.exchange.recv_depth_per_peer = 4;
             cfg.bytes_per_node = volume;
-            let r = out.workload(&format!("{a} msg {msg}"), &cfg);
+            let Some(r) = out.workload(&format!("{a} msg {msg}"), &cfg) else {
+                continue;
+            };
             let stages = stage_summaries(&r.runtime.obs().metrics.snapshot());
             let metrics = vec![
                 MetricRow::higher("gib_per_sec", r.gib_per_sec()),

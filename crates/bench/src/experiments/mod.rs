@@ -53,13 +53,22 @@ impl Outcome {
         }
     }
 
-    /// Runs the §5.1 workload and records its worker errors as violations
-    /// under `what`.
-    fn workload(&mut self, what: &str, cfg: &WorkloadConfig) -> WorkloadResult {
-        let r = run_shuffle_workload(cfg);
-        let errors = r.errors.iter().map(|e| format!("{what}: {e}"));
-        self.violations.extend(errors);
-        r
+    /// Runs the §5.1 workload and records its worker errors, or the
+    /// exchange's refusal to build it (`None`), as violations under `what`.
+    fn workload(&mut self, what: &str, cfg: &WorkloadConfig) -> Option<WorkloadResult> {
+        match run_shuffle_workload(cfg) {
+            Ok(r) => {
+                let errors = r.errors.iter().map(|e| format!("{what}: {e}"));
+                self.violations.extend(errors);
+                Some(r)
+            }
+            Err(e) => {
+                let design = cfg.design();
+                self.violations
+                    .push(format!("{what} ({design}) refused: {e}"));
+                None
+            }
+        }
     }
 
     /// Adds a result row that carries no stage digests.

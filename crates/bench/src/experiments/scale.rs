@@ -129,7 +129,9 @@ pub(super) fn scale(scale: Scale) -> Outcome {
                     Some(c) => format!("{algorithm}/N={nodes}/cap={c}"),
                     None => format!("{algorithm}/N={nodes}"),
                 };
-                let r = out.workload(&id, &cfg);
+                let Some(r) = out.workload(&id, &cfg) else {
+                    continue;
+                };
                 let wall_ms = start.elapsed().as_secs_f64() * 1e3;
                 // Physical send-side QPs cluster-wide: what the NIC
                 // context caches actually hold. Every lane past them

@@ -200,8 +200,10 @@ impl WorkloadResult {
     }
 }
 
-/// Runs the synthetic shuffle workload and reports receive throughput.
-pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
+/// Runs the synthetic shuffle workload and reports receive throughput,
+/// or the [`ShuffleError::Config`] of a configuration the exchange
+/// refuses to build.
+pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> Result<WorkloadResult, ShuffleError> {
     let (nodes, threads) = (cfg.nodes(), cfg.exchange.threads);
     let cluster = Cluster::with_topology(nodes, cfg.profile.clone(), cfg.topology.clone());
     let runtime = VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
@@ -233,8 +235,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         }
         Transport::Mpi => mpi::build(&runtime, groups.clone(), message_size, threads),
         Transport::Ipoib => ipoib::build(&runtime, groups.clone(), message_size, threads),
-    }
-    .expect("exchange builds");
+    }?;
     let registered_bytes_per_node = exchange.registered_bytes(0);
     let (natural_qps, physical_qps) = (exchange.natural_qps(), exchange.physical_qps());
 
@@ -295,7 +296,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
     }
     let bytes_received: u64 = recv_stats.iter().map(|s| s.lock().bytes).sum();
     let per_node = bytes_received as f64 / nodes as f64;
-    WorkloadResult {
+    Ok(WorkloadResult {
         receive_throughput: per_node / response_time.as_secs_f64(),
         response_time,
         bytes_received_per_node: per_node,
@@ -304,7 +305,7 @@ pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> WorkloadResult {
         natural_qps,
         physical_qps,
         runtime,
-    }
+    })
 }
 
 /// Adds seeded, uniformly distributed per-batch delays of up to
@@ -338,5 +339,21 @@ impl rshuffle::Operator for JitterStage {
             sim.sleep(SimDuration::from_nanos(ns));
         }
         Ok((state, batch))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_refused_configuration_comes_back_as_a_config_error() {
+        let mut cfg = WorkloadConfig::new(DeviceProfile::edr(), 2, ShuffleAlgorithm::MEMQ_SR);
+        cfg.exchange.credit_writeback_frequency = 0;
+        let refused = run_shuffle_workload(&cfg).map(|r| r.response_time);
+        assert!(
+            matches!(refused, Err(ShuffleError::Config(_))),
+            "{refused:?}"
+        );
     }
 }

@@ -360,11 +360,14 @@ pub trait SendEndpoint: Send + Sync {
     /// messages leave the fabric while the next one sends, before the
     /// barrier after it.
     ///
-    /// The reliable designs are naturally drained by their small
-    /// per-peer buffer pools (at most `buffers_per_peer` messages can
-    /// ever be outstanding toward one destination), so the default is
-    /// a no-op; the UD design, whose credit window is deliberately
-    /// deep, overrides this with a credit-return wait.
+    /// The reliable designs keep the default, a no-op: their small
+    /// per-peer buffer pools bound what is outstanding toward one
+    /// destination to `buffers_per_peer` messages. Phased, they stay
+    /// exactly-once (`tests/phase_identity.rs`) and `Exchange::build`
+    /// accepts them; `bench adaptive`'s oracle runs them phased on both
+    /// incast rows and never picks them. The UD design, whose credit
+    /// window is deliberately deep, overrides this with a credit-return
+    /// wait.
     fn quiesce(&self, _sim: &SimContext, _dest: NodeId) -> Result<()> {
         Ok(())
     }
