@@ -20,6 +20,8 @@
 //!   announces must equal the number of data messages it actually sent
 //!   to that destination, and a receiver must never count more
 //!   messages from a source than the source declared.
+//! * **Nothing after `Depleted`** — on a reliable connection a sender
+//!   posts nothing after the message that declared end of stream.
 //! * **Ring state machine** — FreeArr/ValidArr/grant rings never hold
 //!   more in-flight entries than their capacity (a producer overwriting
 //!   an unconsumed slot would corrupt the queue), and ValidArr entries
@@ -48,7 +50,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_obs::{EventKind, KeyMap, Labels, Obs, HW_TRACK};
+use rshuffle_obs::{EventKind, KeyMap, KeySet, Labels, Obs, HW_TRACK};
 
 /// Metric name for the total number of audit violations `{node}`.
 pub const AUDIT_VIOLATIONS: &str = "audit.violations";
@@ -293,11 +295,19 @@ pub enum AuditViolation {
         /// The latest timestamp seen before it.
         last_ns: u64,
     },
+    /// A sender posted a message on a reliable connection after its
+    /// `Depleted` one, which the receiver may already count as the end.
+    DataAfterDepleted {
+        /// Node id of the destination.
+        dest: u64,
+        /// Virtual nanoseconds.
+        at_ns: u64,
+    },
 }
 
 /// Every violation's short code, in numeric-code order: a violation's
 /// [`AuditViolation::code_id`] is its code's position here plus one.
-const CODES: [&str; 14] = [
+const CODES: [&str; 15] = [
     "credit_overdraft",
     "credit_regression",
     "credit_over_grant",
@@ -312,6 +322,7 @@ const CODES: [&str; 14] = [
     "depleted_overrun",
     "depleted_mismatch",
     "time_regression",
+    "data_after_depleted",
 ];
 
 impl AuditViolation {
@@ -343,6 +354,7 @@ impl AuditViolation {
             AuditViolation::DepletedOverrun { .. } => 11,
             AuditViolation::DepletedMismatch { .. } => 12,
             AuditViolation::TimeRegression { .. } => 13,
+            AuditViolation::DataAfterDepleted { .. } => 14,
         }
     }
 }
@@ -459,6 +471,9 @@ impl fmt::Display for AuditViolation {
             AuditViolation::TimeRegression { at_ns, last_ns } => {
                 write!(f, "virtual time regression: {at_ns}ns after {last_ns}ns")
             }
+            AuditViolation::DataAfterDepleted { dest, at_ns } => {
+                write!(f, "send to node {dest} after its Depleted at {at_ns}ns")
+            }
         }
     }
 }
@@ -529,6 +544,8 @@ struct AuditState {
     /// Per-source receive counts at a receiver, keyed by
     /// `(receiving node, source node)`.
     depleted: KeyMap<(u64, u64), DepletedState>,
+    /// `(send pool rkey, destination)` connections that sent `Depleted`.
+    closed: KeySet<(u32, usize)>,
     violations: Vec<AuditViolation>,
 }
 
@@ -566,6 +583,7 @@ impl ShuffleAuditor {
         st.recv_held.clear();
         st.rings.clear();
         st.depleted.clear();
+        st.closed.clear();
     }
 
     /// All violations recorded so far (across epochs).
@@ -913,6 +931,20 @@ impl AuditHandle {
         });
     }
 
+    /// A sender on reliable connections from its pool `rkey` posted a message
+    /// to each of `dest`, `depleted` if it ends the stream: nothing may follow.
+    #[inline]
+    pub fn ordered_send(&self, rkey: u32, dest: &[usize], depleted: bool, at_ns: u64) {
+        self.check(Some(at_ns), |st| {
+            let late = dest.iter().find(|&&d| st.closed.contains(&(rkey, d)));
+            let late = late.map(|&d| d as u64);
+            if depleted {
+                st.closed.extend(dest.iter().map(|&d| (rkey, d)));
+            }
+            late.map(|dest| AuditViolation::DataAfterDepleted { dest, at_ns })
+        });
+    }
+
     /// A receiver's per-source message count advanced (`expected` set
     /// once the source's `Depleted` declaration arrives).
     #[inline]
@@ -1205,6 +1237,9 @@ mod tests {
                 h.depleted_announced(4, 1, 2, 71);
                 h.counted_receive(4, 1, None, 72);
                 h.counted_receive(4, 2, Some(2), 73);
+                h.ordered_send(5, &[2, 3], false, 80);
+                h.ordered_send(5, &[2, 3], true, 81);
+                h.ordered_send(6, &[2], true, 82);
             },
             online: &[],
             added: &[],
@@ -1475,6 +1510,21 @@ mod tests {
             ],
             added: &[],
         },
+        Row {
+            name: "data_after_depleted",
+            script: |h| {
+                h.ordered_send(5, &[2], true, 0);
+                // Another pool's connection to the same node is its own.
+                h.ordered_send(6, &[2], false, 1);
+                h.ordered_send(5, &[3, 2], false, 2);
+                h.ordered_send(5, &[2], true, 3);
+            },
+            online: &[
+                (15, "data_after_depleted", "send to node 2 after its Depleted at 2ns"),
+                (15, "data_after_depleted", "send to node 2 after its Depleted at 3ns"),
+            ],
+            added: &[],
+        },
     ];
 
     fn verdict(found: &[AuditViolation]) -> Vec<(u64, &'static str, String)> {
@@ -1500,7 +1550,7 @@ mod tests {
         kinds.dedup();
         assert_eq!(
             kinds.len(),
-            15,
+            16,
             "one row per violation kind, plus a clean one"
         );
         for row in VERDICTS {

@@ -371,6 +371,13 @@ pub trait SendEndpoint: Send + Sync {
     fn quiesce(&self, _sim: &SimContext, _dest: NodeId) -> Result<()> {
         Ok(())
     }
+
+    /// Whether each connection delivers reliably and in order, so that a
+    /// data message may itself be the [`StreamState::Depleted`] one (the
+    /// RC designs); UD's separate marker carries the count that sees loss.
+    fn ordered(&self) -> bool {
+        false
+    }
 }
 
 /// The data-receiving half of an endpoint (§4.2): GETDATA and RELEASE,

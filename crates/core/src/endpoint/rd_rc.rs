@@ -173,6 +173,8 @@ impl SendEndpoint for RdRcSendEndpoint {
     ) -> Result<()> {
         buf.write_header(&data_header(self.half.id, self.cfg.epoch, &buf, state))?;
         self.window.launch(sim, &buf, dest.len())?;
+        let (depleted, now) = (state == StreamState::Depleted, sim.now().as_nanos());
+        (self.half.audit).ordered_send(self.window.region().rkey(), dest, depleted, now);
         for &d in dest {
             let pi = self.half.index_of(d)?;
             let slot = self.valid_rings.claim(sim, pi)?;
@@ -197,6 +199,10 @@ impl SendEndpoint for RdRcSendEndpoint {
             })?;
         }
         Ok(())
+    }
+
+    fn ordered(&self) -> bool {
+        true
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {

@@ -139,6 +139,8 @@ impl SendEndpoint for SrRcSendEndpoint {
         state: StreamState,
     ) -> Result<()> {
         self.window.launch(sim, &buf, dest.len())?;
+        let (depleted, now) = (state == StreamState::Depleted, sim.now().as_nanos());
+        (self.half.audit).ordered_send(self.window.region().rkey(), dest, depleted, now);
         let mut header = data_header(self.half.id, self.cfg.epoch, &buf, state);
         for &d in dest {
             let pi = self.half.index_of(d)?;
@@ -176,6 +178,10 @@ impl SendEndpoint for SrRcSendEndpoint {
             self.obs.sent(d, buf.len() as u64);
         }
         Ok(())
+    }
+
+    fn ordered(&self) -> bool {
+        true
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {

@@ -113,6 +113,8 @@ impl SendEndpoint for WrRcSendEndpoint {
     ) -> Result<()> {
         let header = data_header(self.half.id, self.cfg.epoch, &buf, state);
         self.window.launch(sim, &buf, dest.len())?;
+        let (depleted, now) = (state == StreamState::Depleted, sim.now().as_nanos());
+        (self.half.audit).ordered_send(self.window.region().rkey(), dest, depleted, now);
         for &d in dest {
             let pi = self.half.index_of(d)?;
             let pool = self.remote_pools.lock()[pi]
@@ -146,6 +148,10 @@ impl SendEndpoint for WrRcSendEndpoint {
             self.obs.sent(d, buf.len() as u64);
         }
         Ok(())
+    }
+
+    fn ordered(&self) -> bool {
+        true
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {

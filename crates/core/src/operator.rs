@@ -301,10 +301,17 @@ impl ShuffleOperator {
             if !batch.is_empty() {
                 sim.sleep(self.cost.hash_per_tuple * batch.rows() as u64);
                 if open {
-                    // The copy into RDMA-registered memory. Unlike the
-                    // phased charge below it counts rows the resume skip
-                    // drops: kept, as evening the two out moves virtual time.
-                    sim.sleep(self.cost.copy_time(batch.bytes()));
+                    // The copy into RDMA-registered memory of the rows the
+                    // resume skip keeps, as the phased charge below.
+                    let kept = match skip.iter().any(|&s| s > 0) {
+                        true => {
+                            let mut left = skip.clone();
+                            let rows = batch.iter().filter(|row| route(row, &mut left).is_some());
+                            rows.count() * batch.row_size()
+                        }
+                        false => batch.bytes(),
+                    };
+                    sim.sleep(self.cost.copy_time(kept));
                 }
             }
             for row in batch.iter() {
@@ -325,6 +332,14 @@ impl ShuffleOperator {
                 break;
             }
         }
+        // A group's last message declares Depleted itself when nothing can
+        // follow it: the transport is ordered, no node is in two groups and
+        // no other thread of the lane still runs. `closed` gathers its nodes.
+        let destinations = self.groups.destinations();
+        let disjoint = destinations.len() == self.groups.iter().map(<[NodeId]>::len).sum::<usize>();
+        let remaining = &self.lane_remaining[tid % self.endpoints.len()];
+        let last = disjoint && lane.target.ordered() && remaining.load(Ordering::SeqCst) == 1;
+        let mut closed = Vec::new();
         if let Some((runner, node)) = phases {
             let schedule = runner.schedule();
             // `Exchange::build` enforces singleton groups under phasing;
@@ -380,7 +395,7 @@ impl ShuffleOperator {
                     outbox.put(&lane, to, &rows[at..at + len * n], len)?;
                     at += len * n;
                 }
-                outbox.send(&lane, to)?;
+                outbox.send(&lane, to, last.then_some(&mut closed))?;
                 opened.push(dest_node);
             }
             sent.append(&mut opened);
@@ -396,14 +411,18 @@ impl ShuffleOperator {
         }
         // Send every open message, freeing its rows as it goes.
         for (mut outbox, to) in outboxes.into_iter().zip(self.groups.iter()) {
-            outbox.send(&lane, to)?;
+            outbox.send(&lane, to, last.then_some(&mut closed))?;
         }
         // Propagate Depleted: the last thread of each lane closes that
-        // lane's endpoint (Algorithm 1, lines 14–17).
-        if self.lane_remaining[tid % self.endpoints.len()].fetch_sub(1, Ordering::SeqCst) == 1 {
-            for d in self.groups.destinations() {
-                let buf = lane.take()?;
-                lane.target.send(sim, buf, &[d], StreamState::Depleted)?;
+        // lane's endpoint (Algorithm 1, lines 14–17) toward every
+        // destination no final data message closed.
+        closed.sort_unstable();
+        if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            for d in destinations {
+                if closed.binary_search(&d).is_err() {
+                    let buf = lane.take()?;
+                    lane.target.send(sim, buf, &[d], StreamState::Depleted)?;
+                }
             }
         }
         Ok(())
@@ -493,7 +512,7 @@ impl Outbox {
             };
             let room = buf.capacity().saturating_sub(self.rows.len());
             if room < len && !self.rows.is_empty() {
-                self.send(lane, to)?;
+                self.send(lane, to, None)?;
                 continue;
             }
             let (now, rest) = run.split_at(run.len().min((room / len).max(1) * len));
@@ -503,14 +522,25 @@ impl Outbox {
         Ok(())
     }
 
-    /// Sends the open message, if there is one.
-    fn send(&mut self, lane: &Lane, to: &[NodeId]) -> Result<()> {
+    /// Sends the open message, if there is one. Given `closed`, it is the
+    /// last toward `to`: it declares Depleted, and `to` joins `closed`.
+    fn send(&mut self, lane: &Lane, to: &[NodeId], closed: Option<&mut Vec<NodeId>>) -> Result<()> {
         let Some(mut buf) = self.buf.take() else {
             return Ok(());
         };
         buf.push(&self.rows)?;
         self.rows.clear();
-        lane.target.send(lane.sim, buf, to, StreamState::MoreData)
+        let Some(closed) = closed else {
+            return lane.target.send(lane.sim, buf, to, StreamState::MoreData);
+        };
+        lane.target.send(lane.sim, buf, to, StreamState::Depleted)?;
+        closed.extend_from_slice(to);
+        #[cfg(feature = "saboteur")]
+        if crate::sabotage::take(crate::sabotage::Sabotage::SendAfterDepleted) {
+            let buf = lane.take()?;
+            lane.target.send(lane.sim, buf, to, StreamState::MoreData)?;
+        }
+        Ok(())
     }
 }
 
@@ -630,10 +660,12 @@ mod tests {
     }
 
     /// A send endpoint toward node 1 that records its calls and hands out
-    /// windows of [`PAYLOAD`] bytes over one test region.
+    /// windows of [`PAYLOAD`] bytes over one test region; `ordered` is
+    /// what it answers [`SendEndpoint::ordered`].
     struct Counting {
         region: MemoryRegion,
         calls: Mutex<Vec<Call>>,
+        ordered: bool,
     }
 
     impl SendEndpoint for Counting {
@@ -652,6 +684,10 @@ mod tests {
         fn get_free(&self, _: &SimContext) -> Result<Buffer> {
             self.calls.lock().push(Call::GetFree);
             Ok(Buffer::new(self.region.clone(), 0, HEADER_LEN + PAYLOAD))
+        }
+
+        fn ordered(&self) -> bool {
+            self.ordered
         }
     }
 
@@ -673,11 +709,17 @@ mod tests {
         }
     }
 
-    /// A [`Counting`] endpoint over a fresh test region.
+    /// An unordered [`Counting`] endpoint over a fresh test region.
     fn counting(kernel: &Kernel) -> Arc<Counting> {
+        counting_ordered(kernel, false)
+    }
+
+    /// A [`Counting`] endpoint over a fresh test region.
+    fn counting_ordered(kernel: &Kernel, ordered: bool) -> Arc<Counting> {
         Arc::new(Counting {
             region: MemoryRegion::new_for_tests(kernel, 0, 1, HEADER_LEN + PAYLOAD),
             calls: Mutex::new(Vec::new()),
+            ordered,
         })
     }
 
@@ -736,6 +778,115 @@ mod tests {
                 "phased: {phased}"
             );
         }
+    }
+
+    /// On an ordered transport a lone lane's last data message is its
+    /// Depleted one, phased or not: the cut of
+    /// `both_orders_cut_where_row_by_row_pushing_would` without the
+    /// header-only marker and the window it took.
+    #[test]
+    fn a_lone_ordered_lane_folds_depleted_into_its_last_message() {
+        use Call::{GetFree, Send};
+        use StreamState::{Depleted, MoreData};
+        for phased in [false, true] {
+            let kernel = Kernel::new();
+            let endpoint = counting_ordered(&kernel, true);
+            let runs = vec![(16, 9), (24, 4), (16, 3), (24, 1), (16, 2)];
+            let op = ShuffleOperator::with_lanes(
+                Arc::new(Batches(Mutex::new(runs))),
+                vec![endpoint.clone()],
+                TransmissionGroups::new(vec![vec![1]]),
+                1,
+                CostModel::from_profile(&DeviceProfile::edr()),
+            );
+            let op = match phased {
+                true => op.with_phases(one_phase(&kernel, 1, SimDuration::from_millis(1)), 0),
+                false => op,
+            };
+            kernel.spawn(0, "shuffle", move |sim| {
+                op.next(&sim, 0).unwrap();
+            });
+            kernel.run();
+            assert_eq!(
+                *endpoint.calls.lock(),
+                [
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(96, MoreData),
+                    GetFree,
+                    Send(56, Depleted),
+                ],
+                "phased: {phased}"
+            );
+        }
+    }
+
+    /// An SE lane folds nothing while another of its threads still runs:
+    /// worker 0 sends its rows as data, and worker 1, the lane's last,
+    /// has no message of its own to fold into, so it sends the
+    /// header-only marker.
+    #[test]
+    fn an_ordered_lane_whose_peers_still_run_keeps_the_marker() {
+        use Call::{GetFree, Send};
+        use StreamState::{Depleted, MoreData};
+        let kernel = Kernel::new();
+        let endpoint = counting_ordered(&kernel, true);
+        let op = Arc::new(ShuffleOperator::with_lanes(
+            Arc::new(Batches(Mutex::new(vec![(16, 2)]))),
+            vec![endpoint.clone()],
+            TransmissionGroups::new(vec![vec![1]]),
+            2,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        ));
+        for tid in 0..2 {
+            let op = op.clone();
+            kernel.spawn(0, "shuffle", move |sim| {
+                sim.sleep(SimDuration::from_millis(tid as u64));
+                op.next(&sim, tid).unwrap();
+            });
+        }
+        kernel.run();
+        assert_eq!(
+            *endpoint.calls.lock(),
+            [GetFree, Send(32, MoreData), GetFree, Send(0, Depleted)]
+        );
+    }
+
+    /// Overlapping groups fold nothing: node 1 is in both, so neither
+    /// group's last message is node 1's last, and the lane closes with
+    /// the header-only marker.
+    #[test]
+    fn overlapping_groups_keep_the_marker() {
+        use Call::{GetFree, Send};
+        use StreamState::{Depleted, MoreData};
+        let kernel = Kernel::new();
+        let endpoint = counting_ordered(&kernel, true);
+        // Rows 0..4 of `Batches` hash to group `row % 2`.
+        let op = ShuffleOperator::with_lanes(
+            Arc::new(Batches(Mutex::new(vec![(16, 4)]))),
+            vec![endpoint.clone()],
+            TransmissionGroups::new(vec![vec![1], vec![1]]),
+            1,
+            CostModel::from_profile(&DeviceProfile::edr()),
+        );
+        kernel.spawn(0, "shuffle", move |sim| {
+            op.next(&sim, 0).unwrap();
+        });
+        kernel.run();
+        assert_eq!(
+            *endpoint.calls.lock(),
+            [
+                GetFree,
+                GetFree,
+                Send(32, MoreData),
+                Send(32, MoreData),
+                GetFree,
+                Send(0, Depleted)
+            ]
+        );
     }
 
     /// Rows hashed to a group that no phase takes the node to are a

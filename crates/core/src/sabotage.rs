@@ -36,6 +36,10 @@ pub enum Sabotage {
     /// outstanding-write ledger never drains and end-of-stream reports
     /// a typed stall instead of passing silently.
     SwallowCtrlCompletion = 4,
+    /// Send one more data message after a reliable connection's final
+    /// one declared `Depleted`: a receiver that already counts the
+    /// source as done may end without it.
+    SendAfterDepleted = 5,
 }
 
 /// Currently armed saboteur, encoded as `discriminant + 1` (0 = none).

@@ -7,7 +7,7 @@
 //! (`crates/core/src/sabotage.rs` documents each), so this suite is a
 //! living proof that the invariant checks are sharp enough to see one
 //! skipped write-back, one dropped ring announcement, one off-by-one
-//! `Depleted` counter and one double grant.
+//! `Depleted` counter, one message after `Depleted` and one double grant.
 #![cfg(feature = "saboteur")]
 
 #[path = "common/coordinated.rs"]
@@ -161,6 +161,23 @@ fn swallowed_ctrl_completion_is_named() {
     assert!(
         format!("{failure:?}").contains("credit write-back"),
         "failure must name the unaccounted credit write-back, got {failure:?}"
+    );
+}
+
+/// One more data message after a reliable connection's final one
+/// declared `Depleted` goes to a receiver that already counts its source
+/// as done — `rd_rc` ends once every source has declared, and would drop
+/// it unseen — so the auditor names the send itself.
+#[test]
+fn send_after_depleted_is_named() {
+    let _guard = SABOTAGE_LOCK.lock();
+    let (run, online, _) = run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::SendAfterDepleted);
+    let found = codes(&online);
+    assert!(
+        found.contains(&"data_after_depleted"),
+        "data after Depleted must surface as data_after_depleted, got {found:?} \
+         (run: {:?})",
+        run.report.failure
     );
 }
 
