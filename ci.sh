@@ -189,12 +189,16 @@ fi
 # on an oversubscribed tree with incast. The scale, message-size, memory
 # and thread rules, their constants, the signals only they read and the
 # phased finalist filter ranked nothing the oracle confirmed.
+# What a receive half knows of each source is one `frame::SourceBook`, by
+# peer slot: the depleted flags, the RC credit table and the UD count
+# table by endpoint id it replaced each kept a part of it.
 LEDGER_DELETED='AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout'
 LEDGER_DELETED+='|deregister_flow|mr_flows|RecvTimeout|recv_timeout'
 LEDGER_DELETED+='|UdShared|SrUdSendEndpoint|SrUdReceiveEndpoint|send_half|recv_half'
 LEDGER_DELETED+='|recording_receive_operator|PhasePolicy::Naive'
 LEDGER_DELETED+='|LARGE_CLUSTER|LARGE_MESSAGE|TIGHT_HEADROOM|mem_headroom|co_runners'
 LEDGER_DELETED+='|peer_independent_state'
+LEDGER_DELETED+='|SrcCredit|SrcCount|mark_depleted|all_depleted|is_depleted|struct Sources|Sources::new|by_endpoint'
 if revived=$(grep -rlE "$LEDGER_DELETED" crates); then
   echo "ERROR: a layer the ledger deleted is back in:" >&2
   echo "$revived" >&2

@@ -164,8 +164,10 @@ pub(super) fn scale(scale: Scale) -> Outcome {
     }
 
     // Direction-tagged crossover summary, one row per cap: the
-    // UD-over-RC throughput ratio at the largest common size (higher is
-    // better — UD catching up, then winning) and, when the sweep spans
+    // UD-over-RC throughput ratio at the largest common size
+    // (informational: a ratio of two designs moves up when UD gets faster
+    // and down when RC does, and each design's own `gib_per_sec` and
+    // `response_virt_ns` rows gate both) and, when the sweep spans
     // several sizes, the first size where MESQ/SR wins (lower is
     // better — the §7 prediction that QP state pushes the crossover
     // left; "not reached" is penalized as twice the largest size so a
@@ -193,7 +195,7 @@ pub(super) fn scale(scale: Scale) -> Outcome {
             _ => 0.0,
         };
         let mut metrics = vec![
-            MetricRow::higher("ud_over_rc_gibps_ratio", ratio),
+            MetricRow::info("ud_over_rc_gibps_ratio", ratio),
             MetricRow::info("ratio_at_n", last_n as f64),
         ];
         if node_counts.len() > 1 {

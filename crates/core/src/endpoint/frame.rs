@@ -6,17 +6,18 @@
 //! flow-control token travels back and how a payload travels forward
 //! (Table 1). Everything else lives here, as small pieces a transport
 //! composes; the table in the [`endpoint`](super) module docs says which
-//! transport uses which piece and what it keeps for itself. No piece
-//! knows which transport it serves: UD's counting termination, credit
-//! datagrams, multicast address-handle cache and `quiesce` stay in
-//! `sr_ud`, because sharing them would make the frame ask who is calling.
+//! transport uses which piece and what it keeps for itself. No piece asks
+//! who is calling (the source book reads how a source's credit travels
+//! from its audit lane): UD's credit datagrams, multicast address-handle
+//! cache and `quiesce` stay in `sr_ud`.
 
+use std::cmp::{Ordering as Cmp, Reverse};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_audit::{AuditHandle, BufId, RingKey, RingKind};
+use rshuffle_audit::{AuditHandle, BufId, CreditLane, RingKey, RingKind};
 use rshuffle_simnet::{
     Kernel, Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
 };
@@ -26,7 +27,7 @@ use rshuffle_verbs::{
 };
 
 use crate::buffer::{Buffer, BufferPool, MsgHeader, MsgKind, StreamState};
-use crate::endpoint::{audit_handle, buf_id, Delivery, EndpointId, RecvObs, SendObs};
+use crate::endpoint::{audit_handle, buf_id, Delivery, EndpointId, Params, RecvObs, SendObs};
 use crate::error::{Result, ShuffleError};
 
 /// Batch size for completion-queue drains: how many completions one
@@ -208,6 +209,15 @@ pub(crate) struct RcHalf {
     pub post_lock: SimMutex,
 }
 
+/// The slot of each of `peers`, indexed by node id.
+pub(crate) fn slots_by_node(peers: impl Iterator<Item = NodeId> + Clone) -> Vec<Option<usize>> {
+    let mut index = vec![None; peers.clone().max().map_or(0, |last| last + 1)];
+    for (slot, peer) in peers.enumerate() {
+        index[peer] = Some(slot);
+    }
+    index
+}
+
 /// The lock serializing posts on one endpoint's Queue Pairs.
 pub(crate) fn post_lock(ctx: &Context) -> SimMutex {
     SimMutex::new(ctx.runtime().kernel(), SimDuration::from_nanos(60))
@@ -225,14 +235,10 @@ impl RcHalf {
         recv_cq: &Cq,
     ) -> RcHalf {
         assert!(!peers.is_empty(), "endpoint needs at least one peer");
-        let mut index = vec![None; peers.iter().max().map_or(0, |&last| last + 1)];
-        for (slot, &peer) in peers.iter().enumerate() {
-            index[peer] = Some(slot);
-        }
         RcHalf {
             id,
             audit: audit_handle(ctx),
-            index,
+            index: slots_by_node(peers.iter().copied()),
             qps: peers
                 .iter()
                 .map(|_| ctx.create_qp(QpType::Rc, send_cq.cq.clone(), recv_cq.cq.clone()))
@@ -716,35 +722,227 @@ impl RingProducer {
     }
 }
 
-/// Which of a receive half's sources, by peer slot, announced end of
-/// stream.
-pub(crate) struct Sources {
-    depleted: Mutex<Vec<bool>>,
-    all_depleted: AtomicBool,
+/// Where a source stands against the total it declared.
+#[derive(Copy, Clone, PartialEq)]
+pub(crate) enum Standing {
+    /// No `Depleted` message yet.
+    Open,
+    Short,
+    Exact,
+    Over,
 }
 
-impl Sources {
-    pub(crate) fn new(n: usize) -> Sources {
-        Sources {
-            depleted: Mutex::new(vec![false; n]),
-            all_depleted: AtomicBool::new(false),
+/// What a receive half knows of one source.
+#[derive(Clone, Default)]
+struct Source {
+    /// Data messages received from it.
+    received: u64,
+    /// The total its `Depleted` message declared.
+    declared: Option<u64>,
+    /// Absolute credit posted: the bootstrap grant plus one per release.
+    posted: u64,
+    /// The credit last written back (at first, the bootstrap grant).
+    granted: u64,
+    /// The `counter` of its latest header: its sends in flight toward
+    /// this half on `sr_rc`, its running total on `sr_ud`.
+    in_flight: u64,
+    /// Its audit credit lane, once bootstrapped.
+    lane: Option<CreditLane>,
+}
+
+impl Source {
+    fn standing(&self) -> Standing {
+        match self.declared.map(|total| self.received.cmp(&total)) {
+            None => Standing::Open,
+            Some(Cmp::Less) => Standing::Short,
+            Some(Cmp::Equal) => Standing::Exact,
+            Some(Cmp::Greater) => Standing::Over,
+        }
+    }
+}
+
+/// A receive half's sources by peer slot: what each received, declared
+/// and was granted. It alone decides when the stream ends (§4.4.2) and
+/// when a release owes a write-back of absolute credit (§4.4.1), and it
+/// calls the audit hooks on both under its one lock. A source's lane says
+/// how its credit travels: to an RDMA-written slot (`sr_rc`), whose headers
+/// carry the sends in flight, or as UD datagrams, whose headers carry a
+/// running total. A source without one (`rd_rc`, `wr_rc`) earns no credit.
+pub(crate) struct SourceBook {
+    audit: AuditHandle,
+    /// Releases a write-back waits for at least.
+    frequency: u64,
+    /// Unspent credit, beyond the sender's sends in flight, below which an
+    /// RDMA-written slot is written back: half the bootstrap window.
+    reserve: u64,
+    table: Mutex<Table>,
+}
+
+struct Table {
+    sources: Vec<Source>,
+    /// Sources per [`Standing`], so termination reads four counters.
+    tally: [usize; 4],
+}
+
+impl Table {
+    /// Runs `update` on source `slot`, keeping the tally.
+    fn update(&mut self, slot: usize, update: impl FnOnce(&mut Source)) -> &Source {
+        let src = &mut self.sources[slot];
+        let before = src.standing();
+        update(src);
+        self.tally[before as usize] -= 1;
+        self.tally[src.standing() as usize] += 1;
+        src
+    }
+
+    /// The source standing `standing` furthest from its declared total,
+    /// ties to the lowest endpoint id: `(endpoint, declared, received)`.
+    /// The one place that scans, and only when the tally has such a source.
+    /// Only UD sources, named by their lanes, can fall short or run over.
+    fn worst(&self, standing: Standing) -> Option<(u64, u64, u64)> {
+        if self.tally[standing as usize] == 0 {
+            return None;
+        }
+        let named = self.sources.iter().filter_map(|src| match src.lane {
+            Some(CreditLane::Ud { sender, .. }) if src.standing() == standing => {
+                Some((sender, src.declared.unwrap_or(0), src.received))
+            }
+            _ => None,
+        });
+        named.max_by_key(|&(ep, declared, received)| (declared.abs_diff(received), Reverse(ep)))
+    }
+}
+
+impl SourceBook {
+    /// A book of `n` sources, all open.
+    pub(crate) fn new(ctx: &Context, cfg: &Params, n: usize) -> SourceBook {
+        SourceBook {
+            audit: audit_handle(ctx),
+            frequency: cfg.credit_writeback_frequency.into(),
+            reserve: cfg.recv_depth_per_peer as u64 / 2,
+            table: Mutex::new(Table {
+                sources: vec![Source::default(); n],
+                tally: [n, 0, 0, 0],
+            }),
         }
     }
 
-    pub(crate) fn mark_depleted(&self, slot: usize) {
-        let mut depleted = self.depleted.lock();
-        depleted[slot] = true;
-        if depleted.iter().all(|&d| d) {
-            self.all_depleted.store(true, Ordering::SeqCst);
+    /// Opens source `slot`'s credit `lane` with `credit` posted and
+    /// granted. Bootstrap happens outside the measured window, at virtual 0.
+    pub(crate) fn open(&self, slot: usize, lane: CreditLane, credit: u64) {
+        let written = matches!(lane, CreditLane::Slot { .. });
+        let src = &mut self.table.lock().sources[slot];
+        (src.posted, src.granted, src.lane) = (credit, credit, Some(lane));
+        // Credit datagrams may legally be lost, so a UD lane carries no
+        // write-back frequency: the auditor checks monotonicity and
+        // overdraft, not gaps.
+        self.audit
+            .credit_lane(lane, written.then_some(self.frequency));
+        self.posted(lane, credit, Some(credit), 0);
+    }
+
+    /// Tells the auditor that `n` more receives back `lane` (UD's are one
+    /// shared pool's) and which absolute credit went out with them, if any.
+    fn posted(&self, lane: CreditLane, n: u64, granted: Option<u64>, now: u64) {
+        if matches!(lane, CreditLane::Slot { .. }) {
+            self.audit.receives_posted(lane, n, now);
+        }
+        if let Some(granted) = granted {
+            self.audit.credit_granted(lane, granted, now);
         }
     }
 
-    pub(crate) fn is_depleted(&self, slot: usize) -> bool {
-        self.depleted.lock()[slot]
+    /// Counts a data message from source `slot` whose header carried
+    /// `counter`; `total` is what a UD `Depleted` message declares.
+    /// Returns whether every source has declared.
+    pub(crate) fn receive(&self, now: u64, slot: usize, counter: u64, total: Option<u64>) -> bool {
+        let mut table = self.table.lock();
+        let src = table.update(slot, |src| {
+            (src.received, src.in_flight) = (src.received + 1, counter);
+            src.declared = total.or(src.declared);
+        });
+        match src.lane {
+            Some(lane @ CreditLane::Slot { .. }) => self.audit.credit_received(lane, counter, now),
+            Some(CreditLane::Ud { sender, .. }) => {
+                (self.audit).counted_receive(sender, src.received, src.declared, now)
+            }
+            None => {}
+        }
+        table.tally[Standing::Open as usize] == 0
     }
 
-    pub(crate) fn all_depleted(&self) -> bool {
-        self.all_depleted.load(Ordering::SeqCst)
+    /// An ordered `Depleted` message from source `slot` declares what has
+    /// arrived. It closes the source's credit lane: releases stop
+    /// recycling, so this is the auditor's last chance to see a write-back
+    /// boundary that was reached but never announced.
+    pub(crate) fn declare(&self, now: u64, slot: usize) {
+        let mut table = self.table.lock();
+        let src = table.update(slot, |src| src.declared = Some(src.received));
+        if let Some(lane) = src.lane {
+            self.audit.credit_lane_closed(lane, now);
+        }
+    }
+
+    /// Whether source `slot` has declared its total.
+    pub(crate) fn declared(&self, slot: usize) -> bool {
+        self.table.lock().sources[slot].declared.is_some()
+    }
+
+    /// Whether every source has declared its total.
+    pub(crate) fn all_declared(&self) -> bool {
+        self.table.lock().tally[Standing::Open as usize] == 0
+    }
+
+    /// Posts one more credit to source `slot` for a release, and returns
+    /// the absolute credit to write back and its lane when one is owed: the
+    /// source has not declared (it sends nothing more), at least
+    /// `credit_writeback_frequency` were posted since the last write-back
+    /// and, to an RDMA-written slot, the sender could run short. Decided
+    /// and audited in one step: the auditor judges the counts decided on.
+    pub(crate) fn release(&self, now: u64, slot: usize) -> Option<(u64, CreditLane)> {
+        let src = &mut self.table.lock().sources[slot];
+        src.posted += 1;
+        let lane = src.lane?;
+        let written = matches!(lane, CreditLane::Slot { .. });
+        let short = src.granted.saturating_sub(src.received) <= src.in_flight + self.reserve;
+        let owed = src.declared.is_none()
+            && src.posted - src.granted >= self.frequency
+            && (short || !written);
+        // A saboteur may swallow exactly one write-back: the protocol
+        // "forgets" to announce credit and only the auditor, which owes it
+        // from its own counts, can notice: absolute credit self-heals at
+        // the next write-back (§4.4.1).
+        #[cfg(feature = "saboteur")]
+        let owed = owed && !crate::sabotage::take(crate::sabotage::Sabotage::SkipCreditWriteback);
+        src.granted = if owed { src.posted } else { src.granted };
+        self.posted(lane, 1, owed.then_some(src.posted), now);
+        owed.then_some((src.posted, lane))
+    }
+
+    /// Where the sources stand together: [`Standing::Open`] while one has
+    /// not declared, then [`Standing::Short`] while one has not delivered
+    /// its total, then [`Standing::Exact`].
+    ///
+    /// # Errors
+    ///
+    /// [`ShuffleError::Corrupt`] if a source delivered *more* messages
+    /// than it declared — a duplicated datagram or a corrupted counter,
+    /// either way unrecoverable within this attempt.
+    pub(crate) fn standing(&self) -> Result<Standing> {
+        let table = self.table.lock();
+        if let Some((ep, declared, received)) = table.worst(Standing::Over) {
+            return Err(ShuffleError::Corrupt(format!(
+                "source {ep} delivered {received} messages but declared {declared}"
+            )));
+        }
+        let mut waiting = [Standing::Open, Standing::Short].into_iter();
+        Ok((waiting.find(|&s| table.tally[s as usize] > 0)).unwrap_or(Standing::Exact))
+    }
+
+    /// The source short of its declared total by the most messages, ties
+    /// to the lowest endpoint id: `(endpoint, declared, received)`.
+    pub(crate) fn worst_straggler(&self) -> Option<(u64, u64, u64)> {
+        self.table.lock().worst(Standing::Short)
     }
 }
 

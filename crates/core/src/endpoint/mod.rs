@@ -29,7 +29,7 @@
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, typed stall, the exchange's `Abort`, credit-stall bracket) | all four | the readiness check and what to block on |
 //! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
-//! | `Sources` (depleted flags by peer slot) | `sr_rc`, `rd_rc`, `wr_rc` receive halves | when depletion means done |
+//! | `SourceBook` (per source by peer slot: received, declared, credit posted and written back; standing, the write-back decision, the audit hooks) | all four receive halves | when standing means done; where a repost goes and how owed credit travels |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |
 //!
 //! The two traits declare only the calls an operator makes. What an

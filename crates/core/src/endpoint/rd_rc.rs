@@ -25,7 +25,7 @@ use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, W
 use crate::buffer::{Buffer, StreamState, HEADER_LEN};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, state_notify, Cq, Layout,
-    RcHalf, RingProducer, SendWindow, SlotRings, Sources,
+    RcHalf, RingProducer, SendWindow, SlotRings, SourceBook,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -234,7 +234,7 @@ impl SendEndpoint for RdRcSendEndpoint {
 /// GETDATA/RELEASE).
 pub struct RdRcReceiveEndpoint {
     half: RcHalf,
-    srcs: Sources,
+    book: SourceBook,
     /// Read completions and acks of the FreeArr release writes.
     cq: Cq,
     /// Deliveries decoded from a batched CQ drain, waiting for a
@@ -285,7 +285,7 @@ impl RdRcReceiveEndpoint {
             })
             .collect();
         RdRcReceiveEndpoint {
-            srcs: Sources::new(n),
+            book: SourceBook::new(ctx, &cfg, n),
             pending: Mutex::new(VecDeque::new()),
             changed: state_notify(ctx),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
@@ -413,7 +413,7 @@ impl RdRcReceiveEndpoint {
         let (src, remote) = (c.src_node, header.remote_addr);
         let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, remote)?;
         if header.state == StreamState::Depleted {
-            self.srcs.mark_depleted(si);
+            self.book.declare(sim.now().as_nanos(), si);
         }
         self.pending.lock().push_back(delivery);
         self.changed.notify();
@@ -422,7 +422,7 @@ impl RdRcReceiveEndpoint {
 
     fn fully_done(&self) -> Result<bool> {
         let reads_landed = self.state.lock().in_flight.iter().all(|&n| n == 0);
-        Ok(self.srcs.all_depleted() && reads_landed && self.valid_arr.all_empty()?)
+        Ok(self.book.all_declared() && reads_landed && self.valid_arr.all_empty()?)
     }
 }
 

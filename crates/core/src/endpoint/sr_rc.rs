@@ -30,7 +30,7 @@ use rshuffle_verbs::{
 use crate::buffer::{Buffer, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, region_base, state_notify, Cq, InlineWrites, Layout,
-    RcHalf, SendWindow, Sources,
+    RcHalf, SendWindow, SourceBook,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -212,7 +212,7 @@ impl SendEndpoint for SrRcSendEndpoint {
 /// RECEIVE endpoint: RDMA Send/Receive over Reliable Connection.
 pub struct SrRcReceiveEndpoint {
     half: RcHalf,
-    srcs: Sources,
+    book: SourceBook,
     recv_cq: Cq,
     /// Send-side CQ of the receive QPs (credit write-backs), drained lazily
     /// through the handled path (statuses checked, never swallowed).
@@ -229,26 +229,9 @@ pub struct SrRcReceiveEndpoint {
     /// to zero at end of stream — a swallowed control completion turns
     /// into a typed error instead of silence.
     ctrl_outstanding: AtomicU64,
-    /// Each source's credit state, indexed by slot.
-    credit: Mutex<Vec<SrcCredit>>,
     credit_writes: InlineWrites,
     obs: RecvObs,
     cfg: Params,
-}
-
-/// What the receive half keeps about one source's credit.
-#[derive(Clone, Default)]
-struct SrcCredit {
-    /// Absolute receives posted (the credit value).
-    posted: u64,
-    /// The credit last written back (at first, the bootstrap pool).
-    granted: u64,
-    /// Data messages received from the source.
-    received: u64,
-    /// The source's sends in flight toward me when it posted the latest.
-    in_flight: u64,
-    /// Where the source's send endpoint keeps my credit slot.
-    remote: Option<RemoteAddr>,
 }
 
 impl SrRcReceiveEndpoint {
@@ -258,14 +241,12 @@ impl SrRcReceiveEndpoint {
         let recv_cq = Cq::new(ctx);
         let ctrl_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, srcs, &ctrl_cq, &recv_cq);
-        let n = half.peers();
         SrRcReceiveEndpoint {
-            srcs: Sources::new(n),
+            book: SourceBook::new(ctx, &cfg, half.peers()),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             pending: Mutex::new(VecDeque::new()),
             changed: state_notify(ctx),
             ctrl_outstanding: AtomicU64::new(0),
-            credit: Mutex::new(vec![SrcCredit::default(); n]),
             credit_writes: InlineWrites::register(ctx),
             obs: RecvObs::new(ctx, id),
             half,
@@ -291,14 +272,7 @@ impl SrRcReceiveEndpoint {
         let step = (window as u64, window);
         self.half.qp(si).post_recv_run_untimed(first, step, depth)?;
         let credit = depth as u64;
-        // Bootstrap happens outside the measured window, at virtual 0.
-        let lane = credit_lane(&credit_slot);
-        let audit = &self.half.audit;
-        audit.credit_lane(lane, Some(self.cfg.credit_writeback_frequency as u64));
-        audit.receives_posted(lane, credit, 0);
-        audit.credit_granted(lane, credit, 0);
-        let src = &mut self.credit.lock()[si];
-        (src.posted, src.granted, src.remote) = (credit, credit, Some(credit_slot));
+        self.book.open(si, credit_lane(&credit_slot), credit);
         Ok(credit)
     }
 }
@@ -337,7 +311,7 @@ impl ReceiveEndpoint for SrRcReceiveEndpoint {
                     if let Some(d) = self.pending.lock().pop_front() {
                         return Ok(Some(Some(d)));
                     }
-                    if self.srcs.all_depleted() && self.recv_cq.depth() == 0 {
+                    if self.book.all_declared() && self.recv_cq.depth() == 0 {
                         // Deliveries a concurrent drainer is still decoding will be
                         // handed out by that thread's own later calls; this caller
                         // is done once the outstanding credit write-backs complete
@@ -376,7 +350,7 @@ impl SrRcReceiveEndpoint {
     /// [`ReceiveEndpoint::release`] path and the stale-epoch drop path
     /// (which recycles without delivering).
     fn recycle_slot(&self, sim: &SimContext, si: usize, local: &Buffer) -> Result<()> {
-        if self.srcs.is_depleted(si) {
+        if self.book.declared(si) {
             // The source announced end-of-stream on this connection: no
             // further Send can arrive, so reposting a receive and writing
             // back credit would be pure tail overhead whose completions
@@ -393,47 +367,19 @@ impl SrRcReceiveEndpoint {
                 len: local.window(),
             },
         )?;
-        // The write-back decision, the audited receive count and the
-        // audited grant must be one atomic step (as must a receive and its
-        // audit in `on_receive`): with several receiver threads at work,
-        // interleaving the hooks would let the auditor judge a write-back
-        // owed on counts the decision never saw. The RDMA write itself
-        // stays outside the lock.
-        let (slot, credit_now, write_back) = {
-            let src = &mut self.credit.lock()[si];
-            src.posted += 1;
-            // Due when the source could run short (module docs).
-            let frequency = u64::from(self.cfg.credit_writeback_frequency);
-            let reserve = src.in_flight + self.cfg.recv_depth_per_peer as u64 / 2;
-            let write_back = src.posted - src.granted >= frequency
-                && src.granted.saturating_sub(src.received) <= reserve;
-            // A saboteur may swallow exactly one write-back: the protocol
-            // "forgets" to announce credit and only the auditor, which owes
-            // it from its own counts, can notice: absolute credit
-            // self-heals at the next write-back (§4.4.1).
-            #[cfg(feature = "saboteur")]
-            let write_back = write_back
-                && !crate::sabotage::take(crate::sabotage::Sabotage::SkipCreditWriteback);
-            src.granted = if write_back { src.posted } else { src.granted };
-            if let Some(slot) = &src.remote {
-                let lane = credit_lane(slot);
-                let now = sim.now().as_nanos();
-                self.half.audit.receives_posted(lane, 1, now);
-                if write_back {
-                    self.half.audit.credit_granted(lane, src.posted, now);
-                }
-            }
-            (src.remote, src.posted, write_back)
-        };
-        if write_back {
-            let slot =
-                slot.ok_or_else(|| ShuffleError::Config("credit slot not bootstrapped".into()))?;
-            // RDMA-Write the absolute credit into the sender's credit slot.
-            // The grant was already audited under the credit lock above;
-            // auditing it again here would reorder grants across threads.
+        if let Some((credit, lane)) = self.book.release(sim.now().as_nanos(), si) {
+            // RDMA-Write the absolute credit into the sender's credit slot,
+            // the one its lane names on its node. The grant was already
+            // audited under the book's lock; auditing it again here would
+            // reorder grants across threads.
+            let CreditLane::Slot { rkey, offset } = lane else {
+                return Err(ShuffleError::Config("not a credit slot".into()));
+            };
+            let (node, offset) = (self.half.peer(si), offset as usize);
+            let slot = RemoteAddr { node, rkey, offset };
             self.ctrl_outstanding.fetch_add(1, Ordering::SeqCst);
             self.credit_writes
-                .post(sim, self.half.qp(si), slot, credit_now)?;
+                .post(sim, self.half.qp(si), slot, credit)?;
         }
         // Lazily drain credit-write completions so the control CQ does not
         // grow without bound — through the handled path, so an errored
@@ -445,8 +391,8 @@ impl SrRcReceiveEndpoint {
     }
 
     /// Decodes one receive completion into a [`Delivery`] on the pending
-    /// queue. The depleted flag is flipped only *after* the delivery is
-    /// queued, so `all_depleted` can never race ahead of a delivery that is
+    /// queue. A `Depleted` source is declared only *after* the delivery is
+    /// queued, so `all_declared` can never race ahead of a delivery that is
     /// still being decoded from the same batch.
     fn on_receive(&self, sim: &SimContext, c: &Completion) -> Result<()> {
         expect_success(c, "receive completed in error")?;
@@ -467,14 +413,7 @@ impl SrRcReceiveEndpoint {
                 c.src_node
             ))
         })?;
-        {
-            let src = &mut self.credit.lock()[si];
-            (src.received, src.in_flight) = (src.received + 1, header.counter);
-            if let Some(slot) = &src.remote {
-                let (lane, now) = (credit_lane(slot), sim.now().as_nanos());
-                self.half.audit.credit_received(lane, header.counter, now);
-            }
-        }
+        (self.book).receive(sim.now().as_nanos(), si, header.counter, None);
         // Delivered or dropped, the completion changed what other callers
         // wait for: the pending queue, or the CQ they wait to see empty.
         self.changed.notify();
@@ -488,15 +427,7 @@ impl SrRcReceiveEndpoint {
         let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, 0)?;
         self.pending.lock().push_back(delivery);
         if header.state == StreamState::Depleted {
-            self.srcs.mark_depleted(si);
-            // Depletion closes the lane: releases stop recycling, so
-            // this is the auditor's last chance to see a write-back
-            // boundary that was reached but never announced.
-            if let Some(slot) = &self.credit.lock()[si].remote {
-                self.half
-                    .audit
-                    .credit_lane_closed(credit_lane(slot), sim.now().as_nanos());
-            }
+            self.book.declare(sim.now().as_nanos(), si);
         }
         Ok(())
     }
@@ -561,7 +492,7 @@ mod tests {
     use rshuffle_simnet::{Cluster, DeviceProfile, SimDuration};
     use rshuffle_verbs::VerbsRuntime;
 
-    use rshuffle_obs::{names, Labels};
+    use rshuffle_obs::{names, EventKind, Labels, Record};
 
     use super::*;
     use crate::operator::{CostModel, Operator, RowBatch};
@@ -677,6 +608,67 @@ mod tests {
         let received = rt.obs().metrics.counter_total(names::EP_MESSAGES_RECEIVED);
         assert_eq!(received, msgs as u64);
         assert!(rt.obs().metrics.counter_total(names::EP_CREDIT_STALLS) > 0);
+    }
+
+    /// Once source A's `Depleted` message has landed, releasing A's queued
+    /// deliveries posts no receive and writes no credit back to A, while
+    /// source B, still open, is credited: the RC twin of `sr_ud`'s test of
+    /// the same name.
+    #[test]
+    fn a_declared_source_gets_no_more_credit() {
+        // A (node 0) sends its whole bootstrap grant, the last message
+        // `Depleted`; B (node 1) sends four more than its grant. Node 2
+        // starts receiving once both grants have landed, and takes them in
+        // one drain: A has declared, B has not. B's last four land while
+        // node 2 releases the first 32, 5 µs apart, and wait in the CQ
+        // until it is done.
+        let to_2 = || TransmissionGroups::new(vec![vec![2]]);
+        let groups = vec![to_2(), to_2(), TransmissionGroups::new(vec![])];
+        let mut config = ExchangeConfig::with_groups(ShuffleAlgorithm::MEMQ_SR, 1, groups);
+        config.message_size = 4096;
+        let (rt, exchange) = build(&config);
+        let depth = config.recv_depth_per_peer;
+        for (node, msgs) in [(0, depth), (1, depth + 4)] {
+            let ep = exchange.send[node][0].clone();
+            spawn(&rt, node, move |sim| {
+                for i in 1..=msgs {
+                    let buf = ep.get_free(sim)?;
+                    let state = match i == msgs {
+                        true => StreamState::Depleted,
+                        false => StreamState::MoreData,
+                    };
+                    ep.send(sim, buf, &[2], state)?;
+                }
+                Ok(())
+            });
+        }
+        let ep = exchange.recv[2][0].clone();
+        spawn(&rt, 2, move |sim| {
+            sim.sleep(SimDuration::from_micros(100));
+            while let Some(delivery) = ep.get_data(sim)? {
+                sim.sleep(SimDuration::from_micros(5));
+                ep.release(sim, delivery)?;
+            }
+            Ok(())
+        });
+        rt.cluster().run();
+        let work = |node| {
+            let counter = rt
+                .obs()
+                .metrics
+                .counter(names::NIC_WORK_REQUESTS, Labels::node(node));
+            counter.get() as usize
+        };
+        // Credit write-backs landed at A and at B, beside their sends.
+        let (at_a, at_b) = (work(0) - depth, work(1) - depth - 4);
+        assert_eq!(at_a, 0);
+        assert!(at_b > 0);
+        // Node 2 reposted a receive for each of B's first `depth` releases
+        // and for none of A's or of B's last four.
+        let tracks = rt.obs().recorder.dump();
+        let records = tracks.iter().filter(|t| t.0 == 2).flat_map(|t| t.3.iter());
+        let reposted = |r: &&Record| matches!(r, Record::Instant { kind, .. } if *kind == EventKind::RecvPosted);
+        assert_eq!(records.filter(reposted).count(), depth);
     }
 
     /// `rows` 16-byte rows for each worker thread, in batches of 2048.

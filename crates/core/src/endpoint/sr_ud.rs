@@ -23,12 +23,13 @@
 //!
 //! The send and receive halves of a node's endpoint are one channel over
 //! one Queue Pair, handed out as both endpoint traits, keeping the QP
-//! count at one per endpoint. What the channel keeps per peer node — its
-//! address, the credit toward it, the grants to it — is one table indexed
-//! by node id under one lock; what it keeps per source endpoint is one
-//! table with running totals, so termination is a lookup, not a scan.
+//! count at one per endpoint. What the send half keeps per peer node — its
+//! address and the credit toward it — is one table indexed by node id
+//! under one lock. What the receive half keeps per source — messages
+//! received, the total declared, credit granted — is the frame's source
+//! book, by the source's slot among the expected ones: termination reads
+//! its tally, not a scan, and a datagram from any other node is corrupt.
 
-use std::cmp::{Ordering as Cmp, Reverse};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -41,7 +42,8 @@ use rshuffle_verbs::{AddressHandle, Completion, Context, MemoryRegion, QueuePair
 
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
-    data_header, deliver, expect_success, post_lock, state_notify, Cq, Layout, SendWindow,
+    data_header, deliver, expect_success, post_lock, slots_by_node, state_notify, Cq, Layout,
+    SendWindow, SourceBook, Standing,
 };
 use crate::endpoint::{
     audit_handle, buf_id, Delivery, EndpointId, Params, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -75,31 +77,21 @@ pub(crate) fn recv_layout(cfg: &Params, srcs: usize) -> Layout {
     }
 }
 
-/// What a channel keeps about one peer node, for both of its halves.
+/// What the send half keeps about one peer node.
 #[derive(Default)]
 struct Peer {
     /// The lane-matched channel on that node; `None` for a node the
     /// channel was not wired to.
     ah: Option<AddressHandle>,
-    /// Send half: absolute credit the peer granted this channel.
+    /// Absolute credit the peer granted this channel.
     credit: u64,
-    /// Send half: the bootstrap window the peer granted — the
-    /// drained-state credit level `quiesce` waits to
-    /// recover; `None` if it never granted one, so nothing was ever sent.
+    /// The bootstrap window the peer granted — the drained-state credit
+    /// level `quiesce` waits to recover; `None` if it never granted one,
+    /// so nothing was ever sent.
     initial_credit: Option<u64>,
-    /// Send half: data messages sent to the peer. Each consumed one
-    /// credit, and a `Depleted` message declares the total.
+    /// Data messages sent to the peer. Each consumed one credit, and a
+    /// `Depleted` message declares the total.
     sent: u64,
-    /// Receive half: the endpoint the peer sends from, which names the
-    /// credit lane the auditor checks grants to it on.
-    sender: u32,
-    /// Receive half: credit granted to the peer (absolute).
-    granted: u64,
-    /// Receive half: the peer's releases since the last write-back.
-    releases: u32,
-    /// Receive half: whether the peer's `Depleted` message has declared
-    /// its total. It sends nothing more, so it gets no more credit.
-    declared: bool,
 }
 
 /// The address of wired peer `node` with its entry, or the typed error
@@ -115,110 +107,6 @@ fn wired<'a>(
         .ok_or_else(|| ShuffleError::Config(format!("{unknown} {node}")))
 }
 
-/// Where a source endpoint stands against the total it declared.
-#[derive(Copy, Clone, PartialEq)]
-enum Standing {
-    /// No `Depleted` message yet.
-    Open,
-    Short,
-    Exact,
-    Over,
-}
-
-/// Message accounting of one source endpoint.
-#[derive(Default)]
-struct SrcCount {
-    received: u64,
-    /// The total its `Depleted` message declared.
-    declared: Option<u64>,
-    /// Whether termination waits for it (it was declared at bootstrap).
-    expected: bool,
-}
-
-impl SrcCount {
-    fn standing(&self) -> Standing {
-        match self.declared.map(|total| self.received.cmp(&total)) {
-            None => Standing::Open,
-            Some(Cmp::Less) => Standing::Short,
-            Some(Cmp::Equal) => Standing::Exact,
-            Some(Cmp::Greater) => Standing::Over,
-        }
-    }
-}
-
-/// The receive half's sources, by endpoint id, and how many of the
-/// expected ones stand where — so termination reads four counters.
-#[derive(Default)]
-struct Sources {
-    by_endpoint: KeyMap<u32, SrcCount>,
-    /// Expected sources per [`Standing`].
-    tally: [usize; 4],
-}
-
-impl Sources {
-    /// Declares `ep` a source termination waits for.
-    fn wait_for(&mut self, ep: u32) {
-        let src = self.by_endpoint.entry(ep).or_default();
-        if !src.expected {
-            src.expected = true;
-            self.tally[src.standing() as usize] += 1;
-        }
-    }
-
-    /// Counts one data message from `ep`, carrying the sender's declared
-    /// total if it was `Depleted`.
-    fn count(&mut self, ep: u32, declared: Option<u64>) -> &SrcCount {
-        let src = self.by_endpoint.entry(ep).or_default();
-        let before = src.standing();
-        src.received += 1;
-        if declared.is_some() {
-            src.declared = declared;
-        }
-        if src.expected {
-            self.tally[before as usize] -= 1;
-            self.tally[src.standing() as usize] += 1;
-        }
-        src
-    }
-
-    /// Whether every expected source has delivered all counted messages.
-    ///
-    /// # Errors
-    ///
-    /// [`ShuffleError::Corrupt`] if a source delivered *more* messages
-    /// than its `Depleted` counter declared — a duplicated datagram or a
-    /// corrupted counter, either way unrecoverable within this attempt.
-    fn done(&self) -> Result<DoneState> {
-        if let Some((ep, declared, received)) = self.worst(Standing::Over) {
-            return Err(ShuffleError::Corrupt(format!(
-                "source {ep} delivered {received} messages but declared {declared}"
-            )));
-        }
-        let count = |standing: Standing| self.tally[standing as usize];
-        Ok(if count(Standing::Open) > 0 {
-            DoneState::InProgress
-        } else if count(Standing::Short) > 0 {
-            DoneState::WaitingForStragglers
-        } else {
-            DoneState::Done
-        })
-    }
-
-    /// The expected source standing `standing` furthest from its declared
-    /// total, ties to the lowest endpoint id: `(ep, declared, received)`.
-    /// The one place that scans, and only when the tally has such a source.
-    fn worst(&self, standing: Standing) -> Option<(u32, u64, u64)> {
-        if self.tally[standing as usize] == 0 {
-            return None;
-        }
-        let sources = self.by_endpoint.iter();
-        let candidates = sources.filter(|(_, src)| src.expected && src.standing() == standing);
-        candidates
-            .map(|(&ep, src)| (ep, src.declared.unwrap_or(0), src.received))
-            .max_by_key(|&(ep, declared, received)| (declared.abs_diff(received), Reverse(ep)))
-    }
-}
-
 /// A node's UD endpoint on one lane: the send and receive halves are one
 /// Queue Pair and one value, handed out as both endpoint traits.
 pub(crate) struct SrUdChannel {
@@ -228,8 +116,8 @@ pub(crate) struct SrUdChannel {
     send_cq: Cq,
     recv_cq: Cq,
 
-    /// Per peer node, indexed by node id: its channel's address, the
-    /// credit toward it and the grants to it.
+    /// Per peer node, indexed by node id: its channel's address and the
+    /// credit toward it.
     peers: Mutex<Vec<Peer>>,
     /// Notified whenever a credit datagram is folded into `peers`, by
     /// whichever half drained it.
@@ -254,8 +142,9 @@ pub(crate) struct SrUdChannel {
     /// Deliveries demultiplexed by some other thread (e.g. the send half's
     /// credit wait) for the receive half to pick up.
     data_gate: Gate<Delivery>,
-    /// Per-source-endpoint message accounting.
-    sources: Mutex<Sources>,
+    /// Each expected source's slot, indexed by node id, and the book over
+    /// those slots; set with the receive pool.
+    sources: OnceLock<(Vec<Option<usize>>, SourceBook)>,
     /// Notified whenever a data message is counted once every expected
     /// source has declared its total: termination may have changed.
     settled: Notify,
@@ -266,8 +155,6 @@ pub(crate) struct SrUdChannel {
     send_obs: SendObs,
     recv_obs: RecvObs,
     audit: AuditHandle,
-    /// This channel's node, for the receive side of audit credit lanes.
-    node: u64,
     cfg: Params,
 }
 
@@ -300,14 +187,13 @@ impl SrUdChannel {
             post_lock: post_lock(ctx),
             recv_pool: OnceLock::new(),
             data_gate: Gate::new(ctx.runtime().kernel(), SimDuration::from_nanos(100)),
-            sources: Mutex::default(),
+            sources: OnceLock::new(),
             settled: state_notify(ctx),
             done: AtomicBool::new(false),
             last_progress: AtomicU64::new(0),
             send_obs: SendObs::new(ctx, send_id),
             recv_obs: RecvObs::new(ctx, recv_id),
             audit: audit_handle(ctx),
-            node: ctx.node() as u64,
             cfg,
         })
     }
@@ -342,22 +228,11 @@ impl SrUdChannel {
                 "UD receive pool bootstrapped twice".to_string(),
             ));
         }
-        let window = self.cfg.ud_recv_window;
-        for &(ep, node) in expected {
-            self.sources.lock().wait_for(ep.0);
-            self.update_peer(node, |peer| {
-                (peer.sender, peer.granted, peer.releases) = (ep.0, window as u64, 0)
-            });
-            // Credit datagrams may legally be lost on the unreliable
-            // transport, so the lanes carry no write-back frequency: the
-            // auditor checks monotonicity and overdraft, not gaps.
-            // Bootstrap happens outside the measured window, at virtual 0.
-            let lane = CreditLane::Ud {
-                sender: ep.0 as u64,
-                dest: self.node,
-            };
-            self.audit.credit_lane(lane, None);
-            self.audit.credit_granted(lane, window as u64, 0);
+        let window = self.cfg.ud_recv_window as u64;
+        let book = SourceBook::new(ctx, &self.cfg, expected.len());
+        for (slot, &(ep, _)) in expected.iter().enumerate() {
+            let (sender, dest) = (ep.0 as u64, ctx.node() as u64);
+            book.open(slot, CreditLane::Ud { sender, dest }, window);
         }
         let layout = recv_layout(&self.cfg, expected.len());
         let pool = ctx.register_pool_untimed(layout.window, layout.buffers);
@@ -377,7 +252,19 @@ impl SrUdChannel {
             .inspect_err(|_| ctx.runtime().deregister_untimed(&pool))?;
         // Checked empty above, and bootstrap runs before any traffic.
         let _ = self.recv_pool.set(pool);
-        Ok(window as u64)
+        let index = slots_by_node(expected.iter().map(|&(_, node)| node));
+        let _ = self.sources.set((index, book));
+        Ok(window)
+    }
+
+    /// The book and the slot of source `node`; a node that is no expected
+    /// source is [`ShuffleError::Corrupt`].
+    fn source(&self, node: NodeId) -> Result<(&SourceBook, usize)> {
+        let known = self.sources.get().and_then(|(index, book)| {
+            let slot = index.get(node).copied().flatten();
+            slot.map(|slot| (book, slot))
+        });
+        known.ok_or_else(|| ShuffleError::Corrupt(format!("data from node {node}, no source")))
     }
 
     /// Seeds the send half's credit for `dest` (out-of-band bootstrap).
@@ -522,23 +409,13 @@ impl SrUdChannel {
                 Ok(())
             }
             MsgKind::Data => {
-                {
-                    let declared =
-                        (header.state == StreamState::Depleted).then_some(header.counter);
-                    let mut sources = self.sources.lock();
-                    let src = sources.count(header.src, declared);
-                    let now = sim.now().as_nanos();
-                    self.audit
-                        .counted_receive(header.src as u64, src.received, src.declared, now);
-                    if sources.tally[Standing::Open as usize] == 0 {
-                        self.settled.notify();
-                    }
+                let (book, slot) = self.source(c.src_node)?;
+                let declared = (header.state == StreamState::Depleted).then_some(header.counter);
+                if book.receive(sim.now().as_nanos(), slot, header.counter, declared) {
+                    self.settled.notify();
                 }
                 self.made_progress(sim);
                 let src = c.src_node;
-                if header.state == StreamState::Depleted {
-                    self.update_peer(src, |peer| peer.declared = true);
-                }
                 let delivery = deliver(sim, &self.recv_obs, &self.audit, &header, buf, src, 0)?;
                 self.data_gate.push(delivery);
                 Ok(())
@@ -560,9 +437,15 @@ impl SrUdChannel {
     }
 
     /// Whether every expected source has delivered all counted messages
-    /// (see [`Sources::done`]).
+    /// (see [`SourceBook::standing`]).
     fn check_done(&self) -> Result<DoneState> {
-        self.sources.lock().done()
+        let book = self.sources.get().map(|(_, book)| book);
+        let standing = book.map_or(Ok(Standing::Exact), SourceBook::standing)?;
+        Ok(match standing {
+            Standing::Open => DoneState::InProgress,
+            Standing::Short => DoneState::WaitingForStragglers,
+            Standing::Exact | Standing::Over => DoneState::Done,
+        })
     }
 
     /// The cached AH list for a multicast destination set, built on first
@@ -588,10 +471,11 @@ impl SrUdChannel {
     /// Builds the restart error naming the worst straggler: the source
     /// with the largest deficit, ties to the lowest endpoint id.
     fn straggler_error(&self) -> ShuffleError {
-        let worst = self.sources.lock().worst(Standing::Short);
-        let (src, expected, received) = worst.unwrap_or((u32::MAX, 0, 0));
+        let book = self.sources.get().map(|(_, book)| book);
+        let worst = book.and_then(SourceBook::worst_straggler);
+        let (src, expected, received) = worst.unwrap_or((u64::MAX, 0, 0));
         ShuffleError::NetworkErrorRestartQuery {
-            src,
+            src: src as u32,
             expected,
             received,
         }
@@ -812,28 +696,9 @@ impl ReceiveEndpoint for SrUdChannel {
         self.audit
             .released(buf_id(&delivery.local), sim.now().as_nanos());
         self.repost(sim, &delivery.local)?;
-        // A source whose `Depleted` message declared its total sends
-        // nothing more: credit to it would only be tail traffic, still in
-        // flight when the exchange is torn down (`sr_rc::recycle_slot`
-        // keeps the same rule). Termination needs every source declared,
-        // so a done channel credits nobody.
-        let write_back = self.update_peer(delivery.src, |peer| {
-            peer.granted += 1;
-            peer.releases += 1;
-            let freq = self.cfg.credit_writeback_frequency;
-            let due = !peer.declared && peer.releases.is_multiple_of(freq);
-            due.then_some((peer.granted, peer.sender))
-        });
-        if let Some((credit_now, sender)) = write_back {
-            self.audit.credit_granted(
-                CreditLane::Ud {
-                    sender: sender as u64,
-                    dest: self.node,
-                },
-                credit_now,
-                sim.now().as_nanos(),
-            );
-            self.send_credit(sim, delivery.src, credit_now)?;
+        let (book, slot) = self.source(delivery.src)?;
+        if let Some((credit, _)) = book.release(sim.now().as_nanos(), slot) {
+            self.send_credit(sim, delivery.src, credit)?;
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr};
 use crate::buffer::{Buffer, MsgHeader, MsgKind, StreamState};
 use crate::endpoint::frame::{
     data_header, deliver, expect_success, expect_write_ack, region_base, Cq, Layout, RcHalf,
-    RingProducer, SendWindow, SlotRings, Sources, INLINE_WR_BASE,
+    RingProducer, SendWindow, SlotRings, SourceBook, INLINE_WR_BASE,
 };
 use crate::endpoint::{
     buf_id, Delivery, EndpointId, Params, RcTransport, ReceiveEndpoint, RecvObs, SendEndpoint,
@@ -183,7 +183,7 @@ impl SendEndpoint for WrRcSendEndpoint {
 /// RECEIVE endpoint: passive target of RDMA Writes.
 pub struct WrRcReceiveEndpoint {
     half: RcHalf,
-    srcs: Sources,
+    book: SourceBook,
     /// Acks of the grant writes.
     ctrl_cq: Cq,
     /// Data buffers remote senders write into; per-source partitions.
@@ -203,7 +203,7 @@ impl WrRcReceiveEndpoint {
         let ctrl_cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, srcs, &ctrl_cq, &ctrl_cq);
         WrRcReceiveEndpoint {
-            srcs: Sources::new(half.peers()),
+            book: SourceBook::new(ctx, &cfg, half.peers()),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
             grant_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
@@ -266,7 +266,7 @@ impl WrRcReceiveEndpoint {
                 continue;
             }
             if header.state == StreamState::Depleted {
-                self.srcs.mark_depleted(si);
+                self.book.declare(sim.now().as_nanos(), si);
             }
             let src = self.half.peer(si);
             return deliver(sim, &self.obs, &self.half.audit, &header, buf, src, offset).map(Some);
@@ -320,7 +320,7 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
                 if let Some(d) = self.scan_valid_arr(sim)? {
                     return Ok(Some(Some(d)));
                 }
-                let done = self.srcs.all_depleted() && self.valid_arr.all_empty()?;
+                let done = self.book.all_declared() && self.valid_arr.all_empty()?;
                 Ok(done.then_some(None))
             },
             |announced, abort, deadline| {
