@@ -9,6 +9,11 @@
 //! fabric layout; `diag --phases [NODES] [THETA]` dumps the phase
 //! schedule (per-phase byte totals, exempted sources) together with the
 //! advisor's signal→decision table for the same shape.
+//! `diag --timeline [ALGORITHM] [NODES] [PROFILE] [PATTERN] [MIB] [NODE]`
+//! runs one shuffle — by default the benchmark's `bcast_rd_fdr16` shape,
+//! `MEMQ/RD 16 fdr broadcast 2 0` — with node `NODE`'s NIC pipeline and
+//! ports recording their reservations, and prints the busy share of each
+//! per sixteenth of the run.
 //! `FAULT` selects a canned ride-out-able fault plan (`link-flap`,
 //! `link-degrade` or `straggler`) whose injection markers then appear on
 //! the hardware track of the exported trace; the active plan is echoed
@@ -23,16 +28,20 @@
 //! stalls, completions and fragment spans on their own tracks.
 
 use rshuffle::{AdvisorSignals, AlgorithmAdvisor, PhasePolicy, PhaseSchedule, ShuffleAlgorithm};
-use rshuffle_bench::cli::{or_usage, transport, value, Args};
+use rshuffle_bench::cli::{or_usage, pattern, transport, value, Args};
 use rshuffle_bench::skew::zipf_partition_rows;
 use rshuffle_bench::workload::ROW_BYTES;
-use rshuffle_bench::{run_shuffle_workload, Transport, WorkloadConfig};
-use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, Topology};
+use rshuffle_bench::{
+    run_shuffle_workload, run_shuffle_workload_on, workload_runtime, Pattern, Transport,
+    WorkloadConfig,
+};
+use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, SimTime, Topology};
 use rshuffle_verbs::FaultPlan;
 
 const USAGE: &str = "diag [ALGORITHM] [NODES] [TRACE_PATH] [link-flap|link-degrade|straggler]
        diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]
-       diag --phases [NODES] [THETA]";
+       diag --phases [NODES] [THETA]
+       diag --timeline [ALGORITHM] [NODES] [fdr|edr] [repartition|broadcast] [MIB] [NODE]";
 
 /// Canned fault plans selectable by name. Diagnostic runs drive the
 /// exchange without the `run_shuffle_with_recovery` coordinator, so only
@@ -124,6 +133,64 @@ fn dump_topology(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `diag --timeline`: the busy share of one node's NIC pipeline, egress
+/// and ingress port per sixteenth of one run. Reservations are kept only
+/// on this path; the run's virtual time is the same without them.
+fn timeline(mut args: Args) -> Result<(), String> {
+    let rd = (Transport::Rdma, ShuffleAlgorithm::MEMQ_RD);
+    let (over, algorithm) = args.positional("ALGORITHM", transport)?.unwrap_or(rd);
+    let nodes: usize = args.positional("NODES", value)?.unwrap_or(16);
+    let profile = args.positional("PROFILE", DeviceProfile::by_name)?;
+    let shape = args
+        .positional("PATTERN", pattern)?
+        .unwrap_or(Pattern::Broadcast);
+    let mib: usize = args.positional("MIB", value)?.unwrap_or(2);
+    let node: usize = args.positional("NODE", value)?.unwrap_or(0);
+    args.finish()?;
+    if node >= nodes {
+        return Err(format!("node {node} is not among {nodes} nodes"));
+    }
+    let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::fdr), nodes, algorithm);
+    (cfg.transport, cfg.bytes_per_node) = (over, mib << 20);
+    cfg.set_pattern(shape);
+    let runtime = workload_runtime(&cfg);
+    runtime.nic(node).record();
+    runtime.cluster().fabric().record(node);
+    let r = run_shuffle_workload_on(&cfg, runtime.clone()).map_err(|e| e.to_string())?;
+    let [egress, ingress] = runtime.cluster().fabric().recorded(node);
+    let nic = runtime.nic(node).recorded();
+    let end = r.response_time.as_nanos();
+    println!(
+        "{}, {nodes} {} nodes, {shape:?}, {mib} MiB/node: response {}, node {node}",
+        cfg.design(),
+        cfg.profile.name,
+        r.response_time
+    );
+    println!(
+        "{:>9} {:>9} {:>8} {:>8} {:>8}",
+        "from_us", "to_us", "nic", "egress", "ingress"
+    );
+    for k in 0..16 {
+        let (from, to) = (end * k / 16, end * (k + 1) / 16);
+        let busy = |log: &[(SimTime, SimTime)]| {
+            let overlap = log.iter().map(|&(s, e)| {
+                let (s, e) = (s.as_nanos().max(from), e.as_nanos().min(to));
+                e.saturating_sub(s)
+            });
+            100.0 * overlap.sum::<u64>() as f64 / (to - from).max(1) as f64
+        };
+        println!(
+            "{:>9.1} {:>9.1} {:>7.1}% {:>7.1}% {:>7.1}%",
+            from as f64 / 1e3,
+            to as f64 / 1e3,
+            busy(&nic),
+            busy(&egress),
+            busy(&ingress)
+        );
+    }
+    Ok(())
+}
+
 /// `diag [ALGORITHM] [NODES] [TRACE_PATH] [FAULT]`: the configuration to
 /// run and where the trace goes.
 fn workload(mut args: Args) -> Result<(WorkloadConfig, String), String> {
@@ -147,6 +214,9 @@ fn main() {
     }
     if args.flag("--topology") {
         return or_usage(dump_topology(args), USAGE);
+    }
+    if args.flag("--timeline") {
+        return or_usage(timeline(args), USAGE);
     }
     let (cfg, trace_path) = or_usage(workload(args), USAGE);
     if cfg.exchange.faults.plan.is_empty() {

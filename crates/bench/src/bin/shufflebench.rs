@@ -5,7 +5,7 @@
 //! (schema `rshuffle-bench/1`) including per-stage latency digests.
 
 use rshuffle::ShuffleAlgorithm;
-use rshuffle_bench::cli::{or_usage, transport, value, Args};
+use rshuffle_bench::cli::{or_usage, pattern, transport, value, Args};
 use rshuffle_bench::perf::{emit, stage_summaries, BenchResult, BenchRun, MetricRow};
 use rshuffle_bench::{run_shuffle_workload, Pattern, Transport, WorkloadConfig};
 use rshuffle_simnet::{DeviceProfile, SimDuration};
@@ -21,11 +21,6 @@ const USAGE: &str = "shufflebench [--profile fdr|edr] [--nodes N] [--threads T]
 /// The configuration and pattern the command line asks for, and where to
 /// emit the report.
 fn configuration(mut args: Args) -> Result<(WorkloadConfig, Pattern, Option<String>), String> {
-    let parse_pattern = |s: &str| match s {
-        "repartition" => Some(Pattern::Repartition),
-        "broadcast" => Some(Pattern::Broadcast),
-        _ => None,
-    };
     let profile = args.option("--profile", DeviceProfile::by_name)?;
     let nodes = args.option("--nodes", value)?.unwrap_or(8);
     let design = args.option("--algorithm", transport)?;
@@ -36,7 +31,7 @@ fn configuration(mut args: Args) -> Result<(WorkloadConfig, Pattern, Option<Stri
         cfg.exchange.threads = threads;
     }
     let pattern = args
-        .option("--pattern", parse_pattern)?
+        .option("--pattern", pattern)?
         .unwrap_or(Pattern::Repartition);
     cfg.set_pattern(pattern);
     if let Some(mib) = args.option("--mib", value::<usize>)? {

@@ -9,7 +9,7 @@ use std::str::FromStr;
 
 use rshuffle::ShuffleAlgorithm;
 
-use crate::workload::Transport;
+use crate::workload::{Pattern, Transport};
 
 /// The arguments not yet taken.
 pub struct Args(pub(crate) Vec<String>);
@@ -87,6 +87,15 @@ pub fn transport(s: &str) -> Option<(Transport, ShuffleAlgorithm)> {
         "mpi" => Some((Transport::Mpi, ShuffleAlgorithm::SEMQ_SR)),
         "ipoib" => Some((Transport::Ipoib, ShuffleAlgorithm::SEMQ_SR)),
         other => ShuffleAlgorithm::parse(other).map(|a| (Transport::Rdma, a)),
+    }
+}
+
+/// `repartition` or `broadcast`.
+pub fn pattern(s: &str) -> Option<Pattern> {
+    match s {
+        "repartition" => Some(Pattern::Repartition),
+        "broadcast" => Some(Pattern::Broadcast),
+        _ => None,
     }
 }
 

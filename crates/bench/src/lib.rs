@@ -15,4 +15,7 @@ pub mod perf;
 pub mod skew;
 pub mod workload;
 
-pub use workload::{run_shuffle_workload, Pattern, Transport, WorkloadConfig, WorkloadResult};
+pub use workload::{
+    run_shuffle_workload, run_shuffle_workload_on, workload_runtime, Pattern, Transport,
+    WorkloadConfig, WorkloadResult,
+};

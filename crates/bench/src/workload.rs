@@ -204,9 +204,23 @@ impl WorkloadResult {
 /// or the [`ShuffleError::Config`] of a configuration the exchange
 /// refuses to build.
 pub fn run_shuffle_workload(cfg: &WorkloadConfig) -> Result<WorkloadResult, ShuffleError> {
+    run_shuffle_workload_on(cfg, workload_runtime(cfg))
+}
+
+/// The fresh cluster and verbs runtime [`run_shuffle_workload`] runs `cfg`
+/// over: its topology, profile and fault plan.
+pub fn workload_runtime(cfg: &WorkloadConfig) -> Arc<VerbsRuntime> {
+    let cluster = Cluster::with_topology(cfg.nodes(), cfg.profile.clone(), cfg.topology.clone());
+    VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone())
+}
+
+/// [`run_shuffle_workload`] over `runtime`, which [`workload_runtime`] made
+/// and nothing has run on yet.
+pub fn run_shuffle_workload_on(
+    cfg: &WorkloadConfig,
+    runtime: Arc<VerbsRuntime>,
+) -> Result<WorkloadResult, ShuffleError> {
     let (nodes, threads) = (cfg.nodes(), cfg.exchange.threads);
-    let cluster = Cluster::with_topology(nodes, cfg.profile.clone(), cfg.topology.clone());
-    let runtime = VerbsRuntime::with_faults(cluster, cfg.exchange.faults.clone());
     let groups = &cfg.exchange.groups;
     let cost = CostModel::from_profile(runtime.profile());
     // Per-node fragment sizes: even by default, or a seeded Zipf split of

@@ -13,17 +13,19 @@
 
 use std::cmp::{Ordering as Cmp, Reverse};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_audit::{AuditHandle, BufId, CreditLane, RingKey, RingKind};
 use rshuffle_simnet::{
-    Kernel, Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimTime, Waitable,
+    Kernel, Listener, NodeId, Notify, SimContext, SimDuration, SimMutex, SimThreadId, SimTime,
+    Waitable,
 };
 use rshuffle_verbs::{
     Completion, CompletionQueue, Context, MemoryRegion, QpType, QueuePair, RemoteAddr, WcOpcode,
-    WcStatus,
+    WcStatus, MAX_CONTROL_WRITE,
 };
 
 use crate::buffer::{Buffer, BufferPool, MsgHeader, MsgKind, StreamState};
@@ -524,10 +526,10 @@ impl<'a> Watchdog<'a> {
     }
 }
 
-/// The rotating scratch region that sources 8-byte control writes. The
-/// paper inlines such values in the work request to save a DMA fetch
-/// (§4.4.1); the payload is snapshotted at post time, so rotating over a
-/// few slots without tracking their reuse is safe.
+/// The rotating scratch region that sources control writes. The paper
+/// inlines such values in the work request to save a DMA fetch (§4.4.1);
+/// the payload is snapshotted at post time, so rotating over a few slots
+/// without tracking their reuse is safe.
 pub(crate) struct InlineWrites {
     mr: MemoryRegion,
     seq: AtomicU64,
@@ -541,21 +543,27 @@ impl InlineWrites {
         }
     }
 
-    /// RDMA-Writes `value` to `target` over `qp`. A caller sharing `qp`
-    /// among threads holds the post lock around this call: a thread
-    /// blocked on the lock would otherwise let its slot be recycled
-    /// before the payload is snapshotted.
+    /// RDMA-Writes `values` to consecutive words at `target` over `qp` as
+    /// one work request, named `wr_id` or else by its sequence number. A
+    /// caller sharing `qp` among threads holds the post lock around this
+    /// call: a thread blocked on the lock would otherwise let its slots be
+    /// recycled before the payload is snapshotted.
     pub(crate) fn post(
         &self,
         sim: &SimContext,
         qp: &QueuePair,
+        wr_id: Option<u64>,
         target: RemoteAddr,
-        value: u64,
+        values: &[u64],
     ) -> Result<()> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let off = (seq % INLINE_SLOTS as u64) as usize * 8;
-        self.mr.write_u64(off, value)?;
-        qp.post_write(sim, INLINE_WR_BASE + seq, (self.mr.clone(), off), target, 8)?;
+        // A run starts where it fits before the scratch's end.
+        let off = 8 * (seq as usize % (INLINE_SLOTS + 1 - values.len()));
+        for (k, &v) in values.iter().enumerate() {
+            self.mr.write_u64(off + 8 * k, v)?;
+        }
+        let (wr_id, len) = (wr_id.unwrap_or(INLINE_WR_BASE + seq), 8 * values.len());
+        qp.post_write(sim, wr_id, (self.mr.clone(), off), target, len)?;
         Ok(())
     }
 }
@@ -670,21 +678,84 @@ impl SlotRings {
     }
 }
 
+/// The most ring slots one write fills: its packet rides the control lane.
+const MAX_RUN: usize = MAX_CONTROL_WRITE / 8;
+
 /// The producer end of the peers' [`SlotRings`]: per peer, the ring base
-/// it shared out of band and this side's producer cursor, plus the
-/// inline-write scratch the slot values are sourced from.
+/// it shared out of band and this side's producer cursor, the inline-write
+/// scratch the slot values are sourced from, and per producing thread and
+/// ring the values queued behind its write in flight. Slots are claimed as
+/// a write is posted, under the post lock, so a queue lands in consecutive
+/// slots as one write (DESIGN.md, "Announcements coalesce").
 pub(crate) struct RingProducer {
     cap: usize,
-    rings: Mutex<Vec<(Option<RemoteAddr>, u64)>>,
+    /// Whether values queue behind a write in flight (`rd_rc`'s ValidArr)
+    /// or each goes out at once (FreeArr, grants, `wr_rc`'s ValidArr).
+    coalesce: bool,
+    state: Mutex<Producing>,
     inline: InlineWrites,
     audit: AuditHandle,
 }
 
+struct Producing {
+    /// Per peer: the ring's base once wired, and the producer cursor.
+    rings: Vec<(Option<RemoteAddr>, u64)>,
+    /// Per producing thread, one queue per ring in ring order: the thread,
+    /// the wire values (`value + 1`) waiting, and its writes unacknowledged.
+    queues: Vec<(SimThreadId, Vec<u64>, u32)>,
+}
+
+impl Producing {
+    fn base(&self, i: usize) -> Result<RemoteAddr> {
+        (self.rings[i].0).ok_or_else(|| ShuffleError::Config(format!("ring {i} not wired")))
+    }
+
+    /// Claims up to `want` consecutive slots of ring `i`, stopping at its
+    /// wrap: where they start, and how many.
+    fn claim(&mut self, i: usize, cap: usize, want: usize) -> Result<(RemoteAddr, usize)> {
+        let base = self.base(i)?;
+        let cursor = &mut self.rings[i].1;
+        let first = *cursor as usize % cap;
+        let n = want.min(cap - first);
+        *cursor += n as u64;
+        Ok((
+            RemoteAddr {
+                offset: base.offset + 8 * first,
+                ..base
+            },
+            n,
+        ))
+    }
+
+    /// Where `owner`'s queues start; made, sized from the ring, on its first call.
+    fn lane(&mut self, owner: SimThreadId, cap: usize) -> usize {
+        let rings = self.rings.len();
+        match self.queues.iter().step_by(rings).position(|q| q.0 == owner) {
+            Some(at) => at * rings,
+            None => {
+                let queue = || (owner, Vec::with_capacity(cap.min(MAX_RUN)), 0);
+                self.queues
+                    .extend(std::iter::repeat_with(queue).take(rings));
+                self.queues.len() - rings
+            }
+        }
+    }
+}
+
 impl RingProducer {
-    pub(crate) fn register(ctx: &Context, peers: usize, cap: usize) -> RingProducer {
+    pub(crate) fn register(
+        ctx: &Context,
+        peers: usize,
+        cap: usize,
+        coalesce: bool,
+    ) -> RingProducer {
         RingProducer {
             cap,
-            rings: Mutex::new(vec![(None, 0); peers]),
+            coalesce,
+            state: Mutex::new(Producing {
+                rings: vec![(None, 0); peers],
+                queues: Vec::with_capacity(peers),
+            }),
             inline: InlineWrites::register(ctx),
             audit: audit_handle(ctx),
         }
@@ -694,31 +765,144 @@ impl RingProducer {
     /// out of band. The [`SlotRings`] that owns the ring registered it with
     /// the auditor.
     pub(crate) fn wire(&self, i: usize, base: RemoteAddr, skip: u64) {
-        self.rings.lock()[i] = (Some(base), skip);
+        self.state.lock().rings[i] = (Some(base), skip);
     }
 
-    /// Claims the next slot of peer `i`'s ring. Claim order fixes ring
-    /// order, so claims are taken before — not under — the post lock.
-    pub(crate) fn claim(&self, sim: &SimContext, i: usize) -> Result<RemoteAddr> {
-        let mut rings = self.rings.lock();
-        let (base, cursor) = &mut rings[i];
-        let base = base.ok_or_else(|| ShuffleError::Config(format!("ring {i} not wired")))?;
-        let offset = base.offset + 8 * (*cursor as usize % self.cap);
-        *cursor += 1;
-        self.audit
-            .ring_produced(ring_key(&base), sim.now().as_nanos());
-        Ok(RemoteAddr { offset, ..base })
-    }
-
-    /// RDMA-Writes `value` into the claimed `slot` over `qp`.
-    pub(crate) fn publish(
+    /// Produces `value` into peer `i`'s ring from the calling thread; the
+    /// auditor counts it now. Without coalescing it goes out at once, under
+    /// whatever lock the caller holds. Else it queues while the thread's
+    /// last write toward the ring is unacknowledged and the queue fills no
+    /// write, and otherwise the queue goes out under the post lock; a
+    /// `last` one (a `Depleted` send) goes out at once, behind every
+    /// thread's queue toward the ring.
+    pub(crate) fn announce(
         &self,
         sim: &SimContext,
-        qp: &QueuePair,
-        slot: RemoteAddr,
+        half: &RcHalf,
+        i: usize,
         value: u64,
+        last: bool,
     ) -> Result<()> {
-        self.inline.post(sim, qp, slot, value + 1)
+        let (mine, queues, rings) = {
+            let mut state = self.state.lock();
+            let key = ring_key(&state.base(i)?);
+            self.audit.ring_produced(key, sim.now().as_nanos());
+            if !self.coalesce {
+                let (slot, _) = state.claim(i, self.cap, 1)?;
+                drop(state);
+                return self.inline.post(sim, half.qp(i), None, slot, &[value + 1]);
+            }
+            let mine = state.lane(sim.id(), self.cap) + i;
+            let (_, values, unacked) = &mut state.queues[mine];
+            values.push(value + 1);
+            if !last && *unacked > 0 && values.len() < MAX_RUN {
+                return Ok(());
+            }
+            (mine, state.queues.len(), state.rings.len())
+        };
+        let others = (i..queues).step_by(rings).filter(|&q| last && q != mine);
+        self.flush(sim, half, others.chain([mine]))
+    }
+
+    /// The calling thread's queues toward peer `ring`, or toward every peer.
+    fn mine(&self, sim: &SimContext, ring: Option<usize>) -> Range<usize> {
+        let mut state = self.state.lock();
+        let (first, rings) = (state.lane(sim.id(), self.cap), state.rings.len());
+        ring.map_or(first..first + rings, |i| first + i..first + i + 1)
+    }
+
+    /// Whether the calling thread has announcements queued.
+    pub(crate) fn waiting(&self, sim: &SimContext) -> bool {
+        let mine = self.mine(sim, None);
+        self.state.lock().queues[mine]
+            .iter()
+            .any(|q| !q.1.is_empty())
+    }
+
+    /// Takes the ack of the announcement write `wr_id`; the last one in
+    /// flight from its queue sends what queued behind it.
+    pub(crate) fn acked(&self, sim: &SimContext, half: &RcHalf, wr_id: u64) -> Result<()> {
+        let q = wr_id.wrapping_sub(INLINE_WR_BASE) as usize;
+        {
+            let mut state = self.state.lock();
+            let Some(queue) = state.queues.get_mut(q).filter(|q| q.2 > 0) else {
+                return Err(ShuffleError::CompletionError(
+                    "ack of an announcement write that is not in flight",
+                ));
+            };
+            queue.2 -= 1;
+            // A saboteur may strand the announcements that waited for
+            // this ack: counted when they queued, never written.
+            #[cfg(feature = "saboteur")]
+            if queue.2 == 0
+                && !queue.1.is_empty()
+                && crate::sabotage::take(crate::sabotage::Sabotage::StrandAnnouncementQueue)
+            {
+                queue.1.clear();
+            }
+            if queue.2 > 0 {
+                return Ok(());
+            }
+        }
+        self.flush(sim, half, [q].into_iter())
+    }
+
+    /// Sends what the calling thread queued toward peer `ring`, or toward
+    /// every peer, write in flight or not: it is about to block, or to wait
+    /// for the ring to drain.
+    pub(crate) fn flush_mine(
+        &self,
+        sim: &SimContext,
+        half: &RcHalf,
+        ring: Option<usize>,
+    ) -> Result<()> {
+        self.flush(sim, half, self.mine(sim, ring))
+    }
+
+    /// Writes each of `queues` into its ring's next slots, under the post
+    /// lock unless all are empty: one RDMA Write per run of at most
+    /// [`MAX_RUN`] slots, split where the ring wraps.
+    fn flush(
+        &self,
+        sim: &SimContext,
+        half: &RcHalf,
+        queues: impl Iterator<Item = usize> + Clone,
+    ) -> Result<()> {
+        if queues
+            .clone()
+            .all(|q| self.state.lock().queues[q].1.is_empty())
+        {
+            return Ok(());
+        }
+        let _posting = half.post_lock.lock(sim);
+        for q in queues {
+            let mut run = [0; MAX_RUN];
+            loop {
+                let (i, slot, n) = {
+                    let mut state = self.state.lock();
+                    let i = q % state.rings.len();
+                    let want = state.queues[q].1.len().min(MAX_RUN);
+                    if want == 0 {
+                        break;
+                    }
+                    let (slot, n) = state.claim(i, self.cap, want)?;
+                    let (_, values, unacked) = &mut state.queues[q];
+                    run[..n].copy_from_slice(&values[..n]);
+                    values.drain(..n);
+                    // A saboteur may drop one run once its slots are
+                    // claimed: the peer's ring keeps a hole.
+                    #[cfg(feature = "saboteur")]
+                    if crate::sabotage::take(crate::sabotage::Sabotage::DropValidArrUpdate) {
+                        continue;
+                    }
+                    *unacked += 1;
+                    (i, slot, n)
+                };
+                let wr_id = Some(INLINE_WR_BASE + q as u64);
+                self.inline.post(sim, half.qp(i), wr_id, slot, &run[..n])?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -998,7 +1182,7 @@ mod tests {
 
     use rshuffle_obs::{names, EventKind, Record};
     use rshuffle_simnet::{Cluster, DeviceProfile};
-    use rshuffle_verbs::VerbsRuntime;
+    use rshuffle_verbs::{ConnectionManager, VerbsRuntime};
 
     use super::*;
 
@@ -1028,6 +1212,11 @@ mod tests {
         }
     }
 
+    /// The next slot of `producer`'s ring `i`, claimed as a post claims it.
+    fn claim(producer: &RingProducer, i: usize) -> Result<RemoteAddr> {
+        Ok(producer.state.lock().claim(i, producer.cap, 1)?.0)
+    }
+
     /// What the peer's RDMA write of `value` into `slot` leaves behind.
     fn land(rings: &SlotRings, slot: RemoteAddr, value: u64) -> Result<()> {
         Ok(rings.region().write_u64(slot.offset, value + 1)?)
@@ -1037,14 +1226,14 @@ mod tests {
     fn ring_wraps_at_cap_and_zero_means_empty() {
         in_sim(|rt, sim| {
             let rings = SlotRings::register(&rt.context(0), RingKind::FreeArr, &rings_of(3));
-            let producer = RingProducer::register(&rt.context(1), 1, 3);
+            let producer = RingProducer::register(&rt.context(1), 1, 3, false);
             producer.wire(0, rings.base(1), 0);
             assert!(rings.all_empty()?);
             assert_eq!(rings.try_consume(sim, 1)?, None);
             // Ten entries through three slots; value 0 is a legal entry
             // because the wire encoding is `value + 1`.
             for round in 0..10u64 {
-                let slot = producer.claim(sim, 0)?;
+                let slot = claim(&producer, 0)?;
                 let lap = 8 * (round as usize % 3);
                 assert_eq!(slot.offset, rings.base(1).offset + lap);
                 land(&rings, slot, round)?;
@@ -1063,7 +1252,7 @@ mod tests {
     fn ring_cursors_never_cross() {
         in_sim(|rt, sim| {
             let rings = SlotRings::register(&rt.context(0), RingKind::ValidArr, &rings_of(4));
-            let producer = RingProducer::register(&rt.context(1), 1, 4);
+            let producer = RingProducer::register(&rt.context(1), 1, 4, false);
             producer.wire(0, rings.base(0), 0);
             let mut next_produced = 0u64;
             let mut next_consumed = 0u64;
@@ -1071,7 +1260,7 @@ mod tests {
             // the consumer drains in order and stops at the producer.
             for burst in [4usize, 1, 3, 4, 2] {
                 for _ in 0..burst {
-                    let slot = producer.claim(sim, 0)?;
+                    let slot = claim(&producer, 0)?;
                     assert_eq!(
                         rings.region().read_u64(slot.offset)?,
                         0,
@@ -1103,14 +1292,152 @@ mod tests {
 
     #[test]
     fn unwired_ring_is_a_config_error() {
-        in_sim(|rt, sim| {
-            let producer = RingProducer::register(&rt.context(0), 2, 4);
-            assert!(matches!(
-                producer.claim(sim, 1),
-                Err(ShuffleError::Config(_))
-            ));
+        in_sim(|rt, _| {
+            let producer = RingProducer::register(&rt.context(0), 2, 4, false);
+            assert!(matches!(claim(&producer, 1), Err(ShuffleError::Config(_))));
             Ok(())
         });
+    }
+
+    /// Node 1's half and producer over a connected RC pair, producing into
+    /// ring 0 of a `cap`-slot ValidArr on node 0.
+    struct Wired {
+        half: RcHalf,
+        cq: Cq,
+        producer: RingProducer,
+        rings: SlotRings,
+        _peer: (RcHalf, Cq),
+    }
+
+    impl Wired {
+        fn new(rt: &Arc<VerbsRuntime>, cap: usize) -> Arc<Wired> {
+            let (ctx0, ctx1) = (rt.context(0), rt.context(1));
+            let (cq, peer_cq) = (Cq::new(&ctx1), Cq::new(&ctx0));
+            let half = RcHalf::new(&ctx1, EndpointId(1), vec![0], &cq, &cq);
+            let peer = RcHalf::new(&ctx0, EndpointId(2), vec![1], &peer_cq, &peer_cq);
+            let (a, b) = (half.qp(0), peer.qp(0));
+            let up = ConnectionManager::activate_untimed(a, Some(b.address_handle()))
+                .and_then(|()| ConnectionManager::activate_untimed(b, Some(a.address_handle())));
+            assert!(up.is_ok(), "the pair connects");
+            let rings = SlotRings::register(&ctx0, RingKind::ValidArr, &rings_of(cap));
+            let producer = RingProducer::register(&ctx1, 1, cap, true);
+            producer.wire(0, rings.base(0), 0);
+            Arc::new(Wired {
+                half,
+                cq,
+                producer,
+                rings,
+                _peer: (peer, peer_cq),
+            })
+        }
+
+        fn announce(&self, sim: &SimContext, value: u64, last: bool) -> Result<()> {
+            (self.producer).announce(sim, &self.half, 0, value, last)
+        }
+
+        /// Reaps every ack queued, as a `send` does.
+        fn reap(&self, sim: &SimContext) -> Result<bool> {
+            (self.cq).poll(sim, |c| self.producer.acked(sim, &self.half, c.wr_id))
+        }
+
+        /// Pops what ring 0 holds, in slot order.
+        fn drain(&self, sim: &SimContext) -> Result<Vec<u64>> {
+            std::iter::from_fn(|| self.rings.try_consume(sim, 0).transpose()).collect()
+        }
+    }
+
+    /// What one producing thread of a [`Wired`] pair runs.
+    type Body = Box<dyn FnOnce(&Wired, &SimContext) -> Result<()> + Send>;
+
+    /// Runs each body on its own simulated thread of node 1, the `k`-th
+    /// starting `k` µs in, over one [`Wired`] pair; returns node 1's NIC
+    /// work requests.
+    fn on_node_1(cap: usize, bodies: Vec<Body>) -> u64 {
+        let rt = VerbsRuntime::new(Cluster::new(2, DeviceProfile::edr()));
+        let wired = Wired::new(&rt, cap);
+        for (k, body) in bodies.into_iter().enumerate() {
+            let wired = wired.clone();
+            rt.cluster().spawn(1, "producer", move |sim| {
+                sim.sleep(US(k as u64));
+                if let Err(e) = body(&wired, &sim) {
+                    panic!("producer {k} failed: {e:?}");
+                }
+            });
+        }
+        rt.cluster().run();
+        rt.nic(1).stats().work_requests
+    }
+
+    /// Announcements made while the thread's write is in flight queue, and
+    /// the ack sends them as one write; a queue that crosses the ring's
+    /// wrap goes out as two, and the ring holds every value in order.
+    #[test]
+    fn a_queue_goes_out_as_one_write_per_run_split_at_the_wrap() {
+        let writes = on_node_1(
+            4,
+            vec![Box::new(|w, sim| {
+                w.announce(sim, 10, false)?;
+                sim.sleep(US(20));
+                assert_eq!(w.drain(sim)?, [10]);
+                // The cursor is at slot 1: four values fill slots 1–3, then 0.
+                for v in 11..15 {
+                    w.announce(sim, v, false)?;
+                }
+                assert_eq!(w.drain(sim)?, [], "queued behind an unreaped ack");
+                assert!(w.reap(sim)?);
+                sim.sleep(US(20));
+                assert_eq!(w.drain(sim)?, [11, 12, 13, 14]);
+                Ok(())
+            })],
+        );
+        assert_eq!(writes, 3, "one write, then one per side of the wrap");
+    }
+
+    /// A thread about to block (`get_free`) or to wait for a ring to drain
+    /// (`quiesce`) sends its queue with its write still in flight; a
+    /// `quiesce` of one ring leaves the others queued.
+    #[test]
+    fn a_blocking_producer_sends_its_queue_first() {
+        let writes = on_node_1(
+            8,
+            vec![Box::new(|w, sim| {
+                w.announce(sim, 1, false)?;
+                w.announce(sim, 2, false)?;
+                w.announce(sim, 3, false)?;
+                w.producer.flush_mine(sim, &w.half, Some(0))?;
+                w.producer.flush_mine(sim, &w.half, None)?;
+                sim.sleep(US(20));
+                assert_eq!(w.drain(sim)?, [1, 2, 3]);
+                w.announce(sim, 4, false)?;
+                w.producer.flush_mine(sim, &w.half, None)?;
+                sim.sleep(US(20));
+                assert_eq!(w.drain(sim)?, [4]);
+                Ok(())
+            })],
+        );
+        assert_eq!(writes, 3, "1, then 2 and 3 as one, then 4");
+    }
+
+    /// A `Depleted` send flushes the queue another thread left toward the
+    /// ring before its own announcement: that thread may never reap its ack.
+    #[test]
+    fn a_depleted_announcement_goes_out_behind_every_threads_queue() {
+        let writes = on_node_1(
+            8,
+            vec![
+                Box::new(|w, sim| {
+                    w.announce(sim, 1, false)?;
+                    w.announce(sim, 2, false)
+                }),
+                Box::new(|w, sim| {
+                    w.announce(sim, 3, true)?;
+                    sim.sleep(US(20));
+                    assert_eq!(w.drain(sim)?, [1, 2, 3]);
+                    Ok(())
+                }),
+            ],
+        );
+        assert_eq!(writes, 3);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, typed stall, the exchange's `Abort`, credit-stall bracket) | all four | the readiness check and what to block on |
-//! | `SlotRings` / `RingProducer` / `InlineWrites` | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant |
+//! | `SlotRings` / `RingProducer` / `InlineWrites` (per thread and ring, announcements queued behind the write in flight go out as one write when its ack is reaped, before the thread blocks, or on a `Depleted` send) | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant; whether it coalesces (`rd_rc`'s ValidArr) |
 //! | `SourceBook` (per source by peer slot: received, declared, credit posted and written back; standing, the write-back decision, the audit hooks) | all four receive halves | when standing means done; where a repost goes and how owed credit travels |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |
 //!
@@ -360,9 +360,10 @@ pub trait SendEndpoint: Send + Sync {
     /// messages leave the fabric while the next one sends, before the
     /// barrier after it.
     ///
-    /// The reliable designs keep the default, a no-op: their small
-    /// per-peer buffer pools bound what is outstanding toward one
-    /// destination to `buffers_per_peer` messages. Phased, they stay
+    /// The reliable designs wait for nothing: their small per-peer buffer
+    /// pools bound what is outstanding toward one destination to
+    /// `buffers_per_peer` messages. `rd_rc` sends the announcements the
+    /// caller queued toward `dest`; the others keep the default, a no-op. Phased, they stay
     /// exactly-once (`tests/phase_identity.rs`) and `Exchange::build`
     /// accepts them; `bench adaptive`'s oracle runs them phased on both
     /// incast rows and never picks them. The UD design, whose credit

@@ -139,7 +139,7 @@ impl RdRcSendEndpoint {
         RdRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             free_arr: SlotRings::register(ctx, RingKind::FreeArr, &layout),
-            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
+            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap, true),
             obs: SendObs::new(ctx, id),
             half,
             send_cq,
@@ -175,27 +175,20 @@ impl SendEndpoint for RdRcSendEndpoint {
         self.window.launch(sim, &buf, dest.len())?;
         let (depleted, now) = (state == StreamState::Depleted, sim.now().as_nanos());
         (self.half.audit).ordered_send(self.window.region().rkey(), dest, depleted, now);
+        let announcement = Announcement::of(&buf).encode();
         for &d in dest {
             let pi = self.half.index_of(d)?;
-            let slot = self.valid_rings.claim(sim, pi)?;
-            #[cfg(feature = "saboteur")]
-            if crate::sabotage::take(crate::sabotage::Sabotage::DropValidArrUpdate) {
-                // The buffer stays marked outstanding but its announcement
-                // never reaches the peer's ValidArr.
-                self.obs.sent(d, buf.len() as u64);
-                continue;
-            }
-            let guard = self.half.post_lock.lock(sim);
-            let announcement = Announcement::of(&buf).encode();
-            self.valid_rings
-                .publish(sim, self.half.qp(pi), slot, announcement)?;
-            drop(guard);
+            (self.valid_rings).announce(sim, &self.half, pi, announcement, depleted)?;
             self.obs.sent(d, buf.len() as u64);
         }
-        // Keep the write-completion queue bounded, checking every ack.
-        if self.send_cq.depth() > 16 {
+        // Reap the announcement acks, checking each, when one may send
+        // what this thread queued behind its write, or to keep the queue
+        // bounded.
+        let depth = self.send_cq.depth();
+        if depth > 16 || depth > 0 && self.valid_rings.waiting(sim) {
             self.send_cq.poll(sim, |c| {
-                expect_write_ack(c, "ValidArr announcement write failed")
+                expect_write_ack(c, "ValidArr announcement write failed")?;
+                self.valid_rings.acked(sim, &self.half, c.wr_id)
             })?;
         }
         Ok(())
@@ -223,10 +216,17 @@ impl SendEndpoint for RdRcSendEndpoint {
                     }
                 },
                 |released, abort, deadline| {
+                    // Only announced buffers come back.
+                    self.valid_rings.flush_mine(sim, &self.half, None)?;
                     sim.wait_any(&[&released, abort], Some(deadline));
                     Ok(())
                 },
             )
+    }
+
+    fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
+        let pi = self.half.index_of(dest)?;
+        self.valid_rings.flush_mine(sim, &self.half, Some(pi))
     }
 }
 
@@ -290,7 +290,7 @@ impl RdRcReceiveEndpoint {
             changed: state_notify(ctx),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
             pool_mr,
-            free_rings: RingProducer::register(ctx, n, layout.ring_cap),
+            free_rings: RingProducer::register(ctx, n, layout.ring_cap, false),
             state: Mutex::new(RecvState {
                 remote_pools: vec![None; n],
                 local,
@@ -346,12 +346,8 @@ impl RdRcReceiveEndpoint {
     /// shared tail of [`ReceiveEndpoint::release`] and the stale-epoch
     /// drop path (which returns the remote buffer without delivering).
     fn push_free(&self, sim: &SimContext, si: usize, remote: u64) -> Result<()> {
-        let slot = self.free_rings.claim(sim, si)?;
-        let guard = self.half.post_lock.lock(sim);
-        self.free_rings
-            .publish(sim, self.half.qp(si), slot, remote)?;
-        drop(guard);
-        Ok(())
+        let _posting = self.half.post_lock.lock(sim);
+        self.free_rings.announce(sim, &self.half, si, remote, false)
     }
 
     /// Returns `buf` to source `si`'s `LocalArr`. What it holds was
@@ -646,6 +642,49 @@ mod tests {
             "the header's read took {took} ns, over {bound:?}"
         );
         assert!(bound < profile.wire_time(config.message_size));
+    }
+
+    /// A sender out of buffers announces what it queued before it blocks:
+    /// it sends nothing more here, so nobody reaps the acks its queued
+    /// announcements wait for, and the receivers would stall on them.
+    #[test]
+    fn a_sender_out_of_buffers_announces_its_queue_before_blocking() {
+        let mut config = ExchangeConfig::broadcast(ShuffleAlgorithm::MEMQ_RD, 3, 1);
+        config.buffers_per_peer = 1;
+        config.stall_timeout = SimDuration::from_millis(1);
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let Ok(exchange) = Exchange::build(&runtime, &config) else {
+            panic!("the exchange builds");
+        };
+        let send = exchange.send[1][0].clone();
+        runtime.cluster().spawn(1, "sender", move |sim| {
+            // Two buffers, one per peer: the second's announcements queue
+            // behind the first's writes.
+            for _ in 0..2 {
+                let Ok(mut buf) = send.get_free(&sim) else {
+                    panic!("a free buffer");
+                };
+                assert!(buf.push(&[7; 64]).is_ok());
+                assert!(send.send(&sim, buf, &[0, 2], StreamState::MoreData).is_ok());
+            }
+            assert!(send.get_free(&sim).is_ok(), "a buffer comes back");
+        });
+        let got = Arc::new(Mutex::new(Vec::with_capacity(4)));
+        for node in [0, 2] {
+            let (recv, out) = (exchange.recv[node][0].clone(), got.clone());
+            runtime.cluster().spawn(node, "receiver", move |sim| {
+                for _ in 0..2 {
+                    let delivery = recv.get_data(&sim);
+                    out.lock()
+                        .push(delivery.as_ref().ok().map(|d| d.as_ref().map(|d| d.src)));
+                    if let Ok(Some(d)) = delivery {
+                        assert!(recv.release(&sim, d).is_ok());
+                    }
+                }
+            });
+        }
+        runtime.cluster().run();
+        assert_eq!(*got.lock(), [Some(Some(1)); 4], "each receiver gets both");
     }
 
     /// A sender and a receiver half of node 1 → node 0 with `window`-byte

@@ -379,7 +379,7 @@ impl SrRcReceiveEndpoint {
             let slot = RemoteAddr { node, rkey, offset };
             self.ctrl_outstanding.fetch_add(1, Ordering::SeqCst);
             self.credit_writes
-                .post(sim, self.half.qp(si), slot, credit)?;
+                .post(sim, self.half.qp(si), None, slot, &[credit])?;
         }
         // Lazily drain credit-write completions so the control CQ does not
         // grow without bound — through the handled path, so an errored

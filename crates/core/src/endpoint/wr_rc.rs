@@ -71,7 +71,7 @@ impl WrRcSendEndpoint {
         WrRcSendEndpoint {
             window: SendWindow::register(ctx, &layout),
             grants: SlotRings::register(ctx, RingKind::Grant, &layout),
-            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
+            valid_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap, false),
             remote_pools: Mutex::new(vec![None; half.peers()]),
             obs: SendObs::new(ctx, id),
             half,
@@ -140,10 +140,10 @@ impl SendEndpoint for WrRcSendEndpoint {
                 buf.message_len(),
             )?;
             // ...then announce it through the ValidArr ring (ordered after
-            // the data on the same reliable connection).
-            let slot = self.valid_rings.claim(sim, pi)?;
-            self.valid_rings
-                .publish(sim, self.half.qp(pi), slot, remote_off)?;
+            // the data on the same reliable connection). The ring does not
+            // coalesce: an announcement rides its data write's doorbell and
+            // is acked only behind the data, so a queue behind it would wait.
+            (self.valid_rings).announce(sim, &self.half, pi, remote_off, depleted)?;
             drop(guard);
             self.obs.sent(d, buf.len() as u64);
         }
@@ -206,7 +206,7 @@ impl WrRcReceiveEndpoint {
             book: SourceBook::new(ctx, &cfg, half.peers()),
             pool_mr: ctx.register_pool_untimed(layout.window, layout.buffers),
             valid_arr: SlotRings::register(ctx, RingKind::ValidArr, &layout),
-            grant_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap),
+            grant_rings: RingProducer::register(ctx, half.peers(), layout.ring_cap, false),
             obs: RecvObs::new(ctx, id),
             half,
             ctrl_cq,
@@ -225,9 +225,7 @@ impl WrRcReceiveEndpoint {
         // The sender may overwrite the buffer from here on: what it holds
         // is dead, and its storage goes back to the runtime.
         self.pool_mr.discard(offset as usize, self.cfg.message_size);
-        let slot = self.grant_rings.claim(sim, si)?;
-        self.grant_rings
-            .publish(sim, self.half.qp(si), slot, offset)?;
+        (self.grant_rings).announce(sim, &self.half, si, offset, false)?;
         // Keep the control CQ bounded, checking every grant-write ack
         // instead of swallowing them.
         if self.ctrl_cq.depth() > 16 {

@@ -18,9 +18,10 @@ pub enum Sabotage {
     /// (§4.4.1). Absolute credit self-heals at the next write-back, so
     /// only the auditor's online gap check can see it.
     SkipCreditWriteback = 0,
-    /// Drop one ValidArr announcement in the RDMA Read design
-    /// (Alg. 3): the written buffer is never advertised, the receiver's
-    /// stall watchdog fires, and finalize names the ring imbalance.
+    /// Drop one ValidArr write in the one-sided designs (Alg. 3 and §7)
+    /// once its slots are claimed: the written buffer is never
+    /// advertised, the receiver's stall watchdog fires at the hole, and
+    /// finalize names the ring imbalance.
     DropValidArrUpdate = 1,
     /// Announce a `Depleted` counter one below the data messages
     /// actually sent (§4.4.2), so a receiver would terminate early and
@@ -40,6 +41,12 @@ pub enum Sabotage {
     /// one declared `Depleted`: a receiver that already counts the
     /// source as done may end without it.
     SendAfterDepleted = 5,
+    /// Strand one ValidArr queue in the one-sided designs: the
+    /// announcements that waited behind a write in flight are dropped
+    /// when its ack is reaped instead of written. No slot is left empty,
+    /// so no receiver need stall; the producer counted each announcement
+    /// when it queued, so finalize names the ring imbalance.
+    StrandAnnouncementQueue = 6,
 }
 
 /// Currently armed saboteur, encoded as `discriminant + 1` (0 = none).

@@ -641,6 +641,20 @@ impl Fabric {
         r
     }
 
+    /// Keeps `node`'s port reservations from now on
+    /// ([`FairResource::record`]).
+    pub fn record(&self, node: NodeId) {
+        self.ports[node].egress.lock().record();
+        self.ports[node].ingress.lock().record();
+    }
+
+    /// `node`'s egress and ingress busy intervals since
+    /// [`Fabric::record`]. Control-lane packets reserve neither port.
+    pub fn recorded(&self, node: NodeId) -> [Vec<(SimTime, SimTime)>; 2] {
+        let port = &self.ports[node];
+        [&port.egress, &port.ingress].map(|p| p.lock().recorded().to_vec())
+    }
+
     /// Utilization of a node's ingress port over `[0, horizon]`.
     pub fn ingress_utilization(&self, node: NodeId, horizon: SimTime) -> f64 {
         self.ports[node].ingress.lock().utilization(horizon)

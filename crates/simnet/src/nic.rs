@@ -140,12 +140,33 @@ pub struct FairResource {
     /// list sorted; splits from back-fills re-insert in place.
     gaps: Vec<(SimTime, SimTime)>,
     flows: BTreeMap<u32, FlowLedger>,
+    /// Every reservation's interval since [`FairResource::record`]; `None`
+    /// (the default) keeps nothing.
+    log: Option<Vec<(SimTime, SimTime)>>,
 }
 
 impl FairResource {
     /// Creates an idle resource.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Keeps every reservation's interval from now on (`diag --timeline`);
+    /// what the resource grants is unchanged.
+    pub fn record(&mut self) {
+        self.log.get_or_insert_with(Vec::new);
+    }
+
+    /// The intervals kept since [`FairResource::record`].
+    pub fn recorded(&self) -> &[(SimTime, SimTime)] {
+        self.log.as_deref().unwrap_or_default()
+    }
+
+    fn logged(&mut self, r: Reservation) -> Reservation {
+        if let Some(log) = &mut self.log {
+            log.push((r.start, r.end));
+        }
+        r
     }
 
     /// Plain FIFO reservation — identical arithmetic to
@@ -155,7 +176,7 @@ impl FairResource {
         let end = start + duration;
         self.free_at = end;
         self.busy_total += duration;
-        Reservation { start, end }
+        self.logged(Reservation { start, end })
     }
 
     /// Reserves `duration` for `flow`, pacing it to its equal share of the
@@ -227,7 +248,7 @@ impl FairResource {
         entry.last_end = entry.last_end.max(end);
         entry.busy += duration;
         self.busy_total += duration;
-        Reservation { start, end }
+        self.logged(Reservation { start, end })
     }
 
     fn push_gap(&mut self, from: SimTime, to: SimTime) {
@@ -458,6 +479,16 @@ impl NicModel {
             .lock()
             .reserve_flow(at, cost, flow, &self.flows)
             .end
+    }
+
+    /// Keeps the pipeline's reservations from now on ([`FairResource::record`]).
+    pub fn record(&self) {
+        self.pipe.lock().record();
+    }
+
+    /// The pipeline's busy intervals since [`NicModel::record`].
+    pub fn recorded(&self) -> Vec<(SimTime, SimTime)> {
+        self.pipe.lock().recorded().to_vec()
     }
 
     /// Total pipeline occupancy granted to `flow`, ever.

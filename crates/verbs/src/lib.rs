@@ -39,7 +39,7 @@ pub use cq::{Completion, CompletionQueue, WcOpcode, WcStatus};
 pub use error::{Result, VerbsError};
 pub use fault::{FaultEvent, FaultPlan, QpScope};
 pub use mr::{MemoryRegion, RemoteAddr};
-pub use qp::{AddressHandle, QueuePair, RecvWr, SendWr, SharedQpSlot};
+pub use qp::{AddressHandle, QueuePair, RecvWr, SendWr, SharedQpSlot, MAX_CONTROL_WRITE};
 pub use runtime::{Context, FaultConfig, ResourceMark, VerbsRuntime};
 pub use types::{QpNum, QpState, QpType};
 

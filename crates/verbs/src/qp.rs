@@ -23,6 +23,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rshuffle_obs::{EventKind, Stage, HW_TRACK};
+use rshuffle_simnet::net::CONTROL_BYPASS_BYTES;
 use rshuffle_simnet::nic::WrKind;
 use rshuffle_simnet::{FlowId, SimContext, SimDuration, SimTime, MAX_RC_MESSAGE, UD_MTU};
 
@@ -35,6 +36,9 @@ use crate::NodeId;
 
 /// Per-packet wire header overhead for reliable transport (LRH+BTH+CRC).
 const RC_HEADER_BYTES: usize = 30;
+/// The largest RC write payload whose packet still rides the fabric's
+/// control lane.
+pub const MAX_CONTROL_WRITE: usize = CONTROL_BYPASS_BYTES - RC_HEADER_BYTES;
 /// Wire overhead of a UD datagram (adds the 40-byte GRH).
 const UD_HEADER_BYTES: usize = 70;
 /// How many times the hardware retries a send that finds no posted receive.

@@ -6,8 +6,9 @@
 //! live at the real call sites inside the endpoints
 //! (`crates/core/src/sabotage.rs` documents each), so this suite is a
 //! living proof that the invariant checks are sharp enough to see one
-//! skipped write-back, one dropped ring announcement, one off-by-one
-//! `Depleted` counter, one message after `Depleted` and one double grant.
+//! skipped write-back, one dropped ring announcement, one stranded
+//! announcement queue, one off-by-one `Depleted` counter, one message after
+//! `Depleted` and one double grant.
 #![cfg(feature = "saboteur")]
 
 #[path = "common/coordinated.rs"]
@@ -28,9 +29,11 @@ use run::Run;
 const NODES: usize = 3;
 const THREADS: usize = 2;
 const ROWS_PER_THREAD: usize = 800;
-/// Rows per thread under an RC credit saboteur. It acts on a credit
-/// write-back, and a flow draws one only once its sender could run short
-/// of credit: at 800 rows no flow gets there, so these carry ~20 messages.
+/// Rows per thread under an RC credit saboteur or the queue stranding one.
+/// They act on a credit write-back, which a flow draws only once its sender
+/// could run short of credit, or on an announcement that queued behind a
+/// write in flight: at 800 rows neither happens, so these carry ~20
+/// messages.
 const CREDIT_ROWS_PER_THREAD: usize = 16_000;
 
 /// The saboteur state is process-wide; the test harness runs tests on
@@ -63,7 +66,9 @@ fn run_sabotaged(
         ..RecoveryPolicy::default()
     };
     let rows = match s {
-        Sabotage::SkipCreditWriteback | Sabotage::SwallowCtrlCompletion => CREDIT_ROWS_PER_THREAD,
+        Sabotage::SkipCreditWriteback
+        | Sabotage::SwallowCtrlCompletion
+        | Sabotage::StrandAnnouncementQueue => CREDIT_ROWS_PER_THREAD,
         _ => ROWS_PER_THREAD,
     };
     let pending = coordinated::spawn(&runtime, &config, policy, rows);
@@ -120,6 +125,26 @@ fn dropped_valid_arr_update_is_named() {
     assert!(
         found.contains(&"ring_imbalance"),
         "dropped ValidArr update must surface as ring_imbalance, got {found:?}"
+    );
+}
+
+/// Stranding one ValidArr queue — dropping what waited behind a write in
+/// flight when its ack is reaped, as a flush that forgot a queue would —
+/// leaves no hole in the ring, so no watchdog need fire. The producer
+/// counted each stranded announcement when it queued it, so finalize names
+/// the imbalance all the same.
+#[test]
+fn stranded_announcement_queue_is_named() {
+    let _guard = SABOTAGE_LOCK.lock();
+    let (run, _, auditor) =
+        run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::StrandAnnouncementQueue);
+    let found = codes(&auditor.finalize(true));
+    assert!(
+        found.contains(&"ring_imbalance"),
+        "a stranded ValidArr queue must surface as ring_imbalance, got {found:?} \
+         (run: {:?}, {} rows delivered)",
+        run.report.failure,
+        delivered(&run)
     );
 }
 
