@@ -9,11 +9,12 @@
 //! fabric layout; `diag --phases [NODES] [THETA]` dumps the phase
 //! schedule (per-phase byte totals, exempted sources) together with the
 //! advisor's signal→decision table for the same shape.
-//! `diag --timeline [ALGORITHM] [NODES] [PROFILE] [PATTERN] [MIB] [NODE]`
+//! `diag --timeline [ALGORITHM] [NODES] [PROFILE] [PATTERN] [MIB] [NODE|all]`
 //! runs one shuffle — by default the benchmark's `bcast_rd_fdr16` shape,
 //! `MEMQ/RD 16 fdr broadcast 2 0` — with node `NODE`'s NIC pipeline and
 //! ports recording their reservations, and prints the busy share of each
-//! per sixteenth of the run.
+//! per sixteenth of the run and the NIC's work requests by kind; `all`
+//! prints one line per node, so a convoy or a late tail shows as one table.
 //! `FAULT` selects a canned ride-out-able fault plan (`link-flap`,
 //! `link-degrade` or `straggler`) whose injection markers then appear on
 //! the hardware track of the exported trace; the active plan is echoed
@@ -35,13 +36,14 @@ use rshuffle_bench::{
     run_shuffle_workload, run_shuffle_workload_on, workload_runtime, Pattern, Transport,
     WorkloadConfig,
 };
+use rshuffle_simnet::nic::WrKind;
 use rshuffle_simnet::{DeviceProfile, IncastModel, SimDuration, SimTime, Topology};
 use rshuffle_verbs::FaultPlan;
 
 const USAGE: &str = "diag [ALGORITHM] [NODES] [TRACE_PATH] [link-flap|link-degrade|straggler]
        diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]
        diag --phases [NODES] [THETA]
-       diag --timeline [ALGORITHM] [NODES] [fdr|edr] [repartition|broadcast] [MIB] [NODE]";
+       diag --timeline [ALGORITHM] [NODES] [fdr|edr] [repartition|broadcast] [MIB] [NODE|all]";
 
 /// Canned fault plans selectable by name. Diagnostic runs drive the
 /// exchange without the `run_shuffle_with_recovery` coordinator, so only
@@ -133,8 +135,9 @@ fn dump_topology(mut args: Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `diag --timeline`: the busy share of one node's NIC pipeline, egress
-/// and ingress port per sixteenth of one run. Reservations are kept only
+/// `diag --timeline`: the busy share of a node's NIC pipeline, egress
+/// and ingress port per sixteenth of one run, and its NIC work requests by
+/// kind, for one node or (`all`) every node. Reservations are kept only
 /// on this path; the run's virtual time is the same without them.
 fn timeline(mut args: Args) -> Result<(), String> {
     let rd = (Transport::Rdma, ShuffleAlgorithm::MEMQ_RD);
@@ -145,48 +148,106 @@ fn timeline(mut args: Args) -> Result<(), String> {
         .positional("PATTERN", pattern)?
         .unwrap_or(Pattern::Broadcast);
     let mib: usize = args.positional("MIB", value)?.unwrap_or(2);
-    let node: usize = args.positional("NODE", value)?.unwrap_or(0);
+    let node = args.positional("NODE", |s| match s {
+        "all" => Some(None),
+        n => value(n).map(Some),
+    })?;
     args.finish()?;
-    if node >= nodes {
-        return Err(format!("node {node} is not among {nodes} nodes"));
-    }
+    let watched: Vec<usize> = match node.unwrap_or(Some(0)) {
+        Some(node) if node >= nodes => {
+            return Err(format!("node {node} is not among {nodes} nodes"))
+        }
+        Some(node) => vec![node],
+        None => (0..nodes).collect(),
+    };
     let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::fdr), nodes, algorithm);
     (cfg.transport, cfg.bytes_per_node) = (over, mib << 20);
     cfg.set_pattern(shape);
     let runtime = workload_runtime(&cfg);
-    runtime.nic(node).record();
-    runtime.cluster().fabric().record(node);
+    for &node in &watched {
+        runtime.nic(node).record();
+        runtime.cluster().fabric().record(node);
+    }
     let r = run_shuffle_workload_on(&cfg, runtime.clone()).map_err(|e| e.to_string())?;
-    let [egress, ingress] = runtime.cluster().fabric().recorded(node);
-    let nic = runtime.nic(node).recorded();
     let end = r.response_time.as_nanos();
-    println!(
-        "{}, {nodes} {} nodes, {shape:?}, {mib} MiB/node: response {}, node {node}",
-        cfg.design(),
-        cfg.profile.name,
-        r.response_time
-    );
-    println!(
-        "{:>9} {:>9} {:>8} {:>8} {:>8}",
-        "from_us", "to_us", "nic", "egress", "ingress"
-    );
-    for k in 0..16 {
-        let (from, to) = (end * k / 16, end * (k + 1) / 16);
-        let busy = |log: &[(SimTime, SimTime)]| {
+    // Each sixteenth of the run: `(from_ns, to_ns, busy %)` of `log`.
+    let sixteenths = |log: &[(SimTime, SimTime)]| -> Vec<(u64, u64, f64)> {
+        let busy = |from: u64, to: u64| {
             let overlap = log.iter().map(|&(s, e)| {
                 let (s, e) = (s.as_nanos().max(from), e.as_nanos().min(to));
                 e.saturating_sub(s)
             });
             100.0 * overlap.sum::<u64>() as f64 / (to - from).max(1) as f64
         };
+        let bounds = (0..16).map(|k| (end * k / 16, end * (k + 1) / 16));
+        bounds
+            .map(|(from, to)| (from, to, busy(from, to)))
+            .collect()
+    };
+    let which = match watched.len() {
+        1 => format!("node {}", watched[0]),
+        _ => "every node".to_string(),
+    };
+    println!(
+        "{}, {nodes} {} nodes, {shape:?}, {mib} MiB/node: response {}, {which}",
+        cfg.design(),
+        cfg.profile.name,
+        r.response_time
+    );
+    let kinds = WrKind::ALL.map(|k| format!("{k:?}"));
+    if let [node] = watched[..] {
+        let [egress, ingress] = runtime.cluster().fabric().recorded(node);
+        let nic = runtime.nic(node).recorded();
         println!(
-            "{:>9.1} {:>9.1} {:>7.1}% {:>7.1}% {:>7.1}%",
-            from as f64 / 1e3,
-            to as f64 / 1e3,
-            busy(&nic),
-            busy(&egress),
-            busy(&ingress)
+            "{:>9} {:>9} {:>8} {:>8} {:>8}",
+            "from_us", "to_us", "nic", "egress", "ingress"
         );
+        let [nic, egress, ingress] = [&nic, &egress, &ingress].map(|log| sixteenths(log));
+        let rows = nic.into_iter().zip(egress).zip(ingress);
+        for (((from, to, nic), (.., egress)), (.., ingress)) in rows {
+            println!(
+                "{:>9.1} {:>9.1} {nic:>7.1}% {egress:>7.1}% {ingress:>7.1}%",
+                from as f64 / 1e3,
+                to as f64 / 1e3,
+            );
+        }
+        let counts = runtime.nic(node).recorded_kinds();
+        let counts = kinds.iter().zip(counts).map(|(k, n)| format!("{k} {n}"));
+        println!(
+            "NIC work requests: {}",
+            counts.collect::<Vec<_>>().join(", ")
+        );
+        return Ok(());
+    }
+    // One digit per sixteenth: the busy share in tenths, `#` from 95 %.
+    let strip = |log: &[(SimTime, SimTime)]| -> String {
+        sixteenths(log)
+            .into_iter()
+            .map(|(.., share)| match share {
+                s if s >= 95.0 => '#',
+                s => char::from(b'0' + (s / 10.0) as u8),
+            })
+            .collect()
+    };
+    println!(
+        "busy share per sixteenth of {}, in tenths (# from 95 %)",
+        r.response_time
+    );
+    let head = kinds.map(|k| format!("{k:>9}")).join(" ");
+    println!(
+        "{:>4} {:16} {:16} {:16} {head}",
+        "node", "nic", "egress", "ingress"
+    );
+    for node in watched {
+        let [egress, ingress] = runtime.cluster().fabric().recorded(node);
+        let nic = runtime.nic(node).recorded();
+        let counts = runtime
+            .nic(node)
+            .recorded_kinds()
+            .map(|n| format!("{n:>9}"))
+            .join(" ");
+        let ports = [strip(&nic), strip(&egress), strip(&ingress)].join(" ");
+        println!("{node:>4} {ports} {counts}");
     }
     Ok(())
 }

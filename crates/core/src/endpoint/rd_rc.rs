@@ -32,6 +32,7 @@ use crate::endpoint::{
     SendObs,
 };
 use crate::error::{Result, ShuffleError};
+use crate::operator::CostModel;
 
 /// What either half pins toward `peers` peers: a pool of
 /// `buffers_per_peer` windows per peer, and per peer one ring that can
@@ -252,6 +253,8 @@ pub struct RdRcReceiveEndpoint {
     /// The sources' `FreeArr` rings this endpoint returns buffers through.
     free_rings: RingProducer,
     state: Mutex<RecvState>,
+    /// The bandwidth-delay product of one local buffer's cycle, in windows.
+    bdp_windows: f64,
     obs: RecvObs,
     cfg: Params,
 }
@@ -263,6 +266,8 @@ struct RecvState {
     local: Vec<Vec<Buffer>>,
     /// In-flight RDMA Reads per source.
     in_flight: Vec<u32>,
+    /// Sources that have not declared `Depleted`, as the book hears them.
+    open: usize,
 }
 
 impl RdRcReceiveEndpoint {
@@ -274,6 +279,12 @@ impl RdRcReceiveEndpoint {
         let cq = Cq::new(ctx);
         let half = RcHalf::new(ctx, id, srcs, &cq, &cq);
         let pool_mr = ctx.register_pool_untimed(layout.window, layout.buffers);
+        // A local buffer's cycle: the message's transfer, the round trips of
+        // its Read and of the FreeArr write, and this host's poll, copy, posts.
+        let (p, m) = (ctx.profile(), cfg.message_size);
+        let trip = p.rc_ack_latency + p.completion_latency + (p.wr_nic + p.switch_latency) * 2;
+        let host = p.poll_cq_cpu + p.post_wr_cpu * 2 + CostModel::from_profile(p).copy_time(m);
+        let cycle = p.wire_time(m) + trip * 2 + host;
         let local = (0..n)
             .map(|si| {
                 (0..cfg.buffers_per_peer)
@@ -295,7 +306,9 @@ impl RdRcReceiveEndpoint {
                 remote_pools: vec![None; n],
                 local,
                 in_flight: vec![0; n],
+                open: n,
             }),
+            bdp_windows: p.payload_bandwidth * cycle.as_secs_f64() / m as f64,
             obs: RecvObs::new(ctx, id),
             half,
             cq,
@@ -303,8 +316,19 @@ impl RdRcReceiveEndpoint {
         }
     }
 
+    /// Reads kept in flight per source while `open` sources still send: its
+    /// share of the bandwidth-delay product, from one to the local buffers
+    /// per source. More would queue in its NIC ahead of other receivers';
+    /// a lone source has no share to keep, and takes every buffer.
+    fn read_depth(&self, open: usize) -> u32 {
+        let open = if open > 1 { open as f64 } else { 0.0 };
+        let windows = (self.bdp_windows / open).ceil() as usize;
+        windows.clamp(1, self.cfg.buffers_per_peer) as u32
+    }
+
     /// Issues RDMA Reads for every announced buffer that has a local buffer
-    /// available (Algorithm 3, GETDATA lines 19–24).
+    /// available, up to the read depth per source (Algorithm 3, GETDATA
+    /// lines 19–24).
     fn issue_reads(&self, sim: &SimContext) -> Result<()> {
         let mut issued = 0u64;
         for si in 0..self.half.peers() {
@@ -314,6 +338,9 @@ impl RdRcReceiveEndpoint {
                     let Some(pool) = st.remote_pools[si] else {
                         break;
                     };
+                    if st.in_flight[si] >= self.read_depth(st.open) {
+                        break;
+                    }
                     let Some(local_buf) = st.local[si].pop() else {
                         break;
                     };
@@ -410,6 +437,8 @@ impl RdRcReceiveEndpoint {
         let delivery = deliver(sim, &self.obs, &self.half.audit, &header, buf, src, remote)?;
         if header.state == StreamState::Depleted {
             self.book.declare(sim.now().as_nanos(), si);
+            let mut st = self.state.lock();
+            st.open = st.open.saturating_sub(1);
         }
         self.pending.lock().push_back(delivery);
         self.changed.notify();
@@ -467,7 +496,9 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
             self.issue_reads(sim)?;
             let (in_flight, can_read) = {
                 let st = self.state.lock();
-                let free = st.local.iter().any(|local| !local.is_empty());
+                let depth = self.read_depth(st.open);
+                let mut room = st.local.iter().zip(&st.in_flight);
+                let free = room.any(|(local, &n)| !local.is_empty() && n < depth);
                 (st.in_flight.iter().sum::<u32>(), free)
             };
             let decode = |c: &Completion| self.on_completion(sim, c);
@@ -687,22 +718,137 @@ mod tests {
         assert_eq!(*got.lock(), [Some(Some(1)); 4], "each receiver gets both");
     }
 
+    /// A sender half on each of nodes 1.. with a receiver half on node 0,
+    /// as `config` sizes them on `profile`, each pair toward node 0 wired
+    /// as `Exchange::build` wires one, and left unstarted.
+    fn wired_fan_in(
+        config: &ExchangeConfig,
+        profile: DeviceProfile,
+    ) -> (
+        Arc<VerbsRuntime>,
+        Vec<RdRcSendEndpoint>,
+        RdRcReceiveEndpoint,
+    ) {
+        let runtime = config.build_runtime(profile);
+        let params = config.params(runtime.profile());
+        let sources: Vec<NodeId> = (1..config.groups.len()).collect();
+        let recv = RdRcReceiveEndpoint::new(
+            &runtime.context(0),
+            EndpointId(config.groups.len() as u32),
+            sources.clone(),
+            params.clone(),
+        );
+        let sends = sources.iter().map(|&src| {
+            // Every node's ring toward another holds every buffer of the pool.
+            let peers = (0..=sources.len()).filter(|&p| p != src).collect();
+            let send = RdRcSendEndpoint::new(
+                &runtime.context(src),
+                EndpointId(src as u32),
+                peers,
+                params.clone(),
+            );
+            let (qp_s, qp_r) = send.qp_pair(0, &recv, src);
+            let wired = ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))
+                .and_then(|()| {
+                    ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle()))
+                });
+            assert!(wired.is_ok(), "the pair connects");
+            assert!(
+                send.handshake(0, &recv, src).is_ok(),
+                "the pair shakes hands"
+            );
+            send
+        });
+        let sends = sends.collect();
+        (runtime, sends, recv)
+    }
+
     /// A sender and a receiver half of node 1 → node 0 with `window`-byte
     /// buffers, wired as `Exchange::build` wires a pair, and left unstarted.
     fn wired_pair(window: usize) -> (Arc<VerbsRuntime>, RdRcSendEndpoint, RdRcReceiveEndpoint) {
         let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::MEMQ_RD, 2, 1);
         config.message_size = window;
-        let runtime = config.build_runtime(DeviceProfile::edr());
-        let params = config.params(runtime.profile());
-        let send =
-            RdRcSendEndpoint::new(&runtime.context(1), EndpointId(1), vec![0], params.clone());
-        let recv = RdRcReceiveEndpoint::new(&runtime.context(0), EndpointId(2), vec![1], params);
-        let (qp_s, qp_r) = send.qp_pair(0, &recv, 1);
-        let wired = ConnectionManager::activate_untimed(qp_s, Some(qp_r.address_handle()))
-            .and_then(|()| ConnectionManager::activate_untimed(qp_r, Some(qp_s.address_handle())));
-        assert!(wired.is_ok(), "the pair connects");
-        assert!(send.handshake(0, &recv, 1).is_ok(), "the pair shakes hands");
-        (runtime, send, recv)
+        let (runtime, mut sends, recv) = wired_fan_in(&config, DeviceProfile::edr());
+        (runtime, sends.remove(0), recv)
+    }
+
+    /// Four sources announce a full pool of 64 KiB messages at once: the
+    /// receiver never has more than the read depth in flight from one of
+    /// them, the depth bites below the local buffers while all four send,
+    /// and it grows as they declare `Depleted`, up to those buffers.
+    #[test]
+    fn reads_in_flight_per_source_stay_within_the_read_depth() {
+        let mut config = ExchangeConfig::repartition(ShuffleAlgorithm::SEMQ_RD, 5, 4);
+        config.message_size = 64 << 10;
+        let (runtime, sends, recv) = wired_fan_in(&config, DeviceProfile::fdr());
+        let (sources, local) = (sends.len(), recv.cfg.buffers_per_peer);
+        let depths: Vec<u32> = (0..=sources)
+            .rev()
+            .map(|open| recv.read_depth(open))
+            .collect();
+        assert!(
+            depths[0] < local as u32,
+            "the depth bites: {depths:?} of {local}"
+        );
+        assert!(depths.windows(2).all(|d| d[0] <= d[1]), "{depths:?}");
+        assert!(depths.iter().all(|&d| (1..=local as u32).contains(&d)));
+        for (src, send) in sends.into_iter().enumerate() {
+            runtime.cluster().spawn(src + 1, "sender", move |sim| {
+                for k in 0..local {
+                    let Ok(mut buf) = send.get_free(&sim) else {
+                        panic!("a free buffer");
+                    };
+                    assert!(buf.push(&vec![7; buf.remaining()]).is_ok());
+                    let state = match k + 1 == local {
+                        true => StreamState::Depleted,
+                        false => StreamState::MoreData,
+                    };
+                    assert!(send.send(&sim, buf, &[0], state).is_ok());
+                }
+            });
+        }
+        let recv = Arc::new(recv);
+        let (seen, out) = (Arc::new(Mutex::new((0, 0))), recv.clone());
+        let peak = seen.clone();
+        runtime.cluster().spawn(0, "receiver", move |sim| {
+            while let Ok(Some(delivery)) = out.get_data(&sim) {
+                let st = out.state.lock();
+                let depth = out.read_depth(st.open);
+                assert!(
+                    st.in_flight.iter().all(|&n| n <= depth),
+                    "{:?}",
+                    st.in_flight
+                );
+                let mut peak = peak.lock();
+                peak.0 = peak.0.max(st.in_flight.iter().copied().max().unwrap_or(0));
+                peak.1 += 1;
+                drop(st);
+                assert!(out.release(&sim, delivery).is_ok());
+            }
+        });
+        runtime.cluster().run();
+        let (most, delivered) = *seen.lock();
+        assert_eq!(delivered, sources * local, "every message arrives");
+        assert!(
+            most >= 1 && most <= depths[sources],
+            "{most} in flight, {depths:?}"
+        );
+        assert_eq!(recv.state.lock().open, 0, "every source declared");
+    }
+
+    /// Two nodes at 4 KiB keep today's depth: the one source takes every
+    /// local buffer, ME or SE, on either fabric.
+    #[test]
+    fn a_lone_source_at_4_kib_keeps_every_local_buffer_in_flight() {
+        for algorithm in [ShuffleAlgorithm::MEMQ_RD, ShuffleAlgorithm::SEMQ_RD] {
+            for profile in [DeviceProfile::fdr(), DeviceProfile::edr()] {
+                let mut config = ExchangeConfig::repartition(algorithm, 2, 4);
+                config.message_size = 4 << 10;
+                let (_runtime, _, recv) = wired_fan_in(&config, profile);
+                let local = recv.cfg.buffers_per_peer as u32;
+                assert_eq!((recv.read_depth(1), recv.read_depth(0)), (local, local));
+            }
+        }
     }
 
     const WINDOW: usize = 4096;

@@ -52,10 +52,10 @@ impl TransmissionGroups {
     }
 
     /// Broadcast pattern for `me`: a single group with every other node
-    /// (Figure 3c).
+    /// (Figure 3c), listed from `me + 1` round, as `rotation` walks.
     pub fn broadcast(me: NodeId, n: usize) -> Self {
         TransmissionGroups {
-            groups: vec![(0..n).filter(|&p| p != me).collect()],
+            groups: vec![rotation(me + 1, n).filter(|&p| p != me).collect()],
         }
     }
 
@@ -97,6 +97,13 @@ impl TransmissionGroups {
     }
 }
 
+/// The `n` slots from `start` round to `start - 1` (mod `n`): how a sender
+/// walks its receivers. Lockstep senders that all start at slot 0 convoy;
+/// each starting after itself spreads them, as a round-robin schedule does.
+pub(crate) fn rotation(start: usize, n: usize) -> impl Iterator<Item = usize> {
+    (0..n).map(move |k| (start + k) % n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +123,16 @@ mod tests {
         let g = TransmissionGroups::broadcast(0, 4);
         assert_eq!(g.len(), 1);
         assert_eq!(g.group(0), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn broadcast_starts_after_the_sender_and_destinations_stay_sorted() {
+        let g = TransmissionGroups::broadcast(2, 5);
+        assert_eq!(g.group(0), &[3, 4, 0, 1]);
+        assert_eq!(g.destinations(), vec![0, 1, 3, 4]);
+        assert_eq!(TransmissionGroups::broadcast(4, 5).group(0), &[0, 1, 2, 3]);
+        assert_eq!(rotation(7, 3).collect::<Vec<_>>(), [1, 2, 0]);
+        assert_eq!(rotation(0, 0).count(), 0);
     }
 
     #[test]

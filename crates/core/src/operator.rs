@@ -14,7 +14,7 @@ use rshuffle_simnet::{DeviceProfile, NodeId, SimContext, SimDuration};
 use crate::buffer::{Buffer, StreamState};
 use crate::endpoint::{ReceiveEndpoint, SendEndpoint};
 use crate::error::{Result, ShuffleError};
-use crate::group::TransmissionGroups;
+use crate::group::{rotation, TransmissionGroups};
 use crate::ledger::FlowLedger;
 use crate::phase::PhaseRunner;
 
@@ -409,9 +409,11 @@ impl ShuffleOperator {
                 )));
             }
         }
-        // Send every open message, freeing its rows as it goes.
-        for (mut outbox, to) in outboxes.into_iter().zip(self.groups.iter()) {
-            outbox.send(&lane, to, last.then_some(&mut closed))?;
+        // Send every open message, freeing its rows as it goes, from group
+        // `node + tid` round: threads that drain their child together spread
+        // their first messages over the groups instead of convoying.
+        for g in rotation(sim.node() + tid, outboxes.len()) {
+            outboxes[g].send(&lane, self.groups.group(g), last.then_some(&mut closed))?;
         }
         // Propagate Depleted: the last thread of each lane closes that
         // lane's endpoint (Algorithm 1, lines 14–17) toward every
@@ -1365,6 +1367,63 @@ mod tests {
                 let expected: Vec<u8> = to_dest.skip(skip[group]).flatten().collect();
                 assert!(!expected.is_empty(), "worker {tid} sends node {dest} rows");
                 assert_eq!(sent[&(tid, dest)], expected, "worker {tid} to node {dest}");
+            }
+        }
+    }
+
+    /// Worker `tid` of node `k` flushes its open messages from group
+    /// `(k + tid) mod groups` round, so lockstep senders start on
+    /// different receivers.
+    #[test]
+    fn each_worker_starts_its_final_flush_after_its_node_and_tid() {
+        const ROW: usize = 16;
+        let groups = TransmissionGroups::new(vec![vec![1], vec![2], vec![3]]);
+        // Two rows per group and worker: every message stays open until
+        // the flush.
+        let keyed = |k: u64| {
+            let mut row = [0; ROW];
+            row[..8].copy_from_slice(&k.to_le_bytes());
+            row
+        };
+        let rows = |tid: u64| {
+            let mut batch = RowBatch::new(ROW, 6);
+            for g in 0..3 {
+                let mine = (100 * tid..).map(keyed);
+                let mine = mine.filter(|row| default_partition_hash(row) % 3 == g);
+                mine.take(2).for_each(|row| batch.push_row(&row));
+            }
+            Mutex::new(Some(batch))
+        };
+        for node in 0..3 {
+            let kernel = Kernel::new();
+            let endpoint = Arc::new(Sent {
+                region: MemoryRegion::new_for_tests(&kernel, 0, 1, HEADER_LEN + PAYLOAD),
+                messages: Mutex::new(Vec::new()),
+            });
+            let op = Arc::new(ShuffleOperator::with_lanes(
+                Arc::new(PerWorker(vec![rows(0), rows(1)])),
+                vec![endpoint.clone()],
+                groups.clone(),
+                2,
+                CostModel::from_profile(&DeviceProfile::edr()),
+            ));
+            for tid in 0..2 {
+                let op = op.clone();
+                kernel.spawn(node, "shuffle", move |sim| {
+                    op.next(&sim, tid).unwrap();
+                });
+            }
+            kernel.run();
+            let messages = endpoint.messages.lock();
+            for tid in 0..2 {
+                let order: Vec<NodeId> = messages
+                    .iter()
+                    .filter(|m| m.1 as usize == tid)
+                    .map(|m| m.0)
+                    .collect();
+                let start = (node + tid) % 3;
+                let expected: Vec<NodeId> = (0..3).map(|k| (start + k) % 3 + 1).collect();
+                assert_eq!(order, expected, "node {node} worker {tid}");
             }
         }
     }

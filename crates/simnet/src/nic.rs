@@ -329,6 +329,18 @@ pub enum WrKind {
     RemoteDma,
 }
 
+impl WrKind {
+    /// Every kind, in declaration order: `kind as usize` indexes it.
+    pub const ALL: [WrKind; 6] = [
+        WrKind::SendRc,
+        WrKind::SendUd,
+        WrKind::Read,
+        WrKind::Write,
+        WrKind::RecvMatch,
+        WrKind::RemoteDma,
+    ];
+}
+
 /// Legacy snapshot of one NIC's counters.
 ///
 /// Since the unified observability layer landed this is a *view* built
@@ -354,6 +366,9 @@ struct NicObs {
     work_requests: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
+    /// Work requests by [`WrKind`] since [`NicModel::record`]; `None` (the
+    /// default) counts nothing.
+    kinds: Option<[u64; 6]>,
 }
 
 impl NicObs {
@@ -363,6 +378,7 @@ impl NicObs {
             work_requests: obs.metrics.counter(names::NIC_WORK_REQUESTS, labels),
             cache_hits: obs.metrics.counter(names::NIC_QP_CACHE_HITS, labels),
             cache_misses: obs.metrics.counter(names::NIC_QP_CACHE_MISSES, labels),
+            kinds: None,
             obs,
             node,
         }
@@ -458,8 +474,11 @@ impl NicModel {
         let hit = self.cache.lock().touch(qp_ctx);
         let cost = if hit { base } else { base + self.qp_cache_miss };
         {
-            let o = self.obs.lock();
+            let mut o = self.obs.lock();
             o.work_requests.inc();
+            if let Some(kinds) = &mut o.kinds {
+                kinds[kind as usize] += 1;
+            }
             if hit {
                 o.cache_hits.inc();
             } else {
@@ -481,9 +500,16 @@ impl NicModel {
             .end
     }
 
-    /// Keeps the pipeline's reservations from now on ([`FairResource::record`]).
+    /// Keeps the pipeline's reservations ([`FairResource::record`]) and
+    /// counts work requests by kind from now on.
     pub fn record(&self) {
         self.pipe.lock().record();
+        self.obs.lock().kinds.get_or_insert([0; 6]);
+    }
+
+    /// Work requests per [`WrKind::ALL`] entry since [`NicModel::record`].
+    pub fn recorded_kinds(&self) -> [u64; 6] {
+        self.obs.lock().kinds.unwrap_or_default()
     }
 
     /// The pipeline's busy intervals since [`NicModel::record`].
@@ -518,6 +544,23 @@ mod tests {
 
     fn nic() -> NicModel {
         NicModel::new(&DeviceProfile::fdr())
+    }
+
+    /// Work requests are counted by kind only once recording is on, and
+    /// counting leaves every completion time as it was.
+    #[test]
+    fn recording_counts_work_requests_by_kind_and_times_nothing() {
+        let (plain, recording) = (nic(), nic());
+        recording.process(SimTime::ZERO, 1, WrKind::Read);
+        assert_eq!(recording.recorded_kinds(), [0; 6], "not recording yet");
+        plain.process(SimTime::ZERO, 1, WrKind::Read);
+        recording.record();
+        for kind in [WrKind::Read, WrKind::RemoteDma, WrKind::Read] {
+            let at = SimTime::from_nanos(10_000);
+            assert_eq!(plain.process(at, 2, kind), recording.process(at, 2, kind));
+        }
+        assert_eq!(recording.recorded_kinds(), [0, 0, 2, 0, 0, 1]);
+        assert_eq!(WrKind::ALL[WrKind::RemoteDma as usize], WrKind::RemoteDma);
     }
 
     #[test]
