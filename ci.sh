@@ -192,6 +192,8 @@ fi
 # What a receive half knows of each source is one `frame::SourceBook`, by
 # peer slot: the depleted flags, the RC credit table and the UD count
 # table by endpoint id it replaced each kept a part of it.
+# Recovery has no probe of its own: the rebuilt exchange is the probe,
+# and a QP brought up inside a failure window fails the build.
 LEDGER_DELETED='AttemptHooks|AttemptEnd|set_stage_spans|stage_span\(|FlowResumed|next_timeout'
 LEDGER_DELETED+='|deregister_flow|mr_flows|RecvTimeout|recv_timeout'
 LEDGER_DELETED+='|UdShared|SrUdSendEndpoint|SrUdReceiveEndpoint|send_half|recv_half'
@@ -199,6 +201,7 @@ LEDGER_DELETED+='|recording_receive_operator|PhasePolicy::Naive'
 LEDGER_DELETED+='|LARGE_CLUSTER|LARGE_MESSAGE|TIGHT_HEADROOM|mem_headroom|co_runners'
 LEDGER_DELETED+='|peer_independent_state'
 LEDGER_DELETED+='|SrcCredit|SrcCount|mark_depleted|all_depleted|is_depleted|struct Sources|Sources::new|by_endpoint'
+LEDGER_DELETED+='|probe_failed_nodes|probe_once|PROBE_BYTES|PROBE_TIMEOUT|reconnect_rc'
 if revived=$(grep -rlE "$LEDGER_DELETED" crates); then
   echo "ERROR: a layer the ledger deleted is back in:" >&2
   echo "$revived" >&2

@@ -589,7 +589,10 @@ impl Exchange {
     /// Builds and wires all endpoints for `config` over `runtime`.
     ///
     /// Resource creation is untimed (setup cost is charged explicitly via
-    /// [`Exchange::charge_setup`], which Figure 12 measures).
+    /// [`Exchange::charge_setup`], which Figure 12 measures). A Queue Pair
+    /// that will not connect (one brought up on a node inside an open
+    /// QP-failure window dies at once) fails the build with
+    /// [`ShuffleError::Verbs`], once it has given back what it registered.
     pub fn build(runtime: &Arc<VerbsRuntime>, config: &ExchangeConfig) -> Result<Exchange> {
         // Under the `audit` feature every exchange is born audited; tests
         // can also opt in explicitly via `runtime.enable_audit()`.
@@ -692,12 +695,15 @@ impl Exchange {
             srcs: &srcs,
             qps_per_pair,
         };
-        let (send, recv) = match config.algorithm.imp {
-            EndpointImpl::MqSr => wiring.rc(SrRcSendEndpoint::new, SrRcReceiveEndpoint::new)?,
-            EndpointImpl::MqRd => wiring.rc(RdRcSendEndpoint::new, RdRcReceiveEndpoint::new)?,
-            EndpointImpl::MqWr => wiring.rc(WrRcSendEndpoint::new, WrRcReceiveEndpoint::new)?,
-            EndpointImpl::SqSr => wiring.ud()?,
+        let wired = match config.algorithm.imp {
+            EndpointImpl::MqSr => wiring.rc(SrRcSendEndpoint::new, SrRcReceiveEndpoint::new),
+            EndpointImpl::MqRd => wiring.rc(RdRcSendEndpoint::new, RdRcReceiveEndpoint::new),
+            EndpointImpl::MqWr => wiring.rc(WrRcSendEndpoint::new, WrRcReceiveEndpoint::new),
+            EndpointImpl::SqSr => wiring.ud(),
         };
+        let (send, recv) = wired.inspect_err(|_| {
+            runtime.deregister_built((built_from, runtime.mark()));
+        })?;
         let phases = schedule.map(|schedule| {
             // Free (exempted) sources run the unphased path and never
             // reach the barrier: counting them would deadlock round 0.

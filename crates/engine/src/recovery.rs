@@ -20,13 +20,13 @@
 //!    message header fences off any straggler from the failed attempt.
 //!    Work delivered before the failure is *kept*, not redone, and
 //!    delivery stays exactly-once.
-//! 2. **QP reconnect with backoff.** Before resuming, the coordinator
-//!    probes the failed node by tearing down and re-establishing an RC
-//!    Queue Pair ([`rshuffle_verbs::ConnectionManager::reconnect_rc`])
-//!    and pushing one message through it, retrying under a capped
-//!    exponential [`BackoffSchedule`] up to a per-episode budget. The
-//!    resume only proceeds once the fabric demonstrably carries traffic
-//!    again; a still-broken fabric surfaces as
+//! 2. **The rebuild is the probe.** A Queue Pair brought up on a node
+//!    whose QPs are still failing dies at once, and [`Exchange::build`]
+//!    fails typed, having given back what it registered. The coordinator
+//!    answers such a build, whichever rung asked for it, by backing off
+//!    on a capped exponential [`BackoffSchedule`] and building again.
+//!    Every build after a QP failure counts against a per-episode
+//!    reconnect budget; a still-broken fabric surfaces as
 //!    [`ShuffleError::RetryBudgetExhausted`] instead of a doomed retry.
 //! 3. **Graceful degradation.** When the retry budget is exhausted the
 //!    query steps down a sturdiness ladder ([`degrade`]) — one-sided RC
@@ -70,22 +70,13 @@ use rshuffle::{
 };
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_sched::{Admission, ReleaseOutcome};
-use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
-use rshuffle_verbs::{
-    CompletionQueue, ConnectionManager, MemoryRegion, QpType, QueuePair, RecvWr, SendWr,
-    VerbsRuntime, WcStatus,
-};
+use rshuffle_simnet::{Gate, NodeId, SimDuration};
+use rshuffle_verbs::VerbsRuntime;
 
 use crate::workload::Scheduled;
 
-/// Payload bytes pushed through a probe QP to prove the fabric carries
-/// traffic again.
-const PROBE_BYTES: usize = 64;
-/// How long one probe waits for its send completion before counting
-/// the attempt as failed.
-const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
-/// First backoff delay of a query's schedule (probe retries and full
-/// restarts), and the cap it doubles up to.
+/// First backoff delay of a query's schedule (rebuilds after a failed
+/// build, and full restarts), and the cap it doubles up to.
 const INITIAL_BACKOFF: SimDuration = SimDuration::from_micros(50);
 const MAX_BACKOFF: SimDuration = SimDuration::from_millis(1);
 /// Least endpoint-id distance between consecutive rebuild attempts of
@@ -164,9 +155,9 @@ pub struct RecoveryPolicy {
     /// Partial (same-generation) retries before escalating to a full
     /// restart. Degradation rungs count against this budget too.
     pub max_partial_retries: u32,
-    /// Reconnect probes per failed node per failure episode; exhaustion
-    /// surfaces [`ShuffleError::RetryBudgetExhausted`] and triggers
-    /// degradation.
+    /// Builds per failure episode (from a QP failure to the next build
+    /// that connects); exhaustion surfaces
+    /// [`ShuffleError::RetryBudgetExhausted`] and triggers degradation.
     pub reconnect_budget: u32,
     /// Whether the query may step down the [`degrade`] ladder when the
     /// reconnect budget is exhausted.
@@ -196,7 +187,8 @@ pub struct RecoveryReport {
     pub bytes: u64,
     /// Partial retries performed (epoch bumps that kept prior work).
     pub partial_retries: u32,
-    /// Reconnect probe attempts across all failure episodes.
+    /// Builds after a QP failure (reconnects), across all failure
+    /// episodes.
     pub qp_reconnects: u32,
     /// The rungs taken down the ladder, in order (empty = never
     /// degraded).
@@ -266,7 +258,7 @@ fn partial_eligible(config: &ExchangeConfig) -> bool {
 /// loss or corrupt protocol state): a verbs-level failure, an errored
 /// completion or a stall, with the runtime recording which nodes had
 /// QPs forced into the error state. Only these failures are worth a
-/// targeted reconnect; everything else goes to the full restart.
+/// reconnect; everything else goes to the full restart.
 fn qp_shaped(e: &ShuffleError, runtime: &VerbsRuntime) -> bool {
     matches!(
         e,
@@ -307,13 +299,13 @@ pub(crate) type GenSink = Arc<dyn Fn(u32, NodeId, usize, &RowBatch) + Send + Syn
 /// shuffle operator and `config.threads` receive workers streaming
 /// `row_size`-byte rows into `sink` on every node, then blocks until
 /// all workers report, aborting the attempt's other workers at the first
-/// error one reports. On a QP-shaped failure it (1) probes the failed
-/// node with reconnect-with-backoff, (2) resumes the query under a
-/// bumped epoch with senders fast-forwarded past the delivered
-/// watermarks, (3) steps down the [`degrade`] ladder when the reconnect
-/// budget is exhausted, and otherwise — or once the partial budget is
-/// spent — (4) tears the exchange down, backs off and replays a new
-/// generation from scratch.
+/// error one reports. On a QP-shaped failure it (1) resumes the query
+/// under a bumped epoch with senders fast-forwarded past the delivered
+/// watermarks, (2) backs off and builds again while the rebuilt
+/// exchange will not connect, (3) steps down the [`degrade`] ladder when
+/// the reconnect budget is exhausted, and otherwise — or once the
+/// partial budget is spent — (4) tears the exchange down, backs off and
+/// replays a new generation from scratch.
 ///
 /// `sink` receives `(generation, node, tid, batch)`; rows are delivered
 /// exactly once per generation and only the final generation (see
@@ -337,9 +329,9 @@ pub fn run_shuffle_with_recovery(
 /// of [`crate::workload::run_workload`] comes `scheduled`: each attempt
 /// is admitted before its exchange is built (admission may block in
 /// virtual time; a refusal fails the query without running the attempt)
-/// and released once its outcome is known — before any probe or backoff,
-/// so a recovering query holds no slot or budget meanwhile and re-enters
-/// admission at the back of the queue.
+/// and released once its outcome is known — a failed build's too —
+/// before any backoff, so a recovering query holds no slot or budget
+/// meanwhile and re-enters admission at the back of the queue.
 pub(crate) fn run_query(
     runtime: &Arc<VerbsRuntime>,
     config: &ExchangeConfig,
@@ -378,6 +370,8 @@ pub(crate) fn run_query(
         let id_stride = attempt_id_stride(config.endpoint_ids());
         let mut epoch = 0u16;
         let mut rebuilds = 0u32;
+        // Builds since the last QP failure, against `reconnect_budget`.
+        let mut reconnects = 0u32;
         let mut first_failure = None;
         let mut backoff = BackoffSchedule::new(INITIAL_BACKOFF, MAX_BACKOFF);
         // The attempt's admission, held until its outcome is known.
@@ -387,7 +381,7 @@ pub(crate) fn run_query(
                 s.release(&sim, adm, outcome, &obs);
             }
         };
-        loop {
+        'query: loop {
             if let Some(s) = &scheduled {
                 match s.admit(&sim) {
                     Ok(adm) => admission = Some(adm),
@@ -403,115 +397,45 @@ pub(crate) fn run_query(
             attempt_cfg.endpoint_id_base = config
                 .endpoint_id_base
                 .wrapping_add(rebuilds.wrapping_mul(id_stride));
-            let attempt_started = sim.now();
-            let exchange = match Exchange::build(&runtime, &attempt_cfg) {
-                Ok(ex) => ex,
-                Err(e) => {
-                    release(&mut admission, ReleaseOutcome::Failed);
-                    rep.failure = Some(e);
-                    break;
-                }
-            };
-            let done = Gate::new(cluster.kernel(), SimDuration::ZERO);
-            let expected = spawn_attempt(
-                &cluster,
-                &exchange,
-                &cost,
-                rep.generation,
-                rebuilds,
-                row_size,
-                &make_source,
-                &sink,
-                &ledger,
-                &done,
-            );
-            // The attempt ends at its first failure: that worker's error
-            // is the attempt's, and every other worker is aborted instead
-            // of waiting out its stall deadline. The abort is raised only
-            // after an error, so `ShuffleError::Aborted` is never the one
-            // kept.
-            let mut first_err = None;
-            for _ in 0..expected {
-                let Err(e) = done.recv(&sim) else { continue };
-                if first_err.is_none() {
-                    exchange.abort(&sim);
-                    first_failure.get_or_insert(sim.now());
-                    first_err = Some(e);
-                }
-            }
-            obs.recorder.span(
-                0,
-                track,
-                &format!("recovery-attempt:g{}e{epoch}", rep.generation),
-                attempt_started.as_nanos(),
-                sim.now().as_nanos(),
-            );
-            // The attempt is over (every worker has pushed its result).
-            // An abandoned one gives back what it registered before any
-            // rebuild, so that a retry never pins two attempts' memory
-            // (nor holds two exchanges' worth of the scheduler's budget).
-            // The winner gives it back for a flow-tagged query; an
-            // untagged one stays registered, the harness state a caller
-            // inspects after the run.
-            if first_err.is_some() || exchange.flow.is_tagged() {
-                exchange.release(&runtime);
-            }
-            let Some(e) = first_err else {
-                rep.rows = ledger.total_rows();
-                rep.bytes = rep.rows * row_size as u64;
-                rep.redone_bytes = redone;
-                redone_ctr.add(redone);
-                if let Some(at) = first_failure {
-                    let recovery = sim.now() - at;
-                    rep.recovery = Some(recovery);
-                    recovery_ctr.add(recovery.as_nanos());
-                    obs.recorder.event(
-                        0,
-                        track,
-                        sim.now().as_nanos(),
-                        EventKind::QueryRecovered,
-                        recovery.as_nanos(),
-                    );
-                }
-                release(&mut admission, ReleaseOutcome::Completed);
-                break;
-            };
-            rep.attempt_errors.push(e.clone());
-            // Rungs 1–3 answer a QP-shaped failure while the partial
-            // budget lasts; rung 4 answers any restartable one.
-            let partial = eligible
-                && rep.partial_retries < policy.max_partial_retries
-                && qp_shaped(&e, &runtime);
-            let restart = restartable(&e) && rep.full_restarts < policy.max_full_restarts;
-            if !(partial || restart) {
-                release(&mut admission, ReleaseOutcome::Failed);
-                rep.failure = Some(e);
-                break;
-            }
-            // The slot goes back before any probe or backoff.
-            release(&mut admission, ReleaseOutcome::Requeued);
-            let mut resumed = false;
-            if partial {
-                let probed = probe_failed_nodes(
-                    &sim,
-                    &runtime,
-                    cluster.nodes(),
-                    &policy,
-                    &mut backoff,
-                    &obs,
+            // Rung 2: every build after a QP failure is a reconnect, and
+            // the rebuilt exchange is the probe.
+            if !runtime.failed_qp_nodes().is_empty() {
+                reconnects += 1;
+                rep.qp_reconnects += 1;
+                reconnect_ctr.inc();
+                obs.recorder.event(
+                    0,
                     track,
-                    &reconnect_ctr,
-                    &mut rep.qp_reconnects,
+                    sim.now().as_nanos(),
+                    EventKind::QpReconnect,
+                    reconnects as u64,
                 );
-                match probed {
-                    Ok(()) => resumed = true,
-                    Err(budget_err) => {
+            }
+            let attempt_started = sim.now();
+            let rung = 'attempt: {
+                let exchange = match Exchange::build(&runtime, &attempt_cfg) {
+                    Ok(ex) => ex,
+                    Err(e) if qp_shaped(&e, &runtime) => {
+                        first_failure.get_or_insert(sim.now());
+                        rep.attempt_errors.push(e);
+                        if reconnects < policy.reconnect_budget {
+                            release(&mut admission, ReleaseOutcome::Requeued);
+                            sim.sleep(backoff.next());
+                            continue 'query;
+                        }
                         // Rung 3: the fabric would not come back — step
                         // down the ladder and resume on a design that
                         // does not need the broken resource.
+                        let node = runtime.failed_qp_nodes()[0];
+                        let attempts = std::mem::take(&mut reconnects);
+                        let budget_err = ShuffleError::RetryBudgetExhausted { node, attempts };
                         rep.attempt_errors.push(budget_err.clone());
                         match degrade(rep.final_algorithm) {
-                            Some(next) if policy.allow_degradation => {
+                            Some(next)
+                                if policy.allow_degradation
+                                    && eligible
+                                    && rep.partial_retries < policy.max_partial_retries =>
+                            {
                                 rep.final_algorithm = next;
                                 rep.degradations.push(next);
                                 degraded_ctr.inc();
@@ -522,23 +446,109 @@ pub(crate) fn run_query(
                                     EventKind::QueryDegraded,
                                     algo_code(next),
                                 );
-                                runtime.clear_failed_qp_nodes();
-                                resumed = true;
+                                break 'attempt Rung::Resume;
                             }
-                            _ if rep.full_restarts >= policy.max_full_restarts => {
-                                rep.failure = Some(budget_err);
-                                break;
+                            _ if rep.full_restarts < policy.max_full_restarts => {
+                                break 'attempt Rung::Restart
                             }
-                            _ => {}
+                            _ => break 'attempt Rung::GiveUp(budget_err),
                         }
                     }
+                    Err(e) => break 'attempt Rung::GiveUp(e),
+                };
+                // Every QP connected: the failure episode is over.
+                runtime.clear_failed_qp_nodes();
+                reconnects = 0;
+                let done = Gate::new(cluster.kernel(), SimDuration::ZERO);
+                let expected = spawn_attempt(
+                    &cluster,
+                    &exchange,
+                    &cost,
+                    rep.generation,
+                    rebuilds,
+                    row_size,
+                    &make_source,
+                    &sink,
+                    &ledger,
+                    &done,
+                );
+                // The attempt ends at its first failure: that worker's
+                // error is the attempt's, and every other worker is
+                // aborted instead of waiting out its stall deadline. The
+                // abort is raised only after an error, so
+                // `ShuffleError::Aborted` is never the one kept.
+                let mut first_err = None;
+                for _ in 0..expected {
+                    let Err(e) = done.recv(&sim) else { continue };
+                    if first_err.is_none() {
+                        exchange.abort(&sim);
+                        first_failure.get_or_insert(sim.now());
+                        first_err = Some(e);
+                    }
                 }
+                obs.recorder.span(
+                    0,
+                    track,
+                    &format!("recovery-attempt:g{}e{epoch}", rep.generation),
+                    attempt_started.as_nanos(),
+                    sim.now().as_nanos(),
+                );
+                // The attempt is over (every worker has pushed its
+                // result). An abandoned one gives back what it registered
+                // before any rebuild, so that a retry never pins two
+                // attempts' memory (nor holds two exchanges' worth of the
+                // scheduler's budget). The winner gives it back for a
+                // flow-tagged query; an untagged one stays registered, the
+                // harness state a caller inspects after the run.
+                if first_err.is_some() || exchange.flow.is_tagged() {
+                    exchange.release(&runtime);
+                }
+                let Some(e) = first_err else {
+                    rep.rows = ledger.total_rows();
+                    rep.bytes = rep.rows * row_size as u64;
+                    rep.redone_bytes = redone;
+                    redone_ctr.add(redone);
+                    if let Some(at) = first_failure {
+                        let recovery = sim.now() - at;
+                        rep.recovery = Some(recovery);
+                        recovery_ctr.add(recovery.as_nanos());
+                        obs.recorder.event(
+                            0,
+                            track,
+                            sim.now().as_nanos(),
+                            EventKind::QueryRecovered,
+                            recovery.as_nanos(),
+                        );
+                    }
+                    release(&mut admission, ReleaseOutcome::Completed);
+                    break 'query;
+                };
+                rep.attempt_errors.push(e.clone());
+                // Rung 1 answers a QP-shaped failure while the partial
+                // budget lasts; rung 4 answers any restartable one.
+                if eligible
+                    && rep.partial_retries < policy.max_partial_retries
+                    && qp_shaped(&e, &runtime)
+                {
+                    Rung::Resume
+                } else if restartable(&e) && rep.full_restarts < policy.max_full_restarts {
+                    Rung::Restart
+                } else {
+                    Rung::GiveUp(e)
+                }
+            };
+            if let Rung::GiveUp(e) = rung {
+                release(&mut admission, ReleaseOutcome::Failed);
+                rep.failure = Some(e);
+                break;
             }
-            if resumed {
+            // The slot goes back before any backoff.
+            release(&mut admission, ReleaseOutcome::Requeued);
+            epoch = epoch.wrapping_add(1);
+            rebuilds += 1;
+            if let Rung::Resume = rung {
                 rep.partial_retries += 1;
                 partial_ctr.inc();
-                epoch = epoch.wrapping_add(1);
-                rebuilds += 1;
                 let kept = ledger.total_rows() * row_size as u64;
                 rep.kept_bytes += kept;
                 kept_ctr.add(kept);
@@ -553,16 +563,11 @@ pub(crate) fn run_query(
                 continue;
             }
             // Rung 4: the paper's full restart — discard the generation.
-            // Its budget was checked above, before the release or after
-            // the failed probe.
             rep.full_restarts += 1;
             restarts_ctr.inc();
             rep.generation += 1;
-            epoch = epoch.wrapping_add(1);
-            rebuilds += 1;
             redone += ledger.total_rows() * row_size as u64;
             ledger.clear();
-            runtime.clear_failed_qp_nodes();
             obs.recorder.event(
                 0,
                 track,
@@ -577,6 +582,14 @@ pub(crate) fn run_query(
     report
 }
 
+/// What the coordinator does after a failure: resume the generation
+/// (rung 1, or rung 3 after a descent), restart it (rung 4), or give up.
+enum Rung {
+    Resume,
+    Restart,
+    GiveUp(ShuffleError),
+}
+
 /// Stable code for a design in flight-recorder events: its Table 1
 /// index, or 6 for the future-work Write designs.
 fn algo_code(a: ShuffleAlgorithm) -> u64 {
@@ -585,119 +598,6 @@ fn algo_code(a: ShuffleAlgorithm) -> u64 {
         .position(|x| *x == a)
         .map(|i| i as u64)
         .unwrap_or(6)
-}
-
-/// Probes every node the runtime recorded as QP-failed: tears down and
-/// re-establishes a dedicated RC QP pair to a healthy peer and pushes
-/// one message through it, retrying under `backoff` up to the
-/// per-episode budget. Clears the failed-node set on success so the
-/// next failure episode classifies freshly.
-#[allow(clippy::too_many_arguments)]
-fn probe_failed_nodes(
-    sim: &SimContext,
-    runtime: &Arc<VerbsRuntime>,
-    nodes: usize,
-    policy: &RecoveryPolicy,
-    backoff: &mut BackoffSchedule,
-    obs: &Arc<rshuffle_obs::Obs>,
-    track: u32,
-    reconnect_ctr: &Arc<rshuffle_obs::Counter>,
-    reconnects: &mut u32,
-) -> Result<(), ShuffleError> {
-    for node in runtime.failed_qp_nodes() {
-        let peer = (node + 1) % nodes;
-        let ctx_a = runtime.context(node);
-        let ctx_b = runtime.context(peer);
-        let send_cq = ctx_a.create_cq();
-        let qa = ctx_a.create_qp(QpType::Rc, send_cq.clone(), ctx_a.create_cq());
-        let qb = ctx_b.create_qp(QpType::Rc, ctx_b.create_cq(), ctx_b.create_cq());
-        let mr_a = ctx_a.register_untimed(PROBE_BYTES);
-        let mr_b = ctx_b.register_untimed(PROBE_BYTES);
-        let mut attempts = 0u32;
-        let mut healthy = false;
-        while attempts < policy.reconnect_budget {
-            attempts += 1;
-            *reconnects += 1;
-            reconnect_ctr.inc();
-            obs.recorder.event(
-                0,
-                track,
-                sim.now().as_nanos(),
-                EventKind::QpReconnect,
-                attempts as u64,
-            );
-            if probe_once(sim, &qa, &qb, &send_cq, &mr_a, &mr_b).is_ok() {
-                healthy = true;
-                break;
-            }
-            sim.sleep(backoff.next());
-        }
-        runtime.deregister_untimed(&mr_a);
-        runtime.deregister_untimed(&mr_b);
-        if !healthy {
-            return Err(ShuffleError::RetryBudgetExhausted { node, attempts });
-        }
-    }
-    runtime.clear_failed_qp_nodes();
-    Ok(())
-}
-
-/// One reconnect-and-send round trip over the probe QP pair: reset both
-/// ends and reconnect them (each charging the modelled per-QP setup cost
-/// on its own node, concurrently), post a receive on the peer and push
-/// one message, then wait for the send completion. Any verbs error,
-/// errored completion or timeout means the fabric is still broken.
-fn probe_once(
-    sim: &SimContext,
-    qa: &QueuePair,
-    qb: &QueuePair,
-    send_cq: &CompletionQueue,
-    mr_a: &MemoryRegion,
-    mr_b: &MemoryRegion,
-) -> Result<(), ShuffleError> {
-    // The peer's end is set up by a thread on the peer's node, as its
-    // host would, while this thread sets up the failed node's end.
-    let peer_done = Gate::new(sim.kernel(), SimDuration::ZERO);
-    let (peer_qp, ours, joined) = (qb.clone(), qa.address_handle(), peer_done.clone());
-    sim.kernel().spawn(qb.node(), "probe-peer", move |sim| {
-        joined.push(ConnectionManager::reconnect_rc(&sim, &peer_qp, ours));
-    });
-    let reconnected = ConnectionManager::reconnect_rc(sim, qa, qb.address_handle());
-    let peer_reconnected = peer_done.recv(sim);
-    reconnected?;
-    peer_reconnected?;
-    qb.post_recv(
-        sim,
-        RecvWr {
-            wr_id: 0,
-            mr: mr_b.clone(),
-            offset: 0,
-            len: PROBE_BYTES,
-        },
-    )?;
-    qa.post_send(
-        sim,
-        SendWr {
-            wr_id: 0,
-            mr: mr_a.clone(),
-            offset: 0,
-            len: PROBE_BYTES,
-            imm: None,
-            ah: None,
-        },
-    )?;
-    let deadline = sim.now() + PROBE_TIMEOUT;
-    let mut completed = Vec::with_capacity(1);
-    while send_cq.drain_into(sim, &mut completed, 1, deadline, &[]) == 0 {
-        if sim.now() >= deadline {
-            return Err(ShuffleError::Stalled("probe send completion"));
-        }
-    }
-    if completed[0].status == WcStatus::Success {
-        Ok(())
-    } else {
-        Err(ShuffleError::CompletionError("probe send failed"))
-    }
 }
 
 /// Spawns the workers of one attempt, each pumping one of its node's

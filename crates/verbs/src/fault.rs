@@ -72,7 +72,7 @@ pub(crate) enum FaultKind {
     /// A *persistent* QP fault: every QP in `scope` on the node fails at
     /// `at`, and any QP used on the node while the window is open is forced
     /// into the error state on first touch. Unlike the one-shot `QpFailure`,
-    /// reconnect attempts inside the window keep failing — the fault models
+    /// QPs rebuilt inside the window keep failing — the fault models
     /// a broken HCA port rather than a transient glitch, and is what drives
     /// retry budgets and algorithm degradation in the recovery layer.
     QpFailureWindow { scope: QpScope },

@@ -312,12 +312,6 @@ impl QueuePair {
         *self.inner.state.lock()
     }
 
-    /// The modelled setup cost of connecting one RC QP (used by
-    /// [`crate::ConnectionManager`]).
-    pub fn profile_rc_setup(&self) -> SimDuration {
-        self.runtime.profile().rc_qp_setup
-    }
-
     /// An address handle peers can use to reach this QP.
     pub fn address_handle(&self) -> AddressHandle {
         AddressHandle {
@@ -326,8 +320,11 @@ impl QueuePair {
         }
     }
 
-    /// RESET → INIT. Receives may be posted afterwards.
+    /// RESET → INIT. Receives may be posted afterwards. A QP brought up
+    /// on a node inside an open QP-failure window dies here, at its first
+    /// touch, and the transition fails.
     pub fn modify_to_init(&self) -> Result<()> {
+        self.runtime.enforce_kill_window(&self.inner);
         self.transition(QpState::Reset, QpState::Init, "modify_to_init")
     }
 
@@ -371,40 +368,11 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Any state → RESET (`ibv_modify_qp` to `IBV_QPS_RESET`): the
-    /// recovery path for a QP that entered the error state. Pending
-    /// receives are discarded *without* flushing completions (real
-    /// hardware flushed them when the QP erred; a reconnecting endpoint
-    /// reposts its pool), the peer binding is cleared and the delivery
-    /// clock rewinds so the re-established connection starts fresh.
-    pub fn reset(&self) -> Result<()> {
-        let from = {
-            let mut st = self.inner.state.lock();
-            let from = *st;
-            *st = QpState::Reset;
-            from
-        };
-        self.inner.recv_queue.lock().clear();
-        *self.inner.peer.lock() = None;
-        *self.inner.last_delivery.lock() = SimTime::ZERO;
-        self.runtime.rt_obs.obs.recorder.event(
-            self.inner.node as u32,
-            HW_TRACK,
-            self.runtime.kernel().now().as_nanos(),
-            EventKind::QpTransition,
-            ((self.inner.qpn.0 as u64) << 16) | ((from as u64) << 8) | QpState::Reset as u64,
-        );
-        Ok(())
-    }
-
     /// Binds this RC QP onto a shared physical-QP slot (connection
     /// multiplexing). Must happen at wiring time, before traffic flows;
     /// a QP can be bound at most once. The first member donates its
     /// context key, so a one-member slot behaves exactly like an
-    /// unshared QP. [`QueuePair::reset`] does *not* rewind the shared
-    /// order clock — the other members' deliveries already consumed it,
-    /// just as tearing down one virtual endpoint of a real shared
-    /// connection leaves the connection's ordering state intact.
+    /// unshared QP.
     pub fn bind_shared_slot(&self, slot: &Arc<SharedQpSlot>) -> Result<()> {
         if self.inner.ty != QpType::Rc {
             return Err(VerbsError::UnsupportedOp {
@@ -804,9 +772,9 @@ impl QueuePair {
     }
 
     fn check_sendable(&self, op: &'static str) -> Result<()> {
-        // Lazy persistent-fault enforcement: a QP (re)built inside an open
-        // kill window dies on first use, so reconnects cannot outrun the
-        // fault (the recovery layer's retry budget sees every failure).
+        // Lazy persistent-fault enforcement: a QP still up inside an open
+        // kill window dies on first use (one brought up inside it died at
+        // `modify_to_init`), so the recovery layer sees every failure.
         self.runtime.enforce_kill_window(&self.inner);
         let st = *self.inner.state.lock();
         if st != QpState::ReadyToSend {

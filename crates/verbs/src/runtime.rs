@@ -289,8 +289,8 @@ impl VerbsRuntime {
                 }
                 (FaultKind::QpFailure | FaultKind::QpFailureWindow { .. }, _) => {
                     // Kill the QPs in scope (the one-shot failure: RC) that
-                    // exist at the trigger time; QPs created (or
-                    // reconnected) inside a window are caught lazily by the
+                    // exist at the trigger time; QPs brought up inside a
+                    // window die at `modify_to_init` or, already up, on the
                     // hot paths consulting `qp_kill_windows`.
                     let scope = match kind {
                         FaultKind::QpFailureWindow { scope } => scope,
@@ -360,9 +360,9 @@ impl VerbsRuntime {
     /// inside a matching window, the QP is forced into the error state
     /// (emitting a `qp_killed` event) and the node is recorded as failed.
     /// Returns whether the QP was (or already is) dead because of a
-    /// window. Called from the send and delivery hot paths so QPs built
-    /// *after* the window opened — e.g. by a reconnect attempt — still
-    /// fail while the fault persists.
+    /// window. Called when a QP is brought up and from the send and
+    /// delivery hot paths, so QPs built *after* the window opened — e.g.
+    /// by a recovery rebuild — still fail while the fault persists.
     pub(crate) fn enforce_kill_window(&self, qp: &Arc<QpInner>) -> bool {
         if self.qp_kill_windows.is_empty() {
             return false;

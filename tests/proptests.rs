@@ -616,8 +616,8 @@ proptest! {
         prop_assert_eq!(sched.next(), initial, "reset must rewind to the initial delay");
     }
 
-    /// A probe loop driven by the schedule can never hang: spending a
-    /// reconnect budget of `n` attempts sleeps at most `n × max` of
+    /// A rebuild loop driven by the schedule can never hang: spending a
+    /// reconnect budget of `n` builds sleeps at most `n × max` of
     /// virtual time before the loop exits — which the recovery layer
     /// then converts into the typed
     /// [`ShuffleError::RetryBudgetExhausted`] rather than retrying

@@ -24,7 +24,9 @@ use std::sync::Arc;
 
 use common::{small_config, us, NODES, THREADS};
 use rshuffle_repro::engine::{run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport};
-use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
+use rshuffle_repro::rshuffle::{
+    EndpointImpl, Exchange, ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError,
+};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::FlowId;
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration, SimTime};
@@ -83,8 +85,8 @@ fn run_recovery_on(
     let runtime = config.build_runtime(DeviceProfile::edr());
     runtime.enable_audit();
     let run = coordinated::spawn(&runtime, &config, policy, ROWS_PER_THREAD).finish();
-    // Memory-budget hygiene across rebuilds: every exchange generation
-    // and every reconnect probe of a flow-tagged query must deregister
+    // Memory-budget hygiene across rebuilds: every exchange a
+    // flow-tagged query builds, failed builds included, must deregister
     // what it pinned, and the host storage behind it must go back to the
     // runtime — the attempts a recovery went through, failed ones
     // included, hold nothing once over.
@@ -183,7 +185,7 @@ fn partial_recovery_redoes_strictly_fewer_bytes_than_full_restart() {
         );
         assert!(
             partial.report.qp_reconnects >= 1,
-            "{algorithm}: the resume must be probe-gated"
+            "{algorithm}: the resumed build must count as a reconnect"
         );
         assert_eq!(
             partial.violations.len(),
@@ -251,9 +253,35 @@ fn a_failed_attempt_ends_within_25_us_of_its_first_error() {
 
 /// An untagged query's abandoned attempt gives its registered memory
 /// back before the retry is built: the query's registered peak under the
-/// outage is the fault-free one, not the sum of two attempts'.
+/// outage is the fault-free one, not the sum of two attempts'. So does a
+/// build that will not connect: inside an open QP-failure window it fails
+/// typed, names the node, and leaves nothing registered; a window scoped
+/// to RC leaves the UD designs buildable.
 #[test]
 fn an_abandoned_attempt_gives_back_its_registered_memory() {
+    for scope in [QpScope::All, QpScope::Rc] {
+        for algorithm in ShuffleAlgorithm::ALL {
+            let plan = FaultPlan::new().qp_failure_window(1, SimDuration::ZERO, us(150), scope);
+            let config = recovery_config(algorithm, plan);
+            let runtime = config.build_runtime(DeviceProfile::edr());
+            let built = Exchange::build(&runtime, &config);
+            let label = format!("{algorithm} under {scope:?}");
+            if scope == QpScope::Rc && algorithm.imp == EndpointImpl::SqSr {
+                assert!(built.is_ok(), "{label}: {:?}", built.err());
+                assert!(runtime.failed_qp_nodes().is_empty(), "{label}");
+                continue;
+            }
+            assert!(
+                matches!(built, Err(ShuffleError::Verbs(_))),
+                "{label}: expected a typed verbs error, got {:?}",
+                built.err()
+            );
+            assert_eq!(runtime.failed_qp_nodes(), vec![1], "{label}");
+            for node in 0..NODES {
+                assert_eq!(runtime.registered_bytes(node), 0, "{label}: node {node}");
+            }
+        }
+    }
     let peak = |plan: Option<FaultPlan>| {
         let config = small_config(ShuffleAlgorithm::MESQ_SR, plan);
         let (runtime, run) = run_recovery_on(config, partial_policy());
@@ -267,7 +295,7 @@ fn an_abandoned_attempt_gives_back_its_registered_memory() {
     assert_eq!(outage, healthy, "registered peak of two attempts");
 }
 
-/// Same-seed recovery runs — including the reconnect probes, backoff
+/// Same-seed recovery runs — including the failed rebuilds, backoff
 /// schedule and epoch bumps — must be byte-identical down to the
 /// metrics snapshot and Chrome trace.
 #[test]
@@ -377,8 +405,8 @@ fn exhausted_budgets_surface_typed_error_not_a_hang() {
 
 /// The same outage through the admission scheduler: a scheduled query
 /// contains it with partial retries (no full replay), re-enters
-/// admission once per rebuild, holds no slot or budget while it probes,
-/// and leaves nothing pinned.
+/// admission once per build, failed builds included, holds no slot or
+/// budget while it backs off, and leaves nothing pinned.
 #[test]
 fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
     let config = recovery_config(ShuffleAlgorithm::MEMQ_SR, qp_outage());
@@ -410,9 +438,11 @@ fn scheduled_query_contains_a_qp_outage_with_a_partial_retry() {
     );
     assert_eq!(report.full_restarts, 0, "contained without a full replay");
     assert_eq!(report.generation, 0);
+    // The first build, then one per reconnect: every later build
+    // follows the outage's QP failure.
     assert_eq!(
         handles[0].timing.lock().admissions,
-        report.partial_retries + 1,
+        report.qp_reconnects + 1,
         "one admission per exchange build"
     );
     let got = &delivered.into_sorted()[&0];
