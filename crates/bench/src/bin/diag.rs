@@ -13,8 +13,9 @@
 //! runs one shuffle — by default the benchmark's `bcast_rd_fdr16` shape,
 //! `MEMQ/RD 16 fdr broadcast 2 0` — with node `NODE`'s NIC pipeline and
 //! ports recording their reservations, and prints the busy share of each
-//! per sixteenth of the run and the NIC's work requests by kind; `all`
-//! prints one line per node, so a convoy or a late tail shows as one table.
+//! per sixteenth of the run and the NIC's work requests by kind and its
+//! QP-cache misses, per sixteenth too; `all` prints one line per node, so a
+//! convoy or a late tail shows as one table.
 //! `FAULT` selects a canned ride-out-able fault plan (`link-flap`,
 //! `link-degrade` or `straggler`) whose injection markers then appear on
 //! the hardware track of the exported trace; the active plan is echoed
@@ -137,8 +138,9 @@ fn dump_topology(mut args: Args) -> Result<(), String> {
 
 /// `diag --timeline`: the busy share of a node's NIC pipeline, egress
 /// and ingress port per sixteenth of one run, and its NIC work requests by
-/// kind, for one node or (`all`) every node. Reservations are kept only
-/// on this path; the run's virtual time is the same without them.
+/// kind and QP-cache misses (for one node per sixteenth too), for one node
+/// or (`all`) every node. Reservations and work requests are kept only on
+/// this path; the run's virtual time is the same without them.
 fn timeline(mut args: Args) -> Result<(), String> {
     let rd = (Transport::Rdma, ShuffleAlgorithm::MEMQ_RD);
     let (over, algorithm) = args.positional("ALGORITHM", transport)?.unwrap_or(rd);
@@ -194,28 +196,45 @@ fn timeline(mut args: Args) -> Result<(), String> {
         cfg.profile.name,
         r.response_time
     );
+    // A node's work requests by `WrKind::ALL` entry, then its QP-cache
+    // misses: per sixteenth of the run by arrival at the NIC, and in all.
+    let requests = |node: usize| -> ([[u64; 7]; 16], [u64; 7]) {
+        let (mut split, mut total) = ([[0; 7]; 16], [0; 7]);
+        for (at, kind, missed) in runtime.nic(node).recorded_requests() {
+            let k = ((at.as_nanos() * 16 / end.max(1)) as usize).min(15);
+            for counts in [&mut split[k], &mut total] {
+                counts[kind as usize] += 1;
+                counts[6] += u64::from(missed);
+            }
+        }
+        (split, total)
+    };
     let kinds = WrKind::ALL.map(|k| format!("{k:?}"));
+    let kinds: Vec<&str> = kinds.iter().map(String::as_str).chain(["misses"]).collect();
+    let head = kinds.iter().map(|k| format!("{k:>9}")).collect::<Vec<_>>();
+    let head = head.join(" ");
     if let [node] = watched[..] {
         let [egress, ingress] = runtime.cluster().fabric().recorded(node);
         let nic = runtime.nic(node).recorded();
         println!(
-            "{:>9} {:>9} {:>8} {:>8} {:>8}",
+            "{:>9} {:>9} {:>8} {:>8} {:>8} {head}",
             "from_us", "to_us", "nic", "egress", "ingress"
         );
         let [nic, egress, ingress] = [&nic, &egress, &ingress].map(|log| sixteenths(log));
-        let rows = nic.into_iter().zip(egress).zip(ingress);
-        for (((from, to, nic), (.., egress)), (.., ingress)) in rows {
+        let (split, total) = requests(node);
+        let rows = nic.into_iter().zip(egress).zip(ingress).zip(split);
+        for ((((from, to, nic), (.., egress)), (.., ingress)), counts) in rows {
+            let counts = counts.map(|n| format!("{n:>9}")).join(" ");
             println!(
-                "{:>9.1} {:>9.1} {nic:>7.1}% {egress:>7.1}% {ingress:>7.1}%",
+                "{:>9.1} {:>9.1} {nic:>7.1}% {egress:>7.1}% {ingress:>7.1}% {counts}",
                 from as f64 / 1e3,
                 to as f64 / 1e3,
             );
         }
-        let counts = runtime.nic(node).recorded_kinds();
-        let counts = kinds.iter().zip(counts).map(|(k, n)| format!("{k} {n}"));
+        let total = kinds.iter().zip(total).map(|(k, n)| format!("{k} {n}"));
         println!(
             "NIC work requests: {}",
-            counts.collect::<Vec<_>>().join(", ")
+            total.collect::<Vec<_>>().join(", ")
         );
         return Ok(());
     }
@@ -233,7 +252,6 @@ fn timeline(mut args: Args) -> Result<(), String> {
         "busy share per sixteenth of {}, in tenths (# from 95 %)",
         r.response_time
     );
-    let head = kinds.map(|k| format!("{k:>9}")).join(" ");
     println!(
         "{:>4} {:16} {:16} {:16} {head}",
         "node", "nic", "egress", "ingress"
@@ -241,11 +259,7 @@ fn timeline(mut args: Args) -> Result<(), String> {
     for node in watched {
         let [egress, ingress] = runtime.cluster().fabric().recorded(node);
         let nic = runtime.nic(node).recorded();
-        let counts = runtime
-            .nic(node)
-            .recorded_kinds()
-            .map(|n| format!("{n:>9}"))
-            .join(" ");
+        let counts = requests(node).1.map(|n| format!("{n:>9}")).join(" ");
         let ports = [strip(&nic), strip(&egress), strip(&ingress)].join(" ");
         println!("{node:>4} {ports} {counts}");
     }

@@ -698,11 +698,13 @@ pub(crate) struct RingProducer {
 }
 
 struct Producing {
-    /// Per peer: the ring's base once wired, and the producer cursor.
-    rings: Vec<(Option<RemoteAddr>, u64)>,
+    /// Per peer: the ring's base once wired, the producer cursor, the
+    /// releases its reader made, and the queue that closed it (`Depleted`).
+    rings: Vec<(Option<RemoteAddr>, u64, u64, Option<usize>)>,
     /// Per producing thread, one queue per ring in ring order: the thread,
-    /// the wire values (`value + 1`) waiting, and its writes unacknowledged.
-    queues: Vec<(SimThreadId, Vec<u64>, u32)>,
+    /// the wire values (`value + 1`) waiting, its writes unacknowledged, and
+    /// whether a `Depleted` one waits in it for the ring to open.
+    queues: Vec<(SimThreadId, Vec<u64>, u32, bool)>,
 }
 
 impl Producing {
@@ -727,13 +729,20 @@ impl Producing {
         ))
     }
 
+    /// Whether queue `q` has nothing to send: it is empty, or it holds a
+    /// `Depleted` announcement toward a ring not open yet.
+    fn idle(&self, q: usize) -> bool {
+        let (_, values, _, held) = &self.queues[q];
+        values.is_empty() || *held && self.rings[q % self.rings.len()].2 == 0
+    }
+
     /// Where `owner`'s queues start; made, sized from the ring, on its first call.
     fn lane(&mut self, owner: SimThreadId, cap: usize) -> usize {
         let rings = self.rings.len();
         match self.queues.iter().step_by(rings).position(|q| q.0 == owner) {
             Some(at) => at * rings,
             None => {
-                let queue = || (owner, Vec::with_capacity(cap.min(MAX_RUN)), 0);
+                let queue = || (owner, Vec::with_capacity(cap.min(MAX_RUN)), 0, false);
                 self.queues
                     .extend(std::iter::repeat_with(queue).take(rings));
                 self.queues.len() - rings
@@ -753,7 +762,7 @@ impl RingProducer {
             cap,
             coalesce,
             state: Mutex::new(Producing {
-                rings: vec![(None, 0); peers],
+                rings: vec![(None, 0, 0, None); peers],
                 queues: Vec::with_capacity(peers),
             }),
             inline: InlineWrites::register(ctx),
@@ -765,16 +774,16 @@ impl RingProducer {
     /// out of band. The [`SlotRings`] that owns the ring registered it with
     /// the auditor.
     pub(crate) fn wire(&self, i: usize, base: RemoteAddr, skip: u64) {
-        self.state.lock().rings[i] = (Some(base), skip);
+        self.state.lock().rings[i] = (Some(base), skip, 0, None);
     }
 
     /// Produces `value` into peer `i`'s ring from the calling thread; the
     /// auditor counts it now. Without coalescing it goes out at once, under
     /// whatever lock the caller holds. Else it queues while the thread's
     /// last write toward the ring is unacknowledged and the queue fills no
-    /// write, and otherwise the queue goes out under the post lock; a
-    /// `last` one (a `Depleted` send) goes out at once, behind every
-    /// thread's queue toward the ring.
+    /// write, and otherwise the queue goes out under the post lock. A
+    /// `last` one (a `Depleted` send) closes the ring: it goes out at once
+    /// if the ring is open, and else one that queues is held until it opens.
     pub(crate) fn announce(
         &self,
         sim: &SimContext,
@@ -783,7 +792,7 @@ impl RingProducer {
         value: u64,
         last: bool,
     ) -> Result<()> {
-        let (mine, queues, rings) = {
+        let mine = {
             let mut state = self.state.lock();
             let key = ring_key(&state.base(i)?);
             self.audit.ring_produced(key, sim.now().as_nanos());
@@ -793,15 +802,38 @@ impl RingProducer {
                 return self.inline.post(sim, half.qp(i), None, slot, &[value + 1]);
             }
             let mine = state.lane(sim.id(), self.cap) + i;
-            let (_, values, unacked) = &mut state.queues[mine];
+            let open = state.rings[i].2 > 0;
+            if last {
+                state.rings[i].3 = Some(mine);
+            }
+            let (_, values, unacked, held) = &mut state.queues[mine];
             values.push(value + 1);
-            if !last && *unacked > 0 && values.len() < MAX_RUN {
+            if *unacked > 0 && values.len() < MAX_RUN && !(last && open) {
+                *held |= last;
                 return Ok(());
             }
-            (mine, state.queues.len(), state.rings.len())
+            mine
         };
-        let others = (i..queues).step_by(rings).filter(|&q| last && q != mine);
-        self.flush(sim, half, others.chain([mine]))
+        self.flush(sim, half, [mine].into_iter())
+    }
+
+    /// Counts one entry peer `i`'s reader released: the first opens the ring
+    /// and sends the queue held there.
+    pub(crate) fn released(&self, sim: &SimContext, half: &RcHalf, i: usize) -> Result<()> {
+        let held = {
+            let ring = &mut self.state.lock().rings[i];
+            ring.2 += 1;
+            ring.3.filter(|_| ring.2 == 1)
+        };
+        self.flush(sim, half, held.into_iter())
+    }
+
+    /// Whether every wired ring is closed and some thread's queue is not
+    /// written yet: what the closing send waits out.
+    pub(crate) fn closing(&self) -> bool {
+        let state = self.state.lock();
+        let closed = state.rings.iter().all(|r| r.0.is_none() || r.3.is_some());
+        closed && state.queues.iter().any(|q| !q.1.is_empty())
     }
 
     /// The calling thread's queues toward peer `ring`, or toward every peer.
@@ -859,19 +891,24 @@ impl RingProducer {
         self.flush(sim, half, self.mine(sim, ring))
     }
 
-    /// Writes each of `queues` into its ring's next slots, under the post
-    /// lock unless all are empty: one RDMA Write per run of at most
-    /// [`MAX_RUN`] slots, split where the ring wraps.
+    /// Writes each of `queues` but an idle one into its ring's next slots, a
+    /// ring's closer behind every other queue there, under the post lock:
+    /// one RDMA Write per run of at most [`MAX_RUN`] slots, split at the wrap.
     fn flush(
         &self,
         sim: &SimContext,
         half: &RcHalf,
         queues: impl Iterator<Item = usize> + Clone,
     ) -> Result<()> {
-        if queues
-            .clone()
-            .all(|q| self.state.lock().queues[q].1.is_empty())
-        {
+        let order = |q: usize| {
+            let state = self.state.lock();
+            let rings = state.rings.len();
+            let others = (q % rings..state.queues.len()).step_by(rings);
+            let closer = state.rings[q % rings].3 == Some(q);
+            others.filter(move |&o| closer && o != q).chain([q])
+        };
+        let queues = queues.flat_map(order);
+        if queues.clone().all(|q| self.state.lock().idle(q)) {
             return Ok(());
         }
         let _posting = half.post_lock.lock(sim);
@@ -881,12 +918,12 @@ impl RingProducer {
                 let (i, slot, n) = {
                     let mut state = self.state.lock();
                     let i = q % state.rings.len();
-                    let want = state.queues[q].1.len().min(MAX_RUN);
-                    if want == 0 {
+                    if state.idle(q) {
                         break;
                     }
+                    let want = state.queues[q].1.len().min(MAX_RUN);
                     let (slot, n) = state.claim(i, self.cap, want)?;
-                    let (_, values, unacked) = &mut state.queues[q];
+                    let (_, values, unacked, _) = &mut state.queues[q];
                     run[..n].copy_from_slice(&values[..n]);
                     values.drain(..n);
                     // A saboteur may drop one run once its slots are
@@ -1418,8 +1455,10 @@ mod tests {
         assert_eq!(writes, 3, "1, then 2 and 3 as one, then 4");
     }
 
-    /// A `Depleted` send flushes the queue another thread left toward the
-    /// ring before its own announcement: that thread may never reap its ack.
+    /// A `Depleted` announcement toward a ring whose reader has released
+    /// nothing yet is held, through its own write's ack; the reader's first
+    /// release sends it, behind the queue another thread left toward the
+    /// ring. Toward an open ring it goes out at once.
     #[test]
     fn a_depleted_announcement_goes_out_behind_every_threads_queue() {
         let writes = on_node_1(
@@ -1430,14 +1469,25 @@ mod tests {
                     w.announce(sim, 2, false)
                 }),
                 Box::new(|w, sim| {
-                    w.announce(sim, 3, true)?;
+                    w.announce(sim, 3, false)?;
+                    w.announce(sim, 4, true)?;
+                    assert!(w.producer.closing());
                     sim.sleep(US(20));
-                    assert_eq!(w.drain(sim)?, [1, 2, 3]);
+                    assert!(w.reap(sim)?, "both first writes are acked");
+                    sim.sleep(US(20));
+                    assert_eq!(w.drain(sim)?, [1, 3, 2], "2 went out on its ack");
+                    w.producer.released(sim, &w.half, 0)?;
+                    sim.sleep(US(20));
+                    assert_eq!(w.drain(sim)?, [4], "sent as the ring opens");
+                    assert!(!w.producer.closing());
+                    w.announce(sim, 5, true)?;
+                    sim.sleep(US(20));
+                    assert_eq!(w.drain(sim)?, [5], "an open ring's goes out at once");
                     Ok(())
                 }),
             ],
         );
-        assert_eq!(writes, 3);
+        assert_eq!(writes, 5);
     }
 
     #[test]

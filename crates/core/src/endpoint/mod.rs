@@ -28,7 +28,7 @@
 //! | `Cq` (batched drain over pooled scratch) | all four | what one completion means |
 //! | `SendWindow` (registered pool + completions owed per window) | all four send halves | when a destination is done: send ack (`sr_*`), write ack (`wr_rc`), FreeArr release (`rd_rc`) |
 //! | `Watchdog` (deadline, typed stall, the exchange's `Abort`, credit-stall bracket) | all four | the readiness check and what to block on |
-//! | `SlotRings` / `RingProducer` / `InlineWrites` (per thread and ring, announcements queued behind the write in flight go out as one write when its ack is reaped, before the thread blocks, or on a `Depleted` send) | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant; whether it coalesces (`rd_rc`'s ValidArr) |
+//! | `SlotRings` / `RingProducer` / `InlineWrites` (per thread and ring, announcements queued behind the write in flight go out as one write when its ack is reaped, before the thread blocks, or on a `Depleted` send, unless that one queued toward a ring its reader has not released from yet: it waits for the first release) | `rd_rc`, `wr_rc` on both sides; `sr_rc` for the credit write | what a slot names: free buffer, filled buffer, grant; whether it coalesces (`rd_rc`'s ValidArr) |
 //! | `SourceBook` (per source by peer slot: received, declared, credit posted and written back; standing, the write-back decision, the audit hooks) | all four receive halves | when standing means done; where a repost goes and how owed credit travels |
 //! | `data_header`, `deliver`, `expect_success` | all four | the `counter` and `remote_addr` of its header, and the node a delivery names |
 //!

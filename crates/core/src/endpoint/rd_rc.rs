@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 use rshuffle_audit::RingKind;
-use rshuffle_simnet::{NodeId, Notify, SimContext, Waitable};
+use rshuffle_simnet::{Listener, NodeId, Notify, SimContext, Waitable};
 use rshuffle_verbs::{Completion, Context, MemoryRegion, QueuePair, RemoteAddr, WcOpcode};
 
 use crate::buffer::{Buffer, StreamState, HEADER_LEN};
@@ -148,19 +148,33 @@ impl RdRcSendEndpoint {
         }
     }
 
-    /// Scans the `FreeArr` rings for release notifications; a buffer is
-    /// recycled once every reader has released it. Returns whether any
-    /// notification was consumed.
+    /// Scans the `FreeArr` rings for releases: a buffer is recycled once every
+    /// reader has released it, and a reader's first release opens its ring.
+    /// Returns whether any was consumed.
     fn scan_free_arr(&self, sim: &SimContext) -> Result<bool> {
         let mut progress = false;
         for pi in 0..self.half.peers() {
             while let Some(offset) = self.free_arr.try_consume(sim, pi)? {
                 progress = true;
                 self.window.complete(sim, offset)?;
+                self.valid_rings.released(sim, &self.half, pi)?;
             }
         }
         self.obs.freearr_poll(sim, progress);
         Ok(progress)
+    }
+
+    /// Waits until `ready` yields, sending the calling thread's queues
+    /// before it parks: only announced buffers come back. A release landing
+    /// in `FreeArr` wakes every waiter; whoever scans first acts for all.
+    fn wait<T>(&self, sim: &SimContext, ready: impl FnMut() -> Result<Option<T>>) -> Result<T> {
+        let park = |released: Listener, abort: &dyn Waitable, deadline| {
+            self.valid_rings.flush_mine(sim, &self.half, None)?;
+            sim.wait_any(&[&released, abort], Some(deadline));
+            Ok(())
+        };
+        let watchdog = self.cfg.watchdog(sim, "waiting for FreeArr notifications");
+        watchdog.wait(sim, None, || self.free_arr.region().listen(), ready, park)
     }
 }
 
@@ -192,6 +206,17 @@ impl SendEndpoint for RdRcSendEndpoint {
                 self.valid_rings.acked(sim, &self.half, c.wr_id)
             })?;
         }
+        // The closing send waits until every queue is written: one held goes
+        // out as its ring opens, the rest went out ahead of their closer.
+        let closing = depleted && self.valid_rings.closing();
+        #[cfg(feature = "saboteur")]
+        let closing = closing && !crate::sabotage::take(crate::sabotage::Sabotage::SkipClosingWait);
+        if closing {
+            self.wait(sim, || {
+                self.scan_free_arr(sim)?;
+                Ok((!self.valid_rings.closing()).then_some(()))
+            })?;
+        }
         Ok(())
     }
 
@@ -200,29 +225,14 @@ impl SendEndpoint for RdRcSendEndpoint {
     }
 
     fn get_free(&self, sim: &SimContext) -> Result<Buffer> {
-        // Only a release landing in the FreeArr frees a buffer, and it
-        // wakes every waiter; whoever scans first recycles for all.
-        self.cfg
-            .watchdog(sim, "waiting for FreeArr notifications")
-            .wait(
-                sim,
-                None,
-                || self.free_arr.region().listen(),
-                || loop {
-                    if let Some(buf) = self.window.take(sim) {
-                        return Ok(Some(buf));
-                    }
-                    if !self.scan_free_arr(sim)? {
-                        return Ok(None);
-                    }
-                },
-                |released, abort, deadline| {
-                    // Only announced buffers come back.
-                    self.valid_rings.flush_mine(sim, &self.half, None)?;
-                    sim.wait_any(&[&released, abort], Some(deadline));
-                    Ok(())
-                },
-            )
+        self.wait(sim, || loop {
+            if let Some(buf) = self.window.take(sim) {
+                return Ok(Some(buf));
+            }
+            if !self.scan_free_arr(sim)? {
+                return Ok(None);
+            }
+        })
     }
 
     fn quiesce(&self, sim: &SimContext, dest: NodeId) -> Result<()> {
@@ -729,7 +739,18 @@ mod tests {
         Vec<RdRcSendEndpoint>,
         RdRcReceiveEndpoint,
     ) {
-        let runtime = config.build_runtime(profile);
+        wire_fan_in(config.build_runtime(profile), config)
+    }
+
+    /// [`wired_fan_in`] on `runtime`, which may carry an auditor.
+    fn wire_fan_in(
+        runtime: Arc<VerbsRuntime>,
+        config: &ExchangeConfig,
+    ) -> (
+        Arc<VerbsRuntime>,
+        Vec<RdRcSendEndpoint>,
+        RdRcReceiveEndpoint,
+    ) {
         let params = config.params(runtime.profile());
         let sources: Vec<NodeId> = (1..config.groups.len()).collect();
         let recv = RdRcReceiveEndpoint::new(
@@ -834,6 +855,65 @@ mod tests {
             "{most} in flight, {depths:?}"
         );
         assert_eq!(recv.state.lock().open, 0, "every source declared");
+    }
+
+    /// Two non-closing threads of an SE lane exit with an announcement
+    /// queued behind their write in flight, and the closer's `Depleted`
+    /// one is held: its ring's reader has released nothing yet. The closing
+    /// send waits for that first release, which sends every queue, the
+    /// closer's last; every message arrives and the auditor finds nothing.
+    #[test]
+    fn threads_that_are_not_the_closer_may_exit_with_held_announcements() {
+        let config = ExchangeConfig::repartition(ShuffleAlgorithm::SEMQ_RD, 2, 3);
+        let runtime = config.build_runtime(DeviceProfile::fdr());
+        let auditor = runtime.enable_audit();
+        let (runtime, mut sends, recv) = wire_fan_in(runtime, &config);
+        let send = Arc::new(sends.remove(0));
+        // When the closing send returned, and when the first release and
+        // the `Depleted` delivery happened.
+        let times = Arc::new(Mutex::new((0, Vec::with_capacity(2))));
+        for closer in [false, false, true] {
+            let (send, times) = (send.clone(), times.clone());
+            runtime.cluster().spawn(1, "sender", move |sim| {
+                for state in [StreamState::MoreData, StreamState::Depleted] {
+                    let Ok(mut buf) = send.get_free(&sim) else {
+                        panic!("a free buffer");
+                    };
+                    assert!(buf.push(&[7; 64]).is_ok());
+                    let state = if closer { state } else { StreamState::MoreData };
+                    assert!(send.send(&sim, buf, &[0], state).is_ok());
+                }
+                if closer {
+                    times.lock().0 = sim.now().as_nanos();
+                } else {
+                    assert!(send.valid_rings.waiting(&sim), "it exits with one queued");
+                }
+            });
+        }
+        let (out, seen) = (times.clone(), Arc::new(Mutex::new(0)));
+        let delivered = seen.clone();
+        runtime.cluster().spawn(0, "receiver", move |sim| {
+            while let Ok(Some(delivery)) = recv.get_data(&sim) {
+                *delivered.lock() += 1;
+                let depleted = delivery.state == StreamState::Depleted;
+                assert!(recv.release(&sim, delivery).is_ok());
+                let mut times = out.lock();
+                if times.1.is_empty() || depleted {
+                    times.1.push(sim.now().as_nanos());
+                }
+            }
+        });
+        runtime.cluster().run();
+        assert_eq!(*seen.lock(), 6, "every message arrives");
+        let (closed, ref at) = *times.lock();
+        assert_eq!(at.len(), 2, "{at:?}");
+        assert!(
+            at[0] < closed && at[0] < at[1],
+            "held until {at:?}, closed at {closed}"
+        );
+        assert!(!send.valid_rings.closing());
+        assert_eq!(auditor.violations(), []);
+        assert_eq!(auditor.finalize(true), []);
     }
 
     /// Two nodes at 4 KiB keep today's depth: the one source takes every

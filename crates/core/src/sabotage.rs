@@ -47,6 +47,9 @@ pub enum Sabotage {
     /// so no receiver need stall; the producer counted each announcement
     /// when it queued, so finalize names the ring imbalance.
     StrandAnnouncementQueue = 6,
+    /// Return from the RDMA Read design's closing `Depleted` send without
+    /// its wait: a queue held toward an unopened ring is never written.
+    SkipClosingWait = 7,
 }
 
 /// Currently armed saboteur, encoded as `discriminant + 1` (0 = none).

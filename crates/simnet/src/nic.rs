@@ -366,9 +366,10 @@ struct NicObs {
     work_requests: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    /// Work requests by [`WrKind`] since [`NicModel::record`]; `None` (the
-    /// default) counts nothing.
-    kinds: Option<[u64; 6]>,
+    /// Each work request since [`NicModel::record`]: when it reached the
+    /// NIC, its kind, and whether it missed the QP-context cache. `None`
+    /// (the default) keeps nothing.
+    requests: Option<Vec<(SimTime, WrKind, bool)>>,
 }
 
 impl NicObs {
@@ -378,7 +379,7 @@ impl NicObs {
             work_requests: obs.metrics.counter(names::NIC_WORK_REQUESTS, labels),
             cache_hits: obs.metrics.counter(names::NIC_QP_CACHE_HITS, labels),
             cache_misses: obs.metrics.counter(names::NIC_QP_CACHE_MISSES, labels),
-            kinds: None,
+            requests: None,
             obs,
             node,
         }
@@ -476,8 +477,8 @@ impl NicModel {
         {
             let mut o = self.obs.lock();
             o.work_requests.inc();
-            if let Some(kinds) = &mut o.kinds {
-                kinds[kind as usize] += 1;
+            if let Some(requests) = &mut o.requests {
+                requests.push((at, kind, !hit));
             }
             if hit {
                 o.cache_hits.inc();
@@ -501,15 +502,16 @@ impl NicModel {
     }
 
     /// Keeps the pipeline's reservations ([`FairResource::record`]) and
-    /// counts work requests by kind from now on.
+    /// every work request's arrival, kind and cache miss from now on.
     pub fn record(&self) {
         self.pipe.lock().record();
-        self.obs.lock().kinds.get_or_insert([0; 6]);
+        self.obs.lock().requests.get_or_insert_with(Vec::new);
     }
 
-    /// Work requests per [`WrKind::ALL`] entry since [`NicModel::record`].
-    pub fn recorded_kinds(&self) -> [u64; 6] {
-        self.obs.lock().kinds.unwrap_or_default()
+    /// Each work request since [`NicModel::record`]: `(arrival, kind, missed
+    /// the QP-context cache)`, in arrival order at the NIC.
+    pub fn recorded_requests(&self) -> Vec<(SimTime, WrKind, bool)> {
+        self.obs.lock().requests.clone().unwrap_or_default()
     }
 
     /// The pipeline's busy intervals since [`NicModel::record`].
@@ -546,20 +548,29 @@ mod tests {
         NicModel::new(&DeviceProfile::fdr())
     }
 
-    /// Work requests are counted by kind only once recording is on, and
-    /// counting leaves every completion time as it was.
+    /// Work requests are kept, with their kind and cache miss, only once
+    /// recording is on, and keeping them leaves every completion time as it
+    /// was.
     #[test]
-    fn recording_counts_work_requests_by_kind_and_times_nothing() {
+    fn recording_keeps_work_requests_by_kind_and_times_nothing() {
         let (plain, recording) = (nic(), nic());
         recording.process(SimTime::ZERO, 1, WrKind::Read);
-        assert_eq!(recording.recorded_kinds(), [0; 6], "not recording yet");
+        assert_eq!(recording.recorded_requests(), [], "not recording yet");
         plain.process(SimTime::ZERO, 1, WrKind::Read);
         recording.record();
+        let at = SimTime::from_nanos(10_000);
         for kind in [WrKind::Read, WrKind::RemoteDma, WrKind::Read] {
-            let at = SimTime::from_nanos(10_000);
             assert_eq!(plain.process(at, 2, kind), recording.process(at, 2, kind));
         }
-        assert_eq!(recording.recorded_kinds(), [0, 0, 2, 0, 0, 1]);
+        let kept = [
+            (WrKind::Read, true),
+            (WrKind::RemoteDma, false),
+            (WrKind::Read, false),
+        ];
+        assert_eq!(
+            recording.recorded_requests(),
+            kept.map(|(k, miss)| (at, k, miss))
+        );
         assert_eq!(WrKind::ALL[WrKind::RemoteDma as usize], WrKind::RemoteDma);
     }
 

@@ -515,18 +515,21 @@ impl VerbsRuntime {
 
     /// Deregisters every memory region registered between the marks
     /// `built.0` and `built.1`, without charging virtual time (see
-    /// [`VerbsRuntime::deregister_untimed`]), and drops the receives still
-    /// posted on every Queue Pair created between them, which name those
-    /// regions. Returns the number of bytes released cluster-wide. What
-    /// one builder creates without yielding lies between two marks it
-    /// takes, tagged or not.
+    /// [`VerbsRuntime::deregister_untimed`]), and drops every Queue Pair
+    /// created between them from the QP table, with the receives still
+    /// posted on it, which name those regions. A Send that arrives for a
+    /// dropped QP is counted unmatched. Returns the number of bytes released
+    /// cluster-wide. What one builder creates without yielding lies between
+    /// two marks it takes, tagged or not.
     pub fn deregister_built(&self, built: (ResourceMark, ResourceMark)) -> usize {
         let (from, to) = built;
-        for qp in self.qps.lock().values() {
-            if (from.qpn..to.qpn).contains(&qp.qpn.0) {
+        self.qps.lock().retain(|_, qp| {
+            let dropped = (from.qpn..to.qpn).contains(&qp.qpn.0);
+            if dropped {
                 qp.recv_queue.lock().clear();
             }
-        }
+            !dropped
+        });
         let mut freed = 0;
         for rkey in from.rkey..to.rkey {
             if let Some(mr) = self.lookup_mr(rkey) {
@@ -681,7 +684,7 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConnectionManager, RecvWr};
+    use crate::{ConnectionManager, RecvWr, SendWr};
     use rshuffle_simnet::Cluster;
 
     fn runtime() -> Arc<VerbsRuntime> {
@@ -731,6 +734,42 @@ mod tests {
         assert_eq!(qp.posted_receives(), 0, "no receive names it any more");
         rt.deregister_untimed(&before);
         assert_eq!((rt.registered_bytes(0), rt.resident_bytes(0)), (0, 0));
+    }
+
+    /// A released build's Queue Pairs leave the QP table, and a Send that
+    /// arrives for one later is counted unmatched, not a panic.
+    #[test]
+    fn a_released_builds_queue_pairs_are_gone() {
+        let rt = runtime();
+        let (ctx0, ctx1) = (rt.context(0), rt.context(1));
+        let cq0 = ctx0.create_cq();
+        let sender = ctx0.create_qp(QpType::Ud, cq0.clone(), cq0);
+        let from = rt.mark();
+        let cq1 = ctx1.create_cq();
+        let built = ctx1.create_qp(QpType::Ud, cq1.clone(), cq1);
+        let built_qpn = built.address_handle().qpn;
+        assert_eq!(rt.deregister_built((from, rt.mark())), 0);
+        assert!(rt.lookup_qp(1, built_qpn).is_none(), "the built QP is gone");
+        assert!(rt.lookup_qp(0, sender.address_handle().qpn).is_some());
+        ConnectionManager::activate_untimed(&sender, None).unwrap();
+        let mr = ctx0.register_untimed(64);
+        let inner = sender.clone();
+        let to = built.address_handle();
+        rt.cluster().spawn(0, "sender", move |sim| {
+            let wr = SendWr {
+                wr_id: 1,
+                mr,
+                offset: 0,
+                len: 64,
+                imm: None,
+                ah: Some(to),
+            };
+            let sent = inner.post_send(&sim, wr);
+            assert!(sent.is_ok(), "{sent:?}");
+        });
+        rt.cluster().run();
+        let unmatched = rt.obs().metrics.counter_total(names::VERBS_UD_UNMATCHED);
+        assert_eq!(unmatched, 1);
     }
 
     #[test]

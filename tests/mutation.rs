@@ -7,8 +7,8 @@
 //! (`crates/core/src/sabotage.rs` documents each), so this suite is a
 //! living proof that the invariant checks are sharp enough to see one
 //! skipped write-back, one dropped ring announcement, one stranded
-//! announcement queue, one off-by-one `Depleted` counter, one message after
-//! `Depleted` and one double grant.
+//! announcement queue, one skipped closing wait, one off-by-one `Depleted`
+//! counter, one message after `Depleted` and one double grant.
 #![cfg(feature = "saboteur")]
 
 #[path = "common/coordinated.rs"]
@@ -111,21 +111,23 @@ fn skipped_credit_writeback_is_named() {
 #[test]
 fn dropped_valid_arr_update_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let (run, _, auditor) = run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::DropValidArrUpdate);
-    assert!(
-        run.report.failure.is_some(),
-        "a dropped ValidArr entry must stall the query, not pass silently \
-         ({} rows delivered)",
-        delivered(&run)
-    );
-    // The attempt was torn down mid-stream, so audit against the
-    // clean-termination invariants deliberately: the stranded entry is
-    // exactly a producer/consumer imbalance.
-    let found = codes(&auditor.finalize(true));
-    assert!(
-        found.contains(&"ring_imbalance"),
-        "dropped ValidArr update must surface as ring_imbalance, got {found:?}"
-    );
+    for algorithm in [ShuffleAlgorithm::MEMQ_RD, ShuffleAlgorithm::SEMQ_RD] {
+        let (run, _, auditor) = run_sabotaged(algorithm, Sabotage::DropValidArrUpdate);
+        assert!(
+            run.report.failure.is_some(),
+            "{algorithm}: a dropped ValidArr entry must stall the query, not pass \
+             silently ({} rows delivered)",
+            delivered(&run)
+        );
+        // The attempt was torn down mid-stream, so audit against the
+        // clean-termination invariants deliberately: the stranded entry is
+        // exactly a producer/consumer imbalance.
+        let found = codes(&auditor.finalize(true));
+        assert!(
+            found.contains(&"ring_imbalance"),
+            "{algorithm}: dropped ValidArr update must surface as ring_imbalance, got {found:?}"
+        );
+    }
 }
 
 /// Stranding one ValidArr queue — dropping what waited behind a write in
@@ -136,16 +138,41 @@ fn dropped_valid_arr_update_is_named() {
 #[test]
 fn stranded_announcement_queue_is_named() {
     let _guard = SABOTAGE_LOCK.lock();
-    let (run, _, auditor) =
-        run_sabotaged(ShuffleAlgorithm::MEMQ_RD, Sabotage::StrandAnnouncementQueue);
-    let found = codes(&auditor.finalize(true));
-    assert!(
-        found.contains(&"ring_imbalance"),
-        "a stranded ValidArr queue must surface as ring_imbalance, got {found:?} \
-         (run: {:?}, {} rows delivered)",
-        run.report.failure,
-        delivered(&run)
-    );
+    for algorithm in [ShuffleAlgorithm::MEMQ_RD, ShuffleAlgorithm::SEMQ_RD] {
+        let (run, _, auditor) = run_sabotaged(algorithm, Sabotage::StrandAnnouncementQueue);
+        let found = codes(&auditor.finalize(true));
+        assert!(
+            found.contains(&"ring_imbalance"),
+            "{algorithm}: a stranded ValidArr queue must surface as ring_imbalance, got \
+             {found:?} (run: {:?}, {} rows delivered)",
+            run.report.failure,
+            delivered(&run)
+        );
+    }
+}
+
+/// A closing `Depleted` send that returns without its wait leaves the queue
+/// held toward a ring its reader has not opened unwritten: that reader
+/// never sees the source's `Depleted` announcement, its watchdog fires, and
+/// finalize names the announcements the producer counted but nobody
+/// consumed.
+#[test]
+fn skipped_closing_wait_is_named() {
+    let _guard = SABOTAGE_LOCK.lock();
+    for algorithm in [ShuffleAlgorithm::MEMQ_RD, ShuffleAlgorithm::SEMQ_RD] {
+        let (run, _, auditor) = run_sabotaged(algorithm, Sabotage::SkipClosingWait);
+        assert!(
+            run.report.failure.is_some(),
+            "{algorithm}: a skipped closing wait must stall the query, not pass silently \
+             ({} rows delivered)",
+            delivered(&run)
+        );
+        let found = codes(&auditor.finalize(true));
+        assert!(
+            found.contains(&"ring_imbalance"),
+            "{algorithm}: a skipped closing wait must surface as ring_imbalance, got {found:?}"
+        );
+    }
 }
 
 /// Announcing a `Depleted` counter one below the truth makes a receiver
