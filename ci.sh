@@ -272,6 +272,17 @@ bench_bin() {
 bench_bin bench chaos
 bench_bin bench chaos --smoke
 
+# `diag --timeline` records each watched node's NIC pipeline and ports;
+# recording must time nothing, so its response equals shufflebench's for
+# the same shape. (awk reads to the end: diag dies of SIGPIPE otherwise.)
+response() { awk '/response / && !done { sub(/.*response /, ""); sub(/[,)].*/, ""); print; done = 1 }'; }
+traced=$(bench_bin diag --timeline MEMQ/RD 4 fdr broadcast 1 all | response)
+plain=$(bench_bin shufflebench --profile fdr --nodes 4 --algorithm MEMQ/RD --pattern broadcast --mib 1 | response)
+if [ -z "$plain" ] || [ "$traced" != "$plain" ]; then
+  echo "ERROR: diag --timeline answered '$traced', shufflebench '$plain': recording moved virtual time" >&2
+  exit 1
+fi
+
 # One host thread: simulated threads are fibers (crates/simnet/src/fiber.rs).
 # An OS thread per simulated thread must not come back through a side door.
 if grep -rn 'thread::Builder\|thread::spawn' crates/simnet/src; then

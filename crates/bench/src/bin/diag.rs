@@ -9,9 +9,10 @@
 //! fabric layout; `diag --phases [NODES] [THETA]` dumps the phase
 //! schedule (per-phase byte totals, exempted sources) together with the
 //! advisor's signal→decision table for the same shape.
-//! `diag --timeline [ALGORITHM] [NODES] [PROFILE] [PATTERN] [MIB] [NODE|all]`
-//! runs one shuffle — by default the benchmark's `bcast_rd_fdr16` shape,
-//! `MEMQ/RD 16 fdr broadcast 2 0` — with node `NODE`'s NIC pipeline and
+//! `diag --timeline [ALGORITHM] [NODES] [PROFILE] [PATTERN] [MIB] [NODE|all]
+//! [MSG_KIB] [THREADS]` runs one shuffle — by default the benchmark's
+//! `bcast_rd_fdr16` shape, `MEMQ/RD 16 fdr broadcast 2 0`, at the profile's
+//! message size and threads — with node `NODE`'s NIC pipeline and
 //! ports recording their reservations, and prints the busy share of each
 //! per sixteenth of the run and the NIC's work requests by kind and its
 //! QP-cache misses, per sixteenth too; `all` prints one line per node, so a
@@ -44,7 +45,8 @@ use rshuffle_verbs::FaultPlan;
 const USAGE: &str = "diag [ALGORITHM] [NODES] [TRACE_PATH] [link-flap|link-degrade|straggler]
        diag --topology [NODES] [OVERSUB] [HOSTS_PER_LEAF]
        diag --phases [NODES] [THETA]
-       diag --timeline [ALGORITHM] [NODES] [fdr|edr] [repartition|broadcast] [MIB] [NODE|all]";
+       diag --timeline [ALGORITHM] [NODES] [fdr|edr] [repartition|broadcast] [MIB] [NODE|all]
+                       [MSG_KIB] [THREADS]";
 
 /// Canned fault plans selectable by name. Diagnostic runs drive the
 /// exchange without the `run_shuffle_with_recovery` coordinator, so only
@@ -154,6 +156,8 @@ fn timeline(mut args: Args) -> Result<(), String> {
         "all" => Some(None),
         n => value(n).map(Some),
     })?;
+    let msg_kib: Option<usize> = args.positional("MSG_KIB", value)?;
+    let threads = args.positional("THREADS", value)?;
     args.finish()?;
     let watched: Vec<usize> = match node.unwrap_or(Some(0)) {
         Some(node) if node >= nodes => {
@@ -165,6 +169,9 @@ fn timeline(mut args: Args) -> Result<(), String> {
     let mut cfg = WorkloadConfig::new(profile.unwrap_or_else(DeviceProfile::fdr), nodes, algorithm);
     (cfg.transport, cfg.bytes_per_node) = (over, mib << 20);
     cfg.set_pattern(shape);
+    let exchange = &mut cfg.exchange;
+    exchange.message_size = msg_kib.map_or(exchange.message_size, |kib| kib << 10);
+    exchange.threads = threads.unwrap_or(exchange.threads);
     let runtime = workload_runtime(&cfg);
     for &node in &watched {
         runtime.nic(node).record();
@@ -191,9 +198,11 @@ fn timeline(mut args: Args) -> Result<(), String> {
         _ => "every node".to_string(),
     };
     println!(
-        "{}, {nodes} {} nodes, {shape:?}, {mib} MiB/node: response {}, {which}",
+        "{}, {nodes} {} nodes x {} threads, {shape:?}, {mib} MiB/node, msg {} KiB: response {}, {which}",
         cfg.design(),
         cfg.profile.name,
+        cfg.exchange.threads,
+        cfg.exchange.message_size >> 10,
         r.response_time
     );
     // A node's work requests by `WrKind::ALL` entry, then its QP-cache

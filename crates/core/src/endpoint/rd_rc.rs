@@ -32,6 +32,7 @@ use crate::endpoint::{
     SendObs,
 };
 use crate::error::{Result, ShuffleError};
+use crate::group::rotation;
 use crate::operator::CostModel;
 
 /// What either half pins toward `peers` peers: a pool of
@@ -338,10 +339,11 @@ impl RdRcReceiveEndpoint {
 
     /// Issues RDMA Reads for every announced buffer that has a local buffer
     /// available, up to the read depth per source (Algorithm 3, GETDATA
-    /// lines 19–24).
+    /// lines 19–24), walking the sources from after this node as a sender
+    /// walks its receivers.
     fn issue_reads(&self, sim: &SimContext) -> Result<()> {
         let mut issued = 0u64;
-        for si in 0..self.half.peers() {
+        for si in rotation(sim.node(), self.half.peers()) {
             loop {
                 let (remote, len, local_buf) = {
                     let mut st = self.state.lock();
@@ -545,7 +547,11 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
         self.half
             .audit
             .released(buf_id(&delivery.local), sim.now().as_nanos());
-        self.push_free(sim, si, delivery.remote)?;
+        // The source sends nothing after its `Depleted`: the buffer that
+        // carried it is not handed back.
+        if delivery.state != StreamState::Depleted {
+            self.push_free(sim, si, delivery.remote)?;
+        }
         self.requeue_local(si, delivery.local);
         Ok(())
     }
@@ -556,10 +562,11 @@ impl ReceiveEndpoint for RdRcReceiveEndpoint {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::sync::Arc;
 
     use rshuffle_obs::{EventKind, Record};
+    use rshuffle_simnet::nic::WrKind;
     use rshuffle_simnet::{DeviceProfile, SimDuration};
     use rshuffle_verbs::{ConnectionManager, VerbsRuntime};
 
@@ -914,6 +921,135 @@ mod tests {
         assert!(!send.valid_rings.closing());
         assert_eq!(auditor.violations(), []);
         assert_eq!(auditor.finalize(true), []);
+    }
+
+    /// On every lane `e` of an audited two-node `algorithm` exchange on FDR
+    /// (three threads a node), node 1 sends node 0 a short stream of
+    /// `messages` 64-byte messages tagged `16 e + m`, the last `Depleted`,
+    /// for one and for two messages; node 0 receives and releases each.
+    /// Every message arrives once, every closing send returns, the auditor
+    /// finds nothing, and each release but the `Depleted` carrier's writes
+    /// one entry back: node 0 sends nothing, so its NIC's RDMA Writes are
+    /// the entries node 1's FreeArr or grant rings take.
+    pub(crate) fn check_short_streams(algorithm: ShuffleAlgorithm) {
+        let lanes = algorithm.endpoints(3);
+        for messages in [1, 2] {
+            let at = format!("{algorithm}, {messages} a lane");
+            let config = ExchangeConfig::repartition(algorithm, 2, 3);
+            let runtime = config.build_runtime(DeviceProfile::fdr());
+            let auditor = runtime.enable_audit();
+            let Ok(exchange) = Exchange::build(&runtime, &config) else {
+                panic!("{at}: the exchange builds");
+            };
+            runtime.nic(0).record();
+            let closed = Arc::new(Mutex::new(0));
+            for (e, send) in exchange.send[1].iter().enumerate() {
+                let (send, closed) = (send.clone(), closed.clone());
+                runtime.cluster().spawn(1, "sender", move |sim| {
+                    for m in 0..messages {
+                        let Ok(mut buf) = send.get_free(&sim) else {
+                            panic!("lane {e} has a free buffer");
+                        };
+                        assert!(buf.push(&[16 * e as u8 + m; 64]).is_ok());
+                        let state = match m + 1 == messages {
+                            true => StreamState::Depleted,
+                            false => StreamState::MoreData,
+                        };
+                        assert!(send.send(&sim, buf, &[0], state).is_ok());
+                    }
+                    *closed.lock() += 1;
+                });
+            }
+            let seen = Arc::new(Mutex::new(Vec::with_capacity(6)));
+            for recv in &exchange.recv[0] {
+                let (recv, out) = (recv.clone(), seen.clone());
+                runtime.cluster().spawn(0, "receiver", move |sim| {
+                    while let Ok(Some(d)) = recv.get_data(&sim) {
+                        let tag = d.local.with_payload(|p| p[0]);
+                        out.lock().push((tag.unwrap_or(u8::MAX), d.state));
+                        assert!(recv.release(&sim, d).is_ok());
+                    }
+                });
+            }
+            runtime.cluster().run();
+            let mut delivered = std::mem::take(&mut *seen.lock());
+            delivered.sort_unstable_by_key(|d| d.0);
+            let tags: Vec<u8> = delivered.iter().map(|d| d.0).collect();
+            let expected: Vec<u8> = (0..lanes as u8)
+                .flat_map(|e| (0..messages).map(move |m| 16 * e + m))
+                .collect();
+            assert_eq!(tags, expected, "{at}: exactly once");
+            let states = delivered.iter().map(|d| d.1);
+            let depleted = states.filter(|&s| s == StreamState::Depleted).count();
+            assert_eq!(depleted, lanes, "{at}");
+            assert_eq!(*closed.lock(), lanes, "{at}: closing sends");
+            let requests = runtime.nic(0).recorded_requests();
+            let written_back = requests.iter().filter(|r| r.1 == WrKind::Write).count();
+            assert_eq!(
+                written_back,
+                delivered.len() - depleted,
+                "{at}: written back"
+            );
+            assert_eq!(auditor.violations(), [], "{at}");
+            assert_eq!(auditor.finalize(true), [], "{at}");
+        }
+    }
+
+    /// The release of a `Depleted` carrier writes nothing into FreeArr, the
+    /// release before it still does, and the short stream still closes.
+    #[test]
+    fn the_depleted_carrier_is_not_handed_back() {
+        check_short_streams(ShuffleAlgorithm::MEMQ_RD);
+        check_short_streams(ShuffleAlgorithm::SEMQ_RD);
+    }
+
+    /// The sources node `reader` of an `algorithm` repartition over four
+    /// EDR nodes delivers from, in order, when every other node announced
+    /// one message before its reader starts.
+    pub(crate) fn delivery_order(algorithm: ShuffleAlgorithm, reader: NodeId) -> Vec<NodeId> {
+        let config = ExchangeConfig::repartition(algorithm, 4, 1);
+        let runtime = config.build_runtime(DeviceProfile::edr());
+        let Ok(exchange) = Exchange::build(&runtime, &config) else {
+            panic!("the exchange builds");
+        };
+        for node in (0..4).filter(|&n| n != reader) {
+            let send = exchange.send[node][0].clone();
+            runtime.cluster().spawn(node, "sender", move |sim| {
+                let Ok(mut buf) = send.get_free(&sim) else {
+                    panic!("node {node} has a free buffer");
+                };
+                assert!(buf.push(&[7; 64]).is_ok());
+                let sent = send.send(&sim, buf, &[reader], StreamState::Depleted);
+                assert!(sent.is_ok());
+            });
+        }
+        let recv = exchange.recv[reader][0].clone();
+        let order = Arc::new(Mutex::new(Vec::with_capacity(3)));
+        let out = order.clone();
+        runtime.cluster().spawn(reader, "receiver", move |sim| {
+            sim.sleep(SimDuration::from_micros(100));
+            while let Ok(Some(d)) = recv.get_data(&sim) {
+                out.lock().push(d.src);
+                assert!(recv.release(&sim, d).is_ok());
+            }
+        });
+        runtime.cluster().run();
+        let order = std::mem::take(&mut *order.lock());
+        order
+    }
+
+    /// The twin of the senders' rotation: node `k`'s reader walks its
+    /// sources from node `k + 1` round, so its first Read goes there.
+    #[test]
+    fn each_reader_starts_its_reads_after_its_node() {
+        for k in 0..4 {
+            let expected: Vec<NodeId> = (1..4).map(|d| (k + d) % 4).collect();
+            assert_eq!(
+                delivery_order(ShuffleAlgorithm::MEMQ_RD, k),
+                expected,
+                "node {k}"
+            );
+        }
     }
 
     /// Two nodes at 4 KiB keep today's depth: the one source takes every

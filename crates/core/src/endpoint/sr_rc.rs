@@ -352,9 +352,9 @@ impl SrRcReceiveEndpoint {
     fn recycle_slot(&self, sim: &SimContext, si: usize, local: &Buffer) -> Result<()> {
         if self.book.declared(si) {
             // The source announced end-of-stream on this connection: no
-            // further Send can arrive, so reposting a receive and writing
-            // back credit would be pure tail overhead whose completions
-            // `finish_ctrl` would then have to sit out at end of stream.
+            // further Send can arrive, so nothing goes back to it (nor in
+            // `rd_rc` or `wr_rc`): a reposted receive and a credit write
+            // would be tail overhead that `finish_ctrl` has to sit out.
             return Ok(());
         }
         // Repost the buffer on the connection it came from.

@@ -28,6 +28,7 @@ use crate::endpoint::{
     SendObs,
 };
 use crate::error::{Result, ShuffleError};
+use crate::group::rotation;
 
 /// What either half pins toward `peers` peers: `buffers_per_peer` windows
 /// per peer (staging buffers at the sender, the data buffers senders
@@ -214,9 +215,9 @@ impl WrRcReceiveEndpoint {
         }
     }
 
-    /// Re-grants the (receiver-owned) buffer at `offset` to the sender
-    /// behind source slot `si`.
-    fn grant_back(&self, sim: &SimContext, si: usize, offset: u64) -> Result<()> {
+    /// Takes the (receiver-owned) buffer at `offset` back and, if `grant`,
+    /// re-grants it to the sender behind source slot `si`.
+    fn grant_back(&self, sim: &SimContext, si: usize, offset: u64, grant: bool) -> Result<()> {
         let id = BufId {
             rkey: self.pool_mr.rkey(),
             offset,
@@ -225,7 +226,9 @@ impl WrRcReceiveEndpoint {
         // The sender may overwrite the buffer from here on: what it holds
         // is dead, and its storage goes back to the runtime.
         self.pool_mr.discard(offset as usize, self.cfg.message_size);
-        (self.grant_rings).announce(sim, &self.half, si, offset, false)?;
+        if grant {
+            (self.grant_rings).announce(sim, &self.half, si, offset, false)?;
+        }
         // Keep the control CQ bounded, checking every grant-write ack
         // instead of swallowing them.
         if self.ctrl_cq.depth() > 16 {
@@ -235,9 +238,10 @@ impl WrRcReceiveEndpoint {
         Ok(())
     }
 
-    /// Scans the `ValidArr` rings for an announced buffer.
+    /// Scans the `ValidArr` rings for an announced buffer, from the source
+    /// after this node round.
     fn scan_valid_arr(&self, sim: &SimContext) -> Result<Option<Delivery>> {
-        for si in 0..self.half.peers() {
+        for si in rotation(sim.node(), self.half.peers()) {
             let Some(offset) = self.valid_arr.try_consume(sim, si)? else {
                 continue;
             };
@@ -260,7 +264,7 @@ impl WrRcReceiveEndpoint {
                 self.half
                     .audit
                     .delivered(buf_id(&buf), sim.now().as_nanos());
-                self.grant_back(sim, si, offset)?;
+                self.grant_back(sim, si, offset, true)?;
                 continue;
             }
             if header.state == StreamState::Depleted {
@@ -330,14 +334,43 @@ impl ReceiveEndpoint for WrRcReceiveEndpoint {
 
     fn release(&self, sim: &SimContext, delivery: Delivery) -> Result<()> {
         let si = self.half.index_of(delivery.src)?;
+        // The source writes nothing after its `Depleted`: no grant for the
+        // buffer that carried it.
+        let grant = delivery.state != StreamState::Depleted;
         #[cfg(feature = "saboteur")]
         if crate::sabotage::take(crate::sabotage::Sabotage::DoubleGrant) {
-            self.grant_back(sim, si, delivery.remote)?;
+            self.grant_back(sim, si, delivery.remote, grant)?;
         }
-        self.grant_back(sim, si, delivery.remote)
+        self.grant_back(sim, si, delivery.remote, grant)
     }
 
     fn bytes_received(&self) -> u64 {
         self.obs.bytes_received()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::endpoint::rd_rc::tests::{check_short_streams, delivery_order};
+    use crate::ShuffleAlgorithm;
+
+    fn memq_wr() -> ShuffleAlgorithm {
+        ShuffleAlgorithm::parse("MEMQ/WR").unwrap_or_else(|| panic!("MEMQ/WR parses"))
+    }
+
+    /// The release of a `Depleted` carrier grants nothing back, the release
+    /// before it still does, and the short stream still closes.
+    #[test]
+    fn the_depleted_carrier_is_not_granted_back() {
+        check_short_streams(memq_wr());
+    }
+
+    /// Node `k`'s receiver takes its sources' rings from node `k + 1` round.
+    #[test]
+    fn each_receiver_takes_its_rings_after_its_node() {
+        for k in 0..4 {
+            let expected: Vec<usize> = (1..4).map(|d| (k + d) % 4).collect();
+            assert_eq!(delivery_order(memq_wr(), k), expected, "node {k}");
+        }
     }
 }

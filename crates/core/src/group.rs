@@ -98,8 +98,8 @@ impl TransmissionGroups {
 }
 
 /// The `n` slots from `start` round to `start - 1` (mod `n`): how a sender
-/// walks its receivers. Lockstep senders that all start at slot 0 convoy;
-/// each starting after itself spreads them, as a round-robin schedule does.
+/// walks its receivers and a reader its sources. All starting at slot 0,
+/// they convoy; each starting after itself spreads them, as round-robin does.
 pub(crate) fn rotation(start: usize, n: usize) -> impl Iterator<Item = usize> {
     (0..n).map(move |k| (start + k) % n)
 }
